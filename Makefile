@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-dist-json bench-dist-diff bench-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke bench-serve-json bench-serve-diff ci clean
+.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-dist-json bench-dist-diff bench-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke bench-serve-json bench-serve-diff ci clean
 
 all: build
 
@@ -71,7 +71,10 @@ bench-json:
 # the fresh run must be monotone non-increasing within 10%; the -speedup
 # gate asserts the sketch fast path's claim (keep=0.1 at least 3x faster
 # than plain HOSVD) within the fresh run, where both sides share one
-# machine and the tight ratio is meaningful. The dense
+# machine and the tight ratio is meaningful. The TransientCoreRecovery
+# shape gate holds the sparse-TTM dispatch rule (DESIGN.md §11): a TTM
+# that compiled a plan for the one-shot join ran 13x slower at workers=2
+# than at workers=1. The dense
 # Gram family gets a wider ns tolerance (prefix override): on a
 # single-core box its strip partials are pure overhead, so its absolute
 # ns swings with the machine — its regression protection is the exact
@@ -81,6 +84,7 @@ BENCH_GATE = -tol 0.35 -allocs-tol 48 -shape-slack 0.10 \
 	-shape BenchmarkParallelHOSVD \
 	-shape BenchmarkParallelTTM \
 	-shape BenchmarkModeGramDenseWorkers \
+	-shape BenchmarkTransientCoreRecovery \
 	-speedup BenchmarkSketchedHOSVD/keep=0.1:BenchmarkHOSVD:3
 
 # Re-measure the kernel benchmarks and diff against the checked-in
@@ -121,6 +125,20 @@ bench-dist-diff:
 # running without measuring anything.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The repo's one end-to-end benchmark (BENCHMARK.json, cmd/m2tdperf):
+# four campaign workloads, each with a serial and an all-core arm.
+# perf-smoke runs tiny shapes in ~10-15 s and checks every output
+# (arm-vs-arm bit identity, served admissions, dist-vs-in-process) — it
+# keeps the benchmark running, it measures nothing. perf is a full
+# timed + traced run of every workload at one seed (~3-4 min); compare
+# commits by alternating runs, never from one run per side
+# (cmd/m2tdperf/README.md).
+perf-smoke:
+	$(GO) run ./cmd/m2tdperf -smoke
+
+perf:
+	$(GO) run ./cmd/m2tdperf -seed 7
 
 # Short runs of the internal/tensor fuzz targets.
 fuzz-smoke:
@@ -193,7 +211,7 @@ bench-serve-diff:
 	$(GO) run ./cmd/loadgen -requests 200 -clients 8 -distinct 8 -out BENCH_9_new.json
 	$(GO) run ./cmd/benchjson -diff $(SERVE_BENCH_GATE) BENCH_9.json BENCH_9_new.json
 
-ci: build lint test race bench-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke
+ci: build lint test race bench-smoke perf-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke
 
 clean:
 	$(GO) clean ./...

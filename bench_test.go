@@ -196,7 +196,14 @@ func BenchmarkTable8(b *testing.B) {
 // benchPartition builds one PF-partitioned pair at bench scale.
 func benchPartition(b *testing.B) (*partition.Result, []int) {
 	b.Helper()
-	space, err := eval.SpaceFor("double-pendulum", benchRes(), benchRes())
+	return benchPartitionAt(b, benchRes())
+}
+
+// benchPartitionAt builds one full-density PF-partitioned pair at the
+// given resolution.
+func benchPartitionAt(b *testing.B, res int) (*partition.Result, []int) {
+	b.Helper()
+	space, err := eval.SpaceFor("double-pendulum", res, res)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,6 +250,47 @@ func BenchmarkStitching(b *testing.B) {
 			stitch.ZeroJoin(part)
 		}
 	})
+}
+
+// joinStageRes pins the join-stage kernel benchmarks to the size of the
+// m2tdperf dense-join workload — a 12⁵ space whose full-density join has
+// 248,832 cells — whatever M2TD_BENCH_RES says, so their numbers explain
+// that workload's stitch and core-recovery layers.
+const joinStageRes = 12
+
+// BenchmarkStitchJoin measures JE-stitching of the full-density res-12
+// join: the block-template emission (one AppendBlock per sub-1 entry)
+// against its allocate-and-fill floor.
+func BenchmarkStitchJoin(b *testing.B) {
+	part, _ := benchPartitionAt(b, joinStageRes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stitch.Join(part)
+	}
+}
+
+// BenchmarkTransientCoreRecovery measures core recovery G = J ×ₙ U(n)ᵀ
+// from a freshly stitched join under the transient-tensor protocol: every
+// iteration projects a fresh plan-less view, as every pipeline run does.
+// The sparse TTM borrows plans and never builds one, so the curve must be
+// flat in workers; the BENCH_GATE -shape check on this benchmark is what
+// catches a return of the plan-compile inversion (workers>=2 once ran 13x
+// slower than workers=1 here).
+func BenchmarkTransientCoreRecovery(b *testing.B) {
+	part, ranks := benchPartitionAt(b, joinStageRes)
+	res, err := core.Decompose(part, core.Options{Method: core.SELECT, Ranks: ranks})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 4} {
+		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tucker.CoreFromFactorsWorkers(res.Join.PlanlessView(), res.Factors, w)
+			}
+		})
+	}
 }
 
 // BenchmarkDistributedWorkers measures D-M2TD end-to-end at different
@@ -408,6 +456,9 @@ func BenchmarkParallelTTM(b *testing.B) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
+	// TTM borrows plans and never builds one: cache the mode-0 plan the
+	// sweep's Gram step would have left, or every arm runs the scatter.
+	s.PlanMode(0, 0)
 	for _, w := range benchWorkerCounts() {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

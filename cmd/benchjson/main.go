@@ -46,8 +46,8 @@ import (
 
 // defaultBench selects the kernel benchmarks worth tracking: TTM and
 // ModeGram variants, HOSVD/HOOI (plain and sketched), workspace chains,
-// and stitching.
-const defaultBench = "BenchmarkTTM|BenchmarkModeGram|BenchmarkWorkspace|BenchmarkHOSVD|BenchmarkHOOI|BenchmarkParallelHOSVD|BenchmarkParallelTTM|BenchmarkStitching|BenchmarkSketched"
+// stitching, and transient (plan-less) core recovery.
+const defaultBench = "BenchmarkTTM|BenchmarkModeGram|BenchmarkWorkspace|BenchmarkHOSVD|BenchmarkHOOI|BenchmarkParallelHOSVD|BenchmarkParallelTTM|BenchmarkStitch|BenchmarkSketched|BenchmarkTransientCoreRecovery"
 
 // stringList is a repeatable string flag.
 type stringList []string

@@ -8,9 +8,15 @@ package core
 // wall-clock, never a single bit of the result.
 
 import (
+	"context"
+	"math/rand"
 	"strconv"
 	"testing"
 
+	"repro/internal/dynsys"
+	"repro/internal/ensemble"
+	"repro/internal/parallel"
+	"repro/internal/partition"
 	"repro/internal/tucker"
 )
 
@@ -74,4 +80,63 @@ func TestDecomposeZeroJoinWorkersBitStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultEqualBits(t, "AVG zero-join", want, got)
+}
+
+// TestDecomposeJoinStaysPlanFree pins the join stage's dispatch rule from
+// the pipeline side: the stitched join is a one-shot tensor, so core
+// recovery must never compile a kernel plan for it — at any worker count,
+// with real fan-out available — and the core must not depend on the
+// worker count. The join is sized past the sparse TTM's planned-path
+// threshold (even at KeepFrac 0.5) so the rule, not the size gate, is what
+// keeps the plan cache untouched.
+func TestDecomposeJoinStaysPlanFree(t *testing.T) {
+	prev := parallel.SetFanoutCap(8)
+	defer parallel.SetFanoutCap(prev)
+
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 7, 4)
+	ranks := tucker.UniformRanks(5, 3)
+	for _, tc := range []struct {
+		name     string
+		freeFrac float64
+		opts     Options
+	}{
+		{"join", 1, Options{}},
+		{"zero-join", 0.5, Options{ZeroJoin: true}},
+		{"sketched", 1, Options{Sketch: SketchSpec{KeepFrac: 0.5, Seed: 9}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
+			cfg.FreeFrac = tc.freeFrac
+			p, err := partition.Generate(space, cfg, rand.New(rand.NewSource(431)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := tc.opts
+			opts.Method, opts.Ranks = SELECT, ranks
+			var want *Result
+			for _, w := range []int{1, 2, 8} {
+				opts.Workers = w
+				got, err := DecomposeCtx(context.Background(), p, opts)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				// 4096 is the sparse TTM's planned-path size gate.
+				need := 4096
+				if f := opts.Sketch.KeepFrac; f > 0 {
+					need = int(1.1 * float64(need) / f)
+				}
+				if nnz := got.Join.NNZ(); nnz < need {
+					t.Fatalf("join has %d cells, want >= %d to reach the planned-path size gate", nnz, need)
+				}
+				if builds, hits := got.Join.PlanStats(); builds != 0 || hits != 0 {
+					t.Fatalf("workers=%d: core recovery touched the join's plan cache: %d builds, %d hits", w, builds, hits)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				resultEqualBits(t, tc.name+" w="+strconv.Itoa(w), want, got)
+			}
+		})
+	}
 }

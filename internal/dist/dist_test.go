@@ -7,7 +7,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
+	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
@@ -195,6 +197,44 @@ func TestFiberPhase3AcrossWorkerCounts(t *testing.T) {
 		}
 		if !res.Core.Equal(first.Core, 1e-9) {
 			t.Fatalf("workers=%d: core differs", w)
+		}
+	}
+}
+
+// TestDistributedShardsStayPlanFree pins the sparse-TTM dispatch rule on
+// the D-M2TD path: kernel plans are compiled by the Phase 1 Gram steps —
+// one per sub-tensor mode — and by nothing else. The Phase 3 shard
+// tensors and the join are one-shot TTM inputs, so with real fan-out
+// available and shards past the planned-path size gate (4096 cells) they
+// must add no build, whatever the shard count.
+func TestDistributedShardsStayPlanFree(t *testing.T) {
+	prev := parallel.SetFanoutCap(8)
+	defer parallel.SetFanoutCap(prev)
+
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 7, 4)
+	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
+	p, err := partition.Generate(space, cfg, rand.New(rand.NewSource(131)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gramPlans := int64(p.Sub1.Tensor.Order() + p.Sub2.Tensor.Order())
+	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 3)}}
+	for _, workers := range []int{1, 2} {
+		opts.Workers = workers
+		builds0, _ := tensor.PlanCacheStats()
+		d, err := Decompose(p, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		builds1, _ := tensor.PlanCacheStats()
+		if shard := d.Join.NNZ() / workers; shard < 4096 {
+			t.Fatalf("workers=%d: %d cells per shard, too few to reach the planned-path size gate", workers, shard)
+		}
+		if got := builds1 - builds0; got != gramPlans {
+			t.Fatalf("workers=%d: %d plans compiled, want %d (Phase 1 Gram steps only)", workers, got, gramPlans)
+		}
+		if builds, hits := d.Join.PlanStats(); builds != 0 || hits != 0 {
+			t.Fatalf("workers=%d: join plan cache touched: %d builds, %d hits", workers, builds, hits)
 		}
 	}
 }

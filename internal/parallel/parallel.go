@@ -96,17 +96,6 @@ func SetFanoutCap(n int) int {
 	return int(fanoutCap.Swap(int64(n)))
 }
 
-// Fanout resolves a workers knob to the number of goroutines a For/Do
-// call would actually spawn for it: the resolved worker count, capped by
-// FanoutCap. Kernels use it to decide whether a parallel code path can
-// pay off at all — when Fanout(workers) is 1 there is no available
-// parallelism, and any setup cost a parallel path front-loads (plan
-// compilation, partial-buffer pools) is a pure loss over the serial
-// path.
-func Fanout(workers int) int {
-	return fanout(workers)
-}
-
 // fanout resolves a workers knob to the number of goroutines worth
 // spawning: the resolved worker count, capped by FanoutCap.
 func fanout(workers int) int {

@@ -71,7 +71,7 @@ func TestForChunkBoundariesDeterministic(t *testing.T) {
 	}
 }
 
-func TestForGrainCapsFanout(t *testing.T) {
+func TestForGrainCapsfanout(t *testing.T) {
 	// n=100 with grain=100 must run in a single inline chunk.
 	chunks := 0
 	ForGrain(100, 8, 100, func(start, end int) {
@@ -222,20 +222,20 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestFanoutExport(t *testing.T) {
+func TestFanoutCapBindsAfterWorkers(t *testing.T) {
 	prev := SetFanoutCap(2)
 	defer SetFanoutCap(prev)
-	if got := Fanout(8); got != 2 {
-		t.Fatalf("Fanout(8) under cap 2 = %d, want 2", got)
+	if got := fanout(8); got != 2 {
+		t.Fatalf("fanout(8) under cap 2 = %d, want 2", got)
 	}
-	if got := Fanout(1); got != 1 {
-		t.Fatalf("Fanout(1) = %d, want 1", got)
+	if got := fanout(1); got != 1 {
+		t.Fatalf("fanout(1) = %d, want 1", got)
 	}
 	SetFanoutCap(16)
-	if got := Fanout(8); got != 8 {
-		t.Fatalf("Fanout(8) under cap 16 = %d, want 8 (workers bind first)", got)
+	if got := fanout(8); got != 8 {
+		t.Fatalf("fanout(8) under cap 16 = %d, want 8 (workers bind first)", got)
 	}
-	if got := Fanout(0); got != Resolve(0) {
-		t.Fatalf("Fanout(0) = %d, want Resolve(0) = %d under a high cap", got, Resolve(0))
+	if got := fanout(0); got != Resolve(0) {
+		t.Fatalf("fanout(0) = %d, want Resolve(0) = %d under a high cap", got, Resolve(0))
 	}
 }

@@ -1,6 +1,7 @@
 package stitch
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -53,7 +54,9 @@ func TestSortMergeJoinParity(t *testing.T) {
 	for _, freeFrac := range []float64{0.15, 0.25, 0.5, 0.75, 1} {
 		for seed := int64(200); seed < 205; seed++ {
 			res := tinyResult(t, freeFrac, seed)
-			bitsEqualSparse(t, "Join", Join(res), stitchHashJoin(res, false))
+			j := Join(res)
+			bitsEqualSparse(t, "Join", j, stitchHashJoin(res, false))
+			exactAlloc(t, "Join", j)
 		}
 	}
 }
@@ -65,7 +68,9 @@ func TestSortMergeZeroJoinParity(t *testing.T) {
 	for _, freeFrac := range []float64{0.15, 0.25, 0.5, 1} {
 		for seed := int64(300); seed < 305; seed++ {
 			res := tinyResult(t, freeFrac, seed)
-			bitsEqualSparse(t, "ZeroJoin", ZeroJoin(res), stitchHashJoin(res, true))
+			j := ZeroJoin(res)
+			bitsEqualSparse(t, "ZeroJoin", j, stitchHashJoin(res, true))
+			exactAlloc(t, "ZeroJoin", j)
 		}
 	}
 }
@@ -77,6 +82,103 @@ func TestSortMergeParityParameterPivot(t *testing.T) {
 	res := paramPivotResult(t, 101)
 	bitsEqualSparse(t, "Join/param-pivot", Join(res), stitchHashJoin(res, false))
 	bitsEqualSparse(t, "ZeroJoin/param-pivot", ZeroJoin(res), stitchHashJoin(res, true))
+}
+
+// exactAlloc asserts the join's COO arrays were preallocated to exactly
+// the emitted cell count: the sizing pass counted matched pairs and
+// zero-join extensions alike, so neither slice regrew or over-reserved.
+func exactAlloc(t *testing.T, name string, j *tensor.Sparse) {
+	t.Helper()
+	if cap(j.Vals) != len(j.Vals) || cap(j.Idx) != len(j.Idx) {
+		t.Fatalf("%s: Vals len %d cap %d, Idx len %d cap %d; want cap == len",
+			name, len(j.Vals), cap(j.Vals), len(j.Idx), cap(j.Idx))
+	}
+}
+
+// filterSub rebuilds a sub-ensemble's tensor from the entries keep
+// accepts, in storage order.
+func filterSub(sub *partition.SubEnsemble, keep func(idx []int) bool) {
+	out := tensor.NewSparse(sub.Tensor.Shape)
+	out.RejectNonFinite = sub.Tensor.RejectNonFinite
+	sub.Tensor.Each(func(idx []int, v float64) {
+		if keep(idx) {
+			out.Append(idx, v)
+		}
+	})
+	sub.Tensor = out
+}
+
+// raggedResult thins a generated partition into the shapes Generate never
+// produces: pivot group 0 survives in sub-ensemble 2 only, pivot group 2
+// in sub-ensemble 1 only, and the shared group loses a different random
+// share of its entries on each side (unequal E₁ and E₂).
+func raggedResult(t *testing.T, seed int64) *partition.Result {
+	t.Helper()
+	res := tinyResult(t, 0.75, seed)
+	rng := rand.New(rand.NewSource(seed))
+	filterSub(res.Sub1, func(idx []int) bool { return idx[0] != 0 && rng.Float64() < 0.8 })
+	filterSub(res.Sub2, func(idx []int) bool { return idx[0] != 2 && rng.Float64() < 0.4 })
+	return res
+}
+
+// TestBlockEmissionParityRaggedGroups runs the block-template emission
+// against the hash-join reference on unequal group sizes and one-sided
+// pivot groups, for both variants, and checks the exact preallocation.
+func TestBlockEmissionParityRaggedGroups(t *testing.T) {
+	for seed := int64(400); seed < 405; seed++ {
+		res := raggedResult(t, seed)
+		if n1, n2 := res.Sub1.Tensor.NNZ(), res.Sub2.Tensor.NNZ(); n1 == 0 || n2 == 0 || n1 == n2 {
+			t.Fatalf("seed %d: degenerate ragged partition (%d, %d entries)", seed, n1, n2)
+		}
+		j := Join(res)
+		bitsEqualSparse(t, "Join/ragged", j, stitchHashJoin(res, false))
+		exactAlloc(t, "Join/ragged", j)
+		z := ZeroJoin(res)
+		bitsEqualSparse(t, "ZeroJoin/ragged", z, stitchHashJoin(res, true))
+		exactAlloc(t, "ZeroJoin/ragged", z)
+		// The one-sided groups exist: they reach the zero-join only.
+		if z.NNZ() <= j.NNZ() {
+			t.Fatalf("seed %d: zero-join added no cells (%d vs %d)", seed, z.NNZ(), j.NNZ())
+		}
+	}
+}
+
+// TestBlockEmissionParityQuarantine injects a NaN behind the ingest guard
+// of a quarantining sub-tensor: the join must equal the reference with
+// its non-finite cells removed (the reference predates the quarantine and
+// keeps them), and count each removed cell in Rejected — including the
+// cells dropped from the middle of an emission block.
+func TestBlockEmissionParityQuarantine(t *testing.T) {
+	for _, zero := range []bool{false, true} {
+		res := raggedResult(t, 410)
+		if !res.Sub2.Tensor.RejectNonFinite {
+			t.Fatal("Generate no longer arms the quarantine on sub-tensors")
+		}
+		// The last sub-2 entry of the shared pivot group (1): it sits
+		// inside every matched block of that group.
+		sub2 := res.Sub2.Tensor
+		for e := sub2.NNZ() - 1; e >= 0; e-- {
+			if idx, _ := sub2.Entry(e); idx[0] == 1 {
+				sub2.Vals[e] = math.NaN()
+				break
+			}
+		}
+		sub2.InvalidatePlans()
+
+		ref := stitchHashJoin(res, zero)
+		want := tensor.NewSparse(ref.Shape)
+		want.RejectNonFinite = true
+		ref.Each(func(idx []int, v float64) { want.Append(idx, v) })
+		if want.Rejected == 0 {
+			t.Fatal("poisoned entry reached no join cell")
+		}
+
+		got := stitch(res, zero)
+		bitsEqualSparse(t, "quarantined join", got, want)
+		if got.Rejected != want.Rejected {
+			t.Fatalf("zero=%v: Rejected = %d, want %d", zero, got.Rejected, want.Rejected)
+		}
+	}
 }
 
 func TestLocalKeyPacksThreeModes(t *testing.T) {

@@ -56,6 +56,9 @@ type subIndex struct {
 	perm   []int // entry ids, stable-sorted by pivot key
 	bounds []int // group boundaries into perm (len == len(keys)+1)
 	keys   []int // ascending pivot key per group
+	// freeKeys, built by sortFreeKeys for the zero-join only, holds each
+	// group's local free keys sorted ascending, aligned with perm.
+	freeKeys []int
 }
 
 // buildIndex compiles the sort-merge index for one sub-ensemble.
@@ -91,6 +94,54 @@ func buildIndex(sub *partition.SubEnsemble) subIndex {
 	return subIndex{t: t, k: k, perm: perm, bounds: bounds, keys: keys}
 }
 
+// group advances the merge cursor *p to the first group whose key is not
+// below key and returns that group's [s, e) range in perm if its key
+// equals key, or an empty range otherwise. Callers pass ascending keys.
+func (si *subIndex) group(key int, p *int) (s, e int) {
+	for *p < len(si.keys) && si.keys[*p] < key {
+		*p++
+	}
+	if *p < len(si.keys) && si.keys[*p] == key {
+		return si.bounds[*p], si.bounds[*p+1]
+	}
+	return 0, 0
+}
+
+// sortFreeKeys fills freeKeys: position-aligned with perm, the local free
+// keys of every pivot group, sorted ascending within the group — the
+// zero-join's sampled-configuration sets, one binary-searchable run per
+// group.
+func (si *subIndex) sortFreeKeys() {
+	si.freeKeys = make([]int, len(si.perm))
+	for p := range si.perm {
+		idx, _ := si.entry(p)
+		si.freeKeys[p] = localKey(idx[si.k:])
+	}
+	for g := range si.keys {
+		sort.Ints(si.freeKeys[si.bounds[g]:si.bounds[g+1]])
+	}
+}
+
+// distinct counts the distinct values of an ascending slice.
+func distinct(sorted []int) int {
+	n := 0
+	for i, v := range sorted {
+		if i == 0 || v != sorted[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// gridSize is the number of coordinate combinations over the given modes.
+func gridSize(shape tensor.Shape, modes []int) int {
+	n := 1
+	for _, m := range modes {
+		n *= shape[m]
+	}
+	return n
+}
+
 // entry returns the full multi-index (aliasing sub-tensor storage; do not
 // mutate) and value of the entry at sorted position p.
 func (si *subIndex) entry(p int) ([]int, float64) {
@@ -117,6 +168,7 @@ func stitch(res *partition.Result, zero bool) *tensor.Sparse {
 	space := res.Space
 	cfg := res.Config
 	k := len(cfg.Pivots)
+	o := space.Order()
 	j := tensor.NewSparse(space.Shape())
 	// Divergence quarantine propagates through stitching: if either
 	// sub-ensemble rejects non-finite cells, the join does too, so a NaN
@@ -127,56 +179,61 @@ func stitch(res *partition.Result, zero bool) *tensor.Sparse {
 
 	idx1 := buildIndex(res.Sub1)
 	idx2 := buildIndex(res.Sub2)
+	var grid1, grid2 int // full free-grid sizes F₁, F₂
+	if zero {
+		idx1.sortFreeKeys()
+		idx2.sortFreeKeys()
+		grid1, grid2 = gridSize(j.Shape, cfg.Free1), gridSize(j.Shape, cfg.Free2)
+	}
 
-	// Preallocate the COO arrays: the matched-pair count is known exactly
-	// from one merge pass over the group lists, which avoids repeated
-	// growth of multi-megabyte slices at high densities (zero-join
-	// extensions still append beyond this).
-	matched := 0
+	// Preallocate the COO arrays exactly: one merge pass over the group
+	// lists counts every cell the emission below produces — e₁·e₂ matched
+	// pairs per group, plus for the zero-join e₁·(F₂−|sampled₂|) and
+	// e₂·(F₁−|sampled₁|) extensions per sub-1 group and e₂·F₁ per sub-2-only
+	// group — so multi-megabyte slices never regrow mid-emission.
+	// only2 counts down to the sub-2 entries whose pivot group has no sub-1
+	// partner.
+	cells, maxE2, only2 := 0, 0, idx2.t.NNZ()
 	for g1, p2 := 0, 0; g1 < len(idx1.keys); g1++ {
-		key := idx1.keys[g1]
-		for p2 < len(idx2.keys) && idx2.keys[p2] < key {
-			p2++
-		}
-		if p2 < len(idx2.keys) && idx2.keys[p2] == key {
-			matched += (idx1.bounds[g1+1] - idx1.bounds[g1]) * (idx2.bounds[p2+1] - idx2.bounds[p2])
+		s1, e1 := idx1.bounds[g1], idx1.bounds[g1+1]
+		s2, e2 := idx2.group(idx1.keys[g1], &p2)
+		cells += (e1 - s1) * (e2 - s2)
+		maxE2 = max(maxE2, e2-s2)
+		only2 -= e2 - s2
+		if zero {
+			cells += (e1-s1)*(grid2-distinct(idx2.freeKeys[s2:e2])) +
+				(e2-s2)*(grid1-distinct(idx1.freeKeys[s1:e1]))
 		}
 	}
-	//lint:allow quarantine -- capacity preallocation on a freshly created join tensor; entries enter via the quarantine-checked Append path
-	j.Idx = make([]int, 0, matched*space.Order())
-	//lint:allow quarantine -- capacity preallocation on a freshly created join tensor; entries enter via the quarantine-checked Append path
-	j.Vals = make([]float64, 0, matched)
+	if zero {
+		cells += only2 * grid1
+	}
+	//lint:allow quarantine -- capacity preallocation on a freshly created join tensor; entries enter via the quarantine-checked Append/AppendBlock path
+	j.Idx = make([]int, 0, cells*o)
+	//lint:allow quarantine -- capacity preallocation on a freshly created join tensor; entries enter via the quarantine-checked Append/AppendBlock path
+	j.Vals = make([]float64, 0, cells)
 
-	full := make([]int, space.Order())
+	full := make([]int, o)
 	emit := func(pivotIdx, free1, free2 []int, v float64) {
 		for i, m := range cfg.Pivots {
 			full[m] = pivotIdx[i]
 		}
-		if free1 != nil {
-			for i, m := range cfg.Free1 {
-				full[m] = free1[i]
-			}
+		for i, m := range cfg.Free1 {
+			full[m] = free1[i]
 		}
-		if free2 != nil {
-			for i, m := range cfg.Free2 {
-				full[m] = free2[i]
-			}
+		for i, m := range cfg.Free2 {
+			full[m] = free2[i]
 		}
 		j.Append(full, v)
 	}
 
-	// Reusable sampled-free-key scratch for the zero-join membership
-	// tests (sorted slice + binary search instead of a per-group map).
-	var sampled []int
-	collectSampled := func(si *subIndex, s, e int) []int {
-		sampled = sampled[:0]
-		for p := s; p < e; p++ {
-			idx, _ := si.entry(p)
-			sampled = append(sampled, localKey(idx[si.k:]))
-		}
-		sort.Ints(sampled)
-		return sampled
-	}
+	// Block template of one matched pivot group: row r carries the pivot
+	// and free-2 coordinates of the group's r-th sub-2 entry (v2s[r] its
+	// value); the free-1 columns are patched per sub-1 entry.
+	blk := make([]int, 0, maxE2*o)
+	v2s := make([]float64, 0, maxE2)
+	vals := make([]float64, maxE2)
+
 	isSampled := func(keys []int, key int) bool {
 		i := sort.SearchInts(keys, key)
 		return i < len(keys) && keys[i] == key
@@ -186,23 +243,38 @@ func stitch(res *partition.Result, zero bool) *tensor.Sparse {
 	// two-pointer against sub-ensemble 2's group list.
 	p2 := 0
 	for g1 := 0; g1 < len(idx1.keys); g1++ {
-		key := idx1.keys[g1]
 		s1, e1 := idx1.bounds[g1], idx1.bounds[g1+1]
-		for p2 < len(idx2.keys) && idx2.keys[p2] < key {
-			p2++
-		}
-		var s2, e2 int
-		if p2 < len(idx2.keys) && idx2.keys[p2] == key {
-			s2, e2 = idx2.bounds[p2], idx2.bounds[p2+1]
-		}
+		s2, e2 := idx2.group(idx1.keys[g1], &p2)
 		pivotIdx, _ := idx1.entry(s1)
 		pivotIdx = pivotIdx[:k]
-		// Matched pairs: the average of the two simulation results.
-		for q1 := s1; q1 < e1; q1++ {
-			i1, v1 := idx1.entry(q1)
+		// Matched pairs: the average of the two simulation results, one
+		// E₂-cell block per sub-1 entry — the same cells in the same order
+		// as a q1-outer, q2-inner pair loop.
+		if n2 := e2 - s2; n2 > 0 {
+			blk, v2s = blk[:0], v2s[:0]
+			for i, m := range cfg.Pivots {
+				full[m] = pivotIdx[i]
+			}
 			for q2 := s2; q2 < e2; q2++ {
 				i2, v2 := idx2.entry(q2)
-				emit(pivotIdx, i1[k:], i2[k:], (v1+v2)/2)
+				for i, m := range cfg.Free2 {
+					full[m] = i2[k+i]
+				}
+				blk = append(blk, full...)
+				v2s = append(v2s, v2)
+			}
+			for q1 := s1; q1 < e1; q1++ {
+				i1, v1 := idx1.entry(q1)
+				for i, m := range cfg.Free1 {
+					c := i1[k+i]
+					for at := m; at < len(blk); at += o {
+						blk[at] = c
+					}
+				}
+				for r, v2 := range v2s {
+					vals[r] = (v1 + v2) / 2
+				}
+				j.AppendBlock(blk, vals[:n2])
 			}
 		}
 		if !zero {
@@ -210,7 +282,7 @@ func stitch(res *partition.Result, zero bool) *tensor.Sparse {
 		}
 		// Zero-join extensions: each existing cell joined against the
 		// other side's unsampled free configurations with value 0.
-		sampled2 := collectSampled(&idx2, s2, e2)
+		sampled2 := idx2.freeKeys[s2:e2]
 		eachFreeConfig(space, cfg.Free2, func(f2 []int) {
 			if isSampled(sampled2, localKey(f2)) {
 				return
@@ -220,7 +292,7 @@ func stitch(res *partition.Result, zero bool) *tensor.Sparse {
 				emit(pivotIdx, i1[k:], f2, v1/2)
 			}
 		})
-		sampled1 := collectSampled(&idx1, s1, e1)
+		sampled1 := idx1.freeKeys[s1:e1]
 		eachFreeConfig(space, cfg.Free1, func(f1 []int) {
 			if isSampled(sampled1, localKey(f1)) {
 				return
@@ -236,11 +308,7 @@ func stitch(res *partition.Result, zero bool) *tensor.Sparse {
 	if zero {
 		p1 := 0
 		for g2 := 0; g2 < len(idx2.keys); g2++ {
-			key := idx2.keys[g2]
-			for p1 < len(idx1.keys) && idx1.keys[p1] < key {
-				p1++
-			}
-			if p1 < len(idx1.keys) && idx1.keys[p1] == key {
+			if s1, e1 := idx1.group(idx2.keys[g2], &p1); e1 > s1 {
 				continue
 			}
 			s2, e2 := idx2.bounds[g2], idx2.bounds[g2+1]

@@ -131,7 +131,9 @@ func BenchmarkWorkspaceTTMChain(b *testing.B) {
 }
 
 // BenchmarkWorkspaceTTMSparseChain is the sparse-input analogue: one
-// planned sparse TTM followed by dense chain steps, all in reused buffers.
+// sparse TTM followed by dense chain steps, all in reused buffers. The
+// sparse step is the entry scatter: no Gram kernel has run on s, and a
+// TTM never compiles a plan of its own.
 func BenchmarkWorkspaceTTMSparseChain(b *testing.B) {
 	s := benchSparse5(b, 20000)
 	rng := rand.New(rand.NewSource(10))
@@ -140,7 +142,7 @@ func BenchmarkWorkspaceTTMSparseChain(b *testing.B) {
 		ms[n] = mat.Transpose(mat.RandomOrthonormal(rng, 12, 4))
 	}
 	w := NewWorkspace()
-	w.MultiTTMSparseWorkers(s, ms, 1) // warm slots + compile the plan
+	w.MultiTTMSparseWorkers(s, ms, 1) // warm the slots
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -71,6 +71,10 @@ func TestTTMSparseWorkersBitStable(t *testing.T) {
 	s := seededSparse(Shape{9, 8, 7, 6}, 6000, 1)
 	m := randomMatrix(4, 9, 2)
 	want := TTMSparseWorkers(s, 0, m, 1)
+	// TTM only borrows plans: cache them so the sweeps below run the
+	// group-parallel path against the plan-less serial scatter above.
+	s.PlanMode(0, 1)
+	s.PlanMode(2, 1)
 	for _, w := range parallelTestWorkers {
 		t.Run("w="+strconv.Itoa(w), func(t *testing.T) {
 			got := TTMSparseWorkers(s, 0, m, w)
@@ -81,7 +85,7 @@ func TestTTMSparseWorkersBitStable(t *testing.T) {
 	}
 	// Middle mode too (different base/stride layout).
 	m2 := randomMatrix(5, 7, 3)
-	want2 := TTMSparseWorkers(s, 2, m2, 1)
+	want2 := TTMSparseWorkers(s.PlanlessView(), 2, m2, 1)
 	for _, w := range parallelTestWorkers {
 		if !denseEqualBits(want2, TTMSparseWorkers(s, 2, m2, w)) {
 			t.Fatalf("TTMSparse mode 2, workers=%d differs", w)
@@ -161,6 +165,7 @@ func TestMultiTTMSparseWorkersBitStable(t *testing.T) {
 		randomMatrix(2, 7, 13),
 	}
 	want := MultiTTMSparseWorkers(s, ms, 1)
+	s.PlanMode(0, 1) // sweep the borrowed-plan path against the scatter
 	for _, w := range parallelTestWorkers {
 		if !denseEqualBits(want, MultiTTMSparseWorkers(s, ms, w)) {
 			t.Fatalf("MultiTTMSparse workers=%d differs", w)

@@ -118,10 +118,10 @@ type planCache struct {
 }
 
 // InvalidatePlans discards all cached mode plans by bumping the tensor's
-// mutation generation. The mutating methods (Append, Dedup, SortByMode)
-// call it automatically; code that mutates Idx or Vals directly must call
-// it before the next kernel invocation, or kernels will keep serving the
-// stale compiled layout.
+// mutation generation. The mutating methods (Append, AppendBlock, Dedup,
+// SortByMode) call it automatically; code that mutates Idx or Vals
+// directly must call it before the next kernel invocation, or kernels will
+// keep serving the stale compiled layout.
 func (s *Sparse) InvalidatePlans() { s.gen++ }
 
 // PlanMode returns the compiled kernel plan for mode n, building and

@@ -148,14 +148,20 @@ func TestModeGramMatchesReference(t *testing.T) {
 func TestTTMSparseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Large enough to cross ttmSparseMinNNZ so the plan-grouped parallel
-	// path engages at workers>1.
+	// path engages once a plan is cached: each mode is checked plan-less
+	// (entry scatter) and then with the plan a Gram step would have left.
 	s := withDuplicates(rng, randomSparse(rng, Shape{12, 11, 10, 9}, 6000), 100)
 	for n := 0; n < s.Order(); n++ {
 		m := mat.Random(rand.New(rand.NewSource(int64(n))), 4, s.Shape[n])
-		for _, w := range []int{1, 2, 8} {
-			got := TTMSparseWorkers(s, n, m, w)
-			want := ttmSparseWorkersRef(s, n, m, w)
-			bitsEqualDense(t, "TTMSparse", got, want)
+		for _, planned := range []bool{false, true} {
+			if planned {
+				s.PlanMode(n, 1)
+			}
+			for _, w := range []int{1, 2, 8} {
+				got := TTMSparseWorkers(s, n, m, w)
+				want := ttmSparseWorkersRef(s, n, m, w)
+				bitsEqualDense(t, "TTMSparse", got, want)
+			}
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 // module produce duplicate-free tensors directly.
 //
 // Sparse lazily caches compiled per-mode kernel plans (see ModePlan); the
-// mutating methods (Append, Dedup, SortByMode) invalidate them via a
-// generation counter. Code that mutates Idx or Vals directly must call
-// InvalidatePlans before the next kernel invocation. Sparse must not be
-// copied by value once PlanMode has been called.
+// mutating methods (Append, AppendBlock, Dedup, SortByMode) invalidate
+// them via a generation counter. Code that mutates Idx or Vals directly
+// must call InvalidatePlans before the next kernel invocation. Sparse must
+// not be copied by value once PlanMode has been called.
 type Sparse struct {
 	Shape Shape
 	Idx   []int
@@ -92,6 +92,56 @@ func (s *Sparse) Append(idx []int, v float64) {
 	s.Idx = append(s.Idx, idx...)
 	s.Vals = append(s.Vals, v)
 	s.InvalidatePlans()
+}
+
+// AppendBlock adds len(vals) entries at once: cell c sits at the
+// multi-index idx[c*order : (c+1)*order] (copied) with value vals[c]. It
+// is Append applied cell by cell, in order — every index is range-checked,
+// RejectNonFinite drops and counts non-finite cells, and the stored layout
+// is exactly what the per-cell loop would leave — but bulk builders (the
+// stitch emission) pay two slice appends and one plan invalidation per
+// block instead of per cell.
+func (s *Sparse) AppendBlock(idx []int, vals []float64) {
+	o := s.Order()
+	if len(idx) != len(vals)*o {
+		panic(fmt.Sprintf("tensor: AppendBlock got %d indices for %d order-%d cells", len(idx), len(vals), o))
+	}
+	// Range-check column by column: one mode size per pass, and a negative
+	// index fails the unsigned compare too.
+	for k, d := range s.Shape {
+		for at := k; at < len(idx); at += o {
+			if uint(idx[at]) >= uint(d) {
+				c := at / o
+				panic(fmt.Sprintf("tensor: AppendBlock index %v out of range for shape %v", idx[c*o:(c+1)*o], s.Shape))
+			}
+		}
+	}
+	dirty := false
+	if s.RejectNonFinite {
+		for _, v := range vals {
+			if !isFinite(v) {
+				dirty = true
+				break
+			}
+		}
+	}
+	before := len(s.Vals)
+	if !dirty {
+		s.Idx = append(s.Idx, idx...)
+		s.Vals = append(s.Vals, vals...)
+	} else {
+		for c, v := range vals {
+			if !isFinite(v) {
+				s.Rejected++
+				continue
+			}
+			s.Idx = append(s.Idx, idx[c*o:(c+1)*o]...)
+			s.Vals = append(s.Vals, v)
+		}
+	}
+	if len(s.Vals) != before {
+		s.InvalidatePlans()
+	}
 }
 
 // isFinite reports whether v is neither NaN nor ±Inf.

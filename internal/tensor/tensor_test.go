@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -191,6 +192,80 @@ func TestSparseAppendPanics(t *testing.T) {
 				}
 			}()
 			s.Append(bad, 1)
+		}()
+	}
+}
+
+// TestSparseAppendBlockMatchesAppend pins AppendBlock to Append's contract
+// cell by cell: the same stored layout, quarantine drops (mid-block
+// included) and plan accounting as a per-cell loop, with cached plans
+// invalidated.
+func TestSparseAppendBlockMatchesAppend(t *testing.T) {
+	shape := Shape{3, 4, 2}
+	idx := []int{0, 1, 0, 2, 3, 1, 1, 0, 1, 2, 2, 0, 0, 3, 1}
+	vals := []float64{1.5, math.NaN(), -2, math.Inf(-1), 4}
+	for _, reject := range []bool{false, true} {
+		block, cells := NewSparse(shape), NewSparse(shape)
+		for _, s := range []*Sparse{block, cells} {
+			s.RejectNonFinite = reject
+			s.Append([]int{2, 2, 1}, 7)
+			s.PlanMode(0, 1)
+		}
+		block.AppendBlock(idx, vals)
+		for c, v := range vals {
+			cells.Append(idx[c*3:(c+1)*3], v)
+		}
+		if !reflect.DeepEqual(block.Idx, cells.Idx) {
+			t.Fatalf("reject=%v: Idx %v, per-cell %v", reject, block.Idx, cells.Idx)
+		}
+		if len(block.Vals) != len(cells.Vals) {
+			t.Fatalf("reject=%v: %d values, per-cell %d", reject, len(block.Vals), len(cells.Vals))
+		}
+		for i, v := range block.Vals {
+			if math.Float64bits(v) != math.Float64bits(cells.Vals[i]) {
+				t.Fatalf("reject=%v: Vals[%d] = %v, per-cell %v", reject, i, v, cells.Vals[i])
+			}
+		}
+		wantRejected := 0
+		if reject {
+			wantRejected = 2
+		}
+		if block.Rejected != wantRejected || cells.Rejected != wantRejected {
+			t.Fatalf("reject=%v: Rejected %d, per-cell %d, want %d", reject, block.Rejected, cells.Rejected, wantRejected)
+		}
+		if block.HasPlanMode(0) {
+			t.Fatalf("reject=%v: AppendBlock left a stale plan cached", reject)
+		}
+		bb, bh := block.PlanStats()
+		cb, ch := cells.PlanStats()
+		if bb != cb || bh != ch {
+			t.Fatalf("reject=%v: PlanStats (%d, %d), per-cell (%d, %d)", reject, bb, bh, cb, ch)
+		}
+	}
+
+	// A block whose every cell is quarantined stores nothing, so — like
+	// Append — it leaves cached plans valid.
+	s := NewSparse(shape)
+	s.RejectNonFinite = true
+	s.Append([]int{0, 0, 0}, 1)
+	s.PlanMode(1, 1)
+	s.AppendBlock([]int{1, 1, 1}, []float64{math.NaN()})
+	if s.NNZ() != 1 || s.Rejected != 1 || !s.HasPlanMode(1) {
+		t.Fatalf("all-rejected block: NNZ=%d Rejected=%d plan cached=%v", s.NNZ(), s.Rejected, s.HasPlanMode(1))
+	}
+}
+
+func TestSparseAppendBlockPanics(t *testing.T) {
+	// Index past the mode size, negative index, ragged block.
+	for _, bad := range [][]int{{0, 0, 0, 2}, {0, 0, -1, 0}, {0, 0, 1}} {
+		s := NewSparse(Shape{2, 2})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendBlock(%v) did not panic", bad)
+				}
+			}()
+			s.AppendBlock(bad, []float64{1, 2})
 		}()
 	}
 }

@@ -113,14 +113,16 @@ func TTMSparse(x *Sparse, n int, m *mat.Matrix) *Dense { return TTMSparseWorkers
 const ttmSparseMinNNZ = 4096
 
 // TTMSparseWorkers is TTMSparse on an explicit worker count. The parallel
-// path consumes the tensor's compiled mode plan (see ModePlan): entries
+// path borrows the tensor's compiled mode plan when a Gram kernel has
+// already cached one (see ModePlan and ttmSparseKernel): entries
 // grouped by matricization column share one output base, and distinct
 // groups write disjoint output cells, so workers partition the GROUPS —
 // each worker touches only its own groups' entries instead of re-scanning
 // all nnz entries per output slab as the pre-plan kernel did. Within a
 // group the plan preserves storage order, so every output cell accumulates
 // its contributions in exactly the serial entry order — bit-identical
-// results for any worker count.
+// results for any worker count. A tensor without a cached plan runs the
+// serial entry scatter whatever the worker count.
 func TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 	if m.Cols != x.Shape[n] {
 		panic(fmt.Sprintf("tensor: TTMSparse mode %d size %d != matrix cols %d", n, x.Shape[n], m.Cols))
@@ -136,22 +138,25 @@ func TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 // ZEROED output tensor with the given strides. The serial path runs
 // inline without spawning closures.
 //
-// Path choice: the planned path is taken when a plan is already cached
-// (then it is free and its group-sum loop is cache-friendlier than the
-// entry scatter even serially) or when real parallelism is available
-// (parallel.Fanout > 1). Otherwise — no cached plan, no parallelism —
-// compiling a plan is a pure loss: transient tensors like the stitched
-// join in CoreFromFactors die after this one call, so the O(nnz log nnz)
-// compile sort can never amortize, and on a fanout-capped box it used to
-// make a workers=8 request several times SLOWER than workers=1. Both
+// Path choice — borrow, never build: the planned path is taken iff a
+// plan for mode n is already cached (x.HasPlanMode). Plans are compiled
+// by the kernels that need the grouped layout (ModeGram and, through it,
+// LeadingModeVectors); a TTM only borrows what such a kernel left behind.
+// So every reuse caller — sub-tensor projection, the HOSVD / ST-HOSVD
+// core, HOOI sweeps — finds the plan its Gram step cached and keeps the
+// group-parallel path, while every one-shot caller — the stitched or
+// sketched join in CoreFromFactors, a dist shard projection — runs the
+// entry scatter. A one-shot tensor dies after this call, so a plan built
+// here can never amortize at ANY worker count: on the res-12 join
+// (248,832 entries) the compile is a 74 ms serial stable sort plus 8.8 MB
+// of plan arrays, to feed a product the scatter finishes in 3.6 ms. Both
 // paths accumulate every output cell in storage-entry order, so the
 // choice never changes a single output bit.
 func ttmSparseKernel(x *Sparse, n int, m *mat.Matrix, out *Dense, outStrides []int, workers int) {
 	stride := outStrides[n]
 	nnz := x.NNZ()
 	o := x.Order()
-	planned := x.HasPlanMode(n) || parallel.Fanout(workers) > 1
-	if !planned || nnz < ttmSparseMinNNZ || m.Rows == 1 {
+	if nnz < ttmSparseMinNNZ || m.Rows == 1 || !x.HasPlanMode(n) {
 		for e := 0; e < nnz; e++ {
 			idx := x.Idx[e*o : (e+1)*o]
 			base := 0

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -197,35 +198,44 @@ func TestTTMComposesQuick(t *testing.T) {
 }
 
 // TestTTMSparseOneShotSkipsPlanCompile pins the ttmSparseKernel path
-// choice: with no cached plan and no available parallelism (fanout cap
-// 1), a sparse TTM on a transient tensor must NOT compile a mode plan —
-// the O(nnz log nnz) compile sort can never amortize over a single call.
-// A cached plan, by contrast, is free and must be used.
+// choice — borrow, never build — at every fan-out and worker count: a
+// sparse TTM on a plan-less tensor must NOT compile a mode plan (a
+// transient tensor dies after the call, so the O(nnz log nnz) compile sort
+// can never amortize), while a plan some Gram kernel cached is free and
+// must be used. Both paths give the same bits.
 func TestTTMSparseOneShotSkipsPlanCompile(t *testing.T) {
-	prev := parallel.SetFanoutCap(1)
-	defer parallel.SetFanoutCap(prev)
+	// Large enough to cross ttmSparseMinNNZ so only the cached-plan gate
+	// decides the path.
+	base := seededSparse(Shape{12, 11, 10, 9}, 2*ttmSparseMinNNZ, 31)
+	m := mat.Random(rand.New(rand.NewSource(31)), 4, base.Shape[0])
+	want := TTMSparseWorkers(base.PlanlessView(), 0, m, 1)
 
-	// Large enough to cross ttmSparseMinNNZ so only the new fanout /
-	// cached-plan gates decide the path.
-	s := seededSparse(Shape{12, 11, 10, 9}, 2*ttmSparseMinNNZ, 31)
-	m := mat.Random(rand.New(rand.NewSource(31)), 4, s.Shape[0])
+	for _, fanoutCap := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("cap=%d/workers=%d", fanoutCap, workers), func(t *testing.T) {
+				prev := parallel.SetFanoutCap(fanoutCap)
+				defer parallel.SetFanoutCap(prev)
+				s := base.PlanlessView()
 
-	serial := TTMSparseWorkers(s, 0, m, 8)
-	if builds, _ := s.PlanStats(); builds != 0 {
-		t.Fatalf("one-shot TTM at fanout cap 1 compiled %d plans, want 0", builds)
+				oneShot := TTMSparseWorkers(s, 0, m, workers)
+				if builds, hits := s.PlanStats(); builds != 0 || hits != 0 {
+					t.Fatalf("one-shot TTM touched the plan cache: %d builds, %d hits, want 0, 0", builds, hits)
+				}
+				bitsEqualDense(t, "one-shot TTMSparse", want, oneShot)
+
+				// Once a plan exists the kernel must pick it up (hits grow).
+				s.PlanMode(0, 1)
+				builds0, hits0 := s.PlanStats()
+				planned := TTMSparseWorkers(s, 0, m, workers)
+				builds1, hits1 := s.PlanStats()
+				if builds1 != builds0 || hits1 != hits0+1 {
+					t.Fatalf("cached-plan TTM: builds %d->%d hits %d->%d, want one hit and no build",
+						builds0, builds1, hits0, hits1)
+				}
+				bitsEqualDense(t, "planned TTMSparse", want, planned)
+			})
+		}
 	}
-
-	// Once a plan exists the kernel must pick it up (hits grow) and the
-	// result must stay bit-identical to the serial entry loop.
-	s.PlanMode(0, 1)
-	builds0, hits0 := s.PlanStats()
-	planned := TTMSparseWorkers(s, 0, m, 8)
-	builds1, hits1 := s.PlanStats()
-	if builds1 != builds0 || hits1 != hits0+1 {
-		t.Fatalf("cached-plan TTM: builds %d->%d hits %d->%d, want one hit and no build",
-			builds0, builds1, hits0, hits1)
-	}
-	bitsEqualDense(t, "TTMSparse serial vs planned", serial, planned)
 }
 
 // TestHasPlanMode pins the accessor: false before any build, true after,
