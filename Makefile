@@ -46,9 +46,11 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass. The workers=1 vs workers=N bit-stability suites
-# double as data-race proofs for the internal/parallel kernels here.
+# double as data-race proofs for the internal/parallel kernels here; the
+# -count=20 soak catches races that need a particular interleaving.
 race:
 	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -count=20 -timeout 10m ./internal/parallel
 
 # Full benchmark run (slow; honours M2TD_BENCH_RES).
 bench:

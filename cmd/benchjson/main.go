@@ -46,8 +46,9 @@ import (
 
 // defaultBench selects the kernel benchmarks worth tracking: TTM and
 // ModeGram variants, HOSVD/HOOI (plain and sketched), workspace chains,
-// stitching, and transient (plan-less) core recovery.
-const defaultBench = "BenchmarkTTM|BenchmarkModeGram|BenchmarkWorkspace|BenchmarkHOSVD|BenchmarkHOOI|BenchmarkParallelHOSVD|BenchmarkParallelTTM|BenchmarkStitch|BenchmarkSketched|BenchmarkTransientCoreRecovery"
+// stitching, transient (plan-less) core recovery, and the simulation
+// kernel (one simulation per system, one res-12 sub-ensemble campaign).
+const defaultBench = "BenchmarkTTM|BenchmarkModeGram|BenchmarkWorkspace|BenchmarkHOSVD|BenchmarkHOOI|BenchmarkParallelHOSVD|BenchmarkParallelTTM|BenchmarkStitch|BenchmarkSketched|BenchmarkTransientCoreRecovery|BenchmarkSimCells|BenchmarkPartitionGenerate"
 
 // stringList is a repeatable string flag.
 type stringList []string

@@ -44,32 +44,54 @@ func (dp *DoublePendulum) Params() []Param {
 // StateDim implements System: the observed state is (θ₁, θ₂).
 func (dp *DoublePendulum) StateDim() int { return 2 }
 
-// Trajectory implements System. vals = (φ₁, φ₂, m₁, m₂).
+// doublePendulumRHS is the right-hand side at one parameter point: the
+// standard equal-length equations of motion over (θ₁, ω₁, θ₂, ω₂). The
+// parameter-only sub-expressions are evaluated once, grouped exactly as
+// the inline formula's left-to-right evaluation groups them, so every
+// derivative keeps the unhoisted formula's value to the last bit.
+type doublePendulumRHS struct{ l, m2, gM, m2g, mSum, gSum, mDen float64 }
+
+// deriv implements ode.Derivative. math.Sincos returns exactly the
+// (math.Sin, math.Cos) pair — TestSincosMatchesSinCos pins it — so using it
+// for the two arguments that need both changes which library call produces
+// a value, never the value.
+func (r *doublePendulumRHS) deriv(t float64, y, dst []float64) {
+	th1, w1, th2, w2 := y[0], y[1], y[2], y[3]
+	l, m2 := r.l, r.m2
+	sinD, cosD := math.Sincos(th1 - th2)
+	sin1, cos1 := math.Sincos(th1)
+	den := r.mDen - m2*math.Cos(2*th1-2*th2)
+	dst[0] = w1
+	dst[1] = (r.gM*sin1 -
+		r.m2g*math.Sin(th1-2*th2) -
+		2*sinD*m2*(w2*w2*l+w1*w1*l*cosD)) / (l * den)
+	dst[2] = w2
+	dst[3] = (2 * sinD * (w1*w1*l*r.mSum +
+		r.gSum*cos1 +
+		w2*w2*l*m2*cosD)) / (l * den)
+}
+
+// integrate runs the pendulum at vals = (φ₁, φ₂, m₁, m₂) through w and
+// visits the internal state at each of numSamples timestamps.
+func (dp *DoublePendulum) integrate(w *ode.Workspace, vals []float64, numSamples, steps int, visit func(s int, y []float64)) {
+	m1, m2, g := vals[2], vals[3], dp.G
+	rhs := doublePendulumRHS{l: dp.L, m2: m2, gM: -g * (2*m1 + m2), m2g: m2 * g, mSum: m1 + m2, gSum: g * (m1 + m2), mDen: 2*m1 + m2}
+	y0 := [4]float64{vals[0], 0, vals[1], 0}
+	w.Samples(rhs.deriv, 0, dp.Horizon, y0[:], numSamples, steps, visit)
+}
+
+// Trajectory implements System.
 func (dp *DoublePendulum) Trajectory(vals []float64, numSamples int) [][]float64 {
-	phi1, phi2, m1, m2 := vals[0], vals[1], vals[2], vals[3]
-	l, g := dp.L, dp.G
-	deriv := func(t float64, y, dst []float64) {
-		th1, w1, th2, w2 := y[0], y[1], y[2], y[3]
-		delta := th1 - th2
-		sinD, cosD := math.Sin(delta), math.Cos(delta)
-		den := 2*m1 + m2 - m2*math.Cos(2*th1-2*th2)
-		// Standard equal-length double-pendulum equations of motion.
-		dst[0] = w1
-		dst[1] = (-g*(2*m1+m2)*math.Sin(th1) -
-			m2*g*math.Sin(th1-2*th2) -
-			2*sinD*m2*(w2*w2*l+w1*w1*l*cosD)) / (l * den)
-		dst[2] = w2
-		dst[3] = (2 * sinD * (w1*w1*l*(m1+m2) +
-			g*(m1+m2)*math.Cos(th1) +
-			w2*w2*l*m2*cosD)) / (l * den)
-	}
-	y0 := []float64{phi1, 0, phi2, 0}
-	full := ode.Trajectory(deriv, 0, dp.Horizon, y0, numSamples, stepsPerSample(dp.Horizon, numSamples, dp.MaxStep))
 	out := make([][]float64, numSamples)
-	for i, y := range full {
-		out[i] = []float64{y[0], y[2]}
-	}
+	steps := stepsPerSample(dp.Horizon, numSamples, dp.MaxStep)
+	dp.integrate(new(ode.Workspace), vals, numSamples, steps, func(s int, y []float64) { out[s] = []float64{y[0], y[2]} })
 	return out
+}
+
+// cells implements cellKernel.
+func (dp *DoublePendulum) cells(w *ode.Workspace, vals []float64, ref [][]float64, dst []float64) {
+	steps := stepsPerSample(dp.Horizon, len(dst), dp.MaxStep)
+	dp.integrate(w, vals, len(dst), steps, func(s int, y []float64) { dst[s] = Distance([]float64{y[0], y[2]}, ref[s]) })
 }
 
 // Energy returns the total mechanical energy for a full internal state
@@ -89,22 +111,7 @@ func (dp *DoublePendulum) Energy(y []float64, m1, m2 float64) float64 {
 
 // FullState integrates the pendulum and returns the complete internal
 // state (θ₁, ω₁, θ₂, ω₂) at the end of the horizon; used by energy tests.
-func (dp *DoublePendulum) FullState(vals []float64, steps int) []float64 {
-	phi1, phi2, m1, m2 := vals[0], vals[1], vals[2], vals[3]
-	l, g := dp.L, dp.G
-	deriv := func(t float64, y, dst []float64) {
-		th1, w1, th2, w2 := y[0], y[1], y[2], y[3]
-		delta := th1 - th2
-		sinD, cosD := math.Sin(delta), math.Cos(delta)
-		den := 2*m1 + m2 - m2*math.Cos(2*th1-2*th2)
-		dst[0] = w1
-		dst[1] = (-g*(2*m1+m2)*math.Sin(th1) -
-			m2*g*math.Sin(th1-2*th2) -
-			2*sinD*m2*(w2*w2*l+w1*w1*l*cosD)) / (l * den)
-		dst[2] = w2
-		dst[3] = (2 * sinD * (w1*w1*l*(m1+m2) +
-			g*(m1+m2)*math.Cos(th1) +
-			w2*w2*l*m2*cosD)) / (l * den)
-	}
-	return ode.RK4(deriv, 0, dp.Horizon, []float64{phi1, 0, phi2, 0}, steps)
+func (dp *DoublePendulum) FullState(vals []float64, steps int) (out []float64) {
+	dp.integrate(new(ode.Workspace), vals, 1, steps, func(_ int, y []float64) { out = append(out, y...) })
+	return out
 }

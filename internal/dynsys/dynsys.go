@@ -14,6 +14,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+
+	"repro/internal/ode"
 )
 
 // Param describes one simulation parameter and its value range.
@@ -49,10 +51,10 @@ type System interface {
 // CtxSystem is implemented by systems whose simulations are cancellable
 // and fallible — fault-injection wrappers (internal/faults), external
 // solvers, remote workers. The pipeline's simulation fan-out always calls
-// through TrajectoryCtx (via the package-level TrajectoryCtx helper), so a
-// wrapped system's failures surface as errors that the retry/quarantine
-// machinery can handle, while the plain Trajectory path stays infallible
-// for reference trajectories and ground-truth construction.
+// through TrajectoryCtx (via the package-level CellsCtx), so a wrapped
+// system's failures surface as errors that the retry/quarantine machinery
+// can handle, while the plain Trajectory path stays infallible for
+// reference trajectories and ground-truth construction.
 type CtxSystem interface {
 	System
 	// TrajectoryCtx simulates like Trajectory but may fail and must honour
@@ -62,8 +64,8 @@ type CtxSystem interface {
 
 // TrajectoryCtx simulates sys through the fallible path when it implements
 // CtxSystem, and otherwise falls back to the infallible Trajectory after a
-// context check. This is the single entry point the pipeline runtime uses
-// for ensemble simulation runs.
+// context check: the trajectory-returning counterpart of CellsCtx, for
+// callers that want the states themselves.
 func TrajectoryCtx(ctx context.Context, sys System, vals []float64, numSamples int) ([][]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -107,37 +109,53 @@ func ReferenceParams(sys System) []float64 {
 	return vals
 }
 
-// CellValues runs one simulation and returns the tensor cell values for
-// all numSamples timestamps: the Euclidean distance between the simulated
-// state and the reference state at each timestamp. ref must come from
-// Reference(sys, numSamples).
-func CellValues(sys System, vals []float64, ref [][]float64) []float64 {
-	numSamples := len(ref)
-	traj := sys.Trajectory(vals, numSamples)
-	out := make([]float64, numSamples)
-	for t := range out {
-		out[t] = Distance(traj[t], ref[t])
-	}
-	return out
+// cellKernel is the built-in systems' allocation-free simulation kernel:
+// integrate at vals through the caller's workspace and write the distance
+// to ref at each of the len(dst) timestamps into dst.
+type cellKernel interface {
+	cells(w *ode.Workspace, vals []float64, ref [][]float64, dst []float64)
 }
 
-// CellValuesCtx is CellValues through the cancellable, fallible simulation
-// path: the trajectory is obtained via TrajectoryCtx, so wrapped systems
-// can fail, inject faults, or be cancelled mid-campaign. Divergent
+// Cells runs one simulation and writes its tensor cell values into dst:
+// the Euclidean distance between the simulated and the reference state at
+// each timestamp. ref must come from Reference(sys, len(dst)); w is the
+// calling goroutine's workspace. Built-in systems run their kernel and
+// allocate nothing; any other System is simulated through Trajectory.
+func Cells(w *ode.Workspace, sys System, vals []float64, ref [][]float64, dst []float64) {
+	if k, ok := sys.(cellKernel); ok {
+		k.cells(w, vals, ref, dst)
+		return
+	}
+	distances(sys.Trajectory(vals, len(ref)), ref, dst)
+}
+
+// CellsCtx is Cells through the cancellable, fallible simulation path: a
+// CtxSystem (fault injection, external solvers) is simulated via its
+// TrajectoryCtx and can fail or be cancelled mid-campaign. Divergent
 // (non-finite) trajectories flow through untouched — quarantining them is
 // the ingest layer's job (tensor.Sparse RejectNonFinite), which keeps the
 // failure accounting in one place.
-func CellValuesCtx(ctx context.Context, sys System, vals []float64, ref [][]float64) ([]float64, error) {
-	numSamples := len(ref)
-	traj, err := TrajectoryCtx(ctx, sys, vals, numSamples)
-	if err != nil {
-		return nil, err
+func CellsCtx(ctx context.Context, w *ode.Workspace, sys System, vals []float64, ref [][]float64, dst []float64) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	out := make([]float64, numSamples)
-	for t := range out {
-		out[t] = Distance(traj[t], ref[t])
+	cs, ok := sys.(CtxSystem)
+	if !ok {
+		Cells(w, sys, vals, ref, dst)
+		return nil
 	}
-	return out, nil
+	traj, err := cs.TrajectoryCtx(ctx, vals, len(ref))
+	if err == nil {
+		distances(traj, ref, dst)
+	}
+	return err
+}
+
+// distances writes the per-timestamp distance between traj and ref into dst.
+func distances(traj, ref [][]float64, dst []float64) {
+	for t := range dst {
+		dst[t] = Distance(traj[t], ref[t])
+	}
 }
 
 // ByName returns the named system with default physical constants.

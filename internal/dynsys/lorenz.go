@@ -46,14 +46,31 @@ func (lz *Lorenz) Params() []Param {
 // StateDim implements System: the observed state is (x, y, z).
 func (lz *Lorenz) StateDim() int { return 3 }
 
-// Trajectory implements System. vals = (z₀, σ, β, ρ).
+// lorenzRHS is the right-hand side at one (σ, β, ρ) setting.
+type lorenzRHS struct{ sigma, beta, rho float64 }
+
+func (r *lorenzRHS) deriv(t float64, y, dst []float64) {
+	dst[0] = r.sigma * (y[1] - y[0])
+	dst[1] = y[0]*(r.rho-y[2]) - y[1]
+	dst[2] = y[0]*y[1] - r.beta*y[2]
+}
+
+// integrate runs the system at vals = (z₀, σ, β, ρ) through w and visits
+// the state at each of numSamples timestamps.
+func (lz *Lorenz) integrate(w *ode.Workspace, vals []float64, numSamples int, visit func(s int, y []float64)) {
+	rhs := lorenzRHS{sigma: vals[1], beta: vals[2], rho: vals[3]}
+	y0 := [3]float64{lz.X0, lz.Y0, vals[0]}
+	w.Samples(rhs.deriv, 0, lz.Horizon, y0[:], numSamples, stepsPerSample(lz.Horizon, numSamples, lz.MaxStep), visit)
+}
+
+// Trajectory implements System.
 func (lz *Lorenz) Trajectory(vals []float64, numSamples int) [][]float64 {
-	z0, sigma, beta, rho := vals[0], vals[1], vals[2], vals[3]
-	deriv := func(t float64, y, dst []float64) {
-		dst[0] = sigma * (y[1] - y[0])
-		dst[1] = y[0]*(rho-y[2]) - y[1]
-		dst[2] = y[0]*y[1] - beta*y[2]
-	}
-	y0 := []float64{lz.X0, lz.Y0, z0}
-	return ode.Trajectory(deriv, 0, lz.Horizon, y0, numSamples, stepsPerSample(lz.Horizon, numSamples, lz.MaxStep))
+	out := make([][]float64, numSamples)
+	lz.integrate(new(ode.Workspace), vals, numSamples, func(s int, y []float64) { out[s] = append([]float64(nil), y...) })
+	return out
+}
+
+// cells implements cellKernel.
+func (lz *Lorenz) cells(w *ode.Workspace, vals []float64, ref [][]float64, dst []float64) {
+	lz.integrate(w, vals, len(dst), func(s int, y []float64) { dst[s] = Distance(y, ref[s]) })
 }

@@ -1,0 +1,295 @@
+package dynsys
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/ode"
+)
+
+// The closure right-hand sides below are the formulation every simulation
+// ran through before the simulation kernel: one closure built per call,
+// each trigonometric value from its own math.Sin / math.Cos, integrated by
+// ode.Trajectory into a [][]float64 the distances were then read off.
+// They are the bit-level reference of the kernel and live only here. The
+// stepping loop under ode.Trajectory is pinned separately, against the
+// loops it replaced, by ode's TestSamplesBitIdenticalToReferenceLoops.
+
+// closureSystem is a built-in system simulated the old way. It embeds the
+// System interface, not the concrete type, so it does not inherit the
+// kernel and Cells takes the generic Trajectory route for it.
+type closureSystem struct {
+	System
+	traj func(vals []float64, numSamples int) [][]float64
+}
+
+func (c closureSystem) Trajectory(vals []float64, numSamples int) [][]float64 {
+	return c.traj(vals, numSamples)
+}
+
+func closureDoublePendulum(dp *DoublePendulum) closureSystem {
+	return closureSystem{System: dp, traj: func(vals []float64, numSamples int) [][]float64 {
+		phi1, phi2, m1, m2 := vals[0], vals[1], vals[2], vals[3]
+		l, g := dp.L, dp.G
+		deriv := func(t float64, y, dst []float64) {
+			th1, w1, th2, w2 := y[0], y[1], y[2], y[3]
+			delta := th1 - th2
+			sinD, cosD := math.Sin(delta), math.Cos(delta)
+			den := 2*m1 + m2 - m2*math.Cos(2*th1-2*th2)
+			dst[0] = w1
+			dst[1] = (-g*(2*m1+m2)*math.Sin(th1) -
+				m2*g*math.Sin(th1-2*th2) -
+				2*sinD*m2*(w2*w2*l+w1*w1*l*cosD)) / (l * den)
+			dst[2] = w2
+			dst[3] = (2 * sinD * (w1*w1*l*(m1+m2) +
+				g*(m1+m2)*math.Cos(th1) +
+				w2*w2*l*m2*cosD)) / (l * den)
+		}
+		y0 := []float64{phi1, 0, phi2, 0}
+		full := ode.Trajectory(deriv, 0, dp.Horizon, y0, numSamples, stepsPerSample(dp.Horizon, numSamples, dp.MaxStep))
+		out := make([][]float64, numSamples)
+		for i, y := range full {
+			out[i] = []float64{y[0], y[2]}
+		}
+		return out
+	}}
+}
+
+func closureTriplePendulum(tp *TriplePendulum) closureSystem {
+	return closureSystem{System: tp, traj: func(vals []float64, numSamples int) [][]float64 {
+		friction := vals[3]
+		m := tp.Masses
+		g := tp.G
+		tail := [3]float64{m[0] + m[1] + m[2], m[1] + m[2], m[2]}
+		deriv := func(t float64, y, dst []float64) {
+			th := y[0:3]
+			w := y[3:6]
+			var a [3][4]float64
+			for i := 0; i < 3; i++ {
+				var b float64
+				for j := 0; j < 3; j++ {
+					c := tail[i]
+					if j > i {
+						c = tail[j]
+					}
+					d := th[i] - th[j]
+					a[i][j] = c * math.Cos(d)
+					b -= c * math.Sin(d) * w[j] * w[j]
+				}
+				b -= tail[i] * g * math.Sin(th[i])
+				b -= friction * w[i]
+				a[i][3] = b
+			}
+			for k := 0; k < 3; k++ {
+				p := k
+				for i := k + 1; i < 3; i++ {
+					if math.Abs(a[i][k]) > math.Abs(a[p][k]) {
+						p = i
+					}
+				}
+				if a[p][k] == 0 {
+					dst[0], dst[1], dst[2] = w[0], w[1], w[2]
+					dst[3], dst[4], dst[5] = 0, 0, 0
+					return
+				}
+				a[k], a[p] = a[p], a[k]
+				inv := 1 / a[k][k]
+				for i := k + 1; i < 3; i++ {
+					f := a[i][k] * inv
+					for j := k; j < 4; j++ {
+						a[i][j] -= f * a[k][j]
+					}
+				}
+			}
+			acc2 := a[2][3] / a[2][2]
+			acc1 := (a[1][3] - a[1][2]*acc2) / a[1][1]
+			acc0 := (a[0][3] - a[0][1]*acc1 - a[0][2]*acc2) / a[0][0]
+			dst[0], dst[1], dst[2] = w[0], w[1], w[2]
+			dst[3], dst[4], dst[5] = acc0, acc1, acc2
+		}
+		y0 := []float64{vals[0], vals[1], vals[2], 0, 0, 0}
+		full := ode.Trajectory(deriv, 0, tp.Horizon, y0, numSamples, stepsPerSample(tp.Horizon, numSamples, tp.MaxStep))
+		out := make([][]float64, numSamples)
+		for i, y := range full {
+			out[i] = []float64{y[0], y[1], y[2]}
+		}
+		return out
+	}}
+}
+
+func closureLorenz(lz *Lorenz) closureSystem {
+	return closureSystem{System: lz, traj: func(vals []float64, numSamples int) [][]float64 {
+		z0, sigma, beta, rho := vals[0], vals[1], vals[2], vals[3]
+		deriv := func(t float64, y, dst []float64) {
+			dst[0] = sigma * (y[1] - y[0])
+			dst[1] = y[0]*(rho-y[2]) - y[1]
+			dst[2] = y[0]*y[1] - beta*y[2]
+		}
+		y0 := []float64{lz.X0, lz.Y0, z0}
+		return ode.Trajectory(deriv, 0, lz.Horizon, y0, numSamples, stepsPerSample(lz.Horizon, numSamples, lz.MaxStep))
+	}}
+}
+
+func closureSEIR(sr *SEIR) closureSystem {
+	return closureSystem{System: sr, traj: func(vals []float64, numSamples int) [][]float64 {
+		beta, sigma, gamma, i0 := vals[0], vals[1], vals[2], vals[3]
+		deriv := func(t float64, y, dst []float64) {
+			s, e, i := y[0], y[1], y[2]
+			inf := beta * s * i
+			dst[0] = -inf
+			dst[1] = inf - sigma*e
+			dst[2] = sigma*e - gamma*i
+			dst[3] = gamma * i
+		}
+		y0 := []float64{1 - i0, 0, i0, 0}
+		return ode.Trajectory(deriv, 0, sr.Horizon, y0, numSamples, stepsPerSample(sr.Horizon, numSamples, sr.MaxStep))
+	}}
+}
+
+// closureSystems pairs every built-in system with its closure reference,
+// in All() order.
+func closureSystems() []closureSystem {
+	return []closureSystem{
+		closureDoublePendulum(NewDoublePendulum()),
+		closureTriplePendulum(NewTriplePendulum()),
+		closureLorenz(NewLorenz()),
+		closureSEIR(NewSEIR()),
+	}
+}
+
+// CellValues is Cells into a fresh slice with a fresh workspace — the
+// allocating form the package exported before the kernel, kept for tests.
+func CellValues(sys System, vals []float64, ref [][]float64) []float64 {
+	out := make([]float64, len(ref))
+	Cells(new(ode.Workspace), sys, vals, ref, out)
+	return out
+}
+
+// randomVals draws one parameter point uniformly from the system's ranges.
+func randomVals(sys System, rng *rand.Rand) []float64 {
+	ps := sys.Params()
+	vals := make([]float64, len(ps))
+	for i, p := range ps {
+		vals[i] = p.Min + rng.Float64()*(p.Max-p.Min)
+	}
+	return vals
+}
+
+// sameBits reports the first index at which a and b differ in any bit
+// (NaNs with equal payloads compare equal), or -1.
+func sameBits(a, b []float64) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestCellsKernelBitwiseParity is the frozen-arithmetic contract: for
+// every system, the kernel (hoisted RHS value, Sincos, shared workspace,
+// distances taken in the sample visit) produces exactly the cells that
+// CellValues over the closure formulation produces.
+func TestCellsKernelBitwiseParity(t *testing.T) {
+	points := 1000
+	if testing.Short() {
+		points = 50
+	}
+	for _, ref := range closureSystems() {
+		sys := ref.System
+		if _, ok := sys.(cellKernel); !ok {
+			t.Fatalf("%s has no cells kernel", sys.Name())
+		}
+		rng := rand.New(rand.NewSource(16))
+		var w ode.Workspace // one workspace across systems' points and sample counts
+		for _, samples := range []int{8, 12, 24} {
+			refTraj := Reference(sys, samples)
+			got := make([]float64, samples)
+			for p := 0; p < points; p++ {
+				vals := randomVals(sys, rng)
+				want := CellValues(ref, vals, refTraj)
+				Cells(&w, sys, vals, refTraj, got)
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("%s samples=%d vals=%v: cell %d = %x, closure reference %x",
+						sys.Name(), samples, vals, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestTrajectoryMatchesClosureReference: the Trajectory the reference
+// ("observed") trajectories come from runs the same right-hand-side values
+// and is bit-equal to the closure formulation too.
+func TestTrajectoryMatchesClosureReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, ref := range closureSystems() {
+		sys := ref.System
+		for p := 0; p < 50; p++ {
+			vals := randomVals(sys, rng)
+			got, want := sys.Trajectory(vals, 12), ref.Trajectory(vals, 12)
+			for s := range want {
+				if i := sameBits(got[s], want[s]); i >= 0 {
+					t.Fatalf("%s vals=%v sample %d component %d differs", sys.Name(), vals, s, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSincosMatchesSinCos pins the library equivalence the pendulum
+// right-hand sides rely on: math.Sincos(x) is bit for bit the pair
+// (math.Sin(x), math.Cos(x)). The sweep covers the arguments the
+// pendulums visit — angles and angle differences within a few turns, plus
+// the whirling regime's larger ones — and the special values. It runs on
+// every Go version of the CI matrix, so a toolchain whose Sincos drifts
+// from Sin/Cos fails here rather than moving campaign results.
+func TestSincosMatchesSinCos(t *testing.T) {
+	check := func(x float64) {
+		s, c := math.Sincos(x)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(x)) || math.Float64bits(c) != math.Float64bits(math.Cos(x)) {
+			t.Fatalf("Sincos(%v) = (%x, %x), Sin/Cos = (%x, %x)", x,
+				math.Float64bits(s), math.Float64bits(c), math.Float64bits(math.Sin(x)), math.Float64bits(math.Cos(x)))
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), math.Pi / 4, math.Pi / 2, math.Pi, 2 * math.Pi,
+		1e-300, 1e-8, 1 << 29, 1 << 30, 1e15, 1e300, math.Inf(1), math.Inf(-1)} {
+		check(x)
+		check(-x)
+	}
+	n := 2_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < n; i++ {
+		check((rng.Float64()*2 - 1) * 8 * math.Pi) // dense: the librating and slowly whirling range
+		check((rng.Float64()*2 - 1) * 1e4)         // sparse: fast whirling
+	}
+	// A regular grid across octant boundaries, where the two reductions
+	// would part ways first.
+	for i := -400_000; i <= 400_000; i++ {
+		check(float64(i) * (math.Pi / 4) / 1000)
+	}
+}
+
+// TestCellsKernelDoesNotAllocate: with a warm workspace, the kernel of
+// every system runs at 0 allocs per simulation — no trajectory, no
+// closure, no scratch.
+func TestCellsKernelDoesNotAllocate(t *testing.T) {
+	for _, sys := range All() {
+		ref := Reference(sys, 12)
+		vals := ReferenceParams(sys)
+		vals[0] += 0.1
+		dst := make([]float64, 12)
+		var w ode.Workspace
+		Cells(&w, sys, vals, ref, dst) // size the workspace
+		if a := testing.AllocsPerRun(20, func() { Cells(&w, sys, vals, ref, dst) }); a != 0 {
+			t.Errorf("%s: cells kernel allocates %v times per simulation, want 0", sys.Name(), a)
+		}
+	}
+}

@@ -43,17 +43,34 @@ func (sr *SEIR) Params() []Param {
 // StateDim implements System: the observed state is (s, e, i, r).
 func (sr *SEIR) StateDim() int { return 4 }
 
-// Trajectory implements System. vals = (β, σ, γ, i₀).
+// seirRHS is the right-hand side at one (β, σ, γ) setting.
+type seirRHS struct{ beta, sigma, gamma float64 }
+
+func (r *seirRHS) deriv(t float64, y, dst []float64) {
+	s, e, i := y[0], y[1], y[2]
+	inf := r.beta * s * i
+	dst[0] = -inf
+	dst[1] = inf - r.sigma*e
+	dst[2] = r.sigma*e - r.gamma*i
+	dst[3] = r.gamma * i
+}
+
+// integrate runs the model at vals = (β, σ, γ, i₀) through w and visits
+// the state at each of numSamples timestamps.
+func (sr *SEIR) integrate(w *ode.Workspace, vals []float64, numSamples int, visit func(s int, y []float64)) {
+	rhs := seirRHS{beta: vals[0], sigma: vals[1], gamma: vals[2]}
+	y0 := [4]float64{1 - vals[3], 0, vals[3], 0}
+	w.Samples(rhs.deriv, 0, sr.Horizon, y0[:], numSamples, stepsPerSample(sr.Horizon, numSamples, sr.MaxStep), visit)
+}
+
+// Trajectory implements System.
 func (sr *SEIR) Trajectory(vals []float64, numSamples int) [][]float64 {
-	beta, sigma, gamma, i0 := vals[0], vals[1], vals[2], vals[3]
-	deriv := func(t float64, y, dst []float64) {
-		s, e, i := y[0], y[1], y[2]
-		inf := beta * s * i
-		dst[0] = -inf
-		dst[1] = inf - sigma*e
-		dst[2] = sigma*e - gamma*i
-		dst[3] = gamma * i
-	}
-	y0 := []float64{1 - i0, 0, i0, 0}
-	return ode.Trajectory(deriv, 0, sr.Horizon, y0, numSamples, stepsPerSample(sr.Horizon, numSamples, sr.MaxStep))
+	out := make([][]float64, numSamples)
+	sr.integrate(new(ode.Workspace), vals, numSamples, func(s int, y []float64) { out[s] = append([]float64(nil), y...) })
+	return out
+}
+
+// cells implements cellKernel.
+func (sr *SEIR) cells(w *ode.Workspace, vals []float64, ref [][]float64, dst []float64) {
+	sr.integrate(w, vals, len(dst), func(s int, y []float64) { dst[s] = Distance(y, ref[s]) })
 }

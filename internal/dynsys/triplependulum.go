@@ -54,76 +54,91 @@ func (tp *TriplePendulum) Params() []Param {
 // StateDim implements System: the observed state is (θ₁, θ₂, θ₃).
 func (tp *TriplePendulum) StateDim() int { return 3 }
 
-// deriv returns the derivative function for the given friction value.
-// The 3×3 mass-matrix solve is inlined (Gaussian elimination with partial
-// pivoting on stack arrays) because it runs on every RK4 stage; routing it
-// through the general mat.Solve would allocate four times per evaluation.
-func (tp *TriplePendulum) deriv(friction float64) ode.Derivative {
-	m := tp.Masses
-	g := tp.G
-	// c_ij = Σ_{k ≥ max(i,j)} m_k with unit rod lengths.
-	tail := [3]float64{m[0] + m[1] + m[2], m[1] + m[2], m[2]}
-	return func(t float64, y, dst []float64) {
-		th := y[0:3]
-		w := y[3:6]
-		var a [3][4]float64 // augmented system [M | b]
-		for i := 0; i < 3; i++ {
-			var b float64
-			for j := 0; j < 3; j++ {
-				c := tail[i]
-				if j > i {
-					c = tail[j]
-				}
-				d := th[i] - th[j]
-				a[i][j] = c * math.Cos(d)
-				b -= c * math.Sin(d) * w[j] * w[j]
-			}
-			b -= tail[i] * g * math.Sin(th[i])
-			b -= friction * w[i]
-			a[i][3] = b
-		}
-		// Gaussian elimination with partial pivoting. The mass matrix of a
-		// physical pendulum chain is positive definite, so pivots only
-		// vanish after a numerical blow-up; in that case damp to zero
-		// acceleration instead of propagating NaNs.
-		for k := 0; k < 3; k++ {
-			p := k
-			for i := k + 1; i < 3; i++ {
-				if math.Abs(a[i][k]) > math.Abs(a[p][k]) {
-					p = i
-				}
-			}
-			if a[p][k] == 0 {
-				dst[0], dst[1], dst[2] = w[0], w[1], w[2]
-				dst[3], dst[4], dst[5] = 0, 0, 0
-				return
-			}
-			a[k], a[p] = a[p], a[k]
-			inv := 1 / a[k][k]
-			for i := k + 1; i < 3; i++ {
-				f := a[i][k] * inv
-				for j := k; j < 4; j++ {
-					a[i][j] -= f * a[k][j]
-				}
-			}
-		}
-		acc2 := a[2][3] / a[2][2]
-		acc1 := (a[1][3] - a[1][2]*acc2) / a[1][1]
-		acc0 := (a[0][3] - a[0][1]*acc1 - a[0][2]*acc2) / a[0][0]
-		dst[0], dst[1], dst[2] = w[0], w[1], w[2]
-		dst[3], dst[4], dst[5] = acc0, acc1, acc2
-	}
+// triplePendulumRHS is the right-hand side at one friction value over
+// (θ₁,θ₂,θ₃,ω₁,ω₂,ω₃): c_ij = tail[max(i,j)] = Σ_{k ≥ max(i,j)} m_k (unit
+// rods), and tailG[i] = tail[i]·g hoisted as the inline formula groups it.
+type triplePendulumRHS struct {
+	friction    float64
+	tail, tailG [3]float64
 }
 
-// Trajectory implements System. vals = (φ₁, φ₂, φ₃, f).
-func (tp *TriplePendulum) Trajectory(vals []float64, numSamples int) [][]float64 {
-	y0 := []float64{vals[0], vals[1], vals[2], 0, 0, 0}
-	full := ode.Trajectory(tp.deriv(vals[3]), 0, tp.Horizon, y0, numSamples, stepsPerSample(tp.Horizon, numSamples, tp.MaxStep))
-	out := make([][]float64, numSamples)
-	for i, y := range full {
-		out[i] = []float64{y[0], y[1], y[2]}
+// deriv implements ode.Derivative. The 3×3 mass-matrix solve is inlined
+// (Gaussian elimination with partial pivoting on stack arrays) because it
+// runs on every RK4 stage; routing it through the general mat.Solve would
+// allocate four times per evaluation. math.Sincos returns exactly the
+// (math.Sin, math.Cos) pair — see doublePendulumRHS.deriv.
+func (r *triplePendulumRHS) deriv(t float64, y, dst []float64) {
+	th := y[0:3]
+	w := y[3:6]
+	var a [3][4]float64 // augmented system [M | b]
+	for i := 0; i < 3; i++ {
+		var b float64
+		for j := 0; j < 3; j++ {
+			c := r.tail[max(i, j)]
+			sinD, cosD := math.Sincos(th[i] - th[j])
+			a[i][j] = c * cosD
+			b -= c * sinD * w[j] * w[j]
+		}
+		b -= r.tailG[i] * math.Sin(th[i])
+		b -= r.friction * w[i]
+		a[i][3] = b
 	}
+	// Gaussian elimination with partial pivoting. The mass matrix of a
+	// physical pendulum chain is positive definite, so pivots only
+	// vanish after a numerical blow-up; in that case damp to zero
+	// acceleration instead of propagating NaNs.
+	for k := 0; k < 3; k++ {
+		p := k
+		for i := k + 1; i < 3; i++ {
+			if math.Abs(a[i][k]) > math.Abs(a[p][k]) {
+				p = i
+			}
+		}
+		if a[p][k] == 0 {
+			dst[0], dst[1], dst[2] = w[0], w[1], w[2]
+			dst[3], dst[4], dst[5] = 0, 0, 0
+			return
+		}
+		a[k], a[p] = a[p], a[k]
+		inv := 1 / a[k][k]
+		for i := k + 1; i < 3; i++ {
+			f := a[i][k] * inv
+			for j := k; j < 4; j++ {
+				a[i][j] -= f * a[k][j]
+			}
+		}
+	}
+	acc2 := a[2][3] / a[2][2]
+	acc1 := (a[1][3] - a[1][2]*acc2) / a[1][1]
+	acc0 := (a[0][3] - a[0][1]*acc1 - a[0][2]*acc2) / a[0][0]
+	dst[0], dst[1], dst[2] = w[0], w[1], w[2]
+	dst[3], dst[4], dst[5] = acc0, acc1, acc2
+}
+
+// integrate runs the pendulum at vals = (φ₁, φ₂, φ₃, f) through w and
+// visits the internal state at each of numSamples timestamps.
+func (tp *TriplePendulum) integrate(w *ode.Workspace, vals []float64, numSamples, steps int, visit func(s int, y []float64)) {
+	m := tp.Masses
+	rhs := triplePendulumRHS{friction: vals[3], tail: [3]float64{m[0] + m[1] + m[2], m[1] + m[2], m[2]}}
+	for i, c := range rhs.tail {
+		rhs.tailG[i] = c * tp.G
+	}
+	y0 := [6]float64{vals[0], vals[1], vals[2]}
+	w.Samples(rhs.deriv, 0, tp.Horizon, y0[:], numSamples, steps, visit)
+}
+
+// Trajectory implements System.
+func (tp *TriplePendulum) Trajectory(vals []float64, numSamples int) [][]float64 {
+	out := make([][]float64, numSamples)
+	steps := stepsPerSample(tp.Horizon, numSamples, tp.MaxStep)
+	tp.integrate(new(ode.Workspace), vals, numSamples, steps, func(s int, y []float64) { out[s] = []float64{y[0], y[1], y[2]} })
 	return out
+}
+
+// cells implements cellKernel.
+func (tp *TriplePendulum) cells(w *ode.Workspace, vals []float64, ref [][]float64, dst []float64) {
+	steps := stepsPerSample(tp.Horizon, len(dst), tp.MaxStep)
+	tp.integrate(w, vals, len(dst), steps, func(s int, y []float64) { dst[s] = Distance(y[:3], ref[s]) })
 }
 
 // Energy returns the total mechanical energy for a full internal state
@@ -150,7 +165,7 @@ func (tp *TriplePendulum) Energy(y []float64) float64 {
 
 // FullState integrates and returns the complete internal state
 // (θ₁,θ₂,θ₃,ω₁,ω₂,ω₃) at the end of the horizon.
-func (tp *TriplePendulum) FullState(vals []float64, steps int) []float64 {
-	y0 := []float64{vals[0], vals[1], vals[2], 0, 0, 0}
-	return ode.RK4(tp.deriv(vals[3]), 0, tp.Horizon, y0, steps)
+func (tp *TriplePendulum) FullState(vals []float64, steps int) (out []float64) {
+	tp.integrate(new(ode.Workspace), vals, 1, steps, func(_ int, y []float64) { out = append(out, y...) })
+	return out
 }

@@ -257,25 +257,22 @@ func EncodeCtx(ctx context.Context, s *Space, sims []Sim, opts EncodeOptions) (*
 	t := s.TimeSamples
 	nParams := s.NumParams()
 	values := make([][]float64, len(sims))
+	slab := make([]float64, len(sims)*t) // every simulation's cells, carved per index
 
 	var (
 		mu    sync.Mutex
 		stats EncodeStats
 	)
 	err := parallel.ForCtx(ctx, len(sims), opts.Workers, func(start, end int) {
+		var w Workspace
 		for i := start; i < end; i++ {
 			if ctx.Err() != nil {
 				return
 			}
-			var cells []float64
+			cells := slab[i*t : (i+1)*t]
 			key := faults.SimKey(0, floatsOf(sims[i]))
 			attempts, rerr := opts.Retry.Run(ctx, key, func(actx context.Context) error {
-				c, serr := s.SimCellsCtx(actx, sims[i])
-				if serr != nil {
-					return serr
-				}
-				cells = c
-				return nil
+				return s.SimCellsIntoCtx(actx, &w, sims[i], cells)
 			})
 			mu.Lock()
 			switch {

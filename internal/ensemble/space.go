@@ -9,10 +9,11 @@ package ensemble
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/dynsys"
+	"repro/internal/ode"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -27,6 +28,10 @@ type Space struct {
 	// TimeSamples is the size of the time mode.
 	TimeSamples int
 
+	// params is Sys.Params(), resolved once: the interface method builds
+	// a fresh slice per call and the simulation path asks per simulation.
+	params []dynsys.Param
+
 	refOnce sync.Once
 	ref     [][]float64
 
@@ -39,11 +44,11 @@ func NewSpace(sys dynsys.System, res, timeSamples int) *Space {
 	if res < 1 || timeSamples < 1 {
 		panic(fmt.Sprintf("ensemble: invalid space %d×%d", res, timeSamples))
 	}
-	return &Space{Sys: sys, Res: res, TimeSamples: timeSamples}
+	return &Space{Sys: sys, Res: res, TimeSamples: timeSamples, params: sys.Params()}
 }
 
 // NumParams returns the number of simulation-parameter modes.
-func (s *Space) NumParams() int { return len(s.Sys.Params()) }
+func (s *Space) NumParams() int { return len(s.params) }
 
 // Order returns the tensor order: parameters plus the time mode.
 func (s *Space) Order() int { return s.NumParams() + 1 }
@@ -61,6 +66,15 @@ func (s *Space) Shape() tensor.Shape {
 	return sh
 }
 
+// SimIndex decodes a simulation's C-order linear index (in [0, TotalSims))
+// into its parameter grid indices idx (len NumParams).
+func (s *Space) SimIndex(sim int, idx []int) {
+	for k := len(idx) - 1; k >= 0; k-- {
+		idx[k] = sim % s.Res
+		sim /= s.Res
+	}
+}
+
 // TotalSims returns the number of distinct simulations (parameter
 // combinations, Res^N) in the full space.
 func (s *Space) TotalSims() int {
@@ -76,17 +90,24 @@ func (s *Space) ModeName(mode int) string {
 	if mode == s.TimeMode() {
 		return "t"
 	}
-	return s.Sys.Params()[mode].Name
+	return s.params[mode].Name
 }
 
 // ParamValues converts parameter grid indices to physical values.
 func (s *Space) ParamValues(idx []int) []float64 {
-	ps := s.Sys.Params()
-	if len(idx) != len(ps) {
-		panic(fmt.Sprintf("ensemble: ParamValues got %d indices for %d params", len(idx), len(ps)))
+	return s.paramValues(new(Workspace), idx)
+}
+
+// paramValues is ParamValues into the workspace's value buffer.
+func (s *Space) paramValues(w *Workspace, idx []int) []float64 {
+	if len(idx) != len(s.params) {
+		panic(fmt.Sprintf("ensemble: ParamValues got %d indices for %d params", len(idx), len(s.params)))
 	}
-	vals := make([]float64, len(ps))
-	for i, p := range ps {
+	if cap(w.vals) < len(idx) {
+		w.vals = make([]float64, len(idx))
+	}
+	vals := w.vals[:len(idx)]
+	for i, p := range s.params {
 		vals[i] = p.Value(idx[i], s.Res)
 	}
 	return vals
@@ -100,17 +121,46 @@ func (s *Space) Reference() [][]float64 {
 	return s.ref
 }
 
-// SimCells runs the simulation at the given parameter grid indices and
-// returns the tensor cell values for all TimeSamples timestamps.
-func (s *Space) SimCells(idx []int) []float64 {
-	return dynsys.CellValues(s.Sys, s.ParamValues(idx), s.Reference())
+// Workspace is the scratch one goroutine needs to run a Space's
+// simulations back to back without allocating: the integrator's buffers
+// and the parameter values of the simulation in flight. Its caller owns it
+// (the fan-outs hold one per chunk); the zero value is ready to use.
+type Workspace struct {
+	ode  ode.Workspace
+	vals []float64
 }
 
-// SimCellsCtx is SimCells through the cancellable, fallible simulation
-// path (dynsys.CellValuesCtx): fault-injecting or external systems can
-// return errors, and cancellation aborts before the solver starts.
+// SimCellsInto runs the simulation at the given parameter grid indices and
+// writes its tensor cell values for all TimeSamples timestamps into dst.
+// With SimCellsIntoCtx it is the entry every simulation goes through. This
+// is the infallible path — a fault-wrapped system is simulated clean — for
+// ground truths and accuracy estimates.
+func (s *Space) SimCellsInto(w *Workspace, idx []int, dst []float64) {
+	dynsys.Cells(&w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), dst)
+}
+
+// SimCellsIntoCtx is SimCellsInto through the cancellable, fallible path
+// the campaign fan-outs use: a dynsys.CtxSystem (fault injection,
+// external solvers) takes its own route and can return an error, and
+// cancellation aborts before the solver starts.
+func (s *Space) SimCellsIntoCtx(ctx context.Context, w *Workspace, idx []int, dst []float64) error {
+	return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), dst)
+}
+
+// SimCells is SimCellsInto with a fresh workspace and result slice.
+func (s *Space) SimCells(idx []int) []float64 {
+	out := make([]float64, s.TimeSamples)
+	s.SimCellsInto(new(Workspace), idx, out)
+	return out
+}
+
+// SimCellsCtx is SimCellsIntoCtx with a fresh workspace and result slice.
 func (s *Space) SimCellsCtx(ctx context.Context, idx []int) ([]float64, error) {
-	return dynsys.CellValuesCtx(ctx, s.Sys, s.ParamValues(idx), s.Reference())
+	out := make([]float64, s.TimeSamples)
+	if err := s.SimCellsIntoCtx(ctx, new(Workspace), idx, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // DefaultIndex returns the grid index used as the fixing constant for a
@@ -119,43 +169,24 @@ func (s *Space) DefaultIndex() int { return s.Res / 2 }
 
 // GroundTruth exhaustively simulates the full parameter space and returns
 // the complete tensor Y ∈ R^{Res×…×Res×T}. The result is cached; the
-// computation is parallelised across all CPUs.
+// computation fans out on the shared worker pool, one workspace per chunk.
 func (s *Space) GroundTruth() *tensor.Dense {
 	s.truthOnce.Do(func() {
 		s.Reference() // materialise before fan-out
-		shape := s.Shape()
-		d := tensor.NewDense(shape)
-		total := s.TotalSims()
-		nParams := s.NumParams()
+		d := tensor.NewDense(s.Shape())
 		t := s.TimeSamples
-
-		workers := runtime.NumCPU()
-		if workers > total {
-			workers = total
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				idx := make([]int, nParams)
-				for sim := w; sim < total; sim += workers {
-					// Decode sim into parameter grid indices (C order).
-					rem := sim
-					for k := nParams - 1; k >= 0; k-- {
-						idx[k] = rem % s.Res
-						rem /= s.Res
-					}
-					cells := s.SimCells(idx)
-					// The time mode is last, so cells for one simulation are
-					// contiguous in the dense tensor.
-					base := sim * t
-					//lint:allow quarantine -- ground-truth materialisation from the fault-free solver; evaluation-only tensor built without a quarantine configuration
-					copy(d.Data[base:base+t], cells)
-				}
-			}(w)
-		}
-		wg.Wait()
+		parallel.For(s.TotalSims(), 0, func(start, end int) {
+			var w Workspace
+			idx := make([]int, s.NumParams())
+			cells := make([]float64, t)
+			for sim := start; sim < end; sim++ {
+				s.SimIndex(sim, idx)
+				s.SimCellsInto(&w, idx, cells)
+				// Time is the last mode: a simulation's cells are contiguous.
+				//lint:allow quarantine -- ground-truth materialisation from the fault-free solver; evaluation-only tensor built without a quarantine configuration
+				copy(d.Data[sim*t:(sim+1)*t], cells)
+			}
+		})
 		s.truth = d
 	})
 	return s.truth

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/ensemble"
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -59,39 +58,30 @@ func EstimateAccuracy(space *ensemble.Space, model TuckerModel, sampleSims int, 
 		}
 		seen[lin] = true
 		idx := make([]int, nParams)
-		rem := lin
-		for m := nParams - 1; m >= 0; m-- {
-			idx[m] = rem % shape[m]
-			rem /= shape[m]
-		}
+		space.SimIndex(lin, idx)
 		sims = append(sims, idx)
 	}
 
+	// Per-simulation partials summed in sampling order below, so the
+	// estimate does not depend on how the fan-out was chunked.
 	type partial struct{ errSq, refSq float64 }
 	partials := make([]partial, len(sims))
-	workers := runtime.NumCPU()
-	if workers > len(sims) {
-		workers = len(sims)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(sims); i += workers {
-				truth := space.SimCells(sims[i])
-				fiber := model.TimeFiber(sims[i], t)
-				var e, r float64
-				for tt := 0; tt < t; tt++ {
-					d := fiber[tt] - truth[tt]
-					e += d * d
-					r += truth[tt] * truth[tt]
-				}
-				partials[i] = partial{errSq: e, refSq: r}
+	space.Reference() // materialise before fan-out
+	parallel.For(len(sims), 0, func(start, end int) {
+		var w ensemble.Workspace
+		truth := make([]float64, t)
+		for i := start; i < end; i++ {
+			space.SimCellsInto(&w, sims[i], truth)
+			fiber := model.TimeFiber(sims[i], t)
+			var e, r float64
+			for tt := 0; tt < t; tt++ {
+				d := fiber[tt] - truth[tt]
+				e += d * d
+				r += truth[tt] * truth[tt]
 			}
-		}(w)
-	}
-	wg.Wait()
+			partials[i] = partial{errSq: e, refSq: r}
+		}
+	})
 
 	var errSq, refSq float64
 	for _, p := range partials {

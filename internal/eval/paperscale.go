@@ -44,11 +44,7 @@ func SampleFibers(space *ensemble.Space, n int, rng *rand.Rand) []Fiber {
 		}
 		seen[lin] = true
 		idx := make([]int, nParams)
-		rem := lin
-		for m := nParams - 1; m >= 0; m-- {
-			idx[m] = rem % shape[m]
-			rem /= shape[m]
-		}
+		space.SimIndex(lin, idx)
 		fibers = append(fibers, Fiber{ParamIdx: idx})
 	}
 	// Simulate in parallel.

@@ -187,3 +187,112 @@ func TestRK4LinearityQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// referenceRK4Step, referenceRK4 and referenceTrajectory are the two
+// fixed-step loops as they stood before Workspace.Samples replaced them —
+// per-call buffers, h/2 and h/6 evaluated per element — kept as the
+// bit-level reference of the one loop.
+func referenceRK4Step(f Derivative, t, h float64, y, k1, k2, k3, k4, tmp []float64) {
+	dim := len(y)
+	f(t, y, k1)
+	for i := 0; i < dim; i++ {
+		tmp[i] = y[i] + h/2*k1[i]
+	}
+	f(t+h/2, tmp, k2)
+	for i := 0; i < dim; i++ {
+		tmp[i] = y[i] + h/2*k2[i]
+	}
+	f(t+h/2, tmp, k3)
+	for i := 0; i < dim; i++ {
+		tmp[i] = y[i] + h*k3[i]
+	}
+	f(t+h, tmp, k4)
+	for i := 0; i < dim; i++ {
+		y[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
+	}
+}
+
+func referenceRK4(f Derivative, t0, t1 float64, y0 []float64, n int) []float64 {
+	dim := len(y0)
+	y := append([]float64(nil), y0...)
+	k1, k2, k3, k4, tmp := make([]float64, dim), make([]float64, dim), make([]float64, dim), make([]float64, dim), make([]float64, dim)
+	h := (t1 - t0) / float64(n)
+	t := t0
+	for s := 0; s < n; s++ {
+		referenceRK4Step(f, t, h, y, k1, k2, k3, k4, tmp)
+		t = t0 + float64(s+1)*h
+	}
+	return y
+}
+
+func referenceTrajectory(f Derivative, t0, t1 float64, y0 []float64, numSamples, stepsPerSample int) [][]float64 {
+	dim := len(y0)
+	y := append([]float64(nil), y0...)
+	k1, k2, k3, k4, tmp := make([]float64, dim), make([]float64, dim), make([]float64, dim), make([]float64, dim), make([]float64, dim)
+	out := make([][]float64, numSamples)
+	dt := (t1 - t0) / float64(numSamples)
+	h := dt / float64(stepsPerSample)
+	for s := 0; s < numSamples; s++ {
+		base := t0 + float64(s)*dt
+		for q := 0; q < stepsPerSample; q++ {
+			referenceRK4Step(f, base+float64(q)*h, h, y, k1, k2, k3, k4, tmp)
+		}
+		out[s] = append([]float64(nil), y...)
+	}
+	return out
+}
+
+// forced is a non-autonomous, nonlinear 3-state system: its derivatives
+// depend on t, so the parity below also pins the stage times.
+func forced(t float64, y, dst []float64) {
+	dst[0] = y[1] + math.Sin(3*t)
+	dst[1] = -y[0]*y[2] + 0.1*t
+	dst[2] = y[0]*y[1] - 0.5*y[2]
+}
+
+// TestSamplesBitIdenticalToReferenceLoops: RK4 and Trajectory, now thin
+// wrappers over Workspace.Samples, return exactly the bits of the loops
+// they replaced — over random spans, initial states and step counts, and
+// with one workspace reused across integrations of different dimensions.
+func TestSamplesBitIdenticalToReferenceLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var w Workspace
+	for trial := 0; trial < 200; trial++ {
+		f, y0 := Derivative(forced), []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		if trial%2 == 1 {
+			f, y0 = harmonic, y0[:2]
+		}
+		t0 := rng.Float64()*2 - 1
+		t1 := t0 + 0.1 + 3*rng.Float64()
+		n := 1 + rng.Intn(200)
+		got, want := RK4(f, t0, t1, y0, n), referenceRK4(f, t0, t1, y0, n)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: RK4 component %d = %x, reference %x", trial, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+		samples, steps := 1+rng.Intn(24), 1+rng.Intn(30)
+		wantTraj := referenceTrajectory(f, t0, t1, y0, samples, steps)
+		gotTraj := Trajectory(f, t0, t1, y0, samples, steps)
+		w.Samples(f, t0, t1, y0, samples, steps, func(s int, y []float64) {
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(wantTraj[s][i]) || math.Float64bits(gotTraj[s][i]) != math.Float64bits(wantTraj[s][i]) {
+					t.Fatalf("trial %d: sample %d component %d differs from the reference loop", trial, s, i)
+				}
+			}
+		})
+	}
+}
+
+// TestSamplesReusesWorkspace: after the first integration sizes it, a
+// workspace integrates without allocating.
+func TestSamplesReusesWorkspace(t *testing.T) {
+	var w Workspace
+	y0 := []float64{1, 0, 0.5}
+	var sink float64
+	visit := func(_ int, y []float64) { sink += y[0] }
+	w.Samples(forced, 0, 1, y0, 4, 10, visit)
+	if a := testing.AllocsPerRun(20, func() { w.Samples(forced, 0, 1, y0, 4, 10, visit) }); a != 0 {
+		t.Fatalf("warm workspace allocates %v times per integration, want 0", a)
+	}
+}

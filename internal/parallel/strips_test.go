@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 )
 
@@ -84,18 +85,19 @@ func TestReduceStripsSingleStripIsSerialLoop(t *testing.T) {
 func TestReduceStripsRecyclesEveryConsumedPartial(t *testing.T) {
 	for _, s := range []int{2, 3, 5, 8, 17, 32} {
 		bounds := UniformStripBounds(s*10, 10, s)
-		made, recycled := 0, 0
+		// makePartial and recycle run on the strip workers, concurrently.
+		var made, recycled atomic.Int64
 		out := ReduceStrips(bounds, 4,
-			func(int) *int { made++; return new(int) },
+			func(int) *int { made.Add(1); return new(int) },
 			func(p *int, _, start, end int) { *p += end - start },
 			func(into, from *int) *int { *into += *from; return into },
-			func(*int) { recycled++ },
+			func(*int) { recycled.Add(1) },
 		)
 		if *out != s*10 {
 			t.Fatalf("s=%d: sum %d, want %d", s, *out, s*10)
 		}
-		if made != s || recycled != s-1 {
-			t.Fatalf("s=%d: made %d recycled %d, want %d and %d", s, made, recycled, s, s-1)
+		if made.Load() != int64(s) || recycled.Load() != int64(s-1) {
+			t.Fatalf("s=%d: made %d recycled %d, want %d and %d", s, made.Load(), recycled.Load(), s, s-1)
 		}
 	}
 }

@@ -1,0 +1,213 @@
+package partition_test
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/dynsys"
+	"repro/internal/ensemble"
+	"repro/internal/faults"
+	"repro/internal/parallel"
+	"repro/internal/partition"
+	"repro/internal/store"
+	"repro/internal/tensor"
+)
+
+// referenceSub is the sub-ensemble assembly as it was before the flat
+// request grid — requested cells grouped by simulation key in a map, one
+// subIdx per cell, per-cell Append in sorted-key order — kept as the
+// layout reference. simulate returns a simulation's cells, nil when it
+// failed.
+func referenceSub(space *ensemble.Space, pivots, free []int, pivotConfigs, freeConfigs [][]int, simulate func(idx []int) []float64) *tensor.Sparse {
+	modes := append(append([]int(nil), pivots...), free...)
+	shape := space.Shape()
+	subShape := make(tensor.Shape, len(modes))
+	for i, m := range modes {
+		subShape[i] = shape[m]
+	}
+	out := tensor.NewSparse(subShape)
+	out.RejectNonFinite = true
+
+	nParams := space.NumParams()
+	timeMode := space.TimeMode()
+	type cellReq struct {
+		subIdx []int
+		tIdx   int
+	}
+	bySim := make(map[int][]cellReq)
+	simIdxOf := make(map[int][]int)
+	full := make([]int, space.Order())
+	for _, pc := range pivotConfigs {
+		for _, fc := range freeConfigs {
+			for m := 0; m < nParams; m++ {
+				full[m] = space.DefaultIndex()
+			}
+			full[timeMode] = space.TimeSamples / 2
+			for i, m := range pivots {
+				full[m] = pc[i]
+			}
+			for i, m := range free {
+				full[m] = fc[i]
+			}
+			simKey := 0
+			for m := 0; m < nParams; m++ {
+				simKey = simKey*space.Res + full[m]
+			}
+			if _, ok := simIdxOf[simKey]; !ok {
+				simIdxOf[simKey] = append([]int(nil), full[:nParams]...)
+			}
+			subIdx := make([]int, len(modes))
+			for i, m := range modes {
+				subIdx[i] = full[m]
+			}
+			bySim[simKey] = append(bySim[simKey], cellReq{subIdx: subIdx, tIdx: full[timeMode]})
+		}
+	}
+	keys := make([]int, 0, len(bySim))
+	for k := range bySim {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	for _, k := range keys {
+		traj := simulate(simIdxOf[k])
+		if traj == nil {
+			continue
+		}
+		for _, req := range bySim[k] {
+			out.Append(req.subIdx, traj[req.tIdx])
+		}
+	}
+	return out
+}
+
+// checkLayout fails unless both sub-tensors of res equal the reference
+// assembly over the same sampled configurations, index for index and
+// value bit for value bit (reflect.DeepEqual on []float64 would call
+// NaN != NaN, but quarantine leaves none stored).
+func checkLayout(t *testing.T, label string, res *partition.Result, simulate func(idx []int) []float64) {
+	t.Helper()
+	for i, sub := range []*partition.SubEnsemble{res.Sub1, res.Sub2} {
+		free, freeConfigs := res.Config.Free1, res.Free1Configs
+		if i == 1 {
+			free, freeConfigs = res.Config.Free2, res.Free2Configs
+		}
+		want := referenceSub(res.Space, res.Config.Pivots, free, res.PivotConfigs, freeConfigs, simulate)
+		if !reflect.DeepEqual(sub.Tensor.Idx, want.Idx) || !reflect.DeepEqual(sub.Tensor.Vals, want.Vals) {
+			t.Fatalf("%s: sub%d layout differs from the reference assembly (%d vs %d cells)", label, i+1, sub.Tensor.NNZ(), want.NNZ())
+		}
+		if sub.Tensor.Rejected != want.Rejected {
+			t.Fatalf("%s: sub%d quarantined %d cells, reference %d", label, i+1, sub.Tensor.Rejected, want.Rejected)
+		}
+		if cap(sub.Tensor.Vals) != len(sub.Tensor.Vals)+sub.Tensor.Rejected {
+			t.Fatalf("%s: sub%d holds %d cells (+%d quarantined) in capacity %d; assembly must size the tensor exactly",
+				label, i+1, len(sub.Tensor.Vals), sub.Tensor.Rejected, cap(sub.Tensor.Vals))
+		}
+	}
+}
+
+// layoutConfigs covers the shapes the request grid must group correctly:
+// the time mode as the pivot (many pivot configurations per simulation),
+// a parameter pivot (time on a free axis), two pivots interleaved with the
+// free modes' key digits, and sampled sub-grids in random order.
+func layoutConfigs(space *ensemble.Space) map[string]partition.Config {
+	tm := space.TimeMode()
+	sampled := partition.DefaultConfig(space.Order(), tm, [][2]int{{0, 2}, {1, 3}})
+	sampled.PivotFrac, sampled.FreeFrac = 0.6, 0.5
+	return map[string]partition.Config{
+		"time-pivot":  partition.DefaultConfig(space.Order(), tm, [][2]int{{0, 2}, {1, 3}}),
+		"param-pivot": partition.DefaultConfig(space.Order(), 1, nil),
+		"two-pivots":  {Pivots: []int{tm, 1}, Free1: []int{0, 3}, Free2: []int{2}, PivotFrac: 1, FreeFrac: 0.7},
+		"sampled":     sampled,
+	}
+}
+
+func TestGenerateLayoutMatchesReferenceAcrossWorkers(t *testing.T) {
+	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8)) // real goroutines on small machines
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 6)
+	for name, cfg := range layoutConfigs(space) {
+		for _, workers := range []int{1, 2, 8} {
+			res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(31), partition.SimOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLayout(t, fmt.Sprintf("%s workers=%d", name, workers), res, space.SimCells)
+		}
+	}
+}
+
+func TestGenerateLayoutMatchesReferenceAfterResume(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := ensemble.NewSpace(dynsys.NewLorenz(), 5, 6)
+	cfg := layoutConfigs(space)["sampled"]
+	// Campaign 1 is cancelled part-way and leaves a checkpoint behind.
+	ctx, cancel := context.WithCancel(context.Background())
+	sims := 0
+	inj := faults.New(faults.Config{Seed: 1, Hook: func() {
+		if sims++; sims == 7 {
+			cancel()
+		}
+	}})
+	_, err = partition.GenerateCtx(ctx, ensemble.NewSpace(inj.Wrap(dynsys.NewLorenz()), 5, 6), cfg, newRand(32), partition.SimOptions{
+		Workers:    1,
+		Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: "layout", Every: 1},
+	})
+	cancel()
+	if err == nil {
+		t.Fatal("campaign 1 was not cancelled")
+	}
+	res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(32), partition.SimOptions{
+		Workers:    2,
+		Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: "layout", Every: 4, Resume: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.RestoredSims == 0 || res.Stats.ExecutedSims == 0 {
+		t.Fatalf("resume drill is vacuous: %+v", res.Stats)
+	}
+	checkLayout(t, "resumed", res, space.SimCells)
+}
+
+func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {
+	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8))
+	fcfg := faults.Config{Seed: 33, TransientRate: 0.3, DivergentRate: 0.2, PanicRate: 0.15}
+	retry := faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
+	for _, workers := range []int{1, 2, 8} {
+		inj := faults.New(fcfg)
+		space := ensemble.NewSpace(inj.Wrap(dynsys.NewSEIR()), 5, 6)
+		cfg := layoutConfigs(space)["two-pivots"]
+		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(34), partition.SimOptions{Workers: workers, Retry: retry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		is := inj.Stats()
+		if is.TransientSims == 0 || is.DivergentSims == 0 || is.PanickedSims == 0 ||
+			res.Stats.RetriedSims == 0 || res.Stats.QuarantinedCells == 0 || res.Stats.FailedSims == 0 {
+			t.Fatalf("fault drill is vacuous: injected %+v, handled %+v", is, res.Stats)
+		}
+		// The reference replays the same fates through a fresh injector
+		// (decisions are keyed by seed and parameter values), the retry
+		// policy and the allocating entry, one simulation at a time.
+		refSpace := ensemble.NewSpace(faults.New(fcfg).Wrap(dynsys.NewSEIR()), 5, 6)
+		simulate := func(idx []int) []float64 {
+			var cells []float64
+			_, err := retry.Run(context.Background(), 0, func(ctx context.Context) error {
+				var serr error
+				cells, serr = refSpace.SimCellsCtx(ctx, idx)
+				return serr
+			})
+			if err != nil {
+				return nil
+			}
+			return cells
+		}
+		checkLayout(t, fmt.Sprintf("faulted workers=%d", workers), res, simulate)
+	}
+}

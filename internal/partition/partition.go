@@ -165,27 +165,24 @@ type Result struct {
 }
 
 // allConfigs enumerates every index combination over the given original
-// modes of the space.
+// modes of the space, in C order (last mode fastest), carved out of one
+// backing array.
 func allConfigs(space *ensemble.Space, modes []int) [][]int {
 	shape := space.Shape()
 	total := 1
 	for _, m := range modes {
 		total *= shape[m]
 	}
-	out := make([][]int, 0, total)
-	cur := make([]int, len(modes))
-	var walk func(pos int)
-	walk = func(pos int) {
-		if pos == len(modes) {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for i := 0; i < shape[modes[pos]]; i++ {
-			cur[pos] = i
-			walk(pos + 1)
+	n := len(modes)
+	flat := make([]int, total*n)
+	out := make([][]int, total)
+	for i := range out {
+		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
+		for pos, rem := n-1, i; pos >= 0; pos-- {
+			out[i][pos] = rem % shape[modes[pos]]
+			rem /= shape[modes[pos]]
 		}
 	}
-	walk(0)
 	return out
 }
 
@@ -274,8 +271,8 @@ func GenerateCtx(ctx context.Context, space *ensemble.Space, cfg Config, rng *ra
 //
 // Fault tolerance: failed simulations contribute no cells (they lower the
 // effective density instead of poisoning the tensor), and non-finite cell
-// values from divergent-but-completed runs are quarantined at Append.
-// Assembly iterates keys in sorted order regardless of which simulations
+// values from divergent-but-completed runs are quarantined at ingest.
+// Assembly walks simulations in ascending key order regardless of which
 // were restored vs executed, so a resumed campaign's sub-tensor is laid
 // out bit-identically to an uninterrupted one.
 func buildSub(ctx context.Context, space *ensemble.Space, pivots, free []int, pivotConfigs, freeConfigs [][]int, opts SimOptions, ckptName string) (*SubEnsemble, error) {
@@ -293,74 +290,120 @@ func buildSub(ctx context.Context, space *ensemble.Space, pivots, free []int, pi
 		Tensor:    tensor.NewSparse(subShape),
 	}
 
-	nParams := space.NumParams()
-	timeMode := space.TimeMode()
-	defIdx := space.DefaultIndex()
-	defTime := space.TimeSamples / 2
-
-	// Enumerate requested cells, grouping by the parameter quadruple so
-	// each simulation runs once.
-	type cellReq struct {
-		subIdx []int
-		tIdx   int
-	}
-	bySim := make(map[int][]cellReq)
-	simIdxOf := make(map[int][]int)
-	full := make([]int, space.Order())
-	for _, pc := range pivotConfigs {
-		for _, fc := range freeConfigs {
-			for m := 0; m < nParams; m++ {
-				full[m] = defIdx
-			}
-			full[timeMode] = defTime
-			for i, m := range pivots {
-				full[m] = pc[i]
-			}
-			for i, m := range free {
-				full[m] = fc[i]
-			}
-			simKey := 0
-			for m := 0; m < nParams; m++ {
-				simKey = simKey*space.Res + full[m]
-			}
-			if _, ok := simIdxOf[simKey]; !ok {
-				simIdxOf[simKey] = append([]int(nil), full[:nParams]...)
-			}
-			subIdx := make([]int, len(modes))
-			for i, m := range modes {
-				subIdx[i] = full[m]
-			}
-			bySim[simKey] = append(bySim[simKey], cellReq{subIdx: subIdx, tIdx: full[timeMode]})
-		}
-	}
-
-	// Run each simulation once and emit its requested cells.
-	keys := make([]int, 0, len(bySim))
-	for k := range bySim {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys) // deterministic tensor layout
-	cells, stats, err := simulateAll(ctx, space, keys, simIdxOf, opts, ckptName)
+	sims := requestedSims(space, pivots, free, pivotConfigs, freeConfigs)
+	cells, stats, err := simulateAll(ctx, space, sims, opts, ckptName)
 	if err != nil {
 		return nil, fmt.Errorf("partition: %s simulation fan-out: %w", ckptName, err)
 	}
 	// Divergence quarantine: non-finite cells from divergent solver runs
 	// are dropped at ingest and counted, never stored.
 	sub.Tensor.RejectNonFinite = true
-	for _, k := range keys {
-		traj, ok := cells[k]
-		if !ok {
-			continue // failed simulation: cells absent by design
-		}
-		for _, req := range bySim[k] {
-			sub.Tensor.Append(req.subIdx, traj[req.tIdx])
-		}
-	}
+	emit(sub.Tensor, sims, cells, space.TimeSamples/2)
 	stats.QuarantinedCells = sub.Tensor.Rejected
-	sub.NumSims = len(keys)
+	sub.NumSims = len(sims)
 	sub.Stats = stats
 	span.Set("sims", int64(sub.NumSims))
 	span.Set("cells", int64(sub.Tensor.NNZ()))
 	stats.record(span)
 	return sub, nil
+}
+
+// axisEntry is one pivot or free configuration of a request grid: its mode
+// indices, what they move the simulation key by (parameter modes only —
+// time shares a simulation), and its time index (-1: not on this axis).
+type axisEntry struct {
+	config        []int
+	contrib, time int
+}
+
+// axisRuns orders the configurations over modes by contribution (stably:
+// sampling order survives within a simulation) and splits them into runs
+// of equal contribution. weight is each parameter mode's place value in
+// the key; def the index the key's constant part assumes.
+func axisRuns(modes []int, configs [][]int, weight []int, def int) [][]axisEntry {
+	axis := make([]axisEntry, len(configs))
+	for i, c := range configs {
+		axis[i] = axisEntry{config: c, time: -1}
+		for pos, m := range modes {
+			if m < len(weight) {
+				axis[i].contrib += (c[pos] - def) * weight[m]
+			} else { // the time mode follows the parameter modes
+				axis[i].time = c[pos]
+			}
+		}
+	}
+	sort.SliceStable(axis, func(x, y int) bool { return axis[x].contrib < axis[y].contrib })
+	var runs [][]axisEntry
+	for lo, hi := 0, 1; hi <= len(axis); hi++ {
+		if hi == len(axis) || axis[hi].contrib != axis[lo].contrib {
+			runs = append(runs, axis[lo:hi])
+			lo = hi
+		}
+	}
+	return runs
+}
+
+// simRequest is one distinct simulation of a sub-system and the cells
+// requested of it: its pivot configurations crossed with its free ones.
+type simRequest struct {
+	key           int
+	pivots, frees []axisEntry
+}
+
+// requestedSims is the flat enumeration of a sub-system's requested cells,
+// grouped by simulation and sorted by key (the deterministic tensor
+// layout). A key is the C-order linear index of the parameter quadruple:
+// the all-default key plus one contribution per axis, so requests group
+// per axis with no per-cell bookkeeping.
+func requestedSims(space *ensemble.Space, pivots, free []int, pivotConfigs, freeConfigs [][]int) []simRequest {
+	def := space.DefaultIndex()
+	weight := make([]int, space.NumParams())
+	allDefault := 0
+	for m, w := len(weight)-1, 1; m >= 0; m, w = m-1, w*space.Res {
+		weight[m] = w
+		allDefault += def * w
+	}
+	var sims []simRequest
+	freeRuns := axisRuns(free, freeConfigs, weight, def)
+	for _, p := range axisRuns(pivots, pivotConfigs, weight, def) {
+		for _, f := range freeRuns {
+			sims = append(sims, simRequest{key: allDefault + p[0].contrib + f[0].contrib, pivots: p, frees: f})
+		}
+	}
+	sort.Slice(sims, func(x, y int) bool { return sims[x].key < sims[y].key })
+	return sims
+}
+
+// emit sizes t for exactly the requested cells of the completed
+// simulations, then appends them: simulations in key order, each one's
+// cells pivot-major. cells[i] is nil when simulation i failed (its cells
+// are absent by design); with time on neither axis requests read defTime.
+func emit(t *tensor.Sparse, sims []simRequest, cells [][]float64, defTime int) {
+	total, largest := 0, 0
+	for i, sim := range sims {
+		if cells[i] != nil {
+			n := len(sim.pivots) * len(sim.frees)
+			total, largest = total+n, max(largest, n)
+		}
+	}
+	t.Reserve(total)
+	idx := make([]int, 0, largest*t.Order())
+	vals := make([]float64, 0, largest)
+	for i, sim := range sims {
+		if cells[i] == nil {
+			continue
+		}
+		idx, vals = idx[:0], vals[:0]
+		for _, p := range sim.pivots {
+			for _, f := range sim.frees {
+				idx = append(append(idx, p.config...), f.config...)
+				tIdx := max(p.time, f.time) // the time mode is on at most one axis
+				if tIdx < 0 {
+					tIdx = defTime
+				}
+				vals = append(vals, cells[i][tIdx])
+			}
+		}
+		t.AppendBlock(idx, vals)
+	}
 }

@@ -64,18 +64,22 @@ func (s *SimStats) add(o SimStats) {
 	s.QuarantinedCells += o.QuarantinedCells
 }
 
-// simulateAll runs the simulations identified by keys (parameter grid
-// indices in simIdxOf) on the shared worker pool and returns each
-// simulation's per-timestamp cell values. Failed simulations are absent
-// from the returned map (and counted in SimStats.FailedSims); restored
-// simulations are served from the checkpoint without re-execution.
+// simulateAll runs the requested simulations on the shared worker pool and
+// returns each one's per-timestamp cell values, aligned with sims. A
+// failed simulation's entry is nil (and counted in SimStats.FailedSims);
+// restored simulations are served from the checkpoint without re-execution.
+//
+// Executed simulations' cells are carved out of one slab per sub-campaign:
+// the assembly reads them and the checkpoint session retains them until
+// its last flush, so they cannot live in a reused buffer, but they can
+// share one allocation. Each fan-out chunk owns one simulation workspace.
 //
 // Cancellation is cooperative and deterministic: once ctx is cancelled no
 // new simulation starts, in-flight ones finish, completed work is flushed
 // to the checkpoint (if any), and ctx.Err() is returned.
-func simulateAll(ctx context.Context, space *ensemble.Space, keys []int, simIdxOf map[int][]int, opts SimOptions, ckptName string) (map[int][]float64, SimStats, error) {
+func simulateAll(ctx context.Context, space *ensemble.Space, sims []simRequest, opts SimOptions, ckptName string) ([][]float64, SimStats, error) {
 	var stats SimStats
-	results := make([][]float64, len(keys))
+	results := make([][]float64, len(sims))
 
 	var sess *ckptSession
 	if opts.Checkpoint != nil {
@@ -85,10 +89,10 @@ func simulateAll(ctx context.Context, space *ensemble.Space, keys []int, simIdxO
 	// Partition keys into restored (served from the checkpoint) and
 	// pending (to execute). Restore decisions are made up front so the
 	// fan-out body is uniform.
-	pending := make([]int, 0, len(keys))
-	for i, k := range keys {
+	pending := make([]int, 0, len(sims))
+	for i, sim := range sims {
 		if sess != nil {
-			if cells, ok := sess.restored[k]; ok {
+			if cells, ok := sess.restored[sim.key]; ok {
 				results[i] = cells
 				stats.RestoredSims++
 				continue
@@ -100,20 +104,22 @@ func simulateAll(ctx context.Context, space *ensemble.Space, keys []int, simIdxO
 	if len(pending) > 0 {
 		space.Reference() // materialise before fan-out
 	}
+	t := space.TimeSamples
+	slab := make([]float64, len(pending)*t)
 
 	var mu sync.Mutex
 	var ckptErr error
-	workers := opts.Workers
-	err := parallel.ForCtx(ctx, len(pending), workers, func(start, end int) {
+	err := parallel.ForCtx(ctx, len(pending), opts.Workers, func(start, end int) {
+		var w ensemble.Workspace
+		idx := make([]int, space.NumParams())
 		for p := start; p < end; p++ {
 			i := pending[p]
-			k := keys[i]
-			var cells []float64
+			k := sims[i].key
+			space.SimIndex(k, idx)
+			cells := slab[p*t : (p+1)*t]
 			simStart := time.Now()
 			attempts, runErr := opts.Retry.Run(ctx, uint64(k), func(actx context.Context) error {
-				var cerr error
-				cells, cerr = space.SimCellsCtx(actx, simIdxOf[k])
-				return cerr
+				return space.SimCellsIntoCtx(actx, &w, idx, cells)
 			})
 			simDuration.Observe(time.Since(simStart).Seconds())
 			mu.Lock()
@@ -152,12 +158,5 @@ func simulateAll(ctx context.Context, space *ensemble.Space, keys []int, simIdxO
 	if ckptErr != nil {
 		return nil, stats, ckptErr
 	}
-
-	out := make(map[int][]float64, len(keys))
-	for i, k := range keys {
-		if results[i] != nil {
-			out[k] = results[i]
-		}
-	}
-	return out, stats, nil
+	return results, stats, nil
 }

@@ -56,10 +56,7 @@ func stitchHashJoin(res *partition.Result, zero bool) *tensor.Sparse {
 	for key, entries1 := range idx1 {
 		matched += len(entries1) * len(idx2[key])
 	}
-	//lint:allow quarantine -- capacity preallocation on a freshly created join tensor; entries enter via the quarantine-checked Append path
-	j.Idx = make([]int, 0, matched*space.Order())
-	//lint:allow quarantine -- capacity preallocation on a freshly created join tensor; entries enter via the quarantine-checked Append path
-	j.Vals = make([]float64, 0, matched)
+	j.Reserve(matched)
 
 	full := make([]int, space.Order())
 	emit := func(pivotIdx, free1, free2 []int, v float64) {

@@ -208,10 +208,7 @@ func stitch(res *partition.Result, zero bool) *tensor.Sparse {
 	if zero {
 		cells += only2 * grid1
 	}
-	//lint:allow quarantine -- capacity preallocation on a freshly created join tensor; entries enter via the quarantine-checked Append/AppendBlock path
-	j.Idx = make([]int, 0, cells*o)
-	//lint:allow quarantine -- capacity preallocation on a freshly created join tensor; entries enter via the quarantine-checked Append/AppendBlock path
-	j.Vals = make([]float64, 0, cells)
+	j.Reserve(cells)
 
 	full := make([]int, o)
 	emit := func(pivotIdx, free1, free2 []int, v float64) {

@@ -144,6 +144,19 @@ func (s *Sparse) AppendBlock(idx []int, vals []float64) {
 	}
 }
 
+// Reserve grows the entry storage so that n more cells can be appended
+// without reallocating. Builders that know their size up front (the
+// sub-ensemble assembly, the stitch emission) call it once before the
+// first Append instead of paying append's doubling copies.
+func (s *Sparse) Reserve(n int) {
+	if need := len(s.Vals) + n; need > cap(s.Vals) {
+		s.Vals = append(make([]float64, 0, need), s.Vals...)
+	}
+	if need := len(s.Idx) + n*s.Order(); need > cap(s.Idx) {
+		s.Idx = append(make([]int, 0, need), s.Idx...)
+	}
+}
+
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 

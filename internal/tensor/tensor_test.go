@@ -270,6 +270,29 @@ func TestSparseAppendBlockPanics(t *testing.T) {
 	}
 }
 
+func TestSparseReserve(t *testing.T) {
+	s := NewSparse(Shape{2, 3})
+	s.Append([]int{1, 2}, 7)
+	s.Reserve(4)
+	if cap(s.Vals) != 5 || cap(s.Idx) != 10 {
+		t.Fatalf("Reserve(4) on 1 cell: caps %d/%d, want 5/10", cap(s.Vals), cap(s.Idx))
+	}
+	vals, idx := &s.Vals[0], &s.Idx[0]
+	for i := 0; i < 4; i++ {
+		s.Append([]int{0, i % 3}, float64(i))
+	}
+	if &s.Vals[0] != vals || &s.Idx[0] != idx {
+		t.Fatal("appending the reserved cells reallocated")
+	}
+	if i, v := s.Entry(0); i[0] != 1 || i[1] != 2 || v != 7 || s.NNZ() != 5 {
+		t.Fatalf("Reserve lost the stored entry: %v %v, nnz %d", i, v, s.NNZ())
+	}
+	s.Reserve(0) // already roomy: a no-op
+	if &s.Vals[0] != vals {
+		t.Fatal("Reserve(0) reallocated")
+	}
+}
+
 func TestSparseDenseRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	d := randomDense(rng, Shape{3, 4, 2})
