@@ -46,9 +46,11 @@ import (
 
 // defaultBench selects the kernel benchmarks worth tracking: TTM and
 // ModeGram variants, HOSVD/HOOI (plain and sketched), workspace chains,
-// stitching, transient (plan-less) core recovery, and the simulation
-// kernel (one simulation per system, one res-12 sub-ensemble campaign).
-const defaultBench = "BenchmarkTTM|BenchmarkModeGram|BenchmarkWorkspace|BenchmarkHOSVD|BenchmarkHOOI|BenchmarkParallelHOSVD|BenchmarkParallelTTM|BenchmarkStitch|BenchmarkSketched|BenchmarkTransientCoreRecovery|BenchmarkSimCells|BenchmarkPartitionGenerate"
+// stitching (BenchmarkStitch also selects the process engine's
+// BenchmarkStitchShard), transient (plan-less) core recovery, the
+// simulation kernel (one simulation per system, one res-12 sub-ensemble
+// campaign), and the sparse store codec.
+const defaultBench = "BenchmarkTTM|BenchmarkModeGram|BenchmarkWorkspace|BenchmarkHOSVD|BenchmarkHOOI|BenchmarkParallelHOSVD|BenchmarkParallelTTM|BenchmarkStitch|BenchmarkSketched|BenchmarkTransientCoreRecovery|BenchmarkSimCells|BenchmarkPartitionGenerate|BenchmarkStoreSparse"
 
 // stringList is a repeatable string flag.
 type stringList []string

@@ -1,0 +1,205 @@
+package dist
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/dynsys"
+	"repro/internal/ensemble"
+	"repro/internal/partition"
+	"repro/internal/tensor"
+)
+
+// sortCellsLex orders cells lexicographically by index — the within-group
+// order JoinGroup expects.
+func sortCellsLex(cs []Cell) {
+	sort.Slice(cs, func(a, b int) bool {
+		ia, ib := cs[a].Idx, cs[b].Idx
+		for i := range ia {
+			if ia[i] != ib[i] {
+				return ia[i] < ib[i]
+			}
+		}
+		return false
+	})
+}
+
+// referenceStitchShard is the shard stitch the process engine ran before
+// StitchShard, kept as its oracle: every cell of the shard is copied out,
+// cells are grouped by pivot key, each side of each group is sorted
+// lexicographically, and the groups go through JoinGroup in ascending key
+// order, one Append per join cell.
+func referenceStitchShard(spec JoinSpec, x1, x2 *tensor.Sparse, shard, shards int) *tensor.Sparse {
+	var free1, free2 [][]int
+	if spec.ZeroJoin {
+		free1, free2 = spec.FreeGrids()
+	}
+	groups := map[int]*[2][]Cell{}
+	for side, x := range []*tensor.Sparse{x1, x2} {
+		x.Each(func(idx []int, v float64) {
+			key := spec.PivotKey(idx)
+			if key%shards != shard {
+				return
+			}
+			if groups[key] == nil {
+				groups[key] = new([2][]Cell)
+			}
+			groups[key][side] = append(groups[key][side], Cell{Idx: append([]int(nil), idx...), Val: v})
+		})
+	}
+	keys := make([]int, 0, len(groups))
+	for key := range groups {
+		keys = append(keys, key)
+	}
+	sort.Ints(keys)
+	j := tensor.NewSparse(spec.Shape)
+	for _, key := range keys {
+		g := groups[key]
+		sortCellsLex(g[0])
+		sortCellsLex(g[1])
+		spec.JoinGroup(key, g[0], g[1], free1, free2, j.Append)
+	}
+	return j
+}
+
+// stitchConfigs are the two partition geometries of the parity suite: the
+// evaluation default (time as the single pivot) and a two-pivot split
+// whose pivot modes are not the leading full-space modes.
+var stitchConfigs = map[string]partition.Config{
+	"time-pivot": partition.DefaultConfig(5, 4, doublePendulumPairs),
+	"two-pivot":  {Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1},
+}
+
+// stitchPartition generates a double-pendulum partition with res values
+// per parameter and per time mode (the m2tdperf workloads' shape).
+func stitchPartition(t testing.TB, cfg partition.Config, res int, freeFrac float64, seed int64) *partition.Result {
+	t.Helper()
+	cfg.FreeFrac = freeFrac
+	p, err := partition.Generate(ensemble.NewSpace(dynsys.NewDoublePendulum(), res, res), cfg, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// thin returns x without the entries drop selects.
+func thin(x *tensor.Sparse, drop func(e int, idx []int) bool) *tensor.Sparse {
+	out := tensor.NewSparse(x.Shape)
+	for e := 0; e < x.NNZ(); e++ {
+		if idx, v := x.Entry(e); !drop(e, idx) {
+			out.Append(idx, v)
+		}
+	}
+	return out
+}
+
+func sameShard(t *testing.T, got, want *tensor.Sparse) {
+	t.Helper()
+	if len(got.Vals) != len(want.Vals) || len(got.Idx) != len(want.Idx) {
+		t.Fatalf("%d cells (%d indices), reference has %d (%d)", len(got.Vals), len(got.Idx), len(want.Vals), len(want.Idx))
+	}
+	for e := range want.Vals {
+		gi, gv := got.Entry(e)
+		wi, wv := want.Entry(e)
+		if !slices.Equal(gi, wi) || math.Float64bits(gv) != math.Float64bits(wv) {
+			t.Fatalf("cell %d: %v = %v, reference %v = %v", e, gi, gv, wi, wv)
+		}
+	}
+	if got.Rejected != want.Rejected || got.RejectNonFinite != want.RejectNonFinite {
+		t.Fatalf("quarantine state %v/%d, reference %v/%d", got.RejectNonFinite, got.Rejected, want.RejectNonFinite, want.Rejected)
+	}
+	if cap(got.Vals) != len(got.Vals) || cap(got.Idx) != len(got.Idx) {
+		t.Fatalf("storage not sized exactly: %d/%d cells, %d/%d indices", len(got.Vals), cap(got.Vals), len(got.Idx), cap(got.Idx))
+	}
+}
+
+// TestStitchShardMatchesReference: StitchShard must reproduce the old
+// path's shard cell for cell, bit for bit and in order — full and ragged
+// pivot groups, groups present on one side only, a NaN among the inputs.
+func TestStitchShardMatchesReference(t *testing.T) {
+	for name, cfg := range stitchConfigs {
+		for _, freeFrac := range []float64{1, 0.5} {
+			p := stitchPartition(t, cfg, 5, freeFrac, 140)
+			x1, x2 := p.Sub1.Tensor, p.Sub2.Tensor
+			if freeFrac < 1 {
+				// Ragged groups (every 7th / 5th cell missing) and one-sided
+				// ones (pivot key 1 only on side 2, key 3 only on side 1).
+				spec := NewJoinSpec(p, false)
+				x1 = thin(x1, func(e int, idx []int) bool { return e%7 == 0 || spec.PivotKey(idx) == 1 })
+				x2 = thin(x2, func(e int, idx []int) bool { return e%5 == 0 || spec.PivotKey(idx) == 3 })
+			}
+			x1.Vals[x1.NNZ()/3] = math.NaN()
+			for _, zero := range []bool{false, true} {
+				spec := NewJoinSpec(p, zero)
+				for _, shards := range []int{1, 3, 4} {
+					total := 0
+					for shard := 0; shard < shards; shard++ {
+						t.Run(fmt.Sprintf("%s/free=%g/zero=%v/shard=%d of %d", name, freeFrac, zero, shard, shards), func(t *testing.T) {
+							got := spec.StitchShard(x1, x2, shard, shards)
+							sameShard(t, got, referenceStitchShard(spec, x1, x2, shard, shards))
+							total += got.NNZ()
+						})
+					}
+					if total == 0 {
+						t.Fatalf("%s free=%g zero=%v: %d shards stitched no cell", name, freeFrac, zero, shards)
+					}
+				}
+			}
+		}
+	}
+}
+
+// stitchShardAllocs is StitchShard's allocation budget (14 today): an id
+// and a key list per side, the output's header and two COO arrays, four
+// template and value buffers, two grid cursors and the group-walk
+// closures — nothing per group or per cell.
+const stitchShardAllocs = 16
+
+func TestStitchShardAllocationBudget(t *testing.T) {
+	for _, zero := range []bool{false, true} {
+		var allocs []float64
+		for _, res := range []int{4, 8} {
+			p := stitchPartition(t, stitchConfigs["time-pivot"], res, 1, 141)
+			if zero {
+				p = stitchPartition(t, stitchConfigs["time-pivot"], res, 0.5, 141)
+			}
+			spec := NewJoinSpec(p, zero)
+			// 20 runs: AllocsPerRun's integer average absorbs a stray
+			// background allocation.
+			allocs = append(allocs, testing.AllocsPerRun(20, func() {
+				spec.StitchShard(p.Sub1.Tensor, p.Sub2.Tensor, 0, 2)
+			}))
+		}
+		if allocs[0] != allocs[1] || allocs[0] > stitchShardAllocs {
+			t.Fatalf("zero=%v: %v allocations at res 4 and %v at res 8, want equal and <= %d", zero, allocs[0], allocs[1], stitchShardAllocs)
+		}
+	}
+}
+
+// BenchmarkStitchShard is the process engine's Phase 2 task at the
+// dist-procs workload's size: shard 0 of 4 at res 8 (8 192 join cells).
+func BenchmarkStitchShard(b *testing.B) {
+	for _, arm := range []struct {
+		name     string
+		zero     bool
+		freeFrac float64
+	}{{"join", false, 1}, {"zero-join", true, 0.5}} {
+		b.Run(arm.name, func(b *testing.B) {
+			p := stitchPartition(b, stitchConfigs["time-pivot"], 8, arm.freeFrac, 142)
+			spec := NewJoinSpec(p, arm.zero)
+			cells := spec.StitchShard(p.Sub1.Tensor, p.Sub2.Tensor, 0, 4).NNZ()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := spec.StitchShard(p.Sub1.Tensor, p.Sub2.Tensor, 0, 4).NNZ(); got != cells {
+					b.Fatalf("%d cells, want %d", got, cells)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+		})
+	}
+}

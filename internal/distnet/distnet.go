@@ -166,7 +166,14 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	// Data-plane inputs first, so a worker connecting early finds them.
+	// Spawn first, upload second: a worker reads the data-plane inputs on
+	// its first lease, and no lease goes out before runPhase below, so
+	// process start overlaps the upload.
+	eng, err := newEngine(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.shutdown()
 	if err := st.SaveSparse(objSub1, p.Sub1.Tensor); err != nil {
 		return nil, err
 	}
@@ -176,12 +183,6 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 
 	ranks := tucker.ClipRanks(p.Space.Shape(), opts.Ranks)
 	spec := jobSpec{Join: dist.NewJoinSpec(p, opts.ZeroJoin), Shards: opts.Shards}
-
-	eng, err := newEngine(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.shutdown()
 
 	// ---- Phase 1: parallel sub-tensor decomposition ----
 	var p1tasks []*task
@@ -237,14 +238,20 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	// Merge join shards in ascending shard order — worker-independent.
-	j := tensor.NewSparse(p.Space.Shape())
-	for s := 0; s < opts.Shards; s++ {
-		shard, err := st.LoadSparse(stitchOut(s))
-		if err != nil {
+	// Merge join shards in ascending shard order — worker-independent —
+	// one block per shard into exactly-sized storage.
+	shards := make([]*tensor.Sparse, opts.Shards)
+	total := 0
+	for s := range shards {
+		if shards[s], err = st.LoadSparse(stitchOut(s)); err != nil {
 			return nil, fmt.Errorf("distnet: phase 2 artifact %s: %w", stitchOut(s), err)
 		}
-		shard.Each(func(idx []int, v float64) { j.Append(idx, v) })
+		total += shards[s].NNZ()
+	}
+	j := tensor.NewSparse(p.Space.Shape())
+	j.Reserve(total)
+	for _, shard := range shards {
+		j.AppendBlock(shard.Idx, shard.Vals)
 	}
 
 	// ---- Phase 3: parallel core recovery over the join shards ----

@@ -61,27 +61,24 @@ const maxFramePayload = 1 << 20
 
 var errBadFrame = errors.New("distnet: corrupt frame")
 
-// writeFrame writes one frame. The payload is the caller's JSON message.
+// encodeFrame assembles one complete frame — header, payload, footer —
+// in a single buffer.
+func encodeFrame(t frameType, payload []byte) []byte {
+	frame := make([]byte, 0, 9+len(payload)+4)
+	frame = append(frame, frameMagic...)
+	frame = append(frame, byte(t))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = append(frame, payload...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
+}
+
+// writeFrame writes one frame in one Write: the sockets are TCP_NODELAY,
+// so every Write is a segment. The payload is the caller's JSON message.
 func writeFrame(w io.Writer, t frameType, payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("distnet: frame payload %d bytes exceeds limit", len(payload))
 	}
-	var hdr [9]byte
-	copy(hdr[:4], frameMagic)
-	hdr[4] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:9])
-	crc.Write(payload)
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	_, err := w.Write(foot[:])
+	_, err := w.Write(encodeFrame(t, payload))
 	return err
 }
 

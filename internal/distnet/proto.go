@@ -59,8 +59,8 @@ type heartbeatMsg struct {
 	Task   string `json:"task,omitempty"`
 }
 
-// Catalog object names. Inputs are written by the coordinator before
-// spawning; every task writes exactly one output object.
+// Catalog object names. Inputs are written by the coordinator before the
+// first lease; every task writes exactly one output object.
 const (
 	objSub1    = "in-sub1"
 	objSub2    = "in-sub2"

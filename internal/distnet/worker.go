@@ -2,11 +2,9 @@ package distnet
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -17,9 +15,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/faults"
-	"repro/internal/mapreduce"
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -110,22 +106,10 @@ func (s *sender) send(t frameType, msg any) error {
 // deliberately wrong — the chaos hook behind Corrupt. The coordinator
 // must detect it and quarantine this worker.
 func (s *sender) sendCorrupt() {
-	payload := []byte(`{"id":"garbage"}`)
-	var hdr [9]byte
-	copy(hdr[:4], frameMagic)
-	hdr[4] = byte(frameResult)
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:9])
-	crc.Write(payload)
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc.Sum32()^0xffffffff)
-	// Assemble the whole corrupt frame first so the serialized section is
-	// one write, like every healthy frame.
-	frame := make([]byte, 0, len(hdr)+len(payload)+len(foot))
-	frame = append(frame, hdr[:]...)
-	frame = append(frame, payload...)
-	frame = append(frame, foot[:]...)
+	frame := encodeFrame(frameResult, []byte(`{"id":"garbage"}`))
+	for i := len(frame) - 4; i < len(frame); i++ {
+		frame[i] ^= 0xff
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//lint:allow locks -- s.mu is the frame-write serialization mutex; holding it across exactly one frame write is its entire purpose
@@ -133,16 +117,13 @@ func (s *sender) sendCorrupt() {
 }
 
 // workerState caches run-constant artifacts across tasks: the input
-// sub-tensors, the fused factor list, and the zero-join free grids.
+// sub-tensors and the fused factor list.
 type workerState struct {
 	cfg WorkerConfig
 	st  *store.Store
 
-	subs       map[int]*tensor.Sparse
-	factors    []*mat.Matrix
-	free1      [][]int
-	free2      [][]int
-	gridsReady bool
+	subs    map[int]*tensor.Sparse
+	factors []*mat.Matrix
 
 	executed int // tasks begun, the kill-point ordinal clock
 }
@@ -326,68 +307,17 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 	return w.st.SaveMatrices(task.Out, []*mat.Matrix{g, f})
 }
 
-// execStitch is Phase 2 for one shard: both sub-tensors' cells whose
-// pivot key lands in the shard, grouped by pivot key and stitched with
-// the same JoinSpec kernel the in-process engine uses. Shard membership
-// is key % Shards — a pure function of the cell, so every group lives
-// wholly in exactly one shard no matter who computes it.
+// execStitch is Phase 2 for one shard: the pivot groups whose key lands
+// in the shard, stitched by the dist.JoinSpec shard kernel. Shard
+// membership is key % Shards — a pure function of the cell, so every
+// group lives wholly in exactly one shard no matter who computes it.
 func (w *workerState) execStitch(task taskMsg, doomed bool) error {
-	spec := task.Spec.Join
-	if spec.ZeroJoin && !w.gridsReady {
-		w.free1, w.free2 = spec.FreeGrids()
-		w.gridsReady = true
+	x1, err1 := w.sub(1)
+	x2, err2 := w.sub(2)
+	if err := errors.Join(err1, err2); err != nil {
+		return err
 	}
-
-	type wcell struct {
-		kappa int
-		cell  dist.Cell
-	}
-	type joined struct {
-		idx []int
-		val float64
-	}
-	var cells []wcell
-	for kappa := 1; kappa <= 2; kappa++ {
-		x, err := w.sub(kappa)
-		if err != nil {
-			return err
-		}
-		k := kappa
-		x.Each(func(idx []int, v float64) {
-			if spec.PivotKey(idx)%task.Spec.Shards != task.Shard {
-				return
-			}
-			cells = append(cells, wcell{kappa: k, cell: dist.Cell{Idx: append([]int(nil), idx...), Val: v}})
-		})
-	}
-
-	job := &mapreduce.Job[wcell, int, wcell, joined]{
-		Map: func(c wcell, emit func(int, wcell)) {
-			emit(spec.PivotKey(c.cell.Idx), c)
-		},
-		Reduce: func(key int, group []wcell, emit func(joined)) {
-			var side1, side2 []dist.Cell
-			for _, c := range group {
-				if c.kappa == 1 {
-					side1 = append(side1, c.cell)
-				} else {
-					side2 = append(side2, c.cell)
-				}
-			}
-			dist.SortCells(side1)
-			dist.SortCells(side2)
-			spec.JoinGroup(key, side1, side2, w.free1, w.free2, func(idx []int, v float64) {
-				emit(joined{idx: idx, val: v})
-			})
-		},
-		Workers: 1, // in-process parallelism is the coordinator's job here
-		KeyLess: func(a, b int) bool { return a < b },
-	}
-	out, _ := job.Run(cells)
-	j := tensor.NewSparse(spec.Shape)
-	for _, c := range out {
-		j.Append(c.idx, c.val)
-	}
+	j := task.Spec.Join.StitchShard(x1, x2, task.Shard, task.Spec.Shards)
 	if doomed {
 		faults.KillSelf()
 	}

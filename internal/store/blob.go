@@ -29,7 +29,7 @@ func (s *Store) SaveBlob(name string, data []byte) error {
 // LoadBlob reads a payload saved with SaveBlob.
 func (s *Store) LoadBlob(name string) ([]byte, error) {
 	var out []byte
-	err := s.readFile(name, kindBlob, func(r io.Reader) error {
+	err := s.readFile(name, kindBlob, func(r io.Reader, _ int64) error {
 		var n uint64
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil || n > maxBlobSize {
 			return ErrCorrupt

@@ -32,6 +32,21 @@ func FuzzLoadSparseRobustness(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
+	// Multi-block seeds, so the block decoder's boundaries are in the
+	// corpus: three blocks, and the same file cut inside the second.
+	big := tensor.NewSparse(tensor.Shape{2*BlockSize + 3})
+	for i := 0; i < 2*BlockSize+3; i++ {
+		big.Append([]int{i}, float64(i))
+	}
+	if err := s.SaveSparse("big", big); err != nil {
+		f.Fatal(err)
+	}
+	multi, err := os.ReadFile(filepath.Join(dir, "big.m2td"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(multi)
+	f.Add(multi[:blockOffset(1, 1)+4+BlockSize/2*sparseCellBytes(1)])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -17,6 +17,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -252,9 +253,10 @@ func (s *Store) writeFile(name string, kind uint8, fn func(w io.Writer) error) e
 	return os.Rename(tmpName, s.path(name))
 }
 
-// readFile opens an object, validates magic/version/kind, passes the body
-// reader to fn, and verifies the CRC footer afterwards.
-func (s *Store) readFile(name string, wantKind uint8, fn func(r io.Reader) error) error {
+// readFile opens an object, validates magic/version/kind, passes fn the
+// body reader and the file's size (the most a decoder may size anything
+// by), and verifies the CRC footer afterwards.
+func (s *Store) readFile(name string, wantKind uint8, fn func(r io.Reader, size int64) error) error {
 	if err := validateName(name); err != nil {
 		return err
 	}
@@ -292,7 +294,7 @@ func (s *Store) readFile(name string, wantKind uint8, fn func(r io.Reader) error
 	if kind != wantKind {
 		return fmt.Errorf("store: object %q has kind %d, want %d", name, kind, wantKind)
 	}
-	if err := fn(cr); err != nil {
+	if err := fn(cr, st.Size()); err != nil {
 		return err
 	}
 	// Drain any remaining body bytes into the checksum (robustness against
@@ -345,7 +347,13 @@ func readShape(r io.Reader) (tensor.Shape, error) {
 	return shape, nil
 }
 
-// SaveSparse stores a sparse tensor in blocks of BlockSize cells.
+// sparseCellBytes is the encoded size of one order-N cell: N uint32
+// indices and one float64 value.
+func sparseCellBytes(order int) int { return 4*order + 8 }
+
+// SaveSparse stores a sparse tensor in blocks of BlockSize cells: a uint32
+// cell count, then the packed cells — encoded into one reused buffer and
+// handed to the writer (and the checksum) in one Write per block.
 func (s *Store) SaveSparse(name string, t *tensor.Sparse) error {
 	return s.writeFile(name, kindSparse, func(w io.Writer) error {
 		if err := writeShape(w, t.Shape); err != nil {
@@ -356,35 +364,33 @@ func (s *Store) SaveSparse(name string, t *tensor.Sparse) error {
 			return fmt.Errorf("store: %w", err)
 		}
 		order := t.Order()
+		buf := make([]byte, 4+min(nnz, BlockSize)*sparseCellBytes(order))
 		for start := 0; start < nnz; start += BlockSize {
-			end := start + BlockSize
-			if end > nnz {
-				end = nnz
-			}
-			// Block: cell count, then packed indices and values.
-			if err := binary.Write(w, binary.LittleEndian, uint32(end-start)); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
+			end := min(start+BlockSize, nnz)
+			binary.LittleEndian.PutUint32(buf, uint32(end-start))
+			at := 4
 			for e := start; e < end; e++ {
-				idx, v := t.Entry(e)
-				for k := 0; k < order; k++ {
-					if err := binary.Write(w, binary.LittleEndian, uint32(idx[k])); err != nil {
-						return fmt.Errorf("store: %w", err)
-					}
+				for _, i := range t.Idx[e*order : (e+1)*order] {
+					binary.LittleEndian.PutUint32(buf[at:], uint32(i))
+					at += 4
 				}
-				if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-					return fmt.Errorf("store: %w", err)
-				}
+				binary.LittleEndian.PutUint64(buf[at:], math.Float64bits(t.Vals[e]))
+				at += 8
+			}
+			if _, err := w.Write(buf[:at]); err != nil {
+				return fmt.Errorf("store: %w", err)
 			}
 		}
 		return nil
 	})
 }
 
-// LoadSparse reads a sparse tensor saved with SaveSparse.
+// LoadSparse reads a sparse tensor saved with SaveSparse, one block per
+// read. The claimed cell count is checked against what the file can hold
+// before anything is sized by it: a corrupt header is never an allocation.
 func (s *Store) LoadSparse(name string) (*tensor.Sparse, error) {
 	var out *tensor.Sparse
-	err := s.readFile(name, kindSparse, func(r io.Reader) error {
+	err := s.readFile(name, kindSparse, func(r io.Reader, size int64) error {
 		shape, err := readShape(r)
 		if err != nil {
 			return err
@@ -393,11 +399,18 @@ func (s *Store) LoadSparse(name string) (*tensor.Sparse, error) {
 		if err := binary.Read(r, binary.LittleEndian, &nnz); err != nil {
 			return ErrCorrupt
 		}
-		t := tensor.NewSparse(shape)
 		order := shape.Order()
-		idx := make([]int, order)
-		var read uint64
-		for read < nnz {
+		cell := sparseCellBytes(order)
+		if nnz > uint64(size)/uint64(cell) {
+			return ErrCorrupt
+		}
+		t := tensor.NewSparse(shape)
+		t.Reserve(int(nnz))
+		// One block's scratch; a count is bounded by nnz, so by the file.
+		var buf []byte
+		var idx []int
+		var vals []float64
+		for read := uint64(0); read < nnz; {
 			var count uint32
 			if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 				return ErrCorrupt
@@ -405,23 +418,27 @@ func (s *Store) LoadSparse(name string) (*tensor.Sparse, error) {
 			if count == 0 || uint64(count) > nnz-read {
 				return ErrCorrupt
 			}
-			for e := uint32(0); e < count; e++ {
-				for k := 0; k < order; k++ {
-					var i uint32
-					if err := binary.Read(r, binary.LittleEndian, &i); err != nil {
-						return ErrCorrupt
-					}
-					if int(i) >= shape[k] {
-						return ErrCorrupt
-					}
-					idx[k] = int(i)
-				}
-				var v float64
-				if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-					return ErrCorrupt
-				}
-				t.Append(idx, v)
+			n := int(count)
+			if cap(vals) < n {
+				buf, idx, vals = make([]byte, n*cell), make([]int, n*order), make([]float64, n)
 			}
+			if _, err := io.ReadFull(r, buf[:n*cell]); err != nil {
+				return ErrCorrupt
+			}
+			at := 0
+			for c := 0; c < n; c++ {
+				for k, d := range shape {
+					i := int(binary.LittleEndian.Uint32(buf[at:]))
+					if i >= d {
+						return ErrCorrupt
+					}
+					idx[c*order+k] = i
+					at += 4
+				}
+				vals[c] = math.Float64frombits(binary.LittleEndian.Uint64(buf[at:]))
+				at += 8
+			}
+			t.AppendBlock(idx[:n*order], vals[:n])
 			read += uint64(count)
 		}
 		out = t
@@ -452,7 +469,7 @@ func (s *Store) SaveDense(name string, t *tensor.Dense) error {
 // LoadDense reads a dense tensor saved with SaveDense.
 func (s *Store) LoadDense(name string) (*tensor.Dense, error) {
 	var out *tensor.Dense
-	err := s.readFile(name, kindDense, func(r io.Reader) error {
+	err := s.readFile(name, kindDense, func(r io.Reader, _ int64) error {
 		shape, err := readShape(r)
 		if err != nil {
 			return err
@@ -514,7 +531,7 @@ func (s *Store) LoadSimSet(name string) (string, map[int][]float64, error) {
 		fingerprint string
 		sims        map[int][]float64
 	)
-	err := s.readFile(name, kindSimSet, func(r io.Reader) error {
+	err := s.readFile(name, kindSimSet, func(r io.Reader, _ int64) error {
 		var fpLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &fpLen); err != nil || fpLen > 1<<16 {
 			return ErrCorrupt
@@ -579,7 +596,7 @@ func (s *Store) SaveMatrices(name string, ms []*mat.Matrix) error {
 // LoadMatrices reads a matrix list saved with SaveMatrices.
 func (s *Store) LoadMatrices(name string) ([]*mat.Matrix, error) {
 	var out []*mat.Matrix
-	err := s.readFile(name, kindMatrices, func(r io.Reader) error {
+	err := s.readFile(name, kindMatrices, func(r io.Reader, _ int64) error {
 		var n uint32
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil || n > 256 {
 			return ErrCorrupt
@@ -640,7 +657,7 @@ func (s *Store) SaveDecomposition(name string, d tucker.Decomposition) error {
 // LoadDecomposition reads a decomposition saved with SaveDecomposition.
 func (s *Store) LoadDecomposition(name string) (tucker.Decomposition, error) {
 	var out tucker.Decomposition
-	err := s.readFile(name, kindTucker, func(r io.Reader) error {
+	err := s.readFile(name, kindTucker, func(r io.Reader, _ int64) error {
 		shape, err := readShape(r)
 		if err != nil {
 			return err
