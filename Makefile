@@ -167,20 +167,23 @@ trace-smoke:
 
 # Distributed kill-and-recover drill (mirrors the CI `chaos` job): the
 # same campaign on 3 worker processes with 0, 1, and 2 workers SIGKILLed
-# mid-task must produce the same core fingerprint bit for bit, and the
-# killed run's merged trace must replay through tracecat. A stable
-# -dist-shards pins the determinism unit so the three runs are comparable.
+# mid-task, and once on the in-process executor of the same phase bodies
+# (-workers 4), must produce the same core fingerprint bit for bit, and
+# the killed run's merged trace must replay through tracecat. A stable
+# shard count (-dist-shards = -workers) pins the determinism unit so the
+# four runs are comparable.
 dist-smoke:
+	$(GO) run ./cmd/m2tdbench -run -res 6 -workers 4 > dist-inproc.out
 	$(GO) run ./cmd/m2tdbench -run -res 6 -dist-procs 3 -dist-shards 4 > dist-clean.out
 	$(GO) run ./cmd/m2tdbench -run -res 6 -dist-procs 3 -dist-shards 4 \
 		-kill-workers 1 -trace-out dist-trace.jsonl > dist-kill1.out
 	$(GO) run ./cmd/m2tdbench -run -res 6 -dist-procs 3 -dist-shards 4 \
 		-kill-workers 2 > dist-kill2.out
-	@grep '^core fingerprint' dist-clean.out dist-kill1.out dist-kill2.out
-	@test "$$(grep -h '^core fingerprint' dist-clean.out dist-kill1.out dist-kill2.out | sort -u | wc -l)" = 1 \
+	@grep '^core fingerprint' dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out
+	@test "$$(grep -h '^core fingerprint' dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out | sort -u | wc -l)" = 1 \
 		|| (echo "kill-and-recover drill: fingerprints diverged"; exit 1)
 	$(GO) run ./cmd/tracecat dist-trace.jsonl > /dev/null
-	@rm -f dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl
+	@rm -f dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl
 
 # Serving-layer acceptance (mirrors the CI `serve` job): the handler and
 # typed-client suites under -race — including the kill-mid-campaign

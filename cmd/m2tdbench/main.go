@@ -14,6 +14,7 @@
 //	m2tdbench -run -sketch 0.1 -sketch-seed 3   # sketched pipeline
 //	m2tdbench -run -checkpoint ./ckpt -resume
 //	m2tdbench -run -fault-rate 0.1 -divergent-rate 0.02
+//	m2tdbench -run -res 6 -workers 4      # in-process D-M2TD, 4 shards
 //
 // -run executes a single end-to-end pipeline instead of a table and
 // prints the report, including the fault-tolerance accounting. -timeout
@@ -22,10 +23,12 @@
 // crash-safe restarts; -fault-rate/-divergent-rate inject seeded
 // transient and divergent simulation faults for resilience testing.
 //
-// -workers sweeps the SIMULATED worker count of the distributed D-M2TD
-// algorithm (Table III); -parallel sets the real shared-memory worker-pool
-// size used by the decomposition kernels (0 = all CPUs, 1 = serial) and
-// never changes results — only wall-clock.
+// -workers sweeps the server (shard) count of the D-M2TD algorithm (Table
+// III) and, with -run, runs the in-process D-M2TD at its first value — the
+// same bits as -dist-procs N -dist-shards <that value>; -parallel sets
+// the real shared-memory worker-pool size used by the decomposition
+// kernels (0 = all CPUs, 1 = serial) and never changes results — only
+// wall-clock.
 //
 // Default scale substitutes resolution 60–80 → 12–20 and rank 5/10/20 →
 // 2/4/6 (see DESIGN.md); pass larger -res/-time/-rank values to approach
@@ -59,7 +62,7 @@ func main() {
 		res     = flag.String("res", "", "comma-separated resolutions (table 2) or single base resolution")
 		timeS   = flag.Int("time", 0, "time-mode size (defaults to the resolution)")
 		rank    = flag.String("rank", "", "comma-separated ranks (table 2) or single base rank")
-		workers = flag.String("workers", "", "comma-separated worker counts (table 3)")
+		workers = flag.String("workers", "", "comma-separated D-M2TD server counts (table 3); with -run the first value runs in-process D-M2TD at that shard count")
 		seed    = flag.Int64("seed", eval.DefaultSeed, "sampling seed")
 		seeds   = flag.Int("seeds", 0, "run a multi-seed sweep of the base configuration with this many seeds instead of a table")
 		csvOut  = flag.String("csv", "", "also export comparison rows as CSV to this file (tables 2 and 4)")
@@ -105,6 +108,7 @@ func main() {
 			Rank:               firstInt(*rank),
 			Seed:               *seed,
 			Parallel:           *par,
+			Workers:            firstInt(*workers),
 			CheckpointDir:      *checkpoint,
 			Resume:             *resume,
 			SkipAccuracy:       *estim == 0 && firstInt(*res) > 24,

@@ -17,9 +17,9 @@ func tinyDistConfig() Config {
 	return Config{Resolution: 5, TimeSamples: 4, Rank: 2, SkipAccuracy: true}
 }
 
-// TestDistributedFacadeMatchesInProcess checks the two D-M2TD engines —
-// in-process MapReduce (Workers) and multi-process (Distributed) — agree
-// through the facade.
+// TestDistributedFacadeMatchesInProcess checks the two D-M2TD executors —
+// goroutines (Workers) and worker processes (Distributed) — agree through
+// the facade to the last bit at equal shard counts.
 func TestDistributedFacadeMatchesInProcess(t *testing.T) {
 	inproc := tinyDistConfig()
 	inproc.Workers = 2
@@ -44,11 +44,11 @@ func TestDistributedFacadeMatchesInProcess(t *testing.T) {
 	if a.JoinCells != b.JoinCells {
 		t.Fatalf("join cells %d vs %d", a.JoinCells, b.JoinCells)
 	}
-	if !a.Decomposition.Core.Equal(b.Decomposition.Core, 1e-9) {
+	if !a.Decomposition.Core.Equal(b.Decomposition.Core, 0) {
 		t.Fatal("in-process and multi-process cores differ")
 	}
 	for m := range a.Decomposition.Factors {
-		if !a.Decomposition.Factors[m].Equal(b.Decomposition.Factors[m], 1e-9) {
+		if !a.Decomposition.Factors[m].Equal(b.Decomposition.Factors[m], 0) {
 			t.Fatalf("factor %d differs between engines", m)
 		}
 	}

@@ -58,7 +58,7 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	cfg := p.Config
 	k := len(cfg.Pivots)
 
-	subClock := stopwatch()
+	subClock := Stopwatch()
 	fspan := opts.Span.Start("factors")
 	fb1, fh1 := p.Sub1.Tensor.PlanStats()
 	fb2, fh2 := p.Sub2.Tensor.PlanStats()
@@ -73,7 +73,7 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	fdone()
 	subTime := subClock()
 
-	coreClock := stopwatch()
+	coreClock := Stopwatch()
 	cspan := opts.Span.Start("core")
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
 	// Project each sub-tensor through its own modes' factors; the two

@@ -175,7 +175,7 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	// The phase span records each sub-tensor's kernel-plan cache deltas:
 	// builds and hits depend only on the kernel invocation sequence (never
 	// on Workers), so they are deterministic counters.
-	subClock := stopwatch()
+	subClock := Stopwatch()
 	fspan := opts.Span.Start("factors")
 	var skReport *SketchReport
 	dp := p
@@ -209,7 +209,7 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	}
 
 	// Phase 2: JE-stitching.
-	stitchClock := stopwatch()
+	stitchClock := Stopwatch()
 	sspan := opts.Span.Start("stitch")
 	sdone := sspan.WithVitals(nil)
 	var j *tensor.Sparse
@@ -230,7 +230,7 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	// Phase 3: recover the core through the assembled factors. Sketched
 	// runs project a sketch of the join (the result still reports the
 	// full join on Result.Join).
-	coreClock := stopwatch()
+	coreClock := Stopwatch()
 	cspan := opts.Span.Start("core")
 	cj := j
 	if skReport != nil {

@@ -10,14 +10,15 @@ import "time"
 // values must never influence decomposition results. Stage timings are
 // gauge-class observability — they are reported, never read back — so
 // the two clock reads are confined to this helper and annotated. Code in
-// this package must not call time.Now/time.Since directly; use stopwatch.
+// this package and in internal/dist (which fills the same Result fields)
+// must not call time.Now/time.Since directly; use Stopwatch.
 
-// stopwatch starts a wall-clock timer and returns a function yielding
+// Stopwatch starts a wall-clock timer and returns a function yielding
 // the elapsed time. The readings feed Result timing fields and span
 // gauges only; no kernel consumes them.
-func stopwatch() func() time.Duration {
+func Stopwatch() func() time.Duration {
 	start := time.Now() //lint:allow determinism -- wall-clock stage timings feed Result/Report gauges only; no kernel result depends on them
 	return func() time.Duration {
-		return time.Since(start) //lint:allow determinism -- paired with stopwatch's start; gauge-class stage timing
+		return time.Since(start) //lint:allow determinism -- paired with Stopwatch's start; gauge-class stage timing
 	}
 }

@@ -1,33 +1,30 @@
-// Package dist implements D-M2TD, the paper's 3-phase distributed
-// formulation of Multi-Task Tensor Decomposition (Algorithm 6 /
-// Section VI-D), on the in-process MapReduce engine:
+// Package dist is the single home of D-M2TD, the paper's 3-phase
+// distributed formulation of Multi-Task Tensor Decomposition (Algorithm 6
+// / Section VI-D). The phase bodies are pure functions:
 //
-//   - Phase 1 — parallel sub-tensor decomposition: sub-ensemble cells are
-//     shuffled by sub-tensor id κ ∈ {1, 2}; the reducer for each κ
-//     assembles its sub-tensor and computes the per-mode factor matrices
-//     (and matricization Gram matrices, needed for CONCAT fusion).
-//   - Phase 2 — parallel JE-stitching: cells from both sub-tensors are
-//     shuffled by their shared pivot configuration; each reducer joins (or
-//     zero-joins) its pivot group and emits the corresponding join-tensor
-//     cells.
-//   - Phase 3 — parallel core recovery, in two interchangeable
-//     formulations: the default shards the join tensor's cells across
-//     reducers, each projecting its shard through the factor matrices
-//     (exact, since the core is linear in J's cells); Options.FiberPhase3
-//     selects the paper-literal variant instead, which shuffles cells by
-//     their all-but-mode-0 index so each reducer multiplies one fiber by
-//     U(0)ᵀ. Both compute the identical core (tested).
+//   - Phase 1 — SubFactor: one (sub-tensor, mode) pair's matricization
+//     Gram matrix (needed for CONCAT fusion) and its rank-truncated factor;
+//     FuseFactors then fuses the pivot modes driver-side.
+//   - Phase 2 — JoinSpec.StitchShard: the pivot groups whose key lands in
+//     one shard (key % shards), joined or zero-joined; MergeJoin
+//     concatenates the shards in ascending shard order.
+//   - Phase 3 — ShardCore: one join shard projected through the fused
+//     factors (exact, since the core is linear in J's cells); SumCores adds
+//     the partial cores in ascending shard order.
 //
-// Workers plays the role of the paper's server count.
+// Two executors call them and decide nothing but who runs which task:
+// Decompose, here, on the in-process goroutine pool, and internal/distnet
+// on leased worker processes. The shard count is the determinism unit —
+// Workers, the paper's server count, is this executor's shard count — so
+// both produce the same bits at equal shard counts, at any parallelism.
 package dist
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/mapreduce"
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
@@ -36,42 +33,54 @@ import (
 // Options configures a distributed decomposition.
 type Options struct {
 	core.Options
-	// Workers is the parallelism of every phase (the paper's server
-	// count). Values below 1 are treated as 1.
+	// Workers is the paper's server count: the shard count of Phases 2
+	// and 3 and the task parallelism of every phase (capped by the pool).
+	// The result is a pure function of it — bit-identical to a distnet run
+	// at Shards = Workers. Values below 1 are treated as 1.
 	Workers int
-	// FiberPhase3 selects the paper-literal Phase 3 (join cells shuffled
-	// by all-but-mode-0 index, one reducer per fiber) instead of the
-	// default cell-sharded formulation. Both compute the same core.
-	FiberPhase3 bool
 }
 
-// Result augments the serial M2TD result with per-phase MapReduce
-// statistics (Table III's time split).
-type Result struct {
-	*core.Result
-	Phase1 mapreduce.Stats
-	Phase2 mapreduce.Stats
-	Phase3 mapreduce.Stats
+// SubFactor is Phase 1 for one (sub-tensor, sub-local mode) pair.
+func SubFactor(x *tensor.Sparse, mode, rank int) (gram, factor *mat.Matrix) {
+	gram = tensor.ModeGram(x, mode)
+	return gram, mat.LeadingEigenvectors(gram, rank)
 }
 
-// taggedCell is one sub-ensemble cell labelled with its sub-tensor id.
-type taggedCell struct {
-	kappa int // 1 or 2
-	idx   []int
-	val   float64
+// MergeJoin concatenates Phase 2's shards, in the order given (ascending
+// shard index), into exactly-sized storage.
+func MergeJoin(shape tensor.Shape, shards []*tensor.Sparse) *tensor.Sparse {
+	total := 0
+	for _, shard := range shards {
+		total += shard.NNZ()
+	}
+	j := tensor.NewSparse(shape)
+	j.Reserve(total)
+	for _, shard := range shards {
+		j.AppendBlock(shard.Idx, shard.Vals)
+	}
+	return j
 }
 
-// subFactors is Phase 1's per-sub-tensor output.
-type subFactors struct {
-	kappa   int
-	factors []*mat.Matrix // per sub-mode, rank-truncated
-	grams   []*mat.Matrix // per sub-mode matricization Gram
+// ShardCore is Phase 3 for one join shard: its cells projected through
+// the fused factors. An empty shard yields the all-zero partial core.
+func ShardCore(shard *tensor.Sparse, factors []*mat.Matrix) *tensor.Dense {
+	return tensor.MultiTTMSparse(shard, tensor.TransposeAll(factors))
 }
 
-// Decompose runs D-M2TD over a PF-partitioned pair of sub-ensembles,
-// producing the same decomposition as core.Decompose (up to floating-point
-// summation order in Phase 3).
-func Decompose(p *partition.Result, opts Options) (*Result, error) {
+// SumCores adds Phase 3's partial cores in the order given (ascending
+// shard index): the fixed order keeps the float sum bitwise stable.
+func SumCores(partials []*tensor.Dense) *tensor.Dense {
+	total := partials[0]
+	for _, partial := range partials[1:] {
+		total = total.Add(partial)
+	}
+	return total
+}
+
+// Decompose runs D-M2TD over a PF-partitioned pair of sub-ensembles on the
+// in-process pool, producing the same decomposition as core.Decompose (up
+// to floating-point summation order in Phase 3).
+func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 	switch opts.Method {
 	case core.AVG, core.CONCAT, core.SELECT:
 	default:
@@ -83,112 +92,51 @@ func Decompose(p *partition.Result, opts Options) (*Result, error) {
 	if opts.Sketch.KeepFrac != 0 {
 		return nil, fmt.Errorf("dist: sketching is not supported by D-M2TD (sketch locally with core.DecomposeCtx instead)")
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	shards := max(opts.Workers, 1)
 	ranks := tucker.ClipRanks(p.Space.Shape(), opts.Ranks)
-	cfg := p.Config
 
-	cells := collectCells(p)
-
-	// ---- Phase 1: parallel sub-tensor decomposition ----
-	subs := map[int]*partition.SubEnsemble{1: p.Sub1, 2: p.Sub2}
-	subRanks := func(kappa int) []int {
-		sub := subs[kappa]
-		rs := make([]int, len(sub.Modes))
-		for i, m := range sub.Modes {
-			rs[i] = ranks[m]
+	// ---- Phase 1: one task per (sub-tensor, mode) ----
+	subClock := core.Stopwatch()
+	var tasks []func()
+	var fs, gs [2][]*mat.Matrix
+	for si, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
+		fs[si], gs[si] = make([]*mat.Matrix, len(sub.Modes)), make([]*mat.Matrix, len(sub.Modes))
+		for n, m := range sub.Modes {
+			tasks = append(tasks, func() { gs[si][n], fs[si][n] = SubFactor(sub.Tensor, n, ranks[m]) })
 		}
-		return rs
 	}
-	phase1 := &mapreduce.Job[taggedCell, int, taggedCell, subFactors]{
-		Map: func(c taggedCell, emit func(int, taggedCell)) {
-			emit(c.kappa, c)
-		},
-		Reduce: func(kappa int, cs []taggedCell, emit func(subFactors)) {
-			sub := subs[kappa]
-			x := tensor.NewSparse(sub.Tensor.Shape)
-			sortCells(cs)
-			for _, c := range cs {
-				x.Append(c.idx, c.val)
-			}
-			rs := subRanks(kappa)
-			out := subFactors{kappa: kappa}
-			for n := 0; n < x.Order(); n++ {
-				g := tensor.ModeGram(x, n)
-				out.grams = append(out.grams, g)
-				out.factors = append(out.factors, mat.LeadingEigenvectors(g, rs[n]))
-			}
-			emit(out)
-		},
-		Workers: workers,
-		KeyLess: func(a, b int) bool { return a < b },
+	parallel.Do(shards, tasks...)
+	factors := FuseFactors(opts.Method, p.Config, p.Space.Order(), ranks, fs[0], gs[0], fs[1], gs[1])
+	subTime := subClock()
+
+	// ---- Phase 2: one stitch task per shard ----
+	stitchClock := core.Stopwatch()
+	spec := NewJoinSpec(p, opts.ZeroJoin)
+	joinShards := make([]*tensor.Sparse, shards)
+	tasks = tasks[:0]
+	for s := range joinShards {
+		tasks = append(tasks, func() { joinShards[s] = spec.StitchShard(p.Sub1.Tensor, p.Sub2.Tensor, s, shards) })
 	}
-	p1out, p1stats := phase1.Run(cells)
-	byKappa := map[int]subFactors{}
-	for _, sf := range p1out {
-		byKappa[sf.kappa] = sf
+	parallel.Do(shards, tasks...)
+	j := MergeJoin(spec.Shape, joinShards)
+	stitchTime := stitchClock()
+
+	// ---- Phase 3: one projection task per shard ----
+	coreClock := core.Stopwatch()
+	partials := make([]*tensor.Dense, shards)
+	tasks = tasks[:0]
+	for s, shard := range joinShards {
+		tasks = append(tasks, func() { partials[s] = ShardCore(shard, factors) })
 	}
+	parallel.Do(shards, tasks...)
+	coreT := SumCores(partials)
 
-	// Fuse pivot factors and collect free factors (driver-side: tiny
-	// matrices only) via the engine-independent kernel (join.go).
-	factors := FuseFactors(opts.Method, cfg, p.Space.Order(), ranks,
-		byKappa[1].factors, byKappa[1].grams, byKappa[2].factors, byKappa[2].grams)
-
-	// ---- Phase 2: parallel JE-stitching ----
-	j, p2stats := stitchPhase(p, cells, workers, opts.ZeroJoin)
-
-	// ---- Phase 3: parallel core recovery ----
-	var coreT *tensor.Dense
-	var p3stats mapreduce.Stats
-	if opts.FiberPhase3 {
-		coreT, p3stats = corePhaseFiber(j, factors, workers)
-	} else {
-		coreT, p3stats = corePhase(j, factors, workers)
-	}
-
-	return &Result{
-		Result: &core.Result{
-			Factors:       factors,
-			Core:          coreT,
-			Join:          j,
-			SubDecompTime: p1stats.Total(),
-			StitchTime:    p2stats.Total(),
-			CoreTime:      p3stats.Total(),
-		},
-		Phase1: p1stats,
-		Phase2: p2stats,
-		Phase3: p3stats,
+	return &core.Result{
+		Factors:       factors,
+		Core:          coreT,
+		Join:          j,
+		SubDecompTime: subTime,
+		StitchTime:    stitchTime,
+		CoreTime:      coreClock(),
 	}, nil
-}
-
-// collectCells flattens both sub-ensembles into tagged cell records — the
-// input file of Algorithm 6.
-func collectCells(p *partition.Result) []taggedCell {
-	var cells []taggedCell
-	p.Sub1.Tensor.Each(func(idx []int, v float64) {
-		cells = append(cells, taggedCell{kappa: 1, idx: append([]int(nil), idx...), val: v})
-	})
-	p.Sub2.Tensor.Each(func(idx []int, v float64) {
-		cells = append(cells, taggedCell{kappa: 2, idx: append([]int(nil), idx...), val: v})
-	})
-	return cells
-}
-
-// sortCells orders cells by (kappa, lexicographic index) so reducers are
-// deterministic regardless of worker count.
-func sortCells(cs []taggedCell) {
-	sort.Slice(cs, func(a, b int) bool {
-		if cs[a].kappa != cs[b].kappa {
-			return cs[a].kappa < cs[b].kappa
-		}
-		ia, ib := cs[a].idx, cs[b].idx
-		for i := range ia {
-			if ia[i] != ib[i] {
-				return ia[i] < ib[i]
-			}
-		}
-		return false
-	})
 }

@@ -1,8 +1,12 @@
 package dist
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dynsys"
@@ -106,16 +110,9 @@ func TestDistributedPhaseStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range []struct {
-		name  string
-		total int64
-	}{
-		{"phase1", int64(d.Phase1.Total())},
-		{"phase2", int64(d.Phase2.Total())},
-		{"phase3", int64(d.Phase3.Total())},
-	} {
-		if st.total <= 0 {
-			t.Fatalf("phase %d (%s) has no recorded time", i+1, st.name)
+	for i, phase := range []time.Duration{d.SubDecompTime, d.StitchTime, d.CoreTime} {
+		if phase <= 0 {
+			t.Fatalf("phase %d has no recorded time", i+1)
 		}
 	}
 }
@@ -148,55 +145,118 @@ func TestDistributedReconstructionAccuracy(t *testing.T) {
 	}
 }
 
-func TestFiberPhase3MatchesDefault(t *testing.T) {
-	p := tinyPartition(t, 1, 126)
-	ranks := tucker.UniformRanks(5, 3)
-	def, err := Decompose(p, Options{
-		Options: core.Options{Method: core.SELECT, Ranks: ranks},
-		Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+// sameResult fails unless got and want agree to the last bit: join cell
+// order and values, core, factors.
+func sameResult(t *testing.T, label string, got, want *core.Result) {
+	t.Helper()
+	sameBits := func(what string, g, w []float64) {
+		t.Helper()
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s has %d values, want %d", label, what, len(g), len(w))
+		}
+		for i := range w {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("%s: %s value %d is %v, want %v", label, what, i, g[i], w[i])
+			}
+		}
 	}
-	fib, err := Decompose(p, Options{
-		Options:     core.Options{Method: core.SELECT, Ranks: ranks},
-		Workers:     4,
-		FiberPhase3: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(got.Join.Idx, want.Join.Idx) {
+		t.Fatalf("%s: join cell order differs", label)
 	}
-	if !fib.Core.Equal(def.Core, 1e-9) {
-		t.Fatal("fiber-shuffled Phase 3 differs from cell-sharded Phase 3")
+	sameBits("join", got.Join.Vals, want.Join.Vals)
+	if !slices.Equal(got.Core.Shape, want.Core.Shape) {
+		t.Fatalf("%s: core shape %v, want %v", label, got.Core.Shape, want.Core.Shape)
 	}
-	serial, err := core.Decompose(p, core.Options{Method: core.SELECT, Ranks: ranks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fib.Core.Equal(serial.Core, 1e-9) {
-		t.Fatal("fiber-shuffled Phase 3 differs from serial core")
+	sameBits("core", got.Core.Data, want.Core.Data)
+	for m := range want.Factors {
+		sameBits(fmt.Sprintf("factor %d", m), got.Factors[m].Data, want.Factors[m].Data)
 	}
 }
 
-func TestFiberPhase3AcrossWorkerCounts(t *testing.T) {
+// TestDistributedBitIdenticalAcrossFanout: Workers is the shard count and
+// nothing else decides the result — how many goroutines the pool really
+// runs (here 1, 2 and 8, tasks claimed in whatever order) moves no bit.
+func TestDistributedBitIdenticalAcrossFanout(t *testing.T) {
 	p := tinyPartition(t, 0.5, 127)
-	ranks := tucker.UniformRanks(5, 2)
-	var first *Result
-	for _, w := range []int{1, 3, 7} {
-		res, err := Decompose(p, Options{
-			Options:     core.Options{Method: core.AVG, Ranks: ranks, ZeroJoin: true},
-			Workers:     w,
-			FiberPhase3: true,
-		})
+	for _, m := range core.Methods() {
+		opts := Options{Options: core.Options{Method: m, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: true}, Workers: 3}
+		var want *core.Result
+		for _, fanout := range []int{1, 2, 8} {
+			prev := parallel.SetFanoutCap(fanout)
+			got, err := Decompose(p, opts)
+			parallel.SetFanoutCap(prev)
+			if err != nil {
+				t.Fatalf("%s fan-out %d: %v", m, fanout, err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			sameResult(t, fmt.Sprintf("%s fan-out %d", m, fanout), got, want)
+		}
+	}
+}
+
+// TestDistributedZeroWorkersIsOneShard: Workers below 1 means one shard.
+func TestDistributedZeroWorkersIsOneShard(t *testing.T) {
+	p := tinyPartition(t, 1, 129)
+	opts := Options{Options: core.Options{Method: core.AVG, Ranks: tucker.UniformRanks(5, 2)}}
+	got, err := Decompose(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 1
+	want, err := Decompose(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "workers=0 vs 1", got, want)
+}
+
+// TestDistributedEmptyShardsAndEmptyJoin: more shards than pivot keys
+// leaves shards with no group, and sub-tensors that share no pivot
+// configuration leave every shard empty — the join is then empty and the
+// core all-zero at the clipped ranks.
+func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
+	p := tinyPartition(t, 1, 128)
+	ranks := tucker.UniformRanks(5, 9) // clipped to 5 on the parameter modes, 4 on time
+	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: ranks}}
+	spec := NewJoinSpec(p, false)
+	keys := spec.gridSize(spec.Pivots)
+
+	serial, err := core.Decompose(p, opts.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = keys + 3
+	d, err := Decompose(p, opts)
+	if err != nil {
+		t.Fatalf("workers=%d over %d pivot keys: %v", opts.Workers, keys, err)
+	}
+	if d.Join.NNZ() != serial.Join.NNZ() || !d.Core.Equal(serial.Core, 1e-9) {
+		t.Fatalf("workers=%d over %d pivot keys: result differs from serial", opts.Workers, keys)
+	}
+
+	// Side 1 keeps the even pivot keys, side 2 the odd ones.
+	disjoint := *p
+	sub1, sub2 := *p.Sub1, *p.Sub2
+	sub1.Tensor = thin(p.Sub1.Tensor, func(_ int, idx []int) bool { return spec.PivotKey(idx)%2 == 1 })
+	sub2.Tensor = thin(p.Sub2.Tensor, func(_ int, idx []int) bool { return spec.PivotKey(idx)%2 == 0 })
+	disjoint.Sub1, disjoint.Sub2 = &sub1, &sub2
+	for _, workers := range []int{1, 3} {
+		opts.Workers = workers
+		d, err := Decompose(&disjoint, opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatalf("disjoint pivots, workers=%d: %v", workers, err)
 		}
-		if first == nil {
-			first = res
-			continue
+		if d.Join.NNZ() != 0 {
+			t.Fatalf("disjoint pivots, workers=%d: join has %d cells", workers, d.Join.NNZ())
 		}
-		if !res.Core.Equal(first.Core, 1e-9) {
-			t.Fatalf("workers=%d: core differs", w)
+		if want := tucker.ClipRanks(p.Space.Shape(), ranks); !slices.Equal(d.Core.Shape, want) {
+			t.Fatalf("disjoint pivots, workers=%d: core shape %v, want %v", workers, d.Core.Shape, want)
+		}
+		if d.Core.Norm() != 0 {
+			t.Fatalf("disjoint pivots, workers=%d: core norm %v, want 0", workers, d.Core.Norm())
 		}
 	}
 }
@@ -221,8 +281,10 @@ func TestDistributedShardsStayPlanFree(t *testing.T) {
 	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 3)}}
 	for _, workers := range []int{1, 2} {
 		opts.Workers = workers
+		// Plans are cached on the sub-tensors and outlive a run, so each
+		// run gets a planless view and must compile its own.
 		builds0, _ := tensor.PlanCacheStats()
-		d, err := Decompose(p, opts)
+		d, err := Decompose(p.PlanlessView(), opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -11,17 +11,7 @@ import (
 )
 
 // This file is the engine-independent heart of Phases 1–2: the pivot-key
-// geometry, the JE-stitch kernels, and the pivot-factor fusion. The
-// in-process MapReduce engine in this package stitches one pivot group per
-// reducer (JoinGroup), the multi-process internal/distnet one a whole
-// shard per task (StitchShard): the same cells in the same order.
-
-// Cell is one sub-tensor cell in SUB-LOCAL index order (pivot modes
-// leading, as partition.SubEnsemble tensors are laid out).
-type Cell struct {
-	Idx []int
-	Val float64
-}
+// geometry, the shard stitch kernel, and the pivot-factor fusion.
 
 // JoinSpec describes the JE-stitch geometry of a PF-partitioned pair:
 // the full space shape, which full-space modes are pivots and which are
@@ -60,89 +50,9 @@ func (s JoinSpec) PivotKey(idx []int) int {
 	return key
 }
 
-// DecodePivotKey inverts PivotKey into pivot-mode coordinates.
-func (s JoinSpec) DecodePivotKey(key int) []int {
-	idx := make([]int, len(s.Pivots))
-	for i := len(idx) - 1; i >= 0; i-- {
-		size := s.Shape[s.Pivots[i]]
-		idx[i], key = key%size, key/size
-	}
-	return idx
-}
-
-// FreeGrids enumerates both sides' full free-coordinate grids — the
-// universe the zero-join extension subtracts sampled coordinates from.
-// Callers stitching many groups should compute them once.
-func (s JoinSpec) FreeGrids() (free1, free2 [][]int) {
-	return enumerate(s.Shape, s.Free1), enumerate(s.Shape, s.Free2)
-}
-
-// JoinGroup stitches one pivot group: side1 and side2 hold the group's
-// cells from each sub-tensor, sorted lexicographically by index;
-// free1All/free2All are the FreeGrids (only consulted when ZeroJoin is
-// set; nil is fine otherwise). Join cells are emitted in full-space index
-// order derived deterministically from the inputs: matched pairs first
-// (side1-major), then side2's zero-join extensions, then side1's.
-func (s JoinSpec) JoinGroup(key int, side1, side2 []Cell, free1All, free2All [][]int, emit func(idx []int, val float64)) {
-	k := len(s.Pivots)
-	pivotIdx := s.DecodePivotKey(key)
-	emitCell := func(f1, f2 []int, v float64) {
-		full := make([]int, len(s.Shape))
-		for i, m := range s.Pivots {
-			full[m] = pivotIdx[i]
-		}
-		for i, m := range s.Free1 {
-			full[m] = f1[i]
-		}
-		for i, m := range s.Free2 {
-			full[m] = f2[i]
-		}
-		emit(full, v)
-	}
-	// Matched pairs.
-	for _, c1 := range side1 {
-		for _, c2 := range side2 {
-			emitCell(c1.Idx[k:], c2.Idx[k:], (c1.Val+c2.Val)/2)
-		}
-	}
-	if !s.ZeroJoin {
-		return
-	}
-	// Zero-join extensions against unsampled partners.
-	sampled1 := sampledCellSet(side1, k)
-	sampled2 := sampledCellSet(side2, k)
-	for _, f2 := range free2All {
-		if sampled2[localKey(f2)] {
-			continue
-		}
-		for _, c1 := range side1 {
-			emitCell(c1.Idx[k:], f2, c1.Val/2)
-		}
-	}
-	for _, f1 := range free1All {
-		if sampled1[localKey(f1)] {
-			continue
-		}
-		for _, c2 := range side2 {
-			emitCell(f1, c2.Idx[k:], c2.Val/2)
-		}
-	}
-}
-
-// sampledCellSet returns the set of free coordinates present in one side
-// of a pivot group.
-func sampledCellSet(side []Cell, k int) map[int]bool {
-	out := make(map[int]bool, len(side))
-	for _, c := range side {
-		out[localKey(c.Idx[k:])] = true
-	}
-	return out
-}
-
 // shardSide is one sub-tensor's share of a join shard: ids holds the
 // entries whose pivot key (key, by entry id) lands in the shard, sorted by
-// (pivot key, lexicographic index) — the order JoinGroup is handed a
-// group's cells in. Nothing is copied out of the tensor.
+// (pivot key, lexicographic index). Nothing is copied out of the tensor.
 type shardSide struct {
 	t        *tensor.Sparse
 	k        int // leading pivot modes
@@ -186,7 +96,7 @@ func (s JoinSpec) gridSize(modes []int) int {
 }
 
 // eachUnsampled calls emit with cur set to every point of the free grid
-// over modes — in lexicographic order, enumerate's — that is not a free
+// over modes, in lexicographic order, that is not a free
 // coordinate of sd's positions [a, b), which are sorted the same way.
 func (s JoinSpec) eachUnsampled(modes, cur []int, sd shardSide, a, b int, emit func()) {
 	for g, points := 0, s.gridSize(modes); g < points; g++ {
@@ -214,12 +124,14 @@ func setColumns(blk []int, o int, modes, coords []int) {
 
 // StitchShard is Phase 2 for one shard of a sharded run: it stitches the
 // pivot groups with key % shards == shard out of the two sub-tensors
-// (sub-local mode order, pivots leading). The cells and their order are
-// exactly what JoinGroup emits for those groups in ascending key order,
-// each side sorted lexicographically — the layout Phase 3's summation
-// order inherits — but groups are found by sorting entry ids, the output
-// is sized exactly up front and emitted by block template through
-// AppendBlock: nothing is allocated per group or per cell.
+// (sub-local mode order, pivots leading). Groups are emitted in ascending
+// key order, each side sorted lexicographically; within a group, matched
+// pairs first (side-1-major), then side 1's zero-join extensions against
+// side 2's unsampled free configurations, then side 2's. That order is
+// frozen — Phase 3's summation order inherits it. Groups are found by
+// sorting entry ids, the output is sized exactly up front and emitted by
+// block template through AppendBlock: nothing is allocated per group or
+// per cell.
 func (s JoinSpec) StitchShard(x1, x2 *tensor.Sparse, shard, shards int) *tensor.Sparse {
 	o := len(s.Shape)
 	s1, s2 := s.shardSide(x1, shard, shards), s.shardSide(x2, shard, shards)

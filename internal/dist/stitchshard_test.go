@@ -14,11 +14,121 @@ import (
 	"repro/internal/tensor"
 )
 
+// The per-group stitch (JoinGroup) is the oracle StitchShard is pinned to:
+// the path both engines ran before the shard kernel, kept here only.
+
+// cell is one sub-tensor cell in SUB-LOCAL index order (pivot modes
+// leading, as partition.SubEnsemble tensors are laid out).
+type cell struct {
+	idx []int
+	val float64
+}
+
+// decodePivotKey inverts PivotKey into pivot-mode coordinates.
+func (s JoinSpec) decodePivotKey(key int) []int {
+	idx := make([]int, len(s.Pivots))
+	for i := len(idx) - 1; i >= 0; i-- {
+		size := s.Shape[s.Pivots[i]]
+		idx[i], key = key%size, key/size
+	}
+	return idx
+}
+
+// enumerate lists every coordinate combination over the given modes.
+func enumerate(shape tensor.Shape, modes []int) [][]int {
+	var out [][]int
+	cur := make([]int, len(modes))
+	var walk func(pos int)
+	walk = func(pos int) {
+		if pos == len(modes) {
+			out = append(out, append([]int(nil), cur...))
+			return
+		}
+		for i := 0; i < shape[modes[pos]]; i++ {
+			cur[pos] = i
+			walk(pos + 1)
+		}
+	}
+	walk(0)
+	return out
+}
+
+const localRadix = 1 << 20
+
+func localKey(idx []int) int {
+	key := 0
+	for _, i := range idx {
+		key = key*localRadix + i
+	}
+	return key
+}
+
+// sampledCellSet returns the set of free coordinates present in one side
+// of a pivot group.
+func sampledCellSet(side []cell, k int) map[int]bool {
+	out := make(map[int]bool, len(side))
+	for _, c := range side {
+		out[localKey(c.idx[k:])] = true
+	}
+	return out
+}
+
+// joinGroup stitches one pivot group: side1 and side2 hold the group's
+// cells from each sub-tensor, sorted lexicographically by index;
+// free1All/free2All are both sides' full free-coordinate grids (only
+// consulted when ZeroJoin is set). Join cells are emitted in full-space
+// index order derived deterministically from the inputs: matched pairs
+// first (side1-major), then side1's zero-join extensions against side2's
+// unsampled free configurations, then side2's.
+func (s JoinSpec) joinGroup(key int, side1, side2 []cell, free1All, free2All [][]int, emit func(idx []int, val float64)) {
+	k := len(s.Pivots)
+	pivotIdx := s.decodePivotKey(key)
+	emitCell := func(f1, f2 []int, v float64) {
+		full := make([]int, len(s.Shape))
+		for i, m := range s.Pivots {
+			full[m] = pivotIdx[i]
+		}
+		for i, m := range s.Free1 {
+			full[m] = f1[i]
+		}
+		for i, m := range s.Free2 {
+			full[m] = f2[i]
+		}
+		emit(full, v)
+	}
+	for _, c1 := range side1 {
+		for _, c2 := range side2 {
+			emitCell(c1.idx[k:], c2.idx[k:], (c1.val+c2.val)/2)
+		}
+	}
+	if !s.ZeroJoin {
+		return
+	}
+	sampled1 := sampledCellSet(side1, k)
+	sampled2 := sampledCellSet(side2, k)
+	for _, f2 := range free2All {
+		if sampled2[localKey(f2)] {
+			continue
+		}
+		for _, c1 := range side1 {
+			emitCell(c1.idx[k:], f2, c1.val/2)
+		}
+	}
+	for _, f1 := range free1All {
+		if sampled1[localKey(f1)] {
+			continue
+		}
+		for _, c2 := range side2 {
+			emitCell(f1, c2.idx[k:], c2.val/2)
+		}
+	}
+}
+
 // sortCellsLex orders cells lexicographically by index — the within-group
-// order JoinGroup expects.
-func sortCellsLex(cs []Cell) {
+// order joinGroup expects.
+func sortCellsLex(cs []cell) {
 	sort.Slice(cs, func(a, b int) bool {
-		ia, ib := cs[a].Idx, cs[b].Idx
+		ia, ib := cs[a].idx, cs[b].idx
 		for i := range ia {
 			if ia[i] != ib[i] {
 				return ia[i] < ib[i]
@@ -31,14 +141,14 @@ func sortCellsLex(cs []Cell) {
 // referenceStitchShard is the shard stitch the process engine ran before
 // StitchShard, kept as its oracle: every cell of the shard is copied out,
 // cells are grouped by pivot key, each side of each group is sorted
-// lexicographically, and the groups go through JoinGroup in ascending key
+// lexicographically, and the groups go through joinGroup in ascending key
 // order, one Append per join cell.
 func referenceStitchShard(spec JoinSpec, x1, x2 *tensor.Sparse, shard, shards int) *tensor.Sparse {
 	var free1, free2 [][]int
 	if spec.ZeroJoin {
-		free1, free2 = spec.FreeGrids()
+		free1, free2 = enumerate(spec.Shape, spec.Free1), enumerate(spec.Shape, spec.Free2)
 	}
-	groups := map[int]*[2][]Cell{}
+	groups := map[int]*[2][]cell{}
 	for side, x := range []*tensor.Sparse{x1, x2} {
 		x.Each(func(idx []int, v float64) {
 			key := spec.PivotKey(idx)
@@ -46,9 +156,9 @@ func referenceStitchShard(spec JoinSpec, x1, x2 *tensor.Sparse, shard, shards in
 				return
 			}
 			if groups[key] == nil {
-				groups[key] = new([2][]Cell)
+				groups[key] = new([2][]cell)
 			}
-			groups[key][side] = append(groups[key][side], Cell{Idx: append([]int(nil), idx...), Val: v})
+			groups[key][side] = append(groups[key][side], cell{idx: append([]int(nil), idx...), val: v})
 		})
 	}
 	keys := make([]int, 0, len(groups))
@@ -61,7 +171,7 @@ func referenceStitchShard(spec JoinSpec, x1, x2 *tensor.Sparse, shard, shards in
 		g := groups[key]
 		sortCellsLex(g[0])
 		sortCellsLex(g[1])
-		spec.JoinGroup(key, g[0], g[1], free1, free2, j.Append)
+		spec.joinGroup(key, g[0], g[1], free1, free2, j.Append)
 	}
 	return j
 }

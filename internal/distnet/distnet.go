@@ -238,21 +238,14 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	// Merge join shards in ascending shard order — worker-independent —
-	// one block per shard into exactly-sized storage.
+	// Merge join shards in ascending shard order — worker-independent.
 	shards := make([]*tensor.Sparse, opts.Shards)
-	total := 0
 	for s := range shards {
 		if shards[s], err = st.LoadSparse(stitchOut(s)); err != nil {
 			return nil, fmt.Errorf("distnet: phase 2 artifact %s: %w", stitchOut(s), err)
 		}
-		total += shards[s].NNZ()
 	}
-	j := tensor.NewSparse(p.Space.Shape())
-	j.Reserve(total)
-	for _, shard := range shards {
-		j.AppendBlock(shard.Idx, shard.Vals)
-	}
+	j := dist.MergeJoin(p.Space.Shape(), shards)
 
 	// ---- Phase 3: parallel core recovery over the join shards ----
 	var p3tasks []*task
@@ -265,21 +258,14 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	// Sum partial cores in ascending shard order (exact: the core is
-	// linear in J's cells; fixed order keeps the float sum bitwise
-	// stable).
-	var coreT *tensor.Dense
-	for s := 0; s < opts.Shards; s++ {
-		partial, err := st.LoadDense(coreOut(s))
-		if err != nil {
+	// Sum partial cores in ascending shard order.
+	partials := make([]*tensor.Dense, opts.Shards)
+	for s := range partials {
+		if partials[s], err = st.LoadDense(coreOut(s)); err != nil {
 			return nil, fmt.Errorf("distnet: phase 3 artifact %s: %w", coreOut(s), err)
 		}
-		if coreT == nil {
-			coreT = partial
-		} else {
-			coreT = coreT.Add(partial)
-		}
 	}
+	coreT := dist.SumCores(partials)
 
 	return &Result{
 		Result: &core.Result{

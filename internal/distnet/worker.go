@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -299,8 +300,7 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 	if err != nil {
 		return err
 	}
-	g := tensor.ModeGram(x, task.Mode)
-	f := mat.LeadingEigenvectors(g, task.Rank)
+	g, f := dist.SubFactor(x, task.Mode, task.Rank)
 	if doomed {
 		faults.KillSelf()
 	}
@@ -339,7 +339,7 @@ func (w *workerState) execCore(task taskMsg, doomed bool) error {
 		}
 		w.factors = fs
 	}
-	partial := tensor.MultiTTMSparse(x, tensor.TransposeAll(w.factors))
+	partial := dist.ShardCore(x, w.factors)
 	if doomed {
 		faults.KillSelf()
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
+
+	"repro/internal/parallel"
 )
 
 // FiberStats evaluates a Tucker model on pre-simulated fibers and returns
@@ -19,29 +19,19 @@ func FiberStats(model TuckerModel, fibers []Fiber) (errSq, refSq []float64, err 
 	t := len(fibers[0].Truth)
 	errSq = make([]float64, len(fibers))
 	refSq = make([]float64, len(fibers))
-	workers := runtime.NumCPU()
-	if workers > len(fibers) {
-		workers = len(fibers)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(fibers); i += workers {
-				fiber := model.TimeFiber(fibers[i].ParamIdx, t)
-				var e, r float64
-				for tt := 0; tt < t; tt++ {
-					d := fiber[tt] - fibers[i].Truth[tt]
-					e += d * d
-					r += fibers[i].Truth[tt] * fibers[i].Truth[tt]
-				}
-				errSq[i] = e
-				refSq[i] = r
+	parallel.For(len(fibers), 0, func(start, end int) {
+		for i := start; i < end; i++ {
+			fiber := model.TimeFiber(fibers[i].ParamIdx, t)
+			var e, r float64
+			for tt := 0; tt < t; tt++ {
+				d := fiber[tt] - fibers[i].Truth[tt]
+				e += d * d
+				r += fibers[i].Truth[tt] * fibers[i].Truth[tt]
 			}
-		}(w)
-	}
-	wg.Wait()
+			errSq[i] = e
+			refSq[i] = r
+		}
+	})
 	return errSq, refSq, nil
 }
 

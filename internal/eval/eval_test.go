@@ -2,12 +2,14 @@ package eval
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
@@ -765,6 +767,70 @@ func TestFiberStatsConsistentWithEstimate(t *testing.T) {
 	got := 1 - math.Sqrt(e/r)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("FiberStats-derived accuracy %v != EstimateFromFibers %v", got, want)
+	}
+}
+
+// TestFiberEvaluationBitStableAcrossPoolSizes: the fiber fan-outs run on
+// the shared pool; per-fiber partials are summed in fiber order, so the
+// sampled fibers, their statistics and the estimate are the same bits at
+// every pool size.
+func TestFiberEvaluationBitStableAcrossPoolSizes(t *testing.T) {
+	cfg := testConfig("double-pendulum")
+	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
+	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(27)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Decompose(part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := TuckerModel{Core: res.Core, Factors: res.Factors}
+
+	sameBits := func(label string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: value %d is %v, want %v", label, i, got[i], want[i])
+			}
+		}
+	}
+	var wantFibers []Fiber
+	var wantErrSq, wantRefSq []float64
+	var wantAcc float64
+	for _, pool := range []int{1, 2, 8} {
+		prevCap := parallel.SetFanoutCap(pool)
+		parallel.SetDefaultWorkers(pool)
+		fibers := SampleFibers(space, 37, rand.New(rand.NewSource(28)))
+		errSq, refSq, err1 := FiberStats(model, fibers)
+		acc, err2 := EstimateFromFibers(model, fibers)
+		parallel.SetDefaultWorkers(0)
+		parallel.SetFanoutCap(prevCap)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if wantFibers == nil {
+			wantFibers, wantErrSq, wantRefSq, wantAcc = fibers, errSq, refSq, acc
+			for i, f := range fibers {
+				sameBits(fmt.Sprintf("fiber %d vs SimCells", i), f.Truth, space.SimCells(f.ParamIdx))
+			}
+			continue
+		}
+		for i := range wantFibers {
+			sameBits(fmt.Sprintf("pool %d fiber %d", pool, i), fibers[i].Truth, wantFibers[i].Truth)
+		}
+		sameBits(fmt.Sprintf("pool %d errSq", pool), errSq, wantErrSq)
+		sameBits(fmt.Sprintf("pool %d refSq", pool), refSq, wantRefSq)
+		if math.Float64bits(acc) != math.Float64bits(wantAcc) {
+			t.Fatalf("pool %d: estimate %v, want %v", pool, acc, wantAcc)
+		}
 	}
 }
 

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ensemble"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/tucker"
 )
@@ -47,61 +46,28 @@ func SampleFibers(space *ensemble.Space, n int, rng *rand.Rand) []Fiber {
 		space.SimIndex(lin, idx)
 		fibers = append(fibers, Fiber{ParamIdx: idx})
 	}
-	// Simulate in parallel.
-	workers := runtime.NumCPU()
-	if workers > len(fibers) {
-		workers = len(fibers)
-	}
-	space.Reference()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(fibers); i += workers {
-				fibers[i].Truth = space.SimCells(fibers[i].ParamIdx)
-			}
-		}(w)
-	}
-	wg.Wait()
+	space.Reference() // materialise before fan-out
+	parallel.For(len(fibers), 0, func(start, end int) {
+		var w ensemble.Workspace
+		for i := start; i < end; i++ {
+			fibers[i].Truth = make([]float64, space.TimeSamples)
+			space.SimCellsInto(&w, fibers[i].ParamIdx, fibers[i].Truth)
+		}
+	})
 	return fibers
 }
 
 // EstimateFromFibers evaluates a Tucker model on pre-simulated fibers and
-// returns the estimated accuracy.
+// returns the estimated accuracy: FiberStats summed in fiber order.
 func EstimateFromFibers(model TuckerModel, fibers []Fiber) (float64, error) {
-	if len(fibers) == 0 {
-		return 0, fmt.Errorf("eval: no fibers")
+	errSqs, refSqs, err := FiberStats(model, fibers)
+	if err != nil {
+		return 0, err
 	}
-	t := len(fibers[0].Truth)
-	type partial struct{ errSq, refSq float64 }
-	partials := make([]partial, len(fibers))
-	workers := runtime.NumCPU()
-	if workers > len(fibers) {
-		workers = len(fibers)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(fibers); i += workers {
-				fiber := model.TimeFiber(fibers[i].ParamIdx, t)
-				var e, r float64
-				for tt := 0; tt < t; tt++ {
-					d := fiber[tt] - fibers[i].Truth[tt]
-					e += d * d
-					r += fibers[i].Truth[tt] * fibers[i].Truth[tt]
-				}
-				partials[i] = partial{errSq: e, refSq: r}
-			}
-		}(w)
-	}
-	wg.Wait()
 	var errSq, refSq float64
-	for _, p := range partials {
-		errSq += p.errSq
-		refSq += p.refSq
+	for i := range errSqs {
+		errSq += errSqs[i]
+		refSq += refSqs[i]
 	}
 	if refSq == 0 {
 		return 0, fmt.Errorf("eval: sampled reference fibers are all zero")

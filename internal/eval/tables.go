@@ -110,7 +110,9 @@ func Table3(base Config, workerCounts []int) ([]Table3Row, error) {
 	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
 	var rows []Table3Row
 	for _, w := range workerCounts {
-		res, err := dist.Decompose(part, dist.Options{
+		// Every row starts without kernel plans, so Phase 1 pays for plan
+		// compilation at each server count, not only in the first row.
+		res, err := dist.Decompose(part.PlanlessView(), dist.Options{
 			Options: core.Options{Method: core.SELECT, Ranks: ranks},
 			Workers: w,
 		})
@@ -119,9 +121,9 @@ func Table3(base Config, workerCounts []int) ([]Table3Row, error) {
 		}
 		rows = append(rows, Table3Row{
 			Workers: w,
-			Phase1:  res.Phase1.Total(),
-			Phase2:  res.Phase2.Total(),
-			Phase3:  res.Phase3.Total(),
+			Phase1:  res.SubDecompTime,
+			Phase2:  res.StitchTime,
+			Phase3:  res.CoreTime,
 		})
 	}
 	return rows, nil

@@ -21,6 +21,7 @@ var deterministicPkgs = map[string]bool{
 	"stitch":   true,
 	"parallel": true,
 	"ensemble": true,
+	"dist":     true,
 }
 
 // isDeterministicPkg reports whether the import path names one of the

@@ -11,7 +11,7 @@
 //   - internal/tucker    — HOSVD / ST-HOSVD / HOOI Tucker decomposition
 //   - internal/cp        — CP-ALS decomposition
 //   - internal/core      — M2TD-AVG / -CONCAT / -SELECT (+ factored core)
-//   - internal/dist      — 3-phase distributed M2TD on MapReduce
+//   - internal/dist      — 3-phase distributed M2TD (D-M2TD) phase bodies
 //   - internal/increment — streaming M2TD with exact Gram maintenance
 //   - internal/eval      — the paper's experiments (Tables I–VIII, Fig. 6)
 //
@@ -82,8 +82,13 @@ type Config struct {
 	PivotDensity, SubEnsembleDensity float64
 	// ZeroJoin selects zero-join JE-stitching.
 	ZeroJoin bool
-	// Workers > 0 runs the distributed 3-phase D-M2TD with that many
-	// workers instead of the serial algorithm.
+	// Workers > 0 runs the 3-phase D-M2TD (internal/dist) on the
+	// in-process pool instead of the serial algorithm, with that many
+	// "servers": Workers is the shard count of the stitch and core
+	// phases, so the result is a pure function of it — bit-identical to
+	// Distributed{Shards: Workers} at any core count, and equal to the
+	// serial decomposition up to floating-point summation order.
+	// Incompatible with Factored, Sketch and Distributed.
 	Workers int
 	// Distributed, when non-nil, runs D-M2TD on real worker PROCESSES —
 	// the internal/distnet coordinator/worker engine over localhost TCP
@@ -97,8 +102,9 @@ type Config struct {
 	// hot path (sparse TTM, Gram accumulation, the HOSVD mode loop, and
 	// the concurrent X₁/X₂ sub-decompositions). 0 uses all CPUs
 	// (runtime.GOMAXPROCS); 1 forces serial execution. Unlike Workers —
-	// which simulates D-M2TD's distributed 3-phase algorithm — Parallel
-	// only changes how the same serial algorithm is scheduled on cores:
+	// which shards D-M2TD's 3-phase algorithm and so fixes the float
+	// summation order — Parallel only changes how the same algorithm is
+	// scheduled on cores:
 	// results are bit-identical for any Parallel value.
 	Parallel int
 	// SkipAccuracy skips ground-truth construction (which simulates the
@@ -335,6 +341,9 @@ func (c Config) resolve() (resolved, error) {
 			return resolved{}, fmt.Errorf("m2td: Sketch and Factored are mutually exclusive (the sketch breaks the P×E product structure)")
 		}
 	}
+	if cfg.Workers > 0 && cfg.Factored {
+		return resolved{}, fmt.Errorf("m2td: Factored and Workers are mutually exclusive (D-M2TD materialises the join by design)")
+	}
 	if d := cfg.Distributed; d != nil {
 		if cfg.Workers > 0 {
 			return resolved{}, fmt.Errorf("m2td: Distributed and Workers are mutually exclusive (pick one D-M2TD engine)")
@@ -513,8 +522,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	var res *core.Result
 	var distStats *DistStats
 	switch {
-	case cfg.Workers > 0 && cfg.Factored:
-		return nil, fmt.Errorf("m2td: Factored and Workers are mutually exclusive")
 	case cfg.Distributed != nil:
 		dc := cfg.Distributed
 		workDir := dc.WorkDir
@@ -559,11 +566,10 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 		if err := dctx.Err(); err != nil {
 			return nil, fmt.Errorf("m2td: decomposition stage: %w", err)
 		}
-		d, err := dist.Decompose(part, dist.Options{Options: opts, Workers: cfg.Workers})
+		res, err = dist.Decompose(part, dist.Options{Options: opts, Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
-		res = d.Result
 	case cfg.Factored:
 		if err := dctx.Err(); err != nil {
 			return nil, fmt.Errorf("m2td: decomposition stage: %w", err)

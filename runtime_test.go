@@ -3,6 +3,7 @@ package m2td
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -225,6 +226,35 @@ func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 	if report.RestoredSims != 0 {
 		t.Fatalf("restored %d sims from a foreign checkpoint", report.RestoredSims)
+	}
+}
+
+// TestWorkersFactoredRejectedBeforeAnySimulation: the Workers×Factored
+// exclusion is refused with its siblings in resolve() — before the
+// simulation fan-out, not after it — by both entry points: the fault
+// injector sees no attempt and the checkpoint catalog gets no object.
+func TestWorkersFactoredRejectedBeforeAnySimulation(t *testing.T) {
+	var attempts atomic.Int64
+	cfg := smallConfig()
+	cfg.Workers, cfg.Factored = 2, true
+	cfg.Faults = &faults.Config{Seed: 1, Hook: func() { attempts.Add(1) }}
+	cfg.CheckpointDir = t.TempDir()
+	cfg.CheckpointEvery = 1
+	if _, err := RunCtx(context.Background(), cfg); err == nil {
+		t.Fatal("RunCtx accepted Workers with Factored")
+	}
+	if _, err := BaselineCtx(context.Background(), cfg, "random", 40); err == nil {
+		t.Fatal("BaselineCtx accepted Workers with Factored")
+	}
+	if n := attempts.Load(); n != 0 {
+		t.Fatalf("%d simulation attempts ran before the rejection", n)
+	}
+	objects, err := os.ReadDir(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(objects) != 0 {
+		t.Fatalf("rejected campaign left %d checkpoint objects", len(objects))
 	}
 }
 
