@@ -47,10 +47,12 @@ test:
 
 # Race-detector pass. The workers=1 vs workers=N bit-stability suites
 # double as data-race proofs for the internal/parallel kernels here; the
-# -count=20 soak catches races that need a particular interleaving.
+# -count=20 soak catches races that need a particular interleaving — in
+# the pool itself and in its busiest client, the simulation fan-out
+# (strip cursor + checkpoint saves outside the fan-out's locks).
 race:
 	$(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=20 -timeout 10m ./internal/parallel
+	$(GO) test -race -count=20 -timeout 10m ./internal/parallel ./internal/partition
 
 # Full benchmark run (slow; honours M2TD_BENCH_RES).
 bench:

@@ -256,9 +256,12 @@ type DecompositionInfo struct {
 	Accuracy      float64 `json:"accuracy,omitempty"`
 	AccuracyValid bool    `json:"accuracy_valid"`
 	NumSims       int     `json:"num_sims"`
-	JoinCells     int     `json:"join_cells"`
-	CoreShape     []int   `json:"core_shape"`
-	Ranks         []int   `json:"ranks"`
+	// JoinCells is the join tensor's size: counted when the campaign built
+	// one, otherwise the paper's density formula (the default campaign is
+	// join-free).
+	JoinCells int   `json:"join_cells"`
+	CoreShape []int `json:"core_shape"`
+	Ranks     []int `json:"ranks"`
 	// SimMS and DecompMS are the stage wall-clock times in milliseconds.
 	SimMS    int64 `json:"sim_ms"`
 	DecompMS int64 `json:"decomp_ms"`

@@ -13,6 +13,7 @@ package m2td
 // simulators.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -288,6 +289,34 @@ func BenchmarkTransientCoreRecovery(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tucker.CoreFromFactorsWorkers(res.Join.PlanlessView(), res.Factors, w)
+			}
+		})
+	}
+}
+
+// BenchmarkDecomposeDispatch measures the decomposition stage of a res-12
+// campaign through the in-process dispatch rule, on both of its routes:
+// the join-free core the default campaign takes, and the materialised
+// join (selected here by a full-keep sketch, which is the unsketched
+// decomposition to the bit). Every iteration decomposes a plan-less view,
+// as every pipeline run does.
+func BenchmarkDecomposeDispatch(b *testing.B) {
+	part, ranks := benchPartitionAt(b, joinStageRes)
+	for _, route := range []struct {
+		name   string
+		sketch core.SketchSpec
+	}{{"factored", core.SketchSpec{}}, {"materialised", core.SketchSpec{KeepFrac: 1}}} {
+		b.Run(route.name, func(b *testing.B) {
+			copts := core.Options{Method: core.SELECT, Ranks: ranks, Sketch: route.sketch}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := decomposeInProcess(context.Background(), part.PlanlessView(), copts, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if (res.Join == nil) != (route.name == "factored") {
+					b.Fatalf("%s route: Join = %v", route.name, res.Join)
+				}
 			}
 		})
 	}

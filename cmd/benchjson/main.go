@@ -49,8 +49,9 @@ import (
 // stitching (BenchmarkStitch also selects the process engine's
 // BenchmarkStitchShard), transient (plan-less) core recovery, the
 // simulation kernel (one simulation per system, one res-12 sub-ensemble
-// campaign), and the sparse store codec.
-const defaultBench = "BenchmarkTTM|BenchmarkModeGram|BenchmarkWorkspace|BenchmarkHOSVD|BenchmarkHOOI|BenchmarkParallelHOSVD|BenchmarkParallelTTM|BenchmarkStitch|BenchmarkSketched|BenchmarkTransientCoreRecovery|BenchmarkSimCells|BenchmarkPartitionGenerate|BenchmarkStoreSparse"
+// campaign), the sparse store codec, and the decomposition stage on both
+// routes of the in-process dispatch rule.
+const defaultBench = "BenchmarkTTM|BenchmarkModeGram|BenchmarkWorkspace|BenchmarkHOSVD|BenchmarkHOOI|BenchmarkParallelHOSVD|BenchmarkParallelTTM|BenchmarkStitch|BenchmarkSketched|BenchmarkTransientCoreRecovery|BenchmarkSimCells|BenchmarkPartitionGenerate|BenchmarkStoreSparse|BenchmarkDecomposeDispatch"
 
 // stringList is a repeatable string flag.
 type stringList []string

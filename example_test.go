@@ -7,9 +7,9 @@ import (
 )
 
 // ExampleRun demonstrates the one-call pipeline: PF-partition the
-// double-pendulum parameter space, simulate both sub-ensembles, stitch,
-// decompose with M2TD-SELECT, and evaluate against the full simulation
-// space. Accuracies are floating-point and platform-sensitive, so this
+// double-pendulum parameter space, simulate both sub-ensembles, decompose
+// with M2TD-SELECT (join-free: "join cells" is the size the stitched join
+// would have), and evaluate against the full simulation space. Accuracies are floating-point and platform-sensitive, so this
 // example prints structural facts only.
 func ExampleRun() {
 	report, err := m2td.Run(m2td.Config{

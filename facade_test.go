@@ -101,6 +101,11 @@ func TestCtxBuildingBlocksTrace(t *testing.T) {
 	if got := root.Find("stitch").Counter("zero_join"); got != 1 {
 		t.Errorf("stitch zero_join counter = %d, want 1", got)
 	}
+	// The only stitch is the one asked for: DecomposeCtx took the
+	// join-free route.
+	if d := root.Find("decompose"); d.Find("stitch") != nil || d.Counter("factored") != 1 {
+		t.Errorf("DecomposeCtx: want no stitch span and factored=1:\n%s", d.Skeleton())
+	}
 }
 
 // TestCtxBuildingBlocksCancellation: a pre-cancelled context stops every

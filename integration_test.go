@@ -5,6 +5,7 @@ package m2td
 // HOOI refinement of conventionally sampled ensembles.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,7 +20,8 @@ import (
 func TestPipelinePersistsAndReloads(t *testing.T) {
 	// Run the pipeline, persist the join tensor and its decomposition in
 	// the block store, reload both, and verify the reconstruction is
-	// unchanged.
+	// unchanged. The default run builds no join, so the one persisted here
+	// is stitched on request from the run's partition.
 	report, err := Run(smallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +30,14 @@ func TestPipelinePersistsAndReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveSparse("join", report.Decomposition.Join); err != nil {
+	if err := st.SaveSparse("join", report.Decomposition.Join); err == nil {
+		t.Fatal("the default run's nil join was accepted by the store")
+	}
+	stitched, err := StitchCtx(context.Background(), report.Partition, StitchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveSparse("join", stitched); err != nil {
 		t.Fatal(err)
 	}
 	dec := tucker.Decomposition{

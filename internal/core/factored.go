@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/mat"
@@ -113,18 +114,25 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	}, nil
 }
 
+// ErrNoProductStructure is wrapped by every DecomposeFactored failure that
+// means "this partition cannot take the join-free route" — a failed or
+// quarantined simulation left a hole in the P×E grid, or the sampled
+// configuration lists are missing. Callers that may materialise the join
+// instead (m2td.RunCtx, m2td.DecomposeCtx) fall back to DecomposeCtx on it.
+var ErrNoProductStructure = errors.New("core: no P×E product structure")
+
 // checkProductStructure verifies that each sub-ensemble stores exactly one
 // cell per (pivot configuration × free configuration) pair — the structure
-// the factorisation relies on.
+// the factorisation relies on. Every failure wraps ErrNoProductStructure.
 func checkProductStructure(p *partition.Result) error {
 	if len(p.PivotConfigs) == 0 || len(p.Free1Configs) == 0 || len(p.Free2Configs) == 0 {
-		return fmt.Errorf("core: DecomposeFactored requires the sampled configuration lists from partition.Generate")
+		return fmt.Errorf("%w: DecomposeFactored requires the sampled configuration lists from partition.Generate", ErrNoProductStructure)
 	}
 	if want := len(p.PivotConfigs) * len(p.Free1Configs); p.Sub1.Tensor.NNZ() != want {
-		return fmt.Errorf("core: sub-ensemble 1 has %d cells, want %d (P×E product structure)", p.Sub1.Tensor.NNZ(), want)
+		return fmt.Errorf("%w: sub-ensemble 1 has %d cells, want %d", ErrNoProductStructure, p.Sub1.Tensor.NNZ(), want)
 	}
 	if want := len(p.PivotConfigs) * len(p.Free2Configs); p.Sub2.Tensor.NNZ() != want {
-		return fmt.Errorf("core: sub-ensemble 2 has %d cells, want %d (P×E product structure)", p.Sub2.Tensor.NNZ(), want)
+		return fmt.Errorf("%w: sub-ensemble 2 has %d cells, want %d", ErrNoProductStructure, p.Sub2.Tensor.NNZ(), want)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package parallel
 
-import "context"
+import (
+	"context"
+	"sync/atomic"
+)
 
 // The ctx-aware variants below are the cancellation layer of the pipeline
 // runtime: they preserve every determinism guarantee of For/Do/Reduce on
@@ -12,21 +15,24 @@ import "context"
 // are joined, and only then does the call return ctx.Err(). Callers
 // discard partial output on a non-nil error.
 
-// ctxPollStrips bounds how many times each ForCtx worker polls the context
-// while draining its chunk: the chunk is subdivided into at most this many
-// strips with a poll before each. The subdivision never changes results —
-// For-based kernels partition their OUTPUT index space, so every element
-// is still computed whole, by the same worker, in the same order.
+// ctxPollStrips bounds how many times ForCtx polls the context per chunk:
+// each of For's chunks is subdivided into at most this many strips with a
+// poll before each. The subdivision never changes results — For-based
+// kernels partition their OUTPUT index space, so every element is still
+// computed whole, in the same order within its strip.
 const ctxPollStrips = 16
 
-// ForCtx is For with cooperative cancellation. The chunk grid is identical
-// to For's (boundaries depend only on n and the resolved worker count);
-// each worker walks its chunk in up to ctxPollStrips strips, polling the
-// context before each strip. On cancellation workers drain: the strip in
-// flight finishes, no further strip begins, and ForCtx returns ctx.Err()
-// after all workers have been joined — no goroutine outlives the call.
-// An un-cancelled ForCtx is bit-identical to For. Worker panics are
-// re-raised on the caller exactly as with For.
+// ForCtx is For with cooperative cancellation. The strip grid is For's
+// chunk grid (boundaries depend only on n and the resolved worker count)
+// with each chunk cut into up to ctxPollStrips strips; the workers CLAIM
+// strips from one shared cursor, in grid order, polling the context before
+// each claim — so a worker that finishes early takes strips a static split
+// would have left queued behind a slower one. Which worker runs a strip is
+// scheduling only: outputs are disjoint per index. On cancellation workers
+// drain: the strips in flight finish, no further strip is claimed, and
+// ForCtx returns ctx.Err() after all workers have been joined — no
+// goroutine outlives the call. An un-cancelled ForCtx is bit-identical to
+// For. Worker panics are re-raised on the caller exactly as with For.
 func ForCtx(ctx context.Context, n, workers int, fn func(start, end int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -34,20 +40,26 @@ func ForCtx(ctx context.Context, n, workers int, fn func(start, end int)) error 
 	if n <= 0 {
 		return nil
 	}
-	For(n, workers, func(start, end int) {
-		strip := (end - start + ctxPollStrips - 1) / ctxPollStrips
-		if strip < 1 {
-			strip = 1
-		}
-		for s := start; s < end; s += strip {
-			if ctx.Err() != nil {
+	chunks := fanout(workers)
+	if chunks > n {
+		chunks = n
+	}
+	var next atomic.Int64
+	// One goroutine per chunk, launched, joined and panic-captured by For.
+	For(chunks, chunks, func(_, _ int) {
+		for ctx.Err() == nil {
+			s := int(next.Add(1)) - 1
+			if s >= chunks*ctxPollStrips {
 				return
 			}
-			e := s + strip
-			if e > end {
-				e = end
+			c := s / ctxPollStrips
+			start, end := c*n/chunks, (c+1)*n/chunks
+			strip := (end - start + ctxPollStrips - 1) / ctxPollStrips
+			lo := start + (s%ctxPollStrips)*strip
+			if lo >= end {
+				continue // a chunk shorter than ctxPollStrips has fewer strips
 			}
-			fn(s, e)
+			fn(lo, min(lo+strip, end))
 		}
 	})
 	return ctx.Err()

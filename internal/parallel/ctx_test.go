@@ -37,6 +37,38 @@ func TestForCtxMatchesFor(t *testing.T) {
 	}
 }
 
+// TestForCtxClaimsStrips: the workers claim strips from a shared cursor
+// instead of owning a static share of the range — a first strip that
+// blocks until every other strip has run must not strand the strips a
+// static split would have queued behind it on the same worker.
+func TestForCtxClaimsStrips(t *testing.T) {
+	defer SetFanoutCap(SetFanoutCap(2))
+	const n = 2 * ctxPollStrips * 4 // 2 chunks × ctxPollStrips strips of 4
+	var ran atomic.Int64
+	finished := make(chan error, 1)
+	go func() {
+		finished <- ForCtx(context.Background(), n, 2, func(start, end int) {
+			if start == 0 {
+				for ran.Load() < n-int64(end) {
+					runtime.Gosched()
+				}
+			}
+			ran.Add(int64(end - start))
+		})
+	}()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ForCtx deadlocked: the strips behind a blocked first strip were never claimed by the idle worker")
+	}
+	if ran.Load() != n {
+		t.Fatalf("%d of %d indices ran", ran.Load(), n)
+	}
+}
+
 // TestForCtxCancelled: an already-cancelled context must return promptly
 // without invoking the body at all.
 func TestForCtxCancelled(t *testing.T) {

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/store"
@@ -39,15 +40,19 @@ type Checkpoint struct {
 func (c *Checkpoint) objectName(prefix string) string { return prefix + "-sims" }
 
 // ckptSession is the mutable per-sub-campaign state: the completed map,
-// the dirty counter, and the restored set.
+// the dirty counter, the restored set, whether a save is in flight, and
+// the first save error.
 type ckptSession struct {
 	ck   *Checkpoint
 	name string
 
 	mu        sync.Mutex
+	idle      sync.Cond // on mu: signalled when an in-flight save ends
 	done      map[int][]float64
 	restored  map[int][]float64
 	sinceSave int
+	saving    bool
+	err       error
 }
 
 // session opens (and, with Resume, restores) the checkpoint state for one
@@ -55,6 +60,7 @@ type ckptSession struct {
 // is treated as absent: the campaign starts fresh and overwrites it.
 func (c *Checkpoint) session(prefix string) *ckptSession {
 	s := &ckptSession{ck: c, name: c.objectName(prefix), done: make(map[int][]float64)}
+	s.idle.L = &s.mu
 	if !c.Resume {
 		return s
 	}
@@ -74,10 +80,13 @@ func (c *Checkpoint) session(prefix string) *ckptSession {
 	return s
 }
 
-// note records one completed simulation and saves the set every Every
-// completions. Returns the first save error (the campaign surfaces it:
-// silently losing checkpoint durability would defeat the point).
-func (s *ckptSession) note(key int, cells []float64) error {
+// note records one completed simulation. When a save is due — Every
+// completions since the last one — and none is in flight, it returns a
+// snapshot of the completed set for the caller to hand to save: the encode
+// + fsync + rename never runs under the session mutex, so recording a
+// completion never waits for the disk. A save that
+// comes due while one is in flight is left to the next note or to flush.
+func (s *ckptSession) note(key int, cells []float64) map[int][]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done[key] = cells
@@ -86,29 +95,52 @@ func (s *ckptSession) note(key int, cells []float64) error {
 	if every <= 0 {
 		every = 64
 	}
-	if s.sinceSave < every {
+	if s.sinceSave < every || s.saving {
 		return nil
 	}
 	s.sinceSave = 0
-	return s.save()
+	s.saving = true
+	return maps.Clone(s.done)
 }
 
-// flush persists the current completed set unconditionally. Called at
-// campaign end and on cancellation, so a cooperatively cancelled run
-// checkpoints everything it finished.
+// save writes a snapshot note handed out and ends the in-flight state. A
+// save error is kept for flush to report (the campaign surfaces it:
+// silently losing checkpoint durability would defeat the point).
+func (s *ckptSession) save(snap map[int][]float64) {
+	err := s.write(snap)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err == nil {
+		s.err = err
+	}
+	s.saving = false
+	s.idle.Broadcast()
+}
+
+// flush persists the current completed set unconditionally, after any
+// in-flight save has landed (so the final set is the last write), and
+// returns the session's first save error. Called at campaign end and on
+// cancellation, so a cooperatively cancelled run checkpoints everything it
+// finished.
 func (s *ckptSession) flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.saving {
+		s.idle.Wait()
+	}
 	if s.sinceSave == 0 && len(s.done) == len(s.restored) {
-		return nil // nothing new since restore
+		return s.err // nothing new since the last save or restore
 	}
 	s.sinceSave = 0
-	return s.save()
+	if err := s.write(s.done); s.err == nil {
+		s.err = err
+	}
+	return s.err
 }
 
-// save writes the set under the session's lock.
-func (s *ckptSession) save() error {
-	if err := s.ck.Store.SaveSimSet(s.name, s.ck.Fingerprint, s.done); err != nil {
+// write persists one completed set.
+func (s *ckptSession) write(sims map[int][]float64) error {
+	if err := s.ck.Store.SaveSimSet(s.name, s.ck.Fingerprint, sims); err != nil {
 		return fmt.Errorf("partition: checkpoint save: %w", err)
 	}
 	checkpointFlushesTotal.Inc()

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -260,5 +263,29 @@ func TestCheckpointFingerprintMismatchIgnored(t *testing.T) {
 	}
 	if res.Stats.ExecutedSims != res.NumSims {
 		t.Fatalf("executed %d != %d", res.Stats.ExecutedSims, res.NumSims)
+	}
+}
+
+// TestCheckpointSaveErrorFailsCampaign: losing checkpoint durability is a
+// campaign failure on both save paths — the mid-campaign save a worker
+// writes outside the fan-out's locks (Every: 1) and the final flush.
+func TestCheckpointSaveErrorFailsCampaign(t *testing.T) {
+	for _, every := range []int{1, 1 << 20} {
+		dir := filepath.Join(t.TempDir(), "catalog")
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil { // every save now fails
+			t.Fatal(err)
+		}
+		space := probeSpace(probe{})
+		_, err = partition.GenerateCtx(context.Background(), space, probeConfig(t, space), newRand(12), partition.SimOptions{
+			Workers:    2,
+			Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: "fp", Every: every},
+		})
+		if err == nil || !strings.Contains(err.Error(), "checkpoint save") {
+			t.Fatalf("Every=%d: want a checkpoint save error, got %v", every, err)
+		}
 	}
 }

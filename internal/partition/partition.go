@@ -164,6 +164,28 @@ type Result struct {
 	Stats SimStats
 }
 
+// JoinCells is the stored-cell count of the JE-stitched join of an intact
+// partition (every requested simulation present), from the paper's density
+// formula rather than from a tensor: P·E₁·E₂ matched pairs, plus for the
+// zero-join every cell joined against the other side's unsampled free
+// configurations, P·(E₁·(F₂−E₂) + E₂·(F₁−E₁)) with F the full free grids.
+func (r *Result) JoinCells(zeroJoin bool) int {
+	p, e1, e2 := len(r.PivotConfigs), len(r.Free1Configs), len(r.Free2Configs)
+	cells := p * e1 * e2
+	if zeroJoin {
+		shape := r.Space.Shape()
+		grid := func(modes []int) int {
+			n := 1
+			for _, m := range modes {
+				n *= shape[m]
+			}
+			return n
+		}
+		cells += p * (e1*(grid(r.Config.Free2)-e2) + e2*(grid(r.Config.Free1)-e1))
+	}
+	return cells
+}
+
 // PlanlessView returns the partition with both sub-tensors replaced by
 // their tensor.Sparse.PlanlessView: same cells, empty kernel-plan caches —
 // what a measurement wants so every run pays for plan compilation.

@@ -108,7 +108,6 @@ func simulateAll(ctx context.Context, space *ensemble.Space, sims []simRequest, 
 	slab := make([]float64, len(pending)*t)
 
 	var mu sync.Mutex
-	var ckptErr error
 	err := parallel.ForCtx(ctx, len(pending), opts.Workers, func(start, end int) {
 		var w ensemble.Workspace
 		idx := make([]int, space.NumParams())
@@ -130,11 +129,6 @@ func simulateAll(ctx context.Context, space *ensemble.Space, sims []simRequest, 
 				if attempts > 1 {
 					stats.RetriedSims++
 				}
-				if sess != nil {
-					if err := sess.note(k, cells); err != nil && ckptErr == nil {
-						ckptErr = err
-					}
-				}
 			case ctx.Err() != nil:
 				// Campaign cancellation, not a simulation failure: the
 				// fan-out returns ctx.Err() and nothing is recorded.
@@ -142,15 +136,23 @@ func simulateAll(ctx context.Context, space *ensemble.Space, sims []simRequest, 
 				stats.FailedSims++
 			}
 			mu.Unlock()
+			if runErr == nil && sess != nil {
+				// Off the fan-out's critical path: when a checkpoint save
+				// came due this worker writes it, outside every lock, while
+				// the others keep simulating.
+				if due := sess.note(k, cells); due != nil {
+					sess.save(due)
+				}
+			}
 		}
 	})
 
 	// Flush completed work even on cancellation, so a cooperatively
-	// cancelled campaign checkpoints everything it finished.
+	// cancelled campaign checkpoints everything it finished; the flush
+	// reports the session's first save error.
+	var ckptErr error
 	if sess != nil {
-		if ferr := sess.flush(); ferr != nil && ckptErr == nil {
-			ckptErr = ferr
-		}
+		ckptErr = sess.flush()
 	}
 	if err != nil {
 		return nil, stats, err

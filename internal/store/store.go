@@ -355,6 +355,9 @@ func sparseCellBytes(order int) int { return 4*order + 8 }
 // cell count, then the packed cells — encoded into one reused buffer and
 // handed to the writer (and the checksum) in one Write per block.
 func (s *Store) SaveSparse(name string, t *tensor.Sparse) error {
+	if t == nil {
+		return fmt.Errorf("store: SaveSparse %q: nil tensor", name)
+	}
 	return s.writeFile(name, kindSparse, func(w io.Writer) error {
 		if err := writeShape(w, t.Shape); err != nil {
 			return fmt.Errorf("store: %w", err)
@@ -489,34 +492,32 @@ func (s *Store) LoadDense(name string) (*tensor.Dense, error) {
 // generating configuration plus each completed simulation's per-timestamp
 // cell values, keyed by the simulation's parameter-grid key. Entries are
 // written in ascending key order so identical sets produce identical
-// bytes, and the file inherits the store's atomic temp+rename+CRC
-// protocol: a crash mid-save can never corrupt the previous checkpoint.
+// bytes — each one (key, length, cells) encoded into one reused buffer and
+// handed to the writer in one Write — and the file inherits the store's
+// atomic temp+rename+CRC protocol: a crash mid-save can never corrupt the
+// previous checkpoint.
 func (s *Store) SaveSimSet(name, fingerprint string, sims map[int][]float64) error {
 	return s.writeFile(name, kindSimSet, func(w io.Writer) error {
-		fp := []byte(fingerprint)
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(fp))); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if _, err := w.Write(fp); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
 		keys := make([]int, 0, len(sims))
 		for k := range sims {
 			keys = append(keys, k)
 		}
 		sort.Ints(keys)
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(keys))); err != nil {
+		buf := make([]byte, 0, 4+len(fingerprint)+8)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fingerprint)))
+		buf = append(buf, fingerprint...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(keys)))
+		if _, err := w.Write(buf); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 		for _, k := range keys {
 			cells := sims[k]
-			if err := binary.Write(w, binary.LittleEndian, uint64(k)); err != nil {
-				return fmt.Errorf("store: %w", err)
+			buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(k))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cells)))
+			for _, v := range cells {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			}
-			if err := binary.Write(w, binary.LittleEndian, uint32(len(cells))); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			if err := binary.Write(w, binary.LittleEndian, cells); err != nil {
+			if _, err := w.Write(buf); err != nil {
 				return fmt.Errorf("store: %w", err)
 			}
 		}
@@ -525,13 +526,15 @@ func (s *Store) SaveSimSet(name, fingerprint string, sims map[int][]float64) err
 }
 
 // LoadSimSet reads a simulation set saved with SaveSimSet, returning its
-// configuration fingerprint and completed-simulation map.
+// configuration fingerprint and completed-simulation map. Every claimed
+// length is checked against what the file can hold before anything is
+// sized by it.
 func (s *Store) LoadSimSet(name string) (string, map[int][]float64, error) {
 	var (
 		fingerprint string
 		sims        map[int][]float64
 	)
-	err := s.readFile(name, kindSimSet, func(r io.Reader, _ int64) error {
+	err := s.readFile(name, kindSimSet, func(r io.Reader, size int64) error {
 		var fpLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &fpLen); err != nil || fpLen > 1<<16 {
 			return ErrCorrupt
@@ -541,23 +544,33 @@ func (s *Store) LoadSimSet(name string) (string, map[int][]float64, error) {
 			return ErrCorrupt
 		}
 		fingerprint = string(fp)
+		var head [12]byte // one entry's key and length
 		var count uint64
-		if err := binary.Read(r, binary.LittleEndian, &count); err != nil || count > 1<<40 {
+		if err := binary.Read(r, binary.LittleEndian, &count); err != nil || count > uint64(size)/uint64(len(head)) {
 			return ErrCorrupt
 		}
 		sims = make(map[int][]float64, count)
+		var buf []byte
 		for i := uint64(0); i < count; i++ {
-			var key uint64
-			if err := binary.Read(r, binary.LittleEndian, &key); err != nil || key > 1<<62 {
+			if _, err := io.ReadFull(r, head[:]); err != nil {
 				return ErrCorrupt
 			}
-			var n uint32
-			if err := binary.Read(r, binary.LittleEndian, &n); err != nil || n > 1<<30 {
+			key := binary.LittleEndian.Uint64(head[:8])
+			n := binary.LittleEndian.Uint32(head[8:])
+			if key > 1<<62 || uint64(n) > uint64(size)/8 {
+				return ErrCorrupt
+			}
+			need := 8 * int(n)
+			if cap(buf) < need {
+				buf = make([]byte, need)
+			}
+			buf = buf[:need]
+			if _, err := io.ReadFull(r, buf); err != nil {
 				return ErrCorrupt
 			}
 			cells := make([]float64, n)
-			if err := binary.Read(r, binary.LittleEndian, cells); err != nil {
-				return ErrCorrupt
+			for c := range cells {
+				cells[c] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*c:]))
 			}
 			sims[int(key)] = cells
 		}
@@ -629,6 +642,9 @@ func (s *Store) LoadMatrices(name string) ([]*mat.Matrix, error) {
 
 // SaveDecomposition stores a Tucker decomposition (core plus factors).
 func (s *Store) SaveDecomposition(name string, d tucker.Decomposition) error {
+	if d.Core == nil {
+		return fmt.Errorf("store: SaveDecomposition %q: nil core", name)
+	}
 	return s.writeFile(name, kindTucker, func(w io.Writer) error {
 		if err := writeShape(w, d.Core.Shape); err != nil {
 			return fmt.Errorf("store: %w", err)

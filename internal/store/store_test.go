@@ -377,3 +377,23 @@ func TestLoadDecompositionWrongKind(t *testing.T) {
 		t.Fatal("decomposition loaded as sparse")
 	}
 }
+
+// TestSaveRejectsNilTensor: a nil sparse tensor (a default run's
+// Decomposition.Join) or a decomposition without a core is an error, not a
+// nil dereference inside the writer — and leaves no temp file behind.
+func TestSaveRejectsNilTensor(t *testing.T) {
+	s := testStore(t)
+	if err := s.SaveSparse("join", nil); err == nil {
+		t.Fatal("SaveSparse accepted a nil tensor")
+	}
+	if err := s.SaveDecomposition("dec", tucker.Decomposition{}); err == nil {
+		t.Fatal("SaveDecomposition accepted a nil core")
+	}
+	entries, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("rejected saves left %d files behind (first: %s)", len(entries), entries[0].Name())
+	}
+}

@@ -15,8 +15,8 @@
 //   - internal/increment — streaming M2TD with exact Gram maintenance
 //   - internal/eval      — the paper's experiments (Tables I–VIII, Fig. 6)
 //
-// The one-call entry point is Run, which executes the full
-// partition → simulate → stitch → decompose → evaluate pipeline:
+// The one-call entry point is Run: partition → simulate → decompose →
+// evaluate (the join is stitched only when the decomposition needs it):
 //
 //	report, err := m2td.Run(m2td.Config{
 //	    System:     "double-pendulum",
@@ -32,6 +32,7 @@ package m2td
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -115,11 +116,11 @@ type Config struct {
 	// full simulation-space tensor — required at paper-scale resolutions
 	// where the exact metric needs tens of GB.
 	AccuracySampleSims int
-	// Factored computes the M2TD core without materialising the join
-	// tensor (core.DecomposeFactored), exploiting the product structure of
-	// PF-partitioned sub-ensembles. Identical results; required at
-	// paper-scale resolutions where the join tensor has billions of cells.
-	// Incompatible with Workers (D-M2TD materialises the join by design).
+	// Factored REQUIRES the join-free core (core.DecomposeFactored), the
+	// route a run takes anyway while the partition has its P×E product
+	// structure: once a failed or quarantined simulation broke it, the run
+	// fails with core.ErrNoProductStructure instead of materialising J.
+	// Incompatible with Workers (D-M2TD materialises J by design).
 	Factored bool
 	// Sketch enables the randomized sketch fast path: the decomposition
 	// runs on biased random sketches of the sub-tensors and join instead
@@ -231,12 +232,12 @@ type Report struct {
 	Accuracy float64
 	// NumSims is the number of simulation runs spent.
 	NumSims int
-	// JoinCells is the stitched join tensor's stored-cell count.
+	// JoinCells is the join's stored-cell count (the paper's density formula if no J was built).
 	JoinCells int
 	// SimTime is the wall-clock spent running simulations; DecompTime
 	// covers sub-decomposition, stitching, and core recovery.
 	SimTime, DecompTime time.Duration
-	// Decomposition holds the resulting factors and core.
+	// Decomposition holds the factors and core; Join is nil unless the run had to build J.
 	Decomposition *core.Result
 	// Space is the underlying parameter space (exposes the shape, ground
 	// truth, and mode names).
@@ -570,16 +571,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-	case cfg.Factored:
-		if err := dctx.Err(); err != nil {
-			return nil, fmt.Errorf("m2td: decomposition stage: %w", err)
-		}
-		res, err = core.DecomposeFactored(part, opts)
-		if err != nil {
-			return nil, err
-		}
 	default:
-		res, err = core.DecomposeCtx(dctx, part, opts)
+		res, err = decomposeInProcess(dctx, part, opts, cfg.Factored)
 		if err != nil {
 			return nil, fmt.Errorf("m2td: decomposition stage: %w", err)
 		}
@@ -587,7 +580,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	ddone()
 	cancelDecomp()
 
-	joinCells := 0
+	joinCells := part.JoinCells(cfg.ZeroJoin) // density formula, unless a J exists to count
 	if res.Join != nil {
 		joinCells = res.Join.NNZ()
 	}
@@ -885,9 +878,7 @@ type DecomposeOptions struct {
 	Ranks []int
 	// ZeroJoin selects zero-join JE-stitching for core recovery.
 	ZeroJoin bool
-	// Factored computes the core without materialising the join tensor
-	// (core.DecomposeFactored); identical results, required at paper-scale
-	// resolutions.
+	// Factored requires the join-free core, without fallback (see Config.Factored).
 	Factored bool
 	// Sketch enables the randomized sketch fast path (see Config.Sketch);
 	// Seed 0 defaults to 1. Incompatible with Factored.
@@ -934,19 +925,28 @@ func DecomposeCtx(ctx context.Context, part *partition.Result, opts DecomposeOpt
 		Sketch:   core.SketchSpec{KeepFrac: opts.Sketch.KeepFrac, Seed: opts.Sketch.Seed},
 		Span:     span,
 	}
-	if opts.Factored {
+	return decomposeInProcess(ctx, part, copts, opts.Factored)
+}
+
+// decomposeInProcess is the dispatch rule of every in-process decomposition:
+// the join-free core while the partition has its P×E product structure; the
+// materialised join under a sketch (which destroys it) or — unless require
+// forbids the fallback — a broken structure. Span counter "factored" = 1 join-free.
+func decomposeInProcess(ctx context.Context, part *partition.Result, copts core.Options, require bool) (*core.Result, error) {
+	if copts.Sketch.KeepFrac == 0 || require {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("m2td: decomposition stage: %w", err)
+			return nil, err
 		}
-		return core.DecomposeFactored(part, copts)
+		res, err := core.DecomposeFactored(part, copts)
+		if require || !errors.Is(err, core.ErrNoProductStructure) {
+			copts.Span.Set("factored", 1)
+			return res, err
+		}
 	}
 	return core.DecomposeCtx(ctx, part, copts)
 }
 
-// Decompose runs the selected M2TD variant over a PF-partitioned pair.
-// It now routes through the same engine path as RunCtx (shared worker
-// pool, kernel-plan reuse) instead of the former always-default-options
-// call; results are unchanged. Prefer DecomposeCtx in new code.
+// Decompose is DecomposeCtx on a background context; prefer DecomposeCtx in new code.
 func Decompose(part *partition.Result, method core.Method, rank int, zeroJoin bool) (*core.Result, error) {
 	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx facade is the root of its own context tree
 	return DecomposeCtx(context.Background(), part, DecomposeOptions{

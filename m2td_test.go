@@ -164,8 +164,16 @@ func TestBuildingBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Join.NNZ() != j.NNZ() {
-		t.Fatal("Decompose join differs from Stitch")
+	// Decompose takes the join-free route: no J on the result, and the
+	// join's size is the density formula — which must agree with Stitch.
+	if res.Join != nil {
+		t.Fatal("Decompose materialised a join on an intact partition")
+	}
+	if got := part.JoinCells(false); got != j.NNZ() {
+		t.Fatalf("density formula says %d join cells, Stitch built %d", got, j.NNZ())
+	}
+	if got := part.JoinCells(true); got != zj.NNZ() {
+		t.Fatalf("density formula says %d zero-join cells, Stitch built %d", got, zj.NNZ())
 	}
 }
 
@@ -188,6 +196,9 @@ func TestZeroJoinImprovesLowBudgetAccuracy(t *testing.T) {
 	}
 }
 
+// TestRunFactoredMatchesDefault: Factored only forbids the fallback — on
+// an intact campaign it is the default route, so the two runs agree to the
+// bit, neither builds a join, and both report the join's size.
 func TestRunFactoredMatchesDefault(t *testing.T) {
 	base, err := Run(smallConfig())
 	if err != nil {
@@ -199,11 +210,15 @@ func TestRunFactoredMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(base.Accuracy-factored.Accuracy) > 1e-9 {
+	requireSameBits(t, "Factored vs default", factored.Decomposition, base.Decomposition)
+	if base.Accuracy != factored.Accuracy {
 		t.Fatalf("factored accuracy %v != default %v", factored.Accuracy, base.Accuracy)
 	}
-	if factored.JoinCells != 0 {
-		t.Fatal("factored run should not materialise a join tensor")
+	if base.Decomposition.Join != nil || factored.Decomposition.Join != nil {
+		t.Fatal("an intact campaign should not materialise a join tensor")
+	}
+	if factored.JoinCells != base.JoinCells || base.JoinCells != 5*5*5*5*4 {
+		t.Fatalf("JoinCells: factored %d, default %d, want the full-density join's %d", factored.JoinCells, base.JoinCells, 5*5*5*5*4)
 	}
 }
 

@@ -64,9 +64,20 @@ func TestTraceGoldenStructure(t *testing.T) {
 }
 
 // TestTraceSpanTaxonomy asserts the documented stage hierarchy exists:
-// run → {partition → sub1/sub2, decompose → factors/stitch/core, evaluate}
-// with per-mode children under factors.
+// run → {partition → sub1/sub2, decompose → factors/core, evaluate} with
+// per-mode children under factors — and a stitch span under decompose
+// only on a route that materialises the join (here: a full-keep sketch).
 func TestTraceSpanTaxonomy(t *testing.T) {
+	sketched := traceConfig()
+	sketched.Sketch.KeepFrac = 1
+	sreport, err := Run(sketched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sreport.Trace.Root().Find("decompose"); d.Find("stitch") == nil || d.Counter("factored") != 0 {
+		t.Errorf("sketched run: want a stitch span and factored=0 under decompose:\n%s", d.Skeleton())
+	}
+
 	report, err := Run(traceConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +92,15 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 		{"partition", "sub2"},
 		{"decompose"},
 		{"decompose", "factors"},
-		{"decompose", "stitch"},
 		{"decompose", "core"},
 		{"evaluate"},
 	} {
 		if root.Find(path...) == nil {
 			t.Errorf("span %v missing:\n%s", path, root.Skeleton())
 		}
+	}
+	if d := root.Find("decompose"); d.Find("stitch") != nil || d.Counter("factored") != 1 {
+		t.Errorf("default run: want no stitch span and factored=1 under decompose:\n%s", d.Skeleton())
 	}
 	// Every mode of the 5-way tensor gets a factor span; exactly one is
 	// the pivot (double-pendulum with pivot "t" → mode4), decomposed as

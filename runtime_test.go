@@ -199,8 +199,10 @@ func TestRunResumeBitIdentical(t *testing.T) {
 		t.Fatalf("resumed campaign ran %d simulations, want exactly the %d unfinished ones",
 			got, report.ExecutedSims)
 	}
-	// The stitched join tensor is bit-identical to the uninterrupted run's.
-	refJoin, join := refReport.Decomposition.Join, report.Decomposition.Join
+	// The decomposition, and the join tensor stitched from each run's
+	// partition, are bit-identical to the uninterrupted run's.
+	requireSameBits(t, "resumed vs uninterrupted", report.Decomposition, refReport.Decomposition)
+	refJoin, join := Stitch(refReport.Partition, false), Stitch(report.Partition, false)
 	if !reflect.DeepEqual(join.Idx, refJoin.Idx) || !reflect.DeepEqual(join.Vals, refJoin.Vals) {
 		t.Fatal("resumed pipeline's join tensor is not bit-identical to the uninterrupted run's")
 	}
