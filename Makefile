@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-dist-json bench-dist-diff bench-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke bench-serve-json bench-serve-diff ci clean
+.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke ci clean
 
 all: build
 
@@ -101,33 +101,6 @@ bench-diff:
 	$(GO) run ./cmd/benchjson -out BENCH_new.json -benchtime 2s
 	$(GO) run ./cmd/benchjson -diff $(BENCH_GATE) BENCH_7.json BENCH_new.json
 
-# Multi-process engine benchmark snapshot (BENCH_8.json): the distnet
-# coordinator/worker campaign — process spawn, localhost TCP framing,
-# store round-trips, and all three D-M2TD phases — against worker-process
-# count (Table III's phase-time-vs-servers curve with real IPC overhead).
-bench-dist-json:
-	$(GO) run ./cmd/benchjson -out BENCH_8.json -benchtime 2s \
-		-bench BenchmarkDistNet -pkgs ./internal/distnet
-
-# Gate flags for the distnet snapshot, looser than BENCH_GATE on purpose:
-# each iteration forks worker processes and round-trips artifacts through
-# the filesystem, so absolute ns/op swings with the box's fork and disk
-# latency far more than the in-process kernels do. No -shape gate either —
-# at the benchmark's deliberately tiny problem size, extra processes are
-# pure spawn overhead and the workers curve is NOT expected to be
-# monotone. The sharp distributed regression checks are the bit-identity
-# drills (dist-smoke and the CI chaos job), not wall-clock. allocs/op is
-# coordinator-side bookkeeping (per-frame JSON, goroutines, timers) whose
-# count moves with heartbeat/lease timing, hence the wide absolute band.
-DIST_BENCH_GATE = -tol 1.5 -allocs-tol 4096
-
-# Re-measure the multi-process engine and diff against the checked-in
-# BENCH_8.json — what the CI chaos job runs after the kill drills.
-bench-dist-diff:
-	$(GO) run ./cmd/benchjson -out BENCH_8_new.json -benchtime 2s \
-		-bench BenchmarkDistNet -pkgs ./internal/distnet
-	$(GO) run ./cmd/benchjson -diff $(DIST_BENCH_GATE) BENCH_8.json BENCH_8_new.json
-
 # One iteration of every benchmark — keeps benchmark code compiling and
 # running without measuring anything.
 bench-smoke:
@@ -188,42 +161,12 @@ dist-smoke:
 	@rm -f dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl
 
 # Serving-layer acceptance (mirrors the CI `serve` job): the handler and
-# typed-client suites under -race — including the kill-mid-campaign
-# checkpoint-resume drill — then a loadgen smoke against a self-hosted
-# server, which hard-asserts that duplicate submissions coalesce and hit
-# the decomposition cache (it exits nonzero otherwise).
+# typed-client suites under -race, including the kill-mid-campaign
+# checkpoint-resume drill. That duplicate submissions coalesce and hit
+# the decomposition cache is asserted exactly, and fatally, by
+# perf-smoke's served-mix workload.
 serve-smoke:
 	$(GO) test -race -timeout 15m ./internal/serve ./api
-	$(GO) run ./cmd/loadgen -requests 200 -clients 8 -distinct 8
-
-# Regenerate the checked-in serving-latency snapshot (BENCH_9.json):
-# loadgen percentiles (submit / status / predict / end-to-end campaign)
-# plus the recompute fraction, in the benchjson schema.
-bench-serve-json:
-	$(GO) run ./cmd/loadgen -requests 200 -clients 8 -distinct 8 -out BENCH_9.json
-
-# Gate flags for the serving snapshot. HTTP latency percentiles on a
-# shared runner swing far more than in-process kernels (scheduler noise,
-# connection setup, p99 tail), so ns tolerance is very loose, and the
-# p99 entries — the 2nd-slowest of 200 samples, taken while the blocker
-# campaigns deliberately saturate the executors — get an even wider
-# band. The sharp, machine-independent check is the recompute fraction:
-# with 8 blockers plus 8 distinct campaigns across 8+16+200+8
-# submissions it is a deterministic ratio, so it gets a tight override.
-# A recompute-fraction regression means duplicate submissions stopped
-# coalescing or the cache stopped hitting, which is the serving layer's
-# entire value proposition.
-SERVE_BENCH_GATE = -tol 4.0 -tol-bench LoadgenRecomputeFraction=0.25 \
-	-tol-bench LoadgenSubmit/p99=25.0 \
-	-tol-bench LoadgenCampaign/p99=25.0 \
-	-tol-bench LoadgenStatus/p99=25.0 \
-	-tol-bench LoadgenPredict/p99=25.0
-
-# Re-measure the serving percentiles and diff against the checked-in
-# BENCH_9.json — what the CI serve job runs.
-bench-serve-diff:
-	$(GO) run ./cmd/loadgen -requests 200 -clients 8 -distinct 8 -out BENCH_9_new.json
-	$(GO) run ./cmd/benchjson -diff $(SERVE_BENCH_GATE) BENCH_9.json BENCH_9_new.json
 
 ci: build lint test race bench-smoke perf-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke
 

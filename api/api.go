@@ -2,8 +2,8 @@
 // campaign server (internal/serve): every client-visible payload —
 // campaign submission, job status, decomposition results, predictions,
 // server statistics, and the error envelope — is a struct in this
-// package, shared verbatim by the server, the api.Client, cmd/tensorstore
-// and cmd/loadgen. There are no map[string]interface{} payloads anywhere:
+// package, shared verbatim by the server, the api.Client and
+// cmd/tensorstore. There are no map[string]interface{} payloads anywhere:
 // a field that is not in this package is not part of the API.
 //
 // Versioning policy: every route lives under the PathPrefix ("/v1/").
@@ -302,7 +302,7 @@ type PredictResponse struct {
 }
 
 // StatsResponse is a typed snapshot of the server's serving counters —
-// the same values the Prometheus endpoint exposes, for clients (loadgen)
+// the same values the Prometheus endpoint exposes, for clients
 // that want exact numbers without text parsing.
 type StatsResponse struct {
 	Submits       int64 `json:"submits"`

@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cp"
 	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/increment"
@@ -208,7 +207,7 @@ func benchPartitionAt(b *testing.B, res int) (*partition.Result, []int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := Partition(space, space.TimeMode(), 1, 1, 1)
+	part, err := PartitionCtx(context.Background(), space, space.TimeMode(), PartitionOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func BenchmarkM2TDVariants(b *testing.B) {
 	for _, m := range core.Methods() {
 		b.Run(string(m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Decompose(part, core.Options{Method: m, Ranks: ranks}); err != nil {
+				if _, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: m, Ranks: ranks}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -237,7 +236,7 @@ func BenchmarkStitching(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := Partition(space, space.TimeMode(), 1, 0.3, 2)
+	part, err := PartitionCtx(context.Background(), space, space.TimeMode(), PartitionOptions{FreeFrac: 0.3, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +279,7 @@ func BenchmarkStitchJoin(b *testing.B) {
 // slower than workers=1 here).
 func BenchmarkTransientCoreRecovery(b *testing.B) {
 	part, ranks := benchPartitionAt(b, joinStageRes)
-	res, err := core.Decompose(part, core.Options{Method: core.SELECT, Ranks: ranks})
+	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: ranks})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -310,7 +309,7 @@ func BenchmarkDecomposeDispatch(b *testing.B) {
 			copts := core.Options{Method: core.SELECT, Ranks: ranks, Sketch: route.sketch}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := decomposeInProcess(context.Background(), part.PlanlessView(), copts, false)
+				res, err := core.M2TDCtx(context.Background(), part.PlanlessView(), copts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -345,14 +344,14 @@ func BenchmarkDistributedWorkers(b *testing.B) {
 // conventionally sampled sparse ensemble.
 func BenchmarkConventionalHOSVD(b *testing.B) {
 	cfg := Config{Resolution: benchRes(), Rank: 3, SkipAccuracy: true}
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	budget := report.NumSims
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Baseline(Config{Resolution: benchRes(), Rank: 3, SkipAccuracy: true}, "random", budget); err != nil {
+		if _, err := BaselineCtx(context.Background(), Config{Resolution: benchRes(), Rank: 3, SkipAccuracy: true}, "random", budget); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -537,23 +536,4 @@ func BenchmarkParallelHOSVD(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkCPvsTucker compares CP-ALS against HOSVD on the same join
-// tensor (the decomposition-family ablation).
-func BenchmarkCPvsTucker(b *testing.B) {
-	part, ranks := benchPartition(b)
-	j := stitch.Join(part)
-	b.Run("HOSVD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tucker.HOSVD(j, ranks)
-		}
-	})
-	b.Run("CP-ALS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cp.ALS(j, cp.Options{Rank: 3, MaxIterations: 5}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

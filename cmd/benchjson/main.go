@@ -2,12 +2,12 @@
 // machine-readable JSON summary (benchmark name → ns/op plus, where the
 // benchmark reports allocations, allocs/op and B/op). CI uploads the file
 // as a build artifact so kernel performance can be tracked across
-// commits; the checked-in BENCH_6.json is one such snapshot taken at
+// commits; the checked-in BENCH_7.json is one such snapshot taken at
 // M2TD_BENCH_RES=16.
 //
 // Usage:
 //
-//	benchjson [-out BENCH_6.json] [-bench <regex>] [-benchtime 1x] [-pkgs ./...]
+//	benchjson [-out BENCH_7.json] [-bench <regex>] [-benchtime 1x] [-pkgs ./...]
 //	benchjson -diff [flags] OLD.json NEW.json
 //
 // In collection mode the benchmarks run in a `go test` subprocess so they
@@ -75,7 +75,7 @@ type diffConfig struct {
 
 func main() {
 	var (
-		out       = flag.String("out", "BENCH_6.json", "output JSON path (collection mode)")
+		out       = flag.String("out", "BENCH_7.json", "output JSON path (collection mode)")
 		bench     = flag.String("bench", defaultBench, "benchmark selection regex passed to go test -bench")
 		benchtime = flag.String("benchtime", "", "benchtime passed to go test (empty = default)")
 		pkgs      = flag.String("pkgs", "./...", "package pattern to benchmark")

@@ -1,8 +1,8 @@
 package m2td
 
-// Tests of the in-process dispatch rule (decomposeInProcess): the
-// join-free core whenever the partition has its P×E product structure,
-// the materialised join otherwise.
+// Tests of the in-process dispatch rule (core.M2TDCtx) as RunCtx and
+// DecomposeCtx apply it: the join-free core whenever the partition has its
+// P×E product structure, the materialised join otherwise.
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -91,7 +92,7 @@ func TestRoutesAgree(t *testing.T) {
 	for _, c := range routeCases(t) {
 		for _, method := range core.Methods() {
 			copts := core.Options{Method: method, Ranks: tucker.UniformRanks(c.part.Space.Order(), 2), ZeroJoin: c.zeroJoin}
-			factored, err := decomposeInProcess(context.Background(), c.part, copts, false)
+			factored, err := core.M2TDCtx(context.Background(), c.part, copts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.name, method, err)
 			}
@@ -141,7 +142,7 @@ func TestBrokenProductStructureFallsBack(t *testing.T) {
 	cfg.SkipAccuracy = true
 	cfg.Trace = true
 	cfg.Faults = &faults.Config{Seed: 3, PanicRate: 0.02}
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +163,27 @@ func TestBrokenProductStructureFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameBits(t, "fallback vs core.DecomposeCtx", res, want)
+	direct, err := core.M2TDCtx(context.Background(), report.Partition, core.Options{
+		Method: core.SELECT, Ranks: tucker.UniformRanks(report.Space.Order(), cfg.Rank),
+	})
+	if err != nil || direct.Join == nil {
+		t.Fatalf("core.M2TDCtx on a broken product structure: Join %v, err %v", direct, err)
+	}
+	requireSameBits(t, "core.M2TDCtx fallback vs core.DecomposeCtx", direct, want)
 
 	cfg.Factored = true
 	cfg.Faults = &faults.Config{Seed: 3, PanicRate: 0.02}
-	if _, err := Run(cfg); !errors.Is(err, core.ErrNoProductStructure) {
+	if _, err := RunCtx(context.Background(), cfg); !errors.Is(err, core.ErrNoProductStructure) {
 		t.Fatalf("Factored on a broken product structure: want ErrNoProductStructure, got %v", err)
 	}
-	if _, err := DecomposeCtx(context.Background(), report.Partition, DecomposeOptions{Rank: cfg.Rank, Factored: true}); !errors.Is(err, core.ErrNoProductStructure) {
+	// A required join-free decomposition that failed did not happen: the
+	// caller's decompose span must not claim factored = 1.
+	trace := NewTrace("custom")
+	if _, err := DecomposeCtx(context.Background(), report.Partition, DecomposeOptions{Rank: cfg.Rank, Factored: true, Trace: trace}); !errors.Is(err, core.ErrNoProductStructure) {
 		t.Fatalf("DecomposeCtx Factored on a broken product structure: want ErrNoProductStructure, got %v", err)
+	}
+	if d := trace.Root().Find("decompose"); d == nil || d.Counter("factored") != 0 {
+		t.Errorf("failed Factored decomposition: want a decompose span with factored=0:\n%s", trace.Root().Skeleton())
 	}
 }
 
@@ -221,7 +235,7 @@ func TestDefaultRouteBitIdenticalAcrossParallel(t *testing.T) {
 		cfg := smallConfig()
 		cfg.SkipAccuracy = true
 		cfg.Parallel = workers
-		report, err := Run(cfg)
+		report, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,5 +247,24 @@ func TestDefaultRouteBitIdenticalAcrossParallel(t *testing.T) {
 			continue
 		}
 		requireSameBits(t, fmt.Sprintf("Parallel=%d vs 1", workers), report.Decomposition, want)
+	}
+}
+
+// TestDecomposeStageNamesItselfOnEveryRoute: whichever engine the route
+// options pick, a failing decomposition comes back as the decomposition
+// stage's error (the Workers arm used to return dist.Decompose's bare).
+func TestDecomposeStageNamesItselfOnEveryRoute(t *testing.T) {
+	part := routeCases(t)[0].part
+	ranks := tucker.UniformRanks(part.Space.Order(), 2)
+	for name, cfg := range map[string]Config{
+		"default":  {},
+		"Workers":  {Workers: 2},
+		"Factored": {Factored: true},
+		"Sketch":   {Sketch: SketchConfig{KeepFrac: 0.5, Seed: 1}},
+	} {
+		_, _, err := decomposeStage(context.Background(), nil, part, core.Method("bogus"), ranks, cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "m2td: decomposition stage: ") {
+			t.Errorf("%s route: want an error prefixed with the stage, got %v", name, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package m2td
 
 import (
+	"context"
 	"os"
 	"testing"
 )
@@ -23,14 +24,14 @@ func tinyDistConfig() Config {
 func TestDistributedFacadeMatchesInProcess(t *testing.T) {
 	inproc := tinyDistConfig()
 	inproc.Workers = 2
-	a, err := Run(inproc)
+	a, err := RunCtx(context.Background(), inproc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	multi := tinyDistConfig()
 	multi.Distributed = &DistributedConfig{Workers: 2}
-	b, err := Run(multi)
+	b, err := RunCtx(context.Background(), multi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +60,14 @@ func TestDistributedFacadeMatchesInProcess(t *testing.T) {
 func TestDistributedFacadeKillDrill(t *testing.T) {
 	clean := tinyDistConfig()
 	clean.Distributed = &DistributedConfig{Workers: 3, Shards: 4}
-	a, err := Run(clean)
+	a, err := RunCtx(context.Background(), clean)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	chaos := tinyDistConfig()
 	chaos.Distributed = &DistributedConfig{Workers: 3, Shards: 4, KillWorkers: 1}
-	b, err := Run(chaos)
+	b, err := RunCtx(context.Background(), chaos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestDistributedConfigValidation(t *testing.T) {
 		cfg := tinyDistConfig()
 		cfg.Distributed = &DistributedConfig{Workers: 2}
 		mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
+		if _, err := RunCtx(context.Background(), cfg); err == nil {
 			t.Fatalf("config %s accepted", name)
 		}
 	}

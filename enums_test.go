@@ -1,6 +1,9 @@
 package m2td
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestParseSystemRoundTrip(t *testing.T) {
 	for _, s := range AllSystems() {
@@ -108,7 +111,7 @@ func TestEnumLiteralCompatibility(t *testing.T) {
 		Seed:         3,
 		SkipAccuracy: true,
 	}
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunCtx(context.Background(), cfg); err != nil {
 		t.Fatalf("string-literal config: %v", err)
 	}
 }

@@ -1,18 +1,20 @@
 package m2td_test
 
 import (
+	"context"
 	"fmt"
 
 	m2td "repro"
 )
 
-// ExampleRun demonstrates the one-call pipeline: PF-partition the
+// ExampleRunCtx demonstrates the one-call pipeline: PF-partition the
 // double-pendulum parameter space, simulate both sub-ensembles, decompose
 // with M2TD-SELECT (join-free: "join cells" is the size the stitched join
-// would have), and evaluate against the full simulation space. Accuracies are floating-point and platform-sensitive, so this
-// example prints structural facts only.
-func ExampleRun() {
-	report, err := m2td.Run(m2td.Config{
+// would have), and evaluate against the full simulation space. Accuracies
+// are floating-point and platform-sensitive, so this example prints
+// structural facts only.
+func ExampleRunCtx() {
+	report, err := m2td.RunCtx(context.Background(), m2td.Config{
 		System:      "double-pendulum",
 		Resolution:  5,
 		TimeSamples: 4,
@@ -34,9 +36,9 @@ func ExampleRun() {
 	// accuracy in (0,1): true
 }
 
-// ExampleBaseline compares a conventional sampling scheme at the same
+// ExampleBaselineCtx compares a conventional sampling scheme at the same
 // budget — the paper's equal-budget comparison in two calls.
-func ExampleBaseline() {
+func ExampleBaselineCtx() {
 	cfg := m2td.Config{
 		System:      "double-pendulum",
 		Resolution:  5,
@@ -44,11 +46,11 @@ func ExampleBaseline() {
 		Rank:        2,
 		Seed:        7,
 	}
-	report, err := m2td.Run(cfg)
+	report, err := m2td.RunCtx(context.Background(), cfg)
 	if err != nil {
 		panic(err)
 	}
-	baseline, err := m2td.Baseline(cfg, "random", report.NumSims)
+	baseline, err := m2td.BaselineCtx(context.Background(), cfg, "random", report.NumSims)
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,14 +22,14 @@ func main() {
 		Rank:       3,
 		Method:     "select",
 	}
-	report, err := m2td.Run(cfg)
+	report, err := m2td.RunCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("SEIR ensemble: accuracy %.4f with %d simulations (join %d cells)\n",
 		report.Accuracy, report.NumSims, report.JoinCells)
 
-	baseline, err := m2td.Baseline(cfg, "random", report.NumSims)
+	baseline, err := m2td.BaselineCtx(context.Background(), cfg, "random", report.NumSims)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -37,7 +38,7 @@ func main() {
 	for mode := 0; mode < space.Order(); mode++ {
 		c := cfg
 		c.Pivot = space.ModeName(mode)
-		report, err := m2td.Run(c)
+		report, err := m2td.RunCtx(context.Background(), c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func main() {
 	}
 	tw.Flush()
 
-	baseline, err := m2td.Baseline(cfg, "random", budget)
+	baseline, err := m2td.BaselineCtx(context.Background(), cfg, "random", budget)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -37,7 +38,7 @@ func main() {
 	fmt.Printf("Running M2TD-SELECT at paper scale: resolution %d (full space %d cells)\n",
 		res, res*res*res*res*res)
 	start := time.Now()
-	report, err := m2td.Run(cfg)
+	report, err := m2td.RunCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func main() {
 		report.Accuracy, cfg.AccuracySampleSims)
 	fmt.Printf("  total wall clock:       %v\n", time.Since(start).Round(time.Millisecond))
 
-	baseline, err := m2td.Baseline(m2td.Config{
+	baseline, err := m2td.BaselineCtx(context.Background(), m2td.Config{
 		System:             "double-pendulum",
 		Resolution:         res,
 		Rank:               10,

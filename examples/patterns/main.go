@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,7 +17,7 @@ import (
 )
 
 func main() {
-	report, err := m2td.Run(m2td.Config{
+	report, err := m2td.RunCtx(context.Background(), m2td.Config{
 		System:     "double-pendulum",
 		Resolution: 10,
 		Rank:       3,

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,14 +20,14 @@ func main() {
 		Method:     "select",
 	}
 
-	report, err := m2td.Run(cfg)
+	report, err := m2td.RunCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("M2TD-SELECT: accuracy %.4f with %d simulations (%d join cells, decomposition %v)\n",
 		report.Accuracy, report.NumSims, report.JoinCells, report.DecompTime.Round(1e6))
 
-	baseline, err := m2td.Baseline(cfg, "random", report.NumSims)
+	baseline, err := m2td.BaselineCtx(context.Background(), cfg, "random", report.NumSims)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func main() {
 				SubEnsembleDensity: density,
 				ZeroJoin:           zeroJoin,
 			}
-			report, err := m2td.Run(cfg)
+			report, err := m2td.RunCtx(context.Background(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -2,22 +2,23 @@ package m2td
 
 import (
 	"context"
+	"repro/internal/stitch"
 	"testing"
 
 	"repro/internal/eval"
 )
 
-// TestCtxBuildingBlocksParity locks in the context-first facade contract:
-// the Ctx building blocks produce bit-identical results to the legacy
-// wrappers at any Parallel value (the wrappers are now thin delegates,
-// so this also guards against the validation paths diverging again).
+// TestCtxBuildingBlocksParity locks in the building blocks' contract:
+// the zero-valued options mean the documented defaults (full densities,
+// seed 1), StitchCtx builds what the stitch kernel builds, and
+// DecomposeCtx is bit-identical at any Parallel value.
 func TestCtxBuildingBlocksParity(t *testing.T) {
 	space, err := eval.SpaceFor("double-pendulum", 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	legacy, err := Partition(space, space.TimeMode(), 1, 0.5, 3)
+	explicit, err := PartitionCtx(ctx, space, space.TimeMode(), PartitionOptions{PivotFrac: 1, FreeFrac: 0.5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,16 +26,16 @@ func TestCtxBuildingBlocksParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.NumSims != legacy.NumSims {
-		t.Fatalf("PartitionCtx NumSims = %d, Partition = %d", part.NumSims, legacy.NumSims)
+	if part.NumSims != explicit.NumSims {
+		t.Fatalf("PartitionCtx NumSims = %d with PivotFrac defaulted, %d with PivotFrac 1", part.NumSims, explicit.NumSims)
 	}
 
 	j, err := StitchCtx(ctx, part, StitchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Stitch(legacy, false); j.NNZ() != want.NNZ() {
-		t.Fatalf("StitchCtx NNZ = %d, Stitch = %d", j.NNZ(), want.NNZ())
+	if want := stitch.Join(explicit); j.NNZ() != want.NNZ() {
+		t.Fatalf("StitchCtx NNZ = %d, stitch.Join = %d", j.NNZ(), want.NNZ())
 	}
 
 	serial, err := DecomposeCtx(ctx, part, DecomposeOptions{Method: MethodSELECT, Rank: 2, Parallel: 1})
@@ -115,7 +116,7 @@ func TestCtxBuildingBlocksCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := Partition(space, space.TimeMode(), 1, 1, 3)
+	part, err := PartitionCtx(context.Background(), space, space.TimeMode(), PartitionOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,9 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/tensor"
-	"repro/internal/tucker"
 )
 
-// DecomposeFactored computes the same M2TD decomposition as Decompose
+// DecomposeFactored computes the same M2TD decomposition as DecomposeCtx
 // without ever materialising the join tensor, exploiting the product
 // structure of PF-partitioned sub-ensembles (every sampled pivot
 // configuration carries the same sampled free-configuration set, which
@@ -31,21 +30,17 @@ import (
 // rows. Zero-join stitching replaces the sampled sums with full-grid sums,
 // which further separate into per-mode column sums.
 //
-// The asymptotic win is what unlocks paper-scale resolutions: Decompose
+// The asymptotic win is what unlocks paper-scale resolutions: DecomposeCtx
 // costs O(P·E₁·E₂) to build and project J (1.6×10⁹ cells at the paper's
 // resolution 70), DecomposeFactored costs O(nnz(X₁)+nnz(X₂)+E·r^|F|)
 // (≈3.4×10⁵ cells at the same resolution).
 //
-// The returned Result has Join == nil.
+// The returned Result has Join == nil; the stage span (opts.Span) is marked
+// factored = 1 once the decomposition succeeded.
 func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
-	switch opts.Method {
-	case AVG, CONCAT, SELECT:
-	default:
-		return nil, fmt.Errorf("core: unknown M2TD method %q", opts.Method)
-	}
-	order := p.Space.Order()
-	if len(opts.Ranks) != order {
-		return nil, fmt.Errorf("core: %d ranks for order-%d space", len(opts.Ranks), order)
+	ranks, err := CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
+	if err != nil {
+		return nil, err
 	}
 	if opts.Sketch.KeepFrac != 0 {
 		// Sketching drops cells, which destroys the exact one-cell-per-
@@ -55,23 +50,11 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	if err := checkProductStructure(p); err != nil {
 		return nil, err
 	}
-	ranks := tucker.ClipRanks(p.Space.Shape(), opts.Ranks)
 	cfg := p.Config
 	k := len(cfg.Pivots)
 
 	subClock := Stopwatch()
-	fspan := opts.Span.Start("factors")
-	fb1, fh1 := p.Sub1.Tensor.PlanStats()
-	fb2, fh2 := p.Sub2.Tensor.PlanStats()
-	fdone := fspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	factors := buildFactors(p, opts.Method, ranks, opts.Workers, fspan)
-	b1, h1 := p.Sub1.Tensor.PlanStats()
-	b2, h2 := p.Sub2.Tensor.PlanStats()
-	fspan.Set("plan_builds_x1", b1-fb1)
-	fspan.Set("plan_hits_x1", h1-fh1)
-	fspan.Set("plan_builds_x2", b2-fb2)
-	fspan.Set("plan_hits_x2", h2-fh2)
-	fdone()
+	factors := factorsPhase(p, opts, ranks, opts.Span.Start("factors"))
 	subTime := subClock()
 
 	coreClock := Stopwatch()
@@ -104,6 +87,7 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	cspan.Set("factored", 1)
 	cdone()
 	coreTime := coreClock()
+	opts.Span.Set("factored", 1)
 
 	return &Result{
 		Factors:       factors,
@@ -117,8 +101,7 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 // ErrNoProductStructure is wrapped by every DecomposeFactored failure that
 // means "this partition cannot take the join-free route" — a failed or
 // quarantined simulation left a hole in the P×E grid, or the sampled
-// configuration lists are missing. Callers that may materialise the join
-// instead (m2td.RunCtx, m2td.DecomposeCtx) fall back to DecomposeCtx on it.
+// configuration lists are missing. M2TDCtx falls back to DecomposeCtx on it.
 var ErrNoProductStructure = errors.New("core: no P×E product structure")
 
 // checkProductStructure verifies that each sub-ensemble stores exactly one

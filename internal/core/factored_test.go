@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestFactoredMatchesJoinBased(t *testing.T) {
 	p := tinyPartition(t, 1, 180)
 	ranks := tucker.UniformRanks(5, 3)
 	for _, m := range Methods() {
-		ref, err := Decompose(p, Options{Method: m, Ranks: ranks})
+		ref, err := DecomposeCtx(context.Background(), p, Options{Method: m, Ranks: ranks})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestFactoredMatchesJoinBasedReducedDensity(t *testing.T) {
 	// one shared free set per side), so the factorisation stays exact.
 	p := tinyPartition(t, 0.4, 181)
 	ranks := tucker.UniformRanks(5, 2)
-	ref, err := Decompose(p, Options{Method: SELECT, Ranks: ranks})
+	ref, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestFactoredMatchesJoinBasedReducedDensity(t *testing.T) {
 func TestFactoredZeroJoinMatches(t *testing.T) {
 	p := tinyPartition(t, 0.4, 182)
 	ranks := tucker.UniformRanks(5, 2)
-	ref, err := Decompose(p, Options{Method: CONCAT, Ranks: ranks, ZeroJoin: true})
+	ref, err := DecomposeCtx(context.Background(), p, Options{Method: CONCAT, Ranks: ranks, ZeroJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestFactoredMultiPivot(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranks := tucker.UniformRanks(5, 2)
-	ref, err := Decompose(p, Options{Method: AVG, Ranks: ranks})
+	ref, err := DecomposeCtx(context.Background(), p, Options{Method: AVG, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}

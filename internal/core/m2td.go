@@ -25,6 +25,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -136,29 +137,66 @@ func (r *Result) Reconstruct() *tensor.Dense {
 	return tensor.TuckerReconstruct(r.Core, r.Factors)
 }
 
-// Decompose runs M2TD over a PF-partitioned pair of sub-ensembles.
-func Decompose(p *partition.Result, opts Options) (*Result, error) {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx API is the root of its own context tree
-	return DecomposeCtx(context.Background(), p, opts)
+// M2TDCtx is the dispatch rule of every in-process decomposition: the
+// join-free core (DecomposeFactored) while the partition has its P×E
+// product structure and no sketch is on, the materialised join
+// (DecomposeCtx) under a sketch — which destroys that structure — or once a
+// failed or quarantined simulation has. The fallback happens nowhere else.
+func M2TDCtx(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
+	if opts.Sketch.KeepFrac == 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res, err := DecomposeFactored(p, opts)
+		if !errors.Is(err, ErrNoProductStructure) {
+			return res, err
+		}
+	}
+	return DecomposeCtx(ctx, p, opts)
 }
 
-// DecomposeCtx is Decompose with cooperative cancellation, polled between
-// the three phases (sub-decomposition, stitching, core recovery). A phase
-// that has started always runs to completion — its kernels never observe
-// the context — so cancellation leaves no partially assembled factor set
-// or half-stitched join behind; an un-cancelled DecomposeCtx is
-// bit-identical to Decompose.
-func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
-	switch opts.Method {
+// M2TD is M2TDCtx on a background context.
+func M2TD(p *partition.Result, opts Options) (*Result, error) {
+	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx API is the root of its own context tree
+	return M2TDCtx(context.Background(), p, opts)
+}
+
+// JoinCells is the stored-cell count of the join the decomposition stands
+// for: the stitched tensor's when one was built, the paper's density
+// formula when the join-free route never built it.
+func (r *Result) JoinCells(p *partition.Result, zeroJoin bool) int {
+	if r.Join != nil {
+		return r.Join.NNZ()
+	}
+	return p.JoinCells(zeroJoin)
+}
+
+// CheckedRanks validates what every M2TD engine requires of its options —
+// a known fusion method and one rank per mode of the space — and returns
+// the ranks clipped to the mode sizes.
+func CheckedRanks(method Method, ranks []int, shape tensor.Shape) ([]int, error) {
+	switch method {
 	case AVG, CONCAT, SELECT:
 	default:
-		return nil, fmt.Errorf("core: unknown M2TD method %q", opts.Method)
+		return nil, fmt.Errorf("core: unknown M2TD method %q", method)
 	}
-	order := p.Space.Order()
-	if len(opts.Ranks) != order {
-		return nil, fmt.Errorf("core: %d ranks for order-%d space", len(opts.Ranks), order)
+	if len(ranks) != shape.Order() {
+		return nil, fmt.Errorf("core: %d ranks for order-%d space", len(ranks), shape.Order())
 	}
-	ranks := tucker.ClipRanks(p.Space.Shape(), opts.Ranks)
+	return tucker.ClipRanks(shape, ranks), nil
+}
+
+// DecomposeCtx runs M2TD over a PF-partitioned pair of sub-ensembles by
+// stitching the join and projecting it, with cooperative cancellation
+// polled between the three phases (sub-decomposition, stitching, core
+// recovery). A phase that has started always runs to completion — its
+// kernels never observe the context — so cancellation leaves no partially
+// assembled factor set or half-stitched join behind.
+func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
+	ranks, err := CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
+	if err != nil {
+		return nil, err
+	}
 	if f := opts.Sketch.KeepFrac; f < 0 || f > 1 {
 		return nil, fmt.Errorf("core: sketch KeepFrac %v outside [0, 1]", f)
 	}
@@ -172,36 +210,17 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	// When sketching is enabled the phase first replaces both sub-tensors
 	// with their sketches (in a shallow copy — the caller's partition is
 	// never mutated), so every kernel below runs on the reduced nnz.
-	// The phase span records each sub-tensor's kernel-plan cache deltas:
-	// builds and hits depend only on the kernel invocation sequence (never
-	// on Workers), so they are deterministic counters.
 	subClock := Stopwatch()
 	fspan := opts.Span.Start("factors")
 	var skReport *SketchReport
 	dp := p
 	if f := opts.Sketch.KeepFrac; f > 0 {
 		skReport = &SketchReport{KeepFrac: f, Seed: opts.Sketch.Seed}
-		if f == 1 {
-			skReport.Sub1 = tucker.SketchStats{InputNNZ: p.Sub1.Tensor.NNZ(), Kept: p.Sub1.Tensor.NNZ()}
-			skReport.Sub2 = tucker.SketchStats{InputNNZ: p.Sub2.Tensor.NNZ(), Kept: p.Sub2.Tensor.NNZ()}
-		} else {
-			var err error
-			if dp, err = sketchSubs(p, opts, skReport, fspan); err != nil {
-				return nil, err
-			}
+		if dp, err = sketchSubs(p, opts, skReport, fspan); err != nil {
+			return nil, err
 		}
 	}
-	fb1, fh1 := dp.Sub1.Tensor.PlanStats()
-	fb2, fh2 := dp.Sub2.Tensor.PlanStats()
-	fdone := fspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	factors := buildFactors(dp, opts.Method, ranks, opts.Workers, fspan)
-	b1, h1 := dp.Sub1.Tensor.PlanStats()
-	b2, h2 := dp.Sub2.Tensor.PlanStats()
-	fspan.Set("plan_builds_x1", b1-fb1)
-	fspan.Set("plan_hits_x1", h1-fh1)
-	fspan.Set("plan_builds_x2", b2-fb2)
-	fspan.Set("plan_hits_x2", h2-fh2)
-	fdone()
+	factors := factorsPhase(dp, opts, ranks, fspan)
 	subTime := subClock()
 
 	if err := ctx.Err(); err != nil {
@@ -234,18 +253,8 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	cspan := opts.Span.Start("core")
 	cj := j
 	if skReport != nil {
-		if f := opts.Sketch.KeepFrac; f == 1 {
-			skReport.Join = tucker.SketchStats{InputNNZ: j.NNZ(), Kept: j.NNZ()}
-		} else {
-			jspan := cspan.Start("sketch_join")
-			sk, stj, err := tucker.Sketch(j, tucker.SketchOptions{KeepFrac: f, Seed: opts.Sketch.Seed + 3, Workers: opts.Workers})
-			if err != nil {
-				return nil, err
-			}
-			stj.Record(jspan)
-			jspan.Finish()
-			skReport.Join = stj
-			cj = sk
+		if cj, skReport.Join, err = sketchOf(cspan, "sketch_join", j, opts, opts.Sketch.Seed+3); err != nil {
+			return nil, err
 		}
 	}
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
@@ -265,34 +274,56 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	}, nil
 }
 
-// sketchSubs replaces both sub-tensors with their biased random sketches
-// in a shallow copy of the partition (the caller's Result is never
-// mutated). The two sketches use distinct derived seeds so equal-shaped
-// sub-tensors never share coin flips, and each records its stats on its
-// own child span — created serially here, so the span tree stays
-// deterministic.
+// factorsPhase is phase 1 of both routes under its span: the fused factor
+// set, plus each sub-tensor's kernel-plan cache deltas — builds and hits
+// depend only on the kernel invocation sequence (never on Workers), so they
+// are deterministic counters.
+func factorsPhase(p *partition.Result, opts Options, ranks []int, fspan *obs.Span) []*mat.Matrix {
+	fb1, fh1 := p.Sub1.Tensor.PlanStats()
+	fb2, fh2 := p.Sub2.Tensor.PlanStats()
+	fdone := fspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
+	factors := buildFactors(p, opts.Method, ranks, opts.Workers, fspan)
+	b1, h1 := p.Sub1.Tensor.PlanStats()
+	b2, h2 := p.Sub2.Tensor.PlanStats()
+	fspan.Set("plan_builds_x1", b1-fb1)
+	fspan.Set("plan_hits_x1", h1-fh1)
+	fspan.Set("plan_builds_x2", b2-fb2)
+	fspan.Set("plan_hits_x2", h2-fh2)
+	fdone()
+	return factors
+}
+
+// sketchOf replaces x with its biased random sketch, recording the stats on
+// a child span of its own; a full-keep sketch (KeepFrac 1) is x itself,
+// accounted without a pass or a span.
+func sketchOf(span *obs.Span, name string, x *tensor.Sparse, opts Options, seed int64) (*tensor.Sparse, tucker.SketchStats, error) {
+	if opts.Sketch.KeepFrac == 1 {
+		return x, tucker.SketchStats{InputNNZ: x.NNZ(), Kept: x.NNZ()}, nil
+	}
+	ss := span.Start(name)
+	sk, stats, err := tucker.Sketch(x, tucker.SketchOptions{KeepFrac: opts.Sketch.KeepFrac, Seed: seed, Workers: opts.Workers})
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.Record(ss)
+	ss.Finish()
+	return sk, stats, nil
+}
+
+// sketchSubs replaces both sub-tensors with their sketches in a shallow
+// copy of the partition (the caller's Result is never mutated). The two
+// sketches use distinct derived seeds so equal-shaped sub-tensors never
+// share coin flips, and their spans are created serially here, so the span
+// tree stays deterministic.
 func sketchSubs(p *partition.Result, opts Options, rep *SketchReport, span *obs.Span) (*partition.Result, error) {
-	sketchOne := func(name string, x *tensor.Sparse, seed int64) (*tensor.Sparse, tucker.SketchStats, error) {
-		ss := span.Start(name)
-		sk, stats, err := tucker.Sketch(x, tucker.SketchOptions{KeepFrac: opts.Sketch.KeepFrac, Seed: seed, Workers: opts.Workers})
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Record(ss)
-		ss.Finish()
-		return sk, stats, nil
-	}
-	t1, st1, err := sketchOne("sketch_x1", p.Sub1.Tensor, opts.Sketch.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	t2, st2, err := sketchOne("sketch_x2", p.Sub2.Tensor, opts.Sketch.Seed+2)
-	if err != nil {
-		return nil, err
-	}
-	rep.Sub1, rep.Sub2 = st1, st2
 	sub1, sub2 := *p.Sub1, *p.Sub2
-	sub1.Tensor, sub2.Tensor = t1, t2
+	var err error
+	if sub1.Tensor, rep.Sub1, err = sketchOf(span, "sketch_x1", p.Sub1.Tensor, opts, opts.Sketch.Seed+1); err != nil {
+		return nil, err
+	}
+	if sub2.Tensor, rep.Sub2, err = sketchOf(span, "sketch_x2", p.Sub2.Tensor, opts, opts.Sketch.Seed+2); err != nil {
+		return nil, err
+	}
 	out := *p
 	out.Sub1, out.Sub2 = &sub1, &sub2
 	return &out, nil
@@ -333,29 +364,21 @@ func buildFactors(p *partition.Result, method Method, ranks []int, workers int, 
 		c2 := ms.Start("x2")
 		tasks = append(tasks, func() {
 			defer ms.Finish()
-			switch method {
-			case AVG:
-				var u1, u2 *mat.Matrix
-				parallel.Do(inner,
-					func() { defer c1.Finish(); u1 = tensor.LeadingModeVectorsWorkers(p.Sub1.Tensor, i, r, pair) },
-					func() { defer c2.Finish(); u2 = tensor.LeadingModeVectorsWorkers(p.Sub2.Tensor, i, r, pair) },
-				)
-				factors[m] = mat.Average(u1, u2)
-			case CONCAT:
-				var g1, g2 *mat.Matrix
+			// CONCAT fuses the matricization Grams, AVG and SELECT the
+			// leading vectors; only the pair the method needs is computed.
+			var u1, u2, g1, g2 *mat.Matrix
+			if method == CONCAT {
 				parallel.Do(inner,
 					func() { defer c1.Finish(); g1 = tensor.ModeGramWorkers(p.Sub1.Tensor, i, pair) },
 					func() { defer c2.Finish(); g2 = tensor.ModeGramWorkers(p.Sub2.Tensor, i, pair) },
 				)
-				factors[m] = mat.LeadingEigenvectors(mat.Add(g1, g2), r)
-			case SELECT:
-				var u1, u2 *mat.Matrix
+			} else {
 				parallel.Do(inner,
 					func() { defer c1.Finish(); u1 = tensor.LeadingModeVectorsWorkers(p.Sub1.Tensor, i, r, pair) },
 					func() { defer c2.Finish(); u2 = tensor.LeadingModeVectorsWorkers(p.Sub2.Tensor, i, r, pair) },
 				)
-				factors[m] = RowSelect(u1, u2)
 			}
+			factors[m] = FusePivot(method, r, u1, g1, u2, g2)
 		})
 	}
 	for i, m := range cfg.Free1 {
@@ -380,6 +403,23 @@ func buildFactors(p *partition.Result, method Method, ranks []int, workers int, 
 	}
 	parallel.Do(workers, tasks...)
 	return factors
+}
+
+// FusePivot fuses one pivot mode's two sub-tensor decompositions into the
+// shared factor (Algorithms 2–4): AVG averages the rank-truncated factors
+// u1 and u2, CONCAT re-solves the summed matricization Grams g1 + g2 at the
+// given rank, SELECT row-selects between u1 and u2. The pair a method does
+// not read may be nil.
+func FusePivot(method Method, rank int, u1, g1, u2, g2 *mat.Matrix) *mat.Matrix {
+	switch method {
+	case AVG:
+		return mat.Average(u1, u2)
+	case CONCAT:
+		return mat.LeadingEigenvectors(mat.Add(g1, g2), rank)
+	case SELECT:
+		return RowSelect(u1, u2)
+	}
+	panic(fmt.Sprintf("core: unknown M2TD method %q", method))
 }
 
 // RowSelect implements Algorithm 5: the fused factor matrix takes each row

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,7 +64,7 @@ func TestDecomposeAllMethods(t *testing.T) {
 	p := tinyPartition(t, 1, 110)
 	ranks := tucker.UniformRanks(5, 3)
 	for _, m := range Methods() {
-		res, err := Decompose(p, Options{Method: m, Ranks: ranks})
+		res, err := DecomposeCtx(context.Background(), p, Options{Method: m, Ranks: ranks})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -92,10 +93,10 @@ func TestDecomposeAllMethods(t *testing.T) {
 
 func TestDecomposeRejectsBadOptions(t *testing.T) {
 	p := tinyPartition(t, 1, 111)
-	if _, err := Decompose(p, Options{Method: "bogus", Ranks: tucker.UniformRanks(5, 2)}); err == nil {
+	if _, err := DecomposeCtx(context.Background(), p, Options{Method: "bogus", Ranks: tucker.UniformRanks(5, 2)}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	if _, err := Decompose(p, Options{Method: AVG, Ranks: []int{2, 2}}); err == nil {
+	if _, err := DecomposeCtx(context.Background(), p, Options{Method: AVG, Ranks: []int{2, 2}}); err == nil {
 		t.Fatal("wrong rank count accepted")
 	}
 }
@@ -109,7 +110,7 @@ func TestDecomposeAccuracyBeatsConventional(t *testing.T) {
 	y := space.GroundTruth()
 	ranks := tucker.UniformRanks(5, 3)
 
-	res, err := Decompose(p, Options{Method: SELECT, Ranks: ranks})
+	res, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestConcatEquivalentToExplicitConcatenation(t *testing.T) {
 func TestDecomposeZeroJoinOption(t *testing.T) {
 	p := tinyPartition(t, 0.4, 115)
 	ranks := tucker.UniformRanks(5, 2)
-	plain, err := Decompose(p, Options{Method: SELECT, Ranks: ranks})
+	plain, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := Decompose(p, Options{Method: SELECT, Ranks: ranks, ZeroJoin: true})
+	zero, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks, ZeroJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestDecomposeZeroJoinOption(t *testing.T) {
 func TestDecomposeCoreMatchesManualProjection(t *testing.T) {
 	p := tinyPartition(t, 1, 116)
 	ranks := tucker.UniformRanks(5, 2)
-	res, err := Decompose(p, Options{Method: AVG, Ranks: ranks})
+	res, err := DecomposeCtx(context.Background(), p, Options{Method: AVG, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestDecomposeCoreMatchesManualProjection(t *testing.T) {
 
 func TestDecomposeTimingsPopulated(t *testing.T) {
 	p := tinyPartition(t, 1, 117)
-	res, err := Decompose(p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
+	res, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestDecomposeMultiplePivots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range Methods() {
-		res, err := Decompose(p, Options{Method: m, Ranks: tucker.UniformRanks(5, 2)})
+		res, err := DecomposeCtx(context.Background(), p, Options{Method: m, Ranks: tucker.UniformRanks(5, 2)})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -258,7 +259,7 @@ func TestDecomposeMultiplePivots(t *testing.T) {
 
 func TestModeLoadingsSortedAndComplete(t *testing.T) {
 	p := tinyPartition(t, 1, 126)
-	res, err := Decompose(p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
+	res, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestModeLoadingsSortedAndComplete(t *testing.T) {
 
 func TestComponentStrengths(t *testing.T) {
 	p := tinyPartition(t, 1, 127)
-	res, err := Decompose(p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
+	res, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestComponentStrengths(t *testing.T) {
 
 func TestEntityEnergy(t *testing.T) {
 	p := tinyPartition(t, 1, 128)
-	res, err := Decompose(p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
+	res, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

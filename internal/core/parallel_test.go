@@ -53,12 +53,12 @@ func TestDecomposeWorkersBitStable(t *testing.T) {
 	ranks := tucker.UniformRanks(5, 3)
 	for _, m := range Methods() {
 		t.Run(string(m), func(t *testing.T) {
-			want, err := Decompose(p, Options{Method: m, Ranks: ranks, Workers: 1})
+			want, err := DecomposeCtx(context.Background(), p, Options{Method: m, Ranks: ranks, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{2, 8} {
-				got, err := Decompose(p, Options{Method: m, Ranks: ranks, Workers: w})
+				got, err := DecomposeCtx(context.Background(), p, Options{Method: m, Ranks: ranks, Workers: w})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -71,11 +71,11 @@ func TestDecomposeWorkersBitStable(t *testing.T) {
 func TestDecomposeZeroJoinWorkersBitStable(t *testing.T) {
 	p := tinyPartition(t, 1, 425)
 	ranks := tucker.UniformRanks(5, 3)
-	want, err := Decompose(p, Options{Method: AVG, Ranks: ranks, ZeroJoin: true, Workers: 1})
+	want, err := DecomposeCtx(context.Background(), p, Options{Method: AVG, Ranks: ranks, ZeroJoin: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decompose(p, Options{Method: AVG, Ranks: ranks, ZeroJoin: true, Workers: 8})
+	got, err := DecomposeCtx(context.Background(), p, Options{Method: AVG, Ranks: ranks, ZeroJoin: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/tensor"
-	"repro/internal/tucker"
 )
 
 // Options configures a distributed decomposition.
@@ -78,22 +77,17 @@ func SumCores(partials []*tensor.Dense) *tensor.Dense {
 }
 
 // Decompose runs D-M2TD over a PF-partitioned pair of sub-ensembles on the
-// in-process pool, producing the same decomposition as core.Decompose (up
+// in-process pool, producing the same decomposition as core.DecomposeCtx (up
 // to floating-point summation order in Phase 3).
 func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
-	switch opts.Method {
-	case core.AVG, core.CONCAT, core.SELECT:
-	default:
-		return nil, fmt.Errorf("dist: unknown M2TD method %q", opts.Method)
-	}
-	if len(opts.Ranks) != p.Space.Order() {
-		return nil, fmt.Errorf("dist: %d ranks for order-%d space", len(opts.Ranks), p.Space.Order())
+	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
+	if err != nil {
+		return nil, err
 	}
 	if opts.Sketch.KeepFrac != 0 {
 		return nil, fmt.Errorf("dist: sketching is not supported by D-M2TD (sketch locally with core.DecomposeCtx instead)")
 	}
 	shards := max(opts.Workers, 1)
-	ranks := tucker.ClipRanks(p.Space.Shape(), opts.Ranks)
 
 	// ---- Phase 1: one task per (sub-tensor, mode) ----
 	subClock := core.Stopwatch()

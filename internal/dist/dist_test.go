@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,7 +36,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	p := tinyPartition(t, 1, 120)
 	ranks := tucker.UniformRanks(5, 3)
 	for _, m := range core.Methods() {
-		serial, err := core.Decompose(p, core.Options{Method: m, Ranks: ranks})
+		serial, err := core.DecomposeCtx(context.Background(), p, core.Options{Method: m, Ranks: ranks})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 func TestDistributedZeroJoinMatchesSerial(t *testing.T) {
 	p := tinyPartition(t, 0.4, 121)
 	ranks := tucker.UniformRanks(5, 2)
-	serial, err := core.Decompose(p, core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true})
+	serial, err := core.DecomposeCtx(context.Background(), p, core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 	spec := NewJoinSpec(p, false)
 	keys := spec.gridSize(spec.Pivots)
 
-	serial, err := core.Decompose(p, opts.Options)
+	serial, err := core.DecomposeCtx(context.Background(), p, opts.Options)
 	if err != nil {
 		t.Fatal(err)
 	}

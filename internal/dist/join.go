@@ -225,24 +225,15 @@ func (s JoinSpec) StitchShard(x1, x2 *tensor.Sparse, shard, shards int) *tensor.
 
 // FuseFactors fuses Phase 1's per-sub-tensor outputs into the full
 // factor list (Algorithm 6 line "fuse pivot factors"): pivot-mode
-// factors are fused per the method — AVG averages, CONCAT re-solves the
-// summed Grams, SELECT row-selects — and each side's free-mode factors
-// are taken as-is. sub1F/sub2F and sub1G/sub2G are each sub-tensor's
-// per-sub-local-mode factor and Gram matrices; ranks are the full-space
-// clipped ranks (CONCAT's re-solve needs them).
+// factors are fused per the method (core.FusePivot) and each side's
+// free-mode factors are taken as-is. sub1F/sub2F and sub1G/sub2G are each
+// sub-tensor's per-sub-local-mode factor and Gram matrices; ranks are the
+// full-space clipped ranks (CONCAT's re-solve needs them).
 func FuseFactors(method core.Method, cfg partition.Config, order int, ranks []int, sub1F, sub1G, sub2F, sub2G []*mat.Matrix) []*mat.Matrix {
 	k := len(cfg.Pivots)
 	factors := make([]*mat.Matrix, order)
 	for i, m := range cfg.Pivots {
-		switch method {
-		case core.AVG:
-			factors[m] = mat.Average(sub1F[i], sub2F[i])
-		case core.CONCAT:
-			g := mat.Add(sub1G[i], sub2G[i])
-			factors[m] = mat.LeadingEigenvectors(g, ranks[m])
-		case core.SELECT:
-			factors[m] = core.RowSelect(sub1F[i], sub2F[i])
-		}
+		factors[m] = core.FusePivot(method, ranks[m], sub1F[i], sub1G[i], sub2F[i], sub2G[i])
 	}
 	for i, m := range cfg.Free1 {
 		factors[m] = sub1F[k+i]

@@ -12,7 +12,7 @@ import (
 // BenchmarkDistNet measures the full multi-process campaign — process
 // spawn, IPC, store round-trips, and the three phases — against worker
 // count: the paper's Table III phase-time-vs-servers curve with real IPC
-// overhead included (BENCH_8).
+// overhead included.
 func BenchmarkDistNet(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

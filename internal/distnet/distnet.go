@@ -13,7 +13,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/store"
 	"repro/internal/tensor"
-	"repro/internal/tucker"
 )
 
 // Options configures a multi-process distributed decomposition.
@@ -149,15 +148,11 @@ type Result struct {
 // processes. See the package comment for the protocol and the
 // determinism contract.
 func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
-	switch opts.Method {
-	case core.AVG, core.CONCAT, core.SELECT:
-	default:
-		return nil, fmt.Errorf("distnet: unknown M2TD method %q", opts.Method)
+	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
+	if err != nil {
+		return nil, err
 	}
-	if len(opts.Ranks) != p.Space.Order() {
-		return nil, fmt.Errorf("distnet: %d ranks for order-%d space", len(opts.Ranks), p.Space.Order())
-	}
-	opts, err := opts.normalize()
+	opts, err = opts.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +176,6 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 		return nil, err
 	}
 
-	ranks := tucker.ClipRanks(p.Space.Shape(), opts.Ranks)
 	spec := jobSpec{Join: dist.NewJoinSpec(p, opts.ZeroJoin), Shards: opts.Shards}
 
 	// ---- Phase 1: parallel sub-tensor decomposition ----

@@ -68,7 +68,7 @@ func TestDistNetMatchesSerial(t *testing.T) {
 	p := tinyPartition(t, 1, 220)
 	ranks := tucker.UniformRanks(5, 3)
 	for _, m := range core.Methods() {
-		serial, err := core.Decompose(p, core.Options{Method: m, Ranks: ranks})
+		serial, err := core.DecomposeCtx(context.Background(), p, core.Options{Method: m, Ranks: ranks})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestDistNetMatchesSerial(t *testing.T) {
 func TestDistNetZeroJoinMatchesSerial(t *testing.T) {
 	p := tinyPartition(t, 0.4, 221)
 	ranks := tucker.UniformRanks(5, 2)
-	serial, err := core.Decompose(p, core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true})
+	serial, err := core.DecomposeCtx(context.Background(), p, core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}

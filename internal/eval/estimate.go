@@ -2,12 +2,10 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/ensemble"
 	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -21,11 +19,12 @@ type TuckerModel struct {
 
 // EstimateAccuracy estimates the paper's accuracy metric without ever
 // materialising the ground-truth tensor: it samples sampleSims parameter
-// combinations uniformly, simulates only those (one time fiber each), and
-// evaluates the Tucker model on the same fibers. Sampling fibers uniformly
-// makes both ‖X̃−Y‖² and ‖Y‖² estimates proportional to their true values
-// with the same constant, so the ratio — and hence the accuracy — is a
-// consistent estimator.
+// combinations uniformly, simulates only those (SampleFibers, one time
+// fiber each), and evaluates the Tucker model on the same fibers
+// (EstimateFromFibers). Sampling fibers uniformly makes both ‖X̃−Y‖² and
+// ‖Y‖² estimates proportional to their true values with the same
+// constant, so the ratio — and hence the accuracy — is a consistent
+// estimator.
 //
 // This removes the memory gate that forces scaled-down resolutions: the
 // exact metric needs the res⁴·T ground-truth tensor (13+ GB at the
@@ -34,64 +33,10 @@ func EstimateAccuracy(space *ensemble.Space, model TuckerModel, sampleSims int, 
 	if sampleSims < 1 {
 		return 0, fmt.Errorf("eval: sampleSims must be positive, got %d", sampleSims)
 	}
-	shape := space.Shape()
-	if !model.coreShapeMatches(shape) {
+	if shape := space.Shape(); !model.coreShapeMatches(shape) {
 		return 0, fmt.Errorf("eval: model factors do not match space shape %v", shape)
 	}
-	nParams := space.NumParams()
-	t := space.TimeSamples
-
-	total := 1
-	for m := 0; m < nParams; m++ {
-		total *= shape[m]
-	}
-	if sampleSims > total {
-		sampleSims = total
-	}
-	// Distinct uniform parameter combinations.
-	seen := make(map[int]bool, sampleSims)
-	sims := make([][]int, 0, sampleSims)
-	for len(sims) < sampleSims {
-		lin := rng.Intn(total)
-		if seen[lin] {
-			continue
-		}
-		seen[lin] = true
-		idx := make([]int, nParams)
-		space.SimIndex(lin, idx)
-		sims = append(sims, idx)
-	}
-
-	// Per-simulation partials summed in sampling order below, so the
-	// estimate does not depend on how the fan-out was chunked.
-	type partial struct{ errSq, refSq float64 }
-	partials := make([]partial, len(sims))
-	space.Reference() // materialise before fan-out
-	parallel.For(len(sims), 0, func(start, end int) {
-		var w ensemble.Workspace
-		truth := make([]float64, t)
-		for i := start; i < end; i++ {
-			space.SimCellsInto(&w, sims[i], truth)
-			fiber := model.TimeFiber(sims[i], t)
-			var e, r float64
-			for tt := 0; tt < t; tt++ {
-				d := fiber[tt] - truth[tt]
-				e += d * d
-				r += truth[tt] * truth[tt]
-			}
-			partials[i] = partial{errSq: e, refSq: r}
-		}
-	})
-
-	var errSq, refSq float64
-	for _, p := range partials {
-		errSq += p.errSq
-		refSq += p.refSq
-	}
-	if refSq == 0 {
-		return 0, fmt.Errorf("eval: sampled reference fibers are all zero")
-	}
-	return 1 - math.Sqrt(errSq/refSq), nil
+	return EstimateFromFibers(model, SampleFibers(space, sampleSims, rng))
 }
 
 // TimeFiber evaluates the Tucker model on the time fiber of one parameter

@@ -86,11 +86,10 @@ type Config struct {
 	// zero-mean Gaussian noise of standard deviation NoiseFrac × the RMS
 	// cell value before decomposition (robustness ablation).
 	NoiseFrac float64
-	// EstimateSims, when positive, switches the comparison to the
-	// paper-scale pipeline: factored (join-free) core recovery and
-	// shared sampled-fiber accuracy estimation with this many fibers.
-	// Required beyond resolution ≈24, where the exact metric and the
-	// materialised join tensor stop fitting in memory.
+	// EstimateSims, when positive, scores every scheme by sampled-fiber
+	// accuracy estimation over this many shared fibers instead of the
+	// exact metric. Required beyond resolution ≈24, where the ground-truth
+	// tensor stops fitting in memory.
 	EstimateSims int
 	// Seed drives all sampling randomness.
 	Seed int64
@@ -164,25 +163,62 @@ func (c *Comparison) Get(s Scheme) (SchemeResult, bool) {
 	return SchemeResult{}, false
 }
 
+// generate PF-partitions the experiment cell's space (pivot, P and E from
+// the config, the system's parameter pairs kept together) and simulates
+// both sub-ensembles.
+func (cfg Config) generate(space *ensemble.Space) (*partition.Result, error) {
+	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
+	pcfg.PivotFrac, pcfg.FreeFrac = cfg.PivotFrac, cfg.FreeFrac
+	return partition.Generate(space, pcfg, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+// scorer returns the accuracy metric every scheme of one comparison is
+// scored by: the exact metric against the ground-truth tensor, or — with
+// EstimateSims set — its estimate on one fiber sample shared by all schemes,
+// so scheme-to-scheme differences carry no sampling noise.
+func (cfg Config) scorer(space *ensemble.Space) func(TuckerModel) (float64, error) {
+	if cfg.EstimateSims > 0 {
+		fibers := SampleFibers(space, cfg.EstimateSims, rand.New(rand.NewSource(cfg.Seed+100)))
+		return func(m TuckerModel) (float64, error) { return EstimateFromFibers(m, fibers) }
+	}
+	truth := space.GroundTruth()
+	return func(m TuckerModel) (float64, error) {
+		return Accuracy(tensor.TuckerReconstruct(m.Core, m.Factors), truth), nil
+	}
+}
+
+// conventionalRow evaluates one conventional scheme on its sampled
+// simulations: encode, perturb like the M2TD inputs (NoiseFrac), HOSVD, score.
+func (cfg Config) conventionalRow(space *ensemble.Space, scheme Scheme, sims []ensemble.Sim, noiseSeed int64, score func(TuckerModel) (float64, error)) (SchemeResult, error) {
+	se := ensemble.Encode(space, sims)
+	if cfg.NoiseFrac > 0 {
+		AddNoise(se.Tensor, cfg.NoiseFrac, rand.New(rand.NewSource(noiseSeed)))
+	}
+	start := time.Now()
+	dec := tucker.HOSVD(se.Tensor, tucker.UniformRanks(space.Order(), cfg.Rank))
+	elapsed := time.Since(start)
+	acc, err := score(TuckerModel{Core: dec.Core, Factors: dec.Factors})
+	return SchemeResult{
+		Scheme:      scheme,
+		Accuracy:    acc,
+		DecompTime:  elapsed,
+		NumSims:     len(sims),
+		EnsembleNNZ: se.Tensor.NNZ(),
+	}, err
+}
+
 // RunComparison evaluates all six schemes on one experiment cell. The
 // PF-partitioned sub-ensembles are generated once and shared by the three
-// M2TD variants; the conventional schemes receive the same number of
-// simulations (the paper's equal-budget comparison).
+// M2TD variants, which take core's dispatch rule (join-free while the
+// partition is intact); the conventional schemes receive the same number of
+// simulations (the paper's equal-budget comparison). EstimateSims picks the
+// scorer and nothing else.
 func RunComparison(cfg Config) (*Comparison, error) {
-	if cfg.EstimateSims > 0 {
-		return RunComparisonEstimated(cfg, cfg.EstimateSims)
-	}
 	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
 	if err != nil {
 		return nil, err
 	}
-	truth := space.GroundTruth()
-	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
-
-	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	pcfg.PivotFrac = cfg.PivotFrac
-	pcfg.FreeFrac = cfg.FreeFrac
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(cfg.Seed)))
+	part, err := cfg.generate(space)
 	if err != nil {
 		return nil, err
 	}
@@ -192,53 +228,41 @@ func RunComparison(cfg Config) (*Comparison, error) {
 		AddNoise(part.Sub2.Tensor, cfg.NoiseFrac, noiseRng)
 	}
 	budget := part.NumSims
+	score := cfg.scorer(space)
 
 	cmp := &Comparison{Config: cfg}
+	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
 	for _, method := range core.Methods() {
-		res, err := core.Decompose(part, core.Options{Method: method, Ranks: ranks, ZeroJoin: cfg.ZeroJoin})
+		res, err := core.M2TD(part, core.Options{Method: method, Ranks: ranks, ZeroJoin: cfg.ZeroJoin})
+		if err != nil {
+			return nil, err
+		}
+		acc, err := score(TuckerModel{Core: res.Core, Factors: res.Factors})
 		if err != nil {
 			return nil, err
 		}
 		cmp.Results = append(cmp.Results, SchemeResult{
 			Scheme:      Scheme(method),
-			Accuracy:    Accuracy(res.Reconstruct(), truth),
+			Accuracy:    acc,
 			DecompTime:  res.SubDecompTime + res.StitchTime + res.CoreTime,
 			NumSims:     budget,
-			EnsembleNNZ: res.Join.NNZ(),
+			EnsembleNNZ: res.JoinCells(part, cfg.ZeroJoin),
 		})
 	}
 
-	conventional := []struct {
+	for _, c := range []struct {
 		scheme Scheme
-		sample func() []ensemble.Sim
+		sims   []ensemble.Sim
 	}{
-		{SchemeRandom, func() []ensemble.Sim {
-			return ensemble.RandomSample(space, budget, rand.New(rand.NewSource(cfg.Seed+1)))
-		}},
-		{SchemeGrid, func() []ensemble.Sim {
-			return ensemble.GridSample(space, budget)
-		}},
-		{SchemeSlice, func() []ensemble.Sim {
-			return ensemble.SliceSample(space, budget, rand.New(rand.NewSource(cfg.Seed+2)))
-		}},
-	}
-	for _, c := range conventional {
-		sims := c.sample()
-		se := ensemble.Encode(space, sims)
-		if cfg.NoiseFrac > 0 {
-			AddNoise(se.Tensor, cfg.NoiseFrac, rand.New(rand.NewSource(cfg.Seed+8)))
+		{SchemeRandom, ensemble.RandomSample(space, budget, rand.New(rand.NewSource(cfg.Seed+1)))},
+		{SchemeGrid, ensemble.GridSample(space, budget)},
+		{SchemeSlice, ensemble.SliceSample(space, budget, rand.New(rand.NewSource(cfg.Seed+2)))},
+	} {
+		row, err := cfg.conventionalRow(space, c.scheme, c.sims, cfg.Seed+8, score)
+		if err != nil {
+			return nil, err
 		}
-		start := time.Now()
-		dec := tucker.HOSVD(se.Tensor, ranks)
-		elapsed := time.Since(start)
-		recon := dec.Reconstruct()
-		cmp.Results = append(cmp.Results, SchemeResult{
-			Scheme:      c.scheme,
-			Accuracy:    Accuracy(recon, truth),
-			DecompTime:  elapsed,
-			NumSims:     len(sims),
-			EnsembleNNZ: se.Tensor.NNZ(),
-		})
+		cmp.Results = append(cmp.Results, row)
 	}
 	return cmp, nil
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -283,7 +284,7 @@ func TestUnionBaselineIsWeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Decompose(part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
+	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +510,7 @@ func TestTimeFiberMatchesFullReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Decompose(part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
+	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +537,7 @@ func TestEstimateAccuracyConsistentWithExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Decompose(part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
+	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +583,8 @@ func TestRunComparisonEstimatedMatchesExactAtFullSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	space, _ := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
-	est, err := RunComparisonEstimated(cfg, space.TotalSims())
+	cfg.EstimateSims = space.TotalSims()
+	est, err := RunComparison(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +599,8 @@ func TestRunComparisonEstimatedMatchesExactAtFullSampling(t *testing.T) {
 
 func TestRunComparisonEstimatedHeadlineShape(t *testing.T) {
 	cfg := testConfig("double-pendulum")
-	cmp, err := RunComparisonEstimated(cfg, 100)
+	cfg.EstimateSims = 100
+	cmp, err := RunComparison(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,9 +608,6 @@ func TestRunComparisonEstimatedHeadlineShape(t *testing.T) {
 	rnd, _ := cmp.Get(SchemeRandom)
 	if sel.Accuracy <= rnd.Accuracy {
 		t.Fatalf("estimated SELECT %v not above Random %v", sel.Accuracy, rnd.Accuracy)
-	}
-	if _, err := RunComparisonEstimated(cfg, 0); err == nil {
-		t.Fatal("zero sample count accepted")
 	}
 }
 
@@ -703,7 +703,7 @@ func TestEstimateAccuracyCI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Decompose(part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
+	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,7 +745,7 @@ func TestFiberStatsConsistentWithEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Decompose(part, core.Options{Method: core.AVG, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
+	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.AVG, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -785,7 +785,7 @@ func TestFiberEvaluationBitStableAcrossPoolSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Decompose(part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
+	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
 	if err != nil {
 		t.Fatal(err)
 	}

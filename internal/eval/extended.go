@@ -5,11 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/ensemble"
-	"repro/internal/partition"
-	"repro/internal/tucker"
 )
 
 // SchemeLHS and SchemeUnion are the extra baselines of the extended
@@ -33,34 +30,19 @@ func ExtendedComparison(cfg Config) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	truth := space.GroundTruth()
-	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
 	sel, _ := cmp.Get(SchemeSELECT)
-	budget := sel.NumSims
 
 	// LHS at the shared budget.
-	sims := ensemble.LatinHypercubeSample(space, budget, rand.New(rand.NewSource(cfg.Seed+3)))
-	se := ensemble.Encode(space, sims)
-	if cfg.NoiseFrac > 0 {
-		AddNoise(se.Tensor, cfg.NoiseFrac, rand.New(rand.NewSource(cfg.Seed+9)))
+	sims := ensemble.LatinHypercubeSample(space, sel.NumSims, rand.New(rand.NewSource(cfg.Seed+3)))
+	lhs, err := cfg.conventionalRow(space, SchemeLHS, sims, cfg.Seed+9, cfg.scorer(space))
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now()
-	dec := tucker.HOSVD(se.Tensor, ranks)
-	elapsed := time.Since(start)
-	cmp.Results = append(cmp.Results, SchemeResult{
-		Scheme:      SchemeLHS,
-		Accuracy:    Accuracy(dec.Reconstruct(), truth),
-		DecompTime:  elapsed,
-		NumSims:     len(sims),
-		EnsembleNNZ: se.Tensor.NNZ(),
-	})
+	cmp.Results = append(cmp.Results, lhs)
 
 	// Union of the PF-partitioned sub-ensembles (regenerated with the same
 	// seed, so it matches the M2TD rows' inputs).
-	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	pcfg.PivotFrac = cfg.PivotFrac
-	pcfg.FreeFrac = cfg.FreeFrac
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(cfg.Seed)))
+	part, err := cfg.generate(space)
 	if err != nil {
 		return nil, err
 	}

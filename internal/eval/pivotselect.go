@@ -8,7 +8,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/partition"
 	"repro/internal/tucker"
 )
 
@@ -46,8 +45,7 @@ func SelectPivot(system string, pilotRes, rank int, sampleSims int, seed int64) 
 
 	var scores []PivotScore
 	for pivot := 0; pivot < space.Order(); pivot++ {
-		pcfg := partition.DefaultConfig(space.Order(), pivot, PairsFor(system))
-		part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(seed)))
+		part, err := Config{System: system, Pivot: pivot, PivotFrac: 1, FreeFrac: 1, Seed: seed}.generate(space)
 		if err != nil {
 			return nil, fmt.Errorf("eval: pivot %d pilot: %w", pivot, err)
 		}

@@ -4,12 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/partition"
 	"repro/internal/stitch"
 	"repro/internal/tucker"
 )
@@ -57,10 +55,7 @@ func SketchSweep(base Config, fracs []float64) ([]SketchRow, error) {
 	}
 	truth := space.GroundTruth()
 	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
-	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	pcfg.PivotFrac = cfg.PivotFrac
-	pcfg.FreeFrac = cfg.FreeFrac
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(cfg.Seed)))
+	part, err := cfg.generate(space)
 	if err != nil {
 		return nil, err
 	}

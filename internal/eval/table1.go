@@ -3,10 +3,8 @@ package eval
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 
-	"repro/internal/partition"
 	"repro/internal/stitch"
 )
 
@@ -47,8 +45,7 @@ func Table1(systems []string, resolutions []int) ([]Table1Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			pcfg := partition.DefaultConfig(space.Order(), space.TimeMode(), PairsFor(sysName))
-			part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(DefaultSeed)))
+			part, err := Config{System: sysName, Pivot: space.TimeMode(), PivotFrac: 1, FreeFrac: 1, Seed: DefaultSeed}.generate(space)
 			if err != nil {
 				return nil, err
 			}
@@ -127,9 +124,9 @@ func Fig6(base Config, freeFracs []float64) ([]Fig6Row, error) {
 	full := float64(space.Shape().NumElements())
 	var rows []Fig6Row
 	for _, frac := range freeFracs {
-		pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-		pcfg.FreeFrac = frac
-		part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(cfg.Seed)))
+		c := cfg
+		c.FreeFrac = frac
+		part, err := c.generate(space)
 		if err != nil {
 			return nil, err
 		}

@@ -2,12 +2,10 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/partition"
 	"repro/internal/tucker"
 )
 
@@ -102,8 +100,7 @@ func Table3(base Config, workerCounts []int) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(cfg.Seed)))
+	part, err := cfg.generate(space)
 	if err != nil {
 		return nil, err
 	}

@@ -172,38 +172,25 @@ func (t *Tracker) snapshot() *partition.Result {
 // factors come from the owning sub-ensemble's Grams, and the core is
 // recovered through a fresh JE-stitch of the current cells.
 func (t *Tracker) Decompose(opts core.Options) (*core.Result, error) {
-	switch opts.Method {
-	case core.AVG, core.CONCAT, core.SELECT:
-	default:
-		return nil, fmt.Errorf("increment: unknown M2TD method %q", opts.Method)
-	}
-	order := t.space.Order()
-	if len(opts.Ranks) != order {
-		return nil, fmt.Errorf("increment: %d ranks for order-%d space", len(opts.Ranks), order)
+	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, t.space.Shape())
+	if err != nil {
+		return nil, err
 	}
 	if opts.Sketch.KeepFrac != 0 {
 		// The tracker maintains exact Grams over every arrived cell; a
 		// sketch of them cannot be maintained incrementally.
 		return nil, fmt.Errorf("increment: sketching is not supported by the incremental tracker")
 	}
-	ranks := tucker.ClipRanks(t.space.Shape(), opts.Ranks)
 	k := len(t.cfg.Pivots)
 
-	factors := make([]*mat.Matrix, order)
+	factors := make([]*mat.Matrix, len(ranks))
 	for i, m := range t.cfg.Pivots {
-		r := ranks[m]
-		switch opts.Method {
-		case core.AVG:
-			u1 := mat.LeadingEigenvectors(t.sub1.grams[i], r)
-			u2 := mat.LeadingEigenvectors(t.sub2.grams[i], r)
-			factors[m] = mat.Average(u1, u2)
-		case core.CONCAT:
-			factors[m] = mat.LeadingEigenvectors(mat.Add(t.sub1.grams[i], t.sub2.grams[i]), r)
-		case core.SELECT:
-			u1 := mat.LeadingEigenvectors(t.sub1.grams[i], r)
-			u2 := mat.LeadingEigenvectors(t.sub2.grams[i], r)
-			factors[m] = core.RowSelect(u1, u2)
+		r, g1, g2 := ranks[m], t.sub1.grams[i], t.sub2.grams[i]
+		var u1, u2 *mat.Matrix
+		if opts.Method != core.CONCAT {
+			u1, u2 = mat.LeadingEigenvectors(g1, r), mat.LeadingEigenvectors(g2, r)
 		}
+		factors[m] = core.FusePivot(opts.Method, r, u1, g1, u2, g2)
 	}
 	for i, m := range t.cfg.Free1 {
 		factors[m] = mat.LeadingEigenvectors(t.sub1.grams[k+i], ranks[m])

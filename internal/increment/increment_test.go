@@ -1,6 +1,7 @@
 package increment
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestDecomposeMatchesBatchM2TD(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		batch, err := core.Decompose(p, core.Options{Method: m, Ranks: ranks})
+		batch, err := core.DecomposeCtx(context.Background(), p, core.Options{Method: m, Ranks: ranks})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestGrowthImprovesAccuracy(t *testing.T) {
 		t.Fatalf("growth did not improve accuracy: %v -> %v", errBefore, errAfter)
 	}
 	// And the grown tracker matches the batch full-density result.
-	batch, err := core.Decompose(pFull, core.Options{Method: core.SELECT, Ranks: ranks})
+	batch, err := core.DecomposeCtx(context.Background(), pFull, core.Options{Method: core.SELECT, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestRemoveThenDecomposeMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := core.Decompose(p, core.Options{Method: core.SELECT, Ranks: ranks})
+	batch, err := core.DecomposeCtx(context.Background(), p, core.Options{Method: core.SELECT, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,30 +9,28 @@
 //   - internal/partition — PF-partitioning into pivot-sharing sub-systems
 //   - internal/stitch    — JE-stitching (join and zero-join)
 //   - internal/tucker    — HOSVD / ST-HOSVD / HOOI Tucker decomposition
-//   - internal/cp        — CP-ALS decomposition
 //   - internal/core      — M2TD-AVG / -CONCAT / -SELECT (+ factored core)
 //   - internal/dist      — 3-phase distributed M2TD (D-M2TD) phase bodies
 //   - internal/increment — streaming M2TD with exact Gram maintenance
 //   - internal/eval      — the paper's experiments (Tables I–VIII, Fig. 6)
 //
-// The one-call entry point is Run: partition → simulate → decompose →
+// The one-call entry point is RunCtx: partition → simulate → decompose →
 // evaluate (the join is stitched only when the decomposition needs it):
 //
-//	report, err := m2td.Run(m2td.Config{
+//	report, err := m2td.RunCtx(ctx, m2td.Config{
 //	    System:     "double-pendulum",
 //	    Resolution: 12,
 //	    Rank:       4,
 //	    Method:     "select",
 //	})
 //
-// Lower-level building blocks (Partition, Stitch, Decompose) are exposed
-// for custom pipelines, and the eval package's table runners are wrapped
-// by the cmd/m2tdbench tool.
+// Lower-level building blocks (PartitionCtx, StitchCtx, DecomposeCtx) are
+// exposed for custom pipelines, and the eval package's table runners are
+// wrapped by the cmd/m2tdbench tool.
 package m2td
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -88,14 +86,14 @@ type Config struct {
 	// "servers": Workers is the shard count of the stitch and core
 	// phases, so the result is a pure function of it — bit-identical to
 	// Distributed{Shards: Workers} at any core count, and equal to the
-	// serial decomposition up to floating-point summation order.
-	// Incompatible with Factored, Sketch and Distributed.
+	// serial decomposition up to floating-point summation order. At most
+	// one of Workers, Distributed, Sketch and Factored may be set: each
+	// names the decomposition's route.
 	Workers int
 	// Distributed, when non-nil, runs D-M2TD on real worker PROCESSES —
 	// the internal/distnet coordinator/worker engine over localhost TCP
 	// and a shared artifact catalog — instead of in-process goroutines.
-	// Mutually exclusive with Workers, Factored, and Sketch. The result
-	// is bit-identical for any worker count (and under worker kills) at
+	// The result is bit-identical for any worker count (and under worker kills) at
 	// a fixed Distributed.Shards; it matches the serial decomposition up
 	// to floating-point summation order.
 	Distributed *DistributedConfig
@@ -120,15 +118,13 @@ type Config struct {
 	// route a run takes anyway while the partition has its P×E product
 	// structure: once a failed or quarantined simulation broke it, the run
 	// fails with core.ErrNoProductStructure instead of materialising J.
-	// Incompatible with Workers (D-M2TD materialises J by design).
 	Factored bool
 	// Sketch enables the randomized sketch fast path: the decomposition
 	// runs on biased random sketches of the sub-tensors and join instead
 	// of the exact inputs, trading a graceful accuracy loss for a
 	// proportional cut in every kernel's nnz. Orthogonal to Method — all
-	// three fusion strategies sketch identically. Incompatible with
-	// Workers and Factored (both need the exact cell sets). Baseline runs
-	// sketch the encoded tensor before HOSVD.
+	// three fusion strategies sketch identically. Baseline runs sketch the
+	// encoded tensor before HOSVD.
 	Sketch SketchConfig
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
@@ -314,9 +310,8 @@ func (c Config) normalize() Config {
 
 // resolved carries the validated products of one Config: the normalized
 // config, the internal fusion method, and the (possibly fault-wrapped)
-// parameter space. Run, Baseline, and the Ctx entry points all validate
-// through here, so every path accepts and rejects configurations
-// identically.
+// parameter space. RunCtx and BaselineCtx validate through here, so both
+// accept and reject configurations identically.
 type resolved struct {
 	cfg      Config
 	method   core.Method
@@ -334,34 +329,17 @@ func (c Config) resolve() (resolved, error) {
 	if f := cfg.Sketch.KeepFrac; f < 0 || f > 1 {
 		return resolved{}, fmt.Errorf("m2td: Sketch.KeepFrac %v outside (0, 1]", f)
 	}
-	if cfg.Sketch.KeepFrac > 0 {
-		if cfg.Workers > 0 {
-			return resolved{}, fmt.Errorf("m2td: Sketch and Workers are mutually exclusive (D-M2TD shuffles the exact cell sets)")
-		}
-		if cfg.Factored {
-			return resolved{}, fmt.Errorf("m2td: Sketch and Factored are mutually exclusive (the sketch breaks the P×E product structure)")
+	routes := 0
+	for _, set := range [...]bool{cfg.Workers > 0, cfg.Distributed != nil, cfg.Sketch.KeepFrac > 0, cfg.Factored} {
+		if set {
+			routes++
 		}
 	}
-	if cfg.Workers > 0 && cfg.Factored {
-		return resolved{}, fmt.Errorf("m2td: Factored and Workers are mutually exclusive (D-M2TD materialises the join by design)")
+	if routes > 1 {
+		return resolved{}, fmt.Errorf("m2td: at most one of Workers, Distributed, Sketch and Factored may be set (each names the decomposition's route)")
 	}
-	if d := cfg.Distributed; d != nil {
-		if cfg.Workers > 0 {
-			return resolved{}, fmt.Errorf("m2td: Distributed and Workers are mutually exclusive (pick one D-M2TD engine)")
-		}
-		if cfg.Factored {
-			return resolved{}, fmt.Errorf("m2td: Distributed and Factored are mutually exclusive (D-M2TD materialises the join by design)")
-		}
-		if cfg.Sketch.KeepFrac > 0 {
-			return resolved{}, fmt.Errorf("m2td: Distributed and Sketch are mutually exclusive (D-M2TD shuffles the exact cell sets)")
-		}
-		workers := d.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		if d.KillWorkers < 0 || d.KillWorkers >= workers {
-			return resolved{}, fmt.Errorf("m2td: Distributed.KillWorkers %d must be in [0, Workers)", d.KillWorkers)
-		}
+	if d := cfg.Distributed; d != nil && (d.KillWorkers < 0 || d.KillWorkers >= max(d.Workers, 1)) {
+		return resolved{}, fmt.Errorf("m2td: Distributed.KillWorkers %d must be in [0, Workers)", d.KillWorkers)
 	}
 	space, injector, err := cfg.space()
 	if err != nil {
@@ -397,6 +375,25 @@ func (c Config) space() (*ensemble.Space, *faults.Injector, error) {
 	return ensemble.NewSpace(inj.Wrap(sys), c.Resolution, c.TimeSamples), inj, nil
 }
 
+// pivot resolves Config.Pivot to a mode of the space: a mode name, or
+// "auto" for the best-scoring pivot of a coarse pilot run.
+func (r resolved) pivot() (int, error) {
+	cfg := r.cfg
+	if cfg.Pivot == "auto" {
+		scores, err := eval.SelectPivot(string(cfg.System), min(cfg.Resolution, 8), cfg.Rank, 150, cfg.Seed)
+		if err != nil {
+			return 0, err
+		}
+		return scores[0].Pivot, nil
+	}
+	for m := 0; m < r.space.Order(); m++ {
+		if r.space.ModeName(m) == cfg.Pivot {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("m2td: unknown pivot %q for system %s", cfg.Pivot, cfg.System)
+}
+
 // fingerprint identifies the simulation-generating configuration for
 // checkpoint compatibility: any field that changes which simulations run,
 // their identities, or their outputs is included, so a resumed campaign
@@ -407,21 +404,26 @@ func (c Config) fingerprint(pivot int) string {
 	return fp + c.faultsSuffix()
 }
 
-// stageCtx derives a per-stage context: a deadline when the stage has a
-// timeout, a plain child otherwise.
-func stageCtx(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d > 0 {
-		return context.WithTimeout(ctx, d)
+// checkpoint opens the crash-safe persistence of completed simulations —
+// an internal/store catalog tagged with the config fingerprint — or
+// returns nil when CheckpointDir is unset.
+func (c Config) checkpoint(pivot int) (*partition.Checkpoint, error) {
+	if c.CheckpointDir == "" {
+		return nil, nil
 	}
-	return context.WithCancel(ctx)
+	st, err := store.Open(c.CheckpointDir)
+	if err != nil {
+		return nil, fmt.Errorf("m2td: checkpoint catalog: %w", err)
+	}
+	return &partition.Checkpoint{Store: st, Fingerprint: c.fingerprint(pivot), Every: c.CheckpointEvery, Resume: c.Resume}, nil
 }
 
-// Run executes the full M2TD pipeline described by the config. It is
-// RunCtx on a background context — no cancellation, no stage deadlines
-// beyond those in the config.
-func Run(cfg Config) (*Report, error) {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx facade is the root of its own context tree
-	return RunCtx(context.Background(), cfg)
+// trace starts the run's stage-span trace when Config.Trace asks for one.
+func (c Config) trace(name string) *obs.Trace {
+	if !c.Trace {
+		return nil
+	}
+	return obs.New(name)
 }
 
 // MaybeDistWorker turns the current process into a distributed D-M2TD
@@ -430,6 +432,31 @@ func Run(cfg Config) (*Report, error) {
 // set must call it first thing in main: the coordinator spawns workers
 // by re-executing its own binary.
 func MaybeDistWorker() { distnet.MaybeWorker() }
+
+// stripsVital is the pool gauge every stage span samples beside its
+// allocation count.
+var stripsVital = map[string]func() int64{"strips": parallel.Strips}
+
+// runStage runs one pipeline stage: a child span of the trace root with
+// process vitals, the stage's deadline (0 = none beyond ctx's), and the
+// stage's name on whatever error the body returns.
+func runStage(ctx context.Context, trace *obs.Trace, span, stage string, timeout time.Duration, body func(context.Context, *obs.Span) error) error {
+	sp := trace.Root().Start(span)
+	done := sp.WithVitals(stripsVital)
+	var cancel context.CancelFunc
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	err := body(ctx, sp)
+	cancel()
+	done()
+	if err != nil {
+		return fmt.Errorf("m2td: %s stage: %w", stage, err)
+	}
+	return nil
+}
 
 // RunCtx executes the full M2TD pipeline with cooperative cancellation:
 // when ctx is cancelled (or a configured stage deadline expires) the
@@ -441,221 +468,54 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, method, space, injector := r.cfg, r.method, r.space, r.injector
-	var trace *obs.Trace
-	if cfg.Trace {
-		trace = obs.New("run")
+	cfg = r.cfg
+	pivot, err := r.pivot()
+	if err != nil {
+		return nil, err
 	}
-	root := trace.Root()
-	pivot := -1
-	if cfg.Pivot == "auto" {
-		pilotRes := cfg.Resolution
-		if pilotRes > 8 {
-			pilotRes = 8
-		}
-		scores, err := eval.SelectPivot(string(cfg.System), pilotRes, cfg.Rank, 150, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		pivot = scores[0].Pivot
-	} else {
-		for m := 0; m < space.Order(); m++ {
-			if space.ModeName(m) == cfg.Pivot {
-				pivot = m
-				break
-			}
-		}
+	ck, err := cfg.checkpoint(pivot)
+	if err != nil {
+		return nil, err
 	}
-	if pivot == -1 {
-		return nil, fmt.Errorf("m2td: unknown pivot %q for system %s", cfg.Pivot, cfg.System)
-	}
-
-	pcfg := partition.DefaultConfig(space.Order(), pivot, eval.PairsFor(string(cfg.System)))
-	pcfg.PivotFrac = cfg.PivotDensity
-	pcfg.FreeFrac = cfg.SubEnsembleDensity
-
-	// Crash-safe checkpointing: completed simulations persist into an
-	// internal/store catalog, tagged with the config fingerprint.
-	var ck *partition.Checkpoint
-	if cfg.CheckpointDir != "" {
-		st, err := store.Open(cfg.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("m2td: checkpoint catalog: %w", err)
-		}
-		ck = &partition.Checkpoint{
-			Store:       st,
-			Fingerprint: cfg.fingerprint(pivot),
-			Every:       cfg.CheckpointEvery,
-			Resume:      cfg.Resume,
-		}
-	}
+	trace := cfg.trace("run")
 
 	simStart := time.Now()
-	pspan := root.Start("partition")
-	pdone := pspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	sctx, cancelSim := stageCtx(ctx, cfg.SimTimeout)
-	part, err := partition.GenerateCtx(sctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{
-		Workers:    cfg.Parallel,
-		Retry:      cfg.Retry,
-		Checkpoint: ck,
-		Span:       pspan,
-	})
-	cancelSim()
-	pdone()
+	part, err := partitionStage(ctx, r.space, pivot, PartitionOptions{
+		PivotFrac: cfg.PivotDensity, FreeFrac: cfg.SubEnsembleDensity, Seed: cfg.Seed,
+		Parallel: cfg.Parallel, Retry: cfg.Retry, Trace: trace,
+	}, cfg.SimTimeout, ck)
 	if err != nil {
-		return nil, fmt.Errorf("m2td: simulation stage: %w", err)
+		return nil, err
 	}
 	simTime := time.Since(simStart)
 
-	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
-	dspan := root.Start("decompose")
-	ddone := dspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	opts := core.Options{
-		Method:   method,
-		Ranks:    ranks,
-		ZeroJoin: cfg.ZeroJoin,
-		Workers:  cfg.Parallel,
-		Sketch:   core.SketchSpec{KeepFrac: cfg.Sketch.KeepFrac, Seed: cfg.Sketch.Seed},
-		Span:     dspan,
+	res, distStats, err := decomposeStage(ctx, trace, part, r.method, tucker.UniformRanks(r.space.Order(), cfg.Rank), cfg)
+	if err != nil {
+		return nil, err
 	}
-	dctx, cancelDecomp := stageCtx(ctx, cfg.DecompTimeout)
-	defer cancelDecomp()
-	var res *core.Result
-	var distStats *DistStats
-	switch {
-	case cfg.Distributed != nil:
-		dc := cfg.Distributed
-		workDir := dc.WorkDir
-		if workDir == "" {
-			tmp, err := os.MkdirTemp("", "m2td-distnet-*")
-			if err != nil {
-				return nil, fmt.Errorf("m2td: distributed work dir: %w", err)
-			}
-			defer os.RemoveAll(tmp)
-			workDir = tmp
-		}
-		killSeed := dc.KillSeed
-		if killSeed == 0 {
-			killSeed = cfg.Seed
-		}
-		d, err := distnet.Decompose(dctx, part, distnet.Options{
-			Method:   method,
-			Ranks:    ranks,
-			ZeroJoin: cfg.ZeroJoin,
-			Workers:  dc.Workers,
-			Shards:   dc.Shards,
-			Addr:     dc.Addr,
-			WorkDir:  workDir,
-			Kill:     faults.KillSpec{Seed: killSeed, Kills: dc.KillWorkers},
-			Retry:    cfg.Retry,
-			Span:     dspan,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("m2td: decomposition stage: %w", err)
-		}
-		res = d.Result
-		distStats = &DistStats{
-			Workers:      len(d.Workers),
-			WorkersLost:  d.Phase1.WorkersLost + d.Phase2.WorkersLost + d.Phase3.WorkersLost,
-			Requeues:     d.Phase1.Requeues + d.Phase2.Requeues + d.Phase3.Requeues,
-			TasksSkipped: d.Phase1.Skipped + d.Phase2.Skipped + d.Phase3.Skipped,
-			Phase1:       d.Phase1.Duration,
-			Phase2:       d.Phase2.Duration,
-			Phase3:       d.Phase3.Duration,
-		}
-	case cfg.Workers > 0:
-		if err := dctx.Err(); err != nil {
-			return nil, fmt.Errorf("m2td: decomposition stage: %w", err)
-		}
-		res, err = dist.Decompose(part, dist.Options{Options: opts, Workers: cfg.Workers})
-		if err != nil {
-			return nil, err
-		}
-	default:
-		res, err = decomposeInProcess(dctx, part, opts, cfg.Factored)
-		if err != nil {
-			return nil, fmt.Errorf("m2td: decomposition stage: %w", err)
-		}
-	}
-	ddone()
-	cancelDecomp()
 
-	joinCells := part.JoinCells(cfg.ZeroJoin) // density formula, unless a J exists to count
-	if res.Join != nil {
-		joinCells = res.Join.NNZ()
-	}
-	report := &Report{
-		Accuracy:          nan(),
-		NumSims:           part.NumSims,
-		JoinCells:         joinCells,
-		SimTime:           simTime,
-		DecompTime:        res.SubDecompTime + res.StitchTime + res.CoreTime,
-		Decomposition:     res,
-		Space:             space,
-		ExecutedSims:      part.Stats.ExecutedSims,
-		RestoredSims:      part.Stats.RestoredSims,
-		RetriedSims:       part.Stats.RetriedSims,
-		FailedSims:        part.Stats.FailedSims,
-		QuarantinedCells:  part.Stats.QuarantinedCells,
-		EffectiveDensity1: part.Sub1.Tensor.Density(),
-		EffectiveDensity2: part.Sub2.Tensor.Density(),
-		SketchStats:       res.Sketch,
-		Distributed:       distStats,
-		Partition:         part,
-	}
-	if injector != nil {
-		s := injector.Stats()
-		report.FaultStats = &s
-	}
-	espan := root.Start("evaluate")
-	edone := espan.WithVitals(nil)
-	switch {
-	case cfg.SkipAccuracy:
-		espan.Set("skipped", 1)
-	case ctx.Err() != nil:
-		return nil, fmt.Errorf("m2td: evaluation stage: %w", ctx.Err())
-	case cfg.AccuracySampleSims > 0:
-		espan.Set("sampled_sims", int64(cfg.AccuracySampleSims))
-		model := eval.TuckerModel{Core: res.Core, Factors: res.Factors}
-		acc, err := eval.EstimateAccuracy(space, model, cfg.AccuracySampleSims, rand.New(rand.NewSource(cfg.Seed+100)))
-		if err != nil {
-			return nil, err
-		}
-		report.Accuracy = acc
-	default:
-		report.Accuracy = eval.Accuracy(res.Reconstruct(), space.GroundTruth())
-	}
-	edone()
-	report.finishTrace(trace, cfg)
-	runsTotal.Inc()
-	return report, nil
+	report := r.report(part.NumSims, res.JoinCells(part, cfg.ZeroJoin), part.Stats, part.Sub1.Tensor, part.Sub2.Tensor)
+	report.SimTime, report.DecompTime = simTime, res.SubDecompTime+res.StitchTime+res.CoreTime
+	report.Decomposition, report.SketchStats = res, res.Sketch
+	report.Distributed, report.Partition = distStats, part
+	return r.finish(ctx, trace, report, eval.TuckerModel{Core: res.Core, Factors: res.Factors})
 }
 
-// Baseline runs one conventional sampling scheme — "random", "grid",
+// BaselineCtx runs one conventional sampling scheme — "random", "grid",
 // "slice" (the paper's Section IV baselines) or "lhs" (Latin hypercube,
 // from the experiment-design literature the paper cites) — with the given
 // simulation budget and returns its accuracy and decomposition time: the
-// comparison target for Run.
-func Baseline(cfg Config, scheme string, budget int) (*Report, error) {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx facade is the root of its own context tree
-	return BaselineCtx(context.Background(), cfg, scheme, budget)
-}
-
-// BaselineCtx is Baseline with cooperative cancellation and the
-// fault-tolerance runtime (retry, panic capture, divergence quarantine)
-// on the encoding fan-out. Stage deadlines follow Config.SimTimeout and
-// Config.DecompTimeout.
+// comparison target for RunCtx. It shares RunCtx's cooperative
+// cancellation, stage deadlines (Config.SimTimeout, Config.DecompTimeout)
+// and fault-tolerance runtime (retry, panic capture, divergence
+// quarantine) on the encoding fan-out.
 func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*Report, error) {
 	r, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	cfg, space, injector := r.cfg, r.space, r.injector
-	var trace *obs.Trace
-	if cfg.Trace {
-		trace = obs.New("baseline")
-	}
-	root := trace.Root()
+	cfg = r.cfg
+	space := r.space
 	var sims []ensemble.Sim
 	switch strings.ToLower(scheme) {
 	case "random":
@@ -669,80 +529,90 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 	default:
 		return nil, fmt.Errorf("m2td: unknown baseline scheme %q", scheme)
 	}
+	trace := cfg.trace("baseline")
+
 	simStart := time.Now()
-	sspan := root.Start("simulate")
-	sdone := sspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	sctx, cancelSim := stageCtx(ctx, cfg.SimTimeout)
-	se, estats, err := ensemble.EncodeCtx(sctx, space, sims, ensemble.EncodeOptions{Workers: cfg.Parallel, Retry: cfg.Retry, Span: sspan})
-	cancelSim()
-	sdone()
+	var se *ensemble.SparseEnsemble
+	var estats ensemble.EncodeStats
+	err = runStage(ctx, trace, "simulate", "simulation", cfg.SimTimeout, func(ctx context.Context, span *obs.Span) (err error) {
+		se, estats, err = ensemble.EncodeCtx(ctx, space, sims, ensemble.EncodeOptions{Workers: cfg.Parallel, Retry: cfg.Retry, Span: span})
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("m2td: simulation stage: %w", err)
+		return nil, err
 	}
 	simTime := time.Since(simStart)
 
-	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("m2td: decomposition stage: %w", err)
-	}
-	dspan := root.Start("decompose")
-	ddone := dspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
+	decompStart := time.Now()
 	var dec tucker.Decomposition
-	var sketchReport *core.SketchReport
-	if f := cfg.Sketch.KeepFrac; f > 0 {
-		var stats tucker.SketchStats
-		dec, stats, err = tucker.SketchedHOSVD(se.Tensor, ranks, tucker.SketchOptions{
-			KeepFrac: f, Seed: cfg.Sketch.Seed, Workers: cfg.Parallel, Span: dspan,
-		})
-		if err != nil {
-			return nil, err
+	var sketch *core.SketchReport
+	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) (err error) {
+		var stats *tucker.SketchStats
+		if dec, stats, err = tuckerOf(ctx, span, se.Tensor, tucker.UniformRanks(space.Order(), cfg.Rank), cfg.Sketch, false, cfg.Parallel); stats != nil {
+			sketch = &core.SketchReport{KeepFrac: cfg.Sketch.KeepFrac, Seed: cfg.Sketch.Seed, Join: *stats}
 		}
-		sketchReport = &core.SketchReport{KeepFrac: f, Seed: cfg.Sketch.Seed, Join: stats}
-	} else {
-		dec = tucker.HOSVDSpan(se.Tensor, ranks, cfg.Parallel, dspan)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	ddone()
-	decompTime := time.Since(start)
 
+	report := r.report(len(sims), se.Tensor.NNZ(), partition.SimStats{
+		ExecutedSims: estats.ExecutedSims, RetriedSims: estats.RetriedSims,
+		FailedSims: estats.FailedSims, QuarantinedCells: estats.QuarantinedCells,
+	}, se.Tensor, se.Tensor)
+	report.SimTime, report.DecompTime, report.SketchStats = simTime, time.Since(decompStart), sketch
+	return r.finish(ctx, trace, report, eval.TuckerModel{Core: dec.Core, Factors: dec.Factors})
+}
+
+// report starts the Report both pipelines fill the same way: the budget and
+// fault-tolerance accounting of the simulation stage, the effective
+// densities of the decomposed tensors, and — snapshotted before evaluation
+// simulates the whole space through the same injector — the fault stats.
+func (r resolved) report(sims, cells int, st partition.SimStats, x1, x2 *tensor.Sparse) *Report {
 	report := &Report{
-		Accuracy:          nan(),
-		NumSims:           len(sims),
-		JoinCells:         se.Tensor.NNZ(),
-		SimTime:           simTime,
-		DecompTime:        decompTime,
-		Space:             space,
-		ExecutedSims:      estats.ExecutedSims,
-		RetriedSims:       estats.RetriedSims,
-		FailedSims:        estats.FailedSims,
-		QuarantinedCells:  estats.QuarantinedCells,
-		EffectiveDensity1: se.Tensor.Density(),
-		EffectiveDensity2: se.Tensor.Density(),
-		SketchStats:       sketchReport,
+		Accuracy:          math.NaN(),
+		NumSims:           sims,
+		JoinCells:         cells,
+		Space:             r.space,
+		ExecutedSims:      st.ExecutedSims,
+		RestoredSims:      st.RestoredSims,
+		RetriedSims:       st.RetriedSims,
+		FailedSims:        st.FailedSims,
+		QuarantinedCells:  st.QuarantinedCells,
+		EffectiveDensity1: x1.Density(),
+		EffectiveDensity2: x2.Density(),
 	}
-	if injector != nil {
-		s := injector.Stats()
+	if r.injector != nil {
+		s := r.injector.Stats()
 		report.FaultStats = &s
 	}
-	espan := root.Start("evaluate")
-	edone := espan.WithVitals(nil)
-	switch {
-	case cfg.SkipAccuracy:
-		espan.Set("skipped", 1)
-	case ctx.Err() != nil:
-		return nil, fmt.Errorf("m2td: evaluation stage: %w", ctx.Err())
-	case cfg.AccuracySampleSims > 0:
-		espan.Set("sampled_sims", int64(cfg.AccuracySampleSims))
-		model := eval.TuckerModel{Core: dec.Core, Factors: dec.Factors}
-		acc, err := eval.EstimateAccuracy(space, model, cfg.AccuracySampleSims, rand.New(rand.NewSource(cfg.Seed+100)))
-		if err != nil {
-			return nil, err
+	return report
+}
+
+// finish is the tail both pipelines share: the evaluation stage — the
+// paper's accuracy against the full ground truth, its sampled-fiber
+// estimate under AccuracySampleSims, nothing under SkipAccuracy — then the
+// trace close-out and the run counter.
+func (r resolved) finish(ctx context.Context, trace *obs.Trace, report *Report, model eval.TuckerModel) (*Report, error) {
+	cfg := r.cfg
+	err := runStage(ctx, trace, "evaluate", "evaluation", 0, func(ctx context.Context, span *obs.Span) (err error) {
+		switch {
+		case cfg.SkipAccuracy:
+			span.Set("skipped", 1)
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case cfg.AccuracySampleSims > 0:
+			span.Set("sampled_sims", int64(cfg.AccuracySampleSims))
+			report.Accuracy, err = eval.EstimateAccuracy(r.space, model, cfg.AccuracySampleSims, rand.New(rand.NewSource(cfg.Seed+100)))
+		default:
+			report.Accuracy = eval.Accuracy(tensor.TuckerReconstruct(model.Core, model.Factors), r.space.GroundTruth())
 		}
-		report.Accuracy = acc
-	default:
-		report.Accuracy = eval.Accuracy(dec.Reconstruct(), space.GroundTruth())
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	edone()
 	report.finishTrace(trace, cfg)
 	runsTotal.Inc()
 	return report, nil
@@ -802,27 +672,22 @@ func PartitionCtx(ctx context.Context, space *ensemble.Space, pivot int, opts Pa
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	pcfg := partition.DefaultConfig(space.Order(), pivot, eval.PairsFor(space.Sys.Name()))
-	pcfg.PivotFrac = opts.PivotFrac
-	pcfg.FreeFrac = opts.FreeFrac
-	span := opts.Trace.Root().Start("partition")
-	done := span.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	defer done()
-	return partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(opts.Seed)), partition.SimOptions{
-		Workers: opts.Parallel,
-		Retry:   opts.Retry,
-		Span:    span,
-	})
+	return partitionStage(ctx, space, pivot, opts, 0, nil)
 }
 
-// Partition PF-partitions a space and simulates both sub-ensembles; a
-// building block for custom pipelines. It is PartitionCtx on a background
-// context; prefer PartitionCtx in new code.
-func Partition(space *ensemble.Space, pivot int, pivotFrac, freeFrac float64, seed int64) (*partition.Result, error) {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx facade is the root of its own context tree
-	return PartitionCtx(context.Background(), space, pivot, PartitionOptions{
-		PivotFrac: pivotFrac, FreeFrac: freeFrac, Seed: seed,
+// partitionStage is the simulation stage of RunCtx and the body of
+// PartitionCtx: opts with its defaults filled, plus what only a campaign
+// has — a stage deadline and a checkpoint.
+func partitionStage(ctx context.Context, space *ensemble.Space, pivot int, opts PartitionOptions, timeout time.Duration, ck *partition.Checkpoint) (part *partition.Result, err error) {
+	pcfg := partition.DefaultConfig(space.Order(), pivot, eval.PairsFor(space.Sys.Name()))
+	pcfg.PivotFrac, pcfg.FreeFrac = opts.PivotFrac, opts.FreeFrac
+	err = runStage(ctx, opts.Trace, "partition", "simulation", timeout, func(ctx context.Context, span *obs.Span) (err error) {
+		part, err = partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(opts.Seed)), partition.SimOptions{
+			Workers: opts.Parallel, Retry: opts.Retry, Checkpoint: ck, Span: span,
+		})
+		return err
 	})
+	return part, err
 }
 
 // StitchOptions configures StitchCtx.
@@ -836,39 +701,25 @@ type StitchOptions struct {
 // StitchCtx constructs the join tensor (or zero-join tensor) for a
 // PF-partitioned pair. The context is checked before the (uninterruptible)
 // stitch kernel runs.
-func StitchCtx(ctx context.Context, part *partition.Result, opts StitchOptions) (*tensor.Sparse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("m2td: stitch stage: %w", err)
-	}
-	span := opts.Trace.Root().Start("stitch")
-	done := span.WithVitals(nil)
-	defer done()
-	var j *tensor.Sparse
-	if opts.ZeroJoin {
-		j = stitch.ZeroJoin(part)
-		span.Set("zero_join", 1)
-	} else {
-		j = stitch.Join(part)
-	}
-	span.Set("join_nnz", int64(j.NNZ()))
-	return j, nil
+func StitchCtx(ctx context.Context, part *partition.Result, opts StitchOptions) (j *tensor.Sparse, err error) {
+	err = runStage(ctx, opts.Trace, "stitch", "stitch", 0, func(ctx context.Context, span *obs.Span) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if opts.ZeroJoin {
+			j = stitch.ZeroJoin(part)
+			span.Set("zero_join", 1)
+		} else {
+			j = stitch.Join(part)
+		}
+		span.Set("join_nnz", int64(j.NNZ()))
+		return nil
+	})
+	return j, err
 }
 
-// Stitch constructs the join tensor (or zero-join tensor) for a
-// PF-partitioned pair of sub-ensembles. Prefer StitchCtx in new code.
-func Stitch(part *partition.Result, zeroJoin bool) *tensor.Sparse {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx facade is the root of its own context tree
-	j, err := StitchCtx(context.Background(), part, StitchOptions{ZeroJoin: zeroJoin})
-	if err != nil {
-		// Unreachable: background contexts are never cancelled and
-		// StitchCtx has no other error path.
-		panic(fmt.Sprintf("m2td: Stitch: %v", err))
-	}
-	return j
-}
-
-// DecomposeOptions configures DecomposeCtx. The zero value selects
-// MethodSELECT at uniform rank 4 over the plain join.
+// DecomposeOptions configures DecomposeCtx. Zero values mean what they
+// mean on Config: MethodSELECT at uniform rank 4 over the plain join.
 type DecomposeOptions struct {
 	// Method is the pivot fusion strategy ("" = MethodSELECT).
 	Method Method
@@ -896,62 +747,95 @@ type DecomposeOptions struct {
 // with cooperative cancellation, the shared worker pool, kernel-plan
 // reuse, and optional tracing — the same engine path RunCtx uses.
 func DecomposeCtx(ctx context.Context, part *partition.Result, opts DecomposeOptions) (*core.Result, error) {
-	if opts.Method == "" {
-		opts.Method = MethodSELECT
-	}
-	method, err := opts.Method.core()
+	cfg := Config{
+		Method: opts.Method, Rank: opts.Rank, ZeroJoin: opts.ZeroJoin, Factored: opts.Factored,
+		Sketch: opts.Sketch, Parallel: opts.Parallel,
+	}.normalize()
+	method, err := cfg.Method.core()
 	if err != nil {
 		return nil, err
 	}
 	ranks := opts.Ranks
 	if ranks == nil {
-		rank := opts.Rank
-		if rank == 0 {
-			rank = 4
-		}
-		ranks = tucker.UniformRanks(part.Space.Order(), rank)
+		ranks = tucker.UniformRanks(part.Space.Order(), cfg.Rank)
 	}
-	if opts.Sketch.KeepFrac != 0 && opts.Sketch.Seed == 0 {
-		opts.Sketch.Seed = 1
-	}
-	span := opts.Trace.Root().Start("decompose")
-	done := span.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	defer done()
-	copts := core.Options{
-		Method:   method,
-		Ranks:    ranks,
-		ZeroJoin: opts.ZeroJoin,
-		Workers:  opts.Parallel,
-		Sketch:   core.SketchSpec{KeepFrac: opts.Sketch.KeepFrac, Seed: opts.Sketch.Seed},
-		Span:     span,
-	}
-	return decomposeInProcess(ctx, part, copts, opts.Factored)
+	res, _, err := decomposeStage(ctx, opts.Trace, part, method, ranks, cfg)
+	return res, err
 }
 
-// decomposeInProcess is the dispatch rule of every in-process decomposition:
-// the join-free core while the partition has its P×E product structure; the
-// materialised join under a sketch (which destroys it) or — unless require
-// forbids the fallback — a broken structure. Span counter "factored" = 1 join-free.
-func decomposeInProcess(ctx context.Context, part *partition.Result, copts core.Options, require bool) (*core.Result, error) {
-	if copts.Sketch.KeepFrac == 0 || require {
+// decomposeStage is the decomposition stage of RunCtx and the body of
+// DecomposeCtx, on the route cfg names: the process engine (Distributed),
+// D-M2TD on the in-process pool (Workers), the join-free core or nothing
+// (Factored), and otherwise core's dispatch rule — join-free while the
+// partition has its product structure and no sketch is on. Only cfg's
+// decomposition fields are read.
+func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Result, method core.Method, ranks []int, cfg Config) (res *core.Result, ds *DistStats, err error) {
+	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) (err error) {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		res, err := core.DecomposeFactored(part, copts)
-		if require || !errors.Is(err, core.ErrNoProductStructure) {
-			copts.Span.Set("factored", 1)
-			return res, err
+		opts := core.Options{
+			Method:   method,
+			Ranks:    ranks,
+			ZeroJoin: cfg.ZeroJoin,
+			Workers:  cfg.Parallel,
+			Sketch:   core.SketchSpec{KeepFrac: cfg.Sketch.KeepFrac, Seed: cfg.Sketch.Seed},
+			Span:     span,
 		}
-	}
-	return core.DecomposeCtx(ctx, part, copts)
-}
-
-// Decompose is DecomposeCtx on a background context; prefer DecomposeCtx in new code.
-func Decompose(part *partition.Result, method core.Method, rank int, zeroJoin bool) (*core.Result, error) {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx facade is the root of its own context tree
-	return DecomposeCtx(context.Background(), part, DecomposeOptions{
-		Method: Method(method), Rank: rank, ZeroJoin: zeroJoin,
+		switch {
+		case cfg.Distributed != nil:
+			res, ds, err = decomposeDistributed(ctx, part, opts, cfg)
+		case cfg.Workers > 0:
+			res, err = dist.Decompose(part, dist.Options{Options: opts, Workers: cfg.Workers})
+		case cfg.Factored:
+			res, err = core.DecomposeFactored(part, opts)
+		default:
+			res, err = core.M2TDCtx(ctx, part, opts)
+		}
+		return err
 	})
+	return res, ds, err
 }
 
-func nan() float64 { return math.NaN() }
+// decomposeDistributed runs D-M2TD on worker processes (internal/distnet)
+// and sums the engine's per-phase accounting into a DistStats.
+func decomposeDistributed(ctx context.Context, part *partition.Result, opts core.Options, cfg Config) (*core.Result, *DistStats, error) {
+	dc := cfg.Distributed
+	workDir := dc.WorkDir
+	if workDir == "" {
+		tmp, err := os.MkdirTemp("", "m2td-distnet-*")
+		if err != nil {
+			return nil, nil, fmt.Errorf("distributed work dir: %w", err)
+		}
+		defer os.RemoveAll(tmp)
+		workDir = tmp
+	}
+	killSeed := dc.KillSeed
+	if killSeed == 0 {
+		killSeed = cfg.Seed
+	}
+	d, err := distnet.Decompose(ctx, part, distnet.Options{
+		Method:   opts.Method,
+		Ranks:    opts.Ranks,
+		ZeroJoin: opts.ZeroJoin,
+		Workers:  dc.Workers,
+		Shards:   dc.Shards,
+		Addr:     dc.Addr,
+		WorkDir:  workDir,
+		Kill:     faults.KillSpec{Seed: killSeed, Kills: dc.KillWorkers},
+		Retry:    cfg.Retry,
+		Span:     opts.Span,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.Result, &DistStats{
+		Workers:      len(d.Workers),
+		WorkersLost:  d.Phase1.WorkersLost + d.Phase2.WorkersLost + d.Phase3.WorkersLost,
+		Requeues:     d.Phase1.Requeues + d.Phase2.Requeues + d.Phase3.Requeues,
+		TasksSkipped: d.Phase1.Skipped + d.Phase2.Skipped + d.Phase3.Skipped,
+		Phase1:       d.Phase1.Duration,
+		Phase2:       d.Phase2.Duration,
+		Phase3:       d.Phase3.Duration,
+	}, nil
+}

@@ -1,7 +1,11 @@
 package m2td
 
 import (
+	"context"
 	"math"
+	"repro/internal/faults"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -34,7 +38,7 @@ func TestSystems(t *testing.T) {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	report, err := Run(smallConfig())
+	report, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunSkipAccuracy(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +75,14 @@ func TestRunAllMethodsAndDefaults(t *testing.T) {
 	for _, m := range []string{"avg", "concat", "select", "AVG", "M2TD-SELECT"} {
 		cfg := smallConfig()
 		cfg.Method = Method(m)
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunCtx(context.Background(), cfg); err != nil {
 			t.Fatalf("method %q: %v", m, err)
 		}
 	}
 	// Zero-valued config normalises to runnable defaults (slow at the real
 	// default resolution, so only exercise validation here).
 	cfg := Config{Method: "bogus"}
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunCtx(context.Background(), cfg); err == nil {
 		t.Fatal("bogus method accepted")
 	}
 }
@@ -86,12 +90,12 @@ func TestRunAllMethodsAndDefaults(t *testing.T) {
 func TestRunUnknownPivotAndSystem(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Pivot = "nope"
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunCtx(context.Background(), cfg); err == nil {
 		t.Fatal("unknown pivot accepted")
 	}
 	cfg = smallConfig()
 	cfg.System = "nope"
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunCtx(context.Background(), cfg); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
@@ -99,7 +103,7 @@ func TestRunUnknownPivotAndSystem(t *testing.T) {
 func TestRunParameterPivot(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Pivot = "phi1"
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +113,13 @@ func TestRunParameterPivot(t *testing.T) {
 }
 
 func TestRunDistributedMatchesSerial(t *testing.T) {
-	serial, err := Run(smallConfig())
+	serial, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
 	cfg.Workers = 3
-	distributed, err := Run(cfg)
+	distributed, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +129,12 @@ func TestRunDistributedMatchesSerial(t *testing.T) {
 }
 
 func TestBaselineSchemes(t *testing.T) {
-	m2tdReport, err := Run(smallConfig())
+	m2tdReport, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, scheme := range []string{"random", "grid", "slice"} {
-		base, err := Baseline(smallConfig(), scheme, m2tdReport.NumSims)
+		base, err := BaselineCtx(context.Background(), smallConfig(), scheme, m2tdReport.NumSims)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -141,7 +145,7 @@ func TestBaselineSchemes(t *testing.T) {
 			t.Fatalf("%s accuracy %v >= M2TD %v (paper's headline violated)", scheme, base.Accuracy, m2tdReport.Accuracy)
 		}
 	}
-	if _, err := Baseline(smallConfig(), "nope", 10); err == nil {
+	if _, err := BaselineCtx(context.Background(), smallConfig(), "nope", 10); err == nil {
 		t.Fatal("unknown baseline scheme accepted")
 	}
 }
@@ -151,26 +155,33 @@ func TestBuildingBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := Partition(space, space.TimeMode(), 1, 0.5, 3)
+	ctx := context.Background()
+	part, err := PartitionCtx(ctx, space, space.TimeMode(), PartitionOptions{FreeFrac: 0.5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := Stitch(part, false)
-	zj := Stitch(part, true)
+	j, err := StitchCtx(ctx, part, StitchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zj, err := StitchCtx(ctx, part, StitchOptions{ZeroJoin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if zj.NNZ() <= j.NNZ() {
 		t.Fatalf("zero-join %d not denser than join %d", zj.NNZ(), j.NNZ())
 	}
-	res, err := Decompose(part, core.SELECT, 2, false)
+	res, err := DecomposeCtx(ctx, part, DecomposeOptions{Method: Method(core.SELECT), Rank: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Decompose takes the join-free route: no J on the result, and the
-	// join's size is the density formula — which must agree with Stitch.
+	// DecomposeCtx takes the join-free route: no J on the result, and the
+	// join's size is the density formula — which must agree with StitchCtx.
 	if res.Join != nil {
-		t.Fatal("Decompose materialised a join on an intact partition")
+		t.Fatal("DecomposeCtx materialised a join on an intact partition")
 	}
 	if got := part.JoinCells(false); got != j.NNZ() {
-		t.Fatalf("density formula says %d join cells, Stitch built %d", got, j.NNZ())
+		t.Fatalf("density formula says %d join cells, StitchCtx built %d", got, j.NNZ())
 	}
 	if got := part.JoinCells(true); got != zj.NNZ() {
 		t.Fatalf("density formula says %d zero-join cells, Stitch built %d", got, zj.NNZ())
@@ -182,12 +193,12 @@ func TestZeroJoinImprovesLowBudgetAccuracy(t *testing.T) {
 	// should not hurt (and usually helps) reconstruction accuracy.
 	cfg := smallConfig()
 	cfg.SubEnsembleDensity = 0.3
-	plain, err := Run(cfg)
+	plain, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.ZeroJoin = true
-	zero, err := Run(cfg)
+	zero, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +211,13 @@ func TestZeroJoinImprovesLowBudgetAccuracy(t *testing.T) {
 // an intact campaign it is the default route, so the two runs agree to the
 // bit, neither builds a join, and both report the join's size.
 func TestRunFactoredMatchesDefault(t *testing.T) {
-	base, err := Run(smallConfig())
+	base, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
 	cfg.Factored = true
-	factored, err := Run(cfg)
+	factored, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +237,19 @@ func TestRunFactoredWorkersConflict(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Factored = true
 	cfg.Workers = 2
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunCtx(context.Background(), cfg); err == nil {
 		t.Fatal("Factored+Workers accepted")
 	}
 }
 
 func TestRunEstimatedAccuracyNearExact(t *testing.T) {
-	exact, err := Run(smallConfig())
+	exact, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
 	cfg.AccuracySampleSims = 1 << 20 // clamps to the full space: exact
-	est, err := Run(cfg)
+	est, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +257,7 @@ func TestRunEstimatedAccuracyNearExact(t *testing.T) {
 		t.Fatalf("full-sample estimate %v != exact %v", est.Accuracy, exact.Accuracy)
 	}
 	cfg.AccuracySampleSims = 200
-	partial, err := Run(cfg)
+	partial, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +270,11 @@ func TestBaselineEstimatedAccuracy(t *testing.T) {
 	cfg := smallConfig()
 	cfg.AccuracySampleSims = 1 << 20
 	exactCfg := smallConfig()
-	est, err := Baseline(cfg, "random", 30)
+	est, err := BaselineCtx(context.Background(), cfg, "random", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Baseline(exactCfg, "random", 30)
+	exact, err := BaselineCtx(context.Background(), exactCfg, "random", 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +284,11 @@ func TestBaselineEstimatedAccuracy(t *testing.T) {
 }
 
 func TestBaselineLatinHypercube(t *testing.T) {
-	m2tdReport, err := Run(smallConfig())
+	m2tdReport, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lhs, err := Baseline(smallConfig(), "lhs", m2tdReport.NumSims)
+	lhs, err := BaselineCtx(context.Background(), smallConfig(), "lhs", m2tdReport.NumSims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +303,7 @@ func TestBaselineLatinHypercube(t *testing.T) {
 func TestRunAutoPivot(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Pivot = "auto"
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +312,45 @@ func TestRunAutoPivot(t *testing.T) {
 	}
 	// Auto must never lose badly against the default pivot: within a
 	// factor given it optimises a pilot of the same objective.
-	def, err := Run(smallConfig())
+	def, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.Accuracy < def.Accuracy/2 {
 		t.Fatalf("auto pivot %v far below default %v", report.Accuracy, def.Accuracy)
+	}
+}
+
+// TestRouteOptionsExclusive: Workers, Distributed, Sketch and Factored each
+// name the decomposition's route, so every pair of them is rejected — by
+// RunCtx and BaselineCtx alike, and before a single simulation has run.
+func TestRouteOptionsExclusive(t *testing.T) {
+	routes := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"Workers", func(c *Config) { c.Workers = 2 }},
+		{"Distributed", func(c *Config) { c.Distributed = &DistributedConfig{Workers: 2} }},
+		{"Sketch", func(c *Config) { c.Sketch.KeepFrac = 0.5 }},
+		{"Factored", func(c *Config) { c.Factored = true }},
+	}
+	for i, a := range routes {
+		for _, b := range routes[i+1:] {
+			var sims atomic.Int64
+			cfg := smallConfig()
+			cfg.Faults = &faults.Config{Seed: 1, Hook: func() { sims.Add(1) }}
+			a.set(&cfg)
+			b.set(&cfg)
+			_, runErr := RunCtx(context.Background(), cfg)
+			_, baseErr := BaselineCtx(context.Background(), cfg, "random", 10)
+			for entry, err := range map[string]error{"RunCtx": runErr, "BaselineCtx": baseErr} {
+				if err == nil || !strings.Contains(err.Error(), a.name) || !strings.Contains(err.Error(), b.name) {
+					t.Errorf("%s with %s+%s: want a rejection naming both, got %v", entry, a.name, b.name, err)
+				}
+			}
+			if n := sims.Load(); n != 0 {
+				t.Errorf("%s+%s: %d simulation attempts ran before the rejection", a.name, b.name, n)
+			}
+		}
 	}
 }

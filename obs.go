@@ -16,7 +16,7 @@ var runsTotal = obs.Default.Counter("m2td_runs_total",
 	"Completed pipeline runs (Run/RunCtx and Baseline/BaselineCtx).")
 
 // NewTrace starts a stage-span trace for use with the Ctx building blocks
-// (PartitionCtx, StitchCtx, DecomposeCtx). Run and Baseline build their
+// (PartitionCtx, StitchCtx, DecomposeCtx). RunCtx and BaselineCtx build their
 // own trace when Config.Trace is set; NewTrace is for custom pipelines.
 // Finish it with its Finish method before serializing.
 func NewTrace(name string) *obs.Trace { return obs.New(name) }

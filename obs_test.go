@@ -2,6 +2,7 @@ package m2td
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -29,7 +30,7 @@ func TestTraceGoldenStructure(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		cfg := traceConfig()
 		cfg.Parallel = workers
-		report, err := Run(cfg)
+		report, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("Parallel=%d: %v", workers, err)
 		}
@@ -70,7 +71,7 @@ func TestTraceGoldenStructure(t *testing.T) {
 func TestTraceSpanTaxonomy(t *testing.T) {
 	sketched := traceConfig()
 	sketched.Sketch.KeepFrac = 1
-	sreport, err := Run(sketched)
+	sreport, err := RunCtx(context.Background(), sketched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 		t.Errorf("sketched run: want a stitch span and factored=0 under decompose:\n%s", d.Skeleton())
 	}
 
-	report, err := Run(traceConfig())
+	report, err := RunCtx(context.Background(), traceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestTraceSpanTaxonomy(t *testing.T) {
 func TestTraceDisabledByDefault(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // TestBaselineTrace checks the baseline pipeline's span taxonomy.
 func TestBaselineTrace(t *testing.T) {
 	cfg := traceConfig()
-	report, err := Baseline(cfg, "random", 60)
+	report, err := BaselineCtx(context.Background(), cfg, "random", 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestBaselineTrace(t *testing.T) {
 // TestWriteTraceRoundTrip serializes a real run's trace and replays it,
 // asserting the skeleton survives JSONL serialization bit-for-bit.
 func TestWriteTraceRoundTrip(t *testing.T) {
-	report, err := Run(traceConfig())
+	report, err := RunCtx(context.Background(), traceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	runsBefore := value(scrape(), "m2td_runs_total")
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package m2td
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestPredictOnGridMatchesReconstruction(t *testing.T) {
-	report, err := Run(smallConfig())
+	report, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestPredictOnGridMatchesReconstruction(t *testing.T) {
 }
 
 func TestPredictMidpointBetweenNeighbours(t *testing.T) {
-	report, err := Run(smallConfig())
+	report, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestPredictMidpointBetweenNeighbours(t *testing.T) {
 }
 
 func TestPredictClampsOutOfRange(t *testing.T) {
-	report, err := Run(smallConfig())
+	report, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestPredictApproximatesSimulation(t *testing.T) {
 	// the reference parameters should be near the true cell values
 	// (distance ≈ 0 at the reference — prediction should be small compared
 	// with typical cell magnitudes).
-	report, err := Run(Config{
+	report, err := RunCtx(context.Background(), Config{
 		System:     "seir",
 		Resolution: 8,
 		Rank:       4,
@@ -137,7 +138,7 @@ func TestPredictApproximatesSimulation(t *testing.T) {
 }
 
 func TestPredictValidation(t *testing.T) {
-	report, err := Run(smallConfig())
+	report, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"repro/internal/stitch"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -68,7 +69,7 @@ func TestRunSimTimeout(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
 	cfg.SimTimeout = time.Nanosecond
-	_, err := Run(cfg)
+	_, err := RunCtx(context.Background(), cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded from the simulation stage, got %v", err)
 	}
@@ -77,7 +78,7 @@ func TestRunSimTimeout(t *testing.T) {
 func TestRunFaultInjectionAccounting(t *testing.T) {
 	clean := smallConfig()
 	clean.SkipAccuracy = true
-	cleanReport, err := Run(clean)
+	cleanReport, err := RunCtx(context.Background(), clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRunFaultInjectionAccounting(t *testing.T) {
 	cfg.SkipAccuracy = true
 	cfg.Faults = &faults.Config{Seed: 99, TransientRate: 0.10, DivergentRate: 0.02}
 	cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("fault-injected run must complete without error: %v", err)
 	}
@@ -129,7 +130,7 @@ func TestRunFaultInjectionWithoutRetriesFailsSims(t *testing.T) {
 	cfg.SkipAccuracy = true
 	cfg.Faults = &faults.Config{Seed: 99, TransientRate: 0.10}
 	cfg.Retry = faults.RetryPolicy{MaxAttempts: 1}
-	report, err := Run(cfg)
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRunResumeBitIdentical(t *testing.T) {
 	// Uninterrupted reference pipeline (same seed, no checkpointing).
 	ref := smallConfig()
 	ref.SkipAccuracy = true
-	refReport, err := Run(ref)
+	refReport, err := RunCtx(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestRunResumeBitIdentical(t *testing.T) {
 	// The decomposition, and the join tensor stitched from each run's
 	// partition, are bit-identical to the uninterrupted run's.
 	requireSameBits(t, "resumed vs uninterrupted", report.Decomposition, refReport.Decomposition)
-	refJoin, join := Stitch(refReport.Partition, false), Stitch(report.Partition, false)
+	refJoin, join := stitch.Join(refReport.Partition), stitch.Join(report.Partition)
 	if !reflect.DeepEqual(join.Idx, refJoin.Idx) || !reflect.DeepEqual(join.Vals, refJoin.Vals) {
 		t.Fatal("resumed pipeline's join tensor is not bit-identical to the uninterrupted run's")
 	}
@@ -214,7 +215,7 @@ func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 	cfg.SkipAccuracy = true
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = 1
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// A different seed is a different campaign: its resume must ignore
@@ -222,7 +223,7 @@ func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Seed = cfg.Seed + 1
 	cfg2.Resume = true
-	report, err := Run(cfg2)
+	report, err := RunCtx(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}

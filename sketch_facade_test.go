@@ -19,7 +19,7 @@ func sketchConfig(keep float64) Config {
 }
 
 func TestRunSketchRoundTrip(t *testing.T) {
-	report, err := Run(sketchConfig(0.5))
+	report, err := RunCtx(context.Background(), sketchConfig(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestRunSketchRoundTrip(t *testing.T) {
 // materialising decomposition to the bit (a sketch run always builds the
 // join), and agrees with the default join-free run up to summation order.
 func TestRunSketchKeepAllMatchesPlain(t *testing.T) {
-	plain, err := Run(smallConfig())
+	plain, err := RunCtx(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(sketchConfig(1))
+	full, err := RunCtx(context.Background(), sketchConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunSketchBitStableAcrossParallel(t *testing.T) {
 		cfg := sketchConfig(0.3)
 		cfg.SkipAccuracy = true
 		cfg.Parallel = parallel
-		report, err := Run(cfg)
+		report, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestRunSketchValidation(t *testing.T) {
 		"workers":  func() Config { c := sketchConfig(0.5); c.Workers = 2; return c }(),
 		"factored": func() Config { c := sketchConfig(0.5); c.Factored = true; return c }(),
 	} {
-		if _, err := Run(cfg); err == nil {
+		if _, err := RunCtx(context.Background(), cfg); err == nil {
 			t.Fatalf("%s: invalid sketch config accepted", name)
 		} else if !strings.Contains(err.Error(), "Sketch") {
 			t.Fatalf("%s: error %q does not name the Sketch config", name, err)
@@ -120,7 +120,7 @@ func TestRunSketchValidation(t *testing.T) {
 }
 
 func TestBaselineSketch(t *testing.T) {
-	base, err := Baseline(sketchConfig(0.5), "random", 60)
+	base, err := BaselineCtx(context.Background(), sketchConfig(0.5), "random", 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestDecomposeCtxSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := Partition(space, 0, 1, 1, 7)
+	part, err := PartitionCtx(context.Background(), space, 0, PartitionOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Decompose(part, "M2TD-SELECT", 2, false)
+	res, err := DecomposeCtx(context.Background(), part, DecomposeOptions{Method: "M2TD-SELECT", Rank: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

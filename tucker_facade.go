@@ -60,56 +60,51 @@ func TuckerCtx(ctx context.Context, x *tensor.Sparse, opts TuckerOptions) (*Tuck
 	if x == nil || x.Order() == 0 {
 		return nil, fmt.Errorf("m2td: TuckerCtx needs a non-empty tensor")
 	}
+	cfg := Config{Rank: opts.Rank, Sketch: opts.Sketch}.normalize()
 	ranks := opts.Ranks
 	if ranks == nil {
-		rank := opts.Rank
-		if rank == 0 {
-			rank = 4
-		}
-		ranks = tucker.UniformRanks(x.Order(), rank)
+		ranks = tucker.UniformRanks(x.Order(), cfg.Rank)
 	}
-	if opts.Sketch.KeepFrac != 0 && opts.Sketch.Seed == 0 {
-		opts.Sketch.Seed = 1
-	}
-	if f := opts.Sketch.KeepFrac; f < 0 || f > 1 {
+	if f := cfg.Sketch.KeepFrac; f < 0 || f > 1 {
 		return nil, fmt.Errorf("m2td: Sketch.KeepFrac %v outside (0, 1]", f)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("m2td: tucker stage: %w", err)
-	}
-	span := opts.Trace.Root().Start("tucker")
-	done := span.WithVitals(nil)
-	defer done()
-
 	res := &TuckerResult{}
-	if f := opts.Sketch.KeepFrac; f > 0 {
-		sopts := tucker.SketchOptions{KeepFrac: f, Seed: opts.Sketch.Seed, Workers: opts.Parallel, Span: span}
-		var (
-			dec   tucker.Decomposition
-			stats tucker.SketchStats
-			err   error
-		)
-		if opts.HOOI {
-			dec, stats, err = tucker.SketchedHOOI(x, ranks, sopts, tucker.HOOIOptions{Workers: opts.Parallel, Span: span})
-		} else {
-			dec, stats, err = tucker.SketchedHOSVD(x, ranks, sopts)
+	err := runStage(ctx, opts.Trace, "tucker", "tucker", 0, func(ctx context.Context, span *obs.Span) (err error) {
+		var stats *tucker.SketchStats
+		if res.Decomposition, stats, err = tuckerOf(ctx, span, x, ranks, cfg.Sketch, opts.HOOI, opts.Parallel); stats != nil {
+			res.Sketched, res.SketchKept, res.SketchInput = true, stats.Kept, stats.InputNNZ
 		}
-		if err != nil {
-			return nil, fmt.Errorf("m2td: tucker stage: %w", err)
-		}
-		res.Decomposition = dec
-		res.Sketched = true
-		res.SketchKept = stats.Kept
-		res.SketchInput = stats.InputNNZ
-	} else if opts.HOOI {
-		dec, err := tucker.HOOICtx(ctx, x, ranks, tucker.HOOIOptions{Workers: opts.Parallel, Span: span})
-		if err != nil {
-			return nil, fmt.Errorf("m2td: tucker stage: %w", err)
-		}
-		res.Decomposition = dec
-	} else {
-		res.Decomposition = tucker.HOSVDSpan(x, ranks, opts.Parallel, span)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.Ranks = res.Decomposition.Ranks
 	return res, nil
+}
+
+// tuckerOf is the raw-tensor Tucker decomposition TuckerCtx and BaselineCtx
+// share, under the caller's stage span: HOSVD, optionally HOOI-refined,
+// either optionally on the sketch fast path (stats is nil unless sketched).
+// The context is checked before the kernels run; only HOOI observes it after.
+func tuckerOf(ctx context.Context, span *obs.Span, x *tensor.Sparse, ranks []int, sketch SketchConfig, hooi bool, workers int) (dec tucker.Decomposition, stats *tucker.SketchStats, err error) {
+	if err := ctx.Err(); err != nil {
+		return dec, nil, err
+	}
+	hopts := tucker.HOOIOptions{Workers: workers, Span: span}
+	switch {
+	case sketch.KeepFrac > 0:
+		sopts := tucker.SketchOptions{KeepFrac: sketch.KeepFrac, Seed: sketch.Seed, Workers: workers, Span: span}
+		var st tucker.SketchStats
+		if hooi {
+			dec, st, err = tucker.SketchedHOOI(x, ranks, sopts, hopts)
+		} else {
+			dec, st, err = tucker.SketchedHOSVD(x, ranks, sopts)
+		}
+		return dec, &st, err
+	case hooi:
+		dec, err = tucker.HOOICtx(ctx, x, ranks, hopts)
+		return dec, nil, err
+	}
+	return tucker.HOSVDSpan(x, ranks, workers, span), nil, nil
 }
