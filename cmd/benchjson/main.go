@@ -46,7 +46,7 @@ import (
 
 // defaultBench selects the kernel benchmarks worth tracking: TTM and
 // ModeGram variants, HOSVD/HOOI (plain and sketched), workspace chains,
-// stitching (BenchmarkStitch also selects the process engine's
+// stitching (BenchmarkStitch also selects the D-M2TD Phase 2 task,
 // BenchmarkStitchShard), transient (plan-less) core recovery, the
 // simulation kernel (one simulation per system, one res-12 sub-ensemble
 // campaign), the sparse store codec, and the decomposition stage on both

@@ -5,8 +5,9 @@
 //   - Phase 1 — SubFactor: one (sub-tensor, mode) pair's matricization
 //     Gram matrix (needed for CONCAT fusion) and its rank-truncated factor;
 //     FuseFactors then fuses the pivot modes driver-side.
-//   - Phase 2 — JoinSpec.StitchShard: the pivot groups whose key lands in
-//     one shard (key % shards), joined or zero-joined; MergeJoin
+//   - Phase 2 — stitch.Spec.Shard, the one JE-stitch kernel (the same
+//     function stitch.Join is at shard 0 of 1): the pivot groups whose key
+//     lands in one shard (key % shards), joined or zero-joined; MergeJoin
 //     concatenates the shards in ascending shard order.
 //   - Phase 3 — ShardCore: one join shard projected through the fused
 //     factors (exact, since the core is linear in J's cells); SumCores adds
@@ -26,6 +27,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/stitch"
 	"repro/internal/tensor"
 )
 
@@ -46,7 +48,8 @@ func SubFactor(x *tensor.Sparse, mode, rank int) (gram, factor *mat.Matrix) {
 }
 
 // MergeJoin concatenates Phase 2's shards, in the order given (ascending
-// shard index), into exactly-sized storage.
+// shard index), into exactly-sized storage. The shards' quarantine state
+// carries over: the flag if any shard has it, and the sum of their counts.
 func MergeJoin(shape tensor.Shape, shards []*tensor.Sparse) *tensor.Sparse {
 	total := 0
 	for _, shard := range shards {
@@ -56,6 +59,8 @@ func MergeJoin(shape tensor.Shape, shards []*tensor.Sparse) *tensor.Sparse {
 	j.Reserve(total)
 	for _, shard := range shards {
 		j.AppendBlock(shard.Idx, shard.Vals)
+		j.RejectNonFinite = j.RejectNonFinite || shard.RejectNonFinite
+		j.Rejected += shard.Rejected
 	}
 	return j
 }
@@ -77,8 +82,8 @@ func SumCores(partials []*tensor.Dense) *tensor.Dense {
 }
 
 // Decompose runs D-M2TD over a PF-partitioned pair of sub-ensembles on the
-// in-process pool, producing the same decomposition as core.DecomposeCtx (up
-// to floating-point summation order in Phase 3).
+// in-process pool. At one shard it is core.DecomposeCtx's computation bit
+// for bit; at more, the same decomposition up to Phase 3's summation order.
 func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
@@ -105,11 +110,11 @@ func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 
 	// ---- Phase 2: one stitch task per shard ----
 	stitchClock := core.Stopwatch()
-	spec := NewJoinSpec(p, opts.ZeroJoin)
+	spec := stitch.NewSpec(p, opts.ZeroJoin)
 	joinShards := make([]*tensor.Sparse, shards)
 	tasks = tasks[:0]
 	for s := range joinShards {
-		tasks = append(tasks, func() { joinShards[s] = spec.StitchShard(p.Sub1.Tensor, p.Sub2.Tensor, s, shards) })
+		tasks = append(tasks, func() { joinShards[s] = spec.Shard(p.Sub1.Tensor, p.Sub2.Tensor, s, shards) })
 	}
 	parallel.Do(shards, tasks...)
 	j := MergeJoin(spec.Shape, joinShards)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/ensemble"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/stitch"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
@@ -22,8 +23,16 @@ var doublePendulumPairs = [][2]int{{0, 2}, {1, 3}}
 
 func tinyPartition(t *testing.T, freeFrac float64, seed int64) *partition.Result {
 	t.Helper()
+	return pivotPartition(t, 4, freeFrac, seed)
+}
+
+// pivotPartition is tinyPartition pivoted on the given mode: 4 is time,
+// the evaluation default; 0 is a parameter mode, whose sub-tensor storage
+// is not lexicographic within a pivot group.
+func pivotPartition(t *testing.T, pivot int, freeFrac float64, seed int64) *partition.Result {
+	t.Helper()
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
-	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
+	cfg := partition.DefaultConfig(5, pivot, doublePendulumPairs)
 	cfg.FreeFrac = freeFrac
 	res, err := partition.Generate(space, cfg, rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -198,20 +207,32 @@ func TestDistributedBitIdenticalAcrossFanout(t *testing.T) {
 	}
 }
 
-// TestDistributedZeroWorkersIsOneShard: Workers below 1 means one shard.
+// TestDistributedZeroWorkersIsOneShard: Workers below 1 means one shard,
+// and one shard is core.DecomposeCtx's computation — the same stitch
+// kernel over the whole key range, the same projection of the same cell
+// order — so the two materialised executors agree to the last bit of
+// every factor, core value and join cell.
 func TestDistributedZeroWorkersIsOneShard(t *testing.T) {
-	p := tinyPartition(t, 1, 129)
-	opts := Options{Options: core.Options{Method: core.AVG, Ranks: tucker.UniformRanks(5, 2)}}
-	got, err := Decompose(p, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, pivot := range []int{4, 0} {
+		p := pivotPartition(t, pivot, 0.5, 129)
+		for _, m := range core.Methods() {
+			for _, zero := range []bool{false, true} {
+				opts := Options{Options: core.Options{Method: m, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}}
+				want, err := core.DecomposeCtx(context.Background(), p, opts.Options)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{0, 1} {
+					opts.Workers = workers
+					got, err := Decompose(p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, fmt.Sprintf("pivot %d %s zero=%v: workers=%d vs core.DecomposeCtx", pivot, m, zero, workers), got, want)
+				}
+			}
+		}
 	}
-	opts.Workers = 1
-	want, err := Decompose(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "workers=0 vs 1", got, want)
 }
 
 // TestDistributedEmptyShardsAndEmptyJoin: more shards than pivot keys
@@ -222,8 +243,8 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 	p := tinyPartition(t, 1, 128)
 	ranks := tucker.UniformRanks(5, 9) // clipped to 5 on the parameter modes, 4 on time
 	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: ranks}}
-	spec := NewJoinSpec(p, false)
-	keys := spec.gridSize(spec.Pivots)
+	spec := stitch.NewSpec(p, false)
+	keys := p.Space.Shape()[spec.Pivots[0]]
 
 	serial, err := core.DecomposeCtx(context.Background(), p, opts.Options)
 	if err != nil {

@@ -1,200 +1,26 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
 	"repro/internal/partition"
+	"repro/internal/stitch"
 	"repro/internal/tensor"
+	"repro/internal/tucker"
 )
 
-// The per-group stitch (JoinGroup) is the oracle StitchShard is pinned to:
-// the path both engines ran before the shard kernel, kept here only.
-
-// cell is one sub-tensor cell in SUB-LOCAL index order (pivot modes
-// leading, as partition.SubEnsemble tensors are laid out).
-type cell struct {
-	idx []int
-	val float64
-}
-
-// decodePivotKey inverts PivotKey into pivot-mode coordinates.
-func (s JoinSpec) decodePivotKey(key int) []int {
-	idx := make([]int, len(s.Pivots))
-	for i := len(idx) - 1; i >= 0; i-- {
-		size := s.Shape[s.Pivots[i]]
-		idx[i], key = key%size, key/size
-	}
-	return idx
-}
-
-// enumerate lists every coordinate combination over the given modes.
-func enumerate(shape tensor.Shape, modes []int) [][]int {
-	var out [][]int
-	cur := make([]int, len(modes))
-	var walk func(pos int)
-	walk = func(pos int) {
-		if pos == len(modes) {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for i := 0; i < shape[modes[pos]]; i++ {
-			cur[pos] = i
-			walk(pos + 1)
-		}
-	}
-	walk(0)
-	return out
-}
-
-const localRadix = 1 << 20
-
-func localKey(idx []int) int {
-	key := 0
-	for _, i := range idx {
-		key = key*localRadix + i
-	}
-	return key
-}
-
-// sampledCellSet returns the set of free coordinates present in one side
-// of a pivot group.
-func sampledCellSet(side []cell, k int) map[int]bool {
-	out := make(map[int]bool, len(side))
-	for _, c := range side {
-		out[localKey(c.idx[k:])] = true
-	}
-	return out
-}
-
-// joinGroup stitches one pivot group: side1 and side2 hold the group's
-// cells from each sub-tensor, sorted lexicographically by index;
-// free1All/free2All are both sides' full free-coordinate grids (only
-// consulted when ZeroJoin is set). Join cells are emitted in full-space
-// index order derived deterministically from the inputs: matched pairs
-// first (side1-major), then side1's zero-join extensions against side2's
-// unsampled free configurations, then side2's.
-func (s JoinSpec) joinGroup(key int, side1, side2 []cell, free1All, free2All [][]int, emit func(idx []int, val float64)) {
-	k := len(s.Pivots)
-	pivotIdx := s.decodePivotKey(key)
-	emitCell := func(f1, f2 []int, v float64) {
-		full := make([]int, len(s.Shape))
-		for i, m := range s.Pivots {
-			full[m] = pivotIdx[i]
-		}
-		for i, m := range s.Free1 {
-			full[m] = f1[i]
-		}
-		for i, m := range s.Free2 {
-			full[m] = f2[i]
-		}
-		emit(full, v)
-	}
-	for _, c1 := range side1 {
-		for _, c2 := range side2 {
-			emitCell(c1.idx[k:], c2.idx[k:], (c1.val+c2.val)/2)
-		}
-	}
-	if !s.ZeroJoin {
-		return
-	}
-	sampled1 := sampledCellSet(side1, k)
-	sampled2 := sampledCellSet(side2, k)
-	for _, f2 := range free2All {
-		if sampled2[localKey(f2)] {
-			continue
-		}
-		for _, c1 := range side1 {
-			emitCell(c1.idx[k:], f2, c1.val/2)
-		}
-	}
-	for _, f1 := range free1All {
-		if sampled1[localKey(f1)] {
-			continue
-		}
-		for _, c2 := range side2 {
-			emitCell(f1, c2.idx[k:], c2.val/2)
-		}
-	}
-}
-
-// sortCellsLex orders cells lexicographically by index — the within-group
-// order joinGroup expects.
-func sortCellsLex(cs []cell) {
-	sort.Slice(cs, func(a, b int) bool {
-		ia, ib := cs[a].idx, cs[b].idx
-		for i := range ia {
-			if ia[i] != ib[i] {
-				return ia[i] < ib[i]
-			}
-		}
-		return false
-	})
-}
-
-// referenceStitchShard is the shard stitch the process engine ran before
-// StitchShard, kept as its oracle: every cell of the shard is copied out,
-// cells are grouped by pivot key, each side of each group is sorted
-// lexicographically, and the groups go through joinGroup in ascending key
-// order, one Append per join cell.
-func referenceStitchShard(spec JoinSpec, x1, x2 *tensor.Sparse, shard, shards int) *tensor.Sparse {
-	var free1, free2 [][]int
-	if spec.ZeroJoin {
-		free1, free2 = enumerate(spec.Shape, spec.Free1), enumerate(spec.Shape, spec.Free2)
-	}
-	groups := map[int]*[2][]cell{}
-	for side, x := range []*tensor.Sparse{x1, x2} {
-		x.Each(func(idx []int, v float64) {
-			key := spec.PivotKey(idx)
-			if key%shards != shard {
-				return
-			}
-			if groups[key] == nil {
-				groups[key] = new([2][]cell)
-			}
-			groups[key][side] = append(groups[key][side], cell{idx: append([]int(nil), idx...), val: v})
-		})
-	}
-	keys := make([]int, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Ints(keys)
-	j := tensor.NewSparse(spec.Shape)
-	for _, key := range keys {
-		g := groups[key]
-		sortCellsLex(g[0])
-		sortCellsLex(g[1])
-		spec.joinGroup(key, g[0], g[1], free1, free2, j.Append)
-	}
-	return j
-}
-
-// stitchConfigs are the two partition geometries of the parity suite: the
-// evaluation default (time as the single pivot) and a two-pivot split
-// whose pivot modes are not the leading full-space modes.
-var stitchConfigs = map[string]partition.Config{
-	"time-pivot": partition.DefaultConfig(5, 4, doublePendulumPairs),
-	"two-pivot":  {Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1},
-}
-
-// stitchPartition generates a double-pendulum partition with res values
-// per parameter and per time mode (the m2tdperf workloads' shape).
-func stitchPartition(t testing.TB, cfg partition.Config, res int, freeFrac float64, seed int64) *partition.Result {
-	t.Helper()
-	cfg.FreeFrac = freeFrac
-	p, err := partition.Generate(ensemble.NewSpace(dynsys.NewDoublePendulum(), res, res), cfg, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
+// The stitch kernel and its oracles live in internal/stitch. What this
+// package adds to Phase 2 is the sharding, so that is what is pinned here:
+// the reference for shard s of S is the whole join — stitch.Spec.Shard at
+// 0 of 1, which is stitch.Join — cut down to the pivot keys ≡ s (mod S).
 
 // thin returns x without the entries drop selects.
 func thin(x *tensor.Sparse, drop func(e int, idx []int) bool) *tensor.Sparse {
@@ -207,55 +33,63 @@ func thin(x *tensor.Sparse, drop func(e int, idx []int) bool) *tensor.Sparse {
 	return out
 }
 
-func sameShard(t *testing.T, got, want *tensor.Sparse) {
-	t.Helper()
-	if len(got.Vals) != len(want.Vals) || len(got.Idx) != len(want.Idx) {
-		t.Fatalf("%d cells (%d indices), reference has %d (%d)", len(got.Vals), len(got.Idx), len(want.Vals), len(want.Idx))
-	}
-	for e := range want.Vals {
-		gi, gv := got.Entry(e)
-		wi, wv := want.Entry(e)
-		if !slices.Equal(gi, wi) || math.Float64bits(gv) != math.Float64bits(wv) {
-			t.Fatalf("cell %d: %v = %v, reference %v = %v", e, gi, gv, wi, wv)
+// shardOfWhole keeps, in order, the cells of the whole join whose pivot
+// key lands in the shard.
+func shardOfWhole(spec stitch.Spec, whole *tensor.Sparse, shard, shards int) *tensor.Sparse {
+	pivots := make([]int, len(spec.Pivots))
+	return thin(whole, func(_ int, idx []int) bool {
+		for i, m := range spec.Pivots {
+			pivots[i] = idx[m]
 		}
-	}
-	if got.Rejected != want.Rejected || got.RejectNonFinite != want.RejectNonFinite {
-		t.Fatalf("quarantine state %v/%d, reference %v/%d", got.RejectNonFinite, got.Rejected, want.RejectNonFinite, want.Rejected)
-	}
-	if cap(got.Vals) != len(got.Vals) || cap(got.Idx) != len(got.Idx) {
-		t.Fatalf("storage not sized exactly: %d/%d cells, %d/%d indices", len(got.Vals), cap(got.Vals), len(got.Idx), cap(got.Idx))
-	}
+		return spec.PivotKey(pivots)%shards != shard
+	})
 }
 
-// TestStitchShardMatchesReference: StitchShard must reproduce the old
-// path's shard cell for cell, bit for bit and in order — full and ragged
-// pivot groups, groups present on one side only, a NaN among the inputs.
+// TestStitchShardMatchesReference: the shards partition the one-shard
+// join by pivot key and keep its order — full and ragged pivot groups,
+// groups present on one side only, a NaN among the inputs (quarantined at
+// free=1, where Generate's sub-tensors carry the flag; stitched through at
+// free=0.5, where the thinned copies do not) — and MergeJoin puts them
+// back together with their quarantine counts.
 func TestStitchShardMatchesReference(t *testing.T) {
-	for name, cfg := range stitchConfigs {
+	for name, cfg := range map[string]partition.Config{
+		"time-pivot": partition.DefaultConfig(5, 4, doublePendulumPairs),
+		"two-pivot":  {Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1},
+	} {
 		for _, freeFrac := range []float64{1, 0.5} {
-			p := stitchPartition(t, cfg, 5, freeFrac, 140)
+			cfg.FreeFrac = freeFrac
+			p, err := partition.Generate(ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 5), cfg, rand.New(rand.NewSource(140)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			x1, x2 := p.Sub1.Tensor, p.Sub2.Tensor
 			if freeFrac < 1 {
-				// Ragged groups (every 7th / 5th cell missing) and one-sided
-				// ones (pivot key 1 only on side 2, key 3 only on side 1).
-				spec := NewJoinSpec(p, false)
+				spec := stitch.NewSpec(p, false)
 				x1 = thin(x1, func(e int, idx []int) bool { return e%7 == 0 || spec.PivotKey(idx) == 1 })
 				x2 = thin(x2, func(e int, idx []int) bool { return e%5 == 0 || spec.PivotKey(idx) == 3 })
 			}
 			x1.Vals[x1.NNZ()/3] = math.NaN()
 			for _, zero := range []bool{false, true} {
-				spec := NewJoinSpec(p, zero)
+				spec := stitch.NewSpec(p, zero)
+				whole := spec.Shard(x1, x2, 0, 1)
+				if whole.NNZ() == 0 || whole.RejectNonFinite != (freeFrac == 1) || (whole.Rejected > 0) != whole.RejectNonFinite {
+					t.Fatalf("%s free=%g zero=%v: whole join has %d cells, quarantine %v/%d", name, freeFrac, zero, whole.NNZ(), whole.RejectNonFinite, whole.Rejected)
+				}
 				for _, shards := range []int{1, 3, 4} {
-					total := 0
-					for shard := 0; shard < shards; shard++ {
+					parts := make([]*tensor.Sparse, shards)
+					for shard := range parts {
 						t.Run(fmt.Sprintf("%s/free=%g/zero=%v/shard=%d of %d", name, freeFrac, zero, shard, shards), func(t *testing.T) {
-							got := spec.StitchShard(x1, x2, shard, shards)
-							sameShard(t, got, referenceStitchShard(spec, x1, x2, shard, shards))
-							total += got.NNZ()
+							parts[shard] = spec.Shard(x1, x2, shard, shards)
+							want := shardOfWhole(spec, whole, shard, shards)
+							if !slices.Equal(parts[shard].Idx, want.Idx) || !bitsEqual(parts[shard].Vals, want.Vals) {
+								t.Fatalf("shard is not the whole join's cells at keys ≡ %d (mod %d), in order", shard, shards)
+							}
 						})
 					}
-					if total == 0 {
-						t.Fatalf("%s free=%g zero=%v: %d shards stitched no cell", name, freeFrac, zero, shards)
+					merged := MergeJoin(spec.Shape, parts)
+					if merged.NNZ() != whole.NNZ() || merged.Rejected != whole.Rejected || merged.RejectNonFinite != whole.RejectNonFinite {
+						t.Fatalf("%s free=%g zero=%v: %d shards merge to %d cells, quarantine %v/%d; whole join %d, %v/%d", name, freeFrac, zero,
+							shards, merged.NNZ(), merged.RejectNonFinite, merged.Rejected, whole.NNZ(), whole.RejectNonFinite, whole.Rejected)
 					}
 				}
 			}
@@ -263,53 +97,54 @@ func TestStitchShardMatchesReference(t *testing.T) {
 	}
 }
 
-// stitchShardAllocs is StitchShard's allocation budget (14 today): an id
-// and a key list per side, the output's header and two COO arrays, four
-// template and value buffers, two grid cursors and the group-walk
-// closures — nothing per group or per cell.
-const stitchShardAllocs = 16
-
-func TestStitchShardAllocationBudget(t *testing.T) {
-	for _, zero := range []bool{false, true} {
-		var allocs []float64
-		for _, res := range []int{4, 8} {
-			p := stitchPartition(t, stitchConfigs["time-pivot"], res, 1, 141)
-			if zero {
-				p = stitchPartition(t, stitchConfigs["time-pivot"], res, 0.5, 141)
-			}
-			spec := NewJoinSpec(p, zero)
-			// 20 runs: AllocsPerRun's integer average absorbs a stray
-			// background allocation.
-			allocs = append(allocs, testing.AllocsPerRun(20, func() {
-				spec.StitchShard(p.Sub1.Tensor, p.Sub2.Tensor, 0, 2)
-			}))
-		}
-		if allocs[0] != allocs[1] || allocs[0] > stitchShardAllocs {
-			t.Fatalf("zero=%v: %v allocations at res 4 and %v at res 8, want equal and <= %d", zero, allocs[0], allocs[1], stitchShardAllocs)
-		}
-	}
+func bitsEqual(got, want []float64) bool {
+	return slices.EqualFunc(got, want, func(g, w float64) bool { return math.Float64bits(g) == math.Float64bits(w) })
 }
 
-// BenchmarkStitchShard is the process engine's Phase 2 task at the
-// dist-procs workload's size: shard 0 of 4 at res 8 (8 192 join cells).
-func BenchmarkStitchShard(b *testing.B) {
-	for _, arm := range []struct {
-		name     string
-		zero     bool
-		freeFrac float64
-	}{{"join", false, 1}, {"zero-join", true, 0.5}} {
-		b.Run(arm.name, func(b *testing.B) {
-			p := stitchPartition(b, stitchConfigs["time-pivot"], 8, arm.freeFrac, 142)
-			spec := NewJoinSpec(p, arm.zero)
-			cells := spec.StitchShard(p.Sub1.Tensor, p.Sub2.Tensor, 0, 4).NNZ()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := spec.StitchShard(p.Sub1.Tensor, p.Sub2.Tensor, 0, 4).NNZ(); got != cells {
-					b.Fatalf("%d cells, want %d", got, cells)
+// TestDistributedQuarantine is the D-M2TD twin of stitch's
+// TestBlockEmissionParityQuarantine: a NaN behind the ingest guard of a
+// quarantining sub-tensor is dropped and counted by the shard kernel, not
+// averaged into every matched pair of its pivot group — at one shard bit
+// for bit what core.DecomposeCtx computes from the same poisoned
+// partition, at several the same cells and count.
+func TestDistributedQuarantine(t *testing.T) {
+	for _, zero := range []bool{false, true} {
+		p := tinyPartition(t, 0.5, 132)
+		sub2 := p.Sub2.Tensor
+		if !sub2.RejectNonFinite {
+			t.Fatal("Generate no longer arms the quarantine on sub-tensors")
+		}
+		sub2.Vals[sub2.NNZ()/2] = math.NaN()
+		sub2.InvalidatePlans()
+
+		opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}}
+		want, err := core.DecomposeCtx(context.Background(), p, opts.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Join.Rejected == 0 {
+			t.Fatal("poisoned entry reached no join cell")
+		}
+		for _, workers := range []int{1, 3} {
+			opts.Workers = workers
+			got, err := Decompose(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Join.RejectNonFinite || got.Join.Rejected != want.Join.Rejected || got.Join.NNZ() != want.Join.NNZ() {
+				t.Fatalf("zero=%v workers=%d: join has %d cells, quarantine %v/%d; core.DecomposeCtx %d cells, %d rejected", zero, workers,
+					got.Join.NNZ(), got.Join.RejectNonFinite, got.Join.Rejected, want.Join.NNZ(), want.Join.Rejected)
+			}
+			for _, v := range got.Core.Data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("zero=%v workers=%d: non-finite core value %v", zero, workers, v)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
-		})
+			if workers == 1 {
+				sameResult(t, fmt.Sprintf("poisoned, zero=%v: one shard vs core.DecomposeCtx", zero), got, want)
+			} else if !got.Core.Equal(want.Core, 1e-9) {
+				t.Fatalf("zero=%v workers=%d: core differs from core.DecomposeCtx", zero, workers)
+			}
+		}
 	}
 }

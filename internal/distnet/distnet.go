@@ -11,6 +11,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/stitch"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -176,7 +177,7 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 		return nil, err
 	}
 
-	spec := jobSpec{Join: dist.NewJoinSpec(p, opts.ZeroJoin), Shards: opts.Shards}
+	spec := jobSpec{Join: stitch.NewSpec(p, opts.ZeroJoin), Shards: opts.Shards}
 
 	// ---- Phase 1: parallel sub-tensor decomposition ----
 	var p1tasks []*task

@@ -27,6 +27,15 @@
 // functions of the partition and Options.Shards — never of worker
 // identity, scheduling, or timing — so the factors, core, and join
 // tensor are bit-identical regardless of which workers died mid-phase.
+//
+// The task bodies are not this package's: Phases 1 and 3 are
+// internal/dist's, Phase 2 is stitch.Spec.Shard, the one JE-stitch kernel
+// every route runs. One thing does not cross the process boundary: the
+// store does not persist a tensor's RejectNonFinite flag, so workers load
+// the sub-tensors with the divergence quarantine off and the kernel, which
+// takes the flag from its inputs, stitches a non-finite value planted
+// behind the coordinator's ingest guard as it stands. The in-process
+// executors drop and count it; the wire form is deliberately not widened.
 package distnet
 
 import (

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"repro/internal/dist"
+	"repro/internal/stitch"
 )
 
 // Control-plane messages (JSON frame payloads) and the catalog naming
@@ -21,8 +21,8 @@ type helloMsg struct {
 // and the fixed shard count. Both are pure values — two workers given
 // the same spec compute byte-identical artifacts.
 type jobSpec struct {
-	Join   dist.JoinSpec `json:"join"`
-	Shards int           `json:"shards"`
+	Join   stitch.Spec `json:"join"`
+	Shards int         `json:"shards"`
 }
 
 // taskMsg leases one task to a worker.

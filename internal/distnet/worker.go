@@ -308,16 +308,18 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 }
 
 // execStitch is Phase 2 for one shard: the pivot groups whose key lands
-// in the shard, stitched by the dist.JoinSpec shard kernel. Shard
-// membership is key % Shards — a pure function of the cell, so every
-// group lives wholly in exactly one shard no matter who computes it.
+// in the shard, stitched by stitch.Spec.Shard — the kernel stitch.Join and
+// dist.Decompose run. Shard membership is key % Shards — a pure function
+// of the cell, so every group lives wholly in exactly one shard no matter
+// who computes it. The sub-tensors come from the store with the
+// divergence quarantine off (see the package comment).
 func (w *workerState) execStitch(task taskMsg, doomed bool) error {
 	x1, err1 := w.sub(1)
 	x2, err2 := w.sub(2)
 	if err := errors.Join(err1, err2); err != nil {
 		return err
 	}
-	j := task.Spec.Join.StitchShard(x1, x2, task.Shard, task.Spec.Shards)
+	j := task.Spec.Join.Shard(x1, x2, task.Shard, task.Spec.Shards)
 	if doomed {
 		faults.KillSelf()
 	}

@@ -1,17 +1,52 @@
 package stitch
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/partition"
 	"repro/internal/tensor"
 )
 
-// This file retains the original hash-join stitching implementation
-// verbatim. It is the executable specification for the sort-merge join in
-// stitch.go: the parity tests assert that Join/ZeroJoin produce COO
-// storage (entry order, indices, and values) identical to
-// stitchHashJoin's. Test-only; do not use in pipelines.
+// This file retains the original hash-join stitching implementation. It is
+// a second, independent definition of JE-stitching beside the per-group
+// oracle in shard_test.go: a hash map of pivot groups, cells in storage
+// order within a group, sub-2-only pivot groups last. The parity tests
+// hold Join/ZeroJoin to it — bit for bit, entry order included, on
+// time-pivot Generate output (whose storage is already lexicographic
+// within a pivot group), and as a cell list where the kernel's frozen
+// order legitimately differs from storage order.
+
+// pivotKey linearises the first k sub-tensor coordinates.
+func pivotKey(shape tensor.Shape, idx []int, k int) int {
+	key := 0
+	for i := 0; i < k; i++ {
+		key = key*shape[i] + idx[i]
+	}
+	return key
+}
+
+// freeKey names one free configuration in a membership set.
+func freeKey(idx []int) string { return fmt.Sprint(idx) }
+
+// eachFreeConfig enumerates every coordinate combination over the given
+// original modes, lexicographically.
+func eachFreeConfig(space interface{ Shape() tensor.Shape }, modes []int, fn func(idx []int)) {
+	shape := space.Shape()
+	cur := make([]int, len(modes))
+	var walk func(pos int)
+	walk = func(pos int) {
+		if pos == len(modes) {
+			fn(cur)
+			return
+		}
+		for i := 0; i < shape[modes[pos]]; i++ {
+			cur[pos] = i
+			walk(pos + 1)
+		}
+	}
+	walk(0)
+}
 
 // subEntryRef is one sub-ensemble cell split into pivot part and free part.
 type subEntryRef struct {
@@ -40,7 +75,7 @@ func pivotIdxFromKeyRef(shape tensor.Shape, key, k int) []int {
 	return idx
 }
 
-// stitchHashJoin is the pre-sort-merge stitch: hash map of pivot groups,
+// stitchHashJoin is the hash-join stitch: hash map of pivot groups,
 // per-entry free-coordinate copies, sorted-key iteration.
 func stitchHashJoin(res *partition.Result, zero bool) *tensor.Sparse {
 	space := res.Space
@@ -52,7 +87,6 @@ func stitchHashJoin(res *partition.Result, zero bool) *tensor.Sparse {
 	idx2 := indexRef(res.Sub2)
 
 	matched := 0
-	//lint:allow determinism -- commutative count accumulation; map iteration order cannot affect the sum
 	for key, entries1 := range idx1 {
 		matched += len(entries1) * len(idx2[key])
 	}
@@ -92,7 +126,7 @@ func stitchHashJoin(res *partition.Result, zero bool) *tensor.Sparse {
 		}
 		sampled2 := freeSetRef(entries2)
 		eachFreeConfig(space, cfg.Free2, func(f2 []int) {
-			if sampled2[localKey(f2)] {
+			if sampled2[freeKey(f2)] {
 				return
 			}
 			for _, e1 := range entries1 {
@@ -101,7 +135,7 @@ func stitchHashJoin(res *partition.Result, zero bool) *tensor.Sparse {
 		})
 		sampled1 := freeSetRef(entries1)
 		eachFreeConfig(space, cfg.Free1, func(f1 []int) {
-			if sampled1[localKey(f1)] {
+			if sampled1[freeKey(f1)] {
 				return
 			}
 			for _, e2 := range entries2 {
@@ -130,7 +164,6 @@ func stitchHashJoin(res *partition.Result, zero bool) *tensor.Sparse {
 // sortedKeysRef returns the map's keys in increasing order.
 func sortedKeysRef(m map[int][]subEntryRef) []int {
 	keys := make([]int, 0, len(m))
-	//lint:allow determinism -- key collection only; the slice is sorted immediately below
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -139,10 +172,10 @@ func sortedKeysRef(m map[int][]subEntryRef) []int {
 }
 
 // freeSetRef returns the set of sampled free configurations.
-func freeSetRef(entries []subEntryRef) map[int]bool {
-	out := make(map[int]bool, len(entries))
+func freeSetRef(entries []subEntryRef) map[string]bool {
+	out := make(map[string]bool, len(entries))
 	for _, e := range entries {
-		out[localKey(e.free)] = true
+		out[freeKey(e.free)] = true
 	}
 	return out
 }

@@ -116,7 +116,8 @@ func modeGramDenseWorkersRef(d *Dense, n, workers int) *mat.Matrix {
 }
 
 // ttmWorkersRef is the previous TTMWorkers: every linear index is
-// MultiIndex-decoded and non-fiber-base elements are skipped.
+// MultiIndex-decoded and non-fiber-base elements are skipped, at that
+// kernel's fixed grain of 2048 linear indices per worker.
 func ttmWorkersRef(x *Dense, n int, m *mat.Matrix, workers int) *Dense {
 	outShape := x.Shape.Clone()
 	outShape[n] = m.Rows
@@ -129,7 +130,7 @@ func ttmWorkersRef(x *Dense, n int, m *mat.Matrix, workers int) *Dense {
 
 	total := x.Shape.NumElements()
 	outStrides := outShape.Strides()
-	parallel.ForGrain(total, workers, ttmGrain, func(lo, hi int) {
+	parallel.ForGrain(total, workers, 2048, func(lo, hi int) {
 		idx := make([]int, x.Shape.Order())
 		for lin := lo; lin < hi; lin++ {
 			x.Shape.MultiIndex(lin, idx)

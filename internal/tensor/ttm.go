@@ -7,13 +7,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// ttmGrain is the minimum number of linear indices' worth of work per
-// worker when fanning a dense TTM out over fiber bases; below it the
-// goroutine overhead beats the arithmetic. The live kernels size their
-// grains with parallel.AutoGrain now; this constant remains only for the
-// retained reference implementation.
-const ttmGrain = 2048
-
 // TTM computes the mode-n tensor–matrix product Y = X ×ₙ M for a dense
 // tensor, where M is J × I_n and the result has mode-n size J:
 //
