@@ -48,11 +48,13 @@ test:
 # Race-detector pass. The workers=1 vs workers=N bit-stability suites
 # double as data-race proofs for the internal/parallel kernels here; the
 # -count=20 soak catches races that need a particular interleaving — in
-# the pool itself and in its busiest client, the simulation fan-out
-# (strip cursor + checkpoint saves outside the fan-out's locks).
+# the pool itself, in its busiest client, the simulation fan-out (strip
+# cursor + checkpoint saves outside the fan-out's locks), and in the
+# campaign server's executors (the one-producer gate on shared sims-
+# catalogs).
 race:
 	$(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=20 -timeout 10m ./internal/parallel ./internal/partition
+	$(GO) test -race -count=20 -timeout 15m ./internal/parallel ./internal/partition ./internal/serve
 
 # Full benchmark run (slow; honours M2TD_BENCH_RES).
 bench:
@@ -120,14 +122,16 @@ perf-smoke:
 perf:
 	$(GO) run ./cmd/m2tdperf -seed 7
 
-# Short runs of the fuzz targets: the internal/tensor index algebra and
-# the two decoders on the process engine's trust boundaries (store
-# objects, control-plane frames).
+# Short runs of the fuzz targets: the internal/tensor index algebra, the
+# two decoders on the process engine's trust boundaries (store objects,
+# control-plane frames), and campaign identity (api.CampaignSpec JSON →
+# Config.SimFingerprint / Fingerprint, which name shared store objects).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLinearIndexRoundtrip -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzDedupPreservesSum -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzLoadSparseRobustness -fuzztime=10s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/distnet
+	$(GO) test -run=NONE -fuzz=FuzzCampaignSpecFingerprint -fuzztime=10s ./internal/serve
 
 # Observability acceptance drill (mirrors the CI `obs` job): run a faulted
 # pipeline with a live metrics listener and a JSONL trace sink, assert the

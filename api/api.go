@@ -265,8 +265,9 @@ type DecompositionInfo struct {
 	// SimMS and DecompMS are the stage wall-clock times in milliseconds.
 	SimMS    int64 `json:"sim_ms"`
 	DecompMS int64 `json:"decomp_ms"`
-	// RestoredSims counts simulations restored from a checkpoint instead
-	// of re-executed (the resume path).
+	// RestoredSims counts simulations restored from the ensemble's catalog
+	// instead of executed: NumSims when an earlier campaign over the same
+	// ensemble left it complete, a partial count after a killed one.
 	RestoredSims int `json:"restored_sims,omitempty"`
 	// Distributed reports the multi-process engine ran the campaign.
 	Distributed bool `json:"distributed,omitempty"`
@@ -317,6 +318,10 @@ type StatsResponse struct {
 	QueueDepth    int64 `json:"queue_depth"`
 	Running       int64 `json:"running"`
 	Draining      bool  `json:"draining"`
+	// SimSetHits counts finished campaigns that restored every simulation
+	// from their ensemble's catalog and executed none: same simulations,
+	// new decomposition.
+	SimSetHits int64 `json:"sim_set_hits"`
 }
 
 // HealthResponse is the health endpoint's body.

@@ -191,3 +191,34 @@ func TestClientRoutesAndHeaders(t *testing.T) {
 		t.Fatalf("wait: %+v, %v", st, err)
 	}
 }
+
+// TestStatsResponseWireNames pins the stats body's field names: additions
+// are fine (sim_set_hits arrived after v1 shipped and an older server's
+// body, which lacks it, decodes to 0), renames and removals are not.
+func TestStatsResponseWireNames(t *testing.T) {
+	data, err := json.Marshal(StatsResponse{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"submits", "coalesced", "cache_hits", "cache_misses", "store_hits",
+		"quota_rejected", "queue_rejected", "jobs_done", "jobs_failed",
+		"queue_depth", "running", "draining", "sim_set_hits",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("stats body has %d fields, the table %d: %s", len(got), len(want), data)
+	}
+	for _, name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("stats body lost field %q: %s", name, data)
+		}
+	}
+	var old StatsResponse
+	if err := json.Unmarshal([]byte(`{"submits":3,"jobs_done":2}`), &old); err != nil || old.SimSetHits != 0 || old.JobsDone != 2 {
+		t.Fatalf("pre-sim_set_hits body: %+v, %v", old, err)
+	}
+}

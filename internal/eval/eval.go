@@ -214,15 +214,34 @@ func (cfg Config) conventionalRow(space *ensemble.Space, scheme Scheme, sims []e
 // simulations (the paper's equal-budget comparison). EstimateSims picks the
 // scorer and nothing else.
 func RunComparison(cfg Config) (*Comparison, error) {
+	space, part, err := cfg.ensemble()
+	if err != nil {
+		return nil, err
+	}
+	return runComparisonOn(cfg, space, part)
+}
+
+// ensemble returns the experiment cell's space and its simulated partition
+// — what generate reads of a Config (system, resolution, time samples,
+// pivot, P, E, seed) is the cell's simulation identity, so a sweep over any
+// other field calls this once and runComparisonOn per row.
+func (cfg Config) ensemble() (*ensemble.Space, *partition.Result, error) {
 	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	part, err := cfg.generate(space)
-	if err != nil {
-		return nil, err
-	}
+	return space, part, err
+}
+
+// runComparisonOn is RunComparison over an already simulated partition of
+// cfg's ensemble, which it only reads: NoiseFrac perturbs a copy.
+func runComparisonOn(cfg Config, space *ensemble.Space, part *partition.Result) (*Comparison, error) {
 	if cfg.NoiseFrac > 0 {
+		sub1, sub2, noisy := *part.Sub1, *part.Sub2, *part
+		sub1.Tensor, sub2.Tensor = sub1.Tensor.Clone(), sub2.Tensor.Clone()
+		noisy.Sub1, noisy.Sub2 = &sub1, &sub2
+		part = &noisy
 		noiseRng := rand.New(rand.NewSource(cfg.Seed + 7))
 		AddNoise(part.Sub1.Tensor, cfg.NoiseFrac, noiseRng)
 		AddNoise(part.Sub2.Tensor, cfg.NoiseFrac, noiseRng)

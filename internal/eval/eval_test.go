@@ -930,3 +930,53 @@ func TestSelectPivotDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedEnsembleRowsMatchIndependentRows: the sweeps that simulate one
+// ensemble and decompose it per row (Table II's rank rows, Table V's join /
+// zero-join pair, the rank and noise sweeps) score every scheme to the bit
+// as a RunComparison that simulated for that row alone — including the
+// noise rows, which perturb a copy and must leave the shared ensemble clean
+// for the rows after them.
+func TestSharedEnsembleRowsMatchIndependentRows(t *testing.T) {
+	base := testConfig("double-pendulum")
+	var shared []*Comparison
+	t2, err := Table2(base, []int{5, 6}, []int{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared = append(shared, t2...)
+	t5, err := Table5(base, []float64{1, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range t5 {
+		shared = append(shared, row.Comparison)
+	}
+	ranks, err := RankSweep(base, []int{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range ranks {
+		shared = append(shared, row.Comparison)
+	}
+	noise, err := NoiseSweep(base, []float64{0.2, 0, 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range noise {
+		shared = append(shared, row.Comparison)
+	}
+	for _, got := range shared {
+		want, err := RunComparison(got.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range got.Results {
+			w := want.Results[i]
+			if r.Scheme != w.Scheme || math.Float64bits(r.Accuracy) != math.Float64bits(w.Accuracy) ||
+				r.NumSims != w.NumSims || r.EnsembleNNZ != w.EnsembleNNZ {
+				t.Fatalf("%+v: shared-ensemble row %+v, independent row %+v", got.Config, r, w)
+			}
+		}
+	}
+}

@@ -53,11 +53,17 @@ func NoiseSweep(base Config, fracs []float64) ([]NoiseRow, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.05, 0.2, 0.5}
 	}
+	// Noise is added after simulation: every row perturbs its own copy of
+	// one clean ensemble.
+	space, part, err := base.ensemble()
+	if err != nil {
+		return nil, fmt.Errorf("noise sweep: %w", err)
+	}
 	var rows []NoiseRow
 	for _, frac := range fracs {
 		cfg := base
 		cfg.NoiseFrac = frac
-		cmp, err := RunComparison(cfg)
+		cmp, err := runComparisonOn(cfg, space, part)
 		if err != nil {
 			return nil, fmt.Errorf("noise sweep frac=%v: %w", frac, err)
 		}

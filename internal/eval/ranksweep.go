@@ -25,11 +25,15 @@ func RankSweep(base Config, ranks []int) ([]RankRow, error) {
 	if cfg.Res == 0 {
 		cfg = DefaultConfig("double-pendulum")
 	}
+	space, part, err := cfg.ensemble()
+	if err != nil {
+		return nil, fmt.Errorf("rank sweep: %w", err)
+	}
 	var rows []RankRow
 	for _, r := range ranks {
 		c := cfg
 		c.Rank = r
-		cmp, err := RunComparison(c)
+		cmp, err := runComparisonOn(c, space, part)
 		if err != nil {
 			return nil, fmt.Errorf("rank sweep r=%d: %w", r, err)
 		}

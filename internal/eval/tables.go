@@ -62,12 +62,17 @@ func Table2(base Config, resolutions, ranks []int) ([]*Comparison, error) {
 	}
 	var out []*Comparison
 	for _, res := range resolutions {
+		cfg := baseOrDefault(base, "double-pendulum")
+		cfg.Res = res
+		cfg.TimeSamples = res
+		// One ensemble per resolution: the rank rows only decompose it.
+		space, part, err := cfg.ensemble()
+		if err != nil {
+			return nil, fmt.Errorf("table2 res=%d: %w", res, err)
+		}
 		for _, rank := range ranks {
-			cfg := baseOrDefault(base, "double-pendulum")
-			cfg.Res = res
-			cfg.TimeSamples = res
 			cfg.Rank = rank
-			cmp, err := RunComparison(cfg)
+			cmp, err := runComparisonOn(cfg, space, part)
 			if err != nil {
 				return nil, fmt.Errorf("table2 res=%d rank=%d: %w", res, rank, err)
 			}
@@ -162,15 +167,20 @@ func Table5(base Config, budgetFracs []float64) ([]Table5Row, error) {
 	}
 	var rows []Table5Row
 	for _, frac := range budgetFracs {
+		cfg := baseOrDefault(base, "double-pendulum")
+		cfg.FreeFrac = frac
+		// Join and zero-join stitch the same simulations.
+		space, part, err := cfg.ensemble()
+		if err != nil {
+			return nil, fmt.Errorf("table5 frac=%v: %w", frac, err)
+		}
 		for _, zero := range []bool{false, true} {
 			if frac >= 1 && zero {
 				// Zero-join is identical to join at full density.
 				continue
 			}
-			cfg := baseOrDefault(base, "double-pendulum")
-			cfg.FreeFrac = frac
 			cfg.ZeroJoin = zero
-			cmp, err := RunComparison(cfg)
+			cmp, err := runComparisonOn(cfg, space, part)
 			if err != nil {
 				return nil, fmt.Errorf("table5 frac=%v zero=%v: %w", frac, zero, err)
 			}

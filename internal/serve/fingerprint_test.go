@@ -1,0 +1,193 @@
+package serve
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+
+	m2td "repro"
+	"repro/api"
+	"repro/internal/obs"
+	"repro/internal/store"
+)
+
+// canonicalConfig is the test's own normal form of a campaign: every field
+// Config.Fingerprint may distinguish, with the engine defaults written out.
+// It is deliberately a second spelling of m2td's normalisation — the
+// fingerprint is checked against it, not against itself.
+type canonicalConfig struct {
+	System                  m2td.System
+	Resolution, TimeSamples int
+	Rank                    int
+	Method                  m2td.Method
+	Pivot                   string
+	P, E                    float64
+	ZeroJoin                bool
+	Seed                    int64
+	Sketch                  m2td.SketchConfig
+	SkipAccuracy            bool
+	AccuracySampleSims      int
+	Shards                  int
+}
+
+func canonical(cfg m2td.Config) canonicalConfig {
+	c := canonicalConfig{
+		System: cfg.System, Resolution: cfg.Resolution, TimeSamples: cfg.TimeSamples, Rank: cfg.Rank,
+		Method: cfg.Method, Pivot: cfg.Pivot, P: cfg.PivotDensity, E: cfg.SubEnsembleDensity,
+		ZeroJoin: cfg.ZeroJoin, Seed: cfg.Seed, Sketch: cfg.Sketch,
+		SkipAccuracy: cfg.SkipAccuracy, AccuracySampleSims: cfg.AccuracySampleSims,
+	}
+	if c.System == "" {
+		c.System = m2td.SystemDoublePendulum
+	}
+	if c.Resolution == 0 {
+		c.Resolution = 12
+	}
+	if c.TimeSamples == 0 {
+		c.TimeSamples = c.Resolution
+	}
+	if c.Rank == 0 {
+		c.Rank = 4
+	}
+	if c.Method == "" {
+		c.Method = m2td.MethodSELECT
+	}
+	if c.Pivot == "" {
+		c.Pivot = "t"
+	}
+	if c.P == 0 {
+		c.P = 1
+	}
+	if c.E == 0 {
+		c.E = 1
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	if c.Sketch.KeepFrac != 0 && c.Sketch.Seed == 0 {
+		c.Sketch.Seed = c.Seed
+	}
+	if d := cfg.Distributed; d != nil {
+		c.Shards = max(d.Shards, 1)
+		if d.Shards == 0 {
+			c.Shards = max(d.Workers, 1)
+		}
+	}
+	return c
+}
+
+func fingerprintServer(t testing.TB) *Server {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Store: st, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSpecSpellingsShareIdentity: the zero-valued and the
+// explicitly-defaulted spelling of one campaign, and its aliases, collide on
+// both levels of identity through buildConfig; a spec that differs in a
+// decomposition field shares the ensemble and nothing else.
+func TestSpecSpellingsShareIdentity(t *testing.T) {
+	s := fingerprintServer(t)
+	build := func(spec api.CampaignSpec) m2td.Config {
+		t.Helper()
+		cfg, err := s.buildConfig(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	zero := build(api.CampaignSpec{})
+	for name, spec := range map[string]api.CampaignSpec{
+		"explicit defaults": {System: "double-pendulum", Resolution: 12, TimeSamples: 12, Rank: 4, Method: "select", Pivot: "t", PivotDensity: 1, SubEnsembleDensity: 1, Seed: 1},
+		"aliases":           {System: "Double-Pendulum", Method: "M2TD-SELECT"},
+		"skip spelled out":  {SkipAccuracy: true},
+	} {
+		if cfg := build(spec); cfg.Fingerprint() != zero.Fingerprint() || cfg.SimFingerprint() != zero.SimFingerprint() {
+			t.Fatalf("%s:\n%q\n%q", name, cfg.Fingerprint(), zero.Fingerprint())
+		}
+	}
+	for name, spec := range map[string]api.CampaignSpec{
+		"rank":      {Rank: 2},
+		"method":    {Method: "avg"},
+		"zero-join": {ZeroJoin: true},
+		"seed":      {Seed: 9},
+		"sketch":    {Sketch: api.SketchSpec{KeepFrac: 0.5}},
+		"dist":      {Distributed: &api.DistSpec{Workers: 2}},
+	} {
+		cfg := build(spec)
+		if cfg.SimFingerprint() != zero.SimFingerprint() {
+			t.Fatalf("%s moved the ensemble: %q", name, cfg.SimFingerprint())
+		}
+		if cfg.Fingerprint() == zero.Fingerprint() {
+			t.Fatalf("%s did not move the campaign fingerprint", name)
+		}
+	}
+	for name, spec := range map[string]api.CampaignSpec{
+		"system":       {System: "lorenz"},
+		"resolution":   {Resolution: 13},
+		"time-samples": {TimeSamples: 5},
+		"pivot":        {Pivot: "phi1"},
+		"P":            {PivotDensity: 0.5},
+		"E":            {SubEnsembleDensity: 0.5},
+	} {
+		if cfg := build(spec); cfg.SimFingerprint() == zero.SimFingerprint() {
+			t.Fatalf("%s did not move the ensemble", name)
+		}
+	}
+}
+
+// FuzzCampaignSpecFingerprint feeds two api.CampaignSpec JSON bodies through
+// the submit path's decode + buildConfig: neither may panic, the ensemble
+// identity is a prefix of the campaign identity, and two specs collide on a
+// fingerprint only when their normalised configs are equal — on the
+// simulation-generating fields for SimFingerprint, on all for Fingerprint.
+func FuzzCampaignSpecFingerprint(f *testing.F) {
+	f.Add(`{}`, `{"system":"double-pendulum","resolution":12,"rank":4,"method":"select","pivot":"t","seed":1}`)
+	f.Add(`{"seed":2}`, `{"seed":3,"rank":2,"method":"avg"}`)
+	f.Add(`{"pivot_density":0.5,"seed":2}`, `{"pivot_density":0.5,"seed":3}`)
+	f.Add(`{"pivot":"auto"}`, `{"pivot":"auto","seed":4}`)
+	f.Add(`{"pivot":"t\"|P=1"}`, `{"pivot":"t","sub_density":0.25,"zero_join":true}`)
+	f.Add(`{"sketch":{"keep_frac":0.5}}`, `{"sketch":{"keep_frac":0.5,"seed":1}}`)
+	f.Add(`{"distributed":{"workers":3}}`, `{"distributed":{"workers":2,"shards":3}}`)
+	f.Add(`{"resolution":-1}`, `{"system":"LORENZ","time_samples":7,"accuracy_sample_sims":10}`)
+	s := fingerprintServer(f)
+
+	f.Fuzz(func(t *testing.T, a, b string) {
+		var cfgs [2]m2td.Config
+		for i, body := range [2]string{a, b} {
+			var spec api.CampaignSpec
+			if err := json.Unmarshal([]byte(body), &spec); err != nil {
+				return
+			}
+			cfg, err := s.buildConfig(spec)
+			if err != nil {
+				return
+			}
+			if full, sim := cfg.Fingerprint(), cfg.SimFingerprint(); !strings.HasPrefix(full, sim+"|") || full != cfg.Fingerprint() {
+				t.Fatalf("fingerprint %q does not extend %q, or is unstable", full, sim)
+			}
+			cfgs[i] = cfg
+		}
+		ca, cb := canonical(cfgs[0]), canonical(cfgs[1])
+		if cfgs[0].Fingerprint() == cfgs[1].Fingerprint() && ca != cb {
+			t.Fatalf("two campaigns, one Fingerprint %q:\n%+v\n%+v", cfgs[0].Fingerprint(), ca, cb)
+		}
+		if ca == cb && cfgs[0].Fingerprint() != cfgs[1].Fingerprint() {
+			t.Fatalf("one campaign, two Fingerprints:\n%q\n%q", cfgs[0].Fingerprint(), cfgs[1].Fingerprint())
+		}
+		if cfgs[0].SimFingerprint() == cfgs[1].SimFingerprint() {
+			sampled := ca.P < 1 || ca.E < 1 || ca.Pivot == "auto"
+			if ca.System != cb.System || ca.Resolution != cb.Resolution || ca.TimeSamples != cb.TimeSamples ||
+				ca.Pivot != cb.Pivot || ca.P != cb.P || ca.E != cb.E || (sampled && ca.Seed != cb.Seed) {
+				t.Fatalf("two ensembles, one SimFingerprint %q:\n%+v\n%+v", cfgs[0].SimFingerprint(), ca, cb)
+			}
+		}
+	})
+}

@@ -21,7 +21,8 @@ type job struct {
 	seq         int64
 	tenant      string
 	fingerprint string
-	hash        string
+	hash        string // of fingerprint: names the dec-/hdr- objects
+	simHash     string // of cfg.SimFingerprint(): names the sims- catalog
 	priority    int
 	cfg         m2td.Config
 	timeoutMS   int64
@@ -42,10 +43,13 @@ type job struct {
 }
 
 // run executes one campaign on an executor goroutine. The job is already
-// in StateRunning.
+// in StateRunning. Every campaign runs with its ensemble's catalog as a
+// resumed checkpoint: a complete catalog restores every simulation and the
+// run only decomposes, a partial one (a failed producer's) is continued,
+// an absent one is filled.
 func (s *Server) run(ctx context.Context, j *job) {
 	cfg := j.cfg
-	cfg.CheckpointDir = s.checkpointDir(j.hash)
+	cfg.CheckpointDir = s.simsDir(j.simHash)
 	cfg.Resume = true
 	if s.opts.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = s.opts.CheckpointEvery
@@ -89,11 +93,17 @@ func (s *Server) complete(j *job, report *m2td.Report) {
 	j.report = slim
 	s.running--
 	delete(s.inflight, j.fingerprint)
+	s.releaseLocked(j, report)
 	if s.tenantLoad[j.tenant] > 0 {
 		s.tenantLoad[j.tenant]--
 	}
 	s.cache.put(j.fingerprint, &cacheEntry{jobID: j.id, info: info, report: slim})
 	s.metrics.jobsDone.Inc()
+	s.metrics.simsExecuted.Add(int64(report.ExecutedSims))
+	s.metrics.simsRestored.Add(int64(report.RestoredSims))
+	if report.NumSims > 0 && report.RestoredSims == report.NumSims {
+		s.metrics.simSetHits.Inc()
+	}
 	s.metrics.jobSeconds.Observe(j.finishedAt.Sub(j.submittedAt).Seconds())
 	s.mu.Unlock()
 	close(j.done)
@@ -109,6 +119,7 @@ func (s *Server) fail(j *job, cause *api.Error) {
 	j.finishedAt = time.Now()
 	j.err = cause
 	delete(s.inflight, j.fingerprint)
+	s.releaseLocked(j, nil)
 	if s.tenantLoad[j.tenant] > 0 {
 		s.tenantLoad[j.tenant]--
 	}

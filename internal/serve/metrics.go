@@ -27,6 +27,9 @@ type metrics struct {
 	queueRejected *obs.Counter
 	jobsDone      *obs.Counter
 	jobsFailed    *obs.Counter
+	simSetHits    *obs.Counter
+	simsExecuted  *obs.Counter
+	simsRestored  *obs.Counter
 
 	requestSeconds *obs.Histogram
 	jobSeconds     *obs.Histogram
@@ -58,6 +61,9 @@ func newMetrics(reg *obs.Registry, s *Server) *metrics {
 		queueRejected:  reg.Counter("m2td_serve_queue_rejected_total", "submissions rejected by the full queue"),
 		jobsDone:       reg.Counter("m2td_serve_jobs_done_total", "campaigns finished successfully"),
 		jobsFailed:     reg.Counter("m2td_serve_jobs_failed_total", "campaigns that failed"),
+		simSetHits:     reg.Counter("m2td_serve_simset_hits_total", "finished campaigns that restored every simulation from their ensemble's catalog and executed none"),
+		simsExecuted:   reg.Counter("m2td_serve_sims_executed_total", "simulations executed by finished campaigns"),
+		simsRestored:   reg.Counter("m2td_serve_sims_restored_total", "simulations finished campaigns restored from a catalog instead of executing"),
 		requestSeconds: reg.Histogram("m2td_serve_request_seconds", "HTTP request latency", latencyBounds),
 		jobSeconds:     reg.Histogram("m2td_serve_job_seconds", "submit-to-done campaign latency", latencyBounds),
 

@@ -24,12 +24,27 @@ func (q *jobQueue) before(a, b *job) bool {
 // push enqueues a job.
 func (q *jobQueue) push(j *job) { heap.Push((*jobHeap)(q), j) }
 
-// pop dequeues the next job to run (nil when empty).
-func (q *jobQueue) pop() *job {
+// pop dequeues the first job in queue order that held does not keep back
+// (nil when there is none). A held job stays queued — it keeps its place,
+// its queue position and its share of MaxQueue — so the heap's head is the
+// answer unless it is held, and only then is the queue scanned.
+func (q *jobQueue) pop(held func(*job) bool) *job {
 	if len(q.items) == 0 {
 		return nil
 	}
-	return heap.Pop((*jobHeap)(q)).(*job)
+	next := q.items[0]
+	if held(next) {
+		next = nil
+		for _, j := range q.items {
+			if !held(j) && (next == nil || q.before(j, next)) {
+				next = j
+			}
+		}
+		if next == nil {
+			return nil
+		}
+	}
+	return heap.Remove((*jobHeap)(q), next.heapIndex).(*job)
 }
 
 // position returns a job's 1-based run position among queued jobs, or 0

@@ -12,12 +12,13 @@ import (
 	"repro/internal/store"
 )
 
-// TestKilledCampaignResumesFromCheckpoint is the serving half of the
-// kill-and-recover guarantee: a campaign that dies mid-flight (here via
-// its own deadline, with fault-injected simulation latency making the
-// deadline bite) leaves a checkpoint behind, and resubmitting the
-// identical campaign resumes from it instead of starting over.
-func TestKilledCampaignResumesFromCheckpoint(t *testing.T) {
+// killedCampaign starts a server whose every simulation is slowed by
+// injected latency and submits tinySpec under a deadline it cannot meet: the
+// returned spec's campaign has failed and left a partial sims catalog
+// behind. The hook runs after fingerprinting and is identical for every
+// job, so the catalog stays compatible across attempts.
+func killedCampaign(t *testing.T) (*api.Client, api.CampaignSpec, string) {
+	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -28,10 +29,6 @@ func TestKilledCampaignResumesFromCheckpoint(t *testing.T) {
 		Parallel:        1,
 		CheckpointEvery: 1,
 		ConfigHook: func(cfg *m2td.Config) {
-			// Slow every simulation down so the first attempt cannot
-			// finish inside its deadline. The hook runs after
-			// fingerprinting and is identical across attempts, so the
-			// checkpoint stays compatible.
 			cfg.Faults = &faults.Config{Seed: 1, LatencyRate: 1, Latency: 10 * time.Millisecond}
 		},
 	})
@@ -39,7 +36,7 @@ func TestKilledCampaignResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(func() { cancel(); s.wg.Wait() })
 	s.Start(ctx)
 	hs := newClientFor(t, s)
 
@@ -63,25 +60,23 @@ func TestKilledCampaignResumesFromCheckpoint(t *testing.T) {
 	if _, err := hs.Result(ctx, sub.JobID); !isCode(err, api.CodeJobFailed) {
 		t.Fatalf("result of failed campaign err %v", err)
 	}
-
-	// Identical campaign, no deadline: a fresh job (the failure cleared
-	// the in-flight entry) that resumes from the checkpoint.
 	spec.TimeoutMS = 0
-	sub2, err := hs.Submit(ctx, api.SubmitRequest{Campaign: spec})
+	return hs, spec, sub.JobID
+}
+
+// requireResumed waits for a job and fails unless it finished having
+// restored some, but not all, of its simulations.
+func requireResumed(t *testing.T, hs *api.Client, jobID string) {
+	t.Helper()
+	ctx := context.Background()
+	st, err := hs.Wait(ctx, jobID, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub2.Coalesced || sub2.CacheHit || sub2.StoreHit || sub2.JobID == sub.JobID {
-		t.Fatalf("resubmission should run fresh: %+v", sub2)
+	if st.State != api.StateDone {
+		t.Fatalf("resumed campaign state %s (err %v)", st.State, st.Error)
 	}
-	st2, err := hs.Wait(ctx, sub2.JobID, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.State != api.StateDone {
-		t.Fatalf("resumed campaign state %s (err %v)", st2.State, st2.Error)
-	}
-	res, err := hs.Result(ctx, sub2.JobID)
+	res, err := hs.Result(ctx, jobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,5 +86,57 @@ func TestKilledCampaignResumesFromCheckpoint(t *testing.T) {
 	if res.Decomposition.RestoredSims >= res.Decomposition.NumSims {
 		t.Fatalf("restored %d of %d sims — first attempt should not have finished",
 			res.Decomposition.RestoredSims, res.Decomposition.NumSims)
+	}
+}
+
+// TestKilledCampaignResumesFromCheckpoint is the serving half of the
+// kill-and-recover guarantee: a campaign that dies mid-flight (here via
+// its own deadline, with fault-injected simulation latency making the
+// deadline bite) leaves a checkpoint behind, and resubmitting the
+// identical campaign resumes from it instead of starting over.
+func TestKilledCampaignResumesFromCheckpoint(t *testing.T) {
+	hs, spec, killed := killedCampaign(t)
+
+	// Identical campaign, no deadline: a fresh job (the failure cleared
+	// the in-flight entry) that resumes from the checkpoint.
+	sub2, err := hs.Submit(context.Background(), api.SubmitRequest{Campaign: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub2.Coalesced || sub2.CacheHit || sub2.StoreHit || sub2.JobID == killed {
+		t.Fatalf("resubmission should run fresh: %+v", sub2)
+	}
+	requireResumed(t, hs, sub2.JobID)
+}
+
+// TestKilledProducerHandsOverToAnotherDecomposition: the partial catalog
+// belongs to the ensemble, not to the campaign that died filling it — a job
+// at another method and rank resumes from it rather than restarting, and
+// leaves it complete for the job after.
+func TestKilledProducerHandsOverToAnotherDecomposition(t *testing.T) {
+	hs, spec, _ := killedCampaign(t)
+	ctx := context.Background()
+
+	spec.Method, spec.Rank = "avg", 3
+	sub, err := hs.Submit(ctx, api.SubmitRequest{Campaign: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireResumed(t, hs, sub.JobID)
+
+	spec.Method = "concat"
+	sub, err = hs.Submit(ctx, api.SubmitRequest{Campaign: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hs.Wait(ctx, sub.JobID, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res, err := hs.Result(ctx, sub.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Decomposition; d.RestoredSims != d.NumSims {
+		t.Fatalf("after the hand-over, restored %d of %d sims", d.RestoredSims, d.NumSims)
 	}
 }

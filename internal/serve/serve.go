@@ -10,18 +10,36 @@
 //   - admission: per-tenant quotas (a tenant may hold at most TenantQuota
 //     queued+running campaigns) and a bounded server-wide priority queue —
 //     higher Priority runs first, FIFO within a priority.
-//   - coalescing: submissions are keyed by m2td.Config.Fingerprint; a
-//     campaign identical to one already queued or running attaches to it
-//     as a waiter instead of enqueueing duplicate work.
+//   - identity: a campaign has two, both defined by package m2td.
+//     Config.Fingerprint names the campaign (ensemble + decomposition
+//     fields); Config.SimFingerprint, its prefix, names the ensemble —
+//     the simulations — alone. Campaigns that differ in rank, method,
+//     zero-join or sketch (and, at P = E = 1, in seed) share an ensemble.
+//   - coalescing: a campaign whose Fingerprint is already queued or
+//     running attaches to that job as a waiter instead of enqueueing
+//     duplicate work.
 //   - caching: finished decompositions sit in an in-memory LRU keyed by
 //     the same fingerprint, and are persisted to the crash-safe store
 //     (decomposition + JSON result header), so identical submissions after
 //     an eviction — or a process restart — are served without recompute.
 //   - execution: Executors goroutines drain the queue, running each
-//     campaign via m2td.RunCtx with the store-backed checkpoint machinery
-//     enabled (a timed-out or killed campaign resumes from its checkpoint
-//     on resubmission) and per-job deadlines; large campaigns are
-//     transparently dispatched onto Config.Distributed.
+//     campaign via m2td.RunCtx resumed from its ENSEMBLE's simulation
+//     catalog, so a popped job has one of three outcomes. Decomposition
+//     hit: the tiers above absorbed it and nothing runs. Sim-set hit: the
+//     catalog is complete, every simulation is restored, and the job only
+//     decomposes and commits. Miss: the job simulates, checkpointing into
+//     the catalog — from wherever a timed-out or killed job of that
+//     ensemble, of any rank or method, left it. One producer per
+//     ensemble: a queued job whose ensemble a running job is simulating
+//     is passed over (it keeps its queue position) until that producer's
+//     terminal transition, so two jobs never simulate or write one
+//     catalog; ensembles already seen complete are never gated, so
+//     sim-set hits run side by side. Per-job deadlines apply; large
+//     campaigns are transparently dispatched onto Config.Distributed.
+//   - store layout: dec-<hash(Fingerprint)> and hdr-<hash(Fingerprint)>
+//     per computed campaign, one sims-<hash(SimFingerprint)>/ catalog per
+//     ensemble (bounded by the distinct ensembles requested; nothing
+//     evicts them yet).
 //   - shutdown: draining a server rejects new submissions with
 //     CodeShuttingDown while queued and running campaigns finish, bounded
 //     by the caller's context.
@@ -29,7 +47,8 @@
 // Every serving decision is observable through the internal/obs registry
 // (Prometheus /metrics plus pprof, mounted next to the API routes):
 // submission/coalescing/cache counters — server-wide and per tenant —
-// queue depth and running gauges, and request/job latency histograms.
+// sim-set hits and simulations executed/restored, queue depth and running
+// gauges, and request/job latency histograms.
 package serve
 
 import (
@@ -130,9 +149,15 @@ type Server struct {
 	runner  Runner
 	metrics *metrics
 
-	mu         sync.Mutex
-	jobs       map[string]*job // by job ID
-	inflight   map[string]*job // fingerprint → queued/running job
+	mu       sync.Mutex
+	jobs     map[string]*job // by job ID
+	inflight map[string]*job // fingerprint → queued/running job
+	// producing maps a sim hash to the running job that is simulating that
+	// ensemble into its catalog; simsReady holds the sim hashes whose
+	// catalog this process has seen a job leave complete. Together they are
+	// the one-producer rule (see nextLocked): neither holds simulation data.
+	producing  map[string]*job
+	simsReady  map[string]bool
 	queue      jobQueue
 	cache      *lruCache
 	tenantLoad map[string]int
@@ -159,6 +184,8 @@ func New(opts Options) (*Server, error) {
 		runner:     opts.Runner,
 		jobs:       make(map[string]*job),
 		inflight:   make(map[string]*job),
+		producing:  make(map[string]*job),
+		simsReady:  make(map[string]bool),
 		cache:      newLRU(opts.CacheSize),
 		tenantLoad: make(map[string]int),
 		wake:       make(chan struct{}, 1),
@@ -228,10 +255,8 @@ drain:
 // waiter blocks forever.
 func (s *Server) failQueued(cause *api.Error) {
 	s.mu.Lock()
-	var stranded []*job
-	for s.queue.Len() > 0 {
-		stranded = append(stranded, s.queue.pop())
-	}
+	stranded := s.queue.items
+	s.queue.items = nil
 	s.mu.Unlock()
 	for _, j := range stranded {
 		s.fail(j, cause)
@@ -249,17 +274,55 @@ func (s *Server) executor(ctx context.Context) {
 		}
 		for {
 			s.mu.Lock()
-			if s.queue.Len() == 0 || ctx.Err() != nil {
-				s.mu.Unlock()
+			var j *job
+			if ctx.Err() == nil {
+				j = s.nextLocked()
+			}
+			s.mu.Unlock()
+			if j == nil {
 				break
 			}
-			j := s.queue.pop()
-			j.state = api.StateRunning
-			j.startedAt = time.Now()
-			s.running++
-			s.mu.Unlock()
 			s.run(ctx, j)
 		}
+	}
+}
+
+// nextLocked moves the next runnable job to StateRunning (s.mu held; nil
+// when nothing queued may run). It is the one-producer rule: a job whose
+// ensemble a running job is simulating right now stays queued until that
+// producer's terminal transition, so two jobs never simulate — or write —
+// one sims-<hash>/ catalog at once. The popped job becomes its ensemble's
+// producer unless the catalog is already known complete, in which case it
+// only restores and any number of such jobs run side by side.
+func (s *Server) nextLocked() *job {
+	j := s.queue.pop(func(j *job) bool { return s.producing[j.simHash] != nil })
+	if j == nil {
+		return nil
+	}
+	if !s.simsReady[j.simHash] {
+		s.producing[j.simHash] = j
+	}
+	j.state = api.StateRunning
+	j.startedAt = time.Now()
+	s.running++
+	if s.queue.Len() > 0 {
+		s.signal() // one wake token may stand for several submissions
+	}
+	return j
+}
+
+// releaseLocked is the sims-catalog half of a job's terminal transition
+// (s.mu held): a producer gives its ensemble up — to the next queued job of
+// that ensemble, which resumes from whatever the catalog holds — and a
+// report that accounts for every simulation as restored or executed marks
+// the catalog complete.
+func (s *Server) releaseLocked(j *job, report *m2td.Report) {
+	if report != nil && report.NumSims > 0 && report.RestoredSims+report.ExecutedSims == report.NumSims {
+		s.simsReady[j.simHash] = true
+	}
+	if s.producing[j.simHash] == j {
+		delete(s.producing, j.simHash)
+		s.signal()
 	}
 }
 
@@ -383,6 +446,7 @@ func (s *Server) newJobLocked(tenant, fp, hash string, priority int, cfg m2td.Co
 		tenant:      tenant,
 		fingerprint: fp,
 		hash:        hash,
+		simHash:     fingerprintHash(cfg.SimFingerprint()),
 		priority:    priority,
 		cfg:         cfg,
 		timeoutMS:   timeoutMS,
@@ -492,11 +556,12 @@ func totalSims(cfg m2td.Config) (int, error) {
 	return total, nil
 }
 
-// checkpointDir is the campaign's checkpoint catalog, keyed by config
-// hash under the store directory (the store's object listing skips
-// subdirectories).
-func (s *Server) checkpointDir(hash string) string {
-	return filepath.Join(s.st.Dir(), "ckpt-"+hash)
+// simsDir is an ensemble's simulation catalog, keyed by the hash of
+// m2td.Config.SimFingerprint under the store directory (the store's object
+// listing skips subdirectories) and shared by every campaign over that
+// ensemble.
+func (s *Server) simsDir(simHash string) string {
+	return filepath.Join(s.st.Dir(), "sims-"+simHash)
 }
 
 // statusLocked snapshots a job as its wire status (s.mu held).
@@ -562,6 +627,7 @@ func (s *Server) stats() api.StatsResponse {
 		QueueRejected: m.queueRejected.Value(),
 		JobsDone:      m.jobsDone.Value(),
 		JobsFailed:    m.jobsFailed.Value(),
+		SimSetHits:    m.simSetHits.Value(),
 		QueueDepth:    int64(depth),
 		Running:       int64(running),
 		Draining:      draining,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -410,12 +411,15 @@ func TestStoreHitAcrossRestart(t *testing.T) {
 
 func TestPriorityOrderAndQueueFull(t *testing.T) {
 	runner, release := blockingRunner()
+	var orderMu sync.Mutex // the runner goroutine appends, the test reads
 	var order []int64
 	s, _, c := newTestServer(t, func(o *Options) {
 		o.Executors = 1
 		o.MaxQueue = 2
 		o.Runner = func(ctx context.Context, cfg m2td.Config) (*m2td.Report, error) {
+			orderMu.Lock()
 			order = append(order, cfg.Seed)
+			orderMu.Unlock()
 			return runner(ctx, cfg)
 		}
 	})
@@ -455,14 +459,16 @@ func TestPriorityOrderAndQueueFull(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.mu.Lock()
+		orderMu.Lock()
 		n := len(order)
-		s.mu.Unlock()
+		orderMu.Unlock()
 		if n >= 3 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	orderMu.Lock()
+	defer orderMu.Unlock()
 	if len(order) != 3 || order[0] != 1 || order[1] != 3 || order[2] != 2 {
 		t.Fatalf("run order %v, want [1 3 2] (priority beats FIFO)", order)
 	}

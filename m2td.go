@@ -152,8 +152,9 @@ type Config struct {
 	// checkpoint saves (default 64).
 	CheckpointEvery int
 	// Resume loads a compatible checkpoint from CheckpointDir and skips
-	// every simulation it already holds. Checkpoints written by a
-	// different configuration are ignored.
+	// every simulation it already holds. Compatible means the same
+	// simulations (SimFingerprint): a checkpoint written at another rank or
+	// method restores in full, one written for another ensemble is ignored.
 	Resume bool
 
 	// Trace records a stage-span trace of the run (partition → decompose
@@ -394,20 +395,13 @@ func (r resolved) pivot() (int, error) {
 	return 0, fmt.Errorf("m2td: unknown pivot %q for system %s", cfg.Pivot, cfg.System)
 }
 
-// fingerprint identifies the simulation-generating configuration for
-// checkpoint compatibility: any field that changes which simulations run,
-// their identities, or their outputs is included, so a resumed campaign
-// never trusts a checkpoint written by a different configuration.
-func (c Config) fingerprint(pivot int) string {
-	fp := fmt.Sprintf("v1|%s|res=%d|t=%d|pivot=%d|P=%g|E=%g|seed=%d",
-		c.System, c.Resolution, c.TimeSamples, pivot, c.PivotDensity, c.SubEnsembleDensity, c.Seed)
-	return fp + c.faultsSuffix()
-}
-
 // checkpoint opens the crash-safe persistence of completed simulations —
-// an internal/store catalog tagged with the config fingerprint — or
-// returns nil when CheckpointDir is unset.
-func (c Config) checkpoint(pivot int) (*partition.Checkpoint, error) {
+// an internal/store catalog tagged with the simulation identity of the
+// config at its resolved pivot (see Config.fingerprint), so a resumed
+// campaign trusts exactly the checkpoints whose simulations are its own —
+// or returns nil when CheckpointDir is unset.
+func (r resolved) checkpoint(pivot int) (*partition.Checkpoint, error) {
+	c := r.cfg
 	if c.CheckpointDir == "" {
 		return nil, nil
 	}
@@ -415,7 +409,7 @@ func (c Config) checkpoint(pivot int) (*partition.Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m2td: checkpoint catalog: %w", err)
 	}
-	return &partition.Checkpoint{Store: st, Fingerprint: c.fingerprint(pivot), Every: c.CheckpointEvery, Resume: c.Resume}, nil
+	return &partition.Checkpoint{Store: st, Fingerprint: c.fingerprint(r.space.ModeName(pivot)), Every: c.CheckpointEvery, Resume: c.Resume}, nil
 }
 
 // trace starts the run's stage-span trace when Config.Trace asks for one.
@@ -473,7 +467,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck, err := cfg.checkpoint(pivot)
+	ck, err := r.checkpoint(pivot)
 	if err != nil {
 		return nil, err
 	}

@@ -209,27 +209,86 @@ func TestRunResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRunResumeRejectsForeignCheckpoint: a checkpoint is trusted only by a
+// campaign with the same simulation identity. Each case writes a complete
+// checkpoint, then resumes a config that differs in one
+// simulation-generating field: nothing may be restored.
 func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
-	dir := t.TempDir()
+	for _, tc := range []struct {
+		name          string
+		base, foreign func(*Config)
+	}{
+		{"resolution", nil, func(c *Config) { c.Resolution++ }},
+		{"time-samples", nil, func(c *Config) { c.TimeSamples++ }},
+		{"pivot", nil, func(c *Config) { c.Pivot = "phi1" }},
+		{"seed-at-P<1", func(c *Config) { c.PivotDensity = 0.5 }, func(c *Config) { c.Seed++ }},
+		{"seed-at-E<1", func(c *Config) { c.SubEnsembleDensity = 0.5 }, func(c *Config) { c.Seed++ }},
+		{"faults", nil, func(c *Config) { c.Faults = &faults.Config{Seed: 1} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.SkipAccuracy = true
+			cfg.CheckpointDir = t.TempDir()
+			cfg.CheckpointEvery = 1
+			if tc.base != nil {
+				tc.base(&cfg)
+			}
+			if _, err := RunCtx(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Resume = true
+			tc.foreign(&cfg)
+			report, err := RunCtx(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.RestoredSims != 0 {
+				t.Fatalf("restored %d sims from a foreign checkpoint", report.RestoredSims)
+			}
+		})
+	}
+}
+
+// TestRunResumeSharesEnsembleAcrossDecompositions is the positive twin: at
+// P = E = 1 with a named pivot the seed draws nothing, so a campaign that
+// differs from the checkpoint's writer in seed, rank and method restores
+// every simulation, executes none, and decomposes to the bits an
+// un-resumed run of its own config produces.
+func TestRunResumeSharesEnsembleAcrossDecompositions(t *testing.T) {
+	var attempts atomic.Int64
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
-	cfg.CheckpointDir = dir
-	cfg.CheckpointEvery = 1
-	if _, err := RunCtx(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	// A different seed is a different campaign: its resume must ignore
-	// the existing checkpoint entirely.
-	cfg2 := cfg
-	cfg2.Seed = cfg.Seed + 1
-	cfg2.Resume = true
-	report, err := RunCtx(context.Background(), cfg2)
+	cfg.Pivot = "t"
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Faults = &faults.Config{Seed: 1, Hook: func() { attempts.Add(1) }}
+	first, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.RestoredSims != 0 {
-		t.Fatalf("restored %d sims from a foreign checkpoint", report.RestoredSims)
+	if first.ExecutedSims != first.NumSims || int(attempts.Load()) != first.NumSims {
+		t.Fatalf("producer executed %d of %d sims in %d attempts", first.ExecutedSims, first.NumSims, attempts.Load())
 	}
+
+	cfg.Seed++
+	cfg.Rank, cfg.Method = 3, MethodAVG
+	cfg.Resume = true
+	resumed, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.RestoredSims != resumed.NumSims || resumed.ExecutedSims != 0 {
+		t.Fatalf("restored %d, executed %d of %d sims", resumed.RestoredSims, resumed.ExecutedSims, resumed.NumSims)
+	}
+	if int(attempts.Load()) != first.NumSims {
+		t.Fatalf("the resumed campaign ran %d simulations", int(attempts.Load())-first.NumSims)
+	}
+
+	cfg.CheckpointDir, cfg.Resume = "", false
+	fresh, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, "restored ensemble vs un-resumed run", resumed.Decomposition, fresh.Decomposition)
 }
 
 // TestWorkersFactoredRejectedBeforeAnySimulation: the Workers×Factored

@@ -119,7 +119,7 @@ func TestConfigFingerprint(t *testing.T) {
 			t.Fatalf("%s did not change the fingerprint", name)
 		}
 	}
-	if !strings.HasPrefix(base.Fingerprint(), "full-v1|") {
-		t.Fatalf("fingerprint missing version prefix: %q", base.Fingerprint())
+	if !strings.Contains(base.Fingerprint(), "|full-v2|") {
+		t.Fatalf("fingerprint missing version marker: %q", base.Fingerprint())
 	}
 }
