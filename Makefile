@@ -49,12 +49,13 @@ test:
 # double as data-race proofs for the internal/parallel kernels here; the
 # -count=20 soak catches races that need a particular interleaving — in
 # the pool itself, in its busiest client, the simulation fan-out (strip
-# cursor + checkpoint saves outside the fan-out's locks), and in the
-# campaign server's executors (the one-producer gate on shared sims-
-# catalogs).
+# cursor + checkpoint saves outside the fan-out's locks), in the campaign
+# server's executors (the one-producer gate on shared sims- catalogs), and
+# in the two D-M2TD executors (the coordinator's event loop, concurrent
+# worker start and single reaper; every task kind under kill-and-recover).
 race:
 	$(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=20 -timeout 15m ./internal/parallel ./internal/partition ./internal/serve
+	$(GO) test -race -count=20 -timeout 25m ./internal/parallel ./internal/partition ./internal/serve ./internal/distnet ./internal/dist
 
 # Full benchmark run (slow; honours M2TD_BENCH_RES).
 bench:
@@ -123,14 +124,16 @@ perf:
 	$(GO) run ./cmd/m2tdperf -seed 7
 
 # Short runs of the fuzz targets: the internal/tensor index algebra, the
-# two decoders on the process engine's trust boundaries (store objects,
-# control-plane frames), and campaign identity (api.CampaignSpec JSON →
-# Config.SimFingerprint / Fingerprint, which name shared store objects).
+# decoders on the process engine's trust boundaries (store objects,
+# control-plane frames, and the task/result payloads inside a valid frame),
+# and campaign identity (api.CampaignSpec JSON → Config.SimFingerprint /
+# Fingerprint, which name shared store objects).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLinearIndexRoundtrip -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzDedupPreservesSum -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzLoadSparseRobustness -fuzztime=10s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/distnet
+	$(GO) test -run=NONE -fuzz=FuzzTaskPayload -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpecFingerprint -fuzztime=10s ./internal/serve
 
 # Observability acceptance drill (mirrors the CI `obs` job): run a faulted

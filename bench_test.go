@@ -322,7 +322,9 @@ func BenchmarkDecomposeDispatch(b *testing.B) {
 }
 
 // BenchmarkDistributedWorkers measures D-M2TD end-to-end at different
-// worker counts (the scaling ablation behind Table III).
+// worker counts on the route the engine takes by default — join-free on
+// this intact partition (Table III's phase split is the materialised
+// entry's, eval.Table3).
 func BenchmarkDistributedWorkers(b *testing.B) {
 	part, ranks := benchPartition(b)
 	for _, w := range []int{1, 4, 16} {

@@ -87,32 +87,60 @@ func routeCases(t *testing.T) []routeCase {
 // the join-free core equals the core recovered from the materialised join
 // to 1e-9 of the core's largest magnitude (the two sum in different
 // orders), and the factors — computed from the sub-tensors on both routes
-// — are bit-equal, for every method over the whole grid of cases.
+// — are bit-equal, for every method over the whole grid of cases. The
+// engines follow the same rule, so the table carries them too: the
+// goroutine pool (Workers) at three shards on every case, the process
+// engine (Distributed) at three shards on the P = E = 0.5 cases — join and
+// zero-join, both pivots — each join-free and within 1e-9 of the in-process
+// result.
 func TestRoutesAgree(t *testing.T) {
+	ctx := context.Background()
 	for _, c := range routeCases(t) {
 		for _, method := range core.Methods() {
-			copts := core.Options{Method: method, Ranks: tucker.UniformRanks(c.part.Space.Order(), 2), ZeroJoin: c.zeroJoin}
-			factored, err := core.M2TDCtx(context.Background(), c.part, copts)
+			name := c.name + "/" + string(method)
+			ranks := tucker.UniformRanks(c.part.Space.Order(), 2)
+			copts := core.Options{Method: method, Ranks: ranks, ZeroJoin: c.zeroJoin}
+			joined, err := core.DecomposeCtx(ctx, c.part, copts)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", c.name, method, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if factored.Join != nil {
-				t.Fatalf("%s/%s: the dispatch rule materialised a join on an intact partition", c.name, method)
+			routes := map[string]func() (*core.Result, error){
+				"in-process": func() (*core.Result, error) { return core.M2TDCtx(ctx, c.part, copts) },
+				"Workers": func() (*core.Result, error) {
+					res, _, err := decomposeStage(ctx, nil, c.part, method, ranks, Config{Workers: 3, ZeroJoin: c.zeroJoin})
+					return res, err
+				},
 			}
-			joined, err := core.DecomposeCtx(context.Background(), c.part, copts)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", c.name, method, err)
+			if method == core.SELECT && strings.Contains(c.name, "P=0.5/E=0.5") {
+				routes["Distributed"] = func() (*core.Result, error) {
+					res, _, err := decomposeStage(ctx, nil, c.part, method, ranks, Config{
+						Distributed: &DistributedConfig{Workers: 2, Shards: 3}, ZeroJoin: c.zeroJoin,
+					})
+					return res, err
+				}
 			}
-			var diff, scale float64
-			for i, v := range joined.Core.Data {
-				diff = math.Max(diff, math.Abs(factored.Core.Data[i]-v))
-				scale = math.Max(scale, math.Abs(v))
+			for route, run := range routes {
+				factored, err := run()
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, route, err)
+				}
+				if factored.Join != nil {
+					t.Fatalf("%s %s: the dispatch rule materialised a join on an intact partition", name, route)
+				}
+				if got, want := factored.JoinCells(c.part, c.zeroJoin), joined.Join.NNZ(); got != want {
+					t.Errorf("%s %s: JoinCells %d, stitched join %d", name, route, got, want)
+				}
+				var diff, scale float64
+				for i, v := range joined.Core.Data {
+					diff = math.Max(diff, math.Abs(factored.Core.Data[i]-v))
+					scale = math.Max(scale, math.Abs(v))
+				}
+				if diff > 1e-9*scale {
+					t.Errorf("%s %s: cores differ by %g relative", name, route, diff/scale)
+				}
+				factored.Core = joined.Core
+				requireSameBits(t, name+" "+route+" factors", factored, joined)
 			}
-			if diff > 1e-9*scale {
-				t.Errorf("%s/%s: cores differ by %g relative", c.name, method, diff/scale)
-			}
-			factored.Core = joined.Core
-			requireSameBits(t, c.name+"/"+string(method)+" factors", factored, joined)
 		}
 	}
 }

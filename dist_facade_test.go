@@ -4,6 +4,10 @@ import (
 	"context"
 	"os"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/tucker"
 )
 
 // TestMain lets the multi-process engine self-exec this test binary as a
@@ -11,6 +15,11 @@ import (
 // over the process and never returns.
 func TestMain(m *testing.M) {
 	MaybeDistWorker()
+	// Under -race a process sleeps a second at exit and a campaign waits for
+	// its workers' exits; the workers inherit this and skip the sleep.
+	if os.Getenv("GORACE") == "" {
+		os.Setenv("GORACE", "atexit_sleep_ms=0")
+	}
 	os.Exit(m.Run())
 }
 
@@ -101,6 +110,64 @@ func TestDistributedConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := RunCtx(context.Background(), cfg); err == nil {
 			t.Fatalf("config %s accepted", name)
+		}
+	}
+}
+
+// TestDistributedRouteIsVisible: both engines follow the dispatch rule and
+// say so. On an intact partition the report has no join, its JoinCells is
+// the density formula's, the decompose span carries factored = 1 and — on
+// the process engine — a phase2 span with no tasks beside a Phase2 time of
+// exactly 0. One failed simulation breaks the product structure: the same
+// configuration stitches (Join set, stitch tasks, factored = 0) and equals
+// the in-process fallback to 1e-9.
+func TestDistributedRouteIsVisible(t *testing.T) {
+	engines := map[string]func(*Config){
+		"Workers":     func(c *Config) { c.Workers = 3 },
+		"Distributed": func(c *Config) { c.Distributed = &DistributedConfig{Workers: 2, Shards: 3} },
+	}
+	for name, engine := range engines {
+		cfg := smallConfig()
+		cfg.SkipAccuracy, cfg.Trace = true, true
+		engine(&cfg)
+		report, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d := report.Trace.Root().Find("decompose")
+		if report.Decomposition.Join != nil || report.JoinCells != report.Partition.JoinCells(false) || d.Counter("factored") != 1 {
+			t.Errorf("%s, intact partition: join stitched %v, JoinCells %d, span:\n%s", name, report.Decomposition.Join != nil, report.JoinCells, d.Skeleton())
+		}
+		if ds := report.Distributed; ds != nil {
+			if p2 := d.Find("phase2"); ds.Phase2 != 0 || p2 == nil || p2.Counter("tasks") != 0 || d.Find("phase3").Counter("tasks") != 3 {
+				t.Errorf("%s, intact partition: Phase2 %v, span:\n%s", name, ds.Phase2, d.Skeleton())
+			}
+		}
+
+		cfg.Faults = &faults.Config{Seed: 3, PanicRate: 0.02}
+		broken, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s, one failed simulation: %v", name, err)
+		}
+		if broken.FailedSims != 1 {
+			t.Fatalf("fixture: %d failed simulations, want exactly 1", broken.FailedSims)
+		}
+		d = broken.Trace.Root().Find("decompose")
+		j := broken.Decomposition.Join
+		if j == nil || broken.JoinCells != j.NNZ() || d.Counter("factored") != 0 {
+			t.Fatalf("%s, one failed simulation: join stitched %v, JoinCells %d, span:\n%s", name, j != nil, broken.JoinCells, d.Skeleton())
+		}
+		if ds := broken.Distributed; ds != nil && (ds.Phase2 <= 0 || d.Find("phase2").Counter("tasks") != 3) {
+			t.Errorf("%s, one failed simulation: Phase2 %v, span:\n%s", name, ds.Phase2, d.Skeleton())
+		}
+		want, err := core.DecomposeCtx(context.Background(), broken.Partition, core.Options{
+			Method: core.SELECT, Ranks: tucker.UniformRanks(broken.Space.Order(), cfg.Rank),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.NNZ() != want.Join.NNZ() || !broken.Decomposition.Core.Equal(want.Core, 1e-9) {
+			t.Errorf("%s, one failed simulation: differs from core.DecomposeCtx", name)
 		}
 	}
 }

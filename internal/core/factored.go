@@ -7,6 +7,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/stitch"
 	"repro/internal/tensor"
 )
 
@@ -47,11 +48,9 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 		// (pivot × free) product structure the factorisation relies on.
 		return nil, fmt.Errorf("core: sketching is incompatible with DecomposeFactored (the sketch breaks the P×E product structure)")
 	}
-	if err := checkProductStructure(p); err != nil {
+	if err := CheckProductStructure(p); err != nil {
 		return nil, err
 	}
-	cfg := p.Config
-	k := len(cfg.Pivots)
 
 	subClock := Stopwatch()
 	factors := factorsPhase(p, opts, ranks, opts.Span.Start("factors"))
@@ -60,29 +59,9 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	coreClock := Stopwatch()
 	cspan := opts.Span.Start("core")
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	// Project each sub-tensor through its own modes' factors; the two
-	// projections are independent and run concurrently on the shared pool.
-	var g1, g2 *tensor.Dense
-	// Split the budget across the concurrent projections (scheduling only;
-	// the TTM kernels are bit-stable for any worker count).
-	pair := parallel.SplitWorkers(opts.Workers, 2)
-	parallel.Do(opts.Workers,
-		func() { g1 = projectSub(p.Sub1, factors, pair) },
-		func() { g2 = projectSub(p.Sub2, factors, pair) },
-	)
-
-	// Free-mode row sums: sampled configurations for plain join, the full
-	// grids for zero-join.
-	var s1, s2 *tensor.Dense
-	if opts.ZeroJoin {
-		s1 = fullRowSum(factors, cfg.Free1)
-		s2 = fullRowSum(factors, cfg.Free2)
-	} else {
-		s1 = sampledRowSum(factors, cfg.Free1, p.Free1Configs)
-		s2 = sampledRowSum(factors, cfg.Free2, p.Free2Configs)
-	}
-
-	coreT := assembleFactoredCore(cfg, ranks, k, g1, g2, s1, s2)
+	// The engines' Phase 3 at one shard: every cell of both sub-tensors.
+	g1, g2 := ProjectShard(stitch.NewSpec(p, opts.ZeroJoin), p.Sub1.Tensor, p.Sub2.Tensor, factors, 0, 1, opts.Workers)
+	coreT := FactoredCore(p, opts.ZeroJoin, factors, g1, g2)
 	cspan.Set("cells", int64(len(coreT.Data)))
 	cspan.Set("factored", 1)
 	cdone()
@@ -98,16 +77,18 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	}, nil
 }
 
-// ErrNoProductStructure is wrapped by every DecomposeFactored failure that
-// means "this partition cannot take the join-free route" — a failed or
+// ErrNoProductStructure is wrapped by every CheckProductStructure failure:
+// "this partition cannot take the join-free route" — a failed or
 // quarantined simulation left a hole in the P×E grid, or the sampled
-// configuration lists are missing. M2TDCtx falls back to DecomposeCtx on it.
+// configuration lists are missing. M2TDCtx falls back to DecomposeCtx on
+// it; the D-M2TD engines to their materialised phases.
 var ErrNoProductStructure = errors.New("core: no P×E product structure")
 
-// checkProductStructure verifies that each sub-ensemble stores exactly one
+// CheckProductStructure verifies that each sub-ensemble stores exactly one
 // cell per (pivot configuration × free configuration) pair — the structure
-// the factorisation relies on. Every failure wraps ErrNoProductStructure.
-func checkProductStructure(p *partition.Result) error {
+// the factorisation relies on, and the one test every engine's route
+// dispatch asks. Every failure wraps ErrNoProductStructure.
+func CheckProductStructure(p *partition.Result) error {
 	if len(p.PivotConfigs) == 0 || len(p.Free1Configs) == 0 || len(p.Free2Configs) == 0 {
 		return fmt.Errorf("%w: DecomposeFactored requires the sampled configuration lists from partition.Generate", ErrNoProductStructure)
 	}
@@ -120,14 +101,79 @@ func checkProductStructure(p *partition.Result) error {
 	return nil
 }
 
-// projectSub computes X ×ₙ Uᵀ over all of a sub-tensor's modes, with U
-// taken from the fused factor set via the sub-tensor's mode mapping.
-func projectSub(sub *partition.SubEnsemble, factors []*mat.Matrix, workers int) *tensor.Dense {
-	ms := make([]*mat.Matrix, len(sub.Modes))
-	for i, m := range sub.Modes {
-		ms[i] = mat.Transpose(factors[m])
+// ProjectShard is Phase 3 of the join-free route for one shard: the cells
+// of X₁ and of X₂ whose pivot key lands in the shard (key % shards),
+// projected through the fused factors of their own modes. The projection
+// is linear in the cells, so the shards' partials sum to G₁ and G₂ —
+// dist.SumCores, in ascending shard order. DecomposeFactored is shard 0 of
+// 1, dist.Decompose runs one call per shard on goroutines and
+// internal/distnet on worker processes; the two projections are
+// independent and share the workers budget (scheduling only — the TTM
+// kernels are bit-stable for any worker count).
+func ProjectShard(spec stitch.Spec, x1, x2 *tensor.Sparse, factors []*mat.Matrix, shard, shards, workers int) (g1, g2 *tensor.Dense) {
+	pair := parallel.SplitWorkers(workers, 2)
+	parallel.Do(workers,
+		func() { g1 = projectSub(spec, x1, spec.Free1, factors, shard, shards, pair) },
+		func() { g2 = projectSub(spec, x2, spec.Free2, factors, shard, shards, pair) },
+	)
+	return g1, g2
+}
+
+// projectSub computes X ×ₙ Uᵀ over all of a sub-tensor's modes (pivots
+// leading, then its free modes), restricted to one shard's cells.
+func projectSub(spec stitch.Spec, x *tensor.Sparse, free []int, factors []*mat.Matrix, shard, shards, workers int) *tensor.Dense {
+	ms := make([]*mat.Matrix, 0, x.Order())
+	for _, m := range spec.Pivots {
+		ms = append(ms, mat.Transpose(factors[m]))
 	}
-	return tensor.MultiTTMSparseWorkers(sub.Tensor, ms, workers)
+	for _, m := range free {
+		ms = append(ms, mat.Transpose(factors[m]))
+	}
+	return tensor.MultiTTMSparseWorkers(shardCells(spec, x, shard, shards), ms, workers)
+}
+
+// shardCells is the part of a sub-tensor one shard projects: the cells
+// whose pivot key lands in it, in storage order. One shard holds them all,
+// so it is the tensor itself.
+func shardCells(spec stitch.Spec, x *tensor.Sparse, shard, shards int) *tensor.Sparse {
+	if shards == 1 {
+		return x
+	}
+	o := x.Order()
+	in := func(e int) bool { return spec.PivotKey(x.Idx[e*o:])%shards == shard }
+	cells := 0
+	for e := range x.Vals {
+		if in(e) {
+			cells++
+		}
+	}
+	out := tensor.NewSparse(x.Shape)
+	out.Reserve(cells)
+	for e := range x.Vals {
+		if in(e) {
+			out.Append(x.Entry(e))
+		}
+	}
+	return out
+}
+
+// FactoredCore is the join-free route's driver-side assembly,
+// G = ½·(G₁ ⊗ s₂ + G₂ ⊗ s₁): g1 and g2 are the two sub-tensors' (summed)
+// projections and s₁/s₂ the free-mode row sums — over the sampled
+// configurations for plain join, over the full grids for zero-join —
+// computed here, like fusion, because they cost E·r^|F| and need only the
+// factors.
+func FactoredCore(p *partition.Result, zeroJoin bool, factors []*mat.Matrix, g1, g2 *tensor.Dense) *tensor.Dense {
+	cfg := p.Config
+	var s1, s2 *tensor.Dense
+	if zeroJoin {
+		s1 = fullRowSum(factors, cfg.Free1)
+		s2 = fullRowSum(factors, cfg.Free2)
+	} else {
+		s1 = sampledRowSum(factors, cfg.Free1, p.Free1Configs)
+		s2 = sampledRowSum(factors, cfg.Free2, p.Free2Configs)
+	}
+	return assembleFactoredCore(cfg, factors, g1, g2, s1, s2)
 }
 
 // sampledRowSum accumulates Σ_{config} ⊗_i U(modes_i)(config_i, ·) over the
@@ -197,12 +243,15 @@ func fullRowSum(factors []*mat.Matrix, modes []int) *tensor.Dense {
 // assembleFactoredCore builds the original-mode-order core from the two
 // projected sub-tensors and the free-mode row sums:
 // G = ½·(G₁ ⊗ s₂ + G₂ ⊗ s₁).
-func assembleFactoredCore(cfg partition.Config, ranks []int, k int, g1, g2, s1, s2 *tensor.Dense) *tensor.Dense {
-	coreShape := make(tensor.Shape, len(ranks))
-	copy(coreShape, ranks)
+func assembleFactoredCore(cfg partition.Config, factors []*mat.Matrix, g1, g2, s1, s2 *tensor.Dense) *tensor.Dense {
+	coreShape := make(tensor.Shape, len(factors))
+	for m, f := range factors {
+		coreShape[m] = f.Cols
+	}
 	out := tensor.NewDense(coreShape)
 
-	idx := make([]int, len(ranks))
+	k := len(cfg.Pivots)
+	idx := make([]int, len(factors))
 	sub1Idx := make([]int, k+len(cfg.Free1))
 	sub2Idx := make([]int, k+len(cfg.Free2))
 	f1Idx := make([]int, len(cfg.Free1))

@@ -8,6 +8,8 @@ import (
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
 	"repro/internal/partition"
+	"repro/internal/stitch"
+	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
@@ -145,5 +147,51 @@ func TestFactoredReconstructionAccuracy(t *testing.T) {
 	relErr := fac.Reconstruct().Sub(y).Norm() / y.Norm()
 	if relErr >= 1 {
 		t.Fatalf("factored reconstruction relative error %v", relErr)
+	}
+}
+
+// TestProjectShardPartition: the shards split each sub-tensor's cells by
+// pivot key, so their partial projections sum to the one-shard projection —
+// which is DecomposeFactored's, the tensor itself and no copy — and a shard
+// no key lands in projects nothing. Two pivot modes make the key a real
+// linearisation.
+func TestProjectShardPartition(t *testing.T) {
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
+	cfg := partition.Config{Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1, FreeFrac: 0.6}
+	p, err := partition.Generate(space, cfg, rand.New(rand.NewSource(185)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := stitch.NewSpec(p, false)
+	x1, x2 := p.Sub1.Tensor, p.Sub2.Tensor
+	if shardCells(spec, x1, 0, 1) != x1 {
+		t.Fatal("one shard copied the sub-tensor")
+	}
+	whole1, whole2 := ProjectShard(spec, x1, x2, res.Factors, 0, 1, 1)
+	keys := 4 * 5
+	for _, shards := range []int{2, 3, keys + 2} {
+		sum1, sum2 := tensor.NewDense(whole1.Shape), tensor.NewDense(whole2.Shape)
+		cells := 0
+		for s := range shards {
+			cells += shardCells(spec, x1, s, shards).NNZ()
+			g1, g2 := ProjectShard(spec, x1, x2, res.Factors, s, shards, 2)
+			if s >= keys && (g1.Norm() != 0 || g2.Norm() != 0) {
+				t.Fatalf("%d shards: shard %d holds no pivot key and projected norm %g, %g", shards, s, g1.Norm(), g2.Norm())
+			}
+			sum1, sum2 = sum1.Add(g1), sum2.Add(g2)
+		}
+		if cells != x1.NNZ() {
+			t.Fatalf("%d shards hold %d of sub-tensor 1's %d cells", shards, cells, x1.NNZ())
+		}
+		if !sum1.Equal(whole1, 1e-12) || !sum2.Equal(whole2, 1e-12) {
+			t.Fatalf("%d shards: partial projections do not sum to the whole", shards)
+		}
+	}
+	if !FactoredCore(p, false, res.Factors, whole1, whole2).Equal(res.Core, 0) {
+		t.Fatal("ProjectShard at 0 of 1 + FactoredCore is not DecomposeFactored's core bit for bit")
 	}
 }

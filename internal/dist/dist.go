@@ -1,14 +1,33 @@
 // Package dist is the single home of D-M2TD, the paper's 3-phase
 // distributed formulation of Multi-Task Tensor Decomposition (Algorithm 6
-// / Section VI-D). The phase bodies are pure functions:
+// / Section VI-D). The phase bodies are pure functions, on two routes.
+//
+// Both routes:
 //
 //   - Phase 1 — SubFactor: one (sub-tensor, mode) pair's matricization
 //     Gram matrix (needed for CONCAT fusion) and its rank-truncated factor;
 //     FuseFactors then fuses the pivot modes driver-side.
+//
+// The join-free route, taken while the pair has its P×E product structure
+// (core.CheckProductStructure — the engines' form of core.M2TDCtx's rule,
+// no option picks it) — factors and Gram-sized objects move, never cells:
+//
+//   - Phase 2 — nothing to stitch.
+//   - Phase 3 — core.ProjectShard: the cells of X₁ and of X₂ whose pivot
+//     key lands in one shard (key % shards), projected through the fused
+//     factors — core.DecomposeFactored's own body, which is shard 0 of 1.
+//     SumCores adds the G₁ partials and the G₂ partials in ascending shard
+//     order, and core.FactoredCore assembles G = ½(G₁⊗s₂ + G₂⊗s₁)
+//     driver-side.
+//
+// The materialised route, DecomposeMaterialised — Algorithm 6 as the paper
+// states it, for a pair a failed or quarantined simulation left without
+// the structure, and for Table III:
+//
 //   - Phase 2 — stitch.Spec.Shard, the one JE-stitch kernel (the same
 //     function stitch.Join is at shard 0 of 1): the pivot groups whose key
-//     lands in one shard (key % shards), joined or zero-joined; MergeJoin
-//     concatenates the shards in ascending shard order.
+//     lands in one shard, joined or zero-joined; MergeJoin concatenates
+//     the shards in ascending shard order.
 //   - Phase 3 — ShardCore: one join shard projected through the fused
 //     factors (exact, since the core is linear in J's cells); SumCores adds
 //     the partial cores in ascending shard order.
@@ -22,6 +41,7 @@ package dist
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -71,8 +91,9 @@ func ShardCore(shard *tensor.Sparse, factors []*mat.Matrix) *tensor.Dense {
 	return tensor.MultiTTMSparse(shard, tensor.TransposeAll(factors))
 }
 
-// SumCores adds Phase 3's partial cores in the order given (ascending
-// shard index): the fixed order keeps the float sum bitwise stable.
+// SumCores adds Phase 3's partials — partial cores, or one sub-tensor's
+// partial projections — in the order given (ascending shard index): the
+// fixed order keeps the float sum bitwise stable.
 func SumCores(partials []*tensor.Dense) *tensor.Dense {
 	total := partials[0]
 	for _, partial := range partials[1:] {
@@ -82,39 +103,69 @@ func SumCores(partials []*tensor.Dense) *tensor.Dense {
 }
 
 // Decompose runs D-M2TD over a PF-partitioned pair of sub-ensembles on the
-// in-process pool. At one shard it is core.DecomposeCtx's computation bit
-// for bit; at more, the same decomposition up to Phase 3's summation order.
+// in-process pool, on the route the partition allows — the engines' form of
+// core.M2TDCtx's rule. While the pair has its P×E product structure
+// (core.CheckProductStructure) no join is built: Phase 2 has nothing to
+// stitch, Phase 3 is one core.ProjectShard per shard, and the summed
+// projections are assembled driver-side (core.FactoredCore); the result has
+// no Join and the stage span is marked factored = 1. At one shard that is
+// core.DecomposeFactored's computation bit for bit; at more, the same
+// decomposition up to the partials' summation order. Any other partition
+// takes DecomposeMaterialised.
 func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
-	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
+	if core.CheckProductStructure(p) != nil {
+		return DecomposeMaterialised(p, opts)
+	}
+	ranks, shards, err := checked(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Sketch.KeepFrac != 0 {
-		return nil, fmt.Errorf("dist: sketching is not supported by D-M2TD (sketch locally with core.DecomposeCtx instead)")
-	}
-	shards := max(opts.Workers, 1)
+	factors, subTime := subDecompose(p, opts.Method, ranks, shards)
 
-	// ---- Phase 1: one task per (sub-tensor, mode) ----
-	subClock := core.Stopwatch()
-	var tasks []func()
-	var fs, gs [2][]*mat.Matrix
-	for si, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
-		fs[si], gs[si] = make([]*mat.Matrix, len(sub.Modes)), make([]*mat.Matrix, len(sub.Modes))
-		for n, m := range sub.Modes {
-			tasks = append(tasks, func() { gs[si][n], fs[si][n] = SubFactor(sub.Tensor, n, ranks[m]) })
+	// ---- Phase 3: one projection task per shard ----
+	coreClock := core.Stopwatch()
+	spec := stitch.NewSpec(p, opts.ZeroJoin)
+	g1s, g2s := make([]*tensor.Dense, shards), make([]*tensor.Dense, shards)
+	tasks := make([]func(), shards)
+	for s := range tasks {
+		tasks[s] = func() {
+			g1s[s], g2s[s] = core.ProjectShard(spec, p.Sub1.Tensor, p.Sub2.Tensor, factors, s, shards, opts.Options.Workers)
 		}
 	}
 	parallel.Do(shards, tasks...)
-	factors := FuseFactors(opts.Method, p.Config, p.Space.Order(), ranks, fs[0], gs[0], fs[1], gs[1])
-	subTime := subClock()
+	coreT := core.FactoredCore(p, opts.ZeroJoin, factors, SumCores(g1s), SumCores(g2s))
+	opts.Span.Set("factored", 1)
+
+	return &core.Result{
+		Factors:       factors,
+		Core:          coreT,
+		SubDecompTime: subTime,
+		CoreTime:      coreClock(),
+	}, nil
+}
+
+// DecomposeMaterialised is D-M2TD as the paper states it (Algorithm 6):
+// sub-decomposition, JE-stitching, core recovery from the stitched join —
+// dist's analogue of core.DecomposeCtx, and what Decompose runs once a
+// failed or quarantined simulation, or hand-built sub-ensembles, left the
+// pair without its product structure. Table III calls it directly: its
+// phase split is the cost of building J. At one shard it is
+// core.DecomposeCtx's computation bit for bit; at more, the same
+// decomposition up to Phase 3's summation order.
+func DecomposeMaterialised(p *partition.Result, opts Options) (*core.Result, error) {
+	ranks, shards, err := checked(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	factors, subTime := subDecompose(p, opts.Method, ranks, shards)
 
 	// ---- Phase 2: one stitch task per shard ----
 	stitchClock := core.Stopwatch()
 	spec := stitch.NewSpec(p, opts.ZeroJoin)
 	joinShards := make([]*tensor.Sparse, shards)
-	tasks = tasks[:0]
-	for s := range joinShards {
-		tasks = append(tasks, func() { joinShards[s] = spec.Shard(p.Sub1.Tensor, p.Sub2.Tensor, s, shards) })
+	tasks := make([]func(), shards)
+	for s := range tasks {
+		tasks[s] = func() { joinShards[s] = spec.Shard(p.Sub1.Tensor, p.Sub2.Tensor, s, shards) }
 	}
 	parallel.Do(shards, tasks...)
 	j := MergeJoin(spec.Shape, joinShards)
@@ -123,9 +174,8 @@ func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 	// ---- Phase 3: one projection task per shard ----
 	coreClock := core.Stopwatch()
 	partials := make([]*tensor.Dense, shards)
-	tasks = tasks[:0]
 	for s, shard := range joinShards {
-		tasks = append(tasks, func() { partials[s] = ShardCore(shard, factors) })
+		tasks[s] = func() { partials[s] = ShardCore(shard, factors) }
 	}
 	parallel.Do(shards, tasks...)
 	coreT := SumCores(partials)
@@ -138,4 +188,33 @@ func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 		StitchTime:    stitchTime,
 		CoreTime:      coreClock(),
 	}, nil
+}
+
+// checked validates the options both routes share and returns the clipped
+// ranks and the shard count.
+func checked(p *partition.Result, opts Options) (ranks []int, shards int, err error) {
+	if ranks, err = core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape()); err != nil {
+		return nil, 0, err
+	}
+	if opts.Sketch.KeepFrac != 0 {
+		return nil, 0, fmt.Errorf("dist: sketching is not supported by D-M2TD (sketch locally with core.DecomposeCtx instead)")
+	}
+	return ranks, max(opts.Workers, 1), nil
+}
+
+// subDecompose is Phase 1 of both routes — one SubFactor task per
+// (sub-tensor, mode) — and the driver-side fusion.
+func subDecompose(p *partition.Result, method core.Method, ranks []int, shards int) ([]*mat.Matrix, time.Duration) {
+	clock := core.Stopwatch()
+	var tasks []func()
+	var fs, gs [2][]*mat.Matrix
+	for si, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
+		fs[si], gs[si] = make([]*mat.Matrix, len(sub.Modes)), make([]*mat.Matrix, len(sub.Modes))
+		for n, m := range sub.Modes {
+			tasks = append(tasks, func() { gs[si][n], fs[si][n] = SubFactor(sub.Tensor, n, ranks[m]) })
+		}
+	}
+	parallel.Do(shards, tasks...)
+	factors := FuseFactors(method, p.Config, p.Space.Order(), ranks, fs[0], gs[0], fs[1], gs[1])
+	return factors, clock()
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/stitch"
@@ -50,22 +51,29 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			d, err := Decompose(p, Options{
-				Options: core.Options{Method: m, Ranks: ranks},
-				Workers: workers,
-			})
+			opts := Options{Options: core.Options{Method: m, Ranks: ranks}, Workers: workers}
+			d, err := DecomposeMaterialised(p, opts)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", m, workers, err)
 			}
 			if d.Join.NNZ() != serial.Join.NNZ() {
 				t.Fatalf("%s workers=%d: join NNZ %d != serial %d", m, workers, d.Join.NNZ(), serial.Join.NNZ())
 			}
-			if !d.Core.Equal(serial.Core, 1e-9) {
-				t.Fatalf("%s workers=%d: distributed core differs from serial", m, workers)
+			f, err := Decompose(p, opts)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", m, workers, err)
 			}
-			for mode := range d.Factors {
-				if !d.Factors[mode].Equal(serial.Factors[mode], 1e-9) {
-					t.Fatalf("%s workers=%d: factor %d differs", m, workers, mode)
+			if f.Join != nil || f.JoinCells(p, false) != serial.Join.NNZ() {
+				t.Fatalf("%s workers=%d: join-free route: join stitched %v, JoinCells %d, serial join %d", m, workers, f.Join != nil, f.JoinCells(p, false), serial.Join.NNZ())
+			}
+			for route, d := range map[string]*core.Result{"materialised": d, "join-free": f} {
+				if !d.Core.Equal(serial.Core, 1e-9) {
+					t.Fatalf("%s workers=%d %s: distributed core differs from serial", m, workers, route)
+				}
+				for mode := range d.Factors {
+					if !d.Factors[mode].Equal(serial.Factors[mode], 1e-9) {
+						t.Fatalf("%s workers=%d %s: factor %d differs", m, workers, route, mode)
+					}
 				}
 			}
 		}
@@ -79,10 +87,8 @@ func TestDistributedZeroJoinMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decompose(p, Options{
-		Options: core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true},
-		Workers: 4,
-	})
+	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true}, Workers: 4}
+	d, err := DecomposeMaterialised(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,31 +98,41 @@ func TestDistributedZeroJoinMatchesSerial(t *testing.T) {
 	if !d.Core.Equal(serial.Core, 1e-9) {
 		t.Fatal("distributed zero-join core differs from serial")
 	}
+	f, err := Decompose(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Join != nil || f.JoinCells(p, true) != serial.Join.NNZ() {
+		t.Fatalf("join-free zero-join: join stitched %v, JoinCells %d, serial join %d", f.Join != nil, f.JoinCells(p, true), serial.Join.NNZ())
+	}
+	if !f.Core.Equal(serial.Core, 1e-9) {
+		t.Fatal("join-free zero-join core differs from serial")
+	}
 }
 
 func TestDistributedDeterministicAcrossRuns(t *testing.T) {
 	p := tinyPartition(t, 1, 122)
 	ranks := tucker.UniformRanks(5, 2)
 	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: ranks}, Workers: 4}
-	a, err := Decompose(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Decompose(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Core.Equal(b.Core, 0) {
-		t.Fatal("repeated distributed runs differ bit-for-bit")
+	for route, decompose := range routes {
+		a, err := decompose(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := decompose(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Core.Equal(b.Core, 0) {
+			t.Fatalf("%s: repeated distributed runs differ bit-for-bit", route)
+		}
 	}
 }
 
 func TestDistributedPhaseStats(t *testing.T) {
 	p := tinyPartition(t, 1, 123)
-	d, err := Decompose(p, Options{
-		Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2)},
-		Workers: 2,
-	})
+	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2)}, Workers: 2}
+	d, err := DecomposeMaterialised(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +140,19 @@ func TestDistributedPhaseStats(t *testing.T) {
 		if phase <= 0 {
 			t.Fatalf("phase %d has no recorded time", i+1)
 		}
+	}
+	// The join-free route has nothing to stitch: Phase 2 takes no time.
+	trace := obs.New("decompose")
+	opts.Span = trace.Root()
+	f, err := Decompose(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.SubDecompTime <= 0 || f.StitchTime != 0 || f.CoreTime <= 0 {
+		t.Fatalf("join-free phases: %v, %v, %v; want Phase 2 exactly 0", f.SubDecompTime, f.StitchTime, f.CoreTime)
+	}
+	if trace.Root().Counter("factored") != 1 {
+		t.Fatal("join-free route did not mark the stage span factored = 1")
 	}
 }
 
@@ -155,8 +184,15 @@ func TestDistributedReconstructionAccuracy(t *testing.T) {
 	}
 }
 
+// routes are the two entries: the dispatch (join-free on every
+// partition.Generate output) and the materialised phases it falls back to.
+var routes = map[string]func(*partition.Result, Options) (*core.Result, error){
+	"join-free":    Decompose,
+	"materialised": DecomposeMaterialised,
+}
+
 // sameResult fails unless got and want agree to the last bit: join cell
-// order and values, core, factors.
+// order and values (both have one or neither does), core, factors.
 func sameResult(t *testing.T, label string, got, want *core.Result) {
 	t.Helper()
 	sameBits := func(what string, g, w []float64) {
@@ -170,10 +206,15 @@ func sameResult(t *testing.T, label string, got, want *core.Result) {
 			}
 		}
 	}
-	if !slices.Equal(got.Join.Idx, want.Join.Idx) {
-		t.Fatalf("%s: join cell order differs", label)
+	if (got.Join == nil) != (want.Join == nil) {
+		t.Fatalf("%s: one result has a join, the other none", label)
 	}
-	sameBits("join", got.Join.Vals, want.Join.Vals)
+	if want.Join != nil {
+		if !slices.Equal(got.Join.Idx, want.Join.Idx) {
+			t.Fatalf("%s: join cell order differs", label)
+		}
+		sameBits("join", got.Join.Vals, want.Join.Vals)
+	}
 	if !slices.Equal(got.Core.Shape, want.Core.Shape) {
 		t.Fatalf("%s: core shape %v, want %v", label, got.Core.Shape, want.Core.Shape)
 	}
@@ -190,28 +231,35 @@ func TestDistributedBitIdenticalAcrossFanout(t *testing.T) {
 	p := tinyPartition(t, 0.5, 127)
 	for _, m := range core.Methods() {
 		opts := Options{Options: core.Options{Method: m, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: true}, Workers: 3}
-		var want *core.Result
-		for _, fanout := range []int{1, 2, 8} {
-			prev := parallel.SetFanoutCap(fanout)
-			got, err := Decompose(p, opts)
-			parallel.SetFanoutCap(prev)
-			if err != nil {
-				t.Fatalf("%s fan-out %d: %v", m, fanout, err)
+		for route, decompose := range routes {
+			var want *core.Result
+			for _, fanout := range []int{1, 2, 8} {
+				prev := parallel.SetFanoutCap(fanout)
+				got, err := decompose(p, opts)
+				parallel.SetFanoutCap(prev)
+				if err != nil {
+					t.Fatalf("%s %s fan-out %d: %v", m, route, fanout, err)
+				}
+				if (got.Join != nil) != (route == "materialised") {
+					t.Fatalf("%s %s: join stitched %v", m, route, got.Join != nil)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				sameResult(t, fmt.Sprintf("%s %s fan-out %d", m, route, fanout), got, want)
 			}
-			if want == nil {
-				want = got
-				continue
-			}
-			sameResult(t, fmt.Sprintf("%s fan-out %d", m, fanout), got, want)
 		}
 	}
 }
 
 // TestDistributedZeroWorkersIsOneShard: Workers below 1 means one shard,
-// and one shard is core.DecomposeCtx's computation — the same stitch
-// kernel over the whole key range, the same projection of the same cell
-// order — so the two materialised executors agree to the last bit of
-// every factor, core value and join cell.
+// and one shard is the in-process computation on either route. The
+// materialised phases are core.DecomposeCtx's — the same stitch kernel over
+// the whole key range, the same projection of the same cell order — to the
+// last bit of every factor, core value and join cell; the join-free ones
+// are core.DecomposeFactored's — core.ProjectShard at shard 0 of 1, the
+// same assembly — to the last bit of every factor and core value.
 func TestDistributedZeroWorkersIsOneShard(t *testing.T) {
 	for _, pivot := range []int{4, 0} {
 		p := pivotPartition(t, pivot, 0.5, 129)
@@ -222,13 +270,21 @@ func TestDistributedZeroWorkersIsOneShard(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				factored, err := core.DecomposeFactored(p, opts.Options)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, workers := range []int{0, 1} {
 					opts.Workers = workers
-					got, err := Decompose(p, opts)
+					got, err := DecomposeMaterialised(p, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameResult(t, fmt.Sprintf("pivot %d %s zero=%v: workers=%d vs core.DecomposeCtx", pivot, m, zero, workers), got, want)
+					if got, err = Decompose(p, opts); err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, fmt.Sprintf("pivot %d %s zero=%v: workers=%d vs core.DecomposeFactored", pivot, m, zero, workers), got, factored)
 				}
 			}
 		}
@@ -251,15 +307,23 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Workers = keys + 3
-	d, err := Decompose(p, opts)
+	d, err := DecomposeMaterialised(p, opts)
 	if err != nil {
 		t.Fatalf("workers=%d over %d pivot keys: %v", opts.Workers, keys, err)
 	}
 	if d.Join.NNZ() != serial.Join.NNZ() || !d.Core.Equal(serial.Core, 1e-9) {
 		t.Fatalf("workers=%d over %d pivot keys: result differs from serial", opts.Workers, keys)
 	}
+	// A shard no pivot key lands in projects no cell: all-zero partials.
+	if d, err = Decompose(p, opts); err != nil {
+		t.Fatalf("join-free, workers=%d over %d pivot keys: %v", opts.Workers, keys, err)
+	}
+	if d.Join != nil || d.JoinCells(p, false) != serial.Join.NNZ() || !d.Core.Equal(serial.Core, 1e-9) {
+		t.Fatalf("join-free, workers=%d over %d pivot keys: result differs from serial", opts.Workers, keys)
+	}
 
-	// Side 1 keeps the even pivot keys, side 2 the odd ones.
+	// Side 1 keeps the even pivot keys, side 2 the odd ones: no product
+	// structure is left, so Decompose takes the materialised phases.
 	disjoint := *p
 	sub1, sub2 := *p.Sub1, *p.Sub2
 	sub1.Tensor = thin(p.Sub1.Tensor, func(_ int, idx []int) bool { return spec.PivotKey(idx)%2 == 1 })
@@ -306,7 +370,7 @@ func TestDistributedShardsStayPlanFree(t *testing.T) {
 		// Plans are cached on the sub-tensors and outlive a run, so each
 		// run gets a planless view and must compile its own.
 		builds0, _ := tensor.PlanCacheStats()
-		d, err := Decompose(p.PlanlessView(), opts)
+		d, err := DecomposeMaterialised(p.PlanlessView(), opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -319,6 +383,47 @@ func TestDistributedShardsStayPlanFree(t *testing.T) {
 		}
 		if builds, hits := d.Join.PlanStats(); builds != 0 || hits != 0 {
 			t.Fatalf("workers=%d: join plan cache touched: %d builds, %d hits", workers, builds, hits)
+		}
+	}
+}
+
+// TestDistributedBrokenProductStructureFallsBack: one quarantined cell
+// leaves a hole in the P×E grid, so Decompose takes the materialised
+// phases — a join on the result, the bits DecomposeMaterialised gives, and
+// at one shard core.DecomposeCtx's.
+func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
+	p := tinyPartition(t, 1, 133)
+	broken, sub1 := *p, *p.Sub1
+	sub1.Tensor = thin(p.Sub1.Tensor, func(e int, _ []int) bool { return e == 7 })
+	broken.Sub1 = &sub1
+	if core.CheckProductStructure(p) != nil || core.CheckProductStructure(&broken) == nil {
+		t.Fatal("fixture: want an intact partition and one without its product structure")
+	}
+	for _, zero := range []bool{false, true} {
+		opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}}
+		serial, err := core.DecomposeCtx(context.Background(), &broken, opts.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			opts.Workers = workers
+			got, err := Decompose(&broken, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := DecomposeMaterialised(&broken, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Join == nil {
+				t.Fatalf("zero=%v workers=%d: no join on a partition without its product structure", zero, workers)
+			}
+			sameResult(t, fmt.Sprintf("zero=%v workers=%d: Decompose vs DecomposeMaterialised", zero, workers), got, want)
+			if workers == 1 {
+				sameResult(t, fmt.Sprintf("zero=%v: one shard vs core.DecomposeCtx", zero), got, serial)
+			} else if got.Join.NNZ() != serial.Join.NNZ() || !got.Core.Equal(serial.Core, 1e-9) {
+				t.Fatalf("zero=%v workers=%d: differs from core.DecomposeCtx", zero, workers)
+			}
 		}
 	}
 }

@@ -125,9 +125,11 @@ func TestDistributedQuarantine(t *testing.T) {
 		if want.Join.Rejected == 0 {
 			t.Fatal("poisoned entry reached no join cell")
 		}
+		// The poisoned pair still counts P×E cells, so it is the materialised
+		// entry — where a quarantine has a join to act on — that is pinned.
 		for _, workers := range []int{1, 3} {
 			opts.Workers = workers
-			got, err := Decompose(p, opts)
+			got, err := DecomposeMaterialised(p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,9 +10,8 @@ import (
 )
 
 // BenchmarkDistNet measures the full multi-process campaign — process
-// spawn, IPC, store round-trips, and the three phases — against worker
-// count: the paper's Table III phase-time-vs-servers curve with real IPC
-// overhead included.
+// spawn, IPC, store round-trips, and the phases of the join-free route
+// this intact partition takes — against worker count.
 func BenchmarkDistNet(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -3,6 +3,7 @@ package distnet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -78,8 +79,9 @@ func (w *workerConn) send(t frameType, msg any) error {
 // engine owns the listener, the worker processes, and the event loop
 // state shared by the three phases.
 type engine struct {
-	opts Options
-	lis  net.Listener
+	opts    Options
+	lis     net.Listener
+	started time.Time
 
 	events chan event
 	done   chan struct{} // closed at shutdown; unblocks emitters
@@ -106,6 +108,7 @@ func newEngine(ctx context.Context, opts Options) (*engine, error) {
 	e := &engine{
 		opts:    opts,
 		lis:     lis,
+		started: time.Now(),
 		events:  make(chan event, 256),
 		done:    make(chan struct{}),
 		workers: make(map[int]*workerConn),
@@ -121,11 +124,26 @@ func newEngine(ctx context.Context, opts Options) (*engine, error) {
 		}
 		argv = []string{exe}
 	}
-	for id := 0; id < opts.Workers; id++ {
-		if err := e.spawn(argv, id); err != nil {
-			e.shutdown()
-			return nil, err
-		}
+	// Process start blocks until the child has exec'd, so the fleet is
+	// started concurrently: one worker's start-up cost, not Workers of them.
+	// Ids are fixed before any start, so roster order does not depend on
+	// which child came up first.
+	e.procs = make([]*exec.Cmd, opts.Workers)
+	errs := make([]error, opts.Workers)
+	var starts sync.WaitGroup
+	for id := range e.procs {
+		starts.Add(1)
+		go func() {
+			defer starts.Done()
+			e.procs[id], errs[id] = e.spawn(argv, id)
+		}()
+	}
+	starts.Wait()
+	e.procWG.Add(1)
+	go e.reap()
+	if err := errors.Join(errs...); err != nil {
+		e.shutdown()
+		return nil, err
 	}
 
 	e.acceptWG.Add(1)
@@ -135,7 +153,7 @@ func newEngine(ctx context.Context, opts Options) (*engine, error) {
 
 // spawn starts worker id as a child process configured through the
 // M2TD_DISTNET_* environment.
-func (e *engine) spawn(argv []string, id int) error {
+func (e *engine) spawn(argv []string, id int) (*exec.Cmd, error) {
 	cmd := exec.Command(argv[0], argv[1:]...)
 	env := append(os.Environ(),
 		envAddr+"="+e.lis.Addr().String(),
@@ -153,18 +171,32 @@ func (e *engine) spawn(argv []string, id int) error {
 	cmd.Env = env
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("distnet: spawn worker %d: %w", id, err)
+		return nil, fmt.Errorf("distnet: spawn worker %d: %w", id, err)
 	}
-	e.procs = append(e.procs, cmd)
 	e.procsLive.Add(1)
-	e.procWG.Add(1)
-	go func() {
+	return cmd, nil
+}
+
+// reap waits for the worker processes, one after another in id order, on
+// ONE goroutine. A goroutine per process parks each in a blocking wait4,
+// and a parked syscall keeps its P until the runtime's sysmon retakes it —
+// at its idle pace, every 10 ms. With as many waiters as Ps (two workers at
+// GOMAXPROCS = 2) nothing is left to run the accept of a worker's
+// connection when it arrives: a hello written 4.5 ms after spawn was read
+// 12.5 ms after it (median; one worker: 3.4 ms), on every campaign, and
+// only by the arm with more than one worker. Order costs nothing: procsLive
+// is read for "is any process left at all", and it reaches 0 exactly when
+// every process has exited, in whatever order they did.
+func (e *engine) reap() {
+	defer e.procWG.Done()
+	for _, cmd := range e.procs {
+		if cmd == nil {
+			continue
+		}
 		_ = cmd.Wait()
 		e.procsLive.Add(-1)
 		e.emit(event{kind: evProcExit})
-		e.procWG.Done()
-	}()
-	return nil
+	}
 }
 
 // emit delivers an event unless the engine is already shutting down.
@@ -344,6 +376,18 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 		}
 		var leases []lease
 		e.mu.Lock()
+		// Two options promise something of every worker, so under them no
+		// lease goes out before the fleet is complete: a kill plan names
+		// victims that die at their first or second task — one slower to
+		// start than the others are to finish would survive for want of
+		// work — and Metrics puts each worker's endpoint, which arrives with
+		// its hello, on Result.Workers. A worker silent for LeaseTimeout since
+		// the spawn is not waited for.
+		whole := e.opts.Kill.Enabled() || e.opts.Metrics
+		if whole && e.connected < e.opts.Workers && time.Since(e.started) < e.opts.LeaseTimeout {
+			e.mu.Unlock()
+			return
+		}
 		ids := make([]int, 0, len(e.workers))
 		for id := range e.workers {
 			ids = append(ids, id)
@@ -489,22 +533,22 @@ func (e *engine) tracePhase(name string, tasks []*task, stats PhaseStats) {
 	ps.Finish()
 }
 
-// roster snapshots the worker fleet for Result.Workers, in id order.
+// roster snapshots the worker fleet for Result.Workers, in id order: every
+// process spawned, whether or not it had said hello by the time the
+// campaign ended — a short campaign can be over before a slow starter
+// joins, and the fleet's size must not depend on that race.
 func (e *engine) roster() []WorkerInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ids := make([]int, 0, len(e.workers))
-	for id := range e.workers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]WorkerInfo, 0, len(ids))
-	for _, id := range ids {
-		wc := e.workers[id]
-		out = append(out, WorkerInfo{
-			ID: wc.id, PID: wc.pid, MetricsAddr: wc.metrics,
-			Tasks: wc.tasks, Quarantined: wc.quarantined,
-		})
+	out := make([]WorkerInfo, len(e.procs))
+	for id, cmd := range e.procs {
+		out[id] = WorkerInfo{ID: id, PID: cmd.Process.Pid}
+		if wc := e.workers[id]; wc != nil {
+			out[id] = WorkerInfo{
+				ID: wc.id, PID: wc.pid, MetricsAddr: wc.metrics,
+				Tasks: wc.tasks, Quarantined: wc.quarantined,
+			}
+		}
 	}
 	return out
 }
@@ -539,7 +583,7 @@ func (e *engine) shutdown() {
 	case <-exited:
 	case <-time.After(3 * time.Second):
 		for _, cmd := range e.procs {
-			if cmd.Process != nil {
+			if cmd != nil && cmd.Process != nil {
 				_ = cmd.Process.Kill()
 			}
 		}

@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -28,17 +29,19 @@ type Options struct {
 	// Workers is the worker-process count (default 1). The engine
 	// tolerates losing up to Workers-1 of them mid-run.
 	Workers int
-	// Shards is the task count for phases 2 and 3 — THE determinism
-	// unit: shard assignment is pivot-key % Shards and merge order is
-	// ascending shard index, so two runs with equal Shards produce
-	// bit-identical results regardless of worker count or deaths.
-	// Default: Workers.
+	// Shards is the task count of Phase 3 (and, on the materialised
+	// route, of Phase 2) — THE determinism unit: shard assignment is
+	// pivot-key % Shards and merge order is ascending shard index, so two
+	// runs with equal Shards produce bit-identical results regardless of
+	// worker count or deaths. Default: Workers.
 	Shards int
 	// Addr is the coordinator's listen address (default "127.0.0.1:0").
 	Addr string
 	// WorkDir is the shared store catalog directory (required). Rerun
-	// with the same WorkDir and inputs to resume: tasks whose outputs
-	// are already durable are skipped.
+	// the same campaign with the same WorkDir to resume: tasks whose
+	// outputs are already durable are skipped. Outputs are named after
+	// the job — method, ranks, Shards, ZeroJoin, route, input checksums —
+	// so a directory another campaign used is safe, and merely no help.
 	WorkDir string
 	// WorkerArgv is the worker command line. Empty means self-exec: the
 	// current executable is spawned and must call MaybeWorker at
@@ -50,11 +53,14 @@ type Options struct {
 	WorkerEnv []string
 	// Metrics makes each worker serve its own obs endpoints on a
 	// self-picked port, reported back in its hello and surfaced on
-	// Result.Workers.
+	// Result.Workers — for every worker: the first lease waits for the
+	// whole fleet's hellos, as under Kill.
 	Metrics bool
 
 	// Kill is the seeded chaos plan forwarded to workers (zero = no
-	// kills). Kills must be < Workers.
+	// kills). Kills must be < Workers. Under a plan the first lease waits
+	// for the whole fleet's hellos, so every victim gets the work it is
+	// to die on.
 	Kill faults.KillSpec
 	// Retry bounds task re-leases after a worker loss: MaxAttempts per
 	// task, backoff with seeded jitter between leases. The zero value
@@ -128,7 +134,8 @@ type PhaseStats struct {
 	Duration time.Duration
 }
 
-// WorkerInfo describes one worker process as the coordinator saw it.
+// WorkerInfo describes one worker process as the coordinator saw it. A
+// worker the campaign was over before hearing from has its ID and PID only.
 type WorkerInfo struct {
 	ID          int
 	PID         int
@@ -138,7 +145,8 @@ type WorkerInfo struct {
 }
 
 // Result augments the serial M2TD result with per-phase engine
-// statistics and the worker roster.
+// statistics and the worker roster. On the join-free route Join is nil
+// (JoinCells reads the density formula) and Phase2 is the zero PhaseStats.
 type Result struct {
 	*core.Result
 	Phase1, Phase2, Phase3 PhaseStats
@@ -146,9 +154,16 @@ type Result struct {
 }
 
 // Decompose runs D-M2TD over a PF-partitioned pair on real worker
-// processes. See the package comment for the protocol and the
-// determinism contract.
+// processes, on the route the partition allows (dist.Decompose's rule):
+// join-free while the pair has its P×E product structure, the materialised
+// phases otherwise. See the package comment for the protocol, the two
+// routes and the determinism contract.
 func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
+	return decompose(ctx, p, opts, core.CheckProductStructure(p) == nil)
+}
+
+// decompose is Decompose on a named route.
+func decompose(ctx context.Context, p *partition.Result, opts Options, factored bool) (*Result, error) {
 	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
 		return nil, err
@@ -170,110 +185,154 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 		return nil, err
 	}
 	defer eng.shutdown()
-	if err := st.SaveSparse(objSub1, p.Sub1.Tensor); err != nil {
-		return nil, err
+	var sums [2]uint32
+	for i, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
+		if err := st.SaveSparse(objSubs[i], sub.Tensor); err != nil {
+			return nil, err
+		}
+		if sums[i], err = st.Checksum(objSubs[i]); err != nil {
+			return nil, err
+		}
 	}
-	if err := st.SaveSparse(objSub2, p.Sub2.Tensor); err != nil {
-		return nil, err
+	j := &job{
+		eng: eng, st: st,
+		spec: jobSpec{Join: stitch.NewSpec(p, opts.ZeroJoin), Shards: opts.Shards},
+		key:  jobKey(opts.Method, ranks, opts.Shards, opts.ZeroJoin, factored, sums),
 	}
 
-	spec := jobSpec{Join: stitch.NewSpec(p, opts.ZeroJoin), Shards: opts.Shards}
+	factors, p1stats, err := j.subDecompose(ctx, p, opts.Method, ranks)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Result: &core.Result{Factors: factors}, Phase1: p1stats}
+	if factored {
+		// Nothing to stitch: Phase 2 keeps its span, with no tasks.
+		eng.tracePhase("phase2", nil, res.Phase2)
+		var g1, g2 *tensor.Dense
+		if g1, g2, res.Phase3, err = j.project(ctx, p, ranks); err != nil {
+			return nil, err
+		}
+		res.Core = core.FactoredCore(p, opts.ZeroJoin, factors, g1, g2)
+		opts.Span.Set("factored", 1)
+	} else if res.Join, res.Core, res.Phase2, res.Phase3, err = j.stitchAndRecover(ctx, p); err != nil {
+		return nil, err
+	}
+	res.SubDecompTime, res.StitchTime, res.CoreTime = res.Phase1.Duration, res.Phase2.Duration, res.Phase3.Duration
+	res.Workers = eng.roster()
+	return res, nil
+}
 
-	// ---- Phase 1: parallel sub-tensor decomposition ----
-	var p1tasks []*task
+// job is one campaign on the engine: the geometry every task carries and
+// the key its artifacts are named under.
+type job struct {
+	eng  *engine
+	st   *store.Store
+	spec jobSpec
+	key  string
+}
+
+// object is the catalog name of the job's artifact id.
+func (j *job) object(id string) string { return j.key + "-" + id }
+
+// task builds one task of the job; its output is the artifact named after
+// the task.
+func (j *job) task(kind, id string, msg taskMsg) *task {
+	msg.ID, msg.Kind, msg.Out, msg.Spec = id, kind, j.object(id), j.spec
+	return &task{msg: msg}
+}
+
+// subDecompose is Phase 1 — one factor task per (sub-tensor, mode) — and
+// the driver-side fusion (tiny matrices only); the fused list is persisted
+// as Phase 3's shared input.
+func (j *job) subDecompose(ctx context.Context, p *partition.Result, method core.Method, ranks []int) ([]*mat.Matrix, PhaseStats, error) {
 	subs := []*partition.SubEnsemble{p.Sub1, p.Sub2}
+	var tasks []*task
 	for si, sub := range subs {
-		kappa := si + 1
 		for n, m := range sub.Modes {
-			p1tasks = append(p1tasks, &task{msg: taskMsg{
-				ID: factorOut(kappa, n), Kind: taskFactor,
-				Kappa: kappa, Mode: n, Rank: ranks[m],
-				Out: factorOut(kappa, n), Spec: spec,
-			}})
+			tasks = append(tasks, j.task(taskFactor, factorOut(si+1, n), taskMsg{Kappa: si + 1, Mode: n, Rank: ranks[m]}))
 		}
 	}
-	p1stats, err := eng.runPhase(ctx, "phase1", p1tasks)
+	stats, err := j.eng.runPhase(ctx, "phase1", tasks)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
-
-	// Fuse pivot factors driver-side (tiny matrices only) and persist
-	// the fused list — phase 3's shared input.
-	loadSub := func(kappa, modes int) (fs, gs []*mat.Matrix, err error) {
-		for n := 0; n < modes; n++ {
-			ms, err := st.LoadMatrices(factorOut(kappa, n))
-			if err != nil {
-				return nil, nil, fmt.Errorf("distnet: phase 1 artifact %s: %w", factorOut(kappa, n), err)
+	var fs, gs [2][]*mat.Matrix
+	for si, sub := range subs {
+		for n := range sub.Modes {
+			name := j.object(factorOut(si+1, n))
+			ms, err := j.st.LoadMatrices(name)
+			if err != nil || len(ms) != 2 {
+				return nil, stats, fmt.Errorf("distnet: phase 1 artifact %s: %w", name, cmp.Or(err, store.ErrCorrupt))
 			}
-			gs, fs = append(gs, ms[0]), append(fs, ms[1])
-		}
-		return fs, gs, nil
-	}
-	f1, g1, err := loadSub(1, len(p.Sub1.Modes))
-	if err != nil {
-		return nil, err
-	}
-	f2, g2, err := loadSub(2, len(p.Sub2.Modes))
-	if err != nil {
-		return nil, err
-	}
-	factors := dist.FuseFactors(opts.Method, p.Config, p.Space.Order(), ranks, f1, g1, f2, g2)
-	if err := st.SaveMatrices(objFactors, factors); err != nil {
-		return nil, err
-	}
-
-	// ---- Phase 2: parallel JE-stitching, sharded by pivot key ----
-	var p2tasks []*task
-	for s := 0; s < opts.Shards; s++ {
-		p2tasks = append(p2tasks, &task{msg: taskMsg{
-			ID: stitchOut(s), Kind: taskStitch, Shard: s, Out: stitchOut(s), Spec: spec,
-		}})
-	}
-	p2stats, err := eng.runPhase(ctx, "phase2", p2tasks)
-	if err != nil {
-		return nil, err
-	}
-	// Merge join shards in ascending shard order — worker-independent.
-	shards := make([]*tensor.Sparse, opts.Shards)
-	for s := range shards {
-		if shards[s], err = st.LoadSparse(stitchOut(s)); err != nil {
-			return nil, fmt.Errorf("distnet: phase 2 artifact %s: %w", stitchOut(s), err)
+			gs[si], fs[si] = append(gs[si], ms[0]), append(fs[si], ms[1])
 		}
 	}
-	j := dist.MergeJoin(p.Space.Shape(), shards)
+	factors := dist.FuseFactors(method, p.Config, p.Space.Order(), ranks, fs[0], gs[0], fs[1], gs[1])
+	return factors, stats, j.st.SaveMatrices(objFactors, factors)
+}
 
-	// ---- Phase 3: parallel core recovery over the join shards ----
-	var p3tasks []*task
-	for s := 0; s < opts.Shards; s++ {
-		p3tasks = append(p3tasks, &task{msg: taskMsg{
-			ID: coreOut(s), Kind: taskCore, Shard: s, In: stitchOut(s), Out: coreOut(s), Spec: spec,
-		}})
+// project is Phase 3 of the join-free route: one core.ProjectShard task per
+// shard, each saving its two Gram-sized partials as one object, summed here
+// in ascending shard order.
+func (j *job) project(ctx context.Context, p *partition.Result, ranks []int) (g1, g2 *tensor.Dense, stats PhaseStats, err error) {
+	var tasks []*task
+	for s := 0; s < j.spec.Shards; s++ {
+		tasks = append(tasks, j.task(taskProject, projectOut(s), taskMsg{Shard: s}))
 	}
-	p3stats, err := eng.runPhase(ctx, "phase3", p3tasks)
-	if err != nil {
-		return nil, err
+	if stats, err = j.eng.runPhase(ctx, "phase3", tasks); err != nil {
+		return nil, nil, stats, err
 	}
-	// Sum partial cores in ascending shard order.
-	partials := make([]*tensor.Dense, opts.Shards)
-	for s := range partials {
-		if partials[s], err = st.LoadDense(coreOut(s)); err != nil {
-			return nil, fmt.Errorf("distnet: phase 3 artifact %s: %w", coreOut(s), err)
+	// A partial is as large as its sub-tensor's projection: its modes' ranks.
+	var shapes [2]tensor.Shape
+	for si, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
+		for _, m := range sub.Modes {
+			shapes[si] = append(shapes[si], ranks[m])
 		}
 	}
-	coreT := dist.SumCores(partials)
+	var partials [2][]*tensor.Dense
+	for _, t := range tasks {
+		ms, err := j.st.LoadMatrices(t.msg.Out)
+		if err != nil || len(ms) != 2 {
+			return nil, nil, stats, fmt.Errorf("distnet: phase 3 artifact %s: %w", t.msg.Out, cmp.Or(err, store.ErrCorrupt))
+		}
+		for si, shape := range shapes {
+			if shape.NumElements() != len(ms[si].Data) {
+				return nil, nil, stats, fmt.Errorf("distnet: phase 3 artifact %s: %d values for a %v projection", t.msg.Out, len(ms[si].Data), shape)
+			}
+			partials[si] = append(partials[si], &tensor.Dense{Shape: shape, Data: ms[si].Data})
+		}
+	}
+	return dist.SumCores(partials[0]), dist.SumCores(partials[1]), stats, nil
+}
 
-	return &Result{
-		Result: &core.Result{
-			Factors:       factors,
-			Core:          coreT,
-			Join:          j,
-			SubDecompTime: p1stats.Duration,
-			StitchTime:    p2stats.Duration,
-			CoreTime:      p3stats.Duration,
-		},
-		Phase1:  p1stats,
-		Phase2:  p2stats,
-		Phase3:  p3stats,
-		Workers: eng.roster(),
-	}, nil
+// stitchAndRecover is Phases 2 and 3 of the materialised route: the join
+// stitched shard by shard and merged here, each shard projected and the
+// partial cores summed here, both in ascending shard order.
+func (j *job) stitchAndRecover(ctx context.Context, p *partition.Result) (join *tensor.Sparse, coreT *tensor.Dense, p2stats, p3stats PhaseStats, err error) {
+	var p2tasks, p3tasks []*task
+	for s := 0; s < j.spec.Shards; s++ {
+		p2tasks = append(p2tasks, j.task(taskStitch, stitchOut(s), taskMsg{Shard: s}))
+		p3tasks = append(p3tasks, j.task(taskCore, coreOut(s), taskMsg{Shard: s, In: j.object(stitchOut(s))}))
+	}
+	if p2stats, err = j.eng.runPhase(ctx, "phase2", p2tasks); err != nil {
+		return nil, nil, p2stats, p3stats, err
+	}
+	shards := make([]*tensor.Sparse, len(p2tasks))
+	for s, t := range p2tasks {
+		if shards[s], err = j.st.LoadSparse(t.msg.Out); err != nil {
+			return nil, nil, p2stats, p3stats, fmt.Errorf("distnet: phase 2 artifact %s: %w", t.msg.Out, err)
+		}
+	}
+	join = dist.MergeJoin(p.Space.Shape(), shards)
+
+	if p3stats, err = j.eng.runPhase(ctx, "phase3", p3tasks); err != nil {
+		return nil, nil, p2stats, p3stats, err
+	}
+	partials := make([]*tensor.Dense, len(p3tasks))
+	for s, t := range p3tasks {
+		if partials[s], err = j.st.LoadDense(t.msg.Out); err != nil {
+			return nil, nil, p2stats, p3stats, fmt.Errorf("distnet: phase 3 artifact %s: %w", t.msg.Out, err)
+		}
+	}
+	return join, dist.SumCores(partials), p2stats, p3stats, nil
 }

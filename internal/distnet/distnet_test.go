@@ -4,7 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dynsys"
@@ -19,8 +21,33 @@ import (
 // process: when the distnet environment is present, MaybeWorker takes
 // over and never returns.
 func TestMain(m *testing.M) {
+	awaitEarlyWork()
 	MaybeWorker()
+	// Under -race every process sleeps a second at exit, and a campaign
+	// waits for its workers' exits: spare the workers (they inherit the
+	// environment; this process has read its own already) the sleep, or a
+	// -count=20 soak of this package is twenty minutes of sleeping.
+	if os.Getenv("GORACE") == "" {
+		os.Setenv("GORACE", "atexit_sleep_ms=0")
+	}
 	os.Exit(m.Run())
+}
+
+// lateArg, as a worker's only argument (Options.WorkerArgv), names the
+// worker id that stays away from the coordinator until a task's output is
+// in the WorkDir: the rest of the fleet has the early work to itself,
+// however the processes' start-up times fall.
+const lateArg = "-distnet-late-worker="
+
+func awaitEarlyWork() {
+	if len(os.Args) != 2 || os.Args[1] != lateArg+os.Getenv(envID) {
+		return
+	}
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if outs, _ := filepath.Glob(filepath.Join(os.Getenv(envDir), "*-p1-*")); len(outs) > 0 {
+			return
+		}
+	}
 }
 
 var doublePendulumPairs = [][2]int{{0, 2}, {1, 3}}
@@ -49,9 +76,45 @@ func runDistNet(t *testing.T, p *partition.Result, opts Options) *Result {
 	return res
 }
 
+// runMaterialised is runDistNet on the materialised phases whatever the
+// partition's structure — the route Decompose falls back to.
+func runMaterialised(t *testing.T, p *partition.Result, opts Options) *Result {
+	t.Helper()
+	if opts.WorkDir == "" {
+		opts.WorkDir = t.TempDir()
+	}
+	res, err := decompose(context.Background(), p, opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Join == nil || res.Phase2.Tasks == 0 {
+		t.Fatalf("materialised route: join stitched %v, %d stitch tasks", res.Join != nil, res.Phase2.Tasks)
+	}
+	return res
+}
+
+// routes are the engine's two routes on a partition with its product
+// structure: the one Decompose picks, and the phases it falls back to.
+var routes = map[string]func(*testing.T, *partition.Result, Options) *Result{
+	"join-free": func(t *testing.T, p *partition.Result, opts Options) *Result {
+		t.Helper()
+		res := runDistNet(t, p, opts)
+		if res.Join != nil || res.Phase2 != (PhaseStats{}) {
+			t.Fatalf("join-free route: join stitched %v, phase 2 %+v", res.Join != nil, res.Phase2)
+		}
+		return res
+	},
+	"materialised": runMaterialised,
+}
+
+// sameDecomposition compares two results of one route (both stitched a
+// join or neither did); against another route's, callers compare JoinCells.
 func sameDecomposition(t *testing.T, label string, a, b *core.Result, tol float64) {
 	t.Helper()
-	if a.Join.NNZ() != b.Join.NNZ() {
+	if (a.Join == nil) != (b.Join == nil) {
+		t.Fatalf("%s: one result has a join, the other none", label)
+	}
+	if a.Join != nil && a.Join.NNZ() != b.Join.NNZ() {
 		t.Fatalf("%s: join NNZ %d != %d", label, a.Join.NNZ(), b.Join.NNZ())
 	}
 	if !a.Core.Equal(b.Core, tol) {
@@ -72,8 +135,14 @@ func TestDistNetMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := runDistNet(t, p, Options{Method: m, Ranks: ranks, Workers: 2})
+		d := runMaterialised(t, p, Options{Method: m, Ranks: ranks, Workers: 2})
 		sameDecomposition(t, string(m), d.Result, serial, 1e-9)
+		f := routes["join-free"](t, p, Options{Method: m, Ranks: ranks, Workers: 2})
+		if f.JoinCells(p, false) != serial.Join.NNZ() {
+			t.Fatalf("%s: join-free JoinCells %d, serial join %d", m, f.JoinCells(p, false), serial.Join.NNZ())
+		}
+		f.Join = serial.Join // compared above, through JoinCells
+		sameDecomposition(t, string(m)+" join-free", f.Result, serial, 1e-9)
 	}
 }
 
@@ -84,8 +153,15 @@ func TestDistNetZeroJoinMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := runDistNet(t, p, Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true, Workers: 2, Shards: 3})
+	opts := Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true, Workers: 2, Shards: 3}
+	d := runMaterialised(t, p, opts)
 	sameDecomposition(t, "zero-join", d.Result, serial, 1e-9)
+	f := routes["join-free"](t, p, opts)
+	if f.JoinCells(p, true) != serial.Join.NNZ() {
+		t.Fatalf("join-free zero-join JoinCells %d, serial join %d", f.JoinCells(p, true), serial.Join.NNZ())
+	}
+	f.Join = serial.Join // compared above, through JoinCells
+	sameDecomposition(t, "zero-join, join-free", f.Result, serial, 1e-9)
 }
 
 // TestDistNetWorkerCountInvariance is the determinism contract: with
@@ -95,48 +171,54 @@ func TestDistNetWorkerCountInvariance(t *testing.T) {
 	ranks := tucker.UniformRanks(5, 2)
 	base := Options{Method: core.SELECT, Ranks: ranks, Shards: 4}
 
-	one := base
-	one.Workers = 1
-	a := runDistNet(t, p, one)
+	for route, run := range routes {
+		one := base
+		one.Workers = 1
+		a := run(t, p, one)
 
-	three := base
-	three.Workers = 3
-	b := runDistNet(t, p, three)
+		three := base
+		three.Workers = 3
+		b := run(t, p, three)
 
-	sameDecomposition(t, "workers 1 vs 3", a.Result, b.Result, 0)
+		sameDecomposition(t, route+": workers 1 vs 3", a.Result, b.Result, 0)
+	}
 }
 
 // TestDistNetKillAndRecover SIGKILLs k of 3 workers mid-task at seeded
-// injection points and requires the surviving fleet to produce output
-// bit-identical to an unkilled run.
+// injection points — after the compute, before the durable save — and
+// requires the surviving fleet to produce output bit-identical to an
+// unkilled run, on both routes: up to Workers−1 kills, so the drill lands
+// on project tasks as it does on stitch and core ones.
 func TestDistNetKillAndRecover(t *testing.T) {
 	p := tinyPartition(t, 1, 223)
 	ranks := tucker.UniformRanks(5, 2)
 	base := Options{Method: core.AVG, Ranks: ranks, Workers: 3, Shards: 4}
-	clean := runDistNet(t, p, base)
+	for route, run := range routes {
+		clean := run(t, p, base)
 
-	for _, kills := range []int{1, 2} {
-		opts := base
-		opts.Kill = faults.KillSpec{Seed: 42, Kills: kills}
-		d := runDistNet(t, p, opts)
+		for _, kills := range []int{1, 2} {
+			opts := base
+			opts.Kill = faults.KillSpec{Seed: 42, Kills: kills}
+			d := run(t, p, opts)
 
-		sameDecomposition(t, "killed vs clean", d.Result, clean.Result, 0)
-		lost := d.Phase1.WorkersLost + d.Phase2.WorkersLost + d.Phase3.WorkersLost
-		if lost != kills {
-			t.Fatalf("kills=%d: %d workers lost, want exactly %d", kills, lost, kills)
-		}
-		requeues := d.Phase1.Requeues + d.Phase2.Requeues + d.Phase3.Requeues
-		if requeues < kills {
-			t.Fatalf("kills=%d: only %d requeues, want >= %d", kills, requeues, kills)
-		}
-		quarantined := 0
-		for _, w := range d.Workers {
-			if w.Quarantined {
-				quarantined++
+			sameDecomposition(t, route+": killed vs clean", d.Result, clean.Result, 0)
+			lost := d.Phase1.WorkersLost + d.Phase2.WorkersLost + d.Phase3.WorkersLost
+			if lost != kills {
+				t.Fatalf("%s kills=%d: %d workers lost, want exactly %d", route, kills, lost, kills)
 			}
-		}
-		if quarantined != kills {
-			t.Fatalf("kills=%d: roster shows %d quarantined workers", kills, quarantined)
+			requeues := d.Phase1.Requeues + d.Phase2.Requeues + d.Phase3.Requeues
+			if requeues < kills {
+				t.Fatalf("%s kills=%d: only %d requeues, want >= %d", route, kills, requeues, kills)
+			}
+			quarantined := 0
+			for _, w := range d.Workers {
+				if w.Quarantined {
+					quarantined++
+				}
+			}
+			if quarantined != kills {
+				t.Fatalf("%s kills=%d: roster shows %d quarantined workers", route, kills, quarantined)
+			}
 		}
 	}
 }
@@ -162,15 +244,21 @@ func TestDistNetResume(t *testing.T) {
 
 // TestDistNetCorruptFrameQuarantine makes worker 0 answer its first task
 // with a CRC-corrupted frame: the coordinator must quarantine it and
-// finish correctly on the survivor.
+// finish correctly on the survivor — which joins late, so the saboteur is
+// sure of a task to sabotage.
 func TestDistNetCorruptFrameQuarantine(t *testing.T) {
 	p := tinyPartition(t, 1, 225)
 	ranks := tucker.UniformRanks(5, 2)
 	base := Options{Method: core.AVG, Ranks: ranks, Workers: 2, Shards: 3}
 	clean := runDistNet(t, p, base)
 
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := base
 	opts.WorkerEnv = []string{envCorrupt + "=0"}
+	opts.WorkerArgv = []string{exe, lateArg + "1"}
 	d := runDistNet(t, p, opts)
 
 	sameDecomposition(t, "corrupt vs clean", d.Result, clean.Result, 0)
@@ -193,6 +281,9 @@ func TestDistNetMetricsAndTrace(t *testing.T) {
 	if len(d.Workers) != 2 {
 		t.Fatalf("roster has %d workers, want 2", len(d.Workers))
 	}
+	// An endpoint arrives with its worker's hello: under Metrics every worker
+	// has joined before the first lease, however short the campaign.
+	tasks := 0
 	for _, w := range d.Workers {
 		if w.MetricsAddr == "" {
 			t.Fatalf("worker %d reported no metrics endpoint", w.ID)
@@ -200,14 +291,39 @@ func TestDistNetMetricsAndTrace(t *testing.T) {
 		if w.PID <= 0 {
 			t.Fatalf("worker %d reported pid %d", w.ID, w.PID)
 		}
+		tasks += w.Tasks
 	}
+	if tasks != d.Phase1.Tasks+d.Phase3.Tasks {
+		t.Fatalf("roster accounts for %d of %d tasks", tasks, d.Phase1.Tasks+d.Phase3.Tasks)
+	}
+	// The join-free route keeps the three-phase skeleton: phase2 is there,
+	// with no tasks, and the stage span says which route ran.
+	checkPhases(t, trace.Root(), map[string]int{"phase1": 6, "phase2": 0, "phase3": 2})
+	if trace.Root().Counter("factored") != 1 {
+		t.Fatalf("join-free route did not mark the stage span factored = 1:\n%s", trace.Root().Skeleton())
+	}
+
+	trace = obs.New("campaign")
+	opts.Metrics, opts.Span = false, trace.Root()
+	runMaterialised(t, p, opts)
+	trace.Finish()
+	checkPhases(t, trace.Root(), map[string]int{"phase1": 6, "phase2": 2, "phase3": 2})
+	if trace.Root().Counter("factored") != 0 {
+		t.Fatalf("materialised route marked the stage span factored:\n%s", trace.Root().Skeleton())
+	}
+}
+
+// checkPhases requires one span per phase, each recording its task count
+// and holding one child per task.
+func checkPhases(t *testing.T, root *obs.Span, tasks map[string]int) {
+	t.Helper()
 	for _, name := range []string{"phase1", "phase2", "phase3"} {
-		ps := trace.Root().Find(name)
+		ps := root.Find(name)
 		if ps == nil {
 			t.Fatalf("trace has no %s span", name)
 		}
-		if got := ps.Counter("tasks"); got <= 0 {
-			t.Fatalf("%s span records %d tasks", name, got)
+		if got := ps.Counter("tasks"); got != int64(tasks[name]) {
+			t.Fatalf("%s span records %d tasks, want %d", name, got, tasks[name])
 		}
 		if len(ps.Children()) != int(ps.Counter("tasks")) {
 			t.Fatalf("%s span has %d task children for %d tasks", name, len(ps.Children()), ps.Counter("tasks"))
@@ -235,4 +351,67 @@ func TestDistNetOptionValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("kill plan dooming every worker accepted")
 	}
+}
+
+// TestWorkDirReusedByAnotherCampaign: artifacts are named after the job
+// that wrote them, so a campaign run in a WorkDir another campaign used —
+// another method, rank, shard count, zero-join setting or input pair, or
+// the other route over the same inputs — finds nothing to skip and returns
+// the bits of a run in a fresh directory, not the previous campaign's
+// (every p1-/p2-/p3- object of which loads cleanly). The first campaign's
+// artifacts stay valid for it: run again, it skips every task.
+func TestWorkDirReusedByAnotherCampaign(t *testing.T) {
+	p := tinyPartition(t, 0.5, 231)
+	dir := t.TempDir()
+	base := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 2, Shards: 2, WorkDir: dir}
+	first := runDistNet(t, p, base)
+
+	skipped := func(r *Result) int { return r.Phase1.Skipped + r.Phase2.Skipped + r.Phase3.Skipped }
+	for name, c := range map[string]struct {
+		mutate func(*Options)
+		part   *partition.Result
+	}{
+		"method":    {func(o *Options) { o.Method = core.AVG }, p},
+		"rank":      {func(o *Options) { o.Ranks = tucker.UniformRanks(5, 3) }, p},
+		"shards":    {func(o *Options) { o.Shards = 3 }, p},
+		"zero-join": {func(o *Options) { o.ZeroJoin = true }, p},
+		"inputs":    {func(*Options) {}, tinyPartition(t, 0.5, 232)},
+	} {
+		opts := base
+		c.mutate(&opts)
+		got := runDistNet(t, c.part, opts)
+		opts.WorkDir = t.TempDir()
+		want := runDistNet(t, c.part, opts)
+		if n := skipped(got); n != 0 {
+			t.Errorf("%s changed: %d tasks skipped on another campaign's artifacts", name, n)
+		}
+		sameDecomposition(t, name+" changed: reused vs fresh WorkDir", got.Result, want.Result, 0)
+		if got.Core.Equal(first.Core, 0) {
+			t.Errorf("%s changed: the reused WorkDir returned the first campaign's core", name)
+		}
+	}
+
+	// The other route over the same inputs and options is another job too,
+	// whichever ran first.
+	mat, err := decompose(context.Background(), p, base, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := skipped(mat); n != 0 {
+		t.Errorf("materialised route: %d tasks skipped on the join-free route's artifacts", n)
+	}
+	matFirst := base
+	matFirst.WorkDir = t.TempDir()
+	runMaterialised(t, p, matFirst)
+	onto := runDistNet(t, p, matFirst)
+	if n := skipped(onto); n != 0 || onto.Join != nil {
+		t.Errorf("join-free route in a materialised run's WorkDir: %d tasks skipped, join stitched %v", n, onto.Join != nil)
+	}
+	sameDecomposition(t, "join-free after materialised", onto.Result, first.Result, 0)
+	again := runDistNet(t, p, base)
+	if again.Join != nil || skipped(again) != again.Phase1.Tasks+again.Phase3.Tasks {
+		t.Errorf("join-free campaign resumed after the others: join stitched %v, %d of %d tasks skipped",
+			again.Join != nil, skipped(again), again.Phase1.Tasks+again.Phase3.Tasks)
+	}
+	sameDecomposition(t, "resumed after the others", again.Result, first.Result, 0)
 }

@@ -8,12 +8,22 @@
 //   - Control plane: a hand-rolled length-prefixed, CRC-checked frame
 //     protocol over localhost TCP (this file) carrying small JSON
 //     messages — hello, task lease, heartbeat, result, shutdown.
-//   - Data plane: sub-tensor shards, factor matrices, and every task
+//   - Data plane: the two sub-tensors, factor matrices, and every task
 //     output move as internal/store objects in a shared catalog
 //     directory, inheriting the store's atomic temp+rename+CRC
 //     protocol. A task that finds its output already durable skips
 //     recomputation, so a re-leased or resumed task costs nothing once
-//     its artifact landed.
+//     its artifact landed; an output's name carries the job's identity
+//     (proto.go), so only the same campaign's artifact can be that.
+//
+// Routes (internal/dist's rule, decided by the coordinator, which holds
+// the partition): while the pair has its P×E product structure the data
+// plane carries factors and Gram-sized partial projections only — Phase 2
+// has no task and Phase 3's "project" tasks run core.ProjectShard, the
+// coordinator summing G₁ and G₂ in shard order and assembling the core
+// (core.FactoredCore); Result.Join is nil. Any other pair takes the
+// materialised phases: "stitch" tasks write join shards, "core" tasks
+// project them, the coordinator merges and sums.
 //
 // Fault tolerance (DESIGN.md §13): the coordinator leases one task at a
 // time to each worker, tracks heartbeats against a lease deadline, and
@@ -25,12 +35,15 @@
 // Determinism contract: shard assignment (pivot key modulo the fixed
 // shard count) and merge order (ascending shard index) are pure
 // functions of the partition and Options.Shards — never of worker
-// identity, scheduling, or timing — so the factors, core, and join
-// tensor are bit-identical regardless of which workers died mid-phase.
+// identity, scheduling, or timing — so the factors, the core and, where
+// one is built, the join tensor are bit-identical regardless of which
+// workers died mid-phase, and equal to dist.Decompose's at Workers =
+// Shards.
 //
-// The task bodies are not this package's: Phases 1 and 3 are
-// internal/dist's, Phase 2 is stitch.Spec.Shard, the one JE-stitch kernel
-// every route runs. One thing does not cross the process boundary: the
+// The task bodies are not this package's: Phase 1 is internal/dist's,
+// the join-free Phase 3 is core.ProjectShard, the materialised Phase 2 is
+// stitch.Spec.Shard — the one JE-stitch kernel — and Phase 3
+// dist.ShardCore. One thing does not cross the process boundary: the
 // store does not persist a tensor's RejectNonFinite flag, so workers load
 // the sub-tensors with the divergence quarantine off and the kernel, which
 // takes the flag from its inputs, stitches a non-finite value planted

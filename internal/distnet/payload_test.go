@@ -1,0 +1,152 @@
+package distnet
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/stitch"
+	"repro/internal/store"
+	"repro/internal/tensor"
+	"repro/internal/tucker"
+)
+
+// payloadFixture is a catalog as a coordinator leaves it before Phase 3 of
+// either route — both inputs, the fused factors, one stitched shard — and
+// the job spec its tasks would carry.
+func payloadFixture(t testing.TB) (*store.Store, jobSpec) {
+	p := tinyPartition(t, 0.5, 233)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.DecomposeFactored(p, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := jobSpec{Join: stitch.NewSpec(p, false), Shards: 2}
+	for _, err := range []error{
+		st.SaveSparse(objSubs[0], p.Sub1.Tensor),
+		st.SaveSparse(objSubs[1], p.Sub2.Tensor),
+		st.SaveMatrices(objFactors, res.Factors),
+		st.SaveSparse("shard", spec.Join.Shard(p.Sub1.Tensor, p.Sub2.Tensor, 0, 2)),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st, spec
+}
+
+// TestTaskPayloadRejected: what a well-framed task payload can get wrong
+// is a task error — the coordinator re-leases and, out of attempts, fails
+// the phase — never a worker crash or an index outside a tensor.
+func TestTaskPayloadRejected(t *testing.T) {
+	st, spec := payloadFixture(t)
+	with := func(mutate func(*taskMsg)) taskMsg {
+		// Slices are copied: a case that edits the spec edits its own.
+		task := taskMsg{ID: "t", Kind: taskProject, Out: "out", Spec: spec}
+		task.Spec.Join.Shape = append(tensor.Shape(nil), spec.Join.Shape...)
+		task.Spec.Join.Pivots = append([]int(nil), spec.Join.Pivots...)
+		mutate(&task)
+		return task
+	}
+	for name, task := range map[string]taskMsg{
+		"unknown kind":            with(func(m *taskMsg) { m.Kind = "reduce" }),
+		"no kind":                 with(func(m *taskMsg) { m.Kind = "" }),
+		"shard = shards":          with(func(m *taskMsg) { m.Shard = 2 }),
+		"negative shard":          with(func(m *taskMsg) { m.Shard = -1 }),
+		"no shards":               with(func(m *taskMsg) { m.Spec.Shards = 0 }),
+		"stitch, shard > shards":  with(func(m *taskMsg) { m.Kind, m.Shard = taskStitch, 7 }),
+		"pivot outside shape":     with(func(m *taskMsg) { m.Spec.Join.Pivots[0] = 9 }),
+		"pivot listed twice":      with(func(m *taskMsg) { m.Spec.Join.Pivots = append(m.Spec.Join.Pivots, m.Spec.Join.Free1[0]) }),
+		"stitch, pivot < 0":       with(func(m *taskMsg) { m.Kind, m.Spec.Join.Pivots[0] = taskStitch, -1 }),
+		"shape too large":         with(func(m *taskMsg) { m.Spec.Join.Shape[m.Spec.Join.Pivots[0]]++ }),
+		"shape too short":         with(func(m *taskMsg) { m.Spec.Join.Shape = m.Spec.Join.Shape[:3] }),
+		"empty spec":              with(func(m *taskMsg) { m.Spec.Join = stitch.Spec{} }),
+		"core, wrong-order input": with(func(m *taskMsg) { m.Kind, m.In = taskCore, objSubs[0] }),
+		"core, missing input":     with(func(m *taskMsg) { m.Kind, m.In = taskCore, "nope" }),
+		"factor, sub-tensor 3":    with(func(m *taskMsg) { m.Kind, m.Kappa, m.Rank = taskFactor, 3, 1 }),
+		"factor, mode 3 of 3":     with(func(m *taskMsg) { m.Kind, m.Kappa, m.Mode, m.Rank = taskFactor, 1, 3, 1 }),
+		"factor, rank 0":          with(func(m *taskMsg) { m.Kind, m.Kappa = taskFactor, 1 }),
+		"factor, rank > size":     with(func(m *taskMsg) { m.Kind, m.Kappa, m.Rank = taskFactor, 2, 6 }),
+		"output name escapes":     with(func(m *taskMsg) { m.Out = "../out" }),
+	} {
+		w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
+		if _, err := w.exec(context.Background(), task); err == nil {
+			t.Errorf("%s: task executed", name)
+		}
+	}
+	for _, kind := range []string{taskFactor, taskStitch, taskCore, taskProject} {
+		// More shards than pivot keys is a valid job (most shards are empty),
+		// whatever the count: nothing on the way to the shard's cells adds to it.
+		for _, shards := range []int{spec.Shards, math.MaxInt} {
+			w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
+			task := with(func(m *taskMsg) {
+				m.Kind, m.Kappa, m.Rank, m.In, m.Out = kind, 1, 2, "shard", fmt.Sprintf("out-%s-%d", kind, shards)
+				m.Shard, m.Spec.Shards = shards-1, shards
+			})
+			if res, err := w.exec(context.Background(), task); err != nil || res.Skipped || !w.outputDurable(task) {
+				t.Errorf("valid %s task, shard %d of %d: result %+v, error %v", kind, task.Shard, shards, res, err)
+			}
+		}
+	}
+}
+
+// FuzzTaskPayload feeds arbitrary JSON to the two payload decoders inside a
+// valid frame — a task as RunWorker decodes and executes it, a result as
+// the coordinator's readLoop decodes it. Whatever decodes must execute to a
+// result or a task error: no panic, no index outside a tensor; the fields
+// the shard selection divides and indexes by are checked first.
+func FuzzTaskPayload(f *testing.F) {
+	st, spec := payloadFixture(f)
+	for _, task := range []taskMsg{
+		{ID: "p1-k1-m0", Kind: taskFactor, Kappa: 1, Rank: 2, Out: "f", Spec: spec},
+		{ID: "p2-j0", Kind: taskStitch, Out: "s", Spec: spec},
+		{ID: "p3-c0", Kind: taskCore, In: "shard", Out: "c", Spec: spec},
+		{ID: "p3-g1", Kind: taskProject, Shard: 1, Out: "g", Spec: spec},
+		{ID: "p3-g2", Kind: taskProject, Shard: 2, Out: "g", Spec: spec},
+		{ID: "p2-j3", Kind: taskStitch, Shard: 3, Out: "s", Spec: jobSpec{Join: spec.Join, Shards: math.MaxInt}},
+		{ID: "p3-g3", Kind: taskProject, Shard: math.MaxInt - 1, Out: "g", Spec: jobSpec{Join: spec.Join, Shards: math.MaxInt}},
+		{ID: "x", Kind: "reduce", Out: "x"},
+	} {
+		payload, err := json.Marshal(task)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Add([]byte(`{"id":"p3-g0","kind":"project","out":"g","spec":{"join":{"shape":[5,5,5,5,4],"pivots":[7],"free1":[0,2],"free2":[1,3]},"shards":2}}`))
+	f.Add([]byte(`{"id":"p3-g0","kind":"project","out":"g","spec":{"join":{"shape":[5,5],"pivots":[4],"free1":[0,2],"free2":[1,3]},"shards":-3}}`))
+	f.Add([]byte(`{"id":"p1-k1-m0","worker":1,"skipped":true,"dur_ns":12}`))
+	f.Add([]byte(`{"id":7}`))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var res resultMsg
+		_ = json.Unmarshal(payload, &res)
+
+		var task taskMsg
+		if json.Unmarshal(payload, &task) != nil {
+			return
+		}
+		if slices.Contains([]string{objSubs[0], objSubs[1], objFactors, "shard"}, task.Out) {
+			return // would overwrite the fixture under the iterations that follow
+		}
+		w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
+		out, err := w.exec(context.Background(), task)
+		sharded := task.Kind == taskStitch || task.Kind == taskCore || task.Kind == taskProject
+		switch {
+		case err != nil:
+		case task.Kind != taskFactor && !sharded:
+			t.Fatalf("executed a task of kind %q", task.Kind)
+		case sharded && (task.Spec.Shards < 1 || task.Shard < 0 || task.Shard >= task.Spec.Shards):
+			t.Fatalf("executed shard %d of %d", task.Shard, task.Spec.Shards)
+		case out.ID != task.ID || !w.outputDurable(task):
+			t.Fatalf("task %q reported done (%+v) without a durable output %q", task.ID, out, task.Out)
+		}
+	})
+}

@@ -3,7 +3,9 @@ package distnet
 import (
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 
+	"repro/internal/core"
 	"repro/internal/stitch"
 )
 
@@ -28,7 +30,7 @@ type jobSpec struct {
 // taskMsg leases one task to a worker.
 type taskMsg struct {
 	ID    string  `json:"id"`
-	Kind  string  `json:"kind"` // taskFactor | taskStitch | taskCore
+	Kind  string  `json:"kind"` // taskFactor | taskStitch | taskCore | taskProject
 	Kappa int     `json:"kappa,omitempty"`
 	Mode  int     `json:"mode,omitempty"` // sub-local mode (factor tasks)
 	Rank  int     `json:"rank,omitempty"`
@@ -39,9 +41,10 @@ type taskMsg struct {
 }
 
 const (
-	taskFactor = "factor"
-	taskStitch = "stitch"
-	taskCore   = "core"
+	taskFactor  = "factor"  // Phase 1, both routes
+	taskStitch  = "stitch"  // Phase 2, materialised route
+	taskCore    = "core"    // Phase 3, materialised route
+	taskProject = "project" // Phase 3, join-free route
 )
 
 // resultMsg reports a completed (or failed, via frameTaskErr) task.
@@ -59,17 +62,29 @@ type heartbeatMsg struct {
 	Task   string `json:"task,omitempty"`
 }
 
-// Catalog object names. Inputs are written by the coordinator before the
-// first lease; every task writes exactly one output object.
-const (
-	objSub1    = "in-sub1"
-	objSub2    = "in-sub2"
-	objFactors = "factors"
-)
+// Catalog object names. The two inputs and the fused factor list are
+// written by the coordinator, every run, before the first lease that reads
+// them. Every task writes exactly one output object, named after the job
+// and the task (job.object): the job key hashes everything the output
+// depends on — fusion method, clipped ranks, shard count, zero-join, route
+// and both inputs' store checksums — so a WorkDir that another campaign
+// used holds nothing this one can mistake for its own, and the resume
+// check stays "does my output load" with no manifest beside it.
+const objFactors = "factors"
+
+var objSubs = [2]string{"in-sub1", "in-sub2"}
 
 func factorOut(kappa, mode int) string { return fmt.Sprintf("p1-k%d-m%d", kappa, mode) }
 func stitchOut(shard int) string       { return fmt.Sprintf("p2-j%d", shard) }
 func coreOut(shard int) string         { return fmt.Sprintf("p3-c%d", shard) }
+func projectOut(shard int) string      { return fmt.Sprintf("p3-g%d", shard) }
+
+// jobKey is the identity a job's artifacts are named under.
+func jobKey(method core.Method, ranks []int, shards int, zeroJoin, factored bool, inputs [2]uint32) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%v|%d|%t|%t|%08x", method, ranks, shards, zeroJoin, factored, inputs)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 // taskKey seeds the re-lease backoff jitter for a task: a pure function
 // of the task's identity, so coordinator restarts sleep identically.

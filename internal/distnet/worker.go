@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/mat"
@@ -231,6 +232,9 @@ func (w *workerState) exec(ctx context.Context, task taskMsg) (resultMsg, error)
 	w.executed++
 	doomed := w.cfg.Kill.Doomed(w.cfg.ID) && w.executed == w.cfg.Kill.KillPoint(w.cfg.ID)
 
+	if err := task.check(); err != nil {
+		return resultMsg{}, err
+	}
 	if w.outputDurable(task) {
 		if doomed {
 			faults.KillSelf()
@@ -246,8 +250,8 @@ func (w *workerState) exec(ctx context.Context, task taskMsg) (resultMsg, error)
 		err = w.execStitch(task, doomed)
 	case taskCore:
 		err = w.execCore(task, doomed)
-	default:
-		err = fmt.Errorf("distnet: unknown task kind %q", task.Kind)
+	case taskProject:
+		err = w.execProject(task, doomed)
 	}
 	if err != nil {
 		return resultMsg{}, err
@@ -258,38 +262,87 @@ func (w *workerState) exec(ctx context.Context, task taskMsg) (resultMsg, error)
 	return resultMsg{ID: task.ID, Worker: w.cfg.ID, DurNS: time.Since(start).Nanoseconds()}, nil
 }
 
+// check rejects a task no coordinator leases — an unknown kind, a
+// sub-tensor other than 1 or 2, a shard outside [0, Shards) — as a task
+// error, before anything is indexed by its fields. What can only be checked
+// against the data (a factor task's mode and rank, the stitch spec, the
+// factor list) is checked where the data is loaded.
+func (t taskMsg) check() error {
+	switch t.Kind {
+	case taskFactor:
+		if t.Kappa != 1 && t.Kappa != 2 {
+			return fmt.Errorf("distnet: task %s: no sub-tensor %d", t.ID, t.Kappa)
+		}
+	case taskStitch, taskCore, taskProject:
+		if t.Spec.Shards < 1 || t.Shard < 0 || t.Shard >= t.Spec.Shards {
+			return fmt.Errorf("distnet: task %s: shard %d of %d", t.ID, t.Shard, t.Spec.Shards)
+		}
+	default:
+		return fmt.Errorf("distnet: task %s: unknown task kind %q", t.ID, t.Kind)
+	}
+	return nil
+}
+
 // outputDurable reports whether the task's output object already loads
-// cleanly — the resume check.
+// cleanly — the resume check. The object's name carries the job's identity
+// (proto.go), so only this job's own earlier output can answer it.
 func (w *workerState) outputDurable(task taskMsg) bool {
 	var err error
 	switch task.Kind {
-	case taskFactor:
+	case taskFactor, taskProject:
 		_, err = w.st.LoadMatrices(task.Out)
 	case taskStitch:
 		_, err = w.st.LoadSparse(task.Out)
 	case taskCore:
 		_, err = w.st.LoadDense(task.Out)
-	default:
-		return false
 	}
 	return err == nil
 }
 
-// sub loads (and caches) one input sub-tensor.
+// sub loads (and caches) input sub-tensor kappa (1 or 2).
 func (w *workerState) sub(kappa int) (*tensor.Sparse, error) {
 	if x, ok := w.subs[kappa]; ok {
 		return x, nil
 	}
-	name := objSub1
-	if kappa == 2 {
-		name = objSub2
-	}
+	name := objSubs[kappa-1]
 	x, err := w.st.LoadSparse(name)
 	if err != nil {
 		return nil, fmt.Errorf("distnet: input %s: %w", name, err)
 	}
 	w.subs[kappa] = x
 	return x, nil
+}
+
+// pair loads both sub-tensors and checks the task's stitch spec against
+// them, so no pivot key the shard kernels compute can fall outside it.
+func (w *workerState) pair(task taskMsg) (x1, x2 *tensor.Sparse, err error) {
+	x1, err1 := w.sub(1)
+	x2, err2 := w.sub(2)
+	if err := errors.Join(err1, err2); err != nil {
+		return nil, nil, err
+	}
+	return x1, x2, task.Spec.Join.Check(x1.Shape, x2.Shape)
+}
+
+// fused loads (and caches) the fused factor list and checks that it
+// projects a tensor of the given full-space shape.
+func (w *workerState) fused(shape tensor.Shape) ([]*mat.Matrix, error) {
+	if w.factors == nil {
+		fs, err := w.st.LoadMatrices(objFactors)
+		if err != nil {
+			return nil, fmt.Errorf("distnet: input %s: %w", objFactors, err)
+		}
+		w.factors = fs
+	}
+	if len(w.factors) != len(shape) {
+		return nil, fmt.Errorf("distnet: input %s: %d factors for order-%d shape %v", objFactors, len(w.factors), len(shape), shape)
+	}
+	for m, f := range w.factors {
+		if f.Rows != shape[m] {
+			return nil, fmt.Errorf("distnet: input %s: factor %d has %d rows, mode size %d", objFactors, m, f.Rows, shape[m])
+		}
+	}
+	return w.factors, nil
 }
 
 // execFactor is Phase 1: one (sub-tensor, mode) pair — the mode's Gram
@@ -299,6 +352,9 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 	x, err := w.sub(task.Kappa)
 	if err != nil {
 		return err
+	}
+	if task.Mode < 0 || task.Mode >= x.Order() || task.Rank < 1 || task.Rank > x.Shape[task.Mode] {
+		return fmt.Errorf("distnet: task %s: rank %d of mode %d of a %v sub-tensor", task.ID, task.Rank, task.Mode, x.Shape)
 	}
 	g, f := dist.SubFactor(x, task.Mode, task.Rank)
 	if doomed {
@@ -314,9 +370,8 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 // who computes it. The sub-tensors come from the store with the
 // divergence quarantine off (see the package comment).
 func (w *workerState) execStitch(task taskMsg, doomed bool) error {
-	x1, err1 := w.sub(1)
-	x2, err2 := w.sub(2)
-	if err := errors.Join(err1, err2); err != nil {
+	x1, x2, err := w.pair(task)
+	if err != nil {
 		return err
 	}
 	j := task.Spec.Join.Shard(x1, x2, task.Shard, task.Spec.Shards)
@@ -334,16 +389,37 @@ func (w *workerState) execCore(task taskMsg, doomed bool) error {
 	if err != nil {
 		return fmt.Errorf("distnet: input %s: %w", task.In, err)
 	}
-	if w.factors == nil {
-		fs, err := w.st.LoadMatrices(objFactors)
-		if err != nil {
-			return fmt.Errorf("distnet: input %s: %w", objFactors, err)
-		}
-		w.factors = fs
+	factors, err := w.fused(x.Shape)
+	if err != nil {
+		return err
 	}
-	partial := dist.ShardCore(x, w.factors)
+	partial := dist.ShardCore(x, factors)
 	if doomed {
 		faults.KillSelf()
 	}
 	return w.st.SaveDense(task.Out, partial)
+}
+
+// execProject is Phase 3 of the join-free route for one shard:
+// core.ProjectShard — the body core.DecomposeFactored runs at shard 0 of
+// 1 — over the cells of both sub-tensors whose pivot key lands in the
+// shard. The two Gram-sized partials are saved as one object (a task
+// writes one object); the coordinator sums them in shard order.
+func (w *workerState) execProject(task taskMsg, doomed bool) error {
+	x1, x2, err := w.pair(task)
+	if err != nil {
+		return err
+	}
+	factors, err := w.fused(task.Spec.Join.Shape)
+	if err != nil {
+		return err
+	}
+	g1, g2 := core.ProjectShard(task.Spec.Join, x1, x2, factors, task.Shard, task.Spec.Shards, 0)
+	if doomed {
+		faults.KillSelf()
+	}
+	return w.st.SaveMatrices(task.Out, []*mat.Matrix{
+		{Rows: 1, Cols: len(g1.Data), Data: g1.Data},
+		{Rows: 1, Cols: len(g2.Data), Data: g2.Data},
+	})
 }

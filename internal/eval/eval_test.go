@@ -155,6 +155,11 @@ func TestTable3SmallRun(t *testing.T) {
 		if r.Total() <= 0 {
 			t.Fatalf("workers=%d: no recorded time", r.Workers)
 		}
+		// The split is the materialised entry's — a stitch phase that took
+		// time — with the join-free engine total beside it.
+		if r.Phase2 <= 0 || r.JoinFree <= 0 {
+			t.Fatalf("workers=%d: Phase 2 %v, join-free total %v", r.Workers, r.Phase2, r.JoinFree)
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ func ExportComparisonsJSON(w io.Writer, cmps []*Comparison) error {
 // ExportTable3CSV writes D-M2TD phase rows as CSV.
 func ExportTable3CSV(w io.Writer, rows []Table3Row) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workers", "phase1_ms", "phase2_ms", "phase3_ms", "total_ms"}); err != nil {
+	if err := cw.Write([]string{"workers", "phase1_ms", "phase2_ms", "phase3_ms", "total_ms", "join_free_total_ms"}); err != nil {
 		return err
 	}
 	ms := func(d int64) string { return fmt.Sprintf("%.3f", float64(d)/1e6) }
@@ -97,6 +97,7 @@ func ExportTable3CSV(w io.Writer, rows []Table3Row) error {
 			ms(int64(r.Phase2)),
 			ms(int64(r.Phase3)),
 			ms(int64(r.Total())),
+			ms(int64(r.JoinFree)),
 		}
 		if err := cw.Write(row); err != nil {
 			return err

@@ -309,6 +309,25 @@ func TestShardRejectsOutOfShapePivot(t *testing.T) {
 	spec.Shard(x1, x2, 0, 1)
 }
 
+// TestShardCountBeyondKeys: more shards than pivot keys leaves one key to a
+// shard and the shards past the last key empty — up to a count near MaxInt,
+// which a spec off the wire may carry and the group count must not overflow
+// on.
+func TestShardCountBeyondKeys(t *testing.T) {
+	p := stitchPartition(t, stitchConfigs["time-pivot"], 5, 1, 144)
+	spec := NewSpec(p, true)
+	keys := spec.gridSize(spec.Pivots)
+	for _, shards := range []int{keys + 3, math.MaxInt} {
+		for _, shard := range []int{0, keys - 1, keys, shards - 1} {
+			got := spec.Shard(p.Sub1.Tensor, p.Sub2.Tensor, shard, shards)
+			sameShard(t, got, referenceStitchShard(spec, p.Sub1.Tensor, p.Sub2.Tensor, shard, shards))
+			if (got.NNZ() > 0) != (shard < keys) {
+				t.Fatalf("shard %d of %d over %d keys stitched %d cells", shard, shards, keys, got.NNZ())
+			}
+		}
+	}
+}
+
 // stitchShardAllocs is Spec.Shard's allocation budget (13 today): an id
 // and a group-offset list per side, the output's header and two COO
 // arrays, the template and value buffers, two grid cursors and the

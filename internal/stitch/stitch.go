@@ -37,6 +37,7 @@ package stitch
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/partition"
@@ -66,6 +67,32 @@ func NewSpec(p *partition.Result, zeroJoin bool) Spec {
 		Free2:    p.Config.Free2,
 		ZeroJoin: zeroJoin,
 	}
+}
+
+// Check reports whether the spec describes a sub-tensor pair of the given
+// shapes: its three mode lists cover the full-space modes exactly once, and
+// each side's shape is the full space's over the pivots, then over that
+// side's free modes. Every pivot key of a checked pair is in range, so a
+// spec that crossed a process boundary is checked before Shard — which
+// panics on an out-of-shape pivot — sees it.
+func (s Spec) Check(x1, x2 tensor.Shape) error {
+	modes := partition.Config{Pivots: s.Pivots, Free1: s.Free1, Free2: s.Free2, PivotFrac: 1, FreeFrac: 1}
+	if err := modes.Validate(len(s.Shape)); err != nil {
+		return fmt.Errorf("stitch: spec over shape %v: %w", s.Shape, err)
+	}
+	for side, free := range [][]int{s.Free1, s.Free2} {
+		got, want := []tensor.Shape{x1, x2}[side], make(tensor.Shape, 0, len(s.Pivots)+len(free))
+		for _, m := range s.Pivots {
+			want = append(want, s.Shape[m])
+		}
+		for _, m := range free {
+			want = append(want, s.Shape[m])
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("stitch: sub-tensor %d has shape %v, the spec's is %v", side+1, got, want)
+		}
+	}
+	return nil
 }
 
 // Join constructs the join tensor J in the original mode order by
@@ -111,7 +138,12 @@ func (s Spec) shardSide(t *tensor.Sparse, shard, shards int) shardSide {
 	// group's entries two slots up, turn counts into offsets, and let the
 	// fill pass advance start[g+1] from group g's first slot to its last —
 	// which is group g+1's first. Entries keep storage order in a group.
-	groups := (keys - shard + shards - 1) / shards
+	// The shard's keys are shard, shard+shards, … below keys; counted without
+	// adding shards, which a spec off the wire may put near MaxInt.
+	groups := 0
+	if shard < keys {
+		groups = (keys-shard-1)/shards + 1
+	}
 	start := make([]int, groups+2)
 	for e := range t.Vals {
 		key := s.PivotKey(t.Idx[e*o:])

@@ -188,3 +188,33 @@ func TestJoinApproximatesGroundTruth(t *testing.T) {
 		t.Fatalf("join relative error %v, want < 1", relErr)
 	}
 }
+
+// TestSpecCheck: a spec is checked against the pair it claims to describe
+// before Shard sees it — NewSpec's own passes, and every way a spec that
+// crossed a process boundary can miss (a mode out of range, listed twice or
+// not at all, a shape the sub-tensors do not have) is an error, where Shard
+// would panic or index outside a tensor.
+func TestSpecCheck(t *testing.T) {
+	res := tinyResult(t, 0.5, 96)
+	x1, x2 := res.Sub1.Tensor.Shape, res.Sub2.Tensor.Shape
+	if err := NewSpec(res, true).Check(x1, x2); err != nil {
+		t.Fatalf("NewSpec's spec rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Spec){
+		"pivot out of range": func(s *Spec) { s.Pivots = []int{5} },
+		"negative free mode": func(s *Spec) { s.Free1 = []int{-1, 2} },
+		"mode listed twice":  func(s *Spec) { s.Free2 = []int{1, 0} },
+		"mode not listed":    func(s *Spec) { s.Free2 = []int{1} },
+		"no pivot":           func(s *Spec) { s.Pivots, s.Free1 = nil, []int{4, 0, 2} },
+		"pivot size":         func(s *Spec) { s.Shape = append(s.Shape[:4:4], s.Shape[4]+1) },
+		"free size":          func(s *Spec) { s.Shape = append([]int{s.Shape[0] - 1}, s.Shape[1:]...) },
+		"short shape":        func(s *Spec) { s.Shape = s.Shape[:4] },
+		"empty":              func(s *Spec) { *s = Spec{} },
+	} {
+		spec := NewSpec(res, false)
+		mutate(&spec)
+		if err := spec.Check(x1, x2); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

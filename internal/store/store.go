@@ -312,6 +312,31 @@ func (s *Store) readFile(name string, wantKind uint8, fn func(r io.Reader, size 
 	return nil
 }
 
+// Checksum returns a stored object's CRC32 footer — the checksum of its
+// whole encoding, so equal contents have equal checksums — without reading
+// the body. The distributed runtime names a job's artifacts after its
+// inputs' checksums; nothing is verified here (Load does that).
+func (s *Store) Checksum(name string) (uint32, error) {
+	if err := validateName(name); err != nil {
+		return 0, err
+	}
+	f, err := os.Open(s.path(name))
+	if os.IsNotExist(err) {
+		return 0, ErrNotFound
+	}
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	var foot [4]byte
+	if st, err := f.Stat(); err != nil || st.Size() < int64(len(magic))+4+1+4 {
+		return 0, ErrCorrupt
+	} else if _, err := f.ReadAt(foot[:], st.Size()-4); err != nil {
+		return 0, ErrCorrupt
+	}
+	return binary.LittleEndian.Uint32(foot[:]), nil
+}
+
 // writeShape / readShape serialise tensor shapes.
 func writeShape(w io.Writer, shape tensor.Shape) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(shape))); err != nil {

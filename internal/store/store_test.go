@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -395,5 +396,54 @@ func TestSaveRejectsNilTensor(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("rejected saves left %d files behind (first: %s)", len(entries), entries[0].Name())
+	}
+}
+
+// TestChecksum: an object's checksum is its footer — equal for equal
+// contents under any name, different once a cell differs — read without
+// decoding the body.
+func TestChecksum(t *testing.T) {
+	s := testStore(t)
+	x := randomSparse(rand.New(rand.NewSource(7)), tensor.Shape{4, 5, 6}, 40)
+	for _, name := range []string{"a", "b"} {
+		if err := s.SaveSparse(name, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	y := tensor.NewSparse(x.Shape)
+	y.AppendBlock(x.Idx, x.Vals)
+	y.Vals[17] += 1e-9
+	if err := s.SaveSparse("c", y); err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]uint32{}
+	for _, name := range []string{"a", "b", "c"} {
+		sum, err := s.Checksum(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[name] = sum
+	}
+	if sums["a"] != sums["b"] || sums["a"] == sums["c"] {
+		t.Fatalf("checksums %08x, %08x (same tensor), %08x (one value moved)", sums["a"], sums["b"], sums["c"])
+	}
+	raw, err := os.ReadFile(filepath.Join(s.Dir(), "a.m2td"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foot := binary.LittleEndian.Uint32(raw[len(raw)-4:]); foot != sums["a"] {
+		t.Fatalf("Checksum %08x, file footer %08x", sums["a"], foot)
+	}
+	if _, err := s.Checksum("missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing object: %v", err)
+	}
+	if _, err := s.Checksum("../a"); err == nil {
+		t.Fatal("escaping name accepted")
+	}
+	if err := os.WriteFile(filepath.Join(s.Dir(), "stub.m2td"), []byte("M2TD"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checksum("stub"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated object: %v", err)
 	}
 }

@@ -83,8 +83,9 @@ type Config struct {
 	ZeroJoin bool
 	// Workers > 0 runs the 3-phase D-M2TD (internal/dist) on the
 	// in-process pool instead of the serial algorithm, with that many
-	// "servers": Workers is the shard count of the stitch and core
-	// phases, so the result is a pure function of it — bit-identical to
+	// "servers": Workers is the shard count of the projection phase (and
+	// of the stitch phase, when a broken product structure makes it
+	// stitch), so the result is a pure function of it — bit-identical to
 	// Distributed{Shards: Workers} at any core count, and equal to the
 	// serial decomposition up to floating-point summation order. At most
 	// one of Workers, Distributed, Sketch and Factored may be set: each
@@ -191,15 +192,18 @@ type DistributedConfig struct {
 	// Workers is the worker-process count (default 1). The campaign
 	// survives losing up to Workers-1 of them.
 	Workers int
-	// Shards fixes the phase-2/3 task count — the determinism unit: at a
-	// fixed Shards the output is bit-identical for any Workers value and
-	// any worker deaths. Default: Workers.
+	// Shards fixes the shard count — Phase 3's task count, and Phase 2's
+	// when a join has to be stitched — the determinism unit: at a fixed
+	// Shards the output is bit-identical for any Workers value and any
+	// worker deaths. Default: Workers.
 	Shards int
 	// Addr is the coordinator listen address (default "127.0.0.1:0").
 	Addr string
 	// WorkDir is the shared artifact catalog. Empty uses a fresh
 	// temporary directory, removed after the run; set it to a stable path
-	// to enable resume-from-durable-artifacts across runs.
+	// to enable resume-from-durable-artifacts across runs of the same
+	// campaign (artifacts are named after the campaign, so a directory
+	// another one used is never misread).
 	WorkDir string
 	// KillWorkers > 0 SIGKILLs that many workers mid-task at seeded
 	// injection points (the faults.KillSpec chaos lottery) — the
@@ -218,7 +222,9 @@ type DistStats struct {
 	// satisfied by an already-durable artifact.
 	Requeues, TasksSkipped int
 	// Phase1/2/3 are the engine's per-phase wall-clock times (Table
-	// III's split, with real IPC overhead).
+	// III's split, with real IPC overhead). Phase2 is exactly 0 on the
+	// join-free route — nothing is stitched while the partition has its
+	// P×E product structure.
 	Phase1, Phase2, Phase3 time.Duration
 }
 
