@@ -153,7 +153,10 @@ trace-smoke:
 # (-workers 4), must produce the same core fingerprint bit for bit, and
 # the killed run's merged trace must replay through tracecat. A stable
 # shard count (-dist-shards = -workers) pins the determinism unit so the
-# four runs are comparable.
+# four runs are comparable. Then a faulted pair: the same campaign with
+# divergent trajectories quarantined (-divergent-rate 0.02 leaves holes in
+# the P×E grid, so the join-free kernel sums pivot groups per group) on
+# both executors must print one fingerprint too — another one.
 dist-smoke:
 	$(GO) run ./cmd/m2tdbench -run -res 6 -workers 4 > dist-inproc.out
 	$(GO) run ./cmd/m2tdbench -run -res 6 -dist-procs 3 -dist-shards 4 > dist-clean.out
@@ -165,7 +168,14 @@ dist-smoke:
 	@test "$$(grep -h '^core fingerprint' dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out | sort -u | wc -l)" = 1 \
 		|| (echo "kill-and-recover drill: fingerprints diverged"; exit 1)
 	$(GO) run ./cmd/tracecat dist-trace.jsonl > /dev/null
-	@rm -f dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl
+	$(GO) run ./cmd/m2tdbench -run -res 6 -divergent-rate 0.02 -workers 4 > dist-holes-inproc.out
+	$(GO) run ./cmd/m2tdbench -run -res 6 -divergent-rate 0.02 -dist-procs 3 -dist-shards 4 > dist-holes-procs.out
+	@grep -H '^quarantined cells  *[1-9]' dist-holes-inproc.out dist-holes-procs.out \
+		|| (echo "faulted pair: no cell was quarantined, the drill tests nothing"; exit 1)
+	@grep '^core fingerprint' dist-holes-inproc.out dist-holes-procs.out
+	@test "$$(grep -h '^core fingerprint' dist-holes-inproc.out dist-holes-procs.out dist-clean.out | sort -u | wc -l)" = 2 \
+		|| (echo "faulted pair: want one fingerprint on both executors, and not the clean campaign's"; exit 1)
+	@rm -f dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl dist-holes-inproc.out dist-holes-procs.out
 
 # Serving-layer acceptance (mirrors the CI `serve` job): the handler and
 # typed-client suites under -race, including the kill-mid-campaign

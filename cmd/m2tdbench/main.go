@@ -66,7 +66,7 @@ func main() {
 		seed    = flag.Int64("seed", eval.DefaultSeed, "sampling seed")
 		seeds   = flag.Int("seeds", 0, "run a multi-seed sweep of the base configuration with this many seeds instead of a table")
 		csvOut  = flag.String("csv", "", "also export comparison rows as CSV to this file (tables 2 and 4)")
-		estim   = flag.Int("estimate", 0, "paper-scale mode: factored core + this many sampled accuracy fibers (required beyond res ≈24)")
+		estim   = flag.Int("estimate", 0, "paper-scale mode: score accuracy on this many sampled ground-truth fibers (required beyond res ≈24)")
 		par     = flag.Int("parallel", 0, "shared-memory worker-pool size for the decomposition kernels (0 = all CPUs, 1 = serial; results are identical for any value)")
 
 		sketch     = flag.String("sketch", "", "sketch KeepFrac: one fraction with -run, a comma-separated sweep for -table sketch (empty = the sweep default)")

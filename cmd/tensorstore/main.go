@@ -349,8 +349,6 @@ func serveCmd(st *store.Store, args []string) error {
 	executors := fs.Int("executors", 0, "concurrent campaign limit (0 = default)")
 	par := fs.Int("parallel", 0, "per-campaign kernel worker-pool size (0 = all CPUs)")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-campaign wall-clock bound (0 = none)")
-	distSims := fs.Int("dist-sims", 0, "auto-dispatch campaigns with at least this many simulations onto the distributed engine (0 = never)")
-	distWorkers := fs.Int("dist-workers", 0, "worker processes for auto-dispatched campaigns (0 = default)")
 	drain := fs.Duration("drain", time.Minute, "graceful-drain bound on shutdown")
 	fs.Parse(args)
 
@@ -362,8 +360,6 @@ func serveCmd(st *store.Store, args []string) error {
 		Executors:   *executors,
 		Parallel:    *par,
 		JobTimeout:  *jobTimeout,
-		DistSims:    *distSims,
-		DistWorkers: *distWorkers,
 	})
 	if err != nil {
 		return err
@@ -416,7 +412,7 @@ func clientCmd(cmd string, args []string) error {
 	seed := fs.Int64("seed", 0, "sampling seed")
 	sketch := fs.Float64("sketch", 0, "count-sketch keep fraction in (0, 1]; 0 = exact")
 	sketchSeed := fs.Int64("sketch-seed", 0, "sketch hashing seed")
-	dist := fs.Int("dist", 0, "distributed worker processes; 0 leaves dispatch to the server")
+	dist := fs.Int("dist", 0, "distributed worker processes (0 = in process)")
 	distShards := fs.Int("dist-shards", 0, "distributed shard count (0 = derived from workers)")
 	accSims := fs.Int("acc-sims", 0, "sampled accuracy-estimate simulations (0 = skip accuracy)")
 	priority := fs.Int("priority", 0, "queue priority (higher runs first)")

@@ -1,12 +1,11 @@
 package m2td
 
-// Tests of the in-process dispatch rule (core.M2TDCtx) as RunCtx and
-// DecomposeCtx apply it: the join-free core whenever the partition has its
-// P×E product structure, the materialised join otherwise.
+// Tests of the one route table (core.M2TDCtx) as RunCtx and DecomposeCtx
+// apply it: the join-free core unless a sketch is on — on an intact
+// partition and on one a failed or quarantined simulation left holes in.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
@@ -55,6 +55,7 @@ type routeCase struct {
 	name     string
 	part     *partition.Result
 	zeroJoin bool
+	holes    bool // a fault-injected campaign's partition
 }
 
 func routeCases(t *testing.T) []routeCase {
@@ -80,6 +81,32 @@ func routeCases(t *testing.T) []routeCase {
 			}
 		}
 	}
+	return append(cases, faultedCases(t)...)
+}
+
+// faultedCases are the partitions of campaigns that lost something: one
+// permanently failed simulation, and cells quarantined at ingest by
+// divergent trajectories. Their P×E grids have holes.
+func faultedCases(t *testing.T) []routeCase {
+	t.Helper()
+	var cases []routeCase
+	for name, f := range map[string]faults.Config{
+		"failed-sim":  {Seed: 3, PanicRate: 0.02},
+		"quarantined": {Seed: 5, DivergentRate: 0.05},
+	} {
+		cfg := smallConfig()
+		cfg.SkipAccuracy, cfg.Faults = true, &f
+		report, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.FailedSims+report.QuarantinedCells == 0 {
+			t.Fatalf("fixture %s: the campaign lost nothing", name)
+		}
+		for _, zj := range []bool{false, true} {
+			cases = append(cases, routeCase{name: fmt.Sprintf("%s/zero=%t", name, zj), part: report.Partition, zeroJoin: zj, holes: true})
+		}
+	}
 	return cases
 }
 
@@ -87,12 +114,13 @@ func routeCases(t *testing.T) []routeCase {
 // the join-free core equals the core recovered from the materialised join
 // to 1e-9 of the core's largest magnitude (the two sum in different
 // orders), and the factors — computed from the sub-tensors on both routes
-// — are bit-equal, for every method over the whole grid of cases. The
-// engines follow the same rule, so the table carries them too: the
-// goroutine pool (Workers) at three shards on every case, the process
-// engine (Distributed) at three shards on the P = E = 0.5 cases — join and
-// zero-join, both pivots — each join-free and within 1e-9 of the in-process
-// result.
+// — are bit-equal, for every method over the whole grid of cases and over
+// the fault-injected ones (one failed simulation; quarantined cells), whose
+// holes the same kernel sums per pivot group. The engines run that kernel
+// too, so the table carries them: the goroutine pool (Workers) at three
+// shards on every case, the process engine (Distributed) at three shards on
+// the P = E = 0.5 and the fault-injected cases — join and zero-join — each
+// join-free and within 1e-9 of the stitched result.
 func TestRoutesAgree(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range routeCases(t) {
@@ -111,7 +139,7 @@ func TestRoutesAgree(t *testing.T) {
 					return res, err
 				},
 			}
-			if method == core.SELECT && strings.Contains(c.name, "P=0.5/E=0.5") {
+			if method == core.SELECT && (c.holes || strings.Contains(c.name, "P=0.5/E=0.5")) {
 				routes["Distributed"] = func() (*core.Result, error) {
 					res, _, err := decomposeStage(ctx, nil, c.part, method, ranks, Config{
 						Distributed: &DistributedConfig{Workers: 2, Shards: 3}, ZeroJoin: c.zeroJoin,
@@ -125,7 +153,7 @@ func TestRoutesAgree(t *testing.T) {
 					t.Fatalf("%s %s: %v", name, route, err)
 				}
 				if factored.Join != nil {
-					t.Fatalf("%s %s: the dispatch rule materialised a join on an intact partition", name, route)
+					t.Fatalf("%s %s: the decomposition materialised a join", name, route)
 				}
 				if got, want := factored.JoinCells(c.part, c.zeroJoin), joined.Join.NNZ(); got != want {
 					t.Errorf("%s %s: JoinCells %d, stitched join %d", name, route, got, want)
@@ -146,72 +174,120 @@ func TestRoutesAgree(t *testing.T) {
 }
 
 // TestJoinCellsMatchesStitch is the paper's density formula as an
-// executable property: the closed form RunCtx reports in place of a
-// tensor's NNZ equals what stitching actually builds.
+// executable property: the count RunCtx reports in place of a tensor's NNZ
+// equals what stitching actually builds — on the intact grid, where it is
+// the closed form P·E₁·E₂ (+ the zero-join extensions), on the
+// fault-injected partitions, and on ones thinned by hand: scattered cells gone,
+// and a pivot group left on one side only.
 func TestJoinCellsMatchesStitch(t *testing.T) {
-	for _, c := range routeCases(t) {
+	cases := routeCases(t)
+	for _, c := range cases { // the cases as they stand: range reads the slice once
+		if c.holes {
+			continue
+		}
+		e1, e2 := len(c.part.Free1Configs), len(c.part.Free2Configs)
+		if closed := len(c.part.PivotConfigs) * e1 * e2; !c.zeroJoin && c.part.JoinCells(false) != closed {
+			t.Errorf("%s: JoinCells %d on an intact partition, density formula %d", c.name, c.part.JoinCells(false), closed)
+		}
+		thin := *c.part
+		sub1, sub2 := *c.part.Sub1, *c.part.Sub2
+		sub1.Tensor, sub2.Tensor = tensor.NewSparse(sub1.Tensor.Shape), tensor.NewSparse(sub2.Tensor.Shape)
+		c.part.Sub1.Tensor.Each(func(idx []int, v float64) {
+			if idx[0] != 1 && (idx[1]+idx[2])%3 != 0 { // no pivot 1 on side 1
+				sub1.Tensor.Append(idx, v)
+			}
+		})
+		c.part.Sub2.Tensor.Each(func(idx []int, v float64) {
+			if (idx[0]+idx[1])%4 != 0 {
+				sub2.Tensor.Append(idx, v)
+			}
+		})
+		thin.Sub1, thin.Sub2 = &sub1, &sub2
+		cases = append(cases, routeCase{name: c.name + "/thinned", part: &thin, zeroJoin: c.zeroJoin, holes: true})
+	}
+	for _, c := range cases {
 		j, err := StitchCtx(context.Background(), c.part, StitchOptions{ZeroJoin: c.zeroJoin})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := c.part.JoinCells(c.zeroJoin); got != j.NNZ() {
-			t.Errorf("%s: density formula %d != stitched NNZ %d", c.name, got, j.NNZ())
+			t.Errorf("%s: JoinCells %d != stitched NNZ %d", c.name, got, j.NNZ())
 		}
 	}
 }
 
-// TestBrokenProductStructureFallsBack: one permanently failing simulation
-// leaves a hole in the P×E grid, so the campaign takes the materialising
-// route — a join on the result, bits equal to core.DecomposeCtx on the
-// same partition (the route the parent always took) — unless Factored
-// requires the join-free one, which then fails with the sentinel.
+// TestBrokenProductStructureFallsBack — the name is the parent's; nothing
+// falls back any more. A campaign with one permanently failed simulation,
+// and one with quarantined cells, on the default route, the goroutine pool
+// and the process engine: no join on the report, no stitch span,
+// factored = 1, holey_groups > 0, JoinCells equal to what stitching would
+// build, and the core within 1e-9 of core.DecomposeCtx on the same
+// partition. In process the run is core.M2TDCtx's and
+// core.DecomposeFactored's, bit for bit; the two engines agree to the last
+// bit at equal shard counts. Factored, which used to fail such a run with
+// core.ErrNoProductStructure, selects nothing.
 func TestBrokenProductStructureFallsBack(t *testing.T) {
-	cfg := smallConfig()
-	cfg.SkipAccuracy = true
-	cfg.Trace = true
-	cfg.Faults = &faults.Config{Seed: 3, PanicRate: 0.02}
-	report, err := RunCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.FailedSims != 1 {
-		t.Fatalf("fixture: %d failed simulations, want exactly 1", report.FailedSims)
-	}
-	res := report.Decomposition
-	if res.Join == nil || report.JoinCells != res.Join.NNZ() {
-		t.Fatalf("fallback run: Join %v, JoinCells %d", res.Join, report.JoinCells)
-	}
-	if d := report.Trace.Root().Find("decompose"); d.Counter("factored") != 0 || d.Find("stitch") == nil {
-		t.Errorf("fallback run: want factored=0 and a stitch span:\n%s", d.Skeleton())
-	}
-	want, err := core.DecomposeCtx(context.Background(), report.Partition, core.Options{
-		Method: core.SELECT, Ranks: tucker.UniformRanks(report.Space.Order(), cfg.Rank),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameBits(t, "fallback vs core.DecomposeCtx", res, want)
-	direct, err := core.M2TDCtx(context.Background(), report.Partition, core.Options{
-		Method: core.SELECT, Ranks: tucker.UniformRanks(report.Space.Order(), cfg.Rank),
-	})
-	if err != nil || direct.Join == nil {
-		t.Fatalf("core.M2TDCtx on a broken product structure: Join %v, err %v", direct, err)
-	}
-	requireSameBits(t, "core.M2TDCtx fallback vs core.DecomposeCtx", direct, want)
-
-	cfg.Factored = true
-	cfg.Faults = &faults.Config{Seed: 3, PanicRate: 0.02}
-	if _, err := RunCtx(context.Background(), cfg); !errors.Is(err, core.ErrNoProductStructure) {
-		t.Fatalf("Factored on a broken product structure: want ErrNoProductStructure, got %v", err)
-	}
-	// A required join-free decomposition that failed did not happen: the
-	// caller's decompose span must not claim factored = 1.
-	trace := NewTrace("custom")
-	if _, err := DecomposeCtx(context.Background(), report.Partition, DecomposeOptions{Rank: cfg.Rank, Factored: true, Trace: trace}); !errors.Is(err, core.ErrNoProductStructure) {
-		t.Fatalf("DecomposeCtx Factored on a broken product structure: want ErrNoProductStructure, got %v", err)
-	}
-	if d := trace.Root().Find("decompose"); d == nil || d.Counter("factored") != 0 {
-		t.Errorf("failed Factored decomposition: want a decompose span with factored=0:\n%s", trace.Root().Skeleton())
+	ctx := context.Background()
+	for name, f := range map[string]faults.Config{
+		"failed simulation": {Seed: 3, PanicRate: 0.02},
+		"quarantined cells": {Seed: 5, DivergentRate: 0.05},
+	} {
+		var cores []*core.Result
+		for _, engine := range []func(*Config){
+			func(*Config) {},
+			func(c *Config) { c.Factored = true },
+			func(c *Config) { c.Workers = 3 },
+			func(c *Config) { c.Distributed = &DistributedConfig{Workers: 2, Shards: 3} },
+		} {
+			cfg := smallConfig()
+			cfg.SkipAccuracy, cfg.Trace = true, true
+			faulted := f
+			cfg.Faults = &faulted
+			engine(&cfg)
+			report, err := RunCtx(ctx, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if report.FailedSims+report.QuarantinedCells == 0 {
+				t.Fatalf("fixture %s: the campaign lost nothing", name)
+			}
+			res, d := report.Decomposition, report.Trace.Root().Find("decompose")
+			if res.Join != nil || d.Find("stitch") != nil || d.Counter("factored") != 1 || d.Counter("holey_groups") < 1 {
+				t.Fatalf("%s: join stitched %v, span:\n%s", name, res.Join != nil, d.Skeleton())
+			}
+			if ds := report.Distributed; ds != nil && (ds.Phase2 != 0 || d.Find("phase2").Counter("tasks") != 0 || d.Find("phase3").Counter("tasks") != 3) {
+				t.Fatalf("%s: process engine Phase2 %v, span:\n%s", name, ds.Phase2, d.Skeleton())
+			}
+			copts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(report.Space.Order(), cfg.Rank)}
+			want, err := core.DecomposeCtx(ctx, report.Partition, copts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.JoinCells != want.Join.NNZ() {
+				t.Fatalf("%s: JoinCells %d, stitched join %d", name, report.JoinCells, want.Join.NNZ())
+			}
+			if !res.Core.Equal(want.Core, 1e-9) {
+				t.Fatalf("%s: core differs from core.DecomposeCtx on the same partition", name)
+			}
+			if cfg.Workers == 0 && cfg.Distributed == nil {
+				if c := d.Find("core"); c == nil || c.Counter("holey_groups") != d.Counter("holey_groups") {
+					t.Errorf("%s: core span does not carry the stage's holey_groups:\n%s", name, d.Skeleton())
+				}
+				for what, run := range map[string]func() (*core.Result, error){
+					"core.M2TDCtx":           func() (*core.Result, error) { return core.M2TDCtx(ctx, report.Partition, copts) },
+					"core.DecomposeFactored": func() (*core.Result, error) { return core.DecomposeFactored(report.Partition, copts) },
+				} {
+					direct, err := run()
+					if err != nil || direct.Join != nil {
+						t.Fatalf("%s: %s: Join %v, err %v", name, what, direct, err)
+					}
+					requireSameBits(t, name+": RunCtx vs "+what, res, direct)
+				}
+			}
+			cores = append(cores, res)
+		}
+		requireSameBits(t, name+": Factored vs default", cores[1], cores[0])
+		requireSameBits(t, name+": Workers 3 vs Distributed at 3 shards", cores[2], cores[3])
 	}
 }
 

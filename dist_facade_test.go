@@ -114,13 +114,13 @@ func TestDistributedConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDistributedRouteIsVisible: both engines follow the dispatch rule and
-// say so. On an intact partition the report has no join, its JoinCells is
-// the density formula's, the decompose span carries factored = 1 and — on
-// the process engine — a phase2 span with no tasks beside a Phase2 time of
-// exactly 0. One failed simulation breaks the product structure: the same
-// configuration stitches (Join set, stitch tasks, factored = 0) and equals
-// the in-process fallback to 1e-9.
+// TestDistributedRouteIsVisible: both engines are join-free and say so. On
+// an intact partition the report has no join, its JoinCells is the density
+// formula's, the decompose span carries factored = 1 and holey_groups = 0
+// and — on the process engine — a phase2 span with no tasks beside a Phase2
+// time of exactly 0. One failed simulation changes one thing: holey_groups
+// counts the pivot groups it left a hole in, and the core still equals
+// core.DecomposeCtx's on that partition to 1e-9.
 func TestDistributedRouteIsVisible(t *testing.T) {
 	engines := map[string]func(*Config){
 		"Workers":     func(c *Config) { c.Workers = 3 },
@@ -135,7 +135,9 @@ func TestDistributedRouteIsVisible(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		d := report.Trace.Root().Find("decompose")
-		if report.Decomposition.Join != nil || report.JoinCells != report.Partition.JoinCells(false) || d.Counter("factored") != 1 {
+		intact := report.Partition
+		if closed := len(intact.PivotConfigs) * len(intact.Free1Configs) * len(intact.Free2Configs); report.Decomposition.Join != nil ||
+			report.JoinCells != closed || d.Counter("factored") != 1 || d.Counter("holey_groups") != 0 {
 			t.Errorf("%s, intact partition: join stitched %v, JoinCells %d, span:\n%s", name, report.Decomposition.Join != nil, report.JoinCells, d.Skeleton())
 		}
 		if ds := report.Distributed; ds != nil {
@@ -153,11 +155,10 @@ func TestDistributedRouteIsVisible(t *testing.T) {
 			t.Fatalf("fixture: %d failed simulations, want exactly 1", broken.FailedSims)
 		}
 		d = broken.Trace.Root().Find("decompose")
-		j := broken.Decomposition.Join
-		if j == nil || broken.JoinCells != j.NNZ() || d.Counter("factored") != 0 {
-			t.Fatalf("%s, one failed simulation: join stitched %v, JoinCells %d, span:\n%s", name, j != nil, broken.JoinCells, d.Skeleton())
+		if broken.Decomposition.Join != nil || d.Counter("factored") != 1 || d.Counter("holey_groups") < 1 {
+			t.Fatalf("%s, one failed simulation: join stitched %v, span:\n%s", name, broken.Decomposition.Join != nil, d.Skeleton())
 		}
-		if ds := broken.Distributed; ds != nil && (ds.Phase2 <= 0 || d.Find("phase2").Counter("tasks") != 3) {
+		if ds := broken.Distributed; ds != nil && (ds.Phase2 != 0 || d.Find("phase2").Counter("tasks") != 0) {
 			t.Errorf("%s, one failed simulation: Phase2 %v, span:\n%s", name, ds.Phase2, d.Skeleton())
 		}
 		want, err := core.DecomposeCtx(context.Background(), broken.Partition, core.Options{
@@ -166,7 +167,7 @@ func TestDistributedRouteIsVisible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.NNZ() != want.Join.NNZ() || !broken.Decomposition.Core.Equal(want.Core, 1e-9) {
+		if broken.JoinCells != want.Join.NNZ() || !broken.Decomposition.Core.Equal(want.Core, 1e-9) {
 			t.Errorf("%s, one failed simulation: differs from core.DecomposeCtx", name)
 		}
 	}

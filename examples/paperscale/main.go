@@ -31,7 +31,6 @@ func main() {
 		Resolution:         res,
 		Rank:               10, // the paper's middle rank
 		Method:             "select",
-		Factored:           true,
 		AccuracySampleSims: 3000,
 	}
 

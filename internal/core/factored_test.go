@@ -9,7 +9,6 @@ import (
 	"repro/internal/ensemble"
 	"repro/internal/partition"
 	"repro/internal/stitch"
-	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
@@ -110,7 +109,12 @@ func TestFactoredValidation(t *testing.T) {
 	if _, err := DecomposeFactored(p, Options{Method: AVG, Ranks: []int{1}}); err == nil {
 		t.Fatal("bad rank count accepted")
 	}
-	// Broken product structure: drop one cell.
+	if _, err := DecomposeFactored(p, Options{Method: AVG, Ranks: tucker.UniformRanks(5, 2), Sketch: SketchSpec{KeepFrac: 0.5}}); err == nil {
+		t.Fatal("sketch accepted")
+	}
+	// A hole in the P×E grid, or a pair without configuration lists, is no
+	// longer an error (it was core.ErrNoProductStructure): the kernel sums
+	// the affected pivot groups per group, to the materialised core.
 	broken := &partition.Result{
 		Space:        p.Space,
 		Config:       p.Config,
@@ -126,14 +130,21 @@ func TestFactoredValidation(t *testing.T) {
 	}
 	broken.Sub1.Tensor.Idx = broken.Sub1.Tensor.Idx[:len(broken.Sub1.Tensor.Idx)-3]
 	broken.Sub1.Tensor.Vals = broken.Sub1.Tensor.Vals[:len(broken.Sub1.Tensor.Vals)-1]
-	if _, err := DecomposeFactored(broken, Options{Method: AVG, Ranks: tucker.UniformRanks(5, 2)}); err == nil {
-		t.Fatal("broken product structure accepted")
-	}
-	// Missing config lists.
 	noCfg := *p
 	noCfg.PivotConfigs = nil
-	if _, err := DecomposeFactored(&noCfg, Options{Method: AVG, Ranks: tucker.UniformRanks(5, 2)}); err == nil {
-		t.Fatal("missing config lists accepted")
+	for name, part := range map[string]*partition.Result{"one cell dropped": broken, "no pivot configuration list": &noCfg} {
+		opts := Options{Method: AVG, Ranks: tucker.UniformRanks(5, 2)}
+		fac, err := DecomposeFactored(part, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref, err := DecomposeCtx(context.Background(), part, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fac.Join != nil || !fac.Core.Equal(ref.Core, 1e-9) {
+			t.Fatalf("%s: join stitched %v, or core differs from the materialised one", name, fac.Join != nil)
+		}
 	}
 }
 
@@ -166,32 +177,33 @@ func TestProjectShardPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := stitch.NewSpec(p, false)
+	spec, grid := stitch.NewSpec(p, false), SampledOf(p)
 	x1, x2 := p.Sub1.Tensor, p.Sub2.Tensor
-	if shardCells(spec, x1, 0, 1) != x1 {
+	if cellsOf(x1, nil) != x1 {
 		t.Fatal("one shard copied the sub-tensor")
 	}
-	whole1, whole2 := ProjectShard(spec, x1, x2, res.Factors, 0, 1, 1)
+	whole := ProjectShard(spec, grid, x1, x2, res.Factors, 0, 1, 1)
 	keys := 4 * 5
 	for _, shards := range []int{2, 3, keys + 2} {
-		sum1, sum2 := tensor.NewDense(whole1.Shape), tensor.NewDense(whole2.Shape)
-		cells := 0
-		for s := range shards {
-			cells += shardCells(spec, x1, s, shards).NNZ()
-			g1, g2 := ProjectShard(spec, x1, x2, res.Factors, s, shards, 2)
-			if s >= keys && (g1.Norm() != 0 || g2.Norm() != 0) {
+		parts := make([]Partial, shards)
+		for s := range parts {
+			parts[s] = ProjectShard(spec, grid, x1, x2, res.Factors, s, shards, 2)
+			if g1, g2 := parts[s].G1, parts[s].G2; s >= keys && (g1.Norm() != 0 || g2.Norm() != 0) {
 				t.Fatalf("%d shards: shard %d holds no pivot key and projected norm %g, %g", shards, s, g1.Norm(), g2.Norm())
 			}
-			sum1, sum2 = sum1.Add(g1), sum2.Add(g2)
+			if parts[s].Residual != nil || parts[s].Holey != 0 {
+				t.Fatalf("%d shards: shard %d of an intact pair left the Gram-sized path", shards, s)
+			}
 		}
-		if cells != x1.NNZ() {
-			t.Fatalf("%d shards hold %d of sub-tensor 1's %d cells", shards, cells, x1.NNZ())
+		sum := parts[0]
+		for _, part := range parts[1:] {
+			sum = sum.Add(part)
 		}
-		if !sum1.Equal(whole1, 1e-12) || !sum2.Equal(whole2, 1e-12) {
+		if !sum.G1.Equal(whole.G1, 1e-12) || !sum.G2.Equal(whole.G2, 1e-12) {
 			t.Fatalf("%d shards: partial projections do not sum to the whole", shards)
 		}
 	}
-	if !FactoredCore(p, false, res.Factors, whole1, whole2).Equal(res.Core, 0) {
+	if coreT, _ := FactoredCore(p, false, res.Factors, []Partial{whole}, nil); !coreT.Equal(res.Core, 0) {
 		t.Fatal("ProjectShard at 0 of 1 + FactoredCore is not DecomposeFactored's core bit for bit")
 	}
 }

@@ -1,0 +1,215 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/dynsys"
+	"repro/internal/ensemble"
+	"repro/internal/partition"
+	"repro/internal/stitch"
+	"repro/internal/tensor"
+	"repro/internal/tucker"
+)
+
+// withHoles is p with each sub-tensor rebuilt from the cells keep selects
+// (side 1 or 2, the cell's pivot key, its entry number). The copies carry
+// no quarantine flag.
+func withHoles(p *partition.Result, keep func(side, key, e int) bool) *partition.Result {
+	spec := stitch.NewSpec(p, false)
+	out, sub1, sub2 := *p, *p.Sub1, *p.Sub2
+	for side, sub := range []*partition.SubEnsemble{&sub1, &sub2} {
+		x := sub.Tensor
+		sub.Tensor = tensor.NewSparse(x.Shape)
+		for e := 0; e < x.NNZ(); e++ {
+			if idx, v := x.Entry(e); keep(side+1, spec.PivotKey(idx), e) {
+				sub.Tensor.Append(idx, v)
+			}
+		}
+	}
+	out.Sub1, out.Sub2 = &sub1, &sub2
+	return &out
+}
+
+// requireClose fails unless got is within tol of want, relative to want's
+// largest magnitude.
+func requireClose(t *testing.T, label string, got, want *tensor.Dense, tol float64) {
+	t.Helper()
+	if !got.Shape.Equal(want.Shape) {
+		t.Fatalf("%s: shape %v, want %v", label, got.Shape, want.Shape)
+	}
+	var diff, scale float64
+	for i, v := range want.Data {
+		if math.IsNaN(got.Data[i]) || math.IsInf(got.Data[i], 0) {
+			t.Fatalf("%s: non-finite value %v", label, got.Data[i])
+		}
+		diff = math.Max(diff, math.Abs(got.Data[i]-v))
+		scale = math.Max(scale, math.Abs(v))
+	}
+	if diff > tol*math.Max(scale, 1e-300) {
+		t.Fatalf("%s: differs by %g relative to %g", label, diff/scale, scale)
+	}
+}
+
+// TestJoinFreeKernelMatchesStitchOracle is the identity the one route
+// rests on, as a property: for duplicate-free pairs with cell-level holes,
+// pivot groups missing on one side, or no configuration lists — time,
+// parameter and two-pivot partitions, join and zero-join, one shard and
+// three — every shard's partial, assembled, is that shard's stitched join
+// projected through the same factors (tensor.MultiTTMSparse of
+// stitch.Spec.Shard), and the shards' sum is DecomposeFactored's core.
+func TestJoinFreeKernelMatchesStitchOracle(t *testing.T) {
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
+	configs := map[string]partition.Config{
+		"time":      partition.DefaultConfig(5, 4, doublePendulumPairs),
+		"parameter": partition.DefaultConfig(5, 0, doublePendulumPairs),
+		"two-pivot": {Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1},
+	}
+	rng := rand.New(rand.NewSource(400))
+	for name, cfg := range configs {
+		for _, free := range []float64{1, 0.5} {
+			cfg.FreeFrac = free
+			intact, err := partition.Generate(space, cfg, rand.New(rand.NewSource(401)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Factors of the intact pair: the identity holds for any.
+			ranks := tucker.UniformRanks(5, 2)
+			fs, err := DecomposeFactored(intact, Options{Method: SELECT, Ranks: ranks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			factors := fs.Factors
+			for _, thinning := range []float64{0, 0.1, 0.5, 0.9} {
+				// Side 1 loses one whole pivot group, side 2 another, and
+				// both a random share of their cells.
+				gone1 := rng.Intn(4)
+				gone2 := (gone1 + 1) % 4
+				drops := make(map[[2]int]bool)
+				holes := withHoles(intact, func(side, key, e int) bool {
+					if side == 1 && key == gone1 || side == 2 && key == gone2 {
+						return false
+					}
+					drops[[2]int{side, e}] = rng.Float64() < thinning
+					return !drops[[2]int{side, e}]
+				})
+				unlisted := *holes
+				unlisted.PivotConfigs, unlisted.Free1Configs, unlisted.Free2Configs = nil, nil, nil
+				for lists, p := range map[string]*partition.Result{"listed": holes, "unlisted": &unlisted} {
+					for _, zero := range []bool{false, true} {
+						label := fmt.Sprintf("%s E=%g thinned=%g %s zero=%v", name, free, thinning, lists, zero)
+						spec, grid := stitch.NewSpec(p, zero), SampledOf(p)
+						x1, x2 := p.Sub1.Tensor, p.Sub2.Tensor
+						for _, shards := range []int{1, 3} {
+							parts := make([]Partial, shards)
+							for s := range parts {
+								parts[s] = ProjectShard(spec, grid, x1, x2, factors, s, shards, 2)
+								got, _ := FactoredCore(p, zero, factors, parts[s:s+1], nil)
+								want := tensor.MultiTTMSparse(spec.Shard(x1, x2, s, shards), tensor.TransposeAll(factors))
+								requireClose(t, fmt.Sprintf("%s shard %d of %d", label, s, shards), got, want, 1e-9)
+								if zero && (parts[s].Residual != nil || parts[s].Holey != 0) {
+									t.Fatalf("%s shard %d of %d: a zero-join residual", label, s, shards)
+								}
+							}
+							got, total := FactoredCore(p, zero, factors, parts, nil)
+							want := tensor.MultiTTMSparse(spec.Shard(x1, x2, 0, 1), tensor.TransposeAll(factors))
+							requireClose(t, fmt.Sprintf("%s, %d shards summed", label, shards), got, want, 1e-9)
+							if !zero && total.Holey == 0 {
+								t.Fatalf("%s: no holey group counted on a pair that lost two", label)
+							}
+						}
+						whole, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks, ZeroJoin: zero})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						ref, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks, ZeroJoin: zero})
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireClose(t, label+": DecomposeFactored vs DecomposeCtx", whole.Core, ref.Core, 1e-9)
+						if cells := whole.JoinCells(p, zero); cells != ref.Join.NNZ() {
+							t.Fatalf("%s: JoinCells %d, stitched join %d", label, cells, ref.Join.NNZ())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinFreeQuarantine is the join-free twin of stitch's
+// TestBlockEmissionParityQuarantine: a NaN planted behind the ingest guard
+// of a quarantining sub-tensor, in a pair that already has holes, is a hole
+// — skipped, counted in Rejected, never summed — so the core stays finite.
+// Under plain join that is core.DecomposeCtx's core on the same poisoned
+// pair (the stitch kernel drops exactly the matched pairs the cell is in).
+// Under zero-join it is DecomposeCtx's on the pair without the cell: the
+// other side's cells still extend over the hole, as they would over one
+// ingest had quarantined, where the stitch kernel drops those cells too.
+func TestJoinFreeQuarantine(t *testing.T) {
+	for _, zero := range []bool{false, true} {
+		for _, shards := range []int{1, 3} {
+			p := withHoles(tinyPartition(t, 0.5, 186), func(side, key, e int) bool { return e%7 != 0 && !(side == 1 && key == 3) })
+			ranks := tucker.UniformRanks(5, 2)
+			clean, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks, ZeroJoin: zero})
+			if err != nil {
+				t.Fatal(err)
+			}
+			factors := clean.Factors
+
+			// The last sub-2 entry of pivot group 1: it sits inside every
+			// matched block of that group.
+			sub2 := p.Sub2.Tensor
+			sub2.RejectNonFinite = true
+			poisoned := -1
+			for e := sub2.NNZ() - 1; e >= 0 && poisoned < 0; e-- {
+				if idx, _ := sub2.Entry(e); idx[0] == 1 {
+					poisoned = e
+				}
+			}
+			sub2.Vals[poisoned] = math.NaN()
+			sub2.InvalidatePlans()
+
+			spec, grid := stitch.NewSpec(p, zero), SampledOf(p)
+			parts := make([]Partial, shards)
+			for s := range parts {
+				parts[s] = ProjectShard(spec, grid, p.Sub1.Tensor, sub2, factors, s, shards, 1)
+			}
+			got, total := FactoredCore(p, zero, factors, parts, nil)
+			label := fmt.Sprintf("zero=%v shards=%d", zero, shards)
+			if total.Rejected != 1 {
+				t.Fatalf("%s: %d cells rejected, want the poisoned one", label, total.Rejected)
+			}
+
+			oracle := p
+			if zero {
+				oracle = withHoles(p, func(side, _, e int) bool { return side != 2 || e != poisoned })
+				oracle.Sub2.Tensor.RejectNonFinite = true
+			}
+			j := stitch.NewSpec(oracle, zero).Shard(oracle.Sub1.Tensor, oracle.Sub2.Tensor, 0, 1)
+			if !zero && j.Rejected == 0 {
+				t.Fatalf("%s: the poisoned entry reached no join cell", label)
+			}
+			requireClose(t, label, got, tensor.MultiTTMSparse(j, tensor.TransposeAll(factors)), 1e-9)
+
+			if shards == 1 && !zero {
+				// End to end on the same poisoned pair, factors and all.
+				fac, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fac.Rejected != 1 || ref.Join.Rejected == 0 {
+					t.Fatalf("%s: join-free route rejected %d cells, stitched join %d", label, fac.Rejected, ref.Join.Rejected)
+				}
+				requireClose(t, label+": DecomposeFactored vs DecomposeCtx, poisoned", fac.Core, ref.Core, 1e-9)
+			}
+		}
+	}
+}

@@ -19,13 +19,15 @@
 //     preventing low-energy rows from acting as noise.
 //
 // Non-pivot factors come directly from the owning sub-tensor's HOSVD. The
-// core is recovered by projecting the JE-stitched join tensor through the
-// assembled factor matrices: G = J ×₁ U(1)ᵀ ×₂ … ×ₙ U(N)ᵀ.
+// core is the JE-stitched join tensor projected through the assembled
+// factor matrices, G = J ×₁ U(1)ᵀ ×₂ … ×ₙ U(N)ᵀ — computed from the two
+// sub-tensors without building J (DecomposeFactored; its comment says who
+// still builds J), unless a sketch asks for J's cells (DecomposeCtx).
+// M2TDCtx is the one route table.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -117,13 +119,16 @@ type Result struct {
 	Factors []*mat.Matrix
 	// Core is the recovered core tensor G.
 	Core *tensor.Dense
-	// Join is the JE-stitched tensor the core was recovered from. Sketched
-	// runs stitch the full join and recover the core from a sketch of it;
-	// Join still holds the full join.
+	// Join is the JE-stitched tensor the core was recovered from, nil on the
+	// join-free route. Sketched runs stitch the full join and recover the
+	// core from a sketch of it; Join still holds the full join.
 	Join *tensor.Sparse
 	// Sketch accounts for the sketch passes when Options.Sketch was
 	// enabled (nil otherwise).
 	Sketch *SketchReport
+	// Rejected counts the non-finite sub-tensor cells the join-free route
+	// skipped as holes (Partial.Rejected); a stitched Join counts its own.
+	Rejected int
 
 	// Phase timings (the serial analogue of D-M2TD's three phases).
 	SubDecompTime time.Duration
@@ -137,22 +142,18 @@ func (r *Result) Reconstruct() *tensor.Dense {
 	return tensor.TuckerReconstruct(r.Core, r.Factors)
 }
 
-// M2TDCtx is the dispatch rule of every in-process decomposition: the
-// join-free core (DecomposeFactored) while the partition has its P×E
-// product structure and no sketch is on, the materialised join
-// (DecomposeCtx) under a sketch — which destroys that structure — or once a
-// failed or quarantined simulation has. The fallback happens nowhere else.
+// M2TDCtx is where a decomposition's route is chosen, and the only place:
+// a sketch samples the cells of J, so a sketched run stitches J
+// (DecomposeCtx); every other run is join-free (DecomposeFactored), whatever
+// simulations the partition lost.
 func M2TDCtx(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
-	if opts.Sketch.KeepFrac == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := DecomposeFactored(p, opts)
-		if !errors.Is(err, ErrNoProductStructure) {
-			return res, err
-		}
+	if opts.Sketch.KeepFrac != 0 {
+		return DecomposeCtx(ctx, p, opts)
 	}
-	return DecomposeCtx(ctx, p, opts)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return DecomposeFactored(p, opts)
 }
 
 // M2TD is M2TDCtx on a background context.
@@ -162,8 +163,8 @@ func M2TD(p *partition.Result, opts Options) (*Result, error) {
 }
 
 // JoinCells is the stored-cell count of the join the decomposition stands
-// for: the stitched tensor's when one was built, the paper's density
-// formula when the join-free route never built it.
+// for: the stitched tensor's when one was built, the count per pivot group
+// (partition.Result.JoinCells) when the join-free route never built it.
 func (r *Result) JoinCells(p *partition.Result, zeroJoin bool) int {
 	if r.Join != nil {
 		return r.Join.NNZ()

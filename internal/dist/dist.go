@@ -1,42 +1,36 @@
 // Package dist is the single home of D-M2TD, the paper's 3-phase
 // distributed formulation of Multi-Task Tensor Decomposition (Algorithm 6
-// / Section VI-D). The phase bodies are pure functions, on two routes.
+// / Section VI-D). The phase bodies are pure functions.
 //
-// Both routes:
+// Decompose — factors and Gram-sized objects move, never cells, whatever
+// simulations the pair lost (core.M2TDCtx's rule; there is no other route
+// to pick):
 //
 //   - Phase 1 — SubFactor: one (sub-tensor, mode) pair's matricization
 //     Gram matrix (needed for CONCAT fusion) and its rank-truncated factor;
 //     FuseFactors then fuses the pivot modes driver-side.
-//
-// The join-free route, taken while the pair has its P×E product structure
-// (core.CheckProductStructure — the engines' form of core.M2TDCtx's rule,
-// no option picks it) — factors and Gram-sized objects move, never cells:
-//
 //   - Phase 2 — nothing to stitch.
-//   - Phase 3 — core.ProjectShard: the cells of X₁ and of X₂ whose pivot
-//     key lands in one shard (key % shards), projected through the fused
-//     factors — core.DecomposeFactored's own body, which is shard 0 of 1.
-//     SumCores adds the G₁ partials and the G₂ partials in ascending shard
-//     order, and core.FactoredCore assembles G = ½(G₁⊗s₂ + G₂⊗s₁)
+//   - Phase 3 — core.ProjectShard: the pivot groups whose key lands in one
+//     shard (key % shards), projected through the fused factors —
+//     core.DecomposeFactored's own body, which is shard 0 of 1; groups a
+//     lost simulation left a hole in come back as a core-sized residual
+//     beside the two projections. core.FactoredCore adds the partials in
+//     ascending shard order and assembles G = ½(G₁⊗s₂ + G₂⊗s₁) + residual
 //     driver-side.
 //
-// The materialised route, DecomposeMaterialised — Algorithm 6 as the paper
-// states it, for a pair a failed or quarantined simulation left without
-// the structure, and for Table III:
+// DecomposeMaterialised — Algorithm 6 as the paper states it, which builds
+// J: Table III's subject, and the oracle Decompose is tested against. No
+// campaign takes it. Phase 2 is stitch.Spec.Shard, the one JE-stitch kernel
+// (stitch.Join is shard 0 of 1), per shard, concatenated by MergeJoin;
+// Phase 3 is ShardCore, one join shard projected through the fused factors,
+// summed by SumCores — both in ascending shard order.
 //
-//   - Phase 2 — stitch.Spec.Shard, the one JE-stitch kernel (the same
-//     function stitch.Join is at shard 0 of 1): the pivot groups whose key
-//     lands in one shard, joined or zero-joined; MergeJoin concatenates
-//     the shards in ascending shard order.
-//   - Phase 3 — ShardCore: one join shard projected through the fused
-//     factors (exact, since the core is linear in J's cells); SumCores adds
-//     the partial cores in ascending shard order.
-//
-// Two executors call them and decide nothing but who runs which task:
-// Decompose, here, on the in-process goroutine pool, and internal/distnet
-// on leased worker processes. The shard count is the determinism unit —
-// Workers, the paper's server count, is this executor's shard count — so
-// both produce the same bits at equal shard counts, at any parallelism.
+// Two executors run Decompose's tasks and decide nothing but who runs
+// which: Decompose, here, on the in-process goroutine pool, and
+// internal/distnet on leased worker processes. The shard count is the
+// determinism unit — Workers, the paper's server count, is this executor's
+// shard count — so both produce the same bits at equal shard counts, at
+// any parallelism.
 package dist
 
 import (
@@ -54,10 +48,10 @@ import (
 // Options configures a distributed decomposition.
 type Options struct {
 	core.Options
-	// Workers is the paper's server count: the shard count of Phases 2
-	// and 3 and the task parallelism of every phase (capped by the pool).
-	// The result is a pure function of it — bit-identical to a distnet run
-	// at Shards = Workers. Values below 1 are treated as 1.
+	// Workers is the paper's server count: the shard count and the task
+	// parallelism of every phase (capped by the pool). The result is a pure
+	// function of it — bit-identical to a distnet run at Shards = Workers.
+	// Values below 1 are treated as 1.
 	Workers int
 }
 
@@ -91,9 +85,8 @@ func ShardCore(shard *tensor.Sparse, factors []*mat.Matrix) *tensor.Dense {
 	return tensor.MultiTTMSparse(shard, tensor.TransposeAll(factors))
 }
 
-// SumCores adds Phase 3's partials — partial cores, or one sub-tensor's
-// partial projections — in the order given (ascending shard index): the
-// fixed order keeps the float sum bitwise stable.
+// SumCores adds Phase 3's partial cores in the order given (ascending
+// shard index): the fixed order keeps the float sum bitwise stable.
 func SumCores(partials []*tensor.Dense) *tensor.Dense {
 	total := partials[0]
 	for _, partial := range partials[1:] {
@@ -103,19 +96,13 @@ func SumCores(partials []*tensor.Dense) *tensor.Dense {
 }
 
 // Decompose runs D-M2TD over a PF-partitioned pair of sub-ensembles on the
-// in-process pool, on the route the partition allows — the engines' form of
-// core.M2TDCtx's rule. While the pair has its P×E product structure
-// (core.CheckProductStructure) no join is built: Phase 2 has nothing to
-// stitch, Phase 3 is one core.ProjectShard per shard, and the summed
-// projections are assembled driver-side (core.FactoredCore); the result has
-// no Join and the stage span is marked factored = 1. At one shard that is
-// core.DecomposeFactored's computation bit for bit; at more, the same
-// decomposition up to the partials' summation order. Any other partition
-// takes DecomposeMaterialised.
+// in-process pool without building the join: Phase 3 is one
+// core.ProjectShard per shard, summed and assembled driver-side
+// (core.FactoredCore). The result has no Join and the stage span is marked
+// factored = 1. At one shard that is core.DecomposeFactored's computation
+// bit for bit; at more, the same decomposition up to the partials'
+// summation order.
 func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
-	if core.CheckProductStructure(p) != nil {
-		return DecomposeMaterialised(p, opts)
-	}
 	ranks, shards, err := checked(p, opts)
 	if err != nil {
 		return nil, err
@@ -124,21 +111,21 @@ func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 
 	// ---- Phase 3: one projection task per shard ----
 	coreClock := core.Stopwatch()
-	spec := stitch.NewSpec(p, opts.ZeroJoin)
-	g1s, g2s := make([]*tensor.Dense, shards), make([]*tensor.Dense, shards)
+	spec, grid := stitch.NewSpec(p, opts.ZeroJoin), core.SampledOf(p)
+	parts := make([]core.Partial, shards)
 	tasks := make([]func(), shards)
 	for s := range tasks {
 		tasks[s] = func() {
-			g1s[s], g2s[s] = core.ProjectShard(spec, p.Sub1.Tensor, p.Sub2.Tensor, factors, s, shards, opts.Options.Workers)
+			parts[s] = core.ProjectShard(spec, grid, p.Sub1.Tensor, p.Sub2.Tensor, factors, s, shards, opts.Options.Workers)
 		}
 	}
 	parallel.Do(shards, tasks...)
-	coreT := core.FactoredCore(p, opts.ZeroJoin, factors, SumCores(g1s), SumCores(g2s))
-	opts.Span.Set("factored", 1)
+	coreT, total := core.FactoredCore(p, opts.ZeroJoin, factors, parts, opts.Span)
 
 	return &core.Result{
 		Factors:       factors,
 		Core:          coreT,
+		Rejected:      total.Rejected,
 		SubDecompTime: subTime,
 		CoreTime:      coreClock(),
 	}, nil
@@ -146,9 +133,7 @@ func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 
 // DecomposeMaterialised is D-M2TD as the paper states it (Algorithm 6):
 // sub-decomposition, JE-stitching, core recovery from the stitched join —
-// dist's analogue of core.DecomposeCtx, and what Decompose runs once a
-// failed or quarantined simulation, or hand-built sub-ensembles, left the
-// pair without its product structure. Table III calls it directly: its
+// dist's analogue of core.DecomposeCtx. Table III calls it directly: its
 // phase split is the cost of building J. At one shard it is
 // core.DecomposeCtx's computation bit for bit; at more, the same
 // decomposition up to Phase 3's summation order.
@@ -190,8 +175,8 @@ func DecomposeMaterialised(p *partition.Result, opts Options) (*core.Result, err
 	}, nil
 }
 
-// checked validates the options both routes share and returns the clipped
-// ranks and the shard count.
+// checked validates the options both entry points share and returns the
+// clipped ranks and the shard count.
 func checked(p *partition.Result, opts Options) (ranks []int, shards int, err error) {
 	if ranks, err = core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape()); err != nil {
 		return nil, 0, err
@@ -202,7 +187,7 @@ func checked(p *partition.Result, opts Options) (ranks []int, shards int, err er
 	return ranks, max(opts.Workers, 1), nil
 }
 
-// subDecompose is Phase 1 of both routes — one SubFactor task per
+// subDecompose is Phase 1 — one SubFactor task per
 // (sub-tensor, mode) — and the driver-side fusion.
 func subDecompose(p *partition.Result, method core.Method, ranks []int, shards int) ([]*mat.Matrix, time.Duration) {
 	clock := core.Stopwatch()

@@ -2,9 +2,12 @@ package dist
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -322,8 +325,9 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 		t.Fatalf("join-free, workers=%d over %d pivot keys: result differs from serial", opts.Workers, keys)
 	}
 
-	// Side 1 keeps the even pivot keys, side 2 the odd ones: no product
-	// structure is left, so Decompose takes the materialised phases.
+	// Side 1 keeps the even pivot keys, side 2 the odd ones: every group is
+	// one-sided, so the stitched join is empty and the join-free core —
+	// every group summed per group, each to nothing — all-zero.
 	disjoint := *p
 	sub1, sub2 := *p.Sub1, *p.Sub2
 	sub1.Tensor = thin(p.Sub1.Tensor, func(_ int, idx []int) bool { return spec.PivotKey(idx)%2 == 1 })
@@ -331,12 +335,19 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 	disjoint.Sub1, disjoint.Sub2 = &sub1, &sub2
 	for _, workers := range []int{1, 3} {
 		opts.Workers = workers
+		m, err := DecomposeMaterialised(&disjoint, opts)
+		if err != nil {
+			t.Fatalf("disjoint pivots, workers=%d: %v", workers, err)
+		}
+		if m.Join.NNZ() != 0 || m.Core.Norm() != 0 {
+			t.Fatalf("disjoint pivots, workers=%d: join has %d cells, core norm %v", workers, m.Join.NNZ(), m.Core.Norm())
+		}
 		d, err := Decompose(&disjoint, opts)
 		if err != nil {
 			t.Fatalf("disjoint pivots, workers=%d: %v", workers, err)
 		}
-		if d.Join.NNZ() != 0 {
-			t.Fatalf("disjoint pivots, workers=%d: join has %d cells", workers, d.Join.NNZ())
+		if d.Join != nil || d.JoinCells(&disjoint, false) != 0 {
+			t.Fatalf("disjoint pivots, workers=%d: join stitched %v, JoinCells %d", workers, d.Join != nil, d.JoinCells(&disjoint, false))
 		}
 		if want := tucker.ClipRanks(p.Space.Shape(), ranks); !slices.Equal(d.Core.Shape, want) {
 			t.Fatalf("disjoint pivots, workers=%d: core shape %v, want %v", workers, d.Core.Shape, want)
@@ -387,43 +398,131 @@ func TestDistributedShardsStayPlanFree(t *testing.T) {
 	}
 }
 
-// TestDistributedBrokenProductStructureFallsBack: one quarantined cell
-// leaves a hole in the P×E grid, so Decompose takes the materialised
-// phases — a join on the result, the bits DecomposeMaterialised gives, and
-// at one shard core.DecomposeCtx's.
+// TestDistributedBrokenProductStructureFallsBack — the name is the
+// parent's; nothing falls back any more. A hole in the P×E grid (one
+// quarantined cell; then a thinned side 1 and a pivot group missing from
+// side 2; then the same pair without its configuration lists) leaves
+// Decompose join-free: no join on the result, holey_groups on the stage
+// span, core.DecomposeFactored's bits at one shard, and
+// DecomposeMaterialised's and core.DecomposeCtx's decomposition to 1e-9 at
+// any.
 func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 	p := tinyPartition(t, 1, 133)
-	broken, sub1 := *p, *p.Sub1
-	sub1.Tensor = thin(p.Sub1.Tensor, func(e int, _ []int) bool { return e == 7 })
-	broken.Sub1 = &sub1
-	if core.CheckProductStructure(p) != nil || core.CheckProductStructure(&broken) == nil {
-		t.Fatal("fixture: want an intact partition and one without its product structure")
+	spec := stitch.NewSpec(p, false)
+	broken := func(drop1, drop2 func(e int, idx []int) bool) *partition.Result {
+		out, sub1, sub2 := *p, *p.Sub1, *p.Sub2
+		sub1.Tensor, sub2.Tensor = thin(p.Sub1.Tensor, drop1), thin(p.Sub2.Tensor, drop2)
+		out.Sub1, out.Sub2 = &sub1, &sub2
+		return &out
 	}
-	for _, zero := range []bool{false, true} {
-		opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}}
-		serial, err := core.DecomposeCtx(context.Background(), &broken, opts.Options)
+	none := func(int, []int) bool { return false }
+	thinned := broken(func(e int, _ []int) bool { return e%3 == 0 }, func(_ int, idx []int) bool { return spec.PivotKey(idx) == 2 })
+	unlisted := *thinned
+	unlisted.PivotConfigs, unlisted.Free1Configs, unlisted.Free2Configs = nil, nil, nil
+	for name, part := range map[string]*partition.Result{
+		"one cell":   broken(func(e int, _ []int) bool { return e == 7 }, none),
+		"many cells": thinned,
+		"no lists":   &unlisted,
+	} {
+		for _, zero := range []bool{false, true} {
+			opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}}
+			serial, err := core.DecomposeCtx(context.Background(), part, opts.Options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inproc, err := core.DecomposeFactored(part, opts.Options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				label := fmt.Sprintf("%s zero=%v workers=%d", name, zero, workers)
+				trace := obs.New("campaign")
+				opts.Workers, opts.Span = workers, trace.Root()
+				got, err := Decompose(part, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				holey := trace.Root().Counter("holey_groups")
+				if got.Join != nil || trace.Root().Counter("factored") != 1 || (holey > 0) == zero {
+					t.Fatalf("%s: join stitched %v, span:\n%s", label, got.Join != nil, trace.Root().Skeleton())
+				}
+				if cells := got.JoinCells(part, zero); cells != serial.Join.NNZ() {
+					t.Fatalf("%s: JoinCells %d, stitched join %d", label, cells, serial.Join.NNZ())
+				}
+				opts.Span = nil
+				want, err := DecomposeMaterialised(part, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 {
+					sameResult(t, label+": one shard vs core.DecomposeFactored", got, inproc)
+				}
+				if !got.Core.Equal(want.Core, 1e-9) || !got.Core.Equal(serial.Core, 1e-9) {
+					t.Fatalf("%s: core differs from the materialised phases'", label)
+				}
+			}
+		}
+	}
+}
+
+// TestIntactBitsAreTheParents pins what "the intact path is unchanged"
+// means: on pairs that lost nothing, core.DecomposeFactored and Decompose
+// at three shards produce the bits they produced before the kernel learned
+// to take holes (FNV-64a over the core's, then the factors', float bits,
+// recorded on the parent commit; amd64 — other ports may fuse
+// multiply-adds).
+func TestIntactBitsAreTheParents(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bit fingerprints were recorded on amd64")
+	}
+	bitsOf := func(r *core.Result) string {
+		h := fnv.New64a()
+		put := func(vs []float64) {
+			for _, v := range vs {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		put(r.Core.Data)
+		for _, f := range r.Factors {
+			put(f.Data)
+		}
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	twoPivot := partition.Config{Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1}
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
+	for _, c := range []struct {
+		name        string
+		cfg         partition.Config
+		free        float64
+		method      core.Method
+		zero        bool
+		serial, sum string
+	}{
+		{"time/E=1/SELECT/join", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, "876f75af8ed35d2e", "f57182ee699a31c3"},
+		{"time/E=0.5/CONCAT/zero", partition.DefaultConfig(5, 4, doublePendulumPairs), 0.5, core.CONCAT, true, "86939f03fcae9019", "96a194ae5243e1f8"},
+		{"param/E=0.5/AVG/join", partition.DefaultConfig(5, 0, doublePendulumPairs), 0.5, core.AVG, false, "ec7ed7c105edf1aa", "bfd5c64db0dbdad5"},
+		{"two-pivot/E=0.6/SELECT/join", twoPivot, 0.6, core.SELECT, false, "b69dc7f10f9909aa", "efa2984d082bd387"},
+		{"two-pivot/E=0.6/AVG/zero", twoPivot, 0.6, core.AVG, true, "e60d4e7d2a9c7d0c", "e4f88892d37e813e"},
+	} {
+		c.cfg.FreeFrac = c.free
+		p, err := partition.Generate(space, c.cfg, rand.New(rand.NewSource(300)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3} {
-			opts.Workers = workers
-			got, err := Decompose(&broken, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := DecomposeMaterialised(&broken, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Join == nil {
-				t.Fatalf("zero=%v workers=%d: no join on a partition without its product structure", zero, workers)
-			}
-			sameResult(t, fmt.Sprintf("zero=%v workers=%d: Decompose vs DecomposeMaterialised", zero, workers), got, want)
-			if workers == 1 {
-				sameResult(t, fmt.Sprintf("zero=%v: one shard vs core.DecomposeCtx", zero), got, serial)
-			} else if got.Join.NNZ() != serial.Join.NNZ() || !got.Core.Equal(serial.Core, 1e-9) {
-				t.Fatalf("zero=%v workers=%d: differs from core.DecomposeCtx", zero, workers)
-			}
+		opts := core.Options{Method: c.method, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: c.zero}
+		one, err := core.DecomposeFactored(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		three, err := Decompose(p, Options{Options: opts, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bitsOf(one); got != c.serial {
+			t.Errorf("%s: core.DecomposeFactored bits %s, the parent's %s", c.name, got, c.serial)
+		}
+		if got := bitsOf(three); got != c.sum {
+			t.Errorf("%s: Decompose at three shards bits %s, the parent's %s", c.name, got, c.sum)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -29,19 +30,18 @@ type Options struct {
 	// Workers is the worker-process count (default 1). The engine
 	// tolerates losing up to Workers-1 of them mid-run.
 	Workers int
-	// Shards is the task count of Phase 3 (and, on the materialised
-	// route, of Phase 2) — THE determinism unit: shard assignment is
-	// pivot-key % Shards and merge order is ascending shard index, so two
-	// runs with equal Shards produce bit-identical results regardless of
-	// worker count or deaths. Default: Workers.
+	// Shards is the task count of Phase 3 — THE determinism unit: shard
+	// assignment is pivot-key % Shards and merge order is ascending shard
+	// index, so two runs with equal Shards produce bit-identical results
+	// regardless of worker count or deaths. Default: Workers.
 	Shards int
 	// Addr is the coordinator's listen address (default "127.0.0.1:0").
 	Addr string
 	// WorkDir is the shared store catalog directory (required). Rerun
 	// the same campaign with the same WorkDir to resume: tasks whose
 	// outputs are already durable are skipped. Outputs are named after
-	// the job — method, ranks, Shards, ZeroJoin, route, input checksums —
-	// so a directory another campaign used is safe, and merely no help.
+	// the job — method, ranks, Shards, ZeroJoin, sampled grid, inputs — so a
+	// directory another campaign used is safe, and merely no help.
 	WorkDir string
 	// WorkerArgv is the worker command line. Empty means self-exec: the
 	// current executable is spawned and must call MaybeWorker at
@@ -145,8 +145,8 @@ type WorkerInfo struct {
 }
 
 // Result augments the serial M2TD result with per-phase engine
-// statistics and the worker roster. On the join-free route Join is nil
-// (JoinCells reads the density formula) and Phase2 is the zero PhaseStats.
+// statistics and the worker roster. Join is nil (JoinCells counts per
+// pivot group) and Phase2, which has no task, is the zero PhaseStats.
 type Result struct {
 	*core.Result
 	Phase1, Phase2, Phase3 PhaseStats
@@ -154,16 +154,9 @@ type Result struct {
 }
 
 // Decompose runs D-M2TD over a PF-partitioned pair on real worker
-// processes, on the route the partition allows (dist.Decompose's rule):
-// join-free while the pair has its P×E product structure, the materialised
-// phases otherwise. See the package comment for the protocol, the two
-// routes and the determinism contract.
+// processes, join-free (dist.Decompose's phases). See the package comment
+// for the protocol and the determinism contract.
 func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
-	return decompose(ctx, p, opts, core.CheckProductStructure(p) == nil)
-}
-
-// decompose is Decompose on a named route.
-func decompose(ctx context.Context, p *partition.Result, opts Options, factored bool) (*Result, error) {
 	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
 		return nil, err
@@ -194,30 +187,22 @@ func decompose(ctx context.Context, p *partition.Result, opts Options, factored 
 			return nil, err
 		}
 	}
-	j := &job{
-		eng: eng, st: st,
-		spec: jobSpec{Join: stitch.NewSpec(p, opts.ZeroJoin), Shards: opts.Shards},
-		key:  jobKey(opts.Method, ranks, opts.Shards, opts.ZeroJoin, factored, sums),
-	}
+	spec := jobSpec{Join: stitch.NewSpec(p, opts.ZeroJoin), Sampled: core.SampledOf(p), Shards: opts.Shards}
+	j := &job{eng: eng, st: st, spec: spec, key: jobKey(opts.Method, ranks, spec, sums)}
 
 	factors, p1stats, err := j.subDecompose(ctx, p, opts.Method, ranks)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Result: &core.Result{Factors: factors}, Phase1: p1stats}
-	if factored {
-		// Nothing to stitch: Phase 2 keeps its span, with no tasks.
-		eng.tracePhase("phase2", nil, res.Phase2)
-		var g1, g2 *tensor.Dense
-		if g1, g2, res.Phase3, err = j.project(ctx, p, ranks); err != nil {
-			return nil, err
-		}
-		res.Core = core.FactoredCore(p, opts.ZeroJoin, factors, g1, g2)
-		opts.Span.Set("factored", 1)
-	} else if res.Join, res.Core, res.Phase2, res.Phase3, err = j.stitchAndRecover(ctx, p); err != nil {
+	// Nothing to stitch: Phase 2 keeps its span, with no tasks.
+	eng.tracePhase("phase2", nil, res.Phase2)
+	var parts []core.Partial
+	if parts, res.Phase3, err = j.project(ctx, p, ranks); err != nil {
 		return nil, err
 	}
-	res.SubDecompTime, res.StitchTime, res.CoreTime = res.Phase1.Duration, res.Phase2.Duration, res.Phase3.Duration
+	res.Core, _ = core.FactoredCore(p, opts.ZeroJoin, factors, parts, opts.Span)
+	res.SubDecompTime, res.CoreTime = res.Phase1.Duration, res.Phase3.Duration
 	res.Workers = eng.roster()
 	return res, nil
 }
@@ -271,68 +256,34 @@ func (j *job) subDecompose(ctx context.Context, p *partition.Result, method core
 	return factors, stats, j.st.SaveMatrices(objFactors, factors)
 }
 
-// project is Phase 3 of the join-free route: one core.ProjectShard task per
-// shard, each saving its two Gram-sized partials as one object, summed here
-// in ascending shard order.
-func (j *job) project(ctx context.Context, p *partition.Result, ranks []int) (g1, g2 *tensor.Dense, stats PhaseStats, err error) {
+// project is Phase 3: one core.ProjectShard task per shard, each saving its
+// partial as one object; returned in ascending shard order.
+func (j *job) project(ctx context.Context, p *partition.Result, ranks []int) (parts []core.Partial, stats PhaseStats, err error) {
 	var tasks []*task
 	for s := 0; s < j.spec.Shards; s++ {
 		tasks = append(tasks, j.task(taskProject, projectOut(s), taskMsg{Shard: s}))
 	}
 	if stats, err = j.eng.runPhase(ctx, "phase3", tasks); err != nil {
-		return nil, nil, stats, err
+		return nil, stats, err
 	}
-	// A partial is as large as its sub-tensor's projection: its modes' ranks.
-	var shapes [2]tensor.Shape
-	for si, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
-		for _, m := range sub.Modes {
+	// A projection is as large as its sub-tensor's modes' ranks; the residual
+	// as the core, over sub-tensor 1's modes, then side 2's free ones.
+	var shapes [3]tensor.Shape
+	for si, modes := range [][]int{p.Sub1.Modes, p.Sub2.Modes, slices.Concat(p.Sub1.Modes, p.Config.Free2)} {
+		for _, m := range modes {
 			shapes[si] = append(shapes[si], ranks[m])
 		}
 	}
-	var partials [2][]*tensor.Dense
 	for _, t := range tasks {
+		var part core.Partial
 		ms, err := j.st.LoadMatrices(t.msg.Out)
-		if err != nil || len(ms) != 2 {
-			return nil, nil, stats, fmt.Errorf("distnet: phase 3 artifact %s: %w", t.msg.Out, cmp.Or(err, store.ErrCorrupt))
+		if err == nil {
+			part, err = partialOf(ms, shapes)
 		}
-		for si, shape := range shapes {
-			if shape.NumElements() != len(ms[si].Data) {
-				return nil, nil, stats, fmt.Errorf("distnet: phase 3 artifact %s: %d values for a %v projection", t.msg.Out, len(ms[si].Data), shape)
-			}
-			partials[si] = append(partials[si], &tensor.Dense{Shape: shape, Data: ms[si].Data})
+		if err != nil {
+			return nil, stats, fmt.Errorf("distnet: phase 3 artifact %s: %w", t.msg.Out, err)
 		}
+		parts = append(parts, part)
 	}
-	return dist.SumCores(partials[0]), dist.SumCores(partials[1]), stats, nil
-}
-
-// stitchAndRecover is Phases 2 and 3 of the materialised route: the join
-// stitched shard by shard and merged here, each shard projected and the
-// partial cores summed here, both in ascending shard order.
-func (j *job) stitchAndRecover(ctx context.Context, p *partition.Result) (join *tensor.Sparse, coreT *tensor.Dense, p2stats, p3stats PhaseStats, err error) {
-	var p2tasks, p3tasks []*task
-	for s := 0; s < j.spec.Shards; s++ {
-		p2tasks = append(p2tasks, j.task(taskStitch, stitchOut(s), taskMsg{Shard: s}))
-		p3tasks = append(p3tasks, j.task(taskCore, coreOut(s), taskMsg{Shard: s, In: j.object(stitchOut(s))}))
-	}
-	if p2stats, err = j.eng.runPhase(ctx, "phase2", p2tasks); err != nil {
-		return nil, nil, p2stats, p3stats, err
-	}
-	shards := make([]*tensor.Sparse, len(p2tasks))
-	for s, t := range p2tasks {
-		if shards[s], err = j.st.LoadSparse(t.msg.Out); err != nil {
-			return nil, nil, p2stats, p3stats, fmt.Errorf("distnet: phase 2 artifact %s: %w", t.msg.Out, err)
-		}
-	}
-	join = dist.MergeJoin(p.Space.Shape(), shards)
-
-	if p3stats, err = j.eng.runPhase(ctx, "phase3", p3tasks); err != nil {
-		return nil, nil, p2stats, p3stats, err
-	}
-	partials := make([]*tensor.Dense, len(p3tasks))
-	for s, t := range p3tasks {
-		if partials[s], err = j.st.LoadDense(t.msg.Out); err != nil {
-			return nil, nil, p2stats, p3stats, fmt.Errorf("distnet: phase 3 artifact %s: %w", t.msg.Out, err)
-		}
-	}
-	return join, dist.SumCores(partials), p2stats, p3stats, nil
+	return parts, stats, nil
 }

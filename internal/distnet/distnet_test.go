@@ -14,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
@@ -64,6 +65,8 @@ func tinyPartition(t testing.TB, freeFrac float64, seed int64) *partition.Result
 	return res
 }
 
+// runDistNet runs one campaign on the engine, which stitches nothing: no
+// join on the result, no Phase 2.
 func runDistNet(t *testing.T, p *partition.Result, opts Options) *Result {
 	t.Helper()
 	if opts.WorkDir == "" {
@@ -73,42 +76,30 @@ func runDistNet(t *testing.T, p *partition.Result, opts Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
-}
-
-// runMaterialised is runDistNet on the materialised phases whatever the
-// partition's structure — the route Decompose falls back to.
-func runMaterialised(t *testing.T, p *partition.Result, opts Options) *Result {
-	t.Helper()
-	if opts.WorkDir == "" {
-		opts.WorkDir = t.TempDir()
-	}
-	res, err := decompose(context.Background(), p, opts, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Join == nil || res.Phase2.Tasks == 0 {
-		t.Fatalf("materialised route: join stitched %v, %d stitch tasks", res.Join != nil, res.Phase2.Tasks)
+	if res.Join != nil || res.Phase2 != (PhaseStats{}) {
+		t.Fatalf("join stitched %v, phase 2 %+v", res.Join != nil, res.Phase2)
 	}
 	return res
 }
 
-// routes are the engine's two routes on a partition with its product
-// structure: the one Decompose picks, and the phases it falls back to.
-var routes = map[string]func(*testing.T, *partition.Result, Options) *Result{
-	"join-free": func(t *testing.T, p *partition.Result, opts Options) *Result {
-		t.Helper()
-		res := runDistNet(t, p, opts)
-		if res.Join != nil || res.Phase2 != (PhaseStats{}) {
-			t.Fatalf("join-free route: join stitched %v, phase 2 %+v", res.Join != nil, res.Phase2)
+// holed is p without the cells drop selects (by side, 1 or 2, and entry).
+func holed(p *partition.Result, drop func(side, e int) bool) *partition.Result {
+	out, sub1, sub2 := *p, *p.Sub1, *p.Sub2
+	for side, sub := range []*partition.SubEnsemble{&sub1, &sub2} {
+		x := sub.Tensor
+		sub.Tensor = tensor.NewSparse(x.Shape)
+		for e := 0; e < x.NNZ(); e++ {
+			if !drop(side+1, e) {
+				sub.Tensor.Append(x.Entry(e))
+			}
 		}
-		return res
-	},
-	"materialised": runMaterialised,
+	}
+	out.Sub1, out.Sub2 = &sub1, &sub2
+	return &out
 }
 
-// sameDecomposition compares two results of one route (both stitched a
-// join or neither did); against another route's, callers compare JoinCells.
+// sameDecomposition compares two results that both stitched a join or
+// neither did; against core.DecomposeCtx's, callers compare JoinCells.
 func sameDecomposition(t *testing.T, label string, a, b *core.Result, tol float64) {
 	t.Helper()
 	if (a.Join == nil) != (b.Join == nil) {
@@ -135,14 +126,12 @@ func TestDistNetMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := runMaterialised(t, p, Options{Method: m, Ranks: ranks, Workers: 2})
-		sameDecomposition(t, string(m), d.Result, serial, 1e-9)
-		f := routes["join-free"](t, p, Options{Method: m, Ranks: ranks, Workers: 2})
+		f := runDistNet(t, p, Options{Method: m, Ranks: ranks, Workers: 2})
 		if f.JoinCells(p, false) != serial.Join.NNZ() {
 			t.Fatalf("%s: join-free JoinCells %d, serial join %d", m, f.JoinCells(p, false), serial.Join.NNZ())
 		}
 		f.Join = serial.Join // compared above, through JoinCells
-		sameDecomposition(t, string(m)+" join-free", f.Result, serial, 1e-9)
+		sameDecomposition(t, string(m), f.Result, serial, 1e-9)
 	}
 }
 
@@ -154,14 +143,12 @@ func TestDistNetZeroJoinMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true, Workers: 2, Shards: 3}
-	d := runMaterialised(t, p, opts)
-	sameDecomposition(t, "zero-join", d.Result, serial, 1e-9)
-	f := routes["join-free"](t, p, opts)
+	f := runDistNet(t, p, opts)
 	if f.JoinCells(p, true) != serial.Join.NNZ() {
 		t.Fatalf("join-free zero-join JoinCells %d, serial join %d", f.JoinCells(p, true), serial.Join.NNZ())
 	}
 	f.Join = serial.Join // compared above, through JoinCells
-	sameDecomposition(t, "zero-join, join-free", f.Result, serial, 1e-9)
+	sameDecomposition(t, "zero-join", f.Result, serial, 1e-9)
 }
 
 // TestDistNetWorkerCountInvariance is the determinism contract: with
@@ -171,54 +158,50 @@ func TestDistNetWorkerCountInvariance(t *testing.T) {
 	ranks := tucker.UniformRanks(5, 2)
 	base := Options{Method: core.SELECT, Ranks: ranks, Shards: 4}
 
-	for route, run := range routes {
-		one := base
-		one.Workers = 1
-		a := run(t, p, one)
+	one := base
+	one.Workers = 1
+	a := runDistNet(t, p, one)
 
-		three := base
-		three.Workers = 3
-		b := run(t, p, three)
+	three := base
+	three.Workers = 3
+	b := runDistNet(t, p, three)
 
-		sameDecomposition(t, route+": workers 1 vs 3", a.Result, b.Result, 0)
-	}
+	sameDecomposition(t, "workers 1 vs 3", a.Result, b.Result, 0)
 }
 
 // TestDistNetKillAndRecover SIGKILLs k of 3 workers mid-task at seeded
 // injection points — after the compute, before the durable save — and
 // requires the surviving fleet to produce output bit-identical to an
-// unkilled run, on both routes: up to Workers−1 kills, so the drill lands
-// on project tasks as it does on stitch and core ones.
+// unkilled run: up to Workers−1 kills, so the drill lands on project tasks
+// as it does on factor ones.
 func TestDistNetKillAndRecover(t *testing.T) {
 	p := tinyPartition(t, 1, 223)
 	ranks := tucker.UniformRanks(5, 2)
 	base := Options{Method: core.AVG, Ranks: ranks, Workers: 3, Shards: 4}
-	for route, run := range routes {
-		clean := run(t, p, base)
+	clean := runDistNet(t, p, base)
 
-		for _, kills := range []int{1, 2} {
-			opts := base
-			opts.Kill = faults.KillSpec{Seed: 42, Kills: kills}
-			d := run(t, p, opts)
+	for _, kills := range []int{1, 2} {
+		opts := base
+		opts.Kill = faults.KillSpec{Seed: 42, Kills: kills}
+		d := runDistNet(t, p, opts)
 
-			sameDecomposition(t, route+": killed vs clean", d.Result, clean.Result, 0)
-			lost := d.Phase1.WorkersLost + d.Phase2.WorkersLost + d.Phase3.WorkersLost
-			if lost != kills {
-				t.Fatalf("%s kills=%d: %d workers lost, want exactly %d", route, kills, lost, kills)
+		sameDecomposition(t, "killed vs clean", d.Result, clean.Result, 0)
+		lost := d.Phase1.WorkersLost + d.Phase3.WorkersLost
+		if lost != kills {
+			t.Fatalf("kills=%d: %d workers lost, want exactly %d", kills, lost, kills)
+		}
+		requeues := d.Phase1.Requeues + d.Phase3.Requeues
+		if requeues < kills {
+			t.Fatalf("kills=%d: only %d requeues, want >= %d", kills, requeues, kills)
+		}
+		quarantined := 0
+		for _, w := range d.Workers {
+			if w.Quarantined {
+				quarantined++
 			}
-			requeues := d.Phase1.Requeues + d.Phase2.Requeues + d.Phase3.Requeues
-			if requeues < kills {
-				t.Fatalf("%s kills=%d: only %d requeues, want >= %d", route, kills, requeues, kills)
-			}
-			quarantined := 0
-			for _, w := range d.Workers {
-				if w.Quarantined {
-					quarantined++
-				}
-			}
-			if quarantined != kills {
-				t.Fatalf("%s kills=%d: roster shows %d quarantined workers", route, kills, quarantined)
-			}
+		}
+		if quarantined != kills {
+			t.Fatalf("kills=%d: roster shows %d quarantined workers", kills, quarantined)
 		}
 	}
 }
@@ -296,20 +279,12 @@ func TestDistNetMetricsAndTrace(t *testing.T) {
 	if tasks != d.Phase1.Tasks+d.Phase3.Tasks {
 		t.Fatalf("roster accounts for %d of %d tasks", tasks, d.Phase1.Tasks+d.Phase3.Tasks)
 	}
-	// The join-free route keeps the three-phase skeleton: phase2 is there,
-	// with no tasks, and the stage span says which route ran.
+	// The engine keeps the three-phase skeleton: phase2 is there, with no
+	// tasks, and the stage span says what ran — join-free, every pivot group
+	// of this intact pair on the Gram-sized path.
 	checkPhases(t, trace.Root(), map[string]int{"phase1": 6, "phase2": 0, "phase3": 2})
-	if trace.Root().Counter("factored") != 1 {
-		t.Fatalf("join-free route did not mark the stage span factored = 1:\n%s", trace.Root().Skeleton())
-	}
-
-	trace = obs.New("campaign")
-	opts.Metrics, opts.Span = false, trace.Root()
-	runMaterialised(t, p, opts)
-	trace.Finish()
-	checkPhases(t, trace.Root(), map[string]int{"phase1": 6, "phase2": 2, "phase3": 2})
-	if trace.Root().Counter("factored") != 0 {
-		t.Fatalf("materialised route marked the stage span factored:\n%s", trace.Root().Skeleton())
+	if root := trace.Root(); root.Counter("factored") != 1 || root.Counter("holey_groups") != 0 {
+		t.Fatalf("stage span: want factored = 1 and holey_groups = 0:\n%s", root.Skeleton())
 	}
 }
 
@@ -355,11 +330,13 @@ func TestDistNetOptionValidation(t *testing.T) {
 
 // TestWorkDirReusedByAnotherCampaign: artifacts are named after the job
 // that wrote them, so a campaign run in a WorkDir another campaign used —
-// another method, rank, shard count, zero-join setting or input pair, or
-// the other route over the same inputs — finds nothing to skip and returns
-// the bits of a run in a fresh directory, not the previous campaign's
-// (every p1-/p2-/p3- object of which loads cleanly). The first campaign's
-// artifacts stay valid for it: run again, it skips every task.
+// another method, rank, shard count, zero-join setting or input pair —
+// finds nothing to skip and returns the bits of a run in a fresh directory,
+// not the previous campaign's (every p1-/p3- object of which loads
+// cleanly). So does the same pair sampled on another grid (here: without
+// its configuration lists), whose partials split differently though its
+// core agrees. The first campaign's artifacts stay valid for it: run again,
+// it skips every task.
 func TestWorkDirReusedByAnotherCampaign(t *testing.T) {
 	p := tinyPartition(t, 0.5, 231)
 	dir := t.TempDir()
@@ -391,27 +368,20 @@ func TestWorkDirReusedByAnotherCampaign(t *testing.T) {
 		}
 	}
 
-	// The other route over the same inputs and options is another job too,
-	// whichever ran first.
-	mat, err := decompose(context.Background(), p, base, false)
-	if err != nil {
-		t.Fatal(err)
+	// The same tensors without their configuration lists are another job:
+	// every group is summed per group, none projected, and the core agrees.
+	bare := *p
+	bare.PivotConfigs, bare.Free1Configs, bare.Free2Configs = nil, nil, nil
+	unlisted := runDistNet(t, &bare, base)
+	if n := skipped(unlisted); n != 0 {
+		t.Errorf("no configuration lists: %d tasks skipped on the listed campaign's artifacts", n)
 	}
-	if n := skipped(mat); n != 0 {
-		t.Errorf("materialised route: %d tasks skipped on the join-free route's artifacts", n)
+	if !unlisted.Core.Equal(first.Core, 1e-9) {
+		t.Error("no configuration lists: core differs from the listed campaign's")
 	}
-	matFirst := base
-	matFirst.WorkDir = t.TempDir()
-	runMaterialised(t, p, matFirst)
-	onto := runDistNet(t, p, matFirst)
-	if n := skipped(onto); n != 0 || onto.Join != nil {
-		t.Errorf("join-free route in a materialised run's WorkDir: %d tasks skipped, join stitched %v", n, onto.Join != nil)
-	}
-	sameDecomposition(t, "join-free after materialised", onto.Result, first.Result, 0)
 	again := runDistNet(t, p, base)
-	if again.Join != nil || skipped(again) != again.Phase1.Tasks+again.Phase3.Tasks {
-		t.Errorf("join-free campaign resumed after the others: join stitched %v, %d of %d tasks skipped",
-			again.Join != nil, skipped(again), again.Phase1.Tasks+again.Phase3.Tasks)
+	if skipped(again) != again.Phase1.Tasks+again.Phase3.Tasks {
+		t.Errorf("campaign resumed after the others: %d of %d tasks skipped", skipped(again), again.Phase1.Tasks+again.Phase3.Tasks)
 	}
 	sameDecomposition(t, "resumed after the others", again.Result, first.Result, 0)
 }

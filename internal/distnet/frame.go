@@ -16,14 +16,12 @@
 //     its artifact landed; an output's name carries the job's identity
 //     (proto.go), so only the same campaign's artifact can be that.
 //
-// Routes (internal/dist's rule, decided by the coordinator, which holds
-// the partition): while the pair has its P×E product structure the data
-// plane carries factors and Gram-sized partial projections only — Phase 2
-// has no task and Phase 3's "project" tasks run core.ProjectShard, the
-// coordinator summing G₁ and G₂ in shard order and assembling the core
-// (core.FactoredCore); Result.Join is nil. Any other pair takes the
-// materialised phases: "stitch" tasks write join shards, "core" tasks
-// project them, the coordinator merges and sums.
+// What runs (internal/dist's phases; there is one route): the data plane
+// carries factors and partials only — the join is not built. Phase 1's
+// "factor" tasks run dist.SubFactor; Phase 2 has no task; Phase 3's
+// "project" tasks run core.ProjectShard, and the coordinator sums the
+// partials in shard order and assembles the core (core.FactoredCore).
+// Result.Join is nil. Those are the only two task kinds.
 //
 // Fault tolerance (DESIGN.md §13): the coordinator leases one task at a
 // time to each worker, tracks heartbeats against a lease deadline, and
@@ -35,20 +33,17 @@
 // Determinism contract: shard assignment (pivot key modulo the fixed
 // shard count) and merge order (ascending shard index) are pure
 // functions of the partition and Options.Shards — never of worker
-// identity, scheduling, or timing — so the factors, the core and, where
-// one is built, the join tensor are bit-identical regardless of which
-// workers died mid-phase, and equal to dist.Decompose's at Workers =
-// Shards.
+// identity, scheduling, or timing — so the factors and the core are
+// bit-identical regardless of which workers died mid-phase, and equal to
+// dist.Decompose's at Workers = Shards.
 //
-// The task bodies are not this package's: Phase 1 is internal/dist's,
-// the join-free Phase 3 is core.ProjectShard, the materialised Phase 2 is
-// stitch.Spec.Shard — the one JE-stitch kernel — and Phase 3
-// dist.ShardCore. One thing does not cross the process boundary: the
-// store does not persist a tensor's RejectNonFinite flag, so workers load
-// the sub-tensors with the divergence quarantine off and the kernel, which
-// takes the flag from its inputs, stitches a non-finite value planted
-// behind the coordinator's ingest guard as it stands. The in-process
-// executors drop and count it; the wire form is deliberately not widened.
+// One thing does not cross the process boundary: the store does not persist
+// a tensor's RejectNonFinite flag, so workers load the sub-tensors with the
+// divergence quarantine off — unchanged since the engine stitched — and the
+// kernel, which takes the flag from its inputs, sums a non-finite value
+// planted behind the coordinator's ingest guard as it stands. The
+// in-process executors skip and count it (core.Partial.Rejected); the wire
+// form is deliberately not widened.
 package distnet
 
 import (

@@ -9,15 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/stitch"
 	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
-// payloadFixture is a catalog as a coordinator leaves it before Phase 3 of
-// either route — both inputs, the fused factors, one stitched shard — and
-// the job spec its tasks would carry.
+// payloadFixture is a catalog as a coordinator leaves it before Phase 3 —
+// both inputs, the fused factors — and the job spec its tasks would carry.
 func payloadFixture(t testing.TB) (*store.Store, jobSpec) {
 	p := tinyPartition(t, 0.5, 233)
 	st, err := store.Open(t.TempDir())
@@ -28,12 +28,11 @@ func payloadFixture(t testing.TB) (*store.Store, jobSpec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := jobSpec{Join: stitch.NewSpec(p, false), Shards: 2}
+	spec := jobSpec{Join: stitch.NewSpec(p, false), Sampled: core.SampledOf(p), Shards: 2}
 	for _, err := range []error{
 		st.SaveSparse(objSubs[0], p.Sub1.Tensor),
 		st.SaveSparse(objSubs[1], p.Sub2.Tensor),
 		st.SaveMatrices(objFactors, res.Factors),
-		st.SaveSparse("shard", spec.Join.Shard(p.Sub1.Tensor, p.Sub2.Tensor, 0, 2)),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -56,38 +55,38 @@ func TestTaskPayloadRejected(t *testing.T) {
 		return task
 	}
 	for name, task := range map[string]taskMsg{
-		"unknown kind":            with(func(m *taskMsg) { m.Kind = "reduce" }),
-		"no kind":                 with(func(m *taskMsg) { m.Kind = "" }),
-		"shard = shards":          with(func(m *taskMsg) { m.Shard = 2 }),
-		"negative shard":          with(func(m *taskMsg) { m.Shard = -1 }),
-		"no shards":               with(func(m *taskMsg) { m.Spec.Shards = 0 }),
-		"stitch, shard > shards":  with(func(m *taskMsg) { m.Kind, m.Shard = taskStitch, 7 }),
-		"pivot outside shape":     with(func(m *taskMsg) { m.Spec.Join.Pivots[0] = 9 }),
-		"pivot listed twice":      with(func(m *taskMsg) { m.Spec.Join.Pivots = append(m.Spec.Join.Pivots, m.Spec.Join.Free1[0]) }),
-		"stitch, pivot < 0":       with(func(m *taskMsg) { m.Kind, m.Spec.Join.Pivots[0] = taskStitch, -1 }),
-		"shape too large":         with(func(m *taskMsg) { m.Spec.Join.Shape[m.Spec.Join.Pivots[0]]++ }),
-		"shape too short":         with(func(m *taskMsg) { m.Spec.Join.Shape = m.Spec.Join.Shape[:3] }),
-		"empty spec":              with(func(m *taskMsg) { m.Spec.Join = stitch.Spec{} }),
-		"core, wrong-order input": with(func(m *taskMsg) { m.Kind, m.In = taskCore, objSubs[0] }),
-		"core, missing input":     with(func(m *taskMsg) { m.Kind, m.In = taskCore, "nope" }),
-		"factor, sub-tensor 3":    with(func(m *taskMsg) { m.Kind, m.Kappa, m.Rank = taskFactor, 3, 1 }),
-		"factor, mode 3 of 3":     with(func(m *taskMsg) { m.Kind, m.Kappa, m.Mode, m.Rank = taskFactor, 1, 3, 1 }),
-		"factor, rank 0":          with(func(m *taskMsg) { m.Kind, m.Kappa = taskFactor, 1 }),
-		"factor, rank > size":     with(func(m *taskMsg) { m.Kind, m.Kappa, m.Rank = taskFactor, 2, 6 }),
-		"output name escapes":     with(func(m *taskMsg) { m.Out = "../out" }),
+		"unknown kind":         with(func(m *taskMsg) { m.Kind = "reduce" }),
+		"no kind":              with(func(m *taskMsg) { m.Kind = "" }),
+		"shard = shards":       with(func(m *taskMsg) { m.Shard = 2 }),
+		"negative shard":       with(func(m *taskMsg) { m.Shard = -1 }),
+		"no shards":            with(func(m *taskMsg) { m.Spec.Shards = 0 }),
+		"retired kind stitch":  with(func(m *taskMsg) { m.Kind = "stitch" }),
+		"retired kind core":    with(func(m *taskMsg) { m.Kind = "core" }),
+		"shard > shards":       with(func(m *taskMsg) { m.Shard = 7 }),
+		"pivot outside shape":  with(func(m *taskMsg) { m.Spec.Join.Pivots[0] = 9 }),
+		"pivot listed twice":   with(func(m *taskMsg) { m.Spec.Join.Pivots = append(m.Spec.Join.Pivots, m.Spec.Join.Free1[0]) }),
+		"pivot < 0":            with(func(m *taskMsg) { m.Spec.Join.Pivots[0] = -1 }),
+		"shape too large":      with(func(m *taskMsg) { m.Spec.Join.Shape[m.Spec.Join.Pivots[0]]++ }),
+		"shape too short":      with(func(m *taskMsg) { m.Spec.Join.Shape = m.Spec.Join.Shape[:3] }),
+		"empty spec":           with(func(m *taskMsg) { m.Spec.Join = stitch.Spec{} }),
+		"factor, sub-tensor 3": with(func(m *taskMsg) { m.Kind, m.Kappa, m.Rank = taskFactor, 3, 1 }),
+		"factor, mode 3 of 3":  with(func(m *taskMsg) { m.Kind, m.Kappa, m.Mode, m.Rank = taskFactor, 1, 3, 1 }),
+		"factor, rank 0":       with(func(m *taskMsg) { m.Kind, m.Kappa = taskFactor, 1 }),
+		"factor, rank > size":  with(func(m *taskMsg) { m.Kind, m.Kappa, m.Rank = taskFactor, 2, 6 }),
+		"output name escapes":  with(func(m *taskMsg) { m.Out = "../out" }),
 	} {
 		w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
 		if _, err := w.exec(context.Background(), task); err == nil {
 			t.Errorf("%s: task executed", name)
 		}
 	}
-	for _, kind := range []string{taskFactor, taskStitch, taskCore, taskProject} {
+	for _, kind := range []string{taskFactor, taskProject} {
 		// More shards than pivot keys is a valid job (most shards are empty),
 		// whatever the count: nothing on the way to the shard's cells adds to it.
 		for _, shards := range []int{spec.Shards, math.MaxInt} {
 			w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
 			task := with(func(m *taskMsg) {
-				m.Kind, m.Kappa, m.Rank, m.In, m.Out = kind, 1, 2, "shard", fmt.Sprintf("out-%s-%d", kind, shards)
+				m.Kind, m.Kappa, m.Rank, m.Out = kind, 1, 2, fmt.Sprintf("out-%s-%d", kind, shards)
 				m.Shard, m.Spec.Shards = shards-1, shards
 			})
 			if res, err := w.exec(context.Background(), task); err != nil || res.Skipped || !w.outputDurable(task) {
@@ -106,12 +105,12 @@ func FuzzTaskPayload(f *testing.F) {
 	st, spec := payloadFixture(f)
 	for _, task := range []taskMsg{
 		{ID: "p1-k1-m0", Kind: taskFactor, Kappa: 1, Rank: 2, Out: "f", Spec: spec},
-		{ID: "p2-j0", Kind: taskStitch, Out: "s", Spec: spec},
-		{ID: "p3-c0", Kind: taskCore, In: "shard", Out: "c", Spec: spec},
+		{ID: "p2-j0", Kind: "stitch", Out: "s", Spec: spec}, // retired kinds: task errors
+		{ID: "p3-c0", Kind: "core", Out: "c", Spec: spec},
 		{ID: "p3-g1", Kind: taskProject, Shard: 1, Out: "g", Spec: spec},
 		{ID: "p3-g2", Kind: taskProject, Shard: 2, Out: "g", Spec: spec},
-		{ID: "p2-j3", Kind: taskStitch, Shard: 3, Out: "s", Spec: jobSpec{Join: spec.Join, Shards: math.MaxInt}},
-		{ID: "p3-g3", Kind: taskProject, Shard: math.MaxInt - 1, Out: "g", Spec: jobSpec{Join: spec.Join, Shards: math.MaxInt}},
+		{ID: "p3-g0", Kind: taskProject, Out: "g", Spec: jobSpec{Join: spec.Join, Shards: 2}}, // no sampled grid: every group per group
+		{ID: "p3-g3", Kind: taskProject, Shard: math.MaxInt - 1, Out: "g", Spec: jobSpec{Join: spec.Join, Sampled: spec.Sampled, Shards: math.MaxInt}},
 		{ID: "x", Kind: "reduce", Out: "x"},
 	} {
 		payload, err := json.Marshal(task)
@@ -133,20 +132,85 @@ func FuzzTaskPayload(f *testing.F) {
 		if json.Unmarshal(payload, &task) != nil {
 			return
 		}
-		if slices.Contains([]string{objSubs[0], objSubs[1], objFactors, "shard"}, task.Out) {
+		if slices.Contains([]string{objSubs[0], objSubs[1], objFactors}, task.Out) {
 			return // would overwrite the fixture under the iterations that follow
 		}
 		w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
 		out, err := w.exec(context.Background(), task)
-		sharded := task.Kind == taskStitch || task.Kind == taskCore || task.Kind == taskProject
 		switch {
 		case err != nil:
-		case task.Kind != taskFactor && !sharded:
+		case task.Kind != taskFactor && task.Kind != taskProject:
 			t.Fatalf("executed a task of kind %q", task.Kind)
-		case sharded && (task.Spec.Shards < 1 || task.Shard < 0 || task.Shard >= task.Spec.Shards):
+		case task.Kind == taskProject && (task.Spec.Shards < 1 || task.Shard < 0 || task.Shard >= task.Spec.Shards):
 			t.Fatalf("executed shard %d of %d", task.Shard, task.Spec.Shards)
 		case out.ID != task.ID || !w.outputDurable(task):
 			t.Fatalf("task %q reported done (%+v) without a durable output %q", task.ID, out, task.Out)
 		}
 	})
+}
+
+// TestPartialObjectChecked: a Phase 3 object is the two projections, or the
+// two projections, the residual and the holey-group count; the coordinator
+// takes neither a third shape of object nor a length that is not the
+// product of the ranks its job clipped — for the residual exactly as for
+// G₁ and G₂ — and what it takes round-trips.
+func TestPartialObjectChecked(t *testing.T) {
+	shapes := [3]tensor.Shape{{2, 2, 3}, {2, 2, 2}, {2, 2, 3, 2, 2}}
+	dense := func(s tensor.Shape) *tensor.Dense {
+		d := tensor.NewDense(s)
+		for i := range d.Data {
+			d.Data[i] = float64(i) + 0.5
+		}
+		return d
+	}
+	intact := core.Partial{G1: dense(shapes[0]), G2: dense(shapes[1])}
+	holey := core.Partial{G1: dense(shapes[0]), G2: dense(shapes[1]), Residual: dense(shapes[2]), Holey: 3}
+	for name, want := range map[string]core.Partial{"intact": intact, "holey": holey} {
+		got, err := partialOf(partialMatrices(want), shapes)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Holey != want.Holey || (got.Residual == nil) != (want.Residual == nil) || !got.G1.Equal(want.G1, 0) || !got.G2.Equal(want.G2, 0) ||
+			want.Residual != nil && !got.Residual.Equal(want.Residual, 0) {
+			t.Fatalf("%s: partial did not round-trip: %+v", name, got)
+		}
+	}
+	if n := len(partialMatrices(intact)); n != 2 {
+		t.Fatalf("an intact shard's object holds %d matrices, want the two projections only", n)
+	}
+	for name, mutate := range map[string]func(ms []*mat.Matrix) []*mat.Matrix{
+		"one matrix":         func(ms []*mat.Matrix) []*mat.Matrix { return ms[:1] },
+		"residual, no count": func(ms []*mat.Matrix) []*mat.Matrix { return ms[:3] },
+		"five matrices":      func(ms []*mat.Matrix) []*mat.Matrix { return append(ms, ms[3]) },
+		"short G1": func(ms []*mat.Matrix) []*mat.Matrix {
+			ms[0] = &mat.Matrix{Rows: 1, Cols: 11, Data: ms[0].Data[:11]}
+			return ms
+		},
+		"long G2":        func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = ms[0]; return ms },
+		"short residual": func(ms []*mat.Matrix) []*mat.Matrix { ms[2] = ms[0]; return ms },
+		"count 0": func(ms []*mat.Matrix) []*mat.Matrix {
+			ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{0}}
+			return ms
+		},
+		"count 1.5": func(ms []*mat.Matrix) []*mat.Matrix {
+			ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{1.5}}
+			return ms
+		},
+		"count NaN": func(ms []*mat.Matrix) []*mat.Matrix {
+			ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{math.NaN()}}
+			return ms
+		},
+		"count 1e300": func(ms []*mat.Matrix) []*mat.Matrix {
+			ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{1e300}}
+			return ms
+		},
+		"two counts": func(ms []*mat.Matrix) []*mat.Matrix {
+			ms[3] = &mat.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}}
+			return ms
+		},
+	} {
+		if _, err := partialOf(mutate(partialMatrices(holey)), shapes); err == nil {
+			t.Errorf("%s: object accepted", name)
+		}
+	}
 }

@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/stitch"
+	"repro/internal/store"
+	"repro/internal/tensor"
 )
 
 // Control-plane messages (JSON frame payloads) and the catalog naming
@@ -19,32 +23,30 @@ type helloMsg struct {
 	Metrics string `json:"metrics,omitempty"` // bound obs endpoint, if serving
 }
 
-// jobSpec is the run-wide geometry every task carries: the stitch spec
-// and the fixed shard count. Both are pure values — two workers given
-// the same spec compute byte-identical artifacts.
+// jobSpec is the run-wide geometry every task carries: the stitch spec, the
+// sampled grid's size and the fixed shard count. All are pure values — two
+// workers given the same spec compute byte-identical artifacts.
 type jobSpec struct {
-	Join   stitch.Spec `json:"join"`
-	Shards int         `json:"shards"`
+	Join    stitch.Spec  `json:"join"`
+	Sampled core.Sampled `json:"sampled"`
+	Shards  int          `json:"shards"`
 }
 
 // taskMsg leases one task to a worker.
 type taskMsg struct {
 	ID    string  `json:"id"`
-	Kind  string  `json:"kind"` // taskFactor | taskStitch | taskCore | taskProject
+	Kind  string  `json:"kind"` // taskFactor | taskProject
 	Kappa int     `json:"kappa,omitempty"`
 	Mode  int     `json:"mode,omitempty"` // sub-local mode (factor tasks)
 	Rank  int     `json:"rank,omitempty"`
 	Shard int     `json:"shard,omitempty"`
-	In    string  `json:"in,omitempty"` // input object (core tasks)
 	Out   string  `json:"out"`
 	Spec  jobSpec `json:"spec"`
 }
 
 const (
-	taskFactor  = "factor"  // Phase 1, both routes
-	taskStitch  = "stitch"  // Phase 2, materialised route
-	taskCore    = "core"    // Phase 3, materialised route
-	taskProject = "project" // Phase 3, join-free route
+	taskFactor  = "factor"  // Phase 1
+	taskProject = "project" // Phase 3
 )
 
 // resultMsg reports a completed (or failed, via frameTaskErr) task.
@@ -66,8 +68,8 @@ type heartbeatMsg struct {
 // written by the coordinator, every run, before the first lease that reads
 // them. Every task writes exactly one output object, named after the job
 // and the task (job.object): the job key hashes everything the output
-// depends on — fusion method, clipped ranks, shard count, zero-join, route
-// and both inputs' store checksums — so a WorkDir that another campaign
+// depends on — fusion method, clipped ranks, shard count, zero-join, sampled
+// grid and both inputs' store checksums — so a WorkDir that another campaign
 // used holds nothing this one can mistake for its own, and the resume
 // check stays "does my output load" with no manifest beside it.
 const objFactors = "factors"
@@ -75,14 +77,48 @@ const objFactors = "factors"
 var objSubs = [2]string{"in-sub1", "in-sub2"}
 
 func factorOut(kappa, mode int) string { return fmt.Sprintf("p1-k%d-m%d", kappa, mode) }
-func stitchOut(shard int) string       { return fmt.Sprintf("p2-j%d", shard) }
-func coreOut(shard int) string         { return fmt.Sprintf("p3-c%d", shard) }
 func projectOut(shard int) string      { return fmt.Sprintf("p3-g%d", shard) }
 
+// partialMatrices is a Phase 3 output object: the shard's two projections
+// and, only when it summed pivot groups with holes, their residual and
+// their count. Partial.Rejected does not travel: a worker's sub-tensors
+// carry no quarantine flag.
+func partialMatrices(p core.Partial) []*mat.Matrix {
+	row := func(data ...float64) *mat.Matrix { return &mat.Matrix{Rows: 1, Cols: len(data), Data: data} }
+	ms := []*mat.Matrix{row(p.G1.Data...), row(p.G2.Data...)}
+	if p.Residual != nil {
+		ms = append(ms, row(p.Residual.Data...), row(float64(p.Holey)))
+	}
+	return ms
+}
+
+// partialOf reads a Phase 3 output object back, checking every length
+// against the shapes the job's ranks give (projections 1 and 2, residual).
+func partialOf(ms []*mat.Matrix, shapes [3]tensor.Shape) (core.Partial, error) {
+	var ts [3]*tensor.Dense
+	for i, m := range ms[:min(len(ms), 3)] {
+		if shapes[i].NumElements() != len(m.Data) {
+			return core.Partial{}, fmt.Errorf("%d values for a %v partial", len(m.Data), shapes[i])
+		}
+		ts[i] = &tensor.Dense{Shape: shapes[i], Data: m.Data}
+	}
+	part := core.Partial{G1: ts[0], G2: ts[1], Residual: ts[2]}
+	switch {
+	case len(ms) == 2:
+		return part, nil
+	case len(ms) == 4 && len(ms[3].Data) == 1:
+		if groups, frac := math.Modf(ms[3].Data[0]); frac == 0 && groups >= 1 && groups <= math.MaxInt32 {
+			part.Holey = int(groups)
+			return part, nil
+		}
+	}
+	return core.Partial{}, fmt.Errorf("%d matrices, or no count of holey groups: %w", len(ms), store.ErrCorrupt)
+}
+
 // jobKey is the identity a job's artifacts are named under.
-func jobKey(method core.Method, ranks []int, shards int, zeroJoin, factored bool, inputs [2]uint32) string {
+func jobKey(method core.Method, ranks []int, spec jobSpec, inputs [2]uint32) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%v|%d|%t|%t|%08x", method, ranks, shards, zeroJoin, factored, inputs)
+	fmt.Fprintf(h, "%s|%v|%d|%t|%v|%08x", method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, inputs)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/faults"
-	"repro/internal/tensor"
+	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/tucker"
 )
 
@@ -27,15 +27,13 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 }
 
 // TestDistNetBitIdenticalToReferencePhases pins the engine's output to the
-// last bit against the in-process executor of the same phase bodies, on
-// both routes at equal shard counts: the materialised phases against
-// dist.DecomposeMaterialised (itself pinned to the per-group stitch oracle
-// in internal/dist), the join-free ones against dist.Decompose (itself
-// core.DecomposeFactored at one shard). The data plane — store
-// round-trips, frames, leases — must move nothing. The join's cell order,
-// the partial projections' summation order and with them the core are part
-// of the engine's contract (a WorkDir resumes, accuracy is a pure function
-// of the seed).
+// last bit against the in-process executor of the same phase bodies at
+// equal shard counts: dist.Decompose (itself core.DecomposeFactored at one
+// shard, and tested against dist.DecomposeMaterialised — the stitch
+// oracle). The data plane — store round-trips, frames, leases — must move
+// nothing. The partials' summation order and with it the core are part of
+// the engine's contract (a WorkDir resumes, accuracy is a pure function of
+// the seed).
 func TestDistNetBitIdenticalToReferencePhases(t *testing.T) {
 	ranks := tucker.UniformRanks(5, 2)
 	type arm struct {
@@ -54,33 +52,17 @@ func TestDistNetBitIdenticalToReferencePhases(t *testing.T) {
 				opts := Options{Method: a.method, Ranks: ranks, ZeroJoin: a.zero, Workers: 2, Shards: shards}
 				ref := dist.Options{Options: core.Options{Method: a.method, Ranks: ranks, ZeroJoin: a.zero}, Workers: shards}
 
-				got := runMaterialised(t, p, opts)
-				want, err := dist.DecomposeMaterialised(p, ref)
+				got := runDistNet(t, p, opts)
+				want, err := dist.Decompose(p, ref)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(got.Join.Idx, want.Join.Idx) {
-					t.Fatalf("shards=%d: join cell order differs", shards)
-				}
-				sameBits(t, fmt.Sprintf("shards=%d join values", shards), got.Join.Vals, want.Join.Vals)
-				if cap(got.Join.Vals) != len(got.Join.Vals) {
-					t.Fatalf("shards=%d: merged join not sized exactly: %d cells, cap %d", shards, len(got.Join.Vals), cap(got.Join.Vals))
+				if want.Join != nil {
+					t.Fatalf("shards=%d: dist.Decompose stitched a join", shards)
 				}
 				sameBits(t, fmt.Sprintf("shards=%d core", shards), got.Core.Data, want.Core.Data)
 				for m := range want.Factors {
 					sameBits(t, fmt.Sprintf("shards=%d factor %d", shards, m), got.Factors[m].Data, want.Factors[m].Data)
-				}
-
-				got = routes["join-free"](t, p, opts)
-				if want, err = dist.Decompose(p, ref); err != nil {
-					t.Fatal(err)
-				}
-				if want.Join != nil {
-					t.Fatalf("shards=%d: dist.Decompose stitched a join on an intact partition", shards)
-				}
-				sameBits(t, fmt.Sprintf("shards=%d join-free core", shards), got.Core.Data, want.Core.Data)
-				for m := range want.Factors {
-					sameBits(t, fmt.Sprintf("shards=%d join-free factor %d", shards, m), got.Factors[m].Data, want.Factors[m].Data)
 				}
 			}
 		})
@@ -102,7 +84,7 @@ func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one := routes["join-free"](t, p, Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: zero, Workers: 2, Shards: 1})
+		one := runDistNet(t, p, Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: zero, Workers: 2, Shards: 1})
 		sameBits(t, fmt.Sprintf("zero=%v: one shard vs core.DecomposeFactored", zero), one.Core.Data, inproc.Core.Data)
 
 		pool, err := dist.Decompose(p, dist.Options{Options: copts, Workers: 4})
@@ -111,7 +93,7 @@ func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 		}
 		for _, fleet := range []Options{{Workers: 1}, {Workers: 3}, {Workers: 3, Kill: faults.KillSpec{Seed: 9, Kills: 2}}} {
 			fleet.Method, fleet.Ranks, fleet.ZeroJoin, fleet.Shards = core.SELECT, ranks, zero, 4
-			got := routes["join-free"](t, p, fleet)
+			got := runDistNet(t, p, fleet)
 			label := fmt.Sprintf("zero=%v workers=%d kills=%d: four shards vs dist.Decompose", zero, fleet.Workers, fleet.Kill.Kills)
 			sameBits(t, label+", core", got.Core.Data, pool.Core.Data)
 			for m := range pool.Factors {
@@ -127,40 +109,50 @@ func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 	}
 }
 
-// TestDistNetBrokenProductStructureFallsBack: a partition with one
-// quarantined cell takes the materialised phases on the process engine as
-// it does in process — stitch tasks, a join on the result — with
-// dist.Decompose's bits at equal shards and core.DecomposeCtx's
-// decomposition.
+// TestDistNetBrokenProductStructureFallsBack — the name is the parent's;
+// nothing falls back any more. A partition with holes (one quarantined
+// cell; then every third cell of side 1 and a whole pivot group of side 2
+// gone) stays join-free on the process engine: no stitch task, no join,
+// holey_groups on the stage span, dist.Decompose's bits at equal shard
+// counts — under worker kills too — and core.DecomposeCtx's decomposition.
 func TestDistNetBrokenProductStructureFallsBack(t *testing.T) {
 	p := tinyPartition(t, 1, 230)
-	broken, sub2 := *p, *p.Sub2
-	sub2.Tensor = tensor.NewSparse(p.Sub2.Tensor.Shape)
-	for e := 0; e < p.Sub2.Tensor.NNZ(); e++ {
-		if e != 11 { // the quarantined cell
-			sub2.Tensor.Append(p.Sub2.Tensor.Entry(e))
-		}
-	}
-	broken.Sub2 = &sub2
 	ranks := tucker.UniformRanks(5, 2)
 	copts := core.Options{Method: core.SELECT, Ranks: ranks}
-
-	got := runDistNet(t, &broken, Options{Method: core.SELECT, Ranks: ranks, Workers: 2, Shards: 3})
-	if got.Join == nil || got.Phase2.Tasks != 3 || got.Phase2.Duration <= 0 {
-		t.Fatalf("no materialised phases on a partition without its product structure: join stitched %v, phase 2 %+v", got.Join != nil, got.Phase2)
+	for name, broken := range map[string]*partition.Result{
+		"one cell":   holed(p, func(side, e int) bool { return side == 2 && e == 11 }),
+		"many cells": holed(p, func(side, e int) bool { return side == 1 && e%3 == 0 || side == 2 && e < 25 }),
+	} {
+		serial, err := core.DecomposeCtx(context.Background(), broken, copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := dist.Decompose(broken, dist.Options{Options: copts, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kills := range []int{0, 2} {
+			trace := obs.New("campaign")
+			got := runDistNet(t, broken, Options{
+				Method: core.SELECT, Ranks: ranks, Workers: 3, Shards: 3,
+				Kill: faults.KillSpec{Seed: 5, Kills: kills}, Span: trace.Root(),
+			})
+			label := fmt.Sprintf("%s, kills=%d", name, kills)
+			if lost := got.Phase1.WorkersLost + got.Phase3.WorkersLost; lost != kills {
+				t.Fatalf("%s: %d workers lost", label, lost)
+			}
+			if root := trace.Root(); root.Counter("factored") != 1 || root.Counter("holey_groups") < 1 || root.Find("phase3").Counter("tasks") != 3 {
+				t.Fatalf("%s: want factored = 1, holey_groups > 0 and three project tasks:\n%s", label, root.Skeleton())
+			}
+			sameBits(t, label+": core vs dist.Decompose", got.Core.Data, pool.Core.Data)
+			for m := range pool.Factors {
+				sameBits(t, fmt.Sprintf("%s: factor %d vs dist.Decompose", label, m), got.Factors[m].Data, pool.Factors[m].Data)
+			}
+			if cells := got.JoinCells(broken, false); cells != serial.Join.NNZ() {
+				t.Fatalf("%s: JoinCells %d, stitched join %d", label, cells, serial.Join.NNZ())
+			}
+			got.Join = serial.Join // compared above, through JoinCells
+			sameDecomposition(t, label+" vs core.DecomposeCtx", got.Result, serial, 1e-9)
+		}
 	}
-	pool, err := dist.Decompose(&broken, dist.Options{Options: copts, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got.Join.Idx, pool.Join.Idx) {
-		t.Fatal("join cell order differs from dist.Decompose")
-	}
-	sameBits(t, "join vs dist.Decompose", got.Join.Vals, pool.Join.Vals)
-	sameBits(t, "core vs dist.Decompose", got.Core.Data, pool.Core.Data)
-	serial, err := core.DecomposeCtx(context.Background(), &broken, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDecomposition(t, "vs core.DecomposeCtx", got.Result, serial, 1e-9)
 }

@@ -246,10 +246,6 @@ func (w *workerState) exec(ctx context.Context, task taskMsg) (resultMsg, error)
 	switch task.Kind {
 	case taskFactor:
 		err = w.execFactor(task, doomed)
-	case taskStitch:
-		err = w.execStitch(task, doomed)
-	case taskCore:
-		err = w.execCore(task, doomed)
 	case taskProject:
 		err = w.execProject(task, doomed)
 	}
@@ -266,14 +262,15 @@ func (w *workerState) exec(ctx context.Context, task taskMsg) (resultMsg, error)
 // sub-tensor other than 1 or 2, a shard outside [0, Shards) — as a task
 // error, before anything is indexed by its fields. What can only be checked
 // against the data (a factor task's mode and rank, the stitch spec, the
-// factor list) is checked where the data is loaded.
+// factor list) is checked where the data is loaded. The retired kinds
+// "stitch" and "core" are unknown kinds.
 func (t taskMsg) check() error {
 	switch t.Kind {
 	case taskFactor:
 		if t.Kappa != 1 && t.Kappa != 2 {
 			return fmt.Errorf("distnet: task %s: no sub-tensor %d", t.ID, t.Kappa)
 		}
-	case taskStitch, taskCore, taskProject:
+	case taskProject:
 		if t.Spec.Shards < 1 || t.Shard < 0 || t.Shard >= t.Spec.Shards {
 			return fmt.Errorf("distnet: task %s: shard %d of %d", t.ID, t.Shard, t.Spec.Shards)
 		}
@@ -287,15 +284,7 @@ func (t taskMsg) check() error {
 // cleanly — the resume check. The object's name carries the job's identity
 // (proto.go), so only this job's own earlier output can answer it.
 func (w *workerState) outputDurable(task taskMsg) bool {
-	var err error
-	switch task.Kind {
-	case taskFactor, taskProject:
-		_, err = w.st.LoadMatrices(task.Out)
-	case taskStitch:
-		_, err = w.st.LoadSparse(task.Out)
-	case taskCore:
-		_, err = w.st.LoadDense(task.Out)
-	}
+	_, err := w.st.LoadMatrices(task.Out)
 	return err == nil
 }
 
@@ -314,7 +303,7 @@ func (w *workerState) sub(kappa int) (*tensor.Sparse, error) {
 }
 
 // pair loads both sub-tensors and checks the task's stitch spec against
-// them, so no pivot key the shard kernels compute can fall outside it.
+// them, so no pivot key the shard kernel computes can fall outside it.
 func (w *workerState) pair(task taskMsg) (x1, x2 *tensor.Sparse, err error) {
 	x1, err1 := w.sub(1)
 	x2, err2 := w.sub(2)
@@ -363,48 +352,12 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 	return w.st.SaveMatrices(task.Out, []*mat.Matrix{g, f})
 }
 
-// execStitch is Phase 2 for one shard: the pivot groups whose key lands
-// in the shard, stitched by stitch.Spec.Shard — the kernel stitch.Join and
-// dist.Decompose run. Shard membership is key % Shards — a pure function
-// of the cell, so every group lives wholly in exactly one shard no matter
-// who computes it. The sub-tensors come from the store with the
-// divergence quarantine off (see the package comment).
-func (w *workerState) execStitch(task taskMsg, doomed bool) error {
-	x1, x2, err := w.pair(task)
-	if err != nil {
-		return err
-	}
-	j := task.Spec.Join.Shard(x1, x2, task.Shard, task.Spec.Shards)
-	if doomed {
-		faults.KillSelf()
-	}
-	return w.st.SaveSparse(task.Out, j)
-}
-
-// execCore is Phase 3 for one shard: project the shard's join cells
-// through the fused factors. The partial cores sum exactly (the core is
-// linear in J's cells); the coordinator does the summing in shard order.
-func (w *workerState) execCore(task taskMsg, doomed bool) error {
-	x, err := w.st.LoadSparse(task.In)
-	if err != nil {
-		return fmt.Errorf("distnet: input %s: %w", task.In, err)
-	}
-	factors, err := w.fused(x.Shape)
-	if err != nil {
-		return err
-	}
-	partial := dist.ShardCore(x, factors)
-	if doomed {
-		faults.KillSelf()
-	}
-	return w.st.SaveDense(task.Out, partial)
-}
-
-// execProject is Phase 3 of the join-free route for one shard:
-// core.ProjectShard — the body core.DecomposeFactored runs at shard 0 of
-// 1 — over the cells of both sub-tensors whose pivot key lands in the
-// shard. The two Gram-sized partials are saved as one object (a task
-// writes one object); the coordinator sums them in shard order.
+// execProject is Phase 3 for one shard: core.ProjectShard — the body
+// core.DecomposeFactored runs at shard 0 of 1 — over the pivot groups whose
+// key lands in the shard (key % Shards, a pure function of the cell). The
+// partial is saved as one object; the coordinator sums the shards' in shard
+// order. The sub-tensors come from the store with the divergence quarantine
+// off (see the package comment).
 func (w *workerState) execProject(task taskMsg, doomed bool) error {
 	x1, x2, err := w.pair(task)
 	if err != nil {
@@ -414,12 +367,9 @@ func (w *workerState) execProject(task taskMsg, doomed bool) error {
 	if err != nil {
 		return err
 	}
-	g1, g2 := core.ProjectShard(task.Spec.Join, x1, x2, factors, task.Shard, task.Spec.Shards, 0)
+	part := core.ProjectShard(task.Spec.Join, task.Spec.Sampled, x1, x2, factors, task.Shard, task.Spec.Shards, 0)
 	if doomed {
 		faults.KillSelf()
 	}
-	return w.st.SaveMatrices(task.Out, []*mat.Matrix{
-		{Rows: 1, Cols: len(g1.Data), Data: g1.Data},
-		{Rows: 1, Cols: len(g2.Data), Data: g2.Data},
-	})
+	return w.st.SaveMatrices(task.Out, partialMatrices(part))
 }

@@ -164,24 +164,40 @@ type Result struct {
 	Stats SimStats
 }
 
-// JoinCells is the stored-cell count of the JE-stitched join of an intact
-// partition (every requested simulation present), from the paper's density
-// formula rather than from a tensor: P·E₁·E₂ matched pairs, plus for the
-// zero-join every cell joined against the other side's unsampled free
-// configurations, P·(E₁·(F₂−E₂) + E₂·(F₁−E₁)) with F the full free grids.
+// JoinCells is the stored-cell count of the JE-stitched join, counted per
+// pivot group rather than read off a tensor: a group holding n₁ cells on
+// side 1 and n₂ on side 2 joins to n₁·n₂ matched pairs, plus for the
+// zero-join n₁·(F₂−n₂) + n₂·(F₁−n₁) extensions over the full free grids F.
+// On a partition that lost no simulation that is the paper's density
+// formula, P·E₁·E₂ (+ P·(E₁·(F₂−E₂) + E₂·(F₁−E₁))).
 func (r *Result) JoinCells(zeroJoin bool) int {
-	p, e1, e2 := len(r.PivotConfigs), len(r.Free1Configs), len(r.Free2Configs)
-	cells := p * e1 * e2
-	if zeroJoin {
-		shape := r.Space.Shape()
-		grid := func(modes []int) int {
-			n := 1
-			for _, m := range modes {
-				n *= shape[m]
-			}
-			return n
+	shape := r.Space.Shape()
+	grid := func(modes []int) int {
+		n := 1
+		for _, m := range modes {
+			n *= shape[m]
 		}
-		cells += p * (e1*(grid(r.Config.Free2)-e2) + e2*(grid(r.Config.Free1)-e1))
+		return n
+	}
+	// Pivots lead each sub-tensor's modes, so both sides share the key.
+	var n [2][]int
+	for si, x := range []*tensor.Sparse{r.Sub1.Tensor, r.Sub2.Tensor} {
+		n[si] = make([]int, grid(r.Config.Pivots))
+		for e := range x.Vals {
+			key := 0
+			for i, m := range r.Config.Pivots {
+				key = key*shape[m] + x.Idx[e*x.Order()+i]
+			}
+			n[si][key]++
+		}
+	}
+	cells, f1, f2 := 0, grid(r.Config.Free1), grid(r.Config.Free2)
+	for p, n1 := range n[0] {
+		n2 := n[1][p]
+		cells += n1 * n2
+		if zeroJoin {
+			cells += n1*(f2-n2) + n2*(f1-n1)
+		}
 	}
 	return cells
 }

@@ -62,7 +62,6 @@ import (
 
 	m2td "repro"
 	"repro/api"
-	"repro/internal/dynsys"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -99,12 +98,6 @@ type Options struct {
 	// Parallel is the per-campaign kernel worker-pool size passed through
 	// to m2td.Config.Parallel (0 = all CPUs).
 	Parallel int
-	// DistSims, when > 0, auto-dispatches campaigns whose parameter space
-	// holds at least that many simulations onto the multi-process
-	// distributed engine with DistWorkers workers. Explicit
-	// CampaignSpec.Distributed always wins.
-	DistSims    int
-	DistWorkers int
 	// Registry receives the serving metrics (nil = obs.Default). Tests
 	// hosting several servers should give each its own registry: metric
 	// registration is get-or-create, so two servers sharing a registry
@@ -131,9 +124,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Executors == 0 {
 		o.Executors = 2
-	}
-	if o.DistWorkers == 0 {
-		o.DistWorkers = 2
 	}
 	if o.Registry == nil {
 		o.Registry = obs.Default
@@ -523,37 +513,8 @@ func (s *Server) buildConfig(spec api.CampaignSpec) (m2td.Config, error) {
 			return m2td.Config{}, fmt.Errorf("distributed spec out of range")
 		}
 		cfg.Distributed = &m2td.DistributedConfig{Workers: workers, Shards: d.Shards}
-	} else if s.opts.DistSims > 0 {
-		if total, err := totalSims(cfg); err == nil && total >= s.opts.DistSims {
-			cfg.Distributed = &m2td.DistributedConfig{Workers: s.opts.DistWorkers}
-		}
 	}
 	return cfg, nil
-}
-
-// totalSims sizes a campaign's parameter space for the auto-dispatch
-// threshold: resolution^numParams.
-func totalSims(cfg m2td.Config) (int, error) {
-	name := string(cfg.System)
-	if name == "" {
-		name = "double-pendulum"
-	}
-	sys, err := dynsys.ByName(name)
-	if err != nil {
-		return 0, err
-	}
-	res := cfg.Resolution
-	if res == 0 {
-		res = 12
-	}
-	total := 1
-	for range sys.Params() {
-		total *= res
-		if total > 1<<40 {
-			return 1 << 40, nil
-		}
-	}
-	return total, nil
 }
 
 // simsDir is an ensemble's simulation catalog, keyed by the hash of

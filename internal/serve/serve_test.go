@@ -545,27 +545,19 @@ func TestBuildConfigDistributedDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Store: st, Registry: obs.NewRegistry(), DistSims: 100, DistWorkers: 3})
+	s, err := New(Options{Store: st, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// double-pendulum has 4 params: 4^4 = 256 ≥ 100 → auto-dispatch.
+	// No size triggers the process engine: only the spec dispatches onto it.
 	cfg, err := s.buildConfig(api.CampaignSpec{System: "double-pendulum", Resolution: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Distributed == nil || cfg.Distributed.Workers != 3 {
-		t.Fatalf("auto dispatch: %+v", cfg.Distributed)
-	}
-	// 3^4 = 81 < 100 → serial.
-	cfg, err = s.buildConfig(api.CampaignSpec{System: "double-pendulum", Resolution: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cfg.Distributed != nil {
-		t.Fatalf("small campaign dispatched: %+v", cfg.Distributed)
+		t.Fatalf("campaign dispatched without asking: %+v", cfg.Distributed)
 	}
-	// Explicit spec always wins.
+	// An explicit spec dispatches, as it always did.
 	cfg, err = s.buildConfig(api.CampaignSpec{Resolution: 3, Distributed: &api.DistSpec{Workers: 2, Shards: 4}})
 	if err != nil {
 		t.Fatal(err)

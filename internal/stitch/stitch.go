@@ -19,8 +19,11 @@
 //
 // Shard stitches the pivot groups whose key lands in one shard
 // (key % shards). Join and ZeroJoin are that kernel at shard 0 of 1;
-// D-M2TD's Phase 2 (Algorithm 6) is the same kernel once per shard, run by
-// internal/dist on goroutines and by internal/distnet on worker processes.
+// D-M2TD's Phase 2 as the paper states it (Algorithm 6,
+// dist.DecomposeMaterialised) is the same kernel once per shard. Nothing
+// stitches in order to decompose — core recovery projects the two
+// sub-tensors (core.DecomposeFactored, which says who still builds J), and
+// shards them by this package's Spec.PivotKey.
 //
 // The emission order is frozen, because every downstream floating-point
 // sum — core recovery above all — inherits it: pivot groups by ascending
@@ -46,8 +49,8 @@ import (
 
 // Spec describes the JE-stitch geometry of a PF-partitioned pair: the full
 // space shape, which full-space modes are pivots and which are each side's
-// free modes, and whether zero-join extensions are emitted. It is a pure
-// value (JSON-serializable: the distributed runtime ships it to workers),
+// free modes, and whether the join is a zero-join. It is a pure value
+// (JSON-serializable: the distributed runtime ships it to workers),
 // and every method on it is a pure function — the determinism contract's
 // foundation.
 type Spec struct {

@@ -15,7 +15,7 @@
 //   - internal/eval      — the paper's experiments (Tables I–VIII, Fig. 6)
 //
 // The one-call entry point is RunCtx: partition → simulate → decompose →
-// evaluate (the join is stitched only when the decomposition needs it):
+// evaluate (the join is stitched only for a sketch):
 //
 //	report, err := m2td.RunCtx(ctx, m2td.Config{
 //	    System:     "double-pendulum",
@@ -83,13 +83,11 @@ type Config struct {
 	ZeroJoin bool
 	// Workers > 0 runs the 3-phase D-M2TD (internal/dist) on the
 	// in-process pool instead of the serial algorithm, with that many
-	// "servers": Workers is the shard count of the projection phase (and
-	// of the stitch phase, when a broken product structure makes it
-	// stitch), so the result is a pure function of it — bit-identical to
+	// "servers": Workers is the shard count of the projection phase, so
+	// the result is a pure function of it — bit-identical to
 	// Distributed{Shards: Workers} at any core count, and equal to the
 	// serial decomposition up to floating-point summation order. At most
-	// one of Workers, Distributed, Sketch and Factored may be set: each
-	// names the decomposition's route.
+	// one of Workers, Distributed, Sketch and Factored may be set.
 	Workers int
 	// Distributed, when non-nil, runs D-M2TD on real worker PROCESSES —
 	// the internal/distnet coordinator/worker engine over localhost TCP
@@ -115,10 +113,10 @@ type Config struct {
 	// full simulation-space tensor — required at paper-scale resolutions
 	// where the exact metric needs tens of GB.
 	AccuracySampleSims int
-	// Factored REQUIRES the join-free core (core.DecomposeFactored), the
-	// route a run takes anyway while the partition has its P×E product
-	// structure: once a failed or quarantined simulation broke it, the run
-	// fails with core.ErrNoProductStructure instead of materialising J.
+	// Factored selects nothing: every unsketched run is join-free
+	// (core.M2TDCtx). The field stays, exclusive with the three above and
+	// part of Fingerprint, until the frozen cmd/m2tdperf that sets it is
+	// re-based (ROADMAP item 1).
 	Factored bool
 	// Sketch enables the randomized sketch fast path: the decomposition
 	// runs on biased random sketches of the sub-tensors and join instead
@@ -192,10 +190,9 @@ type DistributedConfig struct {
 	// Workers is the worker-process count (default 1). The campaign
 	// survives losing up to Workers-1 of them.
 	Workers int
-	// Shards fixes the shard count — Phase 3's task count, and Phase 2's
-	// when a join has to be stitched — the determinism unit: at a fixed
-	// Shards the output is bit-identical for any Workers value and any
-	// worker deaths. Default: Workers.
+	// Shards fixes the shard count — Phase 3's task count — the
+	// determinism unit: at a fixed Shards the output is bit-identical for
+	// any Workers value and any worker deaths. Default: Workers.
 	Shards int
 	// Addr is the coordinator listen address (default "127.0.0.1:0").
 	Addr string
@@ -222,9 +219,8 @@ type DistStats struct {
 	// satisfied by an already-durable artifact.
 	Requeues, TasksSkipped int
 	// Phase1/2/3 are the engine's per-phase wall-clock times (Table
-	// III's split, with real IPC overhead). Phase2 is exactly 0 on the
-	// join-free route — nothing is stitched while the partition has its
-	// P×E product structure.
+	// III's split, with real IPC overhead). Phase2 is exactly 0: the
+	// engine stitches nothing.
 	Phase1, Phase2, Phase3 time.Duration
 }
 
@@ -235,12 +231,14 @@ type Report struct {
 	Accuracy float64
 	// NumSims is the number of simulation runs spent.
 	NumSims int
-	// JoinCells is the join's stored-cell count (the paper's density formula if no J was built).
+	// JoinCells is the join's stored-cell count, counted per pivot group (the
+	// paper's density formula when nothing was lost): only a sketch builds J.
 	JoinCells int
 	// SimTime is the wall-clock spent running simulations; DecompTime
 	// covers sub-decomposition, stitching, and core recovery.
 	SimTime, DecompTime time.Duration
-	// Decomposition holds the factors and core; Join is nil unless the run had to build J.
+	// Decomposition holds the factors and core; Join is nil unless the run
+	// was sketched — the one campaign that builds J.
 	Decomposition *core.Result
 	// Space is the underlying parameter space (exposes the shape, ground
 	// truth, and mode names).
@@ -729,17 +727,15 @@ type DecomposeOptions struct {
 	Ranks []int
 	// ZeroJoin selects zero-join JE-stitching for core recovery.
 	ZeroJoin bool
-	// Factored requires the join-free core, without fallback (see Config.Factored).
-	Factored bool
 	// Sketch enables the randomized sketch fast path (see Config.Sketch);
-	// Seed 0 defaults to 1. Incompatible with Factored.
+	// Seed 0 defaults to 1.
 	Sketch SketchConfig
 	// Parallel is the shared worker-pool size for the decomposition hot
 	// path (0 = all CPUs, 1 = serial). Results are bit-identical for any
 	// value.
 	Parallel int
 	// Trace, when non-nil, receives a "decompose" stage span (with
-	// factors/stitch/core children) under its root.
+	// factors/core children, and stitch under a sketch) under its root.
 	Trace *obs.Trace
 }
 
@@ -748,8 +744,7 @@ type DecomposeOptions struct {
 // reuse, and optional tracing — the same engine path RunCtx uses.
 func DecomposeCtx(ctx context.Context, part *partition.Result, opts DecomposeOptions) (*core.Result, error) {
 	cfg := Config{
-		Method: opts.Method, Rank: opts.Rank, ZeroJoin: opts.ZeroJoin, Factored: opts.Factored,
-		Sketch: opts.Sketch, Parallel: opts.Parallel,
+		Method: opts.Method, Rank: opts.Rank, ZeroJoin: opts.ZeroJoin, Sketch: opts.Sketch, Parallel: opts.Parallel,
 	}.normalize()
 	method, err := cfg.Method.core()
 	if err != nil {
@@ -764,11 +759,10 @@ func DecomposeCtx(ctx context.Context, part *partition.Result, opts DecomposeOpt
 }
 
 // decomposeStage is the decomposition stage of RunCtx and the body of
-// DecomposeCtx, on the route cfg names: the process engine (Distributed),
-// D-M2TD on the in-process pool (Workers), the join-free core or nothing
-// (Factored), and otherwise core's dispatch rule — join-free while the
-// partition has its product structure and no sketch is on. Only cfg's
-// decomposition fields are read.
+// DecomposeCtx, on the executor cfg names: the process engine
+// (Distributed), D-M2TD on the in-process pool (Workers), and otherwise
+// core.M2TDCtx — the one place a route is chosen. Only cfg's decomposition
+// fields are read.
 func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Result, method core.Method, ranks []int, cfg Config) (res *core.Result, ds *DistStats, err error) {
 	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) (err error) {
 		if err := ctx.Err(); err != nil {
@@ -787,8 +781,6 @@ func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Resul
 			res, ds, err = decomposeDistributed(ctx, part, opts, cfg)
 		case cfg.Workers > 0:
 			res, err = dist.Decompose(part, dist.Options{Options: opts, Workers: cfg.Workers})
-		case cfg.Factored:
-			res, err = core.DecomposeFactored(part, opts)
 		default:
 			res, err = core.M2TDCtx(ctx, part, opts)
 		}

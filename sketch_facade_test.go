@@ -163,11 +163,4 @@ func TestDecomposeCtxSketch(t *testing.T) {
 	if sres.Sketch == nil || sres.Sketch.Seed != 1 {
 		t.Fatalf("sketched building block report = %+v, want defaulted seed 1", sres.Sketch)
 	}
-	if _, err := DecomposeCtx(context.Background(), part, DecomposeOptions{
-		Rank:     2,
-		Factored: true,
-		Sketch:   SketchConfig{KeepFrac: 0.5},
-	}); err == nil {
-		t.Fatal("Factored+Sketch accepted by the building block")
-	}
 }
