@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke ci clean
+.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-smoke examples-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke ci clean
 
 all: build
 
@@ -24,9 +24,8 @@ vet:
 # Hermetic lint: go vet plus the in-repo m2tdlint invariant suite
 # (determinism, ctxprop, spans, floatcmp, quarantine, locks, goroleak,
 # wirecompat, atomicstore, metrichygiene — DESIGN.md §8 and §15).
-# Runs offline; any finding fails the target. `m2tdlint -changed <ref>`
-# narrows a run to the packages changed since a git ref (what PR CI
-# does), and `-sarif` emits a code-scanning report.
+# Runs offline; any finding fails the target. The CI lint job runs the
+# same whole-module sweep with -json and archives the findings file.
 lint: vet
 	$(GO) run ./cmd/m2tdlint ./...
 
@@ -109,6 +108,16 @@ bench-diff:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# One run of every program under examples/. They are roots of the
+# reachability rule (DESIGN.md §3) — code stays in the build because an
+# example calls it — so they must run to completion, not just compile.
+# paperscale takes ≈ 13 s, the rest a few seconds together.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "== go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 # The repo's one end-to-end benchmark (BENCHMARK.json, cmd/m2tdperf):
 # four campaign workloads, each with a serial and an all-core arm.
 # perf-smoke runs tiny shapes in ~10-15 s and checks every output
@@ -185,7 +194,7 @@ dist-smoke:
 serve-smoke:
 	$(GO) test -race -timeout 15m ./internal/serve ./api
 
-ci: build lint test race bench-smoke perf-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke
+ci: build lint test race bench-smoke examples-smoke perf-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke
 
 clean:
 	$(GO) clean ./...

@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/eval"
-	"repro/internal/increment"
 	"repro/internal/mat"
 	"repro/internal/partition"
 	"repro/internal/stitch"
@@ -425,25 +424,6 @@ func BenchmarkSketchedJoin(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkIncrementalAppend measures streaming Gram maintenance per
-// appended cell.
-func BenchmarkIncrementalAppend(b *testing.B) {
-	part, _ := benchPartition(b)
-	tr := increment.New(part)
-	shape := part.Sub1.Tensor.Shape
-	rng := rand.New(rand.NewSource(1))
-	idx := make([]int, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range idx {
-			idx[k] = rng.Intn(shape[k])
-		}
-		if err := tr.AppendCell(1, idx, rng.NormFloat64()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

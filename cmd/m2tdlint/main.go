@@ -12,10 +12,8 @@
 //	m2tdlint [flags] [packages]
 //
 //	-json             emit findings as a JSON array (file/line/col/analyzer/message)
-//	-sarif path       also write findings as SARIF 2.1.0 to path (always written, even when clean)
 //	-analyzers list   comma-separated subset of analyzers to run (default: all)
 //	-fix              apply suggested fixes, then re-run and report what remains
-//	-changed ref      lint only packages with .go files changed since the git ref
 //	-list             print the available analyzers and exit
 //
 // Packages default to ./... resolved from the enclosing module root.
@@ -23,10 +21,9 @@
 // Under -fix the exit status reflects the POST-fix state: fixable
 // findings that were repaired do not fail the run.
 //
-// The -json mode exists so future tooling can diff lint findings across
-// commits the same way BENCH_*.json snapshots diff kernel performance;
-// -sarif feeds code-scanning UIs, and -changed keeps PR CI latency
-// proportional to the diff.
+// The -json mode is what CI runs and archives, so lint findings can be
+// diffed across commits the same way BENCH_7.json snapshots diff kernel
+// performance.
 package main
 
 import (
@@ -57,10 +54,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("m2tdlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this path")
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	fix := fs.Bool("fix", false, "apply suggested fixes, then re-run")
-	changed := fs.String("changed", "", "lint only packages changed since this git ref")
 	list := fs.Bool("list", false, "print the available analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -92,21 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	patterns := fs.Args()
-	if *changed != "" {
-		if len(patterns) > 0 {
-			fmt.Fprintln(stderr, "m2tdlint: -changed and explicit packages are mutually exclusive")
-			return 2
-		}
-		patterns, err = lint.ChangedPatterns(root, *changed)
-		if err != nil {
-			fmt.Fprintf(stderr, "m2tdlint: %v\n", err)
-			return 2
-		}
-		if len(patterns) == 0 {
-			fmt.Fprintf(stderr, "m2tdlint: no Go packages changed since %s\n", *changed)
-			return emitResults(stdout, stderr, root, nil, 0, analyzers, *jsonOut, *sarifPath)
-		}
-	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -143,28 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	return emitResults(stdout, stderr, root, diags, len(pkgs), analyzers, *jsonOut, *sarifPath)
-}
-
-// emitResults renders diagnostics in the selected formats and converts
-// them into the process exit status.
-func emitResults(stdout, stderr io.Writer, root string, diags []lint.Diagnostic, npkgs int, analyzers []*lint.Analyzer, jsonOut bool, sarifPath string) int {
-	if sarifPath != "" {
-		f, err := os.Create(sarifPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "m2tdlint: %v\n", err)
-			return 2
-		}
-		werr := lint.WriteSARIF(f, root, diags, analyzers)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "m2tdlint: writing SARIF: %v\n", werr)
-			return 2
-		}
-	}
-	if jsonOut {
+	if *jsonOut {
 		findings := make([]finding, 0, len(diags))
 		for _, d := range diags {
 			findings = append(findings, finding{
@@ -187,8 +146,8 @@ func emitResults(stdout, stderr io.Writer, root string, diags []lint.Diagnostic,
 		}
 	}
 	if len(diags) > 0 {
-		if !jsonOut {
-			fmt.Fprintf(stderr, "m2tdlint: %d finding(s) in %d package(s)\n", len(diags), npkgs)
+		if !*jsonOut {
+			fmt.Fprintf(stderr, "m2tdlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		}
 		return 1
 	}

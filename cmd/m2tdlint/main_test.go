@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -92,104 +90,6 @@ func TestUnknownAnalyzer(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "unknown analyzer") {
 		t.Errorf("stderr missing unknown-analyzer message: %s", stderr.String())
-	}
-}
-
-// TestSARIFOutput verifies -sarif writes a valid SARIF 2.1.0 log with
-// repo-relative URIs alongside the normal text output, and that a clean
-// run still writes the (empty-results) file — CI uploads it either way.
-func TestSARIFOutput(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m2tdlint.sarif")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-sarif", path, "-analyzers", "floatcmp", goldenFloatCmp}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (findings)\nstderr: %s", code, stderr.String())
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading SARIF output: %v", err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(b, &log); err != nil {
-		t.Fatalf("SARIF output is not JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("version=%q runs=%d, want 2.1.0 with one run", log.Version, len(log.Runs))
-	}
-	run0 := log.Runs[0]
-	if run0.Tool.Driver.Name != "m2tdlint" {
-		t.Errorf("driver name = %q", run0.Tool.Driver.Name)
-	}
-	// The rule table covers the analyzers that ran plus the synthetic
-	// directive-hygiene rule.
-	ruleIDs := map[string]bool{}
-	for _, r := range run0.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
-	}
-	if !ruleIDs["floatcmp"] || !ruleIDs["m2tdlint"] || len(ruleIDs) != 2 {
-		t.Errorf("rule table = %v, want exactly {floatcmp, m2tdlint}", ruleIDs)
-	}
-	if len(run0.Results) == 0 {
-		t.Fatal("SARIF results empty for the golden package")
-	}
-	for _, r := range run0.Results {
-		if r.RuleID != "floatcmp" {
-			t.Errorf("result ruleId = %q, want floatcmp", r.RuleID)
-		}
-		uri := r.Locations[0].PhysicalLocation.ArtifactLocation.URI
-		if filepath.IsAbs(uri) || !strings.HasPrefix(uri, "internal/lint/testdata/") {
-			t.Errorf("URI %q is not repo-relative", uri)
-		}
-	}
-
-	// Clean run: the file must still appear, with zero results.
-	cleanPath := filepath.Join(dir, "clean.sarif")
-	stdout.Reset()
-	stderr.Reset()
-	code = run([]string{"-sarif", cleanPath, "-analyzers", "quarantine", "./internal/lint/testdata/src/ctxprop"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("clean run exit = %d\nstderr: %s", code, stderr.String())
-	}
-	if _, err := os.Stat(cleanPath); err != nil {
-		t.Errorf("clean run did not write the SARIF file: %v", err)
-	}
-}
-
-// TestChangedAgainstHead exercises -changed plumbing: HEAD-vs-HEAD has
-// no changed packages, so the run reports clean without loading.
-func TestChangedAgainstHead(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-changed", "HEAD", "-analyzers", "floatcmp"}, &stdout, &stderr)
-	// Exit 0 whether the working tree is pristine (no packages) or
-	// carries clean in-progress edits; only real findings may fail this.
-	if code != 0 {
-		t.Fatalf("-changed HEAD exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	if code := run([]string{"-changed", "HEAD", "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-changed with explicit packages exit = %d, want 2 (usage)", code)
 	}
 }
 

@@ -11,10 +11,9 @@
 // sharing that cell's matricization column. The tracker therefore keeps
 // per-mode column indexes and applies exact O(column-size) Gram updates
 // per appended cell; factors are re-extracted from the maintained Grams
-// only when a decomposition is requested. Retraction (RemoveCell) applies
-// the exact inverse updates, so faulty simulations can be withdrawn. Core
-// recovery still requires the join tensor (the dominant cost in the
-// paper's measurements too) and is performed on demand.
+// only when a decomposition is requested. Core recovery still requires the
+// join tensor (the dominant cost in the paper's measurements too) and is
+// performed on demand.
 package increment
 
 import (
@@ -51,9 +50,6 @@ type Tracker struct {
 	cfg   partition.Config
 	sub1  *subState
 	sub2  *subState
-	// appends counts cells added since construction (including absorbed
-	// initial cells).
-	appends int
 }
 
 // New creates a tracker from an existing PF-partitioned result, absorbing
@@ -62,7 +58,6 @@ func New(p *partition.Result) *Tracker {
 	t := &Tracker{space: p.Space, cfg: p.Config}
 	t.sub1 = newSubState(p.Sub1)
 	t.sub2 = newSubState(p.Sub2)
-	t.appends = t.sub1.tensor.NNZ() + t.sub2.tensor.NNZ()
 	return t
 }
 
@@ -113,29 +108,12 @@ func (t *Tracker) AppendCell(sub int, idx []int, v float64) error {
 		return err
 	}
 	st.append(idx, v)
-	t.appends++
 	return nil
 }
 
 // CellCounts returns the current cell counts of the two sub-ensembles.
 func (t *Tracker) CellCounts() (int, int) {
 	return t.sub1.tensor.NNZ(), t.sub2.tensor.NNZ()
-}
-
-// Appends returns the total number of cells absorbed and appended.
-func (t *Tracker) Appends() int { return t.appends }
-
-// Gram returns a copy of the maintained Gram matrix for one sub-ensemble
-// mode (sub ∈ {1,2}); exposed for verification and analysis.
-func (t *Tracker) Gram(sub, mode int) (*mat.Matrix, error) {
-	st, err := t.state(sub)
-	if err != nil {
-		return nil, err
-	}
-	if mode < 0 || mode >= len(st.grams) {
-		return nil, fmt.Errorf("increment: mode %d out of range", mode)
-	}
-	return st.grams[mode].Clone(), nil
 }
 
 func (t *Tracker) state(sub int) (*subState, error) {
@@ -208,89 +186,4 @@ func (t *Tracker) Decompose(opts core.Options) (*core.Result, error) {
 	}
 	coreT := tucker.CoreFromFactors(j, factors)
 	return &core.Result{Factors: factors, Core: coreT, Join: j}, nil
-}
-
-// RemoveCell retracts one previously appended cell — e.g. a simulation
-// later found faulty — applying the exact inverse Gram updates. The cell
-// is matched by coordinates; when duplicates exist at the same
-// coordinates, the most recently appended one is removed. Returns an
-// error if no cell exists at idx.
-func (t *Tracker) RemoveCell(sub int, idx []int) error {
-	st, err := t.state(sub)
-	if err != nil {
-		return err
-	}
-	return st.remove(idx)
-}
-
-// remove deletes the most recent cell at idx and downdates every mode's
-// Gram matrix.
-func (st *subState) remove(idx []int) error {
-	shape := st.tensor.Shape
-	order := st.tensor.Order()
-	// Locate the most recent COO entry with these coordinates.
-	pos := -1
-	for e := st.tensor.NNZ() - 1; e >= 0; e-- {
-		cand, _ := st.tensor.Entry(e)
-		match := true
-		for k := range idx {
-			if cand[k] != idx[k] {
-				match = false
-				break
-			}
-		}
-		if match {
-			pos = e
-			break
-		}
-	}
-	if pos < 0 {
-		return fmt.Errorf("increment: no cell at %v", idx)
-	}
-	_, v := st.tensor.Entry(pos)
-
-	// Downdate Grams: remove this cell from each mode's column list first,
-	// then subtract the cross terms against the remaining cells.
-	for n := range st.grams {
-		row := idx[n]
-		col := shape.MatricizeColumn(n, idx)
-		entries := st.columns[n][col]
-		// Remove the most recent matching column entry.
-		rm := -1
-		for i := len(entries) - 1; i >= 0; i-- {
-			//lint:allow floatcmp -- intentional exact match: entries store v bit-exactly at insertion, and equality identifies the entry to remove
-			if entries[i].row == row && entries[i].val == v {
-				rm = i
-				break
-			}
-		}
-		if rm < 0 {
-			return fmt.Errorf("increment: internal inconsistency removing %v (mode %d)", idx, n)
-		}
-		entries = append(entries[:rm], entries[rm+1:]...)
-		if len(entries) == 0 {
-			delete(st.columns[n], col)
-		} else {
-			st.columns[n][col] = entries
-		}
-		g := st.grams[n]
-		for _, e := range entries {
-			g.Set(row, e.row, g.At(row, e.row)-v*e.val)
-			g.Set(e.row, row, g.At(e.row, row)-v*e.val)
-		}
-		g.Set(row, row, g.At(row, row)-v*v)
-	}
-
-	// Remove the COO entry. Idx/Vals are mutated directly, so compiled
-	// kernel plans must be dropped explicitly.
-	//lint:allow quarantine -- compaction shifts existing (already quarantined) entries left; no new values enter the tensor
-	copy(st.tensor.Idx[pos*order:], st.tensor.Idx[(pos+1)*order:])
-	//lint:allow quarantine -- truncation after compaction; InvalidatePlans is called below
-	st.tensor.Idx = st.tensor.Idx[:len(st.tensor.Idx)-order]
-	//lint:allow quarantine -- compaction shifts existing (already quarantined) entries left; no new values enter the tensor
-	copy(st.tensor.Vals[pos:], st.tensor.Vals[pos+1:])
-	//lint:allow quarantine -- truncation after compaction; InvalidatePlans is called below
-	st.tensor.Vals = st.tensor.Vals[:len(st.tensor.Vals)-1]
-	st.tensor.InvalidatePlans()
-	return nil
 }

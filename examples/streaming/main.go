@@ -15,11 +15,11 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"repro/examples/streaming/increment"
 	"repro/internal/core"
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
 	"repro/internal/eval"
-	"repro/internal/increment"
 	"repro/internal/partition"
 	"repro/internal/tucker"
 )

@@ -79,7 +79,10 @@ func TestHOOIRefinesEnsembleDecomposition(t *testing.T) {
 	ranks := tucker.UniformRanks(space.Order(), 2)
 
 	hosvd := tucker.HOSVD(se.Tensor, ranks)
-	hooi := tucker.HOOI(se.Tensor, ranks, tucker.HOOIOptions{MaxIterations: 8})
+	hooi, err := tucker.HOOICtx(context.Background(), se.Tensor, ranks, tucker.HOOIOptions{MaxIterations: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fitHOSVD, err := tucker.FitOf(hosvd, se.Tensor)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ import (
 // One precondition: no index is stored twice in a sub-tensor (and cells sit
 // at listed configurations, where there are lists) — every
 // partition.GenerateCtx output. What still builds J is what wants J's
-// cells: a sketch (DecomposeCtx), m2td.StitchCtx, internal/increment, and
+// cells: a sketch (DecomposeCtx), m2td.StitchCtx, examples/streaming/increment, and
 // dist.DecomposeMaterialised, the paper's Algorithm 6 and this route's
 // oracle. The Result has Join == nil; opts.Span is marked factored = 1 and
 // holey_groups, the pivot groups that left the Gram-sized path.

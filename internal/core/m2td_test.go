@@ -140,7 +140,11 @@ func TestConcatEquivalentToExplicitConcatenation(t *testing.T) {
 
 	m1 := tensor.Matricize(p.Sub1.Tensor.ToDense(), i)
 	m2 := tensor.Matricize(p.Sub2.Tensor.ToDense(), i)
-	cat := mat.ConcatCols(m1, m2)
+	cat := mat.New(m1.Rows, m1.Cols+m2.Cols)
+	for row := 0; row < cat.Rows; row++ {
+		copy(cat.Row(row), m1.Row(row))
+		copy(cat.Row(row)[m1.Cols:], m2.Row(row))
+	}
 	uCat := mat.LeadingLeftSingularVectors(cat, r)
 
 	// Compare projectors (columns defined up to sign).
@@ -197,8 +201,8 @@ func TestSelectFactorRowsComeFromInputs(t *testing.T) {
 	// row of one of the two sub-decomposition factors.
 	p := tinyPartition(t, 1, 118)
 	r := 3
-	u1 := tensor.LeadingModeVectors(p.Sub1.Tensor, 0, r)
-	u2 := tensor.LeadingModeVectors(p.Sub2.Tensor, 0, r)
+	u1 := tensor.LeadingModeVectorsWorkers(p.Sub1.Tensor, 0, r, 0)
+	u2 := tensor.LeadingModeVectorsWorkers(p.Sub2.Tensor, 0, r, 0)
 	fused := RowSelect(u1, u2)
 	for i := 0; i < fused.Rows; i++ {
 		from1 := true

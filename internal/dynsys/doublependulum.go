@@ -93,25 +93,3 @@ func (dp *DoublePendulum) cells(w *ode.Workspace, vals []float64, ref [][]float6
 	steps := stepsPerSample(dp.Horizon, len(dst), dp.MaxStep)
 	dp.integrate(w, vals, len(dst), steps, func(s int, y []float64) { dst[s] = Distance([]float64{y[0], y[2]}, ref[s]) })
 }
-
-// Energy returns the total mechanical energy for a full internal state
-// (θ₁, ω₁, θ₂, ω₂); used by tests to validate the equations of motion
-// (energy is conserved in the frictionless system).
-func (dp *DoublePendulum) Energy(y []float64, m1, m2 float64) float64 {
-	th1, w1, th2, w2 := y[0], y[1], y[2], y[3]
-	l, g := dp.L, dp.G
-	v1sq := l * l * w1 * w1
-	v2sq := l*l*w1*w1 + l*l*w2*w2 + 2*l*l*w1*w2*math.Cos(th1-th2)
-	ke := 0.5*m1*v1sq + 0.5*m2*v2sq
-	y1 := -l * math.Cos(th1)
-	y2 := y1 - l*math.Cos(th2)
-	pe := m1*g*y1 + m2*g*y2
-	return ke + pe
-}
-
-// FullState integrates the pendulum and returns the complete internal
-// state (θ₁, ω₁, θ₂, ω₂) at the end of the horizon; used by energy tests.
-func (dp *DoublePendulum) FullState(vals []float64, steps int) (out []float64) {
-	dp.integrate(new(ode.Workspace), vals, 1, steps, func(_ int, y []float64) { out = append(out, y...) })
-	return out
-}

@@ -140,32 +140,3 @@ func (tp *TriplePendulum) cells(w *ode.Workspace, vals []float64, ref [][]float6
 	steps := stepsPerSample(tp.Horizon, len(dst), tp.MaxStep)
 	tp.integrate(w, vals, len(dst), steps, func(s int, y []float64) { dst[s] = Distance(y[:3], ref[s]) })
 }
-
-// Energy returns the total mechanical energy for a full internal state
-// (θ₁,θ₂,θ₃,ω₁,ω₂,ω₃); conserved when friction is zero.
-func (tp *TriplePendulum) Energy(y []float64) float64 {
-	th := y[0:3]
-	w := y[3:6]
-	m := tp.Masses
-	g := tp.G
-	// Bob velocities: v_k = Σ_{i ≤ k} rod_i angular velocity vectors.
-	var ke, pe float64
-	for k := 0; k < 3; k++ {
-		var vx, vy, height float64
-		for i := 0; i <= k; i++ {
-			vx += w[i] * math.Cos(th[i])
-			vy += w[i] * math.Sin(th[i])
-			height -= math.Cos(th[i])
-		}
-		ke += 0.5 * m[k] * (vx*vx + vy*vy)
-		pe += m[k] * g * height
-	}
-	return ke + pe
-}
-
-// FullState integrates and returns the complete internal state
-// (θ₁,θ₂,θ₃,ω₁,ω₂,ω₃) at the end of the horizon.
-func (tp *TriplePendulum) FullState(vals []float64, steps int) (out []float64) {
-	tp.integrate(new(ode.Workspace), vals, 1, steps, func(_ int, y []float64) { out = append(out, y...) })
-	return out
-}

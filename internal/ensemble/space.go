@@ -93,15 +93,11 @@ func (s *Space) ModeName(mode int) string {
 	return s.params[mode].Name
 }
 
-// ParamValues converts parameter grid indices to physical values.
-func (s *Space) ParamValues(idx []int) []float64 {
-	return s.paramValues(new(Workspace), idx)
-}
-
-// paramValues is ParamValues into the workspace's value buffer.
+// paramValues converts parameter grid indices to physical values, into the
+// workspace's value buffer.
 func (s *Space) paramValues(w *Workspace, idx []int) []float64 {
 	if len(idx) != len(s.params) {
-		panic(fmt.Sprintf("ensemble: ParamValues got %d indices for %d params", len(idx), len(s.params)))
+		panic(fmt.Sprintf("ensemble: paramValues got %d indices for %d params", len(idx), len(s.params)))
 	}
 	if cap(w.vals) < len(idx) {
 		w.vals = make([]float64, len(idx))

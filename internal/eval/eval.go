@@ -51,20 +51,6 @@ func AllSchemes() []Scheme {
 	return []Scheme{SchemeAVG, SchemeCONCAT, SchemeSELECT, SchemeRandom, SchemeGrid, SchemeSlice}
 }
 
-// M2TDMethod maps an M2TD scheme to its fusion method, or "" for
-// conventional schemes.
-func M2TDMethod(s Scheme) core.Method {
-	switch s {
-	case SchemeAVG:
-		return core.AVG
-	case SchemeCONCAT:
-		return core.CONCAT
-	case SchemeSELECT:
-		return core.SELECT
-	}
-	return ""
-}
-
 // Config describes one experiment cell.
 type Config struct {
 	// System names the dynamical system ("double-pendulum",
@@ -76,7 +62,7 @@ type Config struct {
 	// Rank is the uniform per-mode target decomposition rank.
 	Rank int
 	// Pivot is the pivot mode for PF-partitioning (the time mode by
-	// default; see DefaultPivot).
+	// default).
 	Pivot int
 	// PivotFrac and FreeFrac are the paper's P and E density knobs.
 	PivotFrac, FreeFrac float64
@@ -94,10 +80,6 @@ type Config struct {
 	// Seed drives all sampling randomness.
 	Seed int64
 }
-
-// DefaultPivot is the time mode of the 5-mode ensembles, the paper's
-// default pivot parameter.
-func DefaultPivot(space *ensemble.Space) int { return space.TimeMode() }
 
 // PairsFor returns the parameter pairs that PF-partitioning must keep in
 // one sub-system for the named system. The double pendulum pairs each

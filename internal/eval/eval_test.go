@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,15 +54,6 @@ func TestSpaceForCachesAndValidates(t *testing.T) {
 	}
 	if _, err := SpaceFor("no-such-system", 4, 3); err == nil {
 		t.Fatal("unknown system accepted")
-	}
-}
-
-func TestM2TDMethodMapping(t *testing.T) {
-	if M2TDMethod(SchemeAVG) == "" || M2TDMethod(SchemeCONCAT) == "" || M2TDMethod(SchemeSELECT) == "" {
-		t.Fatal("M2TD schemes must map to methods")
-	}
-	if M2TDMethod(SchemeRandom) != "" || M2TDMethod(SchemeGrid) != "" {
-		t.Fatal("conventional schemes must map to empty method")
 	}
 }
 
@@ -346,39 +336,6 @@ func TestExportComparisonsCSV(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "M2TD-SELECT") {
 		t.Fatal("CSV missing scheme rows")
-	}
-}
-
-func TestExportComparisonsJSON(t *testing.T) {
-	cmp, err := RunComparison(testConfig("double-pendulum"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := ExportComparisonsJSON(&b, []*Comparison{cmp}); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []map[string]interface{}
-	if err := json.Unmarshal([]byte(b.String()), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(decoded) != 1 {
-		t.Fatalf("%d JSON cells", len(decoded))
-	}
-	results, ok := decoded[0]["results"].([]interface{})
-	if !ok || len(results) != 6 {
-		t.Fatalf("JSON results malformed: %v", decoded[0]["results"])
-	}
-}
-
-func TestExportTable3CSV(t *testing.T) {
-	var b strings.Builder
-	rows := []Table3Row{{Workers: 2, Phase1: 1e6, Phase2: 2e6, Phase3: 3e6}}
-	if err := ExportTable3CSV(&b, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "workers,") || !strings.Contains(b.String(), "2,1.000,2.000,3.000,6.000") {
-		t.Fatalf("Table3 CSV = %q", b.String())
 	}
 }
 
@@ -681,61 +638,12 @@ func TestTables2467SmallRuns(t *testing.T) {
 	}
 }
 
-func TestDefaultPivotAndPairs(t *testing.T) {
-	space, err := SpaceFor("double-pendulum", 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if DefaultPivot(space) != 4 {
-		t.Fatalf("DefaultPivot = %d", DefaultPivot(space))
-	}
+func TestPairsFor(t *testing.T) {
 	if PairsFor("double-pendulum") == nil {
 		t.Fatal("double pendulum should have pairs")
 	}
 	if PairsFor("lorenz") != nil {
 		t.Fatal("lorenz should have no pairs")
-	}
-}
-
-func TestEstimateAccuracyCI(t *testing.T) {
-	cfg := testConfig("double-pendulum")
-	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), cfg.Rank)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := TuckerModel{Core: res.Core, Factors: res.Factors}
-	fibers := SampleFibers(space, 200, rand.New(rand.NewSource(21)))
-	ci, err := EstimateAccuracyCI(model, fibers, 300, rand.New(rand.NewSource(22)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lo > ci.Accuracy || ci.Hi < ci.Accuracy {
-		t.Fatalf("CI [%v, %v] does not contain point estimate %v", ci.Lo, ci.Hi, ci.Accuracy)
-	}
-	if ci.Hi <= ci.Lo {
-		t.Fatalf("degenerate CI [%v, %v]", ci.Lo, ci.Hi)
-	}
-	// The exact metric should land inside or near the interval.
-	exact := Accuracy(res.Reconstruct(), space.GroundTruth())
-	margin := (ci.Hi - ci.Lo) // allow one extra interval width
-	if exact < ci.Lo-margin || exact > ci.Hi+margin {
-		t.Fatalf("exact accuracy %v far outside CI [%v, %v]", exact, ci.Lo, ci.Hi)
-	}
-	// Validation paths.
-	if _, err := EstimateAccuracyCI(model, fibers, 1, rand.New(rand.NewSource(23))); err == nil {
-		t.Fatal("too-few resamples accepted")
-	}
-	if _, err := EstimateAccuracyCI(model, nil, 10, rand.New(rand.NewSource(24))); err == nil {
-		t.Fatal("empty fibers accepted")
 	}
 }
 

@@ -53,6 +53,32 @@ func SampleFibers(space *ensemble.Space, n int, rng *rand.Rand) []Fiber {
 	return fibers
 }
 
+// FiberStats evaluates a Tucker model on pre-simulated fibers and returns
+// the per-fiber squared error and squared reference mass — the sufficient
+// statistics of the sampled-fiber accuracy estimate.
+func FiberStats(model TuckerModel, fibers []Fiber) (errSq, refSq []float64, err error) {
+	if len(fibers) == 0 {
+		return nil, nil, fmt.Errorf("eval: no fibers")
+	}
+	t := len(fibers[0].Truth)
+	errSq = make([]float64, len(fibers))
+	refSq = make([]float64, len(fibers))
+	parallel.For(len(fibers), 0, func(start, end int) {
+		for i := start; i < end; i++ {
+			fiber := model.TimeFiber(fibers[i].ParamIdx, t)
+			var e, r float64
+			for tt := 0; tt < t; tt++ {
+				d := fiber[tt] - fibers[i].Truth[tt]
+				e += d * d
+				r += fibers[i].Truth[tt] * fibers[i].Truth[tt]
+			}
+			errSq[i] = e
+			refSq[i] = r
+		}
+	})
+	return errSq, refSq, nil
+}
+
 // EstimateFromFibers evaluates a Tucker model on pre-simulated fibers and
 // returns the estimated accuracy: FiberStats summed in fiber order.
 func EstimateFromFibers(model TuckerModel, fibers []Fiber) (float64, error) {

@@ -60,37 +60,3 @@ func BenchmarkSVD(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkQR(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	a := Random(rng, 128, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		QR(a)
-	}
-}
-
-func BenchmarkLUSolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	a := RandomSPD(rng, 32)
-	rhs := make([]float64, 32)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(a, rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKhatriRao(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	x := Random(rng, 64, 8)
-	y := Random(rng, 64, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		KhatriRao(x, y)
-	}
-}

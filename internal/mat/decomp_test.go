@@ -7,6 +7,48 @@ import (
 	"testing/quick"
 )
 
+// Test-side helpers: the norms and random symmetric inputs the surviving
+// eigen/SVD tests check against. Production needs none of them.
+
+func norm2(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+func diffNorm(a, b *Matrix) float64 {
+	d := make([]float64, len(a.Data))
+	for i, v := range a.Data {
+		d[i] = v - b.Data[i]
+	}
+	return norm2(d)
+}
+
+// RandomSymmetric returns an n×n symmetric matrix with entries uniform in [-1, 1).
+func RandomSymmetric(rng *rand.Rand, n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			v := 2*rng.Float64() - 1
+			m.Set(i, j, v)
+			m.Set(j, i, v)
+		}
+	}
+	return m
+}
+
+// RandomSPD returns a symmetric positive-definite matrix aᵀa + n·I.
+func RandomSPD(rng *rand.Rand, n int) *Matrix {
+	a := Random(rng, n, n)
+	spd := MulTransA(a, a)
+	for i := 0; i < n; i++ {
+		spd.Set(i, i, spd.At(i, i)+float64(n))
+	}
+	return spd
+}
+
 func reconstructSVD(r SVDResult) *Matrix {
 	k := len(r.Values)
 	us := r.U.Clone()
@@ -16,38 +58,6 @@ func reconstructSVD(r SVDResult) *Matrix {
 		}
 	}
 	return MulTransB(us, r.V)
-}
-
-func TestQRReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, dims := range [][2]int{{5, 3}, {6, 6}, {3, 5}, {1, 1}, {8, 2}} {
-		a := Random(rng, dims[0], dims[1])
-		qr := QR(a)
-		recon := Mul(qr.Q, qr.R)
-		if !recon.Equal(a, 1e-10) {
-			t.Errorf("QR(%d×%d): Q·R != a (err %g)", dims[0], dims[1], FrobeniusNorm(Sub(recon, a)))
-		}
-		if !IsOrthonormalCols(qr.Q, 1e-10) {
-			t.Errorf("QR(%d×%d): Q columns not orthonormal", dims[0], dims[1])
-		}
-		// R upper triangular.
-		for i := 0; i < qr.R.Rows; i++ {
-			for j := 0; j < i && j < qr.R.Cols; j++ {
-				if math.Abs(qr.R.At(i, j)) > 1e-12 {
-					t.Errorf("QR(%d×%d): R[%d,%d] = %v below diagonal", dims[0], dims[1], i, j, qr.R.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestQRRankDeficient(t *testing.T) {
-	// Two identical columns: QR must still reconstruct.
-	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	qr := QR(a)
-	if !Mul(qr.Q, qr.R).Equal(a, 1e-10) {
-		t.Fatal("QR of rank-deficient matrix does not reconstruct")
-	}
 }
 
 func TestOrthonormalize(t *testing.T) {
@@ -94,7 +104,7 @@ func TestSymEigKnown2x2(t *testing.T) {
 		t.Fatalf("eigenvalues = %v, want [3 1]", eig.Values)
 	}
 	// Eigenvector for λ=3 is (1,1)/√2 up to sign.
-	v0 := eig.Vectors.Col(0)
+	v0 := []float64{eig.Vectors.At(0, 0), eig.Vectors.At(1, 0)}
 	if math.Abs(math.Abs(v0[0])-1/math.Sqrt2) > 1e-10 || math.Abs(v0[0]-v0[1]) > 1e-10 {
 		t.Fatalf("leading eigenvector = %v", v0)
 	}
@@ -114,7 +124,7 @@ func TestSymEigReconstruction(t *testing.T) {
 		}
 		recon := MulTransB(vd, eig.Vectors)
 		if !recon.Equal(a, 1e-9) {
-			t.Errorf("n=%d: V·Λ·Vᵀ != a (err %g)", n, FrobeniusNorm(Sub(recon, a)))
+			t.Errorf("n=%d: V·Λ·Vᵀ != a (err %g)", n, diffNorm(recon, a))
 		}
 		if !IsOrthonormalCols(eig.Vectors, 1e-10) {
 			t.Errorf("n=%d: eigenvectors not orthonormal", n)
@@ -209,7 +219,11 @@ func TestSVDRankOne(t *testing.T) {
 	x := []float64{1, 2, 2}
 	y := []float64{3, 4}
 	a := New(3, 2)
-	Rank1Update(a, 1, x, y)
+	for i, xi := range x {
+		for j, yj := range y {
+			a.Set(i, j, xi*yj)
+		}
+	}
 	r := SVD(a)
 	if math.Abs(r.Values[0]-15) > 1e-10 { // ‖x‖=3, ‖y‖=5
 		t.Fatalf("rank-1 leading singular value = %v, want 15", r.Values[0])
@@ -252,7 +266,7 @@ func TestSVDFrobeniusIdentityQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := Random(rng, 4, 5)
 		r := SVD(a)
-		return math.Abs(FrobeniusNorm(a)-VecNorm(r.Values)) < 1e-10
+		return math.Abs(norm2(a.Data)-norm2(r.Values)) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(18))}); err != nil {
 		t.Error(err)
@@ -280,103 +294,10 @@ func TestEckartYoungQuick(t *testing.T) {
 		for _, s := range r.Values[k:] {
 			tail += s * s
 		}
-		err := FrobeniusNorm(Sub(a, trunc))
+		err := diffNorm(a, trunc)
 		return math.Abs(err-math.Sqrt(tail)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(19))}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLUSolveKnown(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := Solve(a, []float64{5, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
-		t.Fatalf("Solve = %v, want [1 3]", x)
-	}
-}
-
-func TestLUSolveRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for _, n := range []int{1, 2, 3, 8, 20} {
-		a := RandomSPD(rng, n)
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := MulVec(a, want)
-		got, err := Solve(a, b)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Fatalf("n=%d: Solve differs at %d: %v vs %v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Solve(a, []float64{1, 2}); err != ErrSingular {
-		t.Fatalf("Solve of singular matrix: err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLUNonSquare(t *testing.T) {
-	if _, err := LU(New(2, 3)); err == nil {
-		t.Fatal("LU of non-square matrix should error")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := FromRows([][]float64{{4, 3}, {6, 3}})
-	f, err := LU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-(-6)) > 1e-12 {
-		t.Fatalf("Det = %v, want -6", f.Det())
-	}
-}
-
-func TestInvert(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := RandomSPD(rng, 5)
-	inv, err := Invert(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Mul(a, inv).Equal(Identity(5), 1e-9) {
-		t.Fatal("a·a⁻¹ != I")
-	}
-}
-
-// Property: Solve returns a vector satisfying a·x = b to high precision.
-func TestSolveResidualQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4
-		a := RandomSPD(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := Solve(a, b)
-		if err != nil {
-			return false
-		}
-		res := MulVec(a, x)
-		for i := range res {
-			res[i] -= b[i]
-		}
-		return VecNorm(res) < 1e-9*(VecNorm(b)+1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Error(err)
 	}
 }

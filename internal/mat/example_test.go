@@ -22,24 +22,6 @@ func ExampleSVD() {
 	// Output: 3 2
 }
 
-func ExampleSolve() {
-	a := mat.FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := mat.Solve(a, []float64{5, 10})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%.0f %.0f\n", x[0], x[1])
-	// Output: 1 3
-}
-
-func ExampleKhatriRao() {
-	a := mat.FromRows([][]float64{{1, 2}})
-	b := mat.FromRows([][]float64{{3, 4}, {5, 6}})
-	kr := mat.KhatriRao(a, b)
-	fmt.Println(kr.Row(0), kr.Row(1))
-	// Output: [3 8] [5 12]
-}
-
 func ExampleRowNorm() {
 	// The "energy" M2TD-SELECT uses to pick factor rows.
 	u := mat.FromRows([][]float64{{3, 4}})

@@ -1,7 +1,7 @@
 // Package mat provides dense matrix types and the linear-algebra kernels
-// required by tensor decomposition: matrix products, Gram matrices,
-// Householder QR, a cyclic Jacobi symmetric eigensolver, a one-sided Jacobi
-// SVD, and an LU linear solver.
+// required by tensor decomposition: matrix products, Gram matrices and a
+// cyclic Jacobi symmetric eigensolver. A one-sided Jacobi SVD is kept as
+// the oracle the tests of the Gram route compare against.
 //
 // The package is self-contained (standard library only) and tuned for the
 // matrix shapes that arise in HOSVD of ensemble tensors: factor matrices are
@@ -75,15 +75,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // SetRow copies v into row i.
 func (m *Matrix) SetRow(i int, v []float64) {
 	if len(v) != m.Cols {
@@ -98,9 +89,6 @@ func (m *Matrix) Clone() *Matrix {
 	copy(out.Data, m.Data)
 	return out
 }
-
-// Dims returns the row and column counts.
-func (m *Matrix) Dims() (int, int) { return m.Rows, m.Cols }
 
 // IsSquare reports whether the matrix is square.
 func (m *Matrix) IsSquare() bool { return m.Rows == m.Cols }
@@ -136,18 +124,6 @@ func (m *Matrix) String() string {
 	}
 	b.WriteString("]")
 	return b.String()
-}
-
-// SubMatrix returns a copy of the block with rows [r0,r1) and columns [c0,c1).
-func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
-	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
-		panic(fmt.Sprintf("mat: SubMatrix [%d:%d, %d:%d] out of range for %d×%d", r0, r1, c0, c1, m.Rows, m.Cols))
-	}
-	out := New(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(out.Row(i-r0), m.Data[i*m.Cols+c0:i*m.Cols+c1])
-	}
-	return out
 }
 
 // FirstColumns returns a copy of the leading k columns. If k exceeds the

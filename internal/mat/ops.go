@@ -17,25 +17,6 @@ func Add(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Sub returns a - b. Shapes must match.
-func Sub(a, b *Matrix) *Matrix {
-	checkSameShape("Sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = v - b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s * a.
-func Scale(s float64, a *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = s * v
-	}
-	return out
-}
-
 // Average returns (a + b) / 2, the element-wise mean used by M2TD-AVG to
 // fuse pivot-mode factor matrices.
 func Average(a, b *Matrix) *Matrix {
@@ -153,23 +134,6 @@ func MulTransBWorkers(a, b *Matrix, workers int) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product a·x.
-func MulVec(a *Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec shape mismatch %d×%d · %d", a.Rows, a.Cols, len(x)))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		var s float64
-		for k, v := range arow {
-			s += v * x[k]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Transpose returns aᵀ.
 func Transpose(a *Matrix) *Matrix {
 	out := New(a.Cols, a.Rows)
@@ -185,21 +149,8 @@ func Transpose(a *Matrix) *Matrix {
 
 // Gram returns a·aᵀ (the row Gram matrix). HOSVD uses this on mode-n
 // matricizations: left singular vectors of X are eigenvectors of X·Xᵀ.
-// It runs on the package-default worker pool; see GramWorkers.
+// It runs on the package-default worker pool.
 func Gram(a *Matrix) *Matrix { return MulTransB(a, a) }
-
-// GramWorkers is Gram with the accumulation fanned out over the given
-// worker count (rows of the output are computed independently).
-func GramWorkers(a *Matrix, workers int) *Matrix { return MulTransBWorkers(a, a, workers) }
-
-// FrobeniusNorm returns the Frobenius norm ‖a‖F.
-func FrobeniusNorm(a *Matrix) float64 {
-	var s float64
-	for _, v := range a.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
 
 // RowNorm returns the Euclidean norm of row i, the "energy" used by
 // M2TD-SELECT's row-selection rule (Algorithm 5).
@@ -219,54 +170,6 @@ func ColNorm(a *Matrix, j int) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d != %d", len(x), len(y)))
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-// VecNorm returns the Euclidean norm of a vector.
-func VecNorm(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// ConcatRows returns the matrix [a; b] stacking b's rows below a's.
-// Column counts must match.
-func ConcatRows(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: ConcatRows column mismatch %d != %d", a.Cols, b.Cols))
-	}
-	out := New(a.Rows+b.Rows, a.Cols)
-	copy(out.Data[:len(a.Data)], a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
-// ConcatCols returns the matrix [a b] appending b's columns after a's.
-// Row counts must match. M2TD-CONCAT concatenates pivot-mode matricizations
-// this way before extracting singular vectors.
-func ConcatCols(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: ConcatCols row mismatch %d != %d", a.Rows, b.Rows))
-	}
-	out := New(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
 }
 
 // IsOrthonormalCols reports whether the columns of a are orthonormal

@@ -7,17 +7,11 @@ import (
 	"testing/quick"
 )
 
-func TestAddSubScale(t *testing.T) {
+func TestAddAverage(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
 	if got, want := Add(a, b), FromRows([][]float64{{6, 8}, {10, 12}}); !got.Equal(want, 0) {
 		t.Fatalf("Add = %v", got)
-	}
-	if got, want := Sub(b, a), FromRows([][]float64{{4, 4}, {4, 4}}); !got.Equal(want, 0) {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got, want := Scale(2, a), FromRows([][]float64{{2, 4}, {6, 8}}); !got.Equal(want, 0) {
-		t.Fatalf("Scale = %v", got)
 	}
 	if got, want := Average(a, b), FromRows([][]float64{{3, 4}, {5, 6}}); !got.Equal(want, 0) {
 		t.Fatalf("Average = %v", got)
@@ -27,16 +21,11 @@ func TestAddSubScale(t *testing.T) {
 func TestShapeMismatchPanics(t *testing.T) {
 	a, b := New(2, 2), New(2, 3)
 	for name, fn := range map[string]func(){
-		"Add":        func() { Add(a, b) },
-		"Sub":        func() { Sub(a, b) },
-		"Average":    func() { Average(a, b) },
-		"Mul":        func() { Mul(b, b) },
-		"MulTransA":  func() { MulTransA(a, New(3, 2)) },
-		"MulTransB":  func() { MulTransB(a, b) },
-		"MulVec":     func() { MulVec(a, []float64{1}) },
-		"ConcatRows": func() { ConcatRows(a, b) },
-		"ConcatCols": func() { ConcatCols(a, New(3, 1)) },
-		"Dot":        func() { Dot([]float64{1}, []float64{1, 2}) },
+		"Add":       func() { Add(a, b) },
+		"Average":   func() { Average(a, b) },
+		"Mul":       func() { Mul(b, b) },
+		"MulTransA": func() { MulTransA(a, New(3, 2)) },
+		"MulTransB": func() { MulTransB(a, b) },
 	} {
 		func() {
 			defer func() {
@@ -83,17 +72,6 @@ func TestMulTransVariantsAgreeWithExplicitTranspose(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	got := MulVec(a, []float64{1, -1})
-	want := []float64{-1, -1, -1}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-14 {
-			t.Fatalf("MulVec = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Random(rng, 4, 7)
@@ -119,9 +97,6 @@ func TestGram(t *testing.T) {
 
 func TestNorms(t *testing.T) {
 	a := FromRows([][]float64{{3, 4}, {0, 0}})
-	if got := FrobeniusNorm(a); math.Abs(got-5) > 1e-14 {
-		t.Fatalf("FrobeniusNorm = %v, want 5", got)
-	}
 	if got := RowNorm(a, 0); math.Abs(got-5) > 1e-14 {
 		t.Fatalf("RowNorm(0) = %v, want 5", got)
 	}
@@ -130,27 +105,6 @@ func TestNorms(t *testing.T) {
 	}
 	if got := ColNorm(a, 0); math.Abs(got-3) > 1e-14 {
 		t.Fatalf("ColNorm(0) = %v, want 3", got)
-	}
-	if got := VecNorm([]float64{1, 2, 2}); math.Abs(got-3) > 1e-14 {
-		t.Fatalf("VecNorm = %v, want 3", got)
-	}
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{3, 4}, {5, 6}})
-	rows := ConcatRows(a, b)
-	if rows.Rows != 3 || rows.At(2, 1) != 6 || rows.At(0, 0) != 1 {
-		t.Fatalf("ConcatRows = %v", rows)
-	}
-	c := FromRows([][]float64{{7}, {8}})
-	d := FromRows([][]float64{{9, 10}, {11, 12}})
-	cols := ConcatCols(c, d)
-	if cols.Cols != 3 || cols.At(1, 0) != 8 || cols.At(0, 2) != 10 {
-		t.Fatalf("ConcatCols = %v", cols)
 	}
 }
 
@@ -161,15 +115,6 @@ func TestIsOrthonormalCols(t *testing.T) {
 	bad := FromRows([][]float64{{1, 1}, {0, 1}})
 	if IsOrthonormalCols(bad, 1e-10) {
 		t.Fatal("non-orthogonal matrix passed the check")
-	}
-}
-
-func TestRank1Update(t *testing.T) {
-	m := New(2, 3)
-	Rank1Update(m, 2, []float64{1, 2}, []float64{3, 4, 5})
-	want := FromRows([][]float64{{6, 8, 10}, {12, 16, 20}})
-	if !m.Equal(want, 1e-14) {
-		t.Fatalf("Rank1Update = %v, want %v", m, want)
 	}
 }
 
@@ -197,83 +142,6 @@ func TestMulPropertiesQuick(t *testing.T) {
 	if err := quick.Check(distrib, cfg); err != nil {
 		t.Errorf("distributivity: %v", err)
 	}
-}
-
-// Property: ‖a·x‖ ≤ ‖a‖F·‖x‖ (Frobenius norm bounds the spectral norm).
-func TestOperatorNormBoundQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := Random(rng, 4, 6)
-		x := make([]float64, 6)
-		for i := range x {
-			x[i] = 2*rng.Float64() - 1
-		}
-		return VecNorm(MulVec(a, x)) <= FrobeniusNorm(a)*VecNorm(x)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(10))}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHadamard(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	got := Hadamard(a, b)
-	want := FromRows([][]float64{{5, 12}, {21, 32}})
-	if !got.Equal(want, 0) {
-		t.Fatalf("Hadamard = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Hadamard shape mismatch did not panic")
-		}
-	}()
-	Hadamard(a, New(3, 2))
-}
-
-func TestPseudoInverseSymInMat(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := RandomSPD(rng, 4)
-	p := PseudoInverseSym(a, 1e-12)
-	if !Mul(a, p).Equal(Identity(4), 1e-8) {
-		t.Fatal("pinv of SPD != inverse")
-	}
-	// Rank-deficient PSD matrix: the Penrose identities hold.
-	x := Random(rng, 4, 2)
-	psd := MulTransB(x, x) // rank ≤ 2
-	pp := PseudoInverseSym(psd, 1e-10)
-	if !Mul(Mul(psd, pp), psd).Equal(psd, 1e-8) {
-		t.Fatal("a·pinv·a != a for rank-deficient PSD")
-	}
-}
-
-func TestPseudoInverseInMat(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	// Wide matrix: right inverse.
-	a := Random(rng, 3, 5)
-	p := PseudoInverse(a, 1e-12)
-	if !Mul(a, p).Equal(Identity(3), 1e-8) {
-		t.Fatal("a·pinv != I for full-row-rank wide matrix")
-	}
-	// Zero matrix: pinv is zero.
-	z := PseudoInverse(New(3, 2), 1e-12)
-	if FrobeniusNorm(z) != 0 {
-		t.Fatal("pinv of zero matrix not zero")
-	}
-}
-
-func TestRank1UpdateSkipsZeroAndPanics(t *testing.T) {
-	m := New(2, 2)
-	Rank1Update(m, 1, []float64{0, 1}, []float64{2, 3})
-	if m.At(0, 0) != 0 || m.At(1, 1) != 3 {
-		t.Fatalf("Rank1Update = %v", m)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Rank1Update shape mismatch did not panic")
-		}
-	}()
-	Rank1Update(m, 1, []float64{1}, []float64{1, 2})
 }
 
 func TestRandomOrthonormalPanicsWideInput(t *testing.T) {

@@ -85,12 +85,3 @@ func TestMulTransBWorkersBitStable(t *testing.T) {
 		bitsEqual(t, "MulTransB w="+strconv.Itoa(w), want, MulTransBWorkers(a, b, w))
 	}
 }
-
-func TestGramWorkersBitStable(t *testing.T) {
-	a := randMat(60, 45, 9)
-	want := GramWorkers(a, 1)
-	for _, w := range []int{2, 8} {
-		bitsEqual(t, "Gram w="+strconv.Itoa(w), want, GramWorkers(a, w))
-	}
-	bitsEqual(t, "Gram default", want, Gram(a))
-}

@@ -27,26 +27,37 @@ func RandomOrthonormal(rng *rand.Rand, r, c int) *Matrix {
 	return Orthonormalize(g)
 }
 
-// RandomSymmetric returns an n×n symmetric matrix with entries in [-1, 1).
-func RandomSymmetric(rng *rand.Rand, n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := 2*rng.Float64() - 1
-			m.Set(i, j, v)
-			m.Set(j, i, v)
+// Orthonormalize returns a matrix whose columns form an orthonormal basis
+// for the column space of a, via modified Gram–Schmidt with
+// re-orthogonalisation. Zero (dependent) columns are replaced by zeros so
+// the output shape always matches the input; callers that need a strict
+// basis should check column norms.
+func Orthonormalize(a *Matrix) *Matrix {
+	m, n := a.Rows, a.Cols
+	q := a.Clone()
+	for j := 0; j < n; j++ {
+		// Two passes of Gram–Schmidt ("twice is enough").
+		for pass := 0; pass < 2; pass++ {
+			for p := 0; p < j; p++ {
+				var dot float64
+				for i := 0; i < m; i++ {
+					dot += q.At(i, p) * q.At(i, j)
+				}
+				for i := 0; i < m; i++ {
+					q.Set(i, j, q.At(i, j)-dot*q.At(i, p))
+				}
+			}
+		}
+		norm := ColNorm(q, j)
+		if norm < 1e-12 {
+			for i := 0; i < m; i++ {
+				q.Set(i, j, 0)
+			}
+			continue
+		}
+		for i := 0; i < m; i++ {
+			q.Set(i, j, q.At(i, j)/norm)
 		}
 	}
-	return m
-}
-
-// RandomSPD returns a random symmetric positive-definite n×n matrix
-// (aᵀa + n·I for random a), handy for exercising LU and Solve.
-func RandomSPD(rng *rand.Rand, n int) *Matrix {
-	a := Random(rng, n, n)
-	spd := MulTransA(a, a)
-	for i := 0; i < n; i++ {
-		spd.Set(i, i, spd.At(i, i)+float64(n))
-	}
-	return spd
+	return q
 }

@@ -153,21 +153,3 @@ func canonicalizeSVDSigns(u, v *Matrix) {
 func LeadingLeftSingularVectors(a *Matrix, k int) *Matrix {
 	return LeadingEigenvectors(Gram(a), k)
 }
-
-// Rank1Update adds s·x·yᵀ to m in place. Used to accumulate Gram matrices
-// column-by-column from sparse matricizations.
-func Rank1Update(m *Matrix, s float64, x, y []float64) {
-	if m.Rows != len(x) || m.Cols != len(y) {
-		panic("mat: Rank1Update shape mismatch")
-	}
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		sxi := s * xi
-		for j, yj := range y {
-			row[j] += sxi * yj
-		}
-	}
-}

@@ -72,9 +72,6 @@ type FuncGauge struct {
 	fn         func() int64
 }
 
-// Value returns the current reading.
-func (g *FuncGauge) Value() int64 { return g.fn() }
-
 func (g *FuncGauge) metricName() string { return g.name }
 
 func (g *FuncGauge) writeProm(w io.Writer) {
@@ -264,18 +261,6 @@ func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any, len(ms))
 	for _, m := range ms {
 		m.snapshotInto(out)
-	}
-	return out
-}
-
-// SnapshotInt64 is Snapshot restricted to integer-valued instruments
-// (counters, gauges, histogram counts), for exact assertions.
-func (r *Registry) SnapshotInt64() map[string]int64 {
-	out := make(map[string]int64)
-	for k, v := range r.Snapshot() {
-		if i, ok := v.(int64); ok {
-			out[k] = i
-		}
 	}
 	return out
 }

@@ -16,6 +16,13 @@ func harmonic(t float64, y, dst []float64) {
 	dst[1] = -y[0]
 }
 
+// RK4 integrates y' = f(t, y) from (t0, y0) to t1 using n fixed steps of
+// the classical 4th-order Runge–Kutta method and returns the final state:
+// the single sample of an n-step Samples run.
+func RK4(f Derivative, t0, t1 float64, y0 []float64, n int) []float64 {
+	return Trajectory(f, t0, t1, y0, 1, n)[0]
+}
+
 func TestRK4ExponentialDecay(t *testing.T) {
 	got := RK4(expDecay, 0, 1, []float64{1}, 100)
 	want := math.Exp(-1)
@@ -104,72 +111,6 @@ func TestTrajectoryInvalidPanics(t *testing.T) {
 		}
 	}()
 	Trajectory(expDecay, 0, 1, []float64{1}, 0, 1)
-}
-
-func TestRK45ExponentialDecay(t *testing.T) {
-	got, err := RK45(expDecay, 0, 1, []float64{1}, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-math.Exp(-1)) > 1e-8 {
-		t.Fatalf("RK45 e^-1 = %v", got[0])
-	}
-}
-
-func TestRK45ZeroSpan(t *testing.T) {
-	got, err := RK45(expDecay, 2, 2, []float64{5}, 1e-8)
-	if err != nil || got[0] != 5 {
-		t.Fatalf("zero-span integration: %v, %v", got, err)
-	}
-}
-
-func TestRK45Backward(t *testing.T) {
-	// Integrate backwards: y(0) from y(1) = e^{-1} should give 1.
-	got, err := RK45(expDecay, 1, 0, []float64{math.Exp(-1)}, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-1) > 1e-7 {
-		t.Fatalf("backward integration = %v, want 1", got[0])
-	}
-}
-
-func TestRK45HarmonicAccuracy(t *testing.T) {
-	got, err := RK45(harmonic, 0, 2*math.Pi, []float64{1, 0}, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-1) > 1e-6 || math.Abs(got[1]) > 1e-6 {
-		t.Fatalf("RK45 after period: %v", got)
-	}
-}
-
-func TestRK45InvalidTolPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RK45 with tol=0 did not panic")
-		}
-	}()
-	RK45(expDecay, 0, 1, []float64{1}, 0)
-}
-
-// Property: RK4 and RK45 agree on smooth linear systems for random spans
-// and initial conditions.
-func TestRK4RK45AgreeQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		y0 := []float64{2*rng.Float64() - 1, 2*rng.Float64() - 1}
-		span := 0.5 + 2*rng.Float64()
-		a := RK4(harmonic, 0, span, y0, 2000)
-		b, err := RK45(harmonic, 0, span, y0, 1e-11)
-		if err != nil {
-			return false
-		}
-		return math.Abs(a[0]-b[0]) < 1e-6 && math.Abs(a[1]-b[1]) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(50))}); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: linearity — integrating c·y0 gives c times the result of y0

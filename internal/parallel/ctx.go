@@ -5,10 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// The ctx-aware variants below are the cancellation layer of the pipeline
-// runtime: they preserve every determinism guarantee of For/Do/Reduce on
-// the success path (identical chunk grids, identical merge orders, so
-// results stay bit-identical for any worker count) and add cooperative
+// ForCtx is the cancellation layer of the pipeline runtime: it keeps every
+// determinism guarantee of For on the success path (identical chunk grid,
+// so results stay bit-identical for any worker count) and adds cooperative
 // cancellation with DETERMINISTIC DRAINING on the failure path — when the
 // context is cancelled, no new unit of work starts, units already started
 // run to completion (a kernel is never abandoned mid-write), all workers
@@ -63,52 +62,4 @@ func ForCtx(ctx context.Context, n, workers int, fn func(start, end int)) error 
 		}
 	})
 	return ctx.Err()
-}
-
-// DoCtx is Do with cooperative cancellation: workers poll the context
-// before claiming each task, so on cancellation in-flight tasks finish,
-// unclaimed tasks never start, and DoCtx returns ctx.Err() after every
-// worker has been joined. An un-cancelled DoCtx behaves exactly like Do
-// (tasks claimed in index order; first panic re-raised on the caller).
-func DoCtx(ctx context.Context, workers int, tasks ...func()) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(tasks) == 0 {
-		return nil
-	}
-	wrapped := make([]func(), len(tasks))
-	for i, t := range tasks {
-		t := t
-		wrapped[i] = func() {
-			if ctx.Err() != nil {
-				return
-			}
-			t()
-		}
-	}
-	Do(workers, wrapped...)
-	return ctx.Err()
-}
-
-// ReduceCtx is Reduce with cooperative cancellation: the fixed chunk grid
-// and ascending merge order are identical to Reduce's (bit-stable results
-// for any worker count), and the context is polled before each chunk's
-// partial accumulation. On cancellation the zero value of T and ctx.Err()
-// are returned after all workers have drained.
-func ReduceCtx[T any](ctx context.Context, n, workers int, makePartial func() T, body func(partial T, start, end int), merge func(into, from T) T) (T, error) {
-	var zero T
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	out := Reduce(n, workers, makePartial, func(partial T, start, end int) {
-		if ctx.Err() != nil {
-			return
-		}
-		body(partial, start, end)
-	}, merge)
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	return out, nil
 }

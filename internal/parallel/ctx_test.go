@@ -104,83 +104,6 @@ func TestForCtxDrains(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestDoCtxMatchesDo: un-cancelled DoCtx runs every task exactly once.
-func TestDoCtxMatchesDo(t *testing.T) {
-	ran := make([]atomic.Int64, 9)
-	tasks := make([]func(), len(ran))
-	for i := range tasks {
-		i := i
-		tasks[i] = func() { ran[i].Add(1) }
-	}
-	if err := DoCtx(context.Background(), 3, tasks...); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ran {
-		if ran[i].Load() != 1 {
-			t.Fatalf("task %d ran %d times", i, ran[i].Load())
-		}
-	}
-}
-
-// TestDoCtxCancelled: a cancelled context skips unclaimed tasks and
-// surfaces the context error.
-func TestDoCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var calls atomic.Int64
-	err := DoCtx(ctx, 2, func() { calls.Add(1) }, func() { calls.Add(1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("tasks ran on a cancelled context")
-	}
-}
-
-// TestReduceCtxMatchesReduce: the ctx variant must be bit-identical to
-// Reduce for any worker count when not cancelled.
-func TestReduceCtxMatchesReduce(t *testing.T) {
-	const n = 997
-	body := func(p *float64, start, end int) {
-		for i := start; i < end; i++ {
-			*p += 1 / float64(i+1)
-		}
-	}
-	want := Reduce(n, 4,
-		func() *float64 { return new(float64) },
-		body,
-		func(into, from *float64) *float64 { *into += *from; return into })
-	for _, w := range []int{1, 2, 7, 32} {
-		got, err := ReduceCtx(context.Background(), n, w,
-			func() *float64 { return new(float64) },
-			body,
-			func(into, from *float64) *float64 { *into += *from; return into })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if *got != *want {
-			t.Fatalf("workers=%d: %v != %v (not bit-identical)", w, *got, *want)
-		}
-	}
-}
-
-// TestReduceCtxCancelled: a cancelled reduce returns the zero accumulator
-// and the context error.
-func TestReduceCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	got, err := ReduceCtx(ctx, 100, 4,
-		func() int { return 0 },
-		func(p int, start, end int) {},
-		func(into, from int) int { return into + from })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got != 0 {
-		t.Fatalf("got %d, want zero value on cancellation", got)
-	}
-}
-
 // TestForCtxPanicPropagates: worker panics surface on the caller like For.
 func TestForCtxPanicPropagates(t *testing.T) {
 	defer func() {

@@ -23,37 +23,19 @@ import (
 //
 // The determinism analyzer bans time.Now in kernel packages precisely
 // to keep timing away from results; the calibration sites below carry
-// lint:allow suppressions with that scheduling-only justification, and
-// SetGrainCalibration pins the calibration for tests and benchmarks
-// that want runs to be scheduling-reproducible too.
+// lint:allow suppressions with that scheduling-only justification; the
+// package's tests pin the calibration through calOverride.
 
 // grainCal is a calibration: nanoseconds to spawn+join one goroutine and
 // nanoseconds per floating-point multiply-add of straight-line work.
 type grainCal struct{ spawnNs, flopNs float64 }
 
-// calOverride, when non-nil, pins the calibration (tests, benchmarks).
+// calOverride, when non-nil, pins the calibration (set by tests only).
 var calOverride atomic.Pointer[grainCal]
 
 // calMeasured runs the one-time measurement. sync.OnceValue amortises it
 // to a single ~100µs cost for the life of the process.
 var calMeasured = sync.OnceValue(measureCal)
-
-// SetGrainCalibration pins AutoGrain's calibration to the given
-// spawn/join and per-FLOP costs (in nanoseconds), making grain choices —
-// a scheduling property only; results never depend on grain — fully
-// reproducible. Non-positive values restore the measured calibration.
-// It returns the previously pinned values (0, 0 if none).
-func SetGrainCalibration(spawnNs, flopNs float64) (prevSpawnNs, prevFlopNs float64) {
-	var next *grainCal
-	if spawnNs > 0 && flopNs > 0 {
-		next = &grainCal{spawnNs: spawnNs, flopNs: flopNs}
-	}
-	prev := calOverride.Swap(next)
-	if prev == nil {
-		return 0, 0
-	}
-	return prev.spawnNs, prev.flopNs
-}
 
 // autoGrainAmortize is how many times the per-worker work must outweigh
 // the spawn/join overhead: each chunk of an AutoGrain'd loop costs at

@@ -2,6 +2,23 @@ package parallel
 
 import "testing"
 
+// SetGrainCalibration pins AutoGrain's calibration to the given
+// spawn/join and per-FLOP costs (in nanoseconds), making grain choices —
+// a scheduling property only; results never depend on grain — fully
+// reproducible. Non-positive values restore the measured calibration.
+// It returns the previously pinned values (0, 0 if none).
+func SetGrainCalibration(spawnNs, flopNs float64) (prevSpawnNs, prevFlopNs float64) {
+	var next *grainCal
+	if spawnNs > 0 && flopNs > 0 {
+		next = &grainCal{spawnNs: spawnNs, flopNs: flopNs}
+	}
+	prev := calOverride.Swap(next)
+	if prev == nil {
+		return 0, 0
+	}
+	return prev.spawnNs, prev.flopNs
+}
+
 func TestAutoGrainPinnedCalibration(t *testing.T) {
 	prevS, prevF := SetGrainCalibration(1600, 1)
 	defer SetGrainCalibration(prevS, prevF)

@@ -9,9 +9,9 @@ import "repro/internal/obs"
 // BenchmarkParallelHOSVD regression budget).
 var (
 	stripsTotal = obs.Default.Counter("m2td_parallel_strips_total",
-		"Contiguous index strips executed by the shared worker pool (For/ForCtx/Reduce).")
+		"Contiguous index strips executed by the shared worker pool (For/ForCtx).")
 	tasksTotal = obs.Default.Counter("m2td_parallel_tasks_total",
-		"Tasks executed by the shared worker pool (Do/DoCtx).")
+		"Tasks executed by the shared worker pool (Do).")
 	workersActive = obs.Default.Gauge("m2td_parallel_workers_active",
 		"Worker goroutines (or inline callers) currently executing pool work.")
 	reduceStripsTotal = obs.Default.Counter("m2td_parallel_reduce_strips_total",
@@ -25,6 +25,3 @@ var (
 // value depends on the worker count, so it is a vital, not a
 // deterministic counter.
 func Strips() int64 { return stripsTotal.Value() }
-
-// Tasks returns the process-wide count of pool tasks executed.
-func Tasks() int64 { return tasksTotal.Value() }

@@ -12,12 +12,13 @@
 //     element is written by exactly one goroutine in the same order the
 //     serial loop would use. Results are bit-identical for any worker
 //     count, including workers=1.
-//   - Reductions that cannot partition their output use Reduce, which
-//     accumulates into per-chunk partial buffers over a chunk grid that is
-//     fixed independently of the worker count and merges the partials in
-//     ascending chunk order. Results are again bit-stable for any worker
-//     count (though the fixed chunking means they may differ — by FP
-//     reassociation only — from a single undivided serial loop).
+//   - Reductions that cannot partition their output use ReduceStrips
+//     (strips.go), which accumulates into per-strip partial buffers over a
+//     strip grid that is fixed independently of the worker count and merges
+//     the partials through a fixed pairwise tree. Results are again
+//     bit-stable for any worker count (though the fixed grid means they may
+//     differ — by FP reassociation only — from a single undivided serial
+//     loop).
 //   - Worker panics are captured and re-raised on the calling goroutine,
 //     so a panicking kernel behaves exactly like its serial counterpart.
 //
@@ -81,8 +82,8 @@ func FanoutCap() int {
 // SetFanoutCap overrides the per-call goroutine fan-out bound (n <= 0
 // restores the GOMAXPROCS default) and returns the previous override (0 if
 // none was set). The cap is pure scheduling: every result-bearing grid —
-// For's output partitions are write-disjoint, Reduce's chunk grid and
-// ReduceStrips' strip grid are fixed independently of the worker count —
+// For's output partitions are write-disjoint, ReduceStrips' strip grid is
+// fixed independently of the worker count —
 // is unchanged by it, so capping never changes a single output bit. The
 // bit-stability suites raise the cap above GOMAXPROCS so the race
 // detector sees real goroutine interleavings even on small machines;
@@ -306,48 +307,4 @@ func Do(workers int, tasks ...func()) {
 	}
 	wg.Wait()
 	pc.repanic("task")
-}
-
-// reduceChunks is the fixed chunk-grid size for Reduce. It is a constant —
-// deliberately NOT derived from the worker count or GOMAXPROCS — so the
-// partial-buffer merge order, and therefore every floating-point rounding
-// decision, is identical no matter how many workers execute the chunks.
-const reduceChunks = 32
-
-// Reduce accumulates a reduction over [0, n) deterministically: the range
-// is split into a fixed chunk grid (independent of the worker count), each
-// chunk fills its own partial buffer via body, and the partials are merged
-// into a single result in ascending chunk order. Because both the chunk
-// boundaries and the merge order are worker-count-independent, the result
-// is bit-stable for any workers value, including 1.
-//
-// makePartial allocates one zero-valued partial accumulator; body folds the
-// index range [start, end) into it; merge folds `from` into `into` and
-// returns the combined accumulator.
-func Reduce[T any](n, workers int, makePartial func() T, body func(partial T, start, end int), merge func(into, from T) T) T {
-	if n <= 0 {
-		return makePartial()
-	}
-	chunks := reduceChunks
-	if chunks > n {
-		chunks = n
-	}
-	if chunks <= 1 {
-		p := makePartial()
-		body(p, 0, n)
-		return p
-	}
-	partials := make([]T, chunks)
-	For(chunks, workers, func(cs, ce int) {
-		for c := cs; c < ce; c++ {
-			p := makePartial()
-			body(p, c*n/chunks, (c+1)*n/chunks)
-			partials[c] = p
-		}
-	})
-	acc := partials[0]
-	for c := 1; c < chunks; c++ {
-		acc = merge(acc, partials[c])
-	}
-	return acc
 }

@@ -147,55 +147,6 @@ func TestDoEmpty(t *testing.T) {
 	Do(4) // must not deadlock or panic
 }
 
-func TestReduceBitStableAcrossWorkerCounts(t *testing.T) {
-	// A floating-point sum whose result depends on association order: the
-	// fixed chunk grid must make every worker count produce the identical
-	// bit pattern.
-	const n = 100_000
-	vals := make([]float64, n)
-	x := 0.5
-	for i := range vals {
-		x = 3.9 * x * (1 - x) // logistic map: well-spread magnitudes
-		vals[i] = x - 0.5
-	}
-	sum := func(workers int) float64 {
-		return *Reduce(n, workers,
-			func() *float64 { return new(float64) },
-			func(p *float64, start, end int) {
-				for i := start; i < end; i++ {
-					*p += vals[i]
-				}
-			},
-			func(into, from *float64) *float64 { *into += *from; return into },
-		)
-	}
-	want := sum(1)
-	for _, w := range workerCounts(n) {
-		if got := sum(w); got != want {
-			t.Fatalf("workers=%d sum %v != workers=1 sum %v", w, got, want)
-		}
-	}
-}
-
-func TestReduceEmptyAndTiny(t *testing.T) {
-	got := Reduce(0, 4,
-		func() *int { return new(int) },
-		func(p *int, start, end int) { *p += end - start },
-		func(into, from *int) *int { *into += *from; return into },
-	)
-	if *got != 0 {
-		t.Fatalf("empty reduce = %d, want 0", *got)
-	}
-	got = Reduce(5, 8,
-		func() *int { return new(int) },
-		func(p *int, start, end int) { *p += end - start },
-		func(into, from *int) *int { *into += *from; return into },
-	)
-	if *got != 5 {
-		t.Fatalf("tiny reduce = %d, want 5", *got)
-	}
-}
-
 func TestDefaultWorkers(t *testing.T) {
 	// The baseline default is GOMAXPROCS unless the process was started
 	// with an M2TD_WORKERS override (the CI faults job sweeps it).

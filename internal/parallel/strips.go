@@ -2,15 +2,12 @@ package parallel
 
 // Deterministic strip reduction.
 //
-// Reduce (parallel.go) is the right tool when the index space is uniform
-// and the accumulator is cheap: it fixes a 32-chunk grid and merges the
-// partials left-to-right. The Gram kernels need more control — their
-// natural work unit is a ModePlan fiber group whose cost is the group's
-// entry count, not its index span, and their partials are I×I matrices
-// whose merges are worth counting and pooling. ReduceStrips is the
-// generalisation: the CALLER supplies the strip grid (entry-balanced,
-// derived only from the input), each strip fills a private partial, and
-// the partials combine through a fixed-shape pairwise tree.
+// The Gram kernels' natural work unit is a ModePlan fiber group whose
+// cost is the group's entry count, not its index span, and their partials
+// are I×I matrices whose merges are worth counting and pooling. So the
+// CALLER supplies the strip grid (entry-balanced, derived only from the
+// input), each strip fills a private partial, and the partials combine
+// through a fixed-shape pairwise tree.
 //
 // The determinism contract, which DESIGN.md §11 states as the reduction
 // shape invariant:

@@ -11,8 +11,3 @@ func ExampleSummarize() {
 	fmt.Printf("mean=%.0f median=%.1f min=%.0f max=%.0f\n", s.Mean, s.Median, s.Min, s.Max)
 	// Output: mean=5 median=4.5 min=2 max=9
 }
-
-func ExampleGeoMean() {
-	fmt.Println(stats.GeoMean([]float64{1, 4}))
-	// Output: 2
-}

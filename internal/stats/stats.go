@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used to aggregate
-// experiment results across random seeds: mean, standard deviation, and
-// normal-approximation confidence intervals.
+// experiment results across random seeds: mean, sample standard deviation,
+// extremes and median.
 package stats
 
 import (
@@ -58,38 +58,7 @@ func Summarize(xs []float64) Summary {
 // Mean returns the arithmetic mean. It panics on an empty sample.
 func Mean(xs []float64) float64 { return Summarize(xs).Mean }
 
-// StdDev returns the sample standard deviation (0 for samples of size 1).
-// It panics on an empty sample.
-func StdDev(xs []float64) float64 { return Summarize(xs).Std }
-
-// CI95 returns the normal-approximation 95% confidence interval for the
-// mean (±1.96·σ/√n).
-func (s Summary) CI95() (lo, hi float64) {
-	if s.N == 0 {
-		return math.NaN(), math.NaN()
-	}
-	half := 1.96 * s.Std / math.Sqrt(float64(s.N))
-	return s.Mean - half, s.Mean + half
-}
-
 // String renders "mean ± std (n=N)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean, s.Std, s.N)
-}
-
-// GeoMean returns the geometric mean of strictly positive observations;
-// it returns NaN when any observation is non-positive. Used for
-// speedup-style ratios.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: empty sample")
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

@@ -475,26 +475,9 @@ func (s *Store) LoadSparse(name string) (*tensor.Sparse, error) {
 	return out, err
 }
 
-// SaveDense stores a dense tensor, streaming BlockSize cells at a time.
-func (s *Store) SaveDense(name string, t *tensor.Dense) error {
-	return s.writeFile(name, kindDense, func(w io.Writer) error {
-		if err := writeShape(w, t.Shape); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		for start := 0; start < len(t.Data); start += BlockSize {
-			end := start + BlockSize
-			if end > len(t.Data) {
-				end = len(t.Data)
-			}
-			if err := binary.Write(w, binary.LittleEndian, t.Data[start:end]); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-		}
-		return nil
-	})
-}
-
-// LoadDense reads a dense tensor saved with SaveDense.
+// LoadDense reads a dense tensor object (shape, then the cells in C
+// order). No current command writes one; stores filled by earlier builds
+// hold them and `tensorstore info` still names them.
 func (s *Store) LoadDense(name string) (*tensor.Dense, error) {
 	var out *tensor.Dense
 	err := s.readFile(name, kindDense, func(r io.Reader, _ int64) error {

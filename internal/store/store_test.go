@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -78,6 +80,26 @@ func TestSparseMultiBlock(t *testing.T) {
 	if !got.ToDense().Equal(orig.ToDense(), 0) {
 		t.Fatal("multi-block roundtrip corrupted values")
 	}
+}
+
+// SaveDense is the writer of the dense object kind LoadDense still reads:
+// shape, then BlockSize cells at a time.
+func (s *Store) SaveDense(name string, t *tensor.Dense) error {
+	return s.writeFile(name, kindDense, func(w io.Writer) error {
+		if err := writeShape(w, t.Shape); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		for start := 0; start < len(t.Data); start += BlockSize {
+			end := start + BlockSize
+			if end > len(t.Data) {
+				end = len(t.Data)
+			}
+			if err := binary.Write(w, binary.LittleEndian, t.Data[start:end]); err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+		}
+		return nil
+	})
 }
 
 func TestDenseRoundtrip(t *testing.T) {

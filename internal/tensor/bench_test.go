@@ -29,7 +29,7 @@ func BenchmarkModeGramDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ModeGramDense(d, 0)
+		ModeGramDenseWorkers(d, 0, 0)
 	}
 }
 
@@ -39,7 +39,7 @@ func BenchmarkTTMSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TTMSparse(s, 0, m)
+		TTMSparseWorkers(s, 0, m, 0)
 	}
 }
 

@@ -81,48 +81,6 @@ func MatricizeWorkers(d *Dense, n, workers int) *mat.Matrix {
 	return out
 }
 
-// Fold inverts Matricize: it reshapes an I_n × Π_{k≠n} I_k matrix back into
-// a dense tensor with the given shape. Columns are enumerated with an
-// odometer over the non-n modes (little-endian, first non-n mode fastest),
-// maintaining the output linear base incrementally — no per-column div/mod
-// chain and no per-element LinearIndex call.
-func Fold(m *mat.Matrix, n int, shape Shape) *Dense {
-	if m.Rows != shape[n] || m.Cols != shape.MatricizeCols(n) {
-		panic("tensor: Fold dimensions do not match shape")
-	}
-	out := NewDense(shape)
-	order := shape.Order()
-	strides := shape.Strides()
-	strideN := strides[n]
-	// Non-n modes in matricization order (first varies fastest), with
-	// their output strides.
-	modes := make([]int, 0, order-1)
-	for k := 0; k < order; k++ {
-		if k != n {
-			modes = append(modes, k)
-		}
-	}
-	counters := make([]int, len(modes))
-	base := 0
-	for col := 0; col < m.Cols; col++ {
-		for r := 0; r < m.Rows; r++ {
-			out.Data[base+r*strideN] = m.At(r, col)
-		}
-		// Advance the odometer and the linear base together.
-		for p := 0; p < len(modes); p++ {
-			k := modes[p]
-			counters[p]++
-			base += strides[k]
-			if counters[p] < shape[k] {
-				break
-			}
-			base -= counters[p] * strides[k]
-			counters[p] = 0
-		}
-	}
-	return out
-}
-
 // ModeGram computes G = X(n) · X(n)ᵀ (an I_n × I_n matrix) directly from
 // sparse coordinates, without materialising the matricization whose column
 // count is the product of all other mode sizes. It runs on the
@@ -199,12 +157,9 @@ func gramAccumulate(gm []float64, rows int, bounds, prow []int, pval []float64, 
 	}
 }
 
-// ModeGramDense computes X(n)·X(n)ᵀ for a dense tensor without allocating
-// the matricization; useful when the unfolding's column count is large.
-// It runs on the package-default worker pool; see ModeGramDenseWorkers.
-func ModeGramDense(d *Dense, n int) *mat.Matrix { return ModeGramDenseWorkers(d, n, 0) }
-
-// ModeGramDenseWorkers is ModeGramDense on an explicit worker count.
+// ModeGramDenseWorkers computes X(n)·X(n)ᵀ for a dense tensor without
+// allocating the matricization, on an explicit worker count (0 = the
+// package default).
 //
 // Fibers are enumerated by stride walking: a mode-n fiber base is
 // base(f) = (f/inner)·inner·I_n + f%inner with inner = Π_{k>n} I_k, so the
@@ -338,16 +293,11 @@ func denseGramAccumulate(gm, data []float64, bases []int, fiber []float64, inner
 	}
 }
 
-// LeadingModeVectors returns the r leading left singular vectors of the
-// mode-n matricization of the sparse tensor, as an I_n × r matrix, via the
-// Gram eigendecomposition route.
-func LeadingModeVectors(s *Sparse, n, r int) *mat.Matrix {
-	return LeadingModeVectorsWorkers(s, n, r, 0)
-}
-
-// LeadingModeVectorsWorkers is LeadingModeVectors on an explicit worker
-// count (the Gram accumulation parallelises; the small I_n × I_n
-// eigendecomposition stays serial).
+// LeadingModeVectorsWorkers returns the r leading left singular vectors
+// of the mode-n matricization of the sparse tensor, as an I_n × r matrix,
+// via the Gram eigendecomposition route, on an explicit worker count (the
+// Gram accumulation parallelises; the small I_n × I_n eigendecomposition
+// stays serial).
 func LeadingModeVectorsWorkers(s *Sparse, n, r, workers int) *mat.Matrix {
 	return mat.LeadingEigenvectors(ModeGramWorkers(s, n, workers), r)
 }

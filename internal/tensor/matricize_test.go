@@ -35,28 +35,23 @@ func TestMatricizeFoldRoundtrip(t *testing.T) {
 		d := randomDense(rng, shape)
 		for n := 0; n < shape.Order(); n++ {
 			m := Matricize(d, n)
-			back := Fold(m, n, shape)
+			back := foldRef(m, n, shape)
 			if !back.Equal(d, 0) {
-				t.Errorf("shape %v mode %d: Fold(Matricize) != original", shape, n)
+				t.Errorf("shape %v mode %d: foldRef(Matricize) != original", shape, n)
 			}
 		}
 	}
 }
 
-func TestFoldShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Fold with wrong dims did not panic")
-		}
-	}()
-	Fold(mat.New(2, 3), 0, Shape{2, 2})
+func frobeniusNorm(m *mat.Matrix) float64 {
+	return DenseFromSlice(Shape{m.Rows, m.Cols}, m.Data).Norm()
 }
 
 func TestMatricizeNormPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	d := randomDense(rng, Shape{3, 4, 5})
 	for n := 0; n < 3; n++ {
-		if got, want := mat.FrobeniusNorm(Matricize(d, n)), d.Norm(); got < want-1e-12 || got > want+1e-12 {
+		if got, want := frobeniusNorm(Matricize(d, n)), d.Norm(); got < want-1e-12 || got > want+1e-12 {
 			t.Errorf("mode %d: matricization norm %v != tensor norm %v", n, got, want)
 		}
 	}
@@ -73,7 +68,7 @@ func TestModeGramMatchesDense(t *testing.T) {
 		if !gSparse.Equal(gDense, 1e-10) {
 			t.Errorf("mode %d: sparse ModeGram disagrees with dense Gram", n)
 		}
-		gFiber := ModeGramDense(d, n)
+		gFiber := ModeGramDenseWorkers(d, n, 0)
 		if !gFiber.Equal(gDense, 1e-10) {
 			t.Errorf("mode %d: ModeGramDense disagrees with dense Gram", n)
 		}
@@ -83,7 +78,7 @@ func TestModeGramMatchesDense(t *testing.T) {
 func TestModeGramEmpty(t *testing.T) {
 	s := NewSparse(Shape{3, 3})
 	g := ModeGram(s, 0)
-	if mat.FrobeniusNorm(g) != 0 {
+	if frobeniusNorm(g) != 0 {
 		t.Fatal("empty tensor Gram should be zero")
 	}
 }
@@ -91,7 +86,7 @@ func TestModeGramEmpty(t *testing.T) {
 func TestLeadingModeVectorsOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	s := randomSparse(rng, Shape{5, 4, 3}, 30)
-	u := LeadingModeVectors(s, 0, 3)
+	u := LeadingModeVectorsWorkers(s, 0, 3, 0)
 	if u.Rows != 5 || u.Cols != 3 {
 		t.Fatalf("dims = %d×%d, want 5×3", u.Rows, u.Cols)
 	}

@@ -21,7 +21,7 @@ import (
 // products of the Gram accumulation), TTMSparseWorkers (column groups are
 // write-disjoint output cells, so workers partition groups instead of
 // re-scanning every entry per output slab), and, through those, by
-// LeadingModeVectors, HOSVD, ST-HOSVD and HOOI.
+// LeadingModeVectorsWorkers, HOSVD and HOOI.
 //
 // A plan is immutable once built. It aliases no tensor storage: Rows and
 // Vals are copies in plan order, so kernels touch two flat arrays with
@@ -118,10 +118,10 @@ type planCache struct {
 }
 
 // InvalidatePlans discards all cached mode plans by bumping the tensor's
-// mutation generation. The mutating methods (Append, AppendBlock, Dedup,
-// SortByMode) call it automatically; code that mutates Idx or Vals
-// directly must call it before the next kernel invocation, or kernels will
-// keep serving the stale compiled layout.
+// mutation generation. The mutating methods (Append, AppendBlock, Dedup)
+// call it automatically; code that mutates Idx or Vals directly must call
+// it before the next kernel invocation, or kernels will keep serving the
+// stale compiled layout.
 func (s *Sparse) InvalidatePlans() { s.gen++ }
 
 // PlanMode returns the compiled kernel plan for mode n, building and

@@ -109,7 +109,6 @@ func TestModePlanInvalidation(t *testing.T) {
 		do   func(*Sparse)
 	}{
 		{"Append", func(s *Sparse) { s.Append([]int{0, 0, 0}, 1.5) }},
-		{"SortByMode", func(s *Sparse) { s.SortByMode(2) }},
 		{"Dedup", func(s *Sparse) { s.Dedup(SumDuplicates) }},
 		{"InvalidatePlans", func(s *Sparse) { s.Vals[0] *= 2; s.InvalidatePlans() }},
 	}
@@ -198,16 +197,6 @@ func TestModeGramDenseMatchesReference(t *testing.T) {
 				want := modeGramDenseWorkersRef(d, n, w)
 				bitsEqualMat(t, "ModeGramDense", got, want)
 			}
-		}
-	}
-}
-
-func TestFoldMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, shape := range []Shape{{5, 4, 3}, {3, 4, 2, 5}} {
-		for n := 0; n < shape.Order(); n++ {
-			m := mat.Random(rng, shape[n], shape.MatricizeCols(n))
-			bitsEqualDense(t, "Fold", Fold(m, n, shape), foldRef(m, n, shape))
 		}
 	}
 }

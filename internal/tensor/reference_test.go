@@ -288,8 +288,9 @@ func treeMergeRef(partials [][]float64) []float64 {
 	return partials[0]
 }
 
-// foldRef is the previous Fold: each column is decoded with a div/mod
-// chain and each element placed through a full LinearIndex call.
+// foldRef inverts Matricize: it reshapes an I_n × Π_{k≠n} I_k matrix back
+// into a dense tensor, decoding each column with a div/mod chain and
+// placing each element through a full LinearIndex call.
 func foldRef(m *mat.Matrix, n int, shape Shape) *Dense {
 	out := NewDense(shape)
 	order := shape.Order()

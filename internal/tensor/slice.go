@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SliceMode fixes one mode of a dense tensor at the given index and
 // returns the resulting (N−1)-mode tensor. For an ensemble tensor this
@@ -35,51 +32,6 @@ func (d *Dense) SliceMode(mode, index int) *Dense {
 		out.Data[outShape.LinearIndex(outIdx)] = v
 	}
 	return out
-}
-
-// SliceMode fixes one mode of a sparse tensor at the given index and
-// returns the resulting (N−1)-mode sparse tensor.
-func (s *Sparse) SliceMode(mode, index int) *Sparse {
-	checkSliceArgs(s.Shape, mode, index)
-	outShape := make(Shape, 0, s.Order()-1)
-	for k, sz := range s.Shape {
-		if k != mode {
-			outShape = append(outShape, sz)
-		}
-	}
-	out := NewSparse(outShape)
-	outIdx := make([]int, outShape.Order())
-	s.Each(func(idx []int, v float64) {
-		if idx[mode] != index {
-			return
-		}
-		p := 0
-		for k, i := range idx {
-			if k != mode {
-				outIdx[p] = i
-				p++
-			}
-		}
-		out.Append(outIdx, v)
-	})
-	return out
-}
-
-// FiberNorms returns, for the given mode, the Euclidean norm of each of
-// its hyperslices: out[i] = ‖X(mode = i)‖F. Useful for locating which
-// parameter values carry the most ensemble energy.
-func (s *Sparse) FiberNorms(mode int) []float64 {
-	if mode < 0 || mode >= s.Order() {
-		panic(fmt.Sprintf("tensor: FiberNorms mode %d out of range", mode))
-	}
-	sums := make([]float64, s.Shape[mode])
-	s.Each(func(idx []int, v float64) {
-		sums[idx[mode]] += v * v
-	})
-	for i, v := range sums {
-		sums[i] = math.Sqrt(v)
-	}
-	return sums
 }
 
 func checkSliceArgs(shape Shape, mode, index int) {

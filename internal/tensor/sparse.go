@@ -14,7 +14,7 @@ import (
 // module produce duplicate-free tensors directly.
 //
 // Sparse lazily caches compiled per-mode kernel plans (see ModePlan); the
-// mutating methods (Append, AppendBlock, Dedup, SortByMode) invalidate
+// mutating methods (Append, AppendBlock, Dedup) invalidate
 // them via a generation counter. Code that mutates Idx or Vals directly
 // must call InvalidatePlans before the next kernel invocation. Sparse must
 // not be copied by value once PlanMode has been called.
@@ -263,41 +263,4 @@ func SumDuplicates(vals []float64) float64 {
 // MeanDuplicates is a Dedup combiner that averages duplicate values.
 func MeanDuplicates(vals []float64) float64 {
 	return SumDuplicates(vals) / float64(len(vals))
-}
-
-// SortByMode sorts entries lexicographically with the given mode as the
-// primary key (remaining modes in order), grouping cells that share a
-// value along that mode — e.g. all cells of one pivot configuration.
-func (s *Sparse) SortByMode(mode int) {
-	o := s.Order()
-	n := s.NNZ()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	less := func(a, b int) bool {
-		ia := s.Idx[perm[a]*o : (perm[a]+1)*o]
-		ib := s.Idx[perm[b]*o : (perm[b]+1)*o]
-		if ia[mode] != ib[mode] {
-			return ia[mode] < ib[mode]
-		}
-		for k := 0; k < o; k++ {
-			if k == mode {
-				continue
-			}
-			if ia[k] != ib[k] {
-				return ia[k] < ib[k]
-			}
-		}
-		return false
-	}
-	sort.Slice(perm, less)
-	newIdx := make([]int, len(s.Idx))
-	newVals := make([]float64, n)
-	for to, from := range perm {
-		copy(newIdx[to*o:(to+1)*o], s.Idx[from*o:(from+1)*o])
-		newVals[to] = s.Vals[from]
-	}
-	s.Idx, s.Vals = newIdx, newVals
-	s.InvalidatePlans()
 }

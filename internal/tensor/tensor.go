@@ -201,14 +201,6 @@ func (d *Dense) Add(o *Dense) *Dense {
 	return out
 }
 
-// Scale multiplies every element by s in place and returns d.
-func (d *Dense) Scale(s float64) *Dense {
-	for i := range d.Data {
-		d.Data[i] *= s
-	}
-	return d
-}
-
 // Equal reports whether shapes match and all elements agree within tol.
 func (d *Dense) Equal(o *Dense, tol float64) bool {
 	if !d.Shape.Equal(o.Shape) {
@@ -220,17 +212,6 @@ func (d *Dense) Equal(o *Dense, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// NNZ returns the number of elements with magnitude above eps.
-func (d *Dense) NNZ(eps float64) int {
-	n := 0
-	for _, v := range d.Data {
-		if math.Abs(v) > eps {
-			n++
-		}
-	}
-	return n
 }
 
 // ToSparse converts to COO format, keeping elements with magnitude above

@@ -93,22 +93,16 @@ func ttmDenseRange(x *Dense, m *mat.Matrix, out *Dense, inner, inSize, outSize, 
 	}
 }
 
-// TTMSparse computes Y = X ×ₙ M where X is sparse, producing a dense
-// result. This is the entry point for core recovery G = J ×₁U₁ᵀ…: the
-// first product consumes COO coordinates directly; subsequent products use
-// the dense TTM as dimensions shrink to the target ranks.
-//
-// It runs on the package-default worker pool; see TTMSparseWorkers.
-func TTMSparse(x *Sparse, n int, m *mat.Matrix) *Dense { return TTMSparseWorkers(x, n, m, 0) }
-
 // ttmSparseMinNNZ gates the plan-based parallel sparse TTM; tiny tensors
 // run the single-pass serial loop.
 const ttmSparseMinNNZ = 4096
 
-// TTMSparseWorkers is TTMSparse on an explicit worker count. The parallel
-// path borrows the tensor's compiled mode plan when a Gram kernel has
-// already cached one (see ModePlan and ttmSparseKernel): entries
-// grouped by matricization column share one output base, and distinct
+// TTMSparseWorkers computes the mode-n product Y = X ×ₙ M of a sparse
+// tensor into a fresh dense tensor, on an explicit worker count (0 = the
+// package default). The parallel path borrows the tensor's compiled mode
+// plan when a Gram kernel has already cached one (see ModePlan and
+// ttmSparseKernel): entries grouped by matricization column share one
+// output base, and distinct
 // groups write disjoint output cells, so workers partition the GROUPS —
 // each worker touches only its own groups' entries instead of re-scanning
 // all nnz entries per output slab as the pre-plan kernel did. Within a
@@ -134,9 +128,9 @@ func TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 // Path choice — borrow, never build: the planned path is taken iff a
 // plan for mode n is already cached (x.HasPlanMode). Plans are compiled
 // by the kernels that need the grouped layout (ModeGram and, through it,
-// LeadingModeVectors); a TTM only borrows what such a kernel left behind.
-// So every reuse caller — sub-tensor projection, the HOSVD / ST-HOSVD
-// core, HOOI sweeps — finds the plan its Gram step cached and keeps the
+// LeadingModeVectorsWorkers); a TTM only borrows what such a kernel left
+// behind. So every reuse caller — sub-tensor projection, the HOSVD core,
+// HOOI sweeps — finds the plan its Gram step cached and keeps the
 // group-parallel path, while every one-shot caller — the stitched or
 // sketched join in CoreFromFactors, a dist shard projection — runs the
 // entry scatter. A one-shot tensor dies after this call, so a plan built

@@ -17,7 +17,7 @@ func naiveTTM(x *Dense, n int, m *mat.Matrix) *Dense {
 	ym := mat.Mul(m, xm)
 	outShape := x.Shape.Clone()
 	outShape[n] = m.Rows
-	return Fold(ym, n, outShape)
+	return foldRef(ym, n, outShape)
 }
 
 func TestTTMAgainstNaive(t *testing.T) {
@@ -63,7 +63,7 @@ func TestTTMSparseMatchesDense(t *testing.T) {
 	d := s.ToDense()
 	for n := 0; n < shape.Order(); n++ {
 		m := mat.Random(rng, 2, shape[n])
-		if !TTMSparse(s, n, m).Equal(TTM(d, n, m), 1e-10) {
+		if !TTMSparseWorkers(s, n, m, 0).Equal(TTM(d, n, m), 1e-10) {
 			t.Errorf("mode %d: TTMSparse != TTM", n)
 		}
 	}
@@ -76,7 +76,7 @@ func TestTTMSparseShapeMismatchPanics(t *testing.T) {
 			t.Fatal("TTMSparse with wrong matrix cols did not panic")
 		}
 	}()
-	TTMSparse(s, 1, mat.New(2, 2))
+	TTMSparseWorkers(s, 1, mat.New(2, 2), 0)
 }
 
 func TestMultiTTM(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // ping-pongs between two slots — step k reads one slot and writes the
 // other — so an arbitrarily long chain needs exactly two buffers, each
 // sized once to the largest intermediate and reused forever after.
-// Steady-state HOOI/ST-HOSVD sweeps therefore allocate zero bytes in the
+// Steady-state HOOI sweeps therefore allocate zero bytes in the
 // dense TTM chain (asserted by testing.AllocsPerRun in the workspace
 // tests).
 //
@@ -110,22 +110,6 @@ func (w *Workspace) TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers in
 	zero(out)
 	ttmSparseKernel(x, n, m, out, w.takeStrides(out.Shape), workers)
 	return out
-}
-
-// MultiTTMWorkers applies the mode products sequentially, ping-ponging
-// between the two workspace slots. The result aliases the workspace.
-func (w *Workspace) MultiTTMWorkers(x *Dense, ms []*mat.Matrix, workers int) *Dense {
-	if len(ms) != x.Shape.Order() {
-		panic(fmt.Sprintf("tensor: MultiTTM got %d matrices for order-%d tensor", len(ms), x.Shape.Order()))
-	}
-	cur := x
-	for n, m := range ms {
-		if m == nil {
-			continue
-		}
-		cur = w.TTMWorkers(cur, n, m, workers)
-	}
-	return cur
 }
 
 // MultiTTMSparseWorkers applies all mode products to a sparse tensor into

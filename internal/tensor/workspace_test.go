@@ -7,6 +7,22 @@ import (
 	"repro/internal/mat"
 )
 
+// MultiTTMWorkers is the dense chain MultiTTMSparseWorkers runs after its
+// sparse first step, on its own: the mode products applied sequentially,
+// ping-ponging between the two workspace slots. Production always enters
+// through a sparse tensor; the parity tests and BenchmarkWorkspaceTTMChain
+// drive the dense steps directly.
+func (w *Workspace) MultiTTMWorkers(x *Dense, ms []*mat.Matrix, workers int) *Dense {
+	cur := x
+	for n, m := range ms {
+		if m == nil {
+			continue
+		}
+		cur = w.TTMWorkers(cur, n, m, workers)
+	}
+	return cur
+}
+
 // chainMatrices builds one factor matrix per mode (rank rows, shape[n]
 // cols), with nils where skip says so.
 func chainMatrices(rng *rand.Rand, shape Shape, rank int, skip map[int]bool) []*mat.Matrix {

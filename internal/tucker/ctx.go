@@ -8,12 +8,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// HOOICtx is HOOI with cooperative cancellation. The context is polled
-// between whole mode updates and between sweeps — never inside a kernel —
-// so a cancelled HOOI stops at a consistent point: any kernel it started
-// has finished, all pool workers are joined, and no partially written
-// factor escapes (the Decomposition returned with a non-nil error is the
-// zero value). An un-cancelled HOOICtx is bit-identical to HOOI.
+// HOOICtx computes a Tucker decomposition by higher-order orthogonal
+// iteration: starting from the HOSVD factors, it alternately re-optimises
+// each mode's factor as the leading subspace of the tensor projected
+// through all other factors. HOOI's reconstruction error is never worse
+// than HOSVD's (it monotonically increases the captured core energy) and
+// is often better at aggressive rank truncations. HOSVD remains the
+// building block the paper's M2TD uses; HOOI is the quality upgrade for
+// standalone Tucker decompositions of ensemble tensors.
+//
+// The context is polled between whole mode updates and between sweeps —
+// never inside a kernel — so a cancelled HOOI stops at a consistent
+// point: any kernel it started has finished, all pool workers are joined,
+// and no partially written factor escapes (the Decomposition returned
+// with a non-nil error is the zero value).
 func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOptions) (Decomposition, error) {
 	opts = opts.normalize()
 	ranks = ClipRanks(x.Shape, ranks)
@@ -77,36 +85,4 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 	opts.Span.Set("sweeps", int64(sweeps))
 	core := ws.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), w)
 	return Decomposition{Core: core.Clone(), Factors: factors, Ranks: ranks}, nil
-}
-
-// STHOSVDCtx is STHOSVDWorkers with cooperative cancellation, polled
-// between the sequential mode steps (each step's Gram/eigen/TTM kernels
-// always run to completion). An un-cancelled STHOSVDCtx is bit-identical
-// to STHOSVDWorkers.
-func STHOSVDCtx(ctx context.Context, x *tensor.Sparse, ranks []int, workers int) (Decomposition, error) {
-	ranks = ClipRanks(x.Shape, ranks)
-	order := x.Order()
-	factors := make([]*mat.Matrix, order)
-
-	if err := ctx.Err(); err != nil {
-		return Decomposition{}, err
-	}
-
-	// The projection chain ping-pongs on a reusable workspace; the final
-	// core is cloned out because workspace results alias its buffers.
-	ws := tensor.NewWorkspace()
-
-	// Mode 0 from the sparse tensor.
-	factors[0] = tensor.LeadingModeVectorsWorkers(x, 0, ranks[0], workers)
-	cur := ws.TTMSparseWorkers(x, 0, mat.Transpose(factors[0]), workers)
-
-	// Remaining modes from the shrinking dense tensor.
-	for n := 1; n < order; n++ {
-		if err := ctx.Err(); err != nil {
-			return Decomposition{}, err
-		}
-		factors[n] = mat.LeadingEigenvectors(tensor.ModeGramDenseWorkers(cur, n, workers), ranks[n])
-		cur = ws.TTMWorkers(cur, n, mat.Transpose(factors[n]), workers)
-	}
-	return Decomposition{Core: cur.Clone(), Factors: factors, Ranks: ranks}, nil
 }

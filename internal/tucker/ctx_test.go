@@ -56,29 +56,6 @@ func (c *countingCtx) polls() int {
 	return c.calls
 }
 
-func TestHOOICtxMatchesHOOI(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := randomSparseTensor(rng, tensor.Shape{6, 5, 4}, 60)
-	opts := HOOIOptions{MaxIterations: 4, Workers: 2}
-	want := HOOI(x, []int{3, 3, 2}, opts)
-	got, err := HOOICtx(context.Background(), x, []int{3, 3, 2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Core.Data {
-		if got.Core.Data[i] != want.Core.Data[i] {
-			t.Fatalf("core differs at %d: %v vs %v", i, got.Core.Data[i], want.Core.Data[i])
-		}
-	}
-	for n := range want.Factors {
-		for i := range want.Factors[n].Data {
-			if got.Factors[n].Data[i] != want.Factors[n].Data[i] {
-				t.Fatalf("factor %d differs at %d", n, i)
-			}
-		}
-	}
-}
-
 func TestHOOICtxCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -106,31 +83,6 @@ func TestHOOICtxStopsBetweenModeUpdatesNotMidKernel(t *testing.T) {
 	}
 	if cctx.polls() < 3 {
 		t.Fatalf("HOOICtx consulted the context only %d times; it is not polling between mode updates", cctx.polls())
-	}
-}
-
-func TestSTHOSVDCtxMatchesSTHOSVD(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	x := randomSparseTensor(rng, tensor.Shape{6, 5, 4}, 60)
-	want := STHOSVDWorkers(x, []int{3, 3, 2}, 2)
-	got, err := STHOSVDCtx(context.Background(), x, []int{3, 3, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Core.Data {
-		if got.Core.Data[i] != want.Core.Data[i] {
-			t.Fatalf("core differs at %d", i)
-		}
-	}
-}
-
-func TestSTHOSVDCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rng := rand.New(rand.NewSource(11))
-	x := randomSparseTensor(rng, tensor.Shape{5, 4, 3}, 30)
-	if _, err := STHOSVDCtx(ctx, x, []int{2, 2, 2}, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want Canceled, got %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package tucker
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -40,39 +39,6 @@ func (o HOOIOptions) normalize() HOOIOptions {
 		o.Tolerance = 1e-8
 	}
 	return o
-}
-
-// HOOI computes a Tucker decomposition by higher-order orthogonal
-// iteration: starting from the HOSVD factors, it alternately re-optimises
-// each mode's factor as the leading subspace of the tensor projected
-// through all other factors. HOOI's reconstruction error is never worse
-// than HOSVD's (it monotonically increases the captured core energy) and
-// is often better at aggressive rank truncations.
-//
-// HOSVD remains the building block the paper's M2TD uses; HOOI is provided
-// as the natural quality upgrade for standalone Tucker decompositions of
-// ensemble tensors.
-//
-// HOOI is the infallible entry point; cancellable decompositions use
-// HOOICtx (bit-identical when not cancelled).
-func HOOI(x *tensor.Sparse, ranks []int, opts HOOIOptions) Decomposition {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx API is the root of its own context tree
-	dec, err := HOOICtx(context.Background(), x, ranks, opts)
-	if err != nil {
-		// Background contexts are never cancelled; HOOICtx has no other
-		// error path.
-		panic(fmt.Sprintf("tucker: HOOI on background context failed: %v", err))
-	}
-	return dec
-}
-
-// HOOIDense runs HOOI on a dense tensor.
-func HOOIDense(x *tensor.Dense, ranks []int, opts HOOIOptions) Decomposition {
-	sp := x.ToSparse(0)
-	if sp.NNZ() == 0 {
-		return HOSVDDenseWorkers(x, ranks, opts.Workers)
-	}
-	return HOOI(sp, ranks, opts)
 }
 
 // FitOf returns the Tucker fit 1 − ‖X − X̂‖F/‖X‖F of a decomposition

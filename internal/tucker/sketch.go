@@ -1,6 +1,7 @@
 package tucker
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -134,25 +135,26 @@ func SketchedHOSVD(x *tensor.Sparse, ranks []int, opts SketchOptions) (Decomposi
 	return HOSVDSpan(sk, ranks, opts.Workers, opts.Span), stats, nil
 }
 
-// SketchedHOOI runs HOOI on the sketch; hopts.Workers and hopts.Span
+// SketchedHOOI runs HOOICtx on the sketch; hopts.Workers and hopts.Span
 // default to the sketch options' values when unset. KeepFrac == 1
-// short-circuits to plain HOOI.
-func SketchedHOOI(x *tensor.Sparse, ranks []int, opts SketchOptions, hopts HOOIOptions) (Decomposition, SketchStats, error) {
+// short-circuits to plain HOOI. The sketch pass itself is not
+// cancellable; the sweeps after it are.
+func SketchedHOOI(ctx context.Context, x *tensor.Sparse, ranks []int, opts SketchOptions, hopts HOOIOptions) (Decomposition, SketchStats, error) {
 	if hopts.Workers == 0 {
 		hopts.Workers = opts.Workers
 	}
 	if hopts.Span == nil {
 		hopts.Span = opts.Span
 	}
-	if opts.KeepFrac == 1 {
-		stats := SketchStats{InputNNZ: x.NNZ(), Kept: x.NNZ()}
-		return HOOI(x, ranks, hopts), stats, nil
+	sk, stats := x, SketchStats{InputNNZ: x.NNZ(), Kept: x.NNZ()}
+	if opts.KeepFrac != 1 {
+		var err error
+		if sk, stats, err = Sketch(x, opts); err != nil {
+			return Decomposition{}, stats, err
+		}
 	}
-	sk, stats, err := Sketch(x, opts)
-	if err != nil {
-		return Decomposition{}, stats, err
-	}
-	return HOOI(sk, ranks, hopts), stats, nil
+	dec, err := HOOICtx(ctx, sk, ranks, hopts)
+	return dec, stats, err
 }
 
 // Sketch returns the biased random sketch itself: cell i is kept when its

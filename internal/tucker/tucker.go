@@ -5,7 +5,7 @@
 //
 // Left singular vectors are obtained from the eigendecomposition of the
 // small Iₙ×Iₙ matricization Gram matrix, computed directly from sparse
-// coordinates (tensor.ModeGram) or dense fibers (tensor.ModeGramDense), so
+// coordinates (tensor.ModeGram) or dense fibers (tensor.ModeGramDenseWorkers), so
 // the potentially enormous unfoldings are never materialised.
 package tucker
 
@@ -101,30 +101,6 @@ func HOSVDSpan(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) Decom
 	core := tensor.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), workers)
 	cs.Set("cells", int64(len(core.Data)))
 	cs.Finish()
-	return Decomposition{Core: core, Factors: factors, Ranks: ranks}
-}
-
-// HOSVDDense decomposes a dense tensor with the given per-mode target
-// ranks. It runs on the package-default worker pool; see
-// HOSVDDenseWorkers.
-func HOSVDDense(x *tensor.Dense, ranks []int) Decomposition { return HOSVDDenseWorkers(x, ranks, 0) }
-
-// HOSVDDenseWorkers is HOSVDDense on an explicit worker count, with the
-// independent per-mode factor extractions running concurrently.
-func HOSVDDenseWorkers(x *tensor.Dense, ranks []int, workers int) Decomposition {
-	ranks = ClipRanks(x.Shape, ranks)
-	order := x.Shape.Order()
-	factors := make([]*mat.Matrix, order)
-	tasks := make([]func(), order)
-	inner := parallel.SplitWorkers(workers, order)
-	for n := 0; n < order; n++ {
-		n := n
-		tasks[n] = func() {
-			factors[n] = mat.LeadingEigenvectors(tensor.ModeGramDenseWorkers(x, n, inner), ranks[n])
-		}
-	}
-	parallel.Do(workers, tasks...)
-	core := tensor.MultiTTMWorkers(x, tensor.TransposeAll(factors), workers)
 	return Decomposition{Core: core, Factors: factors, Ranks: ranks}
 }
 

@@ -67,7 +67,7 @@ func TestHOSVDExactRecovery(t *testing.T) {
 	// those target ranks.
 	rng := rand.New(rand.NewSource(100))
 	x := lowRankTensor(rng, tensor.Shape{5, 6, 4}, []int{2, 2, 2})
-	d := HOSVDDense(x, []int{2, 2, 2})
+	d := HOSVD(x.ToSparse(0), []int{2, 2, 2})
 	if err := d.RelativeError(x); err > 1e-9 {
 		t.Fatalf("exact-rank HOSVD error = %v", err)
 	}
@@ -76,7 +76,7 @@ func TestHOSVDExactRecovery(t *testing.T) {
 func TestHOSVDFullRankIsLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	x := randomDense(rng, tensor.Shape{4, 3, 5})
-	d := HOSVDDense(x, []int{4, 3, 5})
+	d := HOSVD(x.ToSparse(0), []int{4, 3, 5})
 	if err := d.RelativeError(x); err > 1e-9 {
 		t.Fatalf("full-rank HOSVD error = %v", err)
 	}
@@ -87,7 +87,7 @@ func TestHOSVDErrorDecreasesWithRank(t *testing.T) {
 	x := randomDense(rng, tensor.Shape{6, 6, 6})
 	var prev = math.Inf(1)
 	for _, r := range []int{1, 2, 4, 6} {
-		err := HOSVDDense(x, UniformRanks(3, r)).RelativeError(x)
+		err := HOSVD(x.ToSparse(0), UniformRanks(3, r)).RelativeError(x)
 		if err > prev+1e-12 {
 			t.Fatalf("error increased with rank: %v -> %v at r=%d", prev, err, r)
 		}
@@ -110,7 +110,7 @@ func TestHOSVDSparseMatchesDense(t *testing.T) {
 	sp := x.ToSparse(0)
 	ranks := []int{2, 3, 2}
 	ds := HOSVD(sp, ranks)
-	dd := HOSVDDense(x, ranks)
+	dd := HOSVDReference(x, ranks)
 	// Factor subspaces may differ in sign; compare reconstructions.
 	if !ds.Reconstruct().Equal(dd.Reconstruct(), 1e-8) {
 		t.Fatal("sparse and dense HOSVD reconstructions differ")
@@ -154,7 +154,7 @@ func TestHOSVDProjectionOptimalityPerMode(t *testing.T) {
 	// the same dimension.
 	rng := rand.New(rand.NewSource(106))
 	x := randomDense(rng, tensor.Shape{6, 5, 4})
-	d := HOSVDDense(x, []int{2, 2, 2})
+	d := HOSVD(x.ToSparse(0), []int{2, 2, 2})
 	hosvdEnergy := d.Core.Norm()
 	for trial := 0; trial < 5; trial++ {
 		us := make([]*mat.Matrix, 3)
@@ -199,7 +199,7 @@ func TestGramRouteMatchesReferenceHOSVD(t *testing.T) {
 		x := randomDense(rng, tensor.Shape{5, 4, 6})
 		ranks := []int{3, 2, 4}
 		ref := HOSVDReference(x, ranks)
-		prod := HOSVDDense(x, ranks)
+		prod := HOSVD(x.ToSparse(0), ranks)
 		if !ref.Reconstruct().Equal(prod.Reconstruct(), 1e-8) {
 			t.Fatalf("trial %d: reconstructions differ between Gram route and Algorithm 1", trial)
 		}

@@ -8,10 +8,9 @@
 //   - internal/ensemble  — parameter spaces; Random/Grid/Slice/LHS samplers
 //   - internal/partition — PF-partitioning into pivot-sharing sub-systems
 //   - internal/stitch    — JE-stitching (join and zero-join)
-//   - internal/tucker    — HOSVD / ST-HOSVD / HOOI Tucker decomposition
+//   - internal/tucker    — HOSVD / HOOI Tucker decomposition, sketch fast path
 //   - internal/core      — M2TD-AVG / -CONCAT / -SELECT (+ factored core)
 //   - internal/dist      — 3-phase distributed M2TD (D-M2TD) phase bodies
-//   - internal/increment — streaming M2TD with exact Gram maintenance
 //   - internal/eval      — the paper's experiments (Tables I–VIII, Fig. 6)
 //
 // The one-call entry point is RunCtx: partition → simulate → decompose →

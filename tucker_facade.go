@@ -86,7 +86,8 @@ func TuckerCtx(ctx context.Context, x *tensor.Sparse, opts TuckerOptions) (*Tuck
 // tuckerOf is the raw-tensor Tucker decomposition TuckerCtx and BaselineCtx
 // share, under the caller's stage span: HOSVD, optionally HOOI-refined,
 // either optionally on the sketch fast path (stats is nil unless sketched).
-// The context is checked before the kernels run; only HOOI observes it after.
+// The context is checked before the kernels run; only HOOI's sweeps —
+// sketched or not — observe it after.
 func tuckerOf(ctx context.Context, span *obs.Span, x *tensor.Sparse, ranks []int, sketch SketchConfig, hooi bool, workers int) (dec tucker.Decomposition, stats *tucker.SketchStats, err error) {
 	if err := ctx.Err(); err != nil {
 		return dec, nil, err
@@ -97,7 +98,7 @@ func tuckerOf(ctx context.Context, span *obs.Span, x *tensor.Sparse, ranks []int
 		sopts := tucker.SketchOptions{KeepFrac: sketch.KeepFrac, Seed: sketch.Seed, Workers: workers, Span: span}
 		var st tucker.SketchStats
 		if hooi {
-			dec, st, err = tucker.SketchedHOOI(x, ranks, sopts, hopts)
+			dec, st, err = tucker.SketchedHOOI(ctx, x, ranks, sopts, hopts)
 		} else {
 			dec, st, err = tucker.SketchedHOSVD(x, ranks, sopts)
 		}

@@ -2,9 +2,13 @@ package m2td
 
 import (
 	"context"
+	"errors"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
@@ -72,6 +76,34 @@ func TestTuckerCtxCancelled(t *testing.T) {
 	cancel()
 	if _, err := TuckerCtx(ctx, facadeTestTensor(), TuckerOptions{}); err == nil {
 		t.Fatal("cancelled TuckerCtx succeeded")
+	}
+}
+
+// A sketched HOOI refinement is as cancellable as an unsketched one: the
+// sketch pass runs to its end, the sweeps after it observe the context.
+// The tensor is sized so that ten uncancelled sweeps take far longer than
+// the watcher needs to see the sketch span and cancel.
+func TestTuckerCtxSketchedHOOICancelledAfterSketch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.NewSparse(tensor.Shape{60, 60, 60})
+	for e := 0; e < 150000; e++ {
+		x.Append([]int{rng.Intn(60), rng.Intn(60), rng.Intn(60)}, rng.NormFloat64())
+	}
+	trace := obs.New("test")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for trace.Root().Find("tucker", "sketch") == nil && ctx.Err() == nil {
+			runtime.Gosched()
+		}
+		cancel()
+	}()
+	_, err := TuckerCtx(ctx, x, TuckerOptions{Rank: 4, HOOI: true, Sketch: SketchConfig{KeepFrac: 0.9}, Parallel: 1, Trace: trace})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("sketched HOOI cancelled after its sketch: want context.Canceled, got %v", err)
+	}
+	if trace.Root().Find("tucker", "sketch") == nil {
+		t.Fatal("cancelled before the sketch ran: the test proved nothing")
 	}
 }
 
