@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-smoke examples-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke ci clean
+.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-smoke examples-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke ci clean
 
 all: build
 
@@ -75,9 +75,11 @@ bench-json:
 # core count (the exact allocs assertion is the pinned-fanout -race unit
 # test); the -shape gates are the sharp check — worker-scaling curves in
 # the fresh run must be monotone non-increasing within 10%; the -speedup
-# gate asserts the sketch fast path's claim (keep=0.1 at least 3x faster
-# than plain HOSVD) within the fresh run, where both sides share one
-# machine and the tight ratio is meaningful. The TransientCoreRecovery
+# gate is the generic TuckerCtx{Sketch} tool's (tensorstore decompose
+# -sketch; no campaign sketches anything): SketchedHOSVD at keep=0.1 at
+# least 3x faster than plain HOSVD on one large sparse tensor, within the
+# fresh run, where both sides share one machine and the tight ratio is
+# meaningful. The TransientCoreRecovery
 # shape gate holds the sparse-TTM dispatch rule (DESIGN.md §11): a TTM
 # that compiled a plan for the one-shot join ran 13x slower at workers=2
 # than at workers=1. The dense
@@ -194,7 +196,14 @@ dist-smoke:
 serve-smoke:
 	$(GO) test -race -timeout 15m ./internal/serve ./api
 
-ci: build lint test race bench-smoke examples-smoke perf-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke
+# The server exercised as a binary (mirrors the CI `serve` job's last
+# step): cmd/tensorstore built once, `serve` on a free port over a scratch
+# store, `submit` twice (the second must be absorbed), `predict`, `stats`,
+# then SIGTERM must log "draining" and exit 0.
+tensorstore-smoke:
+	GO="$(GO)" sh cmd/tensorstore/smoke.sh
+
+ci: build lint test race bench-smoke examples-smoke perf-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke
 
 clean:
 	$(GO) clean ./...

@@ -129,15 +129,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("api: %s: %s", e.Code, e.Message)
 }
 
-// SketchSpec configures the randomized sketch fast path for a campaign
-// (m2td.Config.Sketch): KeepFrac in (0, 1] keeps that expected fraction
-// of stored cells; 0 disables sketching. Seed 0 defaults to the
-// campaign's Seed.
-type SketchSpec struct {
-	KeepFrac float64 `json:"keep_frac,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-}
-
 // DistSpec requests the multi-process D-M2TD engine for a campaign
 // (m2td.Config.Distributed). Workers is the worker-process count; Shards
 // fixes the determinism unit (0 defaults to Workers). The server may also
@@ -153,18 +144,17 @@ type DistSpec struct {
 // (system double-pendulum, resolution 12, rank 4, method select, pivot t,
 // full densities, seed 1).
 type CampaignSpec struct {
-	System             string     `json:"system,omitempty"`
-	Resolution         int        `json:"resolution,omitempty"`
-	TimeSamples        int        `json:"time_samples,omitempty"`
-	Rank               int        `json:"rank,omitempty"`
-	Method             string     `json:"method,omitempty"`
-	Pivot              string     `json:"pivot,omitempty"`
-	PivotDensity       float64    `json:"pivot_density,omitempty"`
-	SubEnsembleDensity float64    `json:"sub_density,omitempty"`
-	ZeroJoin           bool       `json:"zero_join,omitempty"`
-	Seed               int64      `json:"seed,omitempty"`
-	Sketch             SketchSpec `json:"sketch,omitempty"`
-	Distributed        *DistSpec  `json:"distributed,omitempty"`
+	System             string    `json:"system,omitempty"`
+	Resolution         int       `json:"resolution,omitempty"`
+	TimeSamples        int       `json:"time_samples,omitempty"`
+	Rank               int       `json:"rank,omitempty"`
+	Method             string    `json:"method,omitempty"`
+	Pivot              string    `json:"pivot,omitempty"`
+	PivotDensity       float64   `json:"pivot_density,omitempty"`
+	SubEnsembleDensity float64   `json:"sub_density,omitempty"`
+	ZeroJoin           bool      `json:"zero_join,omitempty"`
+	Seed               int64     `json:"seed,omitempty"`
+	Distributed        *DistSpec `json:"distributed,omitempty"`
 	// SkipAccuracy skips ground-truth accuracy evaluation (the default
 	// posture for serving; the full metric simulates the entire space).
 	SkipAccuracy bool `json:"skip_accuracy,omitempty"`
@@ -271,8 +261,6 @@ type DecompositionInfo struct {
 	RestoredSims int `json:"restored_sims,omitempty"`
 	// Distributed reports the multi-process engine ran the campaign.
 	Distributed bool `json:"distributed,omitempty"`
-	// Sketched reports the randomized sketch fast path was used.
-	Sketched bool `json:"sketched,omitempty"`
 	// StoreName is the durable store object holding the decomposition
 	// (load it with tensorstore info/dump or store.LoadDecomposition).
 	StoreName string `json:"store_name,omitempty"`

@@ -293,22 +293,26 @@ func BenchmarkTransientCoreRecovery(b *testing.B) {
 }
 
 // BenchmarkDecomposeDispatch measures the decomposition stage of a res-12
-// campaign through the in-process dispatch rule, on both of its routes:
-// the join-free core the default campaign takes, and the materialised
-// join (selected here by a full-keep sketch, which is the unsketched
-// decomposition to the bit). Every iteration decomposes a plan-less view,
-// as every pipeline run does.
+// campaign both ways: the join-free core every campaign takes
+// (core.DecomposeFactored), and the materialised join no campaign takes
+// (core.DecomposeCtx, the oracle) — what being join-free saves. Every
+// iteration decomposes a plan-less view, as every pipeline run does.
 func BenchmarkDecomposeDispatch(b *testing.B) {
 	part, ranks := benchPartitionAt(b, joinStageRes)
+	copts := core.Options{Method: core.SELECT, Ranks: ranks}
 	for _, route := range []struct {
-		name   string
-		sketch core.SketchSpec
-	}{{"factored", core.SketchSpec{}}, {"materialised", core.SketchSpec{KeepFrac: 1}}} {
+		name      string
+		decompose func(*partition.Result) (*core.Result, error)
+	}{
+		{"factored", func(p *partition.Result) (*core.Result, error) { return core.DecomposeFactored(p, copts) }},
+		{"materialised", func(p *partition.Result) (*core.Result, error) {
+			return core.DecomposeCtx(context.Background(), p, copts)
+		}},
+	} {
 		b.Run(route.name, func(b *testing.B) {
-			copts := core.Options{Method: core.SELECT, Ranks: ranks, Sketch: route.sketch}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.M2TDCtx(context.Background(), part.PlanlessView(), copts)
+				res, err := route.decompose(part.PlanlessView())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,9 +9,8 @@
 //	m2tdbench -table 3 -workers 1,2,4,8,16
 //	m2tdbench -table 5 -res 16
 //	m2tdbench -table 2 -parallel 8        # 8-worker shared-memory pool
-//	m2tdbench -table sketch               # sketch accuracy-vs-speedup sweep
+//	m2tdbench -table sketch               # SketchedHOSVD vs HOSVD on one large sparse tensor
 //	m2tdbench -run -res 12 -timeout 2m    # one pipeline with a deadline
-//	m2tdbench -run -sketch 0.1 -sketch-seed 3   # sketched pipeline
 //	m2tdbench -run -checkpoint ./ckpt -resume
 //	m2tdbench -run -fault-rate 0.1 -divergent-rate 0.02
 //	m2tdbench -run -res 6 -workers 4      # in-process D-M2TD, 4 shards
@@ -69,9 +68,6 @@ func main() {
 		estim   = flag.Int("estimate", 0, "paper-scale mode: score accuracy on this many sampled ground-truth fibers (required beyond res ≈24)")
 		par     = flag.Int("parallel", 0, "shared-memory worker-pool size for the decomposition kernels (0 = all CPUs, 1 = serial; results are identical for any value)")
 
-		sketch     = flag.String("sketch", "", "sketch KeepFrac: one fraction with -run, a comma-separated sweep for -table sketch (empty = the sweep default)")
-		sketchSeed = flag.Int64("sketch-seed", 0, "sketch sampling seed (0 = the run's -seed)")
-
 		runOne     = flag.Bool("run", false, "execute a single end-to-end pipeline (instead of a table) and print the report")
 		timeout    = flag.Duration("timeout", 0, "with -run: overall deadline; the pipeline drains cooperatively and flushes its checkpoint on expiry (0 = none)")
 		checkpoint = flag.String("checkpoint", "", "with -run: directory for crash-safe simulation checkpoints")
@@ -117,9 +113,6 @@ func main() {
 		}
 		if *faultRate > 0 || *divRate > 0 {
 			cfg.Faults = &faults.Config{Seed: *faultSeed, TransientRate: *faultRate, DivergentRate: *divRate}
-		}
-		if frac := firstFloat(*sketch); frac > 0 {
-			cfg.Sketch = m2td.SketchConfig{KeepFrac: frac, Seed: *sketchSeed}
 		}
 		if *distProcs > 0 {
 			cfg.Distributed = &m2td.DistributedConfig{
@@ -172,7 +165,7 @@ func main() {
 			fmt.Println()
 		}
 		start := time.Now()
-		if err := run(os.Stdout, tb, base, *res, *rank, *workers, *sketch, *csvOut); err != nil {
+		if err := run(os.Stdout, tb, base, *res, *rank, *workers, *csvOut); err != nil {
 			fmt.Fprintf(os.Stderr, "m2tdbench: table %s: %v\n", tb, err)
 			os.Exit(1)
 		}
@@ -206,13 +199,6 @@ func runPipeline(cfg m2td.Config, timeout time.Duration, traceOut string) error 
 	fmt.Printf("simulations        %d (executed %d, restored %d, retried %d, failed %d)\n",
 		report.NumSims, report.ExecutedSims, report.RestoredSims, report.RetriedSims, report.FailedSims)
 	fmt.Printf("quarantined cells  %d\n", report.QuarantinedCells)
-	if st := report.SketchStats; st != nil {
-		fmt.Printf("sketch             keep=%.0f%% seed=%d — join %d/%d, sub1 %d/%d, sub2 %d/%d cells kept\n",
-			st.KeepFrac*100, st.Seed,
-			st.Join.Kept, st.Join.InputNNZ,
-			st.Sub1.Kept, st.Sub1.InputNNZ,
-			st.Sub2.Kept, st.Sub2.InputNNZ)
-	}
 	fmt.Printf("effective density  %.4f / %.4f\n", report.EffectiveDensity1, report.EffectiveDensity2)
 	if fs := report.FaultStats; fs != nil {
 		fmt.Printf("injected faults    transient sims %d (failures %d), divergent %d, panicked %d, delayed %d\n",
@@ -286,10 +272,10 @@ func exportCSV(path string, cmps []*eval.Comparison) error {
 	return eval.ExportComparisonsCSV(f, cmps)
 }
 
-func run(out io.Writer, table string, base eval.Config, res, rank, workers, sketch, csvOut string) error {
+func run(out io.Writer, table string, base eval.Config, res, rank, workers, csvOut string) error {
 	switch table {
 	case "sketch":
-		rows, err := eval.SketchSweep(base, floats(sketch))
+		rows, err := eval.SketchSweep(base, nil)
 		if err != nil {
 			return err
 		}
@@ -431,32 +417,6 @@ func ints(s string) []int {
 // firstInt returns the first integer of a comma-separated list, or 0.
 func firstInt(s string) int {
 	vs := ints(s)
-	if len(vs) == 0 {
-		return 0
-	}
-	return vs[0]
-}
-
-// floats parses a comma-separated float list; empty input yields nil.
-func floats(s string) []float64 {
-	if s == "" {
-		return nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "m2tdbench: bad float %q\n", part)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// firstFloat returns the first float of a comma-separated list, or 0.
-func firstFloat(s string) float64 {
-	vs := floats(s)
 	if len(vs) == 0 {
 		return 0
 	}

@@ -32,23 +32,8 @@ func TestFirstInt(t *testing.T) {
 	}
 }
 
-func TestFloats(t *testing.T) {
-	if got := floats(""); got != nil {
-		t.Fatalf("floats(\"\") = %v, want nil", got)
-	}
-	if got := floats("1, 0.5,0.1"); !reflect.DeepEqual(got, []float64{1, 0.5, 0.1}) {
-		t.Fatalf("floats = %v", got)
-	}
-	if got := firstFloat("0.25,0.1"); got != 0.25 {
-		t.Fatalf("firstFloat = %v", got)
-	}
-	if got := firstFloat(""); got != 0 {
-		t.Fatalf("firstFloat(\"\") = %v", got)
-	}
-}
-
 func TestRunRejectsUnknownTable(t *testing.T) {
-	if err := run(io.Discard, "99", eval.Config{}, "", "", "", "", ""); err == nil {
+	if err := run(io.Discard, "99", eval.Config{}, "", "", "", ""); err == nil {
 		t.Fatal("unknown table accepted")
 	}
 }
@@ -69,7 +54,7 @@ func TestRunAllTablesTinyScale(t *testing.T) {
 	base := tinyBase()
 	for _, tb := range []string{"1", "3", "4", "5", "6", "7", "8", "fig6", "noise", "ranks", "extended", "pivotselect", "sketch"} {
 		var b strings.Builder
-		if err := run(&b, tb, base, "5", "2", "1,2", "1,0.5,0.1", ""); err != nil {
+		if err := run(&b, tb, base, "5", "2", "1,2", ""); err != nil {
 			t.Fatalf("table %s: %v", tb, err)
 		}
 		if b.Len() == 0 {
@@ -82,7 +67,7 @@ func TestRunTable2WithCSVExport(t *testing.T) {
 	base := tinyBase()
 	csvPath := filepath.Join(t.TempDir(), "out.csv")
 	var b strings.Builder
-	if err := run(&b, "2", base, "5", "2", "", "", csvPath); err != nil {
+	if err := run(&b, "2", base, "5", "2", "", csvPath); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csvPath)
@@ -98,7 +83,7 @@ func TestRunSketchTableWithCSVExport(t *testing.T) {
 	base := tinyBase()
 	csvPath := filepath.Join(t.TempDir(), "sketch.csv")
 	var b strings.Builder
-	if err := run(&b, "sketch", base, "5", "2", "", "1,0.5", csvPath); err != nil {
+	if err := run(&b, "sketch", base, "5", "2", "", csvPath); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "SKETCH SWEEP") {

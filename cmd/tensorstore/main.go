@@ -410,8 +410,6 @@ func clientCmd(cmd string, args []string) error {
 	method := fs.String("method", "", "decomposition method")
 	pivot := fs.String("pivot", "", "pivot dimension name")
 	seed := fs.Int64("seed", 0, "sampling seed")
-	sketch := fs.Float64("sketch", 0, "count-sketch keep fraction in (0, 1]; 0 = exact")
-	sketchSeed := fs.Int64("sketch-seed", 0, "sketch hashing seed")
 	dist := fs.Int("dist", 0, "distributed worker processes (0 = in process)")
 	distShards := fs.Int("dist-shards", 0, "distributed shard count (0 = derived from workers)")
 	accSims := fs.Int("acc-sims", 0, "sampled accuracy-estimate simulations (0 = skip accuracy)")
@@ -435,9 +433,6 @@ func clientCmd(cmd string, args []string) error {
 			Seed:               *seed,
 			AccuracySampleSims: *accSims,
 			TimeoutMS:          timeout.Milliseconds(),
-		}
-		if *sketch > 0 {
-			spec.Sketch = api.SketchSpec{KeepFrac: *sketch, Seed: *sketchSeed}
 		}
 		if *dist > 0 {
 			spec.Distributed = &api.DistSpec{Workers: *dist, Shards: *distShards}

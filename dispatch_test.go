@@ -1,8 +1,9 @@
 package m2td
 
-// Tests of the one route table (core.M2TDCtx) as RunCtx and DecomposeCtx
-// apply it: the join-free core unless a sketch is on — on an intact
-// partition and on one a failed or quarantined simulation left holes in.
+// Tests of the one rule RunCtx and DecomposeCtx decompose by: the join-free
+// core on every executor — on an intact partition and on one a failed or
+// quarantined simulation left holes in — with core.DecomposeCtx, which
+// stitches, as the oracle.
 
 import (
 	"context"
@@ -133,7 +134,7 @@ func TestRoutesAgree(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			routes := map[string]func() (*core.Result, error){
-				"in-process": func() (*core.Result, error) { return core.M2TDCtx(ctx, c.part, copts) },
+				"in-process": func() (*core.Result, error) { return core.DecomposeFactored(c.part, copts) },
 				"Workers": func() (*core.Result, error) {
 					res, _, err := decomposeStage(ctx, nil, c.part, method, ranks, Config{Workers: 3, ZeroJoin: c.zeroJoin})
 					return res, err
@@ -155,7 +156,7 @@ func TestRoutesAgree(t *testing.T) {
 				if factored.Join != nil {
 					t.Fatalf("%s %s: the decomposition materialised a join", name, route)
 				}
-				if got, want := factored.JoinCells(c.part, c.zeroJoin), joined.Join.NNZ(); got != want {
+				if got, want := c.part.JoinCells(c.zeroJoin), joined.Join.NNZ(); got != want {
 					t.Errorf("%s %s: JoinCells %d, stitched join %d", name, route, got, want)
 				}
 				var diff, scale float64
@@ -222,8 +223,8 @@ func TestJoinCellsMatchesStitch(t *testing.T) {
 // and the process engine: no join on the report, no stitch span,
 // factored = 1, holey_groups > 0, JoinCells equal to what stitching would
 // build, and the core within 1e-9 of core.DecomposeCtx on the same
-// partition. In process the run is core.M2TDCtx's and
-// core.DecomposeFactored's, bit for bit; the two engines agree to the last
+// partition. In process the run is core.DecomposeFactored's, bit for bit;
+// the two engines agree to the last
 // bit at equal shard counts. Factored, which used to fail such a run with
 // core.ErrNoProductStructure, selects nothing.
 func TestBrokenProductStructureFallsBack(t *testing.T) {
@@ -273,21 +274,57 @@ func TestBrokenProductStructureFallsBack(t *testing.T) {
 				if c := d.Find("core"); c == nil || c.Counter("holey_groups") != d.Counter("holey_groups") {
 					t.Errorf("%s: core span does not carry the stage's holey_groups:\n%s", name, d.Skeleton())
 				}
-				for what, run := range map[string]func() (*core.Result, error){
-					"core.M2TDCtx":           func() (*core.Result, error) { return core.M2TDCtx(ctx, report.Partition, copts) },
-					"core.DecomposeFactored": func() (*core.Result, error) { return core.DecomposeFactored(report.Partition, copts) },
-				} {
-					direct, err := run()
-					if err != nil || direct.Join != nil {
-						t.Fatalf("%s: %s: Join %v, err %v", name, what, direct, err)
-					}
-					requireSameBits(t, name+": RunCtx vs "+what, res, direct)
+				direct, err := core.DecomposeFactored(report.Partition, copts)
+				if err != nil || direct.Join != nil {
+					t.Fatalf("%s: core.DecomposeFactored: Join %v, err %v", name, direct, err)
 				}
+				requireSameBits(t, name+": RunCtx vs core.DecomposeFactored", res, direct)
 			}
 			cores = append(cores, res)
 		}
 		requireSameBits(t, name+": Factored vs default", cores[1], cores[0])
 		requireSameBits(t, name+": Workers 3 vs Distributed at 3 shards", cores[2], cores[3])
+	}
+}
+
+// TestNoConfigBuildsTheJoin: nothing a Config can say makes a campaign
+// stitch J. Every executor — in process, the goroutine pool, the process
+// engine — on an intact campaign and on one that lost cells to divergent
+// trajectories, plain join and zero-join: no join on the report, no stitch
+// span under decompose, factored = 1, and the join's size reported from the
+// partition's pivot groups.
+func TestNoConfigBuildsTheJoin(t *testing.T) {
+	executors := map[string]func(*Config){
+		"default":     func(*Config) {},
+		"Workers":     func(c *Config) { c.Workers = 3 },
+		"Distributed": func(c *Config) { c.Distributed = &DistributedConfig{Workers: 2, Shards: 3} },
+	}
+	for name, executor := range executors {
+		for _, divergent := range []float64{0, 0.02} {
+			for _, zj := range []bool{false, true} {
+				what := fmt.Sprintf("%s/divergent=%g/zero=%t", name, divergent, zj)
+				cfg := smallConfig()
+				cfg.SkipAccuracy, cfg.Trace, cfg.ZeroJoin = true, true, zj
+				if divergent > 0 {
+					cfg.Faults = &faults.Config{Seed: 7, DivergentRate: divergent}
+				}
+				executor(&cfg)
+				report, err := RunCtx(context.Background(), cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if (report.QuarantinedCells > 0) != (divergent > 0) {
+					t.Fatalf("fixture %s: %d quarantined cells", what, report.QuarantinedCells)
+				}
+				d := report.Trace.Root().Find("decompose")
+				if report.Decomposition.Join != nil || d.Find("stitch") != nil || d.Counter("factored") != 1 {
+					t.Errorf("%s: join stitched %v, span:\n%s", what, report.Decomposition.Join != nil, d.Skeleton())
+				}
+				if want := report.Partition.JoinCells(zj); report.JoinCells != want {
+					t.Errorf("%s: JoinCells %d, the partition's pivot groups hold %d", what, report.JoinCells, want)
+				}
+			}
+		}
 	}
 }
 
@@ -364,7 +401,6 @@ func TestDecomposeStageNamesItselfOnEveryRoute(t *testing.T) {
 		"default":  {},
 		"Workers":  {Workers: 2},
 		"Factored": {Factored: true},
-		"Sketch":   {Sketch: SketchConfig{KeepFrac: 0.5, Seed: 1}},
 	} {
 		_, _, err := decomposeStage(context.Background(), nil, part, core.Method("bogus"), ranks, cfg)
 		if err == nil || !strings.HasPrefix(err.Error(), "m2td: decomposition stage: ") {

@@ -98,7 +98,6 @@ func TestDistributedConfigValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"with Workers":  func(c *Config) { c.Workers = 2 },
 		"with Factored": func(c *Config) { c.Factored = true },
-		"with Sketch":   func(c *Config) { c.Sketch.KeepFrac = 0.5 },
 		"kill every worker": func(c *Config) {
 			c.Distributed.Workers = 2
 			c.Distributed.KillWorkers = 2

@@ -154,11 +154,6 @@ func (t *Tracker) Decompose(opts core.Options) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Sketch.KeepFrac != 0 {
-		// The tracker maintains exact Grams over every arrived cell; a
-		// sketch of them cannot be maintained incrementally.
-		return nil, fmt.Errorf("increment: sketching is not supported by the incremental tracker")
-	}
 	k := len(t.cfg.Pivots)
 
 	factors := make([]*mat.Matrix, len(ranks))

@@ -93,7 +93,7 @@ func main() {
 	tw.Flush()
 
 	// Confirm the grown tracker matches a from-scratch batch decomposition.
-	batch, err := core.M2TD(full, core.Options{Method: core.SELECT, Ranks: ranks})
+	batch, err := core.DecomposeFactored(full, core.Options{Method: core.SELECT, Ranks: ranks})
 	if err != nil {
 		log.Fatal(err)
 	}

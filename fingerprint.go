@@ -20,8 +20,7 @@ import "fmt"
 // campaigns differing only in seed share an ensemble bit for bit.
 //
 // Two configs with equal SimFingerprints generate bit-identical partitions;
-// rank, method, zero-join, sketching and the decomposition route never
-// enter it.
+// rank, method, zero-join and the decomposition route never enter it.
 func (c Config) SimFingerprint() string {
 	cfg := c.normalize()
 	return cfg.fingerprint(cfg.Pivot)
@@ -47,16 +46,16 @@ func (c Config) fingerprint(pivot string) string {
 // decomposition a run produces from that ensemble — the seed (it drives the
 // sampled accuracy estimate and the kill lottery even when the ensemble
 // ignores it), rank, method, zero-join, the in-process D-M2TD worker count,
-// the Factored requirement, accuracy settings, sketching, and the
-// distributed shard count. Fields that are bit-identical by contract
-// (Parallel, Distributed.Workers at a fixed Shards) are deliberately
-// excluded, so runs that must produce the same result share a fingerprint.
+// the Factored requirement, accuracy settings, and the distributed shard
+// count. Fields that are bit-identical by contract (Parallel,
+// Distributed.Workers at a fixed Shards) are deliberately excluded, so runs
+// that must produce the same result share a fingerprint.
 //
 // The route fields w= and factored= belong to this half rather than to
-// neither: the routes (join-free, materialised, sharded) agree to 1e-9, not
-// bitwise — each fixes its own floating-point summation order — so two
-// campaigns on different routes are different cached objects over one
-// shared ensemble.
+// neither: the executors (in process, sharded) agree to 1e-9, not bitwise —
+// each shard count fixes its own floating-point summation order — so two
+// campaigns on different ones are different cached objects over one shared
+// ensemble.
 //
 // The campaign server keys request coalescing and its decomposition cache
 // on this value and its simulation catalog on the SimFingerprint prefix;
@@ -67,9 +66,6 @@ func (c Config) Fingerprint() string {
 	fp := cfg.fingerprint(cfg.Pivot) + fmt.Sprintf("|full-v2|seed=%d|rank=%d|method=%s|zj=%t|w=%d|factored=%t|acc=%t:%d",
 		cfg.Seed, cfg.Rank, cfg.Method, cfg.ZeroJoin, cfg.Workers, cfg.Factored,
 		cfg.SkipAccuracy, cfg.AccuracySampleSims)
-	if cfg.Sketch.KeepFrac > 0 {
-		fp += fmt.Sprintf("|sketch=%g:%d", cfg.Sketch.KeepFrac, cfg.Sketch.Seed)
-	}
 	if d := cfg.Distributed; d != nil {
 		shards := d.Shards
 		if shards == 0 {

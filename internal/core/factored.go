@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -14,8 +13,8 @@ import (
 )
 
 // DecomposeFactored computes the M2TD decomposition without materialising
-// the join tensor — the route of every unsketched campaign, in process
-// (here), on the goroutine pool (dist.Decompose) and on worker processes
+// the join tensor — the route of every campaign, in process (here), on the
+// goroutine pool (dist.Decompose) and on worker processes
 // (internal/distnet): ProjectShard per shard, FactoredCore driver-side.
 //
 // J's cells group by pivot configuration p, and within a group
@@ -40,20 +39,15 @@ import (
 // One precondition: no index is stored twice in a sub-tensor (and cells sit
 // at listed configurations, where there are lists) — every
 // partition.GenerateCtx output. What still builds J is what wants J's
-// cells: a sketch (DecomposeCtx), m2td.StitchCtx, examples/streaming/increment, and
-// dist.DecomposeMaterialised, the paper's Algorithm 6 and this route's
-// oracle. The Result has Join == nil; opts.Span is marked factored = 1 and
-// holey_groups, the pivot groups that left the Gram-sized path.
+// cells: m2td.StitchCtx, examples/streaming/increment, and the two oracles —
+// DecomposeCtx and dist.DecomposeMaterialised, the paper's Algorithm 6. The
+// Result has Join == nil; opts.Span is marked factored = 1 and holey_groups,
+// the pivot groups that left the Gram-sized path.
 func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	ranks, err := CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
 		return nil, err
 	}
-	if opts.Sketch.KeepFrac != 0 {
-		// A sketch drops and rescales cells of J itself: it needs J.
-		return nil, fmt.Errorf("core: sketching is incompatible with DecomposeFactored (a sketch samples the join's cells)")
-	}
-
 	subClock := Stopwatch()
 	factors := factorsPhase(p, opts, ranks, opts.Span.Start("factors"))
 	subTime := subClock()

@@ -109,9 +109,6 @@ func TestFactoredValidation(t *testing.T) {
 	if _, err := DecomposeFactored(p, Options{Method: AVG, Ranks: []int{1}}); err == nil {
 		t.Fatal("bad rank count accepted")
 	}
-	if _, err := DecomposeFactored(p, Options{Method: AVG, Ranks: tucker.UniformRanks(5, 2), Sketch: SketchSpec{KeepFrac: 0.5}}); err == nil {
-		t.Fatal("sketch accepted")
-	}
 	// A hole in the P×E grid, or a pair without configuration lists, is no
 	// longer an error (it was core.ErrNoProductStructure): the kernel sums
 	// the affected pivot groups per group, to the materialised core.

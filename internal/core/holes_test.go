@@ -130,7 +130,7 @@ func TestJoinFreeKernelMatchesStitchOracle(t *testing.T) {
 							t.Fatal(err)
 						}
 						requireClose(t, label+": DecomposeFactored vs DecomposeCtx", whole.Core, ref.Core, 1e-9)
-						if cells := whole.JoinCells(p, zero); cells != ref.Join.NNZ() {
+						if cells := p.JoinCells(zero); cells != ref.Join.NNZ() {
 							t.Fatalf("%s: JoinCells %d, stitched join %d", label, cells, ref.Join.NNZ())
 						}
 					}

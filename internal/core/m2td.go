@@ -21,9 +21,10 @@
 // Non-pivot factors come directly from the owning sub-tensor's HOSVD. The
 // core is the JE-stitched join tensor projected through the assembled
 // factor matrices, G = J ×₁ U(1)ᵀ ×₂ … ×ₙ U(N)ᵀ — computed from the two
-// sub-tensors without building J (DecomposeFactored; its comment says who
-// still builds J), unless a sketch asks for J's cells (DecomposeCtx).
-// M2TDCtx is the one route table.
+// sub-tensors without building J: DecomposeFactored is the one production
+// decomposition (its comment says who still builds J). DecomposeCtx is the
+// algorithms as the paper states them, stitch then project — the oracle the
+// other packages' tests measure every engine against.
 package core
 
 import (
@@ -69,47 +70,13 @@ type Options struct {
 	// 0 selects the parallel package default (GOMAXPROCS); 1 forces serial
 	// execution. Results are bit-identical for any worker count.
 	Workers int
-	// Sketch, when enabled, runs the decomposition on biased random
-	// sketches of the sub-tensors and join instead of the exact inputs.
-	Sketch SketchSpec
-	// Span, when non-nil, is the decompose stage span: DecomposeCtx opens
-	// one child span per phase (factors, stitch, core), with one sub-span
-	// per original mode under factors (pivot modes carry x1/x2 kernel
-	// sub-spans; sketched runs add sketch_x1/sketch_x2 under factors and
-	// sketch_join under core). Span structure and counters are
-	// deterministic for any Workers value; a nil Span costs one nil check
-	// per site.
+	// Span, when non-nil, is the decompose stage span: a decomposition
+	// opens one child span per phase (factors, core — and stitch between
+	// them in DecomposeCtx), with one sub-span per original mode under
+	// factors (pivot modes carry x1/x2 kernel sub-spans). Span structure
+	// and counters are deterministic for any Workers value; a nil Span
+	// costs one nil check per site.
 	Span *obs.Span
-}
-
-// SketchSpec configures the randomized sketch fast path (tucker.Sketch):
-// every tensor the decomposition consumes — X₁, X₂, and the stitched join
-// — is replaced by a biased random sketch keeping roughly KeepFrac of its
-// cells, cutting the nnz every downstream kernel pays for at a graceful
-// accuracy cost. The zero value disables sketching.
-type SketchSpec struct {
-	// KeepFrac is the expected fraction of stored cells each sketch
-	// retains, in (0, 1]. 0 disables sketching; 1 keeps every cell (the
-	// decomposition is bit-identical to the unsketched run, and the
-	// Result still carries a full-keep SketchReport).
-	KeepFrac float64
-	// Seed drives the per-cell keep decisions through a counter-based
-	// hash. The three tensors sketch under distinct derived seeds
-	// (Seed+1, Seed+2, Seed+3) so equal-shaped sub-tensors never share
-	// coin flips. The whole decomposition is a pure function of
-	// (partition, Options) — bit-identical for any Workers value.
-	Seed int64
-}
-
-// SketchReport accounts for the sketch passes of one decomposition: the
-// configuration plus per-tensor tucker.SketchStats. Every field is
-// deterministic for a fixed partition and options.
-type SketchReport struct {
-	// KeepFrac and Seed echo the SketchSpec the run used.
-	KeepFrac float64
-	Seed     int64
-	// Sub1, Sub2, and Join account for the X₁, X₂, and join sketches.
-	Sub1, Sub2, Join tucker.SketchStats
 }
 
 // Result is an M2TD decomposition of the join tensor: Tucker factors in
@@ -119,13 +86,9 @@ type Result struct {
 	Factors []*mat.Matrix
 	// Core is the recovered core tensor G.
 	Core *tensor.Dense
-	// Join is the JE-stitched tensor the core was recovered from, nil on the
-	// join-free route. Sketched runs stitch the full join and recover the
-	// core from a sketch of it; Join still holds the full join.
+	// Join is the JE-stitched tensor DecomposeCtx recovered the core from;
+	// nil from every join-free engine, so from every campaign.
 	Join *tensor.Sparse
-	// Sketch accounts for the sketch passes when Options.Sketch was
-	// enabled (nil otherwise).
-	Sketch *SketchReport
 	// Rejected counts the non-finite sub-tensor cells the join-free route
 	// skipped as holes (Partial.Rejected); a stitched Join counts its own.
 	Rejected int
@@ -140,36 +103,6 @@ type Result struct {
 // X̃ = G ×₁ U(1) ×₂ … ×ₙ U(N).
 func (r *Result) Reconstruct() *tensor.Dense {
 	return tensor.TuckerReconstruct(r.Core, r.Factors)
-}
-
-// M2TDCtx is where a decomposition's route is chosen, and the only place:
-// a sketch samples the cells of J, so a sketched run stitches J
-// (DecomposeCtx); every other run is join-free (DecomposeFactored), whatever
-// simulations the partition lost.
-func M2TDCtx(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
-	if opts.Sketch.KeepFrac != 0 {
-		return DecomposeCtx(ctx, p, opts)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return DecomposeFactored(p, opts)
-}
-
-// M2TD is M2TDCtx on a background context.
-func M2TD(p *partition.Result, opts Options) (*Result, error) {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx API is the root of its own context tree
-	return M2TDCtx(context.Background(), p, opts)
-}
-
-// JoinCells is the stored-cell count of the join the decomposition stands
-// for: the stitched tensor's when one was built, the count per pivot group
-// (partition.Result.JoinCells) when the join-free route never built it.
-func (r *Result) JoinCells(p *partition.Result, zeroJoin bool) int {
-	if r.Join != nil {
-		return r.Join.NNZ()
-	}
-	return p.JoinCells(zeroJoin)
 }
 
 // CheckedRanks validates what every M2TD engine requires of its options —
@@ -187,41 +120,29 @@ func CheckedRanks(method Method, ranks []int, shape tensor.Shape) ([]int, error)
 	return tucker.ClipRanks(shape, ranks), nil
 }
 
-// DecomposeCtx runs M2TD over a PF-partitioned pair of sub-ensembles by
-// stitching the join and projecting it, with cooperative cancellation
-// polled between the three phases (sub-decomposition, stitching, core
-// recovery). A phase that has started always runs to completion — its
-// kernels never observe the context — so cancellation leaves no partially
-// assembled factor set or half-stitched join behind.
+// DecomposeCtx is Algorithms 1–5 as the paper states them: decompose the
+// two sub-tensors, JE-stitch the whole join, project it through the fused
+// factors. No campaign runs it — it pays O(P·E₁·E₂) cells for what
+// DecomposeFactored gets from O(nnz(X₁) + nnz(X₂)) — it is the oracle the
+// join-free engines (core, dist, distnet) and the facade are tested against
+// across packages, and what the benchmarks time the join-free route against.
+// Cancellation is polled between the three phases (sub-decomposition,
+// stitching, core recovery); a phase that has started always runs to
+// completion — its kernels never observe the context — so cancellation leaves
+// no partially assembled factor set or half-stitched join behind.
 func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
 	ranks, err := CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
 		return nil, err
 	}
-	if f := opts.Sketch.KeepFrac; f < 0 || f > 1 {
-		return nil, fmt.Errorf("core: sketch KeepFrac %v outside [0, 1]", f)
-	}
-
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Phase 1: decompose the two low-order sub-tensors. Only the factor
 	// matrices are needed; Gram matrices are retained for CONCAT fusion.
-	// When sketching is enabled the phase first replaces both sub-tensors
-	// with their sketches (in a shallow copy — the caller's partition is
-	// never mutated), so every kernel below runs on the reduced nnz.
 	subClock := Stopwatch()
-	fspan := opts.Span.Start("factors")
-	var skReport *SketchReport
-	dp := p
-	if f := opts.Sketch.KeepFrac; f > 0 {
-		skReport = &SketchReport{KeepFrac: f, Seed: opts.Sketch.Seed}
-		if dp, err = sketchSubs(p, opts, skReport, fspan); err != nil {
-			return nil, err
-		}
-	}
-	factors := factorsPhase(dp, opts, ranks, fspan)
+	factors := factorsPhase(p, opts, ranks, opts.Span.Start("factors"))
 	subTime := subClock()
 
 	if err := ctx.Err(); err != nil {
@@ -247,19 +168,11 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 		return nil, err
 	}
 
-	// Phase 3: recover the core through the assembled factors. Sketched
-	// runs project a sketch of the join (the result still reports the
-	// full join on Result.Join).
+	// Phase 3: recover the core through the assembled factors.
 	coreClock := Stopwatch()
 	cspan := opts.Span.Start("core")
-	cj := j
-	if skReport != nil {
-		if cj, skReport.Join, err = sketchOf(cspan, "sketch_join", j, opts, opts.Sketch.Seed+3); err != nil {
-			return nil, err
-		}
-	}
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	coreT := tucker.CoreFromFactorsWorkers(cj, factors, opts.Workers)
+	coreT := tucker.CoreFromFactorsWorkers(j, factors, opts.Workers)
 	cspan.Set("cells", int64(len(coreT.Data)))
 	cdone()
 	coreTime := coreClock()
@@ -268,7 +181,6 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 		Factors:       factors,
 		Core:          coreT,
 		Join:          j,
-		Sketch:        skReport,
 		SubDecompTime: subTime,
 		StitchTime:    stitchTime,
 		CoreTime:      coreTime,
@@ -292,42 +204,6 @@ func factorsPhase(p *partition.Result, opts Options, ranks []int, fspan *obs.Spa
 	fspan.Set("plan_hits_x2", h2-fh2)
 	fdone()
 	return factors
-}
-
-// sketchOf replaces x with its biased random sketch, recording the stats on
-// a child span of its own; a full-keep sketch (KeepFrac 1) is x itself,
-// accounted without a pass or a span.
-func sketchOf(span *obs.Span, name string, x *tensor.Sparse, opts Options, seed int64) (*tensor.Sparse, tucker.SketchStats, error) {
-	if opts.Sketch.KeepFrac == 1 {
-		return x, tucker.SketchStats{InputNNZ: x.NNZ(), Kept: x.NNZ()}, nil
-	}
-	ss := span.Start(name)
-	sk, stats, err := tucker.Sketch(x, tucker.SketchOptions{KeepFrac: opts.Sketch.KeepFrac, Seed: seed, Workers: opts.Workers})
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Record(ss)
-	ss.Finish()
-	return sk, stats, nil
-}
-
-// sketchSubs replaces both sub-tensors with their sketches in a shallow
-// copy of the partition (the caller's Result is never mutated). The two
-// sketches use distinct derived seeds so equal-shaped sub-tensors never
-// share coin flips, and their spans are created serially here, so the span
-// tree stays deterministic.
-func sketchSubs(p *partition.Result, opts Options, rep *SketchReport, span *obs.Span) (*partition.Result, error) {
-	sub1, sub2 := *p.Sub1, *p.Sub2
-	var err error
-	if sub1.Tensor, rep.Sub1, err = sketchOf(span, "sketch_x1", p.Sub1.Tensor, opts, opts.Sketch.Seed+1); err != nil {
-		return nil, err
-	}
-	if sub2.Tensor, rep.Sub2, err = sketchOf(span, "sketch_x2", p.Sub2.Tensor, opts, opts.Sketch.Seed+2); err != nil {
-		return nil, err
-	}
-	out := *p
-	out.Sub1, out.Sub2 = &sub1, &sub2
-	return &out, nil
 }
 
 // buildFactors runs the sub-tensor decompositions and assembles the fused

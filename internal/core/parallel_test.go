@@ -87,7 +87,7 @@ func TestDecomposeZeroJoinWorkersBitStable(t *testing.T) {
 // recovery must never compile a kernel plan for it — at any worker count,
 // with real fan-out available — and the core must not depend on the
 // worker count. The join is sized past the sparse TTM's planned-path
-// threshold (even at KeepFrac 0.5) so the rule, not the size gate, is what
+// threshold so the rule, not the size gate, is what
 // keeps the plan cache untouched.
 func TestDecomposeJoinStaysPlanFree(t *testing.T) {
 	prev := parallel.SetFanoutCap(8)
@@ -102,7 +102,6 @@ func TestDecomposeJoinStaysPlanFree(t *testing.T) {
 	}{
 		{"join", 1, Options{}},
 		{"zero-join", 0.5, Options{ZeroJoin: true}},
-		{"sketched", 1, Options{Sketch: SketchSpec{KeepFrac: 0.5, Seed: 9}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
@@ -121,10 +120,7 @@ func TestDecomposeJoinStaysPlanFree(t *testing.T) {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
 				// 4096 is the sparse TTM's planned-path size gate.
-				need := 4096
-				if f := opts.Sketch.KeepFrac; f > 0 {
-					need = int(1.1 * float64(need) / f)
-				}
+				const need = 4096
 				if nnz := got.Join.NNZ(); nnz < need {
 					t.Fatalf("join has %d cells, want >= %d to reach the planned-path size gate", nnz, need)
 				}

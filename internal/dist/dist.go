@@ -3,8 +3,7 @@
 // / Section VI-D). The phase bodies are pure functions.
 //
 // Decompose — factors and Gram-sized objects move, never cells, whatever
-// simulations the pair lost (core.M2TDCtx's rule; there is no other route
-// to pick):
+// simulations the pair lost (there is no other route to pick):
 //
 //   - Phase 1 — SubFactor: one (sub-tensor, mode) pair's matricization
 //     Gram matrix (needed for CONCAT fusion) and its rank-truncated factor;
@@ -34,7 +33,6 @@
 package dist
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -180,9 +178,6 @@ func DecomposeMaterialised(p *partition.Result, opts Options) (*core.Result, err
 func checked(p *partition.Result, opts Options) (ranks []int, shards int, err error) {
 	if ranks, err = core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape()); err != nil {
 		return nil, 0, err
-	}
-	if opts.Sketch.KeepFrac != 0 {
-		return nil, 0, fmt.Errorf("dist: sketching is not supported by D-M2TD (sketch locally with core.DecomposeCtx instead)")
 	}
 	return ranks, max(opts.Workers, 1), nil
 }

@@ -66,8 +66,8 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", m, workers, err)
 			}
-			if f.Join != nil || f.JoinCells(p, false) != serial.Join.NNZ() {
-				t.Fatalf("%s workers=%d: join-free route: join stitched %v, JoinCells %d, serial join %d", m, workers, f.Join != nil, f.JoinCells(p, false), serial.Join.NNZ())
+			if f.Join != nil || p.JoinCells(false) != serial.Join.NNZ() {
+				t.Fatalf("%s workers=%d: join-free route: join stitched %v, JoinCells %d, serial join %d", m, workers, f.Join != nil, p.JoinCells(false), serial.Join.NNZ())
 			}
 			for route, d := range map[string]*core.Result{"materialised": d, "join-free": f} {
 				if !d.Core.Equal(serial.Core, 1e-9) {
@@ -105,8 +105,8 @@ func TestDistributedZeroJoinMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Join != nil || f.JoinCells(p, true) != serial.Join.NNZ() {
-		t.Fatalf("join-free zero-join: join stitched %v, JoinCells %d, serial join %d", f.Join != nil, f.JoinCells(p, true), serial.Join.NNZ())
+	if f.Join != nil || p.JoinCells(true) != serial.Join.NNZ() {
+		t.Fatalf("join-free zero-join: join stitched %v, JoinCells %d, serial join %d", f.Join != nil, p.JoinCells(true), serial.Join.NNZ())
 	}
 	if !f.Core.Equal(serial.Core, 1e-9) {
 		t.Fatal("join-free zero-join core differs from serial")
@@ -321,7 +321,7 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 	if d, err = Decompose(p, opts); err != nil {
 		t.Fatalf("join-free, workers=%d over %d pivot keys: %v", opts.Workers, keys, err)
 	}
-	if d.Join != nil || d.JoinCells(p, false) != serial.Join.NNZ() || !d.Core.Equal(serial.Core, 1e-9) {
+	if d.Join != nil || p.JoinCells(false) != serial.Join.NNZ() || !d.Core.Equal(serial.Core, 1e-9) {
 		t.Fatalf("join-free, workers=%d over %d pivot keys: result differs from serial", opts.Workers, keys)
 	}
 
@@ -346,8 +346,8 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("disjoint pivots, workers=%d: %v", workers, err)
 		}
-		if d.Join != nil || d.JoinCells(&disjoint, false) != 0 {
-			t.Fatalf("disjoint pivots, workers=%d: join stitched %v, JoinCells %d", workers, d.Join != nil, d.JoinCells(&disjoint, false))
+		if d.Join != nil || disjoint.JoinCells(false) != 0 {
+			t.Fatalf("disjoint pivots, workers=%d: join stitched %v, JoinCells %d", workers, d.Join != nil, disjoint.JoinCells(false))
 		}
 		if want := tucker.ClipRanks(p.Space.Shape(), ranks); !slices.Equal(d.Core.Shape, want) {
 			t.Fatalf("disjoint pivots, workers=%d: core shape %v, want %v", workers, d.Core.Shape, want)
@@ -446,7 +446,7 @@ func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 				if got.Join != nil || trace.Root().Counter("factored") != 1 || (holey > 0) == zero {
 					t.Fatalf("%s: join stitched %v, span:\n%s", label, got.Join != nil, trace.Root().Skeleton())
 				}
-				if cells := got.JoinCells(part, zero); cells != serial.Join.NNZ() {
+				if cells := part.JoinCells(zero); cells != serial.Join.NNZ() {
 					t.Fatalf("%s: JoinCells %d, stitched join %d", label, cells, serial.Join.NNZ())
 				}
 				opts.Span = nil

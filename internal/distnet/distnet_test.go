@@ -127,8 +127,8 @@ func TestDistNetMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := runDistNet(t, p, Options{Method: m, Ranks: ranks, Workers: 2})
-		if f.JoinCells(p, false) != serial.Join.NNZ() {
-			t.Fatalf("%s: join-free JoinCells %d, serial join %d", m, f.JoinCells(p, false), serial.Join.NNZ())
+		if p.JoinCells(false) != serial.Join.NNZ() {
+			t.Fatalf("%s: join-free JoinCells %d, serial join %d", m, p.JoinCells(false), serial.Join.NNZ())
 		}
 		f.Join = serial.Join // compared above, through JoinCells
 		sameDecomposition(t, string(m), f.Result, serial, 1e-9)
@@ -144,8 +144,8 @@ func TestDistNetZeroJoinMatchesSerial(t *testing.T) {
 	}
 	opts := Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true, Workers: 2, Shards: 3}
 	f := runDistNet(t, p, opts)
-	if f.JoinCells(p, true) != serial.Join.NNZ() {
-		t.Fatalf("join-free zero-join JoinCells %d, serial join %d", f.JoinCells(p, true), serial.Join.NNZ())
+	if p.JoinCells(true) != serial.Join.NNZ() {
+		t.Fatalf("join-free zero-join JoinCells %d, serial join %d", p.JoinCells(true), serial.Join.NNZ())
 	}
 	f.Join = serial.Join // compared above, through JoinCells
 	sameDecomposition(t, "zero-join", f.Result, serial, 1e-9)

@@ -148,7 +148,7 @@ func TestDistNetBrokenProductStructureFallsBack(t *testing.T) {
 			for m := range pool.Factors {
 				sameBits(t, fmt.Sprintf("%s: factor %d vs dist.Decompose", label, m), got.Factors[m].Data, pool.Factors[m].Data)
 			}
-			if cells := got.JoinCells(broken, false); cells != serial.Join.NNZ() {
+			if cells := broken.JoinCells(false); cells != serial.Join.NNZ() {
 				t.Fatalf("%s: JoinCells %d, stitched join %d", label, cells, serial.Join.NNZ())
 			}
 			got.Join = serial.Join // compared above, through JoinCells

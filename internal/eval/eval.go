@@ -234,7 +234,7 @@ func runComparisonOn(cfg Config, space *ensemble.Space, part *partition.Result) 
 	cmp := &Comparison{Config: cfg}
 	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
 	for _, method := range core.Methods() {
-		res, err := core.M2TD(part, core.Options{Method: method, Ranks: ranks, ZeroJoin: cfg.ZeroJoin})
+		res, err := core.DecomposeFactored(part, core.Options{Method: method, Ranks: ranks, ZeroJoin: cfg.ZeroJoin})
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +247,7 @@ func runComparisonOn(cfg Config, space *ensemble.Space, part *partition.Result) 
 			Accuracy:    acc,
 			DecompTime:  res.SubDecompTime + res.StitchTime + res.CoreTime,
 			NumSims:     budget,
-			EnsembleNNZ: res.JoinCells(part, cfg.ZeroJoin),
+			EnsembleNNZ: part.JoinCells(cfg.ZeroJoin),
 		})
 	}
 

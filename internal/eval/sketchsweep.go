@@ -31,10 +31,14 @@ type SketchRow struct {
 	Speedup    float64
 }
 
-// SketchSweep measures the randomized sketch fast path's accuracy-vs-
-// speedup trade-off: the PF-partitioned ensembles are generated and
-// JE-stitched once, then the join is decomposed by SketchedHOSVD at each
-// KeepFrac and scored against the full ground truth. Every arm follows
+// SketchSweep is the table of the generic sketching tool (m2td.TuckerCtx
+// with a Sketch, `tensorstore decompose -sketch`): SketchedHOSVD against
+// HOSVD on one large sparse tensor, accuracy vs speedup. It is not a
+// campaign — no campaign sketches, or builds J. The tensor is a stitched
+// join only because that is the large sparse tensor with a ground truth at
+// hand: the PF-partitioned ensembles are generated and JE-stitched once,
+// then the join is decomposed by SketchedHOSVD at each KeepFrac and scored
+// against the full ground truth. Every arm follows
 // the transient-tensor protocol of BenchmarkSketchedHOSVD — it receives
 // a fresh plan-less view of the join, so the exact arm pays kernel-plan
 // compilation on the full nnz exactly as a pipeline decomposition does,
@@ -119,7 +123,7 @@ func SketchSweep(base Config, fracs []float64) ([]SketchRow, error) {
 
 // RenderSketchSweep prints the accuracy-vs-speedup report.
 func RenderSketchSweep(w io.Writer, rows []SketchRow) {
-	fmt.Fprintln(w, "SKETCH SWEEP: accuracy vs speedup of the randomized sketch fast path (join HOSVD)")
+	fmt.Fprintln(w, "SKETCH SWEEP: SketchedHOSVD vs HOSVD on one large sparse tensor (the TuckerCtx{Sketch} tool, not a campaign)")
 	tw := tabwriter.NewWriter(w, 4, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Keep\tJoin cells\tAccuracy\tvs exact\tDecomp\tSpeedup")
 	for _, r := range rows {

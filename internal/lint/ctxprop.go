@@ -21,7 +21,7 @@ import (
 //  2. Library code must not mint fresh root contexts via
 //     context.Background()/context.TODO(): roots belong to process entry
 //     points (cmd/, examples/) and tests. The documented non-ctx wrappers
-//     (core.M2TD, partition.Generate, ensemble.Encode) are the deliberate
+//     (partition.Generate, ensemble.Encode) are the deliberate
 //     exceptions and carry //lint:allow ctxprop annotations.
 //
 //  3. A function or method that takes a net connection (any net.*Conn

@@ -24,7 +24,6 @@ type canonicalConfig struct {
 	P, E                    float64
 	ZeroJoin                bool
 	Seed                    int64
-	Sketch                  m2td.SketchConfig
 	SkipAccuracy            bool
 	AccuracySampleSims      int
 	Shards                  int
@@ -34,7 +33,7 @@ func canonical(cfg m2td.Config) canonicalConfig {
 	c := canonicalConfig{
 		System: cfg.System, Resolution: cfg.Resolution, TimeSamples: cfg.TimeSamples, Rank: cfg.Rank,
 		Method: cfg.Method, Pivot: cfg.Pivot, P: cfg.PivotDensity, E: cfg.SubEnsembleDensity,
-		ZeroJoin: cfg.ZeroJoin, Seed: cfg.Seed, Sketch: cfg.Sketch,
+		ZeroJoin: cfg.ZeroJoin, Seed: cfg.Seed,
 		SkipAccuracy: cfg.SkipAccuracy, AccuracySampleSims: cfg.AccuracySampleSims,
 	}
 	if c.System == "" {
@@ -63,9 +62,6 @@ func canonical(cfg m2td.Config) canonicalConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Sketch.KeepFrac != 0 && c.Sketch.Seed == 0 {
-		c.Sketch.Seed = c.Seed
 	}
 	if d := cfg.Distributed; d != nil {
 		c.Shards = max(d.Shards, 1)
@@ -118,7 +114,6 @@ func TestSpecSpellingsShareIdentity(t *testing.T) {
 		"method":    {Method: "avg"},
 		"zero-join": {ZeroJoin: true},
 		"seed":      {Seed: 9},
-		"sketch":    {Sketch: api.SketchSpec{KeepFrac: 0.5}},
 		"dist":      {Distributed: &api.DistSpec{Workers: 2}},
 	} {
 		cfg := build(spec)
@@ -154,7 +149,7 @@ func FuzzCampaignSpecFingerprint(f *testing.F) {
 	f.Add(`{"pivot_density":0.5,"seed":2}`, `{"pivot_density":0.5,"seed":3}`)
 	f.Add(`{"pivot":"auto"}`, `{"pivot":"auto","seed":4}`)
 	f.Add(`{"pivot":"t\"|P=1"}`, `{"pivot":"t","sub_density":0.25,"zero_join":true}`)
-	f.Add(`{"sketch":{"keep_frac":0.5}}`, `{"sketch":{"keep_frac":0.5,"seed":1}}`)
+	f.Add(`{"zero_join":true,"seed":1}`, `{"zero_join":true}`)
 	f.Add(`{"distributed":{"workers":3}}`, `{"distributed":{"workers":2,"shards":3}}`)
 	f.Add(`{"resolution":-1}`, `{"system":"LORENZ","time_samples":7,"accuracy_sample_sims":10}`)
 	s := fingerprintServer(f)
@@ -163,7 +158,9 @@ func FuzzCampaignSpecFingerprint(f *testing.F) {
 		var cfgs [2]m2td.Config
 		for i, body := range [2]string{a, b} {
 			var spec api.CampaignSpec
-			if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			dec := json.NewDecoder(strings.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&spec); err != nil {
 				return
 			}
 			cfg, err := s.buildConfig(spec)

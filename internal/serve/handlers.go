@@ -66,9 +66,18 @@ func writeErr(w http.ResponseWriter, e *api.Error) {
 	_ = json.NewEncoder(w).Encode(e)
 }
 
+// decodeBody decodes a request body strictly: a field the wire struct does
+// not have — misspelt, or removed like the campaign's "sketch" — is an
+// error, never a campaign silently run without it.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.SubmitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, &api.Error{Code: api.CodeInvalidRequest, Message: "decode submit request: " + err.Error()})
 		return
 	}
@@ -156,7 +165,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.PredictRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, &api.Error{Code: api.CodeInvalidRequest, Message: "decode predict request: " + err.Error()})
 		return
 	}

@@ -176,7 +176,6 @@ func infoFromReport(report *m2td.Report) *api.DecompositionInfo {
 		DecompMS:     report.DecompTime.Milliseconds(),
 		RestoredSims: report.RestoredSims,
 		Distributed:  report.Distributed != nil,
-		Sketched:     report.SketchStats != nil,
 	}
 	if !math.IsNaN(report.Accuracy) {
 		info.Accuracy = report.Accuracy

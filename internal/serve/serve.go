@@ -13,8 +13,8 @@
 //   - identity: a campaign has two, both defined by package m2td.
 //     Config.Fingerprint names the campaign (ensemble + decomposition
 //     fields); Config.SimFingerprint, its prefix, names the ensemble —
-//     the simulations — alone. Campaigns that differ in rank, method,
-//     zero-join or sketch (and, at P = E = 1, in seed) share an ensemble.
+//     the simulations — alone. Campaigns that differ in rank, method or
+//     zero-join (and, at P = E = 1, in seed) share an ensemble.
 //   - coalescing: a campaign whose Fingerprint is already queued or
 //     running attaches to that job as a waiter instead of enqueueing
 //     duplicate work.
@@ -491,12 +491,6 @@ func (s *Server) buildConfig(spec api.CampaignSpec) (m2td.Config, error) {
 	}
 	if d := spec.SubEnsembleDensity; d < 0 || d > 1 {
 		return m2td.Config{}, fmt.Errorf("sub_density %v outside (0, 1]", d)
-	}
-	if f := spec.Sketch.KeepFrac; f < 0 || f > 1 {
-		return m2td.Config{}, fmt.Errorf("sketch keep_frac %v outside (0, 1]", f)
-	}
-	if spec.Sketch.KeepFrac > 0 {
-		cfg.Sketch = m2td.SketchConfig{KeepFrac: spec.Sketch.KeepFrac, Seed: spec.Sketch.Seed}
 	}
 	switch {
 	case spec.AccuracySampleSims > 0:

@@ -123,19 +123,27 @@ func TestMalformedAndInvalidSubmissions(t *testing.T) {
 	_, hs, c := newTestServer(t, nil)
 	ctx := context.Background()
 
-	// Raw garbage body → 400 with the typed envelope.
-	resp, err := http.Post(hs.URL+api.PathPrefix+"campaigns", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	var envelope api.Error
-	if err := json.Unmarshal(body, &envelope); err != nil || envelope.Code != api.CodeInvalidRequest {
-		t.Fatalf("envelope %s (%v)", body, err)
+	// A body the wire struct cannot hold → 400 with the typed envelope:
+	// garbage, and a field the API does not have — the removed "sketch"
+	// must not run as an exact campaign, nor a misspelt field as a default.
+	for name, raw := range map[string]string{
+		"garbage":  "{not json",
+		"sketch":   `{"campaign":{"sketch":{"keep_frac":0.1}}}`,
+		"misspelt": `{"campaign":{"resolutoin":4}}`,
+	} {
+		resp, err := http.Post(hs.URL+api.PathPrefix+"campaigns", "application/json", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		var envelope api.Error
+		if err := json.Unmarshal(body, &envelope); err != nil || envelope.Code != api.CodeInvalidRequest {
+			t.Fatalf("%s: envelope %s (%v)", name, body, err)
+		}
 	}
 
 	// Unknown system and out-of-range knobs → typed invalid_request.
@@ -143,7 +151,6 @@ func TestMalformedAndInvalidSubmissions(t *testing.T) {
 		"system":  {System: "no-such-system"},
 		"method":  {Method: "no-such-method"},
 		"density": {PivotDensity: 2},
-		"sketch":  {Sketch: api.SketchSpec{KeepFrac: -0.5}},
 	} {
 		_, err := c.Submit(ctx, api.SubmitRequest{Campaign: spec})
 		var apiErr *api.Error

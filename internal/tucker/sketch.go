@@ -93,11 +93,10 @@ type SketchStats struct {
 // Dropped returns the number of entries the sketch discarded.
 func (s SketchStats) Dropped() int { return s.InputNNZ - s.Kept }
 
-// Record writes the stats onto span as deterministic counters. Callers
-// that wrap a sketch in their own named span (core.DecomposeCtx opens one
-// per sketched tensor) record through here; Sketch itself records on a
-// "sketch" child of SketchOptions.Span.
-func (s SketchStats) Record(span *obs.Span) {
+// span records the stats as deterministic counters on a "sketch" child of
+// parent.
+func (s SketchStats) span(parent *obs.Span) {
+	span := parent.Start("sketch")
 	span.Set("input_nnz", int64(s.InputNNZ))
 	span.Set("kept", int64(s.Kept))
 	span.Set("dropped", int64(s.Dropped()))
@@ -108,13 +107,7 @@ func (s SketchStats) Record(span *obs.Span) {
 			span.Set(fmt.Sprintf("scale_pow2_%d", k), c)
 		}
 	}
-}
-
-// span records the stats on a "sketch" child of parent.
-func (s SketchStats) span(parent *obs.Span) {
-	ss := parent.Start("sketch")
-	s.Record(ss)
-	ss.Finish()
+	span.Finish()
 }
 
 // SketchedHOSVD runs HOSVD on a biased random sketch of the tensor: each

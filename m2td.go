@@ -8,13 +8,13 @@
 //   - internal/ensemble  — parameter spaces; Random/Grid/Slice/LHS samplers
 //   - internal/partition — PF-partitioning into pivot-sharing sub-systems
 //   - internal/stitch    — JE-stitching (join and zero-join)
-//   - internal/tucker    — HOSVD / HOOI Tucker decomposition, sketch fast path
+//   - internal/tucker    — HOSVD / HOOI Tucker decomposition, tensor sketching
 //   - internal/core      — M2TD-AVG / -CONCAT / -SELECT (+ factored core)
 //   - internal/dist      — 3-phase distributed M2TD (D-M2TD) phase bodies
 //   - internal/eval      — the paper's experiments (Tables I–VIII, Fig. 6)
 //
 // The one-call entry point is RunCtx: partition → simulate → decompose →
-// evaluate (the join is stitched only for a sketch):
+// evaluate (the join is never stitched):
 //
 //	report, err := m2td.RunCtx(ctx, m2td.Config{
 //	    System:     "double-pendulum",
@@ -86,7 +86,7 @@ type Config struct {
 	// the result is a pure function of it — bit-identical to
 	// Distributed{Shards: Workers} at any core count, and equal to the
 	// serial decomposition up to floating-point summation order. At most
-	// one of Workers, Distributed, Sketch and Factored may be set.
+	// one of Workers, Distributed and Factored may be set.
 	Workers int
 	// Distributed, when non-nil, runs D-M2TD on real worker PROCESSES —
 	// the internal/distnet coordinator/worker engine over localhost TCP
@@ -112,18 +112,11 @@ type Config struct {
 	// full simulation-space tensor — required at paper-scale resolutions
 	// where the exact metric needs tens of GB.
 	AccuracySampleSims int
-	// Factored selects nothing: every unsketched run is join-free
-	// (core.M2TDCtx). The field stays, exclusive with the three above and
-	// part of Fingerprint, until the frozen cmd/m2tdperf that sets it is
-	// re-based (ROADMAP item 1).
+	// Factored selects nothing: every run is join-free
+	// (core.DecomposeFactored). The field stays, exclusive with Workers and
+	// Distributed and part of Fingerprint, until the frozen cmd/m2tdperf that
+	// sets it is re-based (ROADMAP item 1).
 	Factored bool
-	// Sketch enables the randomized sketch fast path: the decomposition
-	// runs on biased random sketches of the sub-tensors and join instead
-	// of the exact inputs, trading a graceful accuracy loss for a
-	// proportional cut in every kernel's nnz. Orthogonal to Method — all
-	// three fusion strategies sketch identically. Baseline runs sketch the
-	// encoded tensor before HOSVD.
-	Sketch SketchConfig
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
 
@@ -161,22 +154,6 @@ type Config struct {
 	// Parallel value; only durations and gauges vary. Disabled tracing
 	// costs one nil check per instrumented site.
 	Trace bool
-}
-
-// SketchConfig configures the randomized sketch fast path
-// (tucker.Sketch): each stored cell is kept with probability proportional
-// to its magnitude and scaled by the inverse of that probability, an
-// unbiased estimator of the tensor at a fraction of the nnz. The zero
-// value disables sketching.
-type SketchConfig struct {
-	// KeepFrac is the expected fraction of stored cells each sketch
-	// retains, in (0, 1]. 0 disables sketching; 1 keeps every cell
-	// (bit-identical decomposition, with a full-keep SketchStats report).
-	KeepFrac float64
-	// Seed drives the per-cell keep decisions through a counter-based
-	// hash — the sketch is a pure function of (tensor, KeepFrac, Seed),
-	// identical for any Parallel value. 0 defaults to Config.Seed.
-	Seed int64
 }
 
 // DistributedConfig configures the multi-process D-M2TD engine
@@ -231,13 +208,12 @@ type Report struct {
 	// NumSims is the number of simulation runs spent.
 	NumSims int
 	// JoinCells is the join's stored-cell count, counted per pivot group (the
-	// paper's density formula when nothing was lost): only a sketch builds J.
+	// paper's density formula when nothing was lost): no run builds J.
 	JoinCells int
 	// SimTime is the wall-clock spent running simulations; DecompTime
 	// covers sub-decomposition, stitching, and core recovery.
 	SimTime, DecompTime time.Duration
-	// Decomposition holds the factors and core; Join is nil unless the run
-	// was sketched — the one campaign that builds J.
+	// Decomposition holds the factors and core; its Join is nil.
 	Decomposition *core.Result
 	// Space is the underlying parameter space (exposes the shape, ground
 	// truth, and mode names).
@@ -260,10 +236,6 @@ type Report struct {
 	// FaultStats snapshots the injector's accounting when Config.Faults
 	// was set (nil otherwise).
 	FaultStats *faults.Stats
-	// SketchStats accounts for the sketch passes when Config.Sketch was
-	// enabled (nil otherwise). Baseline runs fill only the Join stats —
-	// there is one tensor to sketch.
-	SketchStats *core.SketchReport
 	// Distributed carries the multi-process engine's accounting when
 	// Config.Distributed was set (nil otherwise).
 	Distributed *DistStats
@@ -306,9 +278,6 @@ func (c Config) normalize() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Sketch.KeepFrac != 0 && c.Sketch.Seed == 0 {
-		c.Sketch.Seed = c.Seed
-	}
 	return c
 }
 
@@ -330,17 +299,14 @@ func (c Config) resolve() (resolved, error) {
 	if err != nil {
 		return resolved{}, err
 	}
-	if f := cfg.Sketch.KeepFrac; f < 0 || f > 1 {
-		return resolved{}, fmt.Errorf("m2td: Sketch.KeepFrac %v outside (0, 1]", f)
-	}
 	routes := 0
-	for _, set := range [...]bool{cfg.Workers > 0, cfg.Distributed != nil, cfg.Sketch.KeepFrac > 0, cfg.Factored} {
+	for _, set := range [...]bool{cfg.Workers > 0, cfg.Distributed != nil, cfg.Factored} {
 		if set {
 			routes++
 		}
 	}
 	if routes > 1 {
-		return resolved{}, fmt.Errorf("m2td: at most one of Workers, Distributed, Sketch and Factored may be set (each names the decomposition's route)")
+		return resolved{}, fmt.Errorf("m2td: at most one of Workers, Distributed and Factored may be set (each names the decomposition's route)")
 	}
 	if d := cfg.Distributed; d != nil && (d.KillWorkers < 0 || d.KillWorkers >= max(d.Workers, 1)) {
 		return resolved{}, fmt.Errorf("m2td: Distributed.KillWorkers %d must be in [0, Workers)", d.KillWorkers)
@@ -491,10 +457,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	report := r.report(part.NumSims, res.JoinCells(part, cfg.ZeroJoin), part.Stats, part.Sub1.Tensor, part.Sub2.Tensor)
+	report := r.report(part.NumSims, part.JoinCells(cfg.ZeroJoin), part.Stats, part.Sub1.Tensor, part.Sub2.Tensor)
 	report.SimTime, report.DecompTime = simTime, res.SubDecompTime+res.StitchTime+res.CoreTime
-	report.Decomposition, report.SketchStats = res, res.Sketch
-	report.Distributed, report.Partition = distStats, part
+	report.Decomposition, report.Distributed, report.Partition = res, distStats, part
 	return r.finish(ctx, trace, report, eval.TuckerModel{Core: res.Core, Factors: res.Factors})
 }
 
@@ -542,13 +507,12 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 
 	decompStart := time.Now()
 	var dec tucker.Decomposition
-	var sketch *core.SketchReport
-	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) (err error) {
-		var stats *tucker.SketchStats
-		if dec, stats, err = tuckerOf(ctx, span, se.Tensor, tucker.UniformRanks(space.Order(), cfg.Rank), cfg.Sketch, false, cfg.Parallel); stats != nil {
-			sketch = &core.SketchReport{KeepFrac: cfg.Sketch.KeepFrac, Seed: cfg.Sketch.Seed, Join: *stats}
+	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return err
+		dec = tucker.HOSVDSpan(se.Tensor, tucker.UniformRanks(space.Order(), cfg.Rank), cfg.Parallel, span)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -558,7 +522,7 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 		ExecutedSims: estats.ExecutedSims, RetriedSims: estats.RetriedSims,
 		FailedSims: estats.FailedSims, QuarantinedCells: estats.QuarantinedCells,
 	}, se.Tensor, se.Tensor)
-	report.SimTime, report.DecompTime, report.SketchStats = simTime, time.Since(decompStart), sketch
+	report.SimTime, report.DecompTime = simTime, time.Since(decompStart)
 	return r.finish(ctx, trace, report, eval.TuckerModel{Core: dec.Core, Factors: dec.Factors})
 }
 
@@ -726,15 +690,12 @@ type DecomposeOptions struct {
 	Ranks []int
 	// ZeroJoin selects zero-join JE-stitching for core recovery.
 	ZeroJoin bool
-	// Sketch enables the randomized sketch fast path (see Config.Sketch);
-	// Seed 0 defaults to 1.
-	Sketch SketchConfig
 	// Parallel is the shared worker-pool size for the decomposition hot
 	// path (0 = all CPUs, 1 = serial). Results are bit-identical for any
 	// value.
 	Parallel int
 	// Trace, when non-nil, receives a "decompose" stage span (with
-	// factors/core children, and stitch under a sketch) under its root.
+	// factors/core children) under its root.
 	Trace *obs.Trace
 }
 
@@ -743,7 +704,7 @@ type DecomposeOptions struct {
 // reuse, and optional tracing — the same engine path RunCtx uses.
 func DecomposeCtx(ctx context.Context, part *partition.Result, opts DecomposeOptions) (*core.Result, error) {
 	cfg := Config{
-		Method: opts.Method, Rank: opts.Rank, ZeroJoin: opts.ZeroJoin, Sketch: opts.Sketch, Parallel: opts.Parallel,
+		Method: opts.Method, Rank: opts.Rank, ZeroJoin: opts.ZeroJoin, Parallel: opts.Parallel,
 	}.normalize()
 	method, err := cfg.Method.core()
 	if err != nil {
@@ -758,10 +719,10 @@ func DecomposeCtx(ctx context.Context, part *partition.Result, opts DecomposeOpt
 }
 
 // decomposeStage is the decomposition stage of RunCtx and the body of
-// DecomposeCtx, on the executor cfg names: the process engine
-// (Distributed), D-M2TD on the in-process pool (Workers), and otherwise
-// core.M2TDCtx — the one place a route is chosen. Only cfg's decomposition
-// fields are read.
+// DecomposeCtx, on the executor cfg names — the only dispatch there is: the
+// process engine (Distributed), D-M2TD on the in-process pool (Workers), and
+// otherwise core.DecomposeFactored in process. All three are join-free. Only
+// cfg's decomposition fields are read.
 func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Result, method core.Method, ranks []int, cfg Config) (res *core.Result, ds *DistStats, err error) {
 	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) (err error) {
 		if err := ctx.Err(); err != nil {
@@ -772,7 +733,6 @@ func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Resul
 			Ranks:    ranks,
 			ZeroJoin: cfg.ZeroJoin,
 			Workers:  cfg.Parallel,
-			Sketch:   core.SketchSpec{KeepFrac: cfg.Sketch.KeepFrac, Seed: cfg.Sketch.Seed},
 			Span:     span,
 		}
 		switch {
@@ -781,7 +741,7 @@ func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Resul
 		case cfg.Workers > 0:
 			res, err = dist.Decompose(part, dist.Options{Options: opts, Workers: cfg.Workers})
 		default:
-			res, err = core.M2TDCtx(ctx, part, opts)
+			res, err = core.DecomposeFactored(part, opts)
 		}
 		return err
 	})

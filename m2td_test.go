@@ -321,7 +321,7 @@ func TestRunAutoPivot(t *testing.T) {
 	}
 }
 
-// TestRouteOptionsExclusive: Workers, Distributed, Sketch and Factored each
+// TestRouteOptionsExclusive: Workers, Distributed and Factored each
 // name the decomposition's route, so every pair of them is rejected — by
 // RunCtx and BaselineCtx alike, and before a single simulation has run.
 func TestRouteOptionsExclusive(t *testing.T) {
@@ -331,7 +331,6 @@ func TestRouteOptionsExclusive(t *testing.T) {
 	}{
 		{"Workers", func(c *Config) { c.Workers = 2 }},
 		{"Distributed", func(c *Config) { c.Distributed = &DistributedConfig{Workers: 2} }},
-		{"Sketch", func(c *Config) { c.Sketch.KeepFrac = 0.5 }},
 		{"Factored", func(c *Config) { c.Factored = true }},
 	}
 	for i, a := range routes {

@@ -66,19 +66,9 @@ func TestTraceGoldenStructure(t *testing.T) {
 
 // TestTraceSpanTaxonomy asserts the documented stage hierarchy exists:
 // run → {partition → sub1/sub2, decompose → factors/core, evaluate} with
-// per-mode children under factors — and a stitch span under decompose
-// only on a route that materialises the join (here: a full-keep sketch).
+// per-mode children under factors — and no stitch span under decompose
+// (TestNoConfigBuildsTheJoin has that for every executor).
 func TestTraceSpanTaxonomy(t *testing.T) {
-	sketched := traceConfig()
-	sketched.Sketch.KeepFrac = 1
-	sreport, err := RunCtx(context.Background(), sketched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := sreport.Trace.Root().Find("decompose"); d.Find("stitch") == nil || d.Counter("factored") != 0 {
-		t.Errorf("sketched run: want a stitch span and factored=0 under decompose:\n%s", d.Skeleton())
-	}
-
 	report, err := RunCtx(context.Background(), traceConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -19,14 +19,29 @@ type TuckerOptions struct {
 	Ranks []int
 	// HOOI refines the HOSVD initialisation with alternating HOOI sweeps.
 	HOOI bool
-	// Sketch enables the randomized sketch fast path (see Config.Sketch);
-	// Seed 0 defaults to 1.
+	// Sketch decomposes a biased random sketch of the tensor instead of the
+	// tensor: for one too large or too dense to decompose exactly.
 	Sketch SketchConfig
 	// Parallel is the worker-pool size for the decomposition kernels
 	// (0 = all CPUs, 1 = serial). Results are bit-identical for any value.
 	Parallel int
 	// Trace, when non-nil, receives a "tucker" stage span under its root.
 	Trace *obs.Trace
+}
+
+// SketchConfig configures TuckerOptions.Sketch (tucker.Sketch): each stored
+// cell is kept with probability proportional to its magnitude and scaled by
+// the inverse of that probability, an unbiased estimator of the tensor at a
+// fraction of the nnz. The zero value disables sketching.
+type SketchConfig struct {
+	// KeepFrac is the expected fraction of stored cells the sketch
+	// retains, in (0, 1]. 0 disables sketching; 1 keeps every cell
+	// (bit-identical decomposition).
+	KeepFrac float64
+	// Seed drives the per-cell keep decisions through a counter-based
+	// hash — the sketch is a pure function of (tensor, KeepFrac, Seed),
+	// identical for any Parallel value. 0 defaults to 1.
+	Seed int64
 }
 
 // TuckerResult is the outcome of TuckerCtx.
@@ -52,28 +67,46 @@ func (r *TuckerResult) Fit(x *tensor.Sparse) (float64, error) {
 }
 
 // TuckerCtx runs a plain Tucker decomposition (HOSVD, optionally refined
-// with HOOI sweeps, optionally on the randomized sketch fast path) over a
+// with HOOI sweeps, either optionally on a sketch of the tensor) over a
 // raw sparse tensor with cooperative cancellation — the facade entry
 // point for tensors that did not come out of the M2TD pipeline, so CLI
-// tools and the campaign server never call internal/tucker directly.
+// tools and the campaign server never call internal/tucker directly. The
+// context is checked before the kernels run; only HOOI's sweeps — sketched
+// or not — observe it after.
 func TuckerCtx(ctx context.Context, x *tensor.Sparse, opts TuckerOptions) (*TuckerResult, error) {
 	if x == nil || x.Order() == 0 {
 		return nil, fmt.Errorf("m2td: TuckerCtx needs a non-empty tensor")
 	}
-	cfg := Config{Rank: opts.Rank, Sketch: opts.Sketch}.normalize()
 	ranks := opts.Ranks
 	if ranks == nil {
-		ranks = tucker.UniformRanks(x.Order(), cfg.Rank)
+		ranks = tucker.UniformRanks(x.Order(), Config{Rank: opts.Rank}.normalize().Rank)
 	}
-	if f := cfg.Sketch.KeepFrac; f < 0 || f > 1 {
+	sopts := tucker.SketchOptions{KeepFrac: opts.Sketch.KeepFrac, Seed: opts.Sketch.Seed, Workers: opts.Parallel}
+	if f := sopts.KeepFrac; !(f >= 0 && f <= 1) { // NaN too
 		return nil, fmt.Errorf("m2td: Sketch.KeepFrac %v outside (0, 1]", f)
 	}
-	res := &TuckerResult{}
+	if sopts.Seed == 0 {
+		sopts.Seed = 1
+	}
+	res := &TuckerResult{Sketched: sopts.KeepFrac > 0}
 	err := runStage(ctx, opts.Trace, "tucker", "tucker", 0, func(ctx context.Context, span *obs.Span) (err error) {
-		var stats *tucker.SketchStats
-		if res.Decomposition, stats, err = tuckerOf(ctx, span, x, ranks, cfg.Sketch, opts.HOOI, opts.Parallel); stats != nil {
-			res.Sketched, res.SketchKept, res.SketchInput = true, stats.Kept, stats.InputNNZ
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		sopts.Span = span
+		hopts := tucker.HOOIOptions{Workers: opts.Parallel, Span: span}
+		var stats tucker.SketchStats
+		switch {
+		case res.Sketched && opts.HOOI:
+			res.Decomposition, stats, err = tucker.SketchedHOOI(ctx, x, ranks, sopts, hopts)
+		case res.Sketched:
+			res.Decomposition, stats, err = tucker.SketchedHOSVD(x, ranks, sopts)
+		case opts.HOOI:
+			res.Decomposition, err = tucker.HOOICtx(ctx, x, ranks, hopts)
+		default:
+			res.Decomposition = tucker.HOSVDSpan(x, ranks, opts.Parallel, span)
+		}
+		res.SketchKept, res.SketchInput = stats.Kept, stats.InputNNZ
 		return err
 	})
 	if err != nil {
@@ -81,31 +114,4 @@ func TuckerCtx(ctx context.Context, x *tensor.Sparse, opts TuckerOptions) (*Tuck
 	}
 	res.Ranks = res.Decomposition.Ranks
 	return res, nil
-}
-
-// tuckerOf is the raw-tensor Tucker decomposition TuckerCtx and BaselineCtx
-// share, under the caller's stage span: HOSVD, optionally HOOI-refined,
-// either optionally on the sketch fast path (stats is nil unless sketched).
-// The context is checked before the kernels run; only HOOI's sweeps —
-// sketched or not — observe it after.
-func tuckerOf(ctx context.Context, span *obs.Span, x *tensor.Sparse, ranks []int, sketch SketchConfig, hooi bool, workers int) (dec tucker.Decomposition, stats *tucker.SketchStats, err error) {
-	if err := ctx.Err(); err != nil {
-		return dec, nil, err
-	}
-	hopts := tucker.HOOIOptions{Workers: workers, Span: span}
-	switch {
-	case sketch.KeepFrac > 0:
-		sopts := tucker.SketchOptions{KeepFrac: sketch.KeepFrac, Seed: sketch.Seed, Workers: workers, Span: span}
-		var st tucker.SketchStats
-		if hooi {
-			dec, st, err = tucker.SketchedHOOI(ctx, x, ranks, sopts, hopts)
-		} else {
-			dec, st, err = tucker.SketchedHOSVD(x, ranks, sopts)
-		}
-		return dec, &st, err
-	case hooi:
-		dec, err = tucker.HOOICtx(ctx, x, ranks, hopts)
-		return dec, nil, err
-	}
-	return tucker.HOSVDSpan(x, ranks, workers, span), nil, nil
 }

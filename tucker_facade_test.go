@@ -3,12 +3,17 @@ package m2td
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
@@ -107,6 +112,78 @@ func TestTuckerCtxSketchedHOOICancelledAfterSketch(t *testing.T) {
 	}
 }
 
+// The three TestRunSketch* tests below keep the names they had while a
+// campaign (RunCtx) could sketch; TuckerCtx is the one facade entry that
+// still does, and its sketch is what they run.
+
+// TestRunSketchKeepAllMatchesPlain: a full-keep sketch is the tensor itself,
+// so the decomposition is the unsketched one to the bit, reported as a full
+// keep.
+func TestRunSketchKeepAllMatchesPlain(t *testing.T) {
+	x := facadeTestTensor()
+	ctx := context.Background()
+	for _, hooi := range []bool{false, true} {
+		plain, err := TuckerCtx(ctx, x, TuckerOptions{Rank: 2, HOOI: hooi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := TuckerCtx(ctx, x, TuckerOptions{Rank: 2, HOOI: hooi, Sketch: SketchConfig{KeepFrac: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full.Sketched || full.SketchKept != x.NNZ() || full.SketchInput != x.NNZ() {
+			t.Fatalf("hooi=%t: KeepFrac=1 should report a full keep, got %+v", hooi, full)
+		}
+		if plain.Sketched || plain.SketchKept != 0 || plain.SketchInput != 0 {
+			t.Fatalf("hooi=%t: unsketched run carries sketch accounting: %+v", hooi, plain)
+		}
+		requireSameBits(t, fmt.Sprintf("hooi=%t: KeepFrac=1 vs plain", hooi), asResult(full), asResult(plain))
+	}
+}
+
+// asResult presents a Tucker decomposition to requireSameBits.
+func asResult(r *TuckerResult) *core.Result {
+	return &core.Result{Core: r.Decomposition.Core, Factors: r.Decomposition.Factors}
+}
+
+// TestRunSketchBitStableAcrossParallel: the sketch, its accounting and the
+// decomposition of it are one set of bits at any Parallel, and a Seed of 0
+// is seed 1.
+func TestRunSketchBitStableAcrossParallel(t *testing.T) {
+	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8))
+	x := facadeTestTensor()
+	run := func(parallel int, seed int64) *TuckerResult {
+		res, err := TuckerCtx(context.Background(), x, TuckerOptions{Rank: 2, Sketch: SketchConfig{KeepFrac: 0.5, Seed: seed}, Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial := run(1, 0)
+	if serial.SketchKept <= 0 || serial.SketchKept >= x.NNZ() {
+		t.Fatalf("KeepFrac 0.5 kept %d of %d cells", serial.SketchKept, x.NNZ())
+	}
+	for _, p := range []int{2, 3, 8} {
+		got := run(p, 1)
+		if got.SketchKept != serial.SketchKept {
+			t.Fatalf("Parallel=%d: sketch kept %d cells, serial %d", p, got.SketchKept, serial.SketchKept)
+		}
+		requireSameBits(t, fmt.Sprintf("sketched, Parallel=%d vs 1", p), asResult(got), asResult(serial))
+	}
+	if other := run(1, 2); slices.Equal(other.Decomposition.Core.Data, serial.Decomposition.Core.Data) {
+		t.Fatal("Sketch.Seed does not reach the sketch")
+	}
+}
+
+func TestRunSketchValidation(t *testing.T) {
+	for _, frac := range []float64{1.5, -0.1, math.NaN()} {
+		_, err := TuckerCtx(context.Background(), facadeTestTensor(), TuckerOptions{Sketch: SketchConfig{KeepFrac: frac}})
+		if err == nil || !strings.Contains(err.Error(), "Sketch") {
+			t.Fatalf("KeepFrac %v: want an error naming the Sketch config, got %v", frac, err)
+		}
+	}
+}
+
 func TestConfigFingerprint(t *testing.T) {
 	base := Config{System: SystemLorenz, Resolution: 6, Rank: 3}
 	if got, again := base.Fingerprint(), base.Fingerprint(); got != again {
@@ -142,7 +219,6 @@ func TestConfigFingerprint(t *testing.T) {
 		"Method":   func(c *Config) { c.Method = MethodAVG },
 		"ZeroJoin": func(c *Config) { c.ZeroJoin = true },
 		"Seed":     func(c *Config) { c.Seed = 9 },
-		"Sketch":   func(c *Config) { c.Sketch = SketchConfig{KeepFrac: 0.5} },
 		"Workers":  func(c *Config) { c.Workers = 2 },
 	} {
 		c := base
