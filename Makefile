@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-smoke examples-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke ci clean
+.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-smoke examples-smoke simgen-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke ci clean
 
 all: build
 
@@ -47,14 +47,15 @@ test:
 # Race-detector pass. The workers=1 vs workers=N bit-stability suites
 # double as data-race proofs for the internal/parallel kernels here; the
 # -count=20 soak catches races that need a particular interleaving — in
-# the pool itself, in its busiest client, the simulation fan-out (strip
-# cursor + checkpoint saves outside the fan-out's locks), in the campaign
+# the pool itself, in its busiest client, the simulation fan-out
+# (internal/ensemble, driven by internal/partition: strip cursor +
+# checkpoint saves outside the fan-out's locks), in the campaign
 # server's executors (the one-producer gate on shared sims- catalogs), and
 # in the two D-M2TD executors (the coordinator's event loop, concurrent
 # worker start and single reaper; every task kind under kill-and-recover).
 race:
 	$(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=20 -timeout 25m ./internal/parallel ./internal/partition ./internal/serve ./internal/distnet ./internal/dist
+	$(GO) test -race -count=20 -timeout 25m ./internal/parallel ./internal/ensemble ./internal/partition ./internal/serve ./internal/distnet ./internal/dist
 
 # Full benchmark run (slow; honours M2TD_BENCH_RES).
 bench:
@@ -120,6 +121,19 @@ examples-smoke:
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
 
+# cmd/simgen run as a binary, both modes: a reference trajectory, and a
+# sampled ensemble under injected transient faults — the one program whose
+# only job is ensemble.EncodeCtx, so the shared simulation fan-out runs
+# from a CLI on every PR. Output is discarded; the faulted run must report
+# its retry accounting on stderr.
+simgen-smoke:
+	$(GO) run ./cmd/simgen -system lorenz -samples 4 > /dev/null
+	$(GO) run ./cmd/simgen -ensemble -budget 8 -res 4 -fault-rate 0.1 -timeout 30s > /dev/null 2> simgen-smoke.stderr \
+		|| (cat simgen-smoke.stderr; exit 1)
+	@grep 'simgen: encode: 8 executed, [1-9][0-9]* retried, 0 failed sims' simgen-smoke.stderr \
+		|| (cat simgen-smoke.stderr; echo "simgen-smoke: no retry accounting on stderr"; exit 1)
+	@rm -f simgen-smoke.stderr
+
 # The repo's one end-to-end benchmark (BENCHMARK.json, cmd/m2tdperf):
 # four campaign workloads, each with a serial and an all-core arm.
 # perf-smoke runs tiny shapes in ~10-15 s and checks every output
@@ -135,14 +149,17 @@ perf:
 	$(GO) run ./cmd/m2tdperf -seed 7
 
 # Short runs of the fuzz targets: the internal/tensor index algebra, the
-# decoders on the process engine's trust boundaries (store objects,
-# control-plane frames, and the task/result payloads inside a valid frame),
+# decoders on the process engine's trust boundaries (store objects — sparse
+# tensors, matrix lists, decompositions — control-plane frames, and the
+# task/result payloads inside a valid frame),
 # and campaign identity (api.CampaignSpec JSON → Config.SimFingerprint /
 # Fingerprint, which name shared store objects).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLinearIndexRoundtrip -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzDedupPreservesSum -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzLoadSparseRobustness -fuzztime=10s ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzLoadMatrices -fuzztime=10s ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzLoadDecomposition -fuzztime=10s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzTaskPayload -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpecFingerprint -fuzztime=10s ./internal/serve
@@ -203,7 +220,7 @@ serve-smoke:
 tensorstore-smoke:
 	GO="$(GO)" sh cmd/tensorstore/smoke.sh
 
-ci: build lint test race bench-smoke examples-smoke perf-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke
+ci: build lint test race bench-smoke examples-smoke simgen-smoke perf-smoke fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke
 
 clean:
 	$(GO) clean ./...

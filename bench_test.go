@@ -71,7 +71,7 @@ func BenchmarkTable2(b *testing.B) {
 	var last []*eval.Comparison
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmps, err := eval.Table2(base, resolutions, ranks)
+		cmps, err := eval.Table2(context.Background(), base, resolutions, ranks)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkTable3(b *testing.B) {
 	var last []eval.Table3Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table3(base, workers)
+		rows, err := eval.Table3(context.Background(), base, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkTable4(b *testing.B) {
 	var last []*eval.Comparison
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmps, err := eval.Table4(base, nil)
+		cmps, err := eval.Table4(context.Background(), base, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func BenchmarkTable5(b *testing.B) {
 	var last []eval.Table5Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table5(base, []float64{1.0, 0.1})
+		rows, err := eval.Table5(context.Background(), base, []float64{1.0, 0.1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func BenchmarkTable6(b *testing.B) {
 	base := benchBase()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table6(base, []float64{1.0, 0.5, 0.25}); err != nil {
+		if _, err := eval.Table6(context.Background(), base, []float64{1.0, 0.5, 0.25}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func BenchmarkTable7(b *testing.B) {
 	base := benchBase()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table7(base, []float64{1.0, 0.5, 0.25}); err != nil {
+		if _, err := eval.Table7(context.Background(), base, []float64{1.0, 0.5, 0.25}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func BenchmarkTable8(b *testing.B) {
 	var last []eval.PivotRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table8(base, nil)
+		rows, err := eval.Table8(context.Background(), base, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -365,7 +365,7 @@ func BenchmarkConventionalHOSVD(b *testing.B) {
 // BenchmarkTable1 regenerates the Table I configuration summary.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table1([]string{"double-pendulum"}, []int{benchRes()}); err != nil {
+		if _, err := eval.Table1(context.Background(), []string{"double-pendulum"}, []int{benchRes()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -375,7 +375,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	base := benchBase()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Fig6(base, nil); err != nil {
+		if _, err := eval.Fig6(context.Background(), base, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -402,7 +402,7 @@ func BenchmarkUnionBaseline(b *testing.B) {
 func BenchmarkNoiseSweep(b *testing.B) {
 	base := benchBase()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.NoiseSweep(base, []float64{0, 0.2}); err != nil {
+		if _, err := eval.NoiseSweep(context.Background(), base, []float64{0, 0.2}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -97,6 +97,11 @@ func main() {
 	}
 	defer stopMetrics()
 
+	// One interruptible root for whatever runs: Ctrl-C cancels a -run
+	// pipeline and every -table's simulation fan-outs cooperatively.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
 	if *runOne {
 		cfg := m2td.Config{
 			Resolution:         firstInt(*res),
@@ -124,7 +129,7 @@ func main() {
 				KillSeed:    *killSeed,
 			}
 		}
-		if err := runPipeline(cfg, *timeout, *traceOut); err != nil {
+		if err := runPipeline(ctx, cfg, *timeout, *traceOut); err != nil {
 			stopMetrics()
 			fmt.Fprintln(os.Stderr, "m2tdbench:", err)
 			os.Exit(1)
@@ -149,7 +154,7 @@ func main() {
 	}
 
 	if *seeds > 0 {
-		if err := runSeeds(base, *seeds); err != nil {
+		if err := runSeeds(ctx, base, *seeds); err != nil {
 			fmt.Fprintln(os.Stderr, "m2tdbench:", err)
 			os.Exit(1)
 		}
@@ -165,7 +170,7 @@ func main() {
 			fmt.Println()
 		}
 		start := time.Now()
-		if err := run(os.Stdout, tb, base, *res, *rank, *workers, *csvOut); err != nil {
+		if err := run(ctx, os.Stdout, tb, base, *res, *rank, *workers, *csvOut); err != nil {
 			fmt.Fprintf(os.Stderr, "m2tdbench: table %s: %v\n", tb, err)
 			os.Exit(1)
 		}
@@ -173,14 +178,12 @@ func main() {
 	}
 }
 
-// runPipeline executes one end-to-end pipeline under an interruptible
+// runPipeline executes one end-to-end pipeline under main's interruptible
 // context (Ctrl-C and -timeout both cancel cooperatively: in-flight
 // simulations finish, the checkpoint is flushed, and the run reports a
 // wrapped context error) and prints the report with its fault-tolerance
 // accounting.
-func runPipeline(cfg m2td.Config, timeout time.Duration, traceOut string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+func runPipeline(ctx context.Context, cfg m2td.Config, timeout time.Duration, traceOut string) error {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -243,7 +246,7 @@ func decompFingerprint(res *core.Result) uint64 {
 }
 
 // runSeeds executes the multi-seed sweep of the base configuration.
-func runSeeds(base eval.Config, n int) error {
+func runSeeds(ctx context.Context, base eval.Config, n int) error {
 	if base.Res == 0 {
 		base = eval.DefaultConfig("double-pendulum")
 	}
@@ -251,7 +254,7 @@ func runSeeds(base eval.Config, n int) error {
 	for i := range seedList {
 		seedList[i] = base.Seed + int64(i)
 	}
-	sweep, err := eval.RunSeeds(base, seedList)
+	sweep, err := eval.RunSeeds(ctx, base, seedList)
 	if err != nil {
 		return err
 	}
@@ -272,10 +275,10 @@ func exportCSV(path string, cmps []*eval.Comparison) error {
 	return eval.ExportComparisonsCSV(f, cmps)
 }
 
-func run(out io.Writer, table string, base eval.Config, res, rank, workers, csvOut string) error {
+func run(ctx context.Context, out io.Writer, table string, base eval.Config, res, rank, workers, csvOut string) error {
 	switch table {
 	case "sketch":
-		rows, err := eval.SketchSweep(base, nil)
+		rows, err := eval.SketchSweep(ctx, base, nil)
 		if err != nil {
 			return err
 		}
@@ -289,13 +292,13 @@ func run(out io.Writer, table string, base eval.Config, res, rank, workers, csvO
 			return eval.ExportSketchSweepCSV(f, rows)
 		}
 	case "1":
-		rows, err := eval.Table1(nil, ints(res))
+		rows, err := eval.Table1(ctx, nil, ints(res))
 		if err != nil {
 			return err
 		}
 		eval.RenderTable1(out, rows)
 	case "fig6":
-		rows, err := eval.Fig6(base, nil)
+		rows, err := eval.Fig6(ctx, base, nil)
 		if err != nil {
 			return err
 		}
@@ -304,13 +307,13 @@ func run(out io.Writer, table string, base eval.Config, res, rank, workers, csvO
 		if base.Res == 0 {
 			base = eval.DefaultConfig("double-pendulum")
 		}
-		rows, err := eval.NoiseSweep(base, nil)
+		rows, err := eval.NoiseSweep(ctx, base, nil)
 		if err != nil {
 			return err
 		}
 		eval.RenderNoiseSweep(out, rows)
 	case "ranks":
-		rows, err := eval.RankSweep(base, ints(rank))
+		rows, err := eval.RankSweep(ctx, base, ints(rank))
 		if err != nil {
 			return err
 		}
@@ -328,7 +331,7 @@ func run(out io.Writer, table string, base eval.Config, res, rank, workers, csvO
 		if base.Rank != 0 {
 			rank = base.Rank
 		}
-		scores, err := eval.SelectPivot(system, pilotRes, rank, 200, eval.DefaultSeed)
+		scores, err := eval.SelectPivot(ctx, system, pilotRes, rank, 200, eval.DefaultSeed)
 		if err != nil {
 			return err
 		}
@@ -337,13 +340,13 @@ func run(out io.Writer, table string, base eval.Config, res, rank, workers, csvO
 		if base.Res == 0 {
 			base = eval.DefaultConfig("double-pendulum")
 		}
-		cmp, err := eval.ExtendedComparison(base)
+		cmp, err := eval.ExtendedComparison(ctx, base)
 		if err != nil {
 			return err
 		}
 		eval.RenderExtended(out, []*eval.Comparison{cmp})
 	case "2":
-		cmps, err := eval.Table2(base, ints(res), ints(rank))
+		cmps, err := eval.Table2(ctx, base, ints(res), ints(rank))
 		if err != nil {
 			return err
 		}
@@ -352,13 +355,13 @@ func run(out io.Writer, table string, base eval.Config, res, rank, workers, csvO
 			return err
 		}
 	case "3":
-		rows, err := eval.Table3(base, ints(workers))
+		rows, err := eval.Table3(ctx, base, ints(workers))
 		if err != nil {
 			return err
 		}
 		eval.RenderTable3(out, rows)
 	case "4":
-		cmps, err := eval.Table4(base, nil)
+		cmps, err := eval.Table4(ctx, base, nil)
 		if err != nil {
 			return err
 		}
@@ -367,25 +370,25 @@ func run(out io.Writer, table string, base eval.Config, res, rank, workers, csvO
 			return err
 		}
 	case "5":
-		rows, err := eval.Table5(base, nil)
+		rows, err := eval.Table5(ctx, base, nil)
 		if err != nil {
 			return err
 		}
 		eval.RenderTable5(out, rows)
 	case "6":
-		rows, err := eval.Table6(base, nil)
+		rows, err := eval.Table6(ctx, base, nil)
 		if err != nil {
 			return err
 		}
 		eval.RenderTable6(out, rows)
 	case "7":
-		rows, err := eval.Table7(base, nil)
+		rows, err := eval.Table7(ctx, base, nil)
 		if err != nil {
 			return err
 		}
 		eval.RenderTable7(out, rows)
 	case "8":
-		rows, err := eval.Table8(base, nil)
+		rows, err := eval.Table8(ctx, base, nil)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -33,7 +34,7 @@ func TestFirstInt(t *testing.T) {
 }
 
 func TestRunRejectsUnknownTable(t *testing.T) {
-	if err := run(io.Discard, "99", eval.Config{}, "", "", "", ""); err == nil {
+	if err := run(context.Background(), io.Discard, "99", eval.Config{}, "", "", "", ""); err == nil {
 		t.Fatal("unknown table accepted")
 	}
 }
@@ -54,7 +55,7 @@ func TestRunAllTablesTinyScale(t *testing.T) {
 	base := tinyBase()
 	for _, tb := range []string{"1", "3", "4", "5", "6", "7", "8", "fig6", "noise", "ranks", "extended", "pivotselect", "sketch"} {
 		var b strings.Builder
-		if err := run(&b, tb, base, "5", "2", "1,2", ""); err != nil {
+		if err := run(context.Background(), &b, tb, base, "5", "2", "1,2", ""); err != nil {
 			t.Fatalf("table %s: %v", tb, err)
 		}
 		if b.Len() == 0 {
@@ -67,7 +68,7 @@ func TestRunTable2WithCSVExport(t *testing.T) {
 	base := tinyBase()
 	csvPath := filepath.Join(t.TempDir(), "out.csv")
 	var b strings.Builder
-	if err := run(&b, "2", base, "5", "2", "", csvPath); err != nil {
+	if err := run(context.Background(), &b, "2", base, "5", "2", "", csvPath); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csvPath)
@@ -83,7 +84,7 @@ func TestRunSketchTableWithCSVExport(t *testing.T) {
 	base := tinyBase()
 	csvPath := filepath.Join(t.TempDir(), "sketch.csv")
 	var b strings.Builder
-	if err := run(&b, "sketch", base, "5", "2", "", csvPath); err != nil {
+	if err := run(context.Background(), &b, "sketch", base, "5", "2", "", csvPath); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "SKETCH SWEEP") {
@@ -99,7 +100,7 @@ func TestRunSketchTableWithCSVExport(t *testing.T) {
 }
 
 func TestRunSeedsHelper(t *testing.T) {
-	if err := runSeeds(tinyBase(), 2); err != nil {
+	if err := runSeeds(context.Background(), tinyBase(), 2); err != nil {
 		t.Fatal(err)
 	}
 }

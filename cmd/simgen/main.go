@@ -174,7 +174,7 @@ func dumpEnsemble(ctx context.Context, out io.Writer, sys dynsys.System, scheme 
 	default:
 		return fmt.Errorf("unknown scheme %q", scheme)
 	}
-	se, stats, err := ensemble.EncodeCtx(ctx, space, sims, ensemble.EncodeOptions{
+	se, stats, err := ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{
 		Retry: faults.RetryPolicy{BaseBackoff: time.Millisecond},
 	})
 	if err != nil {

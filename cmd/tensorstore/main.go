@@ -142,7 +142,10 @@ func put(st *store.Store, args []string) error {
 	default:
 		return fmt.Errorf("put: unknown scheme %q", *scheme)
 	}
-	se := ensemble.Encode(space, sims)
+	se, _, err := ensemble.EncodeCtx(context.Background(), space, sims, ensemble.SimOptions{})
+	if err != nil {
+		return err
+	}
 	if err := st.SaveSparse(*name, se.Tensor); err != nil {
 		return err
 	}
@@ -171,10 +174,6 @@ func info(st *store.Store, args []string) error {
 	if t, err := st.LoadSparse(*name); err == nil {
 		fmt.Printf("%s: sparse tensor, shape %v, %d cells, density %.3g, norm %.6g\n",
 			*name, t.Shape, t.NNZ(), t.Density(), t.Norm())
-		return nil
-	}
-	if t, err := st.LoadDense(*name); err == nil {
-		fmt.Printf("%s: dense tensor, shape %v, norm %.6g\n", *name, t.Shape, t.Norm())
 		return nil
 	}
 	if d, err := st.LoadDecomposition(*name); err == nil {

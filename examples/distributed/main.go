@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,7 +24,7 @@ func main() {
 	base.Res = 12
 	base.TimeSamples = 12
 
-	rows, err := eval.Table3(base, []int{1, 2, 4, 8, 16})
+	rows, err := eval.Table3(context.Background(), base, []int{1, 2, 4, 8, 16})
 	if err != nil {
 		log.Fatal(err)
 	}

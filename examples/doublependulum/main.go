@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,7 +31,7 @@ func main() {
 			FreeFrac:    1,
 			Seed:        1,
 		}
-		cmp, err := eval.RunComparison(cfg)
+		cmp, err := eval.RunComparison(context.Background(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func partial(t testing.TB, freeFrac float64, seed int64) *partition.Result {
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
 	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
 	cfg.FreeFrac = freeFrac
-	res, err := partition.Generate(space, cfg, rand.New(rand.NewSource(seed)))
+	res, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(seed)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestGrowthImprovesAccuracy(t *testing.T) {
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
 	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
 	cfg.FreeFrac = 0.3
-	pPartial, err := partition.Generate(space, cfg, rand.New(rand.NewSource(174)))
+	pPartial, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(174)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgFull := cfg
 	cfgFull.FreeFrac = 1
-	pFull, err := partition.Generate(space, cfgFull, rand.New(rand.NewSource(174)))
+	pFull, err := partition.GenerateCtx(context.Background(), space, cfgFull, rand.New(rand.NewSource(174)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

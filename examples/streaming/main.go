@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -48,13 +49,14 @@ func main() {
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 10, 10)
 	pcfg := partition.DefaultConfig(space.Order(), space.TimeMode(), eval.PairsFor("double-pendulum"))
 	pcfg.FreeFrac = 0.25
-	seed, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(1)))
+	ctx := context.Background()
+	seed, err := partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(1)), partition.SimOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fullCfg := pcfg
 	fullCfg.FreeFrac = 1
-	full, err := partition.Generate(space, fullCfg, rand.New(rand.NewSource(1)))
+	full, err := partition.GenerateCtx(ctx, space, fullCfg, rand.New(rand.NewSource(1)), partition.SimOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -75,7 +75,10 @@ func TestHOOIRefinesEnsembleDecomposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(43))
-	se := ensemble.Encode(space, ensemble.RandomSample(space, 80, rng))
+	se, _, err := ensemble.EncodeCtx(context.Background(), space, ensemble.RandomSample(space, 80, rng), ensemble.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ranks := tucker.UniformRanks(space.Order(), 2)
 
 	hosvd := tucker.HOSVD(se.Tensor, ranks)
@@ -110,7 +113,7 @@ func TestFacadeMatchesEvalComparison(t *testing.T) {
 		FreeFrac:    1,
 		Seed:        cfg.Seed,
 	}
-	cmp, err := eval.RunComparison(evalCfg)
+	cmp, err := eval.RunComparison(context.Background(), evalCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

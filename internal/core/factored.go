@@ -48,11 +48,11 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	subClock := Stopwatch()
+	subClock := obs.StartStopwatch()
 	factors := factorsPhase(p, opts, ranks, opts.Span.Start("factors"))
-	subTime := subClock()
+	subTime := subClock.Elapsed()
 
-	coreClock := Stopwatch()
+	coreClock := obs.StartStopwatch()
 	cspan := opts.Span.Start("core")
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
 	// The engines' Phase 3 at one shard: every cell of both sub-tensors.
@@ -62,7 +62,7 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	cspan.Set("factored", 1)
 	cspan.Set("holey_groups", int64(total.Holey))
 	cdone()
-	coreTime := coreClock()
+	coreTime := coreClock.Elapsed()
 
 	return &Result{
 		Factors:       factors,

@@ -83,7 +83,7 @@ func TestFactoredMultiPivot(t *testing.T) {
 		PivotFrac: 1,
 		FreeFrac:  1,
 	}
-	p, err := partition.Generate(space, cfg, rand.New(rand.NewSource(183)))
+	p, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(183)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFactoredReconstructionAccuracy(t *testing.T) {
 func TestProjectShardPartition(t *testing.T) {
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
 	cfg := partition.Config{Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1, FreeFrac: 0.6}
-	p, err := partition.Generate(space, cfg, rand.New(rand.NewSource(185)))
+	p, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(185)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestJoinFreeKernelMatchesStitchOracle(t *testing.T) {
 	for name, cfg := range configs {
 		for _, free := range []float64{1, 0.5} {
 			cfg.FreeFrac = free
-			intact, err := partition.Generate(space, cfg, rand.New(rand.NewSource(401)))
+			intact, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(401)), partition.SimOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

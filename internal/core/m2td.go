@@ -141,16 +141,16 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 
 	// Phase 1: decompose the two low-order sub-tensors. Only the factor
 	// matrices are needed; Gram matrices are retained for CONCAT fusion.
-	subClock := Stopwatch()
+	subClock := obs.StartStopwatch()
 	factors := factorsPhase(p, opts, ranks, opts.Span.Start("factors"))
-	subTime := subClock()
+	subTime := subClock.Elapsed()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Phase 2: JE-stitching.
-	stitchClock := Stopwatch()
+	stitchClock := obs.StartStopwatch()
 	sspan := opts.Span.Start("stitch")
 	sdone := sspan.WithVitals(nil)
 	var j *tensor.Sparse
@@ -162,20 +162,20 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	}
 	sspan.Set("join_nnz", int64(j.NNZ()))
 	sdone()
-	stitchTime := stitchClock()
+	stitchTime := stitchClock.Elapsed()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: recover the core through the assembled factors.
-	coreClock := Stopwatch()
+	coreClock := obs.StartStopwatch()
 	cspan := opts.Span.Start("core")
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
 	coreT := tucker.CoreFromFactorsWorkers(j, factors, opts.Workers)
 	cspan.Set("cells", int64(len(coreT.Data)))
 	cdone()
-	coreTime := coreClock()
+	coreTime := coreClock.Elapsed()
 
 	return &Result{
 		Factors:       factors,

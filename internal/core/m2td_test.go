@@ -22,7 +22,7 @@ func tinyPartition(t *testing.T, freeFrac float64, seed int64) *partition.Result
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
 	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
 	cfg.FreeFrac = freeFrac
-	res, err := partition.Generate(space, cfg, rand.New(rand.NewSource(seed)))
+	res, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(seed)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,10 @@ func TestDecomposeAccuracyBeatsConventional(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(113))
 	sims := ensemble.RandomSample(space, p.NumSims, rng)
-	se := ensemble.Encode(space, sims)
+	se, _, err := ensemble.EncodeCtx(context.Background(), space, sims, ensemble.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	convErr := tucker.HOSVD(se.Tensor, ranks).RelativeError(y)
 
 	if m2tdErr >= convErr {
@@ -239,7 +242,7 @@ func TestDecomposeMultiplePivots(t *testing.T) {
 		PivotFrac: 1,
 		FreeFrac:  1,
 	}
-	p, err := partition.Generate(space, cfg, rand.New(rand.NewSource(119)))
+	p, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(119)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestDecomposeJoinStaysPlanFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
 			cfg.FreeFrac = tc.freeFrac
-			p, err := partition.Generate(space, cfg, rand.New(rand.NewSource(431)))
+			p, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(431)), partition.SimOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

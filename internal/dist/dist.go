@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mat"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/stitch"
@@ -108,7 +109,7 @@ func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 	factors, subTime := subDecompose(p, opts.Method, ranks, shards)
 
 	// ---- Phase 3: one projection task per shard ----
-	coreClock := core.Stopwatch()
+	coreClock := obs.StartStopwatch()
 	spec, grid := stitch.NewSpec(p, opts.ZeroJoin), core.SampledOf(p)
 	parts := make([]core.Partial, shards)
 	tasks := make([]func(), shards)
@@ -125,7 +126,7 @@ func Decompose(p *partition.Result, opts Options) (*core.Result, error) {
 		Core:          coreT,
 		Rejected:      total.Rejected,
 		SubDecompTime: subTime,
-		CoreTime:      coreClock(),
+		CoreTime:      coreClock.Elapsed(),
 	}, nil
 }
 
@@ -143,7 +144,7 @@ func DecomposeMaterialised(p *partition.Result, opts Options) (*core.Result, err
 	factors, subTime := subDecompose(p, opts.Method, ranks, shards)
 
 	// ---- Phase 2: one stitch task per shard ----
-	stitchClock := core.Stopwatch()
+	stitchClock := obs.StartStopwatch()
 	spec := stitch.NewSpec(p, opts.ZeroJoin)
 	joinShards := make([]*tensor.Sparse, shards)
 	tasks := make([]func(), shards)
@@ -152,10 +153,10 @@ func DecomposeMaterialised(p *partition.Result, opts Options) (*core.Result, err
 	}
 	parallel.Do(shards, tasks...)
 	j := MergeJoin(spec.Shape, joinShards)
-	stitchTime := stitchClock()
+	stitchTime := stitchClock.Elapsed()
 
 	// ---- Phase 3: one projection task per shard ----
-	coreClock := core.Stopwatch()
+	coreClock := obs.StartStopwatch()
 	partials := make([]*tensor.Dense, shards)
 	for s, shard := range joinShards {
 		tasks[s] = func() { partials[s] = ShardCore(shard, factors) }
@@ -169,7 +170,7 @@ func DecomposeMaterialised(p *partition.Result, opts Options) (*core.Result, err
 		Join:          j,
 		SubDecompTime: subTime,
 		StitchTime:    stitchTime,
-		CoreTime:      coreClock(),
+		CoreTime:      coreClock.Elapsed(),
 	}, nil
 }
 
@@ -185,7 +186,7 @@ func checked(p *partition.Result, opts Options) (ranks []int, shards int, err er
 // subDecompose is Phase 1 — one SubFactor task per
 // (sub-tensor, mode) — and the driver-side fusion.
 func subDecompose(p *partition.Result, method core.Method, ranks []int, shards int) ([]*mat.Matrix, time.Duration) {
-	clock := core.Stopwatch()
+	clock := obs.StartStopwatch()
 	var tasks []func()
 	var fs, gs [2][]*mat.Matrix
 	for si, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
@@ -196,5 +197,5 @@ func subDecompose(p *partition.Result, method core.Method, ranks []int, shards i
 	}
 	parallel.Do(shards, tasks...)
 	factors := FuseFactors(method, p.Config, p.Space.Order(), ranks, fs[0], gs[0], fs[1], gs[1])
-	return factors, clock()
+	return factors, clock.Elapsed()
 }

@@ -38,7 +38,7 @@ func pivotPartition(t *testing.T, pivot int, freeFrac float64, seed int64) *part
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
 	cfg := partition.DefaultConfig(5, pivot, doublePendulumPairs)
 	cfg.FreeFrac = freeFrac
-	res, err := partition.Generate(space, cfg, rand.New(rand.NewSource(seed)))
+	res, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(seed)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestDistributedShardsStayPlanFree(t *testing.T) {
 
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 7, 4)
 	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
-	p, err := partition.Generate(space, cfg, rand.New(rand.NewSource(131)))
+	p, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(131)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestIntactBitsAreTheParents(t *testing.T) {
 		{"two-pivot/E=0.6/AVG/zero", twoPivot, 0.6, core.AVG, true, "e60d4e7d2a9c7d0c", "e4f88892d37e813e"},
 	} {
 		c.cfg.FreeFrac = c.free
-		p, err := partition.Generate(space, c.cfg, rand.New(rand.NewSource(300)))
+		p, err := partition.GenerateCtx(context.Background(), space, c.cfg, rand.New(rand.NewSource(300)), partition.SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func TestStitchShardMatchesReference(t *testing.T) {
 	} {
 		for _, freeFrac := range []float64{1, 0.5} {
 			cfg.FreeFrac = freeFrac
-			p, err := partition.Generate(ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 5), cfg, rand.New(rand.NewSource(140)))
+			p, err := partition.GenerateCtx(context.Background(), ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 5), cfg, rand.New(rand.NewSource(140)), partition.SimOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,7 +58,7 @@ func tinyPartition(t testing.TB, freeFrac float64, seed int64) *partition.Result
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
 	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
 	cfg.FreeFrac = freeFrac
-	res, err := partition.Generate(space, cfg, rand.New(rand.NewSource(seed)))
+	res, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(seed)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
-package partition
+package ensemble
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"sync"
@@ -36,9 +35,6 @@ type Checkpoint struct {
 	Resume bool
 }
 
-// objectName returns the catalog object holding one sub-campaign's set.
-func (c *Checkpoint) objectName(prefix string) string { return prefix + "-sims" }
-
 // ckptSession is the mutable per-sub-campaign state: the completed map,
 // the dirty counter, the restored set, whether a save is in flight, and
 // the first save error.
@@ -59,23 +55,16 @@ type ckptSession struct {
 // sub-campaign. A missing, corrupt, or fingerprint-mismatched checkpoint
 // is treated as absent: the campaign starts fresh and overwrites it.
 func (c *Checkpoint) session(prefix string) *ckptSession {
-	s := &ckptSession{ck: c, name: c.objectName(prefix), done: make(map[int][]float64)}
+	s := &ckptSession{ck: c, name: prefix + "-sims", done: make(map[int][]float64)}
 	s.idle.L = &s.mu
 	if !c.Resume {
 		return s
 	}
-	fp, sims, err := c.Store.LoadSimSet(s.name)
-	switch {
-	case err == nil && fp == c.Fingerprint:
+	// Only a readable checkpoint of this very configuration is trusted; any
+	// other outcome, an I/O error included, is a fresh start.
+	if fp, sims, err := c.Store.LoadSimSet(s.name); err == nil && fp == c.Fingerprint {
 		s.restored = sims
-		for k, v := range sims {
-			s.done[k] = v
-		}
-	case err == nil || errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrCorrupt):
-		// Absent, stale, or damaged checkpoint: start fresh.
-	default:
-		// Unexpected I/O errors also degrade to a fresh start; the
-		// campaign itself is the source of truth.
+		maps.Copy(s.done, sims)
 	}
 	return s
 }
@@ -141,7 +130,7 @@ func (s *ckptSession) flush() error {
 // write persists one completed set.
 func (s *ckptSession) write(sims map[int][]float64) error {
 	if err := s.ck.Store.SaveSimSet(s.name, s.ck.Fingerprint, sims); err != nil {
-		return fmt.Errorf("partition: checkpoint save: %w", err)
+		return fmt.Errorf("ensemble: checkpoint save: %w", err)
 	}
 	checkpointFlushesTotal.Inc()
 	return nil

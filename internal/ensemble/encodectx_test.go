@@ -17,9 +17,12 @@ func encodeSpace(sys dynsys.System) *Space { return NewSpace(sys, 5, 4) }
 func TestEncodeCtxMatchesEncode(t *testing.T) {
 	space := encodeSpace(dynsys.NewLorenz())
 	sims := RandomSample(space, 30, rand.New(rand.NewSource(3)))
-	want := Encode(space, sims)
+	want, _, err := EncodeCtx(context.Background(), space, sims, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 7} {
-		got, stats, err := EncodeCtx(context.Background(), space, sims, EncodeOptions{Workers: workers})
+		got, stats, err := EncodeCtx(context.Background(), space, sims, SimOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +40,7 @@ func TestEncodeCtxCancelled(t *testing.T) {
 	sims := RandomSample(space, 10, rand.New(rand.NewSource(4)))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := EncodeCtx(ctx, space, sims, EncodeOptions{})
+	_, _, err := EncodeCtx(ctx, space, sims, SimOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want Canceled, got %v", err)
 	}
@@ -48,7 +51,7 @@ func TestEncodeCtxFaultAccounting(t *testing.T) {
 	space := encodeSpace(inj.Wrap(dynsys.NewLorenz()))
 	sims := RandomSample(space, 40, rand.New(rand.NewSource(5)))
 
-	se, stats, err := EncodeCtx(context.Background(), space, sims, EncodeOptions{
+	se, stats, err := EncodeCtx(context.Background(), space, sims, SimOptions{
 		Retry: faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -161,11 +162,21 @@ func TestSliceSample(t *testing.T) {
 	}
 }
 
+// encode is EncodeCtx on a background context with default options.
+func encode(t *testing.T, s *Space, sims []Sim) *SparseEnsemble {
+	t.Helper()
+	se, _, err := EncodeCtx(context.Background(), s, sims, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return se
+}
+
 func TestEncodeProducesFullTrajectories(t *testing.T) {
 	s := tinySpace()
 	rng := rand.New(rand.NewSource(73))
 	sims := RandomSample(s, 20, rng)
-	se := Encode(s, sims)
+	se := encode(t, s, sims)
 	if se.NumSims != 20 {
 		t.Fatalf("NumSims = %d, want 20", se.NumSims)
 	}
@@ -187,7 +198,7 @@ func TestEncodeProducesFullTrajectories(t *testing.T) {
 func TestEncodeDensityMatchesBudget(t *testing.T) {
 	s := tinySpace()
 	rng := rand.New(rand.NewSource(74))
-	se := Encode(s, RandomSample(s, 32, rng))
+	se := encode(t, s, RandomSample(s, 32, rng))
 	wantDensity := float64(32*s.TimeSamples) / float64(s.Shape().NumElements())
 	if math.Abs(se.Tensor.Density()-wantDensity) > 1e-12 {
 		t.Fatalf("density = %v, want %v", se.Tensor.Density(), wantDensity)

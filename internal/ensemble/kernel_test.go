@@ -32,6 +32,14 @@ func TestSimCellsIntoSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// SimCells is SimCellsInto with a fresh workspace and result slice — the
+// infallible allocating entry, which only tests call.
+func (s *Space) SimCells(idx []int) []float64 {
+	out := make([]float64, s.TimeSamples)
+	s.SimCellsInto(new(Workspace), idx, out)
+	return out
+}
+
 // TestSimCellsEntriesAgree: the two workspace entries and their two
 // allocating wrappers return the same bits, and a workspace carried from
 // one system to the next (different state dimensions) does not leak state.

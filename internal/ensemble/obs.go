@@ -2,30 +2,24 @@ package ensemble
 
 import "repro/internal/obs"
 
-// Encode fan-out instrumentation. The counter names are shared with the
-// PF-partitioned campaign in internal/partition — the registry's
-// get-or-create semantics hand both packages the same atomics, so the
-// process-wide totals cover baseline and M2TD runs alike.
+// Simulation fan-out instrumentation, declared once for every pipeline
+// that simulates: the PF-partitioned campaign and the conventional
+// baselines report into the same process-wide totals. SimStats.Record adds
+// a fan-out's counts once per fan-out; the duration histogram is observed
+// once per simulation, never per cell — negligible next to the solve.
 var (
-	encExecutedTotal = obs.Default.Counter("m2td_sims_executed_total",
+	simsExecutedTotal = obs.Default.Counter("m2td_sims_executed_total",
 		"Simulations that ran to completion in this process.")
-	encRetriedTotal = obs.Default.Counter("m2td_sims_retried_total",
+	simsRestoredTotal = obs.Default.Counter("m2td_sims_restored_total",
+		"Simulations served from a resumed checkpoint without re-execution.")
+	simsRetriedTotal = obs.Default.Counter("m2td_sims_retried_total",
 		"Executed simulations that needed more than one attempt.")
-	encFailedTotal = obs.Default.Counter("m2td_sims_failed_total",
+	simsFailedTotal = obs.Default.Counter("m2td_sims_failed_total",
 		"Simulations that exhausted their retry budget or crashed fatally.")
-	encQuarantinedTotal = obs.Default.Counter("m2td_cells_quarantined_total",
+	cellsQuarantinedTotal = obs.Default.Counter("m2td_cells_quarantined_total",
 		"Non-finite cell values dropped at ingest (divergence quarantine).")
+	checkpointFlushesTotal = obs.Default.Counter("m2td_checkpoint_flushes_total",
+		"Checkpoint saves of a sub-campaign's completed-simulation set.")
+	simDuration = obs.Default.Histogram("m2td_sim_duration_seconds",
+		"Wall time of one simulation (including its retries).", nil)
 )
-
-// record mirrors one Encode fan-out's stats into the metrics registry and
-// onto the stage span (deterministic counters).
-func (s EncodeStats) record(span *obs.Span) {
-	encExecutedTotal.Add(int64(s.ExecutedSims))
-	encRetriedTotal.Add(int64(s.RetriedSims))
-	encFailedTotal.Add(int64(s.FailedSims))
-	encQuarantinedTotal.Add(int64(s.QuarantinedCells))
-	span.Add("sims_executed", int64(s.ExecutedSims))
-	span.Add("sims_retried", int64(s.RetriedSims))
-	span.Add("sims_failed", int64(s.FailedSims))
-	span.Add("cells_quarantined", int64(s.QuarantinedCells))
-}

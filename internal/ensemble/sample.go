@@ -2,15 +2,10 @@ package ensemble
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
-	"repro/internal/faults"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -201,100 +196,23 @@ func LatinHypercubeSample(s *Space, budget int, rng *rand.Rand) []Sim {
 	return sims
 }
 
-// EncodeOptions configures the fault-tolerant Encode fan-out.
-type EncodeOptions struct {
-	// Workers is the shared worker-pool size (0 = package default, 1 =
-	// serial).
-	Workers int
-	// Retry is the transient-failure retry policy for simulation runs;
-	// the zero value normalizes to the faults package defaults.
-	Retry faults.RetryPolicy
-	// Span, when non-nil, is the simulate stage span: EncodeCtx records
-	// the fan-out's EncodeStats and cell count on it as deterministic
-	// counters. A nil Span costs one nil check.
-	Span *obs.Span
-}
-
-// EncodeStats accounts for every fault handled during an Encode fan-out.
-type EncodeStats struct {
-	// ExecutedSims counts simulations actually run (success or failure).
-	ExecutedSims int
-	// RetriedSims counts simulations that succeeded after ≥1 failed
-	// attempt.
-	RetriedSims int
-	// FailedSims counts simulations dropped after panic or retry
-	// exhaustion; their cells are simply absent from the tensor.
-	FailedSims int
-	// QuarantinedCells counts non-finite cell values rejected at ingest.
-	QuarantinedCells int
-}
-
-// Encode runs every selected simulation and stores its per-timestamp cell
-// values into a sparse ensemble tensor of the full 5-mode shape.
-// Simulations execute in parallel on the shared worker pool; see EncodeCtx
-// for the cancellable, fault-tolerant entry point.
-func Encode(s *Space, sims []Sim) *SparseEnsemble {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx API is the root of its own context tree
-	se, _, err := EncodeCtx(context.Background(), s, sims, EncodeOptions{})
-	if err != nil {
-		// Unreachable with a background context: EncodeCtx only fails on
-		// context cancellation.
-		panic(fmt.Sprintf("ensemble: Encode: %v", err))
-	}
-	return se
-}
-
-// EncodeCtx is Encode on the shared worker pool with the full
-// fault-tolerance runtime: cooperative cancellation (deterministic drain,
-// no goroutine leaks), bounded retries with backoff for transient
-// simulation failures, panic capture that converts a crashed run into a
-// recorded failure, and divergence quarantine of non-finite cell values at
-// ingest. The returned stats account for every fault handled; the tensor
-// layout is bit-identical to the legacy Encode for fault-free runs under
-// any worker count.
-func EncodeCtx(ctx context.Context, s *Space, sims []Sim, opts EncodeOptions) (*SparseEnsemble, EncodeStats, error) {
-	s.Reference() // materialise before fan-out
-	t := s.TimeSamples
-	nParams := s.NumParams()
-	values := make([][]float64, len(sims))
-	slab := make([]float64, len(sims)*t) // every simulation's cells, carved per index
-
-	var (
-		mu    sync.Mutex
-		stats EncodeStats
-	)
-	err := parallel.ForCtx(ctx, len(sims), opts.Workers, func(start, end int) {
-		var w Workspace
-		for i := start; i < end; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			cells := slab[i*t : (i+1)*t]
-			key := faults.SimKey(0, floatsOf(sims[i]))
-			attempts, rerr := opts.Retry.Run(ctx, key, func(actx context.Context) error {
-				return s.SimCellsIntoCtx(actx, &w, sims[i], cells)
-			})
-			mu.Lock()
-			switch {
-			case rerr == nil:
-				stats.ExecutedSims++
-				if attempts > 1 {
-					stats.RetriedSims++
-				}
-				values[i] = cells
-			case errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded):
-				// Campaign-level cancellation: not a simulation failure.
-			default:
-				stats.ExecutedSims++
-				stats.FailedSims++
-			}
-			mu.Unlock()
-		}
-	})
+// EncodeCtx runs every selected simulation through SimulateCtx — the
+// fan-out the PF-partitioned campaigns use, so it shares their runtime
+// (cooperative cancellation with a deterministic drain, bounded retries
+// with backoff, panic capture that turns a crashed run into a recorded
+// failure, optional checkpointing) and their accounting — and stores each
+// one's per-timestamp cell values into a sparse ensemble tensor of the full
+// 5-mode shape, with divergence quarantine of non-finite values at ingest.
+// A failed simulation's cells are simply absent. The tensor layout depends
+// only on sims, never on the worker count.
+func EncodeCtx(ctx context.Context, s *Space, sims []Sim, opts SimOptions) (*SparseEnsemble, SimStats, error) {
+	values, stats, err := s.SimulateCtx(ctx, "ensemble", len(sims), func(i int) int { return sims[i].key(s.Res) }, opts)
 	if err != nil {
 		return nil, stats, err
 	}
 
+	t := s.TimeSamples
+	nParams := s.NumParams()
 	sp := &SparseEnsemble{Space: s, Tensor: tensor.NewSparse(s.Shape()), NumSims: len(sims)}
 	sp.Tensor.RejectNonFinite = true
 	idx := make([]int, nParams+1)
@@ -308,21 +226,9 @@ func EncodeCtx(ctx context.Context, s *Space, sims []Sim, opts EncodeOptions) (*
 			sp.Tensor.Append(idx, values[i][tt])
 		}
 	}
-	stats.QuarantinedCells = sp.Tensor.Rejected
+	stats.Record(opts.Span, len(sims), sp.Tensor)
 	sp.Stats = stats
-	opts.Span.Set("sims", int64(len(sims)))
-	opts.Span.Set("cells", int64(sp.Tensor.NNZ()))
-	stats.record(opts.Span)
 	return sp, stats, nil
-}
-
-// floatsOf widens grid indices to the float key the faults package hashes.
-func floatsOf(sim Sim) []float64 {
-	out := make([]float64, len(sim))
-	for i, v := range sim {
-		out[i] = float64(v)
-	}
-	return out
 }
 
 // SparseEnsemble couples an encoded ensemble tensor with its simulation
@@ -334,8 +240,8 @@ type SparseEnsemble struct {
 	// NumSims is the number of simulation runs spent (budget, including
 	// failed runs).
 	NumSims int
-	// Stats is the fault accounting of the encode fan-out.
-	Stats EncodeStats
+	// Stats is the accounting of the encode fan-out.
+	Stats SimStats
 }
 
 // String summarises the ensemble for logs and debugging.

@@ -1,0 +1,215 @@
+package ensemble
+
+import (
+	"context"
+	"sync"
+
+	"repro/internal/faults"
+	"repro/internal/obs"
+	"repro/internal/parallel"
+	"repro/internal/tensor"
+)
+
+// This file is where a parameter-grid key becomes a time fibre. There are
+// two loops and no third: SimulateCtx, the fallible fan-out every campaign
+// simulation goes through (the PF-partitioned sub-campaigns of
+// internal/partition and the conventional ensembles of EncodeCtx alike, so
+// "executed, restored, failed" mean one thing on both sides of an
+// equal-budget comparison), and TruthFibers, the infallible loop behind
+// ground truths and accuracy estimates.
+
+// SimOptions configures one simulation fan-out: worker count, retry policy
+// for transient solver failures, and optional crash-safe checkpointing.
+type SimOptions struct {
+	// Workers is the worker count for the fan-out (0 = GOMAXPROCS, see
+	// parallel.Resolve).
+	Workers int
+	// Retry governs re-execution of transiently failing simulations.
+	// The zero value means up to 3 attempts with the default backoff.
+	Retry faults.RetryPolicy
+	// Checkpoint, when non-nil, persists completed simulations
+	// periodically and (with Resume) skips previously completed ones.
+	Checkpoint *Checkpoint
+	// Span, when non-nil, is the simulation stage's span: EncodeCtx
+	// records its fan-out's SimStats and cell count on it;
+	// partition.GenerateCtx records the sampled configuration counts and
+	// opens one child per sub-campaign (sub1, sub2) carrying that
+	// campaign's SimStats. All are deterministic counters. A nil Span
+	// costs one nil check per stage.
+	Span *obs.Span
+}
+
+// SimStats accounts for every simulation of one fan-out (or, on
+// partition.Result, of both sub-campaigns). The accounting rule is that a
+// requested simulation is exactly one of executed, restored from a
+// checkpoint, or failed — ExecutedSims + RestoredSims + FailedSims is the
+// budget spent — with retries and quarantined cells recorded on top.
+type SimStats struct {
+	// ExecutedSims is the number of simulations that ran to completion in
+	// this process (including ones that needed retries).
+	ExecutedSims int
+	// RestoredSims is the number of simulations skipped because a resumed
+	// checkpoint already held their results.
+	RestoredSims int
+	// RetriedSims is the number of executed simulations that needed more
+	// than one attempt.
+	RetriedSims int
+	// FailedSims is the number of simulations that exhausted their retry
+	// budget — an attempt deadline included — or crashed fatally; their
+	// cells are absent from the tensor.
+	FailedSims int
+	// QuarantinedCells is the number of non-finite cell values dropped at
+	// ingest (the divergence quarantine).
+	QuarantinedCells int
+}
+
+// Add accumulates o into s.
+func (s *SimStats) Add(o SimStats) {
+	s.ExecutedSims += o.ExecutedSims
+	s.RestoredSims += o.RestoredSims
+	s.RetriedSims += o.RetriedSims
+	s.FailedSims += o.FailedSims
+	s.QuarantinedCells += o.QuarantinedCells
+}
+
+// SimulateCtx runs n simulations, the i-th at key(i) — a C-order linear
+// index of the parameter grid, see SimIndex — on the shared worker pool
+// and returns each one's per-timestamp cell values, in that order. A
+// failed simulation's entry is nil (and counted in SimStats.FailedSims);
+// restored simulations are served from the checkpoint, whose object is
+// named after name, without re-execution.
+//
+// Executed simulations' cells are carved out of one slab per call: the
+// assembly reads them and the checkpoint session retains them until its
+// last flush, so they cannot live in a reused buffer, but they can share
+// one allocation. Each fan-out chunk owns one simulation workspace.
+//
+// Cancellation is cooperative and deterministic: once ctx is cancelled no
+// new simulation starts, in-flight ones finish, completed work is flushed
+// to the checkpoint (if any), and ctx.Err() is returned.
+func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i int) int, opts SimOptions) ([][]float64, SimStats, error) {
+	var stats SimStats
+	results := make([][]float64, n)
+
+	var sess *ckptSession
+	if opts.Checkpoint != nil {
+		sess = opts.Checkpoint.session(name)
+	}
+
+	// Partition keys into restored (served from the checkpoint) and
+	// pending (to execute). Restore decisions are made up front so the
+	// fan-out body is uniform.
+	pending := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if sess != nil {
+			if cells, ok := sess.restored[key(i)]; ok {
+				results[i] = cells
+				stats.RestoredSims++
+				continue
+			}
+		}
+		pending = append(pending, i)
+	}
+
+	if len(pending) > 0 {
+		s.Reference() // materialise before fan-out
+	}
+	t := s.TimeSamples
+	slab := make([]float64, len(pending)*t)
+
+	var mu sync.Mutex
+	err := parallel.ForCtx(ctx, len(pending), opts.Workers, func(start, end int) {
+		var w Workspace
+		idx := make([]int, s.NumParams())
+		for p := start; p < end; p++ {
+			i := pending[p]
+			k := key(i)
+			s.SimIndex(k, idx)
+			cells := slab[p*t : (p+1)*t]
+			clock := obs.StartStopwatch()
+			attempts, runErr := opts.Retry.Run(ctx, uint64(k), func(actx context.Context) error {
+				return s.SimCellsIntoCtx(actx, &w, idx, cells)
+			})
+			simDuration.Observe(clock.Elapsed().Seconds())
+			mu.Lock()
+			switch {
+			case runErr == nil:
+				results[i] = cells
+				stats.ExecutedSims++
+				if attempts > 1 {
+					stats.RetriedSims++
+				}
+			case ctx.Err() != nil:
+				// Campaign cancellation, not a simulation failure: the
+				// fan-out returns ctx.Err() and nothing is recorded. An
+				// attempt deadline that ran out under a live ctx is the
+				// default arm's.
+			default:
+				stats.FailedSims++
+			}
+			mu.Unlock()
+			if runErr == nil && sess != nil {
+				// Off the fan-out's critical path: when a checkpoint save
+				// came due this worker writes it, outside every lock, while
+				// the others keep simulating.
+				if due := sess.note(k, cells); due != nil {
+					sess.save(due)
+				}
+			}
+		}
+	})
+
+	// Flush completed work even on cancellation, so a cooperatively
+	// cancelled campaign checkpoints everything it finished; the flush
+	// reports the session's first save error.
+	var ckptErr error
+	if sess != nil {
+		ckptErr = sess.flush()
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	if ckptErr != nil {
+		return nil, stats, ckptErr
+	}
+	return results, stats, nil
+}
+
+// Record closes one fan-out's accounting once its cells are assembled into
+// x: the divergence quarantine's count is read off the tensor, and the
+// stats go to the process-wide metrics registry and onto the stage span
+// (deterministic counters: every field depends only on the injected faults
+// and the requested simulations, never on the worker count).
+func (s *SimStats) Record(span *obs.Span, sims int, x *tensor.Sparse) {
+	s.QuarantinedCells = x.Rejected
+	simsExecutedTotal.Add(int64(s.ExecutedSims))
+	simsRestoredTotal.Add(int64(s.RestoredSims))
+	simsRetriedTotal.Add(int64(s.RetriedSims))
+	simsFailedTotal.Add(int64(s.FailedSims))
+	cellsQuarantinedTotal.Add(int64(s.QuarantinedCells))
+	span.Set("sims", int64(sims))
+	span.Set("cells", int64(x.NNZ()))
+	span.Add("sims_executed", int64(s.ExecutedSims))
+	span.Add("sims_restored", int64(s.RestoredSims))
+	span.Add("sims_retried", int64(s.RetriedSims))
+	span.Add("sims_failed", int64(s.FailedSims))
+	span.Add("cells_quarantined", int64(s.QuarantinedCells))
+}
+
+// TruthFibers simulates n simulations, the i-th at key(i), on the
+// infallible path — a fault-wrapped system is simulated clean — and writes
+// the i-th one's time fibre to dst[i*TimeSamples:(i+1)*TimeSamples]. It is the one loop behind
+// GroundTruth and eval's sampled fibres; it fans out on the shared worker
+// pool, one workspace per chunk.
+func (s *Space) TruthFibers(n int, key func(i int) int, dst []float64) {
+	s.Reference() // materialise before fan-out
+	t := s.TimeSamples
+	parallel.For(n, 0, func(start, end int) {
+		var w Workspace
+		idx := make([]int, s.NumParams())
+		for i := start; i < end; i++ {
+			s.SimIndex(key(i), idx)
+			s.SimCellsInto(&w, idx, dst[i*t:(i+1)*t])
+		}
+	})
+}

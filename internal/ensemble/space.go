@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dynsys"
 	"repro/internal/ode"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -143,13 +142,6 @@ func (s *Space) SimCellsIntoCtx(ctx context.Context, w *Workspace, idx []int, ds
 	return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), dst)
 }
 
-// SimCells is SimCellsInto with a fresh workspace and result slice.
-func (s *Space) SimCells(idx []int) []float64 {
-	out := make([]float64, s.TimeSamples)
-	s.SimCellsInto(new(Workspace), idx, out)
-	return out
-}
-
 // SimCellsCtx is SimCellsIntoCtx with a fresh workspace and result slice.
 func (s *Space) SimCellsCtx(ctx context.Context, idx []int) ([]float64, error) {
 	out := make([]float64, s.TimeSamples)
@@ -164,25 +156,13 @@ func (s *Space) SimCellsCtx(ctx context.Context, idx []int) ([]float64, error) {
 func (s *Space) DefaultIndex() int { return s.Res / 2 }
 
 // GroundTruth exhaustively simulates the full parameter space and returns
-// the complete tensor Y ∈ R^{Res×…×Res×T}. The result is cached; the
-// computation fans out on the shared worker pool, one workspace per chunk.
+// the complete tensor Y ∈ R^{Res×…×Res×T}. The result is cached. Time is
+// the last mode, so a simulation's cells are contiguous and TruthFibers
+// writes them in place, from the fault-free solver.
 func (s *Space) GroundTruth() *tensor.Dense {
 	s.truthOnce.Do(func() {
-		s.Reference() // materialise before fan-out
 		d := tensor.NewDense(s.Shape())
-		t := s.TimeSamples
-		parallel.For(s.TotalSims(), 0, func(start, end int) {
-			var w Workspace
-			idx := make([]int, s.NumParams())
-			cells := make([]float64, t)
-			for sim := start; sim < end; sim++ {
-				s.SimIndex(sim, idx)
-				s.SimCellsInto(&w, idx, cells)
-				// Time is the last mode: a simulation's cells are contiguous.
-				//lint:allow quarantine -- ground-truth materialisation from the fault-free solver; evaluation-only tensor built without a quarantine configuration
-				copy(d.Data[sim*t:(sim+1)*t], cells)
-			}
-		})
+		s.TruthFibers(s.TotalSims(), func(i int) int { return i }, d.Data)
 		s.truth = d
 	})
 	return s.truth

@@ -19,7 +19,7 @@ type TuckerModel struct {
 
 // EstimateAccuracy estimates the paper's accuracy metric without ever
 // materialising the ground-truth tensor: it samples sampleSims parameter
-// combinations uniformly, simulates only those (SampleFibers, one time
+// combinations uniformly, simulates only those (sampleFibers, one time
 // fiber each), and evaluates the Tucker model on the same fibers
 // (EstimateFromFibers). Sampling fibers uniformly makes both ‖X̃−Y‖² and
 // ‖Y‖² estimates proportional to their true values with the same
@@ -36,7 +36,7 @@ func EstimateAccuracy(space *ensemble.Space, model TuckerModel, sampleSims int, 
 	if shape := space.Shape(); !model.coreShapeMatches(shape) {
 		return 0, fmt.Errorf("eval: model factors do not match space shape %v", shape)
 	}
-	return EstimateFromFibers(model, SampleFibers(space, sampleSims, rng))
+	return EstimateFromFibers(model, sampleFibers(space, sampleSims, rng))
 }
 
 // TimeFiber evaluates the Tucker model on the time fiber of one parameter

@@ -10,6 +10,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -148,31 +149,37 @@ func (c *Comparison) Get(s Scheme) (SchemeResult, bool) {
 // generate PF-partitions the experiment cell's space (pivot, P and E from
 // the config, the system's parameter pairs kept together) and simulates
 // both sub-ensembles.
-func (cfg Config) generate(space *ensemble.Space) (*partition.Result, error) {
+func (cfg Config) generate(ctx context.Context, space *ensemble.Space) (*partition.Result, error) {
 	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
 	pcfg.PivotFrac, pcfg.FreeFrac = cfg.PivotFrac, cfg.FreeFrac
-	return partition.Generate(space, pcfg, rand.New(rand.NewSource(cfg.Seed)))
+	return partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{})
 }
 
 // scorer returns the accuracy metric every scheme of one comparison is
 // scored by: the exact metric against the ground-truth tensor, or — with
 // EstimateSims set — its estimate on one fiber sample shared by all schemes,
 // so scheme-to-scheme differences carry no sampling noise.
-func (cfg Config) scorer(space *ensemble.Space) func(TuckerModel) (float64, error) {
+func (cfg Config) scorer(ctx context.Context, space *ensemble.Space) (func(TuckerModel) (float64, error), error) {
 	if cfg.EstimateSims > 0 {
-		fibers := SampleFibers(space, cfg.EstimateSims, rand.New(rand.NewSource(cfg.Seed+100)))
-		return func(m TuckerModel) (float64, error) { return EstimateFromFibers(m, fibers) }
+		fibers, err := SampleFibers(ctx, space, cfg.EstimateSims, rand.New(rand.NewSource(cfg.Seed+100)))
+		if err != nil {
+			return nil, err
+		}
+		return func(m TuckerModel) (float64, error) { return EstimateFromFibers(m, fibers) }, nil
 	}
 	truth := space.GroundTruth()
 	return func(m TuckerModel) (float64, error) {
 		return Accuracy(tensor.TuckerReconstruct(m.Core, m.Factors), truth), nil
-	}
+	}, nil
 }
 
 // conventionalRow evaluates one conventional scheme on its sampled
 // simulations: encode, perturb like the M2TD inputs (NoiseFrac), HOSVD, score.
-func (cfg Config) conventionalRow(space *ensemble.Space, scheme Scheme, sims []ensemble.Sim, noiseSeed int64, score func(TuckerModel) (float64, error)) (SchemeResult, error) {
-	se := ensemble.Encode(space, sims)
+func (cfg Config) conventionalRow(ctx context.Context, space *ensemble.Space, scheme Scheme, sims []ensemble.Sim, noiseSeed int64, score func(TuckerModel) (float64, error)) (SchemeResult, error) {
+	se, _, err := ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{})
+	if err != nil {
+		return SchemeResult{}, err
+	}
 	if cfg.NoiseFrac > 0 {
 		AddNoise(se.Tensor, cfg.NoiseFrac, rand.New(rand.NewSource(noiseSeed)))
 	}
@@ -195,30 +202,30 @@ func (cfg Config) conventionalRow(space *ensemble.Space, scheme Scheme, sims []e
 // partition is intact); the conventional schemes receive the same number of
 // simulations (the paper's equal-budget comparison). EstimateSims picks the
 // scorer and nothing else.
-func RunComparison(cfg Config) (*Comparison, error) {
-	space, part, err := cfg.ensemble()
+func RunComparison(ctx context.Context, cfg Config) (*Comparison, error) {
+	space, part, err := cfg.ensemble(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return runComparisonOn(cfg, space, part)
+	return runComparisonOn(ctx, cfg, space, part)
 }
 
 // ensemble returns the experiment cell's space and its simulated partition
 // — what generate reads of a Config (system, resolution, time samples,
 // pivot, P, E, seed) is the cell's simulation identity, so a sweep over any
 // other field calls this once and runComparisonOn per row.
-func (cfg Config) ensemble() (*ensemble.Space, *partition.Result, error) {
+func (cfg Config) ensemble(ctx context.Context) (*ensemble.Space, *partition.Result, error) {
 	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
 	if err != nil {
 		return nil, nil, err
 	}
-	part, err := cfg.generate(space)
+	part, err := cfg.generate(ctx, space)
 	return space, part, err
 }
 
 // runComparisonOn is RunComparison over an already simulated partition of
 // cfg's ensemble, which it only reads: NoiseFrac perturbs a copy.
-func runComparisonOn(cfg Config, space *ensemble.Space, part *partition.Result) (*Comparison, error) {
+func runComparisonOn(ctx context.Context, cfg Config, space *ensemble.Space, part *partition.Result) (*Comparison, error) {
 	if cfg.NoiseFrac > 0 {
 		sub1, sub2, noisy := *part.Sub1, *part.Sub2, *part
 		sub1.Tensor, sub2.Tensor = sub1.Tensor.Clone(), sub2.Tensor.Clone()
@@ -229,7 +236,10 @@ func runComparisonOn(cfg Config, space *ensemble.Space, part *partition.Result) 
 		AddNoise(part.Sub2.Tensor, cfg.NoiseFrac, noiseRng)
 	}
 	budget := part.NumSims
-	score := cfg.scorer(space)
+	score, err := cfg.scorer(ctx, space)
+	if err != nil {
+		return nil, err
+	}
 
 	cmp := &Comparison{Config: cfg}
 	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
@@ -259,7 +269,7 @@ func runComparisonOn(cfg Config, space *ensemble.Space, part *partition.Result) 
 		{SchemeGrid, ensemble.GridSample(space, budget)},
 		{SchemeSlice, ensemble.SliceSample(space, budget, rand.New(rand.NewSource(cfg.Seed+2)))},
 	} {
-		row, err := cfg.conventionalRow(space, c.scheme, c.sims, cfg.Seed+8, score)
+		row, err := cfg.conventionalRow(ctx, space, c.scheme, c.sims, cfg.Seed+8, score)
 		if err != nil {
 			return nil, err
 		}

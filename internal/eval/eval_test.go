@@ -58,7 +58,7 @@ func TestSpaceForCachesAndValidates(t *testing.T) {
 }
 
 func TestRunComparisonStructure(t *testing.T) {
-	cmp, err := RunComparison(testConfig("double-pendulum"))
+	cmp, err := RunComparison(context.Background(), testConfig("double-pendulum"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunComparisonStructure(t *testing.T) {
 }
 
 func TestRunComparisonEqualBudgets(t *testing.T) {
-	cmp, err := RunComparison(testConfig("double-pendulum"))
+	cmp, err := RunComparison(context.Background(), testConfig("double-pendulum"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunComparisonEqualBudgets(t *testing.T) {
 func TestRunComparisonHeadlineShape(t *testing.T) {
 	// The paper's core claim at every configuration: each M2TD variant
 	// beats every conventional scheme by a wide margin.
-	cmp, err := RunComparison(testConfig("double-pendulum"))
+	cmp, err := RunComparison(context.Background(), testConfig("double-pendulum"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +128,13 @@ func TestRunComparisonHeadlineShape(t *testing.T) {
 func TestRunComparisonUnknownSystem(t *testing.T) {
 	cfg := testConfig("double-pendulum")
 	cfg.System = "bogus"
-	if _, err := RunComparison(cfg); err == nil {
+	if _, err := RunComparison(context.Background(), cfg); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
 
 func TestTable3SmallRun(t *testing.T) {
-	rows, err := Table3(testConfig("double-pendulum"), []int{1, 2})
+	rows, err := Table3(context.Background(), testConfig("double-pendulum"), []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTable3SmallRun(t *testing.T) {
 }
 
 func TestTable5RowsIncludeZeroJoin(t *testing.T) {
-	rows, err := Table5(testConfig("double-pendulum"), []float64{0.4})
+	rows, err := Table5(context.Background(), testConfig("double-pendulum"), []float64{0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTable5RowsIncludeZeroJoin(t *testing.T) {
 }
 
 func TestTable8PivotSweepSmall(t *testing.T) {
-	rows, err := Table8(testConfig("double-pendulum"), []int{4, 0})
+	rows, err := Table8(context.Background(), testConfig("double-pendulum"), []int{4, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestTable8PivotSweepSmall(t *testing.T) {
 }
 
 func TestRenderersProduceTables(t *testing.T) {
-	cmp, err := RunComparison(testConfig("double-pendulum"))
+	cmp, err := RunComparison(context.Background(), testConfig("double-pendulum"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFmtAcc(t *testing.T) {
 func TestRunSeedsAggregates(t *testing.T) {
 	cfg := testConfig("double-pendulum")
 	cfg.FreeFrac = 0.6 // introduce sampling randomness
-	sweep, err := RunSeeds(cfg, []int64{1, 2, 3})
+	sweep, err := RunSeeds(context.Background(), cfg, []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestRunSeedsAggregates(t *testing.T) {
 }
 
 func TestRunSeedsRequiresSeeds(t *testing.T) {
-	if _, err := RunSeeds(testConfig("double-pendulum"), nil); err == nil {
+	if _, err := RunSeeds(context.Background(), testConfig("double-pendulum"), nil); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 }
@@ -271,7 +271,7 @@ func TestUnionBaselineIsWeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(cfg.Seed)))
+	part, err := partition.GenerateCtx(context.Background(), space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestUnionTensorAveragesOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(3)))
+	part, err := partition.GenerateCtx(context.Background(), space, pcfg, rand.New(rand.NewSource(3)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestUnionTensorAveragesOverlap(t *testing.T) {
 }
 
 func TestExportComparisonsCSV(t *testing.T) {
-	cmp, err := RunComparison(testConfig("double-pendulum"))
+	cmp, err := RunComparison(context.Background(), testConfig("double-pendulum"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestAddNoisePerturbs(t *testing.T) {
 }
 
 func TestNoiseSweepDegradesGracefully(t *testing.T) {
-	rows, err := NoiseSweep(testConfig("double-pendulum"), []float64{0, 0.3})
+	rows, err := NoiseSweep(context.Background(), testConfig("double-pendulum"), []float64{0, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestNoiseSweepDegradesGracefully(t *testing.T) {
 }
 
 func TestTable1Summary(t *testing.T) {
-	rows, err := Table1([]string{"double-pendulum"}, []int{5})
+	rows, err := Table1(context.Background(), []string{"double-pendulum"}, []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestTable1Summary(t *testing.T) {
 }
 
 func TestFig6DensityBoost(t *testing.T) {
-	rows, err := Fig6(testConfig("double-pendulum"), []float64{1.0, 0.5})
+	rows, err := Fig6(context.Background(), testConfig("double-pendulum"), []float64{1.0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestTimeFiberMatchesFullReconstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(9)))
+	part, err := partition.GenerateCtx(context.Background(), space, pcfg, rand.New(rand.NewSource(9)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestEstimateAccuracyConsistentWithExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(10)))
+	part, err := partition.GenerateCtx(context.Background(), space, pcfg, rand.New(rand.NewSource(10)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,13 +540,13 @@ func TestEstimateAccuracyValidation(t *testing.T) {
 
 func TestRunComparisonEstimatedMatchesExactAtFullSampling(t *testing.T) {
 	cfg := testConfig("double-pendulum")
-	exact, err := RunComparison(cfg)
+	exact, err := RunComparison(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	space, _ := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
 	cfg.EstimateSims = space.TotalSims()
-	est, err := RunComparison(cfg)
+	est, err := RunComparison(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func TestRunComparisonEstimatedMatchesExactAtFullSampling(t *testing.T) {
 func TestRunComparisonEstimatedHeadlineShape(t *testing.T) {
 	cfg := testConfig("double-pendulum")
 	cfg.EstimateSims = 100
-	cmp, err := RunComparison(cfg)
+	cmp, err := RunComparison(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestRunComparisonEstimatedHeadlineShape(t *testing.T) {
 
 func TestSampleFibersDistinct(t *testing.T) {
 	space, _ := SpaceFor("double-pendulum", 5, 4)
-	fibers := SampleFibers(space, 30, rand.New(rand.NewSource(1)))
+	fibers := sampleFibers(space, 30, rand.New(rand.NewSource(1)))
 	if len(fibers) != 30 {
 		t.Fatalf("%d fibers", len(fibers))
 	}
@@ -594,7 +594,7 @@ func TestSampleFibersDistinct(t *testing.T) {
 		seen[key] = true
 	}
 	// Oversampling clamps to the space.
-	all := SampleFibers(space, 1<<20, rand.New(rand.NewSource(2)))
+	all := sampleFibers(space, 1<<20, rand.New(rand.NewSource(2)))
 	if len(all) != space.TotalSims() {
 		t.Fatalf("clamped to %d fibers, want %d", len(all), space.TotalSims())
 	}
@@ -602,28 +602,28 @@ func TestSampleFibersDistinct(t *testing.T) {
 
 func TestTables2467SmallRuns(t *testing.T) {
 	base := testConfig("double-pendulum")
-	cmps, err := Table2(base, []int{5}, []int{2})
+	cmps, err := Table2(context.Background(), base, []int{5}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cmps) != 1 || cmps[0].Config.Res != 5 {
 		t.Fatalf("Table2 rows: %d", len(cmps))
 	}
-	t4, err := Table4(base, []string{"lorenz"})
+	t4, err := Table4(context.Background(), base, []string{"lorenz"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(t4) != 1 || t4[0].Config.System != "lorenz" {
 		t.Fatalf("Table4 rows: %+v", t4)
 	}
-	t6, err := Table6(base, []float64{0.5})
+	t6, err := Table6(context.Background(), base, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(t6) != 1 || t6[0].Frac != 0.5 {
 		t.Fatalf("Table6 rows: %+v", t6)
 	}
-	t7, err := Table7(base, []float64{0.5})
+	t7, err := Table7(context.Background(), base, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +633,7 @@ func TestTables2467SmallRuns(t *testing.T) {
 	// Error propagation from an unknown system.
 	bad := base
 	bad.System = "bogus"
-	if _, err := Table4(bad, []string{"bogus"}); err == nil {
+	if _, err := Table4(context.Background(), bad, []string{"bogus"}); err == nil {
 		t.Fatal("Table4 with bogus system accepted")
 	}
 }
@@ -654,7 +654,7 @@ func TestFiberStatsConsistentWithEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(25)))
+	part, err := partition.GenerateCtx(context.Background(), space, pcfg, rand.New(rand.NewSource(25)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func TestFiberStatsConsistentWithEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := TuckerModel{Core: res.Core, Factors: res.Factors}
-	fibers := SampleFibers(space, 50, rand.New(rand.NewSource(26)))
+	fibers := sampleFibers(space, 50, rand.New(rand.NewSource(26)))
 	errSq, refSq, err := FiberStats(model, fibers)
 	if err != nil {
 		t.Fatal(err)
@@ -694,7 +694,7 @@ func TestFiberEvaluationBitStableAcrossPoolSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
-	part, err := partition.Generate(space, pcfg, rand.New(rand.NewSource(27)))
+	part, err := partition.GenerateCtx(context.Background(), space, pcfg, rand.New(rand.NewSource(27)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +721,7 @@ func TestFiberEvaluationBitStableAcrossPoolSizes(t *testing.T) {
 	for _, pool := range []int{1, 2, 8} {
 		prevCap := parallel.SetFanoutCap(pool)
 		parallel.SetDefaultWorkers(pool)
-		fibers := SampleFibers(space, 37, rand.New(rand.NewSource(28)))
+		fibers := sampleFibers(space, 37, rand.New(rand.NewSource(28)))
 		errSq, refSq, err1 := FiberStats(model, fibers)
 		acc, err2 := EstimateFromFibers(model, fibers)
 		parallel.SetDefaultWorkers(0)
@@ -732,7 +732,11 @@ func TestFiberEvaluationBitStableAcrossPoolSizes(t *testing.T) {
 		if wantFibers == nil {
 			wantFibers, wantErrSq, wantRefSq, wantAcc = fibers, errSq, refSq, acc
 			for i, f := range fibers {
-				sameBits(fmt.Sprintf("fiber %d vs SimCells", i), f.Truth, space.SimCells(f.ParamIdx))
+				cells, err := space.SimCellsCtx(context.Background(), f.ParamIdx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(fmt.Sprintf("fiber %d vs SimCells", i), f.Truth, cells)
 			}
 			continue
 		}
@@ -748,7 +752,7 @@ func TestFiberEvaluationBitStableAcrossPoolSizes(t *testing.T) {
 }
 
 func TestRankSweep(t *testing.T) {
-	rows, err := RankSweep(testConfig("double-pendulum"), []int{2, 3})
+	rows, err := RankSweep(context.Background(), testConfig("double-pendulum"), []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -763,7 +767,7 @@ func TestRankSweep(t *testing.T) {
 }
 
 func TestExtendedComparison(t *testing.T) {
-	cmp, err := ExtendedComparison(testConfig("double-pendulum"))
+	cmp, err := ExtendedComparison(context.Background(), testConfig("double-pendulum"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,7 +800,7 @@ func TestExtendedComparison(t *testing.T) {
 }
 
 func TestSelectPivotRanksCandidates(t *testing.T) {
-	scores, err := SelectPivot("double-pendulum", 5, 2, 100, 30)
+	scores, err := SelectPivot(context.Background(), "double-pendulum", 5, 2, 100, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,20 +824,20 @@ func TestSelectPivotRanksCandidates(t *testing.T) {
 			t.Fatalf("missing pivot %s", want)
 		}
 	}
-	if _, err := SelectPivot("double-pendulum", 1, 2, 10, 1); err == nil {
+	if _, err := SelectPivot(context.Background(), "double-pendulum", 1, 2, 10, 1); err == nil {
 		t.Fatal("tiny pilot resolution accepted")
 	}
-	if _, err := SelectPivot("bogus", 5, 2, 10, 1); err == nil {
+	if _, err := SelectPivot(context.Background(), "bogus", 5, 2, 10, 1); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
 
 func TestSelectPivotDeterministic(t *testing.T) {
-	a, err := SelectPivot("lorenz", 5, 2, 60, 40)
+	a, err := SelectPivot(context.Background(), "lorenz", 5, 2, 60, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectPivot("lorenz", 5, 2, 60, 40)
+	b, err := SelectPivot(context.Background(), "lorenz", 5, 2, 60, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -853,26 +857,26 @@ func TestSelectPivotDeterministic(t *testing.T) {
 func TestSharedEnsembleRowsMatchIndependentRows(t *testing.T) {
 	base := testConfig("double-pendulum")
 	var shared []*Comparison
-	t2, err := Table2(base, []int{5, 6}, []int{2, 3})
+	t2, err := Table2(context.Background(), base, []int{5, 6}, []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared = append(shared, t2...)
-	t5, err := Table5(base, []float64{1, 0.5})
+	t5, err := Table5(context.Background(), base, []float64{1, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range t5 {
 		shared = append(shared, row.Comparison)
 	}
-	ranks, err := RankSweep(base, []int{2, 3})
+	ranks, err := RankSweep(context.Background(), base, []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range ranks {
 		shared = append(shared, row.Comparison)
 	}
-	noise, err := NoiseSweep(base, []float64{0.2, 0, 0.2})
+	noise, err := NoiseSweep(context.Background(), base, []float64{0.2, 0, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -880,7 +884,7 @@ func TestSharedEnsembleRowsMatchIndependentRows(t *testing.T) {
 		shared = append(shared, row.Comparison)
 	}
 	for _, got := range shared {
-		want, err := RunComparison(got.Config)
+		want, err := RunComparison(context.Background(), got.Config)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -21,8 +22,8 @@ const (
 // LHS and Union baselines, at the same simulation budget. LHS probes
 // whether smarter space-filling alone closes the gap (it does not);
 // Union quantifies the paper's argument for stitching over pooling.
-func ExtendedComparison(cfg Config) (*Comparison, error) {
-	cmp, err := RunComparison(cfg)
+func ExtendedComparison(ctx context.Context, cfg Config) (*Comparison, error) {
+	cmp, err := RunComparison(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +35,11 @@ func ExtendedComparison(cfg Config) (*Comparison, error) {
 
 	// LHS at the shared budget.
 	sims := ensemble.LatinHypercubeSample(space, sel.NumSims, rand.New(rand.NewSource(cfg.Seed+3)))
-	lhs, err := cfg.conventionalRow(space, SchemeLHS, sims, cfg.Seed+9, cfg.scorer(space))
+	score, err := cfg.scorer(ctx, space)
+	if err != nil {
+		return nil, err
+	}
+	lhs, err := cfg.conventionalRow(ctx, space, SchemeLHS, sims, cfg.Seed+9, score)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +47,7 @@ func ExtendedComparison(cfg Config) (*Comparison, error) {
 
 	// Union of the PF-partitioned sub-ensembles (regenerated with the same
 	// seed, so it matches the M2TD rows' inputs).
-	part, err := cfg.generate(space)
+	part, err := cfg.generate(ctx, space)
 	if err != nil {
 		return nil, err
 	}

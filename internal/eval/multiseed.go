@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -22,7 +23,7 @@ type SeedSweep struct {
 }
 
 // RunSeeds evaluates the configuration once per seed and aggregates.
-func RunSeeds(cfg Config, seeds []int64) (*SeedSweep, error) {
+func RunSeeds(ctx context.Context, cfg Config, seeds []int64) (*SeedSweep, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("eval: RunSeeds requires at least one seed")
 	}
@@ -31,7 +32,7 @@ func RunSeeds(cfg Config, seeds []int64) (*SeedSweep, error) {
 	for _, seed := range seeds {
 		c := cfg
 		c.Seed = seed
-		cmp, err := RunComparison(c)
+		cmp, err := RunComparison(ctx, c)
 		if err != nil {
 			return nil, fmt.Errorf("eval: seed %d: %w", seed, err)
 		}

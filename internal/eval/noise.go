@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -49,13 +50,13 @@ type NoiseRow struct {
 // evaluation. Noise is injected into the sub-ensembles (for M2TD schemes)
 // and the sampled ensemble (for conventional schemes) after simulation,
 // before decomposition.
-func NoiseSweep(base Config, fracs []float64) ([]NoiseRow, error) {
+func NoiseSweep(ctx context.Context, base Config, fracs []float64) ([]NoiseRow, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.05, 0.2, 0.5}
 	}
 	// Noise is added after simulation: every row perturbs its own copy of
 	// one clean ensemble.
-	space, part, err := base.ensemble()
+	space, part, err := base.ensemble(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("noise sweep: %w", err)
 	}
@@ -63,7 +64,7 @@ func NoiseSweep(base Config, fracs []float64) ([]NoiseRow, error) {
 	for _, frac := range fracs {
 		cfg := base
 		cfg.NoiseFrac = frac
-		cmp, err := runComparisonOn(cfg, space, part)
+		cmp, err := runComparisonOn(ctx, cfg, space, part)
 		if err != nil {
 			return nil, fmt.Errorf("noise sweep frac=%v: %w", frac, err)
 		}

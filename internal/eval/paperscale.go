@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,37 +20,42 @@ type Fiber struct {
 // SampleFibers simulates n distinct uniformly sampled parameter
 // combinations and returns their ground-truth time fibers. Sharing one
 // fiber sample across every scheme of a comparison removes the sampling
-// noise from scheme-to-scheme accuracy differences.
-func SampleFibers(space *ensemble.Space, n int, rng *rand.Rand) []Fiber {
-	shape := space.Shape()
-	nParams := space.NumParams()
-	total := 1
-	for m := 0; m < nParams; m++ {
-		total *= shape[m]
+// noise from scheme-to-scheme accuracy differences. The fibers come off
+// ensemble's infallible truth loop, which cannot fail and is not
+// interrupted once started: ctx is honoured before it starts.
+func SampleFibers(ctx context.Context, space *ensemble.Space, n int, rng *rand.Rand) ([]Fiber, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	return sampleFibers(space, n, rng), nil
+}
+
+// sampleFibers draws the sample (the rng's only use) and simulates it into
+// one slab, one fiber per draw, in draw order.
+func sampleFibers(space *ensemble.Space, n int, rng *rand.Rand) []Fiber {
+	total := space.TotalSims()
 	if n > total {
 		n = total
 	}
 	seen := make(map[int]bool, n)
-	fibers := make([]Fiber, 0, n)
-	for len(fibers) < n {
+	keys := make([]int, 0, n)
+	for len(keys) < n {
 		lin := rng.Intn(total)
 		if seen[lin] {
 			continue
 		}
 		seen[lin] = true
-		idx := make([]int, nParams)
-		space.SimIndex(lin, idx)
-		fibers = append(fibers, Fiber{ParamIdx: idx})
+		keys = append(keys, lin)
 	}
-	space.Reference() // materialise before fan-out
-	parallel.For(len(fibers), 0, func(start, end int) {
-		var w ensemble.Workspace
-		for i := start; i < end; i++ {
-			fibers[i].Truth = make([]float64, space.TimeSamples)
-			space.SimCellsInto(&w, fibers[i].ParamIdx, fibers[i].Truth)
-		}
-	})
+	t := space.TimeSamples
+	slab := make([]float64, n*t)
+	space.TruthFibers(n, func(i int) int { return keys[i] }, slab)
+	fibers := make([]Fiber, n)
+	for i, lin := range keys {
+		idx := make([]int, space.NumParams())
+		space.SimIndex(lin, idx)
+		fibers[i] = Fiber{ParamIdx: idx, Truth: slab[i*t : (i+1)*t : (i+1)*t]}
+	}
 	return fibers
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -32,7 +33,7 @@ type PivotScore struct {
 // a few hundred simulations and transfers, because the relative pivot
 // ordering is driven by which parameter interactions the PF-partition
 // separates — a property of the system, not the resolution.
-func SelectPivot(system string, pilotRes, rank int, sampleSims int, seed int64) ([]PivotScore, error) {
+func SelectPivot(ctx context.Context, system string, pilotRes, rank int, sampleSims int, seed int64) ([]PivotScore, error) {
 	if pilotRes < 2 {
 		return nil, fmt.Errorf("eval: pilot resolution %d too small", pilotRes)
 	}
@@ -40,12 +41,15 @@ func SelectPivot(system string, pilotRes, rank int, sampleSims int, seed int64) 
 	if err != nil {
 		return nil, err
 	}
-	fibers := SampleFibers(space, sampleSims, rand.New(rand.NewSource(seed+200)))
+	fibers, err := SampleFibers(ctx, space, sampleSims, rand.New(rand.NewSource(seed+200)))
+	if err != nil {
+		return nil, err
+	}
 	ranks := tucker.UniformRanks(space.Order(), rank)
 
 	var scores []PivotScore
 	for pivot := 0; pivot < space.Order(); pivot++ {
-		part, err := Config{System: system, Pivot: pivot, PivotFrac: 1, FreeFrac: 1, Seed: seed}.generate(space)
+		part, err := Config{System: system, Pivot: pivot, PivotFrac: 1, FreeFrac: 1, Seed: seed}.generate(ctx, space)
 		if err != nil {
 			return nil, fmt.Errorf("eval: pivot %d pilot: %w", pivot, err)
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -17,7 +18,7 @@ type RankRow struct {
 // that M2TD-SELECT's advantage over -AVG/-CONCAT "gets higher as we
 // target higher ranking decompositions" (Section VI-C and Table II's rank
 // rows). Default ranks are {2, 4, 6, 8}.
-func RankSweep(base Config, ranks []int) ([]RankRow, error) {
+func RankSweep(ctx context.Context, base Config, ranks []int) ([]RankRow, error) {
 	if len(ranks) == 0 {
 		ranks = []int{2, 4, 6, 8}
 	}
@@ -25,7 +26,7 @@ func RankSweep(base Config, ranks []int) ([]RankRow, error) {
 	if cfg.Res == 0 {
 		cfg = DefaultConfig("double-pendulum")
 	}
-	space, part, err := cfg.ensemble()
+	space, part, err := cfg.ensemble(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("rank sweep: %w", err)
 	}
@@ -33,7 +34,7 @@ func RankSweep(base Config, ranks []int) ([]RankRow, error) {
 	for _, r := range ranks {
 		c := cfg
 		c.Rank = r
-		cmp, err := runComparisonOn(c, space, part)
+		cmp, err := runComparisonOn(ctx, c, space, part)
 		if err != nil {
 			return nil, fmt.Errorf("rank sweep r=%d: %w", r, err)
 		}

@@ -27,13 +27,13 @@ func TestRunComparisonRouteParity(t *testing.T) {
 			cfg.FreeFrac, cfg.ZeroJoin, cfg.NoiseFrac = 0.5, zeroJoin, noise
 			name := fmt.Sprintf("zero=%t/noise=%g", zeroJoin, noise)
 
-			exact, err := RunComparison(cfg)
+			exact, err := RunComparison(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			sampledCfg := cfg
 			sampledCfg.EstimateSims = 1500
-			sampled, err := RunComparison(sampledCfg)
+			sampled, err := RunComparison(context.Background(), sampledCfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -43,7 +43,7 @@ func TestRunComparisonRouteParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			part, err := cfg.generate(space)
+			part, err := cfg.generate(context.Background(), space)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -45,7 +46,7 @@ type SketchRow struct {
 // which is the cost the sketch arms avoid by compiling on the
 // KeepFrac-sized sketch. Default fractions are {1, 0.5, 0.25, 0.1,
 // 0.05, 0.02}; an exact baseline is added when 1 is absent.
-func SketchSweep(base Config, fracs []float64) ([]SketchRow, error) {
+func SketchSweep(ctx context.Context, base Config, fracs []float64) ([]SketchRow, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{1, 0.5, 0.25, 0.1, 0.05, 0.02}
 	}
@@ -59,7 +60,7 @@ func SketchSweep(base Config, fracs []float64) ([]SketchRow, error) {
 	}
 	truth := space.GroundTruth()
 	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
-	part, err := cfg.generate(space)
+	part, err := cfg.generate(ctx, space)
 	if err != nil {
 		return nil, err
 	}

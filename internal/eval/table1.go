@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -31,7 +32,7 @@ type Table1Row struct {
 
 // Table1 builds the configuration summary for the given systems and
 // resolutions (defaults: all three paper systems at the scaled default).
-func Table1(systems []string, resolutions []int) ([]Table1Row, error) {
+func Table1(ctx context.Context, systems []string, resolutions []int) ([]Table1Row, error) {
 	if len(systems) == 0 {
 		systems = []string{"double-pendulum", "triple-pendulum", "lorenz"}
 	}
@@ -45,7 +46,7 @@ func Table1(systems []string, resolutions []int) ([]Table1Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			part, err := Config{System: sysName, Pivot: space.TimeMode(), PivotFrac: 1, FreeFrac: 1, Seed: DefaultSeed}.generate(space)
+			part, err := Config{System: sysName, Pivot: space.TimeMode(), PivotFrac: 1, FreeFrac: 1, Seed: DefaultSeed}.generate(ctx, space)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +110,7 @@ type Fig6Row struct {
 // Fig6 reproduces Figure 6 numerically: for each sub-ensemble density it
 // generates the PF-partition, stitches both ways, and reports cell
 // densities relative to conventional sampling at the same budget.
-func Fig6(base Config, freeFracs []float64) ([]Fig6Row, error) {
+func Fig6(ctx context.Context, base Config, freeFracs []float64) ([]Fig6Row, error) {
 	if len(freeFracs) == 0 {
 		freeFracs = []float64{1.0, 0.5, 0.25}
 	}
@@ -126,7 +127,7 @@ func Fig6(base Config, freeFracs []float64) ([]Fig6Row, error) {
 	for _, frac := range freeFracs {
 		c := cfg
 		c.FreeFrac = frac
-		part, err := c.generate(space)
+		part, err := c.generate(ctx, space)
 		if err != nil {
 			return nil, err
 		}

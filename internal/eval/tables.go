@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -53,7 +54,7 @@ func baseOrDefault(base Config, system string) Config {
 // double pendulum across parameter resolutions and target ranks, under all
 // six schemes. The paper's resolutions {60, 70, 80} and ranks {5, 10, 20}
 // scale to the given slices (defaults {12, 16, 20} and {2, 4, 6}).
-func Table2(base Config, resolutions, ranks []int) ([]*Comparison, error) {
+func Table2(ctx context.Context, base Config, resolutions, ranks []int) ([]*Comparison, error) {
 	if len(resolutions) == 0 {
 		resolutions = []int{12, 16, 20}
 	}
@@ -66,13 +67,13 @@ func Table2(base Config, resolutions, ranks []int) ([]*Comparison, error) {
 		cfg.Res = res
 		cfg.TimeSamples = res
 		// One ensemble per resolution: the rank rows only decompose it.
-		space, part, err := cfg.ensemble()
+		space, part, err := cfg.ensemble(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("table2 res=%d: %w", res, err)
 		}
 		for _, rank := range ranks {
 			cfg.Rank = rank
-			cmp, err := runComparisonOn(cfg, space, part)
+			cmp, err := runComparisonOn(ctx, cfg, space, part)
 			if err != nil {
 				return nil, fmt.Errorf("table2 res=%d rank=%d: %w", res, rank, err)
 			}
@@ -104,7 +105,7 @@ func (r Table3Row) Total() time.Duration { return r.Phase1 + r.Phase2 + r.Phase3
 // phase split is the materialised entry's (dist.DecomposeMaterialised),
 // called directly: Phases 2 and 3 are the costs of building and projecting
 // J, which the engine's default route no longer pays.
-func Table3(base Config, workerCounts []int) ([]Table3Row, error) {
+func Table3(ctx context.Context, base Config, workerCounts []int) ([]Table3Row, error) {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1, 2, 4, 8, 16}
 	}
@@ -113,7 +114,7 @@ func Table3(base Config, workerCounts []int) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, err := cfg.generate(space)
+	part, err := cfg.generate(ctx, space)
 	if err != nil {
 		return nil, err
 	}
@@ -145,13 +146,13 @@ func Table3(base Config, workerCounts []int) ([]Table3Row, error) {
 // Table4 reproduces Table IV: the six-scheme comparison on the other two
 // dynamical systems (triple pendulum and Lorenz) at the default
 // configuration.
-func Table4(base Config, systems []string) ([]*Comparison, error) {
+func Table4(ctx context.Context, base Config, systems []string) ([]*Comparison, error) {
 	if len(systems) == 0 {
 		systems = []string{"triple-pendulum", "lorenz"}
 	}
 	var out []*Comparison
 	for _, sys := range systems {
-		cmp, err := RunComparison(baseOrDefault(base, sys))
+		cmp, err := RunComparison(ctx, baseOrDefault(base, sys))
 		if err != nil {
 			return nil, fmt.Errorf("table4 %s: %w", sys, err)
 		}
@@ -172,7 +173,7 @@ type Table5Row struct {
 
 // Table5 reproduces Table V: reduced simulation budgets with join vs
 // zero-join stitching. budgetFracs defaults to the paper's {1.0, 0.1}.
-func Table5(base Config, budgetFracs []float64) ([]Table5Row, error) {
+func Table5(ctx context.Context, base Config, budgetFracs []float64) ([]Table5Row, error) {
 	if len(budgetFracs) == 0 {
 		budgetFracs = []float64{1.0, 0.1}
 	}
@@ -181,7 +182,7 @@ func Table5(base Config, budgetFracs []float64) ([]Table5Row, error) {
 		cfg := baseOrDefault(base, "double-pendulum")
 		cfg.FreeFrac = frac
 		// Join and zero-join stitch the same simulations.
-		space, part, err := cfg.ensemble()
+		space, part, err := cfg.ensemble(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("table5 frac=%v: %w", frac, err)
 		}
@@ -191,7 +192,7 @@ func Table5(base Config, budgetFracs []float64) ([]Table5Row, error) {
 				continue
 			}
 			cfg.ZeroJoin = zero
-			cmp, err := runComparisonOn(cfg, space, part)
+			cmp, err := runComparisonOn(ctx, cfg, space, part)
 			if err != nil {
 				return nil, fmt.Errorf("table5 frac=%v zero=%v: %w", frac, zero, err)
 			}
@@ -209,7 +210,7 @@ type FracRow struct {
 
 // Table6 reproduces Table VI: reduced pivot densities P (default
 // {1.0, 0.5, 0.25}) at full sub-ensemble density.
-func Table6(base Config, pivotFracs []float64) ([]FracRow, error) {
+func Table6(ctx context.Context, base Config, pivotFracs []float64) ([]FracRow, error) {
 	if len(pivotFracs) == 0 {
 		pivotFracs = []float64{1.0, 0.5, 0.25}
 	}
@@ -217,7 +218,7 @@ func Table6(base Config, pivotFracs []float64) ([]FracRow, error) {
 	for _, frac := range pivotFracs {
 		cfg := baseOrDefault(base, "double-pendulum")
 		cfg.PivotFrac = frac
-		cmp, err := RunComparison(cfg)
+		cmp, err := RunComparison(ctx, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("table6 P=%v: %w", frac, err)
 		}
@@ -228,7 +229,7 @@ func Table6(base Config, pivotFracs []float64) ([]FracRow, error) {
 
 // Table7 reproduces Table VII: reduced sub-ensemble densities E (default
 // {1.0, 0.5, 0.25}) at full pivot density.
-func Table7(base Config, freeFracs []float64) ([]FracRow, error) {
+func Table7(ctx context.Context, base Config, freeFracs []float64) ([]FracRow, error) {
 	if len(freeFracs) == 0 {
 		freeFracs = []float64{1.0, 0.5, 0.25}
 	}
@@ -236,7 +237,7 @@ func Table7(base Config, freeFracs []float64) ([]FracRow, error) {
 	for _, frac := range freeFracs {
 		cfg := baseOrDefault(base, "double-pendulum")
 		cfg.FreeFrac = frac
-		cmp, err := RunComparison(cfg)
+		cmp, err := RunComparison(ctx, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("table7 E=%v: %w", frac, err)
 		}
@@ -255,7 +256,7 @@ type PivotRow struct {
 // Table8 reproduces Table VIII: the pivot parameter sweep over all five
 // modes of the double-pendulum ensemble (t, φ₁, φ₂, m₁, m₂), with
 // sub-systems keeping each pendulum's free parameters together.
-func Table8(base Config, pivots []int) ([]PivotRow, error) {
+func Table8(ctx context.Context, base Config, pivots []int) ([]PivotRow, error) {
 	cfg := baseOrDefault(base, "double-pendulum")
 	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
 	if err != nil {
@@ -269,7 +270,7 @@ func Table8(base Config, pivots []int) ([]PivotRow, error) {
 	for _, pivot := range pivots {
 		c := cfg
 		c.Pivot = pivot
-		cmp, err := RunComparison(c)
+		cmp, err := RunComparison(ctx, c)
 		if err != nil {
 			return nil, fmt.Errorf("table8 pivot=%d: %w", pivot, err)
 		}

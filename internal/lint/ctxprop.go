@@ -20,9 +20,9 @@ import (
 //
 //  2. Library code must not mint fresh root contexts via
 //     context.Background()/context.TODO(): roots belong to process entry
-//     points (cmd/, examples/) and tests. The documented non-ctx wrappers
-//     (partition.Generate, ensemble.Encode) are the deliberate
-//     exceptions and carry //lint:allow ctxprop annotations.
+//     points (cmd/, examples/) and tests. The one exception left is a
+//     process entry point that lives in a library package (the distnet
+//     worker's root) and carries a //lint:allow ctxprop annotation.
 //
 //  3. A function or method that takes a net connection (any net.*Conn
 //     type) must also take a context.Context: connection-handling loops

@@ -24,14 +24,12 @@ import (
 // The determinism analyzer bans time.Now in kernel packages precisely
 // to keep timing away from results; the calibration sites below carry
 // lint:allow suppressions with that scheduling-only justification; the
-// package's tests pin the calibration through calOverride.
+// package's tests call the pure half, grainCal.grain, with a calibration
+// of their own.
 
 // grainCal is a calibration: nanoseconds to spawn+join one goroutine and
 // nanoseconds per floating-point multiply-add of straight-line work.
 type grainCal struct{ spawnNs, flopNs float64 }
-
-// calOverride, when non-nil, pins the calibration (set by tests only).
-var calOverride atomic.Pointer[grainCal]
 
 // calMeasured runs the one-time measurement. sync.OnceValue amortises it
 // to a single ~100µs cost for the life of the process.
@@ -52,14 +50,12 @@ const autoGrainAmortize = 16
 // Grain only caps fan-out; it never moves a reduction boundary, so two
 // processes with different calibrations still produce bit-identical
 // results.
-func AutoGrain(flopsPerItem float64) int {
+func AutoGrain(flopsPerItem float64) int { return calMeasured().grain(flopsPerItem) }
+
+// grain is AutoGrain under this calibration: a pure function of its inputs.
+func (cal grainCal) grain(flopsPerItem float64) int {
 	if flopsPerItem < 1 || math.IsNaN(flopsPerItem) {
 		flopsPerItem = 1
-	}
-	cal := calOverride.Load()
-	if cal == nil {
-		c := calMeasured()
-		cal = &c
 	}
 	g := autoGrainAmortize * cal.spawnNs / (flopsPerItem * cal.flopNs)
 	switch {

@@ -2,26 +2,8 @@ package parallel
 
 import "testing"
 
-// SetGrainCalibration pins AutoGrain's calibration to the given
-// spawn/join and per-FLOP costs (in nanoseconds), making grain choices —
-// a scheduling property only; results never depend on grain — fully
-// reproducible. Non-positive values restore the measured calibration.
-// It returns the previously pinned values (0, 0 if none).
-func SetGrainCalibration(spawnNs, flopNs float64) (prevSpawnNs, prevFlopNs float64) {
-	var next *grainCal
-	if spawnNs > 0 && flopNs > 0 {
-		next = &grainCal{spawnNs: spawnNs, flopNs: flopNs}
-	}
-	prev := calOverride.Swap(next)
-	if prev == nil {
-		return 0, 0
-	}
-	return prev.spawnNs, prev.flopNs
-}
-
 func TestAutoGrainPinnedCalibration(t *testing.T) {
-	prevS, prevF := SetGrainCalibration(1600, 1)
-	defer SetGrainCalibration(prevS, prevF)
+	cal := grainCal{spawnNs: 1600, flopNs: 1}
 
 	// grain = amortize * spawnNs / (flops * flopNs) = 16*1600/flops.
 	for _, tc := range []struct {
@@ -35,36 +17,31 @@ func TestAutoGrainPinnedCalibration(t *testing.T) {
 		{0, 25600},  // flops<1 treated as 1
 		{-5, 25600}, // negative likewise
 	} {
-		if got := AutoGrain(tc.flops); got != tc.want {
-			t.Fatalf("AutoGrain(%v) = %d, want %d", tc.flops, got, tc.want)
+		if got := cal.grain(tc.flops); got != tc.want {
+			t.Fatalf("grain(%v) = %d, want %d", tc.flops, got, tc.want)
 		}
 	}
 }
 
 func TestAutoGrainPinnedIsReproducible(t *testing.T) {
-	prevS, prevF := SetGrainCalibration(1000, 0.5)
-	defer SetGrainCalibration(prevS, prevF)
-	first := AutoGrain(32)
+	cal := grainCal{spawnNs: 1000, flopNs: 0.5}
+	first := cal.grain(32)
 	for i := 0; i < 100; i++ {
-		if got := AutoGrain(32); got != first {
+		if got := cal.grain(32); got != first {
 			t.Fatalf("pinned AutoGrain drifted: %d then %d", first, got)
 		}
 	}
 }
 
 func TestAutoGrainUpperClamp(t *testing.T) {
-	prevS, prevF := SetGrainCalibration(1e12, 1)
-	defer SetGrainCalibration(prevS, prevF)
-	if got := AutoGrain(1); got != 1<<20 {
-		t.Fatalf("AutoGrain = %d, want upper clamp %d", got, 1<<20)
+	if got := (grainCal{spawnNs: 1e12, flopNs: 1}).grain(1); got != 1<<20 {
+		t.Fatalf("grain = %d, want upper clamp %d", got, 1<<20)
 	}
 }
 
 func TestAutoGrainMeasuredIsSane(t *testing.T) {
-	// Clear any override: the measured calibration must land in the
-	// clamped range and produce positive grains.
-	prevS, prevF := SetGrainCalibration(0, 0)
-	defer SetGrainCalibration(prevS, prevF)
+	// The measured calibration must land in the clamped range and produce
+	// positive grains.
 	cal := calMeasured()
 	if cal.spawnNs < 100 || cal.spawnNs > 100_000 {
 		t.Fatalf("spawnNs %v outside clamp", cal.spawnNs)

@@ -56,7 +56,7 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func TestGenerateCtxMatchesGenerate(t *testing.T) {
 	space := probeSpace(probe{})
 	cfg := probeConfig(t, space)
-	want, err := partition.Generate(space, cfg, newRand(5))
+	want, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(5), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestGenerateCtxFaultAccountingBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := partition.Generate(probeSpace(probe{}), pcfg, newRand(6))
+	clean, err := partition.GenerateCtx(context.Background(), probeSpace(probe{}), pcfg, newRand(6), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestGenerateCtxRetryExhaustionFailsSim(t *testing.T) {
 	if res.Stats.ExecutedSims+res.Stats.FailedSims != res.NumSims {
 		t.Fatalf("executed %d + failed %d != %d sims", res.Stats.ExecutedSims, res.Stats.FailedSims, res.NumSims)
 	}
-	clean, _ := partition.Generate(probeSpace(probe{}), pcfg, newRand(7))
+	clean, _ := partition.GenerateCtx(context.Background(), probeSpace(probe{}), pcfg, newRand(7), partition.SimOptions{})
 	if got, want := res.Sub1.Tensor.NNZ()+res.Sub2.Tensor.NNZ(), clean.Sub1.Tensor.NNZ()+clean.Sub2.Tensor.NNZ(); got >= want {
 		t.Fatalf("failed sims did not reduce stored cells: %d >= %d", got, want)
 	}
@@ -185,7 +185,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// Uninterrupted reference campaign.
 	pcfgSpace := probeSpace(probe{})
 	pcfg := probeConfig(t, pcfgSpace)
-	ref, err := partition.Generate(pcfgSpace, pcfg, newRand(10))
+	ref, err := partition.GenerateCtx(context.Background(), pcfgSpace, pcfg, newRand(10), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	space1 := probeSpace(inj1.Wrap(probe{}))
 	_, err = partition.GenerateCtx(ctx1, space1, pcfg, newRand(10), partition.SimOptions{
 		Workers:    2,
-		Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: fp, Every: 1},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: fp, Every: 1},
 	})
 	cancel1()
 	if !errors.Is(err, context.Canceled) {
@@ -215,7 +215,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	space2 := probeSpace(inj2.Wrap(probe{}))
 	res, err := partition.GenerateCtx(context.Background(), space2, pcfg, newRand(10), partition.SimOptions{
 		Workers:    2,
-		Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: fp, Every: 1, Resume: true},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: fp, Every: 1, Resume: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,14 +246,14 @@ func TestCheckpointFingerprintMismatchIgnored(t *testing.T) {
 	space := probeSpace(probe{})
 	pcfg := probeConfig(t, space)
 	if _, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(11), partition.SimOptions{
-		Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: "config-A", Every: 1},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "config-A", Every: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Resume under a different fingerprint: the stale checkpoint must be
 	// ignored, not restored.
 	res, err := partition.GenerateCtx(context.Background(), probeSpace(probe{}), pcfg, newRand(11), partition.SimOptions{
-		Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: "config-B", Every: 1, Resume: true},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "config-B", Every: 1, Resume: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestCheckpointSaveErrorFailsCampaign(t *testing.T) {
 		space := probeSpace(probe{})
 		_, err = partition.GenerateCtx(context.Background(), space, probeConfig(t, space), newRand(12), partition.SimOptions{
 			Workers:    2,
-			Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: "fp", Every: every},
+			Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "fp", Every: every},
 		})
 		if err == nil || !strings.Contains(err.Error(), "checkpoint save") {
 			t.Fatalf("Every=%d: want a checkpoint save error, got %v", every, err)

@@ -109,6 +109,17 @@ func checkLayout(t *testing.T, label string, res *partition.Result, simulate fun
 	}
 }
 
+// simCells simulates one parameter combination of a fault-free space.
+func simCells(space *ensemble.Space) func(idx []int) []float64 {
+	return func(idx []int) []float64 {
+		cells, err := space.SimCellsCtx(context.Background(), idx)
+		if err != nil {
+			panic(err)
+		}
+		return cells
+	}
+}
+
 // layoutConfigs covers the shapes the request grid must group correctly:
 // the time mode as the pivot (many pivot configurations per simulation),
 // a parameter pivot (time on a free axis), two pivots interleaved with the
@@ -134,7 +145,7 @@ func TestGenerateLayoutMatchesReferenceAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkLayout(t, fmt.Sprintf("%s workers=%d", name, workers), res, space.SimCells)
+			checkLayout(t, fmt.Sprintf("%s workers=%d", name, workers), res, simCells(space))
 		}
 	}
 }
@@ -156,7 +167,7 @@ func TestGenerateLayoutMatchesReferenceAfterResume(t *testing.T) {
 	}})
 	_, err = partition.GenerateCtx(ctx, ensemble.NewSpace(inj.Wrap(dynsys.NewLorenz()), 5, 6), cfg, newRand(32), partition.SimOptions{
 		Workers:    1,
-		Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: "layout", Every: 1},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "layout", Every: 1},
 	})
 	cancel()
 	if err == nil {
@@ -164,7 +175,7 @@ func TestGenerateLayoutMatchesReferenceAfterResume(t *testing.T) {
 	}
 	res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(32), partition.SimOptions{
 		Workers:    2,
-		Checkpoint: &partition.Checkpoint{Store: st, Fingerprint: "layout", Every: 4, Resume: true},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "layout", Every: 4, Resume: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +183,7 @@ func TestGenerateLayoutMatchesReferenceAfterResume(t *testing.T) {
 	if res.Stats.RestoredSims == 0 || res.Stats.ExecutedSims == 0 {
 		t.Fatalf("resume drill is vacuous: %+v", res.Stats)
 	}
-	checkLayout(t, "resumed", res, space.SimCells)
+	checkLayout(t, "resumed", res, simCells(space))
 }
 
 func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {

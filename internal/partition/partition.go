@@ -141,7 +141,7 @@ type SubEnsemble struct {
 	NumSims int
 	// Stats accounts for executed/restored/retried/failed simulations and
 	// quarantined cells of this sub-campaign.
-	Stats SimStats
+	Stats ensemble.SimStats
 }
 
 // Result is a PF-partitioned, sampled pair of sub-ensembles.
@@ -161,7 +161,7 @@ type Result struct {
 	// sub-ensembles.
 	NumSims int
 	// Stats aggregates both sub-campaigns' fault-tolerance accounting.
-	Stats SimStats
+	Stats ensemble.SimStats
 }
 
 // JoinCells is the stored-cell count of the JE-stitched join, counted per
@@ -256,23 +256,19 @@ func sampleConfigs(all [][]int, frac float64, rng *rand.Rand) [][]int {
 	return out
 }
 
-// Generate PF-partitions the space per cfg and simulates both
-// sub-ensembles. Both sub-systems share the same sampled pivot
-// configurations; free configurations are sampled independently.
-//
-// Generate is the infallible entry point (background context, no retry
-// policy override, no checkpointing); fault-tolerant campaigns use
-// GenerateCtx.
-func Generate(space *ensemble.Space, cfg Config, rng *rand.Rand) (*Result, error) {
-	//lint:allow ctxprop -- documented legacy wrapper: the non-ctx API is the root of its own context tree
-	return GenerateCtx(context.Background(), space, cfg, rng, SimOptions{})
-}
+// SimOptions configures the simulation fan-out of a PF-partitioned
+// campaign. It is ensemble.SimulateCtx's options type; the name stays
+// because GenerateCtx's callers (cmd/m2tdperf among them) spell it so.
+type SimOptions = ensemble.SimOptions
 
-// GenerateCtx is Generate with cooperative cancellation, per-simulation
-// retry, divergence quarantine, and optional checkpoint/resume. The rng
-// consumption order is identical to Generate's, so a resumed campaign
-// samples exactly the same configurations as the interrupted one (given
-// the same seed) and reassembles a bit-identical pair of sub-tensors.
+// GenerateCtx PF-partitions the space per cfg and simulates both
+// sub-ensembles, with cooperative cancellation, per-simulation retry,
+// divergence quarantine, and optional checkpoint/resume. Both sub-systems
+// share the same sampled pivot configurations; free configurations are
+// sampled independently. The rng consumption order does not depend on
+// opts, so a resumed campaign samples exactly the same configurations as
+// the interrupted one (given the same seed) and reassembles a bit-identical
+// pair of sub-tensors.
 func GenerateCtx(ctx context.Context, space *ensemble.Space, cfg Config, rng *rand.Rand, opts SimOptions) (*Result, error) {
 	if err := cfg.Validate(space.Order()); err != nil {
 		return nil, err
@@ -306,8 +302,8 @@ func GenerateCtx(ctx context.Context, space *ensemble.Space, cfg Config, rng *ra
 		Free2Configs: free2Configs,
 		NumSims:      sub1.NumSims + sub2.NumSims,
 	}
-	res.Stats.add(sub1.Stats)
-	res.Stats.add(sub2.Stats)
+	res.Stats.Add(sub1.Stats)
+	res.Stats.Add(sub2.Stats)
 	return res, nil
 }
 
@@ -339,7 +335,7 @@ func buildSub(ctx context.Context, space *ensemble.Space, pivots, free []int, pi
 	}
 
 	sims := requestedSims(space, pivots, free, pivotConfigs, freeConfigs)
-	cells, stats, err := simulateAll(ctx, space, sims, opts, ckptName)
+	cells, stats, err := space.SimulateCtx(ctx, ckptName, len(sims), func(i int) int { return sims[i].key }, opts)
 	if err != nil {
 		return nil, fmt.Errorf("partition: %s simulation fan-out: %w", ckptName, err)
 	}
@@ -347,12 +343,9 @@ func buildSub(ctx context.Context, space *ensemble.Space, pivots, free []int, pi
 	// are dropped at ingest and counted, never stored.
 	sub.Tensor.RejectNonFinite = true
 	emit(sub.Tensor, sims, cells, space.TimeSamples/2)
-	stats.QuarantinedCells = sub.Tensor.Rejected
+	stats.Record(span, len(sims), sub.Tensor)
 	sub.NumSims = len(sims)
 	sub.Stats = stats
-	span.Set("sims", int64(sub.NumSims))
-	span.Set("cells", int64(sub.Tensor.NNZ()))
-	stats.record(span)
 	return sub, nil
 }
 

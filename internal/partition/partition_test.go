@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -107,7 +108,7 @@ func contains(s []int, v int) bool {
 func TestGenerateFullDensity(t *testing.T) {
 	space := tinySpace()
 	cfg := DefaultConfig(5, 4, doublePendulumPairs)
-	res, err := Generate(space, cfg, rand.New(rand.NewSource(80)))
+	res, err := GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(80)), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestGenerateFullDensity(t *testing.T) {
 func TestGenerateCellsMatchGroundTruth(t *testing.T) {
 	space := tinySpace()
 	cfg := DefaultConfig(5, 4, doublePendulumPairs)
-	res, err := Generate(space, cfg, rand.New(rand.NewSource(81)))
+	res, err := GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(81)), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestGenerateReducedPivotDensity(t *testing.T) {
 	space := tinySpace()
 	cfg := DefaultConfig(5, 4, doublePendulumPairs)
 	cfg.PivotFrac = 0.5
-	res, err := Generate(space, cfg, rand.New(rand.NewSource(82)))
+	res, err := GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(82)), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestGenerateReducedFreeDensity(t *testing.T) {
 	space := tinySpace()
 	cfg := DefaultConfig(5, 4, doublePendulumPairs)
 	cfg.FreeFrac = 0.25
-	res, err := Generate(space, cfg, rand.New(rand.NewSource(83)))
+	res, err := GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(83)), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestGenerateParameterPivot(t *testing.T) {
 	// Pivot on φ1 (mode 0): sub-systems are {φ1, m1, t} and {φ1, φ2, m2}.
 	space := tinySpace()
 	cfg := DefaultConfig(5, 0, doublePendulumPairs)
-	res, err := Generate(space, cfg, rand.New(rand.NewSource(84)))
+	res, err := GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(84)), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestGenerateParameterPivot(t *testing.T) {
 
 func TestGenerateInvalidConfig(t *testing.T) {
 	space := tinySpace()
-	if _, err := Generate(space, Config{}, rand.New(rand.NewSource(85))); err == nil {
+	if _, err := GenerateCtx(context.Background(), space, Config{}, rand.New(rand.NewSource(85)), SimOptions{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -244,11 +245,11 @@ func TestGenerateDeterministicGivenSeed(t *testing.T) {
 	space := tinySpace()
 	cfg := DefaultConfig(5, 4, doublePendulumPairs)
 	cfg.FreeFrac = 0.5
-	a, err := Generate(space, cfg, rand.New(rand.NewSource(86)))
+	a, err := GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(86)), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(space, cfg, rand.New(rand.NewSource(86)))
+	b, err := GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(86)), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestGenerateMultiplePivots(t *testing.T) {
 		PivotFrac: 1,
 		FreeFrac:  1,
 	}
-	res, err := Generate(space, cfg, rand.New(rand.NewSource(87)))
+	res, err := GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(87)), SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

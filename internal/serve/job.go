@@ -10,7 +10,6 @@ import (
 	m2td "repro"
 	"repro/api"
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/tucker"
 )
 
@@ -228,20 +227,7 @@ func (s *Server) reportFor(j *job) (*m2td.Report, error) {
 			j.loadErr = err
 			return
 		}
-		cfg := j.cfg
-		system := string(cfg.System)
-		if system == "" {
-			system = "double-pendulum"
-		}
-		res := cfg.Resolution
-		if res == 0 {
-			res = 12
-		}
-		samples := cfg.TimeSamples
-		if samples == 0 {
-			samples = res
-		}
-		space, err := eval.SpaceFor(system, res, samples)
+		space, err := j.cfg.Space()
 		if err != nil {
 			j.loadErr = err
 			return

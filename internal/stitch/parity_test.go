@@ -2,6 +2,7 @@ package stitch
 
 import (
 	"cmp"
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -20,7 +21,7 @@ func paramPivotResult(t *testing.T, seed int64) *partition.Result {
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 4, 3)
 	cfg := partition.DefaultConfig(5, 0, doublePendulumPairs)
 	cfg.FreeFrac = 0.5
-	res, err := partition.Generate(space, cfg, rand.New(rand.NewSource(seed)))
+	res, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(seed)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stitch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -182,7 +183,7 @@ var stitchConfigs = map[string]partition.Config{
 func stitchPartition(t testing.TB, cfg partition.Config, res int, freeFrac float64, seed int64) *partition.Result {
 	t.Helper()
 	cfg.FreeFrac = freeFrac
-	p, err := partition.Generate(ensemble.NewSpace(dynsys.NewDoublePendulum(), res, res), cfg, rand.New(rand.NewSource(seed)))
+	p, err := partition.GenerateCtx(context.Background(), ensemble.NewSpace(dynsys.NewDoublePendulum(), res, res), cfg, rand.New(rand.NewSource(seed)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stitch
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func tinyResult(t *testing.T, freeFrac float64, seed int64) *partition.Result {
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 4, 3)
 	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
 	cfg.FreeFrac = freeFrac
-	res, err := partition.Generate(space, cfg, rand.New(rand.NewSource(seed)))
+	res, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(seed)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestJoinParameterPivot(t *testing.T) {
 	// Pivot on a parameter mode (φ1): join must still cover all 5 modes.
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 4, 3)
 	cfg := partition.DefaultConfig(5, 0, doublePendulumPairs)
-	res, err := partition.Generate(space, cfg, rand.New(rand.NewSource(98)))
+	res, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(98)), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

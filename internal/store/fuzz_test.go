@@ -1,12 +1,15 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/tensor"
+	"repro/internal/tucker"
 )
 
 // FuzzLoadSparseRobustness feeds arbitrary bytes to the sparse loader: it
@@ -74,6 +77,105 @@ func FuzzLoadSparseRobustness(f *testing.F) {
 					t.Fatalf("out-of-range index %v survived load", idx)
 				}
 			}
+		})
+	})
+}
+
+// headerLen is the length of every object's magic, version and kind.
+const headerLen = len(magic) + 4 + 1
+
+// savedBytes returns the file save wrote for the object "seed".
+func savedBytes(f *testing.F, save func(s *Store) error) []byte {
+	f.Helper()
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := save(s); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(s.Dir(), "seed.m2td"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// claimMatrixDims returns valid with the (rows, cols) header at offset at
+// patched to 1<<24 each — the largest the per-dimension check lets through,
+// a 2 PB matrix in a file of a few dozen bytes.
+func claimMatrixDims(valid []byte, at int) []byte {
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(huge[at:], 1<<24)
+	binary.LittleEndian.PutUint64(huge[at+8:], 1<<24)
+	return huge
+}
+
+// fuzzLoad writes data as the object "x" of a fresh store and loads it:
+// whatever the bytes, load must return — an error or a value — never
+// panic and never size an allocation by a claim the file cannot back.
+func fuzzLoad(t *testing.T, data []byte, load func(s *Store) error) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "x.m2td"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := load(st); errors.Is(err, ErrNotFound) {
+		t.Fatal("existing file reported as not found")
+	}
+}
+
+// FuzzLoadMatrices covers the decoder the distnet coordinator runs on
+// every worker-written p1-/p3-g artifact.
+func FuzzLoadMatrices(f *testing.F) {
+	valid := savedBytes(f, func(s *Store) error {
+		return s.SaveMatrices("seed", []*mat.Matrix{mat.FromSlice(2, 2, []float64{1, 2, 3, 4})})
+	})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-9])
+	f.Add(claimMatrixDims(valid, headerLen+4))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzLoad(t, data, func(s *Store) error {
+			ms, err := s.LoadMatrices("x")
+			for _, m := range ms {
+				if len(m.Data) != m.Rows*m.Cols {
+					t.Fatalf("loaded a %d×%d matrix over %d values", m.Rows, m.Cols, len(m.Data))
+				}
+			}
+			return err
+		})
+	})
+}
+
+// FuzzLoadDecomposition covers the dec- objects the campaign server reads
+// back: a core sized by its claimed shape, then the same matrix list.
+func FuzzLoadDecomposition(f *testing.F) {
+	core := tensor.NewDense(tensor.Shape{2, 1})
+	valid := savedBytes(f, func(s *Store) error {
+		return s.SaveDecomposition("seed", tucker.Decomposition{
+			Core:    core,
+			Factors: []*mat.Matrix{mat.FromSlice(2, 2, []float64{1, 2, 3, 4}), mat.New(3, 1)},
+		})
+	})
+	factorsAt := headerLen + 4 + 8*core.Shape.Order() + 8*len(core.Data)
+	f.Add(valid)
+	f.Add(valid[:factorsAt+6])
+	f.Add(claimMatrixDims(valid, factorsAt+4))
+	// The same claim one level up: a core of 2²⁰ × 2²⁰ cells.
+	hugeCore := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(hugeCore[headerLen+4:], 1<<20)
+	binary.LittleEndian.PutUint64(hugeCore[headerLen+12:], 1<<20)
+	f.Add(hugeCore)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzLoad(t, data, func(s *Store) error {
+			d, err := s.LoadDecomposition("x")
+			if err == nil && len(d.Core.Data) != d.Core.Shape.NumElements() {
+				t.Fatalf("loaded a core of shape %v over %d values", d.Core.Shape, len(d.Core.Data))
+			}
+			return err
 		})
 	})
 }

@@ -40,8 +40,9 @@ const (
 
 // Kinds of stored objects.
 const (
-	kindSparse   = uint8(1)
-	kindDense    = uint8(2)
+	kindSparse = uint8(1)
+	// 2 was the dense tensor kind; nothing has written one since the
+	// ground truth stopped being stored, and nothing reads one.
 	kindTucker   = uint8(3)
 	kindSimSet   = uint8(4)
 	kindMatrices = uint8(5)
@@ -475,26 +476,6 @@ func (s *Store) LoadSparse(name string) (*tensor.Sparse, error) {
 	return out, err
 }
 
-// LoadDense reads a dense tensor object (shape, then the cells in C
-// order). No current command writes one; stores filled by earlier builds
-// hold them and `tensorstore info` still names them.
-func (s *Store) LoadDense(name string) (*tensor.Dense, error) {
-	var out *tensor.Dense
-	err := s.readFile(name, kindDense, func(r io.Reader, _ int64) error {
-		shape, err := readShape(r)
-		if err != nil {
-			return err
-		}
-		t := tensor.NewDense(shape)
-		if err := binary.Read(r, binary.LittleEndian, t.Data); err != nil {
-			return ErrCorrupt
-		}
-		out = t
-		return nil
-	})
-	return out, err
-}
-
 // SaveSimSet stores a completed-simulation set — the checkpoint unit of
 // the fault-tolerant pipeline runtime: a fingerprint identifying the
 // generating configuration plus each completed simulation's per-timestamp
@@ -590,62 +571,80 @@ func (s *Store) LoadSimSet(name string) (string, map[int][]float64, error) {
 	return fingerprint, sims, nil
 }
 
+// float64sFit reports whether a file of the given size can hold the
+// product of dims float64 values — what every dense decoder checks before
+// it sizes anything by a claimed dimension, so a corrupt header is
+// ErrCorrupt, never an allocation (the CRC is only known at the end).
+func float64sFit(size int64, dims ...int) bool {
+	room := size / 8
+	for _, d := range dims {
+		if d == 0 {
+			return true
+		}
+		room /= int64(d)
+	}
+	return room >= 1
+}
+
+// writeMatrices / readMatrices serialise an ordered matrix list — a uint32
+// count, then each matrix as rows, cols and its row-major data — for the
+// two object kinds that hold one. readMatrices accepts at most `most`
+// matrices, each no larger than the file.
+func writeMatrices(w io.Writer, ms []*mat.Matrix) error {
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(ms))); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, m := range ms {
+		if err := binary.Write(w, binary.LittleEndian, [2]uint64{uint64(m.Rows), uint64(m.Cols)}); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		if err := binary.Write(w, binary.LittleEndian, m.Data); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
+	return nil
+}
+
+func readMatrices(r io.Reader, size int64, most uint32) ([]*mat.Matrix, error) {
+	var n uint32
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil || n > most {
+		return nil, ErrCorrupt
+	}
+	ms := make([]*mat.Matrix, n)
+	for i := range ms {
+		var dims [2]uint64
+		if err := binary.Read(r, binary.LittleEndian, &dims); err != nil {
+			return nil, ErrCorrupt
+		}
+		if dims[0] > 1<<24 || dims[1] > 1<<24 || !float64sFit(size, int(dims[0]), int(dims[1])) {
+			return nil, ErrCorrupt
+		}
+		ms[i] = mat.New(int(dims[0]), int(dims[1]))
+		if err := binary.Read(r, binary.LittleEndian, ms[i].Data); err != nil {
+			return nil, ErrCorrupt
+		}
+	}
+	return ms, nil
+}
+
 // SaveMatrices stores an ordered list of dense matrices — the artifact
 // unit the distributed runtime uses for factor matrices and Gram
 // matrices. Like every object it inherits the atomic temp+rename+CRC
 // protocol, so a reader either sees the complete list or ErrNotFound.
 func (s *Store) SaveMatrices(name string, ms []*mat.Matrix) error {
 	return s.writeFile(name, kindMatrices, func(w io.Writer) error {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(ms))); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		for _, m := range ms {
-			if err := binary.Write(w, binary.LittleEndian, uint64(m.Rows)); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			if err := binary.Write(w, binary.LittleEndian, uint64(m.Cols)); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			if err := binary.Write(w, binary.LittleEndian, m.Data); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-		}
-		return nil
+		return writeMatrices(w, ms)
 	})
 }
 
 // LoadMatrices reads a matrix list saved with SaveMatrices.
 func (s *Store) LoadMatrices(name string) ([]*mat.Matrix, error) {
 	var out []*mat.Matrix
-	err := s.readFile(name, kindMatrices, func(r io.Reader, _ int64) error {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil || n > 256 {
-			return ErrCorrupt
-		}
-		out = make([]*mat.Matrix, n)
-		for i := range out {
-			var rows, cols uint64
-			if err := binary.Read(r, binary.LittleEndian, &rows); err != nil {
-				return ErrCorrupt
-			}
-			if err := binary.Read(r, binary.LittleEndian, &cols); err != nil {
-				return ErrCorrupt
-			}
-			if rows > 1<<24 || cols > 1<<24 {
-				return ErrCorrupt
-			}
-			m := mat.New(int(rows), int(cols))
-			if err := binary.Read(r, binary.LittleEndian, m.Data); err != nil {
-				return ErrCorrupt
-			}
-			out[i] = m
-		}
-		return nil
+	err := s.readFile(name, kindMatrices, func(r io.Reader, size int64) (err error) {
+		out, err = readMatrices(r, size, 256)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // SaveDecomposition stores a Tucker decomposition (core plus factors).
@@ -660,59 +659,32 @@ func (s *Store) SaveDecomposition(name string, d tucker.Decomposition) error {
 		if err := binary.Write(w, binary.LittleEndian, d.Core.Data); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(d.Factors))); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		for _, f := range d.Factors {
-			if err := binary.Write(w, binary.LittleEndian, uint64(f.Rows)); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			if err := binary.Write(w, binary.LittleEndian, uint64(f.Cols)); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			if err := binary.Write(w, binary.LittleEndian, f.Data); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-		}
-		return nil
+		return writeMatrices(w, d.Factors)
 	})
 }
 
 // LoadDecomposition reads a decomposition saved with SaveDecomposition.
 func (s *Store) LoadDecomposition(name string) (tucker.Decomposition, error) {
 	var out tucker.Decomposition
-	err := s.readFile(name, kindTucker, func(r io.Reader, _ int64) error {
+	err := s.readFile(name, kindTucker, func(r io.Reader, size int64) error {
 		shape, err := readShape(r)
 		if err != nil {
 			return err
+		}
+		if !float64sFit(size, shape...) {
+			return ErrCorrupt
 		}
 		core := tensor.NewDense(shape)
 		if err := binary.Read(r, binary.LittleEndian, core.Data); err != nil {
 			return ErrCorrupt
 		}
-		var nf uint32
-		if err := binary.Read(r, binary.LittleEndian, &nf); err != nil || nf > 64 {
-			return ErrCorrupt
+		factors, err := readMatrices(r, size, 64)
+		if err != nil {
+			return err
 		}
-		factors := make([]*mat.Matrix, nf)
-		ranks := make([]int, nf)
-		for i := range factors {
-			var rows, cols uint64
-			if err := binary.Read(r, binary.LittleEndian, &rows); err != nil {
-				return ErrCorrupt
-			}
-			if err := binary.Read(r, binary.LittleEndian, &cols); err != nil {
-				return ErrCorrupt
-			}
-			if rows > 1<<24 || cols > 1<<24 {
-				return ErrCorrupt
-			}
-			f := mat.New(int(rows), int(cols))
-			if err := binary.Read(r, binary.LittleEndian, f.Data); err != nil {
-				return ErrCorrupt
-			}
-			factors[i] = f
-			ranks[i] = int(cols)
+		ranks := make([]int, len(factors))
+		for i, f := range factors {
+			ranks[i] = f.Cols
 		}
 		out = tucker.Decomposition{Core: core, Factors: factors, Ranks: ranks}
 		return nil

@@ -3,8 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -79,45 +77,6 @@ func TestSparseMultiBlock(t *testing.T) {
 	}
 	if !got.ToDense().Equal(orig.ToDense(), 0) {
 		t.Fatal("multi-block roundtrip corrupted values")
-	}
-}
-
-// SaveDense is the writer of the dense object kind LoadDense still reads:
-// shape, then BlockSize cells at a time.
-func (s *Store) SaveDense(name string, t *tensor.Dense) error {
-	return s.writeFile(name, kindDense, func(w io.Writer) error {
-		if err := writeShape(w, t.Shape); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		for start := 0; start < len(t.Data); start += BlockSize {
-			end := start + BlockSize
-			if end > len(t.Data) {
-				end = len(t.Data)
-			}
-			if err := binary.Write(w, binary.LittleEndian, t.Data[start:end]); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-		}
-		return nil
-	})
-}
-
-func TestDenseRoundtrip(t *testing.T) {
-	s := testStore(t)
-	rng := rand.New(rand.NewSource(152))
-	orig := tensor.NewDense(tensor.Shape{7, 9, 3})
-	for i := range orig.Data {
-		orig.Data[i] = rng.NormFloat64()
-	}
-	if err := s.SaveDense("truth", orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.LoadDense("truth")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(orig, 0) {
-		t.Fatal("dense roundtrip corrupted values")
 	}
 }
 
@@ -244,7 +203,7 @@ func TestKindMismatch(t *testing.T) {
 	if err := s.SaveSparse("x", sp); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadDense("x"); err == nil {
+	if _, err := s.LoadDecomposition("x"); err == nil {
 		t.Fatal("kind mismatch not detected")
 	}
 }

@@ -327,14 +327,24 @@ func Systems() []string {
 	return out
 }
 
-// space returns the parameter space for the config and, when fault
-// injection is enabled, the injector wrapping its system. Fault-wrapped
-// runs always build a FRESH space: eval.SpaceFor caches spaces
-// process-wide, and an injector must never leak into other runs' cached
-// references or ground truths.
+// Space returns the fault-free parameter space of the config's campaign,
+// with the defaults RunCtx fills — the space a caller holding only a
+// Config predicts over (the campaign server rebuilding a restart-era job's
+// report). Spaces are cached process-wide, with their reference
+// trajectories and ground truths.
+func (c Config) Space() (*ensemble.Space, error) {
+	c = c.normalize()
+	return eval.SpaceFor(string(c.System), c.Resolution, c.TimeSamples)
+}
+
+// space returns the parameter space a run of the normalized config
+// simulates over and, when fault injection is enabled, the injector
+// wrapping its system. Fault-wrapped runs always build a FRESH space: an
+// injector must never leak into other runs' cached references or ground
+// truths.
 func (c Config) space() (*ensemble.Space, *faults.Injector, error) {
 	if c.Faults == nil {
-		sp, err := eval.SpaceFor(string(c.System), c.Resolution, c.TimeSamples)
+		sp, err := c.Space()
 		return sp, nil, err
 	}
 	sys, err := dynsys.ByName(string(c.System))
@@ -347,12 +357,12 @@ func (c Config) space() (*ensemble.Space, *faults.Injector, error) {
 
 // pivot resolves Config.Pivot to a mode of the space: a mode name, or
 // "auto" for the best-scoring pivot of a coarse pilot run.
-func (r resolved) pivot() (int, error) {
+func (r resolved) pivot(ctx context.Context) (int, error) {
 	cfg := r.cfg
 	if cfg.Pivot == "auto" {
-		scores, err := eval.SelectPivot(string(cfg.System), min(cfg.Resolution, 8), cfg.Rank, 150, cfg.Seed)
+		scores, err := eval.SelectPivot(ctx, string(cfg.System), min(cfg.Resolution, 8), cfg.Rank, 150, cfg.Seed)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("m2td: pivot selection: %w", err)
 		}
 		return scores[0].Pivot, nil
 	}
@@ -369,7 +379,7 @@ func (r resolved) pivot() (int, error) {
 // config at its resolved pivot (see Config.fingerprint), so a resumed
 // campaign trusts exactly the checkpoints whose simulations are its own —
 // or returns nil when CheckpointDir is unset.
-func (r resolved) checkpoint(pivot int) (*partition.Checkpoint, error) {
+func (r resolved) checkpoint(pivot int) (*ensemble.Checkpoint, error) {
 	c := r.cfg
 	if c.CheckpointDir == "" {
 		return nil, nil
@@ -378,7 +388,7 @@ func (r resolved) checkpoint(pivot int) (*partition.Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m2td: checkpoint catalog: %w", err)
 	}
-	return &partition.Checkpoint{Store: st, Fingerprint: c.fingerprint(r.space.ModeName(pivot)), Every: c.CheckpointEvery, Resume: c.Resume}, nil
+	return &ensemble.Checkpoint{Store: st, Fingerprint: c.fingerprint(r.space.ModeName(pivot)), Every: c.CheckpointEvery, Resume: c.Resume}, nil
 }
 
 // trace starts the run's stage-span trace when Config.Trace asks for one.
@@ -432,7 +442,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	cfg = r.cfg
-	pivot, err := r.pivot()
+	pivot, err := r.pivot(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -495,9 +505,8 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 
 	simStart := time.Now()
 	var se *ensemble.SparseEnsemble
-	var estats ensemble.EncodeStats
 	err = runStage(ctx, trace, "simulate", "simulation", cfg.SimTimeout, func(ctx context.Context, span *obs.Span) (err error) {
-		se, estats, err = ensemble.EncodeCtx(ctx, space, sims, ensemble.EncodeOptions{Workers: cfg.Parallel, Retry: cfg.Retry, Span: span})
+		se, _, err = ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{Workers: cfg.Parallel, Retry: cfg.Retry, Span: span})
 		return err
 	})
 	if err != nil {
@@ -518,10 +527,7 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 		return nil, err
 	}
 
-	report := r.report(len(sims), se.Tensor.NNZ(), partition.SimStats{
-		ExecutedSims: estats.ExecutedSims, RetriedSims: estats.RetriedSims,
-		FailedSims: estats.FailedSims, QuarantinedCells: estats.QuarantinedCells,
-	}, se.Tensor, se.Tensor)
+	report := r.report(len(sims), se.Tensor.NNZ(), se.Stats, se.Tensor, se.Tensor)
 	report.SimTime, report.DecompTime = simTime, time.Since(decompStart)
 	return r.finish(ctx, trace, report, eval.TuckerModel{Core: dec.Core, Factors: dec.Factors})
 }
@@ -530,7 +536,7 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 // fault-tolerance accounting of the simulation stage, the effective
 // densities of the decomposed tensors, and — snapshotted before evaluation
 // simulates the whole space through the same injector — the fault stats.
-func (r resolved) report(sims, cells int, st partition.SimStats, x1, x2 *tensor.Sparse) *Report {
+func (r resolved) report(sims, cells int, st ensemble.SimStats, x1, x2 *tensor.Sparse) *Report {
 	report := &Report{
 		Accuracy:          math.NaN(),
 		NumSims:           sims,
@@ -639,7 +645,7 @@ func PartitionCtx(ctx context.Context, space *ensemble.Space, pivot int, opts Pa
 // partitionStage is the simulation stage of RunCtx and the body of
 // PartitionCtx: opts with its defaults filled, plus what only a campaign
 // has — a stage deadline and a checkpoint.
-func partitionStage(ctx context.Context, space *ensemble.Space, pivot int, opts PartitionOptions, timeout time.Duration, ck *partition.Checkpoint) (part *partition.Result, err error) {
+func partitionStage(ctx context.Context, space *ensemble.Space, pivot int, opts PartitionOptions, timeout time.Duration, ck *ensemble.Checkpoint) (part *partition.Result, err error) {
 	pcfg := partition.DefaultConfig(space.Order(), pivot, eval.PairsFor(space.Sys.Name()))
 	pcfg.PivotFrac, pcfg.FreeFrac = opts.PivotFrac, opts.FreeFrac
 	err = runStage(ctx, opts.Trace, "partition", "simulation", timeout, func(ctx context.Context, span *obs.Span) (err error) {

@@ -339,3 +339,87 @@ func TestBaselineCtxFaultTolerant(t *testing.T) {
 		t.Fatal("divergent sims produced no quarantined cells")
 	}
 }
+
+// TestSimulationAccountingInvariant: the paper's tables compare M2TD with
+// the conventional schemes at an equal simulation budget, so both
+// pipelines must account for a budget the same way — every requested
+// simulation is exactly one of executed, restored or failed, and cells
+// are missing only where simulations failed. The two fault patterns are
+// the ones the pipelines used to disagree on: a retry budget exhausted by
+// transient errors (the baseline counted a failed run as executed too), and
+// one exhausted by the per-attempt deadline (the baseline filed it under
+// "campaign cancelled" and counted nothing).
+func TestSimulationAccountingInvariant(t *testing.T) {
+	patterns := map[string]func(*Config){
+		"retries-exhausted": func(c *Config) {
+			c.Faults = &faults.Config{Seed: 3, TransientRate: 0.5}
+			c.Retry = faults.RetryPolicy{MaxAttempts: 1}
+		},
+		"attempt-deadline": func(c *Config) {
+			c.Faults = &faults.Config{Seed: 3, LatencyRate: 1, Latency: 20 * time.Millisecond}
+			c.Retry = faults.RetryPolicy{MaxAttempts: 1, AttemptTimeout: time.Millisecond}
+		},
+	}
+	// Each pipeline returns its report and the cells its simulations
+	// stored; at the time pivot every simulation is asked for T of them.
+	pipelines := map[string]func(Config) (*Report, int, error){
+		"run": func(c Config) (*Report, int, error) {
+			r, err := RunCtx(context.Background(), c)
+			if err != nil {
+				return nil, 0, err
+			}
+			return r, r.Partition.Sub1.Tensor.NNZ() + r.Partition.Sub2.Tensor.NNZ(), nil
+		},
+		"baseline": func(c Config) (*Report, int, error) {
+			r, err := BaselineCtx(context.Background(), c, "random", 72)
+			if err != nil {
+				return nil, 0, err
+			}
+			return r, r.JoinCells, nil
+		},
+	}
+	for pattern, inject := range patterns {
+		for pipeline, run := range pipelines {
+			t.Run(pattern+"/"+pipeline, func(t *testing.T) {
+				cfg := Config{Resolution: 6, SkipAccuracy: true}
+				inject(&cfg)
+				r, cells, err := run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.NumSims != 72 {
+					t.Fatalf("budget %d, want 72", r.NumSims)
+				}
+				if got := r.ExecutedSims + r.RestoredSims + r.FailedSims; got != r.NumSims {
+					t.Errorf("executed %d + restored %d + failed %d = %d, want the budget %d",
+						r.ExecutedSims, r.RestoredSims, r.FailedSims, got, r.NumSims)
+				}
+				if r.FailedSims == 0 {
+					t.Error("no simulation failed; the drill tests nothing")
+				}
+				if want := r.ExecutedSims * 6; cells+r.QuarantinedCells != want {
+					t.Errorf("%d cells stored + %d quarantined, want %d from %d executed simulations",
+						cells, r.QuarantinedCells, want, r.ExecutedSims)
+				}
+			})
+		}
+	}
+}
+
+// TestRunAutoPivotHonoursCancellation: pivot selection runs five pilot
+// campaigns before the campaign proper; they are the caller's to cancel.
+func TestRunAutoPivotHonoursCancellation(t *testing.T) {
+	executed := func() any { return MetricsSnapshot()["m2td_sims_executed_total"] }
+	before := executed()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := smallConfig()
+	cfg.Pivot = "auto"
+	_, err := RunCtx(ctx, cfg)
+	if !errors.Is(err, context.Canceled) || err == context.Canceled {
+		t.Fatalf("want a wrapped context.Canceled, got %v", err)
+	}
+	if after := executed(); after != before {
+		t.Fatalf("a cancelled auto-pivot run simulated: m2td_sims_executed_total %v -> %v", before, after)
+	}
+}
