@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint lint-fix lint-extra test race bench bench-json bench-diff bench-smoke examples-smoke simgen-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke ci clean
+.PHONY: all build vet lint lint-fix lint-extra test race tables bench bench-json bench-diff bench-smoke examples-smoke simgen-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke ci clean
 
 all: build
 
@@ -56,6 +56,14 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=20 -timeout 25m ./internal/parallel ./internal/ensemble ./internal/partition ./internal/serve ./internal/distnet ./internal/dist
+
+# Regenerate tables_output.txt: the paper's tables and figure at the default
+# scale (-table all), then the ablations shaped like them. ≈ 1 min; the
+# accuracy cells are deterministic (and pinned at res 6 by the golden test
+# in internal/eval), the time cells are this machine's.
+tables:
+	$(GO) run ./cmd/m2tdbench -table all > tables_output.txt
+	$(GO) run ./cmd/m2tdbench -table noise,ranks,extended,pivotselect >> tables_output.txt
 
 # Full benchmark run (slow; honours M2TD_BENCH_RES).
 bench:

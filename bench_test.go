@@ -62,25 +62,34 @@ func reportAccuracies(b *testing.B, cmp *eval.Comparison) {
 	}
 }
 
+// benchExperiment regenerates one registered comparison experiment at
+// bench scale, b.N times, and returns the last run's rows.
+func benchExperiment(b *testing.B, name string, ranks []int) []eval.Row {
+	b.Helper()
+	for _, exp := range eval.Experiments(benchBase(), []int{benchRes()}, ranks) {
+		if exp.Name != name {
+			continue
+		}
+		var rows []eval.Row
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if rows, err = exp.Run(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		return rows
+	}
+	b.Fatalf("no comparison experiment %q", name)
+	return nil
+}
+
 // BenchmarkTable2 regenerates Table II: the six-scheme accuracy/time grid
 // over resolutions and ranks for the double pendulum.
 func BenchmarkTable2(b *testing.B) {
-	base := benchBase()
-	resolutions := []int{benchRes()}
-	ranks := []int{2, 4}
-	var last []*eval.Comparison
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cmps, err := eval.Table2(context.Background(), base, resolutions, ranks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = cmps
-	}
-	b.StopTimer()
-	if len(last) > 0 {
-		reportAccuracies(b, last[len(last)-1])
-	}
+	rows := benchExperiment(b, "2", []int{2, 4})
+	reportAccuracies(b, rows[len(rows)-1].Comparison)
 }
 
 // BenchmarkTable3 regenerates Table III: the D-M2TD phase-time split by
@@ -107,39 +116,15 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates Table IV: the six-scheme comparison on the
 // triple pendulum and Lorenz systems.
 func BenchmarkTable4(b *testing.B) {
-	base := benchBase()
-	var last []*eval.Comparison
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cmps, err := eval.Table4(context.Background(), base, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = cmps
-	}
-	b.StopTimer()
-	if len(last) > 0 {
-		reportAccuracies(b, last[0])
-	}
+	reportAccuracies(b, benchExperiment(b, "4", nil)[0].Comparison)
 }
 
 // BenchmarkTable5 regenerates Table V: reduced budgets with join vs
 // zero-join stitching.
 func BenchmarkTable5(b *testing.B) {
-	base := benchBase()
-	var last []eval.Table5Row
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table5(context.Background(), base, []float64{1.0, 0.1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows
-	}
-	b.StopTimer()
-	for _, row := range last {
-		if row.BudgetFrac < 1 && row.ZeroJoin {
-			if r, ok := row.Comparison.Get(eval.SchemeSELECT); ok {
+	for _, row := range benchExperiment(b, "5", nil) {
+		if row.Config.FreeFrac < 1 && row.Config.ZeroJoin {
+			if r, ok := row.Get(eval.SchemeSELECT); ok {
 				b.ReportMetric(r.Accuracy, "zerojoin-acc")
 			}
 		}
@@ -147,46 +132,17 @@ func BenchmarkTable5(b *testing.B) {
 }
 
 // BenchmarkTable6 regenerates Table VI: the pivot-density (P) sweep.
-func BenchmarkTable6(b *testing.B) {
-	base := benchBase()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table6(context.Background(), base, []float64{1.0, 0.5, 0.25}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable6(b *testing.B) { benchExperiment(b, "6", nil) }
 
 // BenchmarkTable7 regenerates Table VII: the sub-ensemble-density (E)
 // sweep.
-func BenchmarkTable7(b *testing.B) {
-	base := benchBase()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table7(context.Background(), base, []float64{1.0, 0.5, 0.25}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable7(b *testing.B) { benchExperiment(b, "7", nil) }
 
 // BenchmarkTable8 regenerates Table VIII: the pivot-parameter sweep over
 // all five modes.
 func BenchmarkTable8(b *testing.B) {
-	base := benchBase()
-	var last []eval.PivotRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table8(context.Background(), base, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows
-	}
-	b.StopTimer()
-	if len(last) > 0 {
-		if r, ok := last[0].Comparison.Get(eval.SchemeSELECT); ok {
-			b.ReportMetric(r.Accuracy, "pivot-t-acc")
-		}
+	if r, ok := benchExperiment(b, "8", nil)[0].Get(eval.SchemeSELECT); ok {
+		b.ReportMetric(r.Accuracy, "pivot-t-acc")
 	}
 }
 
@@ -385,10 +341,14 @@ func BenchmarkFig6(b *testing.B) {
 // (Section I-C) against which JE-stitching is motivated.
 func BenchmarkUnionBaseline(b *testing.B) {
 	part, _ := benchPartition(b)
+	score, err := eval.Scorer(context.Background(), part.Space, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		r, err := eval.UnionResult(part, 3)
+		r, err := eval.UnionResult(part, 3, score)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -399,14 +359,7 @@ func BenchmarkUnionBaseline(b *testing.B) {
 }
 
 // BenchmarkNoiseSweep measures the robustness ablation.
-func BenchmarkNoiseSweep(b *testing.B) {
-	base := benchBase()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.NoiseSweep(context.Background(), base, []float64{0, 0.2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkNoiseSweep(b *testing.B) { benchExperiment(b, "noise", nil) }
 
 // BenchmarkSketchedJoin measures the randomized-sketch fast path over the
 // stitched join at decreasing keep fractions (the MACH/PARCUBE-style

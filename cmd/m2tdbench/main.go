@@ -8,6 +8,7 @@
 //	m2tdbench -table 2 -res 12,16,20 -rank 2,4,6
 //	m2tdbench -table 3 -workers 1,2,4,8,16
 //	m2tdbench -table 5 -res 16
+//	m2tdbench -table 2,4,5 -csv out.csv   # comparison rows, one header
 //	m2tdbench -table 2 -parallel 8        # 8-worker shared-memory pool
 //	m2tdbench -table sketch               # SketchedHOSVD vs HOSVD on one large sparse tensor
 //	m2tdbench -run -res 12 -timeout 2m    # one pipeline with a deadline
@@ -57,14 +58,14 @@ import (
 
 func main() {
 	var (
-		table   = flag.String("table", "all", "table to regenerate: 1..8, fig6, noise, ranks, extended, pivotselect, sketch, or 'all'")
+		table   = flag.String("table", "all", "comma-separated tables to regenerate: "+tableNames()+", or 'all'")
 		res     = flag.String("res", "", "comma-separated resolutions (table 2) or single base resolution")
 		timeS   = flag.Int("time", 0, "time-mode size (defaults to the resolution)")
 		rank    = flag.String("rank", "", "comma-separated ranks (table 2) or single base rank")
 		workers = flag.String("workers", "", "comma-separated D-M2TD server counts (table 3); with -run the first value runs in-process D-M2TD at that shard count")
 		seed    = flag.Int64("seed", eval.DefaultSeed, "sampling seed")
 		seeds   = flag.Int("seeds", 0, "run a multi-seed sweep of the base configuration with this many seeds instead of a table")
-		csvOut  = flag.String("csv", "", "also export comparison rows as CSV to this file (tables 2 and 4)")
+		csvOut  = flag.String("csv", "", "also export every comparison table's rows as CSV to this file, under one header (the sketch table writes its own rows)")
 		estim   = flag.Int("estimate", 0, "paper-scale mode: score accuracy on this many sampled ground-truth fibers (required beyond res ≈24)")
 		par     = flag.Int("parallel", 0, "shared-memory worker-pool size for the decomposition kernels (0 = all CPUs, 1 = serial; results are identical for any value)")
 
@@ -161,20 +162,17 @@ func main() {
 		return
 	}
 
-	tables := strings.Split(*table, ",")
+	names := strings.Split(*table, ",")
 	if *table == "all" {
-		tables = []string{"1", "2", "3", "4", "5", "6", "7", "8", "fig6"}
+		names = nil
+		for _, t := range tables[:allTables] {
+			names = append(names, t.name)
+		}
 	}
-	for i, tb := range tables {
-		if i > 0 {
-			fmt.Println()
-		}
-		start := time.Now()
-		if err := run(ctx, os.Stdout, tb, base, *res, *rank, *workers, *csvOut); err != nil {
-			fmt.Fprintf(os.Stderr, "m2tdbench: table %s: %v\n", tb, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\n[table %s regenerated in %v]\n", tb, time.Since(start).Round(time.Millisecond))
+	sw := sweeps{res: ints(*res), ranks: ints(*rank), workers: ints(*workers)}
+	if err := runTables(ctx, os.Stdout, names, base, sw, *csvOut); err != nil {
+		fmt.Fprintln(os.Stderr, "m2tdbench:", err)
+		os.Exit(1)
 	}
 }
 
@@ -254,147 +252,152 @@ func runSeeds(ctx context.Context, base eval.Config, n int) error {
 	for i := range seedList {
 		seedList[i] = base.Seed + int64(i)
 	}
-	sweep, err := eval.RunSeeds(ctx, base, seedList)
+	sweep := eval.SeedSweep(base, seedList)
+	rows, err := sweep.Run(ctx)
 	if err != nil {
 		return err
 	}
-	eval.RenderSeedSweep(os.Stdout, sweep)
+	sweep.Render(os.Stdout, rows)
 	return nil
 }
 
-// exportCSV appends comparison rows to the CSV file when requested.
-func exportCSV(path string, cmps []*eval.Comparison) error {
-	if path == "" {
-		return nil
+// sweeps are the comma-list flags: the value lists a table sweeps over in
+// place of its defaults (nil keeps the default).
+type sweeps struct{ res, ranks, workers []int }
+
+// table is one -table name. A nil print means a scheme comparison: the
+// experiment of that name in eval's registry, run, rendered and exported the
+// one way. The other five tables have row shapes of their own and print
+// themselves (csv is nil without -csv).
+type table struct {
+	name  string
+	print func(ctx context.Context, out io.Writer, base eval.Config, sw sweeps, csv io.Writer) error
+}
+
+// tables is the registry behind -table, in help order: the lookup, the help
+// text, the unknown-table error and 'all' (its first allTables entries, the
+// paper's tables and figure) all read this list.
+var tables = []table{
+	{"1", table1}, {"2", nil}, {"3", table3}, {"4", nil}, {"5", nil}, {"6", nil}, {"7", nil}, {"8", nil},
+	{"fig6", fig6}, {"noise", nil}, {"ranks", nil}, {"extended", nil}, {"pivotselect", pivotSelect}, {"sketch", sketch},
+}
+
+const allTables = 9
+
+func tableNames() string {
+	names := make([]string, len(tables))
+	for i, t := range tables {
+		names[i] = t.name
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return strings.Join(names, ", ")
+}
+
+// runTables regenerates the named tables in order, each followed by its
+// wall-clock footer, and — with a csvPath — exports the rows of every
+// comparison table among them to that file under one header. Rows of the
+// tables that finished are exported even when a later one fails.
+func runTables(ctx context.Context, out io.Writer, names []string, base eval.Config, sw sweeps, csvPath string) (err error) {
+	var csv io.Writer
+	if csvPath != "" {
+		f, openErr := os.Create(csvPath)
+		if openErr != nil {
+			return openErr
+		}
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		csv = f
+	}
+	var rows []eval.Row
+	for i, name := range names {
+		if i > 0 {
+			fmt.Fprintln(out)
+		}
+		start := time.Now()
+		r, runErr := run(ctx, out, name, base, sw, csv)
+		if runErr != nil {
+			err = fmt.Errorf("table %s: %w", name, runErr)
+			break
+		}
+		rows = append(rows, r...)
+		fmt.Fprintf(out, "\n[table %s regenerated in %v]\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	if csv != nil && len(rows) > 0 {
+		if xerr := eval.ExportCSV(csv, rows); err == nil {
+			err = xerr
+		}
+	}
+	return err
+}
+
+// run prints one table and returns the comparison rows it printed, if any.
+func run(ctx context.Context, out io.Writer, name string, base eval.Config, sw sweeps, csv io.Writer) ([]eval.Row, error) {
+	for _, t := range tables {
+		if t.name != name {
+			continue
+		}
+		if t.print != nil {
+			return nil, t.print(ctx, out, base, sw, csv)
+		}
+		for _, exp := range eval.Experiments(base, sw.res, sw.ranks) {
+			if exp.Name == name {
+				rows, err := exp.Run(ctx)
+				if err == nil {
+					exp.Render(out, rows)
+				}
+				return rows, err
+			}
+		}
+		return nil, fmt.Errorf("eval registers no comparison experiment %q", name)
+	}
+	return nil, fmt.Errorf("unknown table %q (want %s, or all)", name, tableNames())
+}
+
+func table1(ctx context.Context, out io.Writer, _ eval.Config, sw sweeps, _ io.Writer) error {
+	rows, err := eval.Table1(ctx, nil, sw.res)
+	if err == nil {
+		eval.RenderTable1(out, rows)
+	}
+	return err
+}
+
+func table3(ctx context.Context, out io.Writer, base eval.Config, sw sweeps, _ io.Writer) error {
+	rows, err := eval.Table3(ctx, base, sw.workers)
+	if err == nil {
+		eval.RenderTable3(out, rows)
+	}
+	return err
+}
+
+func fig6(ctx context.Context, out io.Writer, base eval.Config, _ sweeps, _ io.Writer) error {
+	rows, err := eval.Fig6(ctx, base, nil)
+	if err == nil {
+		eval.RenderFig6(out, rows)
+	}
+	return err
+}
+
+func pivotSelect(ctx context.Context, out io.Writer, base eval.Config, _ sweeps, _ io.Writer) error {
+	if base.Res == 0 {
+		base = eval.DefaultConfig("double-pendulum")
+	}
+	scores, err := eval.SelectPivot(ctx, base.System, min(base.Res, 8), base.Rank, 200, eval.DefaultSeed)
+	if err == nil {
+		eval.RenderPivotScores(out, base.System, scores)
+	}
+	return err
+}
+
+func sketch(ctx context.Context, out io.Writer, base eval.Config, _ sweeps, csv io.Writer) error {
+	rows, err := eval.SketchSweep(ctx, base, nil)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return eval.ExportComparisonsCSV(f, cmps)
-}
-
-func run(ctx context.Context, out io.Writer, table string, base eval.Config, res, rank, workers, csvOut string) error {
-	switch table {
-	case "sketch":
-		rows, err := eval.SketchSweep(ctx, base, nil)
-		if err != nil {
-			return err
-		}
-		eval.RenderSketchSweep(out, rows)
-		if csvOut != "" {
-			f, err := os.OpenFile(csvOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return eval.ExportSketchSweepCSV(f, rows)
-		}
-	case "1":
-		rows, err := eval.Table1(ctx, nil, ints(res))
-		if err != nil {
-			return err
-		}
-		eval.RenderTable1(out, rows)
-	case "fig6":
-		rows, err := eval.Fig6(ctx, base, nil)
-		if err != nil {
-			return err
-		}
-		eval.RenderFig6(out, rows)
-	case "noise":
-		if base.Res == 0 {
-			base = eval.DefaultConfig("double-pendulum")
-		}
-		rows, err := eval.NoiseSweep(ctx, base, nil)
-		if err != nil {
-			return err
-		}
-		eval.RenderNoiseSweep(out, rows)
-	case "ranks":
-		rows, err := eval.RankSweep(ctx, base, ints(rank))
-		if err != nil {
-			return err
-		}
-		eval.RenderRankSweep(out, rows)
-	case "pivotselect":
-		system := "double-pendulum"
-		if base.System != "" {
-			system = base.System
-		}
-		pilotRes := 8
-		if base.Res != 0 && base.Res < pilotRes {
-			pilotRes = base.Res
-		}
-		rank := eval.DefaultRank
-		if base.Rank != 0 {
-			rank = base.Rank
-		}
-		scores, err := eval.SelectPivot(ctx, system, pilotRes, rank, 200, eval.DefaultSeed)
-		if err != nil {
-			return err
-		}
-		eval.RenderPivotScores(out, system, scores)
-	case "extended":
-		if base.Res == 0 {
-			base = eval.DefaultConfig("double-pendulum")
-		}
-		cmp, err := eval.ExtendedComparison(ctx, base)
-		if err != nil {
-			return err
-		}
-		eval.RenderExtended(out, []*eval.Comparison{cmp})
-	case "2":
-		cmps, err := eval.Table2(ctx, base, ints(res), ints(rank))
-		if err != nil {
-			return err
-		}
-		eval.RenderTable2(out, cmps)
-		if err := exportCSV(csvOut, cmps); err != nil {
-			return err
-		}
-	case "3":
-		rows, err := eval.Table3(ctx, base, ints(workers))
-		if err != nil {
-			return err
-		}
-		eval.RenderTable3(out, rows)
-	case "4":
-		cmps, err := eval.Table4(ctx, base, nil)
-		if err != nil {
-			return err
-		}
-		eval.RenderTable4(out, cmps)
-		if err := exportCSV(csvOut, cmps); err != nil {
-			return err
-		}
-	case "5":
-		rows, err := eval.Table5(ctx, base, nil)
-		if err != nil {
-			return err
-		}
-		eval.RenderTable5(out, rows)
-	case "6":
-		rows, err := eval.Table6(ctx, base, nil)
-		if err != nil {
-			return err
-		}
-		eval.RenderTable6(out, rows)
-	case "7":
-		rows, err := eval.Table7(ctx, base, nil)
-		if err != nil {
-			return err
-		}
-		eval.RenderTable7(out, rows)
-	case "8":
-		rows, err := eval.Table8(ctx, base, nil)
-		if err != nil {
-			return err
-		}
-		eval.RenderTable8(out, rows)
-	default:
-		return fmt.Errorf("unknown table %q (want 1..8, fig6, noise, ranks, extended, pivotselect, sketch, or all)", table)
+	eval.RenderSketchSweep(out, rows)
+	if csv != nil {
+		return eval.ExportSketchSweepCSV(csv, rows)
 	}
 	return nil
 }

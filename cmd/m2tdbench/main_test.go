@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,8 +35,30 @@ func TestFirstInt(t *testing.T) {
 }
 
 func TestRunRejectsUnknownTable(t *testing.T) {
-	if err := run(context.Background(), io.Discard, "99", eval.Config{}, "", "", "", ""); err == nil {
+	err := runTables(context.Background(), io.Discard, []string{"99"}, eval.Config{}, sweeps{}, "")
+	if err == nil {
 		t.Fatal("unknown table accepted")
+	}
+	// The error lists the registry, the same names the -table help prints.
+	for _, tb := range tables {
+		if !strings.Contains(err.Error(), tb.name) {
+			t.Fatalf("unknown-table error %q does not name table %s", err, tb.name)
+		}
+	}
+}
+
+// TestRegistryCoversEvalExperiments: every comparison experiment eval
+// registers is a -table name (TestRunAllTablesTinyScale holds the converse:
+// a comparison entry eval does not know fails to run).
+func TestRegistryCoversEvalExperiments(t *testing.T) {
+	names := map[string]bool{}
+	for _, tb := range tables {
+		names[tb.name] = true
+	}
+	for _, exp := range eval.Experiments(eval.Config{}, nil, nil) {
+		if !names[exp.Name] {
+			t.Errorf("eval experiment %q is not a -table name", exp.Name)
+		}
 	}
 }
 
@@ -48,43 +71,65 @@ func tinyBase() eval.Config {
 	return cfg
 }
 
+var tinySweeps = sweeps{res: []int{5}, ranks: []int{2}, workers: []int{1, 2}}
+
 func TestRunAllTablesTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI table sweep")
 	}
-	base := tinyBase()
-	for _, tb := range []string{"1", "3", "4", "5", "6", "7", "8", "fig6", "noise", "ranks", "extended", "pivotselect", "sketch"} {
+	for _, tb := range tables {
 		var b strings.Builder
-		if err := run(context.Background(), &b, tb, base, "5", "2", "1,2", ""); err != nil {
-			t.Fatalf("table %s: %v", tb, err)
+		if err := runTables(context.Background(), &b, []string{tb.name}, tinyBase(), tinySweeps, ""); err != nil {
+			t.Fatal(err)
 		}
-		if b.Len() == 0 {
-			t.Fatalf("table %s produced no output", tb)
+		if !strings.Contains(b.String(), "[table "+tb.name+" regenerated in ") {
+			t.Fatalf("table %s: no footer in output:\n%s", tb.name, b.String())
 		}
 	}
 }
 
 func TestRunTable2WithCSVExport(t *testing.T) {
-	base := tinyBase()
-	csvPath := filepath.Join(t.TempDir(), "out.csv")
-	var b strings.Builder
-	if err := run(context.Background(), &b, "2", base, "5", "2", "", csvPath); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "M2TD-SELECT") {
-		t.Fatal("CSV export missing scheme rows")
+	for _, names := range [][]string{{"2"}, {"2", "5"}} {
+		csvPath := filepath.Join(t.TempDir(), "out.csv")
+		var b strings.Builder
+		if err := runTables(context.Background(), &b, names, tinyBase(), tinySweeps, csvPath); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, err := csv.NewReader(f).ReadAll()
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One header however many tables were written, then the rows of
+		// every table asked for, each led by its table's name.
+		exported := map[string]int{}
+		for i, rec := range records {
+			if (rec[0] == "table") != (i == 0) {
+				t.Fatalf("-table %v: header on line %d: %v", names, i+1, rec)
+			}
+			if i > 0 {
+				exported[rec[0]]++
+			}
+		}
+		if !strings.Contains(strings.Join(records[1], ","), "M2TD-AVG") {
+			t.Fatalf("-table %v: CSV export missing scheme rows", names)
+		}
+		for _, name := range names {
+			if exported[name] == 0 {
+				t.Fatalf("-table %v: no rows of table %s among %v", names, name, exported)
+			}
+		}
 	}
 }
 
 func TestRunSketchTableWithCSVExport(t *testing.T) {
-	base := tinyBase()
 	csvPath := filepath.Join(t.TempDir(), "sketch.csv")
 	var b strings.Builder
-	if err := run(context.Background(), &b, "sketch", base, "5", "2", "", csvPath); err != nil {
+	if err := runTables(context.Background(), &b, []string{"sketch"}, tinyBase(), tinySweeps, csvPath); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "SKETCH SWEEP") {

@@ -1,6 +1,9 @@
 // Package eval contains the evaluation harness: the paper's accuracy
-// metric, runners for each experiment (Tables II–VIII of Section VII),
-// and text renderers that print the same rows the paper reports.
+// metric and its one scorer, the registry of scheme-comparison experiments
+// (Tables II and IV–VIII of Section VII and the ablations shaped like them)
+// with the one runner, renderer and exporter they share, and the tables that
+// are not comparisons (I, III, Figure 6, the sketch and pivot-selection
+// reports).
 //
 // The harness runs at configurable resolutions. Defaults are scaled down
 // from the paper's 60–80 per mode (whose full tensors would need tens of
@@ -37,7 +40,10 @@ func Accuracy(recon, truth *tensor.Dense) float64 {
 // Scheme is one evaluated ensemble-construction scheme.
 type Scheme string
 
-// The six schemes compared throughout Section VII.
+// The six schemes compared throughout Section VII, and the two extra
+// baselines of the extended comparison: Latin hypercube sampling
+// (experiment-design literature) and the paper's naive union alternative
+// (Section I-C).
 const (
 	SchemeAVG    Scheme = "M2TD-AVG"
 	SchemeCONCAT Scheme = "M2TD-CONCAT"
@@ -45,6 +51,8 @@ const (
 	SchemeRandom Scheme = "Random"
 	SchemeGrid   Scheme = "Grid"
 	SchemeSlice  Scheme = "Slice"
+	SchemeLHS    Scheme = "LHS"
+	SchemeUnion  Scheme = "Union"
 )
 
 // AllSchemes lists the schemes in the paper's column order.
@@ -155,16 +163,18 @@ func (cfg Config) generate(ctx context.Context, space *ensemble.Space) (*partiti
 	return partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{})
 }
 
-// scorer returns the accuracy metric every scheme of one comparison is
-// scored by: the exact metric against the ground-truth tensor, or — with
-// EstimateSims set — its estimate on one fiber sample shared by all schemes,
-// so scheme-to-scheme differences carry no sampling noise.
-func (cfg Config) scorer(ctx context.Context, space *ensemble.Space) (func(TuckerModel) (float64, error), error) {
-	if cfg.EstimateSims > 0 {
-		fibers, err := SampleFibers(ctx, space, cfg.EstimateSims, rand.New(rand.NewSource(cfg.Seed+100)))
-		if err != nil {
-			return nil, err
-		}
+// Scorer returns the one accuracy metric of the repo: the exact metric
+// against space's ground-truth tensor (built here, once), or — with
+// estimateSims positive — its estimate on estimateSims sampled truth fibers,
+// drawn once from seed and shared by every model scored, so differences
+// between models carry no sampling noise. Every accuracy a table, a sweep or
+// a campaign reports is scored by the function this returns.
+func Scorer(ctx context.Context, space *ensemble.Space, estimateSims int, seed int64) (func(TuckerModel) (float64, error), error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if estimateSims > 0 {
+		fibers := sampleFibers(space, estimateSims, rand.New(rand.NewSource(seed+100)))
 		return func(m TuckerModel) (float64, error) { return EstimateFromFibers(m, fibers) }, nil
 	}
 	truth := space.GroundTruth()
@@ -196,47 +206,104 @@ func (cfg Config) conventionalRow(ctx context.Context, space *ensemble.Space, sc
 	}, err
 }
 
-// RunComparison evaluates all six schemes on one experiment cell. The
-// PF-partitioned sub-ensembles are generated once and shared by the three
-// M2TD variants, which take core's dispatch rule (join-free while the
-// partition is intact); the conventional schemes receive the same number of
-// simulations (the paper's equal-budget comparison). EstimateSims picks the
-// scorer and nothing else.
+// RunComparison evaluates all six schemes on one experiment cell, simulated
+// for this call alone. The PF-partitioned sub-ensembles are generated once
+// and shared by the three M2TD variants, which decompose join-free; the
+// conventional schemes receive the same number of simulations (the paper's
+// equal-budget comparison). EstimateSims picks the scorer and nothing else.
 func RunComparison(ctx context.Context, cfg Config) (*Comparison, error) {
-	space, part, err := cfg.ensemble(ctx)
+	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
 	if err != nil {
 		return nil, err
 	}
-	return runComparisonOn(ctx, cfg, space, part)
+	part, err := cfg.generate(ctx, space)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.compare(ctx, part, false)
 }
 
-// ensemble returns the experiment cell's space and its simulated partition
-// — what generate reads of a Config (system, resolution, time samples,
-// pivot, P, E, seed) is the cell's simulation identity, so a sweep over any
-// other field calls this once and runComparisonOn per row.
-func (cfg Config) ensemble(ctx context.Context) (*ensemble.Space, *partition.Result, error) {
+// simID is the simulation identity of an experiment cell: the fields of a
+// Config that generate reads. Cells with equal simIDs simulate the same
+// partition, whatever they go on to decompose.
+type simID struct {
+	system                  string
+	res, timeSamples, pivot int
+	pivotFrac, freeFrac     float64
+	seed                    int64
+}
+
+// partitionCache holds the most recently used simulated partitions, so that
+// cells which differ only in what is decomposed and how it is scored — rank,
+// stitching, noise, scorer — share one simulation, within a table and across
+// the tables of one process. Nothing that reads a partition writes to it
+// (NoiseFrac perturbs a copy). It is bounded so that a sweep over seeds pins
+// a handful of partitions, not one per seed.
+var partitionCache struct {
+	sync.Mutex
+	recent []cachedPartition // most recently used first
+}
+
+type cachedPartition struct {
+	id   simID
+	part *partition.Result
+}
+
+const partitionCacheSize = 8
+
+// ensemble returns the experiment cell's simulated partition (its space is
+// the partition's Space), shared with every other cell of the same
+// simulation identity.
+func (cfg Config) ensemble(ctx context.Context) (*partition.Result, error) {
+	id := simID{cfg.System, cfg.Res, cfg.TimeSamples, cfg.Pivot, cfg.PivotFrac, cfg.FreeFrac, cfg.Seed}
+	c := &partitionCache
+	c.Lock()
+	for i, hit := range c.recent {
+		if hit.id == id {
+			copy(c.recent[1:i+1], c.recent[:i])
+			c.recent[0] = hit
+			c.Unlock()
+			return hit.part, nil
+		}
+	}
+	c.Unlock()
+	// Simulated outside the lock: two concurrent misses on one identity
+	// both simulate, to the same bits.
 	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	part, err := cfg.generate(ctx, space)
-	return space, part, err
+	if err != nil {
+		return nil, err
+	}
+	c.Lock()
+	c.recent = append([]cachedPartition{{id, part}}, c.recent...)
+	if len(c.recent) > partitionCacheSize {
+		c.recent = c.recent[:partitionCacheSize]
+	}
+	c.Unlock()
+	return part, nil
 }
 
-// runComparisonOn is RunComparison over an already simulated partition of
-// cfg's ensemble, which it only reads: NoiseFrac perturbs a copy.
-func runComparisonOn(ctx context.Context, cfg Config, space *ensemble.Space, part *partition.Result) (*Comparison, error) {
+// compare evaluates every scheme on cfg's cell over an already simulated
+// partition of its ensemble, which it only reads: the six schemes of
+// Section VII and, when extended, the LHS and Union baselines at the same
+// budget, every one scored by the cell's one scorer.
+func (cfg Config) compare(ctx context.Context, part *partition.Result, extended bool) (*Comparison, error) {
+	space := part.Space
+	// The cell's own view of the (possibly shared) partition: empty
+	// kernel-plan caches, so its decomposition times do not depend on which
+	// cells ran before it, and under NoiseFrac its own copy of the values.
+	part = part.PlanlessView()
 	if cfg.NoiseFrac > 0 {
-		sub1, sub2, noisy := *part.Sub1, *part.Sub2, *part
-		sub1.Tensor, sub2.Tensor = sub1.Tensor.Clone(), sub2.Tensor.Clone()
-		noisy.Sub1, noisy.Sub2 = &sub1, &sub2
-		part = &noisy
+		part.Sub1.Tensor, part.Sub2.Tensor = part.Sub1.Tensor.Clone(), part.Sub2.Tensor.Clone()
 		noiseRng := rand.New(rand.NewSource(cfg.Seed + 7))
 		AddNoise(part.Sub1.Tensor, cfg.NoiseFrac, noiseRng)
 		AddNoise(part.Sub2.Tensor, cfg.NoiseFrac, noiseRng)
 	}
 	budget := part.NumSims
-	score, err := cfg.scorer(ctx, space)
+	score, err := Scorer(ctx, space, cfg.EstimateSims, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -261,19 +328,37 @@ func runComparisonOn(ctx context.Context, cfg Config, space *ensemble.Space, par
 		})
 	}
 
-	for _, c := range []struct {
-		scheme Scheme
-		sims   []ensemble.Sim
-	}{
-		{SchemeRandom, ensemble.RandomSample(space, budget, rand.New(rand.NewSource(cfg.Seed+1)))},
-		{SchemeGrid, ensemble.GridSample(space, budget)},
-		{SchemeSlice, ensemble.SliceSample(space, budget, rand.New(rand.NewSource(cfg.Seed+2)))},
-	} {
-		row, err := cfg.conventionalRow(ctx, space, c.scheme, c.sims, cfg.Seed+8, score)
+	type sampled struct {
+		scheme    Scheme
+		sims      []ensemble.Sim
+		noiseSeed int64
+	}
+	conventional := []sampled{
+		{SchemeRandom, ensemble.RandomSample(space, budget, rand.New(rand.NewSource(cfg.Seed+1))), cfg.Seed + 8},
+		{SchemeGrid, ensemble.GridSample(space, budget), cfg.Seed + 8},
+		{SchemeSlice, ensemble.SliceSample(space, budget, rand.New(rand.NewSource(cfg.Seed+2))), cfg.Seed + 8},
+	}
+	if extended {
+		// LHS probes whether smarter space-filling alone closes the gap
+		// (it does not).
+		conventional = append(conventional, sampled{SchemeLHS,
+			ensemble.LatinHypercubeSample(space, budget, rand.New(rand.NewSource(cfg.Seed+3))), cfg.Seed + 9})
+	}
+	for _, c := range conventional {
+		row, err := cfg.conventionalRow(ctx, space, c.scheme, c.sims, c.noiseSeed, score)
 		if err != nil {
 			return nil, err
 		}
 		cmp.Results = append(cmp.Results, row)
+	}
+	if extended {
+		// Union quantifies the paper's argument for stitching over
+		// pooling, on the sub-ensembles the M2TD rows decomposed.
+		union, err := UnionResult(part, cfg.Rank, score)
+		if err != nil {
+			return nil, err
+		}
+		cmp.Results = append(cmp.Results, union)
 	}
 	return cmp, nil
 }

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,21 +16,12 @@ type Fiber struct {
 	Truth    []float64
 }
 
-// SampleFibers simulates n distinct uniformly sampled parameter
-// combinations and returns their ground-truth time fibers. Sharing one
-// fiber sample across every scheme of a comparison removes the sampling
-// noise from scheme-to-scheme accuracy differences. The fibers come off
-// ensemble's infallible truth loop, which cannot fail and is not
-// interrupted once started: ctx is honoured before it starts.
-func SampleFibers(ctx context.Context, space *ensemble.Space, n int, rng *rand.Rand) ([]Fiber, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return sampleFibers(space, n, rng), nil
-}
-
-// sampleFibers draws the sample (the rng's only use) and simulates it into
-// one slab, one fiber per draw, in draw order.
+// sampleFibers simulates n distinct uniformly sampled parameter
+// combinations and returns their ground-truth time fibers: it draws the
+// sample (the rng's only use) and simulates it into one slab off ensemble's
+// infallible truth loop, one fiber per draw, in draw order. Sharing one
+// sample across every scheme of a comparison (Scorer) removes the sampling
+// noise from scheme-to-scheme accuracy differences.
 func sampleFibers(space *ensemble.Space, n int, rng *rand.Rand) []Fiber {
 	total := space.TotalSims()
 	if n > total {

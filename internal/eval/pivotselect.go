@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"text/tabwriter"
 
@@ -41,7 +40,9 @@ func SelectPivot(ctx context.Context, system string, pilotRes, rank int, sampleS
 	if err != nil {
 		return nil, err
 	}
-	fibers, err := SampleFibers(ctx, space, sampleSims, rand.New(rand.NewSource(seed+200)))
+	// One fibre sample for every candidate (the pilots' own: the scorer's
+	// seed offset plus 100, the sample these rankings have always used).
+	score, err := Scorer(ctx, space, sampleSims, seed+100)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +58,7 @@ func SelectPivot(ctx context.Context, system string, pilotRes, rank int, sampleS
 		if err != nil {
 			return nil, fmt.Errorf("eval: pivot %d pilot: %w", pivot, err)
 		}
-		acc, err := EstimateFromFibers(TuckerModel{Core: res.Core, Factors: res.Factors}, fibers)
+		acc, err := score(TuckerModel{Core: res.Core, Factors: res.Factors})
 		if err != nil {
 			return nil, fmt.Errorf("eval: pivot %d pilot: %w", pivot, err)
 		}

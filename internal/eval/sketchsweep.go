@@ -21,8 +21,8 @@ type SketchRow struct {
 	// Kept and InputNNZ are the sketch's retained and source cell counts
 	// (Kept == InputNNZ on the exact arm).
 	Kept, InputNNZ int
-	// Accuracy is the paper metric of the sketched decomposition's
-	// reconstruction against the full ground truth; DeltaVsExact is the
+	// Accuracy is the sketched decomposition's, by the cell's scorer (the
+	// exact metric, or its estimate under EstimateSims); DeltaVsExact is the
 	// exact arm's accuracy minus this one (the price of the sketch).
 	Accuracy     float64
 	DeltaVsExact float64
@@ -39,7 +39,7 @@ type SketchRow struct {
 // join only because that is the large sparse tensor with a ground truth at
 // hand: the PF-partitioned ensembles are generated and JE-stitched once,
 // then the join is decomposed by SketchedHOSVD at each KeepFrac and scored
-// against the full ground truth. Every arm follows
+// by the cell's scorer. Every arm follows
 // the transient-tensor protocol of BenchmarkSketchedHOSVD — it receives
 // a fresh plan-less view of the join, so the exact arm pays kernel-plan
 // compilation on the full nnz exactly as a pipeline decomposition does,
@@ -50,20 +50,16 @@ func SketchSweep(ctx context.Context, base Config, fracs []float64) ([]SketchRow
 	if len(fracs) == 0 {
 		fracs = []float64{1, 0.5, 0.25, 0.1, 0.05, 0.02}
 	}
-	cfg := base
-	if cfg.Res == 0 {
-		cfg = DefaultConfig("double-pendulum")
-	}
-	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
+	cfg := baseOrDefault(base, "double-pendulum")
+	part, err := cfg.ensemble(ctx)
 	if err != nil {
 		return nil, err
 	}
-	truth := space.GroundTruth()
-	ranks := tucker.UniformRanks(space.Order(), cfg.Rank)
-	part, err := cfg.generate(ctx, space)
+	score, err := Scorer(ctx, part.Space, cfg.EstimateSims, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	ranks := tucker.UniformRanks(part.Space.Order(), cfg.Rank)
 	join := stitch.Join(part)
 
 	record := func(frac float64) (SketchRow, error) {
@@ -78,13 +74,14 @@ func SketchSweep(ctx context.Context, base Config, fracs []float64) ([]SketchRow
 		if err != nil {
 			return SketchRow{}, fmt.Errorf("sketch sweep keep=%g: %w", frac, err)
 		}
+		acc, err := score(TuckerModel{Core: dec.Core, Factors: dec.Factors})
 		return SketchRow{
 			KeepFrac:   frac,
 			Kept:       stats.Kept,
 			InputNNZ:   stats.InputNNZ,
-			Accuracy:   Accuracy(dec.Reconstruct(), truth),
+			Accuracy:   acc,
 			DecompTime: elapsed,
-		}, nil
+		}, err
 	}
 
 	// Untimed exact warmup so the first timed arm is not charged for cold

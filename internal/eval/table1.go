@@ -114,23 +114,16 @@ func Fig6(ctx context.Context, base Config, freeFracs []float64) ([]Fig6Row, err
 	if len(freeFracs) == 0 {
 		freeFracs = []float64{1.0, 0.5, 0.25}
 	}
-	cfg := base
-	if cfg.Res == 0 {
-		cfg = DefaultConfig("double-pendulum")
-	}
-	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
-	if err != nil {
-		return nil, err
-	}
-	full := float64(space.Shape().NumElements())
+	cfg := baseOrDefault(base, "double-pendulum")
 	var rows []Fig6Row
 	for _, frac := range freeFracs {
-		c := cfg
-		c.FreeFrac = frac
-		part, err := c.generate(ctx, space)
+		cfg.FreeFrac = frac
+		part, err := cfg.ensemble(ctx)
 		if err != nil {
 			return nil, err
 		}
+		space := part.Space
+		full := float64(space.Shape().NumElements())
 		// Conventional sampling with the same budget yields one trajectory
 		// (time fiber) per simulation.
 		raw := float64(part.NumSims*space.TimeSamples) / full

@@ -40,19 +40,19 @@ func UnionTensor(p *partition.Result) *tensor.Sparse {
 }
 
 // UnionResult evaluates the union alternative: HOSVD of the unioned
-// tensor, with the same budget accounting as the partition it came from.
-func UnionResult(p *partition.Result, rank int) (SchemeResult, error) {
-	truth := p.Space.GroundTruth()
-	ranks := tucker.UniformRanks(p.Space.Order(), rank)
+// tensor, scored like the schemes it is compared with, with the same budget
+// accounting as the partition it came from.
+func UnionResult(p *partition.Result, rank int, score func(TuckerModel) (float64, error)) (SchemeResult, error) {
 	u := UnionTensor(p)
 	start := time.Now()
-	dec := tucker.HOSVD(u, ranks)
+	dec := tucker.HOSVD(u, tucker.UniformRanks(p.Space.Order(), rank))
 	elapsed := time.Since(start)
+	acc, err := score(TuckerModel{Core: dec.Core, Factors: dec.Factors})
 	return SchemeResult{
-		Scheme:      Scheme("Union"),
-		Accuracy:    Accuracy(dec.Reconstruct(), truth),
+		Scheme:      SchemeUnion,
+		Accuracy:    acc,
 		DecompTime:  elapsed,
 		NumSims:     p.NumSims,
 		EnsembleNNZ: u.NNZ(),
-	}, nil
+	}, err
 }

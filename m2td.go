@@ -564,17 +564,18 @@ func (r resolved) report(sims, cells int, st ensemble.SimStats, x1, x2 *tensor.S
 func (r resolved) finish(ctx context.Context, trace *obs.Trace, report *Report, model eval.TuckerModel) (*Report, error) {
 	cfg := r.cfg
 	err := runStage(ctx, trace, "evaluate", "evaluation", 0, func(ctx context.Context, span *obs.Span) (err error) {
-		switch {
-		case cfg.SkipAccuracy:
+		if cfg.SkipAccuracy {
 			span.Set("skipped", 1)
-		case ctx.Err() != nil:
-			return ctx.Err()
-		case cfg.AccuracySampleSims > 0:
-			span.Set("sampled_sims", int64(cfg.AccuracySampleSims))
-			report.Accuracy, err = eval.EstimateAccuracy(r.space, model, cfg.AccuracySampleSims, rand.New(rand.NewSource(cfg.Seed+100)))
-		default:
-			report.Accuracy = eval.Accuracy(tensor.TuckerReconstruct(model.Core, model.Factors), r.space.GroundTruth())
+			return nil
 		}
+		if cfg.AccuracySampleSims > 0 {
+			span.Set("sampled_sims", int64(cfg.AccuracySampleSims))
+		}
+		score, err := eval.Scorer(ctx, r.space, cfg.AccuracySampleSims, cfg.Seed)
+		if err != nil {
+			return err
+		}
+		report.Accuracy, err = score(model)
 		return err
 	})
 	if err != nil {
