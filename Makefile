@@ -18,8 +18,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# The second vet builds for arm64, where the packed pair kernel's .s file
+# is excluded: the scalar fallback (internal/dynsys/pair_other.go) must
+# keep compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Hermetic lint: go vet plus the in-repo m2tdlint invariant suite
 # (determinism, ctxprop, spans, floatcmp, quarantine, locks, goroleak,
@@ -41,8 +45,12 @@ lint-extra:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
+# The pair kernel's parity again at GOAMD64=v3: were the compiler ever to
+# fuse the scalar kernel's multiply-adds into FMAs, packed and scalar
+# results would part ways here (DESIGN.md §16).
 test:
 	$(GO) test ./...
+	GOAMD64=v3 $(GO) test -run PairKernel ./internal/dynsys
 
 # Race-detector pass. The workers=1 vs workers=N bit-stability suites
 # double as data-race proofs for the internal/parallel kernels here; the

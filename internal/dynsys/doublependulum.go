@@ -71,11 +71,17 @@ func (r *doublePendulumRHS) deriv(t float64, y, dst []float64) {
 		w2*w2*l*m2*cosD)) / (l * den)
 }
 
+// rhs returns the right-hand-side value at vals = (φ₁, φ₂, m₁, m₂): the
+// scalar and the packed kernel hoist through this one function.
+func (dp *DoublePendulum) rhs(vals []float64) doublePendulumRHS {
+	m1, m2, g := vals[2], vals[3], dp.G
+	return doublePendulumRHS{l: dp.L, m2: m2, gM: -g * (2*m1 + m2), m2g: m2 * g, mSum: m1 + m2, gSum: g * (m1 + m2), mDen: 2*m1 + m2}
+}
+
 // integrate runs the pendulum at vals = (φ₁, φ₂, m₁, m₂) through w and
 // visits the internal state at each of numSamples timestamps.
 func (dp *DoublePendulum) integrate(w *ode.Workspace, vals []float64, numSamples, steps int, visit func(s int, y []float64)) {
-	m1, m2, g := vals[2], vals[3], dp.G
-	rhs := doublePendulumRHS{l: dp.L, m2: m2, gM: -g * (2*m1 + m2), m2g: m2 * g, mSum: m1 + m2, gSum: g * (m1 + m2), mDen: 2*m1 + m2}
+	rhs := dp.rhs(vals)
 	y0 := [4]float64{vals[0], 0, vals[1], 0}
 	w.Samples(rhs.deriv, 0, dp.Horizon, y0[:], numSamples, steps, visit)
 }
@@ -83,13 +89,13 @@ func (dp *DoublePendulum) integrate(w *ode.Workspace, vals []float64, numSamples
 // Trajectory implements System.
 func (dp *DoublePendulum) Trajectory(vals []float64, numSamples int) [][]float64 {
 	out := make([][]float64, numSamples)
-	steps := stepsPerSample(dp.Horizon, numSamples, dp.MaxStep)
+	steps := stepsPerSample(dp.Name(), dp.Horizon, numSamples, dp.MaxStep)
 	dp.integrate(new(ode.Workspace), vals, numSamples, steps, func(s int, y []float64) { out[s] = []float64{y[0], y[2]} })
 	return out
 }
 
 // cells implements cellKernel.
 func (dp *DoublePendulum) cells(w *ode.Workspace, vals []float64, ref [][]float64, dst []float64) {
-	steps := stepsPerSample(dp.Horizon, len(dst), dp.MaxStep)
+	steps := stepsPerSample(dp.Name(), dp.Horizon, len(dst), dp.MaxStep)
 	dp.integrate(w, vals, len(dst), steps, func(s int, y []float64) { dst[s] = Distance([]float64{y[0], y[2]}, ref[s]) })
 }

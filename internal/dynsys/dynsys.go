@@ -129,6 +129,20 @@ func Cells(w *ode.Workspace, sys System, vals []float64, ref [][]float64, dst []
 	distances(sys.Trajectory(vals, len(ref)), ref, dst)
 }
 
+// CellsPair runs two simulations, at a and at b, and writes their cells
+// into dstA and dstB: bit for bit what Cells(w, sys, a, ref, dstA) followed
+// by Cells(w, sys, b, ref, dstB) writes. On amd64 the double pendulum
+// advances the two in lockstep on packed doubles (pair_amd64.s); for any
+// other system or architecture it is exactly those two Cells calls.
+func CellsPair(w *ode.Workspace, sys System, a, b []float64, ref [][]float64, dstA, dstB []float64) {
+	if dp, ok := sys.(*DoublePendulum); ok {
+		dp.cellsPair(w, a, b, ref, dstA, dstB)
+		return
+	}
+	Cells(w, sys, a, ref, dstA)
+	Cells(w, sys, b, ref, dstB)
+}
+
 // CellsCtx is Cells through the cancellable, fallible simulation path: a
 // CtxSystem (fault injection, external solvers) is simulated via its
 // TrajectoryCtx and can fail or be cancelled mid-campaign. Divergent
@@ -186,8 +200,13 @@ func All() []System {
 // no step exceeds maxStep, given the interval between output samples.
 // Integration accuracy must not depend on how coarsely the time mode is
 // sampled, so integrators derive their step count from a maximum step
-// size rather than from the sample count.
-func stepsPerSample(horizon float64, numSamples int, maxStep float64) int {
+// size rather than from the sample count. A maxStep that is not positive
+// (zero, negative, NaN — a system literal that forgot MaxStep) has no step
+// count; it panics with the system's name, as ode.Samples does on counts.
+func stepsPerSample(name string, horizon float64, numSamples int, maxStep float64) int {
+	if !(maxStep > 0) {
+		panic(fmt.Sprintf("dynsys: %s: MaxStep must be positive, got %v", name, maxStep))
+	}
 	dt := horizon / float64(numSamples)
 	n := int(math.Ceil(dt / maxStep))
 	if n < 1 {

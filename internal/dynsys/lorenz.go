@@ -60,7 +60,7 @@ func (r *lorenzRHS) deriv(t float64, y, dst []float64) {
 func (lz *Lorenz) integrate(w *ode.Workspace, vals []float64, numSamples int, visit func(s int, y []float64)) {
 	rhs := lorenzRHS{sigma: vals[1], beta: vals[2], rho: vals[3]}
 	y0 := [3]float64{lz.X0, lz.Y0, vals[0]}
-	w.Samples(rhs.deriv, 0, lz.Horizon, y0[:], numSamples, stepsPerSample(lz.Horizon, numSamples, lz.MaxStep), visit)
+	w.Samples(rhs.deriv, 0, lz.Horizon, y0[:], numSamples, stepsPerSample(lz.Name(), lz.Horizon, numSamples, lz.MaxStep), visit)
 }
 
 // Trajectory implements System.

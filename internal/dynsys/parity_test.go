@@ -1,8 +1,10 @@
 package dynsys
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ode"
@@ -47,7 +49,7 @@ func closureDoublePendulum(dp *DoublePendulum) closureSystem {
 				w2*w2*l*m2*cosD)) / (l * den)
 		}
 		y0 := []float64{phi1, 0, phi2, 0}
-		full := ode.Trajectory(deriv, 0, dp.Horizon, y0, numSamples, stepsPerSample(dp.Horizon, numSamples, dp.MaxStep))
+		full := ode.Trajectory(deriv, 0, dp.Horizon, y0, numSamples, stepsPerSample(dp.Name(), dp.Horizon, numSamples, dp.MaxStep))
 		out := make([][]float64, numSamples)
 		for i, y := range full {
 			out[i] = []float64{y[0], y[2]}
@@ -109,7 +111,7 @@ func closureTriplePendulum(tp *TriplePendulum) closureSystem {
 			dst[3], dst[4], dst[5] = acc0, acc1, acc2
 		}
 		y0 := []float64{vals[0], vals[1], vals[2], 0, 0, 0}
-		full := ode.Trajectory(deriv, 0, tp.Horizon, y0, numSamples, stepsPerSample(tp.Horizon, numSamples, tp.MaxStep))
+		full := ode.Trajectory(deriv, 0, tp.Horizon, y0, numSamples, stepsPerSample(tp.Name(), tp.Horizon, numSamples, tp.MaxStep))
 		out := make([][]float64, numSamples)
 		for i, y := range full {
 			out[i] = []float64{y[0], y[1], y[2]}
@@ -127,7 +129,7 @@ func closureLorenz(lz *Lorenz) closureSystem {
 			dst[2] = y[0]*y[1] - beta*y[2]
 		}
 		y0 := []float64{lz.X0, lz.Y0, z0}
-		return ode.Trajectory(deriv, 0, lz.Horizon, y0, numSamples, stepsPerSample(lz.Horizon, numSamples, lz.MaxStep))
+		return ode.Trajectory(deriv, 0, lz.Horizon, y0, numSamples, stepsPerSample(lz.Name(), lz.Horizon, numSamples, lz.MaxStep))
 	}}
 }
 
@@ -143,7 +145,7 @@ func closureSEIR(sr *SEIR) closureSystem {
 			dst[3] = gamma * i
 		}
 		y0 := []float64{1 - i0, 0, i0, 0}
-		return ode.Trajectory(deriv, 0, sr.Horizon, y0, numSamples, stepsPerSample(sr.Horizon, numSamples, sr.MaxStep))
+		return ode.Trajectory(deriv, 0, sr.Horizon, y0, numSamples, stepsPerSample(sr.Name(), sr.Horizon, numSamples, sr.MaxStep))
 	}}
 }
 
@@ -279,17 +281,127 @@ func TestSincosMatchesSinCos(t *testing.T) {
 
 // TestCellsKernelDoesNotAllocate: with a warm workspace, the kernel of
 // every system runs at 0 allocs per simulation — no trajectory, no
-// closure, no scratch.
+// closure, no scratch — and so does the pair entry.
 func TestCellsKernelDoesNotAllocate(t *testing.T) {
 	for _, sys := range All() {
 		ref := Reference(sys, 12)
 		vals := ReferenceParams(sys)
 		vals[0] += 0.1
-		dst := make([]float64, 12)
+		other := ReferenceParams(sys)
+		other[1] += 0.1
+		dst, dst2 := make([]float64, 12), make([]float64, 12)
 		var w ode.Workspace
 		Cells(&w, sys, vals, ref, dst) // size the workspace
 		if a := testing.AllocsPerRun(20, func() { Cells(&w, sys, vals, ref, dst) }); a != 0 {
 			t.Errorf("%s: cells kernel allocates %v times per simulation, want 0", sys.Name(), a)
+		}
+		if a := testing.AllocsPerRun(20, func() { CellsPair(&w, sys, vals, other, ref, dst, dst2) }); a != 0 {
+			t.Errorf("%s: CellsPair allocates %v times per pair, want 0", sys.Name(), a)
+		}
+	}
+}
+
+// checkPair fails unless CellsPair at (a, b) writes what Cells at a and
+// Cells at b write, bit for bit.
+func checkPair(t *testing.T, w *ode.Workspace, sys System, ref [][]float64, a, b []float64) {
+	t.Helper()
+	n := len(ref)
+	gotA, gotB := make([]float64, n), make([]float64, n)
+	CellsPair(w, sys, a, b, ref, gotA, gotB)
+	for lane, c := range [2]struct{ vals, got []float64 }{{a, gotA}, {b, gotB}} {
+		want := make([]float64, n)
+		Cells(w, sys, c.vals, ref, want)
+		if i := sameBits(c.got, want); i >= 0 {
+			t.Fatalf("%s samples=%d pair (%v, %v): lane %d cell %d = %x, scalar kernel %x",
+				sys.Name(), n, a, b, lane, i, math.Float64bits(c.got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestPairKernelBitwiseParity: the packed pair kernel is the scalar kernel
+// twice, to the last bit — on every res-12 grid point at 6, 12 and 24
+// samples, on 1 000 random points, and on lanes at the edges of its domain
+// (±0, octant boundaries kπ/4 ± 1 ulp, |θ| around 2²⁹, NaN and ±Inf beside
+// a normal lane), where the pair must fall back to the scalar kernel
+// without disturbing either lane. Off amd64 CellsPair is two Cells calls
+// and this holds by construction; CI also runs it at GOAMD64=v3, where a
+// scalar side the compiler had fused into FMAs would part ways.
+func TestPairKernelBitwiseParity(t *testing.T) {
+	dp := NewDoublePendulum()
+	ps := dp.Params()
+	stride := 1
+	if testing.Short() {
+		stride = 37
+	}
+	var w ode.Workspace
+	for _, samples := range []int{6, 12, 24} {
+		ref := Reference(dp, samples)
+		const res = 12
+		point := func(k int) []float64 {
+			vals := make([]float64, len(ps))
+			for m := len(ps) - 1; m >= 0; m-- {
+				vals[m] = ps[m].Value(k%res, res)
+				k /= res
+			}
+			return vals
+		}
+		for k := 0; k+1 < res*res*res*res; k += 2 * stride {
+			checkPair(t, &w, dp, ref, point(k), point(k+1))
+		}
+	}
+
+	ref := Reference(dp, 12)
+	rng := rand.New(rand.NewSource(19))
+	for p := 0; p < 500; p++ {
+		checkPair(t, &w, dp, ref, randomVals(dp, rng), randomVals(dp, rng))
+	}
+
+	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for k := 1; k <= 16; k++ {
+		x := float64(k) * math.Pi / 4
+		edges = append(edges, x, math.Nextafter(x, 0), math.Nextafter(x, 100))
+	}
+	for _, x := range []float64{1 << 29, 1 << 28, 1 << 30} {
+		edges = append(edges, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
+	}
+	normal := []float64{0.3, -0.7, 1.2, 0.8}
+	for _, e := range edges {
+		for _, x := range []float64{e, -e} {
+			// φ₂ = 0 makes θ₁, θ₁−θ₂ and θ₁−2θ₂ the edge itself; φ₁ = 0
+			// makes θ₁−θ₂ its negation.
+			for _, edge := range [][]float64{{x, 0, 1.2, 0.8}, {0, x, 1.2, 0.8}} {
+				checkPair(t, &w, dp, ref, edge, normal)
+				checkPair(t, &w, dp, ref, normal, edge)
+			}
+		}
+	}
+}
+
+// TestStepsPerSampleRejectsNonPositiveMaxStep: a pendulum literal without
+// a MaxStep has no step count. Both the scalar and the pair kernel take
+// theirs from stepsPerSample, which panics naming the system and the value
+// instead of integrating one 0.42 s step per sample.
+func TestStepsPerSampleRejectsNonPositiveMaxStep(t *testing.T) {
+	if got := stepsPerSample("double-pendulum", 5, 12, 0.01); got != 42 {
+		t.Fatalf("stepsPerSample(5, 12, 0.01) = %d, want 42", got)
+	}
+	for _, maxStep := range []float64{0, -0.01, math.NaN()} {
+		dp := &DoublePendulum{L: 1, G: 9.81, Horizon: 5, MaxStep: maxStep}
+		ref := Reference(NewDoublePendulum(), 12)
+		vals := ReferenceParams(dp)
+		for name, run := range map[string]func(){
+			"Cells":     func() { Cells(new(ode.Workspace), dp, vals, ref, make([]float64, 12)) },
+			"CellsPair": func() { CellsPair(new(ode.Workspace), dp, vals, vals, ref, make([]float64, 12), make([]float64, 12)) },
+		} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "double-pendulum") || !strings.Contains(msg, fmt.Sprint(maxStep)) {
+						t.Errorf("%s with MaxStep %v: panic %q, want one naming the system and the value", name, maxStep, msg)
+					}
+				}()
+				run()
+			}()
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (r *seirRHS) deriv(t float64, y, dst []float64) {
 func (sr *SEIR) integrate(w *ode.Workspace, vals []float64, numSamples int, visit func(s int, y []float64)) {
 	rhs := seirRHS{beta: vals[0], sigma: vals[1], gamma: vals[2]}
 	y0 := [4]float64{1 - vals[3], 0, vals[3], 0}
-	w.Samples(rhs.deriv, 0, sr.Horizon, y0[:], numSamples, stepsPerSample(sr.Horizon, numSamples, sr.MaxStep), visit)
+	w.Samples(rhs.deriv, 0, sr.Horizon, y0[:], numSamples, stepsPerSample(sr.Name(), sr.Horizon, numSamples, sr.MaxStep), visit)
 }
 
 // Trajectory implements System.

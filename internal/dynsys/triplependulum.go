@@ -130,13 +130,13 @@ func (tp *TriplePendulum) integrate(w *ode.Workspace, vals []float64, numSamples
 // Trajectory implements System.
 func (tp *TriplePendulum) Trajectory(vals []float64, numSamples int) [][]float64 {
 	out := make([][]float64, numSamples)
-	steps := stepsPerSample(tp.Horizon, numSamples, tp.MaxStep)
+	steps := stepsPerSample(tp.Name(), tp.Horizon, numSamples, tp.MaxStep)
 	tp.integrate(new(ode.Workspace), vals, numSamples, steps, func(s int, y []float64) { out[s] = []float64{y[0], y[1], y[2]} })
 	return out
 }
 
 // cells implements cellKernel.
 func (tp *TriplePendulum) cells(w *ode.Workspace, vals []float64, ref [][]float64, dst []float64) {
-	steps := stepsPerSample(tp.Horizon, len(dst), tp.MaxStep)
+	steps := stepsPerSample(tp.Name(), tp.Horizon, len(dst), tp.MaxStep)
 	tp.integrate(w, vals, len(dst), steps, func(s int, y []float64) { dst[s] = Distance(y[:3], ref[s]) })
 }

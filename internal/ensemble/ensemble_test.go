@@ -57,7 +57,7 @@ func TestModeNames(t *testing.T) {
 func TestParamValuesEndpoints(t *testing.T) {
 	s := tinySpace()
 	ps := s.Sys.Params()
-	vals := s.paramValues(new(Workspace), []int{0, 3, 0, 3})
+	vals := s.paramValues(new(Workspace), 0, []int{0, 3, 0, 3})
 	if vals[0] != ps[0].Min || vals[1] != ps[1].Max || vals[2] != ps[2].Min || vals[3] != ps[3].Max {
 		t.Fatalf("paramValues endpoints = %v", vals)
 	}

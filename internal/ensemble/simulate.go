@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/dynsys"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -84,9 +85,15 @@ func (s *SimStats) Add(o SimStats) {
 // last flush, so they cannot live in a reused buffer, but they can share
 // one allocation. Each fan-out chunk owns one simulation workspace.
 //
+// The fan-out's unit is a pair of consecutive pending simulations, run by
+// SimCellsPairInto as one Retry.Run attempt (the last unit of an odd count
+// is a single); executed, failed and checkpointed are still per
+// simulation. A dynsys.CtxSystem — fault injection, an external solver —
+// keeps the per-simulation fallible route: its unit is one simulation.
+//
 // Cancellation is cooperative and deterministic: once ctx is cancelled no
-// new simulation starts, in-flight ones finish, completed work is flushed
-// to the checkpoint (if any), and ctx.Err() is returned.
+// new unit starts, in-flight ones finish, completed work is flushed to the
+// checkpoint (if any), and ctx.Err() is returned.
 func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i int) int, opts SimOptions) ([][]float64, SimStats, error) {
 	var stats SimStats
 	results := make([][]float64, n)
@@ -116,28 +123,46 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 	}
 	t := s.TimeSamples
 	slab := make([]float64, len(pending)*t)
+	width := 2
+	if _, fallible := s.Sys.(dynsys.CtxSystem); fallible {
+		width = 1
+	}
 
 	var mu sync.Mutex
-	err := parallel.ForCtx(ctx, len(pending), opts.Workers, func(start, end int) {
+	err := parallel.ForCtx(ctx, (len(pending)+width-1)/width, opts.Workers, func(start, end int) {
 		var w Workspace
-		idx := make([]int, s.NumParams())
-		for p := start; p < end; p++ {
-			i := pending[p]
-			k := key(i)
-			s.SimIndex(k, idx)
-			cells := slab[p*t : (p+1)*t]
+		np := s.NumParams()
+		idx := make([]int, 2*np)
+		idxA, idxB := idx[:np], idx[np:]
+		for u := start; u < end; u++ {
+			lo, hi := u*width, min((u+1)*width, len(pending))
+			unit := pending[lo:hi]
+			cells := slab[lo*t : hi*t]
+			s.SimIndex(key(unit[0]), idxA)
+			if len(unit) == 2 {
+				s.SimIndex(key(unit[1]), idxB)
+			}
 			clock := obs.StartStopwatch()
-			attempts, runErr := opts.Retry.Run(ctx, uint64(k), func(actx context.Context) error {
-				return s.SimCellsIntoCtx(actx, &w, idx, cells)
+			attempts, runErr := opts.Retry.Run(ctx, uint64(key(unit[0])), func(actx context.Context) error {
+				if len(unit) == 1 {
+					return s.SimCellsIntoCtx(actx, &w, idxA, cells)
+				}
+				if err := actx.Err(); err != nil {
+					return err
+				}
+				s.SimCellsPairInto(&w, idxA, idxB, cells[:t], cells[t:])
+				return nil
 			})
-			simDuration.Observe(clock.Elapsed().Seconds())
+			perSim := clock.Elapsed().Seconds() / float64(len(unit))
+			for range unit {
+				simDuration.Observe(perSim)
+			}
 			mu.Lock()
 			switch {
 			case runErr == nil:
-				results[i] = cells
-				stats.ExecutedSims++
+				stats.ExecutedSims += len(unit)
 				if attempts > 1 {
-					stats.RetriedSims++
+					stats.RetriedSims += len(unit)
 				}
 			case ctx.Err() != nil:
 				// Campaign cancellation, not a simulation failure: the
@@ -145,15 +170,21 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 				// attempt deadline that ran out under a live ctx is the
 				// default arm's.
 			default:
-				stats.FailedSims++
+				stats.FailedSims += len(unit)
 			}
 			mu.Unlock()
-			if runErr == nil && sess != nil {
-				// Off the fan-out's critical path: when a checkpoint save
-				// came due this worker writes it, outside every lock, while
-				// the others keep simulating.
-				if due := sess.note(k, cells); due != nil {
-					sess.save(due)
+			if runErr != nil {
+				continue
+			}
+			for j, i := range unit {
+				results[i] = cells[j*t : (j+1)*t]
+				if sess != nil {
+					// Off the fan-out's critical path: when a checkpoint
+					// save came due this worker writes it, outside every
+					// lock, while the others keep simulating.
+					if due := sess.note(key(i), results[i]); due != nil {
+						sess.save(due)
+					}
 				}
 			}
 		}
@@ -198,18 +229,26 @@ func (s *SimStats) Record(span *obs.Span, sims int, x *tensor.Sparse) {
 
 // TruthFibers simulates n simulations, the i-th at key(i), on the
 // infallible path — a fault-wrapped system is simulated clean — and writes
-// the i-th one's time fibre to dst[i*TimeSamples:(i+1)*TimeSamples]. It is the one loop behind
-// GroundTruth and eval's sampled fibres; it fans out on the shared worker
-// pool, one workspace per chunk.
+// the i-th one's time fibre to dst[i*TimeSamples:(i+1)*TimeSamples]. It is
+// the one loop behind GroundTruth and eval's sampled fibres; it fans out
+// pairs of consecutive keys (SimCellsPairInto; a single last one when n is
+// odd) on the shared worker pool, one workspace per chunk.
 func (s *Space) TruthFibers(n int, key func(i int) int, dst []float64) {
 	s.Reference() // materialise before fan-out
 	t := s.TimeSamples
-	parallel.For(n, 0, func(start, end int) {
+	parallel.For((n+1)/2, 0, func(start, end int) {
 		var w Workspace
-		idx := make([]int, s.NumParams())
-		for i := start; i < end; i++ {
-			s.SimIndex(key(i), idx)
-			s.SimCellsInto(&w, idx, dst[i*t:(i+1)*t])
+		np := s.NumParams()
+		idx := make([]int, 2*np)
+		idxA, idxB := idx[:np], idx[np:]
+		for i := 2 * start; i < min(2*end, n); i += 2 {
+			s.SimIndex(key(i), idxA)
+			if i+1 == n {
+				s.SimCellsInto(&w, idxA, dst[i*t:(i+1)*t])
+				break
+			}
+			s.SimIndex(key(i+1), idxB)
+			s.SimCellsPairInto(&w, idxA, idxB, dst[i*t:(i+1)*t], dst[(i+1)*t:(i+2)*t])
 		}
 	})
 }

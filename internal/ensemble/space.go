@@ -93,15 +93,16 @@ func (s *Space) ModeName(mode int) string {
 }
 
 // paramValues converts parameter grid indices to physical values, into the
-// workspace's value buffer.
-func (s *Space) paramValues(w *Workspace, idx []int) []float64 {
+// workspace's value buffer for the given lane (0, or 1 for a pair's second
+// simulation).
+func (s *Space) paramValues(w *Workspace, lane int, idx []int) []float64 {
 	if len(idx) != len(s.params) {
 		panic(fmt.Sprintf("ensemble: paramValues got %d indices for %d params", len(idx), len(s.params)))
 	}
-	if cap(w.vals) < len(idx) {
-		w.vals = make([]float64, len(idx))
+	if cap(w.vals[lane]) < len(idx) {
+		w.vals[lane] = make([]float64, len(idx))
 	}
-	vals := w.vals[:len(idx)]
+	vals := w.vals[lane][:len(idx)]
 	for i, p := range s.params {
 		vals[i] = p.Value(idx[i], s.Res)
 	}
@@ -118,20 +119,28 @@ func (s *Space) Reference() [][]float64 {
 
 // Workspace is the scratch one goroutine needs to run a Space's
 // simulations back to back without allocating: the integrator's buffers
-// and the parameter values of the simulation in flight. Its caller owns it
-// (the fan-outs hold one per chunk); the zero value is ready to use.
+// and the parameter values of the simulations in flight — one, or two for
+// a pair. Its caller owns it (the fan-outs hold one per chunk); the zero
+// value is ready to use.
 type Workspace struct {
 	ode  ode.Workspace
-	vals []float64
+	vals [2][]float64
 }
 
 // SimCellsInto runs the simulation at the given parameter grid indices and
 // writes its tensor cell values for all TimeSamples timestamps into dst.
-// With SimCellsIntoCtx it is the entry every simulation goes through. This
-// is the infallible path — a fault-wrapped system is simulated clean — for
-// ground truths and accuracy estimates.
+// With SimCellsPairInto and SimCellsIntoCtx it is the entry every
+// simulation goes through. This is the infallible path — a fault-wrapped
+// system is simulated clean — for ground truths and accuracy estimates.
 func (s *Space) SimCellsInto(w *Workspace, idx []int, dst []float64) {
-	dynsys.Cells(&w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), dst)
+	dynsys.Cells(&w.ode, s.Sys, s.paramValues(w, 0, idx), s.Reference(), dst)
+}
+
+// SimCellsPairInto is SimCellsInto at idxA into dstA and at idxB into dstB,
+// bit for bit, through dynsys.CellsPair: the double pendulum runs the two
+// on the packed pair kernel.
+func (s *Space) SimCellsPairInto(w *Workspace, idxA, idxB []int, dstA, dstB []float64) {
+	dynsys.CellsPair(&w.ode, s.Sys, s.paramValues(w, 0, idxA), s.paramValues(w, 1, idxB), s.Reference(), dstA, dstB)
 }
 
 // SimCellsIntoCtx is SimCellsInto through the cancellable, fallible path
@@ -139,7 +148,7 @@ func (s *Space) SimCellsInto(w *Workspace, idx []int, dst []float64) {
 // external solvers) takes its own route and can return an error, and
 // cancellation aborts before the solver starts.
 func (s *Space) SimCellsIntoCtx(ctx context.Context, w *Workspace, idx []int, dst []float64) error {
-	return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), dst)
+	return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.paramValues(w, 0, idx), s.Reference(), dst)
 }
 
 // SimCellsCtx is SimCellsIntoCtx with a fresh workspace and result slice.

@@ -136,11 +136,14 @@ func layoutConfigs(space *ensemble.Space) map[string]partition.Config {
 	}
 }
 
+// TestGenerateLayoutMatchesReferenceAcrossWorkers: the fan-out simulates
+// pairs of pending keys, so a worker count that splits the pairs unevenly
+// (3) must give the same bytes as 1, 2 and 8.
 func TestGenerateLayoutMatchesReferenceAcrossWorkers(t *testing.T) {
 	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8)) // real goroutines on small machines
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 6)
 	for name, cfg := range layoutConfigs(space) {
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(31), partition.SimOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -184,6 +187,63 @@ func TestGenerateLayoutMatchesReferenceAfterResume(t *testing.T) {
 		t.Fatalf("resume drill is vacuous: %+v", res.Stats)
 	}
 	checkLayout(t, "resumed", res, simCells(space))
+}
+
+// TestGenerateLayoutMatchesReferenceAfterSparseResume: a checkpoint that
+// restores every third key leaves pending keys with gaps between them, so
+// the fan-out's pairs straddle restored keys, and an odd pending count, so
+// one pair is a single; the assembly must not notice.
+func TestGenerateLayoutMatchesReferenceAfterSparseResume(t *testing.T) {
+	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8))
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 6)
+	cfg := layoutConfigs(space)["time-pivot"]
+	for _, workers := range []int{1, 3} {
+		// A complete campaign writes every key; all but every third one
+		// (in key order, starting at the second) are then dropped.
+		ckpt := ensemble.Checkpoint{Store: st, Fingerprint: "thirds", Every: 1 << 20}
+		if _, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(35), partition.SimOptions{Workers: 1, Checkpoint: &ckpt}); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"sub1-sims", "sub2-sims"} {
+			fp, sims, err := st.LoadSimSet(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]int, 0, len(sims))
+			for k := range sims {
+				keys = append(keys, k)
+			}
+			sort.Ints(keys)
+			for i, k := range keys {
+				if i%3 != 1 {
+					delete(sims, k)
+				}
+			}
+			if err := st.SaveSimSet(name, fp, sims); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ckpt.Resume = true
+		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(35), partition.SimOptions{Workers: workers, Checkpoint: &ckpt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		odd := false
+		for _, sub := range []*partition.SubEnsemble{res.Sub1, res.Sub2} {
+			if sub.Stats.RestoredSims == 0 || sub.Stats.ExecutedSims < 3 {
+				t.Fatalf("sparse resume drill is vacuous: %+v", sub.Stats)
+			}
+			odd = odd || sub.Stats.ExecutedSims%2 == 1
+		}
+		if !odd {
+			t.Fatalf("no sub-campaign has an odd pending count: %+v, %+v", res.Sub1.Stats, res.Sub2.Stats)
+		}
+		checkLayout(t, fmt.Sprintf("sparse resume workers=%d", workers), res, simCells(space))
+	}
 }
 
 func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {
