@@ -229,9 +229,8 @@ func BenchmarkStitchJoin(b *testing.B) {
 // from a freshly stitched join under the transient-tensor protocol: every
 // iteration projects a fresh plan-less view, as every pipeline run does.
 // The sparse TTM borrows plans and never builds one, so the curve must be
-// flat in workers; the BENCH_GATE -shape check on this benchmark is what
-// catches a return of the plan-compile inversion (workers>=2 once ran 13x
-// slower than workers=1 here).
+// flat in workers: a curve that rises with workers is the plan-compile
+// inversion returning (workers>=2 once ran 13x slower than workers=1 here).
 func BenchmarkTransientCoreRecovery(b *testing.B) {
 	part, ranks := benchPartitionAt(b, joinStageRes)
 	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: ranks})
@@ -447,32 +446,5 @@ func BenchmarkParallelHOSVD(b *testing.B) {
 				tucker.HOSVDWorkers(s, ranks, w)
 			}
 		})
-	}
-
-	// Strips-vs-workers sweep: expose the reduction-grid axis separately
-	// from the worker axis. More strips mean finer load balancing but more
-	// partial-matrix merges; the default grid (gramMaxStrips) should sit on
-	// the flat part of this surface for every worker count. Results across
-	// strip settings agree only at tolerance level (the merge tree
-	// reassociates), so these sub-benchmarks track time, not bits.
-	stripWorkers := []int{1}
-	if p := runtime.NumCPU(); p > 1 {
-		stripWorkers = append(stripWorkers, p)
-	}
-	for _, ms := range []int{1, 4, 32} {
-		for _, w := range stripWorkers {
-			b.Run(fmt.Sprintf("strips=%d/workers=%d", ms, w), func(b *testing.B) {
-				prev := tensor.SetGramMaxStrips(ms)
-				s.InvalidatePlans()
-				b.Cleanup(func() {
-					tensor.SetGramMaxStrips(prev)
-					s.InvalidatePlans()
-				})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tucker.HOSVDWorkers(s, ranks, w)
-				}
-			})
-		}
 	}
 }

@@ -22,8 +22,7 @@
 // findings that were repaired do not fail the run.
 //
 // The -json mode is what CI runs and archives, so lint findings can be
-// diffed across commits the same way BENCH_7.json snapshots diff kernel
-// performance.
+// diffed across commits.
 package main
 
 import (

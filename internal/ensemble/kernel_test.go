@@ -97,7 +97,7 @@ func TestTruthFibersPairingIndependent(t *testing.T) {
 	}
 }
 
-// BenchmarkSimCells is the kernel-tier gate of the simulation kernel: one
+// BenchmarkSimCells is the kernel-tier benchmark of the simulation kernel: one
 // steady-state simulation per system at 12 time samples, and one pair of
 // double-pendulum simulations through the pair entry, reported per
 // simulation.

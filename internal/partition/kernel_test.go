@@ -41,7 +41,7 @@ func TestGenerateCtxAllocationBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkPartitionGenerate is the kernel-tier gate of the sub-ensemble
+// BenchmarkPartitionGenerate is the kernel-tier benchmark of the sub-ensemble
 // stage: one whole res-12 campaign — sampling, fan-out, assembly.
 func BenchmarkPartitionGenerate(b *testing.B) {
 	space, cfg := res12Campaign()

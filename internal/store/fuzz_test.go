@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -143,6 +144,37 @@ func FuzzLoadMatrices(f *testing.F) {
 			for _, m := range ms {
 				if len(m.Data) != m.Rows*m.Cols {
 					t.Fatalf("loaded a %d×%d matrix over %d values", m.Rows, m.Cols, len(m.Data))
+				}
+			}
+			return err
+		})
+	})
+}
+
+// FuzzLoadSimSet covers the checkpoints and sims- catalogs campaigns
+// resume from: an accepted file is SaveSimSet's own encoding, so
+// re-saving what it decoded reproduces it byte for byte.
+func FuzzLoadSimSet(f *testing.F) {
+	valid := savedBytes(f, func(s *Store) error {
+		return s.SaveSimSet("seed", "fp", map[int][]float64{7: {1, 2, 3}, 9: {4}})
+	})
+	countAt := headerLen + 4 + len("fp")
+	hugeCount, repeatedKey := append([]byte(nil), valid...), append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(hugeCount[countAt:], 1<<39)
+	binary.LittleEndian.PutUint64(repeatedKey[countAt+8+12+3*8:], 7) // the second key
+	trailingByte := append(valid[:len(valid):len(valid)], 0)         // resealed: one byte after the last entry
+	for _, seed := range [][]byte{valid, valid[:len(valid)-9], reseal(hugeCount), reseal(repeatedKey), reseal(trailingByte)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzLoad(t, data, func(s *Store) error {
+			fp, sims, err := s.LoadSimSet("x")
+			if err == nil {
+				if err := s.SaveSimSet("y", fp, sims); err != nil {
+					t.Fatal(err)
+				}
+				if again, _ := os.ReadFile(s.path("y")); !bytes.Equal(again, data) {
+					t.Fatalf("accepted %d bytes that re-save to %d other bytes", len(data), len(again))
 				}
 			}
 			return err

@@ -109,13 +109,16 @@ func TestSimSetFormatIdentity(t *testing.T) {
 
 // TestSimSetRejectsOversizedLengths: a length field the file cannot hold
 // is rejected structurally — before it sizes an allocation — not by the
-// checksum (the patched file is resealed).
+// checksum (the patched file is resealed). So is a key that does not
+// ascend: a repeated key used to load as its last copy.
 func TestSimSetRejectsOversizedLengths(t *testing.T) {
-	sims := map[int][]float64{7: {1, 2, 3}}
+	sims := map[int][]float64{7: {1, 2, 3}, 9: {4}}
 	countAt := len(magic) + 4 + 1 + 4 + len("fp")
 	for name, patch := range map[string]func(data []byte){
-		"count":  func(data []byte) { binary.LittleEndian.PutUint64(data[countAt:], 1<<39) },
-		"length": func(data []byte) { binary.LittleEndian.PutUint32(data[countAt+16:], 1<<29) },
+		"count":          func(data []byte) { binary.LittleEndian.PutUint64(data[countAt:], 1<<39) },
+		"length":         func(data []byte) { binary.LittleEndian.PutUint32(data[countAt+16:], 1<<29) },
+		"repeated key":   func(data []byte) { binary.LittleEndian.PutUint64(data[countAt+8+12+3*8:], 7) },
+		"descending key": func(data []byte) { binary.LittleEndian.PutUint64(data[countAt+8+12+3*8:], 5) },
 	} {
 		data := referenceSimSetFile("fp", sims)
 		patch(data)

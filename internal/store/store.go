@@ -517,7 +517,10 @@ func (s *Store) SaveSimSet(name, fingerprint string, sims map[int][]float64) err
 // LoadSimSet reads a simulation set saved with SaveSimSet, returning its
 // configuration fingerprint and completed-simulation map. Every claimed
 // length is checked against what the file can hold before anything is
-// sized by it.
+// sized by it. Only SaveSimSet's own encoding is accepted: keys must be
+// strictly ascending (a repeated key is ErrCorrupt, not a silent
+// overwrite) and nothing may follow the last entry, so an accepted file
+// re-saves to the same bytes.
 func (s *Store) LoadSimSet(name string) (string, map[int][]float64, error) {
 	var (
 		fingerprint string
@@ -540,15 +543,17 @@ func (s *Store) LoadSimSet(name string) (string, map[int][]float64, error) {
 		}
 		sims = make(map[int][]float64, count)
 		var buf []byte
+		var prev uint64
 		for i := uint64(0); i < count; i++ {
 			if _, err := io.ReadFull(r, head[:]); err != nil {
 				return ErrCorrupt
 			}
 			key := binary.LittleEndian.Uint64(head[:8])
 			n := binary.LittleEndian.Uint32(head[8:])
-			if key > 1<<62 || uint64(n) > uint64(size)/8 {
+			if key > 1<<62 || (i > 0 && key <= prev) || uint64(n) > uint64(size)/8 {
 				return ErrCorrupt
 			}
+			prev = key
 			need := 8 * int(n)
 			if cap(buf) < need {
 				buf = make([]byte, need)
@@ -562,6 +567,9 @@ func (s *Store) LoadSimSet(name string) (string, map[int][]float64, error) {
 				cells[c] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*c:]))
 			}
 			sims[int(key)] = cells
+		}
+		if _, err := io.ReadFull(r, head[:1]); err != io.EOF {
+			return ErrCorrupt
 		}
 		return nil
 	})

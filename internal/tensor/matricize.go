@@ -239,7 +239,7 @@ func ModeGramDenseWorkers(d *Dense, n, workers int) *mat.Matrix {
 
 	// Accumulation phase: strip the nonzero-fiber list, one private
 	// partial per strip, fixed-tree merge.
-	strips := parallel.UniformStripBounds(len(bases), denseGramStripGrain, gramMaxStripsEff())
+	strips := parallel.UniformStripBounds(len(bases), denseGramStripGrain, gramMaxStrips)
 	if len(strips) <= 2 {
 		p := denseGramPartialGet(rows)
 		denseGramAccumulate(g.Data, d.Data, bases, p.fiber, inner, rows, 0, len(bases))

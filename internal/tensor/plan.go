@@ -73,34 +73,6 @@ const gramStripGrain = 2048
 // enough strips to balance across any realistic worker count.
 const gramMaxStrips = 32
 
-// gramStripsOverride, when positive, replaces gramMaxStrips; see
-// SetGramMaxStrips.
-var gramStripsOverride atomic.Int64
-
-// SetGramMaxStrips overrides the maximum Gram reduction strips per
-// compiled plan (n <= 0 restores the package default) and returns the
-// previous override (0 if none). It exists for benchmarks and
-// experiments — the strips-vs-workers sweep in BenchmarkParallelHOSVD
-// uses it to expose the scheduler's scaling surface. Different strip
-// grids associate the floating-point accumulation differently, so
-// results are comparable only at tolerance level across settings (they
-// remain bit-deterministic for any fixed setting and worker count).
-// Sparse plans cache their grid: call InvalidatePlans on tensors built
-// before the override changed.
-func SetGramMaxStrips(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(gramStripsOverride.Swap(int64(n)))
-}
-
-func gramMaxStripsEff() int {
-	if n := gramStripsOverride.Load(); n > 0 {
-		return int(n)
-	}
-	return gramMaxStrips
-}
-
 // planEntry is one lazily-built per-mode plan slot. done is set (with
 // release semantics) only after once has stored the finished plan, so
 // HasPlanMode can answer "is a plan ready right now" without taking the
@@ -239,6 +211,6 @@ func compileModePlan(s *Sparse, n, workers int) *ModePlan {
 	for gi := range weights {
 		weights[gi] = p.Bounds[gi+1] - p.Bounds[gi]
 	}
-	p.Strips = parallel.BalancedStripBounds(weights, gramStripGrain, gramMaxStripsEff())
+	p.Strips = parallel.BalancedStripBounds(weights, gramStripGrain, gramMaxStrips)
 	return p
 }

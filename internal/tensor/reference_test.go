@@ -262,7 +262,7 @@ func modeGramDenseStripRef(d *Dense, n int) *mat.Matrix {
 	if len(bases) == 0 {
 		return g
 	}
-	strips := parallel.UniformStripBounds(len(bases), denseGramStripGrain, gramMaxStripsEff())
+	strips := parallel.UniformStripBounds(len(bases), denseGramStripGrain, gramMaxStrips)
 	partials := make([][]float64, len(strips)-1)
 	fiber := make([]float64, rows)
 	for st := range partials {

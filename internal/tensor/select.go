@@ -186,7 +186,7 @@ func deriveSelectedPlan(src *ModePlan, keep []bool, scaled []float64, newOf []in
 	for gi := range weights {
 		weights[gi] = p.Bounds[gi+1] - p.Bounds[gi]
 	}
-	p.Strips = parallel.BalancedStripBounds(weights, gramStripGrain, gramMaxStripsEff())
+	p.Strips = parallel.BalancedStripBounds(weights, gramStripGrain, gramMaxStrips)
 	return p
 }
 

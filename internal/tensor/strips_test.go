@@ -129,27 +129,20 @@ func TestGramStripGridIsPureFunctionOfInput(t *testing.T) {
 	}
 }
 
-func TestSetGramMaxStripsOverride(t *testing.T) {
-	prev := SetGramMaxStrips(2)
-	defer SetGramMaxStrips(prev)
-	s := seededSparse(Shape{14, 12, 10, 8}, 9000, 26)
-	p := s.PlanMode(0, 1)
-	if p.NumStrips() != 2 {
-		t.Fatalf("override=2: plan compiled %d strips, want 2", p.NumStrips())
-	}
-	// Results stay bit-stable across worker counts under any fixed override.
-	want := ModeGramWorkers(s, 0, 1)
-	for _, w := range stripTestWorkers[1:] {
-		if !matEqualBits(want, ModeGramWorkers(s, 0, w)) {
-			t.Fatalf("override=2: workers=%d differs", w)
+func TestGramStripCountFollowsEntryCount(t *testing.T) {
+	// nnz / gramStripGrain strips: 2 (the smallest multi-strip grid) and 4,
+	// each bit-stable across worker counts.
+	for _, nnz := range []int{5000, 9000} {
+		s := seededSparse(Shape{14, 12, 10, 8}, nnz, 26)
+		if got := s.PlanMode(0, 1).NumStrips(); got != nnz/gramStripGrain {
+			t.Fatalf("nnz=%d: plan compiled %d strips, want %d", nnz, got, nnz/gramStripGrain)
 		}
-	}
-	// Restoring the default and invalidating recompiles a bigger grid
-	// (9000 entries / gramStripGrain = 4 strips).
-	SetGramMaxStrips(prev)
-	s.InvalidatePlans()
-	if got := s.PlanMode(0, 1).NumStrips(); got != 9000/gramStripGrain {
-		t.Fatalf("default grid: %d strips for nnz=9000, want %d", got, 9000/gramStripGrain)
+		want := ModeGramWorkers(s, 0, 1)
+		for _, w := range stripTestWorkers[1:] {
+			if !matEqualBits(want, ModeGramWorkers(s, 0, w)) {
+				t.Fatalf("nnz=%d: workers=%d differs", nnz, w)
+			}
+		}
 	}
 }
 

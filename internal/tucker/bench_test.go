@@ -56,8 +56,7 @@ func BenchmarkHOSVDWarm(b *testing.B) {
 // plan compilation on the full nnz while the sketched side pays the two
 // sketch passes plus compilation on the KeepFrac-sized sketch. keep=1
 // short-circuits to plain HOSVD (the protocol's own baseline); smaller
-// fractions cut every kernel's nnz. BENCH_7.json gates keep=0.1 at
-// >= 3x over BenchmarkHOSVD (cmd/benchjson -speedup).
+// fractions cut every kernel's nnz.
 func BenchmarkSketchedHOSVD(b *testing.B) {
 	x := benchTensor(b)
 	ranks := UniformRanks(4, 4)
