@@ -59,11 +59,13 @@ test:
 # (internal/ensemble, driven by internal/partition: strip cursor +
 # checkpoint saves outside the fan-out's locks), in the campaign
 # server's executors (the one-producer gate on shared sims- catalogs), and
-# in the two D-M2TD executors (the coordinator's event loop, concurrent
-# worker start and single reaper; every task kind under kill-and-recover).
+# in the two D-M2TD executors: the process engine (the coordinator's event
+# loop, concurrent worker start and single reaper; every task kind under
+# kill-and-recover) and core's in-process shard fan-out, whose tests
+# internal/core and internal/dist hold.
 race:
 	$(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=20 -timeout 25m ./internal/parallel ./internal/ensemble ./internal/partition ./internal/serve ./internal/distnet ./internal/dist
+	$(GO) test -race -count=20 -timeout 25m ./internal/parallel ./internal/ensemble ./internal/partition ./internal/serve ./internal/distnet ./internal/core ./internal/dist
 
 # Regenerate tables_output.txt: the paper's tables and figure at the default
 # scale (-table all), then the ablations shaped like them. ≈ 1 min; the
@@ -124,7 +126,8 @@ perf:
 # Short runs of the fuzz targets: the internal/tensor index algebra, the
 # decoders on the process engine's trust boundaries (store objects — sparse
 # tensors, matrix lists, decompositions, sim sets — control-plane frames,
-# and the task/result payloads inside a valid frame),
+# the task/result payloads inside a valid frame, and the phase artifacts
+# the coordinator reads back),
 # and campaign identity (api.CampaignSpec JSON → Config.SimFingerprint /
 # Fingerprint, which name shared store objects).
 fuzz-smoke:
@@ -136,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLoadSimSet -fuzztime=10s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzTaskPayload -fuzztime=10s ./internal/distnet
+	$(GO) test -run=NONE -fuzz=FuzzPhaseArtifact -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpecFingerprint -fuzztime=10s ./internal/serve
 
 # Observability acceptance drill (mirrors the CI `obs` job): run a faulted

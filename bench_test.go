@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/mat"
 	"repro/internal/partition"
@@ -280,18 +279,14 @@ func BenchmarkDecomposeDispatch(b *testing.B) {
 }
 
 // BenchmarkDistributedWorkers measures D-M2TD end-to-end at different
-// worker counts on the route the engine takes by default — join-free on
-// this intact partition (Table III's phase split is the materialised
-// entry's, eval.Table3).
+// server counts (Workers = Shards) on the join-free route every campaign
+// takes (Table III's phase split is the materialised entry's, eval.Table3).
 func BenchmarkDistributedWorkers(b *testing.B) {
 	part, ranks := benchPartition(b)
 	for _, w := range []int{1, 4, 16} {
 		b.Run(strconv.Itoa(w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := dist.Decompose(part, dist.Options{
-					Options: core.Options{Method: core.SELECT, Ranks: ranks},
-					Workers: w,
-				})
+				_, err := core.DecomposeFactored(part, core.Options{Method: core.SELECT, Ranks: ranks, Workers: w, Shards: w})
 				if err != nil {
 					b.Fatal(err)
 				}

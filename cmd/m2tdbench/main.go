@@ -209,8 +209,7 @@ func runPipeline(ctx context.Context, cfg m2td.Config, timeout time.Duration, tr
 	if ds := report.Distributed; ds != nil {
 		fmt.Printf("dist workers       %d (lost %d, requeues %d, skipped tasks %d)\n",
 			ds.Workers, ds.WorkersLost, ds.Requeues, ds.TasksSkipped)
-		fmt.Printf("dist phases        p1 %v, p2 %v, p3 %v\n",
-			ds.Phase1.Round(time.Millisecond), ds.Phase2.Round(time.Millisecond), ds.Phase3.Round(time.Millisecond))
+		fmt.Printf("dist phases        p1 %v, p3 %v\n", ds.Phase1.Round(time.Millisecond), ds.Phase3.Round(time.Millisecond))
 	}
 	fmt.Printf("core fingerprint   %016x\n", decompFingerprint(report.Decomposition))
 	fmt.Printf("sim %v, decomp %v, total %v\n",

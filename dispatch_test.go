@@ -118,8 +118,8 @@ func faultedCases(t *testing.T) []routeCase {
 // — are bit-equal, for every method over the whole grid of cases and over
 // the fault-injected ones (one failed simulation; quarantined cells), whose
 // holes the same kernel sums per pivot group. The engines run that kernel
-// too, so the table carries them: the goroutine pool (Workers) at three
-// shards on every case, the process engine (Distributed) at three shards on
+// too, so the table carries them: in process at three shards (Workers) on
+// every case, the process engine (Distributed) at three shards on
 // the P = E = 0.5 and the fault-injected cases — join and zero-join — each
 // join-free and within 1e-9 of the stitched result.
 func TestRoutesAgree(t *testing.T) {
@@ -219,11 +219,12 @@ func TestJoinCellsMatchesStitch(t *testing.T) {
 
 // TestBrokenProductStructureFallsBack — the name is the parent's; nothing
 // falls back any more. A campaign with one permanently failed simulation,
-// and one with quarantined cells, on the default route, the goroutine pool
-// and the process engine: no join on the report, no stitch span,
+// and one with quarantined cells, on the default route, in process at three
+// shards and on the process engine: no join on the report, no stitch span,
 // factored = 1, holey_groups > 0, JoinCells equal to what stitching would
 // build, and the core within 1e-9 of core.DecomposeCtx on the same
-// partition. In process the run is core.DecomposeFactored's, bit for bit;
+// partition. In process the run is core.DecomposeFactored's at the same
+// shard count, bit for bit, with its factors and core spans;
 // the two engines agree to the last
 // bit at equal shard counts. Factored, which used to fail such a run with
 // core.ErrNoProductStructure, selects nothing.
@@ -256,8 +257,8 @@ func TestBrokenProductStructureFallsBack(t *testing.T) {
 			if res.Join != nil || d.Find("stitch") != nil || d.Counter("factored") != 1 || d.Counter("holey_groups") < 1 {
 				t.Fatalf("%s: join stitched %v, span:\n%s", name, res.Join != nil, d.Skeleton())
 			}
-			if ds := report.Distributed; ds != nil && (ds.Phase2 != 0 || d.Find("phase2").Counter("tasks") != 0 || d.Find("phase3").Counter("tasks") != 3) {
-				t.Fatalf("%s: process engine Phase2 %v, span:\n%s", name, ds.Phase2, d.Skeleton())
+			if report.Distributed != nil && (d.Find("phase2").Counter("tasks") != 0 || d.Find("phase3").Counter("tasks") != 3) {
+				t.Fatalf("%s: process engine span:\n%s", name, d.Skeleton())
 			}
 			copts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(report.Space.Order(), cfg.Rank)}
 			want, err := core.DecomposeCtx(ctx, report.Partition, copts)
@@ -270,10 +271,11 @@ func TestBrokenProductStructureFallsBack(t *testing.T) {
 			if !res.Core.Equal(want.Core, 1e-9) {
 				t.Fatalf("%s: core differs from core.DecomposeCtx on the same partition", name)
 			}
-			if cfg.Workers == 0 && cfg.Distributed == nil {
-				if c := d.Find("core"); c == nil || c.Counter("holey_groups") != d.Counter("holey_groups") {
-					t.Errorf("%s: core span does not carry the stage's holey_groups:\n%s", name, d.Skeleton())
+			if cfg.Distributed == nil {
+				if c := d.Find("core"); c == nil || d.Find("factors") == nil || c.Counter("holey_groups") != d.Counter("holey_groups") {
+					t.Errorf("%s: factors and core spans missing, or core without the stage's holey_groups:\n%s", name, d.Skeleton())
 				}
+				copts.Shards = cfg.Workers
 				direct, err := core.DecomposeFactored(report.Partition, copts)
 				if err != nil || direct.Join != nil {
 					t.Fatalf("%s: core.DecomposeFactored: Join %v, err %v", name, direct, err)
@@ -288,8 +290,8 @@ func TestBrokenProductStructureFallsBack(t *testing.T) {
 }
 
 // TestNoConfigBuildsTheJoin: nothing a Config can say makes a campaign
-// stitch J. Every executor — in process, the goroutine pool, the process
-// engine — on an intact campaign and on one that lost cells to divergent
+// stitch J. Every executor — in process at one shard and at three, the
+// process engine — on an intact campaign and on one that lost cells to divergent
 // trajectories, plain join and zero-join: no join on the report, no stitch
 // span under decompose, factored = 1, and the join's size reported from the
 // partition's pivot groups.
@@ -393,7 +395,7 @@ func TestDefaultRouteBitIdenticalAcrossParallel(t *testing.T) {
 
 // TestDecomposeStageNamesItselfOnEveryRoute: whichever engine the route
 // options pick, a failing decomposition comes back as the decomposition
-// stage's error (the Workers arm used to return dist.Decompose's bare).
+// stage's error (a Workers arm once returned its engine's error bare).
 func TestDecomposeStageNamesItselfOnEveryRoute(t *testing.T) {
 	part := routeCases(t)[0].part
 	ranks := tucker.UniformRanks(part.Space.Order(), 2)

@@ -116,8 +116,7 @@ func TestDistributedConfigValidation(t *testing.T) {
 // TestDistributedRouteIsVisible: both engines are join-free and say so. On
 // an intact partition the report has no join, its JoinCells is the density
 // formula's, the decompose span carries factored = 1 and holey_groups = 0
-// and — on the process engine — a phase2 span with no tasks beside a Phase2
-// time of exactly 0. One failed simulation changes one thing: holey_groups
+// and — on the process engine — a phase2 span with no tasks. One failed simulation changes one thing: holey_groups
 // counts the pivot groups it left a hole in, and the core still equals
 // core.DecomposeCtx's on that partition to 1e-9.
 func TestDistributedRouteIsVisible(t *testing.T) {
@@ -140,8 +139,8 @@ func TestDistributedRouteIsVisible(t *testing.T) {
 			t.Errorf("%s, intact partition: join stitched %v, JoinCells %d, span:\n%s", name, report.Decomposition.Join != nil, report.JoinCells, d.Skeleton())
 		}
 		if ds := report.Distributed; ds != nil {
-			if p2 := d.Find("phase2"); ds.Phase2 != 0 || p2 == nil || p2.Counter("tasks") != 0 || d.Find("phase3").Counter("tasks") != 3 {
-				t.Errorf("%s, intact partition: Phase2 %v, span:\n%s", name, ds.Phase2, d.Skeleton())
+			if p2 := d.Find("phase2"); p2 == nil || p2.Counter("tasks") != 0 || d.Find("phase3").Counter("tasks") != 3 {
+				t.Errorf("%s, intact partition: span:\n%s", name, d.Skeleton())
 			}
 		}
 
@@ -157,8 +156,8 @@ func TestDistributedRouteIsVisible(t *testing.T) {
 		if broken.Decomposition.Join != nil || d.Counter("factored") != 1 || d.Counter("holey_groups") < 1 {
 			t.Fatalf("%s, one failed simulation: join stitched %v, span:\n%s", name, broken.Decomposition.Join != nil, d.Skeleton())
 		}
-		if ds := broken.Distributed; ds != nil && (ds.Phase2 != 0 || d.Find("phase2").Counter("tasks") != 0) {
-			t.Errorf("%s, one failed simulation: Phase2 %v, span:\n%s", name, ds.Phase2, d.Skeleton())
+		if broken.Distributed != nil && d.Find("phase2").Counter("tasks") != 0 {
+			t.Errorf("%s, one failed simulation: span:\n%s", name, d.Skeleton())
 		}
 		want, err := core.DecomposeCtx(context.Background(), broken.Partition, core.Options{
 			Method: core.SELECT, Ranks: tucker.UniformRanks(broken.Space.Order(), cfg.Rank),

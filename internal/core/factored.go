@@ -13,9 +13,9 @@ import (
 )
 
 // DecomposeFactored computes the M2TD decomposition without materialising
-// the join tensor — the route of every campaign, in process (here), on the
-// goroutine pool (dist.Decompose) and on worker processes
-// (internal/distnet): ProjectShard per shard, FactoredCore driver-side.
+// the join tensor — the route of every campaign, in process (here, at any
+// opts.Shards) and on worker processes (internal/distnet): ProjectShard per
+// shard, FactoredCore driver-side.
 //
 // J's cells group by pivot configuration p, and within a group
 // J(p, f1, f2) = ½·(X₁(p, f1) + X₂(p, f2)) over the free configurations the
@@ -39,8 +39,8 @@ import (
 // One precondition: no index is stored twice in a sub-tensor (and cells sit
 // at listed configurations, where there are lists) — every
 // partition.GenerateCtx output. What still builds J is what wants J's
-// cells: m2td.StitchCtx, examples/streaming/increment, and the two oracles —
-// DecomposeCtx and dist.DecomposeMaterialised, the paper's Algorithm 6. The
+// cells: m2td.StitchCtx, examples/streaming/increment, and the oracle
+// DecomposeCtx, which at opts.Shards > 1 is the paper's Algorithm 6. The
 // Result has Join == nil; opts.Span is marked factored = 1 and holey_groups,
 // the pivot groups that left the Gram-sized path.
 func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
@@ -55,9 +55,14 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	coreClock := obs.StartStopwatch()
 	cspan := opts.Span.Start("core")
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	// The engines' Phase 3 at one shard: every cell of both sub-tensors.
-	part := ProjectShard(stitch.NewSpec(p, opts.ZeroJoin), SampledOf(p), p.Sub1.Tensor, p.Sub2.Tensor, factors, 0, 1, opts.Workers)
-	coreT, total := FactoredCore(p, opts.ZeroJoin, factors, []Partial{part}, opts.Span)
+	// Phase 3: one ProjectShard per shard — at one shard every cell of both
+	// sub-tensors.
+	spec, grid, shards := stitch.NewSpec(p, opts.ZeroJoin), SampledOf(p), max(opts.Shards, 1)
+	parts := make([]Partial, shards)
+	eachShard(shards, opts.Workers, func(s, workers int) {
+		parts[s] = ProjectShard(spec, grid, p.Sub1.Tensor, p.Sub2.Tensor, factors, s, shards, workers)
+	})
+	coreT, total := FactoredCore(p, opts.ZeroJoin, factors, parts, opts.Span)
 	cspan.Set("cells", int64(len(coreT.Data)))
 	cspan.Set("factored", 1)
 	cspan.Set("holey_groups", int64(total.Holey))

@@ -70,6 +70,14 @@ type Options struct {
 	// 0 selects the parallel package default (GOMAXPROCS); 1 forces serial
 	// execution. Results are bit-identical for any worker count.
 	Workers int
+	// Shards is D-M2TD's server count (Algorithm 6, Section VI-D): the pivot
+	// groups are cut by key % Shards, each shard is stitched and projected
+	// (DecomposeCtx) or projected (DecomposeFactored) as one task on the
+	// pool, and the partials are summed in ascending shard order. The
+	// result is a pure function of it, bit-identical to internal/distnet at
+	// equal Shards and equal to one shard's up to that summation order.
+	// Values ≤ 1 mean one shard: the unsharded computation, with no fan-out.
+	Shards int
 	// Span, when non-nil, is the decompose stage span: a decomposition
 	// opens one child span per phase (factors, core — and stitch between
 	// them in DecomposeCtx), with one sub-span per original mode under
@@ -122,10 +130,13 @@ func CheckedRanks(method Method, ranks []int, shape tensor.Shape) ([]int, error)
 
 // DecomposeCtx is Algorithms 1–5 as the paper states them: decompose the
 // two sub-tensors, JE-stitch the whole join, project it through the fused
-// factors. No campaign runs it — it pays O(P·E₁·E₂) cells for what
-// DecomposeFactored gets from O(nnz(X₁) + nnz(X₂)) — it is the oracle the
-// join-free engines (core, dist, distnet) and the facade are tested against
-// across packages, and what the benchmarks time the join-free route against.
+// factors — at opts.Shards > 1 Algorithm 6's phases: one stitch task per
+// shard, the shards concatenated in shard order, one projection per shard,
+// summed in ascending order (Table III's split). No campaign runs it — it
+// pays O(P·E₁·E₂) cells for what DecomposeFactored gets from
+// O(nnz(X₁) + nnz(X₂)) — it is the oracle the join-free engines (core,
+// distnet) and the facade are tested against across packages, and what the
+// benchmarks time the join-free route against.
 // Cancellation is polled between the three phases (sub-decomposition,
 // stitching, core recovery); a phase that has started always runs to
 // completion — its kernels never observe the context — so cancellation leaves
@@ -149,16 +160,16 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 		return nil, err
 	}
 
-	// Phase 2: JE-stitching.
+	// Phase 2: JE-stitching, one task per shard.
 	stitchClock := obs.StartStopwatch()
 	sspan := opts.Span.Start("stitch")
 	sdone := sspan.WithVitals(nil)
-	var j *tensor.Sparse
+	spec, shards := stitch.NewSpec(p, opts.ZeroJoin), max(opts.Shards, 1)
+	joins := make([]*tensor.Sparse, shards)
+	eachShard(shards, opts.Workers, func(s, _ int) { joins[s] = spec.Shard(p.Sub1.Tensor, p.Sub2.Tensor, s, shards) })
+	j := mergeJoin(spec.Shape, joins)
 	if opts.ZeroJoin {
-		j = stitch.ZeroJoin(p)
 		sspan.Set("zero_join", 1)
-	} else {
-		j = stitch.Join(p)
 	}
 	sspan.Set("join_nnz", int64(j.NNZ()))
 	sdone()
@@ -168,11 +179,18 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 		return nil, err
 	}
 
-	// Phase 3: recover the core through the assembled factors.
+	// Phase 3: recover the core through the assembled factors, one
+	// projection per shard, summed in ascending shard order — the fixed
+	// order keeps the float sum bitwise stable.
 	coreClock := obs.StartStopwatch()
 	cspan := opts.Span.Start("core")
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
-	coreT := tucker.CoreFromFactorsWorkers(j, factors, opts.Workers)
+	partials := make([]*tensor.Dense, shards)
+	eachShard(shards, opts.Workers, func(s, workers int) { partials[s] = tucker.CoreFromFactorsWorkers(joins[s], factors, workers) })
+	coreT := partials[0]
+	for _, partial := range partials[1:] {
+		coreT = coreT.Add(partial)
+	}
 	cspan.Set("cells", int64(len(coreT.Data)))
 	cdone()
 	coreTime := coreClock.Elapsed()
@@ -185,6 +203,45 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 		StitchTime:    stitchTime,
 		CoreTime:      coreTime,
 	}, nil
+}
+
+// eachShard runs task once per shard on up to workers goroutines, handing
+// each its share of the worker budget (scheduling only). One shard is a
+// direct call with the whole budget, not a one-task fan-out, so a
+// one-shard decomposition is the unsharded one, pool counters included.
+func eachShard(shards, workers int, task func(shard, workers int)) {
+	if shards == 1 {
+		task(0, workers)
+		return
+	}
+	inner := parallel.SplitWorkers(workers, shards)
+	tasks := make([]func(), shards)
+	for s := range tasks {
+		tasks[s] = func() { task(s, inner) }
+	}
+	parallel.Do(workers, tasks...)
+}
+
+// mergeJoin concatenates the stitch shards, in the order given (ascending
+// shard index), into exactly-sized storage; one shard is the join itself.
+// The shards' quarantine state carries over: the flag if any shard has it,
+// and the sum of their counts.
+func mergeJoin(shape tensor.Shape, shards []*tensor.Sparse) *tensor.Sparse {
+	if len(shards) == 1 {
+		return shards[0]
+	}
+	total := 0
+	for _, shard := range shards {
+		total += shard.NNZ()
+	}
+	j := tensor.NewSparse(shape)
+	j.Reserve(total)
+	for _, shard := range shards {
+		j.AppendBlock(shard.Idx, shard.Vals)
+		j.RejectNonFinite = j.RejectNonFinite || shard.RejectNonFinite
+		j.Rejected += shard.Rejected
+	}
+	return j
 }
 
 // factorsPhase is phase 1 of both routes under its span: the fused factor

@@ -9,14 +9,20 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/stitch"
+	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
@@ -134,5 +140,100 @@ func TestDecomposeJoinStaysPlanFree(t *testing.T) {
 				resultEqualBits(t, tc.name+" w="+strconv.Itoa(w), want, got)
 			}
 		})
+	}
+}
+
+// TestEachShardOneShardIsADirectCall: one shard runs on the caller with the
+// whole worker budget and adds no pool task, so a one-shard decomposition
+// is the unsharded one; several are one pool task each, in shard order
+// at one worker.
+func TestEachShardOneShardIsADirectCall(t *testing.T) {
+	tasks := obs.Default.Counter("m2td_parallel_tasks_total", "")
+	for _, c := range []struct{ shards, workers, tasks int }{{1, 4, 0}, {3, 1, 3}} {
+		var got []int
+		before := tasks.Value()
+		eachShard(c.shards, c.workers, func(shard, workers int) {
+			got = append(got, shard)
+			if c.shards == 1 && workers != c.workers {
+				t.Errorf("one shard got %d workers of %d", workers, c.workers)
+			}
+		})
+		if added := tasks.Value() - before; added != int64(c.tasks) {
+			t.Errorf("%d shards: %d pool tasks", c.shards, added)
+		}
+		if want := []int{0, 1, 2}[:c.shards]; !slices.Equal(got, want) {
+			t.Errorf("%d shards ran %v", c.shards, got)
+		}
+	}
+}
+
+// thin returns x without the entries drop selects.
+func thin(x *tensor.Sparse, drop func(e int, idx []int) bool) *tensor.Sparse {
+	out := tensor.NewSparse(x.Shape)
+	for e := 0; e < x.NNZ(); e++ {
+		if idx, v := x.Entry(e); !drop(e, idx) {
+			out.Append(idx, v)
+		}
+	}
+	return out
+}
+
+// TestMergeJoinKeepsQuarantine: the stitch shards, concatenated, are the
+// whole join's cells with its quarantine flag and count — full and ragged
+// pivot groups, groups present on one side only, a NaN among the inputs
+// (quarantined at free=1, where Generate's sub-tensors carry the flag;
+// stitched through at free=0.5, where the thinned copies do not); one
+// shard is the join itself.
+func TestMergeJoinKeepsQuarantine(t *testing.T) {
+	for name, cfg := range map[string]partition.Config{
+		"time-pivot": partition.DefaultConfig(5, 4, doublePendulumPairs),
+		"two-pivot":  {Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1},
+	} {
+		for _, freeFrac := range []float64{1, 0.5} {
+			cfg.FreeFrac = freeFrac
+			p, err := partition.GenerateCtx(context.Background(), ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 5), cfg, rand.New(rand.NewSource(140)), partition.SimOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x1, x2 := p.Sub1.Tensor, p.Sub2.Tensor
+			if freeFrac < 1 {
+				spec := stitch.NewSpec(p, false)
+				x1 = thin(x1, func(e int, idx []int) bool { return e%7 == 0 || spec.PivotKey(idx) == 1 })
+				x2 = thin(x2, func(e int, idx []int) bool { return e%5 == 0 || spec.PivotKey(idx) == 3 })
+			}
+			x1.Vals[x1.NNZ()/3] = math.NaN()
+			for _, zero := range []bool{false, true} {
+				label := fmt.Sprintf("%s free=%g zero=%v", name, freeFrac, zero)
+				spec := stitch.NewSpec(p, zero)
+				whole := spec.Shard(x1, x2, 0, 1)
+				if whole.NNZ() == 0 || whole.RejectNonFinite != (freeFrac == 1) || (whole.Rejected > 0) != whole.RejectNonFinite {
+					t.Fatalf("%s: whole join has %d cells, quarantine %v/%d", label, whole.NNZ(), whole.RejectNonFinite, whole.Rejected)
+				}
+				cells := make(map[string]uint64, whole.NNZ())
+				for e := range whole.Vals {
+					idx, v := whole.Entry(e)
+					cells[fmt.Sprint(idx)] = math.Float64bits(v)
+				}
+				for _, shards := range []int{1, 3, 4} {
+					parts := make([]*tensor.Sparse, shards)
+					for s := range parts {
+						parts[s] = spec.Shard(x1, x2, s, shards)
+					}
+					merged := mergeJoin(spec.Shape, parts)
+					if shards == 1 && merged != parts[0] {
+						t.Fatalf("%s: one shard was copied", label)
+					}
+					if merged.NNZ() != whole.NNZ() || merged.Rejected != whole.Rejected || merged.RejectNonFinite != whole.RejectNonFinite {
+						t.Fatalf("%s: %d shards merge to %d cells, quarantine %v/%d; whole join %d, %v/%d", label,
+							shards, merged.NNZ(), merged.RejectNonFinite, merged.Rejected, whole.NNZ(), whole.RejectNonFinite, whole.Rejected)
+					}
+					for e := range merged.Vals {
+						if idx, v := merged.Entry(e); cells[fmt.Sprint(idx)] != math.Float64bits(v) {
+							t.Fatalf("%s shards=%d: merged cell %v = %v is not the whole join's", label, shards, idx, v)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -23,6 +23,10 @@ import (
 	"repro/internal/tucker"
 )
 
+// These tests pin core's sharded D-M2TD (core.Options.Shards) on the
+// inputs they were written for; TestDecomposeIsShardedCore and
+// TestDistributedRejectsBadOptions are about this package's shim.
+
 var doublePendulumPairs = [][2]int{{0, 2}, {1, 3}}
 
 func tinyPartition(t *testing.T, freeFrac float64, seed int64) *partition.Result {
@@ -54,15 +58,15 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			opts := Options{Options: core.Options{Method: m, Ranks: ranks}, Workers: workers}
-			d, err := DecomposeMaterialised(p, opts)
+			opts := core.Options{Method: m, Ranks: ranks, Shards: workers}
+			d, err := decomposeCtx(p, opts)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", m, workers, err)
 			}
 			if d.Join.NNZ() != serial.Join.NNZ() {
 				t.Fatalf("%s workers=%d: join NNZ %d != serial %d", m, workers, d.Join.NNZ(), serial.Join.NNZ())
 			}
-			f, err := Decompose(p, opts)
+			f, err := core.DecomposeFactored(p, opts)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", m, workers, err)
 			}
@@ -90,8 +94,8 @@ func TestDistributedZeroJoinMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true}, Workers: 4}
-	d, err := DecomposeMaterialised(p, opts)
+	opts := core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: true, Shards: 4}
+	d, err := decomposeCtx(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +105,7 @@ func TestDistributedZeroJoinMatchesSerial(t *testing.T) {
 	if !d.Core.Equal(serial.Core, 1e-9) {
 		t.Fatal("distributed zero-join core differs from serial")
 	}
-	f, err := Decompose(p, opts)
+	f, err := core.DecomposeFactored(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +120,7 @@ func TestDistributedZeroJoinMatchesSerial(t *testing.T) {
 func TestDistributedDeterministicAcrossRuns(t *testing.T) {
 	p := tinyPartition(t, 1, 122)
 	ranks := tucker.UniformRanks(5, 2)
-	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: ranks}, Workers: 4}
+	opts := core.Options{Method: core.SELECT, Ranks: ranks, Shards: 4}
 	for route, decompose := range routes {
 		a, err := decompose(p, opts)
 		if err != nil {
@@ -134,8 +138,8 @@ func TestDistributedDeterministicAcrossRuns(t *testing.T) {
 
 func TestDistributedPhaseStats(t *testing.T) {
 	p := tinyPartition(t, 1, 123)
-	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2)}, Workers: 2}
-	d, err := DecomposeMaterialised(p, opts)
+	opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Shards: 2}
+	d, err := decomposeCtx(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +151,7 @@ func TestDistributedPhaseStats(t *testing.T) {
 	// The join-free route has nothing to stitch: Phase 2 takes no time.
 	trace := obs.New("decompose")
 	opts.Span = trace.Root()
-	f, err := Decompose(p, opts)
+	f, err := core.DecomposeFactored(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +173,30 @@ func TestDistributedRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestDecomposeIsShardedCore: the shim is core.DecomposeFactored at
+// Shards = Workers, bit for bit.
+func TestDecomposeIsShardedCore(t *testing.T) {
+	p := tinyPartition(t, 0.5, 126)
+	for _, workers := range []int{0, 1, 3} {
+		opts := core.Options{Method: core.CONCAT, Ranks: tucker.UniformRanks(5, 2)}
+		got, err := Decompose(p, Options{Options: opts, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Shards = workers
+		want, err := core.DecomposeFactored(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("workers=%d", workers), got, want)
+	}
+}
+
 func TestDistributedReconstructionAccuracy(t *testing.T) {
 	// End-to-end: the distributed pipeline's reconstruction must
 	// approximate the ground truth (relative error < 1).
 	p := tinyPartition(t, 1, 125)
-	d, err := Decompose(p, Options{
-		Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 3)},
-		Workers: 4,
-	})
+	d, err := core.DecomposeFactored(p, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 3), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +207,15 @@ func TestDistributedReconstructionAccuracy(t *testing.T) {
 	}
 }
 
-// routes are the two entries: the dispatch (join-free on every
-// partition.Generate output) and the materialised phases it falls back to.
-var routes = map[string]func(*partition.Result, Options) (*core.Result, error){
-	"join-free":    Decompose,
-	"materialised": DecomposeMaterialised,
+// routes are core's two entries: the join-free kernel every campaign runs
+// and the materialised phases it is tested against.
+var routes = map[string]func(*partition.Result, core.Options) (*core.Result, error){
+	"join-free":    core.DecomposeFactored,
+	"materialised": decomposeCtx,
+}
+
+func decomposeCtx(p *partition.Result, opts core.Options) (*core.Result, error) {
+	return core.DecomposeCtx(context.Background(), p, opts)
 }
 
 // sameResult fails unless got and want agree to the last bit: join cell
@@ -227,13 +251,13 @@ func sameResult(t *testing.T, label string, got, want *core.Result) {
 	}
 }
 
-// TestDistributedBitIdenticalAcrossFanout: Workers is the shard count and
-// nothing else decides the result — how many goroutines the pool really
+// TestDistributedBitIdenticalAcrossFanout: Shards is the determinism unit
+// and nothing else decides the result — how many goroutines the pool really
 // runs (here 1, 2 and 8, tasks claimed in whatever order) moves no bit.
 func TestDistributedBitIdenticalAcrossFanout(t *testing.T) {
 	p := tinyPartition(t, 0.5, 127)
 	for _, m := range core.Methods() {
-		opts := Options{Options: core.Options{Method: m, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: true}, Workers: 3}
+		opts := core.Options{Method: m, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: true, Shards: 3}
 		for route, decompose := range routes {
 			var want *core.Result
 			for _, fanout := range []int{1, 2, 8} {
@@ -256,8 +280,8 @@ func TestDistributedBitIdenticalAcrossFanout(t *testing.T) {
 	}
 }
 
-// TestDistributedZeroWorkersIsOneShard: Workers below 1 means one shard,
-// and one shard is the in-process computation on either route. The
+// TestDistributedZeroWorkersIsOneShard: Shards below 1 means one shard,
+// and one shard is the unsharded computation on either route. The
 // materialised phases are core.DecomposeCtx's — the same stitch kernel over
 // the whole key range, the same projection of the same cell order — to the
 // last bit of every factor, core value and join cell; the join-free ones
@@ -268,23 +292,23 @@ func TestDistributedZeroWorkersIsOneShard(t *testing.T) {
 		p := pivotPartition(t, pivot, 0.5, 129)
 		for _, m := range core.Methods() {
 			for _, zero := range []bool{false, true} {
-				opts := Options{Options: core.Options{Method: m, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}}
-				want, err := core.DecomposeCtx(context.Background(), p, opts.Options)
+				opts := core.Options{Method: m, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}
+				want, err := decomposeCtx(p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				factored, err := core.DecomposeFactored(p, opts.Options)
+				factored, err := core.DecomposeFactored(p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{0, 1} {
-					opts.Workers = workers
-					got, err := DecomposeMaterialised(p, opts)
+					opts.Shards = workers
+					got, err := decomposeCtx(p, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameResult(t, fmt.Sprintf("pivot %d %s zero=%v: workers=%d vs core.DecomposeCtx", pivot, m, zero, workers), got, want)
-					if got, err = Decompose(p, opts); err != nil {
+					if got, err = core.DecomposeFactored(p, opts); err != nil {
 						t.Fatal(err)
 					}
 					sameResult(t, fmt.Sprintf("pivot %d %s zero=%v: workers=%d vs core.DecomposeFactored", pivot, m, zero, workers), got, factored)
@@ -301,28 +325,28 @@ func TestDistributedZeroWorkersIsOneShard(t *testing.T) {
 func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 	p := tinyPartition(t, 1, 128)
 	ranks := tucker.UniformRanks(5, 9) // clipped to 5 on the parameter modes, 4 on time
-	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: ranks}}
+	opts := core.Options{Method: core.SELECT, Ranks: ranks}
 	spec := stitch.NewSpec(p, false)
 	keys := p.Space.Shape()[spec.Pivots[0]]
 
-	serial, err := core.DecomposeCtx(context.Background(), p, opts.Options)
+	serial, err := decomposeCtx(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = keys + 3
-	d, err := DecomposeMaterialised(p, opts)
+	opts.Shards = keys + 3
+	d, err := decomposeCtx(p, opts)
 	if err != nil {
-		t.Fatalf("workers=%d over %d pivot keys: %v", opts.Workers, keys, err)
+		t.Fatalf("shards=%d over %d pivot keys: %v", opts.Shards, keys, err)
 	}
 	if d.Join.NNZ() != serial.Join.NNZ() || !d.Core.Equal(serial.Core, 1e-9) {
-		t.Fatalf("workers=%d over %d pivot keys: result differs from serial", opts.Workers, keys)
+		t.Fatalf("shards=%d over %d pivot keys: result differs from serial", opts.Shards, keys)
 	}
 	// A shard no pivot key lands in projects no cell: all-zero partials.
-	if d, err = Decompose(p, opts); err != nil {
-		t.Fatalf("join-free, workers=%d over %d pivot keys: %v", opts.Workers, keys, err)
+	if d, err = core.DecomposeFactored(p, opts); err != nil {
+		t.Fatalf("join-free, shards=%d over %d pivot keys: %v", opts.Shards, keys, err)
 	}
 	if d.Join != nil || p.JoinCells(false) != serial.Join.NNZ() || !d.Core.Equal(serial.Core, 1e-9) {
-		t.Fatalf("join-free, workers=%d over %d pivot keys: result differs from serial", opts.Workers, keys)
+		t.Fatalf("join-free, shards=%d over %d pivot keys: result differs from serial", opts.Shards, keys)
 	}
 
 	// Side 1 keeps the even pivot keys, side 2 the odd ones: every group is
@@ -334,15 +358,15 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 	sub2.Tensor = thin(p.Sub2.Tensor, func(_ int, idx []int) bool { return spec.PivotKey(idx)%2 == 0 })
 	disjoint.Sub1, disjoint.Sub2 = &sub1, &sub2
 	for _, workers := range []int{1, 3} {
-		opts.Workers = workers
-		m, err := DecomposeMaterialised(&disjoint, opts)
+		opts.Shards = workers
+		m, err := decomposeCtx(&disjoint, opts)
 		if err != nil {
 			t.Fatalf("disjoint pivots, workers=%d: %v", workers, err)
 		}
 		if m.Join.NNZ() != 0 || m.Core.Norm() != 0 {
 			t.Fatalf("disjoint pivots, workers=%d: join has %d cells, core norm %v", workers, m.Join.NNZ(), m.Core.Norm())
 		}
-		d, err := Decompose(&disjoint, opts)
+		d, err := core.DecomposeFactored(&disjoint, opts)
 		if err != nil {
 			t.Fatalf("disjoint pivots, workers=%d: %v", workers, err)
 		}
@@ -375,13 +399,13 @@ func TestDistributedShardsStayPlanFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	gramPlans := int64(p.Sub1.Tensor.Order() + p.Sub2.Tensor.Order())
-	opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 3)}}
+	opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 3)}
 	for _, workers := range []int{1, 2} {
-		opts.Workers = workers
+		opts.Shards = workers
 		// Plans are cached on the sub-tensors and outlive a run, so each
 		// run gets a planless view and must compile its own.
 		builds0, _ := tensor.PlanCacheStats()
-		d, err := DecomposeMaterialised(p.PlanlessView(), opts)
+		d, err := decomposeCtx(p.PlanlessView(), opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -402,10 +426,9 @@ func TestDistributedShardsStayPlanFree(t *testing.T) {
 // parent's; nothing falls back any more. A hole in the P×E grid (one
 // quarantined cell; then a thinned side 1 and a pivot group missing from
 // side 2; then the same pair without its configuration lists) leaves
-// Decompose join-free: no join on the result, holey_groups on the stage
-// span, core.DecomposeFactored's bits at one shard, and
-// DecomposeMaterialised's and core.DecomposeCtx's decomposition to 1e-9 at
-// any.
+// core.DecomposeFactored join-free at any shard count: no join on the
+// result, holey_groups on the stage span, the unsharded bits at one shard,
+// and core.DecomposeCtx's decomposition, sharded or not, to 1e-9 at any.
 func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 	p := tinyPartition(t, 1, 133)
 	spec := stitch.NewSpec(p, false)
@@ -425,20 +448,20 @@ func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 		"no lists":   &unlisted,
 	} {
 		for _, zero := range []bool{false, true} {
-			opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}}
-			serial, err := core.DecomposeCtx(context.Background(), part, opts.Options)
+			opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}
+			serial, err := decomposeCtx(part, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inproc, err := core.DecomposeFactored(part, opts.Options)
+			inproc, err := core.DecomposeFactored(part, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
 				label := fmt.Sprintf("%s zero=%v workers=%d", name, zero, workers)
 				trace := obs.New("campaign")
-				opts.Workers, opts.Span = workers, trace.Root()
-				got, err := Decompose(part, opts)
+				opts.Shards, opts.Span = workers, trace.Root()
+				got, err := core.DecomposeFactored(part, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -450,7 +473,7 @@ func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 					t.Fatalf("%s: JoinCells %d, stitched join %d", label, cells, serial.Join.NNZ())
 				}
 				opts.Span = nil
-				want, err := DecomposeMaterialised(part, opts)
+				want, err := decomposeCtx(part, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -466,8 +489,8 @@ func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 }
 
 // TestIntactBitsAreTheParents pins what "the intact path is unchanged"
-// means: on pairs that lost nothing, core.DecomposeFactored and Decompose
-// at three shards produce the bits they produced before the kernel learned
+// means: on pairs that lost nothing, core.DecomposeFactored at one shard and
+// at three produce the bits they produced before the kernel learned
 // to take holes (FNV-64a over the core's, then the factors', float bits,
 // recorded on the parent commit; amd64 — other ports may fuse
 // multiply-adds).
@@ -514,7 +537,8 @@ func TestIntactBitsAreTheParents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		three, err := Decompose(p, Options{Options: opts, Workers: 3})
+		opts.Shards = 3
+		three, err := core.DecomposeFactored(p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +546,7 @@ func TestIntactBitsAreTheParents(t *testing.T) {
 			t.Errorf("%s: core.DecomposeFactored bits %s, the parent's %s", c.name, got, c.serial)
 		}
 		if got := bitsOf(three); got != c.sum {
-			t.Errorf("%s: Decompose at three shards bits %s, the parent's %s", c.name, got, c.sum)
+			t.Errorf("%s: three shards bits %s, the parent's %s", c.name, got, c.sum)
 		}
 	}
 }

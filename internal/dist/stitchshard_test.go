@@ -17,10 +17,10 @@ import (
 	"repro/internal/tucker"
 )
 
-// The stitch kernel and its oracles live in internal/stitch. What this
-// package adds to Phase 2 is the sharding, so that is what is pinned here:
-// the reference for shard s of S is the whole join — stitch.Spec.Shard at
-// 0 of 1, which is stitch.Join — cut down to the pivot keys ≡ s (mod S).
+// The stitch kernel and its oracles live in internal/stitch. What D-M2TD
+// adds to Phase 2 is the sharding, so that is what is pinned here: the
+// reference for shard s of S is the whole join — stitch.Spec.Shard at 0 of
+// 1, which is stitch.Join — cut down to the pivot keys ≡ s (mod S).
 
 // thin returns x without the entries drop selects.
 func thin(x *tensor.Sparse, drop func(e int, idx []int) bool) *tensor.Sparse {
@@ -49,8 +49,8 @@ func shardOfWhole(spec stitch.Spec, whole *tensor.Sparse, shard, shards int) *te
 // join by pivot key and keep its order — full and ragged pivot groups,
 // groups present on one side only, a NaN among the inputs (quarantined at
 // free=1, where Generate's sub-tensors carry the flag; stitched through at
-// free=0.5, where the thinned copies do not) — and MergeJoin puts them
-// back together with their quarantine counts.
+// free=0.5, where the thinned copies do not). Putting them back together
+// is core's (TestMergeJoinKeepsQuarantine).
 func TestStitchShardMatchesReference(t *testing.T) {
 	for name, cfg := range map[string]partition.Config{
 		"time-pivot": partition.DefaultConfig(5, 4, doublePendulumPairs),
@@ -76,20 +76,14 @@ func TestStitchShardMatchesReference(t *testing.T) {
 					t.Fatalf("%s free=%g zero=%v: whole join has %d cells, quarantine %v/%d", name, freeFrac, zero, whole.NNZ(), whole.RejectNonFinite, whole.Rejected)
 				}
 				for _, shards := range []int{1, 3, 4} {
-					parts := make([]*tensor.Sparse, shards)
-					for shard := range parts {
+					for shard := range shards {
 						t.Run(fmt.Sprintf("%s/free=%g/zero=%v/shard=%d of %d", name, freeFrac, zero, shard, shards), func(t *testing.T) {
-							parts[shard] = spec.Shard(x1, x2, shard, shards)
+							got := spec.Shard(x1, x2, shard, shards)
 							want := shardOfWhole(spec, whole, shard, shards)
-							if !slices.Equal(parts[shard].Idx, want.Idx) || !bitsEqual(parts[shard].Vals, want.Vals) {
+							if !slices.Equal(got.Idx, want.Idx) || !bitsEqual(got.Vals, want.Vals) {
 								t.Fatalf("shard is not the whole join's cells at keys ≡ %d (mod %d), in order", shard, shards)
 							}
 						})
-					}
-					merged := MergeJoin(spec.Shape, parts)
-					if merged.NNZ() != whole.NNZ() || merged.Rejected != whole.Rejected || merged.RejectNonFinite != whole.RejectNonFinite {
-						t.Fatalf("%s free=%g zero=%v: %d shards merge to %d cells, quarantine %v/%d; whole join %d, %v/%d", name, freeFrac, zero,
-							shards, merged.NNZ(), merged.RejectNonFinite, merged.Rejected, whole.NNZ(), whole.RejectNonFinite, whole.Rejected)
 					}
 				}
 			}
@@ -105,8 +99,8 @@ func bitsEqual(got, want []float64) bool {
 // TestBlockEmissionParityQuarantine: a NaN behind the ingest guard of a
 // quarantining sub-tensor is dropped and counted by the shard kernel, not
 // averaged into every matched pair of its pivot group — at one shard bit
-// for bit what core.DecomposeCtx computes from the same poisoned
-// partition, at several the same cells and count.
+// for bit what the unsharded core.DecomposeCtx computes from the same
+// poisoned partition, at several the same cells and count.
 func TestDistributedQuarantine(t *testing.T) {
 	for _, zero := range []bool{false, true} {
 		p := tinyPartition(t, 0.5, 132)
@@ -117,8 +111,8 @@ func TestDistributedQuarantine(t *testing.T) {
 		sub2.Vals[sub2.NNZ()/2] = math.NaN()
 		sub2.InvalidatePlans()
 
-		opts := Options{Options: core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}}
-		want, err := core.DecomposeCtx(context.Background(), p, opts.Options)
+		opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}
+		want, err := decomposeCtx(p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +120,11 @@ func TestDistributedQuarantine(t *testing.T) {
 			t.Fatal("poisoned entry reached no join cell")
 		}
 		// The poisoned pair still counts P×E cells, so it is the materialised
-		// entry — where a quarantine has a join to act on — that is pinned.
+		// entry — where a quarantine has a join to act on — that is pinned:
+		// the shards merge with their quarantine counts.
 		for _, workers := range []int{1, 3} {
-			opts.Workers = workers
-			got, err := DecomposeMaterialised(p, opts)
+			opts.Shards = workers
+			got, err := decomposeCtx(p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,14 +1,12 @@
 package distnet
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -154,8 +152,8 @@ type Result struct {
 }
 
 // Decompose runs D-M2TD over a PF-partitioned pair on real worker
-// processes, join-free (dist.Decompose's phases). See the package comment
-// for the protocol and the determinism contract.
+// processes, join-free (core.DecomposeFactored's phases at Shards). See the
+// package comment for the protocol and the determinism contract.
 func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
 	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
@@ -241,18 +239,27 @@ func (j *job) subDecompose(ctx context.Context, p *partition.Result, method core
 	if err != nil {
 		return nil, stats, err
 	}
-	var fs, gs [2][]*mat.Matrix
+	// Each side's factors go to their modes as they are; the pivot modes'
+	// (leading on both sides) are then fused per the method.
+	factors := make([]*mat.Matrix, p.Space.Order())
+	var gs, fs [2][]*mat.Matrix
 	for si, sub := range subs {
-		for n := range sub.Modes {
+		for n, m := range sub.Modes {
 			name := j.object(factorOut(si+1, n))
 			ms, err := j.st.LoadMatrices(name)
-			if err != nil || len(ms) != 2 {
-				return nil, stats, fmt.Errorf("distnet: phase 1 artifact %s: %w", name, cmp.Or(err, store.ErrCorrupt))
+			if err == nil {
+				err = checkPhase1(ms, sub.Tensor.Shape[n], ranks[m])
+			}
+			if err != nil {
+				return nil, stats, fmt.Errorf("distnet: phase 1 artifact %s: %w", name, err)
 			}
 			gs[si], fs[si] = append(gs[si], ms[0]), append(fs[si], ms[1])
+			factors[m] = ms[1]
 		}
 	}
-	factors := dist.FuseFactors(method, p.Config, p.Space.Order(), ranks, fs[0], gs[0], fs[1], gs[1])
+	for i, m := range p.Config.Pivots {
+		factors[m] = core.FusePivot(method, ranks[m], fs[0][i], gs[0][i], fs[1][i], gs[1][i])
+	}
 	return factors, stats, j.st.SaveMatrices(objFactors, factors)
 }
 

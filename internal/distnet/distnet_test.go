@@ -2,9 +2,12 @@ package distnet
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,8 +15,10 @@ import (
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
 	"repro/internal/faults"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
@@ -384,4 +389,34 @@ func TestWorkDirReusedByAnotherCampaign(t *testing.T) {
 		t.Errorf("campaign resumed after the others: %d of %d tasks skipped", skipped(again), again.Phase1.Tasks+again.Phase3.Tasks)
 	}
 	sameDecomposition(t, "resumed after the others", again.Result, first.Result, 0)
+
+	// A Phase 1 object that loads but has the wrong shape — here a factor
+	// one row short — is skipped by the worker's resume check and refused by
+	// the coordinator as corrupt, whichever matrix the fusion reads.
+	for _, m := range core.Methods() {
+		opts := base
+		opts.Method, opts.WorkDir = m, t.TempDir()
+		runDistNet(t, p, opts)
+		st, err := store.Open(opts.WorkDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, err := st.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(names, func(name string) bool { return strings.HasSuffix(name, "-"+factorOut(1, 0)) })
+		ms, err := st.LoadMatrices(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := ms[1]
+		ms[1] = &mat.Matrix{Rows: f.Rows - 1, Cols: f.Cols, Data: f.Data[:(f.Rows-1)*f.Cols]}
+		if err := st.SaveMatrices(names[i], ms); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decompose(context.Background(), p, opts); !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s: mis-shaped %s: error %v, want store.ErrCorrupt", m, names[i], err)
+		}
+	}
 }

@@ -16,12 +16,14 @@
 //     its artifact landed; an output's name carries the job's identity
 //     (proto.go), so only the same campaign's artifact can be that.
 //
-// What runs (internal/dist's phases; there is one route): the data plane
-// carries factors and partials only — the join is not built. Phase 1's
-// "factor" tasks run dist.SubFactor; Phase 2 has no task; Phase 3's
-// "project" tasks run core.ProjectShard, and the coordinator sums the
-// partials in shard order and assembles the core (core.FactoredCore).
-// Result.Join is nil. Those are the only two task kinds.
+// What runs (core.DecomposeFactored's phases; there is one route): the data
+// plane carries factors and partials only — the join is not built. Phase
+// 1's "factor" tasks compute one sub-tensor mode's Gram matrix and its
+// leading eigenvectors, and the coordinator fuses the pivot modes
+// (core.FusePivot); Phase 2 has no task; Phase 3's "project" tasks run
+// core.ProjectShard, and the coordinator sums the partials in shard order
+// and assembles the core (core.FactoredCore). Result.Join is nil. Those are
+// the only two task kinds.
 //
 // Fault tolerance (DESIGN.md §13): the coordinator leases one task at a
 // time to each worker, tracks heartbeats against a lease deadline, and
@@ -35,7 +37,7 @@
 // functions of the partition and Options.Shards — never of worker
 // identity, scheduling, or timing — so the factors and the core are
 // bit-identical regardless of which workers died mid-phase, and equal to
-// dist.Decompose's at Workers = Shards.
+// core.DecomposeFactored's at equal Shards.
 //
 // One thing does not cross the process boundary: the store does not persist
 // a tensor's RejectNonFinite flag, so workers load the sub-tensors with the

@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -149,13 +150,11 @@ func FuzzTaskPayload(f *testing.F) {
 	})
 }
 
-// TestPartialObjectChecked: a Phase 3 object is the two projections, or the
-// two projections, the residual and the holey-group count; the coordinator
-// takes neither a third shape of object nor a length that is not the
-// product of the ranks its job clipped — for the residual exactly as for
-// G₁ and G₂ — and what it takes round-trips.
-func TestPartialObjectChecked(t *testing.T) {
-	shapes := [3]tensor.Shape{{2, 2, 3}, {2, 2, 2}, {2, 2, 3, 2, 2}}
+// partialShapes are a job's Phase 3 shapes: projections 1 and 2, residual.
+var partialShapes = [3]tensor.Shape{{2, 2, 3}, {2, 2, 2}, {2, 2, 3, 2, 2}}
+
+// partialFixtures are an intact and a holey shard's partial at partialShapes.
+func partialFixtures() (intact, holey core.Partial) {
 	dense := func(s tensor.Shape) *tensor.Dense {
 		d := tensor.NewDense(s)
 		for i := range d.Data {
@@ -163,10 +162,54 @@ func TestPartialObjectChecked(t *testing.T) {
 		}
 		return d
 	}
-	intact := core.Partial{G1: dense(shapes[0]), G2: dense(shapes[1])}
-	holey := core.Partial{G1: dense(shapes[0]), G2: dense(shapes[1]), Residual: dense(shapes[2]), Holey: 3}
+	intact = core.Partial{G1: dense(partialShapes[0]), G2: dense(partialShapes[1])}
+	holey = core.Partial{G1: dense(partialShapes[0]), G2: dense(partialShapes[1]), Residual: dense(partialShapes[2]), Holey: 3}
+	return intact, holey
+}
+
+// corruptPartials are Phase 3 objects partialOf must refuse, made from a
+// holey shard's.
+var corruptPartials = map[string]func(ms []*mat.Matrix) []*mat.Matrix{
+	"one matrix":         func(ms []*mat.Matrix) []*mat.Matrix { return ms[:1] },
+	"residual, no count": func(ms []*mat.Matrix) []*mat.Matrix { return ms[:3] },
+	"five matrices":      func(ms []*mat.Matrix) []*mat.Matrix { return append(ms, ms[3]) },
+	"short G1": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[0] = &mat.Matrix{Rows: 1, Cols: 11, Data: ms[0].Data[:11]}
+		return ms
+	},
+	"long G2":        func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = ms[0]; return ms },
+	"short residual": func(ms []*mat.Matrix) []*mat.Matrix { ms[2] = ms[0]; return ms },
+	"count 0": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{0}}
+		return ms
+	},
+	"count 1.5": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{1.5}}
+		return ms
+	},
+	"count NaN": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{math.NaN()}}
+		return ms
+	},
+	"count 1e300": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{1e300}}
+		return ms
+	},
+	"two counts": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[3] = &mat.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}}
+		return ms
+	},
+}
+
+// TestPartialObjectChecked: a Phase 3 object is the two projections, or the
+// two projections, the residual and the holey-group count; the coordinator
+// takes neither a third shape of object nor a length that is not the
+// product of the ranks its job clipped — for the residual exactly as for
+// G₁ and G₂ — and what it takes round-trips.
+func TestPartialObjectChecked(t *testing.T) {
+	intact, holey := partialFixtures()
 	for name, want := range map[string]core.Partial{"intact": intact, "holey": holey} {
-		got, err := partialOf(partialMatrices(want), shapes)
+		got, err := partialOf(partialMatrices(want), partialShapes)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -178,39 +221,79 @@ func TestPartialObjectChecked(t *testing.T) {
 	if n := len(partialMatrices(intact)); n != 2 {
 		t.Fatalf("an intact shard's object holds %d matrices, want the two projections only", n)
 	}
-	for name, mutate := range map[string]func(ms []*mat.Matrix) []*mat.Matrix{
-		"one matrix":         func(ms []*mat.Matrix) []*mat.Matrix { return ms[:1] },
-		"residual, no count": func(ms []*mat.Matrix) []*mat.Matrix { return ms[:3] },
-		"five matrices":      func(ms []*mat.Matrix) []*mat.Matrix { return append(ms, ms[3]) },
-		"short G1": func(ms []*mat.Matrix) []*mat.Matrix {
-			ms[0] = &mat.Matrix{Rows: 1, Cols: 11, Data: ms[0].Data[:11]}
-			return ms
-		},
-		"long G2":        func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = ms[0]; return ms },
-		"short residual": func(ms []*mat.Matrix) []*mat.Matrix { ms[2] = ms[0]; return ms },
-		"count 0": func(ms []*mat.Matrix) []*mat.Matrix {
-			ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{0}}
-			return ms
-		},
-		"count 1.5": func(ms []*mat.Matrix) []*mat.Matrix {
-			ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{1.5}}
-			return ms
-		},
-		"count NaN": func(ms []*mat.Matrix) []*mat.Matrix {
-			ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{math.NaN()}}
-			return ms
-		},
-		"count 1e300": func(ms []*mat.Matrix) []*mat.Matrix {
-			ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{1e300}}
-			return ms
-		},
-		"two counts": func(ms []*mat.Matrix) []*mat.Matrix {
-			ms[3] = &mat.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}}
-			return ms
-		},
-	} {
-		if _, err := partialOf(mutate(partialMatrices(holey)), shapes); err == nil {
+	for name, mutate := range corruptPartials {
+		if _, err := partialOf(mutate(partialMatrices(holey)), partialShapes); err == nil {
 			t.Errorf("%s: object accepted", name)
 		}
 	}
+}
+
+// matrixBytes is the fuzz form of a matrix list: per matrix a rows byte, a
+// cols byte, then rows·cols little-endian float64s.
+func matrixBytes(ms []*mat.Matrix) []byte {
+	var b []byte
+	for _, m := range ms {
+		b = append(b, byte(m.Rows), byte(m.Cols))
+		for _, v := range m.Data {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
+// matricesOf reads matrixBytes' form back; a truncated matrix ends the list.
+func matricesOf(b []byte) []*mat.Matrix {
+	var ms []*mat.Matrix
+	for len(b) >= 2 {
+		m := mat.New(int(b[0]), int(b[1]))
+		if b = b[2:]; len(b) < 8*len(m.Data) {
+			break
+		}
+		for i := range m.Data {
+			m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		ms, b = append(ms, m), b[8*len(m.Data):]
+	}
+	return ms
+}
+
+// FuzzPhaseArtifact feeds arbitrary matrix lists, as a CRC-valid store
+// object holds them, to the checks the coordinator reads phase outputs
+// through: checkPhase1 (for a mode of size 4 at rank 2) and partialOf (at
+// partialShapes). Neither may panic, and a Phase 3 list partialOf accepts
+// re-encodes through partialMatrices to the same values.
+func FuzzPhaseArtifact(f *testing.F) {
+	gram, factor := mat.New(4, 4), mat.New(4, 2)
+	for _, ms := range [][]*mat.Matrix{
+		{gram, factor},
+		{gram, mat.New(3, 2)}, // a factor one row short
+		{mat.New(3, 3), factor},
+		{gram, factor, factor},
+	} {
+		f.Add(matrixBytes(ms))
+	}
+	intact, holey := partialFixtures()
+	f.Add(matrixBytes(partialMatrices(intact)))
+	f.Add(matrixBytes(partialMatrices(holey)))
+	for _, mutate := range corruptPartials {
+		f.Add(matrixBytes(mutate(partialMatrices(holey))))
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ms := matricesOf(b)
+		_ = checkPhase1(ms, 4, 2)
+		part, err := partialOf(ms, partialShapes)
+		if err != nil {
+			return
+		}
+		again := partialMatrices(part)
+		if len(again) != len(ms) {
+			t.Fatalf("%d matrices accepted, %d re-encoded", len(ms), len(again))
+		}
+		for i := range ms {
+			if !slices.EqualFunc(again[i].Data, ms[i].Data, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("matrix %d re-encodes to %v, was %v", i, again[i].Data, ms[i].Data)
+			}
+		}
+	})
 }

@@ -79,6 +79,16 @@ var objSubs = [2]string{"in-sub1", "in-sub2"}
 func factorOut(kappa, mode int) string { return fmt.Sprintf("p1-k%d-m%d", kappa, mode) }
 func projectOut(shard int) string      { return fmt.Sprintf("p3-g%d", shard) }
 
+// checkPhase1 checks a Phase 1 output object: the mode's Gram matrix,
+// size × size, and its factor, size × rank — the sub-tensor's mode size and
+// the job's clipped rank. What fusion would misread is store.ErrCorrupt.
+func checkPhase1(ms []*mat.Matrix, size, rank int) error {
+	if len(ms) != 2 || ms[0].Rows != size || ms[0].Cols != size || ms[1].Rows != size || ms[1].Cols != rank {
+		return fmt.Errorf("want a %d×%d Gram and a %d×%d factor: %w", size, size, size, rank, store.ErrCorrupt)
+	}
+	return nil
+}
+
 // partialMatrices is a Phase 3 output object: the shard's two projections
 // and, only when it summed pivot groups with holes, their residual and
 // their count. Partial.Rejected does not travel: a worker's sub-tensors

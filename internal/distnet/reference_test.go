@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -28,9 +27,8 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 
 // TestDistNetBitIdenticalToReferencePhases pins the engine's output to the
 // last bit against the in-process executor of the same phase bodies at
-// equal shard counts: dist.Decompose (itself core.DecomposeFactored at one
-// shard, and tested against dist.DecomposeMaterialised — the stitch
-// oracle). The data plane — store round-trips, frames, leases — must move
+// equal shard counts: core.DecomposeFactored{Shards} (tested against
+// core.DecomposeCtx{Shards} — the stitch oracle). The data plane — store round-trips, frames, leases — must move
 // nothing. The partials' summation order and with it the core are part of
 // the engine's contract (a WorkDir resumes, accuracy is a pure function of
 // the seed).
@@ -50,15 +48,15 @@ func TestDistNetBitIdenticalToReferencePhases(t *testing.T) {
 			p := tinyPartition(t, a.freeFrac, 228)
 			for _, shards := range []int{1, 3, 4} {
 				opts := Options{Method: a.method, Ranks: ranks, ZeroJoin: a.zero, Workers: 2, Shards: shards}
-				ref := dist.Options{Options: core.Options{Method: a.method, Ranks: ranks, ZeroJoin: a.zero}, Workers: shards}
+				ref := core.Options{Method: a.method, Ranks: ranks, ZeroJoin: a.zero, Shards: shards}
 
 				got := runDistNet(t, p, opts)
-				want, err := dist.Decompose(p, ref)
+				want, err := core.DecomposeFactored(p, ref)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want.Join != nil {
-					t.Fatalf("shards=%d: dist.Decompose stitched a join", shards)
+					t.Fatalf("shards=%d: core.DecomposeFactored stitched a join", shards)
 				}
 				sameBits(t, fmt.Sprintf("shards=%d core", shards), got.Core.Data, want.Core.Data)
 				for m := range want.Factors {
@@ -71,9 +69,8 @@ func TestDistNetBitIdenticalToReferencePhases(t *testing.T) {
 
 // TestDistNetJoinFreeBitIdentityChain is the join-free route's determinism
 // contract end to end. At one shard the engine computes
-// core.DecomposeFactored's bits (through dist.Decompose{Workers: 1}); at a
-// fixed larger shard count its bits are dist.Decompose's for any worker
-// count and any kill; and between shard counts — between summation orders
+// core.DecomposeFactored's bits; at a fixed larger shard count its bits are
+// core.DecomposeFactored{Shards}'s for any worker count and any kill; and between shard counts — between summation orders
 // — engine and in-process result agree to 1e-9.
 func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 	p := tinyPartition(t, 0.5, 229)
@@ -87,23 +84,23 @@ func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 		one := runDistNet(t, p, Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: zero, Workers: 2, Shards: 1})
 		sameBits(t, fmt.Sprintf("zero=%v: one shard vs core.DecomposeFactored", zero), one.Core.Data, inproc.Core.Data)
 
-		pool, err := dist.Decompose(p, dist.Options{Options: copts, Workers: 4})
+		sharded, err := core.DecomposeFactored(p, core.Options{Method: core.SELECT, Ranks: ranks, ZeroJoin: zero, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, fleet := range []Options{{Workers: 1}, {Workers: 3}, {Workers: 3, Kill: faults.KillSpec{Seed: 9, Kills: 2}}} {
 			fleet.Method, fleet.Ranks, fleet.ZeroJoin, fleet.Shards = core.SELECT, ranks, zero, 4
 			got := runDistNet(t, p, fleet)
-			label := fmt.Sprintf("zero=%v workers=%d kills=%d: four shards vs dist.Decompose", zero, fleet.Workers, fleet.Kill.Kills)
-			sameBits(t, label+", core", got.Core.Data, pool.Core.Data)
-			for m := range pool.Factors {
-				sameBits(t, fmt.Sprintf("%s, factor %d", label, m), got.Factors[m].Data, pool.Factors[m].Data)
+			label := fmt.Sprintf("zero=%v workers=%d kills=%d: four shards vs core.DecomposeFactored", zero, fleet.Workers, fleet.Kill.Kills)
+			sameBits(t, label+", core", got.Core.Data, sharded.Core.Data)
+			for m := range sharded.Factors {
+				sameBits(t, fmt.Sprintf("%s, factor %d", label, m), got.Factors[m].Data, sharded.Factors[m].Data)
 			}
 			if lost := got.Phase1.WorkersLost + got.Phase3.WorkersLost; lost != fleet.Kill.Kills {
 				t.Fatalf("%s: %d workers lost", label, lost)
 			}
 		}
-		if !pool.Core.Equal(inproc.Core, 1e-9) {
+		if !sharded.Core.Equal(inproc.Core, 1e-9) {
 			t.Fatalf("zero=%v: four shards differ from core.DecomposeFactored by more than 1e-9", zero)
 		}
 	}
@@ -113,8 +110,8 @@ func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 // nothing falls back any more. A partition with holes (one quarantined
 // cell; then every third cell of side 1 and a whole pivot group of side 2
 // gone) stays join-free on the process engine: no stitch task, no join,
-// holey_groups on the stage span, dist.Decompose's bits at equal shard
-// counts — under worker kills too — and core.DecomposeCtx's decomposition.
+// holey_groups on the stage span, core.DecomposeFactored's bits at equal
+// shard counts — under worker kills too — and core.DecomposeCtx's decomposition.
 func TestDistNetBrokenProductStructureFallsBack(t *testing.T) {
 	p := tinyPartition(t, 1, 230)
 	ranks := tucker.UniformRanks(5, 2)
@@ -127,7 +124,7 @@ func TestDistNetBrokenProductStructureFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool, err := dist.Decompose(broken, dist.Options{Options: copts, Workers: 3})
+		sharded, err := core.DecomposeFactored(broken, core.Options{Method: core.SELECT, Ranks: ranks, Shards: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,9 +141,9 @@ func TestDistNetBrokenProductStructureFallsBack(t *testing.T) {
 			if root := trace.Root(); root.Counter("factored") != 1 || root.Counter("holey_groups") < 1 || root.Find("phase3").Counter("tasks") != 3 {
 				t.Fatalf("%s: want factored = 1, holey_groups > 0 and three project tasks:\n%s", label, root.Skeleton())
 			}
-			sameBits(t, label+": core vs dist.Decompose", got.Core.Data, pool.Core.Data)
-			for m := range pool.Factors {
-				sameBits(t, fmt.Sprintf("%s: factor %d vs dist.Decompose", label, m), got.Factors[m].Data, pool.Factors[m].Data)
+			sameBits(t, label+": core vs core.DecomposeFactored", got.Core.Data, sharded.Core.Data)
+			for m := range sharded.Factors {
+				sameBits(t, fmt.Sprintf("%s: factor %d vs core.DecomposeFactored", label, m), got.Factors[m].Data, sharded.Factors[m].Data)
 			}
 			if cells := broken.JoinCells(false); cells != serial.Join.NNZ() {
 				t.Fatalf("%s: JoinCells %d, stitched join %d", label, cells, serial.Join.NNZ())

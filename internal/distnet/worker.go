@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -345,7 +344,8 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 	if task.Mode < 0 || task.Mode >= x.Order() || task.Rank < 1 || task.Rank > x.Shape[task.Mode] {
 		return fmt.Errorf("distnet: task %s: rank %d of mode %d of a %v sub-tensor", task.ID, task.Rank, task.Mode, x.Shape)
 	}
-	g, f := dist.SubFactor(x, task.Mode, task.Rank)
+	g := tensor.ModeGram(x, task.Mode)
+	f := mat.LeadingEigenvectors(g, task.Rank)
 	if doomed {
 		faults.KillSelf()
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/tucker"
 )
 
@@ -61,8 +60,8 @@ type Table3Row struct {
 	Phase1  time.Duration
 	Phase2  time.Duration
 	Phase3  time.Duration
-	// JoinFree is dist.Decompose's total at the same server count: Phase 1
-	// plus the per-shard projections, nothing stitched.
+	// JoinFree is core.DecomposeFactored's total at the same server count:
+	// Phase 1 plus the per-shard projections, nothing stitched.
 	JoinFree time.Duration
 }
 
@@ -70,10 +69,11 @@ type Table3Row struct {
 func (r Table3Row) Total() time.Duration { return r.Phase1 + r.Phase2 + r.Phase3 }
 
 // Table3 reproduces Table III: D-M2TD phase times for the double pendulum
-// at the default configuration, for each worker ("server") count. The
-// phase split is the materialised entry's (dist.DecomposeMaterialised),
-// called directly: Phases 2 and 3 are the costs of building and projecting
-// J, which the engine's default route no longer pays.
+// at the default configuration, for each worker ("server") count — both
+// the pool size and the shard count of every phase. The phase split is the
+// materialised entry's (core.DecomposeCtx, Algorithm 6 at Shards > 1):
+// Phases 2 and 3 are the costs of building and projecting J, which every
+// campaign's route no longer pays.
 func Table3(ctx context.Context, base Config, workerCounts []int) ([]Table3Row, error) {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1, 2, 4, 8, 16}
@@ -88,12 +88,12 @@ func Table3(ctx context.Context, base Config, workerCounts []int) ([]Table3Row, 
 	for _, w := range workerCounts {
 		// Every run starts without kernel plans, so Phase 1 pays for plan
 		// compilation at each server count, not only in the first row.
-		opts := dist.Options{Options: core.Options{Method: core.SELECT, Ranks: ranks}, Workers: w}
-		res, err := dist.DecomposeMaterialised(part.PlanlessView(), opts)
+		opts := core.Options{Method: core.SELECT, Ranks: ranks, Workers: w, Shards: w}
+		res, err := core.DecomposeCtx(ctx, part.PlanlessView(), opts)
 		if err != nil {
 			return nil, fmt.Errorf("table3 workers=%d: %w", w, err)
 		}
-		free, err := dist.Decompose(part.PlanlessView(), opts)
+		free, err := core.DecomposeFactored(part.PlanlessView(), opts)
 		if err != nil {
 			return nil, fmt.Errorf("table3 workers=%d, join-free: %w", w, err)
 		}

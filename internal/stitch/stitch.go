@@ -20,7 +20,7 @@
 // Shard stitches the pivot groups whose key lands in one shard
 // (key % shards). Join and ZeroJoin are that kernel at shard 0 of 1;
 // D-M2TD's Phase 2 as the paper states it (Algorithm 6,
-// dist.DecomposeMaterialised) is the same kernel once per shard. Nothing
+// core.DecomposeCtx at Options.Shards > 1) is the same kernel once per shard. Nothing
 // stitches in order to decompose — core recovery projects the two
 // sub-tensors (core.DecomposeFactored, which says who still builds J), and
 // shards them by this package's Spec.PivotKey.

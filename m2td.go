@@ -9,8 +9,9 @@
 //   - internal/partition — PF-partitioning into pivot-sharing sub-systems
 //   - internal/stitch    — JE-stitching (join and zero-join)
 //   - internal/tucker    — HOSVD / HOOI Tucker decomposition, tensor sketching
-//   - internal/core      — M2TD-AVG / -CONCAT / -SELECT (+ factored core)
-//   - internal/dist      — 3-phase distributed M2TD (D-M2TD) phase bodies
+//   - internal/core      — M2TD-AVG / -CONCAT / -SELECT (+ factored core),
+//     and every phase of the 3-phase distributed D-M2TD (Options.Shards)
+//   - internal/distnet   — D-M2TD on worker processes
 //   - internal/eval      — the paper's experiments (Tables I–VIII, Fig. 6)
 //
 // The one-call entry point is RunCtx: partition → simulate → decompose →
@@ -38,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/distnet"
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
@@ -80,13 +80,12 @@ type Config struct {
 	PivotDensity, SubEnsembleDensity float64
 	// ZeroJoin selects zero-join JE-stitching.
 	ZeroJoin bool
-	// Workers > 0 runs the 3-phase D-M2TD (internal/dist) on the
-	// in-process pool instead of the serial algorithm, with that many
-	// "servers": Workers is the shard count of the projection phase, so
-	// the result is a pure function of it — bit-identical to
-	// Distributed{Shards: Workers} at any core count, and equal to the
-	// serial decomposition up to floating-point summation order. At most
-	// one of Workers, Distributed and Factored may be set.
+	// Workers > 0 runs the 3-phase D-M2TD on the in-process pool with that
+	// many "servers": Workers is the shard count of the projection phase
+	// (core.Options.Shards), so the result is a pure function of it —
+	// bit-identical to Distributed{Shards: Workers} at any core count, and
+	// equal to the one-shard decomposition up to floating-point summation
+	// order. At most one of Workers, Distributed and Factored may be set.
 	Workers int
 	// Distributed, when non-nil, runs D-M2TD on real worker PROCESSES —
 	// the internal/distnet coordinator/worker engine over localhost TCP
@@ -194,10 +193,10 @@ type DistStats struct {
 	// Requeues counts task re-leases; TasksSkipped counts tasks
 	// satisfied by an already-durable artifact.
 	Requeues, TasksSkipped int
-	// Phase1/2/3 are the engine's per-phase wall-clock times (Table
-	// III's split, with real IPC overhead). Phase2 is exactly 0: the
-	// engine stitches nothing.
-	Phase1, Phase2, Phase3 time.Duration
+	// Phase1 and Phase3 are the engine's per-phase wall-clock times (Table
+	// III's split, with real IPC overhead); it stitches nothing, so there
+	// is no Phase 2.
+	Phase1, Phase3 time.Duration
 }
 
 // Report is the outcome of a pipeline run.
@@ -727,9 +726,9 @@ func DecomposeCtx(ctx context.Context, part *partition.Result, opts DecomposeOpt
 
 // decomposeStage is the decomposition stage of RunCtx and the body of
 // DecomposeCtx, on the executor cfg names — the only dispatch there is: the
-// process engine (Distributed), D-M2TD on the in-process pool (Workers), and
-// otherwise core.DecomposeFactored in process. All three are join-free. Only
-// cfg's decomposition fields are read.
+// process engine (Distributed), and otherwise core.DecomposeFactored in
+// process at Workers shards. Both are join-free. Only cfg's decomposition
+// fields are read.
 func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Result, method core.Method, ranks []int, cfg Config) (res *core.Result, ds *DistStats, err error) {
 	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) (err error) {
 		if err := ctx.Err(); err != nil {
@@ -740,14 +739,12 @@ func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Resul
 			Ranks:    ranks,
 			ZeroJoin: cfg.ZeroJoin,
 			Workers:  cfg.Parallel,
+			Shards:   cfg.Workers,
 			Span:     span,
 		}
-		switch {
-		case cfg.Distributed != nil:
+		if cfg.Distributed != nil {
 			res, ds, err = decomposeDistributed(ctx, part, opts, cfg)
-		case cfg.Workers > 0:
-			res, err = dist.Decompose(part, dist.Options{Options: opts, Workers: cfg.Workers})
-		default:
+		} else {
 			res, err = core.DecomposeFactored(part, opts)
 		}
 		return err
@@ -789,11 +786,10 @@ func decomposeDistributed(ctx context.Context, part *partition.Result, opts core
 	}
 	return d.Result, &DistStats{
 		Workers:      len(d.Workers),
-		WorkersLost:  d.Phase1.WorkersLost + d.Phase2.WorkersLost + d.Phase3.WorkersLost,
-		Requeues:     d.Phase1.Requeues + d.Phase2.Requeues + d.Phase3.Requeues,
-		TasksSkipped: d.Phase1.Skipped + d.Phase2.Skipped + d.Phase3.Skipped,
+		WorkersLost:  d.Phase1.WorkersLost + d.Phase3.WorkersLost,
+		Requeues:     d.Phase1.Requeues + d.Phase3.Requeues,
+		TasksSkipped: d.Phase1.Skipped + d.Phase3.Skipped,
 		Phase1:       d.Phase1.Duration,
-		Phase2:       d.Phase2.Duration,
 		Phase3:       d.Phase3.Duration,
 	}, nil
 }
