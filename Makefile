@@ -128,8 +128,9 @@ perf:
 # tensors, matrix lists, decompositions, sim sets — control-plane frames,
 # the task/result payloads inside a valid frame, and the phase artifacts
 # the coordinator reads back),
-# and campaign identity (api.CampaignSpec JSON → Config.SimFingerprint /
-# Fingerprint, which name shared store objects).
+# campaign identity (api.CampaignSpec JSON → Config.SimFingerprint /
+# Fingerprint, which name shared store objects), and the submit request
+# bodies the server decodes (a config or invalid_request, never a 5xx).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLinearIndexRoundtrip -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzDedupPreservesSum -fuzztime=10s ./internal/tensor
@@ -141,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTaskPayload -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzPhaseArtifact -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpecFingerprint -fuzztime=10s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzSubmitBody -fuzztime=10s ./internal/serve
 
 # Observability acceptance drill (mirrors the CI `obs` job): run a faulted
 # pipeline with a live metrics listener and a JSONL trace sink, assert the

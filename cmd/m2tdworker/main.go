@@ -2,14 +2,16 @@
 // multi-process engine (internal/distnet).
 //
 // It is normally spawned BY a coordinator, which passes its listen
-// address, the shared artifact catalog, and the worker id through the
-// M2TD_DISTNET_* environment — in that mode any binary calling
-// m2td.MaybeDistWorker works, and this command is the minimal one.
+// address and the worker id through the M2TD_DISTNET_* environment — in
+// that mode any binary calling m2td.MaybeDistWorker works, and this
+// command is the minimal one. Every task names its campaign's artifact
+// catalog, so a worker serves one campaign after another, wherever their
+// catalogs are.
 //
 // It can also be pointed at a coordinator explicitly, for running
 // workers by hand (other machines' containers, debugging under strace):
 //
-//	m2tdworker -addr 127.0.0.1:7000 -dir /shared/catalog -id 3
+//	m2tdworker -addr 127.0.0.1:7000 -id 3
 //
 // Flags mirror the environment; the environment wins when both are set.
 package main
@@ -34,20 +36,19 @@ func main() {
 
 	var (
 		addr = flag.String("addr", "", "coordinator address (required)")
-		dir  = flag.String("dir", "", "shared artifact catalog directory (required)")
 		id   = flag.Int("id", 0, "worker id")
 		beat = flag.Duration("beat", 250*time.Millisecond, "heartbeat period")
 	)
 	flag.Parse()
-	if *addr == "" || *dir == "" {
-		fmt.Fprintln(os.Stderr, "m2tdworker: -addr and -dir are required (or the M2TD_DISTNET_* environment)")
+	if *addr == "" {
+		fmt.Fprintln(os.Stderr, "m2tdworker: -addr is required (or the M2TD_DISTNET_* environment)")
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err := distnet.RunWorker(ctx, distnet.WorkerConfig{Addr: *addr, Dir: *dir, ID: *id, Beat: *beat})
+	err := distnet.RunWorker(ctx, distnet.WorkerConfig{Addr: *addr, ID: *id, Beat: *beat})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "m2tdworker %d: %v\n", *id, err)
 		os.Exit(1)

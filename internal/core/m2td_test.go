@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -155,6 +156,53 @@ func TestConcatEquivalentToExplicitConcatenation(t *testing.T) {
 	pCat := mat.MulTransB(uCat, uCat)
 	if !pGram.Equal(pCat, 1e-8) {
 		t.Fatal("Gram-sum CONCAT subspace differs from explicit concatenation")
+	}
+}
+
+// TestMethodsAgreeOnASharedPivot is a fusion invariant: when both
+// sub-tensors carry the same pivot matricization, up to the order of its
+// columns — here X₂ is X₁ with its free modes relabelled, (t, a, b) ↦
+// (t, 4−b, a) on the two 5 × 5 free grids — the sides' pivot Grams and
+// factors agree, so AVG, CONCAT and SELECT fuse to one pivot factor and
+// the decompositions agree to 1e-12, at full and at reduced free density.
+func TestMethodsAgreeOnASharedPivot(t *testing.T) {
+	relabel := func(idx []int) []int { return []int{idx[0], 4 - idx[2], idx[1]} }
+	for _, freeFrac := range []float64{1, 0.5} {
+		p := tinyPartition(t, freeFrac, 118)
+		x1, sub2 := p.Sub1.Tensor, *p.Sub2
+		if !x1.Shape.Equal(sub2.Tensor.Shape) {
+			t.Fatalf("sub-tensor shapes %v and %v: no relabelling maps one onto the other", x1.Shape, sub2.Tensor.Shape)
+		}
+		sub2.Tensor = tensor.NewSparse(x1.Shape)
+		for e := 0; e < x1.NNZ(); e++ {
+			idx, v := x1.Entry(e)
+			sub2.Tensor.Append(relabel(idx), v)
+		}
+		shared := *p
+		shared.Sub2, shared.Free2Configs = &sub2, nil
+		for _, c := range p.Free1Configs {
+			shared.Free2Configs = append(shared.Free2Configs, relabel(append([]int{0}, c...))[1:])
+		}
+
+		ranks := tucker.UniformRanks(5, 3)
+		var want *Result
+		for _, m := range Methods() {
+			got, err := DecomposeFactored(&shared, Options{Method: m, Ranks: ranks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			label := fmt.Sprintf("free %v: %s vs %s", freeFrac, m, Methods()[0])
+			requireClose(t, label+" core", got.Core, want.Core, 1e-12)
+			for mode := range want.Factors {
+				if !got.Factors[mode].Equal(want.Factors[mode], 1e-12) {
+					t.Fatalf("%s: factor %d differs by more than 1e-12", label, mode)
+				}
+			}
+		}
 	}
 }
 

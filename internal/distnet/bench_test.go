@@ -9,9 +9,10 @@ import (
 	"repro/internal/tucker"
 )
 
-// BenchmarkDistNet measures the full multi-process campaign — process
-// spawn, IPC, store round-trips, and the phases of the join-free route
-// this intact partition takes — against worker count.
+// BenchmarkDistNet measures the full multi-process campaign — IPC, store
+// round-trips, and the phases of the join-free route this intact partition
+// takes — against worker count. Only a signature's first campaign spawns
+// its fleet, so as b.N grows ns/op is a warm campaign's cost.
 func BenchmarkDistNet(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

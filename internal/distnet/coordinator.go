@@ -14,10 +14,11 @@ import (
 	"time"
 )
 
-// The coordinator side of the engine: spawn worker processes, accept
-// their connections, and drive each phase through a single-goroutine
-// event loop that leases tasks, tracks heartbeats, and re-leases work
-// lost to dead, hung, or garbage-speaking workers.
+// The coordinator side of the engine. A fleet is the long-lived part: the
+// listener, the worker processes, their connections and the reaper. A job
+// (distnet.go) is one campaign on it, driving each phase through a
+// single-goroutine event loop that leases tasks, tracks heartbeats, and
+// re-leases work lost to dead, hung, or garbage-speaking workers.
 
 // task is one unit of phase work as the coordinator tracks it.
 type task struct {
@@ -32,7 +33,6 @@ type eventKind int
 
 const (
 	evHello eventKind = iota + 1
-	evBeat
 	evDone
 	evTaskErr
 	evDead
@@ -49,7 +49,7 @@ type event struct {
 }
 
 // workerConn is one connected worker. Mutable fields are guarded by the
-// engine mutex; wmu serialises frame writes (lease sends vs shutdown
+// fleet mutex; wmu serialises frame writes (lease sends vs shutdown
 // broadcast).
 type workerConn struct {
 	id      int
@@ -58,7 +58,7 @@ type workerConn struct {
 	pid     int
 	metrics string
 
-	tasks       int
+	tasks       int // leased in the current campaign
 	quarantined bool
 	lastBeat    time.Time
 	inflight    *task
@@ -76,104 +76,110 @@ func (w *workerConn) send(t frameType, msg any) error {
 	return writeFrame(w.conn, t, payload)
 }
 
-// engine owns the listener, the worker processes, and the event loop
-// state shared by the three phases.
-type engine struct {
-	opts    Options
+// fleet owns the listener, the worker processes and their connections. It
+// outlives the campaign that spawned it when the pool (pool.go) takes it
+// back.
+type fleet struct {
+	sig     string // pool key; "" is a dedicated fleet, never pooled
 	lis     net.Listener
 	started time.Time
+	idle    *time.Timer // while pooled: the idle shutdown
 
 	events chan event
 	done   chan struct{} // closed at shutdown; unblocks emitters
+	stop   context.CancelFunc
 
 	mu        sync.Mutex
 	workers   map[int]*workerConn
-	connected int // hellos seen; == opts.Workers means no future joins
+	connected int // hellos seen; == len(procs) means no future joins
 
 	procs     []*exec.Cmd
 	procsLive atomic.Int32
 	procWG    sync.WaitGroup
 	acceptWG  sync.WaitGroup
-	stopCtx   func() bool
 }
 
-// newEngine binds the listener, spawns the worker fleet, and starts
-// accepting connections. The context cancels the whole engine: listener,
-// connections, and (via their closed sockets) the event loop.
-func newEngine(ctx context.Context, opts Options) (*engine, error) {
+// newFleet binds the listener, spawns the worker processes, and starts
+// accepting connections. The fleet is not the campaign's: ctx's values
+// reach it, its cancellation does not — shutdown ends it.
+func newFleet(ctx context.Context, opts Options, argv []string, sig string) (*fleet, error) {
 	lis, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("distnet: listen %s: %w", opts.Addr, err)
 	}
-	e := &engine{
-		opts:    opts,
+	fctx, stop := context.WithCancel(context.WithoutCancel(ctx))
+	f := &fleet{
+		sig:     sig,
 		lis:     lis,
 		started: time.Now(),
 		events:  make(chan event, 256),
 		done:    make(chan struct{}),
+		stop:    stop,
 		workers: make(map[int]*workerConn),
 	}
-	e.stopCtx = context.AfterFunc(ctx, func() { lis.Close() })
 
-	argv := opts.WorkerArgv
-	if len(argv) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			lis.Close()
-			return nil, fmt.Errorf("distnet: self-exec worker: %w", err)
-		}
-		argv = []string{exe}
-	}
 	// Process start blocks until the child has exec'd, so the fleet is
 	// started concurrently: one worker's start-up cost, not Workers of them.
 	// Ids are fixed before any start, so roster order does not depend on
 	// which child came up first.
-	e.procs = make([]*exec.Cmd, opts.Workers)
+	f.procs = make([]*exec.Cmd, opts.Workers)
 	errs := make([]error, opts.Workers)
 	var starts sync.WaitGroup
-	for id := range e.procs {
+	for id := range f.procs {
 		starts.Add(1)
 		go func() {
 			defer starts.Done()
-			e.procs[id], errs[id] = e.spawn(argv, id)
+			f.procs[id], errs[id] = f.spawn(opts, argv, id)
 		}()
 	}
 	starts.Wait()
-	e.procWG.Add(1)
-	go e.reap()
+	f.procWG.Add(1)
+	go f.reap()
 	if err := errors.Join(errs...); err != nil {
-		e.shutdown()
+		f.shutdown()
 		return nil, err
 	}
 
-	e.acceptWG.Add(1)
-	go e.acceptLoop(ctx)
-	return e, nil
+	f.acceptWG.Add(1)
+	go f.acceptLoop(fctx)
+	return f, nil
+}
+
+// workerArgv is the worker command line: Options.WorkerArgv, or this
+// executable.
+func workerArgv(opts Options) ([]string, error) {
+	if len(opts.WorkerArgv) > 0 {
+		return opts.WorkerArgv, nil
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("distnet: self-exec worker: %w", err)
+	}
+	return []string{exe}, nil
 }
 
 // spawn starts worker id as a child process configured through the
 // M2TD_DISTNET_* environment.
-func (e *engine) spawn(argv []string, id int) (*exec.Cmd, error) {
+func (f *fleet) spawn(opts Options, argv []string, id int) (*exec.Cmd, error) {
 	cmd := exec.Command(argv[0], argv[1:]...)
 	env := append(os.Environ(),
-		envAddr+"="+e.lis.Addr().String(),
-		envDir+"="+e.opts.WorkDir,
+		envAddr+"="+f.lis.Addr().String(),
 		fmt.Sprintf("%s=%d", envID, id),
-		envBeat+"="+e.opts.HeartbeatInterval.String(),
+		envBeat+"="+opts.HeartbeatInterval.String(),
 	)
-	if e.opts.Kill.Enabled() {
-		env = append(env, envKill+"="+e.opts.Kill.String())
+	if opts.Kill.Enabled() {
+		env = append(env, envKill+"="+opts.Kill.String())
 	}
-	if e.opts.Metrics {
+	if opts.Metrics {
 		env = append(env, envMetrics+"=1")
 	}
-	env = append(env, e.opts.WorkerEnv...)
+	env = append(env, opts.WorkerEnv...)
 	cmd.Env = env
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("distnet: spawn worker %d: %w", id, err)
 	}
-	e.procsLive.Add(1)
+	f.procsLive.Add(1)
 	return cmd, nil
 }
 
@@ -184,49 +190,51 @@ func (e *engine) spawn(argv []string, id int) (*exec.Cmd, error) {
 // GOMAXPROCS = 2) nothing is left to run the accept of a worker's
 // connection when it arrives: a hello written 4.5 ms after spawn was read
 // 12.5 ms after it (median; one worker: 3.4 ms), on every campaign, and
-// only by the arm with more than one worker. Order costs nothing: procsLive
-// is read for "is any process left at all", and it reaches 0 exactly when
-// every process has exited, in whatever order they did.
-func (e *engine) reap() {
-	defer e.procWG.Done()
-	for _, cmd := range e.procs {
+// only by the arm with more than one worker. In id order, procsLive drops
+// below the fleet's size only once worker 0 has exited; a death of another
+// worker shows first as its connection's evDead.
+func (f *fleet) reap() {
+	defer f.procWG.Done()
+	for _, cmd := range f.procs {
 		if cmd == nil {
 			continue
 		}
 		_ = cmd.Wait()
-		e.procsLive.Add(-1)
-		e.emit(event{kind: evProcExit})
+		f.procsLive.Add(-1)
+		f.emit(event{kind: evProcExit})
 	}
 }
 
-// emit delivers an event unless the engine is already shutting down.
-func (e *engine) emit(ev event) {
+// emit delivers an event unless the fleet is already shutting down.
+func (f *fleet) emit(ev event) {
 	select {
-	case e.events <- ev:
-	case <-e.done:
+	case f.events <- ev:
+	case <-f.done:
 	}
 }
 
 // acceptLoop admits worker connections until the listener closes.
-func (e *engine) acceptLoop(ctx context.Context) {
-	defer e.acceptWG.Done()
+func (f *fleet) acceptLoop(ctx context.Context) {
+	defer f.acceptWG.Done()
 	for {
-		conn, err := e.lis.Accept()
+		conn, err := f.lis.Accept()
 		if err != nil {
-			return // listener closed: engine shutdown or ctx cancel
+			return // listener closed: fleet shutdown
 		}
-		e.acceptWG.Add(1)
+		f.acceptWG.Add(1)
 		go func() {
-			defer e.acceptWG.Done()
-			e.handshake(ctx, conn)
+			defer f.acceptWG.Done()
+			f.handshake(ctx, conn)
 		}()
 	}
 }
 
 // handshake reads the hello frame, registers the worker, and starts its
-// read loop. A peer that doesn't present a valid hello promptly is
-// dropped before it ever becomes a worker.
-func (e *engine) handshake(ctx context.Context, conn net.Conn) {
+// read loop. A peer that doesn't present a valid hello promptly, with one
+// of the fleet's worker ids, is dropped before it ever becomes a worker.
+func (f *fleet) handshake(ctx context.Context, conn net.Conn) {
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	t, payload, err := readFrame(conn)
 	if err != nil || t != frameHello {
@@ -234,7 +242,7 @@ func (e *engine) handshake(ctx context.Context, conn net.Conn) {
 		return
 	}
 	var hello helloMsg
-	if err := json.Unmarshal(payload, &hello); err != nil {
+	if err := json.Unmarshal(payload, &hello); err != nil || hello.Worker < 0 || hello.Worker >= len(f.procs) {
 		conn.Close()
 		return
 	}
@@ -247,58 +255,56 @@ func (e *engine) handshake(ctx context.Context, conn net.Conn) {
 		metrics:  hello.Metrics,
 		lastBeat: time.Now(),
 	}
-	e.mu.Lock()
-	if _, dup := e.workers[wc.id]; dup {
-		e.mu.Unlock()
+	f.mu.Lock()
+	if _, dup := f.workers[wc.id]; dup {
+		f.mu.Unlock()
 		conn.Close() // impostor or restart; the original holds the slot
 		return
 	}
-	e.workers[wc.id] = wc
-	e.connected++
-	e.mu.Unlock()
+	f.workers[wc.id] = wc
+	f.connected++
+	f.mu.Unlock()
 
-	e.emit(event{kind: evHello, wc: wc})
-	e.readLoop(ctx, conn, wc)
+	f.emit(event{kind: evHello, wc: wc})
+	f.readLoop(wc)
 }
 
-// readLoop turns a worker's frames into events. Any read error — EOF
-// from a SIGKILLed process, a CRC-corrupt frame, a protocol violation —
-// becomes evDead: the worker is quarantined, never re-trusted.
-func (e *engine) readLoop(ctx context.Context, conn net.Conn, wc *workerConn) {
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
+// readLoop turns a worker's frames into events; a heartbeat only extends
+// the worker's lease. Any read error — EOF from a SIGKILLed process, a
+// CRC-corrupt frame, a protocol violation — becomes evDead: the worker is
+// quarantined, never re-trusted.
+func (f *fleet) readLoop(wc *workerConn) {
+	conn := wc.conn
 	for {
 		t, payload, err := readFrame(conn)
 		if err != nil {
-			e.emit(event{kind: evDead, wc: wc, reason: fmt.Sprintf("read: %v", err)})
+			f.emit(event{kind: evDead, wc: wc, reason: fmt.Sprintf("read: %v", err)})
 			conn.Close()
 			return
 		}
 		switch t {
 		case frameHeartbeat:
-			// Advisory: drop rather than block if the loop is busy.
-			select {
-			case e.events <- event{kind: evBeat, wc: wc}:
-			default:
-			}
+			f.mu.Lock()
+			wc.lastBeat = time.Now()
+			f.mu.Unlock()
 		case frameResult:
 			var res resultMsg
 			if err := json.Unmarshal(payload, &res); err != nil {
-				e.emit(event{kind: evDead, wc: wc, reason: "bad result payload"})
+				f.emit(event{kind: evDead, wc: wc, reason: "bad result payload"})
 				conn.Close()
 				return
 			}
-			e.emit(event{kind: evDone, wc: wc, res: res})
+			f.emit(event{kind: evDone, wc: wc, res: res})
 		case frameTaskErr:
 			var res resultMsg
 			if err := json.Unmarshal(payload, &res); err != nil {
-				e.emit(event{kind: evDead, wc: wc, reason: "bad error payload"})
+				f.emit(event{kind: evDead, wc: wc, reason: "bad error payload"})
 				conn.Close()
 				return
 			}
-			e.emit(event{kind: evTaskErr, wc: wc, res: res})
+			f.emit(event{kind: evTaskErr, wc: wc, res: res})
 		default:
-			e.emit(event{kind: evDead, wc: wc, reason: fmt.Sprintf("unexpected frame type %d", t)})
+			f.emit(event{kind: evDead, wc: wc, reason: fmt.Sprintf("unexpected frame type %d", t)})
 			conn.Close()
 			return
 		}
@@ -309,9 +315,13 @@ func (e *engine) readLoop(ctx context.Context, conn net.Conn, wc *workerConn) {
 // live workers FIFO; a lost worker's in-flight task is re-leased to a
 // survivor after RetryPolicy backoff; the phase fails only when a task
 // exhausts its attempts or every worker process is gone.
-func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (PhaseStats, error) {
+func (j *job) runPhase(ctx context.Context, name string, tasks []*task) (PhaseStats, error) {
+	f, opts := j.fleet, j.opts
 	start := time.Now()
 	stats := PhaseStats{Tasks: len(tasks)}
+	if err := ctx.Err(); err != nil {
+		return stats, err
+	}
 	byID := make(map[string]*task, len(tasks))
 	queue := make([]*task, 0, len(tasks))
 	for _, t := range tasks {
@@ -337,8 +347,8 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 	// quarantine removes a worker from rotation (idempotent) and
 	// schedules its in-flight task, if any, for re-lease.
 	quarantine := func(wc *workerConn, reason string) *task {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+		f.mu.Lock()
+		defer f.mu.Unlock()
 		if wc.quarantined {
 			return nil
 		}
@@ -354,16 +364,16 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 		if t == nil || t.done {
 			return
 		}
-		if t.attempts >= e.opts.Retry.MaxAttempts {
+		if t.attempts >= opts.Retry.MaxAttempts {
 			fail(fmt.Errorf("distnet: %s: task %s failed after %d attempts", name, t.msg.ID, t.attempts))
 			return
 		}
 		stats.Requeues++
 		pendingRequeues++
 		id := t.msg.ID
-		delay := e.opts.Retry.Backoff(taskKey(id), t.attempts)
+		delay := opts.Retry.Backoff(taskKey(id), t.attempts)
 		timers = append(timers, time.AfterFunc(delay, func() {
-			e.emit(event{kind: evRequeue, taskID: id})
+			f.emit(event{kind: evRequeue, taskID: id})
 		}))
 	}
 
@@ -375,7 +385,7 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 			t  *task
 		}
 		var leases []lease
-		e.mu.Lock()
+		f.mu.Lock()
 		// Two options promise something of every worker, so under them no
 		// lease goes out before the fleet is complete: a kill plan names
 		// victims that die at their first or second task — one slower to
@@ -383,13 +393,13 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 		// work — and Metrics puts each worker's endpoint, which arrives with
 		// its hello, on Result.Workers. A worker silent for LeaseTimeout since
 		// the spawn is not waited for.
-		whole := e.opts.Kill.Enabled() || e.opts.Metrics
-		if whole && e.connected < e.opts.Workers && time.Since(e.started) < e.opts.LeaseTimeout {
-			e.mu.Unlock()
+		whole := opts.Kill.Enabled() || opts.Metrics
+		if whole && f.connected < len(f.procs) && time.Since(f.started) < opts.LeaseTimeout {
+			f.mu.Unlock()
 			return
 		}
-		ids := make([]int, 0, len(e.workers))
-		for id := range e.workers {
+		ids := make([]int, 0, len(f.workers))
+		for id := range f.workers {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
@@ -397,7 +407,7 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 			if len(queue) == 0 {
 				break
 			}
-			wc := e.workers[id]
+			wc := f.workers[id]
 			if wc.quarantined || wc.inflight != nil {
 				continue
 			}
@@ -409,15 +419,15 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 			wc.lastBeat = time.Now()
 			leases = append(leases, lease{wc, t})
 		}
-		e.mu.Unlock()
+		f.mu.Unlock()
 		for _, l := range leases {
 			if err := l.wc.send(frameTask, l.t.msg); err != nil {
-				e.emit(event{kind: evDead, wc: l.wc, reason: fmt.Sprintf("send: %v", err)})
+				f.emit(event{kind: evDead, wc: l.wc, reason: fmt.Sprintf("send: %v", err)})
 			}
 		}
 	}
 
-	ticker := time.NewTicker(e.opts.HeartbeatInterval)
+	ticker := time.NewTicker(opts.HeartbeatInterval)
 	defer ticker.Stop()
 
 	for remaining > 0 && phaseErr == nil {
@@ -425,17 +435,17 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 
 		// No live workers and no process left to produce one: the
 		// degradation ladder has run out of rungs.
-		e.mu.Lock()
+		f.mu.Lock()
 		live := 0
-		for _, wc := range e.workers {
+		for _, wc := range f.workers {
 			if !wc.quarantined {
 				live++
 			}
 		}
-		allJoined := e.connected >= e.opts.Workers
-		e.mu.Unlock()
-		if live == 0 && (allJoined || e.procsLive.Load() == 0) {
-			return stats, fmt.Errorf("distnet: %s: all %d workers lost with %d tasks outstanding", name, e.opts.Workers, remaining)
+		allJoined := f.connected >= len(f.procs)
+		f.mu.Unlock()
+		if live == 0 && (allJoined || f.procsLive.Load() == 0) {
+			return stats, fmt.Errorf("distnet: %s: all %d workers lost with %d tasks outstanding", name, len(f.procs), remaining)
 		}
 
 		select {
@@ -445,26 +455,22 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 			// Lease audit: a worker holding a task whose heartbeats
 			// stopped (without its socket dying) is hung — quarantine.
 			var expired []*workerConn
-			e.mu.Lock()
-			for _, wc := range e.workers {
-				if !wc.quarantined && wc.inflight != nil && time.Since(wc.lastBeat) > e.opts.LeaseTimeout {
+			f.mu.Lock()
+			for _, wc := range f.workers {
+				if !wc.quarantined && wc.inflight != nil && time.Since(wc.lastBeat) > opts.LeaseTimeout {
 					expired = append(expired, wc)
 				}
 			}
-			e.mu.Unlock()
+			f.mu.Unlock()
 			for _, wc := range expired {
 				requeue(quarantine(wc, "lease expired"))
 			}
-		case ev := <-e.events:
+		case ev := <-f.events:
 			switch ev.kind {
 			case evHello, evProcExit:
 				// Roster changed; the next assign()/liveness check sees it.
-			case evBeat:
-				e.mu.Lock()
-				ev.wc.lastBeat = time.Now()
-				e.mu.Unlock()
 			case evDone:
-				e.mu.Lock()
+				f.mu.Lock()
 				t := ev.wc.inflight
 				if t != nil && t.msg.ID == ev.res.ID {
 					ev.wc.inflight = nil
@@ -478,9 +484,9 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 						}
 					}
 				}
-				e.mu.Unlock()
+				f.mu.Unlock()
 			case evTaskErr:
-				e.mu.Lock()
+				f.mu.Lock()
 				t := ev.wc.inflight
 				if t != nil && t.msg.ID == ev.res.ID {
 					ev.wc.inflight = nil
@@ -488,7 +494,7 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 				} else {
 					t = nil
 				}
-				e.mu.Unlock()
+				f.mu.Unlock()
 				requeue(t)
 			case evDead:
 				requeue(quarantine(ev.wc, ev.reason))
@@ -506,20 +512,28 @@ func (e *engine) runPhase(ctx context.Context, name string, tasks []*task) (Phas
 	if phaseErr != nil {
 		return stats, phaseErr
 	}
-	e.tracePhase(name, tasks, stats)
+	j.tracePhase(name, tasks, stats)
 	return stats, nil
 }
 
 // tracePhase records the phase on the configured span: deterministic
-// task counts as counters, scheduling-dependent values as gauges, and
-// one child span per task — created post hoc in task order, so the
+// task counts as counters, scheduling-dependent values as gauges — among
+// them, on phase1, whether the campaign found its fleet already running —
+// and one child span per task, created post hoc in task order, so the
 // trace skeleton is identical no matter which workers served or died.
-func (e *engine) tracePhase(name string, tasks []*task, stats PhaseStats) {
-	if e.opts.Span == nil {
+func (j *job) tracePhase(name string, tasks []*task, stats PhaseStats) {
+	if j.opts.Span == nil {
 		return
 	}
-	ps := e.opts.Span.Start(name)
+	ps := j.opts.Span.Start(name)
 	ps.Set("tasks", int64(stats.Tasks))
+	if name == "phase1" {
+		reused := int64(0)
+		if j.reused {
+			reused = 1
+		}
+		ps.SetGauge("fleet_reused", reused)
+	}
 	ps.SetGauge("skipped", int64(stats.Skipped))
 	ps.SetGauge("requeues", int64(stats.Requeues))
 	ps.SetGauge("workers_lost", int64(stats.WorkersLost))
@@ -536,14 +550,15 @@ func (e *engine) tracePhase(name string, tasks []*task, stats PhaseStats) {
 // roster snapshots the worker fleet for Result.Workers, in id order: every
 // process spawned, whether or not it had said hello by the time the
 // campaign ended — a short campaign can be over before a slow starter
-// joins, and the fleet's size must not depend on that race.
-func (e *engine) roster() []WorkerInfo {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]WorkerInfo, len(e.procs))
-	for id, cmd := range e.procs {
+// joins, and the fleet's size must not depend on that race. Tasks are the
+// current campaign's.
+func (f *fleet) roster() []WorkerInfo {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]WorkerInfo, len(f.procs))
+	for id, cmd := range f.procs {
 		out[id] = WorkerInfo{ID: id, PID: cmd.Process.Pid}
-		if wc := e.workers[id]; wc != nil {
+		if wc := f.workers[id]; wc != nil {
 			out[id] = WorkerInfo{
 				ID: wc.id, PID: wc.pid, MetricsAddr: wc.metrics,
 				Tasks: wc.tasks, Quarantined: wc.quarantined,
@@ -553,36 +568,36 @@ func (e *engine) roster() []WorkerInfo {
 	return out
 }
 
-// shutdown tears the engine down: polite shutdown frames first, then the
-// listener and sockets, then — after a short grace — SIGKILL for any
-// worker process that didn't exit on its own.
-func (e *engine) shutdown() {
-	close(e.done)
-	e.mu.Lock()
-	conns := make([]*workerConn, 0, len(e.workers))
-	for _, wc := range e.workers {
+// shutdown tears the fleet down: polite shutdown frames first — a
+// quarantined worker, untrusted and perhaps hung, is killed instead — then
+// the listener, then — after a short grace — SIGKILL for any worker process
+// that didn't exit on its own, then the connections.
+func (f *fleet) shutdown() {
+	close(f.done)
+	f.mu.Lock()
+	conns := make([]*workerConn, 0, len(f.workers))
+	for _, wc := range f.workers {
 		conns = append(conns, wc)
 	}
-	e.mu.Unlock()
+	f.mu.Unlock()
 	for _, wc := range conns {
-		if !wc.quarantined {
+		if wc.quarantined {
+			_ = f.procs[wc.id].Process.Kill()
+		} else {
 			_ = wc.send(frameShutdown, struct{}{})
 		}
 	}
-	e.lis.Close()
-	if e.stopCtx != nil {
-		e.stopCtx()
-	}
+	f.lis.Close()
 
 	exited := make(chan struct{})
 	go func() {
-		e.procWG.Wait()
+		f.procWG.Wait()
 		close(exited)
 	}()
 	select {
 	case <-exited:
 	case <-time.After(3 * time.Second):
-		for _, cmd := range e.procs {
+		for _, cmd := range f.procs {
 			if cmd != nil && cmd.Process != nil {
 				_ = cmd.Process.Kill()
 			}
@@ -590,15 +605,13 @@ func (e *engine) shutdown() {
 		<-exited
 	}
 
-	for _, wc := range conns {
-		wc.conn.Close()
-	}
-	e.acceptWG.Wait()
+	f.stop() // closes every connection, and any handshake still waiting
+	f.acceptWG.Wait()
 
-	// Drain any events emitted between close(e.done) checks and now.
+	// Drain any events emitted between close(f.done) checks and now.
 	for {
 		select {
-		case <-e.events:
+		case <-f.events:
 		default:
 			return
 		}

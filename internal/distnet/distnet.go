@@ -3,6 +3,7 @@ package distnet
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"time"
 
@@ -16,7 +17,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Options configures a multi-process distributed decomposition.
+// Options configures a multi-process distributed decomposition. Workers,
+// Addr, WorkerArgv, Metrics and HeartbeatInterval are the fleet's spawn
+// signature: a campaign runs on the pooled fleet an earlier one with the
+// same signature left running, if there is one (pool.go). A campaign with
+// a kill plan or WorkerEnv, or on a fixed port, gets a fleet of its own.
 type Options struct {
 	// Method selects the pivot fusion (core.AVG / CONCAT / SELECT).
 	Method core.Method
@@ -35,11 +40,12 @@ type Options struct {
 	Shards int
 	// Addr is the coordinator's listen address (default "127.0.0.1:0").
 	Addr string
-	// WorkDir is the shared store catalog directory (required). Rerun
-	// the same campaign with the same WorkDir to resume: tasks whose
-	// outputs are already durable are skipped. Outputs are named after
-	// the job — method, ranks, Shards, ZeroJoin, sampled grid, inputs — so a
-	// directory another campaign used is safe, and merely no help.
+	// WorkDir is the shared store catalog directory (required); every task
+	// names it. Rerun the same campaign with the same WorkDir to resume:
+	// tasks whose outputs are already durable are skipped. Outputs are named
+	// after the job — method, ranks, Shards, ZeroJoin, sampled grid,
+	// quarantine flag, inputs — so a directory another campaign used is
+	// safe, and merely no help.
 	WorkDir string
 	// WorkerArgv is the worker command line. Empty means self-exec: the
 	// current executable is spawned and must call MaybeWorker at
@@ -153,7 +159,9 @@ type Result struct {
 
 // Decompose runs D-M2TD over a PF-partitioned pair on real worker
 // processes, join-free (core.DecomposeFactored's phases at Shards). See the
-// package comment for the protocol and the determinism contract.
+// package comment for the protocol and the determinism contract. The
+// workers come from the pool (pool.go): a fleet an earlier campaign of the
+// same signature left running, or a new one.
 func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result, error) {
 	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
@@ -163,19 +171,25 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-
-	st, err := store.Open(opts.WorkDir)
+	// Tasks carry the catalog to the workers: an absolute path, whatever
+	// their working directory.
+	dir, err := filepath.Abs(opts.WorkDir)
 	if err != nil {
 		return nil, err
 	}
-	// Spawn first, upload second: a worker reads the data-plane inputs on
-	// its first lease, and no lease goes out before runPhase below, so
-	// process start overlaps the upload.
-	eng, err := newEngine(ctx, opts)
+	st, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.shutdown()
+	// Lease first, upload second: a worker reads the data-plane inputs on
+	// its first lease, and no lease goes out before runPhase below, so a new
+	// fleet's process start overlaps the upload.
+	f, reused, err := checkout(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	clean := false
+	defer func() { release(f, clean) }()
 	var sums [2]uint32
 	for i, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
 		if err := st.SaveSparse(objSubs[i], sub.Tensor); err != nil {
@@ -185,8 +199,11 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 			return nil, err
 		}
 	}
-	spec := jobSpec{Join: stitch.NewSpec(p, opts.ZeroJoin), Sampled: core.SampledOf(p), Shards: opts.Shards}
-	j := &job{eng: eng, st: st, spec: spec, key: jobKey(opts.Method, ranks, spec, sums)}
+	spec := jobSpec{
+		Join: stitch.NewSpec(p, opts.ZeroJoin), Sampled: core.SampledOf(p), Shards: opts.Shards,
+		RejectNonFinite: p.Sub1.Tensor.RejectNonFinite || p.Sub2.Tensor.RejectNonFinite,
+	}
+	j := &job{fleet: f, reused: reused, opts: opts, st: st, dir: dir, spec: spec, key: jobKey(opts.Method, ranks, spec, sums)}
 
 	factors, p1stats, err := j.subDecompose(ctx, p, opts.Method, ranks)
 	if err != nil {
@@ -194,33 +211,45 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	}
 	res := &Result{Result: &core.Result{Factors: factors}, Phase1: p1stats}
 	// Nothing to stitch: Phase 2 keeps its span, with no tasks.
-	eng.tracePhase("phase2", nil, res.Phase2)
+	j.tracePhase("phase2", nil, res.Phase2)
 	var parts []core.Partial
 	if parts, res.Phase3, err = j.project(ctx, p, ranks); err != nil {
 		return nil, err
 	}
-	res.Core, _ = core.FactoredCore(p, opts.ZeroJoin, factors, parts, opts.Span)
+	var total core.Partial
+	res.Core, total = core.FactoredCore(p, opts.ZeroJoin, factors, parts, opts.Span)
+	res.Rejected = total.Rejected
 	res.SubDecompTime, res.CoreTime = res.Phase1.Duration, res.Phase3.Duration
-	res.Workers = eng.roster()
+	res.Workers = f.roster()
+	clean = res.reusable()
 	return res, nil
 }
 
-// job is one campaign on the engine: the geometry every task carries and
-// the key its artifacts are named under.
+// reusable reports whether the campaign left its fleet as it found it: no
+// worker lost or quarantined, no task re-leased.
+func (r *Result) reusable() bool {
+	return r.Phase1.WorkersLost+r.Phase3.WorkersLost+r.Phase1.Requeues+r.Phase3.Requeues == 0
+}
+
+// job is one campaign on a fleet: its options, its catalog, the geometry
+// every task carries and the key its artifacts are named under.
 type job struct {
-	eng  *engine
-	st   *store.Store
-	spec jobSpec
-	key  string
+	fleet  *fleet
+	reused bool // the fleet served an earlier campaign
+	opts   Options
+	st     *store.Store
+	dir    string
+	spec   jobSpec
+	key    string
 }
 
 // object is the catalog name of the job's artifact id.
-func (j *job) object(id string) string { return j.key + "-" + id }
+func (j *job) object(id string) string { return objectName(j.key, id) }
 
 // task builds one task of the job; its output is the artifact named after
 // the task.
 func (j *job) task(kind, id string, msg taskMsg) *task {
-	msg.ID, msg.Kind, msg.Out, msg.Spec = id, kind, j.object(id), j.spec
+	msg.ID, msg.Kind, msg.Dir, msg.Job, msg.Spec = id, kind, j.dir, j.key, j.spec
 	return &task{msg: msg}
 }
 
@@ -235,7 +264,7 @@ func (j *job) subDecompose(ctx context.Context, p *partition.Result, method core
 			tasks = append(tasks, j.task(taskFactor, factorOut(si+1, n), taskMsg{Kappa: si + 1, Mode: n, Rank: ranks[m]}))
 		}
 	}
-	stats, err := j.eng.runPhase(ctx, "phase1", tasks)
+	stats, err := j.runPhase(ctx, "phase1", tasks)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -270,7 +299,7 @@ func (j *job) project(ctx context.Context, p *partition.Result, ranks []int) (pa
 	for s := 0; s < j.spec.Shards; s++ {
 		tasks = append(tasks, j.task(taskProject, projectOut(s), taskMsg{Shard: s}))
 	}
-	if stats, err = j.eng.runPhase(ctx, "phase3", tasks); err != nil {
+	if stats, err = j.runPhase(ctx, "phase3", tasks); err != nil {
 		return nil, stats, err
 	}
 	// A projection is as large as its sub-tensor's modes' ranks; the residual
@@ -283,12 +312,12 @@ func (j *job) project(ctx context.Context, p *partition.Result, ranks []int) (pa
 	}
 	for _, t := range tasks {
 		var part core.Partial
-		ms, err := j.st.LoadMatrices(t.msg.Out)
+		ms, err := j.st.LoadMatrices(t.msg.out())
 		if err == nil {
 			part, err = partialOf(ms, shapes)
 		}
 		if err != nil {
-			return nil, stats, fmt.Errorf("distnet: phase 3 artifact %s: %w", t.msg.Out, err)
+			return nil, stats, fmt.Errorf("distnet: phase 3 artifact %s: %w", t.msg.out(), err)
 		}
 		parts = append(parts, part)
 	}

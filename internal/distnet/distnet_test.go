@@ -39,18 +39,22 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// lateArg, as a worker's only argument (Options.WorkerArgv), names the
-// worker id that stays away from the coordinator until a task's output is
-// in the WorkDir: the rest of the fleet has the early work to itself,
-// however the processes' start-up times fall.
+// lateArg, as a worker's only argument (Options.WorkerArgv) followed by
+// "<id>:<catalog>", names the worker id that stays away from the coordinator
+// until a task's output is in the catalog: the rest of the fleet has the
+// early work to itself, however the processes' start-up times fall.
 const lateArg = "-distnet-late-worker="
 
 func awaitEarlyWork() {
-	if len(os.Args) != 2 || os.Args[1] != lateArg+os.Getenv(envID) {
+	if len(os.Args) != 2 || !strings.HasPrefix(os.Args[1], lateArg) {
+		return
+	}
+	id, dir, _ := strings.Cut(strings.TrimPrefix(os.Args[1], lateArg), ":")
+	if id != os.Getenv(envID) {
 		return
 	}
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if outs, _ := filepath.Glob(filepath.Join(os.Getenv(envDir), "*-p1-*")); len(outs) > 0 {
+		if outs, _ := filepath.Glob(filepath.Join(dir, "*-p1-*")); len(outs) > 0 {
 			return
 		}
 	}
@@ -245,8 +249,9 @@ func TestDistNetCorruptFrameQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := base
+	opts.WorkDir = t.TempDir()
 	opts.WorkerEnv = []string{envCorrupt + "=0"}
-	opts.WorkerArgv = []string{exe, lateArg + "1"}
+	opts.WorkerArgv = []string{exe, lateArg + "1:" + opts.WorkDir}
 	d := runDistNet(t, p, opts)
 
 	sameDecomposition(t, "corrupt vs clean", d.Result, clean.Result, 0)

@@ -37,15 +37,16 @@
 // functions of the partition and Options.Shards — never of worker
 // identity, scheduling, or timing — so the factors and the core are
 // bit-identical regardless of which workers died mid-phase, and equal to
-// core.DecomposeFactored's at equal Shards.
+// core.DecomposeFactored's at equal Shards. The divergence quarantine
+// crosses the process boundary in the job spec (the store does not persist
+// a tensor's RejectNonFinite flag): workers arm it on the sub-tensors they
+// load, and a shard's core.Partial.Rejected travels in its output object.
 //
-// One thing does not cross the process boundary: the store does not persist
-// a tensor's RejectNonFinite flag, so workers load the sub-tensors with the
-// divergence quarantine off — unchanged since the engine stitched — and the
-// kernel, which takes the flag from its inputs, sums a non-finite value
-// planted behind the coordinator's ingest guard as it stands. The
-// in-process executors skip and count it (core.Partial.Rejected); the wire
-// form is deliberately not widened.
+// Worker processes outlive the campaign (pool.go): a fleet — listener,
+// processes, connections, reaper — whose campaign ended clean waits in a
+// process-wide pool for the next campaign with its spawn signature, and
+// every task names its job's catalog and key, so a worker serves one job
+// after another.
 package distnet
 
 import (

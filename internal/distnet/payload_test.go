@@ -4,9 +4,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -18,10 +22,13 @@ import (
 )
 
 // payloadFixture is a catalog as a coordinator leaves it before Phase 3 —
-// both inputs, the fused factors — and the job spec its tasks would carry.
-func payloadFixture(t testing.TB) (*store.Store, jobSpec) {
+// both inputs, the fused factors — under root, beside a regular file named
+// "file", and the job spec its tasks would carry.
+func payloadFixture(t testing.TB) (root, dir string, spec jobSpec) {
 	p := tinyPartition(t, 0.5, 233)
-	st, err := store.Open(t.TempDir())
+	root = t.TempDir()
+	dir = filepath.Join(root, "catalog")
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,32 +36,35 @@ func payloadFixture(t testing.TB) (*store.Store, jobSpec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := jobSpec{Join: stitch.NewSpec(p, false), Sampled: core.SampledOf(p), Shards: 2}
+	spec = jobSpec{Join: stitch.NewSpec(p, false), Sampled: core.SampledOf(p), Shards: 2}
 	for _, err := range []error{
 		st.SaveSparse(objSubs[0], p.Sub1.Tensor),
 		st.SaveSparse(objSubs[1], p.Sub2.Tensor),
 		st.SaveMatrices(objFactors, res.Factors),
+		os.WriteFile(filepath.Join(root, "file"), nil, 0o644),
 	} {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	return st, spec
+	return root, dir, spec
 }
 
 // TestTaskPayloadRejected: what a well-framed task payload can get wrong
 // is a task error — the coordinator re-leases and, out of attempts, fails
-// the phase — never a worker crash or an index outside a tensor.
+// the phase — never a worker crash or an index outside a tensor. A catalog
+// that is not a directory is one such error: the worker creates none.
 func TestTaskPayloadRejected(t *testing.T) {
-	st, spec := payloadFixture(t)
+	root, dir, spec := payloadFixture(t)
 	with := func(mutate func(*taskMsg)) taskMsg {
 		// Slices are copied: a case that edits the spec edits its own.
-		task := taskMsg{ID: "t", Kind: taskProject, Out: "out", Spec: spec}
+		task := taskMsg{ID: "t", Kind: taskProject, Dir: dir, Job: "j", Spec: spec}
 		task.Spec.Join.Shape = append(tensor.Shape(nil), spec.Join.Shape...)
 		task.Spec.Join.Pivots = append([]int(nil), spec.Join.Pivots...)
 		mutate(&task)
 		return task
 	}
+	absent := filepath.Join(root, "absent")
 	for name, task := range map[string]taskMsg{
 		"unknown kind":         with(func(m *taskMsg) { m.Kind = "reduce" }),
 		"no kind":              with(func(m *taskMsg) { m.Kind = "" }),
@@ -74,20 +84,28 @@ func TestTaskPayloadRejected(t *testing.T) {
 		"factor, mode 3 of 3":  with(func(m *taskMsg) { m.Kind, m.Kappa, m.Mode, m.Rank = taskFactor, 1, 3, 1 }),
 		"factor, rank 0":       with(func(m *taskMsg) { m.Kind, m.Kappa = taskFactor, 1 }),
 		"factor, rank > size":  with(func(m *taskMsg) { m.Kind, m.Kappa, m.Rank = taskFactor, 2, 6 }),
-		"output name escapes":  with(func(m *taskMsg) { m.Out = "../out" }),
+		"output name escapes":  with(func(m *taskMsg) { m.Job = "../out" }),
+		"no catalog":           with(func(m *taskMsg) { m.Dir = absent }),
+		"factor, no catalog":   with(func(m *taskMsg) { m.Kind, m.Kappa, m.Rank, m.Dir = taskFactor, 1, 2, absent }),
+		"catalog is a file":    with(func(m *taskMsg) { m.Dir = filepath.Join(root, "file") }),
+		"catalog unnamed":      with(func(m *taskMsg) { m.Dir = "" }),
+		"catalog without data": with(func(m *taskMsg) { m.Dir = root }),
 	} {
-		w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
+		w := &workerState{}
 		if _, err := w.exec(context.Background(), task); err == nil {
 			t.Errorf("%s: task executed", name)
 		}
+	}
+	if _, err := os.Stat(absent); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a task naming a missing catalog left %s behind (stat: %v)", absent, err)
 	}
 	for _, kind := range []string{taskFactor, taskProject} {
 		// More shards than pivot keys is a valid job (most shards are empty),
 		// whatever the count: nothing on the way to the shard's cells adds to it.
 		for _, shards := range []int{spec.Shards, math.MaxInt} {
-			w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
+			w := &workerState{}
 			task := with(func(m *taskMsg) {
-				m.Kind, m.Kappa, m.Rank, m.Out = kind, 1, 2, fmt.Sprintf("out-%s-%d", kind, shards)
+				m.Kind, m.Kappa, m.Rank, m.ID = kind, 1, 2, fmt.Sprintf("out-%s-%d", kind, shards)
 				m.Shard, m.Spec.Shards = shards-1, shards
 			})
 			if res, err := w.exec(context.Background(), task); err != nil || res.Skipped || !w.outputDurable(task) {
@@ -101,18 +119,25 @@ func TestTaskPayloadRejected(t *testing.T) {
 // valid frame — a task as RunWorker decodes and executes it, a result as
 // the coordinator's readLoop decodes it. Whatever decodes must execute to a
 // result or a task error: no panic, no index outside a tensor; the fields
-// the shard selection divides and indexes by are checked first.
+// the shard selection divides and indexes by are checked first. A task's
+// catalog is taken relative to the fixture's root (outside it, the task is
+// skipped): a catalog that did not exist still does not afterwards.
 func FuzzTaskPayload(f *testing.F) {
-	st, spec := payloadFixture(f)
+	root, _, spec := payloadFixture(f)
 	for _, task := range []taskMsg{
-		{ID: "p1-k1-m0", Kind: taskFactor, Kappa: 1, Rank: 2, Out: "f", Spec: spec},
-		{ID: "p2-j0", Kind: "stitch", Out: "s", Spec: spec}, // retired kinds: task errors
-		{ID: "p3-c0", Kind: "core", Out: "c", Spec: spec},
-		{ID: "p3-g1", Kind: taskProject, Shard: 1, Out: "g", Spec: spec},
-		{ID: "p3-g2", Kind: taskProject, Shard: 2, Out: "g", Spec: spec},
-		{ID: "p3-g0", Kind: taskProject, Out: "g", Spec: jobSpec{Join: spec.Join, Shards: 2}}, // no sampled grid: every group per group
-		{ID: "p3-g3", Kind: taskProject, Shard: math.MaxInt - 1, Out: "g", Spec: jobSpec{Join: spec.Join, Sampled: spec.Sampled, Shards: math.MaxInt}},
-		{ID: "x", Kind: "reduce", Out: "x"},
+		{ID: "p1-k1-m0", Kind: taskFactor, Kappa: 1, Rank: 2, Dir: "catalog", Job: "j", Spec: spec},
+		{ID: "p2-j0", Kind: "stitch", Dir: "catalog", Job: "j", Spec: spec}, // retired kinds: task errors
+		{ID: "p3-c0", Kind: "core", Dir: "catalog", Job: "j", Spec: spec},
+		{ID: "p3-g1", Kind: taskProject, Shard: 1, Dir: "catalog", Job: "j", Spec: spec},
+		{ID: "p3-g2", Kind: taskProject, Shard: 2, Dir: "catalog", Job: "j", Spec: spec},
+		{ID: "p3-g0", Kind: taskProject, Dir: "catalog", Job: "j", Spec: jobSpec{Join: spec.Join, Shards: 2}}, // no sampled grid: every group per group
+		{ID: "p3-g3", Kind: taskProject, Shard: math.MaxInt - 1, Dir: "catalog", Job: "j", Spec: jobSpec{Join: spec.Join, Sampled: spec.Sampled, Shards: math.MaxInt}},
+		{ID: "p3-g1", Kind: taskProject, Shard: 1, Dir: "catalog", Job: "q", Spec: jobSpec{Join: spec.Join, Sampled: spec.Sampled, Shards: 2, RejectNonFinite: true}},
+		{ID: "p1-k2-m1", Kind: taskFactor, Kappa: 2, Mode: 1, Rank: 2, Dir: "absent", Job: "j", Spec: spec}, // no such catalog
+		{ID: "p1-k2-m1", Kind: taskFactor, Kappa: 2, Mode: 1, Rank: 2, Dir: "file", Job: "j", Spec: spec},   // not a directory
+		{ID: "p1-k2-m1", Kind: taskFactor, Kappa: 2, Mode: 1, Rank: 2, Dir: "", Job: "j", Spec: spec},       // the root: no inputs
+		{ID: "p1-k2-m1", Kind: taskFactor, Kappa: 2, Mode: 1, Rank: 2, Dir: "absent/deeper", Job: "j", Spec: spec},
+		{ID: "x", Kind: "reduce", Job: "x"},
 	} {
 		payload, err := json.Marshal(task)
 		if err != nil {
@@ -120,8 +145,9 @@ func FuzzTaskPayload(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	f.Add([]byte(`{"id":"p3-g0","kind":"project","out":"g","spec":{"join":{"shape":[5,5,5,5,4],"pivots":[7],"free1":[0,2],"free2":[1,3]},"shards":2}}`))
-	f.Add([]byte(`{"id":"p3-g0","kind":"project","out":"g","spec":{"join":{"shape":[5,5],"pivots":[4],"free1":[0,2],"free2":[1,3]},"shards":-3}}`))
+	f.Add([]byte(`{"id":"p3-g0","kind":"project","dir":"catalog","job":"j","spec":{"join":{"shape":[5,5,5,5,4],"pivots":[7],"free1":[0,2],"free2":[1,3]},"shards":2}}`))
+	f.Add([]byte(`{"id":"p3-g0","kind":"project","dir":"catalog","job":"j","spec":{"join":{"shape":[5,5],"pivots":[4],"free1":[0,2],"free2":[1,3]},"shards":-3}}`))
+	f.Add([]byte(`{"id":"p1-k1-m0","kind":"factor","kappa":1,"rank":2,"dir":"../catalog","job":"j"}`))
 	f.Add([]byte(`{"id":"p1-k1-m0","worker":1,"skipped":true,"dur_ns":12}`))
 	f.Add([]byte(`{"id":7}`))
 
@@ -133,11 +159,19 @@ func FuzzTaskPayload(f *testing.F) {
 		if json.Unmarshal(payload, &task) != nil {
 			return
 		}
-		if slices.Contains([]string{objSubs[0], objSubs[1], objFactors}, task.Out) {
+		task.Dir = filepath.Join(root, task.Dir)
+		if !strings.HasPrefix(task.Dir+string(filepath.Separator), root+string(filepath.Separator)) {
+			return // outside the fixture
+		}
+		if slices.Contains([]string{objSubs[0], objSubs[1], objFactors}, task.out()) {
 			return // would overwrite the fixture under the iterations that follow
 		}
-		w := &workerState{st: st, subs: make(map[int]*tensor.Sparse)}
+		_, statErr := os.Stat(task.Dir)
+		w := &workerState{}
 		out, err := w.exec(context.Background(), task)
+		if _, after := os.Stat(task.Dir); errors.Is(statErr, os.ErrNotExist) && after == nil {
+			t.Fatalf("task %q created its catalog %s", task.ID, task.Dir)
+		}
 		switch {
 		case err != nil:
 		case task.Kind != taskFactor && task.Kind != taskProject:
@@ -145,7 +179,7 @@ func FuzzTaskPayload(f *testing.F) {
 		case task.Kind == taskProject && (task.Spec.Shards < 1 || task.Shard < 0 || task.Shard >= task.Spec.Shards):
 			t.Fatalf("executed shard %d of %d", task.Shard, task.Spec.Shards)
 		case out.ID != task.ID || !w.outputDurable(task):
-			t.Fatalf("task %q reported done (%+v) without a durable output %q", task.ID, out, task.Out)
+			t.Fatalf("task %q reported done (%+v) without a durable output %q", task.ID, out, task.out())
 		}
 	})
 }
@@ -153,8 +187,10 @@ func FuzzTaskPayload(f *testing.F) {
 // partialShapes are a job's Phase 3 shapes: projections 1 and 2, residual.
 var partialShapes = [3]tensor.Shape{{2, 2, 3}, {2, 2, 2}, {2, 2, 3, 2, 2}}
 
-// partialFixtures are an intact and a holey shard's partial at partialShapes.
-func partialFixtures() (intact, holey core.Partial) {
+// partialFixtures are an intact and a holey shard's partial at
+// partialShapes, and two that skipped quarantined values: one with holey
+// groups, one without.
+func partialFixtures() (intact, holey, rejected, rejectedOnly core.Partial) {
 	dense := func(s tensor.Shape) *tensor.Dense {
 		d := tensor.NewDense(s)
 		for i := range d.Data {
@@ -164,8 +200,13 @@ func partialFixtures() (intact, holey core.Partial) {
 	}
 	intact = core.Partial{G1: dense(partialShapes[0]), G2: dense(partialShapes[1])}
 	holey = core.Partial{G1: dense(partialShapes[0]), G2: dense(partialShapes[1]), Residual: dense(partialShapes[2]), Holey: 3}
-	return intact, holey
+	rejected, rejectedOnly = holey, intact
+	rejected.Rejected, rejectedOnly.Rejected = 2, 1
+	return intact, holey, rejected, rejectedOnly
 }
+
+// counts is a counts row for corruptPartials.
+func counts(vs ...float64) *mat.Matrix { return &mat.Matrix{Rows: 1, Cols: len(vs), Data: vs} }
 
 // corruptPartials are Phase 3 objects partialOf must refuse, made from a
 // holey shard's.
@@ -179,42 +220,44 @@ var corruptPartials = map[string]func(ms []*mat.Matrix) []*mat.Matrix{
 	},
 	"long G2":        func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = ms[0]; return ms },
 	"short residual": func(ms []*mat.Matrix) []*mat.Matrix { ms[2] = ms[0]; return ms },
-	"count 0": func(ms []*mat.Matrix) []*mat.Matrix {
-		ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{0}}
+	"count 0":        func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(0); return ms },
+	"count 1.5":      func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1.5); return ms },
+	"count NaN":      func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(math.NaN()); return ms },
+	"count 1e300":    func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1e300); return ms },
+	"three counts":   func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1, 2, 3); return ms },
+	"rejected 0":     func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1, 0); return ms },
+	"rejected -1":    func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1, -1); return ms },
+	"rejected 0.5":   func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1, 0.5); return ms },
+	"residual, no holey groups": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[3] = counts(0, 2)
 		return ms
 	},
-	"count 1.5": func(ms []*mat.Matrix) []*mat.Matrix {
-		ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{1.5}}
+	"holey groups, no residual": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[2], ms[3] = counts(), counts(3, 2)
 		return ms
 	},
-	"count NaN": func(ms []*mat.Matrix) []*mat.Matrix {
-		ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{math.NaN()}}
-		return ms
-	},
-	"count 1e300": func(ms []*mat.Matrix) []*mat.Matrix {
-		ms[3] = &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{1e300}}
-		return ms
-	},
-	"two counts": func(ms []*mat.Matrix) []*mat.Matrix {
-		ms[3] = &mat.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}}
+	"no residual, one count": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[2] = counts()
 		return ms
 	},
 }
 
 // TestPartialObjectChecked: a Phase 3 object is the two projections, or the
-// two projections, the residual and the holey-group count; the coordinator
-// takes neither a third shape of object nor a length that is not the
-// product of the ranks its job clipped — for the residual exactly as for
-// G₁ and G₂ — and what it takes round-trips.
+// two projections, the residual (empty when there is none) and a counts
+// row; the coordinator takes neither another shape of object nor a length
+// that is not the product of the ranks its job clipped — for the residual
+// exactly as for G₁ and G₂ — nor counts that contradict the residual, and
+// what it takes round-trips. An intact shard's object is the projections
+// alone.
 func TestPartialObjectChecked(t *testing.T) {
-	intact, holey := partialFixtures()
-	for name, want := range map[string]core.Partial{"intact": intact, "holey": holey} {
+	intact, holey, rejected, rejectedOnly := partialFixtures()
+	for name, want := range map[string]core.Partial{"intact": intact, "holey": holey, "rejected": rejected, "rejected, no holes": rejectedOnly} {
 		got, err := partialOf(partialMatrices(want), partialShapes)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Holey != want.Holey || (got.Residual == nil) != (want.Residual == nil) || !got.G1.Equal(want.G1, 0) || !got.G2.Equal(want.G2, 0) ||
-			want.Residual != nil && !got.Residual.Equal(want.Residual, 0) {
+		if got.Holey != want.Holey || got.Rejected != want.Rejected || (got.Residual == nil) != (want.Residual == nil) ||
+			!got.G1.Equal(want.G1, 0) || !got.G2.Equal(want.G2, 0) || want.Residual != nil && !got.Residual.Equal(want.Residual, 0) {
 			t.Fatalf("%s: partial did not round-trip: %+v", name, got)
 		}
 	}
@@ -272,9 +315,10 @@ func FuzzPhaseArtifact(f *testing.F) {
 	} {
 		f.Add(matrixBytes(ms))
 	}
-	intact, holey := partialFixtures()
-	f.Add(matrixBytes(partialMatrices(intact)))
-	f.Add(matrixBytes(partialMatrices(holey)))
+	intact, holey, rejected, rejectedOnly := partialFixtures()
+	for _, part := range []core.Partial{intact, holey, rejected, rejectedOnly} {
+		f.Add(matrixBytes(partialMatrices(part)))
+	}
 	for _, mutate := range corruptPartials {
 		f.Add(matrixBytes(mutate(partialMatrices(holey))))
 	}

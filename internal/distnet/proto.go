@@ -24,15 +24,20 @@ type helloMsg struct {
 }
 
 // jobSpec is the run-wide geometry every task carries: the stitch spec, the
-// sampled grid's size and the fixed shard count. All are pure values — two
-// workers given the same spec compute byte-identical artifacts.
+// sampled grid's size, the fixed shard count and whether the coordinator's
+// sub-tensors quarantine non-finite values — a flag the store does not
+// persist, which the worker arms on the sub-tensors it loads. All are pure
+// values — two workers given the same spec compute byte-identical artifacts.
 type jobSpec struct {
-	Join    stitch.Spec  `json:"join"`
-	Sampled core.Sampled `json:"sampled"`
-	Shards  int          `json:"shards"`
+	Join            stitch.Spec  `json:"join"`
+	Sampled         core.Sampled `json:"sampled"`
+	Shards          int          `json:"shards"`
+	RejectNonFinite bool         `json:"reject_non_finite,omitempty"`
 }
 
-// taskMsg leases one task to a worker.
+// taskMsg leases one task to a worker. Dir is the job's catalog and Job its
+// key: the task's output is the object objectName(Job, ID) in Dir. A worker
+// outlives the job, so every task says where its job lives.
 type taskMsg struct {
 	ID    string  `json:"id"`
 	Kind  string  `json:"kind"` // taskFactor | taskProject
@@ -40,9 +45,13 @@ type taskMsg struct {
 	Mode  int     `json:"mode,omitempty"` // sub-local mode (factor tasks)
 	Rank  int     `json:"rank,omitempty"`
 	Shard int     `json:"shard,omitempty"`
-	Out   string  `json:"out"`
+	Dir   string  `json:"dir"`
+	Job   string  `json:"job"`
 	Spec  jobSpec `json:"spec"`
 }
+
+// out is the catalog name of the task's output.
+func (t taskMsg) out() string { return objectName(t.Job, t.ID) }
 
 const (
 	taskFactor  = "factor"  // Phase 1
@@ -67,15 +76,17 @@ type heartbeatMsg struct {
 // Catalog object names. The two inputs and the fused factor list are
 // written by the coordinator, every run, before the first lease that reads
 // them. Every task writes exactly one output object, named after the job
-// and the task (job.object): the job key hashes everything the output
+// and the task (objectName): the job key hashes everything the output
 // depends on — fusion method, clipped ranks, shard count, zero-join, sampled
-// grid and both inputs' store checksums — so a WorkDir that another campaign
-// used holds nothing this one can mistake for its own, and the resume
-// check stays "does my output load" with no manifest beside it.
+// grid, the quarantine flag and both inputs' store checksums — so a WorkDir
+// that another campaign used holds nothing this one can mistake for its own,
+// and the resume check stays "does my output load" with no manifest beside
+// it.
 const objFactors = "factors"
 
 var objSubs = [2]string{"in-sub1", "in-sub2"}
 
+func objectName(job, id string) string { return job + "-" + id }
 func factorOut(kappa, mode int) string { return fmt.Sprintf("p1-k%d-m%d", kappa, mode) }
 func projectOut(shard int) string      { return fmt.Sprintf("p3-g%d", shard) }
 
@@ -90,45 +101,74 @@ func checkPhase1(ms []*mat.Matrix, size, rank int) error {
 }
 
 // partialMatrices is a Phase 3 output object: the shard's two projections
-// and, only when it summed pivot groups with holes, their residual and
-// their count. Partial.Rejected does not travel: a worker's sub-tensors
-// carry no quarantine flag.
+// and, only when it summed pivot groups with holes or skipped quarantined
+// values, its residual (empty when it has none) and a counts row — the
+// holey groups, then the rejected values if there were any. A shard that
+// did neither, every shard of an intact campaign, writes the projections
+// alone.
 func partialMatrices(p core.Partial) []*mat.Matrix {
 	row := func(data ...float64) *mat.Matrix { return &mat.Matrix{Rows: 1, Cols: len(data), Data: data} }
 	ms := []*mat.Matrix{row(p.G1.Data...), row(p.G2.Data...)}
+	var residual []float64
 	if p.Residual != nil {
-		ms = append(ms, row(p.Residual.Data...), row(float64(p.Holey)))
+		residual = p.Residual.Data
+	}
+	switch {
+	case p.Rejected > 0:
+		ms = append(ms, row(residual...), row(float64(p.Holey), float64(p.Rejected)))
+	case p.Residual != nil:
+		ms = append(ms, row(residual...), row(float64(p.Holey)))
 	}
 	return ms
 }
 
 // partialOf reads a Phase 3 output object back, checking every length
-// against the shapes the job's ranks give (projections 1 and 2, residual).
+// against the shapes the job's ranks give (projections 1 and 2, residual)
+// and the counts against the residual: holey groups exactly when there is
+// one, and a rejected count, where written, of at least one.
 func partialOf(ms []*mat.Matrix, shapes [3]tensor.Shape) (core.Partial, error) {
 	var ts [3]*tensor.Dense
 	for i, m := range ms[:min(len(ms), 3)] {
+		if i == 2 && len(m.Data) == 0 {
+			continue // no residual
+		}
 		if shapes[i].NumElements() != len(m.Data) {
 			return core.Partial{}, fmt.Errorf("%d values for a %v partial", len(m.Data), shapes[i])
 		}
 		ts[i] = &tensor.Dense{Shape: shapes[i], Data: m.Data}
 	}
 	part := core.Partial{G1: ts[0], G2: ts[1], Residual: ts[2]}
-	switch {
-	case len(ms) == 2:
+	if len(ms) == 2 {
 		return part, nil
-	case len(ms) == 4 && len(ms[3].Data) == 1:
-		if groups, frac := math.Modf(ms[3].Data[0]); frac == 0 && groups >= 1 && groups <= math.MaxInt32 {
-			part.Holey = int(groups)
-			return part, nil
+	}
+	// count reads an integral count of at least least.
+	count := func(v float64, least int) (int, bool) {
+		n, frac := math.Modf(v)
+		return int(n), frac == 0 && n >= float64(least) && n <= math.MaxInt32
+	}
+	if len(ms) == 4 {
+		switch counts := ms[3].Data; len(counts) {
+		case 1:
+			if h, ok := count(counts[0], 1); ok && part.Residual != nil {
+				part.Holey = h
+				return part, nil
+			}
+		case 2:
+			h, okH := count(counts[0], 0)
+			r, okR := count(counts[1], 1)
+			if okH && okR && (h > 0) == (part.Residual != nil) {
+				part.Holey, part.Rejected = h, r
+				return part, nil
+			}
 		}
 	}
-	return core.Partial{}, fmt.Errorf("%d matrices, or no count of holey groups: %w", len(ms), store.ErrCorrupt)
+	return core.Partial{}, fmt.Errorf("%d matrices, or counts that do not fit the residual: %w", len(ms), store.ErrCorrupt)
 }
 
 // jobKey is the identity a job's artifacts are named under.
 func jobKey(method core.Method, ranks []int, spec jobSpec, inputs [2]uint32) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%v|%d|%t|%v|%08x", method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, inputs)
+	fmt.Fprintf(h, "%s|%v|%d|%t|%v|%t|%08x", method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, spec.RejectNonFinite, inputs)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -143,7 +183,6 @@ func taskKey(id string) uint64 {
 // reads them; the coordinator's spawner writes them.
 const (
 	envAddr    = "M2TD_DISTNET_ADDR"
-	envDir     = "M2TD_DISTNET_DIR"
 	envID      = "M2TD_DISTNET_ID"
 	envBeat    = "M2TD_DISTNET_BEAT"
 	envKill    = "M2TD_DISTNET_KILL"

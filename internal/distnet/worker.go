@@ -25,16 +25,16 @@ import (
 
 // The worker side of the engine. A worker is a whole child process: it
 // dials the coordinator, says hello, and executes one leased task at a
-// time, heartbeating throughout. Every task's output goes through the
-// shared store catalog, so a task whose artifact is already durable
-// (left by this worker's previous life, or by a sibling that finished
-// before being quarantined) is acknowledged as Skipped without
-// recomputation — the resume path that makes kill-and-recover cheap.
+// time, heartbeating throughout, for as many campaigns as its fleet serves.
+// Every task names its job's catalog, and its output goes through it, so a
+// task whose artifact is already durable (left by a run of the same
+// campaign, or by a sibling that finished before being quarantined) is
+// acknowledged as Skipped without recomputation — the resume path that
+// makes kill-and-recover cheap.
 
 // WorkerConfig is a worker process's environment-derived configuration.
 type WorkerConfig struct {
 	Addr string // coordinator address
-	Dir  string // shared store catalog
 	ID   int
 	Beat time.Duration // heartbeat period
 
@@ -55,7 +55,6 @@ func MaybeWorker() {
 	}
 	cfg := WorkerConfig{
 		Addr:    addr,
-		Dir:     os.Getenv(envDir),
 		Beat:    250 * time.Millisecond,
 		Metrics: os.Getenv(envMetrics) != "",
 		Corrupt: os.Getenv(envCorrupt) != "" && os.Getenv(envCorrupt) == os.Getenv(envID),
@@ -117,14 +116,17 @@ func (s *sender) sendCorrupt() {
 	_, _ = s.conn.Write(frame)
 }
 
-// workerState caches run-constant artifacts across tasks: the input
-// sub-tensors and the fused factor list.
+// workerState is the job a worker serves — its catalog and key, as its
+// latest task named them — and the artifacts that job's tasks share: the
+// input sub-tensors and the fused factor list, cached until a task of
+// another job arrives.
 type workerState struct {
 	cfg WorkerConfig
-	st  *store.Store
 
-	subs    map[int]*tensor.Sparse
-	factors []*mat.Matrix
+	dir, job string
+	st       *store.Store
+	subs     [2]*tensor.Sparse
+	factors  []*mat.Matrix
 
 	executed int // tasks begun, the kill-point ordinal clock
 }
@@ -132,10 +134,6 @@ type workerState struct {
 // RunWorker connects to the coordinator and serves tasks until a
 // shutdown frame, connection loss, or ctx cancellation.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
-	st, err := store.Open(cfg.Dir)
-	if err != nil {
-		return err
-	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
 	if err != nil {
@@ -183,7 +181,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		}
 	}()
 
-	w := &workerState{cfg: cfg, st: st, subs: make(map[int]*tensor.Sparse)}
+	w := &workerState{cfg: cfg}
 	for {
 		t, payload, err := readFrame(conn)
 		if err != nil {
@@ -234,6 +232,9 @@ func (w *workerState) exec(ctx context.Context, task taskMsg) (resultMsg, error)
 	if err := task.check(); err != nil {
 		return resultMsg{}, err
 	}
+	if err := w.begin(task); err != nil {
+		return resultMsg{}, err
+	}
 	if w.outputDurable(task) {
 		if doomed {
 			faults.KillSelf()
@@ -279,17 +280,35 @@ func (t taskMsg) check() error {
 	return nil
 }
 
+// begin makes the task's job the worker's current one. A task of another
+// job — another key, or the same key in another catalog — drops the cached
+// artifacts and opens its catalog, which must exist: a worker never creates
+// a directory a frame names, and a task naming none is a task error.
+func (w *workerState) begin(task taskMsg) error {
+	if w.st != nil && task.Dir == w.dir && task.Job == w.job {
+		return nil
+	}
+	*w = workerState{cfg: w.cfg, executed: w.executed}
+	st, err := store.OpenExisting(task.Dir)
+	if err != nil {
+		return fmt.Errorf("distnet: task %s: catalog: %w", task.ID, err)
+	}
+	w.dir, w.job, w.st = task.Dir, task.Job, st
+	return nil
+}
+
 // outputDurable reports whether the task's output object already loads
 // cleanly — the resume check. The object's name carries the job's identity
 // (proto.go), so only this job's own earlier output can answer it.
 func (w *workerState) outputDurable(task taskMsg) bool {
-	_, err := w.st.LoadMatrices(task.Out)
+	_, err := w.st.LoadMatrices(task.out())
 	return err == nil
 }
 
-// sub loads (and caches) input sub-tensor kappa (1 or 2).
-func (w *workerState) sub(kappa int) (*tensor.Sparse, error) {
-	if x, ok := w.subs[kappa]; ok {
+// sub loads (and caches) input sub-tensor kappa (1 or 2), with the job's
+// divergence quarantine armed as the coordinator's tensors had it.
+func (w *workerState) sub(kappa int, spec jobSpec) (*tensor.Sparse, error) {
+	if x := w.subs[kappa-1]; x != nil {
 		return x, nil
 	}
 	name := objSubs[kappa-1]
@@ -297,15 +316,16 @@ func (w *workerState) sub(kappa int) (*tensor.Sparse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distnet: input %s: %w", name, err)
 	}
-	w.subs[kappa] = x
+	x.RejectNonFinite = spec.RejectNonFinite
+	w.subs[kappa-1] = x
 	return x, nil
 }
 
 // pair loads both sub-tensors and checks the task's stitch spec against
 // them, so no pivot key the shard kernel computes can fall outside it.
 func (w *workerState) pair(task taskMsg) (x1, x2 *tensor.Sparse, err error) {
-	x1, err1 := w.sub(1)
-	x2, err2 := w.sub(2)
+	x1, err1 := w.sub(1, task.Spec)
+	x2, err2 := w.sub(2, task.Spec)
 	if err := errors.Join(err1, err2); err != nil {
 		return nil, nil, err
 	}
@@ -337,7 +357,7 @@ func (w *workerState) fused(shape tensor.Shape) ([]*mat.Matrix, error) {
 // matrix and its leading eigenvectors, saved together (CONCAT fusion
 // needs the Gram).
 func (w *workerState) execFactor(task taskMsg, doomed bool) error {
-	x, err := w.sub(task.Kappa)
+	x, err := w.sub(task.Kappa, task.Spec)
 	if err != nil {
 		return err
 	}
@@ -349,15 +369,14 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 	if doomed {
 		faults.KillSelf()
 	}
-	return w.st.SaveMatrices(task.Out, []*mat.Matrix{g, f})
+	return w.st.SaveMatrices(task.out(), []*mat.Matrix{g, f})
 }
 
 // execProject is Phase 3 for one shard: core.ProjectShard — the body
 // core.DecomposeFactored runs at shard 0 of 1 — over the pivot groups whose
 // key lands in the shard (key % Shards, a pure function of the cell). The
 // partial is saved as one object; the coordinator sums the shards' in shard
-// order. The sub-tensors come from the store with the divergence quarantine
-// off (see the package comment).
+// order.
 func (w *workerState) execProject(task taskMsg, doomed bool) error {
 	x1, x2, err := w.pair(task)
 	if err != nil {
@@ -371,5 +390,5 @@ func (w *workerState) execProject(task taskMsg, doomed bool) error {
 	if doomed {
 		faults.KillSelf()
 	}
-	return w.st.SaveMatrices(task.Out, partialMatrices(part))
+	return w.st.SaveMatrices(task.out(), partialMatrices(part))
 }

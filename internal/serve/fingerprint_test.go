@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -10,6 +14,76 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 )
+
+// FuzzSubmitBody feeds arbitrary bytes to the submit path's decoder and
+// config builder (submitRequest: decodeBody, then buildConfig), as a POST
+// body. Neither may panic, and every input is either a campaign config
+// inside the bounds buildConfig promises or an invalid_request — a 4xx,
+// never a 5xx: nothing a client can send is the server's fault.
+func FuzzSubmitBody(f *testing.F) {
+	for _, body := range []string{
+		`{"campaign":{}}`,
+		`{"tenant":"t","priority":3,"campaign":{"system":"double-pendulum","resolution":12,"rank":4,"method":"select","pivot":"t","seed":1}}`,
+		`{"campaign":{"system":"LORENZ","time_samples":7,"accuracy_sample_sims":10,"timeout_ms":5}}`,
+		`{"campaign":{"pivot_density":0.5,"sub_density":0.25,"zero_join":true}}`,
+		`{"campaign":{"distributed":{"workers":2,"shards":3}}}`,
+		`{"campaign":{"distributed":{"workers":65}}}`,
+		`{"campaign":{"distributed":{"shards":-1}}}`,
+		`{"campaign":{"resolution":257}}`,
+		`{"campaign":{"resolution":-1,"rank":-2}}`,
+		`{"campaign":{"pivot_density":1.5}}`,
+		`{"campaign":{"method":"bogus"}}`,
+		`{"campaign":{"system":"pendulum-of-doom"}}`,
+		`{"campaign":{"sketch":0.1}}`, // a removed field
+		`{"campaign":{"seed":99999999999999999999}}`,
+		`{"campaign":{"resolution":"12"}}`,
+		`{"campaign":null}`,
+		`{"campaign":{}} trailing`,
+		`[]`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	s := fingerprintServer(f)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, cfg, apiErr := s.submitRequest(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)))
+		if apiErr != nil {
+			if apiErr.Code != api.CodeInvalidRequest || api.HTTPStatus(apiErr.Code) >= 500 {
+				t.Fatalf("body %q: error %s (HTTP %d), want invalid_request", body, apiErr.Code, api.HTTPStatus(apiErr.Code))
+			}
+			return
+		}
+		if err := checkBuilt(cfg); err != nil {
+			t.Fatalf("body %q: built %+v: %v", body, cfg, err)
+		}
+	})
+}
+
+// checkBuilt is what buildConfig promises of every config it returns.
+func checkBuilt(cfg m2td.Config) error {
+	if _, err := m2td.ParseSystem(string(cfg.System)); cfg.System != "" && err != nil {
+		return err
+	}
+	if _, err := m2td.ParseMethod(string(cfg.Method)); cfg.Method != "" && err != nil {
+		return err
+	}
+	d := cfg.Distributed
+	switch {
+	case cfg.Resolution < 0 || cfg.Resolution > 256 || cfg.TimeSamples < 0 || cfg.Rank < 0:
+		return fmt.Errorf("sizes out of range")
+	case !(cfg.PivotDensity >= 0 && cfg.PivotDensity <= 1 && cfg.SubEnsembleDensity >= 0 && cfg.SubEnsembleDensity <= 1):
+		return fmt.Errorf("densities outside [0, 1]")
+	case cfg.SkipAccuracy == (cfg.AccuracySampleSims > 0) || cfg.AccuracySampleSims < 0:
+		return fmt.Errorf("accuracy neither skipped nor sampled")
+	case d != nil && (d.Workers < 1 || d.Workers > 64 || d.Shards < 0 || d.Shards > 1024 || d.KillWorkers != 0 || d.WorkDir != ""):
+		return fmt.Errorf("distributed spec out of range")
+	case !strings.HasPrefix(cfg.Fingerprint(), cfg.SimFingerprint()+"|"):
+		return fmt.Errorf("fingerprint does not extend the sim fingerprint")
+	}
+	return nil
+}
 
 // canonicalConfig is the test's own normal form of a campaign: every field
 // Config.Fingerprint may distinguish, with the engine defaults written out.

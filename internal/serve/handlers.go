@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	m2td "repro"
 	"repro/api"
 	"repro/internal/obs"
 )
@@ -75,10 +76,24 @@ func decodeBody(r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// submitRequest decodes a submit body and builds its campaign's config:
+// whatever is wrong with either is the client's, an invalid_request.
+func (s *Server) submitRequest(r *http.Request) (api.SubmitRequest, m2td.Config, *api.Error) {
 	var req api.SubmitRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, &api.Error{Code: api.CodeInvalidRequest, Message: "decode submit request: " + err.Error()})
+		return req, m2td.Config{}, &api.Error{Code: api.CodeInvalidRequest, Message: "decode submit request: " + err.Error()}
+	}
+	cfg, err := s.buildConfig(req.Campaign)
+	if err != nil {
+		return req, m2td.Config{}, &api.Error{Code: api.CodeInvalidRequest, Message: err.Error()}
+	}
+	return req, cfg, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, cfg, apiErr := s.submitRequest(r)
+	if apiErr != nil {
+		writeErr(w, apiErr)
 		return
 	}
 	tenant := req.Tenant
@@ -87,11 +102,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if tenant == "" {
 		tenant = "anon"
-	}
-	cfg, err := s.buildConfig(req.Campaign)
-	if err != nil {
-		writeErr(w, &api.Error{Code: api.CodeInvalidRequest, Message: err.Error()})
-		return
 	}
 	resp, apiErr := s.submit(tenant, req.Priority, cfg, req.Campaign.TimeoutMS)
 	if apiErr != nil {

@@ -78,6 +78,13 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	return OpenExisting(dir)
+}
+
+// OpenExisting is Open for a directory that must already exist: it creates
+// nothing, so a path a peer sent (a distnet task frame's catalog) that names
+// no directory is an error, never a new directory.
+func OpenExisting(dir string) (*Store, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)

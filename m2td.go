@@ -160,7 +160,9 @@ type Config struct {
 // processes connected over localhost TCP, moving data through an
 // internal/store catalog. Worker processes are spawned by re-executing
 // the current binary, which must call MaybeDistWorker first thing in
-// main (cmd/m2tdworker and cmd/m2tdbench do).
+// main (cmd/m2tdworker and cmd/m2tdbench do). They outlive the campaign: a
+// later campaign of this process with the same Workers and Addr and no
+// kill plan runs on them (internal/distnet's fleet pool).
 type DistributedConfig struct {
 	// Workers is the worker-process count (default 1). The campaign
 	// survives losing up to Workers-1 of them.
