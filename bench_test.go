@@ -161,11 +161,7 @@ func benchPartitionAt(b *testing.B, res int) (*partition.Result, []int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := PartitionCtx(context.Background(), space, space.TimeMode(), PartitionOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return part, tucker.UniformRanks(space.Order(), 3)
+	return partitionAt(b, space, space.TimeMode(), 1, 1, 1), tucker.UniformRanks(space.Order(), 3)
 }
 
 // BenchmarkM2TDVariants measures the three fusion strategies in isolation
@@ -190,10 +186,7 @@ func BenchmarkStitching(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := PartitionCtx(context.Background(), space, space.TimeMode(), PartitionOptions{FreeFrac: 0.3, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
+	part := partitionAt(b, space, space.TimeMode(), 1, 0.3, 2)
 	b.Run("join", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stitch.Join(part)

@@ -43,7 +43,7 @@ func main() {
 		samples  = flag.Int("samples", 16, "number of trajectory samples")
 		format   = flag.String("format", "csv", "output format: csv or json")
 		ensemble = flag.Bool("ensemble", false, "emit a sampled ensemble tensor instead of a trajectory")
-		scheme   = flag.String("scheme", "random", "ensemble sampling scheme: random, grid, slice")
+		scheme   = flag.String("scheme", "random", "ensemble sampling scheme: random, grid, slice, lhs")
 		budget   = flag.Int("budget", 64, "ensemble simulation budget")
 		res      = flag.Int("res", 8, "ensemble grid resolution per parameter")
 		seed     = flag.Int64("seed", 1, "sampling seed")
@@ -162,17 +162,9 @@ func trajectoryWithRetry(ctx context.Context, sys dynsys.System, vals []float64,
 
 func dumpEnsemble(ctx context.Context, out io.Writer, sys dynsys.System, scheme string, budget, res, samples int, seed int64, format string) error {
 	space := ensemble.NewSpace(sys, res, samples)
-	var sims []ensemble.Sim
-	rng := rand.New(rand.NewSource(seed))
-	switch scheme {
-	case "random":
-		sims = ensemble.RandomSample(space, budget, rng)
-	case "grid":
-		sims = ensemble.GridSample(space, budget)
-	case "slice":
-		sims = ensemble.SliceSample(space, budget, rng)
-	default:
-		return fmt.Errorf("unknown scheme %q", scheme)
+	sims, err := ensemble.Sample(space, scheme, budget, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return err
 	}
 	se, stats, err := ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{
 		Retry: faults.RetryPolicy{BaseBackoff: time.Millisecond},

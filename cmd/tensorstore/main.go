@@ -116,7 +116,7 @@ func put(st *store.Store, args []string) error {
 	system := fs.String("system", "double-pendulum", "dynamical system")
 	res := fs.Int("res", 8, "grid resolution per parameter")
 	samples := fs.Int("samples", 8, "time samples")
-	scheme := fs.String("scheme", "random", "sampling scheme: random, grid, slice")
+	scheme := fs.String("scheme", "random", "sampling scheme: random, grid, slice, lhs")
 	budget := fs.Int("budget", 64, "simulation budget")
 	seed := fs.Int64("seed", 1, "sampling seed; the counter-based generator makes the sampled set byte-for-byte reproducible for a given seed, across runs and platforms")
 	fs.Parse(args)
@@ -131,16 +131,9 @@ func put(st *store.Store, args []string) error {
 	// Counter-based (stateless) randomness: the stream is a pure function
 	// of the seed, so identical invocations store identical tensors.
 	rng := ensemble.CounterRand(*seed)
-	var sims []ensemble.Sim
-	switch *scheme {
-	case "random":
-		sims = ensemble.RandomSample(space, *budget, rng)
-	case "grid":
-		sims = ensemble.GridSample(space, *budget)
-	case "slice":
-		sims = ensemble.SliceSample(space, *budget, rng)
-	default:
-		return fmt.Errorf("put: unknown scheme %q", *scheme)
+	sims, err := ensemble.Sample(space, *scheme, *budget, rng)
+	if err != nil {
+		return fmt.Errorf("put: %w", err)
 	}
 	se, _, err := ensemble.EncodeCtx(context.Background(), space, sims, ensemble.SimOptions{})
 	if err != nil {

@@ -1,6 +1,6 @@
 package m2td
 
-// Tests of the one rule RunCtx and DecomposeCtx decompose by: the join-free
+// Tests of the one rule RunCtx decomposes by: the join-free
 // core on every executor — on an intact partition and on one a failed or
 // quarantined simulation left holes in — with core.DecomposeCtx, which
 // stitches, as the oracle.
@@ -9,18 +9,42 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ensemble"
 	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/stitch"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
+
+// partitionAt PF-partitions space at pivot with pivot density p and
+// sub-ensemble density e under seed, as RunCtx's simulation stage does.
+func partitionAt(t testing.TB, space *ensemble.Space, pivot int, p, e float64, seed int64) *partition.Result {
+	t.Helper()
+	cfg := partition.DefaultConfig(space.Order(), pivot, eval.PairsFor(space.Sys.Name()))
+	cfg.PivotFrac, cfg.FreeFrac = p, e
+	part, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(seed)), partition.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
+// stitched is the join, or the zero-join, stitching builds for part.
+func stitched(part *partition.Result, zeroJoin bool) *tensor.Sparse {
+	if zeroJoin {
+		return stitch.ZeroJoin(part)
+	}
+	return stitch.Join(part)
+}
 
 // requireSameBits fails unless two decompositions are equal to the last
 // bit of every core cell and factor entry.
@@ -69,10 +93,7 @@ func routeCases(t *testing.T) []routeCase {
 	for _, pivot := range []int{space.TimeMode(), 0} {
 		for _, p := range []float64{1, 0.5} {
 			for _, e := range []float64{1, 0.5} {
-				part, err := PartitionCtx(context.Background(), space, pivot, PartitionOptions{PivotFrac: p, FreeFrac: e, Seed: 11})
-				if err != nil {
-					t.Fatal(err)
-				}
+				part := partitionAt(t, space, pivot, p, e, 11)
 				for _, zj := range []bool{false, true} {
 					cases = append(cases, routeCase{
 						name: fmt.Sprintf("pivot=%s/P=%g/E=%g/zero=%t", space.ModeName(pivot), p, e, zj),
@@ -207,10 +228,7 @@ func TestJoinCellsMatchesStitch(t *testing.T) {
 		cases = append(cases, routeCase{name: c.name + "/thinned", part: &thin, zeroJoin: c.zeroJoin, holes: true})
 	}
 	for _, c := range cases {
-		j, err := StitchCtx(context.Background(), c.part, StitchOptions{ZeroJoin: c.zeroJoin})
-		if err != nil {
-			t.Fatal(err)
-		}
+		j := stitched(c.part, c.zeroJoin)
 		if got := c.part.JoinCells(c.zeroJoin); got != j.NNZ() {
 			t.Errorf("%s: JoinCells %d != stitched NNZ %d", c.name, got, j.NNZ())
 		}
@@ -359,7 +377,8 @@ func TestDefaultRunBuildsNoJoin(t *testing.T) {
 	// Decomposition stage only, serial so nothing else allocates meanwhile.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := DecomposeCtx(context.Background(), report.Partition.PlanlessView(), DecomposeOptions{Parallel: 1}); err != nil {
+	opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(report.Space.Order(), 4), Workers: 1}
+	if _, err := core.DecomposeFactored(report.Partition.PlanlessView(), opts); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -43,15 +43,6 @@ func ParseSystem(name string) (System, error) {
 	return s, nil
 }
 
-// AllSystems lists the built-in systems as typed identifiers.
-func AllSystems() []System {
-	out := make([]System, 0, 4)
-	for _, s := range dynsys.All() {
-		out = append(out, System(s.Name()))
-	}
-	return out
-}
-
 // Method is a typed identifier for the M2TD pivot-factor fusion strategy.
 //
 // Config.Method holds this type; untyped string literals ("select", …)
@@ -68,13 +59,6 @@ const (
 
 // String returns the canonical (lower-case) method name.
 func (m Method) String() string { return string(m) }
-
-// Valid reports whether the method (or one of its aliases) names a fusion
-// strategy.
-func (m Method) Valid() bool {
-	_, err := m.core()
-	return err == nil
-}
 
 // core maps the method (including aliases, case-insensitively) to the
 // internal core.Method constant.
@@ -107,6 +91,3 @@ func ParseMethod(name string) (Method, error) {
 		return MethodSELECT, nil
 	}
 }
-
-// AllMethods lists the fusion strategies in paper order.
-func AllMethods() []Method { return []Method{MethodAVG, MethodCONCAT, MethodSELECT} }

@@ -6,7 +6,8 @@ import (
 )
 
 func TestParseSystemRoundTrip(t *testing.T) {
-	for _, s := range AllSystems() {
+	for _, name := range Systems() {
+		s := System(name)
 		got, err := ParseSystem(s.String())
 		if err != nil {
 			t.Errorf("ParseSystem(%q): %v", s, err)
@@ -50,19 +51,13 @@ func TestParseSystemNormalizes(t *testing.T) {
 }
 
 func TestParseMethodRoundTrip(t *testing.T) {
-	if got := AllMethods(); len(got) != 3 {
-		t.Fatalf("AllMethods() = %v", got)
-	}
-	for _, m := range AllMethods() {
+	for _, m := range []Method{MethodAVG, MethodCONCAT, MethodSELECT} {
 		got, err := ParseMethod(m.String())
 		if err != nil {
 			t.Errorf("ParseMethod(%q): %v", m, err)
 		}
 		if got != m {
 			t.Errorf("ParseMethod(%q) = %q, want identity", m, got)
-		}
-		if !m.Valid() {
-			t.Errorf("%q.Valid() = false", m)
 		}
 	}
 }

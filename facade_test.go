@@ -2,141 +2,102 @@ package m2td
 
 import (
 	"context"
-	"repro/internal/stitch"
+	"errors"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/faults"
+	"repro/internal/partition"
+	"repro/internal/stitch"
+	"repro/internal/tucker"
 )
 
-// TestCtxBuildingBlocksParity locks in the building blocks' contract:
-// the zero-valued options mean the documented defaults (full densities,
-// seed 1), StitchCtx builds what the stitch kernel builds, and
-// DecomposeCtx is bit-identical at any Parallel value.
+// TestCtxBuildingBlocksParity locks in RunCtx's stages' contract: a zero
+// density means the documented default (1), the join size reported is what
+// the stitch kernel builds, and the decomposition is bit-identical at any
+// Parallel value.
 func TestCtxBuildingBlocksParity(t *testing.T) {
-	space, err := eval.SpaceFor("double-pendulum", 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	explicit, err := PartitionCtx(ctx, space, space.TimeMode(), PartitionOptions{PivotFrac: 1, FreeFrac: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := PartitionCtx(ctx, space, space.TimeMode(), PartitionOptions{FreeFrac: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.NumSims != explicit.NumSims {
-		t.Fatalf("PartitionCtx NumSims = %d with PivotFrac defaulted, %d with PivotFrac 1", part.NumSims, explicit.NumSims)
-	}
-
-	j, err := StitchCtx(ctx, part, StitchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := stitch.Join(explicit); j.NNZ() != want.NNZ() {
-		t.Fatalf("StitchCtx NNZ = %d, stitch.Join = %d", j.NNZ(), want.NNZ())
-	}
-
-	serial, err := DecomposeCtx(ctx, part, DecomposeOptions{Method: MethodSELECT, Rank: 2, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := DecomposeCtx(ctx, part, DecomposeOptions{Method: MethodSELECT, Rank: 2, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bit-identical across worker counts: same factors, same core cells.
-	for m := range serial.Factors {
-		a, b := serial.Factors[m], pooled.Factors[m]
-		if a.Rows != b.Rows || a.Cols != b.Cols {
-			t.Fatalf("factor %d shape mismatch", m)
+	run := func(cfg Config) *Report {
+		t.Helper()
+		cfg.System, cfg.Resolution, cfg.TimeSamples, cfg.Rank, cfg.Seed = "double-pendulum", 5, 4, 2, 3
+		cfg.SubEnsembleDensity, cfg.SkipAccuracy = 0.5, true
+		report, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("factor %d differs at %d: %v vs %v (Parallel must not change results)", m, i, a.Data[i], b.Data[i])
-			}
-		}
+		return report
 	}
-	if len(serial.Core.Data) != len(pooled.Core.Data) {
-		t.Fatalf("core size %d vs %d across Parallel", len(serial.Core.Data), len(pooled.Core.Data))
+	explicit := run(Config{PivotDensity: 1, Parallel: 1})
+	serial := run(Config{Parallel: 1})
+	pooled := run(Config{Parallel: 4})
+	if serial.NumSims != explicit.NumSims {
+		t.Fatalf("NumSims = %d with PivotDensity defaulted, %d with PivotDensity 1", serial.NumSims, explicit.NumSims)
 	}
-	for i := range serial.Core.Data {
-		if serial.Core.Data[i] != pooled.Core.Data[i] {
-			t.Fatalf("core differs at %d across Parallel", i)
-		}
+	if want := stitch.Join(explicit.Partition); serial.JoinCells != want.NNZ() {
+		t.Fatalf("JoinCells = %d, stitch.Join = %d", serial.JoinCells, want.NNZ())
 	}
+	requireSameBits(t, "Parallel 4 vs 1", pooled.Decomposition, serial.Decomposition)
 }
 
-// TestCtxBuildingBlocksTrace routes a trace through all three building
-// blocks and asserts each contributed its stage span.
+// TestCtxBuildingBlocksTrace: a traced run records each stage's span, and
+// the decompose stage took the join-free route.
 func TestCtxBuildingBlocksTrace(t *testing.T) {
-	space, err := eval.SpaceFor("double-pendulum", 5, 4)
+	cfg := traceConfig()
+	cfg.ZeroJoin = true
+	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	trace := NewTrace("custom")
-	part, err := PartitionCtx(ctx, space, space.TimeMode(), PartitionOptions{Seed: 3, Trace: trace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := StitchCtx(ctx, part, StitchOptions{ZeroJoin: true, Trace: trace}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecomposeCtx(ctx, part, DecomposeOptions{Rank: 2, Trace: trace}); err != nil {
-		t.Fatal(err)
-	}
-	trace.Finish()
-	root := trace.Root()
+	root := report.Trace.Root()
 	for _, path := range [][]string{
 		{"partition", "sub1"},
-		{"stitch"},
 		{"decompose", "factors"},
 		{"decompose", "core"},
+		{"evaluate"},
 	} {
 		if root.Find(path...) == nil {
 			t.Errorf("span %v missing:\n%s", path, root.Skeleton())
 		}
 	}
-	if got := root.Find("stitch").Counter("zero_join"); got != 1 {
-		t.Errorf("stitch zero_join counter = %d, want 1", got)
-	}
-	// The only stitch is the one asked for: DecomposeCtx took the
-	// join-free route.
 	if d := root.Find("decompose"); d.Find("stitch") != nil || d.Counter("factored") != 1 {
-		t.Errorf("DecomposeCtx: want no stitch span and factored=1:\n%s", d.Skeleton())
+		t.Errorf("decompose stage: want no stitch span and factored=1:\n%s", d.Skeleton())
 	}
 }
 
-// TestCtxBuildingBlocksCancellation: a pre-cancelled context stops every
-// building block with a context error.
+// TestCtxBuildingBlocksCancellation: a pre-cancelled context stops the
+// simulation fan-out and the decomposition stage with a context error.
 func TestCtxBuildingBlocksCancellation(t *testing.T) {
 	space, err := eval.SpaceFor("double-pendulum", 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionCtx(context.Background(), space, space.TimeMode(), PartitionOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := partitionAt(t, space, space.TimeMode(), 1, 1, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PartitionCtx(ctx, space, space.TimeMode(), PartitionOptions{}); err == nil {
-		t.Error("PartitionCtx ignored cancelled context")
+	pcfg := partition.DefaultConfig(space.Order(), space.TimeMode(), eval.PairsFor(space.Sys.Name()))
+	if _, err := partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(3)), partition.SimOptions{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("partition.GenerateCtx on a cancelled context: %v", err)
 	}
-	if _, err := StitchCtx(ctx, part, StitchOptions{}); err == nil {
-		t.Error("StitchCtx ignored cancelled context")
-	}
-	if _, err := DecomposeCtx(ctx, part, DecomposeOptions{}); err == nil {
-		t.Error("DecomposeCtx ignored cancelled context")
+	ranks := tucker.UniformRanks(space.Order(), 2)
+	if _, _, err := decomposeStage(ctx, nil, part, core.SELECT, ranks, Config{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("decomposition stage on a cancelled context: %v", err)
 	}
 }
 
 // TestDecomposeCtxRejectsBadMethod: typed-method validation happens in
-// the facade, before any work.
+// the facade, before any simulation.
 func TestDecomposeCtxRejectsBadMethod(t *testing.T) {
-	if _, err := DecomposeCtx(context.Background(), nil, DecomposeOptions{Method: "bogus"}); err == nil {
+	var attempts atomic.Int64
+	cfg := smallConfig()
+	cfg.Method = "bogus"
+	cfg.Faults = &faults.Config{Seed: 1, Hook: func() { attempts.Add(1) }}
+	if _, err := RunCtx(context.Background(), cfg); err == nil {
 		t.Error("bogus method accepted")
+	}
+	if n := attempts.Load(); n != 0 {
+		t.Errorf("%d simulation attempts ran before the rejection", n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ensemble"
 	"repro/internal/eval"
+	"repro/internal/stitch"
 	"repro/internal/store"
 	"repro/internal/tucker"
 )
@@ -32,11 +33,7 @@ func TestPipelinePersistsAndReloads(t *testing.T) {
 	if err := st.SaveSparse("join", report.Decomposition.Join); err == nil {
 		t.Fatal("the default run's nil join was accepted by the store")
 	}
-	stitched, err := StitchCtx(context.Background(), report.Partition, StitchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveSparse("join", stitched); err != nil {
+	if err := st.SaveSparse("join", stitch.Join(report.Partition)); err != nil {
 		t.Fatal(err)
 	}
 	dec := tucker.Decomposition{

@@ -39,7 +39,7 @@ import (
 // One precondition: no index is stored twice in a sub-tensor (and cells sit
 // at listed configurations, where there are lists) — every
 // partition.GenerateCtx output. What still builds J is what wants J's
-// cells: m2td.StitchCtx, examples/streaming/increment, and the oracle
+// cells: stitch.Join, examples/streaming/increment, and the oracle
 // DecomposeCtx, which at opts.Shards > 1 is the paper's Algorithm 6. The
 // Result has Join == nil; opts.Span is marked factored = 1 and holey_groups,
 // the pivot groups that left the Gram-sized path.

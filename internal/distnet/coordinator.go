@@ -52,11 +52,10 @@ type event struct {
 // fleet mutex; wmu serialises frame writes (lease sends vs shutdown
 // broadcast).
 type workerConn struct {
-	id      int
-	conn    net.Conn
-	wmu     sync.Mutex
-	pid     int
-	metrics string
+	id   int
+	conn net.Conn
+	wmu  sync.Mutex
+	pid  int
 
 	tasks       int // leased in the current campaign
 	quarantined bool
@@ -170,9 +169,6 @@ func (f *fleet) spawn(opts Options, argv []string, id int) (*exec.Cmd, error) {
 	if opts.Kill.Enabled() {
 		env = append(env, envKill+"="+opts.Kill.String())
 	}
-	if opts.Metrics {
-		env = append(env, envMetrics+"=1")
-	}
 	env = append(env, opts.WorkerEnv...)
 	cmd.Env = env
 	cmd.Stderr = os.Stderr
@@ -252,7 +248,6 @@ func (f *fleet) handshake(ctx context.Context, conn net.Conn) {
 		id:       hello.Worker,
 		conn:     conn,
 		pid:      hello.PID,
-		metrics:  hello.Metrics,
 		lastBeat: time.Now(),
 	}
 	f.mu.Lock()
@@ -386,15 +381,12 @@ func (j *job) runPhase(ctx context.Context, name string, tasks []*task) (PhaseSt
 		}
 		var leases []lease
 		f.mu.Lock()
-		// Two options promise something of every worker, so under them no
-		// lease goes out before the fleet is complete: a kill plan names
-		// victims that die at their first or second task — one slower to
-		// start than the others are to finish would survive for want of
-		// work — and Metrics puts each worker's endpoint, which arrives with
-		// its hello, on Result.Workers. A worker silent for LeaseTimeout since
-		// the spawn is not waited for.
-		whole := opts.Kill.Enabled() || opts.Metrics
-		if whole && f.connected < len(f.procs) && time.Since(f.started) < opts.LeaseTimeout {
+		// A kill plan promises something of every worker, so under one no
+		// lease goes out before the fleet is complete: it names victims that
+		// die at their first or second task — one slower to start than the
+		// others are to finish would survive for want of work. A worker silent
+		// for LeaseTimeout since the spawn is not waited for.
+		if opts.Kill.Enabled() && f.connected < len(f.procs) && time.Since(f.started) < opts.LeaseTimeout {
 			f.mu.Unlock()
 			return
 		}
@@ -560,8 +552,7 @@ func (f *fleet) roster() []WorkerInfo {
 		out[id] = WorkerInfo{ID: id, PID: cmd.Process.Pid}
 		if wc := f.workers[id]; wc != nil {
 			out[id] = WorkerInfo{
-				ID: wc.id, PID: wc.pid, MetricsAddr: wc.metrics,
-				Tasks: wc.tasks, Quarantined: wc.quarantined,
+				ID: wc.id, PID: wc.pid, Tasks: wc.tasks, Quarantined: wc.quarantined,
 			}
 		}
 	}

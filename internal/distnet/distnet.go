@@ -18,8 +18,7 @@ import (
 )
 
 // Options configures a multi-process distributed decomposition. Workers,
-// Addr, WorkerArgv, Metrics and HeartbeatInterval are the fleet's spawn
-// signature: a campaign runs on the pooled fleet an earlier one with the
+// Addr, WorkerArgv and HeartbeatInterval are the fleet's spawn signature: a campaign runs on the pooled fleet an earlier one with the
 // same signature left running, if there is one (pool.go). A campaign with
 // a kill plan or WorkerEnv, or on a fixed port, gets a fleet of its own.
 type Options struct {
@@ -49,17 +48,12 @@ type Options struct {
 	WorkDir string
 	// WorkerArgv is the worker command line. Empty means self-exec: the
 	// current executable is spawned and must call MaybeWorker at
-	// process start (cmd/m2tdworker, cmd/m2tdbench, and the test
-	// binaries do).
+	// process start (cmd/m2tdbench, cmd/m2tdperf and the test binaries
+	// do).
 	WorkerArgv []string
 	// WorkerEnv appends extra environment entries to spawned workers
 	// (chaos/test hooks).
 	WorkerEnv []string
-	// Metrics makes each worker serve its own obs endpoints on a
-	// self-picked port, reported back in its hello and surfaced on
-	// Result.Workers — for every worker: the first lease waits for the
-	// whole fleet's hellos, as under Kill.
-	Metrics bool
 
 	// Kill is the seeded chaos plan forwarded to workers (zero = no
 	// kills). Kills must be < Workers. Under a plan the first lease waits
@@ -143,7 +137,6 @@ type PhaseStats struct {
 type WorkerInfo struct {
 	ID          int
 	PID         int
-	MetricsAddr string
 	Tasks       int
 	Quarantined bool
 }

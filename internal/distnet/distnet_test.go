@@ -266,7 +266,7 @@ func TestDistNetMetricsAndTrace(t *testing.T) {
 	trace := obs.New("campaign")
 	opts := Options{
 		Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2),
-		Workers: 2, Metrics: true, Span: trace.Root(),
+		Workers: 2, Span: trace.Root(),
 	}
 	d := runDistNet(t, p, opts)
 	trace.Finish()
@@ -274,13 +274,10 @@ func TestDistNetMetricsAndTrace(t *testing.T) {
 	if len(d.Workers) != 2 {
 		t.Fatalf("roster has %d workers, want 2", len(d.Workers))
 	}
-	// An endpoint arrives with its worker's hello: under Metrics every worker
-	// has joined before the first lease, however short the campaign.
+	// The roster lists the fleet as spawned, joined before the campaign
+	// ended or not, and accounts for every task leased.
 	tasks := 0
 	for _, w := range d.Workers {
-		if w.MetricsAddr == "" {
-			t.Fatalf("worker %d reported no metrics endpoint", w.ID)
-		}
 		if w.PID <= 0 {
 			t.Fatalf("worker %d reported pid %d", w.ID, w.PID)
 		}

@@ -116,7 +116,7 @@ func TestTaskPayloadRejected(t *testing.T) {
 }
 
 // FuzzTaskPayload feeds arbitrary JSON to the two payload decoders inside a
-// valid frame — a task as RunWorker decodes and executes it, a result as
+// valid frame — a task as runWorker decodes and executes it, a result as
 // the coordinator's readLoop decodes it. Whatever decodes must execute to a
 // result or a task error: no panic, no index outside a tensor; the fields
 // the shard selection divides and indexes by are checked first. A task's

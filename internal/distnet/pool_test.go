@@ -2,9 +2,11 @@ package distnet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -75,18 +77,53 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // gone reports whether every process of a shut-down fleet has been reaped.
 func gone(f *fleet) bool { return f.procsLive.Load() == 0 }
 
-// fleetOpts is a pooled signature whose every worker joins before the first
-// lease (Metrics), so a campaign always ends with the whole fleet joined
-// and the fleet is pooled.
+// fleetOpts is a pooled signature.
 func fleetOpts() Options {
-	return Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 2, Shards: 3, Metrics: true}
+	return Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 2, Shards: 3}
 }
 
-// TestFleetReusedAcrossCampaigns: the second of two campaigns with one
-// signature runs on the first one's worker processes, the roster counts
+// waitJoined waits on the fleet's roster until every worker has said hello.
+func waitJoined(t *testing.T, f *fleet) {
+	t.Helper()
+	waitFor(t, "every worker's hello", func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.connected == len(f.procs)
+	})
+}
+
+// joinedFleet spawns a fleet of opts' signature, waits until every worker
+// has joined, and pools it. A campaign can end before a slow starter joins,
+// and then its fleet is not pooled; a campaign run on a joined fleet always
+// hands it back, so the campaign after it finds it.
+func joinedFleet(t *testing.T, opts Options) *fleet {
+	t.Helper()
+	opts.WorkDir = "signature only"
+	opts, err := opts.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, reused, err := checkout(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused {
+		t.Fatal("the pool already held a fleet of this signature")
+	}
+	waitJoined(t, f)
+	release(f, true)
+	if pooled(t, opts) != f {
+		t.Fatal("a joined fleet was not pooled")
+	}
+	return f
+}
+
+// TestFleetReusedAcrossCampaigns: campaigns with one signature run one
+// after another on the pooled fleet's worker processes, the roster counts
 // each campaign's own tasks, the phase1 span says which campaign found its
-// fleet running — and a warm fleet computes a cold one's bits, on an intact
-// pair and on one with holes.
+// fleet running — and a warm fleet computes the bits of a cold one (a
+// dedicated fleet, spawned for its campaign), on an intact pair and on one
+// with holes.
 func TestFleetReusedAcrossCampaigns(t *testing.T) {
 	p := tinyPartition(t, 1, 240)
 	for name, part := range map[string]*partition.Result{
@@ -94,15 +131,19 @@ func TestFleetReusedAcrossCampaigns(t *testing.T) {
 		"holey":  holed(p, func(side, e int) bool { return side == 1 && e%5 == 0 }),
 	} {
 		closeIdle()
-		var runs [2]*Result
+		f := joinedFleet(t, fleetOpts())
+		var runs [3]*Result
 		for i := range runs {
 			trace := obs.New("campaign")
 			opts := fleetOpts()
 			opts.Span = trace.Root()
+			if i == 0 {
+				opts.WorkerEnv = []string{"M2TD_DISTNET_TEST_HOOK=1"}
+			}
 			runs[i] = runDistNet(t, part, opts)
 			trace.Finish()
-			if got := trace.Root().Find("phase1").Data().Gauges["fleet_reused"]; got != int64(i) {
-				t.Fatalf("%s: campaign %d: fleet_reused = %d", name, i, got)
+			if got, want := trace.Root().Find("phase1").Data().Gauges["fleet_reused"], int64(min(i, 1)); got != want {
+				t.Fatalf("%s: campaign %d: fleet_reused = %d, want %d", name, i, got, want)
 			}
 			tasks := 0
 			for _, w := range runs[i].Workers {
@@ -112,9 +153,15 @@ func TestFleetReusedAcrossCampaigns(t *testing.T) {
 				t.Fatalf("%s: campaign %d: roster counts %d tasks, the campaign leased %d", name, i, tasks, want)
 			}
 		}
-		cold, warm := runs[0], runs[1]
-		if !slices.Equal(pids(cold), pids(warm)) {
-			t.Fatalf("%s: warm campaign ran on pids %v, the cold one on %v", name, pids(warm), pids(cold))
+		cold, warm := runs[0], runs[2]
+		pooledPIDs := pids(&Result{Workers: f.roster()})
+		for i, run := range runs[1:] {
+			if !slices.Equal(pids(run), pooledPIDs) {
+				t.Fatalf("%s: warm campaign %d ran on pids %v, the pooled fleet's are %v", name, i+1, pids(run), pooledPIDs)
+			}
+		}
+		if slices.Equal(pids(cold), pids(warm)) {
+			t.Fatalf("%s: the cold campaign ran on the pooled fleet", name)
 		}
 		if warm.Phase1.Skipped+warm.Phase3.Skipped != 0 {
 			t.Fatalf("%s: the warm campaign skipped tasks in a fresh catalog", name)
@@ -185,6 +232,7 @@ func TestFleetDiscardedAfterUncleanCampaign(t *testing.T) {
 		closeIdle()
 		opts := fleetOpts()
 		opts.WorkDir = t.TempDir()
+		joinedFleet(t, opts)
 		first := runDistNet(t, p, opts)
 		f := pooled(t, opts)
 		if f == nil {
@@ -228,6 +276,7 @@ func TestFleetDeadWhileIdle(t *testing.T) {
 	closeIdle()
 	p := tinyPartition(t, 1, 242)
 	opts := fleetOpts()
+	joinedFleet(t, opts)
 	first := runDistNet(t, p, opts)
 	f := pooled(t, opts)
 	if f == nil {
@@ -256,6 +305,7 @@ func TestFleetDedicatedForChaos(t *testing.T) {
 	closeIdle()
 	p := tinyPartition(t, 1, 243)
 	base := fleetOpts()
+	joinedFleet(t, base)
 	clean := runDistNet(t, p, base)
 	f := pooled(t, base)
 	if f == nil {
@@ -307,11 +357,7 @@ func TestFleetConcurrentCheckouts(t *testing.T) {
 		t.Fatal("one fleet leased twice")
 	}
 	for _, f := range fs {
-		waitFor(t, "every worker's hello", func() bool {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return f.connected == len(f.procs)
-		})
+		waitJoined(t, f)
 	}
 	release(fs[0], true)
 	release(fs[1], true)
@@ -331,6 +377,7 @@ func TestFleetIdleShutdown(t *testing.T) {
 	closeIdle()
 	p := tinyPartition(t, 1, 244)
 	opts := fleetOpts()
+	joinedFleet(t, opts)
 	runDistNet(t, p, opts)
 	f := pooled(t, opts)
 	if f == nil {
@@ -350,10 +397,55 @@ func TestNoGoroutineOutlivesAClosedFleet(t *testing.T) {
 	before := runtime.NumGoroutine()
 	p := tinyPartition(t, 1, 245)
 	opts := fleetOpts()
+	joinedFleet(t, opts)
 	runDistNet(t, p, opts)
 	runDistNet(t, p, opts)
 	opts.Kill = faults.KillSpec{Seed: 4, Kills: 1}
 	runDistNet(t, p, opts)
 	closeIdle()
 	waitFor(t, fmt.Sprintf("goroutines back to %d", before), func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestHandshakeDropsStrangers: a connection whose hello names an id outside
+// the fleet, or the id of a worker already connected, is dropped before it
+// becomes a worker — a worker process started by hand can never join a
+// fleet — and never leased a task: the campaign after runs on the fleet's
+// own worker alone.
+func TestHandshakeDropsStrangers(t *testing.T) {
+	closeIdle()
+	opts := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 1}
+	f := joinedFleet(t, opts)
+	for _, id := range []int{1, 7, -1, 0} {
+		conn, err := net.Dial("tcp", f.lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello, err := json.Marshal(helloMsg{Worker: id, PID: os.Getpid()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, frameHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := readFrame(conn); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("hello naming worker %d: read frame type %d, error %v; want the connection dropped", id, typ, err)
+		}
+	}
+	res := runDistNet(t, tinyPartition(t, 1, 246), opts)
+	if len(res.Workers) != 1 || res.Workers[0].PID != f.procs[0].Process.Pid {
+		t.Fatalf("roster %+v, want the fleet's one worker, pid %d", res.Workers, f.procs[0].Process.Pid)
+	}
+	if got, want := res.Workers[0].Tasks, res.Phase1.Tasks+res.Phase3.Tasks; got != want {
+		t.Fatalf("the fleet's worker ran %d of %d tasks", got, want)
+	}
+	f.mu.Lock()
+	connected, workers := f.connected, len(f.workers)
+	f.mu.Unlock()
+	if connected != 1 || workers != 1 {
+		t.Fatalf("%d hellos accepted, %d workers registered; want the one spawned", connected, workers)
+	}
 }

@@ -18,9 +18,8 @@ import (
 
 // helloMsg is the worker's first frame after connecting.
 type helloMsg struct {
-	Worker  int    `json:"worker"`
-	PID     int    `json:"pid"`
-	Metrics string `json:"metrics,omitempty"` // bound obs endpoint, if serving
+	Worker int `json:"worker"`
+	PID    int `json:"pid"`
 }
 
 // jobSpec is the run-wide geometry every task carries: the stitch spec, the
@@ -186,6 +185,5 @@ const (
 	envID      = "M2TD_DISTNET_ID"
 	envBeat    = "M2TD_DISTNET_BEAT"
 	envKill    = "M2TD_DISTNET_KILL"
-	envMetrics = "M2TD_DISTNET_METRICS"
 	envCorrupt = "M2TD_DISTNET_CORRUPT"
 )

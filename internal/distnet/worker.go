@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mat"
-	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -32,31 +31,29 @@ import (
 // acknowledged as Skipped without recomputation — the resume path that
 // makes kill-and-recover cheap.
 
-// WorkerConfig is a worker process's environment-derived configuration.
-type WorkerConfig struct {
+// workerConfig is a worker process's environment-derived configuration.
+type workerConfig struct {
 	Addr string // coordinator address
 	ID   int
 	Beat time.Duration // heartbeat period
 
 	Kill    faults.KillSpec // seeded chaos plan; this worker checks its own doom
-	Metrics bool            // serve per-worker obs endpoints
 	Corrupt bool            // test hook: first result goes out CRC-corrupted
 }
 
 // MaybeWorker turns the current process into a distnet worker when the
 // M2TD_DISTNET_ADDR environment variable is set, and never returns in
 // that case. Binaries that can be spawned by the coordinator's self-exec
-// mode (cmd/m2tdworker, cmd/m2tdbench, the test binaries' TestMain) must
-// call it first thing in main.
+// mode (cmd/m2tdbench, cmd/m2tdperf, the test binaries' TestMain) must call
+// it first thing in main.
 func MaybeWorker() {
 	addr := os.Getenv(envAddr)
 	if addr == "" {
 		return
 	}
-	cfg := WorkerConfig{
+	cfg := workerConfig{
 		Addr:    addr,
 		Beat:    250 * time.Millisecond,
-		Metrics: os.Getenv(envMetrics) != "",
 		Corrupt: os.Getenv(envCorrupt) != "" && os.Getenv(envCorrupt) == os.Getenv(envID),
 	}
 	var err error
@@ -75,7 +72,7 @@ func MaybeWorker() {
 	}
 	//lint:allow ctxprop -- process entry point: the worker's root context.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err = RunWorker(ctx, cfg)
+	err = runWorker(ctx, cfg)
 	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "m2td worker %d: %v\n", cfg.ID, err)
@@ -121,7 +118,7 @@ func (s *sender) sendCorrupt() {
 // input sub-tensors and the fused factor list, cached until a task of
 // another job arrives.
 type workerState struct {
-	cfg WorkerConfig
+	cfg workerConfig
 
 	dir, job string
 	st       *store.Store
@@ -131,9 +128,9 @@ type workerState struct {
 	executed int // tasks begun, the kill-point ordinal clock
 }
 
-// RunWorker connects to the coordinator and serves tasks until a
+// runWorker connects to the coordinator and serves tasks until a
 // shutdown frame, connection loss, or ctx cancellation.
-func RunWorker(ctx context.Context, cfg WorkerConfig) error {
+func runWorker(ctx context.Context, cfg workerConfig) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
 	if err != nil {
@@ -144,16 +141,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	defer stop()
 
 	s := &sender{conn: conn}
-	hello := helloMsg{Worker: cfg.ID, PID: os.Getpid()}
-	if cfg.Metrics {
-		srv, err := obs.ServeMetrics("127.0.0.1:0", obs.NewRegistry())
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		hello.Metrics = srv.Addr
-	}
-	if err := s.send(frameHello, hello); err != nil {
+	if err := s.send(frameHello, helloMsg{Worker: cfg.ID, PID: os.Getpid()}); err != nil {
 		return fmt.Errorf("distnet: hello: %w", err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -285,5 +286,35 @@ func TestLatinHypercubeEdgeCases(t *testing.T) {
 	all := LatinHypercubeSample(s, 10_000, rng)
 	if len(all) != s.TotalSims() {
 		t.Fatalf("clamped budget: %d, want %d", len(all), s.TotalSims())
+	}
+}
+
+// TestSampleSchemeNames: every accepted scheme name, in any case, draws the
+// sims its sampler draws from the same rng state; an unknown name is an
+// error.
+func TestSampleSchemeNames(t *testing.T) {
+	s := tinySpace()
+	for _, tc := range []struct {
+		names []string
+		draw  func(rng *rand.Rand) []Sim
+	}{
+		{[]string{"random", "Random"}, func(rng *rand.Rand) []Sim { return RandomSample(s, 20, rng) }},
+		{[]string{"grid", "GRID"}, func(*rand.Rand) []Sim { return GridSample(s, 20) }},
+		{[]string{"slice"}, func(rng *rand.Rand) []Sim { return SliceSample(s, 20, rng) }},
+		{[]string{"lhs", "latin", "latin-hypercube", "LHS"}, func(rng *rand.Rand) []Sim { return LatinHypercubeSample(s, 20, rng) }},
+	} {
+		want := tc.draw(rand.New(rand.NewSource(7)))
+		for _, name := range tc.names {
+			got, err := Sample(s, name, 20, rand.New(rand.NewSource(7)))
+			if err != nil {
+				t.Fatalf("Sample(%q): %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Sample(%q) drew %v, its sampler %v", name, got, want)
+			}
+		}
+	}
+	if sims, err := Sample(s, "sobol", 20, rand.New(rand.NewSource(7))); err == nil {
+		t.Fatalf("unknown scheme accepted: %v", sims)
 	}
 }

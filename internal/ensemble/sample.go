@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/tensor"
 )
@@ -194,6 +195,24 @@ func LatinHypercubeSample(s *Space, budget int, rng *rand.Rand) []Sim {
 		sims = append(sims, idx)
 	}
 	return sims
+}
+
+// Sample draws budget simulations by the named conventional scheme —
+// "random", "grid", "slice" or "lhs" (also "latin" and "latin-hypercube"),
+// case-insensitively — with rng as the scheme's randomness (grid draws
+// none). It is the one place a scheme name is looked up.
+func Sample(s *Space, scheme string, budget int, rng *rand.Rand) ([]Sim, error) {
+	switch strings.ToLower(scheme) {
+	case "random":
+		return RandomSample(s, budget, rng), nil
+	case "grid":
+		return GridSample(s, budget), nil
+	case "slice":
+		return SliceSample(s, budget, rng), nil
+	case "lhs", "latin", "latin-hypercube":
+		return LatinHypercubeSample(s, budget, rng), nil
+	}
+	return nil, fmt.Errorf("ensemble: unknown sampling scheme %q (want random, grid, slice or lhs)", scheme)
 }
 
 // EncodeCtx runs every selected simulation through SimulateCtx — the

@@ -55,11 +55,6 @@ const (
 	SchemeUnion  Scheme = "Union"
 )
 
-// AllSchemes lists the schemes in the paper's column order.
-func AllSchemes() []Scheme {
-	return []Scheme{SchemeAVG, SchemeCONCAT, SchemeSELECT, SchemeRandom, SchemeGrid, SchemeSlice}
-}
-
 // Config describes one experiment cell.
 type Config struct {
 	// System names the dynamical system ("double-pendulum",

@@ -74,8 +74,8 @@ func TestRunComparisonRouteParity(t *testing.T) {
 				}
 			}
 
-			for _, a := range AllSchemes() {
-				for _, b := range AllSchemes() {
+			for _, a := range paperSchemes {
+				for _, b := range paperSchemes {
 					ea, _ := exact.Get(a)
 					eb, _ := exact.Get(b)
 					sa, _ := sampled.Get(a)

@@ -50,9 +50,6 @@ func (s *Server) run(ctx context.Context, j *job) {
 	cfg := j.cfg
 	cfg.CheckpointDir = s.simsDir(j.simHash)
 	cfg.Resume = true
-	if s.opts.CheckpointEvery > 0 {
-		cfg.CheckpointEvery = s.opts.CheckpointEvery
-	}
 	if s.opts.ConfigHook != nil {
 		s.opts.ConfigHook(&cfg)
 	}

@@ -24,11 +24,11 @@ func killedCampaign(t *testing.T) (*api.Client, api.CampaignSpec, string) {
 		t.Fatal(err)
 	}
 	s, err := New(Options{
-		Store:           st,
-		Registry:        obs.NewRegistry(),
-		Parallel:        1,
-		CheckpointEvery: 1,
+		Store:    st,
+		Registry: obs.NewRegistry(),
+		Parallel: 1,
 		ConfigHook: func(cfg *m2td.Config) {
+			cfg.CheckpointEvery = 1
 			cfg.Faults = &faults.Config{Seed: 1, LatencyRate: 1, Latency: 10 * time.Millisecond}
 		},
 	})

@@ -92,9 +92,6 @@ type Options struct {
 	// JobTimeout bounds each campaign's wall clock when the submission
 	// does not set its own TimeoutMS (default: none).
 	JobTimeout time.Duration
-	// CheckpointEvery overrides the campaign checkpoint interval in
-	// completed simulations (default: the m2td default, 64).
-	CheckpointEvery int
 	// Parallel is the per-campaign kernel worker-pool size passed through
 	// to m2td.Config.Parallel (0 = all CPUs).
 	Parallel int

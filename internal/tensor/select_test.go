@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -62,10 +61,7 @@ func TestSelectScaledMatchesSerialFilterAcrossWorkers(t *testing.T) {
 	s, keep, scaled := selectFixture(t)
 	want := serialSelect(s, keep, scaled)
 	for _, w := range stripTestWorkers {
-		got, derived := s.SelectScaled(keep, scaled, w)
-		if derived != 0 {
-			t.Fatalf("workers=%d derived %d plans from a plan-less source", w, derived)
-		}
+		got := s.SelectScaled(keep, scaled, w)
 		if !sparseEqualBits(want, got) {
 			t.Fatalf("workers=%d SelectScaled differs from the serial filter", w)
 		}
@@ -81,10 +77,10 @@ func TestSelectScaledBitStableUnderHighFanoutWorkers(t *testing.T) {
 	prev := parallel.SetFanoutCap(8)
 	defer parallel.SetFanoutCap(prev)
 	s, keep, scaled := selectFixture(t)
-	want, _ := s.SelectScaled(keep, scaled, 1)
+	want := s.SelectScaled(keep, scaled, 1)
 	for _, w := range stripTestWorkers[1:] {
 		t.Run("w="+strconv.Itoa(w), func(t *testing.T) {
-			got, _ := s.SelectScaled(keep, scaled, w)
+			got := s.SelectScaled(keep, scaled, w)
 			if !sparseEqualBits(want, got) {
 				t.Fatalf("SelectScaled workers=%d differs under fanout cap 8", w)
 			}
@@ -101,48 +97,14 @@ func TestSelectScaledQuarantineInherited(t *testing.T) {
 	if s.Rejected != 1 || s.NNZ() != 2 {
 		t.Fatalf("fixture: rejected=%d nnz=%d", s.Rejected, s.NNZ())
 	}
-	out, _ := s.SelectScaled([]bool{true, false}, []float64{3, 0}, 1)
+	out := s.SelectScaled([]bool{true, false}, []float64{3, 0}, 1)
 	if !out.RejectNonFinite || out.Rejected != 1 {
 		t.Fatalf("quarantine state lost: RejectNonFinite=%v Rejected=%d", out.RejectNonFinite, out.Rejected)
 	}
 	// The empty-selection path must inherit too.
-	none, _ := s.SelectScaled([]bool{false, false}, []float64{0, 0}, 1)
+	none := s.SelectScaled([]bool{false, false}, []float64{0, 0}, 1)
 	if !none.RejectNonFinite || none.Rejected != 1 || none.NNZ() != 0 {
 		t.Fatalf("empty selection: RejectNonFinite=%v Rejected=%d nnz=%d", none.RejectNonFinite, none.Rejected, none.NNZ())
-	}
-}
-
-func TestSelectScaledDerivedPlanMatchesCompiled(t *testing.T) {
-	s, keep, scaled := selectFixture(t)
-	// Warm only modes 0 and 2: derivation must cover exactly the cached
-	// modes and leave the rest to compile on demand.
-	s.PlanMode(0, 1)
-	s.PlanMode(2, 1)
-	out, derived := s.SelectScaled(keep, scaled, 3)
-	if derived != 2 {
-		t.Fatalf("derived %d plans, want 2", derived)
-	}
-	if !out.HasPlanMode(0) || out.HasPlanMode(1) || !out.HasPlanMode(2) || out.HasPlanMode(3) {
-		t.Fatalf("cached modes: %v %v %v %v, want plans exactly on modes 0 and 2",
-			out.HasPlanMode(0), out.HasPlanMode(1), out.HasPlanMode(2), out.HasPlanMode(3))
-	}
-	// A fresh tensor with identical storage compiles the ground-truth
-	// plans; every field of the derived plans must match bit for bit.
-	fresh := NewSparse(out.Shape)
-	fresh.Idx = append([]int(nil), out.Idx...)
-	fresh.Vals = append([]float64(nil), out.Vals...)
-	for _, n := range []int{0, 1, 2, 3} {
-		got := out.PlanMode(n, 1)
-		want := fresh.PlanMode(n, 1)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %d plan differs from a fresh compile:\n got %+v\nwant %+v", n, got, want)
-		}
-	}
-	// Kernels consuming the derived plans must agree with the fresh ones.
-	for n := 0; n < out.Order(); n++ {
-		if !matEqualBits(ModeGramWorkers(out, n, 2), ModeGramWorkers(fresh, n, 2)) {
-			t.Fatalf("mode %d Gram differs between derived and compiled plans", n)
-		}
 	}
 }
 

@@ -62,8 +62,8 @@ type SketchOptions struct {
 	// for any value.
 	Workers int
 	// Span, when non-nil, receives a "sketch" child span carrying the
-	// kept/dropped/saturated counters, the scale histogram, and the
-	// derived-plan count — all deterministic. SketchedHOSVD/SketchedHOOI
+	// kept/dropped/saturated counters and the scale histogram — all
+	// deterministic. SketchedHOSVD/SketchedHOOI
 	// additionally pass it through to the decomposition.
 	Span *obs.Span
 }
@@ -80,9 +80,6 @@ type SketchStats struct {
 	// are retained unscaled and contribute no variance. A sketch that is
 	// mostly saturated is effectively exact.
 	Saturated int
-	// PlansDerived counts the mode plans inherited from the source
-	// tensor's cache instead of recompiled (see Sparse.SelectScaled).
-	PlansDerived int
 	// ScaleHist is a log₂ histogram of the kept entries'
 	// inverse-probability scale factors: bucket k counts scales in
 	// [2ᵏ, 2ᵏ⁺¹), with the last bucket open-ended. Saturated entries land
@@ -101,7 +98,6 @@ func (s SketchStats) span(parent *obs.Span) {
 	span.Set("kept", int64(s.Kept))
 	span.Set("dropped", int64(s.Dropped()))
 	span.Set("saturated", int64(s.Saturated))
-	span.Set("plans_derived", int64(s.PlansDerived))
 	for k, c := range s.ScaleHist {
 		if c != 0 {
 			span.Set(fmt.Sprintf("scale_pow2_%d", k), c)
@@ -158,7 +154,7 @@ func SketchedHOOI(ctx context.Context, x *tensor.Sparse, ranks []int, opts Sketc
 // the Σ|v| scan reduces over a fixed strip grid (tensor.AbsSum), and the
 // keep/scale mask is written per entry from the hash — no cross-entry
 // state — then materialised by tensor.SelectScaled, which also inherits
-// the source's quarantine accounting and any cached mode plans.
+// the source's quarantine accounting.
 func Sketch(x *tensor.Sparse, opts SketchOptions) (*tensor.Sparse, SketchStats, error) {
 	if opts.KeepFrac <= 0 || opts.KeepFrac > 1 {
 		return nil, SketchStats{}, fmt.Errorf("tucker: KeepFrac %v outside (0, 1]", opts.KeepFrac)
@@ -218,10 +214,9 @@ func Sketch(x *tensor.Sparse, opts SketchOptions) (*tensor.Sparse, SketchStats, 
 			}
 		}
 	})
-	out, derived := x.SelectScaled(keep, scaled, opts.Workers)
+	out := x.SelectScaled(keep, scaled, opts.Workers)
 	stats.Kept = out.NNZ()
 	stats.Saturated = int(saturated.Load())
-	stats.PlansDerived = derived
 	for k := range stats.ScaleHist {
 		stats.ScaleHist[k] = hist[k].Load()
 	}

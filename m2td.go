@@ -24,9 +24,9 @@
 //	    Method:     "select",
 //	})
 //
-// Lower-level building blocks (PartitionCtx, StitchCtx, DecomposeCtx) are
-// exposed for custom pipelines, and the eval package's table runners are
-// wrapped by the cmd/m2tdbench tool.
+// BaselineCtx runs the conventional sampling schemes RunCtx is compared
+// against, and the eval package's table runners are wrapped by the
+// cmd/m2tdbench tool.
 package m2td
 
 import (
@@ -35,7 +35,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -47,7 +46,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
-	"repro/internal/stitch"
 	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
@@ -119,13 +117,6 @@ type Config struct {
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
 
-	// SimTimeout bounds the simulation stage (partition fan-out or
-	// baseline encoding) with a per-stage deadline; 0 means no limit. On
-	// expiry the stage drains cooperatively, flushes any checkpoint, and
-	// the run fails with a wrapped context.DeadlineExceeded.
-	SimTimeout time.Duration
-	// DecompTimeout bounds the decomposition stage; 0 means no limit.
-	DecompTimeout time.Duration
 	// Retry is the per-simulation retry policy for transient failures.
 	// The zero value means up to 3 attempts with default backoff.
 	Retry faults.RetryPolicy
@@ -160,7 +151,7 @@ type Config struct {
 // processes connected over localhost TCP, moving data through an
 // internal/store catalog. Worker processes are spawned by re-executing
 // the current binary, which must call MaybeDistWorker first thing in
-// main (cmd/m2tdworker and cmd/m2tdbench do). They outlive the campaign: a
+// main (cmd/m2tdbench and cmd/m2tdperf do). They outlive the campaign: a
 // later campaign of this process with the same Workers and Addr and no
 // kill plan runs on them (internal/distnet's fleet pool).
 type DistributedConfig struct {
@@ -412,19 +403,11 @@ func MaybeDistWorker() { distnet.MaybeWorker() }
 var stripsVital = map[string]func() int64{"strips": parallel.Strips}
 
 // runStage runs one pipeline stage: a child span of the trace root with
-// process vitals, the stage's deadline (0 = none beyond ctx's), and the
-// stage's name on whatever error the body returns.
-func runStage(ctx context.Context, trace *obs.Trace, span, stage string, timeout time.Duration, body func(context.Context, *obs.Span) error) error {
+// process vitals, and the stage's name on whatever error the body returns.
+func runStage(ctx context.Context, trace *obs.Trace, span, stage string, body func(context.Context, *obs.Span) error) error {
 	sp := trace.Root().Start(span)
 	done := sp.WithVitals(stripsVital)
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
 	err := body(ctx, sp)
-	cancel()
 	done()
 	if err != nil {
 		return fmt.Errorf("m2td: %s stage: %w", stage, err)
@@ -433,10 +416,10 @@ func runStage(ctx context.Context, trace *obs.Trace, span, stage string, timeout
 }
 
 // RunCtx executes the full M2TD pipeline with cooperative cancellation:
-// when ctx is cancelled (or a configured stage deadline expires) the
-// pipeline stops at the next stage boundary — in-flight simulations and
-// kernels finish, workers are joined, completed work is checkpointed —
-// and a wrapped context error identifying the stage is returned.
+// when ctx is cancelled or its deadline expires the pipeline stops at the
+// next stage boundary — in-flight simulations and kernels finish, workers
+// are joined, completed work is checkpointed — and a wrapped context error
+// identifying the stage is returned.
 func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	r, err := cfg.resolve()
 	if err != nil {
@@ -454,10 +437,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	trace := cfg.trace("run")
 
 	simStart := time.Now()
-	part, err := partitionStage(ctx, r.space, pivot, PartitionOptions{
-		PivotFrac: cfg.PivotDensity, FreeFrac: cfg.SubEnsembleDensity, Seed: cfg.Seed,
-		Parallel: cfg.Parallel, Retry: cfg.Retry, Trace: trace,
-	}, cfg.SimTimeout, ck)
+	part, err := partitionStage(ctx, trace, r.space, pivot, cfg, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -479,9 +459,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 // from the experiment-design literature the paper cites) — with the given
 // simulation budget and returns its accuracy and decomposition time: the
 // comparison target for RunCtx. It shares RunCtx's cooperative
-// cancellation, stage deadlines (Config.SimTimeout, Config.DecompTimeout)
-// and fault-tolerance runtime (retry, panic capture, divergence
-// quarantine) on the encoding fan-out.
+// cancellation and fault-tolerance runtime (retry, panic capture,
+// divergence quarantine) on the encoding fan-out.
 func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*Report, error) {
 	r, err := cfg.resolve()
 	if err != nil {
@@ -489,24 +468,15 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 	}
 	cfg = r.cfg
 	space := r.space
-	var sims []ensemble.Sim
-	switch strings.ToLower(scheme) {
-	case "random":
-		sims = ensemble.RandomSample(space, budget, rand.New(rand.NewSource(cfg.Seed)))
-	case "grid":
-		sims = ensemble.GridSample(space, budget)
-	case "slice":
-		sims = ensemble.SliceSample(space, budget, rand.New(rand.NewSource(cfg.Seed)))
-	case "lhs", "latin", "latin-hypercube":
-		sims = ensemble.LatinHypercubeSample(space, budget, rand.New(rand.NewSource(cfg.Seed)))
-	default:
-		return nil, fmt.Errorf("m2td: unknown baseline scheme %q", scheme)
+	sims, err := ensemble.Sample(space, scheme, budget, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, fmt.Errorf("m2td: baseline: %w", err)
 	}
 	trace := cfg.trace("baseline")
 
 	simStart := time.Now()
 	var se *ensemble.SparseEnsemble
-	err = runStage(ctx, trace, "simulate", "simulation", cfg.SimTimeout, func(ctx context.Context, span *obs.Span) (err error) {
+	err = runStage(ctx, trace, "simulate", "simulation", func(ctx context.Context, span *obs.Span) (err error) {
 		se, _, err = ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{Workers: cfg.Parallel, Retry: cfg.Retry, Span: span})
 		return err
 	})
@@ -517,7 +487,7 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 
 	decompStart := time.Now()
 	var dec tucker.Decomposition
-	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) error {
+	err = runStage(ctx, trace, "decompose", "decomposition", func(ctx context.Context, span *obs.Span) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -564,7 +534,7 @@ func (r resolved) report(sims, cells int, st ensemble.SimStats, x1, x2 *tensor.S
 // trace close-out and the run counter.
 func (r resolved) finish(ctx context.Context, trace *obs.Trace, report *Report, model eval.TuckerModel) (*Report, error) {
 	cfg := r.cfg
-	err := runStage(ctx, trace, "evaluate", "evaluation", 0, func(ctx context.Context, span *obs.Span) (err error) {
+	err := runStage(ctx, trace, "evaluate", "evaluation", func(ctx context.Context, span *obs.Span) (err error) {
 		if cfg.SkipAccuracy {
 			span.Set("skipped", 1)
 			return nil
@@ -609,130 +579,28 @@ func (r *Report) finishTrace(trace *obs.Trace, cfg Config) {
 	r.Trace = trace
 }
 
-// PartitionOptions configures PartitionCtx. The zero value means: full
-// densities, seed 1, default worker count, default retry policy, no
-// tracing.
-type PartitionOptions struct {
-	// PivotFrac and FreeFrac are the paper's P and E density knobs in
-	// (0, 1]; zero values mean 1.
-	PivotFrac, FreeFrac float64
-	// Seed drives the sampling randomness (default 1).
-	Seed int64
-	// Parallel is the shared worker-pool size for the simulation fan-out
-	// (0 = all CPUs, 1 = serial).
-	Parallel int
-	// Retry is the per-simulation retry policy for transient failures.
-	Retry faults.RetryPolicy
-	// Trace, when non-nil, receives a "partition" stage span (with
-	// sub1/sub2 children) under its root.
-	Trace *obs.Trace
-}
-
-// PartitionCtx PF-partitions a space and simulates both sub-ensembles
-// with cooperative cancellation, retry, divergence quarantine, and
-// optional tracing; a building block for custom pipelines.
-func PartitionCtx(ctx context.Context, space *ensemble.Space, pivot int, opts PartitionOptions) (*partition.Result, error) {
-	if opts.PivotFrac == 0 {
-		opts.PivotFrac = 1
-	}
-	if opts.FreeFrac == 0 {
-		opts.FreeFrac = 1
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	return partitionStage(ctx, space, pivot, opts, 0, nil)
-}
-
-// partitionStage is the simulation stage of RunCtx and the body of
-// PartitionCtx: opts with its defaults filled, plus what only a campaign
-// has — a stage deadline and a checkpoint.
-func partitionStage(ctx context.Context, space *ensemble.Space, pivot int, opts PartitionOptions, timeout time.Duration, ck *ensemble.Checkpoint) (part *partition.Result, err error) {
+// partitionStage is the simulation stage of RunCtx: the space
+// PF-partitioned at the pivot with the normalized config's densities and
+// seed, both sub-ensembles simulated into the checkpoint, if any.
+func partitionStage(ctx context.Context, trace *obs.Trace, space *ensemble.Space, pivot int, cfg Config, ck *ensemble.Checkpoint) (part *partition.Result, err error) {
 	pcfg := partition.DefaultConfig(space.Order(), pivot, eval.PairsFor(space.Sys.Name()))
-	pcfg.PivotFrac, pcfg.FreeFrac = opts.PivotFrac, opts.FreeFrac
-	err = runStage(ctx, opts.Trace, "partition", "simulation", timeout, func(ctx context.Context, span *obs.Span) (err error) {
-		part, err = partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(opts.Seed)), partition.SimOptions{
-			Workers: opts.Parallel, Retry: opts.Retry, Checkpoint: ck, Span: span,
+	pcfg.PivotFrac, pcfg.FreeFrac = cfg.PivotDensity, cfg.SubEnsembleDensity
+	err = runStage(ctx, trace, "partition", "simulation", func(ctx context.Context, span *obs.Span) (err error) {
+		part, err = partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{
+			Workers: cfg.Parallel, Retry: cfg.Retry, Checkpoint: ck, Span: span,
 		})
 		return err
 	})
 	return part, err
 }
 
-// StitchOptions configures StitchCtx.
-type StitchOptions struct {
-	// ZeroJoin selects zero-join JE-stitching (Section V-C.2).
-	ZeroJoin bool
-	// Trace, when non-nil, receives a "stitch" stage span under its root.
-	Trace *obs.Trace
-}
-
-// StitchCtx constructs the join tensor (or zero-join tensor) for a
-// PF-partitioned pair. The context is checked before the (uninterruptible)
-// stitch kernel runs.
-func StitchCtx(ctx context.Context, part *partition.Result, opts StitchOptions) (j *tensor.Sparse, err error) {
-	err = runStage(ctx, opts.Trace, "stitch", "stitch", 0, func(ctx context.Context, span *obs.Span) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if opts.ZeroJoin {
-			j = stitch.ZeroJoin(part)
-			span.Set("zero_join", 1)
-		} else {
-			j = stitch.Join(part)
-		}
-		span.Set("join_nnz", int64(j.NNZ()))
-		return nil
-	})
-	return j, err
-}
-
-// DecomposeOptions configures DecomposeCtx. Zero values mean what they
-// mean on Config: MethodSELECT at uniform rank 4 over the plain join.
-type DecomposeOptions struct {
-	// Method is the pivot fusion strategy ("" = MethodSELECT).
-	Method Method
-	// Rank is the uniform per-mode Tucker rank (0 = 4). Ranks, when
-	// non-nil, overrides it with explicit per-mode ranks.
-	Rank  int
-	Ranks []int
-	// ZeroJoin selects zero-join JE-stitching for core recovery.
-	ZeroJoin bool
-	// Parallel is the shared worker-pool size for the decomposition hot
-	// path (0 = all CPUs, 1 = serial). Results are bit-identical for any
-	// value.
-	Parallel int
-	// Trace, when non-nil, receives a "decompose" stage span (with
-	// factors/core children) under its root.
-	Trace *obs.Trace
-}
-
-// DecomposeCtx runs the selected M2TD variant over a PF-partitioned pair
-// with cooperative cancellation, the shared worker pool, kernel-plan
-// reuse, and optional tracing — the same engine path RunCtx uses.
-func DecomposeCtx(ctx context.Context, part *partition.Result, opts DecomposeOptions) (*core.Result, error) {
-	cfg := Config{
-		Method: opts.Method, Rank: opts.Rank, ZeroJoin: opts.ZeroJoin, Parallel: opts.Parallel,
-	}.normalize()
-	method, err := cfg.Method.core()
-	if err != nil {
-		return nil, err
-	}
-	ranks := opts.Ranks
-	if ranks == nil {
-		ranks = tucker.UniformRanks(part.Space.Order(), cfg.Rank)
-	}
-	res, _, err := decomposeStage(ctx, opts.Trace, part, method, ranks, cfg)
-	return res, err
-}
-
-// decomposeStage is the decomposition stage of RunCtx and the body of
-// DecomposeCtx, on the executor cfg names — the only dispatch there is: the
+// decomposeStage is the decomposition stage of RunCtx, on the executor cfg
+// names — the only dispatch there is: the
 // process engine (Distributed), and otherwise core.DecomposeFactored in
 // process at Workers shards. Both are join-free. Only cfg's decomposition
 // fields are read.
 func decomposeStage(ctx context.Context, trace *obs.Trace, part *partition.Result, method core.Method, ranks []int, cfg Config) (res *core.Result, ds *DistStats, err error) {
-	err = runStage(ctx, trace, "decompose", "decomposition", cfg.DecompTimeout, func(ctx context.Context, span *obs.Span) (err error) {
+	err = runStage(ctx, trace, "decompose", "decomposition", func(ctx context.Context, span *obs.Span) (err error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/stitch"
+	"repro/internal/tucker"
 )
 
 // smallConfig keeps facade tests fast.
@@ -155,33 +157,22 @@ func TestBuildingBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	part, err := PartitionCtx(ctx, space, space.TimeMode(), PartitionOptions{FreeFrac: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := StitchCtx(ctx, part, StitchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zj, err := StitchCtx(ctx, part, StitchOptions{ZeroJoin: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := partitionAt(t, space, space.TimeMode(), 1, 0.5, 3)
+	j, zj := stitch.Join(part), stitch.ZeroJoin(part)
 	if zj.NNZ() <= j.NNZ() {
 		t.Fatalf("zero-join %d not denser than join %d", zj.NNZ(), j.NNZ())
 	}
-	res, err := DecomposeCtx(ctx, part, DecomposeOptions{Method: Method(core.SELECT), Rank: 2})
+	res, err := core.DecomposeFactored(part, core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DecomposeCtx takes the join-free route: no J on the result, and the
-	// join's size is the density formula — which must agree with StitchCtx.
+	// The join-free kernel builds no J, and the join's size is the density
+	// formula — which must agree with stitching.
 	if res.Join != nil {
-		t.Fatal("DecomposeCtx materialised a join on an intact partition")
+		t.Fatal("core.DecomposeFactored materialised a join on an intact partition")
 	}
 	if got := part.JoinCells(false); got != j.NNZ() {
-		t.Fatalf("density formula says %d join cells, StitchCtx built %d", got, j.NNZ())
+		t.Fatalf("density formula says %d join cells, stitch.Join built %d", got, j.NNZ())
 	}
 	if got := part.JoinCells(true); got != zj.NNZ() {
 		t.Fatalf("density formula says %d zero-join cells, Stitch built %d", got, zj.NNZ())

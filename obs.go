@@ -8,18 +8,11 @@ import (
 )
 
 // Pipeline-level instrumentation and the public observability surface of
-// the facade: trace construction for the Ctx building blocks, Prometheus/
-// expvar/pprof serving, and JSONL trace serialization (replayable by
-// cmd/tracecat).
+// the facade: Prometheus/expvar/pprof serving and JSONL trace serialization
+// (replayable by cmd/tracecat).
 
 var runsTotal = obs.Default.Counter("m2td_runs_total",
 	"Completed pipeline runs (Run/RunCtx and Baseline/BaselineCtx).")
-
-// NewTrace starts a stage-span trace for use with the Ctx building blocks
-// (PartitionCtx, StitchCtx, DecomposeCtx). RunCtx and BaselineCtx build their
-// own trace when Config.Trace is set; NewTrace is for custom pipelines.
-// Finish it with its Finish method before serializing.
-func NewTrace(name string) *obs.Trace { return obs.New(name) }
 
 // ServeMetrics starts an HTTP listener on addr (":0" picks a free port;
 // the returned server's Addr reports the bound address) exposing the
@@ -41,8 +34,3 @@ func WriteTrace(w io.Writer, t *obs.Trace) error {
 	}
 	return obs.WriteJSONL(w, root.Data(), obs.Default.Snapshot())
 }
-
-// MetricsSnapshot returns a point-in-time copy of the process-wide
-// metrics registry (counter/gauge values and histogram summaries),
-// keyed by metric name.
-func MetricsSnapshot() map[string]any { return obs.Default.Snapshot() }

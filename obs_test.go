@@ -241,9 +241,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// The in-process snapshot agrees with the exposition.
-	snap := MetricsSnapshot()
+	snap := obs.Default.Snapshot()
 	if got := snap["m2td_sims_executed_total"]; got != int64(value(after, "m2td_sims_executed_total")) {
-		t.Errorf("MetricsSnapshot sims_executed = %v, scrape says %d", got, value(after, "m2td_sims_executed_total"))
+		t.Errorf("registry snapshot sims_executed = %v, scrape says %d", got, value(after, "m2td_sims_executed_total"))
 	}
 
 	// expvar and pprof share the listener.

@@ -46,18 +46,6 @@ func (r *Report) Predict(paramValues []float64) ([]float64, error) {
 	return out, nil
 }
 
-// PredictAt evaluates the decomposition at one timestamp index.
-func (r *Report) PredictAt(paramValues []float64, timeIdx int) (float64, error) {
-	if timeIdx < 0 || timeIdx >= r.Space.TimeSamples {
-		return 0, fmt.Errorf("m2td: time index %d out of range [0, %d)", timeIdx, r.Space.TimeSamples)
-	}
-	fiber, err := r.Predict(paramValues)
-	if err != nil {
-		return 0, err
-	}
-	return fiber[timeIdx], nil
-}
-
 // interpolatedRow returns the factor row for a physical parameter value:
 // the exact row on grid points, the linear blend of the two bracketing
 // rows otherwise.

@@ -145,17 +145,9 @@ func TestPredictValidation(t *testing.T) {
 	if _, err := report.Predict([]float64{1, 2}); err == nil {
 		t.Fatal("wrong parameter count accepted")
 	}
-	if _, err := report.PredictAt(make([]float64, 4), 99); err == nil {
-		t.Fatal("out-of-range time index accepted")
-	}
 	vals := dynsys.ReferenceParams(report.Space.Sys)
-	v, err := report.PredictAt(vals, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fiber, _ := report.Predict(vals)
-	if v != fiber[0] {
-		t.Fatal("PredictAt disagrees with Predict")
+	if fiber, err := report.Predict(vals); err != nil || len(fiber) != report.Space.TimeSamples {
+		t.Fatalf("Predict at the reference point: %d values, err %v; want one per timestamp", len(fiber), err)
 	}
 	bare := &Report{Space: report.Space}
 	if _, err := bare.Predict(vals); err == nil {

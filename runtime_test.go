@@ -5,13 +5,15 @@ import (
 	"errors"
 	"os"
 	"reflect"
-	"repro/internal/stitch"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
+	"repro/internal/stitch"
 )
 
 // waitForGoroutines polls until the goroutine count returns to (near) the
@@ -65,12 +67,16 @@ func TestRunCtxCancelledMidCampaign(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
+// TestRunSimTimeout: a deadline on the caller's context bounds the
+// simulation stage — the run fails there, naming it, with a wrapped
+// context.DeadlineExceeded.
 func TestRunSimTimeout(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
-	cfg.SimTimeout = time.Nanosecond
-	_, err := RunCtx(context.Background(), cfg)
-	if !errors.Is(err, context.DeadlineExceeded) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	_, err := RunCtx(ctx, cfg)
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.HasPrefix(err.Error(), "m2td: simulation stage: ") {
 		t.Fatalf("want DeadlineExceeded from the simulation stage, got %v", err)
 	}
 }
@@ -409,7 +415,7 @@ func TestSimulationAccountingInvariant(t *testing.T) {
 // TestRunAutoPivotHonoursCancellation: pivot selection runs five pilot
 // campaigns before the campaign proper; they are the caller's to cancel.
 func TestRunAutoPivotHonoursCancellation(t *testing.T) {
-	executed := func() any { return MetricsSnapshot()["m2td_sims_executed_total"] }
+	executed := func() any { return obs.Default.Snapshot()["m2td_sims_executed_total"] }
 	before := executed()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

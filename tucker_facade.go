@@ -89,7 +89,7 @@ func TuckerCtx(ctx context.Context, x *tensor.Sparse, opts TuckerOptions) (*Tuck
 		sopts.Seed = 1
 	}
 	res := &TuckerResult{Sketched: sopts.KeepFrac > 0}
-	err := runStage(ctx, opts.Trace, "tucker", "tucker", 0, func(ctx context.Context, span *obs.Span) (err error) {
+	err := runStage(ctx, opts.Trace, "tucker", "tucker", func(ctx context.Context, span *obs.Span) (err error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
