@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint lint-fix lint-extra test race tables bench bench-smoke examples-smoke simgen-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke ci clean
+.PHONY: all build vet lint lint-extra test race tables bench bench-smoke examples-smoke simgen-smoke perf-smoke perf fuzz-smoke trace-smoke dist-smoke serve-smoke tensorstore-smoke ci clean
 
 all: build
 
@@ -26,18 +26,12 @@ vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 # Hermetic lint: go vet plus the in-repo m2tdlint invariant suite
-# (determinism, ctxprop, spans, floatcmp, quarantine, locks, goroleak,
-# wirecompat, atomicstore, metrichygiene — DESIGN.md §8 and §15).
+# (determinism, ctxprop, spans, floatcmp, quarantine, atomicstore,
+# metrichygiene — DESIGN.md §8).
 # Runs offline; any finding fails the target. The CI lint job runs the
 # same whole-module sweep with -json and archives the findings file.
 lint: vet
 	$(GO) run ./cmd/m2tdlint ./...
-
-# Apply every suggested fix (e.g. missing json tags on wire structs),
-# then re-run: the target fails only on findings the fixes could not
-# cure. Review the diff before committing — fixes are textual edits.
-lint-fix:
-	$(GO) run ./cmd/m2tdlint -fix ./...
 
 # External analyzers at pinned versions. Requires network for the first
 # install; kept out of `ci` so the aggregate stays runnable offline.

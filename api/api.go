@@ -72,46 +72,28 @@ const (
 	CodeInternal ErrorCode = "internal"
 )
 
-// ErrorCodes enumerates every code the server emits, in declaration
-// order. Tests range over it to prove each code round-trips through the
-// envelope and lands on its mapped status; the wirecompat analyzer
-// keeps it in sync with the constant block above.
-var ErrorCodes = []ErrorCode{
-	CodeInvalidRequest,
-	CodeNotFound,
-	CodeQuotaExceeded,
-	CodeQueueFull,
-	CodeShuttingDown,
-	CodeJobFailed,
-	CodeNotDone,
-	CodeInternal,
+// statusOf is the code→status table: the single source of truth shared by
+// the server's error writer and the client's expectations. Every ErrorCode
+// constant has a row (a test parses this file to hold it to that). Both
+// capacity conditions (queue_full, shutting_down) map to 503: in each case
+// the request is well-formed and retryable once the server's state changes.
+var statusOf = map[ErrorCode]int{
+	CodeInvalidRequest: http.StatusBadRequest,
+	CodeNotFound:       http.StatusNotFound,
+	CodeQuotaExceeded:  http.StatusTooManyRequests,
+	CodeQueueFull:      http.StatusServiceUnavailable,
+	CodeShuttingDown:   http.StatusServiceUnavailable,
+	CodeJobFailed:      http.StatusInternalServerError,
+	CodeNotDone:        http.StatusConflict,
+	CodeInternal:       http.StatusInternalServerError,
 }
 
-// HTTPStatus is the canonical, exhaustive code→status mapping — the
-// single source of truth shared by the server's error writer and the
-// client's expectations. Both capacity conditions (queue_full,
-// shutting_down) map to 503: in each case the request is well-formed
-// and retryable once the server's state changes. A code outside the
-// vocabulary (possible only across version skew, ErrorCode being an
-// open string type) degrades to 500.
+// HTTPStatus maps a code to its HTTP status. A code outside the vocabulary
+// (possible only across version skew, ErrorCode being an open string type)
+// degrades to 500.
 func HTTPStatus(code ErrorCode) int {
-	switch code {
-	case CodeInvalidRequest:
-		return http.StatusBadRequest
-	case CodeNotFound:
-		return http.StatusNotFound
-	case CodeQuotaExceeded:
-		return http.StatusTooManyRequests
-	case CodeQueueFull:
-		return http.StatusServiceUnavailable
-	case CodeShuttingDown:
-		return http.StatusServiceUnavailable
-	case CodeJobFailed:
-		return http.StatusInternalServerError
-	case CodeNotDone:
-		return http.StatusConflict
-	case CodeInternal:
-		return http.StatusInternalServerError
+	if status, ok := statusOf[code]; ok {
+		return status
 	}
 	return http.StatusInternalServerError
 }

@@ -4,8 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -29,10 +39,9 @@ func TestErrorEnvelopeRoundTrip(t *testing.T) {
 }
 
 // TestErrorCodeStatusMapping pins the full code→status table and proves
-// every registered code round-trips through the JSON envelope onto its
-// mapped status. Ranging over ErrorCodes (which wirecompat keeps in sync
-// with the constant block) means a future code cannot ship without a row
-// here failing.
+// every code round-trips through the JSON envelope onto its mapped status.
+// TestWireContractSource holds statusOf to every ErrorCode constant, so a
+// new code cannot ship without a row there and one here.
 func TestErrorCodeStatusMapping(t *testing.T) {
 	want := map[ErrorCode]int{
 		CodeInvalidRequest: http.StatusBadRequest,
@@ -44,21 +53,10 @@ func TestErrorCodeStatusMapping(t *testing.T) {
 		CodeNotDone:        http.StatusConflict,
 		CodeInternal:       http.StatusInternalServerError,
 	}
-	if len(want) != len(ErrorCodes) {
-		t.Fatalf("golden table covers %d codes, ErrorCodes registers %d", len(want), len(ErrorCodes))
+	if len(want) != len(statusOf) {
+		t.Fatalf("golden table covers %d codes, statusOf maps %d", len(want), len(statusOf))
 	}
-	seen := map[ErrorCode]bool{}
-	for _, code := range ErrorCodes {
-		if seen[code] {
-			t.Errorf("ErrorCodes lists %s twice", code)
-		}
-		seen[code] = true
-
-		wantStatus, ok := want[code]
-		if !ok {
-			t.Errorf("code %s has no row in the golden status table", code)
-			continue
-		}
+	for code, wantStatus := range want {
 		if got := HTTPStatus(code); got != wantStatus {
 			t.Errorf("HTTPStatus(%s) = %d, want %d", code, got, wantStatus)
 		}
@@ -80,6 +78,153 @@ func TestErrorCodeStatusMapping(t *testing.T) {
 	// Version skew: a code outside the vocabulary degrades to 500, never 0.
 	if got := HTTPStatus(ErrorCode("from_the_future")); got != http.StatusInternalServerError {
 		t.Errorf("unknown code maps to %d, want 500", got)
+	}
+}
+
+// wireViolations reads the wire contract off the package source: in every
+// struct with a json-tagged field (a wire struct), each exported field
+// needs a json tag, so a Go rename is never a silent wire rename, and no
+// field may be any/interface{}, an unreviewable schema; and every
+// ErrorCode constant needs a row in statusOf.
+func wireViolations(files []*ast.File) []string {
+	var out []string
+	codes := map[string]bool{}
+	rows := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || !slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool { return jsonTag(f) != "" }) {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if name.IsExported() && jsonTag(field) == "" {
+							out = append(out, n.Name.Name+"."+name.Name+" has no json tag")
+						}
+						if isEmptyInterface(field.Type) {
+							out = append(out, n.Name.Name+"."+name.Name+" is any/interface{} on the wire")
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				if id, ok := n.Type.(*ast.Ident); ok && id.Name == "ErrorCode" {
+					for _, name := range n.Names {
+						codes[name.Name] = true
+					}
+				}
+				for i, name := range n.Names {
+					if name.Name != "statusOf" || i >= len(n.Values) {
+						continue
+					}
+					if lit, ok := n.Values[i].(*ast.CompositeLit); ok {
+						for _, elt := range lit.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if key, ok := kv.Key.(*ast.Ident); ok {
+									rows[key.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for code := range codes {
+		if !rows[code] {
+			out = append(out, "ErrorCode "+code+" has no row in statusOf")
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func jsonTag(f *ast.Field) string {
+	if f.Tag == nil {
+		return ""
+	}
+	tag, _ := strconv.Unquote(f.Tag.Value)
+	return reflect.StructTag(tag).Get("json")
+}
+
+func isEmptyInterface(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name == "any"
+	case *ast.InterfaceType:
+		return len(e.Methods.List) == 0
+	}
+	return false
+}
+
+func parseSources(t *testing.T, srcs map[string]string) []*ast.File {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for name, src := range srcs {
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// TestWireContractSource holds the package's own source to the wire rules.
+func TestWireContractSource(t *testing.T) {
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[string]string{}
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[name] = string(b)
+	}
+	if len(srcs) == 0 {
+		t.Fatal("no package sources found")
+	}
+	for _, v := range wireViolations(parseSources(t, srcs)) {
+		t.Error(v)
+	}
+}
+
+// TestWireViolationsFire proves each rule fires, so a clean package means
+// something.
+func TestWireViolationsFire(t *testing.T) {
+	got := wireViolations(parseSources(t, map[string]string{"bad.go": `package api
+type ErrorCode string
+const (
+	CodeA ErrorCode = "a"
+	CodeB ErrorCode = "b"
+)
+var statusOf = map[ErrorCode]int{CodeA: 400}
+type Wire struct {
+	ID      string ` + "`json:\"id\"`" + `
+	Name    string
+	Payload any ` + "`json:\"payload\"`" + `
+	Extra   interface{} ` + "`json:\"extra\"`" + `
+	hidden  int
+}
+type Plain struct{ Name string }
+`}))
+	want := []string{
+		"ErrorCode CodeB has no row in statusOf",
+		"Wire.Extra is any/interface{} on the wire",
+		"Wire.Name has no json tag",
+		"Wire.Payload is any/interface{} on the wire",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("violations = %q\nwant %q", got, want)
 	}
 }
 

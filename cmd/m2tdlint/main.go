@@ -1,11 +1,9 @@
 // Command m2tdlint runs the repository's custom invariant analyzers
 // (internal/lint) over the module: determinism of the kernel packages,
 // context propagation, obs span hygiene, floating-point comparison
-// discipline, tensor quarantine safety, lock discipline and goroutine
-// lifecycles in the serving/distributed layers, wire-contract
-// completeness, atomic-store routing, and metric-name hygiene. See
-// DESIGN.md §8 and §15 for the rule tables and the //lint:allow
-// suppression policy.
+// discipline, tensor quarantine safety, atomic-store routing, and
+// metric-name hygiene. See DESIGN.md §8 for the rule table and the
+// //lint:allow suppression policy.
 //
 // Usage:
 //
@@ -13,13 +11,10 @@
 //
 //	-json             emit findings as a JSON array (file/line/col/analyzer/message)
 //	-analyzers list   comma-separated subset of analyzers to run (default: all)
-//	-fix              apply suggested fixes, then re-run and report what remains
 //	-list             print the available analyzers and exit
 //
 // Packages default to ./... resolved from the enclosing module root.
 // Exit status: 0 = clean, 1 = findings, 2 = usage or load failure.
-// Under -fix the exit status reflects the POST-fix state: fixable
-// findings that were repaired do not fail the run.
 //
 // The -json mode is what CI runs and archives, so lint findings can be
 // diffed across commits.
@@ -54,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	fix := fs.Bool("fix", false, "apply suggested fixes, then re-run")
 	list := fs.Bool("list", false, "print the available analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,32 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	diags := lint.RunPackages(pkgs, analyzers)
-
-	if *fix {
-		fixed, err := lint.ApplyFixes(pkgs, diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "m2tdlint: %v\n", err)
-			return 2
-		}
-		if len(fixed) > 0 {
-			for path, content := range fixed {
-				if err := os.WriteFile(path, content, 0o644); err != nil {
-					fmt.Fprintf(stderr, "m2tdlint: writing fix: %v\n", err)
-					return 2
-				}
-				fmt.Fprintf(stderr, "m2tdlint: fixed %s\n", path)
-			}
-			// Fixes are textual; re-loading and re-running is the proof
-			// they worked (and surfaces anything they could not cure).
-			pkgs, err = lint.Load(root, patterns...)
-			if err != nil {
-				fmt.Fprintf(stderr, "m2tdlint: reload after fixes: %v\n", err)
-				return 2
-			}
-			diags = lint.RunPackages(pkgs, analyzers)
-		}
-	}
-
 	if *jsonOut {
 		findings := make([]finding, 0, len(diags))
 		for _, d := range diags {

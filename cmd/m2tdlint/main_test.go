@@ -20,7 +20,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "ctxprop", "spans", "floatcmp", "quarantine",
-		"locks", "goroleak", "wirecompat", "atomicstore", "metrichygiene",
+		"atomicstore", "metrichygiene",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())

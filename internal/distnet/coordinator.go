@@ -71,7 +71,6 @@ func (w *workerConn) send(t frameType, msg any) error {
 	}
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	//lint:allow locks -- w.wmu is the frame-write serialization mutex; holding it across exactly one frame write is its entire purpose
 	return writeFrame(w.conn, t, payload)
 }
 

@@ -2,11 +2,14 @@ package distnet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +31,7 @@ import (
 // over and never returns.
 func TestMain(m *testing.M) {
 	awaitEarlyWork()
+	refuseTasks()
 	MaybeWorker()
 	// Under -race every process sleeps a second at exit, and a campaign
 	// waits for its workers' exits: spare the workers (they inherit the
@@ -56,6 +60,40 @@ func awaitEarlyWork() {
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if outs, _ := filepath.Glob(filepath.Join(dir, "*-p1-*")); len(outs) > 0 {
 			return
+		}
+	}
+}
+
+// refuseArg, as a worker's only argument (Options.WorkerArgv), makes the
+// worker answer every task it is leased with a task error.
+const refuseArg = "-distnet-refusing-worker"
+
+func refuseTasks() {
+	if len(os.Args) != 2 || os.Args[1] != refuseArg || os.Getenv(envAddr) == "" {
+		return
+	}
+	id, err := strconv.Atoi(os.Getenv(envID))
+	if err != nil {
+		os.Exit(1)
+	}
+	conn, err := net.Dial("tcp", os.Getenv(envAddr))
+	if err != nil {
+		os.Exit(1)
+	}
+	hello, _ := json.Marshal(helloMsg{Worker: id, PID: os.Getpid()})
+	if writeFrame(conn, frameHello, hello) != nil {
+		os.Exit(1)
+	}
+	for {
+		t, payload, err := readFrame(conn)
+		if err != nil || t != frameTask {
+			os.Exit(0) // shutdown frame, or the coordinator is gone
+		}
+		var task taskMsg
+		_ = json.Unmarshal(payload, &task)
+		res, _ := json.Marshal(resultMsg{ID: task.ID, Worker: id, Err: "refused"})
+		if writeFrame(conn, frameTaskErr, res) != nil {
+			os.Exit(0)
 		}
 	}
 }
@@ -310,6 +348,22 @@ func checkPhases(t *testing.T, root *obs.Span, tasks map[string]int) {
 		if len(ps.Children()) != int(ps.Counter("tasks")) {
 			t.Fatalf("%s span has %d task children for %d tasks", name, len(ps.Children()), ps.Counter("tasks"))
 		}
+	}
+}
+
+// TestDistNetTaskErrorsExhaustAttempts: a task answered with a task error
+// is re-leased until it runs out of attempts, and the campaign then fails
+// with that error instead of hanging.
+func TestDistNetTaskErrorsExhaustAttempts(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 1,
+		WorkDir: t.TempDir(), WorkerArgv: []string{exe, refuseArg}}
+	_, err = Decompose(context.Background(), tinyPartition(t, 1, 228), opts)
+	if err == nil || !strings.Contains(err.Error(), "failed after 3 attempts") {
+		t.Fatalf("campaign on a refusing worker: err %v, want a task out of attempts", err)
 	}
 }
 

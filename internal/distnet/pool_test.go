@@ -387,6 +387,10 @@ func TestFleetIdleShutdown(t *testing.T) {
 	f.idle.Reset(0)
 	pool.mu.Unlock()
 	waitFor(t, "the idle fleet to shut down", func() bool { return pooled(t, opts) == nil && gone(f) })
+	// Shutdown leaves the fleet's lock free: its roster still reads.
+	if got := len(f.roster()); got != len(f.procs) {
+		t.Fatalf("roster of a shut-down fleet has %d workers, want %d", got, len(f.procs))
+	}
 }
 
 // TestNoGoroutineOutlivesAClosedFleet: once every fleet — pooled or

@@ -88,15 +88,20 @@ type sender struct {
 	conn net.Conn
 }
 
+// Write puts one whole frame on the connection: writeFrame and sendCorrupt
+// each make exactly one call.
+func (s *sender) Write(frame []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.conn.Write(frame)
+}
+
 func (s *sender) send(t frameType, msg any) error {
 	payload, err := json.Marshal(msg)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//lint:allow locks -- s.mu is the frame-write serialization mutex; holding it across exactly one frame write is its entire purpose
-	return writeFrame(s.conn, t, payload)
+	return writeFrame(s, t, payload)
 }
 
 // sendCorrupt writes a result-typed frame whose CRC footer is
@@ -107,10 +112,7 @@ func (s *sender) sendCorrupt() {
 	for i := len(frame) - 4; i < len(frame); i++ {
 		frame[i] ^= 0xff
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//lint:allow locks -- s.mu is the frame-write serialization mutex; holding it across exactly one frame write is its entire purpose
-	_, _ = s.conn.Write(frame)
+	_, _ = s.Write(frame)
 }
 
 // workerState is the job a worker serves — its catalog and key, as its

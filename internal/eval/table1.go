@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-
-	"repro/internal/stitch"
 )
 
 // Table1Row summarises one configuration of the experiment space — the
@@ -108,8 +106,9 @@ type Fig6Row struct {
 }
 
 // Fig6 reproduces Figure 6 numerically: for each sub-ensemble density it
-// generates the PF-partition, stitches both ways, and reports cell
-// densities relative to conventional sampling at the same budget.
+// generates the PF-partition, counts the join and zero-join cells, and
+// reports cell densities relative to conventional sampling at the same
+// budget.
 func Fig6(ctx context.Context, base Config, freeFracs []float64) ([]Fig6Row, error) {
 	if len(freeFracs) == 0 {
 		freeFracs = []float64{1.0, 0.5, 0.25}
@@ -128,8 +127,8 @@ func Fig6(ctx context.Context, base Config, freeFracs []float64) ([]Fig6Row, err
 		// (time fiber) per simulation.
 		raw := float64(part.NumSims*space.TimeSamples) / full
 		union := float64(UnionTensor(part).NNZ()) / full
-		join := float64(stitch.Join(part).NNZ()) / full
-		zero := float64(stitch.ZeroJoin(part).NNZ()) / full
+		join := float64(part.JoinCells(false)) / full
+		zero := float64(part.JoinCells(true)) / full
 		rows = append(rows, Fig6Row{
 			FreeFrac:         frac,
 			RawDensity:       raw,

@@ -19,7 +19,7 @@ import (
 //     feed gauges, never values, and those reads are confined to
 //     annotated sites (conventionally obs.go files).
 //
-// The hash-only tier (util.go's hashOnlyPkgs: tensor, tucker, core,
+// The hash-only tier (util.go's kernelPkgs: tensor, tucker, core,
 // stitch, parallel) goes further: importing math/rand at all is banned
 // there. Those packages fan per-entry loops out over arbitrary worker
 // counts, so even an explicit seeded *rand.Rand — whose draws depend on
@@ -53,10 +53,10 @@ var randConstructors = map[string]bool{
 }
 
 func runDeterminism(p *Pass) {
-	if !isDeterministicPkg(p.Pkg.Path) {
+	kernel, hashOnly := kernelPkg(p.Pkg.Path)
+	if !kernel {
 		return
 	}
-	hashOnly := isHashOnlyPkg(p.Pkg.Path)
 	for _, file := range p.Pkg.Files {
 		if hashOnly {
 			for _, imp := range file.Imports {

@@ -45,24 +45,6 @@ func TestQuarantineGolden(t *testing.T) {
 	linttest.Run(t, "quarantine", lint.Quarantine)
 }
 
-func TestLocksGolden(t *testing.T) {
-	// The sub-path's final element is "serve", opting the golden package
-	// into the lock-discipline suffix rule.
-	linttest.Run(t, "locks/serve", lint.Locks)
-}
-
-func TestGoroLeakGolden(t *testing.T) {
-	linttest.Run(t, "goroleak", lint.GoroLeak)
-}
-
-func TestWireCompatAPIGolden(t *testing.T) {
-	linttest.Run(t, "wirecompat/api", lint.WireCompat)
-}
-
-func TestWireCompatServeGolden(t *testing.T) {
-	linttest.Run(t, "wirecompat/serve", lint.WireCompat)
-}
-
 func TestAtomicStoreGolden(t *testing.T) {
 	linttest.Run(t, "atomicstore", lint.AtomicStore)
 }

@@ -1,10 +1,9 @@
 // Package lint is m2tdlint: a suite of custom static analyzers encoding
 // this repository's correctness invariants — determinism of the kernel
 // packages, context propagation, obs span hygiene, floating-point
-// comparison discipline, tensor quarantine safety, and (since the
-// serving/distributed layers landed) lock discipline, goroutine
-// lifecycles, the typed wire contract, atomic artifact persistence, and
-// metric-name hygiene.
+// comparison discipline, tensor quarantine safety, atomic artifact
+// persistence, and metric-name hygiene. Each rule is one a test cannot
+// see: a finding is a property of the source, not of any run.
 //
 // The suite is intentionally built on the standard library alone
 // (go/ast, go/types, and `go list -export` for dependency export data)
@@ -19,8 +18,8 @@
 //
 // (written as a //-comment; see allow.go). A directive without a reason,
 // or naming an unknown analyzer, is itself a diagnostic, so the tree can
-// never accumulate unexplained escapes. DESIGN.md §8 documents every
-// rule, its rationale, and the suppression policy.
+// never accumulate unexplained escapes. DESIGN.md §8 is the rule table
+// and the suppression policy.
 package lint
 
 import (
@@ -52,9 +51,6 @@ var All = []*Analyzer{
 	Spans,
 	FloatCmp,
 	Quarantine,
-	Locks,
-	GoroLeak,
-	WireCompat,
 	AtomicStore,
 	MetricHygiene,
 }
@@ -70,30 +66,11 @@ func ByName(name string) *Analyzer {
 }
 
 // Diagnostic is one finding: a position, the analyzer that produced it,
-// and a human-readable message. Fix, when non-nil, carries a textual
-// edit that removes the finding (`m2tdlint -fix` applies it).
+// and a human-readable message.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fix      *SuggestedFix
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. Pos == End
-// is a pure insertion.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// SuggestedFix is a set of edits that, applied together, resolve one
-// diagnostic. Mirrors analysis.SuggestedFix: edits are textual, so the
-// fixed tree must be re-parsed and re-verified (the -fix flag reruns the
-// suite after applying).
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
 }
 
 // String renders the conventional file:line:col: [analyzer] message form.
@@ -109,8 +86,6 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed non-test Go files.
 	Files []*ast.File
-	// Types is the type-checked package.
-	Types *types.Package
 	// Info carries the type-checker's fact tables for Files.
 	Info *types.Info
 
@@ -130,11 +105,6 @@ type Pass struct {
 // Reportf records a diagnostic at pos unless a justified
 // //lint:allow directive covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFixf(pos, nil, format, args...)
-}
-
-// ReportFixf is Reportf carrying a suggested fix.
-func (p *Pass) ReportFixf(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	if p.Pkg.allowed(p.Analyzer.Name, position) {
 		return
@@ -143,7 +113,6 @@ func (p *Pass) ReportFixf(pos token.Pos, fix *SuggestedFix, format string, args 
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 

@@ -137,15 +137,13 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Packa
 		Implicits:  make(map[ast.Node]types.Object),
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(lp.ImportPath, fset, files, info); err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 	}
 	return &Package{
 		Path:   lp.ImportPath,
 		Fset:   fset,
 		Files:  files,
-		Types:  tpkg,
 		Info:   info,
 		allows: allows,
 	}, nil

@@ -12,7 +12,7 @@ import (
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
 		"determinism", "ctxprop", "spans", "floatcmp", "quarantine",
-		"locks", "goroleak", "wirecompat", "atomicstore", "metrichygiene",
+		"atomicstore", "metrichygiene",
 	}
 	if len(lint.All) != len(want) {
 		t.Fatalf("lint.All has %d analyzers, want %d", len(lint.All), len(want))

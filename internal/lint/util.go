@@ -8,56 +8,38 @@ import (
 
 // ---- package classification ----------------------------------------------
 
-// deterministicPkgs are the base names of the kernel packages whose
-// results must be bit-identical at any worker count (DESIGN.md §8). A
-// package qualifies when its import path contains an "internal/" element
-// and its final element is in this set — the suffix rule lets the golden
-// testdata packages under internal/lint/testdata/src/ opt in by name.
-var deterministicPkgs = map[string]bool{
-	"tensor":   true,
-	"mat":      true,
-	"tucker":   true,
-	"core":     true,
-	"stitch":   true,
-	"parallel": true,
-	"ensemble": true,
-	"dist":     true,
-}
-
-// isDeterministicPkg reports whether the import path names one of the
-// bit-stable kernel packages.
-func isDeterministicPkg(path string) bool {
-	if !strings.Contains(path, "internal/") {
-		return false
-	}
-	return deterministicPkgs[path[strings.LastIndex(path, "/")+1:]]
-}
-
-// hashOnlyPkgs is the stricter tier within deterministicPkgs: packages
-// whose randomness must be COUNTER-BASED — a pure hash of seed + index
-// (the internal/faults discipline, adopted by tucker.Sketch) — because
-// their kernels fan entry loops out over arbitrary worker counts. Even an
-// explicit seeded *rand.Rand is banned there: its stateful consumption
-// order couples every draw to the traversal order, which is exactly what
-// the bit-stability contract forbids. The math/rand import itself is the
-// violation. mat and ensemble stay in the seeded tier — their generators
-// are threaded explicitly and consumed serially (sampling plans, test
-// fixtures), which the determinism contract permits.
-var hashOnlyPkgs = map[string]bool{
+// kernelPkgs are the base names of the kernel packages whose results
+// must be bit-identical at any worker count (DESIGN.md §8). A package
+// qualifies when its import path contains an "internal/" element and its
+// final element is a key here — the suffix rule lets the golden testdata
+// packages under internal/lint/testdata/src/ opt in by name.
+//
+// The value marks the stricter hash-only tier: packages whose kernels fan
+// entry loops out over arbitrary worker counts, so randomness there must
+// be a counter-based hash of seed + index and even an explicit seeded
+// *rand.Rand (whose draws follow traversal order) is banned — the
+// math/rand import itself is the violation. mat, ensemble and dist stay in
+// the seeded tier: their generators are threaded explicitly and consumed
+// serially, which the determinism contract permits.
+var kernelPkgs = map[string]bool{
 	"tensor":   true,
 	"tucker":   true,
 	"core":     true,
 	"stitch":   true,
 	"parallel": true,
+	"mat":      false,
+	"ensemble": false,
+	"dist":     false,
 }
 
-// isHashOnlyPkg reports whether the import path names one of the
-// hash-only kernel packages (same suffix rule as isDeterministicPkg).
-func isHashOnlyPkg(path string) bool {
+// kernelPkg classifies an import path: kernel reports a bit-stable kernel
+// package, hashOnly its hash-only tier.
+func kernelPkg(path string) (kernel, hashOnly bool) {
 	if !strings.Contains(path, "internal/") {
-		return false
+		return false, false
 	}
-	return hashOnlyPkgs[path[strings.LastIndex(path, "/")+1:]]
+	hashOnly, kernel = kernelPkgs[pathBase(path)]
+	return kernel, hashOnly
 }
 
 // isToolPkg reports whether the import path is a command or example —
@@ -72,7 +54,7 @@ func isToolPkg(path string) bool {
 // itself (whose methods implement the quarantine and may touch backing
 // slices freely).
 func isTensorPkg(path string) bool {
-	return strings.HasSuffix(path, "internal/tensor") || path == "repro/internal/tensor"
+	return strings.HasSuffix(path, "internal/tensor")
 }
 
 // pathBase is the final import-path element — the hook every suffix rule
@@ -81,34 +63,6 @@ func isTensorPkg(path string) bool {
 func pathBase(path string) string {
 	return path[strings.LastIndex(path, "/")+1:]
 }
-
-// lockDisciplinePkgs are the concurrency-heavy serving/distributed
-// packages the locks analyzer polices: the admission pipeline's server
-// mutex and the lease engine's roster/frame mutexes must never be held
-// across a blocking operation or leak past a return path.
-var lockDisciplinePkgs = map[string]bool{
-	"serve":   true,
-	"distnet": true,
-}
-
-// isLockDisciplinePkg reports whether the import path names one of the
-// lock-disciplined packages (suffix rule, like isDeterministicPkg).
-func isLockDisciplinePkg(path string) bool {
-	if !strings.Contains(path, "internal/") {
-		return false
-	}
-	return lockDisciplinePkgs[pathBase(path)]
-}
-
-// isAPIPkg reports whether the import path's final element is "api" —
-// the wire-contract package(s) wirecompat polices for json-tag and
-// error-code completeness.
-func isAPIPkg(path string) bool { return pathBase(path) == "api" }
-
-// isServePkg reports whether the import path's final element is "serve"
-// — the HTTP handler package whose error paths must use the typed
-// envelope.
-func isServePkg(path string) bool { return pathBase(path) == "serve" }
 
 // isStorePkg reports whether the import path names the sanctioned
 // durable-store implementation, the one place direct os file mutation is
@@ -192,14 +146,7 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 }
 
 // isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	n := namedOf(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
+func isContextType(t types.Type) bool { return isNamedType(t, "context", "Context") }
 
 // isFloatType reports whether t's core type is a floating-point basic
 // type (incl. untyped float).

@@ -50,6 +50,8 @@ func (k *KeyedHistogram) WithKey(key string) *Histogram {
 
 // SanitizeKey maps a free-form key (a tenant identity, a phase label)
 // onto Prometheus metric-name characters; the empty key becomes "anon".
+// On [A-Za-z0-9_-] the map is one-to-one ('-' becomes ':'); any other
+// character folds to '_'.
 func SanitizeKey(key string) string {
 	if key == "" {
 		return "anon"
@@ -59,6 +61,8 @@ func SanitizeKey(key string) string {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
 			b.WriteRune(r)
+		case r == '-':
+			b.WriteByte(':')
 		default:
 			b.WriteByte('_')
 		}

@@ -30,6 +30,8 @@ func FuzzSubmitBody(f *testing.F) {
 		`{"campaign":{"distributed":{"workers":65}}}`,
 		`{"campaign":{"distributed":{"shards":-1}}}`,
 		`{"campaign":{"resolution":257}}`,
+		`{"campaign":{"time_samples":257}}`,
+		`{"campaign":{"accuracy_sample_sims":65537}}`,
 		`{"campaign":{"resolution":-1,"rank":-2}}`,
 		`{"campaign":{"pivot_density":1.5}}`,
 		`{"campaign":{"method":"bogus"}}`,
@@ -71,11 +73,11 @@ func checkBuilt(cfg m2td.Config) error {
 	}
 	d := cfg.Distributed
 	switch {
-	case cfg.Resolution < 0 || cfg.Resolution > 256 || cfg.TimeSamples < 0 || cfg.Rank < 0:
+	case cfg.Resolution < 0 || cfg.Resolution > 256 || cfg.TimeSamples < 0 || cfg.TimeSamples > 256 || cfg.Rank < 0:
 		return fmt.Errorf("sizes out of range")
 	case !(cfg.PivotDensity >= 0 && cfg.PivotDensity <= 1 && cfg.SubEnsembleDensity >= 0 && cfg.SubEnsembleDensity <= 1):
 		return fmt.Errorf("densities outside [0, 1]")
-	case cfg.SkipAccuracy == (cfg.AccuracySampleSims > 0) || cfg.AccuracySampleSims < 0:
+	case cfg.SkipAccuracy == (cfg.AccuracySampleSims > 0) || cfg.AccuracySampleSims < 0 || cfg.AccuracySampleSims > 65536:
 		return fmt.Errorf("accuracy neither skipped nor sampled")
 	case d != nil && (d.Workers < 1 || d.Workers > 64 || d.Shards < 0 || d.Shards > 1024 || d.KillWorkers != 0 || d.WorkDir != ""):
 		return fmt.Errorf("distributed spec out of range")

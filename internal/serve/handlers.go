@@ -37,17 +37,34 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// instrument wraps the mux with the latency histograms.
+// instrument wraps the mux with the latency histograms. A request counts
+// toward a tenant's series only once that tenant has had a submission
+// admitted.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		next.ServeHTTP(w, r)
 		elapsed := time.Since(start).Seconds()
 		s.metrics.requestSeconds.Observe(elapsed)
-		if tenant := r.Header.Get(api.TenantHeader); tenant != "" {
+		tenant := r.Header.Get(api.TenantHeader)
+		if _, ok := s.admitted.Load(tenant); ok {
 			s.metrics.tenantRequestSeconds.WithKey(tenant).Observe(elapsed)
 		}
 	})
+}
+
+// validTenant reports whether name is 1-64 of [A-Za-z0-9_-]: the alphabet
+// obs.SanitizeKey maps one-to-one, so two tenants never share a series.
+func validTenant(name string) bool {
+	if len(name) == 0 || len(name) > 64 {
+		return false
+	}
+	for _, c := range []byte(name) {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // writeJSON writes a 200 with a JSON body.
@@ -59,8 +76,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // writeErr writes the typed error envelope with its mapped status. The
-// code→status mapping lives in the api package (api.HTTPStatus), where
-// wirecompat keeps it exhaustive — the server adds nothing to it.
+// code→status table lives in the api package (api.HTTPStatus); the server
+// adds nothing to it.
 func writeErr(w http.ResponseWriter, e *api.Error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(api.HTTPStatus(e.Code))
@@ -103,11 +120,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "anon"
 	}
+	if !validTenant(tenant) {
+		writeErr(w, &api.Error{Code: api.CodeInvalidRequest, Message: "tenant must be 1-64 of [A-Za-z0-9_-]"})
+		return
+	}
 	resp, apiErr := s.submit(tenant, req.Priority, cfg, req.Campaign.TimeoutMS)
 	if apiErr != nil {
 		writeErr(w, apiErr)
 		return
 	}
+	s.admitted.LoadOrStore(tenant, struct{}{})
+	s.metrics.tenantSubmits.WithKey(tenant).Inc()
 	writeJSON(w, resp)
 }
 

@@ -67,7 +67,7 @@ func newMetrics(reg *obs.Registry, s *Server) *metrics {
 		requestSeconds: reg.Histogram("m2td_serve_request_seconds", "HTTP request latency", latencyBounds),
 		jobSeconds:     reg.Histogram("m2td_serve_job_seconds", "submit-to-done campaign latency", latencyBounds),
 
-		tenantSubmits:        reg.KeyedCounter(tenantSubmitsBase, "per-tenant submits"),
+		tenantSubmits:        reg.KeyedCounter(tenantSubmitsBase, "per-tenant admitted submissions"),
 		tenantCacheHits:      reg.KeyedCounter(tenantCacheHitsBase, "per-tenant cache hits"),
 		tenantRequestSeconds: reg.KeyedHistogram(tenantRequestSecondsBase, "per-tenant HTTP request latency", latencyBounds),
 	}

@@ -143,8 +143,12 @@ type Server struct {
 	// ensemble into its catalog; simsReady holds the sim hashes whose
 	// catalog this process has seen a job leave complete. Together they are
 	// the one-producer rule (see nextLocked): neither holds simulation data.
-	producing  map[string]*job
-	simsReady  map[string]bool
+	producing map[string]*job
+	simsReady map[string]bool
+	// admitted holds the tenant names that have had a submission admitted:
+	// the only tenants instrument gives a latency series, so request
+	// headers alone cannot grow the registry.
+	admitted   sync.Map
 	queue      jobQueue
 	cache      *lruCache
 	tenantLoad map[string]int
@@ -329,56 +333,26 @@ func fingerprintHash(fp string) string {
 }
 
 // submit is the admission path: coalesce → cache → store → quota/queue.
-// It returns the response or a typed error.
+// It returns the response or a typed error. The lock is taken twice, each
+// time released by a defer: the store probe between is disk I/O.
 func (s *Server) submit(tenant string, priority int, cfg m2td.Config, timeoutMS int64) (*api.SubmitResponse, *api.Error) {
 	fp := cfg.Fingerprint()
 	hash := fingerprintHash(fp)
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, &api.Error{Code: api.CodeShuttingDown, Message: "server is draining"}
+	if resp, apiErr := s.admit(tenant, fp); resp != nil || apiErr != nil {
+		return resp, apiErr
 	}
-	s.metrics.submits.Inc()
-	s.metrics.tenantSubmits.WithKey(tenant).Inc()
-
-	// In-flight dedupe: identical campaign already queued or running.
-	if j := s.inflight[fp]; j != nil {
-		j.waiters++
-		s.metrics.coalesced.Inc()
-		resp := &api.SubmitResponse{JobID: j.id, State: j.state, Fingerprint: fp, Coalesced: true}
-		s.mu.Unlock()
-		return resp, nil
-	}
-
-	// LRU cache in front of the store.
-	if e := s.cache.get(fp); e != nil {
-		s.metrics.cacheHits.Inc()
-		s.metrics.tenantCacheHits.WithKey(tenant).Inc()
-		resp := &api.SubmitResponse{JobID: e.jobID, State: api.StateDone, Fingerprint: fp, CacheHit: true}
-		s.mu.Unlock()
-		return resp, nil
-	}
-	s.metrics.cacheMisses.Inc()
-	s.mu.Unlock()
 
 	// Durable store behind the cache: a prior process may have finished
-	// this campaign. Probed outside the lock (disk I/O).
-	if info, ok := s.loadHeader(hash); ok {
-		s.mu.Lock()
-		// Re-check under the lock: a concurrent submit may have raced us.
-		if j := s.inflight[fp]; j != nil {
-			j.waiters++
-			s.metrics.coalesced.Inc()
-			resp := &api.SubmitResponse{JobID: j.id, State: j.state, Fingerprint: fp, Coalesced: true}
-			s.mu.Unlock()
-			return resp, nil
-		}
-		if e := s.cache.get(fp); e != nil {
-			resp := &api.SubmitResponse{JobID: e.jobID, State: api.StateDone, Fingerprint: fp, CacheHit: true}
-			s.mu.Unlock()
-			return resp, nil
-		}
+	// this campaign.
+	info, stored := s.loadHeader(hash)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Re-check under the lock: a concurrent submit may have raced us.
+	if resp := s.absorbLocked(tenant, fp); resp != nil {
+		return resp, nil
+	}
+	if stored {
 		j := s.newJobLocked(tenant, fp, hash, priority, cfg, timeoutMS)
 		j.state = api.StateDone
 		j.finishedAt = j.submittedAt
@@ -386,18 +360,7 @@ func (s *Server) submit(tenant string, priority int, cfg m2td.Config, timeoutMS 
 		close(j.done)
 		s.cache.put(fp, &cacheEntry{jobID: j.id, info: info})
 		s.metrics.storeHits.Inc()
-		resp := &api.SubmitResponse{JobID: j.id, State: api.StateDone, Fingerprint: fp, StoreHit: true}
-		s.mu.Unlock()
-		return resp, nil
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Same race re-check before enqueueing new work.
-	if j := s.inflight[fp]; j != nil {
-		j.waiters++
-		s.metrics.coalesced.Inc()
-		return &api.SubmitResponse{JobID: j.id, State: j.state, Fingerprint: fp, Coalesced: true}, nil
+		return &api.SubmitResponse{JobID: j.id, State: api.StateDone, Fingerprint: fp, StoreHit: true}, nil
 	}
 	if s.draining {
 		return nil, &api.Error{Code: api.CodeShuttingDown, Message: "server is draining"}
@@ -422,6 +385,39 @@ func (s *Server) submit(tenant string, priority int, cfg m2td.Config, timeoutMS 
 	s.queue.push(j)
 	s.signal()
 	return &api.SubmitResponse{JobID: j.id, State: api.StateQueued, Fingerprint: fp}, nil
+}
+
+// admit opens a submission: a draining server refuses it, and in-flight
+// work or the LRU absorbs it. (nil, nil) means neither did.
+func (s *Server) admit(tenant, fp string) (*api.SubmitResponse, *api.Error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return nil, &api.Error{Code: api.CodeShuttingDown, Message: "server is draining"}
+	}
+	s.metrics.submits.Inc()
+	if resp := s.absorbLocked(tenant, fp); resp != nil {
+		return resp, nil
+	}
+	s.metrics.cacheMisses.Inc()
+	return nil, nil
+}
+
+// absorbLocked answers a submission from an identical queued or running
+// job, or else from the LRU, and counts the answer (s.mu held). It returns
+// nil when neither holds the campaign.
+func (s *Server) absorbLocked(tenant, fp string) *api.SubmitResponse {
+	if j := s.inflight[fp]; j != nil {
+		j.waiters++
+		s.metrics.coalesced.Inc()
+		return &api.SubmitResponse{JobID: j.id, State: j.state, Fingerprint: fp, Coalesced: true}
+	}
+	if e := s.cache.get(fp); e != nil {
+		s.metrics.cacheHits.Inc()
+		s.metrics.tenantCacheHits.WithKey(tenant).Inc()
+		return &api.SubmitResponse{JobID: e.jobID, State: api.StateDone, Fingerprint: fp, CacheHit: true}
+	}
+	return nil
 }
 
 // newJobLocked allocates and registers a job record (s.mu held).
@@ -477,8 +473,15 @@ func (s *Server) buildConfig(spec api.CampaignSpec) (m2td.Config, error) {
 		}
 		cfg.Method = method
 	}
+	// Resolution, time samples and sampled fibres each size an allocation.
 	if spec.Resolution < 0 || spec.Resolution > 256 {
 		return m2td.Config{}, fmt.Errorf("resolution %d outside [0, 256]", spec.Resolution)
+	}
+	if spec.TimeSamples > 256 {
+		return m2td.Config{}, fmt.Errorf("time_samples %d outside [0, 256]", spec.TimeSamples)
+	}
+	if spec.AccuracySampleSims > 65536 {
+		return m2td.Config{}, fmt.Errorf("accuracy_sample_sims %d outside [0, 65536]", spec.AccuracySampleSims)
 	}
 	if spec.TimeSamples < 0 || spec.Rank < 0 || spec.AccuracySampleSims < 0 || spec.TimeoutMS < 0 {
 		return m2td.Config{}, fmt.Errorf("negative sizes are invalid")

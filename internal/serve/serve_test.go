@@ -148,14 +148,22 @@ func TestMalformedAndInvalidSubmissions(t *testing.T) {
 
 	// Unknown system and out-of-range knobs → typed invalid_request.
 	for name, spec := range map[string]api.CampaignSpec{
-		"system":  {System: "no-such-system"},
-		"method":  {Method: "no-such-method"},
-		"density": {PivotDensity: 2},
+		"system":               {System: "no-such-system"},
+		"method":               {Method: "no-such-method"},
+		"density":              {PivotDensity: 2},
+		"time_samples":         {TimeSamples: 257},
+		"accuracy_sample_sims": {AccuracySampleSims: 65537},
 	} {
 		_, err := c.Submit(ctx, api.SubmitRequest{Campaign: spec})
 		var apiErr *api.Error
 		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeInvalidRequest {
 			t.Fatalf("%s: err %v, want invalid_request", name, err)
+		}
+	}
+	// A tenant name is 1-64 of [A-Za-z0-9_-], or the submission is invalid.
+	for _, tenant := range []string{"a.b", "team a", "ü", strings.Repeat("t", 65)} {
+		if _, err := c.Submit(ctx, api.SubmitRequest{Tenant: tenant, Campaign: tinySpec()}); !isCode(err, api.CodeInvalidRequest) {
+			t.Fatalf("tenant %q: err %v, want invalid_request", tenant, err)
 		}
 	}
 

@@ -112,7 +112,7 @@ type Config struct {
 	// Factored selects nothing: every run is join-free
 	// (core.DecomposeFactored). The field stays, exclusive with Workers and
 	// Distributed and part of Fingerprint, until the frozen cmd/m2tdperf that
-	// sets it is re-based (ROADMAP item 1).
+	// sets it is re-based (ROADMAP, "Re-base the benchmark spine").
 	Factored bool
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
