@@ -11,9 +11,9 @@
 // sharing that cell's matricization column. The tracker therefore keeps
 // per-mode column indexes and applies exact O(column-size) Gram updates
 // per appended cell; factors are re-extracted from the maintained Grams
-// only when a decomposition is requested. Core recovery still requires the
-// join tensor (the dominant cost in the paper's measurements too) and is
-// performed on demand.
+// only when a decomposition is requested, and the core is projected from
+// the current cells by the join-free kernel (core.ProjectShard,
+// core.FactoredCore) without building the join tensor.
 package increment
 
 import (
@@ -25,7 +25,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/stitch"
 	"repro/internal/tensor"
-	"repro/internal/tucker"
 )
 
 // colEntry is one stored cell of a matricization column.
@@ -126,21 +125,29 @@ func (t *Tracker) state(sub int) (*subState, error) {
 	return nil, fmt.Errorf("increment: sub-ensemble %d (want 1 or 2)", sub)
 }
 
-// snapshot packages the current cells as a partition.Result for stitching.
+// snapshot packages the current cells as a partition.Result: a cell
+// appended at an index already stored adds to it, as it does in the Grams,
+// and there are no configuration lists — appends outgrow them — so the
+// join-free kernel sums every pivot group from its cells.
 func (t *Tracker) snapshot() *partition.Result {
 	k := len(t.cfg.Pivots)
+	cells := func(st *subState) *tensor.Sparse {
+		x := st.tensor.Clone()
+		x.Dedup(tensor.SumDuplicates)
+		return x
+	}
 	return &partition.Result{
 		Space:  t.space,
 		Config: t.cfg,
 		Sub1: &partition.SubEnsemble{
 			Modes:     t.sub1.modes,
 			NumPivots: k,
-			Tensor:    t.sub1.tensor,
+			Tensor:    cells(t.sub1),
 		},
 		Sub2: &partition.SubEnsemble{
 			Modes:     t.sub2.modes,
 			NumPivots: k,
-			Tensor:    t.sub2.tensor,
+			Tensor:    cells(t.sub2),
 		},
 	}
 }
@@ -148,7 +155,7 @@ func (t *Tracker) snapshot() *partition.Result {
 // Decompose produces the current M2TD decomposition: pivot factors are
 // fused from the incrementally maintained Grams (no cell re-scan), free
 // factors come from the owning sub-ensemble's Grams, and the core is
-// recovered through a fresh JE-stitch of the current cells.
+// projected from the current cells without building the join.
 func (t *Tracker) Decompose(opts core.Options) (*core.Result, error) {
 	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, t.space.Shape())
 	if err != nil {
@@ -173,12 +180,7 @@ func (t *Tracker) Decompose(opts core.Options) (*core.Result, error) {
 	}
 
 	p := t.snapshot()
-	var j *tensor.Sparse
-	if opts.ZeroJoin {
-		j = stitch.ZeroJoin(p)
-	} else {
-		j = stitch.Join(p)
-	}
-	coreT := tucker.CoreFromFactors(j, factors)
-	return &core.Result{Factors: factors, Core: coreT, Join: j}, nil
+	part := core.ProjectShard(stitch.NewSpec(p, opts.ZeroJoin), core.SampledOf(p), p.Sub1.Tensor, p.Sub2.Tensor, factors, 0, 1, opts.Workers)
+	coreT, total := core.FactoredCore(p, opts.ZeroJoin, factors, []core.Partial{part}, opts.Span)
+	return &core.Result{Factors: factors, Core: coreT, Rejected: total.Rejected}, nil
 }

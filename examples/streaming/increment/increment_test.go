@@ -65,26 +65,53 @@ func TestDecomposeMatchesBatchM2TD(t *testing.T) {
 	p := partial(t, 1, 173)
 	tr := New(p)
 	ranks := tucker.UniformRanks(5, 3)
-	for _, m := range core.Methods() {
-		inc, err := tr.Decompose(core.Options{Method: m, Ranks: ranks})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		batch, err := core.DecomposeCtx(context.Background(), p, core.Options{Method: m, Ranks: ranks})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inc.Join.NNZ() != batch.Join.NNZ() {
-			t.Fatalf("%s: join sizes differ", m)
-		}
-		if !inc.Core.Equal(batch.Core, 1e-8) {
-			t.Fatalf("%s: incremental core differs from batch", m)
-		}
-		for mode := range inc.Factors {
-			if !inc.Factors[mode].Equal(batch.Factors[mode], 1e-8) {
-				t.Fatalf("%s: factor %d differs from batch", m, mode)
+	for _, zero := range []bool{false, true} {
+		for _, m := range core.Methods() {
+			opts := core.Options{Method: m, Ranks: ranks, ZeroJoin: zero}
+			inc, err := tr.Decompose(opts)
+			if err != nil {
+				t.Fatalf("%s: %v", m, err)
+			}
+			batch, err := core.DecomposeFactored(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !inc.Core.Equal(batch.Core, 1e-8) {
+				t.Fatalf("%s zero=%v: incremental core differs from batch", m, zero)
+			}
+			for mode := range inc.Factors {
+				if !inc.Factors[mode].Equal(batch.Factors[mode], 1e-8) {
+					t.Fatalf("%s zero=%v: factor %d differs from batch", m, zero, mode)
+				}
 			}
 		}
+	}
+}
+
+// TestAppendAtStoredIndexAdds: a cell appended where one is stored adds to
+// it, in the core as in the Grams — the decomposition is the batch one of
+// the summed ensemble.
+func TestAppendAtStoredIndexAdds(t *testing.T) {
+	p := partial(t, 1, 177)
+	tr := New(p)
+	idx := p.Sub1.Tensor.Idx[:p.Sub1.Tensor.Order()]
+	if err := tr.AppendCell(1, idx, p.Sub1.Tensor.Vals[0]); err != nil {
+		t.Fatal(err)
+	}
+	summed := *p
+	summed.Sub1 = &partition.SubEnsemble{Modes: p.Sub1.Modes, NumPivots: p.Sub1.NumPivots, Tensor: p.Sub1.Tensor.Clone()}
+	summed.Sub1.Tensor.Vals[0] *= 2
+	opts := core.Options{Method: core.CONCAT, Ranks: tucker.UniformRanks(5, 3)}
+	inc, err := tr.Decompose(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := core.DecomposeFactored(&summed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inc.Core.Equal(batch.Core, 1e-8) {
+		t.Fatal("core of a duplicated cell differs from the batch core of the summed ensemble")
 	}
 }
 

@@ -39,20 +39,17 @@ import (
 // One precondition: no index is stored twice in a sub-tensor (and cells sit
 // at listed configurations, where there are lists) — every
 // partition.GenerateCtx output. What still builds J is what wants J's
-// cells: stitch.Join, examples/streaming/increment, and the oracle
-// DecomposeCtx, which at opts.Shards > 1 is the paper's Algorithm 6. The
-// Result has Join == nil; opts.Span is marked factored = 1 and holey_groups,
-// the pivot groups that left the Gram-sized path.
+// cells: stitch.Join, and the oracle DecomposeCtx, which at opts.Shards > 1
+// is the paper's Algorithm 6. The Result has Join == nil; opts.Span is
+// marked factored = 1 and holey_groups, the pivot groups that left the
+// Gram-sized path.
 func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	ranks, err := CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
 		return nil, err
 	}
-	subClock := obs.StartStopwatch()
 	factors := factorsPhase(p, opts, ranks, opts.Span.Start("factors"))
-	subTime := subClock.Elapsed()
 
-	coreClock := obs.StartStopwatch()
 	cspan := opts.Span.Start("core")
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
 	// Phase 3: one ProjectShard per shard — at one shard every cell of both
@@ -67,15 +64,7 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	cspan.Set("factored", 1)
 	cspan.Set("holey_groups", int64(total.Holey))
 	cdone()
-	coreTime := coreClock.Elapsed()
-
-	return &Result{
-		Factors:       factors,
-		Core:          coreT,
-		Rejected:      total.Rejected,
-		SubDecompTime: subTime,
-		CoreTime:      coreTime,
-	}, nil
+	return &Result{Factors: factors, Core: coreT, Rejected: total.Rejected}, nil
 }
 
 // Sampled is the size of the grid a partition was sampled on — what the

@@ -30,7 +30,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -100,11 +99,6 @@ type Result struct {
 	// Rejected counts the non-finite sub-tensor cells the join-free route
 	// skipped as holes (Partial.Rejected); a stitched Join counts its own.
 	Rejected int
-
-	// Phase timings (the serial analogue of D-M2TD's three phases).
-	SubDecompTime time.Duration
-	StitchTime    time.Duration
-	CoreTime      time.Duration
 }
 
 // Reconstruct expands the decomposition to the full tensor space:
@@ -152,16 +146,13 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 
 	// Phase 1: decompose the two low-order sub-tensors. Only the factor
 	// matrices are needed; Gram matrices are retained for CONCAT fusion.
-	subClock := obs.StartStopwatch()
 	factors := factorsPhase(p, opts, ranks, opts.Span.Start("factors"))
-	subTime := subClock.Elapsed()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Phase 2: JE-stitching, one task per shard.
-	stitchClock := obs.StartStopwatch()
 	sspan := opts.Span.Start("stitch")
 	sdone := sspan.WithVitals(nil)
 	spec, shards := stitch.NewSpec(p, opts.ZeroJoin), max(opts.Shards, 1)
@@ -173,7 +164,6 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	}
 	sspan.Set("join_nnz", int64(j.NNZ()))
 	sdone()
-	stitchTime := stitchClock.Elapsed()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -182,7 +172,6 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	// Phase 3: recover the core through the assembled factors, one
 	// projection per shard, summed in ascending shard order — the fixed
 	// order keeps the float sum bitwise stable.
-	coreClock := obs.StartStopwatch()
 	cspan := opts.Span.Start("core")
 	cdone := cspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
 	partials := make([]*tensor.Dense, shards)
@@ -193,16 +182,7 @@ func DecomposeCtx(ctx context.Context, p *partition.Result, opts Options) (*Resu
 	}
 	cspan.Set("cells", int64(len(coreT.Data)))
 	cdone()
-	coreTime := coreClock.Elapsed()
-
-	return &Result{
-		Factors:       factors,
-		Core:          coreT,
-		Join:          j,
-		SubDecompTime: subTime,
-		StitchTime:    stitchTime,
-		CoreTime:      coreTime,
-	}, nil
+	return &Result{Factors: factors, Core: coreT, Join: j}, nil
 }
 
 // eachShard runs task once per shard on up to workers goroutines, handing

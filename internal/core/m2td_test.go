@@ -10,6 +10,7 @@ import (
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
 	"repro/internal/mat"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/stitch"
 	"repro/internal/tensor"
@@ -236,14 +237,35 @@ func TestDecomposeCoreMatchesManualProjection(t *testing.T) {
 	}
 }
 
+// TestDecomposeTimingsPopulated: the phase split is the span tree's — core
+// keeps no clock of its own. DecomposeCtx times factors, stitch and core;
+// the join-free kernel opens no stitch span.
 func TestDecomposeTimingsPopulated(t *testing.T) {
 	p := tinyPartition(t, 1, 117)
-	res, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SubDecompTime < 0 || res.StitchTime <= 0 || res.CoreTime <= 0 {
-		t.Fatalf("timings: %v %v %v", res.SubDecompTime, res.StitchTime, res.CoreTime)
+	opts := Options{Method: SELECT, Ranks: tucker.UniformRanks(5, 2)}
+	for _, tc := range []struct {
+		name   string
+		run    func(Options) error
+		phases []string
+	}{
+		{"DecomposeCtx", func(o Options) error { _, err := DecomposeCtx(context.Background(), p, o); return err }, []string{"factors", "stitch", "core"}},
+		{"DecomposeFactored", func(o Options) error { _, err := DecomposeFactored(p, o); return err }, []string{"factors", "core"}},
+	} {
+		root := obs.New(tc.name).Root()
+		opts.Span = root
+		if err := tc.run(opts); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, c := range root.Children() {
+			if c.Duration() <= 0 {
+				t.Errorf("%s: phase %q took %v", tc.name, c.Name(), c.Duration())
+			}
+			names = append(names, c.Name())
+		}
+		if fmt.Sprint(names) != fmt.Sprint(tc.phases) {
+			t.Errorf("%s: phase spans %v, want %v", tc.name, names, tc.phases)
+		}
 	}
 }
 

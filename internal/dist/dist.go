@@ -2,7 +2,7 @@
 // the name the frozen benchmark driver (cmd/m2tdperf) compiles against.
 // D-M2TD's phases all live in internal/core (Options.Shards) and, on worker
 // processes, internal/distnet. The package goes when the driver is re-based
-// (ROADMAP item 6).
+// onto core.Options.Shards.
 package dist
 
 import (

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dynsys"
@@ -136,29 +135,37 @@ func TestDistributedDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestDistributedPhaseStats: Algorithm 6's phase split is the span tree's.
+// The materialised entry times factors, stitch and core; the join-free
+// route opens no stitch span at all.
 func TestDistributedPhaseStats(t *testing.T) {
 	p := tinyPartition(t, 1, 123)
 	opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Shards: 2}
-	d, err := decomposeCtx(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, phase := range []time.Duration{d.SubDecompTime, d.StitchTime, d.CoreTime} {
-		if phase <= 0 {
-			t.Fatalf("phase %d has no recorded time", i+1)
+	phases := func(root *obs.Span) []string {
+		var names []string
+		for _, c := range root.Children() {
+			if c.Duration() <= 0 {
+				t.Fatalf("phase %q has no recorded time", c.Name())
+			}
+			names = append(names, c.Name())
 		}
+		return names
 	}
-	// The join-free route has nothing to stitch: Phase 2 takes no time.
-	trace := obs.New("decompose")
-	opts.Span = trace.Root()
-	f, err := core.DecomposeFactored(p, opts)
-	if err != nil {
+	opts.Span = obs.New("decompose").Root()
+	if _, err := decomposeCtx(p, opts); err != nil {
 		t.Fatal(err)
 	}
-	if f.SubDecompTime <= 0 || f.StitchTime != 0 || f.CoreTime <= 0 {
-		t.Fatalf("join-free phases: %v, %v, %v; want Phase 2 exactly 0", f.SubDecompTime, f.StitchTime, f.CoreTime)
+	if got := phases(opts.Span); !slices.Equal(got, []string{"factors", "stitch", "core"}) {
+		t.Fatalf("materialised phases %v, want factors, stitch, core", got)
 	}
-	if trace.Root().Counter("factored") != 1 {
+	opts.Span = obs.New("decompose").Root()
+	if _, err := core.DecomposeFactored(p, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := phases(opts.Span); !slices.Equal(got, []string{"factors", "core"}) {
+		t.Fatalf("join-free phases %v, want factors, core: nothing stitched", got)
+	}
+	if opts.Span.Counter("factored") != 1 {
 		t.Fatal("join-free route did not mark the stage span factored = 1")
 	}
 }

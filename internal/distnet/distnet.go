@@ -212,7 +212,6 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	var total core.Partial
 	res.Core, total = core.FactoredCore(p, opts.ZeroJoin, factors, parts, opts.Span)
 	res.Rejected = total.Rejected
-	res.SubDecompTime, res.CoreTime = res.Phase1.Duration, res.Phase3.Duration
 	res.Workers = f.roster()
 	clean = res.reusable()
 	return res, nil

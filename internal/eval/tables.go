@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/tucker"
 )
 
@@ -88,21 +89,22 @@ func Table3(ctx context.Context, base Config, workerCounts []int) ([]Table3Row, 
 	for _, w := range workerCounts {
 		// Every run starts without kernel plans, so Phase 1 pays for plan
 		// compilation at each server count, not only in the first row.
-		opts := core.Options{Method: core.SELECT, Ranks: ranks, Workers: w, Shards: w}
-		res, err := core.DecomposeCtx(ctx, part.PlanlessView(), opts)
-		if err != nil {
+		// The phase times are the spans core opens per phase.
+		stitched, free := obs.New("table3").Root(), obs.New("table3").Root()
+		opts := core.Options{Method: core.SELECT, Ranks: ranks, Workers: w, Shards: w, Span: stitched}
+		if _, err := core.DecomposeCtx(ctx, part.PlanlessView(), opts); err != nil {
 			return nil, fmt.Errorf("table3 workers=%d: %w", w, err)
 		}
-		free, err := core.DecomposeFactored(part.PlanlessView(), opts)
-		if err != nil {
+		opts.Span = free
+		if _, err := core.DecomposeFactored(part.PlanlessView(), opts); err != nil {
 			return nil, fmt.Errorf("table3 workers=%d, join-free: %w", w, err)
 		}
 		rows = append(rows, Table3Row{
 			Workers:  w,
-			Phase1:   res.SubDecompTime,
-			Phase2:   res.StitchTime,
-			Phase3:   res.CoreTime,
-			JoinFree: free.SubDecompTime + free.CoreTime,
+			Phase1:   stitched.Find("factors").Duration(),
+			Phase2:   stitched.Find("stitch").Duration(),
+			Phase3:   stitched.Find("core").Duration(),
+			JoinFree: free.Find("factors").Duration() + free.Find("core").Duration(),
 		})
 	}
 	return rows, nil

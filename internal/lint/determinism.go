@@ -16,15 +16,17 @@ import (
 //   - the global math/rand (and math/rand/v2) source — all randomness
 //     must flow through an explicit, seeded *rand.Rand;
 //   - reading the wall clock (time.Now/Since/Until) — wall time may only
-//     feed gauges, never values, and those reads are confined to
-//     annotated sites (conventionally obs.go files).
+//     feed gauges, never values.
 //
 // The hash-only tier (util.go's kernelPkgs: tensor, tucker, core,
-// stitch, parallel) goes further: importing math/rand at all is banned
-// there. Those packages fan per-entry loops out over arbitrary worker
-// counts, so even an explicit seeded *rand.Rand — whose draws depend on
-// traversal order — cannot produce bit-stable results; randomness must be
-// a counter-based hash of seed + index (DESIGN.md §12).
+// stitch, parallel) goes further in two ways. Importing math/rand at all
+// is banned there: those packages fan per-entry loops out over arbitrary
+// worker counts, so even an explicit seeded *rand.Rand — whose draws
+// depend on traversal order — cannot produce bit-stable results;
+// randomness must be a counter-based hash of seed + index (DESIGN.md §12).
+// And a kernel there never times itself, through the clock or through
+// obs.StartStopwatch: its caller does, by the span the kernel opens or
+// the clock around the call.
 //
 // Escape hatch: //lint:allow determinism -- <reason>.
 var Determinism = &Analyzer{
@@ -90,7 +92,11 @@ func runDeterminism(p *Pass) {
 				switch fn.Pkg().Path() {
 				case "time":
 					if bannedClockFuncs[fn.Name()] {
-						p.Reportf(n.Pos(), "time.%s reads the wall clock in a bit-stable kernel package; wall time is gauge-class observability and belongs behind an annotated obs helper", fn.Name())
+						p.Reportf(n.Pos(), "time.%s reads the wall clock in a bit-stable kernel package; a kernel never times itself — its caller reads the kernel's span or the clock around the call", fn.Name())
+					}
+				case obsPkgPath:
+					if hashOnly && fn.Name() == "StartStopwatch" {
+						p.Reportf(n.Pos(), "obs.StartStopwatch reads the wall clock in a hash-only kernel package; a kernel never times itself — its caller reads the kernel's span or the clock around the call")
 					}
 				case "math/rand", "math/rand/v2":
 					// In hash-only packages the import diagnostic already

@@ -7,7 +7,12 @@
 // exactly these rules.
 package ensemble
 
-import "math/rand"
+import (
+	"math/rand"
+	"time"
+
+	"repro/internal/obs"
+)
 
 // positive case: the global source couples results to process-wide state.
 
@@ -29,4 +34,13 @@ func sample(rng *rand.Rand, n int) []float64 {
 		out[i] = rng.NormFloat64()
 	}
 	return out
+}
+
+// negative case: the seeded tier may time its own work through the obs
+// helper (the real ensemble's per-simulation histogram does).
+
+func timed(run func()) time.Duration {
+	clock := obs.StartStopwatch()
+	run()
+	return clock.Elapsed()
 }

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	_ "math/rand/v2" //lint:allow determinism -- golden suppression case: justified import directives silence the hash-only ban
+
+	"repro/internal/obs"
 )
 
 // positive cases: map iteration, wall-clock reads, and the math/rand
@@ -36,6 +38,11 @@ func elapsed(t0 time.Time) time.Duration {
 	return time.Since(t0) // want `\[determinism\] time\.Since reads the wall clock`
 }
 
+func selfTimed() time.Duration {
+	clock := obs.StartStopwatch() // want `\[determinism\] obs\.StartStopwatch reads the wall clock in a hash-only kernel package`
+	return clock.Elapsed()
+}
+
 // rand uses produce no per-call diagnostics in the hash-only tier — the
 // import diagnostic above covers every one of them, so these lines must
 // stay silent for the want bijection to hold.
@@ -49,8 +56,8 @@ func seeded() float64 {
 	return rng.Float64()
 }
 
-// negative cases: slice iteration and time arithmetic that never reads
-// the clock are fine.
+// negative cases: slice iteration, time arithmetic that never reads
+// the clock, and opening a span for the caller to time are fine.
 
 func sumSlice(xs []float64) float64 {
 	var s float64
@@ -62,6 +69,10 @@ func sumSlice(xs []float64) float64 {
 
 func double(d time.Duration) time.Duration {
 	return 2 * d
+}
+
+func phase(span *obs.Span) {
+	span.Start("phase").Finish()
 }
 
 // suppression: a justified //lint:allow directive silences the

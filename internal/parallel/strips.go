@@ -88,8 +88,8 @@ func ReduceStrips[T any](bounds []int, workers int, makePartial func(strip int) 
 // UniformStripBounds builds a strip grid over [0, n): S = n/grain strips,
 // clamped to [1, maxStrips], with boundaries i*n/S. The grid depends only
 // on the arguments — callers must pass a grain derived from the input and
-// package constants (NOT AutoGrain, whose calibration is timing-based) if
-// the grid feeds a floating-point reduction.
+// package constants (NOT AutoGrain, a scheduling knob free to be retuned)
+// if the grid feeds a floating-point reduction.
 func UniformStripBounds(n, grain, maxStrips int) []int {
 	if n < 0 {
 		n = 0

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	m2td "repro"
@@ -39,18 +40,63 @@ func (s *Server) Handler() http.Handler {
 
 // instrument wraps the mux with the latency histograms. A request counts
 // toward a tenant's series only once that tenant has had a submission
-// admitted.
+// admitted (tenantSeries.key).
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		next.ServeHTTP(w, r)
 		elapsed := time.Since(start).Seconds()
 		s.metrics.requestSeconds.Observe(elapsed)
-		tenant := r.Header.Get(api.TenantHeader)
-		if _, ok := s.admitted.Load(tenant); ok {
-			s.metrics.tenantRequestSeconds.WithKey(tenant).Observe(elapsed)
+		if key, ok := s.series.key(r.Header.Get(api.TenantHeader)); ok {
+			s.metrics.tenantRequestSeconds.WithKey(key).Observe(elapsed)
 		}
 	})
+}
+
+// maxTenantSeries caps the tenants with per-tenant metric series of their
+// own. A cache hit under a fresh tenant name is admitted and costs no job,
+// so without a cap one client cycling names grows /metrics without bound.
+const maxTenantSeries = 64
+
+// tenantSeries is the capped set of tenants that have their own series;
+// every tenant beyond the cap is recorded under anon's. It names series
+// only: quotas stay keyed by the real tenant.
+type tenantSeries struct {
+	mu  sync.RWMutex
+	set map[string]bool
+}
+
+// admit records an admitted submission of tenant and returns the key its
+// series are kept under: tenant itself while the set has room, anon after.
+func (t *tenantSeries) admit(tenant string) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.set[tenant] {
+		return tenant
+	}
+	if len(t.set) >= maxTenantSeries {
+		return "anon"
+	}
+	if t.set == nil {
+		t.set = make(map[string]bool)
+	}
+	t.set[tenant] = true
+	return tenant
+}
+
+// key returns the series a request naming tenant counts toward: its own
+// once admitted, anon's for any other tenant once the set is full, and
+// none before that — a header alone never creates a series.
+func (t *tenantSeries) key(tenant string) (string, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	switch {
+	case t.set[tenant]:
+		return tenant, true
+	case tenant != "" && len(t.set) >= maxTenantSeries:
+		return "anon", true
+	}
+	return "", false
 }
 
 // validTenant reports whether name is 1-64 of [A-Za-z0-9_-]: the alphabet
@@ -129,8 +175,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apiErr)
 		return
 	}
-	s.admitted.LoadOrStore(tenant, struct{}{})
-	s.metrics.tenantSubmits.WithKey(tenant).Inc()
+	key := s.series.admit(tenant)
+	s.metrics.tenantSubmits.WithKey(key).Inc()
+	if resp.CacheHit {
+		s.metrics.tenantCacheHits.WithKey(key).Inc()
+	}
 	writeJSON(w, resp)
 }
 

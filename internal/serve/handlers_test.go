@@ -165,6 +165,62 @@ func TestUnadmittedTenantsAddNoSeries(t *testing.T) {
 	}
 }
 
+// TestTenantSeriesAreCapped: a cache hit costs no job, so 1000 tenants
+// each submitting one cached spec must not grow /metrics past the cap —
+// the tenants beyond it share anon's series — and leave no quota entry
+// once the server is idle.
+func TestTenantSeriesAreCapped(t *testing.T) {
+	s, hs, c := newTestServer(t, func(o *Options) {
+		o.Runner = func(context.Context, m2td.Config) (*m2td.Report, error) { return cannedReport(), nil }
+	})
+	ctx := context.Background()
+	sub, err := c.Submit(ctx, api.SubmitRequest{Tenant: "first", Campaign: tinySpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Wait(ctx, sub.JobID, 10*time.Second); err != nil || st.State != api.StateDone {
+		t.Fatalf("seed campaign: %+v, %v", st, err)
+	}
+	const tenants = 1000
+	for i := 0; i < tenants; i++ {
+		tc := api.NewClient(hs.URL)
+		tc.Tenant = fmt.Sprintf("cycle-%d", i)
+		resp, err := tc.Submit(ctx, api.SubmitRequest{Tenant: tc.Tenant, Campaign: tinySpec()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.CacheHit {
+			t.Fatalf("tenant %d: %+v, want a cache hit", i, resp)
+		}
+	}
+
+	series := map[string]int{}
+	prom := fetch(t, hs.URL+"/metrics")
+	for _, line := range strings.Split(prom, "\n") {
+		for _, base := range []string{tenantSubmitsBase, tenantCacheHitsBase, tenantRequestSecondsBase} {
+			if strings.HasPrefix(line, base+"_") && (base != tenantRequestSecondsBase || strings.Contains(line, "_count ")) {
+				series[base]++
+			}
+		}
+	}
+	for _, base := range []string{tenantSubmitsBase, tenantCacheHitsBase, tenantRequestSecondsBase} {
+		if n := series[base]; n == 0 || n > maxTenantSeries+1 {
+			t.Errorf("%s: %d per-tenant series, want 1..%d", base, n, maxTenantSeries+1)
+		}
+	}
+	// "first" holds one slot, so 1000 - 63 of the cycling tenants are anon.
+	if want := fmt.Sprintf("%s_anon %d\n", tenantCacheHitsBase, tenants-maxTenantSeries+1); !strings.Contains(prom, want) {
+		t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+	}
+
+	s.mu.Lock()
+	load := len(s.tenantLoad)
+	s.mu.Unlock()
+	if load != 0 {
+		t.Fatalf("idle server keeps %d tenantLoad entries, want 0", load)
+	}
+}
+
 // TestStartCampaignShutdownLeaksNoGoroutines: Start, one real campaign
 // over HTTP, then Shutdown must bring the goroutine count back to where
 // it was.

@@ -90,9 +90,7 @@ func (s *Server) complete(j *job, report *m2td.Report) {
 	s.running--
 	delete(s.inflight, j.fingerprint)
 	s.releaseLocked(j, report)
-	if s.tenantLoad[j.tenant] > 0 {
-		s.tenantLoad[j.tenant]--
-	}
+	s.releaseTenantLocked(j.tenant)
 	s.cache.put(j.fingerprint, &cacheEntry{jobID: j.id, info: info, report: slim})
 	s.metrics.jobsDone.Inc()
 	s.metrics.simsExecuted.Add(int64(report.ExecutedSims))
@@ -103,6 +101,17 @@ func (s *Server) complete(j *job, report *m2td.Report) {
 	s.metrics.jobSeconds.Observe(j.finishedAt.Sub(j.submittedAt).Seconds())
 	s.mu.Unlock()
 	close(j.done)
+}
+
+// releaseTenantLocked gives back one of tenant's quota slots (s.mu held).
+// A tenant holding none has no entry, so the map is as large as the
+// tenants with campaigns queued or running.
+func (s *Server) releaseTenantLocked(tenant string) {
+	if s.tenantLoad[tenant] <= 1 {
+		delete(s.tenantLoad, tenant)
+		return
+	}
+	s.tenantLoad[tenant]--
 }
 
 // fail moves a job to StateFailed and unblocks waiters.
@@ -116,9 +125,7 @@ func (s *Server) fail(j *job, cause *api.Error) {
 	j.err = cause
 	delete(s.inflight, j.fingerprint)
 	s.releaseLocked(j, nil)
-	if s.tenantLoad[j.tenant] > 0 {
-		s.tenantLoad[j.tenant]--
-	}
+	s.releaseTenantLocked(j.tenant)
 	s.metrics.jobsFailed.Inc()
 	s.mu.Unlock()
 	close(j.done)

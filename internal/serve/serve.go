@@ -145,10 +145,9 @@ type Server struct {
 	// the one-producer rule (see nextLocked): neither holds simulation data.
 	producing map[string]*job
 	simsReady map[string]bool
-	// admitted holds the tenant names that have had a submission admitted:
-	// the only tenants instrument gives a latency series, so request
-	// headers alone cannot grow the registry.
-	admitted   sync.Map
+	// series names the per-tenant metric series: request headers alone
+	// cannot grow the registry, and admitted tenants only up to a cap.
+	series     tenantSeries
 	queue      jobQueue
 	cache      *lruCache
 	tenantLoad map[string]int
@@ -338,7 +337,7 @@ func fingerprintHash(fp string) string {
 func (s *Server) submit(tenant string, priority int, cfg m2td.Config, timeoutMS int64) (*api.SubmitResponse, *api.Error) {
 	fp := cfg.Fingerprint()
 	hash := fingerprintHash(fp)
-	if resp, apiErr := s.admit(tenant, fp); resp != nil || apiErr != nil {
+	if resp, apiErr := s.admit(fp); resp != nil || apiErr != nil {
 		return resp, apiErr
 	}
 
@@ -349,7 +348,7 @@ func (s *Server) submit(tenant string, priority int, cfg m2td.Config, timeoutMS 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Re-check under the lock: a concurrent submit may have raced us.
-	if resp := s.absorbLocked(tenant, fp); resp != nil {
+	if resp := s.absorbLocked(fp); resp != nil {
 		return resp, nil
 	}
 	if stored {
@@ -389,14 +388,14 @@ func (s *Server) submit(tenant string, priority int, cfg m2td.Config, timeoutMS 
 
 // admit opens a submission: a draining server refuses it, and in-flight
 // work or the LRU absorbs it. (nil, nil) means neither did.
-func (s *Server) admit(tenant, fp string) (*api.SubmitResponse, *api.Error) {
+func (s *Server) admit(fp string) (*api.SubmitResponse, *api.Error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, &api.Error{Code: api.CodeShuttingDown, Message: "server is draining"}
 	}
 	s.metrics.submits.Inc()
-	if resp := s.absorbLocked(tenant, fp); resp != nil {
+	if resp := s.absorbLocked(fp); resp != nil {
 		return resp, nil
 	}
 	s.metrics.cacheMisses.Inc()
@@ -406,7 +405,7 @@ func (s *Server) admit(tenant, fp string) (*api.SubmitResponse, *api.Error) {
 // absorbLocked answers a submission from an identical queued or running
 // job, or else from the LRU, and counts the answer (s.mu held). It returns
 // nil when neither holds the campaign.
-func (s *Server) absorbLocked(tenant, fp string) *api.SubmitResponse {
+func (s *Server) absorbLocked(fp string) *api.SubmitResponse {
 	if j := s.inflight[fp]; j != nil {
 		j.waiters++
 		s.metrics.coalesced.Inc()
@@ -414,7 +413,6 @@ func (s *Server) absorbLocked(tenant, fp string) *api.SubmitResponse {
 	}
 	if e := s.cache.get(fp); e != nil {
 		s.metrics.cacheHits.Inc()
-		s.metrics.tenantCacheHits.WithKey(tenant).Inc()
 		return &api.SubmitResponse{JobID: e.jobID, State: api.StateDone, Fingerprint: fp, CacheHit: true}
 	}
 	return nil

@@ -53,9 +53,8 @@ func ttmDenseKernel(x *Dense, n int, m *mat.Matrix, out *Dense, workers int) {
 	}
 	numFibers := total / inSize
 
-	// Per-fiber cost is one inSize×outSize panel; the calibrated grain
-	// keeps the fan-out amortised on whatever hardware runs this
-	// (scheduling only — fibers write disjoint outputs).
+	// Per-fiber cost is one inSize×outSize panel; AutoGrain keeps the
+	// fan-out amortised (scheduling only — fibers write disjoint outputs).
 	grain := parallel.AutoGrain(float64(inSize) * float64(outSize))
 	if parallel.Resolve(workers) <= 1 || numFibers < 2*grain {
 		ttmDenseRange(x, m, out, inner, inSize, outSize, 0, numFibers)

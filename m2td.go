@@ -202,8 +202,10 @@ type Report struct {
 	// JoinCells is the join's stored-cell count, counted per pivot group (the
 	// paper's density formula when nothing was lost): no run builds J.
 	JoinCells int
-	// SimTime is the wall-clock spent running simulations; DecompTime
-	// covers sub-decomposition, stitching, and core recovery.
+	// SimTime is the wall-clock spent running simulations; DecompTime is
+	// the decomposition stage's, timed around it: factors and core recovery,
+	// and on the process engine (Config.Distributed) also the fleet's spawn
+	// and the uploads. A per-phase split is the trace's decompose span.
 	SimTime, DecompTime time.Duration
 	// Decomposition holds the factors and core; its Join is nil.
 	Decomposition *core.Result
@@ -443,13 +445,15 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	simTime := time.Since(simStart)
 
+	decompStart := time.Now()
 	res, distStats, err := decomposeStage(ctx, trace, part, r.method, tucker.UniformRanks(r.space.Order(), cfg.Rank), cfg)
 	if err != nil {
 		return nil, err
 	}
+	decompTime := time.Since(decompStart)
 
 	report := r.report(part.NumSims, part.JoinCells(cfg.ZeroJoin), part.Stats, part.Sub1.Tensor, part.Sub2.Tensor)
-	report.SimTime, report.DecompTime = simTime, res.SubDecompTime+res.StitchTime+res.CoreTime
+	report.SimTime, report.DecompTime = simTime, decompTime
 	report.Decomposition, report.Distributed, report.Partition = res, distStats, part
 	return r.finish(ctx, trace, report, eval.TuckerModel{Core: res.Core, Factors: res.Factors})
 }
