@@ -218,11 +218,10 @@ func BenchmarkStitchJoin(b *testing.B) {
 }
 
 // BenchmarkTransientCoreRecovery measures core recovery G = J ×ₙ U(n)ᵀ
-// from a freshly stitched join under the transient-tensor protocol: every
-// iteration projects a fresh plan-less view, as every pipeline run does.
-// The sparse TTM borrows plans and never builds one, so the curve must be
-// flat in workers: a curve that rises with workers is the plan-compile
-// inversion returning (workers>=2 once ran 13x slower than workers=1 here).
+// from a stitched join. The sparse TTM runs the entry scatter and compiles
+// no plan, so the curve must be flat in workers: a curve that rises with
+// workers is the plan-compile inversion returning (workers>=2 once ran 13x
+// slower than workers=1 here).
 func BenchmarkTransientCoreRecovery(b *testing.B) {
 	part, ranks := benchPartitionAt(b, joinStageRes)
 	res, err := core.DecomposeCtx(context.Background(), part, core.Options{Method: core.SELECT, Ranks: ranks})
@@ -233,7 +232,7 @@ func BenchmarkTransientCoreRecovery(b *testing.B) {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tucker.CoreFromFactorsWorkers(res.Join.PlanlessView(), res.Factors, w)
+				tucker.CoreFromFactorsWorkers(res.Join, res.Factors, w)
 			}
 		})
 	}
@@ -242,8 +241,7 @@ func BenchmarkTransientCoreRecovery(b *testing.B) {
 // BenchmarkDecomposeDispatch measures the decomposition stage of a res-12
 // campaign both ways: the join-free core every campaign takes
 // (core.DecomposeFactored), and the materialised join no campaign takes
-// (core.DecomposeCtx, the oracle) — what being join-free saves. Every
-// iteration decomposes a plan-less view, as every pipeline run does.
+// (core.DecomposeCtx, the oracle) — what being join-free saves.
 func BenchmarkDecomposeDispatch(b *testing.B) {
 	part, ranks := benchPartitionAt(b, joinStageRes)
 	copts := core.Options{Method: core.SELECT, Ranks: ranks}
@@ -259,7 +257,7 @@ func BenchmarkDecomposeDispatch(b *testing.B) {
 		b.Run(route.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := route.decompose(part.PlanlessView())
+				res, err := route.decompose(part)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -350,16 +348,15 @@ func BenchmarkNoiseSweep(b *testing.B) { benchExperiment(b, "noise", nil) }
 
 // BenchmarkSketchedJoin measures the randomized-sketch fast path over the
 // stitched join at decreasing keep fractions (the MACH/PARCUBE-style
-// ablation), under the same transient-tensor protocol as internal/tucker's
-// BenchmarkSketchedHOSVD: each iteration decomposes a fresh plan-less view
-// of the join, as every pipeline decomposition does.
+// ablation), as internal/tucker's BenchmarkSketchedHOSVD does on its own
+// tensor.
 func BenchmarkSketchedJoin(b *testing.B) {
 	part, ranks := benchPartition(b)
 	j := stitch.Join(part)
 	for _, frac := range []float64{1.0, 0.5, 0.1} {
 		b.Run(fmt.Sprintf("keep=%.0f%%", frac*100), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := tucker.SketchedHOSVD(j.PlanlessView(), ranks, tucker.SketchOptions{
+				_, _, err := tucker.SketchedHOSVD(j, ranks, tucker.SketchOptions{
 					KeepFrac: frac,
 					Seed:     1,
 				})
@@ -399,10 +396,10 @@ func benchSparseTensor(shape tensor.Shape, nnz int, seed int64) *tensor.Sparse {
 	return s
 }
 
-// BenchmarkParallelTTM measures the sparse mode-0 TTM kernel — the hot
-// inner product of every HOSVD/HOOI sweep — at increasing worker-pool
-// sizes. Output is bit-identical across all sub-benchmarks; only
-// wall-clock changes.
+// BenchmarkParallelTTM measures the planned sparse mode-0 TTM kernel — the
+// hot inner product of every HOOI sweep, on the plan HOOI compiles once —
+// at increasing worker-pool sizes. Output is bit-identical across all
+// sub-benchmarks; only wall-clock changes.
 func BenchmarkParallelTTM(b *testing.B) {
 	s := benchSparseTensor(tensor.Shape{64, 48, 48, 16}, 200000, 1)
 	rng := rand.New(rand.NewSource(2))
@@ -410,13 +407,13 @@ func BenchmarkParallelTTM(b *testing.B) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
-	// TTM borrows plans and never builds one: cache the mode-0 plan the
-	// sweep's Gram step would have left, or every arm runs the scatter.
-	s.PlanMode(0, 0)
+	plans := []*tensor.ModePlan{tensor.CompileModePlan(s, 0, 0), nil, nil, nil}
+	ms := []*mat.Matrix{m, nil, nil, nil}
+	ws := tensor.NewWorkspace()
 	for _, w := range benchWorkerCounts() {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tensor.TTMSparseWorkers(s, 0, m, w)
+				ws.MultiTTMSparseWorkers(s, plans, ms, w)
 			}
 		})
 	}

@@ -378,7 +378,7 @@ func TestDefaultRunBuildsNoJoin(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(report.Space.Order(), 4), Workers: 1}
-	if _, err := core.DecomposeFactored(report.Partition.PlanlessView(), opts); err != nil {
+	if _, err := core.DecomposeFactored(report.Partition, opts); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

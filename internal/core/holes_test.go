@@ -171,7 +171,6 @@ func TestJoinFreeQuarantine(t *testing.T) {
 				}
 			}
 			sub2.Vals[poisoned] = math.NaN()
-			sub2.InvalidatePlans()
 
 			spec, grid := stitch.NewSpec(p, zero), SampledOf(p)
 			parts := make([]Partial, shards)

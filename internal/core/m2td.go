@@ -225,20 +225,10 @@ func mergeJoin(shape tensor.Shape, shards []*tensor.Sparse) *tensor.Sparse {
 }
 
 // factorsPhase is phase 1 of both routes under its span: the fused factor
-// set, plus each sub-tensor's kernel-plan cache deltas — builds and hits
-// depend only on the kernel invocation sequence (never on Workers), so they
-// are deterministic counters.
+// set, with the worker pool's strip count as a gauge.
 func factorsPhase(p *partition.Result, opts Options, ranks []int, fspan *obs.Span) []*mat.Matrix {
-	fb1, fh1 := p.Sub1.Tensor.PlanStats()
-	fb2, fh2 := p.Sub2.Tensor.PlanStats()
 	fdone := fspan.WithVitals(map[string]func() int64{"strips": parallel.Strips})
 	factors := buildFactors(p, opts.Method, ranks, opts.Workers, fspan)
-	b1, h1 := p.Sub1.Tensor.PlanStats()
-	b2, h2 := p.Sub2.Tensor.PlanStats()
-	fspan.Set("plan_builds_x1", b1-fb1)
-	fspan.Set("plan_hits_x1", h1-fh1)
-	fspan.Set("plan_builds_x2", b2-fb2)
-	fspan.Set("plan_hits_x2", h2-fh2)
 	fdone()
 	return factors
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/stitch"
-	"repro/internal/tensor"
 	"repro/internal/tucker"
 )
 
@@ -385,46 +384,6 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 		}
 		if d.Core.Norm() != 0 {
 			t.Fatalf("disjoint pivots, workers=%d: core norm %v, want 0", workers, d.Core.Norm())
-		}
-	}
-}
-
-// TestDistributedShardsStayPlanFree pins the sparse-TTM dispatch rule on
-// the D-M2TD path: kernel plans are compiled by the Phase 1 Gram steps —
-// one per sub-tensor mode — and by nothing else. The Phase 3 shard
-// tensors and the join are one-shot TTM inputs, so with real fan-out
-// available and shards past the planned-path size gate (4096 cells) they
-// must add no build, whatever the shard count.
-func TestDistributedShardsStayPlanFree(t *testing.T) {
-	prev := parallel.SetFanoutCap(8)
-	defer parallel.SetFanoutCap(prev)
-
-	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 7, 4)
-	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
-	p, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(131)), partition.SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gramPlans := int64(p.Sub1.Tensor.Order() + p.Sub2.Tensor.Order())
-	opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 3)}
-	for _, workers := range []int{1, 2} {
-		opts.Shards = workers
-		// Plans are cached on the sub-tensors and outlive a run, so each
-		// run gets a planless view and must compile its own.
-		builds0, _ := tensor.PlanCacheStats()
-		d, err := decomposeCtx(p.PlanlessView(), opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		builds1, _ := tensor.PlanCacheStats()
-		if shard := d.Join.NNZ() / workers; shard < 4096 {
-			t.Fatalf("workers=%d: %d cells per shard, too few to reach the planned-path size gate", workers, shard)
-		}
-		if got := builds1 - builds0; got != gramPlans {
-			t.Fatalf("workers=%d: %d plans compiled, want %d (Phase 1 Gram steps only)", workers, got, gramPlans)
-		}
-		if builds, hits := d.Join.PlanStats(); builds != 0 || hits != 0 {
-			t.Fatalf("workers=%d: join plan cache touched: %d builds, %d hits", workers, builds, hits)
 		}
 	}
 }

@@ -109,7 +109,6 @@ func TestDistributedQuarantine(t *testing.T) {
 			t.Fatal("Generate no longer arms the quarantine on sub-tensors")
 		}
 		sub2.Vals[sub2.NNZ()/2] = math.NaN()
-		sub2.InvalidatePlans()
 
 		opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}
 		want, err := decomposeCtx(p, opts)

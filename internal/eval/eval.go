@@ -287,12 +287,13 @@ func (cfg Config) ensemble(ctx context.Context) (*partition.Result, error) {
 // budget, every one scored by the cell's one scorer.
 func (cfg Config) compare(ctx context.Context, part *partition.Result, extended bool) (*Comparison, error) {
 	space := part.Space
-	// The cell's own view of the (possibly shared) partition: empty
-	// kernel-plan caches, so its decomposition times do not depend on which
-	// cells ran before it, and under NoiseFrac its own copy of the values.
-	part = part.PlanlessView()
 	if cfg.NoiseFrac > 0 {
-		part.Sub1.Tensor, part.Sub2.Tensor = part.Sub1.Tensor.Clone(), part.Sub2.Tensor.Clone()
+		// The partition may be shared with other cells: perturb a copy of
+		// it, down to the sub-tensors, never the shared values.
+		own, sub1, sub2 := *part, *part.Sub1, *part.Sub2
+		sub1.Tensor, sub2.Tensor = sub1.Tensor.Clone(), sub2.Tensor.Clone()
+		own.Sub1, own.Sub2 = &sub1, &sub2
+		part = &own
 		noiseRng := rand.New(rand.NewSource(cfg.Seed + 7))
 		AddNoise(part.Sub1.Tensor, cfg.NoiseFrac, noiseRng)
 		AddNoise(part.Sub2.Tensor, cfg.NoiseFrac, noiseRng)

@@ -25,10 +25,7 @@ func AddNoise(sp *tensor.Sparse, frac float64, rng *rand.Rand) {
 	}
 	sigma := frac * math.Sqrt(rms)
 	for i := range sp.Vals {
-		//lint:allow quarantine -- in-place perturbation preserves finiteness (sigma and NormFloat64 are finite); InvalidatePlans is called below
+		//lint:allow quarantine -- in-place perturbation preserves finiteness (sigma and NormFloat64 are finite)
 		sp.Vals[i] += sigma * rng.NormFloat64()
 	}
-	// Vals were mutated directly: drop any compiled kernel plans so the
-	// next ModeGram/TTM recompiles against the perturbed values.
-	sp.InvalidatePlans()
 }

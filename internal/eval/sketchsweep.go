@@ -39,13 +39,11 @@ type SketchRow struct {
 // join only because that is the large sparse tensor with a ground truth at
 // hand: the PF-partitioned ensembles are generated and JE-stitched once,
 // then the join is decomposed by SketchedHOSVD at each KeepFrac and scored
-// by the cell's scorer. Every arm follows
-// the transient-tensor protocol of BenchmarkSketchedHOSVD — it receives
-// a fresh plan-less view of the join, so the exact arm pays kernel-plan
-// compilation on the full nnz exactly as a pipeline decomposition does,
-// which is the cost the sketch arms avoid by compiling on the
-// KeepFrac-sized sketch. Default fractions are {1, 0.5, 0.25, 0.1,
-// 0.05, 0.02}; an exact baseline is added when 1 is absent.
+// by the cell's scorer. Every kernel compiles the mode plans it needs per
+// call, so the exact arm pays plan compilation on the full nnz, which is
+// the cost the sketch arms avoid by compiling on the KeepFrac-sized
+// sketch. Default fractions are {1, 0.5, 0.25, 0.1, 0.05, 0.02}; an exact
+// baseline is added when 1 is absent.
 func SketchSweep(ctx context.Context, base Config, fracs []float64) ([]SketchRow, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{1, 0.5, 0.25, 0.1, 0.05, 0.02}
@@ -63,10 +61,8 @@ func SketchSweep(ctx context.Context, base Config, fracs []float64) ([]SketchRow
 	join := stitch.Join(part)
 
 	record := func(frac float64) (SketchRow, error) {
-		// PlanlessView: a pipeline decomposition always consumes a freshly
-		// stitched, plan-less join, so every arm pays compilation honestly.
 		start := time.Now()
-		dec, stats, err := tucker.SketchedHOSVD(join.PlanlessView(), ranks, tucker.SketchOptions{
+		dec, stats, err := tucker.SketchedHOSVD(join, ranks, tucker.SketchOptions{
 			KeepFrac: frac,
 			Seed:     cfg.Seed,
 		})

@@ -87,16 +87,14 @@ func Table3(ctx context.Context, base Config, workerCounts []int) ([]Table3Row, 
 	ranks := tucker.UniformRanks(part.Space.Order(), cfg.Rank)
 	var rows []Table3Row
 	for _, w := range workerCounts {
-		// Every run starts without kernel plans, so Phase 1 pays for plan
-		// compilation at each server count, not only in the first row.
 		// The phase times are the spans core opens per phase.
 		stitched, free := obs.New("table3").Root(), obs.New("table3").Root()
 		opts := core.Options{Method: core.SELECT, Ranks: ranks, Workers: w, Shards: w, Span: stitched}
-		if _, err := core.DecomposeCtx(ctx, part.PlanlessView(), opts); err != nil {
+		if _, err := core.DecomposeCtx(ctx, part, opts); err != nil {
 			return nil, fmt.Errorf("table3 workers=%d: %w", w, err)
 		}
 		opts.Span = free
-		if _, err := core.DecomposeFactored(part.PlanlessView(), opts); err != nil {
+		if _, err := core.DecomposeFactored(part, opts); err != nil {
 			return nil, fmt.Errorf("table3 workers=%d, join-free: %w", w, err)
 		}
 		rows = append(rows, Table3Row{

@@ -8,7 +8,7 @@ package quarantine
 import "repro/internal/tensor"
 
 // positive: direct writes to tensor backing slices outside
-// internal/tensor bypass the quarantine and plan invalidation.
+// internal/tensor bypass the quarantine.
 
 func writeVals(sp *tensor.Sparse) {
 	sp.Vals[0] = 1 // want `\[quarantine\] direct write to Sparse\.Vals`
@@ -66,10 +66,9 @@ func writeLookalike(l *lookalike) {
 	l.Data[0] = 2
 }
 
-// suppression: a kernel write carrying its finiteness/invalidaton proof.
+// suppression: a kernel write carrying its finiteness proof.
 
 func annotatedWrite(sp *tensor.Sparse) {
-	//lint:allow quarantine -- golden suppression case: the literal is finite and InvalidatePlans runs below
+	//lint:allow quarantine -- golden suppression case: the literal is finite
 	sp.Vals[0] = 3
-	sp.InvalidatePlans()
 }

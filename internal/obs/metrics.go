@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -270,23 +269,11 @@ func (r *Registry) Snapshot() map[string]any {
 var expvarPublished sync.Map
 
 // PublishExpvar exposes the registry's snapshot as one expvar map under
-// the given name (idempotent per name).
+// the given name (idempotent per name). expvar renders it through
+// encoding/json, which writes map keys sorted.
 func (r *Registry) PublishExpvar(name string) {
 	if _, loaded := expvarPublished.LoadOrStore(name, true); loaded {
 		return
 	}
-	expvar.Publish(name, expvar.Func(func() any {
-		// Sort keys into an ordered map-like view for stable output.
-		snap := r.Snapshot()
-		keys := make([]string, 0, len(snap))
-		for k := range snap {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		ordered := make(map[string]any, len(snap))
-		for _, k := range keys {
-			ordered[k] = snap[k]
-		}
-		return ordered
-	}))
+	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

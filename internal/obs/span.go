@@ -253,42 +253,7 @@ func (s *Span) WithVitals(extra map[string]func() int64) func() {
 // indentation showing depth. Durations and gauges are deliberately
 // excluded: two runs of the same configuration produce byte-identical
 // skeletons at any Parallel value.
-func (s *Span) Skeleton() string {
-	var b strings.Builder
-	s.skeleton(&b, 0)
-	return b.String()
-}
-
-func (s *Span) skeleton(b *strings.Builder, depth int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	name := s.name
-	keys := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, s.counters[k]))
-	}
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(name)
-	if len(parts) > 0 {
-		b.WriteString(" [")
-		b.WriteString(strings.Join(parts, " "))
-		b.WriteString("]")
-	}
-	b.WriteString("\n")
-	for _, c := range children {
-		c.skeleton(b, depth+1)
-	}
-}
+func (s *Span) Skeleton() string { return s.Data().Skeleton() }
 
 // SpanData is the immutable, serialization-friendly snapshot of a span
 // subtree (the JSONL and tracecat representation).

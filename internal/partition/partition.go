@@ -202,16 +202,6 @@ func (r *Result) JoinCells(zeroJoin bool) int {
 	return cells
 }
 
-// PlanlessView returns the partition with both sub-tensors replaced by
-// their tensor.Sparse.PlanlessView: same cells, empty kernel-plan caches —
-// what a measurement wants so every run pays for plan compilation.
-func (r *Result) PlanlessView() *Result {
-	sub1, sub2, out := *r.Sub1, *r.Sub2, *r
-	sub1.Tensor, sub2.Tensor = sub1.Tensor.PlanlessView(), sub2.Tensor.PlanlessView()
-	out.Sub1, out.Sub2 = &sub1, &sub2
-	return &out
-}
-
 // allConfigs enumerates every index combination over the given original
 // modes of the space, in C order (last mode fastest), carved out of one
 // backing array.

@@ -132,8 +132,7 @@ func BenchmarkWorkspaceTTMChain(b *testing.B) {
 
 // BenchmarkWorkspaceTTMSparseChain is the sparse-input analogue: one
 // sparse TTM followed by dense chain steps, all in reused buffers. The
-// sparse step is the entry scatter: no Gram kernel has run on s, and a
-// TTM never compiles a plan of its own.
+// sparse step is the entry scatter: the workspace is handed no plan.
 func BenchmarkWorkspaceTTMSparseChain(b *testing.B) {
 	s := benchSparse5(b, 20000)
 	rng := rand.New(rand.NewSource(10))
@@ -142,11 +141,11 @@ func BenchmarkWorkspaceTTMSparseChain(b *testing.B) {
 		ms[n] = mat.Transpose(mat.RandomOrthonormal(rng, 12, 4))
 	}
 	w := NewWorkspace()
-	w.MultiTTMSparseWorkers(s, ms, 1) // warm the slots
+	w.MultiTTMSparseWorkers(s, nil, ms, 1) // warm the slots
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.MultiTTMSparseWorkers(s, ms, 1)
+		w.MultiTTMSparseWorkers(s, nil, ms, 1)
 	}
 }
 

@@ -89,11 +89,10 @@ func ModeGram(s *Sparse, n int) *mat.Matrix { return ModeGramWorkers(s, n, 0) }
 
 // ModeGramWorkers is ModeGram on an explicit worker count.
 //
-// The column layout comes from the tensor's compiled mode plan (see
-// ModePlan): entries sorted by matricization column with stable storage
-// order inside each group, built once per (tensor, mode) and reused by
-// every subsequent kernel call — one HOSVD no longer pays one O(nnz log
-// nnz) sort per mode per call, and HOOI sweeps pay none at all.
+// The column layout is a mode plan compiled for this call (see ModePlan):
+// entries sorted by matricization column with stable storage order inside
+// each group. The call owns it, so the Gram always reflects the entries as
+// they are now.
 //
 // Parallelism: workers claim contiguous runs of the plan's reduction
 // strips (entry-balanced group ranges, see ModePlan.Strips), accumulate
@@ -111,12 +110,14 @@ func ModeGram(s *Sparse, n int) *mat.Matrix { return ModeGramWorkers(s, n, 0) }
 // differ from the old serial order only by the grid's fixed
 // reassociation (tolerance-level), and never vary run to run.
 func ModeGramWorkers(s *Sparse, n, workers int) *mat.Matrix {
-	rows := s.Shape[n]
+	return CompileModePlan(s, n, workers).Gram(s.Shape[n], workers)
+}
+
+// Gram is ModeGramWorkers' accumulation over a compiled plan, for a caller
+// that keeps the plan (tucker's HOSVD, whose plans HOOI reuses); rows is
+// the size of the plan's mode.
+func (p *ModePlan) Gram(rows, workers int) *mat.Matrix {
 	g := mat.New(rows, rows)
-	if s.NNZ() == 0 {
-		return g
-	}
-	p := s.PlanMode(n, workers)
 	bounds, prow, pval := p.Bounds, p.Rows, p.Vals
 	if p.NumStrips() <= 1 {
 		gramAccumulate(g.Data, rows, bounds, prow, pval, 0, p.NumGroups())

@@ -71,13 +71,12 @@ func TestTTMSparseWorkersBitStable(t *testing.T) {
 	s := seededSparse(Shape{9, 8, 7, 6}, 6000, 1)
 	m := randomMatrix(4, 9, 2)
 	want := TTMSparseWorkers(s, 0, m, 1)
-	// TTM only borrows plans: cache them so the sweeps below run the
-	// group-parallel path against the plan-less serial scatter above.
-	s.PlanMode(0, 1)
-	s.PlanMode(2, 1)
+	// The sweeps below run the group-parallel path on a compiled plan
+	// against the serial scatter above.
+	p0, p2 := CompileModePlan(s, 0, 1), CompileModePlan(s, 2, 1)
 	for _, w := range parallelTestWorkers {
 		t.Run("w="+strconv.Itoa(w), func(t *testing.T) {
-			got := TTMSparseWorkers(s, 0, m, w)
+			got := ttmSparsePlanned(s, p0, 0, m, w)
 			if !denseEqualBits(want, got) {
 				t.Fatal("TTMSparse workers=1 and workers=N differ")
 			}
@@ -85,9 +84,9 @@ func TestTTMSparseWorkersBitStable(t *testing.T) {
 	}
 	// Middle mode too (different base/stride layout).
 	m2 := randomMatrix(5, 7, 3)
-	want2 := TTMSparseWorkers(s.PlanlessView(), 2, m2, 1)
+	want2 := TTMSparseWorkers(s, 2, m2, 1)
 	for _, w := range parallelTestWorkers {
-		if !denseEqualBits(want2, TTMSparseWorkers(s, 2, m2, w)) {
+		if !denseEqualBits(want2, ttmSparsePlanned(s, p2, 2, m2, w)) {
 			t.Fatalf("TTMSparse mode 2, workers=%d differs", w)
 		}
 	}
@@ -165,10 +164,16 @@ func TestMultiTTMSparseWorkersBitStable(t *testing.T) {
 		randomMatrix(2, 7, 13),
 	}
 	want := MultiTTMSparseWorkers(s, ms, 1)
-	s.PlanMode(0, 1) // sweep the borrowed-plan path against the scatter
+	// Sweep the planned path (a workspace handed the mode-0 plan) against
+	// the scatter.
+	plans := []*ModePlan{CompileModePlan(s, 0, 1), nil, nil}
+	ws := NewWorkspace()
 	for _, w := range parallelTestWorkers {
 		if !denseEqualBits(want, MultiTTMSparseWorkers(s, ms, w)) {
 			t.Fatalf("MultiTTMSparse workers=%d differs", w)
+		}
+		if !denseEqualBits(want, ws.MultiTTMSparseWorkers(s, plans, ms, w)) {
+			t.Fatalf("planned workspace MultiTTMSparse workers=%d differs", w)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package tensor
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/parallel"
 )
@@ -12,20 +10,20 @@ import (
 // ModePlan is a compiled kernel plan for one mode of a sparse tensor: the
 // stored entries laid out in ascending mode-n matricization-column order
 // (ties broken by storage order — a stable sort), split into column
-// groups. Computing this layout is the per-call setup cost every sparse
-// mode kernel used to pay (an O(nnz log nnz) sort per mode per call);
-// compiling it once per (tensor, mode) and caching it on the tensor
-// amortises that cost across all HOSVD modes and every HOOI sweep.
+// groups. CompileModePlan builds it with an O(nnz log nnz) stable sort.
 //
-// The plan is consumed by ModeGramWorkers (column groups are the outer
-// products of the Gram accumulation), TTMSparseWorkers (column groups are
-// write-disjoint output cells, so workers partition groups instead of
-// re-scanning every entry per output slab), and, through those, by
-// LeadingModeVectorsWorkers, HOSVD and HOOI.
+// A plan is a value, not tensor state: nothing caches it on the tensor.
+// ModeGramWorkers compiles one per call (column groups are the outer
+// products of the Gram accumulation). Workspace.MultiTTMSparseWorkers
+// takes plans from its caller (column groups are write-disjoint output
+// cells, so workers partition groups instead of scanning every entry);
+// HOOI is that caller, holding the plans its sweeps reuse. A caller that
+// writes the tensor's Idx or Vals must compile again: a plan describes the
+// entries as they were when it was compiled.
 //
-// A plan is immutable once built. It aliases no tensor storage: Rows and
-// Vals are copies in plan order, so kernels touch two flat arrays with
-// perfect locality instead of strided multi-index decodes.
+// A plan is immutable once built. Rows and Vals are copies in plan order,
+// so kernels touch two flat arrays with perfect locality instead of
+// strided multi-index decodes; Ents points back into the tensor's storage.
 type ModePlan struct {
 	// Mode is the mode this plan was compiled for.
 	Mode int
@@ -73,102 +71,14 @@ const gramStripGrain = 2048
 // enough strips to balance across any realistic worker count.
 const gramMaxStrips = 32
 
-// planEntry is one lazily-built per-mode plan slot. done is set (with
-// release semantics) only after once has stored the finished plan, so
-// HasPlanMode can answer "is a plan ready right now" without taking the
-// build path or racing a concurrent builder.
-type planEntry struct {
-	once sync.Once
-	plan *ModePlan
-	done atomic.Bool
-}
-
-// planCache holds the per-mode plan slots for one tensor generation.
-type planCache struct {
-	gen   uint64
-	modes []*planEntry
-}
-
-// InvalidatePlans discards all cached mode plans by bumping the tensor's
-// mutation generation. The mutating methods (Append, AppendBlock, Dedup)
-// call it automatically; code that mutates Idx or Vals directly must call
-// it before the next kernel invocation, or kernels will keep serving the
-// stale compiled layout.
-func (s *Sparse) InvalidatePlans() { s.gen++ }
-
-// PlanMode returns the compiled kernel plan for mode n, building and
-// caching it on first use. Subsequent calls (from any kernel, any worker
-// count) return the cached plan until the tensor is mutated. It is safe
-// for concurrent use: plans for different modes build in parallel, and
-// concurrent requests for the same mode block on a single build.
-func (s *Sparse) PlanMode(n, workers int) *ModePlan {
-	if n < 0 || n >= s.Order() {
-		panic(fmt.Sprintf("tensor: PlanMode mode %d out of range for order %d", n, s.Order()))
-	}
-	s.planMu.Lock()
-	if s.plans == nil || s.plans.gen != s.gen {
-		s.plans = &planCache{gen: s.gen, modes: make([]*planEntry, s.Order())}
-	}
-	e := s.plans.modes[n]
-	if e == nil {
-		e = &planEntry{}
-		s.plans.modes[n] = e
-	}
-	s.planMu.Unlock()
-	built := false
-	e.once.Do(func() {
-		e.plan = compileModePlan(s, n, workers)
-		e.done.Store(true)
-		built = true
-	})
-	// Cache accounting: exactly one caller per (generation, mode) observes
-	// the build; every other call is a hit. Both counts depend only on how
-	// many kernel invocations the algorithm performs — never on the worker
-	// count — so per-tensor deltas are valid deterministic span counters.
-	if built {
-		s.planBuilds.Add(1)
-		planBuildsTotal.Inc()
-	} else {
-		s.planHits.Add(1)
-		planHitsTotal.Inc()
-	}
-	return e.plan
-}
-
-// HasPlanMode reports whether a finished plan for mode n is cached for
-// the tensor's current generation. Kernels that can run either planned
-// or unplanned (bit-identically) use it to avoid compiling a plan that
-// will never amortize: a cached plan is free to use, but building one
-// for a transient tensor that dies after a single kernel call costs an
-// O(nnz log nnz) stable sort — more than the kernel itself when no real
-// parallelism is available (see ttmSparseKernel).
-func (s *Sparse) HasPlanMode(n int) bool {
-	if n < 0 || n >= s.Order() {
-		return false
-	}
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	if s.plans == nil || s.plans.gen != s.gen {
-		return false
-	}
-	e := s.plans.modes[n]
-	return e != nil && e.done.Load()
-}
-
-// PlanStats returns this tensor's kernel-plan cache accounting: builds
-// (cache misses, one per (tensor generation, mode)) and hits (kernel
-// invocations served by a cached plan). Both counts depend only on the
-// sequence of kernel invocations — never on the worker count — so stage
-// spans may record their deltas as deterministic counters.
-func (s *Sparse) PlanStats() (builds, hits int64) {
-	return s.planBuilds.Load(), s.planHits.Load()
-}
-
-// compileModePlan builds the sorted triple layout and group bounds for one
-// mode. The column keys are computed in parallel (disjoint entry ranges);
+// CompileModePlan builds the sorted triple layout and group bounds of s for
+// mode n. The column keys are computed in parallel (disjoint entry ranges);
 // the stable sort keeps storage order within a column group, which is what
 // preserves the serial floating-point accumulation order in every consumer.
-func compileModePlan(s *Sparse, n, workers int) *ModePlan {
+func CompileModePlan(s *Sparse, n, workers int) *ModePlan {
+	if n < 0 || n >= s.Order() {
+		panic(fmt.Sprintf("tensor: CompileModePlan mode %d out of range for order %d", n, s.Order()))
+	}
 	nnz := s.NNZ()
 	p := &ModePlan{Mode: n}
 	if nnz == 0 {

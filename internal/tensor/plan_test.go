@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mat"
@@ -19,6 +20,16 @@ func bitsEqualMat(t *testing.T, name string, a, b *mat.Matrix) {
 			t.Fatalf("%s: element %d = %v vs %v (not bit-identical)", name, i, v, b.Data[i])
 		}
 	}
+}
+
+// ttmSparsePlanned is TTMSparseWorkers with the caller's plan p (nil: the
+// entry scatter) handed to the kernel.
+func ttmSparsePlanned(x *Sparse, p *ModePlan, n int, m *mat.Matrix, workers int) *Dense {
+	shape := x.Shape.Clone()
+	shape[n] = m.Rows
+	out := NewDense(shape)
+	ttmSparseKernel(x, p, n, m, out, shape.Strides(), workers)
+	return out
 }
 
 // bitsEqualDense fails the test unless a and b agree exactly.
@@ -45,27 +56,12 @@ func withDuplicates(rng *rand.Rand, s *Sparse, n int) *Sparse {
 	return s
 }
 
-func TestModePlanCachedAndReused(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := randomSparse(rng, Shape{6, 5, 4}, 40)
-	p1 := s.PlanMode(1, 1)
-	p2 := s.PlanMode(1, 1)
-	if p1 != p2 {
-		t.Fatal("PlanMode did not return the cached plan on the second call")
-	}
-	// A different mode builds its own plan without invalidating mode 1's.
-	_ = s.PlanMode(0, 1)
-	if s.PlanMode(1, 1) != p1 {
-		t.Fatal("building another mode's plan invalidated the cached plan")
-	}
-}
-
 func TestModePlanGroupsAreConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := withDuplicates(rng, randomSparse(rng, Shape{5, 4, 6}, 60), 20)
 	o := s.Order()
 	for n := 0; n < o; n++ {
-		p := s.PlanMode(n, 2)
+		p := CompileModePlan(s, n, 2)
 		if len(p.Ents) != s.NNZ() || len(p.Rows) != s.NNZ() || len(p.Vals) != s.NNZ() {
 			t.Fatalf("mode %d plan length mismatch", n)
 		}
@@ -100,6 +96,11 @@ func TestModePlanGroupsAreConsistent(t *testing.T) {
 	}
 }
 
+// TestModePlanInvalidation — the name is older than the removal of
+// per-tensor plan caches; a tensor holds no plan to invalidate. A Gram
+// taken after a mutation — Append, Dedup, or a direct write to Vals with
+// no call in between — is the Gram of the mutated entries, equal to a
+// fresh clone's.
 func TestModePlanInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := randomSparse(rng, Shape{6, 5, 4}, 50)
@@ -110,21 +111,18 @@ func TestModePlanInvalidation(t *testing.T) {
 	}{
 		{"Append", func(s *Sparse) { s.Append([]int{0, 0, 0}, 1.5) }},
 		{"Dedup", func(s *Sparse) { s.Dedup(SumDuplicates) }},
-		{"InvalidatePlans", func(s *Sparse) { s.Vals[0] *= 2; s.InvalidatePlans() }},
+		{"DirectWrite", func(s *Sparse) { s.Vals[0] *= 2 }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			c := s.Clone()
-			stale := c.PlanMode(0, 1)
+			before := ModeGramWorkers(c, 0, 1)
 			m.do(c)
-			fresh := c.PlanMode(0, 1)
-			if fresh == stale {
-				t.Fatalf("%s did not invalidate the cached plan", m.name)
+			after := ModeGramWorkers(c, 0, 1)
+			bitsEqualMat(t, m.name, after, modeGramWorkersRef(c.Clone(), 0, 1))
+			if m.name == "DirectWrite" && reflect.DeepEqual(before.Data, after.Data) {
+				t.Fatal("the write did not move the Gram; the case proves nothing")
 			}
-			// The fresh plan must produce the same Gram as a never-planned
-			// copy of the mutated tensor.
-			pristine := c.Clone()
-			bitsEqualMat(t, m.name, ModeGramWorkers(c, 0, 1), modeGramWorkersRef(pristine, 0, 1))
 		})
 	}
 }
@@ -147,17 +145,14 @@ func TestModeGramMatchesReference(t *testing.T) {
 func TestTTMSparseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Large enough to cross ttmSparseMinNNZ so the plan-grouped parallel
-	// path engages once a plan is cached: each mode is checked plan-less
-	// (entry scatter) and then with the plan a Gram step would have left.
+	// path engages when a plan is passed: each mode is checked without one
+	// (entry scatter) and then with its compiled plan.
 	s := withDuplicates(rng, randomSparse(rng, Shape{12, 11, 10, 9}, 6000), 100)
 	for n := 0; n < s.Order(); n++ {
 		m := mat.Random(rand.New(rand.NewSource(int64(n))), 4, s.Shape[n])
-		for _, planned := range []bool{false, true} {
-			if planned {
-				s.PlanMode(n, 1)
-			}
+		for _, p := range []*ModePlan{nil, CompileModePlan(s, n, 1)} {
 			for _, w := range []int{1, 2, 8} {
-				got := TTMSparseWorkers(s, n, m, w)
+				got := ttmSparsePlanned(s, p, n, m, w)
 				want := ttmSparseWorkersRef(s, n, m, w)
 				bitsEqualDense(t, "TTMSparse", got, want)
 			}
@@ -201,45 +196,16 @@ func TestModeGramDenseMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPlanCacheConcurrentKernels drives concurrent kernels over the same
-// tensor (as HOSVD's per-mode fan-out does) to exercise the plan cache's
-// locking; run under -race this doubles as a data-race proof.
-func TestPlanCacheConcurrentKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s := randomSparse(rng, Shape{8, 7, 6, 5}, 800)
-	want := make([]*mat.Matrix, s.Order())
-	for n := range want {
-		want[n] = modeGramWorkersRef(s, n, 1)
-	}
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for n := 0; n < s.Order(); n++ {
-				bitsEqualMat(t, "concurrent ModeGram", ModeGramWorkers(s, n, 2), want[n])
-			}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-}
-
+// TestPlanlessView: the view is a shallow copy — the same entries
+// (aliased, not copied) and the same quarantine accounting.
 func TestPlanlessView(t *testing.T) {
 	s := NewSparse(Shape{3, 4})
 	s.RejectNonFinite = true
 	s.Append([]int{0, 1}, 2.5)
 	s.Append([]int{2, 3}, -1.0)
 	s.Append([]int{1, 0}, math.NaN()) // quarantined
-	s.PlanMode(0, 1)
-	if !s.HasPlanMode(0) {
-		t.Fatal("source should have a cached plan for mode 0")
-	}
 
 	v := s.PlanlessView()
-	if v.HasPlanMode(0) {
-		t.Error("view must start with an empty plan cache")
-	}
 	if v.NNZ() != s.NNZ() {
 		t.Fatalf("view NNZ = %d, want %d", v.NNZ(), s.NNZ())
 	}
@@ -248,10 +214,5 @@ func TestPlanlessView(t *testing.T) {
 	}
 	if !v.RejectNonFinite || v.Rejected != 1 {
 		t.Errorf("view quarantine = (%v, %d), want (true, 1)", v.RejectNonFinite, v.Rejected)
-	}
-	// Plans built on the view stay on the view.
-	v.PlanMode(1, 1)
-	if s.HasPlanMode(1) {
-		t.Error("plan built on the view must not appear on the source")
 	}
 }

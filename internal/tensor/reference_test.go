@@ -225,7 +225,7 @@ func modeGramStripRef(s *Sparse, n int) *mat.Matrix {
 	if s.NNZ() == 0 {
 		return g
 	}
-	p := s.PlanMode(n, 1)
+	p := CompileModePlan(s, n, 1)
 	partials := make([][]float64, p.NumStrips())
 	for st := range partials {
 		partials[st] = make([]float64, rows*rows)

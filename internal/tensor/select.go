@@ -96,8 +96,7 @@ func (s *Sparse) SelectScaled(keep []bool, scaled []float64, workers int) *Spars
 	}
 	kept := offsets[strips]
 	if kept == 0 {
-		// Nothing survived; an empty tensor compiles trivial plans on
-		// demand (kernels return before consulting them anyway).
+		// Nothing survived; every kernel returns early on an empty tensor.
 		return out
 	}
 	out.Idx = make([]int, kept*o)

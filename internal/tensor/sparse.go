@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Sparse is an N-mode tensor in coordinate (COO) format. Indices are stored
@@ -13,11 +11,9 @@ import (
 // coordinates are permitted until Dedup is called; most builders in this
 // module produce duplicate-free tensors directly.
 //
-// Sparse lazily caches compiled per-mode kernel plans (see ModePlan); the
-// mutating methods (Append, AppendBlock, Dedup) invalidate
-// them via a generation counter. Code that mutates Idx or Vals directly
-// must call InvalidatePlans before the next kernel invocation. Sparse must
-// not be copied by value once PlanMode has been called.
+// A Sparse holds no derived state: every kernel reads Idx and Vals as they
+// are when it is called, so code may write them directly between kernel
+// calls (see ModePlan for the one layout a caller may hold across calls).
 type Sparse struct {
 	Shape Shape
 	Idx   []int
@@ -31,18 +27,6 @@ type Sparse struct {
 	RejectNonFinite bool
 	// Rejected counts values dropped by RejectNonFinite.
 	Rejected int
-
-	// gen is the mutation generation; cached plans are valid only while
-	// their recorded generation matches.
-	gen uint64
-	// planMu guards plans; plan compilation itself happens outside the
-	// lock (per-mode sync.Once), so concurrent kernels on different modes
-	// never serialise their plan builds.
-	planMu sync.Mutex
-	plans  *planCache
-	// planBuilds/planHits are this tensor's kernel-plan cache accounting
-	// (see PlanStats); maintained by PlanMode.
-	planBuilds, planHits atomic.Int64
 }
 
 // NewSparse returns an empty sparse tensor with the given shape.
@@ -50,21 +34,14 @@ func NewSparse(shape Shape) *Sparse {
 	return &Sparse{Shape: shape.Clone()}
 }
 
-// PlanlessView returns a tensor sharing s's entry storage with an empty
-// kernel-plan cache — the transient-tensor protocol for decomposition
-// benchmarks and sweeps, where every arm must pay plan compilation as a
-// freshly stitched tensor would. The view inherits the quarantine
-// accounting (RejectNonFinite/Rejected). The storage is aliased, not
-// copied: mutating either tensor's entries corrupts the other's plan
-// generation, so callers must treat both as read-only.
+// PlanlessView returns a shallow copy of s: the same shape and entry
+// storage (aliased, not copied) and the same quarantine accounting. A
+// tensor caches no kernel plans, so there is nothing for the view to leave
+// behind; it is kept only because cmd/m2tdperf, whose sources the
+// benchmark gate holds fixed, still calls it.
 func (s *Sparse) PlanlessView() *Sparse {
-	return &Sparse{
-		Shape:           s.Shape.Clone(),
-		Idx:             s.Idx,
-		Vals:            s.Vals,
-		RejectNonFinite: s.RejectNonFinite,
-		Rejected:        s.Rejected,
-	}
+	v := *s
+	return &v
 }
 
 // NNZ returns the number of stored entries.
@@ -91,7 +68,6 @@ func (s *Sparse) Append(idx []int, v float64) {
 	}
 	s.Idx = append(s.Idx, idx...)
 	s.Vals = append(s.Vals, v)
-	s.InvalidatePlans()
 }
 
 // AppendBlock adds len(vals) entries at once: cell c sits at the
@@ -99,8 +75,7 @@ func (s *Sparse) Append(idx []int, v float64) {
 // is Append applied cell by cell, in order — every index is range-checked,
 // RejectNonFinite drops and counts non-finite cells, and the stored layout
 // is exactly what the per-cell loop would leave — but bulk builders (the
-// stitch emission) pay two slice appends and one plan invalidation per
-// block instead of per cell.
+// stitch emission) pay two slice appends per block instead of per cell.
 func (s *Sparse) AppendBlock(idx []int, vals []float64) {
 	o := s.Order()
 	if len(idx) != len(vals)*o {
@@ -125,7 +100,6 @@ func (s *Sparse) AppendBlock(idx []int, vals []float64) {
 			}
 		}
 	}
-	before := len(s.Vals)
 	if !dirty {
 		s.Idx = append(s.Idx, idx...)
 		s.Vals = append(s.Vals, vals...)
@@ -138,9 +112,6 @@ func (s *Sparse) AppendBlock(idx []int, vals []float64) {
 			s.Idx = append(s.Idx, idx[c*o:(c+1)*o]...)
 			s.Vals = append(s.Vals, v)
 		}
-	}
-	if len(s.Vals) != before {
-		s.InvalidatePlans()
 	}
 }
 
@@ -248,7 +219,6 @@ func (s *Sparse) Dedup(combine func(vals []float64) float64) {
 		}
 	}
 	s.Idx, s.Vals = newIdx, newVals
-	s.InvalidatePlans()
 }
 
 // SumDuplicates is a Dedup combiner that sums duplicate values.

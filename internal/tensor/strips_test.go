@@ -24,7 +24,7 @@ var stripTestWorkers = []int{1, 2, 3, 8}
 func largeStripSparse(t *testing.T) *Sparse {
 	t.Helper()
 	s := seededSparse(Shape{14, 12, 10, 8}, 9000, 21)
-	if p := s.PlanMode(0, 1); p.NumStrips() < 2 {
+	if p := CompileModePlan(s, 0, 1); p.NumStrips() < 2 {
 		t.Fatalf("test tensor compiles %d strips; need >= 2 to exercise the tree", p.NumStrips())
 	}
 	return s
@@ -103,7 +103,7 @@ func TestGramStripGridIsPureFunctionOfInput(t *testing.T) {
 	b := seededSparse(Shape{12, 10, 8}, 7000, 24)
 	for n := 0; n < 3; n++ {
 		// Different workers arguments at compile time must yield the same grid.
-		pa, pb := a.PlanMode(n, 1), b.PlanMode(n, 8)
+		pa, pb := CompileModePlan(a, n, 1), CompileModePlan(b, n, 8)
 		if len(pa.Strips) != len(pb.Strips) {
 			t.Fatalf("mode %d: %d vs %d strips", n, pa.NumStrips(), pb.NumStrips())
 		}
@@ -124,7 +124,7 @@ func TestGramStripGridIsPureFunctionOfInput(t *testing.T) {
 	}
 	// Small tensors must compile a single strip (undivided serial path).
 	small := seededSparse(Shape{7, 5, 4}, 60, 25)
-	if got := small.PlanMode(0, 1).NumStrips(); got != 1 {
+	if got := CompileModePlan(small, 0, 1).NumStrips(); got != 1 {
 		t.Fatalf("small tensor compiled %d strips, want 1", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestGramStripCountFollowsEntryCount(t *testing.T) {
 	// each bit-stable across worker counts.
 	for _, nnz := range []int{5000, 9000} {
 		s := seededSparse(Shape{14, 12, 10, 8}, nnz, 26)
-		if got := s.PlanMode(0, 1).NumStrips(); got != nnz/gramStripGrain {
+		if got := CompileModePlan(s, 0, 1).NumStrips(); got != nnz/gramStripGrain {
 			t.Fatalf("nnz=%d: plan compiled %d strips, want %d", nnz, got, nnz/gramStripGrain)
 		}
 		want := ModeGramWorkers(s, 0, 1)
@@ -169,12 +169,14 @@ func TestModeGramDenseAllocsFlatAcrossWorkers(t *testing.T) {
 }
 
 func TestGramPartialPoolReuse(t *testing.T) {
-	// Steady-state sparse Gram calls must not allocate new partials: after
-	// a warm-up call, allocations are bounded by the output matrix + plan
-	// bookkeeping, independent of the strip count.
+	// Steady-state Gram accumulations must not allocate new partials:
+	// after a warm-up call, allocations over a compiled plan are bounded by
+	// the output matrix and fan-out bookkeeping, independent of the strip
+	// count.
 	s := largeStripSparse(t)
-	ModeGramWorkers(s, 0, 2) // warm plan + pool
-	got := testing.AllocsPerRun(20, func() { ModeGramWorkers(s, 0, 2) })
+	p := CompileModePlan(s, 0, 2)
+	p.Gram(s.Shape[0], 2) // warm the pool
+	got := testing.AllocsPerRun(20, func() { p.Gram(s.Shape[0], 2) })
 	if got > 16 {
 		t.Fatalf("steady-state ModeGram allocates %.0f per op, want <= 16", got)
 	}

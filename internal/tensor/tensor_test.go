@@ -191,9 +191,8 @@ func TestSparseAppendPanics(t *testing.T) {
 }
 
 // TestSparseAppendBlockMatchesAppend pins AppendBlock to Append's contract
-// cell by cell: the same stored layout, quarantine drops (mid-block
-// included) and plan accounting as a per-cell loop, with cached plans
-// invalidated.
+// cell by cell: the same stored layout and quarantine drops (mid-block
+// included) as a per-cell loop.
 func TestSparseAppendBlockMatchesAppend(t *testing.T) {
 	shape := Shape{3, 4, 2}
 	idx := []int{0, 1, 0, 2, 3, 1, 1, 0, 1, 2, 2, 0, 0, 3, 1}
@@ -203,7 +202,6 @@ func TestSparseAppendBlockMatchesAppend(t *testing.T) {
 		for _, s := range []*Sparse{block, cells} {
 			s.RejectNonFinite = reject
 			s.Append([]int{2, 2, 1}, 7)
-			s.PlanMode(0, 1)
 		}
 		block.AppendBlock(idx, vals)
 		for c, v := range vals {
@@ -227,25 +225,6 @@ func TestSparseAppendBlockMatchesAppend(t *testing.T) {
 		if block.Rejected != wantRejected || cells.Rejected != wantRejected {
 			t.Fatalf("reject=%v: Rejected %d, per-cell %d, want %d", reject, block.Rejected, cells.Rejected, wantRejected)
 		}
-		if block.HasPlanMode(0) {
-			t.Fatalf("reject=%v: AppendBlock left a stale plan cached", reject)
-		}
-		bb, bh := block.PlanStats()
-		cb, ch := cells.PlanStats()
-		if bb != cb || bh != ch {
-			t.Fatalf("reject=%v: PlanStats (%d, %d), per-cell (%d, %d)", reject, bb, bh, cb, ch)
-		}
-	}
-
-	// A block whose every cell is quarantined stores nothing, so — like
-	// Append — it leaves cached plans valid.
-	s := NewSparse(shape)
-	s.RejectNonFinite = true
-	s.Append([]int{0, 0, 0}, 1)
-	s.PlanMode(1, 1)
-	s.AppendBlock([]int{1, 1, 1}, []float64{math.NaN()})
-	if s.NNZ() != 1 || s.Rejected != 1 || !s.HasPlanMode(1) {
-		t.Fatalf("all-rejected block: NNZ=%d Rejected=%d plan cached=%v", s.NNZ(), s.Rejected, s.HasPlanMode(1))
 	}
 }
 

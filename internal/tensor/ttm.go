@@ -98,17 +98,10 @@ const ttmSparseMinNNZ = 4096
 
 // TTMSparseWorkers computes the mode-n product Y = X ×ₙ M of a sparse
 // tensor into a fresh dense tensor, on an explicit worker count (0 = the
-// package default). The parallel path borrows the tensor's compiled mode
-// plan when a Gram kernel has already cached one (see ModePlan and
-// ttmSparseKernel): entries grouped by matricization column share one
-// output base, and distinct
-// groups write disjoint output cells, so workers partition the GROUPS —
-// each worker touches only its own groups' entries instead of re-scanning
-// all nnz entries per output slab as the pre-plan kernel did. Within a
-// group the plan preserves storage order, so every output cell accumulates
-// its contributions in exactly the serial entry order — bit-identical
-// results for any worker count. A tensor without a cached plan runs the
-// serial entry scatter whatever the worker count.
+// package default). It runs the serial entry scatter: a one-shot product
+// would pay more for compiling a mode plan (an O(nnz log nnz) stable
+// sort) than the scatter costs. A caller that repeats products on one
+// tensor holds plans and uses Workspace.MultiTTMSparseWorkers.
 func TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 	if m.Cols != x.Shape[n] {
 		panic(fmt.Sprintf("tensor: TTMSparse mode %d size %d != matrix cols %d", n, x.Shape[n], m.Cols))
@@ -116,7 +109,7 @@ func TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 	outShape := x.Shape.Clone()
 	outShape[n] = m.Rows
 	out := NewDense(outShape)
-	ttmSparseKernel(x, n, m, out, outShape.Strides(), workers)
+	ttmSparseKernel(x, nil, n, m, out, outShape.Strides(), workers)
 	return out
 }
 
@@ -124,25 +117,22 @@ func TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 // ZEROED output tensor with the given strides. The serial path runs
 // inline without spawning closures.
 //
-// Path choice — borrow, never build: the planned path is taken iff a
-// plan for mode n is already cached (x.HasPlanMode). Plans are compiled
-// by the kernels that need the grouped layout (ModeGram and, through it,
-// LeadingModeVectorsWorkers); a TTM only borrows what such a kernel left
-// behind. So every reuse caller — sub-tensor projection, the HOSVD core,
-// HOOI sweeps — finds the plan its Gram step cached and keeps the
-// group-parallel path, while every one-shot caller — the stitched or
-// sketched join in CoreFromFactors, a dist shard projection — runs the
-// entry scatter. A one-shot tensor dies after this call, so a plan built
-// here can never amortize at ANY worker count: on the res-12 join
-// (248,832 entries) the compile is a 74 ms serial stable sort plus 8.8 MB
-// of plan arrays, to feed a product the scatter finishes in 3.6 ms. Both
-// paths accumulate every output cell in storage-entry order, so the
-// choice never changes a single output bit.
-func ttmSparseKernel(x *Sparse, n int, m *mat.Matrix, out *Dense, outStrides []int, workers int) {
+// Path choice: the group-parallel path runs iff the caller passes p, x's
+// compiled plan for mode n (and the product is big enough to fan out).
+// Entries grouped by matricization column share one output base and
+// distinct groups write disjoint output cells, so workers partition the
+// groups. Without a plan the kernel runs the entry scatter. Within a
+// group the plan keeps storage order, so both paths accumulate every
+// output cell in storage-entry order: the choice never changes an output
+// bit, at any worker count.
+func ttmSparseKernel(x *Sparse, p *ModePlan, n int, m *mat.Matrix, out *Dense, outStrides []int, workers int) {
+	if p != nil && p.Mode != n {
+		panic(fmt.Sprintf("tensor: TTMSparse mode %d given a mode-%d plan", n, p.Mode))
+	}
 	stride := outStrides[n]
 	nnz := x.NNZ()
 	o := x.Order()
-	if nnz < ttmSparseMinNNZ || m.Rows == 1 || !x.HasPlanMode(n) {
+	if p == nil || nnz < ttmSparseMinNNZ || m.Rows == 1 {
 		for e := 0; e < nnz; e++ {
 			idx := x.Idx[e*o : (e+1)*o]
 			base := 0
@@ -161,7 +151,6 @@ func ttmSparseKernel(x *Sparse, n int, m *mat.Matrix, out *Dense, outStrides []i
 		return
 	}
 
-	p := x.PlanMode(n, workers)
 	bounds, rows, vals, ents := p.Bounds, p.Rows, p.Vals, p.Ents
 	// Average per-group cost: (nnz/groups) entries × m.Rows accumulations.
 	groupCost := float64(nnz) / float64(p.NumGroups()) * float64(m.Rows)

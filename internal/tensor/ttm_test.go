@@ -198,66 +198,25 @@ func TestTTMComposesQuick(t *testing.T) {
 }
 
 // TestTTMSparseOneShotSkipsPlanCompile pins the ttmSparseKernel path
-// choice — borrow, never build — at every fan-out and worker count: a
-// sparse TTM on a plan-less tensor must NOT compile a mode plan (a
-// transient tensor dies after the call, so the O(nnz log nnz) compile sort
-// can never amortize), while a plan some Gram kernel cached is free and
-// must be used. Both paths give the same bits.
+// choice at every fan-out and worker count: a one-shot product
+// (TTMSparseWorkers) has no plan and runs the entry scatter, and a plan
+// its caller passes runs the group-parallel path. Both give the same bits.
 func TestTTMSparseOneShotSkipsPlanCompile(t *testing.T) {
-	// Large enough to cross ttmSparseMinNNZ so only the cached-plan gate
+	// Large enough to cross ttmSparseMinNNZ so only the plan argument
 	// decides the path.
 	base := seededSparse(Shape{12, 11, 10, 9}, 2*ttmSparseMinNNZ, 31)
 	m := mat.Random(rand.New(rand.NewSource(31)), 4, base.Shape[0])
-	want := TTMSparseWorkers(base.PlanlessView(), 0, m, 1)
+	want := TTMSparseWorkers(base, 0, m, 1)
+	plan := CompileModePlan(base, 0, 1)
 
 	for _, fanoutCap := range []int{1, 2, 8} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("cap=%d/workers=%d", fanoutCap, workers), func(t *testing.T) {
 				prev := parallel.SetFanoutCap(fanoutCap)
 				defer parallel.SetFanoutCap(prev)
-				s := base.PlanlessView()
-
-				oneShot := TTMSparseWorkers(s, 0, m, workers)
-				if builds, hits := s.PlanStats(); builds != 0 || hits != 0 {
-					t.Fatalf("one-shot TTM touched the plan cache: %d builds, %d hits, want 0, 0", builds, hits)
-				}
-				bitsEqualDense(t, "one-shot TTMSparse", want, oneShot)
-
-				// Once a plan exists the kernel must pick it up (hits grow).
-				s.PlanMode(0, 1)
-				builds0, hits0 := s.PlanStats()
-				planned := TTMSparseWorkers(s, 0, m, workers)
-				builds1, hits1 := s.PlanStats()
-				if builds1 != builds0 || hits1 != hits0+1 {
-					t.Fatalf("cached-plan TTM: builds %d->%d hits %d->%d, want one hit and no build",
-						builds0, builds1, hits0, hits1)
-				}
-				bitsEqualDense(t, "planned TTMSparse", want, planned)
+				bitsEqualDense(t, "scatter TTMSparse", want, TTMSparseWorkers(base, 0, m, workers))
+				bitsEqualDense(t, "planned TTMSparse", want, ttmSparsePlanned(base, plan, 0, m, workers))
 			})
 		}
-	}
-}
-
-// TestHasPlanMode pins the accessor: false before any build, true after,
-// false again once the tensor mutates, and false (not a panic) for
-// out-of-range modes.
-func TestHasPlanMode(t *testing.T) {
-	s := seededSparse(Shape{6, 5, 4}, 200, 7)
-	if s.HasPlanMode(1) {
-		t.Fatal("HasPlanMode true before any PlanMode call")
-	}
-	s.PlanMode(1, 1)
-	if !s.HasPlanMode(1) {
-		t.Fatal("HasPlanMode false after PlanMode built mode 1")
-	}
-	if s.HasPlanMode(0) {
-		t.Fatal("HasPlanMode true for a mode that was never built")
-	}
-	s.InvalidatePlans()
-	if s.HasPlanMode(1) {
-		t.Fatal("HasPlanMode survived InvalidatePlans")
-	}
-	if s.HasPlanMode(-1) || s.HasPlanMode(99) {
-		t.Fatal("HasPlanMode true for out-of-range mode")
 	}
 }

@@ -100,25 +100,19 @@ func (w *Workspace) TTMWorkers(x *Dense, n int, m *mat.Matrix, workers int) *Den
 	return out
 }
 
-// TTMSparseWorkers computes the mode-n sparse TTM into workspace memory.
-// The result aliases the workspace.
-func (w *Workspace) TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
-	if m.Cols != x.Shape[n] {
-		panic(fmt.Sprintf("tensor: Workspace TTMSparse mode %d size %d != matrix cols %d", n, x.Shape[n], m.Cols))
-	}
-	out := w.take(0, x.Shape, n, m.Rows)
-	zero(out)
-	ttmSparseKernel(x, n, m, out, w.takeStrides(out.Shape), workers)
-	return out
-}
-
 // MultiTTMSparseWorkers applies all mode products to a sparse tensor into
 // workspace memory: the first non-nil matrix consumes the sparse input,
 // the rest proceed densely, ping-ponging between the two slots. With all
 // matrices nil the tensor is densified into a workspace slot. The result
 // aliases the workspace. Results are bit-identical to the allocating
 // MultiTTMSparseWorkers for any worker count.
-func (w *Workspace) MultiTTMSparseWorkers(x *Sparse, ms []*mat.Matrix, workers int) *Dense {
+//
+// plans, when non-nil, holds the caller's compiled mode plans of x, indexed
+// by mode (nil entries allowed): the sparse product on mode n runs
+// group-parallel on plans[n] when it is there, the entry scatter otherwise
+// (see ttmSparseKernel). A caller that repeats products on one tensor —
+// HOOI's sweeps — compiles the plans once and passes them to every call.
+func (w *Workspace) MultiTTMSparseWorkers(x *Sparse, plans []*ModePlan, ms []*mat.Matrix, workers int) *Dense {
 	if len(ms) != x.Order() {
 		panic(fmt.Sprintf("tensor: MultiTTMSparse got %d matrices for order-%d tensor", len(ms), x.Order()))
 	}
@@ -138,7 +132,17 @@ func (w *Workspace) MultiTTMSparseWorkers(x *Sparse, ms []*mat.Matrix, workers i
 		}
 		return out
 	}
-	cur := w.TTMSparseWorkers(x, start, ms[start], workers)
+	m := ms[start]
+	if m.Cols != x.Shape[start] {
+		panic(fmt.Sprintf("tensor: Workspace TTMSparse mode %d size %d != matrix cols %d", start, x.Shape[start], m.Cols))
+	}
+	var p *ModePlan
+	if start < len(plans) {
+		p = plans[start]
+	}
+	cur := w.take(0, x.Shape, start, m.Rows)
+	zero(cur)
+	ttmSparseKernel(x, p, start, m, cur, w.takeStrides(cur.Shape), workers)
 	for n := start + 1; n < len(ms); n++ {
 		if ms[n] == nil {
 			continue

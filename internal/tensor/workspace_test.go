@@ -93,7 +93,7 @@ func TestWorkspaceMultiTTMSparseParity(t *testing.T) {
 	for _, skip := range cases {
 		ms := chainMatrices(rng, shape, 3, skip)
 		for _, workers := range []int{1, 8} {
-			got := w.MultiTTMSparseWorkers(s, ms, workers)
+			got := w.MultiTTMSparseWorkers(s, nil, ms, workers)
 			want := MultiTTMSparseWorkers(s, ms, workers)
 			bitsEqualDense(t, "Workspace.MultiTTMSparse", got, want)
 		}
@@ -146,8 +146,9 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestWorkspaceHOOIStyleSweeps drives the workspace the way HOOI does —
-// alternating which mode is skipped, sweep after sweep — and checks every
-// intermediate against the allocating path.
+// alternating which mode is skipped, sweep after sweep, on the mode-0 and
+// mode-1 plans compiled once — and checks every intermediate against the
+// allocating path.
 func TestWorkspaceHOOIStyleSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	shape := Shape{7, 6, 5, 4}
@@ -155,11 +156,12 @@ func TestWorkspaceHOOIStyleSweeps(t *testing.T) {
 	full := chainMatrices(rng, shape, 3, nil)
 	w := NewWorkspace()
 	ms := make([]*mat.Matrix, shape.Order())
+	plans := []*ModePlan{CompileModePlan(s, 0, 2), CompileModePlan(s, 1, 2), nil, nil}
 	for sweep := 0; sweep < 3; sweep++ {
 		for n := 0; n < shape.Order(); n++ {
 			copy(ms, full)
 			ms[n] = nil
-			got := w.MultiTTMSparseWorkers(s, ms, 2)
+			got := w.MultiTTMSparseWorkers(s, plans, ms, 2)
 			want := MultiTTMSparseWorkers(s, ms, 2)
 			bitsEqualDense(t, "HOOI-style sweep", got, want)
 		}

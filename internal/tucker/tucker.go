@@ -63,7 +63,8 @@ func HOSVD(x *tensor.Sparse, ranks []int) Decomposition { return HOSVDWorkers(x,
 // the parallel package default, 1 forces serial execution). The per-mode
 // factor extractions are independent by construction, so they run
 // concurrently — one task per mode, each itself using the parallel Gram
-// kernels — and the core recovery uses the parallel sparse TTM chain.
+// kernels — and the core recovery is the sparse entry scatter followed by
+// the parallel dense TTM chain.
 // Every mode's factor is computed exactly as in the serial loop, so the
 // decomposition is bit-identical for any worker count.
 func HOSVDWorkers(x *tensor.Sparse, ranks []int, workers int) Decomposition {
@@ -78,9 +79,17 @@ func HOSVDWorkers(x *tensor.Sparse, ranks []int, workers int) Decomposition {
 // deterministic. A nil span disables instrumentation at the cost of one
 // nil check per site.
 func HOSVDSpan(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) Decomposition {
+	dec, _ := hosvd(x, ranks, workers, span)
+	return dec
+}
+
+// hosvd is HOSVDSpan that also returns the mode plans its Gram steps
+// compiled, indexed by mode, for a caller that reuses them (HOOICtx).
+func hosvd(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) (Decomposition, []*tensor.ModePlan) {
 	ranks = ClipRanks(x.Shape, ranks)
 	order := x.Order()
 	factors := make([]*mat.Matrix, order)
+	plans := make([]*tensor.ModePlan, order)
 	tasks := make([]func(), order)
 	// Split the worker budget between the concurrent per-mode tasks and
 	// the kernels inside them, so a workers=W request occupies ~W
@@ -93,7 +102,8 @@ func HOSVDSpan(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) Decom
 		ms.Set("rank", int64(ranks[n]))
 		tasks[n] = func() {
 			defer ms.Finish()
-			factors[n] = tensor.LeadingModeVectorsWorkers(x, n, ranks[n], inner)
+			plans[n] = tensor.CompileModePlan(x, n, inner)
+			factors[n] = mat.LeadingEigenvectors(plans[n].Gram(x.Shape[n], inner), ranks[n])
 		}
 	}
 	parallel.Do(workers, tasks...)
@@ -101,7 +111,7 @@ func HOSVDSpan(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) Decom
 	core := tensor.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), workers)
 	cs.Set("cells", int64(len(core.Data)))
 	cs.Finish()
-	return Decomposition{Core: core, Factors: factors, Ranks: ranks}
+	return Decomposition{Core: core, Factors: factors, Ranks: ranks}, plans
 }
 
 // Reconstruct expands the decomposition back to the full tensor:

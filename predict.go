@@ -2,6 +2,7 @@ package m2td
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dynsys"
 	"repro/internal/mat"
@@ -19,7 +20,8 @@ import (
 // the two bracketing rows of each parameter mode's factor matrix (the
 // Tucker model is multilinear in the factor rows, so this is exact
 // multilinear interpolation of the reconstruction). Values outside a
-// parameter's range are clamped to it.
+// parameter's range, ±Inf included, are clamped to it; a NaN value is an
+// error.
 func (r *Report) Predict(paramValues []float64) ([]float64, error) {
 	space := r.Space
 	if r.Decomposition == nil {
@@ -50,6 +52,9 @@ func (r *Report) Predict(paramValues []float64) ([]float64, error) {
 // the exact row on grid points, the linear blend of the two bracketing
 // rows otherwise.
 func interpolatedRow(f *mat.Matrix, p dynsys.Param, value float64, res int) ([]float64, error) {
+	if math.IsNaN(value) {
+		return nil, fmt.Errorf("m2td: parameter %s is NaN", p.Name)
+	}
 	if res <= 1 {
 		return append([]float64(nil), f.Row(0)...), nil
 	}

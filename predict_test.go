@@ -3,6 +3,7 @@ package m2td
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dynsys"
@@ -146,6 +147,18 @@ func TestPredictValidation(t *testing.T) {
 		t.Fatal("wrong parameter count accepted")
 	}
 	vals := dynsys.ReferenceParams(report.Space.Sys)
+	nan := append([]float64{math.NaN()}, vals[1:]...)
+	if fiber, err := report.Predict(nan); err == nil {
+		t.Fatalf("NaN parameter accepted: %v", fiber)
+	}
+	// ±Inf clamps to the parameter's range.
+	inf := append([]float64{math.Inf(1)}, vals[1:]...)
+	atMax := append([]float64{report.Space.Sys.Params()[0].Max}, vals[1:]...)
+	got, err := report.Predict(inf)
+	want, err2 := report.Predict(atMax)
+	if err != nil || err2 != nil || !slices.Equal(got, want) {
+		t.Fatalf("+Inf parameter: %v (err %v), want the clamped %v (err %v)", got, err, want, err2)
+	}
 	if fiber, err := report.Predict(vals); err != nil || len(fiber) != report.Space.TimeSamples {
 		t.Fatalf("Predict at the reference point: %d values, err %v; want one per timestamp", len(fiber), err)
 	}
