@@ -26,8 +26,8 @@ vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 # Hermetic lint: go vet plus the in-repo m2tdlint invariant suite
-# (determinism, ctxprop, spans, floatcmp, quarantine, atomicstore,
-# metrichygiene — DESIGN.md §8).
+# (determinism, ctxprop, floatcmp, quarantine, atomicstore, metrichygiene
+# — DESIGN.md §8).
 # Runs offline; any finding fails the target. The CI lint job runs the
 # same whole-module sweep with -json and archives the findings file.
 lint: vet
@@ -118,11 +118,11 @@ perf:
 	$(GO) run ./cmd/m2tdperf -seed 7
 
 # Short runs of the fuzz targets: the internal/tensor index algebra, the
-# decoders on the process engine's trust boundaries (store objects — sparse
-# tensors, matrix lists, decompositions, sim sets — control-plane frames,
-# the task/result payloads inside a valid frame, and the phase artifacts
-# the coordinator reads back),
-# campaign identity (api.CampaignSpec JSON → Config.SimFingerprint /
+# decoders of bytes that cross a disk or process boundary (store objects —
+# sparse tensors, matrix lists, decompositions, sim sets — the JSONL trace
+# log, control-plane frames, the task/result payloads inside a valid
+# frame, and the phase artifacts the coordinator reads back), campaign
+# identity (api.CampaignSpec JSON → Config.SimFingerprint /
 # Fingerprint, which name shared store objects), and the submit request
 # bodies the server decodes (a config or invalid_request, never a 5xx).
 fuzz-smoke:
@@ -132,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLoadMatrices -fuzztime=10s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzLoadDecomposition -fuzztime=10s ./internal/store
 	$(GO) test -run=NONE -fuzz=FuzzLoadSimSet -fuzztime=10s ./internal/store
+	$(GO) test -run=NONE -fuzz=FuzzReadJSONL -fuzztime=10s ./internal/obs
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzTaskPayload -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzPhaseArtifact -fuzztime=10s ./internal/distnet

@@ -1,8 +1,7 @@
 // Command m2tdlint runs the repository's custom invariant analyzers
 // (internal/lint) over the module: determinism of the kernel packages,
-// context propagation, obs span hygiene, floating-point comparison
-// discipline, tensor quarantine safety, atomic-store routing, and
-// metric-name hygiene. See DESIGN.md §8 for the rule table and the
+// context propagation, floating-point comparison discipline, tensor
+// quarantine safety, atomic-store routing, and metric-name hygiene. See DESIGN.md §8 for the rule table and the
 // //lint:allow suppression policy.
 //
 // Usage:

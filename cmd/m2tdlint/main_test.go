@@ -19,7 +19,7 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("-list exit code = %d, want 0 (stderr: %s)", code, stderr.String())
 	}
 	for _, name := range []string{
-		"determinism", "ctxprop", "spans", "floatcmp", "quarantine",
+		"determinism", "ctxprop", "floatcmp", "quarantine",
 		"atomicstore", "metrichygiene",
 	} {
 		if !strings.Contains(stdout.String(), name) {

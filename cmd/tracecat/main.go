@@ -2,7 +2,8 @@
 // `m2tdbench -run -trace-out` or m2td.WriteTrace) and prints a
 // human-readable summary: the stage-span tree with durations, counters,
 // and gauges, followed by the process-wide metrics snapshot recorded at
-// the end of the run.
+// the end of the run. A span the log caught before its Finish is marked
+// "(running)", and the footer counts them.
 //
 // Usage:
 //
@@ -65,17 +66,27 @@ func summarize(r io.Reader, w io.Writer) error {
 	if root == nil {
 		fmt.Fprintln(w, "(trace log carries no spans)")
 	} else {
-		spans := 0
+		spans, running := 0, 0
 		root.Walk(func(depth int, s *obs.SpanData) {
 			spans++
-			fmt.Fprintf(w, "%s%-*s %10s%s%s\n",
+			mark := ""
+			if s.Running {
+				running++
+				mark = " (running)"
+			}
+			fmt.Fprintf(w, "%s%-*s %10s%s%s%s\n",
 				strings.Repeat("  ", depth),
 				28-2*depth, s.Name,
 				time.Duration(s.DurNS).Round(time.Microsecond),
 				kvs(" ", s.Counters),
-				kvs(" ~", s.Gauges))
+				kvs(" ~", s.Gauges),
+				mark)
 		})
-		fmt.Fprintf(w, "\n%d spans, total %s\n", spans, time.Duration(root.DurNS).Round(time.Microsecond))
+		count := fmt.Sprintf("%d spans", spans)
+		if running > 0 {
+			count += fmt.Sprintf(" (%d running)", running)
+		}
+		fmt.Fprintf(w, "\n%s, total %s\n", count, time.Duration(root.DurNS).Round(time.Microsecond))
 	}
 	if snapshot != nil {
 		fmt.Fprintln(w, "\nmetrics snapshot:")

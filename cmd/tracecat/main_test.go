@@ -62,6 +62,41 @@ func TestSummarizeNoSnapshot(t *testing.T) {
 	}
 }
 
+// TestSummarizeRunning: a span written before its Finish is marked, and
+// the footer counts it; a finished trace's footer carries no count.
+func TestSummarizeRunning(t *testing.T) {
+	tr := obs.New("run")
+	tr.Root().Start("partition").Finish()
+	tr.Root().Start("decompose")
+	var in bytes.Buffer
+	if err := obs.WriteJSONL(&in, tr.Root().Data(), nil); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := summarize(&in, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{"decompose", "(running)", "3 spans (2 running)"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("summary missing %q:\n%s", want, got)
+		}
+	}
+	for _, line := range strings.Split(got, "\n") {
+		if strings.Contains(line, "partition") && strings.Contains(line, "(running)") {
+			t.Errorf("finished span marked running: %q", line)
+		}
+	}
+
+	out.Reset()
+	if err := summarize(traceJSONL(t, nil), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "running") {
+		t.Errorf("finished trace summarized with running spans:\n%s", out.String())
+	}
+}
+
 func TestSummarizeRejectsGarbage(t *testing.T) {
 	if err := summarize(strings.NewReader("definitely not jsonl\n"), &bytes.Buffer{}); err == nil {
 		t.Error("garbage input accepted")

@@ -36,6 +36,10 @@ var Determinism = &Analyzer{
 	Run: runDeterminism,
 }
 
+// obsPkgPath is the observability package, whose StartStopwatch the
+// hash-only tier may not call.
+const obsPkgPath = "repro/internal/obs"
+
 // bannedClockFuncs are package-level time functions that read the wall
 // clock or scheduler state.
 var bannedClockFuncs = map[string]bool{

@@ -33,10 +33,6 @@ func TestCtxPropGolden(t *testing.T) {
 	linttest.Run(t, "ctxprop", lint.CtxProp)
 }
 
-func TestSpansGolden(t *testing.T) {
-	linttest.Run(t, "spanhygiene", lint.Spans)
-}
-
 func TestFloatCmpGolden(t *testing.T) {
 	linttest.Run(t, "floatcmp", lint.FloatCmp)
 }

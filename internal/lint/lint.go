@@ -1,9 +1,10 @@
 // Package lint is m2tdlint: a suite of custom static analyzers encoding
 // this repository's correctness invariants — determinism of the kernel
-// packages, context propagation, obs span hygiene, floating-point
-// comparison discipline, tensor quarantine safety, atomic artifact
-// persistence, and metric-name hygiene. Each rule is one a test cannot
-// see: a finding is a property of the source, not of any run.
+// packages, context propagation, floating-point comparison discipline,
+// tensor quarantine safety, atomic artifact persistence, and metric-name
+// hygiene. Each rule is one a test cannot see: a finding is a property
+// of the source, not of any run. Span lifecycles are a run's property:
+// the root package's TestSpansFinished checks them on every return path.
 //
 // The suite is intentionally built on the standard library alone
 // (go/ast, go/types, and `go list -export` for dependency export data)
@@ -48,7 +49,6 @@ type Analyzer struct {
 var All = []*Analyzer{
 	Determinism,
 	CtxProp,
-	Spans,
 	FloatCmp,
 	Quarantine,
 	AtomicStore,

@@ -11,7 +11,7 @@ import (
 // nothing. The list is the contract — extend it when a PR adds a rule.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
-		"determinism", "ctxprop", "spans", "floatcmp", "quarantine",
+		"determinism", "ctxprop", "floatcmp", "quarantine",
 		"atomicstore", "metrichygiene",
 	}
 	if len(lint.All) != len(want) {

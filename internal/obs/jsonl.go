@@ -30,7 +30,8 @@ type Event struct {
 	Trace     string `json:"trace,omitempty"`
 	CreatedNS int64  `json:"created_unix_ns,omitempty"`
 
-	// span fields. Parent is nil for the root span.
+	// span fields. Parent is nil for the root span; Running marks a span
+	// logged before its Finish.
 	ID       int              `json:"id,omitempty"`
 	Parent   *int             `json:"parent,omitempty"`
 	Name     string           `json:"name,omitempty"`
@@ -38,6 +39,7 @@ type Event struct {
 	DurNS    int64            `json:"dur_ns,omitempty"`
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
+	Running  bool             `json:"running,omitempty"`
 
 	// metrics fields.
 	Snapshot map[string]any `json:"snapshot,omitempty"`
@@ -68,6 +70,7 @@ func WriteJSONL(w io.Writer, root *SpanData, snapshot map[string]any) error {
 				DurNS:    d.DurNS,
 				Counters: d.Counters,
 				Gauges:   d.Gauges,
+				Running:  d.Running,
 			}
 			if err := enc.Encode(ev); err != nil {
 				return err
@@ -100,7 +103,9 @@ func (d *SpanData) name() string {
 
 // ReadJSONL replays a structured event log: it rebuilds the span tree and
 // returns the final metrics snapshot (nil when the log carries none).
-// Unknown event kinds are skipped, so the format can grow.
+// Unknown event kinds are skipped, so the format can grow. A span line
+// whose id an earlier line already bound, or whose parent is not an
+// earlier line's id (itself included), is an error naming the line.
 func ReadJSONL(r io.Reader) (*SpanData, map[string]any, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -128,14 +133,17 @@ func ReadJSONL(r io.Reader) (*SpanData, map[string]any, error) {
 			}
 			sawMeta = true
 		case "span":
+			if _, dup := byID[ev.ID]; dup {
+				return nil, nil, fmt.Errorf("obs: trace log line %d: span id %d repeated", line, ev.ID)
+			}
 			d := &SpanData{
 				Name:     ev.Name,
 				StartNS:  ev.StartNS,
 				DurNS:    ev.DurNS,
 				Counters: ev.Counters,
 				Gauges:   ev.Gauges,
+				Running:  ev.Running,
 			}
-			byID[ev.ID] = d
 			if ev.Parent == nil {
 				if root != nil {
 					return nil, nil, fmt.Errorf("obs: trace log line %d: second root span", line)
@@ -148,6 +156,7 @@ func ReadJSONL(r io.Reader) (*SpanData, map[string]any, error) {
 				}
 				p.Children = append(p.Children, d)
 			}
+			byID[ev.ID] = d
 		case "metrics":
 			snapshot = ev.Snapshot
 		}

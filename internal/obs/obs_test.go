@@ -295,13 +295,112 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONLRunning: a span snapshotted before its Finish is marked
+// running and keeps the mark through the log; a finished tree writes no
+// "running" key at all, so logs of finished runs are unchanged.
+func TestJSONLRunning(t *testing.T) {
+	tr := New("run")
+	open := tr.Root().Start("open")
+	tr.Root().Start("done").Finish()
+	var b bytes.Buffer
+	if err := WriteJSONL(&b, tr.Root().Data(), nil); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ReadJSONL(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Running || !got.Find("open").Running || got.Find("done").Running {
+		t.Errorf("running marks after round trip: root %v open %v done %v, want true true false",
+			got.Running, got.Find("open").Running, got.Find("done").Running)
+	}
+
+	open.Finish()
+	tr.Finish()
+	b.Reset()
+	if err := WriteJSONL(&b, tr.Root().Data(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "running") {
+		t.Errorf("finished trace wrote a running key:\n%s", b.String())
+	}
+}
+
+const metaLine = `{"kind":"meta","version":1,"trace":"run"}` + "\n"
+
 func TestReadJSONLErrors(t *testing.T) {
-	if _, _, err := ReadJSONL(strings.NewReader("")); err == nil {
-		t.Error("empty input should error")
+	for _, c := range []struct{ name, log, want string }{
+		{"empty", "", "no meta line"},
+		{"malformed", "not json\n", "line 1"},
+		{"repeated id", metaLine +
+			`{"kind":"span","name":"run"}` + "\n" +
+			`{"kind":"span","id":1,"parent":0,"name":"a"}` + "\n" +
+			`{"kind":"span","id":1,"parent":0,"name":"b"}` + "\n", "line 4: span id 1 repeated"},
+		{"own parent", metaLine +
+			`{"kind":"span","name":"run"}` + "\n" +
+			`{"kind":"span","id":1,"parent":1,"name":"a"}` + "\n", "line 3: span 1 references unknown parent 1"},
+		{"second root", metaLine +
+			`{"kind":"span","name":"run"}` + "\n" +
+			`{"kind":"span","id":1,"name":"again"}` + "\n", "line 3: second root"},
+	} {
+		_, _, err := ReadJSONL(strings.NewReader(c.log))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
-	if _, _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Error("malformed input should error")
+}
+
+// FuzzReadJSONL: ReadJSONL rejects a log or returns a tree holding
+// exactly one node per span line, and the tree survives WriteJSONL →
+// ReadJSONL with its skeleton intact.
+func FuzzReadJSONL(f *testing.F) {
+	tr := New("run")
+	p := tr.Root().Start("partition")
+	p.Add("sims", 64)
+	p.SetGauge("allocs", 7)
+	p.Start("sub1").Finish()
+	p.Finish()
+	tr.Root().Start("open")
+	var b bytes.Buffer
+	if err := WriteJSONL(&b, tr.Root().Data(), map[string]any{"m2td_runs_total": 1}); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(b.String())
+	f.Add(metaLine)
+	f.Add(metaLine + `{"kind":"span","name":"run"}` + "\n" +
+		`{"kind":"span","id":1,"parent":0,"name":"a"}` + "\n" +
+		`{"kind":"span","id":1,"parent":1,"name":"b"}` + "\n" +
+		`{"kind":"span","id":2,"parent":0,"name":"c"}` + "\n")
+	f.Add(metaLine + `{"kind":"span","name":"run"}` + "\n" + `{"kind":"span","id":1,"parent":1,"name":"a"}` + "\n")
+	f.Fuzz(func(t *testing.T, log string) {
+		root, _, err := ReadJSONL(strings.NewReader(log))
+		if err != nil {
+			return
+		}
+		spanLines := 0
+		for _, line := range strings.Split(log, "\n") {
+			var ev Event
+			if json.Unmarshal([]byte(line), &ev) == nil && ev.Kind == "span" {
+				spanLines++
+			}
+		}
+		nodes := 0
+		root.Walk(func(int, *SpanData) { nodes++ })
+		if nodes != spanLines {
+			t.Fatalf("tree has %d nodes for %d span lines", nodes, spanLines)
+		}
+		var out bytes.Buffer
+		if err := WriteJSONL(&out, root, nil); err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := ReadJSONL(&out)
+		if err != nil {
+			t.Fatalf("re-read of a written log: %v", err)
+		}
+		if again.Skeleton() != root.Skeleton() {
+			t.Fatalf("skeleton changed through WriteJSONL → ReadJSONL:\n%s\nwant:\n%s", again.Skeleton(), root.Skeleton())
+		}
+	})
 }
 
 // TestServeMetrics starts the HTTP listener on a free port and scrapes

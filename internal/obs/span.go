@@ -264,10 +264,13 @@ type SpanData struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 	Children []*SpanData      `json:"children,omitempty"`
+	// Running marks a span snapshotted before its Finish: DurNS is the
+	// elapsed time so far, not a duration.
+	Running bool `json:"running,omitempty"`
 }
 
 // Data snapshots the subtree. Running spans snapshot their current
-// elapsed time.
+// elapsed time and are marked Running.
 func (s *Span) Data() *SpanData {
 	if s == nil {
 		return nil
@@ -291,6 +294,7 @@ func (s *Span) data(origin time.Time) *SpanData {
 		d.DurNS = s.dur.Nanoseconds()
 	} else {
 		d.DurNS = time.Since(s.start).Nanoseconds()
+		d.Running = true
 	}
 	if len(s.counters) > 0 {
 		d.Counters = make(map[string]int64, len(s.counters))

@@ -62,6 +62,7 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 		sw := opts.Span.Start(fmt.Sprintf("sweep%d", iter))
 		for n := 0; n < order; n++ {
 			if err := ctx.Err(); err != nil {
+				sw.Finish()
 				return Decomposition{}, err
 			}
 			// Project through every factor except mode n.
@@ -76,6 +77,7 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 			factors[n] = mat.LeadingEigenvectors(tensor.ModeGramDenseWorkers(y, n, w), ranks[n])
 		}
 		if err := ctx.Err(); err != nil {
+			sw.Finish()
 			return Decomposition{}, err
 		}
 		core := ws.MultiTTMSparseWorkers(x, plans, tensor.TransposeAll(factors), w)

@@ -4,13 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/obs"
+	"repro/internal/partition"
+	"repro/internal/tucker"
 )
 
 // traceConfig is smallConfig with tracing on and accuracy skipped (the
@@ -61,6 +70,170 @@ func TestTraceGoldenStructure(t *testing.T) {
 	if skeletons[1] != skeletons[8] {
 		t.Errorf("skeleton differs between Parallel=1 and Parallel=8:\n--- Parallel=1\n%s\n--- Parallel=8\n%s",
 			skeletons[1], skeletons[8])
+	}
+}
+
+// pollCtx is a context whose Err turns Canceled at its at-th call and
+// stays so, closing Done with it; at 0 never cancels. polls counts every
+// Err call, so a run under at 0 measures how often an entry point polls.
+type pollCtx struct {
+	context.Context
+	at    int64
+	polls atomic.Int64
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPollCtx(at int64) *pollCtx {
+	return &pollCtx{Context: context.Background(), at: at, done: make(chan struct{})}
+}
+
+func (c *pollCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCtx) Err() error {
+	if n := c.polls.Add(1); c.at > 0 && n >= c.at {
+		c.once.Do(func() { close(c.done) })
+		return context.Canceled
+	}
+	return nil
+}
+
+// runningSpans lists the "/"-joined paths of the spans in root's tree,
+// from depth from down, that are still running.
+func runningSpans(root *obs.Span, from int) []string {
+	var running, path []string
+	root.Data().Walk(func(depth int, s *obs.SpanData) {
+		path = append(path[:depth], s.Name)
+		if depth >= from && s.Running {
+			running = append(running, strings.Join(path, "/"))
+		}
+	})
+	return running
+}
+
+// TestSpansFinished is the span contract of DESIGN.md §7.2, checked
+// where spans run: every span an entry point starts under its caller's
+// span or trace is finished when the call returns — on success, and for
+// the entry points that poll their context, on every cancellation return
+// path (a pollCtx cancelling at each poll k of a full run in turn). A
+// completed run's skeleton is the same at Parallel 1 and 8, so nothing
+// timing- or scheduling-derived entered a counter.
+func TestSpansFinished(t *testing.T) {
+	x := facadeTestTensor()
+	cfg := smallConfig()
+	space, err := cfg.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := partitionAt(t, space, space.TimeMode(), 0.5, 0.5, 7)
+	pcfg := partition.DefaultConfig(space.Order(), space.TimeMode(), eval.PairsFor(space.Sys.Name()))
+	pcfg.PivotFrac, pcfg.FreeFrac = 0.3, 0.3
+
+	// run calls the entry point at the given Parallel and returns the
+	// trace that holds its spans: the caller's ("caller", whose root the
+	// entry point must leave running) or the one the entry point returns.
+	type row struct {
+		name  string
+		polls bool
+		run   func(ctx context.Context, parallel int) (*obs.Trace, error)
+	}
+	runCtx := func(mut func(*Config)) func(context.Context, int) (*obs.Trace, error) {
+		return func(ctx context.Context, parallel int) (*obs.Trace, error) {
+			c := traceConfig()
+			c.Parallel = parallel
+			mut(&c)
+			report, err := RunCtx(ctx, c)
+			if err != nil {
+				return nil, err
+			}
+			return report.Trace, nil
+		}
+	}
+	tuckerCtx := func(opts TuckerOptions) func(context.Context, int) (*obs.Trace, error) {
+		return func(ctx context.Context, parallel int) (*obs.Trace, error) {
+			tr := obs.New("caller")
+			opts.Parallel, opts.Trace = parallel, tr
+			_, err := TuckerCtx(ctx, x, opts)
+			return tr, err
+		}
+	}
+	decomposeCtx := func(shards int) func(context.Context, int) (*obs.Trace, error) {
+		return func(ctx context.Context, parallel int) (*obs.Trace, error) {
+			tr := obs.New("caller")
+			_, err := core.DecomposeCtx(ctx, part, core.Options{
+				Method: core.SELECT, Ranks: tucker.UniformRanks(space.Order(), 2),
+				Workers: parallel, Shards: shards, Span: tr.Root(),
+			})
+			return tr, err
+		}
+	}
+	sketch := SketchConfig{KeepFrac: 0.5, Seed: 3}
+	rows := []row{
+		{"RunCtx", false, runCtx(func(*Config) {})},
+		{"RunCtx/Workers", false, runCtx(func(c *Config) { c.Workers = 2 })},
+		{"RunCtx/Distributed", false, runCtx(func(c *Config) { c.Distributed = &DistributedConfig{Workers: 2} })},
+		{"BaselineCtx", false, func(ctx context.Context, parallel int) (*obs.Trace, error) {
+			c := traceConfig()
+			c.Parallel = parallel
+			report, err := BaselineCtx(ctx, c, "random", 60)
+			if err != nil {
+				return nil, err
+			}
+			return report.Trace, nil
+		}},
+		{"TuckerCtx/HOSVD", true, tuckerCtx(TuckerOptions{Rank: 2})},
+		{"TuckerCtx/HOOI", true, tuckerCtx(TuckerOptions{Rank: 2, HOOI: true})},
+		{"TuckerCtx/sketch", true, tuckerCtx(TuckerOptions{Rank: 2, Sketch: sketch})},
+		{"TuckerCtx/sketch+HOOI", true, tuckerCtx(TuckerOptions{Rank: 2, Sketch: sketch, HOOI: true})},
+		{"core.DecomposeCtx/Shards1", true, decomposeCtx(1)},
+		{"core.DecomposeCtx/Shards3", true, decomposeCtx(3)},
+		{"partition.GenerateCtx", true, func(ctx context.Context, parallel int) (*obs.Trace, error) {
+			tr := obs.New("caller")
+			_, err := partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(7)),
+				partition.SimOptions{Workers: parallel, Span: tr.Root()})
+			return tr, err
+		}},
+	}
+	check := func(t *testing.T, what string, tr *obs.Trace) {
+		t.Helper()
+		from := 0
+		if tr.Root().Name() == "caller" {
+			from = 1
+		}
+		if running := runningSpans(tr.Root(), from); len(running) > 0 {
+			t.Errorf("%s: spans still running after the call returned: %v\n%s", what, running, tr.Root().Skeleton())
+		}
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			skeletons := map[int]string{}
+			for _, parallel := range []int{1, 8} {
+				tr, err := r.run(context.Background(), parallel)
+				if err != nil {
+					t.Fatalf("Parallel=%d: %v", parallel, err)
+				}
+				check(t, "completed run", tr)
+				skeletons[parallel] = tr.Root().Skeleton()
+			}
+			if skeletons[1] != skeletons[8] {
+				t.Errorf("skeleton differs between Parallel=1 and Parallel=8:\n--- Parallel=1\n%s--- Parallel=8\n%s",
+					skeletons[1], skeletons[8])
+			}
+			if !r.polls {
+				return
+			}
+			full := newPollCtx(0)
+			if _, err := r.run(full, 1); err != nil {
+				t.Fatal(err)
+			}
+			for k := int64(1); k <= full.polls.Load(); k++ {
+				tr, err := r.run(newPollCtx(k), 1)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled at poll %d of %d: err = %v, want context.Canceled", k, full.polls.Load(), err)
+				}
+				check(t, fmt.Sprintf("cancelled at poll %d", k), tr)
+			}
+		})
 	}
 }
 
