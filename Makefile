@@ -158,8 +158,10 @@ trace-smoke:
 # shard count (-dist-shards = -workers) pins the determinism unit so the
 # four runs are comparable. Then a faulted pair: the same campaign with
 # divergent trajectories quarantined (-divergent-rate 0.02 leaves holes in
-# the P×E grid, so the join-free kernel sums pivot groups per group) on
-# both executors must print one fingerprint too — another one.
+# the P×E grid, whose pivot groups the join-free formula takes like any
+# other) on both executors, and on worker processes with one killed — so
+# the Phase 3 object is re-leased and re-read — must print one fingerprint
+# too: another one.
 dist-smoke:
 	$(GO) run ./cmd/m2tdbench -run -res 6 -workers 4 > dist-inproc.out
 	$(GO) run ./cmd/m2tdbench -run -res 6 -dist-procs 3 -dist-shards 4 > dist-clean.out
@@ -173,12 +175,14 @@ dist-smoke:
 	$(GO) run ./cmd/tracecat dist-trace.jsonl > /dev/null
 	$(GO) run ./cmd/m2tdbench -run -res 6 -divergent-rate 0.02 -workers 4 > dist-holes-inproc.out
 	$(GO) run ./cmd/m2tdbench -run -res 6 -divergent-rate 0.02 -dist-procs 3 -dist-shards 4 > dist-holes-procs.out
-	@grep -H '^quarantined cells  *[1-9]' dist-holes-inproc.out dist-holes-procs.out \
+	$(GO) run ./cmd/m2tdbench -run -res 6 -divergent-rate 0.02 -dist-procs 3 -dist-shards 4 \
+		-kill-workers 1 > dist-holes-kill1.out
+	@grep -H '^quarantined cells  *[1-9]' dist-holes-inproc.out dist-holes-procs.out dist-holes-kill1.out \
 		|| (echo "faulted pair: no cell was quarantined, the drill tests nothing"; exit 1)
-	@grep '^core fingerprint' dist-holes-inproc.out dist-holes-procs.out
-	@test "$$(grep -h '^core fingerprint' dist-holes-inproc.out dist-holes-procs.out dist-clean.out | sort -u | wc -l)" = 2 \
-		|| (echo "faulted pair: want one fingerprint on both executors, and not the clean campaign's"; exit 1)
-	@rm -f dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl dist-holes-inproc.out dist-holes-procs.out
+	@grep '^core fingerprint' dist-holes-inproc.out dist-holes-procs.out dist-holes-kill1.out
+	@test "$$(grep -h '^core fingerprint' dist-holes-inproc.out dist-holes-procs.out dist-holes-kill1.out dist-clean.out | sort -u | wc -l)" = 2 \
+		|| (echo "faulted pair: want one fingerprint on both executors, killed or not, and not the clean campaign's"; exit 1)
+	@rm -f dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl dist-holes-inproc.out dist-holes-procs.out dist-holes-kill1.out
 
 # Serving-layer acceptance (mirrors the CI `serve` job): the handler and
 # typed-client suites under -race, including the kill-mid-campaign

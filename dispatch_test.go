@@ -138,7 +138,7 @@ func faultedCases(t *testing.T) []routeCase {
 // orders), and the factors — computed from the sub-tensors on both routes
 // — are bit-equal, for every method over the whole grid of cases and over
 // the fault-injected ones (one failed simulation; quarantined cells), whose
-// holes the same kernel sums per pivot group. The engines run that kernel
+// holey pivot groups the same formula takes. The engines run that kernel
 // too, so the table carries them: in process at three shards (Workers) on
 // every case, the process engine (Distributed) at three shards on
 // the P = E = 0.5 and the fault-injected cases — join and zero-join — each

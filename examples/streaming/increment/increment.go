@@ -128,7 +128,7 @@ func (t *Tracker) state(sub int) (*subState, error) {
 // snapshot packages the current cells as a partition.Result: a cell
 // appended at an index already stored adds to it, as it does in the Grams,
 // and there are no configuration lists — appends outgrow them — so the
-// join-free kernel sums every pivot group from its cells.
+// join-free kernel takes every side's cκ from its cells' mask.
 func (t *Tracker) snapshot() *partition.Result {
 	k := len(t.cfg.Pivots)
 	cells := func(st *subState) *tensor.Sparse {
@@ -181,6 +181,6 @@ func (t *Tracker) Decompose(opts core.Options) (*core.Result, error) {
 
 	p := t.snapshot()
 	part := core.ProjectShard(stitch.NewSpec(p, opts.ZeroJoin), core.SampledOf(p), p.Sub1.Tensor, p.Sub2.Tensor, factors, 0, 1, opts.Workers)
-	coreT, total := core.FactoredCore(p, opts.ZeroJoin, factors, []core.Partial{part}, opts.Span)
-	return &core.Result{Factors: factors, Core: coreT, Rejected: total.Rejected}, nil
+	total := core.FactoredCore([]core.Partial{part}, opts.Span)
+	return &core.Result{Factors: factors, Core: total.G, Rejected: total.Rejected}, nil
 }

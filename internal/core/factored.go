@@ -19,30 +19,24 @@ import (
 //
 // J's cells group by pivot configuration p, and within a group
 // J(p, f1, f2) = ½·(X₁(p, f1) + X₂(p, f2)) over the free configurations the
-// group holds on each side, so the group projects through the factor rows u
-// to
+// group holds on each side, so through the factor rows u the core is
 //
-//	½·u_p ⊗ ( a₁(p) ⊗ c₂(p)  +  c₁(p) ⊗ a₂(p) ),
-//	aκ(p) = Σ_f Xκ(p, f)·u_f,   cκ(p) = Σ_f u_f.
+//	G = ½·Σ_p u_p ⊗ ( a₁(p) ⊗ c₂(p)  +  c₁(p) ⊗ a₂(p) ),
+//	aκ(p) = Σ_f Xκ(p, f)·u_f,   cκ(p) = Σ_f u_f,
 //
-// A group that holds every sampled configuration on both sides — all of
-// them, in a campaign that lost no simulation — has cκ(p) = sκ, the same row
-// sum for every p, and those groups sum to ½·(G₁ ⊗ s₂ + G₂ ⊗ s₁) with
-// Gκ = Xκ ×ₙ Uᵀ: two Gram-sized projections, O(nnz(Xκ)) each, where
-// DecomposeCtx builds and projects O(P·E₁·E₂) cells (1.6×10⁹ at the paper's
-// resolution 70 against ≈3.4×10⁵). Every other group — a lost simulation
-// left a hole in it, or the pair has no configuration lists — is summed by
-// the first formula into one core-sized residual. Zero-join extends every
-// cell over the other side's whole free grid: cκ(p) is the full-grid row
-// sum for every group, and there is no residual.
+// both over the free configurations f that group p holds on side κ — under
+// zero-join, which extends every cell over the other side's whole free
+// grid, cκ(p) is the full-grid row sum. That is projections of the
+// sub-tensors' cells, O(nnz(Xκ)) each, and one contraction over the pivot
+// configurations, where DecomposeCtx builds and projects O(P·E₁·E₂) cells
+// (1.6×10⁹ at the paper's resolution 70 against ≈3.4×10⁵).
 //
 // One precondition: no index is stored twice in a sub-tensor (and cells sit
 // at listed configurations, where there are lists) — every
 // partition.GenerateCtx output. What still builds J is what wants J's
 // cells: stitch.Join, and the oracle DecomposeCtx, which at opts.Shards > 1
 // is the paper's Algorithm 6. The Result has Join == nil; opts.Span is
-// marked factored = 1 and holey_groups, the pivot groups that left the
-// Gram-sized path.
+// marked factored = 1 and holey_groups (Partial.Holey).
 func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	ranks, err := CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
@@ -59,18 +53,19 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	eachShard(shards, opts.Workers, func(s, workers int) {
 		parts[s] = ProjectShard(spec, grid, p.Sub1.Tensor, p.Sub2.Tensor, factors, s, shards, workers)
 	})
-	coreT, total := FactoredCore(p, opts.ZeroJoin, factors, parts, opts.Span)
-	cspan.Set("cells", int64(len(coreT.Data)))
+	total := FactoredCore(parts, opts.Span)
+	cspan.Set("cells", int64(len(total.G.Data)))
 	cspan.Set("factored", 1)
 	cspan.Set("holey_groups", int64(total.Holey))
 	cdone()
-	return &Result{Factors: factors, Core: coreT, Rejected: total.Rejected}, nil
+	return &Result{Factors: factors, Core: total.G, Rejected: total.Rejected}, nil
 }
 
 // Sampled is the size of the grid a partition was sampled on — what the
-// kernel measures a pivot group against, and all a worker process gets of
-// the configuration lists. The zero value (a hand-built pair without lists)
-// has no intact group.
+// kernel measures a side's cells and a pivot group's against, and all a
+// worker process gets of the configuration lists. The zero value (a
+// hand-built pair without lists) makes every side a masked one and every
+// group with a cell holey.
 type Sampled struct {
 	Pivots int `json:"pivots"`
 	Free1  int `json:"free1"`
@@ -82,187 +77,246 @@ func SampledOf(p *partition.Result) Sampled {
 	return Sampled{Pivots: len(p.PivotConfigs), Free1: len(p.Free1Configs), Free2: len(p.Free2Configs)}
 }
 
-// Partial is one shard's share of the join-free core; partials Add.
+// Partial is one shard's share of the join-free core; FactoredCore sums
+// them.
 type Partial struct {
-	// G1 and G2 are the cells of X₁ and of X₂ in the shard's intact pivot
-	// groups (under zero-join: all its cells), projected — Gram-sized.
-	G1, G2 *tensor.Dense
-	// Residual is the per-group sum over the shard's Holey other groups,
-	// over the ranks of the pivots, then side 1's free modes, then side 2's;
-	// nil when there is none.
-	Residual *tensor.Dense
-	Holey    int
+	// G is the shard's pivot groups projected: core-sized, in mode order.
+	G *tensor.Dense
+	// Holey counts the shard's pivot groups that hold a cell but not every
+	// sampled configuration on both sides (plain join only).
+	Holey int
 	// Rejected counts non-finite values skipped as holes because a
 	// sub-tensor carries RejectNonFinite.
 	Rejected int
 }
 
-// Add returns a + b.
-func (a Partial) Add(b Partial) Partial {
-	a.G1, a.G2 = a.G1.Add(b.G1), a.G2.Add(b.G2)
-	switch {
-	case a.Residual == nil:
-		a.Residual = b.Residual
-	case b.Residual != nil:
-		a.Residual = a.Residual.Add(b.Residual)
-	}
-	a.Holey += b.Holey
-	a.Rejected += b.Rejected
-	return a
-}
-
-// ProjectShard is the join-free kernel for one shard: the pivot groups
-// whose key lands in it (key % shards). It is linear in the cells, so the
-// shards' partials sum to the whole.
+// ProjectShard is the join-free kernel for one shard: DecomposeFactored's
+// formula over the pivot groups whose key lands in it (key % shards). It is
+// linear in the groups, so the shards' partials sum to the whole.
 //
-// While the sub-tensors cover the sampled grid (every campaign that lost no
-// simulation) that is two projections of the shard's cells and nothing
-// else. Otherwise the groups are told apart by their cell counts: the
-// intact ones are projected, the rest summed per group into
-// Partial.Residual (DecomposeFactored has the identity), by ascending key
-// and storage order, serially. If either sub-tensor carries RejectNonFinite
-// a non-finite value is a hole: skipped, counted in Partial.Rejected, never
-// summed.
+// aκ of every group is one projection of the shard's cells of Xκ over its
+// free modes. cκ is one row for every group under zero-join, on a whole
+// side — Pivots × its free grid's size cells, none of the shard's a hole:
+// every sampled pivot holds the whole grid, an O(1) test — and on a side
+// whose census shows every sampled pivot holding the same free
+// configurations; on any other side it is one projection of the cells'
+// mask. If either sub-tensor carries RejectNonFinite a non-finite value is
+// a hole: skipped, counted in Partial.Rejected, never summed. At one shard
+// with no hole the projections read the sub-tensors themselves.
 //
-// The two projections share the workers budget (scheduling only — the TTM
-// kernels are bit-stable for any worker count).
+// The two sides share the workers budget (scheduling only — the TTM
+// kernels are bit-stable for any worker count, and the contraction by
+// ascending key is serial).
 func ProjectShard(spec stitch.Spec, grid Sampled, x1, x2 *tensor.Sparse, factors []*mat.Matrix, shard, shards, workers int) Partial {
-	var part Partial
-	// keep1 and keep2 select the cells projected; nil keeps them all.
-	var keep1, keep2 func(e int) bool
-	// The O(1) test that every pivot group is intact: each sub-tensor stores
-	// one cell per (pivot × free) pair of the sampled grid.
-	if grid.Pivots == 0 || x1.NNZ() != grid.Pivots*grid.Free1 || x2.NNZ() != grid.Pivots*grid.Free2 {
-		keep1, keep2 = part.sumHoleyGroups(spec, grid, x1, x2, factors, shard, shards)
-	} else if shards > 1 {
-		keep1 = func(e int) bool { return spec.PivotKey(x1.Idx[e*x1.Order():])%shards == shard }
-		keep2 = func(e int) bool { return spec.PivotKey(x2.Idx[e*x2.Order():])%shards == shard }
-	}
-	pair := parallel.SplitWorkers(workers, 2)
-	sub1, sub2 := slices.Concat(spec.Pivots, spec.Free1), slices.Concat(spec.Pivots, spec.Free2)
+	reject, k := x1.RejectNonFinite || x2.RejectNonFinite, len(spec.Pivots)
+	xs, frees := [2]*tensor.Sparse{x1, x2}, [2][]int{spec.Free1, spec.Free2}
+	var cells [2]*tensor.Sparse
+	var holes [2]int
 	parallel.Do(workers,
-		func() { part.G1 = projectSub(cellsOf(x1, keep1), sub1, factors, pair) },
-		func() { part.G2 = projectSub(cellsOf(x2, keep2), sub2, factors, pair) },
+		func() { cells[0], holes[0] = shardCells(spec, x1, reject, shard, shards) },
+		func() { cells[1], holes[1] = shardCells(spec, x2, reject, shard, shards) },
 	)
-	return part
-}
-
-// projectSub computes X ×ₙ Uᵀ over all of a sub-tensor's modes (the given
-// full-space modes: pivots leading, then its free modes).
-func projectSub(x *tensor.Sparse, modes []int, factors []*mat.Matrix, workers int) *tensor.Dense {
-	ms := make([]*mat.Matrix, len(modes))
-	for i, m := range modes {
-		ms[i] = mat.Transpose(factors[m])
+	var whole [2]bool
+	for si, x := range xs {
+		whole[si] = grid.Pivots > 0 && holes[si] == 0 && x.NNZ() == grid.Pivots*x.Shape[k:].NumElements()
 	}
-	return tensor.MultiTTMSparseWorkers(x, ms, workers)
-}
-
-// cellsOf is the cells of x that keep selects, in storage order; a nil keep
-// selects them all, so it is the tensor itself.
-func cellsOf(x *tensor.Sparse, keep func(e int) bool) *tensor.Sparse {
-	if keep == nil {
-		return x
-	}
-	cells := 0
-	for e := range x.Vals {
-		if keep(e) {
-			cells++
-		}
-	}
-	out := tensor.NewSparse(x.Shape)
-	out.Reserve(cells)
-	for e := range x.Vals {
-		if keep(e) {
-			out.Append(x.Entry(e))
-		}
-	}
-	return out
-}
-
-// sumHoleyGroups is ProjectShard off the covered grid: it counts the shard's
-// pivot groups on both sides, sums those that are not intact into
-// part.Residual (plain join only) and returns the selection left to
-// project — the intact groups' cells, under zero-join every group's, minus
-// quarantined values.
-func (part *Partial) sumHoleyGroups(spec stitch.Spec, grid Sampled, x1, x2 *tensor.Sparse, factors []*mat.Matrix, shard, shards int) (keep1, keep2 func(e int) bool) {
-	// The shard's keys are shard, shard+shards, … below ∏ pivot sizes: at
-	// most groups of them (shards, off the wire, may be near MaxInt).
-	groups := 1
-	for _, m := range spec.Pivots {
-		groups *= spec.Shape[m]
-	}
-	groups = groups/shards + 1
-	reject := x1.RejectNonFinite || x2.RejectNonFinite
-	sides := [2]*tensor.Sparse{x1, x2}
-	frees := [2][]int{spec.Free1, spec.Free2}
-	// group is entry e's pivot group within the shard, -1 outside it.
-	group := func(x *tensor.Sparse, e int) int {
-		if key := spec.PivotKey(x.Idx[e*x.Order():]); key%shards == shard {
-			return key / shards
-		}
-		return -1
-	}
-	// A quarantined value is a hole.
-	hole := func(v float64) bool { return reject && (math.IsNaN(v) || math.IsInf(v, 0)) }
-
-	var n [2][]int
-	for si, x := range sides {
-		n[si] = make([]int, groups)
-		for e, v := range x.Vals {
-			switch g := group(x, e); {
-			case g < 0:
-			case hole(v):
-				part.Rejected++
+	// Under plain join, unless both sides are whole, each side's census
+	// counts every group's cells.
+	census := !spec.ZeroJoin && !(whole[0] && whole[1])
+	var a, c [2][]float64
+	var counts [2][]int
+	pair := parallel.SplitWorkers(workers, 2)
+	side := func(si int) func() {
+		return func() {
+			x, free := xs[si], frees[si]
+			ms := make([]*mat.Matrix, x.Order())
+			for i, m := range free {
+				ms[k+i] = mat.Transpose(factors[m])
+			}
+			a[si] = tensor.MultiTTMSparseWorkers(cells[si], ms, pair).Data
+			var held []bool
+			if census {
+				counts[si], held = takeCensus(x, k, reject, grid.Pivots)
+			}
+			switch {
+			case spec.ZeroJoin || whole[si]:
+				c[si] = fullRowSum(factors, free)
+			case held != nil:
+				c[si] = heldRowSum(factors, free, x.Shape[k:], held)
 			default:
-				n[si][g]++
+				ones := make([]float64, cells[si].NNZ())
+				for e := range ones {
+					ones[e] = 1
+				}
+				c[si] = tensor.MultiTTMSparseWorkers(&tensor.Sparse{Shape: x.Shape, Idx: cells[si].Idx, Vals: ones}, ms, pair).Data
 			}
 		}
 	}
-	// slot numbers the holey groups by ascending key; -1 is a group whose
-	// cells are projected (or that has none).
-	slot := make([]int, groups)
-	for g := range slot {
-		slot[g] = -1
-		intact := grid.Free1 > 0 && grid.Free2 > 0 && n[0][g] == grid.Free1 && n[1][g] == grid.Free2
-		if !spec.ZeroJoin && !intact && n[0][g]+n[1][g] > 0 {
-			slot[g] = part.Holey
+	parallel.Do(workers, side(0), side(1))
+
+	// The shard's keys are shard, shard+shards, … below ∏ pivot sizes:
+	// counted without adding shards, which off the wire may be near MaxInt.
+	pivotShape, groups := x1.Shape[:k], 0
+	if keys := pivotShape.NumElements(); shard < keys {
+		groups = (keys-shard-1)/shards + 1
+	}
+	part := Partial{Rejected: holes[0] + holes[1]}
+	for g := 0; census && g < groups; g++ {
+		key := shard + g*shards
+		if n1, n2 := counts[0][key], counts[1][key]; n1+n2 > 0 && (n1 != grid.Free1 || n2 != grid.Free2) {
 			part.Holey++
 		}
 	}
-	keep := func(x *tensor.Sparse) func(e int) bool {
-		return func(e int) bool { g := group(x, e); return g >= 0 && slot[g] < 0 && !hole(x.Vals[e]) }
-	}
-	if part.Holey == 0 {
-		return keep(x1), keep(x2)
-	}
 
-	// u_p ⊗ aκ(p) and cκ(p) of every holey group, one pass per side.
-	ranks := [3]tensor.Shape{rankShape(factors, spec.Pivots), rankShape(factors, spec.Free1), rankShape(factors, spec.Free2)}
-	np, nf := ranks[0].NumElements(), [2]int{ranks[1].NumElements(), ranks[2].NumElements()}
-	var ua, c [2][]float64
-	for si, x := range sides {
-		ua[si], c[si] = make([]float64, part.Holey*np*nf[si]), make([]float64, part.Holey*nf[si])
-		modes := slices.Concat(spec.Pivots, frees[si])
-		for e, v := range x.Vals {
-			if g := group(x, e); g >= 0 && slot[g] >= 0 && !hole(v) {
-				idx, s := x.Idx[e*x.Order():(e+1)*x.Order()], slot[g]
-				addOuter(ua[si][s*np*nf[si]:(s+1)*np*nf[si]], factors, modes, idx, v)
-				addOuter(c[si][s*nf[si]:(s+1)*nf[si]], factors, frees[si], idx[len(spec.Pivots):], 1)
+	// G = ½·Σ_p u_p ⊗ (a₁(p) ⊗ c₂(p) + c₁(p) ⊗ a₂(p)) by ascending key,
+	// each rank tuple added at its place in the mode-order core.
+	coreShape := make(tensor.Shape, len(factors))
+	for m, f := range factors {
+		coreShape[m] = f.Cols
+	}
+	strides := coreShape.Strides()
+	offsets := func(modes []int) []int {
+		shape := rankShape(factors, modes)
+		off, idx := make([]int, shape.NumElements()), make([]int, len(modes))
+		for lin := range off {
+			for i, r := range shape.MultiIndex(lin, idx) {
+				off[lin] += r * strides[modes[i]]
+			}
+		}
+		return off
+	}
+	offP, off1, off2 := offsets(spec.Pivots), offsets(spec.Free1), offsets(spec.Free2)
+	// row is group key's n values of v, or all of v where it is one row.
+	row := func(v []float64, key, n int) []float64 {
+		if len(v) == n {
+			return v
+		}
+		return v[key*n : (key+1)*n]
+	}
+	n1, n2 := len(off1), len(off2)
+	g := make([]float64, coreShape.NumElements())
+	up, coords := make([]float64, len(offP)), make([]int, k)
+	for grp := range groups {
+		key := shard + grp*shards
+		clear(up)
+		addOuter(up, factors, spec.Pivots, pivotShape.MultiIndex(key, coords), 1)
+		a1, a2, c1, c2 := row(a[0], key, n1), row(a[1], key, n2), row(c[0], key, n1), row(c[1], key, n2)
+		for i, at1 := range off1 {
+			for j, at2 := range off2 {
+				v := (a1[i]*c2[j] + c1[i]*a2[j]) / 2
+				for r, w := range up {
+					g[offP[r]+at1+at2] += w * v
+				}
 			}
 		}
 	}
-	// Σ_p ½·u_p ⊗ (a₁(p) ⊗ c₂(p) + c₁(p) ⊗ a₂(p)), by ascending key.
-	residual := make([]float64, np*nf[0]*nf[1])
-	for s := range part.Holey {
-		ua1, c1 := ua[0][s*np*nf[0]:], c[0][s*nf[0]:]
-		ua2, c2 := ua[1][s*np*nf[1]:], c[1][s*nf[1]:]
-		for at := range residual {
-			p, i, j := at/nf[1]/nf[0], at/nf[1]%nf[0], at%nf[1]
-			residual[at] += (ua1[p*nf[0]+i]*c2[j] + c1[i]*ua2[p*nf[1]+j]) / 2
+	part.G = tensor.DenseFromSlice(coreShape, g)
+	return part
+}
+
+// shardCells is the cells of x the shard projects — those whose pivot key
+// lands in it, minus holes (non-finite values, under reject) — and the
+// holes skipped. When that is every cell it is x itself, not a copy.
+func shardCells(spec stitch.Spec, x *tensor.Sparse, reject bool, shard, shards int) (*tensor.Sparse, int) {
+	o := x.Order()
+	in := func(e int) bool { return shards == 1 || spec.PivotKey(x.Idx[e*o:])%shards == shard }
+	kept, holes := x.NNZ(), 0
+	if shards > 1 {
+		kept = 0
+		for e := range x.Vals {
+			if in(e) {
+				kept++
+			}
 		}
 	}
-	part.Residual = tensor.DenseFromSlice(slices.Concat(ranks[0], ranks[1], ranks[2]), residual)
-	return keep(x1), keep(x2)
+	for e, v := range x.Vals {
+		if reject && !finite(v) && in(e) {
+			kept, holes = kept-1, holes+1
+		}
+	}
+	if kept == x.NNZ() {
+		return x, 0
+	}
+	out := tensor.NewSparse(x.Shape)
+	out.Reserve(kept)
+	for e, v := range x.Vals {
+		if in(e) && !(reject && !finite(v)) {
+			out.Append(x.Entry(e))
+		}
+	}
+	return out, holes
+}
+
+// finite reports whether v is neither NaN (which fails the comparison) nor
+// ±Inf.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
+
+// takeCensus is one pass over x's cells — all of them, so every shard
+// decides alike — skipping holes: the cells per pivot key (over x's k
+// leading modes) and, if the side is uniform, which configurations of its
+// free grid (the other modes) they hold, nil otherwise. A side is uniform
+// when its cells, at distinct sampled (pivot, free) pairs, number pivots ×
+// the free configurations held: every sampled pivot holds those.
+func takeCensus(x *tensor.Sparse, k int, reject bool, pivots int) ([]int, []bool) {
+	shape, o := x.Shape, x.Order()
+	counts, held := make([]int, shape[:k].NumElements()), make([]bool, shape[k:].NumElements())
+	cells, configs := 0, 0
+	for e, at := 0, 0; e < len(x.Vals); e, at = e+1, at+o {
+		if reject && !finite(x.Vals[e]) {
+			continue
+		}
+		key, lin := 0, 0
+		for i := 0; i < k; i++ {
+			key = key*shape[i] + x.Idx[at+i]
+		}
+		for i := k; i < o; i++ {
+			lin = lin*shape[i] + x.Idx[at+i]
+		}
+		counts[key]++
+		held[lin] = true
+		cells++
+	}
+	for _, h := range held {
+		if h {
+			configs++
+		}
+	}
+	if pivots == 0 || cells != pivots*configs {
+		held = nil
+	}
+	return counts, held
+}
+
+// heldRowSum is cκ of a uniform side: Σ_f u_f over the held free
+// configurations, in grid order.
+func heldRowSum(factors []*mat.Matrix, free []int, freeShape tensor.Shape, held []bool) []float64 {
+	sum, coords := make([]float64, rankShape(factors, free).NumElements()), make([]int, len(free))
+	for lin, h := range held {
+		if h {
+			addOuter(sum, factors, free, freeShape.MultiIndex(lin, coords), 1)
+		}
+	}
+	return sum
+}
+
+// fullRowSum is cκ under zero-join: the sum over the full free grid
+// separates into per-mode factor column sums, whose outer product it
+// returns.
+func fullRowSum(factors []*mat.Matrix, modes []int) []float64 {
+	// One single-row matrix of column sums per mode, read at row 0.
+	sums, at := make([]*mat.Matrix, len(modes)), make([]int, len(modes))
+	for i, m := range modes {
+		f := factors[m]
+		sums[i], at[i] = mat.New(1, f.Cols), i
+		for row := 0; row < f.Rows; row++ {
+			for r, v := range f.Row(row) {
+				sums[i].Data[r] += v
+			}
+		}
+	}
+	out := make([]float64, rankShape(factors, modes).NumElements())
+	addOuter(out, sums, at, make([]int, len(modes)), 1)
+	return out
 }
 
 // rankShape is the shape of a tensor over the given modes' ranks.
@@ -283,6 +337,12 @@ func addOuter(dst []float64, factors []*mat.Matrix, modes, coords []int, coeff f
 		return
 	}
 	row := factors[modes[0]].Row(coords[0])
+	if len(modes) == 1 {
+		for r, v := range row {
+			dst[r] += coeff * v
+		}
+		return
+	}
 	block := len(dst) / len(row)
 	for r, v := range row {
 		addOuter(dst[r*block:(r+1)*block], factors, modes[1:], coords[1:], coeff*v)
@@ -291,90 +351,22 @@ func addOuter(dst []float64, factors []*mat.Matrix, modes, coords []int, coeff f
 
 // FactoredCore is the driver-side assembly: the shards' partials summed in
 // the order given (ascending shard index — the fixed order keeps the float
-// sum bitwise stable), then G = ½·(G₁ ⊗ s₂ + G₂ ⊗ s₁) + residual, with
-// s₁/s₂ the free-mode row sums — sampled configurations for plain join, full
-// grids for zero-join — computed here, like fusion, because they need only
-// the factors. It marks span, the decomposition stage's, factored = 1 and
-// holey_groups, and returns the summed partial beside the core.
-func FactoredCore(p *partition.Result, zeroJoin bool, factors []*mat.Matrix, parts []Partial, span *obs.Span) (*tensor.Dense, Partial) {
+// sum bitwise stable); the sum's G is the core, one shard's its own. It
+// marks span, the decomposition stage's, factored = 1 and holey_groups.
+func FactoredCore(parts []Partial, span *obs.Span) Partial {
 	total := parts[0]
-	for _, part := range parts[1:] {
-		total = total.Add(part)
-	}
-	cfg := p.Config
-	var s1, s2 *tensor.Dense
-	if zeroJoin {
-		s1 = fullRowSum(factors, cfg.Free1)
-		s2 = fullRowSum(factors, cfg.Free2)
-	} else {
-		s1 = sampledRowSum(factors, cfg.Free1, p.Free1Configs)
-		s2 = sampledRowSum(factors, cfg.Free2, p.Free2Configs)
+	if len(parts) > 1 {
+		sum := slices.Clone(total.G.Data)
+		for _, part := range parts[1:] {
+			for i, v := range part.G.Data {
+				sum[i] += v
+			}
+			total.Holey += part.Holey
+			total.Rejected += part.Rejected
+		}
+		total.G = tensor.DenseFromSlice(total.G.Shape, sum)
 	}
 	span.Set("factored", 1)
 	span.Set("holey_groups", int64(total.Holey))
-	return assembleFactoredCore(cfg, factors, total, s1, s2), total
-}
-
-// sampledRowSum accumulates Σ_{config} ⊗_i U(modes_i)(config_i, ·) over the
-// sampled free configurations, as a dense tensor over the modes' ranks.
-func sampledRowSum(factors []*mat.Matrix, modes []int, configs [][]int) *tensor.Dense {
-	shape := rankShape(factors, modes)
-	sum := make([]float64, shape.NumElements())
-	for _, config := range configs {
-		addOuter(sum, factors, modes, config, 1)
-	}
-	return tensor.DenseFromSlice(shape, sum)
-}
-
-// fullRowSum is the zero-join variant: the sum over the full grid
-// separates into per-mode factor column sums, whose outer product it
-// returns.
-func fullRowSum(factors []*mat.Matrix, modes []int) *tensor.Dense {
-	// One single-row matrix of column sums per mode, read at row 0.
-	sums, at := make([]*mat.Matrix, len(modes)), make([]int, len(modes))
-	for i, m := range modes {
-		f := factors[m]
-		sums[i], at[i] = mat.New(1, f.Cols), i
-		for row := 0; row < f.Rows; row++ {
-			for r, v := range f.Row(row) {
-				sums[i].Data[r] += v
-			}
-		}
-	}
-	shape := rankShape(factors, modes)
-	out := make([]float64, shape.NumElements())
-	addOuter(out, sums, at, make([]int, len(modes)), 1)
-	return tensor.DenseFromSlice(shape, out)
-}
-
-// assembleFactoredCore builds the original-mode-order core from the two
-// projected sub-tensors, the free-mode row sums and the residual, if any:
-// G = ½·(G₁ ⊗ s₂ + G₂ ⊗ s₁) + residual. The residual's mode order is G₁'s
-// followed by s₂'s, so its cell is found from theirs.
-func assembleFactoredCore(cfg partition.Config, factors []*mat.Matrix, total Partial, s1, s2 *tensor.Dense) *tensor.Dense {
-	coreShape := make(tensor.Shape, len(factors))
-	for m, f := range factors {
-		coreShape[m] = f.Cols
-	}
-	out := make([]float64, coreShape.NumElements())
-	idx := make([]int, len(factors))
-	// at is the current cell's position in a tensor over the given modes' ranks.
-	at := func(modes []int) int {
-		lin := 0
-		for _, m := range modes {
-			lin = lin*coreShape[m] + idx[m]
-		}
-		return lin
-	}
-	sub1, sub2 := slices.Concat(cfg.Pivots, cfg.Free1), slices.Concat(cfg.Pivots, cfg.Free2)
-	for lin := range out {
-		coreShape.MultiIndex(lin, idx)
-		at1, at2 := at(sub1), at(cfg.Free2)
-		v := total.G1.Data[at1]*s2.Data[at2] + total.G2.Data[at(sub2)]*s1.Data[at(cfg.Free1)]
-		out[lin] = v / 2
-		if total.Residual != nil {
-			out[lin] += total.Residual.Data[at1*len(s2.Data)+at2]
-		}
-	}
-	return tensor.DenseFromSlice(coreShape, out)
+	return total
 }

@@ -110,8 +110,9 @@ func TestFactoredValidation(t *testing.T) {
 		t.Fatal("bad rank count accepted")
 	}
 	// A hole in the P×E grid, or a pair without configuration lists, is no
-	// longer an error (it was core.ErrNoProductStructure): the kernel sums
-	// the affected pivot groups per group, to the materialised core.
+	// longer an error (it was core.ErrNoProductStructure): the kernel takes
+	// the affected pivot groups' cκ(p) from their cells, to the materialised
+	// core.
 	broken := &partition.Result{
 		Space:        p.Space,
 		Config:       p.Config,
@@ -159,10 +160,10 @@ func TestFactoredReconstructionAccuracy(t *testing.T) {
 }
 
 // TestProjectShardPartition: the shards split each sub-tensor's cells by
-// pivot key, so their partial projections sum to the one-shard projection —
-// which is DecomposeFactored's, the tensor itself and no copy — and a shard
-// no key lands in projects nothing. Two pivot modes make the key a real
-// linearisation.
+// pivot key, so their partials sum to the one-shard partial — which is
+// DecomposeFactored's core, read from the sub-tensors themselves and no
+// copy — and a shard no key lands in projects nothing. Two pivot modes make
+// the key a real linearisation.
 func TestProjectShardPartition(t *testing.T) {
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 4)
 	cfg := partition.Config{Pivots: []int{4, 1}, Free1: []int{3}, Free2: []int{0, 2}, PivotFrac: 1, FreeFrac: 0.6}
@@ -176,7 +177,7 @@ func TestProjectShardPartition(t *testing.T) {
 	}
 	spec, grid := stitch.NewSpec(p, false), SampledOf(p)
 	x1, x2 := p.Sub1.Tensor, p.Sub2.Tensor
-	if cellsOf(x1, nil) != x1 {
+	if cells, _ := shardCells(spec, x1, false, 0, 1); cells != x1 {
 		t.Fatal("one shard copied the sub-tensor")
 	}
 	whole := ProjectShard(spec, grid, x1, x2, res.Factors, 0, 1, 1)
@@ -185,22 +186,18 @@ func TestProjectShardPartition(t *testing.T) {
 		parts := make([]Partial, shards)
 		for s := range parts {
 			parts[s] = ProjectShard(spec, grid, x1, x2, res.Factors, s, shards, 2)
-			if g1, g2 := parts[s].G1, parts[s].G2; s >= keys && (g1.Norm() != 0 || g2.Norm() != 0) {
-				t.Fatalf("%d shards: shard %d holds no pivot key and projected norm %g, %g", shards, s, g1.Norm(), g2.Norm())
+			if g := parts[s].G; s >= keys && g.Norm() != 0 {
+				t.Fatalf("%d shards: shard %d holds no pivot key and projected norm %g", shards, s, g.Norm())
 			}
-			if parts[s].Residual != nil || parts[s].Holey != 0 {
-				t.Fatalf("%d shards: shard %d of an intact pair left the Gram-sized path", shards, s)
+			if parts[s].Holey != 0 {
+				t.Fatalf("%d shards: shard %d of an intact pair counted a holey group", shards, s)
 			}
 		}
-		sum := parts[0]
-		for _, part := range parts[1:] {
-			sum = sum.Add(part)
-		}
-		if !sum.G1.Equal(whole.G1, 1e-12) || !sum.G2.Equal(whole.G2, 1e-12) {
-			t.Fatalf("%d shards: partial projections do not sum to the whole", shards)
+		if sum := FactoredCore(parts, nil); !sum.G.Equal(whole.G, 1e-12) {
+			t.Fatalf("%d shards: partials do not sum to the whole", shards)
 		}
 	}
-	if coreT, _ := FactoredCore(p, false, res.Factors, []Partial{whole}, nil); !coreT.Equal(res.Core, 0) {
+	if !FactoredCore([]Partial{whole}, nil).G.Equal(res.Core, 0) {
 		t.Fatal("ProjectShard at 0 of 1 + FactoredCore is not DecomposeFactored's core bit for bit")
 	}
 }

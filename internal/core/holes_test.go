@@ -107,16 +107,16 @@ func TestJoinFreeKernelMatchesStitchOracle(t *testing.T) {
 							parts := make([]Partial, shards)
 							for s := range parts {
 								parts[s] = ProjectShard(spec, grid, x1, x2, factors, s, shards, 2)
-								got, _ := FactoredCore(p, zero, factors, parts[s:s+1], nil)
+								got := FactoredCore(parts[s:s+1], nil).G
 								want := tensor.MultiTTMSparse(spec.Shard(x1, x2, s, shards), tensor.TransposeAll(factors))
 								requireClose(t, fmt.Sprintf("%s shard %d of %d", label, s, shards), got, want, 1e-9)
-								if zero && (parts[s].Residual != nil || parts[s].Holey != 0) {
-									t.Fatalf("%s shard %d of %d: a zero-join residual", label, s, shards)
+								if zero && parts[s].Holey != 0 {
+									t.Fatalf("%s shard %d of %d: a zero-join holey group", label, s, shards)
 								}
 							}
-							got, total := FactoredCore(p, zero, factors, parts, nil)
+							total := FactoredCore(parts, nil)
 							want := tensor.MultiTTMSparse(spec.Shard(x1, x2, 0, 1), tensor.TransposeAll(factors))
-							requireClose(t, fmt.Sprintf("%s, %d shards summed", label, shards), got, want, 1e-9)
+							requireClose(t, fmt.Sprintf("%s, %d shards summed", label, shards), total.G, want, 1e-9)
 							if !zero && total.Holey == 0 {
 								t.Fatalf("%s: no holey group counted on a pair that lost two", label)
 							}
@@ -142,72 +142,142 @@ func TestJoinFreeKernelMatchesStitchOracle(t *testing.T) {
 
 // TestJoinFreeQuarantine is the join-free twin of stitch's
 // TestBlockEmissionParityQuarantine: a NaN planted behind the ingest guard
-// of a quarantining sub-tensor, in a pair that already has holes, is a hole
-// — skipped, counted in Rejected, never summed — so the core stays finite.
+// of a quarantining sub-tensor — in a pair that already has holes, and in
+// pairs that lost nothing, whose poisoned side is then neither whole nor
+// uniform — is a hole: skipped, counted in Rejected, never summed — so the
+// core stays finite.
 // Under plain join that is core.DecomposeCtx's core on the same poisoned
 // pair (the stitch kernel drops exactly the matched pairs the cell is in).
 // Under zero-join it is DecomposeCtx's on the pair without the cell: the
 // other side's cells still extend over the hole, as they would over one
 // ingest had quarantined, where the stitch kernel drops those cells too.
 func TestJoinFreeQuarantine(t *testing.T) {
-	for _, zero := range []bool{false, true} {
-		for _, shards := range []int{1, 3} {
-			p := withHoles(tinyPartition(t, 0.5, 186), func(side, key, e int) bool { return e%7 != 0 && !(side == 1 && key == 3) })
-			ranks := tucker.UniformRanks(5, 2)
-			clean, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks, ZeroJoin: zero})
-			if err != nil {
-				t.Fatal(err)
-			}
-			factors := clean.Factors
-
-			// The last sub-2 entry of pivot group 1: it sits inside every
-			// matched block of that group.
-			sub2 := p.Sub2.Tensor
-			sub2.RejectNonFinite = true
-			poisoned := -1
-			for e := sub2.NNZ() - 1; e >= 0 && poisoned < 0; e-- {
-				if idx, _ := sub2.Entry(e); idx[0] == 1 {
-					poisoned = e
+	for _, pair := range []struct {
+		name string
+		free float64
+		keep func(side, key, e int) bool // nil: nothing dropped
+	}{
+		{"holey", 0.5, func(side, key, e int) bool { return e%7 != 0 && !(side == 1 && key == 3) }},
+		{"intact", 0.5, nil},
+		{"intact, whole free grid", 1, nil},
+	} {
+		for _, zero := range []bool{false, true} {
+			for _, shards := range []int{1, 3} {
+				p := tinyPartition(t, pair.free, 186)
+				if pair.keep != nil {
+					p = withHoles(p, pair.keep)
 				}
-			}
-			sub2.Vals[poisoned] = math.NaN()
-
-			spec, grid := stitch.NewSpec(p, zero), SampledOf(p)
-			parts := make([]Partial, shards)
-			for s := range parts {
-				parts[s] = ProjectShard(spec, grid, p.Sub1.Tensor, sub2, factors, s, shards, 1)
-			}
-			got, total := FactoredCore(p, zero, factors, parts, nil)
-			label := fmt.Sprintf("zero=%v shards=%d", zero, shards)
-			if total.Rejected != 1 {
-				t.Fatalf("%s: %d cells rejected, want the poisoned one", label, total.Rejected)
-			}
-
-			oracle := p
-			if zero {
-				oracle = withHoles(p, func(side, _, e int) bool { return side != 2 || e != poisoned })
-				oracle.Sub2.Tensor.RejectNonFinite = true
-			}
-			j := stitch.NewSpec(oracle, zero).Shard(oracle.Sub1.Tensor, oracle.Sub2.Tensor, 0, 1)
-			if !zero && j.Rejected == 0 {
-				t.Fatalf("%s: the poisoned entry reached no join cell", label)
-			}
-			requireClose(t, label, got, tensor.MultiTTMSparse(j, tensor.TransposeAll(factors)), 1e-9)
-
-			if shards == 1 && !zero {
-				// End to end on the same poisoned pair, factors and all.
-				fac, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks})
+				ranks := tucker.UniformRanks(5, 2)
+				clean, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks, ZeroJoin: zero})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks})
-				if err != nil {
-					t.Fatal(err)
+				factors := clean.Factors
+
+				// The last sub-2 entry of pivot group 1: it sits inside every
+				// matched block of that group.
+				sub2 := p.Sub2.Tensor
+				sub2.RejectNonFinite = true
+				poisoned := -1
+				for e := sub2.NNZ() - 1; e >= 0 && poisoned < 0; e-- {
+					if idx, _ := sub2.Entry(e); idx[0] == 1 {
+						poisoned = e
+					}
 				}
-				if fac.Rejected != 1 || ref.Join.Rejected == 0 {
-					t.Fatalf("%s: join-free route rejected %d cells, stitched join %d", label, fac.Rejected, ref.Join.Rejected)
+				sub2.Vals[poisoned] = math.NaN()
+
+				spec, grid := stitch.NewSpec(p, zero), SampledOf(p)
+				parts := make([]Partial, shards)
+				for s := range parts {
+					parts[s] = ProjectShard(spec, grid, p.Sub1.Tensor, sub2, factors, s, shards, 1)
 				}
-				requireClose(t, label+": DecomposeFactored vs DecomposeCtx, poisoned", fac.Core, ref.Core, 1e-9)
+				total := FactoredCore(parts, nil)
+				label := fmt.Sprintf("%s zero=%v shards=%d", pair.name, zero, shards)
+				if total.Rejected != 1 {
+					t.Fatalf("%s: %d cells rejected, want the poisoned one", label, total.Rejected)
+				}
+
+				oracle := p
+				if zero {
+					oracle = withHoles(p, func(side, _, e int) bool { return side != 2 || e != poisoned })
+					oracle.Sub2.Tensor.RejectNonFinite = true
+				}
+				j := stitch.NewSpec(oracle, zero).Shard(oracle.Sub1.Tensor, oracle.Sub2.Tensor, 0, 1)
+				if !zero && j.Rejected == 0 {
+					t.Fatalf("%s: the poisoned entry reached no join cell", label)
+				}
+				requireClose(t, label, total.G, tensor.MultiTTMSparse(j, tensor.TransposeAll(factors)), 1e-9)
+
+				if shards == 1 && !zero {
+					// End to end on the same poisoned pair, factors and all.
+					fac, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fac.Rejected != 1 || ref.Join.Rejected == 0 {
+						t.Fatalf("%s: join-free route rejected %d cells, stitched join %d", label, fac.Rejected, ref.Join.Rejected)
+					}
+					requireClose(t, label+": DecomposeFactored vs DecomposeCtx, poisoned", fac.Core, ref.Core, 1e-9)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinFreeUniformSides: a side that lost whole free configurations —
+// simulations, at every pivot — holds the same configurations at every
+// sampled pivot, so its census gives one cκ row for every group. Beside a
+// whole side, a uniform one and a side thinned cell by cell (whose cκ is
+// its mask's projection), every shard's partial is that shard's stitched
+// join projected, and the lost simulations make holey groups.
+func TestJoinFreeUniformSides(t *testing.T) {
+	p := tinyPartition(t, 1, 187)
+	ranks := tucker.UniformRanks(5, 2)
+	fs, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factors := fs.Factors
+	// lostSim drops the free configurations of side whose coordinates sum
+	// to 1 mod 4, at every pivot.
+	lostSim := func(side, e int) bool {
+		x := []*tensor.Sparse{p.Sub1.Tensor, p.Sub2.Tensor}[side-1]
+		idx, _ := x.Entry(e)
+		return (idx[1]+idx[2])%4 == 1
+	}
+	pairs := map[string]func(side, key, e int) bool{
+		"uniform and whole":   func(side, _, e int) bool { return side == 2 || !lostSim(side, e) },
+		"uniform and uniform": func(side, _, e int) bool { return !lostSim(side, e) },
+		"uniform and thinned": func(side, _, e int) bool { return side == 1 && !lostSim(side, e) || side == 2 && e%5 != 0 },
+	}
+	for name, keep := range pairs {
+		q := withHoles(p, keep)
+		x1, x2 := q.Sub1.Tensor, q.Sub2.Tensor
+		if _, held := takeCensus(x1, 1, false, len(q.PivotConfigs)); held == nil {
+			t.Fatalf("%s: side 1 lost whole simulations and is not uniform", name)
+		}
+		if _, held := takeCensus(x2, 1, false, len(q.PivotConfigs)); (held == nil) != (name == "uniform and thinned") {
+			t.Fatalf("%s: side 2 uniform = %v", name, held != nil)
+		}
+		for _, zero := range []bool{false, true} {
+			spec, grid := stitch.NewSpec(q, zero), SampledOf(q)
+			for _, shards := range []int{1, 3} {
+				label := fmt.Sprintf("%s zero=%v shards=%d", name, zero, shards)
+				parts := make([]Partial, shards)
+				for s := range parts {
+					parts[s] = ProjectShard(spec, grid, x1, x2, factors, s, shards, 2)
+					want := tensor.MultiTTMSparse(spec.Shard(x1, x2, s, shards), tensor.TransposeAll(factors))
+					requireClose(t, fmt.Sprintf("%s shard %d", label, s), parts[s].G, want, 1e-9)
+				}
+				// Side 1 lost simulations at every pivot: all four groups are
+				// holey under plain join, none under zero-join.
+				if total, want := FactoredCore(parts, nil), map[bool]int{false: 4, true: 0}[zero]; total.Holey != want {
+					t.Fatalf("%s: %d holey groups, want %d", label, total.Holey, want)
+				}
 			}
 		}
 	}

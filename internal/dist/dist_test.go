@@ -357,7 +357,7 @@ func TestDistributedEmptyShardsAndEmptyJoin(t *testing.T) {
 
 	// Side 1 keeps the even pivot keys, side 2 the odd ones: every group is
 	// one-sided, so the stitched join is empty and the join-free core —
-	// every group summed per group, each to nothing — all-zero.
+	// every group with aκ or cκ zero on one side — all-zero.
 	disjoint := *p
 	sub1, sub2 := *p.Sub1, *p.Sub2
 	sub1.Tensor = thin(p.Sub1.Tensor, func(_ int, idx []int) bool { return spec.PivotKey(idx)%2 == 1 })
@@ -454,13 +454,13 @@ func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 	}
 }
 
-// TestIntactBitsAreTheParents pins what "the intact path is unchanged"
-// means: on pairs that lost nothing, core.DecomposeFactored at one shard and
-// at three produce the bits they produced before the kernel learned
-// to take holes (FNV-64a over the core's, then the factors', float bits,
-// recorded on the parent commit; amd64 — other ports may fuse
-// multiply-adds).
-func TestIntactBitsAreTheParents(t *testing.T) {
+// TestJoinFreeBitsPinned pins the join-free formula's bits:
+// core.DecomposeFactored at one shard and at three, on pairs that lost
+// nothing and on one with holes (side 1 thinned cell by cell, pivot group 2
+// gone from side 2), produce the bits recorded when every pivot group came
+// to be computed by the one formula (FNV-64a over the core's, then the
+// factors', float bits; amd64 — other ports may fuse multiply-adds).
+func TestJoinFreeBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit fingerprints were recorded on amd64")
 	}
@@ -484,19 +484,26 @@ func TestIntactBitsAreTheParents(t *testing.T) {
 		cfg         partition.Config
 		free        float64
 		method      core.Method
-		zero        bool
+		zero, holey bool
 		serial, sum string
 	}{
-		{"time/E=1/SELECT/join", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, "876f75af8ed35d2e", "f57182ee699a31c3"},
-		{"time/E=0.5/CONCAT/zero", partition.DefaultConfig(5, 4, doublePendulumPairs), 0.5, core.CONCAT, true, "86939f03fcae9019", "96a194ae5243e1f8"},
-		{"param/E=0.5/AVG/join", partition.DefaultConfig(5, 0, doublePendulumPairs), 0.5, core.AVG, false, "ec7ed7c105edf1aa", "bfd5c64db0dbdad5"},
-		{"two-pivot/E=0.6/SELECT/join", twoPivot, 0.6, core.SELECT, false, "b69dc7f10f9909aa", "efa2984d082bd387"},
-		{"two-pivot/E=0.6/AVG/zero", twoPivot, 0.6, core.AVG, true, "e60d4e7d2a9c7d0c", "e4f88892d37e813e"},
+		{"time/E=1/SELECT/join", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, false, "35b05b57ef8ea528", "c0e6f903323eaa25"},
+		{"time/E=0.5/CONCAT/zero", partition.DefaultConfig(5, 4, doublePendulumPairs), 0.5, core.CONCAT, true, false, "a7f7c0a01e7f0a70", "2ef56e3ce582604e"},
+		{"param/E=0.5/AVG/join", partition.DefaultConfig(5, 0, doublePendulumPairs), 0.5, core.AVG, false, false, "d97eaf29107b35d1", "7580f6192d607584"},
+		{"two-pivot/E=0.6/SELECT/join", twoPivot, 0.6, core.SELECT, false, false, "b854cb08f84e4168", "01d03605c9be2dad"},
+		{"two-pivot/E=0.6/AVG/zero", twoPivot, 0.6, core.AVG, true, false, "62ca02994bb5dada", "c52d0aaedaffe5a6"},
+		{"time/E=1/SELECT/join/holey", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, true, "2846ca60c24130e0", "f9063035f5745e44"},
 	} {
 		c.cfg.FreeFrac = c.free
 		p, err := partition.GenerateCtx(context.Background(), space, c.cfg, rand.New(rand.NewSource(300)), partition.SimOptions{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c.holey {
+			spec, sub1, sub2 := stitch.NewSpec(p, false), *p.Sub1, *p.Sub2
+			sub1.Tensor = thin(p.Sub1.Tensor, func(e int, _ []int) bool { return e%3 == 0 })
+			sub2.Tensor = thin(p.Sub2.Tensor, func(_ int, idx []int) bool { return spec.PivotKey(idx) == 2 })
+			p.Sub1, p.Sub2 = &sub1, &sub2
 		}
 		opts := core.Options{Method: c.method, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: c.zero}
 		one, err := core.DecomposeFactored(p, opts)
@@ -509,10 +516,10 @@ func TestIntactBitsAreTheParents(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := bitsOf(one); got != c.serial {
-			t.Errorf("%s: core.DecomposeFactored bits %s, the parent's %s", c.name, got, c.serial)
+			t.Errorf("%s: core.DecomposeFactored bits %s, pinned %s", c.name, got, c.serial)
 		}
 		if got := bitsOf(three); got != c.sum {
-			t.Errorf("%s: three shards bits %s, the parent's %s", c.name, got, c.sum)
+			t.Errorf("%s: three shards bits %s, pinned %s", c.name, got, c.sum)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/stitch"
 	"repro/internal/store"
-	"repro/internal/tensor"
 )
 
 // Options configures a multi-process distributed decomposition. Workers,
@@ -209,9 +207,8 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	if parts, res.Phase3, err = j.project(ctx, p, ranks); err != nil {
 		return nil, err
 	}
-	var total core.Partial
-	res.Core, total = core.FactoredCore(p, opts.ZeroJoin, factors, parts, opts.Span)
-	res.Rejected = total.Rejected
+	total := core.FactoredCore(parts, opts.Span)
+	res.Core, res.Rejected = total.G, total.Rejected
 	res.Workers = f.roster()
 	clean = res.reusable()
 	return res, nil
@@ -294,19 +291,11 @@ func (j *job) project(ctx context.Context, p *partition.Result, ranks []int) (pa
 	if stats, err = j.runPhase(ctx, "phase3", tasks); err != nil {
 		return nil, stats, err
 	}
-	// A projection is as large as its sub-tensor's modes' ranks; the residual
-	// as the core, over sub-tensor 1's modes, then side 2's free ones.
-	var shapes [3]tensor.Shape
-	for si, modes := range [][]int{p.Sub1.Modes, p.Sub2.Modes, slices.Concat(p.Sub1.Modes, p.Config.Free2)} {
-		for _, m := range modes {
-			shapes[si] = append(shapes[si], ranks[m])
-		}
-	}
 	for _, t := range tasks {
 		var part core.Partial
 		ms, err := j.st.LoadMatrices(t.msg.out())
 		if err == nil {
-			part, err = partialOf(ms, shapes)
+			part, err = partialOf(ms, ranks)
 		}
 		if err != nil {
 			return nil, stats, fmt.Errorf("distnet: phase 3 artifact %s: %w", t.msg.out(), err)

@@ -325,8 +325,8 @@ func TestDistNetMetricsAndTrace(t *testing.T) {
 		t.Fatalf("roster accounts for %d of %d tasks", tasks, d.Phase1.Tasks+d.Phase3.Tasks)
 	}
 	// The engine keeps the three-phase skeleton: phase2 is there, with no
-	// tasks, and the stage span says what ran — join-free, every pivot group
-	// of this intact pair on the Gram-sized path.
+	// tasks, and the stage span says what ran — join-free, and no pivot
+	// group of this intact pair holey.
 	checkPhases(t, trace.Root(), map[string]int{"phase1": 6, "phase2": 0, "phase3": 2})
 	if root := trace.Root(); root.Counter("factored") != 1 || root.Counter("holey_groups") != 0 {
 		t.Fatalf("stage span: want factored = 1 and holey_groups = 0:\n%s", root.Skeleton())
@@ -430,7 +430,7 @@ func TestWorkDirReusedByAnotherCampaign(t *testing.T) {
 	}
 
 	// The same tensors without their configuration lists are another job:
-	// every group is summed per group, none projected, and the core agrees.
+	// no side's cκ is one row, and the core agrees.
 	bare := *p
 	bare.PivotConfigs, bare.Free1Configs, bare.Free2Configs = nil, nil, nil
 	unlisted := runDistNet(t, &bare, base)

@@ -21,8 +21,8 @@
 // 1's "factor" tasks compute one sub-tensor mode's Gram matrix and its
 // leading eigenvectors, and the coordinator fuses the pivot modes
 // (core.FusePivot); Phase 2 has no task; Phase 3's "project" tasks run
-// core.ProjectShard, and the coordinator sums the partials in shard order
-// and assembles the core (core.FactoredCore). Result.Join is nil. Those are
+// core.ProjectShard, and the coordinator sums the partials, in shard order,
+// to the core (core.FactoredCore). Result.Join is nil. Those are
 // the only two task kinds.
 //
 // Fault tolerance (DESIGN.md §13): the coordinator leases one task at a

@@ -130,7 +130,7 @@ func FuzzTaskPayload(f *testing.F) {
 		{ID: "p3-c0", Kind: "core", Dir: "catalog", Job: "j", Spec: spec},
 		{ID: "p3-g1", Kind: taskProject, Shard: 1, Dir: "catalog", Job: "j", Spec: spec},
 		{ID: "p3-g2", Kind: taskProject, Shard: 2, Dir: "catalog", Job: "j", Spec: spec},
-		{ID: "p3-g0", Kind: taskProject, Dir: "catalog", Job: "j", Spec: jobSpec{Join: spec.Join, Shards: 2}}, // no sampled grid: every group per group
+		{ID: "p3-g0", Kind: taskProject, Dir: "catalog", Job: "j", Spec: jobSpec{Join: spec.Join, Shards: 2}}, // no sampled grid: no side complete
 		{ID: "p3-g3", Kind: taskProject, Shard: math.MaxInt - 1, Dir: "catalog", Job: "j", Spec: jobSpec{Join: spec.Join, Sampled: spec.Sampled, Shards: math.MaxInt}},
 		{ID: "p3-g1", Kind: taskProject, Shard: 1, Dir: "catalog", Job: "q", Spec: jobSpec{Join: spec.Join, Sampled: spec.Sampled, Shards: 2, RejectNonFinite: true}},
 		{ID: "p1-k2-m1", Kind: taskFactor, Kappa: 2, Mode: 1, Rank: 2, Dir: "absent", Job: "j", Spec: spec}, // no such catalog
@@ -184,22 +184,19 @@ func FuzzTaskPayload(f *testing.F) {
 	})
 }
 
-// partialShapes are a job's Phase 3 shapes: projections 1 and 2, residual.
-var partialShapes = [3]tensor.Shape{{2, 2, 3}, {2, 2, 2}, {2, 2, 3, 2, 2}}
+// partialShape is a job's core shape, what a Phase 3 partial spans.
+var partialShape = tensor.Shape{2, 2, 3}
 
 // partialFixtures are an intact and a holey shard's partial at
-// partialShapes, and two that skipped quarantined values: one with holey
+// partialShape, and two that skipped quarantined values: one with holey
 // groups, one without.
 func partialFixtures() (intact, holey, rejected, rejectedOnly core.Partial) {
-	dense := func(s tensor.Shape) *tensor.Dense {
-		d := tensor.NewDense(s)
-		for i := range d.Data {
-			d.Data[i] = float64(i) + 0.5
-		}
-		return d
+	g := tensor.NewDense(partialShape)
+	for i := range g.Data {
+		g.Data[i] = float64(i) + 0.5
 	}
-	intact = core.Partial{G1: dense(partialShapes[0]), G2: dense(partialShapes[1])}
-	holey = core.Partial{G1: dense(partialShapes[0]), G2: dense(partialShapes[1]), Residual: dense(partialShapes[2]), Holey: 3}
+	intact = core.Partial{G: g}
+	holey = core.Partial{G: g, Holey: 3}
 	rejected, rejectedOnly = holey, intact
 	rejected.Rejected, rejectedOnly.Rejected = 2, 1
 	return intact, holey, rejected, rejectedOnly
@@ -211,61 +208,49 @@ func counts(vs ...float64) *mat.Matrix { return &mat.Matrix{Rows: 1, Cols: len(v
 // corruptPartials are Phase 3 objects partialOf must refuse, made from a
 // holey shard's.
 var corruptPartials = map[string]func(ms []*mat.Matrix) []*mat.Matrix{
-	"one matrix":         func(ms []*mat.Matrix) []*mat.Matrix { return ms[:1] },
-	"residual, no count": func(ms []*mat.Matrix) []*mat.Matrix { return ms[:3] },
-	"five matrices":      func(ms []*mat.Matrix) []*mat.Matrix { return append(ms, ms[3]) },
-	"short G1": func(ms []*mat.Matrix) []*mat.Matrix {
+	"one matrix":     func(ms []*mat.Matrix) []*mat.Matrix { return ms[:1] },
+	"three matrices": func(ms []*mat.Matrix) []*mat.Matrix { return append(ms, ms[1]) },
+	"short core": func(ms []*mat.Matrix) []*mat.Matrix {
 		ms[0] = &mat.Matrix{Rows: 1, Cols: 11, Data: ms[0].Data[:11]}
 		return ms
 	},
-	"long G2":        func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = ms[0]; return ms },
-	"short residual": func(ms []*mat.Matrix) []*mat.Matrix { ms[2] = ms[0]; return ms },
-	"count 0":        func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(0); return ms },
-	"count 1.5":      func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1.5); return ms },
-	"count NaN":      func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(math.NaN()); return ms },
-	"count 1e300":    func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1e300); return ms },
-	"three counts":   func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1, 2, 3); return ms },
-	"rejected 0":     func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1, 0); return ms },
-	"rejected -1":    func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1, -1); return ms },
-	"rejected 0.5":   func(ms []*mat.Matrix) []*mat.Matrix { ms[3] = counts(1, 0.5); return ms },
-	"residual, no holey groups": func(ms []*mat.Matrix) []*mat.Matrix {
-		ms[3] = counts(0, 2)
+	"long core": func(ms []*mat.Matrix) []*mat.Matrix {
+		ms[0] = counts(append(slices.Clone(ms[0].Data), 0.5)...)
 		return ms
 	},
-	"holey groups, no residual": func(ms []*mat.Matrix) []*mat.Matrix {
-		ms[2], ms[3] = counts(), counts(3, 2)
-		return ms
-	},
-	"no residual, one count": func(ms []*mat.Matrix) []*mat.Matrix {
-		ms[2] = counts()
-		return ms
-	},
+	"counts first":  func(ms []*mat.Matrix) []*mat.Matrix { ms[0], ms[1] = ms[1], ms[0]; return ms },
+	"no counts":     func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(); return ms },
+	"one count":     func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3); return ms },
+	"three counts":  func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 0, 1); return ms },
+	"holey -1":      func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(-1, 0); return ms },
+	"holey -0":      func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(math.Copysign(0, -1), 0); return ms },
+	"holey 1.5":     func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(1.5, 0); return ms },
+	"holey NaN":     func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(math.NaN(), 0); return ms },
+	"holey 1e300":   func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(1e300, 0); return ms },
+	"rejected -1":   func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, -1); return ms },
+	"rejected 0.5":  func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 0.5); return ms },
+	"rejected +Inf": func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, math.Inf(1)); return ms },
+	"rejected 2³¹":  func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 1<<31); return ms },
 }
 
-// TestPartialObjectChecked: a Phase 3 object is the two projections, or the
-// two projections, the residual (empty when there is none) and a counts
-// row; the coordinator takes neither another shape of object nor a length
-// that is not the product of the ranks its job clipped — for the residual
-// exactly as for G₁ and G₂ — nor counts that contradict the residual, and
-// what it takes round-trips. An intact shard's object is the projections
-// alone.
+// TestPartialObjectChecked: a Phase 3 object is the core-sized partial and
+// a counts row [holey, rejected]; the coordinator takes neither another
+// shape of object nor a partial whose length is not the product of the
+// ranks its job clipped, nor a count that is not an integer in
+// [0, MaxInt32], and what it takes round-trips.
 func TestPartialObjectChecked(t *testing.T) {
 	intact, holey, rejected, rejectedOnly := partialFixtures()
 	for name, want := range map[string]core.Partial{"intact": intact, "holey": holey, "rejected": rejected, "rejected, no holes": rejectedOnly} {
-		got, err := partialOf(partialMatrices(want), partialShapes)
+		got, err := partialOf(partialMatrices(want), partialShape)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Holey != want.Holey || got.Rejected != want.Rejected || (got.Residual == nil) != (want.Residual == nil) ||
-			!got.G1.Equal(want.G1, 0) || !got.G2.Equal(want.G2, 0) || want.Residual != nil && !got.Residual.Equal(want.Residual, 0) {
+		if got.Holey != want.Holey || got.Rejected != want.Rejected || !got.G.Equal(want.G, 0) {
 			t.Fatalf("%s: partial did not round-trip: %+v", name, got)
 		}
 	}
-	if n := len(partialMatrices(intact)); n != 2 {
-		t.Fatalf("an intact shard's object holds %d matrices, want the two projections only", n)
-	}
 	for name, mutate := range corruptPartials {
-		if _, err := partialOf(mutate(partialMatrices(holey)), partialShapes); err == nil {
+		if _, err := partialOf(mutate(partialMatrices(holey)), partialShape); err == nil {
 			t.Errorf("%s: object accepted", name)
 		}
 	}
@@ -303,7 +288,7 @@ func matricesOf(b []byte) []*mat.Matrix {
 // FuzzPhaseArtifact feeds arbitrary matrix lists, as a CRC-valid store
 // object holds them, to the checks the coordinator reads phase outputs
 // through: checkPhase1 (for a mode of size 4 at rank 2) and partialOf (at
-// partialShapes). Neither may panic, and a Phase 3 list partialOf accepts
+// partialShape). Neither may panic, and a Phase 3 list partialOf accepts
 // re-encodes through partialMatrices to the same values.
 func FuzzPhaseArtifact(f *testing.F) {
 	gram, factor := mat.New(4, 4), mat.New(4, 2)
@@ -326,7 +311,7 @@ func FuzzPhaseArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ms := matricesOf(b)
 		_ = checkPhase1(ms, 4, 2)
-		part, err := partialOf(ms, partialShapes)
+		part, err := partialOf(ms, partialShape)
 		if err != nil {
 			return
 		}

@@ -76,11 +76,11 @@ type heartbeatMsg struct {
 // written by the coordinator, every run, before the first lease that reads
 // them. Every task writes exactly one output object, named after the job
 // and the task (objectName): the job key hashes everything the output
-// depends on — fusion method, clipped ranks, shard count, zero-join, sampled
-// grid, the quarantine flag and both inputs' store checksums — so a WorkDir
-// that another campaign used holds nothing this one can mistake for its own,
-// and the resume check stays "does my output load" with no manifest beside
-// it.
+// depends on — the Phase 3 layout, fusion method, clipped ranks, shard
+// count, zero-join, sampled grid, the quarantine flag and both inputs'
+// store checksums — so a WorkDir that another campaign used holds nothing
+// this one can mistake for its own, and the resume check stays "does my
+// output load" with no manifest beside it.
 const objFactors = "factors"
 
 var objSubs = [2]string{"in-sub1", "in-sub2"}
@@ -99,75 +99,42 @@ func checkPhase1(ms []*mat.Matrix, size, rank int) error {
 	return nil
 }
 
-// partialMatrices is a Phase 3 output object: the shard's two projections
-// and, only when it summed pivot groups with holes or skipped quarantined
-// values, its residual (empty when it has none) and a counts row — the
-// holey groups, then the rejected values if there were any. A shard that
-// did neither, every shard of an intact campaign, writes the projections
-// alone.
+// partialMatrices is a Phase 3 output object: the shard's core-sized
+// partial, then one counts row — its holey groups, then the values it
+// rejected.
 func partialMatrices(p core.Partial) []*mat.Matrix {
 	row := func(data ...float64) *mat.Matrix { return &mat.Matrix{Rows: 1, Cols: len(data), Data: data} }
-	ms := []*mat.Matrix{row(p.G1.Data...), row(p.G2.Data...)}
-	var residual []float64
-	if p.Residual != nil {
-		residual = p.Residual.Data
-	}
-	switch {
-	case p.Rejected > 0:
-		ms = append(ms, row(residual...), row(float64(p.Holey), float64(p.Rejected)))
-	case p.Residual != nil:
-		ms = append(ms, row(residual...), row(float64(p.Holey)))
-	}
-	return ms
+	return []*mat.Matrix{row(p.G.Data...), row(float64(p.Holey), float64(p.Rejected))}
 }
 
-// partialOf reads a Phase 3 output object back, checking every length
-// against the shapes the job's ranks give (projections 1 and 2, residual)
-// and the counts against the residual: holey groups exactly when there is
-// one, and a rejected count, where written, of at least one.
-func partialOf(ms []*mat.Matrix, shapes [3]tensor.Shape) (core.Partial, error) {
-	var ts [3]*tensor.Dense
-	for i, m := range ms[:min(len(ms), 3)] {
-		if i == 2 && len(m.Data) == 0 {
-			continue // no residual
+// partialOf reads a Phase 3 output object back, checking the partial's
+// length against the core shape the job's ranks give and that both counts
+// are integers in [0, MaxInt32] (not -0: an accepted object re-encodes to
+// its own bits).
+func partialOf(ms []*mat.Matrix, shape tensor.Shape) (core.Partial, error) {
+	if len(ms) != 2 || len(ms[0].Data) != shape.NumElements() || len(ms[1].Data) != 2 {
+		return core.Partial{}, fmt.Errorf("want a %v partial and two counts: %w", shape, store.ErrCorrupt)
+	}
+	var n [2]int
+	for i, v := range ms[1].Data {
+		whole, frac := math.Modf(v)
+		if frac != 0 || math.Signbit(whole) || whole > math.MaxInt32 {
+			return core.Partial{}, fmt.Errorf("count %v: %w", v, store.ErrCorrupt)
 		}
-		if shapes[i].NumElements() != len(m.Data) {
-			return core.Partial{}, fmt.Errorf("%d values for a %v partial", len(m.Data), shapes[i])
-		}
-		ts[i] = &tensor.Dense{Shape: shapes[i], Data: m.Data}
+		n[i] = int(whole)
 	}
-	part := core.Partial{G1: ts[0], G2: ts[1], Residual: ts[2]}
-	if len(ms) == 2 {
-		return part, nil
-	}
-	// count reads an integral count of at least least.
-	count := func(v float64, least int) (int, bool) {
-		n, frac := math.Modf(v)
-		return int(n), frac == 0 && n >= float64(least) && n <= math.MaxInt32
-	}
-	if len(ms) == 4 {
-		switch counts := ms[3].Data; len(counts) {
-		case 1:
-			if h, ok := count(counts[0], 1); ok && part.Residual != nil {
-				part.Holey = h
-				return part, nil
-			}
-		case 2:
-			h, okH := count(counts[0], 0)
-			r, okR := count(counts[1], 1)
-			if okH && okR && (h > 0) == (part.Residual != nil) {
-				part.Holey, part.Rejected = h, r
-				return part, nil
-			}
-		}
-	}
-	return core.Partial{}, fmt.Errorf("%d matrices, or counts that do not fit the residual: %w", len(ms), store.ErrCorrupt)
+	return core.Partial{G: &tensor.Dense{Shape: shape.Clone(), Data: ms[0].Data}, Holey: n[0], Rejected: n[1]}, nil
 }
+
+// partialLayout names the Phase 3 object layout; it is part of every job
+// key, so a catalog written under another layout holds nothing a resumed
+// job reads.
+const partialLayout = "core+counts"
 
 // jobKey is the identity a job's artifacts are named under.
 func jobKey(method core.Method, ranks []int, spec jobSpec, inputs [2]uint32) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%v|%d|%t|%v|%t|%08x", method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, spec.RejectNonFinite, inputs)
+	fmt.Fprintf(h, "%s|%s|%v|%d|%t|%v|%t|%08x", partialLayout, method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, spec.RejectNonFinite, inputs)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

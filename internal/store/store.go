@@ -285,7 +285,8 @@ func (s *Store) readFile(name string, wantKind uint8, fn func(r io.Reader, size 
 		return ErrCorrupt
 	}
 	body := io.LimitReader(f, st.Size()-4)
-	cr := newCRCReader(bufio.NewReader(body))
+	// No larger a buffer than the object: most are a few hundred bytes.
+	cr := newCRCReader(bufio.NewReaderSize(body, int(min(st.Size(), 4096))))
 
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(cr, head); err != nil || string(head) != magic {
@@ -626,6 +627,9 @@ func readMatrices(r io.Reader, size int64, most uint32) ([]*mat.Matrix, error) {
 		return nil, ErrCorrupt
 	}
 	ms := make([]*mat.Matrix, n)
+	// The values are decoded through one small chunk, not a copy of each
+	// matrix's bytes.
+	chunk := make([]byte, 512)
 	for i := range ms {
 		var dims [2]uint64
 		if err := binary.Read(r, binary.LittleEndian, &dims); err != nil {
@@ -635,8 +639,15 @@ func readMatrices(r io.Reader, size int64, most uint32) ([]*mat.Matrix, error) {
 			return nil, ErrCorrupt
 		}
 		ms[i] = mat.New(int(dims[0]), int(dims[1]))
-		if err := binary.Read(r, binary.LittleEndian, ms[i].Data); err != nil {
-			return nil, ErrCorrupt
+		for data := ms[i].Data; len(data) > 0; {
+			b := chunk[:8*min(len(data), len(chunk)/8)]
+			if _, err := io.ReadFull(r, b); err != nil {
+				return nil, ErrCorrupt
+			}
+			for j := range len(b) / 8 {
+				data[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+			}
+			data = data[len(b)/8:]
 		}
 	}
 	return ms, nil
