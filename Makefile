@@ -154,7 +154,8 @@ trace-smoke:
 # same campaign on 3 worker processes with 0, 1, and 2 workers SIGKILLed
 # mid-task, and once on the in-process executor of the same phase bodies
 # (-workers 4), must produce the same core fingerprint bit for bit, and
-# the killed run's merged trace must replay through tracecat. A stable
+# the killed run's merged trace must replay through tracecat with no span
+# left running (tracecat's footer reads "N spans (M running)"). A stable
 # shard count (-dist-shards = -workers) pins the determinism unit so the
 # four runs are comparable. Then a faulted pair: the same campaign with
 # divergent trajectories quarantined (-divergent-rate 0.02 leaves holes in
@@ -172,7 +173,9 @@ dist-smoke:
 	@grep '^core fingerprint' dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out
 	@test "$$(grep -h '^core fingerprint' dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out | sort -u | wc -l)" = 1 \
 		|| (echo "kill-and-recover drill: fingerprints diverged"; exit 1)
-	$(GO) run ./cmd/tracecat dist-trace.jsonl > /dev/null
+	$(GO) run ./cmd/tracecat dist-trace.jsonl > dist-trace.txt
+	@if grep -E ' spans \([0-9]+ running\)' dist-trace.txt; then \
+		echo "kill-and-recover drill: the trace has spans still running"; exit 1; fi
 	$(GO) run ./cmd/m2tdbench -run -res 6 -divergent-rate 0.02 -workers 4 > dist-holes-inproc.out
 	$(GO) run ./cmd/m2tdbench -run -res 6 -divergent-rate 0.02 -dist-procs 3 -dist-shards 4 > dist-holes-procs.out
 	$(GO) run ./cmd/m2tdbench -run -res 6 -divergent-rate 0.02 -dist-procs 3 -dist-shards 4 \
@@ -182,7 +185,7 @@ dist-smoke:
 	@grep '^core fingerprint' dist-holes-inproc.out dist-holes-procs.out dist-holes-kill1.out
 	@test "$$(grep -h '^core fingerprint' dist-holes-inproc.out dist-holes-procs.out dist-holes-kill1.out dist-clean.out | sort -u | wc -l)" = 2 \
 		|| (echo "faulted pair: want one fingerprint on both executors, killed or not, and not the clean campaign's"; exit 1)
-	@rm -f dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl dist-holes-inproc.out dist-holes-procs.out dist-holes-kill1.out
+	@rm -f dist-inproc.out dist-clean.out dist-kill1.out dist-kill2.out dist-trace.jsonl dist-trace.txt dist-holes-inproc.out dist-holes-procs.out dist-holes-kill1.out
 
 # Serving-layer acceptance (mirrors the CI `serve` job): the handler and
 # typed-client suites under -race, including the kill-mid-campaign

@@ -45,6 +45,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -130,7 +131,7 @@ func main() {
 				KillSeed:    *killSeed,
 			}
 		}
-		if err := runPipeline(ctx, cfg, *timeout, *traceOut); err != nil {
+		if err := runPipeline(ctx, os.Stdout, cfg, *timeout, *traceOut); err != nil {
 			stopMetrics()
 			fmt.Fprintln(os.Stderr, "m2tdbench:", err)
 			os.Exit(1)
@@ -179,9 +180,9 @@ func main() {
 // runPipeline executes one end-to-end pipeline under main's interruptible
 // context (Ctrl-C and -timeout both cancel cooperatively: in-flight
 // simulations finish, the checkpoint is flushed, and the run reports a
-// wrapped context error) and prints the report with its fault-tolerance
-// accounting.
-func runPipeline(ctx context.Context, cfg m2td.Config, timeout time.Duration, traceOut string) error {
+// wrapped context error) and prints to w the report — headed by the
+// resolution and rank the run used — with its fault-tolerance accounting.
+func runPipeline(ctx context.Context, w io.Writer, cfg m2td.Config, timeout time.Duration, traceOut string) error {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -192,27 +193,26 @@ func runPipeline(ctx context.Context, cfg m2td.Config, timeout time.Duration, tr
 	if err != nil {
 		return err
 	}
-	fmt.Printf("system=%s res=%d rank=%d seed=%d\n",
-		report.Space.Sys.Name(), cfg.Resolution, cfg.Rank, cfg.Seed)
+	fmt.Fprintf(w, "system=%s res=%d rank=%d seed=%d\n",
+		report.Space.Sys.Name(), report.Space.Res, slices.Max(report.Decomposition.Core.Shape), cfg.Seed)
 	if !math.IsNaN(report.Accuracy) {
-		fmt.Printf("accuracy           %.4f\n", report.Accuracy)
+		fmt.Fprintf(w, "accuracy           %.4f\n", report.Accuracy)
 	}
-	fmt.Printf("simulations        %d (executed %d, restored %d, retried %d, failed %d)\n",
+	fmt.Fprintf(w, "simulations        %d (executed %d, restored %d, retried %d, failed %d)\n",
 		report.NumSims, report.ExecutedSims, report.RestoredSims, report.RetriedSims, report.FailedSims)
-	fmt.Printf("quarantined cells  %d\n", report.QuarantinedCells)
-	fmt.Printf("effective density  %.4f / %.4f\n", report.EffectiveDensity1, report.EffectiveDensity2)
+	fmt.Fprintf(w, "quarantined cells  %d\n", report.QuarantinedCells)
+	fmt.Fprintf(w, "effective density  %.4f / %.4f\n", report.EffectiveDensity1, report.EffectiveDensity2)
 	if fs := report.FaultStats; fs != nil {
-		fmt.Printf("injected faults    transient sims %d (failures %d), divergent %d, panicked %d, delayed %d\n",
+		fmt.Fprintf(w, "injected faults    transient sims %d (failures %d), divergent %d, panicked %d, delayed %d\n",
 			fs.TransientSims, fs.TransientFailures, fs.DivergentSims, fs.PanickedSims, fs.DelayedSims)
 	}
-	fmt.Printf("join cells         %d\n", report.JoinCells)
+	fmt.Fprintf(w, "join cells         %d\n", report.JoinCells)
 	if ds := report.Distributed; ds != nil {
-		fmt.Printf("dist workers       %d (lost %d, requeues %d, skipped tasks %d)\n",
+		fmt.Fprintf(w, "dist workers       %d (lost %d, requeues %d, skipped tasks %d)\n",
 			ds.Workers, ds.WorkersLost, ds.Requeues, ds.TasksSkipped)
-		fmt.Printf("dist phases        p1 %v, p3 %v\n", ds.Phase1.Round(time.Millisecond), ds.Phase3.Round(time.Millisecond))
 	}
-	fmt.Printf("core fingerprint   %016x\n", decompFingerprint(report.Decomposition))
-	fmt.Printf("sim %v, decomp %v, total %v\n",
+	fmt.Fprintf(w, "core fingerprint   %016x\n", decompFingerprint(report.Decomposition))
+	fmt.Fprintf(w, "sim %v, decomp %v, total %v\n",
 		report.SimTime.Round(time.Millisecond), report.DecompTime.Round(time.Millisecond),
 		time.Since(start).Round(time.Millisecond))
 	return writeTrace(traceOut, report)

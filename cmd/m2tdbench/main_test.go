@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	m2td "repro"
 	"repro/internal/eval"
 )
 
@@ -147,5 +148,27 @@ func TestRunSketchTableWithCSVExport(t *testing.T) {
 func TestRunSeedsHelper(t *testing.T) {
 	if err := runSeeds(context.Background(), tinyBase(), 2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunPipelineHeader: -run's header names the resolution and rank the
+// run used — the defaults when -res and -rank are unset, the rank clipped
+// to the mode sizes — not the flags' zero values.
+func TestRunPipelineHeader(t *testing.T) {
+	for _, c := range []struct {
+		cfg  m2td.Config
+		want string
+	}{
+		{m2td.Config{SkipAccuracy: true}, "res=12 rank=4 "},
+		{m2td.Config{Resolution: 5, Rank: 9, SkipAccuracy: true}, "res=5 rank=5 "},
+	} {
+		var b strings.Builder
+		if err := runPipeline(context.Background(), &b, c.cfg, 0, ""); err != nil {
+			t.Fatal(err)
+		}
+		header, _, _ := strings.Cut(b.String(), "\n")
+		if !strings.Contains(header, c.want) {
+			t.Errorf("Resolution %d, Rank %d: header %q, want %q", c.cfg.Resolution, c.cfg.Rank, header, c.want)
+		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The coordinator side of the engine. A fleet is the long-lived part: the
@@ -26,6 +28,7 @@ type task struct {
 	attempts int // leases so far (bounded by Retry.MaxAttempts)
 	done     bool
 	result   resultMsg
+	span     *obs.Span // phase open → result accepted
 }
 
 // eventKind discriminates the coordinator's event-loop messages.
@@ -308,11 +311,36 @@ func (f *fleet) readLoop(wc *workerConn) {
 // runPhase executes one phase's tasks to completion. Leases go to idle
 // live workers FIFO; a lost worker's in-flight task is re-leased to a
 // survivor after RetryPolicy backoff; the phase fails only when a task
-// exhausts its attempts or every worker process is gone.
-func (j *job) runPhase(ctx context.Context, name string, tasks []*task) (PhaseStats, error) {
+// exhausts its attempts or every worker process is gone. It records the
+// phase on ps, which its caller opened: the task count as a counter,
+// scheduling values as gauges, and one child per task, started here in
+// task order (a deterministic skeleton) and finished when the task's
+// first result is accepted, or on the way out when the phase fails.
+func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*task) (stats PhaseStats, err error) {
 	f, opts := j.fleet, j.opts
 	start := time.Now()
-	stats := PhaseStats{Tasks: len(tasks)}
+	stats.Tasks = len(tasks)
+	ps.Set("tasks", int64(len(tasks)))
+	for _, t := range tasks {
+		t.span = ps.Start("task:" + t.msg.ID)
+	}
+	defer func() {
+		stats.Duration = time.Since(start)
+		if name == "phase1" {
+			reused := int64(0)
+			if j.reused {
+				reused = 1
+			}
+			ps.SetGauge("fleet_reused", reused)
+		}
+		ps.SetGauge("skipped", int64(stats.Skipped))
+		ps.SetGauge("requeues", int64(stats.Requeues))
+		ps.SetGauge("workers_lost", int64(stats.WorkersLost))
+		for _, t := range tasks {
+			t.span.SetGauge("attempts", int64(t.attempts))
+			t.span.Finish()
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return stats, err
 	}
@@ -469,6 +497,9 @@ func (j *job) runPhase(ctx context.Context, name string, tasks []*task) (PhaseSt
 					if !t.done {
 						t.done = true
 						t.result = ev.res
+						t.span.SetGauge("worker", int64(ev.res.Worker))
+						t.span.SetGauge("dur_ns", ev.res.DurNS)
+						t.span.Finish()
 						remaining--
 						if ev.res.Skipped {
 							stats.Skipped++
@@ -499,43 +530,7 @@ func (j *job) runPhase(ctx context.Context, name string, tasks []*task) (PhaseSt
 			}
 		}
 	}
-	stats.Duration = time.Since(start)
-	if phaseErr != nil {
-		return stats, phaseErr
-	}
-	j.tracePhase(name, tasks, stats)
-	return stats, nil
-}
-
-// tracePhase records the phase on the configured span: deterministic
-// task counts as counters, scheduling-dependent values as gauges — among
-// them, on phase1, whether the campaign found its fleet already running —
-// and one child span per task, created post hoc in task order, so the
-// trace skeleton is identical no matter which workers served or died.
-func (j *job) tracePhase(name string, tasks []*task, stats PhaseStats) {
-	if j.opts.Span == nil {
-		return
-	}
-	ps := j.opts.Span.Start(name)
-	ps.Set("tasks", int64(stats.Tasks))
-	if name == "phase1" {
-		reused := int64(0)
-		if j.reused {
-			reused = 1
-		}
-		ps.SetGauge("fleet_reused", reused)
-	}
-	ps.SetGauge("skipped", int64(stats.Skipped))
-	ps.SetGauge("requeues", int64(stats.Requeues))
-	ps.SetGauge("workers_lost", int64(stats.WorkersLost))
-	for _, t := range tasks {
-		ts := ps.Start("task:" + t.msg.ID)
-		ts.SetGauge("worker", int64(t.result.Worker))
-		ts.SetGauge("attempts", int64(t.attempts))
-		ts.SetGauge("dur_ns", t.result.DurNS)
-		ts.Finish()
-	}
-	ps.Finish()
+	return stats, phaseErr
 }
 
 // roster snapshots the worker fleet for Result.Workers, in id order: every

@@ -70,9 +70,9 @@ type Options struct {
 	// coordinator's lease-check period (default 250ms).
 	HeartbeatInterval time.Duration
 
-	// Span, when non-nil, receives per-phase child spans with
-	// deterministic task counters and scheduling gauges (requeues,
-	// workers lost, per-task worker/attempt/duration).
+	// Span, when non-nil, receives "upload", "phase1" and "phase3" child
+	// spans while they run: task counts as counters, scheduling gauges, and
+	// one child per task from its phase's open to its accepted result.
 	Span *obs.Span
 }
 
@@ -126,7 +126,8 @@ type PhaseStats struct {
 	Requeues int
 	// WorkersLost counts workers quarantined during the phase.
 	WorkersLost int
-	// Duration is the phase's wall-clock time.
+	// Duration is the phase's wall-clock time, as its span on
+	// Options.Span; cmd/m2tdperf reads it.
 	Duration time.Duration
 }
 
@@ -141,7 +142,8 @@ type WorkerInfo struct {
 
 // Result augments the serial M2TD result with per-phase engine
 // statistics and the worker roster. Join is nil (JoinCells counts per
-// pivot group) and Phase2, which has no task, is the zero PhaseStats.
+// pivot group). Phase2, which has no task and no span, is the zero
+// PhaseStats; cmd/m2tdperf reads it.
 type Result struct {
 	*core.Result
 	Phase1, Phase2, Phase3 PhaseStats
@@ -181,14 +183,19 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	}
 	clean := false
 	defer func() { release(f, clean) }()
+	up := opts.Span.Start("upload")
 	var sums [2]uint32
 	for i, sub := range []*partition.SubEnsemble{p.Sub1, p.Sub2} {
-		if err := st.SaveSparse(objSubs[i], sub.Tensor); err != nil {
-			return nil, err
+		if err = st.SaveSparse(objSubs[i], sub.Tensor); err == nil {
+			sums[i], err = st.Checksum(objSubs[i])
 		}
-		if sums[i], err = st.Checksum(objSubs[i]); err != nil {
-			return nil, err
+		if err != nil {
+			break
 		}
+	}
+	up.Finish()
+	if err != nil {
+		return nil, err
 	}
 	spec := jobSpec{
 		Join: stitch.NewSpec(p, opts.ZeroJoin), Sampled: core.SampledOf(p), Shards: opts.Shards,
@@ -201,8 +208,6 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 		return nil, err
 	}
 	res := &Result{Result: &core.Result{Factors: factors}, Phase1: p1stats}
-	// Nothing to stitch: Phase 2 keeps its span, with no tasks.
-	j.tracePhase("phase2", nil, res.Phase2)
 	var parts []core.Partial
 	if parts, res.Phase3, err = j.project(ctx, p, ranks); err != nil {
 		return nil, err
@@ -253,7 +258,9 @@ func (j *job) subDecompose(ctx context.Context, p *partition.Result, method core
 			tasks = append(tasks, j.task(taskFactor, factorOut(si+1, n), taskMsg{Kappa: si + 1, Mode: n, Rank: ranks[m]}))
 		}
 	}
-	stats, err := j.runPhase(ctx, "phase1", tasks)
+	ps := j.opts.Span.Start("phase1")
+	defer ps.Finish()
+	stats, err := j.runPhase(ctx, ps, "phase1", tasks)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -284,11 +291,13 @@ func (j *job) subDecompose(ctx context.Context, p *partition.Result, method core
 // project is Phase 3: one core.ProjectShard task per shard, each saving its
 // partial as one object; returned in ascending shard order.
 func (j *job) project(ctx context.Context, p *partition.Result, ranks []int) (parts []core.Partial, stats PhaseStats, err error) {
+	ps := j.opts.Span.Start("phase3")
+	defer ps.Finish()
 	var tasks []*task
 	for s := 0; s < j.spec.Shards; s++ {
 		tasks = append(tasks, j.task(taskProject, projectOut(s), taskMsg{Shard: s}))
 	}
-	if stats, err = j.runPhase(ctx, "phase3", tasks); err != nil {
+	if stats, err = j.runPhase(ctx, ps, "phase3", tasks); err != nil {
 		return nil, stats, err
 	}
 	for _, t := range tasks {

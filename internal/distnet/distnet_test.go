@@ -324,24 +324,29 @@ func TestDistNetMetricsAndTrace(t *testing.T) {
 	if tasks != d.Phase1.Tasks+d.Phase3.Tasks {
 		t.Fatalf("roster accounts for %d of %d tasks", tasks, d.Phase1.Tasks+d.Phase3.Tasks)
 	}
-	// The engine keeps the three-phase skeleton: phase2 is there, with no
-	// tasks, and the stage span says what ran — join-free, and no pivot
-	// group of this intact pair holey.
-	checkPhases(t, trace.Root(), map[string]int{"phase1": 6, "phase2": 0, "phase3": 2})
+	// The engine runs two phases after the upload — there is nothing to
+	// stitch, so no phase2 span — and the stage span says what ran:
+	// join-free, and no pivot group of this intact pair holey.
+	checkPhases(t, trace.Root(), map[string]int{"phase1": 6, "phase3": 2})
 	if root := trace.Root(); root.Counter("factored") != 1 || root.Counter("holey_groups") != 0 {
 		t.Fatalf("stage span: want factored = 1 and holey_groups = 0:\n%s", root.Skeleton())
 	}
 }
 
-// checkPhases requires one span per phase, each recording its task count
-// and holding one child per task.
+// checkPhases requires the campaign's spans to be upload, phase1 and
+// phase3 — no phase2 — each phase recording its task count and holding
+// one child per task.
 func checkPhases(t *testing.T, root *obs.Span, tasks map[string]int) {
 	t.Helper()
-	for _, name := range []string{"phase1", "phase2", "phase3"} {
+	var names []string
+	for _, c := range root.Children() {
+		names = append(names, c.Name())
+	}
+	if want := []string{"upload", "phase1", "phase3"}; !slices.Equal(names, want) {
+		t.Fatalf("campaign spans %v, want %v", names, want)
+	}
+	for _, name := range []string{"phase1", "phase3"} {
 		ps := root.Find(name)
-		if ps == nil {
-			t.Fatalf("trace has no %s span", name)
-		}
 		if got := ps.Counter("tasks"); got != int64(tasks[name]) {
 			t.Fatalf("%s span records %d tasks, want %d", name, got, tasks[name])
 		}
@@ -353,17 +358,52 @@ func checkPhases(t *testing.T, root *obs.Span, tasks map[string]int) {
 
 // TestDistNetTaskErrorsExhaustAttempts: a task answered with a task error
 // is re-leased until it runs out of attempts, and the campaign then fails
-// with that error instead of hanging.
+// with that error instead of hanging — or, given attempts to spare, until
+// the campaign's deadline. Either way the failed phase is on the trace as
+// it ran: phase1 finished, every task's span finished, and the exhausted
+// task's showing all its attempts.
 func TestDistNetTaskErrorsExhaustAttempts(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 1,
-		WorkDir: t.TempDir(), WorkerArgv: []string{exe, refuseArg}}
-	_, err = Decompose(context.Background(), tinyPartition(t, 1, 228), opts)
-	if err == nil || !strings.Contains(err.Error(), "failed after 3 attempts") {
-		t.Fatalf("campaign on a refusing worker: err %v, want a task out of attempts", err)
+	for _, c := range []struct {
+		name     string
+		attempts int
+		timeout  time.Duration
+		want     string
+	}{
+		{"exhausted", 0, time.Minute, "failed after 3 attempts"},
+		{"deadline", 1 << 20, 300 * time.Millisecond, context.DeadlineExceeded.Error()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+			defer cancel()
+			trace := obs.New("campaign")
+			opts := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 1,
+				Retry: faults.RetryPolicy{MaxAttempts: c.attempts}, Span: trace.Root(),
+				WorkDir: t.TempDir(), WorkerArgv: []string{exe, refuseArg}}
+			_, err := Decompose(ctx, tinyPartition(t, 1, 228), opts)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("campaign on a refusing worker: err %v, want %q", err, c.want)
+			}
+			p1 := trace.Root().Data().Find("phase1")
+			if p1 == nil || p1.Running || len(p1.Children) != 6 || trace.Root().Find("phase3") != nil {
+				t.Fatalf("want phase1 finished with 6 tasks, and no phase3:\n%s", trace.Root().Skeleton())
+			}
+			exhausted := 0
+			for _, ts := range p1.Children {
+				if ts.Running {
+					t.Errorf("%s still running after the campaign failed", ts.Name)
+				}
+				if ts.Gauges["attempts"] == 3 {
+					exhausted++
+				}
+			}
+			if c.attempts == 0 && exhausted != 1 {
+				t.Errorf("%d task spans with 3 attempts, want the exhausted one", exhausted)
+			}
+		})
 	}
 }
 

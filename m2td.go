@@ -186,10 +186,6 @@ type DistStats struct {
 	// Requeues counts task re-leases; TasksSkipped counts tasks
 	// satisfied by an already-durable artifact.
 	Requeues, TasksSkipped int
-	// Phase1 and Phase3 are the engine's per-phase wall-clock times (Table
-	// III's split, with real IPC overhead); it stitches nothing, so there
-	// is no Phase 2.
-	Phase1, Phase3 time.Duration
 }
 
 // Report is the outcome of a pipeline run.
@@ -663,7 +659,5 @@ func decomposeDistributed(ctx context.Context, part *partition.Result, opts core
 		WorkersLost:  d.Phase1.WorkersLost + d.Phase3.WorkersLost,
 		Requeues:     d.Phase1.Requeues + d.Phase3.Requeues,
 		TasksSkipped: d.Phase1.Skipped + d.Phase3.Skipped,
-		Phase1:       d.Phase1.Duration,
-		Phase3:       d.Phase3.Duration,
 	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,13 +112,33 @@ func runningSpans(root *obs.Span, from int) []string {
 	return running
 }
 
+// uncontained lists the spans in root's tree that do not contain the work
+// they time: a child that ends after its parent, and a span shorter than
+// the dur_ns gauge a worker process measured inside it (distnet's tasks).
+func uncontained(root *obs.Span) []string {
+	var bad, path []string
+	var ends []int64
+	root.Data().Walk(func(depth int, s *obs.SpanData) {
+		path, ends = append(path[:depth], s.Name), append(ends[:depth], s.StartNS+s.DurNS)
+		if depth > 0 && ends[depth] > ends[depth-1] {
+			bad = append(bad, strings.Join(path, "/")+" ends after its parent")
+		}
+		if d, ok := s.Gauges["dur_ns"]; ok && s.DurNS < d {
+			bad = append(bad, fmt.Sprintf("%s lasts %d ns, its ~dur_ns %d", strings.Join(path, "/"), s.DurNS, d))
+		}
+	})
+	return bad
+}
+
 // TestSpansFinished is the span contract of DESIGN.md §7.2, checked
 // where spans run: every span an entry point starts under its caller's
 // span or trace is finished when the call returns — on success, and for
 // the entry points that poll their context, on every cancellation return
-// path (a pollCtx cancelling at each poll k of a full run in turn). A
+// path (a pollCtx cancelling at each poll k of a full run in turn) — and
+// contains its work: its children, and a worker's measured interval. A
 // completed run's skeleton is the same at Parallel 1 and 8, so nothing
-// timing- or scheduling-derived entered a counter.
+// timing- or scheduling-derived entered a counter; the RunCtx rows also
+// pin each executor's decompose children.
 func TestSpansFinished(t *testing.T) {
 	x := facadeTestTensor()
 	cfg := smallConfig()
@@ -194,6 +215,12 @@ func TestSpansFinished(t *testing.T) {
 			return tr, err
 		}},
 	}
+	// The decompose span's children, in order, on each executor.
+	decompose := map[string][]string{
+		"RunCtx":             {"factors", "core"},
+		"RunCtx/Workers":     {"factors", "core"},
+		"RunCtx/Distributed": {"upload", "phase1", "phase3"},
+	}
 	check := func(t *testing.T, what string, tr *obs.Trace) {
 		t.Helper()
 		from := 0
@@ -202,6 +229,9 @@ func TestSpansFinished(t *testing.T) {
 		}
 		if running := runningSpans(tr.Root(), from); len(running) > 0 {
 			t.Errorf("%s: spans still running after the call returned: %v\n%s", what, running, tr.Root().Skeleton())
+		}
+		if bad := uncontained(tr.Root()); len(bad) > 0 {
+			t.Errorf("%s: spans that do not contain their work: %v", what, bad)
 		}
 	}
 	for _, r := range rows {
@@ -214,6 +244,15 @@ func TestSpansFinished(t *testing.T) {
 				}
 				check(t, "completed run", tr)
 				skeletons[parallel] = tr.Root().Skeleton()
+				if want, ok := decompose[r.name]; ok {
+					var names []string
+					for _, c := range tr.Root().Find("decompose").Children() {
+						names = append(names, c.Name())
+					}
+					if !slices.Equal(names, want) {
+						t.Errorf("Parallel=%d: decompose spans %v, want %v", parallel, names, want)
+					}
+				}
 			}
 			if skeletons[1] != skeletons[8] {
 				t.Errorf("skeleton differs between Parallel=1 and Parallel=8:\n--- Parallel=1\n%s--- Parallel=8\n%s",
