@@ -14,7 +14,6 @@ package m2td
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -345,28 +344,6 @@ func BenchmarkUnionBaseline(b *testing.B) {
 
 // BenchmarkNoiseSweep measures the robustness ablation.
 func BenchmarkNoiseSweep(b *testing.B) { benchExperiment(b, "noise", nil) }
-
-// BenchmarkSketchedJoin measures the randomized-sketch fast path over the
-// stitched join at decreasing keep fractions (the MACH/PARCUBE-style
-// ablation), as internal/tucker's BenchmarkSketchedHOSVD does on its own
-// tensor.
-func BenchmarkSketchedJoin(b *testing.B) {
-	part, ranks := benchPartition(b)
-	j := stitch.Join(part)
-	for _, frac := range []float64{1.0, 0.5, 0.1} {
-		b.Run(fmt.Sprintf("keep=%.0f%%", frac*100), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _, err := tucker.SketchedHOSVD(j, ranks, tucker.SketchOptions{
-					KeepFrac: frac,
-					Seed:     1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // --- Shared-memory worker-pool benchmarks (internal/parallel) ---
 

@@ -10,7 +10,6 @@
 //	m2tdbench -table 5 -res 16
 //	m2tdbench -table 2,4,5 -csv out.csv   # comparison rows, one header
 //	m2tdbench -table 2 -parallel 8        # 8-worker shared-memory pool
-//	m2tdbench -table sketch               # SketchedHOSVD vs HOSVD on one large sparse tensor
 //	m2tdbench -run -res 12 -timeout 2m    # one pipeline with a deadline
 //	m2tdbench -run -checkpoint ./ckpt -resume
 //	m2tdbench -run -fault-rate 0.1 -divergent-rate 0.02
@@ -66,7 +65,7 @@ func main() {
 		workers = flag.String("workers", "", "comma-separated D-M2TD server counts (table 3); with -run the first value runs in-process D-M2TD at that shard count")
 		seed    = flag.Int64("seed", eval.DefaultSeed, "sampling seed")
 		seeds   = flag.Int("seeds", 0, "run a multi-seed sweep of the base configuration with this many seeds instead of a table")
-		csvOut  = flag.String("csv", "", "also export every comparison table's rows as CSV to this file, under one header (the sketch table writes its own rows)")
+		csvOut  = flag.String("csv", "", "also export every comparison table's rows as CSV to this file, under one header")
 		estim   = flag.Int("estimate", 0, "paper-scale mode: score accuracy on this many sampled ground-truth fibers (required beyond res ≈24)")
 		par     = flag.Int("parallel", 0, "shared-memory worker-pool size for the decomposition kernels (0 = all CPUs, 1 = serial; results are identical for any value)")
 
@@ -266,11 +265,11 @@ type sweeps struct{ res, ranks, workers []int }
 
 // table is one -table name. A nil print means a scheme comparison: the
 // experiment of that name in eval's registry, run, rendered and exported the
-// one way. The other five tables have row shapes of their own and print
-// themselves (csv is nil without -csv).
+// one way. The other four tables have row shapes of their own, print
+// themselves and export nothing.
 type table struct {
 	name  string
-	print func(ctx context.Context, out io.Writer, base eval.Config, sw sweeps, csv io.Writer) error
+	print func(ctx context.Context, out io.Writer, base eval.Config, sw sweeps) error
 }
 
 // tables is the registry behind -table, in help order: the lookup, the help
@@ -278,7 +277,7 @@ type table struct {
 // paper's tables and figure) all read this list.
 var tables = []table{
 	{"1", table1}, {"2", nil}, {"3", table3}, {"4", nil}, {"5", nil}, {"6", nil}, {"7", nil}, {"8", nil},
-	{"fig6", fig6}, {"noise", nil}, {"ranks", nil}, {"extended", nil}, {"pivotselect", pivotSelect}, {"sketch", sketch},
+	{"fig6", fig6}, {"noise", nil}, {"ranks", nil}, {"extended", nil}, {"pivotselect", pivotSelect},
 }
 
 const allTables = 9
@@ -315,7 +314,7 @@ func runTables(ctx context.Context, out io.Writer, names []string, base eval.Con
 			fmt.Fprintln(out)
 		}
 		start := time.Now()
-		r, runErr := run(ctx, out, name, base, sw, csv)
+		r, runErr := run(ctx, out, name, base, sw)
 		if runErr != nil {
 			err = fmt.Errorf("table %s: %w", name, runErr)
 			break
@@ -332,13 +331,13 @@ func runTables(ctx context.Context, out io.Writer, names []string, base eval.Con
 }
 
 // run prints one table and returns the comparison rows it printed, if any.
-func run(ctx context.Context, out io.Writer, name string, base eval.Config, sw sweeps, csv io.Writer) ([]eval.Row, error) {
+func run(ctx context.Context, out io.Writer, name string, base eval.Config, sw sweeps) ([]eval.Row, error) {
 	for _, t := range tables {
 		if t.name != name {
 			continue
 		}
 		if t.print != nil {
-			return nil, t.print(ctx, out, base, sw, csv)
+			return nil, t.print(ctx, out, base, sw)
 		}
 		for _, exp := range eval.Experiments(base, sw.res, sw.ranks) {
 			if exp.Name == name {
@@ -354,7 +353,7 @@ func run(ctx context.Context, out io.Writer, name string, base eval.Config, sw s
 	return nil, fmt.Errorf("unknown table %q (want %s, or all)", name, tableNames())
 }
 
-func table1(ctx context.Context, out io.Writer, _ eval.Config, sw sweeps, _ io.Writer) error {
+func table1(ctx context.Context, out io.Writer, _ eval.Config, sw sweeps) error {
 	rows, err := eval.Table1(ctx, nil, sw.res)
 	if err == nil {
 		eval.RenderTable1(out, rows)
@@ -362,7 +361,7 @@ func table1(ctx context.Context, out io.Writer, _ eval.Config, sw sweeps, _ io.W
 	return err
 }
 
-func table3(ctx context.Context, out io.Writer, base eval.Config, sw sweeps, _ io.Writer) error {
+func table3(ctx context.Context, out io.Writer, base eval.Config, sw sweeps) error {
 	rows, err := eval.Table3(ctx, base, sw.workers)
 	if err == nil {
 		eval.RenderTable3(out, rows)
@@ -370,7 +369,7 @@ func table3(ctx context.Context, out io.Writer, base eval.Config, sw sweeps, _ i
 	return err
 }
 
-func fig6(ctx context.Context, out io.Writer, base eval.Config, _ sweeps, _ io.Writer) error {
+func fig6(ctx context.Context, out io.Writer, base eval.Config, _ sweeps) error {
 	rows, err := eval.Fig6(ctx, base, nil)
 	if err == nil {
 		eval.RenderFig6(out, rows)
@@ -378,7 +377,7 @@ func fig6(ctx context.Context, out io.Writer, base eval.Config, _ sweeps, _ io.W
 	return err
 }
 
-func pivotSelect(ctx context.Context, out io.Writer, base eval.Config, _ sweeps, _ io.Writer) error {
+func pivotSelect(ctx context.Context, out io.Writer, base eval.Config, _ sweeps) error {
 	if base.Res == 0 {
 		base = eval.DefaultConfig("double-pendulum")
 	}
@@ -387,18 +386,6 @@ func pivotSelect(ctx context.Context, out io.Writer, base eval.Config, _ sweeps,
 		eval.RenderPivotScores(out, base.System, scores)
 	}
 	return err
-}
-
-func sketch(ctx context.Context, out io.Writer, base eval.Config, _ sweeps, csv io.Writer) error {
-	rows, err := eval.SketchSweep(ctx, base, nil)
-	if err != nil {
-		return err
-	}
-	eval.RenderSketchSweep(out, rows)
-	if csv != nil {
-		return eval.ExportSketchSweepCSV(csv, rows)
-	}
-	return nil
 }
 
 // ints parses a comma-separated integer list; empty input yields nil

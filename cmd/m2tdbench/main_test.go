@@ -36,14 +36,17 @@ func TestFirstInt(t *testing.T) {
 }
 
 func TestRunRejectsUnknownTable(t *testing.T) {
-	err := runTables(context.Background(), io.Discard, []string{"99"}, eval.Config{}, sweeps{}, "")
-	if err == nil {
-		t.Fatal("unknown table accepted")
-	}
-	// The error lists the registry, the same names the -table help prints.
-	for _, tb := range tables {
-		if !strings.Contains(err.Error(), tb.name) {
-			t.Fatalf("unknown-table error %q does not name table %s", err, tb.name)
+	// "sketch" is a table that was removed.
+	for _, name := range []string{"99", "sketch"} {
+		err := runTables(context.Background(), io.Discard, []string{name}, eval.Config{}, sweeps{}, "")
+		if err == nil || !strings.Contains(err.Error(), "unknown table") {
+			t.Fatalf("table %q: want an unknown-table error, got %v", name, err)
+		}
+		// The error lists the registry, the same names the -table help prints.
+		for _, tb := range tables {
+			if !strings.Contains(err.Error(), tb.name) {
+				t.Fatalf("unknown-table error %q does not name table %s", err, tb.name)
+			}
 		}
 	}
 }
@@ -124,24 +127,6 @@ func TestRunTable2WithCSVExport(t *testing.T) {
 				t.Fatalf("-table %v: no rows of table %s among %v", names, name, exported)
 			}
 		}
-	}
-}
-
-func TestRunSketchTableWithCSVExport(t *testing.T) {
-	csvPath := filepath.Join(t.TempDir(), "sketch.csv")
-	var b strings.Builder
-	if err := runTables(context.Background(), &b, []string{"sketch"}, tinyBase(), tinySweeps, csvPath); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "SKETCH SWEEP") {
-		t.Fatal("sketch table missing its header")
-	}
-	data, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "keep_frac") {
-		t.Fatal("sketch CSV export missing header row")
 	}
 }
 

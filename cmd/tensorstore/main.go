@@ -221,8 +221,6 @@ func decompose(st *store.Store, args []string) error {
 	out := fs.String("out", "", "output decomposition name (required)")
 	rank := fs.Int("rank", 3, "uniform target rank")
 	hooi := fs.Bool("hooi", false, "refine with HOOI iterations")
-	sketch := fs.Float64("sketch", 0, "deterministic count-sketch keep fraction in (0, 1]; 0 = exact")
-	sketchSeed := fs.Int64("sketch-seed", 1, "sketch hashing seed")
 	par := fs.Int("parallel", 0, "worker-pool size for the decomposition kernels (0 = all CPUs, 1 = serial; results are identical for any value)")
 	fs.Parse(args)
 	if *name == "" || *out == "" {
@@ -235,7 +233,6 @@ func decompose(st *store.Store, args []string) error {
 	res, err := m2td.TuckerCtx(context.Background(), t, m2td.TuckerOptions{
 		Rank:     *rank,
 		HOOI:     *hooi,
-		Sketch:   m2td.SketchConfig{KeepFrac: *sketch, Seed: *sketchSeed},
 		Parallel: *par,
 	})
 	if err != nil {
@@ -247,11 +244,6 @@ func decompose(st *store.Store, args []string) error {
 	fit, err := res.Fit(t)
 	if err != nil {
 		return err
-	}
-	if res.Sketched {
-		fmt.Printf("stored %q: ranks %v, fit %.6f (sketch kept %d of %d cells)\n",
-			*out, res.Ranks, fit, res.SketchKept, res.SketchInput)
-		return nil
 	}
 	fmt.Printf("stored %q: ranks %v, fit %.6f\n", *out, res.Ranks, fit)
 	return nil

@@ -34,6 +34,10 @@ func TestPutListInfoDeleteFlow(t *testing.T) {
 	if err := decompose(st, []string{"-name", "ens", "-out", "dec2", "-rank", "2", "-hooi"}); err != nil {
 		t.Fatal(err)
 	}
+	// A bad rank is an error naming it, and stores nothing (see names below).
+	if err := decompose(st, []string{"-name", "ens", "-out", "bad", "-rank", "-1"}); err == nil || !strings.Contains(err.Error(), "Rank") {
+		t.Fatalf("-rank -1: want an error naming the rank, got %v", err)
+	}
 	if err := info(st, []string{"-name", "dec"}); err != nil {
 		t.Fatal(err)
 	}
@@ -169,19 +173,6 @@ func TestPutReproducible(t *testing.T) {
 	}
 	if a.Norm() == c.Norm() {
 		t.Fatal("seed 7 and seed 8 sampled identical ensembles")
-	}
-}
-
-func TestDecomposeSketched(t *testing.T) {
-	st := testStoreWith(t)
-	if err := put(st, []string{"-name", "ens", "-system", "lorenz", "-res", "4", "-samples", "2", "-budget", "20"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := decompose(st, []string{"-name", "ens", "-out", "dec", "-rank", "2", "-sketch", "0.8"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.LoadDecomposition("dec"); err != nil {
-		t.Fatal(err)
 	}
 }
 

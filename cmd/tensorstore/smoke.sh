@@ -1,9 +1,12 @@
 #!/bin/sh
-# tensorstore-smoke: the campaign server and its client commands exercised
-# as a binary (`make tensorstore-smoke`, and the CI serve job): build once,
-# serve on a free port over a scratch store, submit a campaign, submit it
-# again (must be absorbed, not recomputed), predict, stats, then SIGTERM
-# must drain and exit 0. Run from the repository root.
+# tensorstore-smoke: the catalog commands, then the campaign server and its
+# client commands, exercised as a binary (`make tensorstore-smoke`, and the
+# CI serve job). Build once; over a scratch store put an ensemble, decompose
+# it by HOSVD and by HOOI, read the result back with info, and check that a
+# bad -rank and the removed -sketch flag exit non-zero. Then serve on a free
+# port, submit a campaign, submit it again (must be absorbed, not
+# recomputed), predict, stats, and SIGTERM must drain and exit 0. Run from
+# the repository root.
 set -eu
 
 GO=${GO:-go}
@@ -24,6 +27,25 @@ fail() {
 
 ts="$tmp/tensorstore"
 $GO build -o "$ts" ./cmd/tensorstore
+
+store() { "$ts" -dir "$tmp/store" "$@"; }
+store put -name ens -res 4 -samples 3 -budget 20 > "$tmp/put.out" 2> "$tmp/put.err" || fail "put failed"
+for method in "" -hooi; do
+	store decompose -name ens -out dec -rank 2 $method > "$tmp/decompose.out" 2> "$tmp/decompose.err" ||
+		fail "decompose $method failed"
+	grep -q '^stored "dec": ranks \[2 2 2 2 2\], fit ' "$tmp/decompose.out" || fail "decompose $method printed no fit"
+done
+store info -name dec > "$tmp/info.out" 2> "$tmp/info.err" || fail "info failed"
+grep -q 'Tucker decomposition' "$tmp/info.out" || fail "info does not describe the decomposition"
+# A bad rank is an error line, not a panic's goroutine trace.
+if store decompose -name ens -out bad -rank -1 > "$tmp/badrank.out" 2> "$tmp/badrank.err"; then
+	fail "decompose -rank -1 exited 0"
+fi
+grep -q '^tensorstore: ' "$tmp/badrank.err" && ! grep -q 'goroutine ' "$tmp/badrank.err" ||
+	fail "decompose -rank -1 did not fail with a tensorstore: line"
+if store decompose -name ens -out bad -sketch 0.1 > "$tmp/sketch.out" 2> "$tmp/sketch.err"; then
+	fail "decompose accepted the removed -sketch flag"
+fi
 
 "$ts" -dir "$tmp/store" serve -addr 127.0.0.1:0 > "$tmp/serve.out" 2> "$tmp/serve.err" &
 pid=$!

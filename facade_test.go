@@ -3,7 +3,9 @@ package m2td
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -99,5 +101,66 @@ func TestDecomposeCtxRejectsBadMethod(t *testing.T) {
 	}
 	if n := attempts.Load(); n != 0 {
 		t.Errorf("%d simulation attempts ran before the rejection", n)
+	}
+}
+
+// outOfRange are the Config values RunCtx and BaselineCtx refuse in
+// resolve, each by the field's name: a negative size (zero selects the
+// default) or a density outside (0, 1], NaN included.
+var outOfRange = []struct {
+	field string
+	set   func(*Config)
+}{
+	{"Resolution", func(c *Config) { c.Resolution = -1 }},
+	{"TimeSamples", func(c *Config) { c.TimeSamples = -2 }},
+	{"Rank", func(c *Config) { c.Rank = -1 }},
+	{"AccuracySampleSims", func(c *Config) { c.AccuracySampleSims = -5 }},
+	{"PivotDensity", func(c *Config) { c.PivotDensity = math.NaN() }},
+	{"SubEnsembleDensity", func(c *Config) { c.SubEnsembleDensity = math.NaN() }},
+	{"PivotDensity", func(c *Config) { c.PivotDensity = 1.5 }},
+}
+
+// TestRunCtxRejectsOutOfRange: every out-of-range size or density is an
+// error naming its field, returned before a single simulation is attempted.
+func TestRunCtxRejectsOutOfRange(t *testing.T) {
+	for _, row := range outOfRange {
+		cfg := smallConfig()
+		row.set(&cfg)
+		requireRejected(t, row.field, cfg, func(c Config) error {
+			_, err := RunCtx(context.Background(), c)
+			return err
+		})
+	}
+}
+
+// TestBaselineCtxRejectsOutOfRange: BaselineCtx shares RunCtx's checks and
+// adds its budget's.
+func TestBaselineCtxRejectsOutOfRange(t *testing.T) {
+	baseline := func(budget int) func(Config) error {
+		return func(c Config) error {
+			_, err := BaselineCtx(context.Background(), c, "random", budget)
+			return err
+		}
+	}
+	requireRejected(t, "budget", smallConfig(), baseline(-1))
+	for _, row := range outOfRange {
+		cfg := smallConfig()
+		row.set(&cfg)
+		requireRejected(t, row.field, cfg, baseline(40))
+	}
+}
+
+// requireRejected runs one entry point on cfg under a counting fault hook:
+// it must fail with an error naming field, having attempted no simulation.
+func requireRejected(t *testing.T, field string, cfg Config, run func(Config) error) {
+	t.Helper()
+	var attempts atomic.Int64
+	cfg.SkipAccuracy = true
+	cfg.Faults = &faults.Config{Seed: 1, Hook: func() { attempts.Add(1) }}
+	if err := run(cfg); err == nil || !strings.Contains(err.Error(), field) {
+		t.Errorf("%s: want an error naming it, got %v", field, err)
+	}
+	if n := attempts.Load(); n != 0 {
+		t.Errorf("%s: %d simulation attempts ran before the rejection", field, n)
 	}
 }

@@ -2,8 +2,7 @@
 // metric and its one scorer, the registry of scheme-comparison experiments
 // (Tables II and IV–VIII of Section VII and the ablations shaped like them)
 // with the one runner, renderer and exporter they share, and the tables that
-// are not comparisons (I, III, Figure 6, the sketch and pivot-selection
-// reports).
+// are not comparisons (I, III, Figure 6 and the pivot-selection report).
 //
 // The harness runs at configurable resolutions. Defaults are scaled down
 // from the paper's 60–80 per mode (whose full tensors would need tens of

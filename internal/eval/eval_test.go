@@ -978,20 +978,6 @@ func TestEstimateSimsScoresEveryColumn(t *testing.T) {
 		t.Errorf("SELECT scored %v, the estimate on the shared fibres is %v", sel.Accuracy, want)
 	}
 
-	// The sketch table scores by the cell's scorer too.
-	sketch, err := SketchSweep(context.Background(), cfg, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactCfg := cfg
-	exactCfg.EstimateSims = 0
-	sketchExact, err := SketchSweep(context.Background(), exactCfg, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sketch[0].Accuracy == sketchExact[0].Accuracy {
-		t.Errorf("sketch table scored %v with and without EstimateSims", sketch[0].Accuracy)
-	}
 }
 
 func TestSelectPivotRanksCandidates(t *testing.T) {

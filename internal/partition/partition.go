@@ -68,10 +68,10 @@ func (c Config) Validate(order int) error {
 	if len(c.Free1) == 0 || len(c.Free2) == 0 {
 		return fmt.Errorf("partition: both sub-systems need free modes")
 	}
-	if c.PivotFrac <= 0 || c.PivotFrac > 1 {
+	if !(c.PivotFrac > 0 && c.PivotFrac <= 1) { // NaN too
 		return fmt.Errorf("partition: PivotFrac %v outside (0, 1]", c.PivotFrac)
 	}
-	if c.FreeFrac <= 0 || c.FreeFrac > 1 {
+	if !(c.FreeFrac > 0 && c.FreeFrac <= 1) {
 		return fmt.Errorf("partition: FreeFrac %v outside (0, 1]", c.FreeFrac)
 	}
 	return nil

@@ -25,13 +25,15 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
-		{Pivots: []int{4}, Free1: []int{0, 2}, Free2: []int{1, 3}, PivotFrac: 0, FreeFrac: 1},    // P=0
-		{Pivots: []int{4}, Free1: []int{0, 2}, Free2: []int{1, 3}, PivotFrac: 1, FreeFrac: 1.5},  // E>1
-		{Pivots: []int{4}, Free1: []int{0, 2}, Free2: []int{1}, PivotFrac: 1, FreeFrac: 1},       // mode 3 missing
-		{Pivots: []int{4}, Free1: []int{0, 2, 3}, Free2: []int{1, 3}, PivotFrac: 1, FreeFrac: 1}, // mode 3 twice
-		{Pivots: []int{5}, Free1: []int{0, 1, 2}, Free2: []int{3, 4}, PivotFrac: 1, FreeFrac: 1}, // out of range
-		{Pivots: nil, Free1: []int{0, 1, 4}, Free2: []int{2, 3}, PivotFrac: 1, FreeFrac: 1},      // no pivot
-		{Pivots: []int{0, 1, 2, 3, 4}, Free1: nil, Free2: nil, PivotFrac: 1, FreeFrac: 1},        // no free
+		{Pivots: []int{4}, Free1: []int{0, 2}, Free2: []int{1, 3}, PivotFrac: 0, FreeFrac: 1},          // P=0
+		{Pivots: []int{4}, Free1: []int{0, 2}, Free2: []int{1, 3}, PivotFrac: 1, FreeFrac: 1.5},        // E>1
+		{Pivots: []int{4}, Free1: []int{0, 2}, Free2: []int{1, 3}, PivotFrac: math.NaN(), FreeFrac: 1}, // P=NaN
+		{Pivots: []int{4}, Free1: []int{0, 2}, Free2: []int{1, 3}, PivotFrac: 1, FreeFrac: math.NaN()}, // E=NaN
+		{Pivots: []int{4}, Free1: []int{0, 2}, Free2: []int{1}, PivotFrac: 1, FreeFrac: 1},             // mode 3 missing
+		{Pivots: []int{4}, Free1: []int{0, 2, 3}, Free2: []int{1, 3}, PivotFrac: 1, FreeFrac: 1},       // mode 3 twice
+		{Pivots: []int{5}, Free1: []int{0, 1, 2}, Free2: []int{3, 4}, PivotFrac: 1, FreeFrac: 1},       // out of range
+		{Pivots: nil, Free1: []int{0, 1, 4}, Free2: []int{2, 3}, PivotFrac: 1, FreeFrac: 1},            // no pivot
+		{Pivots: []int{0, 1, 2, 3, 4}, Free1: nil, Free2: nil, PivotFrac: 1, FreeFrac: 1},              // no free
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(5); err == nil {

@@ -7,11 +7,13 @@ import (
 	"repro/internal/parallel"
 )
 
-// Deterministic entry selection: the storage-layer half of the sketch
-// fast path (tucker.Sketch). The tucker package decides per entry whether
-// it is kept and at what value (a pure function of seed + cell index);
-// this file materialises that decision — in parallel, bit-identically to
-// a serial filter for any worker count.
+// Deterministic entry selection: the storage-layer half of tucker.Sketch,
+// whose only caller is cmd/m2tdperf's tucker.sketch_s probe; both go when
+// that driver is re-based (ROADMAP, "Re-base the benchmark spine"). The
+// tucker package decides per entry whether it is kept and at what value (a
+// pure function of seed + cell index); this file materialises that
+// decision — in parallel, bit-identically to a serial filter for any
+// worker count.
 
 // absSumStripGrain is the minimum entries per AbsSum reduction strip. A
 // package constant — NOT AutoGrain — because the strip grid feeds a

@@ -1,7 +1,6 @@
 package tucker
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,26 +29,6 @@ func BenchmarkHOSVD(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		HOSVD(x, ranks)
-	}
-}
-
-// BenchmarkSketchedHOSVD measures the randomized-sketch fast path against
-// BenchmarkHOSVD: the plain side pays plan compilation on the full nnz
-// while the sketched side pays the two sketch passes plus compilation on
-// the KeepFrac-sized sketch. keep=1 short-circuits to plain HOSVD (the
-// baseline); smaller fractions cut every kernel's nnz.
-func BenchmarkSketchedHOSVD(b *testing.B) {
-	x := benchTensor(b)
-	ranks := UniformRanks(4, 4)
-	for _, keep := range []float64{1, 0.5, 0.1} {
-		b.Run(fmt.Sprintf("keep=%g", keep), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := SketchedHOSVD(x, ranks, SketchOptions{KeepFrac: keep, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -8,7 +8,7 @@
 //   - internal/ensemble  — parameter spaces; Random/Grid/Slice/LHS samplers
 //   - internal/partition — PF-partitioning into pivot-sharing sub-systems
 //   - internal/stitch    — JE-stitching (join and zero-join)
-//   - internal/tucker    — HOSVD / HOOI Tucker decomposition, tensor sketching
+//   - internal/tucker    — HOSVD / HOOI Tucker decomposition
 //   - internal/core      — M2TD-AVG / -CONCAT / -SELECT (+ factored core),
 //     and every phase of the 3-phase distributed D-M2TD (Options.Shards)
 //   - internal/distnet   — D-M2TD on worker processes
@@ -289,6 +289,25 @@ func (c Config) resolve() (resolved, error) {
 	if err != nil {
 		return resolved{}, err
 	}
+	// Out-of-range values are errors here, before anything is simulated,
+	// not panics in a kernel after. A zero size selects its default.
+	p, e := cfg.PivotDensity, cfg.SubEnsembleDensity
+	for _, f := range []struct {
+		name string
+		v    float64
+		bad  bool
+	}{
+		{"Resolution", float64(cfg.Resolution), cfg.Resolution < 0},
+		{"TimeSamples", float64(cfg.TimeSamples), cfg.TimeSamples < 0},
+		{"Rank", float64(cfg.Rank), cfg.Rank < 0},
+		{"AccuracySampleSims", float64(cfg.AccuracySampleSims), cfg.AccuracySampleSims < 0},
+		{"PivotDensity", p, !(p > 0 && p <= 1)}, // NaN too
+		{"SubEnsembleDensity", e, !(e > 0 && e <= 1)},
+	} {
+		if f.bad {
+			return resolved{}, fmt.Errorf("m2td: %s %v out of range (sizes ≥ 0, densities in (0, 1])", f.name, f.v)
+		}
+	}
 	routes := 0
 	for _, set := range [...]bool{cfg.Workers > 0, cfg.Distributed != nil, cfg.Factored} {
 		if set {
@@ -465,6 +484,9 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 	r, err := cfg.resolve()
 	if err != nil {
 		return nil, err
+	}
+	if budget <= 0 {
+		return nil, fmt.Errorf("m2td: baseline budget %d must be positive", budget)
 	}
 	cfg = r.cfg
 	space := r.space

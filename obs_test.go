@@ -188,7 +188,6 @@ func TestSpansFinished(t *testing.T) {
 			return tr, err
 		}
 	}
-	sketch := SketchConfig{KeepFrac: 0.5, Seed: 3}
 	rows := []row{
 		{"RunCtx", false, runCtx(func(*Config) {})},
 		{"RunCtx/Workers", false, runCtx(func(c *Config) { c.Workers = 2 })},
@@ -204,8 +203,6 @@ func TestSpansFinished(t *testing.T) {
 		}},
 		{"TuckerCtx/HOSVD", true, tuckerCtx(TuckerOptions{Rank: 2})},
 		{"TuckerCtx/HOOI", true, tuckerCtx(TuckerOptions{Rank: 2, HOOI: true})},
-		{"TuckerCtx/sketch", true, tuckerCtx(TuckerOptions{Rank: 2, Sketch: sketch})},
-		{"TuckerCtx/sketch+HOOI", true, tuckerCtx(TuckerOptions{Rank: 2, Sketch: sketch, HOOI: true})},
 		{"core.DecomposeCtx/Shards1", true, decomposeCtx(1)},
 		{"core.DecomposeCtx/Shards3", true, decomposeCtx(3)},
 		{"partition.GenerateCtx", true, func(ctx context.Context, parallel int) (*obs.Trace, error) {

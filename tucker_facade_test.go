@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -66,14 +64,6 @@ func TestTuckerCtxMatchesInternal(t *testing.T) {
 	if hfit < fit-1e-12 {
 		t.Fatalf("HOOI fit %v worse than HOSVD fit %v", hfit, fit)
 	}
-
-	sres, err := TuckerCtx(ctx, x, TuckerOptions{Rank: 2, Sketch: SketchConfig{KeepFrac: 0.8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sres.Sketched || sres.SketchInput != x.NNZ() || sres.SketchKept <= 0 {
-		t.Fatalf("sketch accounting: %+v", sres)
-	}
 }
 
 func TestTuckerCtxCancelled(t *testing.T) {
@@ -84,11 +74,11 @@ func TestTuckerCtxCancelled(t *testing.T) {
 	}
 }
 
-// A sketched HOOI refinement is as cancellable as an unsketched one: the
-// sketch pass runs to its end, the sweeps after it observe the context.
-// The tensor is sized so that ten uncancelled sweeps take far longer than
-// the watcher needs to see the sketch span and cancel.
-func TestTuckerCtxSketchedHOOICancelledAfterSketch(t *testing.T) {
+// HOOI's sweeps observe the context: cancelled once its "init" span (the
+// HOSVD start) appears, HOOI returns context.Canceled. The tensor is sized
+// so that ten uncancelled sweeps take far longer than the watcher needs to
+// see the span and cancel.
+func TestTuckerCtxHOOICancelledAfterInit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.NewSparse(tensor.Shape{60, 60, 60})
 	for e := 0; e < 150000; e++ {
@@ -98,46 +88,17 @@ func TestTuckerCtxSketchedHOOICancelledAfterSketch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		for trace.Root().Find("tucker", "sketch") == nil && ctx.Err() == nil {
+		for trace.Root().Find("tucker", "init") == nil && ctx.Err() == nil {
 			runtime.Gosched()
 		}
 		cancel()
 	}()
-	_, err := TuckerCtx(ctx, x, TuckerOptions{Rank: 4, HOOI: true, Sketch: SketchConfig{KeepFrac: 0.9}, Parallel: 1, Trace: trace})
+	_, err := TuckerCtx(ctx, x, TuckerOptions{Rank: 4, HOOI: true, Parallel: 1, Trace: trace})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("sketched HOOI cancelled after its sketch: want context.Canceled, got %v", err)
+		t.Fatalf("HOOI cancelled after its init span: want context.Canceled, got %v", err)
 	}
-	if trace.Root().Find("tucker", "sketch") == nil {
-		t.Fatal("cancelled before the sketch ran: the test proved nothing")
-	}
-}
-
-// The three TestRunSketch* tests below keep the names they had while a
-// campaign (RunCtx) could sketch; TuckerCtx is the one facade entry that
-// still does, and its sketch is what they run.
-
-// TestRunSketchKeepAllMatchesPlain: a full-keep sketch is the tensor itself,
-// so the decomposition is the unsketched one to the bit, reported as a full
-// keep.
-func TestRunSketchKeepAllMatchesPlain(t *testing.T) {
-	x := facadeTestTensor()
-	ctx := context.Background()
-	for _, hooi := range []bool{false, true} {
-		plain, err := TuckerCtx(ctx, x, TuckerOptions{Rank: 2, HOOI: hooi})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := TuckerCtx(ctx, x, TuckerOptions{Rank: 2, HOOI: hooi, Sketch: SketchConfig{KeepFrac: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !full.Sketched || full.SketchKept != x.NNZ() || full.SketchInput != x.NNZ() {
-			t.Fatalf("hooi=%t: KeepFrac=1 should report a full keep, got %+v", hooi, full)
-		}
-		if plain.Sketched || plain.SketchKept != 0 || plain.SketchInput != 0 {
-			t.Fatalf("hooi=%t: unsketched run carries sketch accounting: %+v", hooi, plain)
-		}
-		requireSameBits(t, fmt.Sprintf("hooi=%t: KeepFrac=1 vs plain", hooi), asResult(full), asResult(plain))
+	if trace.Root().Find("tucker", "init") == nil {
+		t.Fatal("cancelled before the HOSVD init started: the test proved nothing")
 	}
 }
 
@@ -146,40 +107,42 @@ func asResult(r *TuckerResult) *core.Result {
 	return &core.Result{Core: r.Decomposition.Core, Factors: r.Decomposition.Factors}
 }
 
-// TestRunSketchBitStableAcrossParallel: the sketch, its accounting and the
-// decomposition of it are one set of bits at any Parallel, and a Seed of 0
-// is seed 1.
-func TestRunSketchBitStableAcrossParallel(t *testing.T) {
+// TestTuckerCtxBitStableAcrossParallel: HOSVD and HOOI are one set of bits
+// at any Parallel.
+func TestTuckerCtxBitStableAcrossParallel(t *testing.T) {
 	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8))
 	x := facadeTestTensor()
-	run := func(parallel int, seed int64) *TuckerResult {
-		res, err := TuckerCtx(context.Background(), x, TuckerOptions{Rank: 2, Sketch: SketchConfig{KeepFrac: 0.5, Seed: seed}, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
+	for _, hooi := range []bool{false, true} {
+		run := func(parallel int) *TuckerResult {
+			res, err := TuckerCtx(context.Background(), x, TuckerOptions{Rank: 2, HOOI: hooi, Parallel: parallel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	serial := run(1, 0)
-	if serial.SketchKept <= 0 || serial.SketchKept >= x.NNZ() {
-		t.Fatalf("KeepFrac 0.5 kept %d of %d cells", serial.SketchKept, x.NNZ())
-	}
-	for _, p := range []int{2, 3, 8} {
-		got := run(p, 1)
-		if got.SketchKept != serial.SketchKept {
-			t.Fatalf("Parallel=%d: sketch kept %d cells, serial %d", p, got.SketchKept, serial.SketchKept)
+		serial := run(1)
+		for _, p := range []int{2, 8} {
+			requireSameBits(t, fmt.Sprintf("hooi=%t, Parallel=%d vs 1", hooi, p), asResult(run(p)), asResult(serial))
 		}
-		requireSameBits(t, fmt.Sprintf("sketched, Parallel=%d vs 1", p), asResult(got), asResult(serial))
-	}
-	if other := run(1, 2); slices.Equal(other.Decomposition.Core.Data, serial.Decomposition.Core.Data) {
-		t.Fatal("Sketch.Seed does not reach the sketch")
 	}
 }
 
-func TestRunSketchValidation(t *testing.T) {
-	for _, frac := range []float64{1.5, -0.1, math.NaN()} {
-		_, err := TuckerCtx(context.Background(), facadeTestTensor(), TuckerOptions{Sketch: SketchConfig{KeepFrac: frac}})
-		if err == nil || !strings.Contains(err.Error(), "Sketch") {
-			t.Fatalf("KeepFrac %v: want an error naming the Sketch config, got %v", frac, err)
+// TestTuckerCtxRejectsBadRanks: a negative Rank, a Ranks vector of the
+// wrong length or with a non-positive entry is an error naming the field,
+// not a panic in the kernel.
+func TestTuckerCtxRejectsBadRanks(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		opts  TuckerOptions
+	}{
+		{"Rank", TuckerOptions{Rank: -1}},
+		{"Ranks", TuckerOptions{Ranks: []int{2, 2}}},
+		{"Ranks", TuckerOptions{Ranks: []int{2, 0, 2}}},
+		{"Ranks", TuckerOptions{Ranks: []int{2, 2, -3}}},
+	} {
+		_, err := TuckerCtx(context.Background(), facadeTestTensor(), c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: want an error naming %s, got %v", c.opts, c.field, err)
 		}
 	}
 }
