@@ -386,11 +386,10 @@ func BenchmarkParallelTTM(b *testing.B) {
 	}
 	plans := []*tensor.ModePlan{tensor.CompileModePlan(s, 0, 0), nil, nil, nil}
 	ms := []*mat.Matrix{m, nil, nil, nil}
-	ws := tensor.NewWorkspace()
 	for _, w := range benchWorkerCounts() {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ws.MultiTTMSparseWorkers(s, plans, ms, w)
+				tensor.MultiTTMSparseWorkers(s, plans, ms, w)
 			}
 		})
 	}

@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -118,7 +119,7 @@ func put(st *store.Store, args []string) error {
 	samples := fs.Int("samples", 8, "time samples")
 	scheme := fs.String("scheme", "random", "sampling scheme: random, grid, slice, lhs")
 	budget := fs.Int("budget", 64, "simulation budget")
-	seed := fs.Int64("seed", 1, "sampling seed; the counter-based generator makes the sampled set byte-for-byte reproducible for a given seed, across runs and platforms")
+	seed := fs.Int64("seed", 1, "sampling seed; a seed always samples the same simulations, the ones simgen -ensemble and a baseline campaign sample for it")
 	fs.Parse(args)
 	if *name == "" {
 		return fmt.Errorf("put: -name is required")
@@ -128,10 +129,7 @@ func put(st *store.Store, args []string) error {
 		return err
 	}
 	space := ensemble.NewSpace(sys, *res, *samples)
-	// Counter-based (stateless) randomness: the stream is a pure function
-	// of the seed, so identical invocations store identical tensors.
-	rng := ensemble.CounterRand(*seed)
-	sims, err := ensemble.Sample(space, *scheme, *budget, rng)
+	sims, err := ensemble.Sample(space, *scheme, *budget, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		return fmt.Errorf("put: %w", err)
 	}

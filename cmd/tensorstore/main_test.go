@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dynsys"
+	"repro/internal/ensemble"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -138,9 +144,10 @@ func TestImportRoundtrip(t *testing.T) {
 	}
 }
 
-// TestPutReproducible pins the put command's byte-for-byte guarantee:
-// the counter-based sampler makes the stored tensor a pure function of
-// the seed.
+// TestPutReproducible pins the put command's byte-for-byte guarantee: a
+// math/rand source seeded with -seed replays the same stream, so the stored
+// tensor is a pure function of the seed — the ensemble ensemble.Sample
+// draws from that source, as simgen -ensemble and BaselineCtx do.
 func TestPutReproducible(t *testing.T) {
 	stA, stB := testStoreWith(t), testStoreWith(t)
 	args := []string{"-name", "ens", "-system", "lorenz", "-res", "4", "-samples", "2", "-budget", "10", "-seed", "7"}
@@ -158,9 +165,21 @@ func TestPutReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NNZ() != b.NNZ() || a.Norm() != b.Norm() {
-		t.Fatalf("same-seed puts differ: %d/%g vs %d/%g", a.NNZ(), a.Norm(), b.NNZ(), b.Norm())
+	sparseEqual(t, "same-seed puts", a, b)
+	sys, err := dynsys.ByName("lorenz")
+	if err != nil {
+		t.Fatal(err)
 	}
+	space := ensemble.NewSpace(sys, 4, 2)
+	sims, err := ensemble.Sample(space, "random", 10, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, _, err := ensemble.EncodeCtx(context.Background(), space, sims, ensemble.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparseEqual(t, "put and the seeded sample", a, se.Tensor)
 	// A different seed must sample a different set.
 	stC := testStoreWith(t)
 	argsC := append(append([]string(nil), args[:len(args)-1]...), "8")
@@ -173,6 +192,20 @@ func TestPutReproducible(t *testing.T) {
 	}
 	if a.Norm() == c.Norm() {
 		t.Fatal("seed 7 and seed 8 sampled identical ensembles")
+	}
+}
+
+// sparseEqual fails the test unless a and b hold the same shape and the
+// same entries, bit for bit, in the same order.
+func sparseEqual(t *testing.T, name string, a, b *tensor.Sparse) {
+	t.Helper()
+	if !a.Shape.Equal(b.Shape) || !slices.Equal(a.Idx, b.Idx) || len(a.Vals) != len(b.Vals) {
+		t.Fatalf("%s: shapes %v/%v, %d/%d entries", name, a.Shape, b.Shape, a.NNZ(), b.NNZ())
+	}
+	for e, v := range a.Vals {
+		if math.Float64bits(v) != math.Float64bits(b.Vals[e]) {
+			t.Fatalf("%s: entry %d = %v vs %v", name, e, v, b.Vals[e])
+		}
 	}
 }
 

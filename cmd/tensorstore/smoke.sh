@@ -3,9 +3,11 @@
 # client commands, exercised as a binary (`make tensorstore-smoke`, and the
 # CI serve job). Build once; over a scratch store put an ensemble, decompose
 # it by HOSVD and by HOOI, read the result back with info, and check that a
-# bad -rank and the removed -sketch flag exit non-zero. Then serve on a free
-# port, submit a campaign, submit it again (must be absorbed, not
-# recomputed), predict, stats, and SIGTERM must drain and exit 0. Run from
+# bad -rank and the removed -sketch flag exit non-zero and that two puts
+# with one -seed dump the same tensor. Then serve on a free port, submit a
+# campaign, submit it again (must be absorbed, not recomputed), stats,
+# submit with a pivot the system lacks (must be refused as
+# invalid_request), predict, and SIGTERM must drain and exit 0. Run from
 # the repository root.
 set -eu
 
@@ -46,6 +48,14 @@ grep -q '^tensorstore: ' "$tmp/badrank.err" && ! grep -q 'goroutine ' "$tmp/badr
 if store decompose -name ens -out bad -sketch 0.1 > "$tmp/sketch.out" 2> "$tmp/sketch.err"; then
 	fail "decompose accepted the removed -sketch flag"
 fi
+# A seed samples the same simulations every time: two puts, one tensor.
+for name in seed7a seed7b; do
+	store put -name $name -res 4 -samples 3 -budget 20 -seed 7 > "$tmp/put.out" 2> "$tmp/put.err" ||
+		fail "put -name $name -seed 7 failed"
+	store dump -name $name > "$tmp/$name.dump" 2> "$tmp/dump.err" || fail "dump -name $name failed"
+done
+[ -s "$tmp/seed7a.dump" ] && cmp -s "$tmp/seed7a.dump" "$tmp/seed7b.dump" ||
+	fail "two puts with -seed 7 dumped different tensors"
 
 "$ts" -dir "$tmp/store" serve -addr 127.0.0.1:0 > "$tmp/serve.out" 2> "$tmp/serve.err" &
 pid=$!
@@ -71,6 +81,14 @@ submit > "$tmp/second.out" 2> "$tmp/second.err" || fail "duplicate submit failed
 # Two submissions, one job: the second coalesced or hit the cache.
 grep -q '"submits": 2,' "$tmp/stats.out" && grep -q '"jobs_done": 1,' "$tmp/stats.out" ||
 	fail "the duplicate submit was recomputed, not absorbed"
+
+# A pivot the system lacks is refused at submit, not queued to fail later.
+if "$ts" submit -addr "$addr" -tenant smoke -res 4 -samples 3 -rank 2 -pivot no-such-pivot \
+	> "$tmp/badpivot.out" 2> "$tmp/badpivot.err"; then
+	fail "submit -pivot no-such-pivot exited 0"
+fi
+grep -q '^tensorstore: .*invalid_request' "$tmp/badpivot.err" ||
+	fail "submit -pivot no-such-pivot did not fail with a tensorstore: invalid_request line"
 
 # double-pendulum has four parameters; the answer has one value per time sample.
 "$ts" predict -addr "$addr" -job "$job" -params 0.5,-0.5,1.0,1.5 > "$tmp/predict.out" 2> "$tmp/predict.err" || fail "predict failed"

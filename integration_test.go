@@ -79,7 +79,7 @@ func TestHOOIRefinesEnsembleDecomposition(t *testing.T) {
 	ranks := tucker.UniformRanks(space.Order(), 2)
 
 	hosvd := tucker.HOSVD(se.Tensor, ranks)
-	hooi, err := tucker.HOOICtx(context.Background(), se.Tensor, ranks, tucker.HOOIOptions{MaxIterations: 8})
+	hooi, err := tucker.HOOICtx(context.Background(), se.Tensor, ranks, tucker.HOOIOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,10 +84,14 @@ func (s *Space) TotalSims() int {
 	return n
 }
 
-// ModeName returns a human-readable name for a tensor mode.
+// TimeName names every space's last mode, time.
+const TimeName = "t"
+
+// ModeName returns a human-readable name for a tensor mode: its
+// parameter's name, or TimeName.
 func (s *Space) ModeName(mode int) string {
 	if mode == s.TimeMode() {
-		return "t"
+		return TimeName
 	}
 	return s.params[mode].Name
 }

@@ -39,23 +39,30 @@ func EstimateAccuracy(space *ensemble.Space, model TuckerModel, sampleSims int, 
 	return EstimateFromFibers(model, sampleFibers(space, sampleSims, rng))
 }
 
-// TimeFiber evaluates the Tucker model on the time fiber of one parameter
-// combination: out[t] = Σ_r G[r]·Π U(m)(i_m, r_m)·U(T)(t, r_T).
-// Implemented as a chain of mode products with 1-row matrices, leaving a
-// length-T vector.
-func (m TuckerModel) TimeFiber(paramIdx []int, timeSamples int) []float64 {
-	order := len(m.Factors)
+// TimeFiber evaluates the Tucker model on one time fiber, given one row
+// per parameter mode in place of that mode's factor:
+// out[t] = Σ_r G[r]·Π rows[m][r_m]·U(T)(t, r_T). The estimator passes
+// factor rows at grid indices (GridRows); Report.Predict passes rows
+// interpolated between grid points. Implemented as a chain of mode
+// products with 1-row matrices, leaving a length-T vector.
+func (m TuckerModel) TimeFiber(rows [][]float64) []float64 {
 	cur := m.Core
-	// Contract every parameter mode with the corresponding factor row.
-	for mode := 0; mode < order-1; mode++ {
-		row := mat.FromSlice(1, m.Factors[mode].Cols, append([]float64(nil), m.Factors[mode].Row(paramIdx[mode])...))
-		cur = tensor.TTM(cur, mode, row)
+	for mode, row := range rows {
+		cur = tensor.TTM(cur, mode, mat.FromSlice(1, len(row), row))
 	}
 	// Expand the time mode through its full factor.
-	cur = tensor.TTM(cur, order-1, m.Factors[order-1])
-	out := make([]float64, timeSamples)
-	copy(out, cur.Data)
-	return out
+	tm := len(m.Factors) - 1
+	return tensor.TTM(cur, tm, m.Factors[tm]).Data
+}
+
+// GridRows returns each parameter mode's factor row at the grid index
+// paramIdx[mode], the rows TimeFiber takes for an on-grid fiber.
+func (m TuckerModel) GridRows(paramIdx []int) [][]float64 {
+	rows := make([][]float64, len(paramIdx))
+	for mode, i := range paramIdx {
+		rows[mode] = m.Factors[mode].Row(i)
+	}
+	return rows
 }
 
 // coreShapeMatches verifies factor row counts against the space shape.

@@ -607,7 +607,7 @@ func TestTimeFiberMatchesFullReconstruction(t *testing.T) {
 	model := TuckerModel{Core: res.Core, Factors: res.Factors}
 	full := res.Reconstruct()
 	idx := []int{1, 2, 3, 0}
-	fiber := model.TimeFiber(idx, space.TimeSamples)
+	fiber := model.TimeFiber(model.GridRows(idx))
 	for tt := 0; tt < space.TimeSamples; tt++ {
 		want := full.At(1, 2, 3, 0, tt)
 		if math.Abs(fiber[tt]-want) > 1e-9 {

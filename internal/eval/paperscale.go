@@ -61,7 +61,7 @@ func FiberStats(model TuckerModel, fibers []Fiber) (errSq, refSq []float64, err 
 	refSq = make([]float64, len(fibers))
 	parallel.For(len(fibers), 0, func(start, end int) {
 		for i := start; i < end; i++ {
-			fiber := model.TimeFiber(fibers[i].ParamIdx, t)
+			fiber := model.TimeFiber(model.GridRows(fibers[i].ParamIdx))
 			var e, r float64
 			for tt := 0; tt < t; tt++ {
 				d := fiber[tt] - fibers[i].Truth[tt]

@@ -506,6 +506,10 @@ func (s *Server) buildConfig(spec api.CampaignSpec) (m2td.Config, error) {
 		}
 		cfg.Distributed = &m2td.DistributedConfig{Workers: workers, Shards: d.Shards}
 	}
+	// A pivot the system lacks fails here, not in a queued job.
+	if err := cfg.CheckPivot(); err != nil {
+		return m2td.Config{}, err
+	}
 	return cfg, nil
 }
 

@@ -153,6 +153,8 @@ func TestMalformedAndInvalidSubmissions(t *testing.T) {
 		"density":              {PivotDensity: 2},
 		"time_samples":         {TimeSamples: 257},
 		"accuracy_sample_sims": {AccuracySampleSims: 65537},
+		"pivot":                {Pivot: "no-such-pivot"},
+		"pivot of another":     {System: "lorenz", Pivot: "phi1"},
 	} {
 		_, err := c.Submit(ctx, api.SubmitRequest{Campaign: spec})
 		var apiErr *api.Error

@@ -39,7 +39,7 @@ func BenchmarkTTMSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TTMSparseWorkers(s, 0, m, 0)
+		MultiTTMSparseWorkers(s, nil, onlyMode(s.Order(), 0, m), 0)
 	}
 }
 
@@ -109,43 +109,6 @@ func BenchmarkModeGramPlanned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ModeGram(s, 0)
-	}
-}
-
-// BenchmarkWorkspaceTTMChain is the zero-allocation steady-state dense TTM
-// chain (the HOOI inner loop); allocs/op must report 0.
-func BenchmarkWorkspaceTTMChain(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	d := randomDense(rng, Shape{12, 12, 12, 12})
-	ms := make([]*mat.Matrix, 4)
-	for n := range ms {
-		ms[n] = mat.Transpose(mat.RandomOrthonormal(rng, 12, 4))
-	}
-	w := NewWorkspace()
-	w.MultiTTMWorkers(d, ms, 1) // warm the slots
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.MultiTTMWorkers(d, ms, 1)
-	}
-}
-
-// BenchmarkWorkspaceTTMSparseChain is the sparse-input analogue: one
-// sparse TTM followed by dense chain steps, all in reused buffers. The
-// sparse step is the entry scatter: the workspace is handed no plan.
-func BenchmarkWorkspaceTTMSparseChain(b *testing.B) {
-	s := benchSparse5(b, 20000)
-	rng := rand.New(rand.NewSource(10))
-	ms := make([]*mat.Matrix, 5)
-	for n := range ms {
-		ms[n] = mat.Transpose(mat.RandomOrthonormal(rng, 12, 4))
-	}
-	w := NewWorkspace()
-	w.MultiTTMSparseWorkers(s, nil, ms, 1) // warm the slots
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.MultiTTMSparseWorkers(s, nil, ms, 1)
 	}
 }
 

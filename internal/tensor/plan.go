@@ -14,10 +14,10 @@ import (
 //
 // A plan is a value, not tensor state: nothing caches it on the tensor.
 // ModeGramWorkers compiles one per call (column groups are the outer
-// products of the Gram accumulation). Workspace.MultiTTMSparseWorkers
-// takes plans from its caller (column groups are write-disjoint output
-// cells, so workers partition groups instead of scanning every entry);
-// HOOI is that caller, holding the plans its sweeps reuse. A caller that
+// products of the Gram accumulation). MultiTTMSparseWorkers takes plans
+// from its caller (column groups are write-disjoint output cells, so
+// workers partition groups instead of scanning every entry); HOOI is the
+// one caller that passes any, the plans its sweeps reuse. A caller that
 // writes the tensor's Idx or Vals must compile again: a plan describes the
 // entries as they were when it was compiled.
 //

@@ -22,8 +22,8 @@ func bitsEqualMat(t *testing.T, name string, a, b *mat.Matrix) {
 	}
 }
 
-// ttmSparsePlanned is TTMSparseWorkers with the caller's plan p (nil: the
-// entry scatter) handed to the kernel.
+// ttmSparsePlanned is the one sparse product X ×ₙ M with the caller's plan
+// p (nil: the entry scatter) handed to the kernel.
 func ttmSparsePlanned(x *Sparse, p *ModePlan, n int, m *mat.Matrix, workers int) *Dense {
 	shape := x.Shape.Clone()
 	shape[n] = m.Rows

@@ -154,7 +154,7 @@ func ttmWorkersRef(x *Dense, n int, m *mat.Matrix, workers int) *Dense {
 	return out
 }
 
-// ttmSparseWorkersRef is the previous TTMSparseWorkers: phase 2 partitions
+// ttmSparseWorkersRef is the previous one-mode sparse TTM: phase 2 partitions
 // output slabs j and every worker re-scans all nnz entries.
 func ttmSparseWorkersRef(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 	outShape := x.Shape.Clone()

@@ -37,8 +37,6 @@ func TTMWorkers(x *Dense, n int, m *mat.Matrix, workers int) *Dense {
 // ttmDenseKernel computes the mode-n dense TTM into a preallocated output
 // tensor (shape x.Shape with mode n resized to m.Rows). Every output
 // element is assigned exactly once, so out does not need to be zeroed.
-// The serial path runs inline without spawning closures, keeping the
-// steady-state Workspace TTM chain allocation-free.
 func ttmDenseKernel(x *Dense, n int, m *mat.Matrix, out *Dense, workers int) {
 	inSize := x.Shape[n]
 	outSize := m.Rows
@@ -96,29 +94,13 @@ func ttmDenseRange(x *Dense, m *mat.Matrix, out *Dense, inner, inSize, outSize, 
 // run the single-pass serial loop.
 const ttmSparseMinNNZ = 4096
 
-// TTMSparseWorkers computes the mode-n product Y = X ×ₙ M of a sparse
-// tensor into a fresh dense tensor, on an explicit worker count (0 = the
-// package default). It runs the serial entry scatter: a one-shot product
-// would pay more for compiling a mode plan (an O(nnz log nnz) stable
-// sort) than the scatter costs. A caller that repeats products on one
-// tensor holds plans and uses Workspace.MultiTTMSparseWorkers.
-func TTMSparseWorkers(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
-	if m.Cols != x.Shape[n] {
-		panic(fmt.Sprintf("tensor: TTMSparse mode %d size %d != matrix cols %d", n, x.Shape[n], m.Cols))
-	}
-	outShape := x.Shape.Clone()
-	outShape[n] = m.Rows
-	out := NewDense(outShape)
-	ttmSparseKernel(x, nil, n, m, out, outShape.Strides(), workers)
-	return out
-}
-
 // ttmSparseKernel computes the mode-n sparse TTM into a preallocated,
-// ZEROED output tensor with the given strides. The serial path runs
-// inline without spawning closures.
+// ZEROED output tensor with the given strides.
 //
 // Path choice: the group-parallel path runs iff the caller passes p, x's
-// compiled plan for mode n (and the product is big enough to fan out).
+// compiled plan for mode n (and the product is big enough to fan out). A
+// one-shot product passes none: compiling a plan (an O(nnz log nnz)
+// stable sort) costs more than the scatter it would replace.
 // Entries grouped by matricization column share one output base and
 // distinct groups write disjoint output cells, so workers partition the
 // groups. Without a plan the kernel runs the entry scatter. Within a
@@ -203,30 +185,46 @@ func MultiTTMWorkers(x *Dense, ms []*mat.Matrix, workers int) *Dense {
 
 // MultiTTMSparse applies all mode products to a sparse tensor: the first
 // non-nil matrix consumes the sparse input, the rest proceed densely.
-func MultiTTMSparse(x *Sparse, ms []*mat.Matrix) *Dense { return MultiTTMSparseWorkers(x, ms, 0) }
+func MultiTTMSparse(x *Sparse, ms []*mat.Matrix) *Dense { return MultiTTMSparseWorkers(x, nil, ms, 0) }
 
-// MultiTTMSparseWorkers is MultiTTMSparse on an explicit worker count.
-func MultiTTMSparseWorkers(x *Sparse, ms []*mat.Matrix, workers int) *Dense {
+// MultiTTMSparseWorkers is MultiTTMSparse on an explicit worker count. It
+// is the one sparse TTM chain: HOSVD's core, CoreFromFactors, HOOI's mode
+// updates and every campaign's ProjectShard run it. With all matrices nil
+// the tensor is densified.
+//
+// plans, which may be nil, holds the caller's compiled mode plans of x,
+// indexed by mode (nil entries allowed): the sparse product on mode n runs
+// group-parallel on plans[n] when it is there, the entry scatter otherwise
+// (see ttmSparseKernel), with the same bits either way. A caller that
+// repeats products on one tensor — HOOI's sweeps — compiles the plans once
+// and passes them to every call.
+func MultiTTMSparseWorkers(x *Sparse, plans []*ModePlan, ms []*mat.Matrix, workers int) *Dense {
 	if len(ms) != x.Order() {
 		panic(fmt.Sprintf("tensor: MultiTTMSparse got %d matrices for order-%d tensor", len(ms), x.Order()))
 	}
-	var cur *Dense
-	start := -1
-	for n, m := range ms {
-		if m != nil {
-			cur = TTMSparseWorkers(x, n, m, workers)
-			start = n
-			break
-		}
+	start := 0
+	for start < len(ms) && ms[start] == nil {
+		start++
 	}
-	if start == -1 {
+	if start == len(ms) {
 		return x.ToDense()
 	}
+	m := ms[start]
+	if m.Cols != x.Shape[start] {
+		panic(fmt.Sprintf("tensor: TTMSparse mode %d size %d != matrix cols %d", start, x.Shape[start], m.Cols))
+	}
+	var p *ModePlan
+	if start < len(plans) {
+		p = plans[start]
+	}
+	outShape := x.Shape.Clone()
+	outShape[start] = m.Rows
+	cur := NewDense(outShape)
+	ttmSparseKernel(x, p, start, m, cur, outShape.Strides(), workers)
 	for n := start + 1; n < len(ms); n++ {
-		if ms[n] == nil {
-			continue
+		if ms[n] != nil {
+			cur = TTMWorkers(cur, n, ms[n], workers)
 		}
-		cur = TTMWorkers(cur, n, ms[n], workers)
 	}
 	return cur
 }

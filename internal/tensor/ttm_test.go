@@ -56,6 +56,14 @@ func TestTTMShapeMismatchPanics(t *testing.T) {
 	TTM(x, 0, mat.New(2, 5))
 }
 
+// onlyMode returns an order-length chain holding m on mode n and nil
+// elsewhere: MultiTTMSparseWorkers over it is the one product X ×ₙ M.
+func onlyMode(order, n int, m *mat.Matrix) []*mat.Matrix {
+	ms := make([]*mat.Matrix, order)
+	ms[n] = m
+	return ms
+}
+
 func TestTTMSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shape := Shape{4, 3, 5}
@@ -63,7 +71,7 @@ func TestTTMSparseMatchesDense(t *testing.T) {
 	d := s.ToDense()
 	for n := 0; n < shape.Order(); n++ {
 		m := mat.Random(rng, 2, shape[n])
-		if !TTMSparseWorkers(s, n, m, 0).Equal(TTM(d, n, m), 1e-10) {
+		if !MultiTTMSparseWorkers(s, nil, onlyMode(shape.Order(), n, m), 0).Equal(TTM(d, n, m), 1e-10) {
 			t.Errorf("mode %d: TTMSparse != TTM", n)
 		}
 	}
@@ -76,7 +84,7 @@ func TestTTMSparseShapeMismatchPanics(t *testing.T) {
 			t.Fatal("TTMSparse with wrong matrix cols did not panic")
 		}
 	}()
-	TTMSparseWorkers(s, 1, mat.New(2, 2), 0)
+	MultiTTMSparseWorkers(s, nil, onlyMode(2, 1, mat.New(2, 2)), 0)
 }
 
 func TestMultiTTM(t *testing.T) {
@@ -198,24 +206,25 @@ func TestTTMComposesQuick(t *testing.T) {
 }
 
 // TestTTMSparseOneShotSkipsPlanCompile pins the ttmSparseKernel path
-// choice at every fan-out and worker count: a one-shot product
-// (TTMSparseWorkers) has no plan and runs the entry scatter, and a plan
-// its caller passes runs the group-parallel path. Both give the same bits.
+// choice at every fan-out and worker count: a one-shot chain (nil plans)
+// runs the entry scatter, and a plan its caller passes runs the
+// group-parallel path. Both give the same bits.
 func TestTTMSparseOneShotSkipsPlanCompile(t *testing.T) {
 	// Large enough to cross ttmSparseMinNNZ so only the plan argument
 	// decides the path.
 	base := seededSparse(Shape{12, 11, 10, 9}, 2*ttmSparseMinNNZ, 31)
 	m := mat.Random(rand.New(rand.NewSource(31)), 4, base.Shape[0])
-	want := TTMSparseWorkers(base, 0, m, 1)
-	plan := CompileModePlan(base, 0, 1)
+	ms := onlyMode(base.Order(), 0, m)
+	want := MultiTTMSparseWorkers(base, nil, ms, 1)
+	plans := []*ModePlan{CompileModePlan(base, 0, 1)}
 
 	for _, fanoutCap := range []int{1, 2, 8} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("cap=%d/workers=%d", fanoutCap, workers), func(t *testing.T) {
 				prev := parallel.SetFanoutCap(fanoutCap)
 				defer parallel.SetFanoutCap(prev)
-				bitsEqualDense(t, "scatter TTMSparse", want, TTMSparseWorkers(base, 0, m, workers))
-				bitsEqualDense(t, "planned TTMSparse", want, ttmSparsePlanned(base, plan, 0, m, workers))
+				bitsEqualDense(t, "scatter TTMSparse", want, MultiTTMSparseWorkers(base, nil, ms, workers))
+				bitsEqualDense(t, "planned TTMSparse", want, MultiTTMSparseWorkers(base, plans, ms, workers))
 			})
 		}
 	}

@@ -38,7 +38,7 @@ func BenchmarkHOOI(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustHOOI(b, x, ranks, HOOIOptions{MaxIterations: 3})
+		mustHOOI(b, x, ranks, HOOIOptions{})
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 // and no partially written factor escapes (the Decomposition returned
 // with a non-nil error is the zero value).
 func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOptions) (Decomposition, error) {
-	opts = opts.normalize()
 	ranks = ClipRanks(x.Shape, ranks)
 	order := x.Order()
 	w := opts.Workers
@@ -38,12 +37,6 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 	ispan.Finish()
 	factors := dec.Factors
 
-	// All TTM chains inside the sweeps run on one reusable workspace: the
-	// two ping-pong buffers are sized on the first sweep and reused by
-	// every later mode update and energy check, so steady-state sweeps
-	// allocate nothing in the dense TTM chain. Workspace results alias the
-	// buffers; the returned core is cloned out below.
-	ws := tensor.NewWorkspace()
 	ms := make([]*mat.Matrix, order)
 	// Every chain's sparse product is on mode 0 (mode 1 when updating mode
 	// 0), so the sweeps keep those two of the plans the initial HOSVD
@@ -53,13 +46,15 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 	}
 
 	prevEnergy := dec.Core.Norm()
+	var core *tensor.Dense
 	sweeps := 0
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < hooiMaxIterations; iter++ {
 		// The per-sweep span is structural: whether a sweep runs depends
 		// only on the data and the tolerance (never on the worker count),
 		// so the sweep children and the final "sweeps" counter are
 		// deterministic.
 		sw := opts.Span.Start(fmt.Sprintf("sweep%d", iter))
+		var y *tensor.Dense
 		for n := 0; n < order; n++ {
 			if err := ctx.Err(); err != nil {
 				sw.Finish()
@@ -73,24 +68,32 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 					ms[k] = nil
 				}
 			}
-			y := ws.MultiTTMSparseWorkers(x, plans, ms, w)
+			y = tensor.MultiTTMSparseWorkers(x, plans, ms, w)
 			factors[n] = mat.LeadingEigenvectors(tensor.ModeGramDenseWorkers(y, n, w), ranks[n])
 		}
 		if err := ctx.Err(); err != nil {
 			sw.Finish()
 			return Decomposition{}, err
 		}
-		core := ws.MultiTTMSparseWorkers(x, plans, tensor.TransposeAll(factors), w)
+		// The last update projected X through every factor but the last
+		// with the operations the core's chain starts with, so one more
+		// product is the core. Order 1 has nothing to reuse: its update
+		// densified X, and a dense product would sum its entries in
+		// another order than the sparse chain does.
+		last := mat.Transpose(factors[order-1])
+		if order == 1 {
+			core = tensor.MultiTTMSparseWorkers(x, plans, []*mat.Matrix{last}, w)
+		} else {
+			core = tensor.TTMWorkers(y, order-1, last, w)
+		}
 		energy := core.Norm()
 		sw.Finish()
 		sweeps = iter + 1
-		if energy-prevEnergy <= opts.Tolerance*(prevEnergy+1e-300) {
-			opts.Span.Set("sweeps", int64(sweeps))
-			return Decomposition{Core: core.Clone(), Factors: factors, Ranks: ranks}, nil
+		if energy-prevEnergy <= hooiTolerance*(prevEnergy+1e-300) {
+			break
 		}
 		prevEnergy = energy
 	}
 	opts.Span.Set("sweeps", int64(sweeps))
-	core := ws.MultiTTMSparseWorkers(x, plans, tensor.TransposeAll(factors), w)
-	return Decomposition{Core: core.Clone(), Factors: factors, Ranks: ranks}, nil
+	return Decomposition{Core: core, Factors: factors, Ranks: ranks}, nil
 }

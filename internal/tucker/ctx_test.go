@@ -77,7 +77,7 @@ func TestHOOICtxStopsBetweenModeUpdatesNotMidKernel(t *testing.T) {
 	// then flip to cancelled: HOOICtx must return Canceled — proving it
 	// re-polls at the next mode boundary rather than only up front.
 	cctx := &countingCtx{Context: context.Background(), after: 2}
-	_, err := HOOICtx(cctx, x, []int{3, 3, 2}, HOOIOptions{MaxIterations: 5, Workers: 1})
+	_, err := HOOICtx(cctx, x, []int{3, 3, 2}, HOOIOptions{Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want Canceled from a mid-sweep flip, got %v", err)
 	}

@@ -9,13 +9,16 @@ import (
 	"repro/internal/tensor"
 )
 
+// HOOI runs at most hooiMaxIterations alternating sweeps and stops early
+// once a sweep improves the captured core energy by less than
+// hooiTolerance, relative.
+const (
+	hooiMaxIterations = 10
+	hooiTolerance     = 1e-8
+)
+
 // HOOIOptions configures higher-order orthogonal iteration.
 type HOOIOptions struct {
-	// MaxIterations bounds the alternating sweeps (default 10).
-	MaxIterations int
-	// Tolerance stops iteration when the captured core energy improves by
-	// less than this relative amount between sweeps (default 1e-8).
-	Tolerance float64
 	// Workers is the worker-pool size for the TTM/Gram kernels inside each
 	// sweep (and the HOSVD initialisation). 0 selects the parallel package
 	// default (GOMAXPROCS); 1 forces serial execution. The alternating mode
@@ -29,16 +32,6 @@ type HOOIOptions struct {
 	// per alternating sweep, and records the executed sweep count as a
 	// deterministic counter. A nil Span costs one nil check per site.
 	Span *obs.Span
-}
-
-func (o HOOIOptions) normalize() HOOIOptions {
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 10
-	}
-	if o.Tolerance == 0 {
-		o.Tolerance = 1e-8
-	}
-	return o
 }
 
 // FitOf returns the Tucker fit 1 − ‖X − X̂‖F/‖X‖F of a decomposition

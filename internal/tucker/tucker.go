@@ -84,7 +84,9 @@ func HOSVDSpan(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) Decom
 }
 
 // hosvd is HOSVDSpan that also returns the mode plans its Gram steps
-// compiled, indexed by mode, for a caller that reuses them (HOOICtx).
+// compiled, indexed by mode, for a caller that reuses them (HOOICtx). Its
+// own core is one product per mode, so it runs the sparse chain without
+// them: the entry scatter, with the same bits as the plan path.
 func hosvd(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) (Decomposition, []*tensor.ModePlan) {
 	ranks = ClipRanks(x.Shape, ranks)
 	order := x.Order()
@@ -108,7 +110,7 @@ func hosvd(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) (Decompos
 	}
 	parallel.Do(workers, tasks...)
 	cs := span.Start("core")
-	core := tensor.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), workers)
+	core := tensor.MultiTTMSparseWorkers(x, nil, tensor.TransposeAll(factors), workers)
 	cs.Set("cells", int64(len(core.Data)))
 	cs.Finish()
 	return Decomposition{Core: core, Factors: factors, Ranks: ranks}, plans
@@ -137,5 +139,5 @@ func CoreFromFactors(x *tensor.Sparse, factors []*mat.Matrix) *tensor.Dense {
 
 // CoreFromFactorsWorkers is CoreFromFactors on an explicit worker count.
 func CoreFromFactorsWorkers(x *tensor.Sparse, factors []*mat.Matrix, workers int) *tensor.Dense {
-	return tensor.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), workers)
+	return tensor.MultiTTMSparseWorkers(x, nil, tensor.TransposeAll(factors), workers)
 }

@@ -364,23 +364,51 @@ func (c Config) space() (*ensemble.Space, *faults.Injector, error) {
 	return ensemble.NewSpace(inj.Wrap(sys), c.Resolution, c.TimeSamples), inj, nil
 }
 
+// CheckPivot reports an error unless the config's Pivot (after defaults)
+// names a mode of its system — a parameter name or "t" — or is "auto",
+// which a pilot run resolves later. It builds no space and simulates
+// nothing; RunCtx resolves the pivot through the same lookup, so a caller
+// that checks first rejects exactly what a run would.
+func (c Config) CheckPivot() error {
+	_, err := c.normalize().pivotMode()
+	return err
+}
+
+// pivotMode returns the mode the normalized config's Pivot names, or -1
+// for "auto".
+func (c Config) pivotMode() (int, error) {
+	if c.Pivot == "auto" {
+		return -1, nil
+	}
+	sys, err := dynsys.ByName(string(c.System))
+	if err != nil {
+		return 0, err
+	}
+	params := sys.Params()
+	for m, p := range params {
+		if p.Name == c.Pivot {
+			return m, nil
+		}
+	}
+	if c.Pivot == ensemble.TimeName {
+		return len(params), nil
+	}
+	return 0, fmt.Errorf("m2td: unknown pivot %q for system %s", c.Pivot, c.System)
+}
+
 // pivot resolves Config.Pivot to a mode of the space: a mode name, or
 // "auto" for the best-scoring pivot of a coarse pilot run.
 func (r resolved) pivot(ctx context.Context) (int, error) {
 	cfg := r.cfg
-	if cfg.Pivot == "auto" {
-		scores, err := eval.SelectPivot(ctx, string(cfg.System), min(cfg.Resolution, 8), cfg.Rank, 150, cfg.Seed)
-		if err != nil {
-			return 0, fmt.Errorf("m2td: pivot selection: %w", err)
-		}
-		return scores[0].Pivot, nil
+	m, err := cfg.pivotMode()
+	if err != nil || m >= 0 {
+		return m, err
 	}
-	for m := 0; m < r.space.Order(); m++ {
-		if r.space.ModeName(m) == cfg.Pivot {
-			return m, nil
-		}
+	scores, err := eval.SelectPivot(ctx, string(cfg.System), min(cfg.Resolution, 8), cfg.Rank, 150, cfg.Seed)
+	if err != nil {
+		return 0, fmt.Errorf("m2td: pivot selection: %w", err)
 	}
-	return 0, fmt.Errorf("m2td: unknown pivot %q for system %s", cfg.Pivot, cfg.System)
+	return scores[0].Pivot, nil
 }
 
 // checkpoint opens the crash-safe persistence of completed simulations —

@@ -102,6 +102,28 @@ func TestRunUnknownPivotAndSystem(t *testing.T) {
 	}
 }
 
+// TestCheckPivot: every mode name of the system and "auto" pass, and the
+// default is time; a name the system lacks fails, as RunCtx would.
+func TestCheckPivot(t *testing.T) {
+	for _, c := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{}, true},
+		{Config{Pivot: "auto"}, true},
+		{Config{Pivot: "phi1"}, true},
+		{Config{System: SystemLorenz, Pivot: "rho"}, true},
+		{Config{System: SystemLorenz, Pivot: "t"}, true},
+		{Config{Pivot: "no-such-pivot"}, false},
+		{Config{System: SystemLorenz, Pivot: "phi1"}, false},
+		{Config{System: "nope"}, false},
+	} {
+		if err := c.cfg.CheckPivot(); (err == nil) != c.ok {
+			t.Errorf("%+v: CheckPivot = %v, want ok %v", c.cfg, err, c.ok)
+		}
+	}
+}
+
 func TestRunParameterPivot(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Pivot = "phi1"

@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"repro/internal/dynsys"
+	"repro/internal/eval"
 	"repro/internal/mat"
-	"repro/internal/tensor"
 )
 
 // Predict evaluates the decomposition at arbitrary physical parameter
@@ -21,7 +21,8 @@ import (
 // Tucker model is multilinear in the factor rows, so this is exact
 // multilinear interpolation of the reconstruction). Values outside a
 // parameter's range, ±Inf included, are clamped to it; a NaN value is an
-// error.
+// error. The rows are contracted by the accuracy estimator's own
+// eval.TuckerModel.TimeFiber, so on grid points Predict returns its bits.
 func (r *Report) Predict(paramValues []float64) ([]float64, error) {
 	space := r.Space
 	if r.Decomposition == nil {
@@ -31,21 +32,16 @@ func (r *Report) Predict(paramValues []float64) ([]float64, error) {
 	if len(paramValues) != len(ps) {
 		return nil, fmt.Errorf("m2td: %d parameter values for %d parameters", len(paramValues), len(ps))
 	}
-	factors := r.Decomposition.Factors
-	cur := r.Decomposition.Core
+	model := eval.TuckerModel{Core: r.Decomposition.Core, Factors: r.Decomposition.Factors}
+	rows := make([][]float64, len(ps))
 	for mode, p := range ps {
-		row, err := interpolatedRow(factors[mode], p, paramValues[mode], space.Res)
+		row, err := interpolatedRow(model.Factors[mode], p, paramValues[mode], space.Res)
 		if err != nil {
 			return nil, err
 		}
-		cur = tensor.TTM(cur, mode, mat.FromSlice(1, len(row), row))
+		rows[mode] = row
 	}
-	// Expand the time mode through its full factor.
-	timeMode := space.TimeMode()
-	cur = tensor.TTM(cur, timeMode, factors[timeMode])
-	out := make([]float64, space.TimeSamples)
-	copy(out, cur.Data)
-	return out, nil
+	return model.TimeFiber(rows), nil
 }
 
 // interpolatedRow returns the factor row for a physical parameter value:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dynsys"
+	"repro/internal/eval"
 )
 
 func TestPredictOnGridMatchesReconstruction(t *testing.T) {
@@ -165,5 +166,43 @@ func TestPredictValidation(t *testing.T) {
 	bare := &Report{Space: report.Space}
 	if _, err := bare.Predict(vals); err == nil {
 		t.Fatal("report without decomposition accepted")
+	}
+}
+
+// TestPredictOnGridIsTimeFiber: on grid points Predict's interpolated rows
+// are the factor rows, so it returns the estimator's TimeFiber bit for bit,
+// at every grid point and for every fusion method.
+func TestPredictOnGridIsTimeFiber(t *testing.T) {
+	for _, method := range []Method{MethodSELECT, MethodAVG, MethodCONCAT} {
+		cfg := smallConfig()
+		cfg.Method = method
+		cfg.SkipAccuracy = true
+		report, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space, dec := report.Space, report.Decomposition
+		model := eval.TuckerModel{Core: dec.Core, Factors: dec.Factors}
+		ps := space.Sys.Params()
+		idx, vals := make([]int, len(ps)), make([]float64, len(ps))
+		for sim := 0; sim < space.TotalSims(); sim++ {
+			space.SimIndex(sim, idx)
+			for m, p := range ps {
+				vals[m] = p.Value(idx[m], space.Res)
+			}
+			got, err := report.Predict(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := model.TimeFiber(model.GridRows(idx))
+			if len(got) != len(want) {
+				t.Fatalf("%s %v: %d values, TimeFiber %d", method, idx, len(got), len(want))
+			}
+			for tt, v := range want {
+				if math.Float64bits(got[tt]) != math.Float64bits(v) {
+					t.Fatalf("%s %v t=%d: Predict %v, TimeFiber %v", method, idx, tt, got[tt], v)
+				}
+			}
+		}
 	}
 }
