@@ -18,6 +18,7 @@ package increment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/ensemble"
@@ -100,11 +101,15 @@ func (st *subState) append(idx []int, v float64) {
 
 // AppendCell adds one simulation cell to sub-ensemble 1 or 2 (index in
 // the sub-tensor's own mode order, pivots first). The per-mode Grams are
-// updated incrementally.
+// updated incrementally. A non-finite value is refused: the kernels take
+// finite values only.
 func (t *Tracker) AppendCell(sub int, idx []int, v float64) error {
 	st, err := t.state(sub)
 	if err != nil {
 		return err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("increment: value %v at %v is not finite", v, idx)
 	}
 	st.append(idx, v)
 	return nil
@@ -182,5 +187,5 @@ func (t *Tracker) Decompose(opts core.Options) (*core.Result, error) {
 	p := t.snapshot()
 	part := core.ProjectShard(stitch.NewSpec(p, opts.ZeroJoin), core.SampledOf(p), p.Sub1.Tensor, p.Sub2.Tensor, factors, 0, 1, opts.Workers)
 	total := core.FactoredCore([]core.Partial{part}, opts.Span)
-	return &core.Result{Factors: factors, Core: total.G, Rejected: total.Rejected}, nil
+	return &core.Result{Factors: factors, Core: total.G}, nil
 }

@@ -2,6 +2,7 @@ package increment
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -188,6 +189,14 @@ func TestAppendCellValidation(t *testing.T) {
 	tr := New(p)
 	if err := tr.AppendCell(3, []int{0, 0, 0}, 1); err == nil {
 		t.Fatal("invalid sub-ensemble accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+		if err := tr.AppendCell(1, []int{0, 0, 0}, v); err == nil {
+			t.Fatalf("value %v accepted", v)
+		}
+	}
+	if c1, _ := tr.CellCounts(); c1 != p.Sub1.Tensor.NNZ() {
+		t.Fatalf("a refused cell was stored: %d cells, want %d", c1, p.Sub1.Tensor.NNZ())
 	}
 	if _, err := tr.Decompose(core.Options{Method: "nope", Ranks: tucker.UniformRanks(5, 2)}); err == nil {
 		t.Fatal("invalid method accepted")

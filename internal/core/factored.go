@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/mat"
@@ -31,12 +30,14 @@ import (
 // configurations, where DecomposeCtx builds and projects O(P·E₁·E₂) cells
 // (1.6×10⁹ at the paper's resolution 70 against ≈3.4×10⁵).
 //
-// One precondition: no index is stored twice in a sub-tensor (and cells sit
-// at listed configurations, where there are lists) — every
-// partition.GenerateCtx output. What still builds J is what wants J's
-// cells: stitch.Join, and the oracle DecomposeCtx, which at opts.Shards > 1
-// is the paper's Algorithm 6. The Result has Join == nil; opts.Span is
-// marked factored = 1 and holey_groups (Partial.Holey).
+// Two preconditions, both of every partition.GenerateCtx output: no index
+// is stored twice in a sub-tensor (and cells sit at listed configurations,
+// where there are lists), and every value is finite — a non-finite one
+// stops at ingest (tensor.Sparse's quarantine) or, off the wire, at the
+// worker that loads it (internal/distnet). What still builds J is what
+// wants J's cells: stitch.Join, and the oracle DecomposeCtx, which at
+// opts.Shards > 1 is the paper's Algorithm 6. The Result has Join == nil;
+// opts.Span is marked factored = 1 and holey_groups (Partial.Holey).
 func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	ranks, err := CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
 	if err != nil {
@@ -58,7 +59,7 @@ func DecomposeFactored(p *partition.Result, opts Options) (*Result, error) {
 	cspan.Set("factored", 1)
 	cspan.Set("holey_groups", int64(total.Holey))
 	cdone()
-	return &Result{Factors: factors, Core: total.G, Rejected: total.Rejected}, nil
+	return &Result{Factors: factors, Core: total.G}, nil
 }
 
 // Sampled is the size of the grid a partition was sampled on — what the
@@ -85,9 +86,6 @@ type Partial struct {
 	// Holey counts the shard's pivot groups that hold a cell but not every
 	// sampled configuration on both sides (plain join only).
 	Holey int
-	// Rejected counts non-finite values skipped as holes because a
-	// sub-tensor carries RejectNonFinite.
-	Rejected int
 }
 
 // ProjectShard is the join-free kernel for one shard: DecomposeFactored's
@@ -96,29 +94,26 @@ type Partial struct {
 //
 // aκ of every group is one projection of the shard's cells of Xκ over its
 // free modes. cκ is one row for every group under zero-join, on a whole
-// side — Pivots × its free grid's size cells, none of the shard's a hole:
-// every sampled pivot holds the whole grid, an O(1) test — and on a side
-// whose census shows every sampled pivot holding the same free
-// configurations; on any other side it is one projection of the cells'
-// mask. If either sub-tensor carries RejectNonFinite a non-finite value is
-// a hole: skipped, counted in Partial.Rejected, never summed. At one shard
-// with no hole the projections read the sub-tensors themselves.
+// side — Pivots × its free grid's size cells: every sampled pivot holds
+// the whole grid, an O(1) test — and on a side whose census shows every
+// sampled pivot holding the same free configurations; on any other side
+// it is one projection of the cells' mask. At one shard the projections
+// read the sub-tensors themselves.
 //
 // The two sides share the workers budget (scheduling only — the TTM
 // kernels are bit-stable for any worker count, and the contraction by
 // ascending key is serial).
 func ProjectShard(spec stitch.Spec, grid Sampled, x1, x2 *tensor.Sparse, factors []*mat.Matrix, shard, shards, workers int) Partial {
-	reject, k := x1.RejectNonFinite || x2.RejectNonFinite, len(spec.Pivots)
+	k := len(spec.Pivots)
 	xs, frees := [2]*tensor.Sparse{x1, x2}, [2][]int{spec.Free1, spec.Free2}
 	var cells [2]*tensor.Sparse
-	var holes [2]int
 	parallel.Do(workers,
-		func() { cells[0], holes[0] = shardCells(spec, x1, reject, shard, shards) },
-		func() { cells[1], holes[1] = shardCells(spec, x2, reject, shard, shards) },
+		func() { cells[0] = shardCells(spec, x1, shard, shards) },
+		func() { cells[1] = shardCells(spec, x2, shard, shards) },
 	)
 	var whole [2]bool
 	for si, x := range xs {
-		whole[si] = grid.Pivots > 0 && holes[si] == 0 && x.NNZ() == grid.Pivots*x.Shape[k:].NumElements()
+		whole[si] = grid.Pivots > 0 && x.NNZ() == grid.Pivots*x.Shape[k:].NumElements()
 	}
 	// Under plain join, unless both sides are whole, each side's census
 	// counts every group's cells.
@@ -136,7 +131,7 @@ func ProjectShard(spec stitch.Spec, grid Sampled, x1, x2 *tensor.Sparse, factors
 			a[si] = tensor.MultiTTMSparseWorkers(cells[si], nil, ms, pair).Data
 			var held []bool
 			if census {
-				counts[si], held = takeCensus(x, k, reject, grid.Pivots)
+				counts[si], held = takeCensus(x, k, grid.Pivots)
 			}
 			switch {
 			case spec.ZeroJoin || whole[si]:
@@ -160,7 +155,7 @@ func ProjectShard(spec stitch.Spec, grid Sampled, x1, x2 *tensor.Sparse, factors
 	if keys := pivotShape.NumElements(); shard < keys {
 		groups = (keys-shard-1)/shards + 1
 	}
-	part := Partial{Rejected: holes[0] + holes[1]}
+	var part Partial
 	for g := 0; census && g < groups; g++ {
 		key := shard + g*shards
 		if n1, n2 := counts[0][key], counts[1][key]; n1+n2 > 0 && (n1 != grid.Free1 || n2 != grid.Free2) {
@@ -215,56 +210,43 @@ func ProjectShard(spec stitch.Spec, grid Sampled, x1, x2 *tensor.Sparse, factors
 }
 
 // shardCells is the cells of x the shard projects — those whose pivot key
-// lands in it, minus holes (non-finite values, under reject) — and the
-// holes skipped. When that is every cell it is x itself, not a copy.
-func shardCells(spec stitch.Spec, x *tensor.Sparse, reject bool, shard, shards int) (*tensor.Sparse, int) {
-	o := x.Order()
-	in := func(e int) bool { return shards == 1 || spec.PivotKey(x.Idx[e*o:])%shards == shard }
-	kept, holes := x.NNZ(), 0
-	if shards > 1 {
-		kept = 0
-		for e := range x.Vals {
-			if in(e) {
-				kept++
-			}
-		}
+// lands in it. When that is every cell it is x itself, not a copy.
+func shardCells(spec stitch.Spec, x *tensor.Sparse, shard, shards int) *tensor.Sparse {
+	if shards == 1 {
+		return x
 	}
-	for e, v := range x.Vals {
-		if reject && !finite(v) && in(e) {
-			kept, holes = kept-1, holes+1
+	o := x.Order()
+	in := func(e int) bool { return spec.PivotKey(x.Idx[e*o:])%shards == shard }
+	kept := 0
+	for e := range x.Vals {
+		if in(e) {
+			kept++
 		}
 	}
 	if kept == x.NNZ() {
-		return x, 0
+		return x
 	}
 	out := tensor.NewSparse(x.Shape)
 	out.Reserve(kept)
-	for e, v := range x.Vals {
-		if in(e) && !(reject && !finite(v)) {
+	for e := range x.Vals {
+		if in(e) {
 			out.Append(x.Entry(e))
 		}
 	}
-	return out, holes
+	return out
 }
 
-// finite reports whether v is neither NaN (which fails the comparison) nor
-// ±Inf.
-func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
-
 // takeCensus is one pass over x's cells — all of them, so every shard
-// decides alike — skipping holes: the cells per pivot key (over x's k
-// leading modes) and, if the side is uniform, which configurations of its
-// free grid (the other modes) they hold, nil otherwise. A side is uniform
-// when its cells, at distinct sampled (pivot, free) pairs, number pivots ×
-// the free configurations held: every sampled pivot holds those.
-func takeCensus(x *tensor.Sparse, k int, reject bool, pivots int) ([]int, []bool) {
+// decides alike: the cells per pivot key (over x's k leading modes) and,
+// if the side is uniform, which configurations of its free grid (the other
+// modes) they hold, nil otherwise. A side is uniform when its cells, at
+// distinct sampled (pivot, free) pairs, number pivots × the free
+// configurations held: every sampled pivot holds those.
+func takeCensus(x *tensor.Sparse, k, pivots int) ([]int, []bool) {
 	shape, o := x.Shape, x.Order()
 	counts, held := make([]int, shape[:k].NumElements()), make([]bool, shape[k:].NumElements())
 	cells, configs := 0, 0
 	for e, at := 0, 0; e < len(x.Vals); e, at = e+1, at+o {
-		if reject && !finite(x.Vals[e]) {
-			continue
-		}
 		key, lin := 0, 0
 		for i := 0; i < k; i++ {
 			key = key*shape[i] + x.Idx[at+i]
@@ -362,7 +344,6 @@ func FactoredCore(parts []Partial, span *obs.Span) Partial {
 				sum[i] += v
 			}
 			total.Holey += part.Holey
-			total.Rejected += part.Rejected
 		}
 		total.G = tensor.DenseFromSlice(total.G.Shape, sum)
 	}

@@ -177,7 +177,7 @@ func TestProjectShardPartition(t *testing.T) {
 	}
 	spec, grid := stitch.NewSpec(p, false), SampledOf(p)
 	x1, x2 := p.Sub1.Tensor, p.Sub2.Tensor
-	if cells, _ := shardCells(spec, x1, false, 0, 1); cells != x1 {
+	if cells := shardCells(spec, x1, 0, 1); cells != x1 {
 		t.Fatal("one shard copied the sub-tensor")
 	}
 	whole := ProjectShard(spec, grid, x1, x2, res.Factors, 0, 1, 1)

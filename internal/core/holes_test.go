@@ -140,94 +140,6 @@ func TestJoinFreeKernelMatchesStitchOracle(t *testing.T) {
 	}
 }
 
-// TestJoinFreeQuarantine is the join-free twin of stitch's
-// TestBlockEmissionParityQuarantine: a NaN planted behind the ingest guard
-// of a quarantining sub-tensor — in a pair that already has holes, and in
-// pairs that lost nothing, whose poisoned side is then neither whole nor
-// uniform — is a hole: skipped, counted in Rejected, never summed — so the
-// core stays finite.
-// Under plain join that is core.DecomposeCtx's core on the same poisoned
-// pair (the stitch kernel drops exactly the matched pairs the cell is in).
-// Under zero-join it is DecomposeCtx's on the pair without the cell: the
-// other side's cells still extend over the hole, as they would over one
-// ingest had quarantined, where the stitch kernel drops those cells too.
-func TestJoinFreeQuarantine(t *testing.T) {
-	for _, pair := range []struct {
-		name string
-		free float64
-		keep func(side, key, e int) bool // nil: nothing dropped
-	}{
-		{"holey", 0.5, func(side, key, e int) bool { return e%7 != 0 && !(side == 1 && key == 3) }},
-		{"intact", 0.5, nil},
-		{"intact, whole free grid", 1, nil},
-	} {
-		for _, zero := range []bool{false, true} {
-			for _, shards := range []int{1, 3} {
-				p := tinyPartition(t, pair.free, 186)
-				if pair.keep != nil {
-					p = withHoles(p, pair.keep)
-				}
-				ranks := tucker.UniformRanks(5, 2)
-				clean, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks, ZeroJoin: zero})
-				if err != nil {
-					t.Fatal(err)
-				}
-				factors := clean.Factors
-
-				// The last sub-2 entry of pivot group 1: it sits inside every
-				// matched block of that group.
-				sub2 := p.Sub2.Tensor
-				sub2.RejectNonFinite = true
-				poisoned := -1
-				for e := sub2.NNZ() - 1; e >= 0 && poisoned < 0; e-- {
-					if idx, _ := sub2.Entry(e); idx[0] == 1 {
-						poisoned = e
-					}
-				}
-				sub2.Vals[poisoned] = math.NaN()
-
-				spec, grid := stitch.NewSpec(p, zero), SampledOf(p)
-				parts := make([]Partial, shards)
-				for s := range parts {
-					parts[s] = ProjectShard(spec, grid, p.Sub1.Tensor, sub2, factors, s, shards, 1)
-				}
-				total := FactoredCore(parts, nil)
-				label := fmt.Sprintf("%s zero=%v shards=%d", pair.name, zero, shards)
-				if total.Rejected != 1 {
-					t.Fatalf("%s: %d cells rejected, want the poisoned one", label, total.Rejected)
-				}
-
-				oracle := p
-				if zero {
-					oracle = withHoles(p, func(side, _, e int) bool { return side != 2 || e != poisoned })
-					oracle.Sub2.Tensor.RejectNonFinite = true
-				}
-				j := stitch.NewSpec(oracle, zero).Shard(oracle.Sub1.Tensor, oracle.Sub2.Tensor, 0, 1)
-				if !zero && j.Rejected == 0 {
-					t.Fatalf("%s: the poisoned entry reached no join cell", label)
-				}
-				requireClose(t, label, total.G, tensor.MultiTTMSparse(j, tensor.TransposeAll(factors)), 1e-9)
-
-				if shards == 1 && !zero {
-					// End to end on the same poisoned pair, factors and all.
-					fac, err := DecomposeFactored(p, Options{Method: SELECT, Ranks: ranks})
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := DecomposeCtx(context.Background(), p, Options{Method: SELECT, Ranks: ranks})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fac.Rejected != 1 || ref.Join.Rejected == 0 {
-						t.Fatalf("%s: join-free route rejected %d cells, stitched join %d", label, fac.Rejected, ref.Join.Rejected)
-					}
-					requireClose(t, label+": DecomposeFactored vs DecomposeCtx, poisoned", fac.Core, ref.Core, 1e-9)
-				}
-			}
-		}
-	}
-}
-
 // TestJoinFreeUniformSides: a side that lost whole free configurations —
 // simulations, at every pivot — holds the same configurations at every
 // sampled pivot, so its census gives one cκ row for every group. Beside a
@@ -257,10 +169,10 @@ func TestJoinFreeUniformSides(t *testing.T) {
 	for name, keep := range pairs {
 		q := withHoles(p, keep)
 		x1, x2 := q.Sub1.Tensor, q.Sub2.Tensor
-		if _, held := takeCensus(x1, 1, false, len(q.PivotConfigs)); held == nil {
+		if _, held := takeCensus(x1, 1, len(q.PivotConfigs)); held == nil {
 			t.Fatalf("%s: side 1 lost whole simulations and is not uniform", name)
 		}
-		if _, held := takeCensus(x2, 1, false, len(q.PivotConfigs)); (held == nil) != (name == "uniform and thinned") {
+		if _, held := takeCensus(x2, 1, len(q.PivotConfigs)); (held == nil) != (name == "uniform and thinned") {
 			t.Fatalf("%s: side 2 uniform = %v", name, held != nil)
 		}
 		for _, zero := range []bool{false, true} {

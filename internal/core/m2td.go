@@ -96,9 +96,6 @@ type Result struct {
 	// Join is the JE-stitched tensor DecomposeCtx recovered the core from;
 	// nil from every join-free engine, so from every campaign.
 	Join *tensor.Sparse
-	// Rejected counts the non-finite sub-tensor cells the join-free route
-	// skipped as holes (Partial.Rejected); a stitched Join counts its own.
-	Rejected int
 }
 
 // Reconstruct expands the decomposition to the full tensor space:
@@ -204,8 +201,6 @@ func eachShard(shards, workers int, task func(shard, workers int)) {
 
 // mergeJoin concatenates the stitch shards, in the order given (ascending
 // shard index), into exactly-sized storage; one shard is the join itself.
-// The shards' quarantine state carries over: the flag if any shard has it,
-// and the sum of their counts.
 func mergeJoin(shape tensor.Shape, shards []*tensor.Sparse) *tensor.Sparse {
 	if len(shards) == 1 {
 		return shards[0]
@@ -218,8 +213,6 @@ func mergeJoin(shape tensor.Shape, shards []*tensor.Sparse) *tensor.Sparse {
 	j.Reserve(total)
 	for _, shard := range shards {
 		j.AppendBlock(shard.Idx, shard.Vals)
-		j.RejectNonFinite = j.RejectNonFinite || shard.RejectNonFinite
-		j.Rejected += shard.Rejected
 	}
 	return j
 }

@@ -8,13 +8,11 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
 	"repro/internal/partition"
 	"repro/internal/stitch"
 	"repro/internal/tensor"
-	"repro/internal/tucker"
 )
 
 // The stitch kernel and its oracles live in internal/stitch. What D-M2TD
@@ -47,10 +45,8 @@ func shardOfWhole(spec stitch.Spec, whole *tensor.Sparse, shard, shards int) *te
 
 // TestStitchShardMatchesReference: the shards partition the one-shard
 // join by pivot key and keep its order — full and ragged pivot groups,
-// groups present on one side only, a NaN among the inputs (quarantined at
-// free=1, where Generate's sub-tensors carry the flag; stitched through at
-// free=0.5, where the thinned copies do not). Putting them back together
-// is core's (TestMergeJoinKeepsQuarantine).
+// groups present on one side only. Putting them back together is core's
+// (TestMergeJoinKeepsQuarantine).
 func TestStitchShardMatchesReference(t *testing.T) {
 	for name, cfg := range map[string]partition.Config{
 		"time-pivot": partition.DefaultConfig(5, 4, doublePendulumPairs),
@@ -68,12 +64,11 @@ func TestStitchShardMatchesReference(t *testing.T) {
 				x1 = thin(x1, func(e int, idx []int) bool { return e%7 == 0 || spec.PivotKey(idx) == 1 })
 				x2 = thin(x2, func(e int, idx []int) bool { return e%5 == 0 || spec.PivotKey(idx) == 3 })
 			}
-			x1.Vals[x1.NNZ()/3] = math.NaN()
 			for _, zero := range []bool{false, true} {
 				spec := stitch.NewSpec(p, zero)
 				whole := spec.Shard(x1, x2, 0, 1)
-				if whole.NNZ() == 0 || whole.RejectNonFinite != (freeFrac == 1) || (whole.Rejected > 0) != whole.RejectNonFinite {
-					t.Fatalf("%s free=%g zero=%v: whole join has %d cells, quarantine %v/%d", name, freeFrac, zero, whole.NNZ(), whole.RejectNonFinite, whole.Rejected)
+				if whole.NNZ() == 0 {
+					t.Fatalf("%s free=%g zero=%v: whole join has no cells", name, freeFrac, zero)
 				}
 				for _, shards := range []int{1, 3, 4} {
 					for shard := range shards {
@@ -93,54 +88,4 @@ func TestStitchShardMatchesReference(t *testing.T) {
 
 func bitsEqual(got, want []float64) bool {
 	return slices.EqualFunc(got, want, func(g, w float64) bool { return math.Float64bits(g) == math.Float64bits(w) })
-}
-
-// TestDistributedQuarantine is the D-M2TD twin of stitch's
-// TestBlockEmissionParityQuarantine: a NaN behind the ingest guard of a
-// quarantining sub-tensor is dropped and counted by the shard kernel, not
-// averaged into every matched pair of its pivot group — at one shard bit
-// for bit what the unsharded core.DecomposeCtx computes from the same
-// poisoned partition, at several the same cells and count.
-func TestDistributedQuarantine(t *testing.T) {
-	for _, zero := range []bool{false, true} {
-		p := tinyPartition(t, 0.5, 132)
-		sub2 := p.Sub2.Tensor
-		if !sub2.RejectNonFinite {
-			t.Fatal("Generate no longer arms the quarantine on sub-tensors")
-		}
-		sub2.Vals[sub2.NNZ()/2] = math.NaN()
-
-		opts := core.Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), ZeroJoin: zero}
-		want, err := decomposeCtx(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Join.Rejected == 0 {
-			t.Fatal("poisoned entry reached no join cell")
-		}
-		// The poisoned pair still counts P×E cells, so it is the materialised
-		// entry — where a quarantine has a join to act on — that is pinned:
-		// the shards merge with their quarantine counts.
-		for _, workers := range []int{1, 3} {
-			opts.Shards = workers
-			got, err := decomposeCtx(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Join.RejectNonFinite || got.Join.Rejected != want.Join.Rejected || got.Join.NNZ() != want.Join.NNZ() {
-				t.Fatalf("zero=%v workers=%d: join has %d cells, quarantine %v/%d; core.DecomposeCtx %d cells, %d rejected", zero, workers,
-					got.Join.NNZ(), got.Join.RejectNonFinite, got.Join.Rejected, want.Join.NNZ(), want.Join.Rejected)
-			}
-			for _, v := range got.Core.Data {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("zero=%v workers=%d: non-finite core value %v", zero, workers, v)
-				}
-			}
-			if workers == 1 {
-				sameResult(t, fmt.Sprintf("poisoned, zero=%v: one shard vs core.DecomposeCtx", zero), got, want)
-			} else if !got.Core.Equal(want.Core, 1e-9) {
-				t.Fatalf("zero=%v workers=%d: core differs from core.DecomposeCtx", zero, workers)
-			}
-		}
-	}
 }

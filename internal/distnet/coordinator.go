@@ -28,6 +28,7 @@ type task struct {
 	attempts int // leases so far (bounded by Retry.MaxAttempts)
 	done     bool
 	result   resultMsg
+	lastErr  string    // the last task error a worker reported
 	span     *obs.Span // phase open → result accepted
 }
 
@@ -166,7 +167,6 @@ func (f *fleet) spawn(opts Options, argv []string, id int) (*exec.Cmd, error) {
 	env := append(os.Environ(),
 		envAddr+"="+f.lis.Addr().String(),
 		fmt.Sprintf("%s=%d", envID, id),
-		envBeat+"="+opts.HeartbeatInterval.String(),
 	)
 	if opts.Kill.Enabled() {
 		env = append(env, envKill+"="+opts.Kill.String())
@@ -387,7 +387,11 @@ func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*
 			return
 		}
 		if t.attempts >= opts.Retry.MaxAttempts {
-			fail(fmt.Errorf("distnet: %s: task %s failed after %d attempts", name, t.msg.ID, t.attempts))
+			err := fmt.Errorf("distnet: %s: task %s failed after %d attempts", name, t.msg.ID, t.attempts)
+			if t.lastErr != "" {
+				err = fmt.Errorf("%w: %s", err, t.lastErr)
+			}
+			fail(err)
 			return
 		}
 		stats.Requeues++
@@ -446,7 +450,7 @@ func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*
 		}
 	}
 
-	ticker := time.NewTicker(opts.HeartbeatInterval)
+	ticker := time.NewTicker(heartbeatInterval)
 	defer ticker.Stop()
 
 	for remaining > 0 && phaseErr == nil {
@@ -513,6 +517,7 @@ func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*
 				if t != nil && t.msg.ID == ev.res.ID {
 					ev.wc.inflight = nil
 					ev.wc.lastBeat = time.Now()
+					t.lastErr = ev.res.Err
 				} else {
 					t = nil
 				}

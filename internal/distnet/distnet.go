@@ -16,9 +16,10 @@ import (
 )
 
 // Options configures a multi-process distributed decomposition. Workers,
-// Addr, WorkerArgv and HeartbeatInterval are the fleet's spawn signature: a campaign runs on the pooled fleet an earlier one with the
-// same signature left running, if there is one (pool.go). A campaign with
-// a kill plan or WorkerEnv, or on a fixed port, gets a fleet of its own.
+// Addr and WorkerArgv are the fleet's spawn signature: a campaign runs on
+// the pooled fleet an earlier one with the same signature left running, if
+// there is one (pool.go). A campaign with a kill plan or WorkerEnv, or on a
+// fixed port, gets a fleet of its own.
 type Options struct {
 	// Method selects the pivot fusion (core.AVG / CONCAT / SELECT).
 	Method core.Method
@@ -66,9 +67,6 @@ type Options struct {
 	// its connection dying (default 10s). SIGKILLed workers are caught
 	// faster, by the closed socket.
 	LeaseTimeout time.Duration
-	// HeartbeatInterval is the workers' beat period and the
-	// coordinator's lease-check period (default 250ms).
-	HeartbeatInterval time.Duration
 
 	// Span, when non-nil, receives "upload", "phase1" and "phase3" child
 	// spans while they run: task counts as counters, scheduling gauges, and
@@ -90,9 +88,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.LeaseTimeout <= 0 {
 		o.LeaseTimeout = 10 * time.Second
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 250 * time.Millisecond
 	}
 	if o.WorkDir == "" {
 		return o, fmt.Errorf("distnet: WorkDir is required (the shared artifact catalog)")
@@ -197,10 +192,7 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	spec := jobSpec{
-		Join: stitch.NewSpec(p, opts.ZeroJoin), Sampled: core.SampledOf(p), Shards: opts.Shards,
-		RejectNonFinite: p.Sub1.Tensor.RejectNonFinite || p.Sub2.Tensor.RejectNonFinite,
-	}
+	spec := jobSpec{Join: stitch.NewSpec(p, opts.ZeroJoin), Sampled: core.SampledOf(p), Shards: opts.Shards}
 	j := &job{fleet: f, reused: reused, opts: opts, st: st, dir: dir, spec: spec, key: jobKey(opts.Method, ranks, spec, sums)}
 
 	factors, p1stats, err := j.subDecompose(ctx, p, opts.Method, ranks)
@@ -213,7 +205,7 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 		return nil, err
 	}
 	total := core.FactoredCore(parts, opts.Span)
-	res.Core, res.Rejected = total.G, total.Rejected
+	res.Core = total.G
 	res.Workers = f.roster()
 	clean = res.reusable()
 	return res, nil

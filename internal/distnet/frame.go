@@ -37,10 +37,9 @@
 // functions of the partition and Options.Shards — never of worker
 // identity, scheduling, or timing — so the factors and the core are
 // bit-identical regardless of which workers died mid-phase, and equal to
-// core.DecomposeFactored's at equal Shards. The divergence quarantine
-// crosses the process boundary in the job spec (the store does not persist
-// a tensor's RejectNonFinite flag): workers arm it on the sub-tensors they
-// load, and a shard's core.Partial.Rejected travels in its output object.
+// core.DecomposeFactored's at equal Shards. Non-finite values stop at the
+// coordinator's ingest; a worker that loads one anyway fails the task with
+// store.ErrCorrupt naming the object, so no kernel ever sums one.
 //
 // Worker processes outlive the campaign (pool.go): a fleet — listener,
 // processes, connections, reaper — whose campaign ended clean waits in a

@@ -132,7 +132,6 @@ func FuzzTaskPayload(f *testing.F) {
 		{ID: "p3-g2", Kind: taskProject, Shard: 2, Dir: "catalog", Job: "j", Spec: spec},
 		{ID: "p3-g0", Kind: taskProject, Dir: "catalog", Job: "j", Spec: jobSpec{Join: spec.Join, Shards: 2}}, // no sampled grid: no side complete
 		{ID: "p3-g3", Kind: taskProject, Shard: math.MaxInt - 1, Dir: "catalog", Job: "j", Spec: jobSpec{Join: spec.Join, Sampled: spec.Sampled, Shards: math.MaxInt}},
-		{ID: "p3-g1", Kind: taskProject, Shard: 1, Dir: "catalog", Job: "q", Spec: jobSpec{Join: spec.Join, Sampled: spec.Sampled, Shards: 2, RejectNonFinite: true}},
 		{ID: "p1-k2-m1", Kind: taskFactor, Kappa: 2, Mode: 1, Rank: 2, Dir: "absent", Job: "j", Spec: spec}, // no such catalog
 		{ID: "p1-k2-m1", Kind: taskFactor, Kappa: 2, Mode: 1, Rank: 2, Dir: "file", Job: "j", Spec: spec},   // not a directory
 		{ID: "p1-k2-m1", Kind: taskFactor, Kappa: 2, Mode: 1, Rank: 2, Dir: "", Job: "j", Spec: spec},       // the root: no inputs
@@ -148,6 +147,7 @@ func FuzzTaskPayload(f *testing.F) {
 	f.Add([]byte(`{"id":"p3-g0","kind":"project","dir":"catalog","job":"j","spec":{"join":{"shape":[5,5,5,5,4],"pivots":[7],"free1":[0,2],"free2":[1,3]},"shards":2}}`))
 	f.Add([]byte(`{"id":"p3-g0","kind":"project","dir":"catalog","job":"j","spec":{"join":{"shape":[5,5],"pivots":[4],"free1":[0,2],"free2":[1,3]},"shards":-3}}`))
 	f.Add([]byte(`{"id":"p1-k1-m0","kind":"factor","kappa":1,"rank":2,"dir":"../catalog","job":"j"}`))
+	f.Add([]byte(`{"id":"p3-g1","kind":"project","shard":1,"dir":"catalog","job":"q","spec":{"join":{"shape":[5,5,5,5,4],"pivots":[4],"free1":[0,2],"free2":[1,3]},"shards":2,"reject_non_finite":true}}`)) // a retired field
 	f.Add([]byte(`{"id":"p1-k1-m0","worker":1,"skipped":true,"dur_ns":12}`))
 	f.Add([]byte(`{"id":7}`))
 
@@ -188,25 +188,21 @@ func FuzzTaskPayload(f *testing.F) {
 var partialShape = tensor.Shape{2, 2, 3}
 
 // partialFixtures are an intact and a holey shard's partial at
-// partialShape, and two that skipped quarantined values: one with holey
-// groups, one without.
-func partialFixtures() (intact, holey, rejected, rejectedOnly core.Partial) {
+// partialShape, and one with the largest count partialOf takes.
+func partialFixtures() (intact, holey, most core.Partial) {
 	g := tensor.NewDense(partialShape)
 	for i := range g.Data {
 		g.Data[i] = float64(i) + 0.5
 	}
-	intact = core.Partial{G: g}
-	holey = core.Partial{G: g, Holey: 3}
-	rejected, rejectedOnly = holey, intact
-	rejected.Rejected, rejectedOnly.Rejected = 2, 1
-	return intact, holey, rejected, rejectedOnly
+	return core.Partial{G: g}, core.Partial{G: g, Holey: 3}, core.Partial{G: g, Holey: math.MaxInt32}
 }
 
 // counts is a counts row for corruptPartials.
 func counts(vs ...float64) *mat.Matrix { return &mat.Matrix{Rows: 1, Cols: len(vs), Data: vs} }
 
 // corruptPartials are Phase 3 objects partialOf must refuse, made from a
-// holey shard's.
+// holey shard's. The "two counts" rows are the retired layout, whose
+// counts row was [holey, rejected].
 var corruptPartials = map[string]func(ms []*mat.Matrix) []*mat.Matrix{
 	"one matrix":     func(ms []*mat.Matrix) []*mat.Matrix { return ms[:1] },
 	"three matrices": func(ms []*mat.Matrix) []*mat.Matrix { return append(ms, ms[1]) },
@@ -218,34 +214,40 @@ var corruptPartials = map[string]func(ms []*mat.Matrix) []*mat.Matrix{
 		ms[0] = counts(append(slices.Clone(ms[0].Data), 0.5)...)
 		return ms
 	},
-	"counts first":  func(ms []*mat.Matrix) []*mat.Matrix { ms[0], ms[1] = ms[1], ms[0]; return ms },
-	"no counts":     func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(); return ms },
-	"one count":     func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3); return ms },
-	"three counts":  func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 0, 1); return ms },
-	"holey -1":      func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(-1, 0); return ms },
-	"holey -0":      func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(math.Copysign(0, -1), 0); return ms },
-	"holey 1.5":     func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(1.5, 0); return ms },
-	"holey NaN":     func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(math.NaN(), 0); return ms },
-	"holey 1e300":   func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(1e300, 0); return ms },
-	"rejected -1":   func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, -1); return ms },
-	"rejected 0.5":  func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 0.5); return ms },
-	"rejected +Inf": func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, math.Inf(1)); return ms },
-	"rejected 2³¹":  func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 1<<31); return ms },
+	"counts first":         func(ms []*mat.Matrix) []*mat.Matrix { ms[0], ms[1] = ms[1], ms[0]; return ms },
+	"no counts":            func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(); return ms },
+	"two counts, intact":   func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(0, 0); return ms },
+	"two counts, holey":    func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 0); return ms },
+	"two counts, rejected": func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 2); return ms },
+	"two counts, no holes": func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(0, 1); return ms },
+	"three counts":         func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(3, 0, 1); return ms },
+	"holey -1":             func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(-1); return ms },
+	"holey -0":             func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(math.Copysign(0, -1)); return ms },
+	"holey 1.5":            func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(1.5); return ms },
+	"holey NaN":            func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(math.NaN()); return ms },
+	"holey 1e300":          func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(1e300); return ms },
+	"holey +Inf":           func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(math.Inf(1)); return ms },
+	"holey 2³¹":            func(ms []*mat.Matrix) []*mat.Matrix { ms[1] = counts(1 << 31); return ms },
 }
 
 // TestPartialObjectChecked: a Phase 3 object is the core-sized partial and
-// a counts row [holey, rejected]; the coordinator takes neither another
-// shape of object nor a partial whose length is not the product of the
-// ranks its job clipped, nor a count that is not an integer in
-// [0, MaxInt32], and what it takes round-trips.
+// a one-count row [holey]; the coordinator takes neither another shape of
+// object — the retired [holey, rejected] row included — nor a partial
+// whose length is not the product of the ranks its job clipped, nor a
+// count that is not an integer in [0, MaxInt32], and what it takes
+// round-trips.
 func TestPartialObjectChecked(t *testing.T) {
-	intact, holey, rejected, rejectedOnly := partialFixtures()
-	for name, want := range map[string]core.Partial{"intact": intact, "holey": holey, "rejected": rejected, "rejected, no holes": rejectedOnly} {
-		got, err := partialOf(partialMatrices(want), partialShape)
+	intact, holey, most := partialFixtures()
+	for name, want := range map[string]core.Partial{"intact": intact, "holey": holey, "most holes": most} {
+		ms := partialMatrices(want)
+		if len(ms) != 2 || len(ms[1].Data) != 1 {
+			t.Fatalf("%s: object is %d matrices, counts row %v; want the core and one count", name, len(ms), ms[len(ms)-1].Data)
+		}
+		got, err := partialOf(ms, partialShape)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Holey != want.Holey || got.Rejected != want.Rejected || !got.G.Equal(want.G, 0) {
+		if got.Holey != want.Holey || !got.G.Equal(want.G, 0) {
 			t.Fatalf("%s: partial did not round-trip: %+v", name, got)
 		}
 	}
@@ -289,7 +291,8 @@ func matricesOf(b []byte) []*mat.Matrix {
 // object holds them, to the checks the coordinator reads phase outputs
 // through: checkPhase1 (for a mode of size 4 at rank 2) and partialOf (at
 // partialShape). Neither may panic, and a Phase 3 list partialOf accepts
-// re-encodes through partialMatrices to the same values.
+// is the core and one count — never the retired [holey, rejected] row —
+// and re-encodes through partialMatrices to the same values.
 func FuzzPhaseArtifact(f *testing.F) {
 	gram, factor := mat.New(4, 4), mat.New(4, 2)
 	for _, ms := range [][]*mat.Matrix{
@@ -300,8 +303,8 @@ func FuzzPhaseArtifact(f *testing.F) {
 	} {
 		f.Add(matrixBytes(ms))
 	}
-	intact, holey, rejected, rejectedOnly := partialFixtures()
-	for _, part := range []core.Partial{intact, holey, rejected, rejectedOnly} {
+	intact, holey, most := partialFixtures()
+	for _, part := range []core.Partial{intact, holey, most} {
 		f.Add(matrixBytes(partialMatrices(part)))
 	}
 	for _, mutate := range corruptPartials {
@@ -314,6 +317,9 @@ func FuzzPhaseArtifact(f *testing.F) {
 		part, err := partialOf(ms, partialShape)
 		if err != nil {
 			return
+		}
+		if len(ms) != 2 || len(ms[1].Data) != 1 {
+			t.Fatalf("accepted %d matrices, counts row %v; want the core and one count", len(ms), ms[len(ms)-1].Data)
 		}
 		again := partialMatrices(part)
 		if len(again) != len(ms) {

@@ -24,11 +24,11 @@ var pool = struct {
 }{idle: make(map[string]*fleet)}
 
 // signature is the pool key: everything a worker process is started with —
-// its command line, the fleet's size and heartbeat period, and the listen
-// address. It is "" — a dedicated fleet, shut down after
-// its one campaign — under a kill plan or WorkerEnv, whose chaos and test
-// hooks doom or sabotage workers, and on a fixed listen port, which a
-// pooled fleet would hold against every other signature.
+// its command line, the fleet's size and the listen address. It is "" — a
+// dedicated fleet, shut down after its one campaign — under a kill plan or
+// WorkerEnv, whose chaos and test hooks doom or sabotage workers, and on a
+// fixed listen port, which a pooled fleet would hold against every other
+// signature.
 func signature(opts Options, argv []string) string {
 	if _, port, err := net.SplitHostPort(opts.Addr); err != nil || (port != "" && port != "0") {
 		return ""
@@ -36,7 +36,7 @@ func signature(opts Options, argv []string) string {
 	if opts.Kill.Enabled() || len(opts.WorkerEnv) > 0 {
 		return ""
 	}
-	return fmt.Sprintf("%q|%d|%s|%s", argv, opts.Workers, opts.HeartbeatInterval, opts.Addr)
+	return fmt.Sprintf("%q|%d|%s", argv, opts.Workers, opts.Addr)
 }
 
 // checkout leases a fleet for one campaign: the pooled one of its

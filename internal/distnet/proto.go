@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -23,15 +24,12 @@ type helloMsg struct {
 }
 
 // jobSpec is the run-wide geometry every task carries: the stitch spec, the
-// sampled grid's size, the fixed shard count and whether the coordinator's
-// sub-tensors quarantine non-finite values — a flag the store does not
-// persist, which the worker arms on the sub-tensors it loads. All are pure
-// values — two workers given the same spec compute byte-identical artifacts.
+// sampled grid's size and the fixed shard count. All are pure values — two
+// workers given the same spec compute byte-identical artifacts.
 type jobSpec struct {
-	Join            stitch.Spec  `json:"join"`
-	Sampled         core.Sampled `json:"sampled"`
-	Shards          int          `json:"shards"`
-	RejectNonFinite bool         `json:"reject_non_finite,omitempty"`
+	Join    stitch.Spec  `json:"join"`
+	Sampled core.Sampled `json:"sampled"`
+	Shards  int          `json:"shards"`
 }
 
 // taskMsg leases one task to a worker. Dir is the job's catalog and Job its
@@ -77,10 +75,10 @@ type heartbeatMsg struct {
 // them. Every task writes exactly one output object, named after the job
 // and the task (objectName): the job key hashes everything the output
 // depends on — the Phase 3 layout, fusion method, clipped ranks, shard
-// count, zero-join, sampled grid, the quarantine flag and both inputs'
-// store checksums — so a WorkDir that another campaign used holds nothing
-// this one can mistake for its own, and the resume check stays "does my
-// output load" with no manifest beside it.
+// count, zero-join, sampled grid and both inputs' store checksums — so a
+// WorkDir that another campaign used holds nothing this one can mistake
+// for its own, and the resume check stays "does my output load" with no
+// manifest beside it.
 const objFactors = "factors"
 
 var objSubs = [2]string{"in-sub1", "in-sub2"}
@@ -100,41 +98,36 @@ func checkPhase1(ms []*mat.Matrix, size, rank int) error {
 }
 
 // partialMatrices is a Phase 3 output object: the shard's core-sized
-// partial, then one counts row — its holey groups, then the values it
-// rejected.
+// partial, then a one-count row — its holey groups.
 func partialMatrices(p core.Partial) []*mat.Matrix {
 	row := func(data ...float64) *mat.Matrix { return &mat.Matrix{Rows: 1, Cols: len(data), Data: data} }
-	return []*mat.Matrix{row(p.G.Data...), row(float64(p.Holey), float64(p.Rejected))}
+	return []*mat.Matrix{row(p.G.Data...), row(float64(p.Holey))}
 }
 
 // partialOf reads a Phase 3 output object back, checking the partial's
-// length against the core shape the job's ranks give and that both counts
-// are integers in [0, MaxInt32] (not -0: an accepted object re-encodes to
-// its own bits).
+// length against the core shape the job's ranks give and that the count is
+// an integer in [0, MaxInt32] (not -0: an accepted object re-encodes to its
+// own bits).
 func partialOf(ms []*mat.Matrix, shape tensor.Shape) (core.Partial, error) {
-	if len(ms) != 2 || len(ms[0].Data) != shape.NumElements() || len(ms[1].Data) != 2 {
-		return core.Partial{}, fmt.Errorf("want a %v partial and two counts: %w", shape, store.ErrCorrupt)
+	if len(ms) != 2 || len(ms[0].Data) != shape.NumElements() || len(ms[1].Data) != 1 {
+		return core.Partial{}, fmt.Errorf("want a %v partial and one count: %w", shape, store.ErrCorrupt)
 	}
-	var n [2]int
-	for i, v := range ms[1].Data {
-		whole, frac := math.Modf(v)
-		if frac != 0 || math.Signbit(whole) || whole > math.MaxInt32 {
-			return core.Partial{}, fmt.Errorf("count %v: %w", v, store.ErrCorrupt)
-		}
-		n[i] = int(whole)
+	whole, frac := math.Modf(ms[1].Data[0])
+	if frac != 0 || math.Signbit(whole) || whole > math.MaxInt32 {
+		return core.Partial{}, fmt.Errorf("count %v: %w", ms[1].Data[0], store.ErrCorrupt)
 	}
-	return core.Partial{G: &tensor.Dense{Shape: shape.Clone(), Data: ms[0].Data}, Holey: n[0], Rejected: n[1]}, nil
+	return core.Partial{G: &tensor.Dense{Shape: shape.Clone(), Data: ms[0].Data}, Holey: int(whole)}, nil
 }
 
 // partialLayout names the Phase 3 object layout; it is part of every job
 // key, so a catalog written under another layout holds nothing a resumed
 // job reads.
-const partialLayout = "core+counts"
+const partialLayout = "core+holey"
 
 // jobKey is the identity a job's artifacts are named under.
 func jobKey(method core.Method, ranks []int, spec jobSpec, inputs [2]uint32) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%v|%d|%t|%v|%t|%08x", partialLayout, method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, spec.RejectNonFinite, inputs)
+	fmt.Fprintf(h, "%s|%s|%v|%d|%t|%v|%08x", partialLayout, method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, inputs)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -150,7 +143,11 @@ func taskKey(id string) uint64 {
 const (
 	envAddr    = "M2TD_DISTNET_ADDR"
 	envID      = "M2TD_DISTNET_ID"
-	envBeat    = "M2TD_DISTNET_BEAT"
 	envKill    = "M2TD_DISTNET_KILL"
 	envCorrupt = "M2TD_DISTNET_CORRUPT"
 )
+
+// heartbeatInterval is the workers' beat period and the coordinator's
+// lease-check period. Coordinator and workers are one binary, so both
+// read it here.
+const heartbeatInterval = 250 * time.Millisecond

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/store"
 	"repro/internal/tucker"
 )
 
@@ -106,34 +108,23 @@ func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 	}
 }
 
-// TestDistNetQuarantineParity: a non-finite value planted behind the ingest
-// guard of a quarantining sub-tensor is a hole on both executors — the
-// store does not keep the flag, the job spec does. A pair with holes and
-// one NaN, sharded in three, gets core.DecomposeFactored's core, factors and
-// Rejected count from the process engine, bit for bit.
-func TestDistNetQuarantineParity(t *testing.T) {
+// TestDistNetRejectsNonFiniteInput: the kernels take finite values only,
+// and the worker is where the sub-tensors' bytes enter a process. A NaN
+// planted behind the ingest guard of a quarantining sub-tensor — which the
+// store writes as it is — fails every task that loads it, and with them
+// the campaign: an error naming the object, never a core.
+func TestDistNetRejectsNonFiniteInput(t *testing.T) {
 	p := holed(tinyPartition(t, 1, 234), func(side, e int) bool { return side == 1 && e%4 == 0 })
 	x2 := p.Sub2.Tensor
 	x2.RejectNonFinite = true
 	x2.Vals[x2.NNZ()/2] = math.NaN()
-	ranks := tucker.UniformRanks(5, 2)
-
-	want, err := core.DecomposeFactored(p, core.Options{Method: core.AVG, Ranks: ranks, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
+	opts := Options{Method: core.AVG, Ranks: tucker.UniformRanks(5, 2), Workers: 2, Shards: 3, WorkDir: t.TempDir()}
+	res, err := Decompose(context.Background(), p, opts)
+	if err == nil {
+		t.Fatalf("a NaN input decomposed to a core (finite: %v)", !math.IsNaN(res.Core.Norm()))
 	}
-	got := runDistNet(t, p, Options{Method: core.AVG, Ranks: ranks, Workers: 2, Shards: 3})
-	if want.Rejected != 1 || got.Rejected != want.Rejected {
-		t.Fatalf("rejected %d on the process engine, %d in process; want the planted value once", got.Rejected, want.Rejected)
-	}
-	for _, v := range want.Core.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("in-process core is not finite: the planted value was summed")
-		}
-	}
-	sameBits(t, "core", got.Core.Data, want.Core.Data)
-	for m := range want.Factors {
-		sameBits(t, fmt.Sprintf("factor %d", m), got.Factors[m].Data, want.Factors[m].Data)
+	if msg := err.Error(); !strings.Contains(msg, objSubs[1]) || !strings.Contains(msg, store.ErrCorrupt.Error()) {
+		t.Fatalf("err %q: want it to name %s as corrupt", msg, objSubs[1])
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -35,7 +36,6 @@ import (
 type workerConfig struct {
 	Addr string // coordinator address
 	ID   int
-	Beat time.Duration // heartbeat period
 
 	Kill    faults.KillSpec // seeded chaos plan; this worker checks its own doom
 	Corrupt bool            // test hook: first result goes out CRC-corrupted
@@ -53,7 +53,6 @@ func MaybeWorker() {
 	}
 	cfg := workerConfig{
 		Addr:    addr,
-		Beat:    250 * time.Millisecond,
 		Corrupt: os.Getenv(envCorrupt) != "" && os.Getenv(envCorrupt) == os.Getenv(envID),
 	}
 	var err error
@@ -64,11 +63,6 @@ func MaybeWorker() {
 	if cfg.Kill, err = faults.ParseKillSpec(os.Getenv(envKill)); err != nil {
 		fmt.Fprintf(os.Stderr, "m2td worker: bad %s: %v\n", envKill, err)
 		os.Exit(1)
-	}
-	if b := os.Getenv(envBeat); b != "" {
-		if d, err := time.ParseDuration(b); err == nil && d > 0 {
-			cfg.Beat = d
-		}
 	}
 	//lint:allow ctxprop -- process entry point: the worker's root context.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -154,7 +148,7 @@ func runWorker(ctx context.Context, cfg workerConfig) error {
 	beatsDone := make(chan struct{})
 	defer close(beatsDone)
 	go func() {
-		tick := time.NewTicker(cfg.Beat)
+		tick := time.NewTicker(heartbeatInterval)
 		defer tick.Stop()
 		for {
 			select {
@@ -295,9 +289,10 @@ func (w *workerState) outputDurable(task taskMsg) bool {
 	return err == nil
 }
 
-// sub loads (and caches) input sub-tensor kappa (1 or 2), with the job's
-// divergence quarantine armed as the coordinator's tensors had it.
-func (w *workerState) sub(kappa int, spec jobSpec) (*tensor.Sparse, error) {
+// sub loads (and caches) input sub-tensor kappa (1 or 2). The kernels
+// take finite values only, which the coordinator's ingest guaranteed; a
+// non-finite value in the object is store.ErrCorrupt, never a hole.
+func (w *workerState) sub(kappa int) (*tensor.Sparse, error) {
 	if x := w.subs[kappa-1]; x != nil {
 		return x, nil
 	}
@@ -306,7 +301,12 @@ func (w *workerState) sub(kappa int, spec jobSpec) (*tensor.Sparse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distnet: input %s: %w", name, err)
 	}
-	x.RejectNonFinite = spec.RejectNonFinite
+	for e, v := range x.Vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			idx, _ := x.Entry(e)
+			return nil, fmt.Errorf("distnet: input %s: value %v at %v: %w", name, v, idx, store.ErrCorrupt)
+		}
+	}
 	w.subs[kappa-1] = x
 	return x, nil
 }
@@ -314,8 +314,8 @@ func (w *workerState) sub(kappa int, spec jobSpec) (*tensor.Sparse, error) {
 // pair loads both sub-tensors and checks the task's stitch spec against
 // them, so no pivot key the shard kernel computes can fall outside it.
 func (w *workerState) pair(task taskMsg) (x1, x2 *tensor.Sparse, err error) {
-	x1, err1 := w.sub(1, task.Spec)
-	x2, err2 := w.sub(2, task.Spec)
+	x1, err1 := w.sub(1)
+	x2, err2 := w.sub(2)
 	if err := errors.Join(err1, err2); err != nil {
 		return nil, nil, err
 	}
@@ -347,7 +347,7 @@ func (w *workerState) fused(shape tensor.Shape) ([]*mat.Matrix, error) {
 // matrix and its leading eigenvectors, saved together (CONCAT fusion
 // needs the Gram).
 func (w *workerState) execFactor(task taskMsg, doomed bool) error {
-	x, err := w.sub(task.Kappa, task.Spec)
+	x, err := w.sub(task.Kappa)
 	if err != nil {
 		return err
 	}

@@ -147,7 +147,7 @@ func CellsPair(w *ode.Workspace, sys System, a, b []float64, ref [][]float64, ds
 // CtxSystem (fault injection, external solvers) is simulated via its
 // TrajectoryCtx and can fail or be cancelled mid-campaign. Divergent
 // (non-finite) trajectories flow through untouched — quarantining them is
-// the ingest layer's job (tensor.Sparse RejectNonFinite), which keeps the
+// the ingest layer's job (tensor.Sparse's quarantine), which keeps the
 // failure accounting in one place.
 func CellsCtx(ctx context.Context, w *ode.Workspace, sys System, vals []float64, ref [][]float64, dst []float64) error {
 	if err := ctx.Err(); err != nil {

@@ -1,8 +1,8 @@
 // Package quarantine is the backing-slice golden package. It imports the
 // real repro/internal/tensor package, so the analyzer's type-identity
-// matching (Sparse.Vals/Idx, Dense.Data) is exercised against the actual
-// types — and the lookalike struct below proves the match is by type,
-// not by field name.
+// matching (Sparse.Vals/Idx) is exercised against the actual type — and
+// the lookalike struct below proves the match is by type, not by field
+// name.
 package quarantine
 
 import "repro/internal/tensor"
@@ -24,10 +24,6 @@ func incVals(sp *tensor.Sparse) {
 
 func reassignIdx(sp *tensor.Sparse) {
 	sp.Idx = sp.Idx[:0] // want `\[quarantine\] direct write to Sparse\.Idx`
-}
-
-func writeDense(d *tensor.Dense) {
-	d.Data[3] = 4 // want `\[quarantine\] direct write to Dense\.Data`
 }
 
 func copyInto(sp *tensor.Sparse, src []float64) {
@@ -58,12 +54,10 @@ func copyOut(sp *tensor.Sparse, dst []float64) {
 
 type lookalike struct {
 	Vals []float64
-	Data []float64
 }
 
 func writeLookalike(l *lookalike) {
 	l.Vals[0] = 1
-	l.Data[0] = 2
 }
 
 // suppression: a kernel write carrying its finiteness proof.

@@ -50,9 +50,6 @@ func (s *Server) run(ctx context.Context, j *job) {
 	cfg := j.cfg
 	cfg.CheckpointDir = s.simsDir(j.simHash)
 	cfg.Resume = true
-	if s.opts.ConfigHook != nil {
-		s.opts.ConfigHook(&cfg)
-	}
 	timeout := time.Duration(j.timeoutMS) * time.Millisecond
 	if timeout == 0 {
 		timeout = s.opts.JobTimeout

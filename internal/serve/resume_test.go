@@ -15,8 +15,9 @@ import (
 // killedCampaign starts a server whose every simulation is slowed by
 // injected latency and submits tinySpec under a deadline it cannot meet: the
 // returned spec's campaign has failed and left a partial sims catalog
-// behind. The hook runs after fingerprinting and is identical for every
-// job, so the catalog stays compatible across attempts.
+// behind. The Runner wraps m2td.RunCtx after fingerprinting and sets the
+// same values for every job, so the catalog stays compatible across
+// attempts.
 func killedCampaign(t *testing.T) (*api.Client, api.CampaignSpec, string) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
@@ -27,9 +28,10 @@ func killedCampaign(t *testing.T) (*api.Client, api.CampaignSpec, string) {
 		Store:    st,
 		Registry: obs.NewRegistry(),
 		Parallel: 1,
-		ConfigHook: func(cfg *m2td.Config) {
+		Runner: func(ctx context.Context, cfg m2td.Config) (*m2td.Report, error) {
 			cfg.CheckpointEvery = 1
 			cfg.Faults = &faults.Config{Seed: 1, LatencyRate: 1, Latency: 10 * time.Millisecond}
+			return m2td.RunCtx(ctx, cfg)
 		},
 	})
 	if err != nil {

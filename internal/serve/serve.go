@@ -102,11 +102,6 @@ type Options struct {
 	Registry *obs.Registry
 	// Runner overrides campaign execution (default m2td.RunCtx).
 	Runner Runner
-	// ConfigHook, when non-nil, mutates each campaign's resolved config
-	// just before execution — the test seam for fault injection and
-	// checkpoint tuning. It runs after fingerprinting: mutations must not
-	// change the result, only how it is computed.
-	ConfigHook func(*m2td.Config)
 }
 
 func (o Options) withDefaults() Options {
@@ -181,9 +176,7 @@ func New(opts Options) (*Server, error) {
 		wake:       make(chan struct{}, 1),
 	}
 	if s.runner == nil {
-		s.runner = func(ctx context.Context, cfg m2td.Config) (*m2td.Report, error) {
-			return m2td.RunCtx(ctx, cfg)
-		}
+		s.runner = m2td.RunCtx
 	}
 	s.metrics = newMetrics(opts.Registry, s)
 	return s, nil

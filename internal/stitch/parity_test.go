@@ -70,17 +70,16 @@ func sortedCells(x *tensor.Sparse) (idx [][]int, vals []float64) {
 }
 
 // sameCells asserts a and b hold the same cells — same indices, same
-// value bits, same quarantine count — in whatever storage order: the
-// comparison for inputs whose storage is not lexicographic within a pivot
-// group, where the kernel's frozen order and the hash-join's storage order
-// legitimately differ.
+// value bits — in whatever storage order: the comparison for inputs whose
+// storage is not lexicographic within a pivot group, where the kernel's
+// frozen order and the hash-join's storage order legitimately differ.
 func sameCells(t *testing.T, name string, a, b *tensor.Sparse) {
 	t.Helper()
 	if !a.Shape.Equal(b.Shape) {
 		t.Fatalf("%s: shape %v vs %v", name, a.Shape, b.Shape)
 	}
-	if a.NNZ() != b.NNZ() || a.Rejected != b.Rejected {
-		t.Fatalf("%s: %d cells (%d rejected) vs %d (%d)", name, a.NNZ(), a.Rejected, b.NNZ(), b.Rejected)
+	if a.NNZ() != b.NNZ() {
+		t.Fatalf("%s: %d cells vs %d", name, a.NNZ(), b.NNZ())
 	}
 	ai, av := sortedCells(a)
 	bi, bv := sortedCells(b)
@@ -194,39 +193,48 @@ func TestBlockEmissionParityRaggedGroups(t *testing.T) {
 	}
 }
 
-// TestBlockEmissionParityQuarantine injects a NaN behind the ingest guard
-// of a quarantining sub-tensor: the join must equal the reference with
-// its non-finite cells removed (the reference predates the quarantine and
-// keeps them), and count each removed cell in Rejected — including the
-// cells dropped from the middle of an emission block.
+// TestBlockEmissionParityQuarantine: a divergent cell quarantined at
+// ingest from inside the shared pivot group leaves a hole in the middle of
+// its emission blocks. The join stitches around it — the hash-join
+// reference's cells on the same inputs — holds no non-finite value, and
+// carries no quarantine of its own.
 func TestBlockEmissionParityQuarantine(t *testing.T) {
 	for _, zero := range []bool{false, true} {
 		res := raggedResult(t, 410)
-		if !res.Sub2.Tensor.RejectNonFinite {
-			t.Fatal("Generate no longer arms the quarantine on sub-tensors")
-		}
 		// The last sub-2 entry of the shared pivot group (1): it sits
 		// inside every matched block of that group.
-		sub2 := res.Sub2.Tensor
-		for e := sub2.NNZ() - 1; e >= 0; e-- {
+		sub2, poisoned := res.Sub2.Tensor, -1
+		for e := sub2.NNZ() - 1; e >= 0 && poisoned < 0; e-- {
 			if idx, _ := sub2.Entry(e); idx[0] == 1 {
-				sub2.Vals[e] = math.NaN()
-				break
+				poisoned = e
 			}
 		}
-
-		ref := stitchHashJoin(res, zero)
-		want := tensor.NewSparse(ref.Shape)
-		want.RejectNonFinite = true
-		ref.Each(func(idx []int, v float64) { want.Append(idx, v) })
-		if want.Rejected == 0 {
-			t.Fatal("poisoned entry reached no join cell")
+		in := tensor.NewSparse(sub2.Shape)
+		in.RejectNonFinite = true
+		for e := range sub2.Vals {
+			idx, v := sub2.Entry(e)
+			if e == poisoned {
+				v = math.NaN()
+			}
+			in.Append(idx, v)
 		}
+		if in.Rejected != 1 {
+			t.Fatalf("ingest quarantined %d cells, want the divergent one", in.Rejected)
+		}
+		res.Sub2.Tensor = in
 
 		got := Join(res)
 		if zero {
 			got = ZeroJoin(res)
 		}
-		sameCells(t, "quarantined join", got, want)
+		sameCells(t, "quarantined join", got, stitchHashJoin(res, zero))
+		if got.RejectNonFinite || got.Rejected != 0 {
+			t.Fatalf("zero=%v: the join carries a quarantine (%v, %d)", zero, got.RejectNonFinite, got.Rejected)
+		}
+		for _, v := range got.Vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("zero=%v: the join holds %v", zero, v)
+			}
+		}
 	}
 }

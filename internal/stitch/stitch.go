@@ -228,10 +228,8 @@ func setColumns(blk []int, o int, modes, coords []int) {
 
 // Shard stitches the pivot groups with key % shards == shard out of the
 // two sub-tensors (sub-local mode order, pivots leading), in the package's
-// frozen emission order. The divergence quarantine propagates: if either
-// sub-tensor rejects non-finite cells the shard does too, so a NaN that
-// slipped past ingest (a direct Vals mutation) is dropped and counted at
-// emission instead of averaging into every matched pair of its pivot group.
+// frozen emission order. The sub-tensors hold finite values (ingest's
+// quarantine dropped the rest); nothing here tests a value.
 func (s Spec) Shard(x1, x2 *tensor.Sparse, shard, shards int) *tensor.Sparse {
 	o := len(s.Shape)
 	s1, s2 := s.shardSide(x1, shard, shards), s.shardSide(x2, shard, shards)
@@ -260,7 +258,6 @@ func (s Spec) Shard(x1, x2 *tensor.Sparse, shard, shards int) *tensor.Sparse {
 		}
 	})
 	j := tensor.NewSparse(s.Shape)
-	j.RejectNonFinite = x1.RejectNonFinite || x2.RejectNonFinite
 	j.Reserve(cells)
 
 	// Block templates of one pivot group: a row per side-2 cell in blk2

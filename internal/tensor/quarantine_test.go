@@ -49,20 +49,3 @@ func TestSparseCloneCarriesQuarantine(t *testing.T) {
 		t.Fatalf("Clone shares accounting: clone=%d orig=%d", c.Rejected, s.Rejected)
 	}
 }
-
-func TestDenseSetRejectNonFinite(t *testing.T) {
-	d := NewDense(Shape{2, 2})
-	d.RejectNonFinite = true
-	d.Set(1.0, 0, 0)
-	d.Set(math.NaN(), 0, 1)
-	d.Set(math.Inf(1), 1, 0)
-	if d.Rejected != 2 {
-		t.Fatalf("Rejected = %d, want 2", d.Rejected)
-	}
-	if d.At(0, 1) != 0 || d.At(1, 0) != 0 {
-		t.Fatalf("quarantined cells were written: %v", d.Data)
-	}
-	if d.At(0, 0) != 1.0 {
-		t.Fatalf("finite cell lost: %v", d.At(0, 0))
-	}
-}

@@ -125,14 +125,6 @@ func (s Shape) MatricizeCols(n int) int {
 type Dense struct {
 	Shape Shape
 	Data  []float64
-
-	// RejectNonFinite makes Set drop NaN/±Inf values (counted in
-	// Rejected) — the dense-side divergence quarantine used by stitching
-	// and ingest paths that assemble cells one at a time. Kernels that
-	// write Data directly are unaffected.
-	RejectNonFinite bool
-	// Rejected counts values dropped by RejectNonFinite.
-	Rejected int
 }
 
 // NewDense returns a zero dense tensor with the given shape.
@@ -151,15 +143,8 @@ func DenseFromSlice(shape Shape, data []float64) *Dense {
 // At returns the element at the multi-index.
 func (d *Dense) At(idx ...int) float64 { return d.Data[d.Shape.LinearIndex(idx)] }
 
-// Set assigns the element at the multi-index. With RejectNonFinite set,
-// NaN/±Inf values are quarantined (dropped and counted) instead of stored.
-func (d *Dense) Set(v float64, idx ...int) {
-	if d.RejectNonFinite && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		d.Rejected++
-		return
-	}
-	d.Data[d.Shape.LinearIndex(idx)] = v
-}
+// Set assigns the element at the multi-index.
+func (d *Dense) Set(v float64, idx ...int) { d.Data[d.Shape.LinearIndex(idx)] = v }
 
 // Clone returns a deep copy.
 func (d *Dense) Clone() *Dense {

@@ -3,6 +3,7 @@ package m2td
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -45,8 +46,10 @@ func (r *TuckerResult) Fit(x *tensor.Sparse) (float64, error) {
 // with HOOI sweeps) over a raw sparse tensor with cooperative cancellation
 // — the facade entry point for tensors that did not come out of the M2TD
 // pipeline, so CLI tools and the campaign server never call
-// internal/tucker directly. The ranks are checked and the context polled
-// before the kernels run; only HOOI's sweeps observe it after.
+// internal/tucker directly. The ranks are checked, the values too — the
+// kernels' Grams need a finite squared norm, so a NaN, ±Inf or a cell
+// near 1e200 is an error, not a NaN fit — and the context polled before
+// the kernels run; only HOOI's sweeps observe it after.
 func TuckerCtx(ctx context.Context, x *tensor.Sparse, opts TuckerOptions) (*TuckerResult, error) {
 	if x == nil || x.Order() == 0 {
 		return nil, fmt.Errorf("m2td: TuckerCtx needs a non-empty tensor")
@@ -65,6 +68,9 @@ func TuckerCtx(ctx context.Context, x *tensor.Sparse, opts TuckerOptions) (*Tuck
 		if r <= 0 {
 			return nil, fmt.Errorf("m2td: Ranks[%d] = %d must be positive", n, r)
 		}
+	}
+	if norm := x.Norm(); math.IsNaN(norm) || math.IsInf(norm, 0) {
+		return nil, fmt.Errorf("m2td: TuckerCtx needs a tensor with a finite norm, got %v", norm)
 	}
 	res := &TuckerResult{}
 	err := runStage(ctx, opts.Trace, "tucker", "tucker", func(ctx context.Context, span *obs.Span) (err error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -143,6 +144,26 @@ func TestTuckerCtxRejectsBadRanks(t *testing.T) {
 		_, err := TuckerCtx(context.Background(), facadeTestTensor(), c.opts)
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%+v: want an error naming %s, got %v", c.opts, c.field, err)
+		}
+	}
+}
+
+// TestTuckerCtxRejectsNonFiniteNorm: a NaN cell, or finite cells whose
+// squared norm overflows, would reach the Grams and come back as a NaN
+// fit; TuckerCtx refuses both before any kernel runs.
+func TestTuckerCtxRejectsNonFiniteNorm(t *testing.T) {
+	nan := facadeTestTensor()
+	nan.Append([]int{1, 0, 0}, math.NaN())
+	huge := tensor.NewSparse(tensor.Shape{3, 3, 3})
+	for i := range 3 {
+		huge.Append([]int{i, i, i}, 1e200)
+	}
+	for name, x := range map[string]*tensor.Sparse{"NaN": nan, "1e200": huge} {
+		for _, hooi := range []bool{false, true} {
+			res, err := TuckerCtx(context.Background(), x, TuckerOptions{Rank: 2, HOOI: hooi})
+			if err == nil || !strings.HasPrefix(err.Error(), "m2td: ") {
+				t.Errorf("%s hooi=%v: want an m2td error, got %v (result %v)", name, hooi, err, res)
+			}
 		}
 	}
 }
