@@ -123,8 +123,9 @@ perf:
 # log, control-plane frames, the task/result payloads inside a valid
 # frame, and the phase artifacts the coordinator reads back), campaign
 # identity (api.CampaignSpec JSON → Config.SimFingerprint /
-# Fingerprint, which name shared store objects), and the submit request
-# bodies the server decodes (a config or invalid_request, never a 5xx).
+# Fingerprint, which name shared store objects), the submit request
+# bodies the server decodes (a config or invalid_request, never a 5xx),
+# and tensorstore import's CSV (an error, or finite cells in range).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLinearIndexRoundtrip -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzDedupPreservesSum -fuzztime=10s ./internal/tensor
@@ -138,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPhaseArtifact -fuzztime=10s ./internal/distnet
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpecFingerprint -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzSubmitBody -fuzztime=10s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzImportCSV -fuzztime=10s ./cmd/tensorstore
 
 # Observability acceptance drill (mirrors the CI `obs` job): run a faulted
 # pipeline with a live metrics listener and a JSONL trace sink, assert the

@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -259,7 +260,8 @@ func rm(st *store.Store, args []string) error {
 
 // importCmd reads CSV rows of "idx0,idx1,…,value" (an optional header row
 // is skipped) from r and stores them as a sparse tensor with the given
-// shape — the inverse of dump.
+// shape — the inverse of dump. A NaN or ±Inf value is refused with its
+// row, and nothing is stored: no kernel takes one.
 func importCmd(st *store.Store, args []string, r io.Reader) error {
 	fs := flag.NewFlagSet("import", flag.ExitOnError)
 	name := fs.String("name", "", "object name (required)")
@@ -310,6 +312,9 @@ func importCmd(st *store.Store, args []string, r io.Reader) error {
 		v, err := strconv.ParseFloat(strings.TrimSpace(row[order]), 64)
 		if err != nil {
 			return fmt.Errorf("import: row %d value: %v", rowNum, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("import: row %d value %v is not finite", rowNum, v)
 		}
 		t.Append(idx, v)
 	}

@@ -217,13 +217,63 @@ func TestImportValidation(t *testing.T) {
 	if err := importCmd(st, []string{"-name", "x", "-shape", "0,2"}, strings.NewReader("")); err == nil {
 		t.Fatal("bad shape accepted")
 	}
-	if err := importCmd(st, []string{"-name", "x", "-shape", "2,2"}, strings.NewReader("9,0,1\n")); err == nil {
-		t.Fatal("out-of-range index accepted")
+	for _, c := range []struct{ what, body, row string }{
+		{"out-of-range index", "9,0,1\n", "row 1"},
+		{"short row", "0,0\n", "row 1"},
+		{"bad value", "0,0,zap\n", "row 1"},
+		{"NaN", "0,0,NaN\n", "row 1"},
+		{"+Inf", "i,j,value\n0,1,+Inf\n", "row 2"},
+		{"-Inf", "1,0,2.5\n1,1,-Inf\n", "row 2"},
+		{"nan", "0,0,1\n1,1,0.5\n0,1,nan\n", "row 3"},
+	} {
+		err := importCmd(st, []string{"-name", "x", "-shape", "2,2"}, strings.NewReader(c.body))
+		if err == nil || !strings.Contains(err.Error(), c.row) {
+			t.Fatalf("%s: error %v, want one naming %s", c.what, err, c.row)
+		}
+		if names, _ := st.List(); slices.Contains(names, "x") {
+			t.Fatalf("%s: refused, yet stored", c.what)
+		}
 	}
-	if err := importCmd(st, []string{"-name", "x", "-shape", "2,2"}, strings.NewReader("0,0\n")); err == nil {
-		t.Fatal("short row accepted")
+}
+
+// FuzzImportCSV: whatever the CSV body, import either fails or stores a
+// tensor every kernel can take — finite values, indices inside the shape —
+// and never panics.
+func FuzzImportCSV(f *testing.F) {
+	for _, body := range []string{
+		"i,j,k,value\n0,0,0,1.5\n2,3,1,-0.5\n",
+		"0,0,0,NaN\n", "1,1,1,+Inf\n", "2,0,1,-inf\n", "0,3,0,nan\n", "0,0,0,1e200\n",
+		"2,3,1,1e-300\n0,0\n", "\"0\",1,1,2\n", "3,0,0,1\n", "-1,0,0,1\n", "",
+	} {
+		f.Add(body)
 	}
-	if err := importCmd(st, []string{"-name", "x", "-shape", "2,2"}, strings.NewReader("0,0,zap\n")); err == nil {
-		t.Fatal("bad value accepted")
+	shape := tensor.Shape{3, 4, 2}
+	st, err := store.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Fuzz(func(t *testing.T, body string) {
+		_ = st.Delete("x")
+		if err := importCmd(st, []string{"-name", "x", "-shape", "3,4,2"}, strings.NewReader(body)); err != nil {
+			return
+		}
+		x, err := st.LoadSparse("x")
+		if err != nil {
+			t.Fatalf("imported, then: %v", err)
+		}
+		if !slices.Equal(x.Shape, shape) {
+			t.Fatalf("stored shape %v, want %v", x.Shape, shape)
+		}
+		for e := 0; e < x.NNZ(); e++ {
+			idx, v := x.Entry(e)
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("cell %v stored %v", idx, v)
+			}
+			for k, i := range idx {
+				if i < 0 || i >= shape[k] {
+					t.Fatalf("cell %v outside shape %v", idx, shape)
+				}
+			}
+		}
+	})
 }

@@ -3,8 +3,9 @@
 # client commands, exercised as a binary (`make tensorstore-smoke`, and the
 # CI serve job). Build once; over a scratch store put an ensemble, decompose
 # it by HOSVD and by HOOI, read the result back with info, and check that a
-# bad -rank, the removed -sketch flag and an imported NaN cell make
-# decompose exit non-zero and that two puts with one -seed dump the same
+# bad -rank, the removed -sketch flag and an imported cell whose square
+# overflows make decompose exit non-zero, that import refuses a NaN cell
+# and stores nothing, and that two puts with one -seed dump the same
 # tensor. Then serve on a free port, submit a
 # campaign, submit it again (must be absorbed, not recomputed), stats,
 # submit with a pivot the system lacks (must be refused as
@@ -49,14 +50,23 @@ grep -q '^tensorstore: ' "$tmp/badrank.err" && ! grep -q 'goroutine ' "$tmp/badr
 if store decompose -name ens -out bad -sketch 0.1 > "$tmp/sketch.out" 2> "$tmp/sketch.err"; then
 	fail "decompose accepted the removed -sketch flag"
 fi
-# A NaN cell is refused before any kernel runs, not stored with fit NaN.
-printf 'i,j,k,value\n0,0,0,1.5\n1,1,1,NaN\n2,0,1,-0.5\n' |
-	store import -name nan -shape 3,3,3 > "$tmp/import.out" 2> "$tmp/import.err" || fail "import failed"
-if store decompose -name nan -out bad -rank 2 > "$tmp/nan.out" 2> "$tmp/nan.err"; then
-	fail "decompose of a NaN cell exited 0"
+# A NaN cell is refused at import, and nothing is stored.
+if printf 'i,j,k,value\n0,0,0,1.5\n1,1,1,NaN\n2,0,1,-0.5\n' |
+	store import -name nan -shape 3,3,3 > "$tmp/import.out" 2> "$tmp/import.err"; then
+	fail "import of a NaN cell exited 0"
 fi
-grep -q '^tensorstore: ' "$tmp/nan.err" && ! grep -q '^stored ' "$tmp/nan.out" "$tmp/nan.err" ||
-	fail "decompose of a NaN cell did not fail with a tensorstore: line alone"
+grep -q '^tensorstore: .*row 3' "$tmp/import.err" || fail "import of a NaN cell did not fail with a tensorstore: line naming its row"
+store ls > "$tmp/ls.out" 2> "$tmp/ls.err" || fail "ls failed"
+! grep -qw 'nan' "$tmp/ls.out" || fail "the refused NaN import is listed"
+# A finite cell whose square overflows gets past import; TuckerCtx refuses
+# its non-finite norm before any kernel runs, not stored with fit NaN.
+printf 'i,j,k,value\n0,0,0,1e200\n2,0,1,-0.5\n' |
+	store import -name huge -shape 3,3,3 > "$tmp/import.out" 2> "$tmp/import.err" || fail "import of 1e200 failed"
+if store decompose -name huge -out bad -rank 2 > "$tmp/huge.out" 2> "$tmp/huge.err"; then
+	fail "decompose of a 1e200 cell exited 0"
+fi
+grep -q '^tensorstore: ' "$tmp/huge.err" && ! grep -q '^stored ' "$tmp/huge.out" "$tmp/huge.err" ||
+	fail "decompose of a 1e200 cell did not fail with a tensorstore: line alone"
 # A seed samples the same simulations every time: two puts, one tensor.
 for name in seed7a seed7b; do
 	store put -name $name -res 4 -samples 3 -budget 20 -seed 7 > "$tmp/put.out" 2> "$tmp/put.err" ||

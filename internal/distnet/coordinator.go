@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,16 +20,16 @@ import (
 // The coordinator side of the engine. A fleet is the long-lived part: the
 // listener, the worker processes, their connections and the reaper. A job
 // (distnet.go) is one campaign on it, driving each phase through a
-// single-goroutine event loop that leases tasks, tracks heartbeats, and
-// re-leases work lost to dead, hung, or garbage-speaking workers.
+// single-goroutine event loop that leases tasks, tracks heartbeats,
+// re-leases work lost to dead, hung, or garbage-speaking workers, and fails
+// the phase on a task error.
 
 // task is one unit of phase work as the coordinator tracks it.
 type task struct {
 	msg      taskMsg
-	attempts int // leases so far (bounded by Retry.MaxAttempts)
+	attempts int // leases so far; each re-lease follows a lost worker
 	done     bool
 	result   resultMsg
-	lastErr  string    // the last task error a worker reported
 	span     *obs.Span // phase open → result accepted
 }
 
@@ -40,7 +41,6 @@ const (
 	evDone
 	evTaskErr
 	evDead
-	evRequeue
 	evProcExit
 )
 
@@ -48,8 +48,7 @@ type event struct {
 	kind   eventKind
 	wc     *workerConn
 	res    resultMsg
-	taskID string // evRequeue
-	reason string // evDead detail, for the trace
+	reason string // evDead: why the worker is lost
 }
 
 // workerConn is one connected worker. Mutable fields are guarded by the
@@ -309,9 +308,11 @@ func (f *fleet) readLoop(wc *workerConn) {
 }
 
 // runPhase executes one phase's tasks to completion. Leases go to idle
-// live workers FIFO; a lost worker's in-flight task is re-leased to a
-// survivor after RetryPolicy backoff; the phase fails only when a task
-// exhausts its attempts or every worker process is gone. It records the
+// live workers FIFO. A lost worker — its connection failed, or its lease
+// expired — is quarantined and its in-flight task goes back on the queue at
+// once for a survivor: each loss removes a worker for good, so a task is
+// leased at most Workers times, and the phase fails when every worker is
+// lost. A task error from a live worker fails the phase at once. It records the
 // phase on ps, which its caller opened: the task count as a counter,
 // scheduling values as gauges, and one child per task, started here in
 // task order (a deterministic skeleton) and finished when the task's
@@ -344,63 +345,27 @@ func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*
 	if err := ctx.Err(); err != nil {
 		return stats, err
 	}
-	byID := make(map[string]*task, len(tasks))
-	queue := make([]*task, 0, len(tasks))
-	for _, t := range tasks {
-		byID[t.msg.ID] = t
-		queue = append(queue, t)
-	}
+	queue := slices.Clone(tasks)
 	remaining := len(tasks)
-	pendingRequeues := 0
-	var timers []*time.Timer
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-	}()
+	lastLoss := "" // the latest lost worker and why, for "all workers lost"
 
-	var phaseErr error
-	fail := func(err error) {
-		if phaseErr == nil {
-			phaseErr = err
-		}
-	}
-
-	// quarantine removes a worker from rotation (idempotent) and
-	// schedules its in-flight task, if any, for re-lease.
-	quarantine := func(wc *workerConn, reason string) *task {
+	// quarantine removes a worker from rotation (idempotent) and puts its
+	// in-flight task, if any, back on the queue.
+	quarantine := func(wc *workerConn, reason string) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		if wc.quarantined {
-			return nil
+			return
 		}
 		wc.quarantined = true
 		stats.WorkersLost++
+		lastLoss = fmt.Sprintf("worker %d: %s", wc.id, reason)
 		wc.conn.Close()
-		t := wc.inflight
+		if t := wc.inflight; t != nil {
+			stats.Requeues++
+			queue = append(queue, t)
+		}
 		wc.inflight = nil
-		return t
-	}
-
-	requeue := func(t *task) {
-		if t == nil || t.done {
-			return
-		}
-		if t.attempts >= opts.Retry.MaxAttempts {
-			err := fmt.Errorf("distnet: %s: task %s failed after %d attempts", name, t.msg.ID, t.attempts)
-			if t.lastErr != "" {
-				err = fmt.Errorf("%w: %s", err, t.lastErr)
-			}
-			fail(err)
-			return
-		}
-		stats.Requeues++
-		pendingRequeues++
-		id := t.msg.ID
-		delay := opts.Retry.Backoff(taskKey(id), t.attempts)
-		timers = append(timers, time.AfterFunc(delay, func() {
-			f.emit(event{kind: evRequeue, taskID: id})
-		}))
 	}
 
 	// assign leases queued tasks to idle live workers. Sends happen
@@ -453,7 +418,7 @@ func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*
 	ticker := time.NewTicker(heartbeatInterval)
 	defer ticker.Stop()
 
-	for remaining > 0 && phaseErr == nil {
+	for remaining > 0 {
 		assign()
 
 		// No live workers and no process left to produce one: the
@@ -468,7 +433,7 @@ func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*
 		allJoined := f.connected >= len(f.procs)
 		f.mu.Unlock()
 		if live == 0 && (allJoined || f.procsLive.Load() == 0) {
-			return stats, fmt.Errorf("distnet: %s: all %d workers lost with %d tasks outstanding", name, len(f.procs), remaining)
+			return stats, fmt.Errorf("distnet: %s: all %d workers lost with %d tasks outstanding (last: %s)", name, len(f.procs), remaining, lastLoss)
 		}
 
 		select {
@@ -486,7 +451,7 @@ func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*
 			}
 			f.mu.Unlock()
 			for _, wc := range expired {
-				requeue(quarantine(wc, "lease expired"))
+				quarantine(wc, "lease expired")
 			}
 		case ev := <-f.events:
 			switch ev.kind {
@@ -514,28 +479,16 @@ func (j *job) runPhase(ctx context.Context, ps *obs.Span, name string, tasks []*
 			case evTaskErr:
 				f.mu.Lock()
 				t := ev.wc.inflight
-				if t != nil && t.msg.ID == ev.res.ID {
-					ev.wc.inflight = nil
-					ev.wc.lastBeat = time.Now()
-					t.lastErr = ev.res.Err
-				} else {
-					t = nil
-				}
 				f.mu.Unlock()
-				requeue(t)
-			case evDead:
-				requeue(quarantine(ev.wc, ev.reason))
-			case evRequeue:
-				if t := byID[ev.taskID]; t != nil {
-					pendingRequeues--
-					if !t.done {
-						queue = append(queue, t)
-					}
+				if t != nil && t.msg.ID == ev.res.ID {
+					return stats, fmt.Errorf("distnet: %s: task %s on worker %d: %s", name, t.msg.ID, ev.wc.id, ev.res.Err)
 				}
+			case evDead:
+				quarantine(ev.wc, ev.reason)
 			}
 		}
 	}
-	return stats, phaseErr
+	return stats, nil
 }
 
 // roster snapshots the worker fleet for Result.Workers, in id order: every

@@ -29,7 +29,8 @@ type Options struct {
 	ZeroJoin bool
 
 	// Workers is the worker-process count (default 1). The engine
-	// tolerates losing up to Workers-1 of them mid-run.
+	// tolerates losing up to Workers-1 of them mid-run: a lost worker's
+	// task goes to a survivor. A task error fails the campaign.
 	Workers int
 	// Shards is the task count of Phase 3 — THE determinism unit: shard
 	// assignment is pivot-key % Shards and merge order is ascending shard
@@ -59,10 +60,6 @@ type Options struct {
 	// for the whole fleet's hellos, so every victim gets the work it is
 	// to die on.
 	Kill faults.KillSpec
-	// Retry bounds task re-leases after a worker loss: MaxAttempts per
-	// task, backoff with seeded jitter between leases. The zero value
-	// defaults to max(3, Kill.Kills+2) attempts.
-	Retry faults.RetryPolicy
 	// LeaseTimeout quarantines a worker whose heartbeats stop without
 	// its connection dying (default 10s). SIGKILLed workers are caught
 	// faster, by the closed socket.
@@ -100,12 +97,6 @@ func (o Options) normalize() (Options, error) {
 			return o, fmt.Errorf("distnet: Kill.Kills %d must leave at least one of %d workers alive", o.Kill.Kills, o.Workers)
 		}
 	}
-	if o.Retry.MaxAttempts <= 0 {
-		o.Retry.MaxAttempts = 3
-		if o.Kill.Kills+2 > o.Retry.MaxAttempts {
-			o.Retry.MaxAttempts = o.Kill.Kills + 2
-		}
-	}
 	return o, nil
 }
 
@@ -117,7 +108,7 @@ type PhaseStats struct {
 	Tasks int
 	// Skipped counts tasks satisfied by an already-durable artifact.
 	Skipped int
-	// Requeues counts task re-leases after worker loss or task error.
+	// Requeues counts task re-leases, one at most per worker lost.
 	Requeues int
 	// WorkersLost counts workers quarantined during the phase.
 	WorkersLost int
@@ -212,9 +203,9 @@ func Decompose(ctx context.Context, p *partition.Result, opts Options) (*Result,
 }
 
 // reusable reports whether the campaign left its fleet as it found it: no
-// worker lost or quarantined, no task re-leased.
+// worker lost. A task is re-leased only after a loss.
 func (r *Result) reusable() bool {
-	return r.Phase1.WorkersLost+r.Phase3.WorkersLost+r.Phase1.Requeues+r.Phase3.Requeues == 0
+	return r.Phase1.WorkersLost+r.Phase3.WorkersLost == 0
 }
 
 // job is one campaign on a fleet: its options, its catalog, the geometry

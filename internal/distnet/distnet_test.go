@@ -65,11 +65,15 @@ func awaitEarlyWork() {
 }
 
 // refuseArg, as a worker's only argument (Options.WorkerArgv), makes the
-// worker answer every task it is leased with a task error.
-const refuseArg = "-distnet-refusing-worker"
+// worker answer every task it is leased with a task error; silentArg makes
+// it take its lease and never answer (nor heartbeat).
+const (
+	refuseArg = "-distnet-refusing-worker"
+	silentArg = "-distnet-silent-worker"
+)
 
 func refuseTasks() {
-	if len(os.Args) != 2 || os.Args[1] != refuseArg || os.Getenv(envAddr) == "" {
+	if len(os.Args) != 2 || (os.Args[1] != refuseArg && os.Args[1] != silentArg) || os.Getenv(envAddr) == "" {
 		return
 	}
 	id, err := strconv.Atoi(os.Getenv(envID))
@@ -88,6 +92,9 @@ func refuseTasks() {
 		t, payload, err := readFrame(conn)
 		if err != nil || t != frameTask {
 			os.Exit(0) // shutdown frame, or the coordinator is gone
+		}
+		if os.Args[1] == silentArg {
+			continue
 		}
 		var task taskMsg
 		_ = json.Unmarshal(payload, &task)
@@ -241,6 +248,12 @@ func TestDistNetKillAndRecover(t *testing.T) {
 		if requeues < kills {
 			t.Fatalf("kills=%d: only %d requeues, want >= %d", kills, requeues, kills)
 		}
+		// A task is re-leased only for a lost worker: at most one per loss.
+		for _, ph := range []PhaseStats{d.Phase1, d.Phase3} {
+			if ph.Requeues > ph.WorkersLost {
+				t.Fatalf("kills=%d: a phase re-leased %d tasks for %d lost workers", kills, ph.Requeues, ph.WorkersLost)
+			}
+		}
 		quarantined := 0
 		for _, w := range d.Workers {
 			if w.Quarantined {
@@ -282,14 +295,10 @@ func TestDistNetCorruptFrameQuarantine(t *testing.T) {
 	base := Options{Method: core.AVG, Ranks: ranks, Workers: 2, Shards: 3}
 	clean := runDistNet(t, p, base)
 
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := base
 	opts.WorkDir = t.TempDir()
 	opts.WorkerEnv = []string{envCorrupt + "=0"}
-	opts.WorkerArgv = []string{exe, lateArg + "1:" + opts.WorkDir}
+	opts.WorkerArgv = []string{exe(t), lateArg + "1:" + opts.WorkDir}
 	d := runDistNet(t, p, opts)
 
 	sameDecomposition(t, "corrupt vs clean", d.Result, clean.Result, 0)
@@ -356,55 +365,87 @@ func checkPhases(t *testing.T, root *obs.Span, tasks map[string]int) {
 	}
 }
 
-// TestDistNetTaskErrorsExhaustAttempts: a task answered with a task error
-// is re-leased until it runs out of attempts, and the campaign then fails
-// with that error instead of hanging — or, given attempts to spare, until
-// the campaign's deadline. Either way the failed phase is on the trace as
-// it ran: phase1 finished, every task's span finished, and the exhausted
-// task's showing all its attempts.
+// TestDistNetTaskErrorsExhaustAttempts: a phase that cannot finish fails
+// the campaign and finishes its spans.
+//
+//   - exhausted: a task error from a live worker is not a lost worker —
+//     nothing re-leases the task, which could only fail again, so its one
+//     attempt exhausts it. The campaign fails on the first task error, with
+//     an error naming the task, the worker and its message, and the failed
+//     phase is on the trace as it ran: phase1 finished, every task's span
+//     finished, the failed task leased once.
+//   - deadline: the phase's one worker holds a lease it never answers; the
+//     campaign fails with its deadline.
 func TestDistNetTaskErrorsExhaustAttempts(t *testing.T) {
+	t.Run("exhausted", func(t *testing.T) {
+		trace := obs.New("campaign")
+		opts := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 1,
+			Span: trace.Root(), WorkDir: t.TempDir(), WorkerArgv: []string{exe(t), refuseArg}}
+		_, err := Decompose(context.Background(), tinyPartition(t, 1, 228), opts)
+		first := factorOut(1, 0)
+		if err == nil || !strings.Contains(err.Error(), "task "+first+" on worker 0: refused") {
+			t.Fatalf("campaign on a refusing worker: err %v, want task %s's refusal", err, first)
+		}
+		p1 := checkFailedPhase1(t, trace)
+		for _, ts := range p1.Children {
+			want := int64(0)
+			if ts.Name == "task:"+first {
+				want = 1
+			}
+			if ts.Gauges["attempts"] != want {
+				t.Errorf("%s: %d attempts, want %d", ts.Name, ts.Gauges["attempts"], want)
+			}
+		}
+	})
+	t.Run("deadline", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		defer cancel()
+		trace := obs.New("campaign")
+		opts := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 1,
+			Span: trace.Root(), WorkDir: t.TempDir(), WorkerArgv: []string{exe(t), silentArg}}
+		if _, err := Decompose(ctx, tinyPartition(t, 1, 228), opts); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("campaign on a silent worker: err %v, want the deadline", err)
+		}
+		checkFailedPhase1(t, trace)
+	})
+}
+
+// TestDistNetLostFleetSaysWhy: when the last worker is lost the campaign's
+// error says how — here a CRC-corrupt first result from a one-worker fleet.
+func TestDistNetLostFleetSaysWhy(t *testing.T) {
+	opts := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 1,
+		WorkDir: t.TempDir(), WorkerEnv: []string{envCorrupt + "=0"}}
+	_, err := Decompose(context.Background(), tinyPartition(t, 1, 229), opts)
+	want := "worker 0: read: " + errBadFrame.Error()
+	if err == nil || !strings.Contains(err.Error(), "all 1 workers lost") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("campaign on a corrupting worker: err %v, want all workers lost, last %q", err, want)
+	}
+}
+
+// exe is this test binary, which TestMain turns into a worker.
+func exe(t *testing.T) string {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name     string
-		attempts int
-		timeout  time.Duration
-		want     string
-	}{
-		{"exhausted", 0, time.Minute, "failed after 3 attempts"},
-		{"deadline", 1 << 20, 300 * time.Millisecond, context.DeadlineExceeded.Error()},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-			defer cancel()
-			trace := obs.New("campaign")
-			opts := Options{Method: core.SELECT, Ranks: tucker.UniformRanks(5, 2), Workers: 1,
-				Retry: faults.RetryPolicy{MaxAttempts: c.attempts}, Span: trace.Root(),
-				WorkDir: t.TempDir(), WorkerArgv: []string{exe, refuseArg}}
-			_, err := Decompose(ctx, tinyPartition(t, 1, 228), opts)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("campaign on a refusing worker: err %v, want %q", err, c.want)
-			}
-			p1 := trace.Root().Data().Find("phase1")
-			if p1 == nil || p1.Running || len(p1.Children) != 6 || trace.Root().Find("phase3") != nil {
-				t.Fatalf("want phase1 finished with 6 tasks, and no phase3:\n%s", trace.Root().Skeleton())
-			}
-			exhausted := 0
-			for _, ts := range p1.Children {
-				if ts.Running {
-					t.Errorf("%s still running after the campaign failed", ts.Name)
-				}
-				if ts.Gauges["attempts"] == 3 {
-					exhausted++
-				}
-			}
-			if c.attempts == 0 && exhausted != 1 {
-				t.Errorf("%d task spans with 3 attempts, want the exhausted one", exhausted)
-			}
-		})
+	return exe
+}
+
+// checkFailedPhase1 requires a campaign that failed in Phase 1 to have
+// finished phase1 and each of its six task spans, and to have no phase3.
+func checkFailedPhase1(t *testing.T, trace *obs.Trace) *obs.SpanData {
+	t.Helper()
+	p1 := trace.Root().Data().Find("phase1")
+	if p1 == nil || p1.Running || len(p1.Children) != 6 || trace.Root().Find("phase3") != nil {
+		t.Fatalf("want phase1 finished with 6 tasks, and no phase3:\n%s", trace.Root().Skeleton())
 	}
+	for _, ts := range p1.Children {
+		if ts.Running {
+			t.Errorf("%s still running after the campaign failed", ts.Name)
+		}
+	}
+	return p1
 }
 
 func TestDistNetOptionValidation(t *testing.T) {

@@ -28,9 +28,10 @@
 // Fault tolerance (DESIGN.md §13): the coordinator leases one task at a
 // time to each worker, tracks heartbeats against a lease deadline, and
 // on worker death, lease expiry, or a corrupt frame quarantines the
-// worker and re-leases only that worker's task to a survivor, with
-// faults.RetryPolicy's bounded attempts and seeded-jitter backoff. The
-// engine degrades gracefully down to a single surviving worker.
+// worker and re-leases only that worker's task to a survivor at once. The
+// engine degrades gracefully down to a single surviving worker. A task
+// error from a live worker is not a loss: it fails the phase, naming the
+// task, the worker and the worker's message.
 //
 // Determinism contract: shard assignment (pivot key modulo the fixed
 // shard count) and merge order (ascending shard index) are pure

@@ -88,8 +88,7 @@ func (f *fleet) intact() bool {
 }
 
 // release hands a fleet back after its campaign. The fleet of a clean
-// campaign — no worker lost or quarantined, no task re-leased, no error or
-// cancellation — all of whose workers have joined waits in the pool for
+// campaign — no worker lost, no error or cancellation — all of whose workers have joined waits in the pool for
 // fleetIdle, unless the pool already holds one of its signature; every
 // other fleet is shut down.
 func release(f *fleet, clean bool) {

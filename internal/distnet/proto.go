@@ -2,7 +2,6 @@ package distnet
 
 import (
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"math"
 	"time"
@@ -129,12 +128,6 @@ func jobKey(method core.Method, ranks []int, spec jobSpec, inputs [2]uint32) str
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%v|%d|%t|%v|%08x", partialLayout, method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, inputs)
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// taskKey seeds the re-lease backoff jitter for a task: a pure function
-// of the task's identity, so coordinator restarts sleep identically.
-func taskKey(id string) uint64 {
-	return uint64(crc32.ChecksumIEEE([]byte(id)))<<1 | 1
 }
 
 // Environment variables carrying a worker's configuration from the

@@ -111,8 +111,9 @@ func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 // TestDistNetRejectsNonFiniteInput: the kernels take finite values only,
 // and the worker is where the sub-tensors' bytes enter a process. A NaN
 // planted behind the ingest guard of a quarantining sub-tensor — which the
-// store writes as it is — fails every task that loads it, and with them
-// the campaign: an error naming the object, never a core.
+// store writes as it is — fails the first task that loads it, and with it
+// the campaign: an error naming the object, never a core, and never a
+// retry of a task that can only fail again.
 func TestDistNetRejectsNonFiniteInput(t *testing.T) {
 	p := holed(tinyPartition(t, 1, 234), func(side, e int) bool { return side == 1 && e%4 == 0 })
 	x2 := p.Sub2.Tensor
@@ -123,8 +124,8 @@ func TestDistNetRejectsNonFiniteInput(t *testing.T) {
 	if err == nil {
 		t.Fatalf("a NaN input decomposed to a core (finite: %v)", !math.IsNaN(res.Core.Norm()))
 	}
-	if msg := err.Error(); !strings.Contains(msg, objSubs[1]) || !strings.Contains(msg, store.ErrCorrupt.Error()) {
-		t.Fatalf("err %q: want it to name %s as corrupt", msg, objSubs[1])
+	if msg := err.Error(); !strings.Contains(msg, objSubs[1]) || !strings.Contains(msg, store.ErrCorrupt.Error()) || strings.Contains(msg, "attempts") {
+		t.Fatalf("err %q: want it to name %s as corrupt, on its first attempt", msg, objSubs[1])
 	}
 }
 

@@ -11,12 +11,13 @@ import (
 	"time"
 )
 
-// The distributed runtime leans on RetryPolicy backoff schedules and
-// KillSpec decisions being pure functions of their inputs: a coordinator
-// and its worker child processes must agree on them without any shared
-// state. These tests prove the property across a real process boundary —
-// the test binary re-executes itself in a child mode that prints the
-// schedules, and the parent compares them against in-process values.
+// RetryPolicy backoff schedules and KillSpec decisions are pure functions
+// of their inputs: a resumed campaign's simulation retries sleep as the
+// interrupted one's did, and a coordinator and its worker child processes
+// agree on a kill plan without any shared state. These tests prove the
+// property across a real process boundary — the test binary re-executes
+// itself in a child mode that prints the schedules, and the parent
+// compares them against in-process values.
 
 const crossProcEnv = "M2TD_FAULTS_CROSSPROC_CHILD"
 
@@ -35,7 +36,7 @@ func writeSchedules(w io.Writer) {
 	for _, p := range probePolicies() {
 		for _, key := range []uint64{0, 1, 0xdeadbeef, 1<<63 + 12345} {
 			for attempt := 1; attempt <= 6; attempt++ {
-				fmt.Fprintf(w, "backoff %d %d %d %d\n", p.MaxAttempts, key, attempt, int64(p.Backoff(key, attempt)))
+				fmt.Fprintf(w, "backoff %d %d %d %d\n", p.MaxAttempts, key, attempt, int64(p.normalize().backoff(key, attempt)))
 			}
 		}
 	}
@@ -85,15 +86,15 @@ func TestBackoffPureFunction(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 6, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, JitterFrac: 0.25}
 	for key := uint64(0); key < 64; key++ {
 		for attempt := 1; attempt <= 6; attempt++ {
-			a, b := p.Backoff(key, attempt), p.Backoff(key, attempt)
+			a, b := p.backoff(key, attempt), p.backoff(key, attempt)
 			if a != b {
-				t.Fatalf("Backoff(%d, %d) not stable: %v vs %v", key, attempt, a, b)
+				t.Fatalf("backoff(%d, %d) not stable: %v vs %v", key, attempt, a, b)
 			}
 			if a <= 0 {
-				t.Fatalf("Backoff(%d, %d) = %v, want > 0", key, attempt, a)
+				t.Fatalf("backoff(%d, %d) = %v, want > 0", key, attempt, a)
 			}
 			if max := time.Duration(float64(p.MaxBackoff) * (1 + p.JitterFrac)); a > max {
-				t.Fatalf("Backoff(%d, %d) = %v exceeds jittered cap %v", key, attempt, a, max)
+				t.Fatalf("backoff(%d, %d) = %v exceeds jittered cap %v", key, attempt, a, max)
 			}
 		}
 	}

@@ -138,19 +138,11 @@ func (p RetryPolicy) attempt(ctx context.Context, fn func(ctx context.Context) e
 	return fn(actx)
 }
 
-// Backoff returns the delay the policy sleeps before retry attempt+1 of
-// the run identified by key. It is a pure function of (policy, key,
-// attempt) — no process-local state, no clock — so independent processes
-// (a coordinator re-leasing a dead worker's shard, a resumed campaign)
-// compute bit-identical schedules. The zero policy normalizes to the
-// documented defaults first, exactly as Run does.
-func (p RetryPolicy) Backoff(key uint64, attempt int) time.Duration {
-	return p.normalize().backoff(key, attempt)
-}
-
 // backoff computes the sleep before retry `attempt+1`: exponential from
 // BaseBackoff, capped at MaxBackoff, spread by ±JitterFrac using a
-// deterministic draw from (key, attempt).
+// deterministic draw from (key, attempt). It is a pure function of (policy,
+// key, attempt) — no process-local state, no clock — so a resumed campaign
+// sleeps as the interrupted one did.
 func (p RetryPolicy) backoff(key uint64, attempt int) time.Duration {
 	d := p.BaseBackoff
 	for i := 1; i < attempt && d < p.MaxBackoff; i++ {

@@ -118,7 +118,9 @@ type Config struct {
 	Seed int64
 
 	// Retry is the per-simulation retry policy for transient failures.
-	// The zero value means up to 3 attempts with default backoff.
+	// The zero value means up to 3 attempts with default backoff. It
+	// governs simulations only: the process engine re-leases a lost
+	// worker's task and fails on a task error.
 	Retry faults.RetryPolicy
 	// Faults, when non-nil, wraps the dynamical system with the seeded
 	// deterministic fault-injection harness — transient errors, divergent
@@ -183,8 +185,8 @@ type DistStats struct {
 	// Workers is the spawned worker-process count; WorkersLost counts
 	// the ones quarantined (killed, hung, or corrupt) during the run.
 	Workers, WorkersLost int
-	// Requeues counts task re-leases; TasksSkipped counts tasks
-	// satisfied by an already-durable artifact.
+	// Requeues counts task re-leases, one at most per worker lost;
+	// TasksSkipped counts tasks satisfied by an already-durable artifact.
 	Requeues, TasksSkipped int
 }
 
@@ -698,7 +700,6 @@ func decomposeDistributed(ctx context.Context, part *partition.Result, opts core
 		Addr:     dc.Addr,
 		WorkDir:  workDir,
 		Kill:     faults.KillSpec{Seed: killSeed, Kills: dc.KillWorkers},
-		Retry:    cfg.Retry,
 		Span:     opts.Span,
 	})
 	if err != nil {
