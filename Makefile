@@ -125,7 +125,8 @@ perf:
 # identity (api.CampaignSpec JSON → Config.SimFingerprint /
 # Fingerprint, which name shared store objects), the submit request
 # bodies the server decodes (a config or invalid_request, never a 5xx),
-# and tensorstore import's CSV (an error, or finite cells in range).
+# tensorstore import's CSV (an error, or finite cells in range), and the
+# sparse Gram against a dense oracle over arbitrary storage orders.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLinearIndexRoundtrip -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzDedupPreservesSum -fuzztime=10s ./internal/tensor
@@ -140,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpecFingerprint -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzSubmitBody -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzImportCSV -fuzztime=10s ./cmd/tensorstore
+	$(GO) test -run=NONE -fuzz=FuzzModeGram -fuzztime=10s ./internal/tensor
 
 # Observability acceptance drill (mirrors the CI `obs` job): run a faulted
 # pipeline with a live metrics listener and a JSONL trace sink, assert the

@@ -74,7 +74,7 @@ func newSubState(sub *partition.SubEnsemble) *subState {
 		st.columns[n] = make(map[int][]colEntry)
 	}
 	// Absorb existing cells via the incremental path so the invariant
-	// grams[n] == ModeGram(tensor, n) holds by construction.
+	// grams[n] == ModeGramWorkers(tensor, n, 0) holds by construction.
 	sub.Tensor.Each(func(idx []int, v float64) {
 		st.append(idx, v)
 	})

@@ -34,7 +34,7 @@ func TestGramsMatchBatchAfterAbsorb(t *testing.T) {
 	tr := New(p)
 	for sub, st := range map[*subState]*partition.SubEnsemble{tr.sub1: p.Sub1, tr.sub2: p.Sub2} {
 		for n, got := range sub.grams {
-			want := tensor.ModeGram(st.Tensor, n)
+			want := tensor.ModeGramWorkers(st.Tensor, n, 0)
 			if !got.Equal(want, 1e-9) {
 				t.Fatalf("sub %v mode %d: incremental Gram differs from batch", sub.modes, n)
 			}
@@ -55,7 +55,7 @@ func TestGramsStayExactUnderAppends(t *testing.T) {
 		}
 	}
 	for n, got := range tr.sub1.grams {
-		want := tensor.ModeGram(tr.sub1.tensor, n)
+		want := tensor.ModeGramWorkers(tr.sub1.tensor, n, 0)
 		if !got.Equal(want, 1e-9) {
 			t.Fatalf("mode %d: Gram drifted after appends", n)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dynsys"
@@ -140,7 +141,7 @@ func TestConcatEquivalentToExplicitConcatenation(t *testing.T) {
 	p := tinyPartition(t, 1, 114)
 	i := 0 // pivot sub-mode
 	r := 3
-	g := mat.Add(tensor.ModeGram(p.Sub1.Tensor, i), tensor.ModeGram(p.Sub2.Tensor, i))
+	g := mat.Add(tensor.ModeGramWorkers(p.Sub1.Tensor, i, 0), tensor.ModeGramWorkers(p.Sub2.Tensor, i, 0))
 	uGram := mat.LeadingEigenvectors(g, r)
 
 	m1 := tensor.Matricize(p.Sub1.Tensor.ToDense(), i)
@@ -416,5 +417,36 @@ func TestEntityEnergy(t *testing.T) {
 	}
 	if _, err := res.EntityEnergy(-1); err == nil {
 		t.Fatal("negative mode accepted")
+	}
+}
+
+// TestCampaignGramsCompileNoPlan: a campaign's factor step takes every
+// Gram over the fibre runs partition laid out. Under every method it
+// allocates less than one word per cell its Grams read; one mode plan
+// alone is four nnz-long arrays.
+func TestCampaignGramsCompileNoPlan(t *testing.T) {
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 16, 16)
+	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
+	p, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(5)), partition.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0 // one Gram per mode of each sub-tensor
+	for _, x := range []*tensor.Sparse{p.Sub1.Tensor, p.Sub2.Tensor} {
+		cells += x.NNZ() * x.Order()
+	}
+	ranks := tucker.UniformRanks(5, 3)
+	for _, m := range Methods() {
+		buildFactors(p, m, ranks, 1, nil) // warm the Grams' scratch pool
+		var before, after runtime.MemStats
+		const calls = 5
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			buildFactors(p, m, ranks, 1, nil)
+		}
+		runtime.ReadMemStats(&after)
+		if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= uint64(8*cells) {
+			t.Errorf("%s: the factor step allocates %d B over Grams of %d cells, want under %d", m, perCall, cells, 8*cells)
+		}
 	}
 }

@@ -457,9 +457,9 @@ func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 // TestJoinFreeBitsPinned pins the join-free formula's bits:
 // core.DecomposeFactored at one shard and at three, on pairs that lost
 // nothing and on one with holes (side 1 thinned cell by cell, pivot group 2
-// gone from side 2), produce the bits recorded when every pivot group came
-// to be computed by the one formula (FNV-64a over the core's, then the
-// factors', float bits; amd64 — other ports may fuse multiply-adds).
+// gone from side 2), produce the bits recorded when the mode Grams came to
+// be taken over fibre runs (FNV-64a over the core's, then the factors',
+// float bits; amd64 — other ports may fuse multiply-adds).
 func TestJoinFreeBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit fingerprints were recorded on amd64")
@@ -487,12 +487,12 @@ func TestJoinFreeBitsPinned(t *testing.T) {
 		zero, holey bool
 		serial, sum string
 	}{
-		{"time/E=1/SELECT/join", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, false, "35b05b57ef8ea528", "c0e6f903323eaa25"},
-		{"time/E=0.5/CONCAT/zero", partition.DefaultConfig(5, 4, doublePendulumPairs), 0.5, core.CONCAT, true, false, "a7f7c0a01e7f0a70", "2ef56e3ce582604e"},
-		{"param/E=0.5/AVG/join", partition.DefaultConfig(5, 0, doublePendulumPairs), 0.5, core.AVG, false, false, "d97eaf29107b35d1", "7580f6192d607584"},
-		{"two-pivot/E=0.6/SELECT/join", twoPivot, 0.6, core.SELECT, false, false, "b854cb08f84e4168", "01d03605c9be2dad"},
-		{"two-pivot/E=0.6/AVG/zero", twoPivot, 0.6, core.AVG, true, false, "62ca02994bb5dada", "c52d0aaedaffe5a6"},
-		{"time/E=1/SELECT/join/holey", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, true, "2846ca60c24130e0", "f9063035f5745e44"},
+		{"time/E=1/SELECT/join", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, false, "598bef37ac014c30", "8224f732488a31fd"},
+		{"time/E=0.5/CONCAT/zero", partition.DefaultConfig(5, 4, doublePendulumPairs), 0.5, core.CONCAT, true, false, "5a235c3ad20aa84b", "aa0b8fdd08185408"},
+		{"param/E=0.5/AVG/join", partition.DefaultConfig(5, 0, doublePendulumPairs), 0.5, core.AVG, false, false, "cc588c5ff96e1472", "f9cea5d3ba72cbf4"},
+		{"two-pivot/E=0.6/SELECT/join", twoPivot, 0.6, core.SELECT, false, false, "009da044f8646b1c", "7bb43338b9e014f9"},
+		{"two-pivot/E=0.6/AVG/zero", twoPivot, 0.6, core.AVG, true, false, "abfb9eccbb741ae1", "2a2aebf614f23ac9"},
+		{"time/E=1/SELECT/join/holey", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, true, "e6b7879143ff5a1a", "9e0b5ff3babe3777"},
 	} {
 		c.cfg.FreeFrac = c.free
 		p, err := partition.GenerateCtx(context.Background(), space, c.cfg, rand.New(rand.NewSource(300)), partition.SimOptions{})

@@ -42,8 +42,10 @@ type Options struct {
 	// WorkDir is the shared store catalog directory (required); every task
 	// names it. Rerun the same campaign with the same WorkDir to resume:
 	// tasks whose outputs are already durable are skipped. Outputs are named
-	// after the job — method, ranks, Shards, ZeroJoin, sampled grid,
-	// quarantine flag, inputs — so a directory another campaign used is
+	// after the job: an FNV-64a hash of the artifact layout and Gram kernel
+	// (jobLayout), the method, the clipped ranks, Shards, ZeroJoin, the
+	// sampled grid's configuration counts and both inputs' store checksums.
+	// So a directory another campaign, or another build's kernel, used is
 	// safe, and merely no help.
 	WorkDir string
 	// WorkerArgv is the worker command line. Empty means self-exec: the

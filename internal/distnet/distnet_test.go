@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net"
 	"os"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/stitch"
 	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
@@ -468,6 +471,66 @@ func TestDistNetOptionValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("kill plan dooming every worker accepted")
 	}
+}
+
+// TestWorkDirFromAnotherGramKernel: a catalog holding Phase 1 objects
+// under the key a build with the column-plan Gram kernel named them — the
+// same job, its layout string without the kernel — resumes nothing from
+// them. The objects are well-formed but poisoned (a scaled identity Gram,
+// identity columns for a factor), so any one read would move the result:
+// no task is skipped, and the bits are a fresh directory's.
+func TestWorkDirFromAnotherGramKernel(t *testing.T) {
+	p := tinyPartition(t, 1, 233)
+	opts := Options{Method: core.CONCAT, Ranks: tucker.UniformRanks(5, 2), Workers: 2, WorkDir: t.TempDir()}
+	fresh := runDistNet(t, p, opts)
+
+	opts.WorkDir = t.TempDir()
+	st, err := store.Open(opts.WorkDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks, err := core.CheckedRanks(opts.Method, opts.Ranks, p.Space.Shape())
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := []*partition.SubEnsemble{p.Sub1, p.Sub2}
+	var sums [2]uint32
+	for i, sub := range subs {
+		if err := st.SaveSparse(objSubs[i], sub.Tensor); err != nil {
+			t.Fatal(err)
+		}
+		if sums[i], err = st.Checksum(objSubs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := jobSpec{Join: stitch.NewSpec(p, false), Sampled: core.SampledOf(p), Shards: opts.Workers}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%s|%v|%d|%t|%v|%08x", "core+holey", opts.Method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, sums)
+	older := fmt.Sprintf("%016x", h.Sum64())
+	if older == jobKey(opts.Method, ranks, spec, sums) {
+		t.Fatal("the job key does not name the Gram kernel")
+	}
+	for si, sub := range subs {
+		for n, m := range sub.Modes {
+			size := sub.Tensor.Shape[n]
+			g, f := mat.New(size, size), mat.New(size, ranks[m])
+			for i := 0; i < size; i++ {
+				g.Set(i, i, 3)
+				if i < ranks[m] {
+					f.Set(i, i, 1)
+				}
+			}
+			if err := st.SaveMatrices(objectName(older, factorOut(si+1, n)), []*mat.Matrix{g, f}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	got := runDistNet(t, p, opts)
+	if n := got.Phase1.Skipped + got.Phase3.Skipped; n != 0 {
+		t.Errorf("%d tasks skipped on the other kernel's artifacts", n)
+	}
+	sameDecomposition(t, "catalog of another Gram kernel vs fresh", got.Result, fresh.Result, 0)
 }
 
 // TestWorkDirReusedByAnotherCampaign: artifacts are named after the job

@@ -118,15 +118,17 @@ func partialOf(ms []*mat.Matrix, shape tensor.Shape) (core.Partial, error) {
 	return core.Partial{G: &tensor.Dense{Shape: shape.Clone(), Data: ms[0].Data}, Holey: int(whole)}, nil
 }
 
-// partialLayout names the Phase 3 object layout; it is part of every job
-// key, so a catalog written under another layout holds nothing a resumed
-// job reads.
-const partialLayout = "core+holey"
+// jobLayout names what the artifacts hold beyond the job's inputs and
+// options: the Phase 3 object layout (the core-sized partial and its
+// holey row) and the kernel whose bits Phase 1's Grams carry (taken over
+// fibre runs). It is part of every job key, so a catalog written under
+// another layout or Gram kernel holds nothing a resumed job reads.
+const jobLayout = "core+holey|gram=runs"
 
 // jobKey is the identity a job's artifacts are named under.
 func jobKey(method core.Method, ranks []int, spec jobSpec, inputs [2]uint32) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%v|%d|%t|%v|%08x", partialLayout, method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, inputs)
+	fmt.Fprintf(h, "%s|%s|%v|%d|%t|%v|%08x", jobLayout, method, ranks, spec.Shards, spec.Join.ZeroJoin, spec.Sampled, inputs)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -354,7 +354,7 @@ func (w *workerState) execFactor(task taskMsg, doomed bool) error {
 	if task.Mode < 0 || task.Mode >= x.Order() || task.Rank < 1 || task.Rank > x.Shape[task.Mode] {
 		return fmt.Errorf("distnet: task %s: rank %d of mode %d of a %v sub-tensor", task.ID, task.Rank, task.Mode, x.Shape)
 	}
-	g := tensor.ModeGram(x, task.Mode)
+	g := tensor.ModeGramWorkers(x, task.Mode, 0)
 	f := mat.LeadingEigenvectors(g, task.Rank)
 	if doomed {
 		faults.KillSelf()

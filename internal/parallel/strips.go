@@ -2,8 +2,8 @@ package parallel
 
 // Deterministic strip reduction.
 //
-// The Gram kernels' natural work unit is a ModePlan fiber group whose
-// cost is the group's entry count, not its index span, and their partials
+// The Gram kernels' natural work unit is a group of fibres whose cost is
+// the group's cell count, not its index span, and their partials
 // are I×I matrices whose merges are worth counting and pooling. So the
 // CALLER supplies the strip grid (entry-balanced, derived only from the
 // input), each strip fills a private partial, and the partials combine
@@ -12,7 +12,7 @@ package parallel
 // The determinism contract, which DESIGN.md §11 states as the reduction
 // shape invariant:
 //
-//   - The strip grid is a pure function of the input (sizes, plan group
+//   - The strip grid is a pure function of the input (sizes, group
 //     bounds, package constants). It must never depend on the worker
 //     count, GOMAXPROCS, or timing.
 //   - Partials are per-STRIP, not per-worker. A per-worker accumulator
@@ -117,9 +117,9 @@ func UniformStripBounds(n, grain, maxStrips int) []int {
 // where the weight prefix sum crosses each multiple of total/S. Groups
 // are never split. The grid depends only on the weights and the
 // arguments, so it is safe for floating-point reductions. The Gram
-// kernels use it with ModePlan group entry counts as weights, which keeps
-// strips cache-contiguous in the plan's sorted entry storage while
-// equalising per-strip work even when a few fibers dominate.
+// kernels use it with group cell counts as weights, which keeps strips
+// contiguous in the sorted group order while equalising per-strip work
+// even when a few fibers dominate.
 func BalancedStripBounds(weights []int, grain, maxStrips int) []int {
 	n := len(weights)
 	if n == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -280,5 +281,76 @@ func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {
 			return cells
 		}
 		checkLayout(t, fmt.Sprintf("faulted workers=%d", workers), res, simulate)
+	}
+}
+
+// TestEachSimulationIsOneTimeRun pins the layout the sparse Gram kernel
+// reads without sorting: in storage order, each simulation's cells are one
+// contiguous run whose consecutive cells differ in the time index alone,
+// never repeating one. A sub-tensor without the time mode holds one cell
+// per simulation. Covered: the time pivot, a parameter pivot, two pivots,
+// P and E below 1, and partitions that lost simulations and cells.
+func TestEachSimulationIsOneTimeRun(t *testing.T) {
+	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 5, 6)
+	cases := map[string]*partition.Result{}
+	for name, cfg := range layoutConfigs(space) {
+		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(36), partition.SimOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = res
+	}
+	fcfg := faults.Config{Seed: 37, DivergentRate: 0.2, PanicRate: 0.15}
+	for _, name := range []string{"time-pivot", "two-pivots"} {
+		faulted := ensemble.NewSpace(faults.New(fcfg).Wrap(dynsys.NewSEIR()), 5, 6)
+		res, err := partition.GenerateCtx(context.Background(), faulted, layoutConfigs(faulted)[name], newRand(38), partition.SimOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.QuarantinedCells == 0 || res.Stats.FailedSims == 0 {
+			t.Fatalf("faulted %s is vacuous: %+v", name, res.Stats)
+		}
+		cases["faulted "+name] = res
+	}
+	for name, res := range cases {
+		for i, sub := range []*partition.SubEnsemble{res.Sub1, res.Sub2} {
+			tm := slices.Index(sub.Modes, res.Space.TimeMode())
+			checkTimeRuns(t, fmt.Sprintf("%s sub%d", name, i+1), sub.Tensor, tm)
+		}
+	}
+}
+
+// checkTimeRuns fails unless x's cells are runs of one simulation each
+// along sub-tensor mode tm (-1: x has no time mode, and runs are one cell).
+func checkTimeRuns(t *testing.T, label string, x *tensor.Sparse, tm int) {
+	t.Helper()
+	o := x.Order()
+	simOf := func(e int) string {
+		key := slices.Clone(x.Idx[e*o : (e+1)*o])
+		if tm >= 0 {
+			key[tm] = -1
+		}
+		return fmt.Sprint(key)
+	}
+	done := map[string]bool{}
+	times := map[int]bool{}
+	for e := 0; e < x.NNZ(); e++ {
+		sim := simOf(e)
+		if e == 0 || sim != simOf(e-1) {
+			if done[sim] {
+				t.Fatalf("%s: cell %d resumes simulation %s after another's cells", label, e, sim)
+			}
+			done[sim] = true
+			clear(times)
+		} else if tm < 0 {
+			t.Fatalf("%s: cell %d repeats simulation %s in a sub-tensor without time", label, e, sim)
+		}
+		if tm >= 0 {
+			if tt := x.Idx[e*o+tm]; times[tt] {
+				t.Fatalf("%s: cell %d repeats time index %d of simulation %s", label, e, tt, sim)
+			} else {
+				times[tt] = true
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -19,7 +20,7 @@ func BenchmarkModeGramSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ModeGram(s, 0)
+		ModeGramWorkers(s, 0, 0)
 	}
 }
 
@@ -98,20 +99,6 @@ func BenchmarkModeGramDenseWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkModeGramPlanned measures the steady-state planned sparse Gram:
-// the per-mode plan is compiled on the first iteration and reused, so this
-// reports the pure accumulate cost (compare BenchmarkModeGramSparse, which
-// replans when the tensor changes between calls).
-func BenchmarkModeGramPlanned(b *testing.B) {
-	s := benchSparse5(b, 20000)
-	ModeGram(s, 0) // compile the plan outside the timing loop
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ModeGram(s, 0)
-	}
-}
-
 func benchName(k string, v int) string {
 	return k + "=" + strconv.Itoa(v)
 }
@@ -129,5 +116,81 @@ func BenchmarkSparseDedup(b *testing.B) {
 		s.Vals = append(s.Vals, base.Vals...)
 		b.StartTimer()
 		s.Dedup(SumDuplicates)
+	}
+}
+
+// fibreLaid builds a tensor the way partition and ensemble store one: one
+// whole time fibre per simulation, simulations one after another, the time
+// index ascending inside each. configs lists each simulation's parameter
+// indices; timeMode is where the time index goes in a cell's multi-index.
+func fibreLaid(shape Shape, timeMode int, configs [][]int, seed int64) *Sparse {
+	rng := rand.New(rand.NewSource(seed))
+	s := NewSparse(shape)
+	s.Reserve(len(configs) * shape[timeMode])
+	idx := make([]int, shape.Order())
+	for _, c := range configs {
+		copy(idx[:timeMode], c[:timeMode])
+		copy(idx[timeMode+1:], c[timeMode:])
+		phase := rng.Float64()
+		for t := 0; t < shape[timeMode]; t++ {
+			idx[timeMode] = t
+			s.Append(idx, math.Sin(phase+0.1*float64(t))+0.01*rng.NormFloat64())
+		}
+	}
+	return s
+}
+
+// pivotSub is a pivot-t sub-tensor at resolution res: shape (res, res, res)
+// with time the leading (pivot) mode, every configuration of the two free
+// parameters simulated once.
+func pivotSub(res int) *Sparse {
+	return fibreLaid(Shape{res, res, res}, 0, allConfigs(res, res), int64(res))
+}
+
+// allConfigs lists every index pair of an a×b grid, the last fastest.
+func allConfigs(a, b int) [][]int {
+	configs := make([][]int, 0, a*b)
+	for i := 0; i < a; i++ {
+		for j := 0; j < b; j++ {
+			configs = append(configs, []int{i, j})
+		}
+	}
+	return configs
+}
+
+// baselineShape is a conventional baseline at resolution res: sims random
+// configurations of four parameters, time the last mode.
+func baselineShape(res, sims int) *Sparse {
+	rng := rand.New(rand.NewSource(int64(res)))
+	configs := make([][]int, sims)
+	for i := range configs {
+		configs[i] = []int{rng.Intn(res), rng.Intn(res), rng.Intn(res), rng.Intn(res)}
+	}
+	return fibreLaid(Shape{res, res, res, res, res}, 4, configs, int64(sims))
+}
+
+// BenchmarkModeGramFibres takes every mode's Gram, serially, of the
+// fibre-laid tensors a campaign decomposes: the res-24 (factored-sim) and
+// res-70 pivot-t sub-tensors and the res-70 baseline shape (9 800
+// configurations × 70 time steps).
+func BenchmarkModeGramFibres(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		x    func() *Sparse
+	}{
+		{"res24-sub", func() *Sparse { return pivotSub(24) }},
+		{"res70-sub", func() *Sparse { return pivotSub(70) }},
+		{"res70-baseline", func() *Sparse { return baselineShape(70, 9800) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			x := c.x()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for n := 0; n < x.Order(); n++ {
+					ModeGramWorkers(x, n, 1)
+				}
+			}
+		})
 	}
 }

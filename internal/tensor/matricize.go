@@ -1,57 +1,9 @@
 package tensor
 
 import (
-	"sync"
-
 	"repro/internal/mat"
 	"repro/internal/parallel"
 )
-
-// Pooled Gram reduction scratch. Strip partials and fiber buffers recycle
-// through sync.Pool so steady-state kernel calls allocate nothing beyond
-// their output matrix regardless of the worker count (the allocs/op
-// regression tests pin this down). Pool order is nondeterministic but
-// irrelevant: every buffer is zeroed (or fully overwritten) before use.
-
-// gramPool recycles sparse-Gram strip partials (rows² float64 each).
-var gramPool sync.Pool
-
-func gramPartialGet(size int) *[]float64 {
-	p, _ := gramPool.Get().(*[]float64)
-	if p == nil || cap(*p) < size {
-		b := make([]float64, size)
-		return &b
-	}
-	b := (*p)[:size]
-	clear(b)
-	*p = b
-	return p
-}
-
-func gramPartialPut(p *[]float64) { gramPool.Put(p) }
-
-// denseGramPartial is one dense-Gram strip's scratch: the partial Gram
-// accumulator plus the fiber load buffer.
-type denseGramPartial struct {
-	gram  []float64
-	fiber []float64
-}
-
-// denseGramPool recycles dense-Gram strip scratch.
-var denseGramPool sync.Pool
-
-func denseGramPartialGet(rows int) *denseGramPartial {
-	p, _ := denseGramPool.Get().(*denseGramPartial)
-	if p == nil || cap(p.gram) < rows*rows || cap(p.fiber) < rows {
-		return &denseGramPartial{gram: make([]float64, rows*rows), fiber: make([]float64, rows)}
-	}
-	p.gram = p.gram[:rows*rows]
-	clear(p.gram)
-	p.fiber = p.fiber[:rows]
-	return p
-}
-
-func denseGramPartialPut(p *denseGramPartial) { denseGramPool.Put(p) }
 
 // Matricize returns the mode-n matricization X(n) of a dense tensor as an
 // I_n × Π_{k≠n} I_k matrix. It runs on the package-default worker pool;
@@ -79,83 +31,6 @@ func MatricizeWorkers(d *Dense, n, workers int) *mat.Matrix {
 		}
 	})
 	return out
-}
-
-// ModeGram computes G = X(n) · X(n)ᵀ (an I_n × I_n matrix) directly from
-// sparse coordinates, without materialising the matricization whose column
-// count is the product of all other mode sizes. It runs on the
-// package-default worker pool; see ModeGramWorkers.
-func ModeGram(s *Sparse, n int) *mat.Matrix { return ModeGramWorkers(s, n, 0) }
-
-// ModeGramWorkers is ModeGram on an explicit worker count.
-//
-// The column layout is a mode plan compiled for this call (see ModePlan):
-// entries sorted by matricization column with stable storage order inside
-// each group. The call owns it, so the Gram always reflects the entries as
-// they are now.
-//
-// Parallelism: workers claim contiguous runs of the plan's reduction
-// strips (entry-balanced group ranges, see ModePlan.Strips), accumulate
-// each strip's outer products into a private pooled I_n×I_n partial, and
-// the partials combine through parallel.ReduceStrips' fixed pairwise
-// tree. Total work is O(nnz·group) regardless of the worker count — the
-// previous output-row partition made every worker rescan ALL entries and
-// keep only its rows, multiplying total work by the worker count and
-// scaling backwards (BENCH_2.json).
-//
-// Determinism: the strip grid and merge tree depend only on the plan, so
-// results are bit-identical for any worker count. Single-strip plans
-// (nnz < 2×gramStripGrain) take the undivided serial path, which is
-// bit-identical to the pre-strip implementation; multi-strip results
-// differ from the old serial order only by the grid's fixed
-// reassociation (tolerance-level), and never vary run to run.
-func ModeGramWorkers(s *Sparse, n, workers int) *mat.Matrix {
-	return CompileModePlan(s, n, workers).Gram(s.Shape[n], workers)
-}
-
-// Gram is ModeGramWorkers' accumulation over a compiled plan, for a caller
-// that keeps the plan (tucker's HOSVD, whose plans HOOI reuses); rows is
-// the size of the plan's mode.
-func (p *ModePlan) Gram(rows, workers int) *mat.Matrix {
-	g := mat.New(rows, rows)
-	bounds, prow, pval := p.Bounds, p.Rows, p.Vals
-	if p.NumStrips() <= 1 {
-		gramAccumulate(g.Data, rows, bounds, prow, pval, 0, p.NumGroups())
-		return g
-	}
-	out := parallel.ReduceStrips(p.Strips, workers,
-		func(int) *[]float64 { return gramPartialGet(rows * rows) },
-		func(partial *[]float64, _, g0, g1 int) {
-			gramAccumulate(*partial, rows, bounds, prow, pval, g0, g1)
-		},
-		func(into, from *[]float64) *[]float64 {
-			a, b := *into, *from
-			for i, v := range b {
-				a[i] += v
-			}
-			return into
-		},
-		gramPartialPut,
-	)
-	copy(g.Data, *out)
-	gramPartialPut(out)
-	return g
-}
-
-// gramAccumulate folds column groups [g0, g1) of a mode plan into the
-// rows×rows Gram accumulator gm: groups ascending, entries in plan
-// (storage) order — the serial floating-point order within a strip.
-func gramAccumulate(gm []float64, rows int, bounds, prow []int, pval []float64, g0, g1 int) {
-	for gi := g0; gi < g1; gi++ {
-		start, end := bounds[gi], bounds[gi+1]
-		for a := start; a < end; a++ {
-			row := gm[prow[a]*rows:][:rows]
-			va := pval[a]
-			for b := start; b < end; b++ {
-				row[prow[b]] += va * pval[b]
-			}
-		}
-	}
 }
 
 // ModeGramDenseWorkers computes X(n)·X(n)ᵀ for a dense tensor without
@@ -240,28 +115,28 @@ func ModeGramDenseWorkers(d *Dense, n, workers int) *mat.Matrix {
 
 	// Accumulation phase: strip the nonzero-fiber list, one private
 	// partial per strip, fixed-tree merge.
-	strips := parallel.UniformStripBounds(len(bases), denseGramStripGrain, gramMaxStrips)
+	strips := parallel.UniformStripBounds(len(bases), denseGramStripGrain, maxGramStrips)
 	if len(strips) <= 2 {
-		p := denseGramPartialGet(rows)
-		denseGramAccumulate(g.Data, d.Data, bases, p.fiber, inner, rows, 0, len(bases))
-		denseGramPartialPut(p)
+		p := gramScratchGet(0, rows)
+		denseGramAccumulate(g.Data, d.Data, bases, p.fibre, inner, rows, 0, len(bases))
+		gramScratchPut(p)
 		return g
 	}
 	out := parallel.ReduceStrips(strips, workers,
-		func(int) *denseGramPartial { return denseGramPartialGet(rows) },
-		func(p *denseGramPartial, _, s0, s1 int) {
-			denseGramAccumulate(p.gram, d.Data, bases, p.fiber, inner, rows, s0, s1)
+		func(int) *gramScratch { return gramScratchGet(rows, rows) },
+		func(p *gramScratch, _, s0, s1 int) {
+			denseGramAccumulate(p.gram, d.Data, bases, p.fibre, inner, rows, s0, s1)
 		},
-		func(into, from *denseGramPartial) *denseGramPartial {
+		func(into, from *gramScratch) *gramScratch {
 			for i, v := range from.gram {
 				into.gram[i] += v
 			}
 			return into
 		},
-		denseGramPartialPut,
+		gramScratchPut,
 	)
 	copy(g.Data, out.gram)
-	denseGramPartialPut(out)
+	gramScratchPut(out)
 	return g
 }
 

@@ -63,7 +63,7 @@ func TestModeGramMatchesDense(t *testing.T) {
 	s := randomSparse(rng, shape, 20)
 	d := s.ToDense()
 	for n := 0; n < shape.Order(); n++ {
-		gSparse := ModeGram(s, n)
+		gSparse := ModeGramWorkers(s, n, 0)
 		gDense := mat.Gram(Matricize(d, n))
 		if !gSparse.Equal(gDense, 1e-10) {
 			t.Errorf("mode %d: sparse ModeGram disagrees with dense Gram", n)
@@ -77,7 +77,7 @@ func TestModeGramMatchesDense(t *testing.T) {
 
 func TestModeGramEmpty(t *testing.T) {
 	s := NewSparse(Shape{3, 3})
-	g := ModeGram(s, 0)
+	g := ModeGramWorkers(s, 0, 0)
 	if frobeniusNorm(g) != 0 {
 		t.Fatal("empty tensor Gram should be zero")
 	}
@@ -101,7 +101,7 @@ func TestModeGramPSDQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSparse(rng, Shape{4, 3, 3}, 12)
-		g := ModeGram(s, rng.Intn(3))
+		g := ModeGramWorkers(s, rng.Intn(3), 0)
 		if !g.Equal(mat.Transpose(g), 1e-10) {
 			return false
 		}

@@ -99,8 +99,10 @@ func TestModePlanGroupsAreConsistent(t *testing.T) {
 // TestModePlanInvalidation — the name is older than the removal of
 // per-tensor plan caches; a tensor holds no plan to invalidate. A Gram
 // taken after a mutation — Append, Dedup, or a direct write to Vals with
-// no call in between — is the Gram of the mutated entries, equal to a
-// fresh clone's.
+// no call in between — is the Gram of the mutated entries. Append and
+// DirectWrite leave the storage in random order, with no run mode, so
+// their Gram keeps the reference's bits. Dedup sorts the storage, which
+// lays it out in runs; the run Gram equals the reference to rounding only.
 func TestModePlanInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := randomSparse(rng, Shape{6, 5, 4}, 50)
@@ -108,10 +110,11 @@ func TestModePlanInvalidation(t *testing.T) {
 	mutations := []struct {
 		name string
 		do   func(*Sparse)
+		runs bool // the mutated storage has a run mode
 	}{
-		{"Append", func(s *Sparse) { s.Append([]int{0, 0, 0}, 1.5) }},
-		{"Dedup", func(s *Sparse) { s.Dedup(SumDuplicates) }},
-		{"DirectWrite", func(s *Sparse) { s.Vals[0] *= 2 }},
+		{"Append", func(s *Sparse) { s.Append([]int{0, 0, 0}, 1.5) }, false},
+		{"Dedup", func(s *Sparse) { s.Dedup(SumDuplicates) }, true},
+		{"DirectWrite", func(s *Sparse) { s.Vals[0] *= 2 }, false},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -119,7 +122,17 @@ func TestModePlanInvalidation(t *testing.T) {
 			before := ModeGramWorkers(c, 0, 1)
 			m.do(c)
 			after := ModeGramWorkers(c, 0, 1)
-			bitsEqualMat(t, m.name, after, modeGramWorkersRef(c.Clone(), 0, 1))
+			ref := modeGramWorkersRef(c.Clone(), 0, 1)
+			if tau := findRuns(c, &gramScratch{}).tau; (tau >= 0) != m.runs {
+				t.Fatalf("%s: run mode %d, want runs %v", m.name, tau, m.runs)
+			}
+			if m.runs {
+				if !after.Equal(ref, 1e-12) {
+					t.Fatalf("%s: Gram differs from the reference's", m.name)
+				}
+			} else {
+				bitsEqualMat(t, m.name, after, ref)
+			}
 			if m.name == "DirectWrite" && reflect.DeepEqual(before.Data, after.Data) {
 				t.Fatal("the write did not move the Gram; the case proves nothing")
 			}

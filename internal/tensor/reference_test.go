@@ -212,13 +212,15 @@ func ttmSparseWorkersRef(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 	return out
 }
 
-// modeGramStripRef is the executable specification of the strip-reduced
-// ModeGramWorkers: one serial pass per strip into a fresh dense partial,
-// then an explicit pairwise tree merge ascending by strip index (span
-// doubling each level). No pooling, no goroutines — the parity suite
-// asserts the optimised kernel matches this bit for bit at every worker
-// count, which is exactly the claim that workers only decide WHEN a
-// partial is produced, never where it lands in the tree.
+// modeGramStripRef is the executable specification of ModeGramWorkers on
+// a tensor without a run mode (findRuns finds no τ): the mode plan's
+// column groups, a reduction grid over them balanced by cell count, one
+// serial pass per strip into a fresh dense partial — every ordered pair of
+// a column's cells in storage order — then an explicit pairwise tree merge
+// ascending by strip index (span doubling each level). No pooling, no
+// goroutines: the parity suite asserts the kernel matches this bit for bit
+// at every worker count, which is exactly the claim that workers only
+// decide WHEN a partial is produced, never where it lands in the tree.
 func modeGramStripRef(s *Sparse, n int) *mat.Matrix {
 	rows := s.Shape[n]
 	g := mat.New(rows, rows)
@@ -226,10 +228,23 @@ func modeGramStripRef(s *Sparse, n int) *mat.Matrix {
 		return g
 	}
 	p := CompileModePlan(s, n, 1)
-	partials := make([][]float64, p.NumStrips())
+	weights := make([]int, p.NumGroups())
+	for gi := range weights {
+		weights[gi] = p.Bounds[gi+1] - p.Bounds[gi]
+	}
+	strips := parallel.BalancedStripBounds(weights, stripMinCells, maxGramStrips)
+	partials := make([][]float64, len(strips)-1)
 	for st := range partials {
-		partials[st] = make([]float64, rows*rows)
-		gramAccumulate(partials[st], rows, p.Bounds, p.Rows, p.Vals, p.Strips[st], p.Strips[st+1])
+		gm := make([]float64, rows*rows)
+		for gi := strips[st]; gi < strips[st+1]; gi++ {
+			start, end := p.Bounds[gi], p.Bounds[gi+1]
+			for a := start; a < end; a++ {
+				for b := start; b < end; b++ {
+					gm[p.Rows[a]*rows+p.Rows[b]] += p.Vals[a] * p.Vals[b]
+				}
+			}
+		}
+		partials[st] = gm
 	}
 	copy(g.Data, treeMergeRef(partials))
 	return g
@@ -262,7 +277,7 @@ func modeGramDenseStripRef(d *Dense, n int) *mat.Matrix {
 	if len(bases) == 0 {
 		return g
 	}
-	strips := parallel.UniformStripBounds(len(bases), denseGramStripGrain, gramMaxStrips)
+	strips := parallel.UniformStripBounds(len(bases), denseGramStripGrain, maxGramStrips)
 	partials := make([][]float64, len(strips)-1)
 	fiber := make([]float64, rows)
 	for st := range partials {

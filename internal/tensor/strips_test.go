@@ -9,6 +9,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -19,15 +20,27 @@ import (
 // under -race.
 var stripTestWorkers = []int{1, 2, 3, 8}
 
-// largeStripSparse crosses gramStripGrain so plans compile multiple
-// reduction strips.
+// largeStripSparse crosses stripMinCells, so its Grams reduce over
+// multiple strips, and is stored in random order, so it has no run mode
+// and the strip specification applies.
 func largeStripSparse(t *testing.T) *Sparse {
 	t.Helper()
 	s := seededSparse(Shape{14, 12, 10, 8}, 9000, 21)
-	if p := CompileModePlan(s, 0, 1); p.NumStrips() < 2 {
-		t.Fatalf("test tensor compiles %d strips; need >= 2 to exercise the tree", p.NumStrips())
+	fr := findRuns(s, &gramScratch{})
+	if fr.tau >= 0 {
+		t.Fatalf("test tensor has run mode %d; the strip spec covers tensors without one", fr.tau)
+	}
+	if _, _, strips := groupRuns(s, &fr, 0, &gramScratch{}); len(strips) < 3 {
+		t.Fatalf("test tensor reduces over %d strips; need >= 2 to exercise the tree", len(strips)-1)
 	}
 	return s
+}
+
+// gramStrips is the reduction grid ModeGramWorkers takes for mode n of s.
+func gramStrips(s *Sparse, n int) []int {
+	fr := findRuns(s, &gramScratch{})
+	_, _, strips := groupRuns(s, &fr, n, &gramScratch{})
+	return strips
 }
 
 func TestTreeReductionGramMatchesStripSpec(t *testing.T) {
@@ -101,41 +114,42 @@ func TestTreeReductionGramToleranceVsSerialReference(t *testing.T) {
 func TestGramStripGridIsPureFunctionOfInput(t *testing.T) {
 	a := seededSparse(Shape{12, 10, 8}, 7000, 24)
 	b := seededSparse(Shape{12, 10, 8}, 7000, 24)
-	for n := 0; n < 3; n++ {
-		// Different workers arguments at compile time must yield the same grid.
-		pa, pb := CompileModePlan(a, n, 1), CompileModePlan(b, n, 8)
-		if len(pa.Strips) != len(pb.Strips) {
-			t.Fatalf("mode %d: %d vs %d strips", n, pa.NumStrips(), pb.NumStrips())
-		}
-		for i, v := range pa.Strips {
-			if pb.Strips[i] != v {
-				t.Fatalf("mode %d: strip grids differ at %d: %v vs %v", n, i, pa.Strips, pb.Strips)
+	for _, x := range []*Sparse{a, fibreLaid(Shape{30, 12, 10}, 0, allConfigs(12, 10), 24)} {
+		for n := 0; n < 3; n++ {
+			fr := findRuns(x, &gramScratch{})
+			_, bounds, sa := groupRuns(x, &fr, n, &gramScratch{})
+			// Equal storage gives the same grid, whatever ran before.
+			if x == a {
+				if sb := gramStrips(b, n); !slices.Equal(sa, sb) {
+					t.Fatalf("mode %d: strip grids differ: %v vs %v", n, sa, sb)
+				}
 			}
-		}
-		// Grid boundaries must cover the group space in ascending order.
-		if pa.Strips[0] != 0 || pa.Strips[pa.NumStrips()] != pa.NumGroups() {
-			t.Fatalf("mode %d: strips %v do not cover %d groups", n, pa.Strips, pa.NumGroups())
-		}
-		for i := 1; i < len(pa.Strips); i++ {
-			if pa.Strips[i] <= pa.Strips[i-1] {
-				t.Fatalf("mode %d: strips %v contain an empty strip", n, pa.Strips)
+			// Grid boundaries must cover the group space in ascending order.
+			groups := len(bounds) - 1
+			if sa[0] != 0 || sa[len(sa)-1] != groups {
+				t.Fatalf("mode %d: strips %v do not cover %d groups", n, sa, groups)
+			}
+			for i := 1; i < len(sa); i++ {
+				if sa[i] <= sa[i-1] {
+					t.Fatalf("mode %d: strips %v contain an empty strip", n, sa)
+				}
 			}
 		}
 	}
-	// Small tensors must compile a single strip (undivided serial path).
+	// Small tensors take a single strip (undivided serial path).
 	small := seededSparse(Shape{7, 5, 4}, 60, 25)
-	if got := CompileModePlan(small, 0, 1).NumStrips(); got != 1 {
-		t.Fatalf("small tensor compiled %d strips, want 1", got)
+	if got := len(gramStrips(small, 0)) - 1; got != 1 {
+		t.Fatalf("small tensor reduces over %d strips, want 1", got)
 	}
 }
 
 func TestGramStripCountFollowsEntryCount(t *testing.T) {
-	// nnz / gramStripGrain strips: 2 (the smallest multi-strip grid) and 4,
+	// nnz / stripMinCells strips: 2 (the smallest multi-strip grid) and 4,
 	// each bit-stable across worker counts.
 	for _, nnz := range []int{5000, 9000} {
 		s := seededSparse(Shape{14, 12, 10, 8}, nnz, 26)
-		if got := CompileModePlan(s, 0, 1).NumStrips(); got != nnz/gramStripGrain {
-			t.Fatalf("nnz=%d: plan compiled %d strips, want %d", nnz, got, nnz/gramStripGrain)
+		if got := len(gramStrips(s, 0)) - 1; got != nnz/stripMinCells {
+			t.Fatalf("nnz=%d: %d strips, want %d", nnz, got, nnz/stripMinCells)
 		}
 		want := ModeGramWorkers(s, 0, 1)
 		for _, w := range stripTestWorkers[1:] {
@@ -169,15 +183,15 @@ func TestModeGramDenseAllocsFlatAcrossWorkers(t *testing.T) {
 }
 
 func TestGramPartialPoolReuse(t *testing.T) {
-	// Steady-state Gram accumulations must not allocate new partials:
-	// after a warm-up call, allocations over a compiled plan are bounded by
-	// the output matrix and fan-out bookkeeping, independent of the strip
-	// count.
-	s := largeStripSparse(t)
-	p := CompileModePlan(s, 0, 2)
-	p.Gram(s.Shape[0], 2) // warm the pool
-	got := testing.AllocsPerRun(20, func() { p.Gram(s.Shape[0], 2) })
-	if got > 16 {
-		t.Fatalf("steady-state ModeGram allocates %.0f per op, want <= 16", got)
+	// Steady-state Grams must not allocate new partials: after a warm-up
+	// call, allocations are bounded by the output matrix, the grouping and
+	// fan-out bookkeeping, independent of the strip count — with or without
+	// a run mode.
+	for _, s := range []*Sparse{largeStripSparse(t), fibreLaid(Shape{40, 16, 12}, 0, allConfigs(16, 12), 28)} {
+		ModeGramWorkers(s, 0, 2) // warm the pool
+		got := testing.AllocsPerRun(20, func() { ModeGramWorkers(s, 0, 2) })
+		if got > 16 {
+			t.Fatalf("steady-state ModeGram allocates %.0f per op, want <= 16", got)
+		}
 	}
 }

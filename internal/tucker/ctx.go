@@ -33,16 +33,17 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 
 	// Initialise from HOSVD.
 	ispan := opts.Span.Start("init")
-	dec, plans := hosvd(x, ranks, w, ispan)
+	dec := HOSVDSpan(x, ranks, w, ispan)
 	ispan.Finish()
 	factors := dec.Factors
 
 	ms := make([]*mat.Matrix, order)
 	// Every chain's sparse product is on mode 0 (mode 1 when updating mode
-	// 0), so the sweeps keep those two of the plans the initial HOSVD
-	// compiled; they live as long as this call.
-	for n := 2; n < order; n++ {
-		plans[n] = nil
+	// 0), so the sweeps compile those two plans once; they live as long as
+	// this call.
+	plans := make([]*tensor.ModePlan, order)
+	for n := 0; n < min(order, 2); n++ {
+		plans[n] = tensor.CompileModePlan(x, n, w)
 	}
 
 	prevEnergy := dec.Core.Norm()

@@ -48,8 +48,11 @@ func FitOf(d Decomposition, x *tensor.Sparse) (float64, error) {
 		return 1, nil
 	}
 	gn := d.Core.Norm()
+	// The identity cancels: ‖X‖² and ‖G‖² each carry rounding that grows
+	// with the cells summed, so a difference within nnz ulps of ‖X‖² is no
+	// misfit, of either sign. A misfit under √(nnz·2⁻⁵²) reads as a fit of 1.
 	resid := xn*xn - gn*gn
-	if resid < 0 {
+	if resid <= float64(x.NNZ())*0x1p-52*xn*xn {
 		resid = 0
 	}
 	return 1 - math.Sqrt(resid)/xn, nil

@@ -85,6 +85,24 @@ func TestFitOf(t *testing.T) {
 	}
 }
 
+// TestFitOfExactDecompositionIsOne: a full-rank HOSVD reproduces its
+// tensor, and the rounding left in ‖X‖² − ‖G‖² — up to 55 ulps of ‖X‖² at
+// 8 000 cells, growing with the cell count — is no misfit at any size.
+func TestFitOfExactDecompositionIsOne(t *testing.T) {
+	for _, shape := range []tensor.Shape{{5, 5, 5}, {12, 12, 12}, {20, 20, 20}, {6, 6, 6, 6}} {
+		for seed := int64(140); seed < 160; seed++ {
+			x := randomDense(rand.New(rand.NewSource(seed)), shape).ToSparse(0)
+			fit, err := FitOf(HOSVD(x, []int(shape)), x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fit != 1 {
+				t.Fatalf("shape %v seed %d: full-rank fit = %v", shape, seed, fit)
+			}
+		}
+	}
+}
+
 func TestFitOfRejectsNonOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(144))
 	x := randomDense(rng, tensor.Shape{4, 4}).ToSparse(0)

@@ -5,8 +5,9 @@
 //
 // Left singular vectors are obtained from the eigendecomposition of the
 // small Iₙ×Iₙ matricization Gram matrix, computed directly from sparse
-// coordinates (tensor.ModeGram) or dense fibers (tensor.ModeGramDenseWorkers), so
-// the potentially enormous unfoldings are never materialised.
+// coordinates (tensor.ModeGramWorkers, over the fibre runs the storage
+// holds) or dense fibers (tensor.ModeGramDenseWorkers), so the potentially
+// enormous unfoldings are never materialised.
 package tucker
 
 import (
@@ -79,19 +80,9 @@ func HOSVDWorkers(x *tensor.Sparse, ranks []int, workers int) Decomposition {
 // deterministic. A nil span disables instrumentation at the cost of one
 // nil check per site.
 func HOSVDSpan(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) Decomposition {
-	dec, _ := hosvd(x, ranks, workers, span)
-	return dec
-}
-
-// hosvd is HOSVDSpan that also returns the mode plans its Gram steps
-// compiled, indexed by mode, for a caller that reuses them (HOOICtx). Its
-// own core is one product per mode, so it runs the sparse chain without
-// them: the entry scatter, with the same bits as the plan path.
-func hosvd(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) (Decomposition, []*tensor.ModePlan) {
 	ranks = ClipRanks(x.Shape, ranks)
 	order := x.Order()
 	factors := make([]*mat.Matrix, order)
-	plans := make([]*tensor.ModePlan, order)
 	tasks := make([]func(), order)
 	// Split the worker budget between the concurrent per-mode tasks and
 	// the kernels inside them, so a workers=W request occupies ~W
@@ -104,8 +95,7 @@ func hosvd(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) (Decompos
 		ms.Set("rank", int64(ranks[n]))
 		tasks[n] = func() {
 			defer ms.Finish()
-			plans[n] = tensor.CompileModePlan(x, n, inner)
-			factors[n] = mat.LeadingEigenvectors(plans[n].Gram(x.Shape[n], inner), ranks[n])
+			factors[n] = tensor.LeadingModeVectorsWorkers(x, n, ranks[n], inner)
 		}
 	}
 	parallel.Do(workers, tasks...)
@@ -113,7 +103,7 @@ func hosvd(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) (Decompos
 	core := tensor.MultiTTMSparseWorkers(x, nil, tensor.TransposeAll(factors), workers)
 	cs.Set("cells", int64(len(core.Data)))
 	cs.Finish()
-	return Decomposition{Core: core, Factors: factors, Ranks: ranks}, plans
+	return Decomposition{Core: core, Factors: factors, Ranks: ranks}
 }
 
 // Reconstruct expands the decomposition back to the full tensor:
