@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/mat"
 	"repro/internal/partition"
 	"repro/internal/stitch"
 	"repro/internal/tensor"
@@ -371,28 +370,6 @@ func benchSparseTensor(shape tensor.Shape, nnz int, seed int64) *tensor.Sparse {
 		s.Append(idx, rng.NormFloat64())
 	}
 	return s
-}
-
-// BenchmarkParallelTTM measures the planned sparse mode-0 TTM kernel — the
-// hot inner product of every HOOI sweep, on the plan HOOI compiles once —
-// at increasing worker-pool sizes. Output is bit-identical across all
-// sub-benchmarks; only wall-clock changes.
-func BenchmarkParallelTTM(b *testing.B) {
-	s := benchSparseTensor(tensor.Shape{64, 48, 48, 16}, 200000, 1)
-	rng := rand.New(rand.NewSource(2))
-	m := mat.New(8, 64)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	plans := []*tensor.ModePlan{tensor.CompileModePlan(s, 0, 0), nil, nil, nil}
-	ms := []*mat.Matrix{m, nil, nil, nil}
-	for _, w := range benchWorkerCounts() {
-		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tensor.MultiTTMSparseWorkers(s, plans, ms, w)
-			}
-		})
-	}
 }
 
 // BenchmarkParallelHOSVD measures the full truncated HOSVD of a sparse

@@ -128,7 +128,7 @@ func ProjectShard(spec stitch.Spec, grid Sampled, x1, x2 *tensor.Sparse, factors
 			for i, m := range free {
 				ms[k+i] = mat.Transpose(factors[m])
 			}
-			a[si] = tensor.MultiTTMSparseWorkers(cells[si], nil, ms, pair).Data
+			a[si] = tensor.MultiTTMSparseWorkers(cells[si], ms, pair).Data
 			var held []bool
 			if census {
 				counts[si], held = takeCensus(x, k, grid.Pivots)
@@ -143,7 +143,7 @@ func ProjectShard(spec stitch.Spec, grid Sampled, x1, x2 *tensor.Sparse, factors
 				for e := range ones {
 					ones[e] = 1
 				}
-				c[si] = tensor.MultiTTMSparseWorkers(&tensor.Sparse{Shape: x.Shape, Idx: cells[si].Idx, Vals: ones}, nil, ms, pair).Data
+				c[si] = tensor.MultiTTMSparseWorkers(&tensor.Sparse{Shape: x.Shape, Idx: cells[si].Idx, Vals: ones}, ms, pair).Data
 			}
 		}
 	}

@@ -420,11 +420,11 @@ func TestEntityEnergy(t *testing.T) {
 	}
 }
 
-// TestCampaignGramsCompileNoPlan: a campaign's factor step takes every
-// Gram over the fibre runs partition laid out. Under every method it
-// allocates less than one word per cell its Grams read; one mode plan
-// alone is four nnz-long arrays.
-func TestCampaignGramsCompileNoPlan(t *testing.T) {
+// TestCampaignGramsAllocateUnderAWordPerCell: a campaign's factor step
+// takes every Gram over the fibre runs partition laid out, compiling and
+// copying nothing per cell. Under every method it allocates less than one
+// word per cell its Grams read.
+func TestCampaignGramsAllocateUnderAWordPerCell(t *testing.T) {
 	space := ensemble.NewSpace(dynsys.NewDoublePendulum(), 16, 16)
 	cfg := partition.DefaultConfig(5, 4, doublePendulumPairs)
 	p, err := partition.GenerateCtx(context.Background(), space, cfg, rand.New(rand.NewSource(5)), partition.SimOptions{})

@@ -89,10 +89,9 @@ func TestDecomposeZeroJoinWorkersBitStable(t *testing.T) {
 }
 
 // TestDecomposeJoinStaysPlanFree — the name is older than the removal of
-// per-tensor plan caches; a tensor now holds no plan, and core recovery
-// runs the entry scatter on the stitched join. With real fan-out
-// available and the join sized past the sparse TTM's planned-path
-// threshold, the core must not depend on the worker count.
+// kernel plans; no kernel compiles one, and core recovery runs the entry
+// scatter on the stitched join. With real fan-out available and a join of
+// thousands of cells, the core must not depend on the worker count.
 func TestDecomposeJoinStaysPlanFree(t *testing.T) {
 	prev := parallel.SetFanoutCap(8)
 	defer parallel.SetFanoutCap(prev)
@@ -123,10 +122,9 @@ func TestDecomposeJoinStaysPlanFree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
-				// 4096 is the sparse TTM's planned-path size gate.
 				const need = 4096
 				if nnz := got.Join.NNZ(); nnz < need {
-					t.Fatalf("join has %d cells, want >= %d to reach the planned-path size gate", nnz, need)
+					t.Fatalf("join has %d cells, want >= %d", nnz, need)
 				}
 				if want == nil {
 					want = got

@@ -161,7 +161,8 @@ func (cfg Config) generate(ctx context.Context, space *ensemble.Space) (*partiti
 // against space's ground-truth tensor (built here, once), or — with
 // estimateSims positive — its estimate on estimateSims sampled truth fibers,
 // drawn once from seed and shared by every model scored, so differences
-// between models carry no sampling noise. Every accuracy a table, a sweep or
+// between models are paired: each is still a sampled estimate, but both
+// models are scored on the same fibres. Every accuracy a table, a sweep or
 // a campaign reports is scored by the function this returns.
 func Scorer(ctx context.Context, space *ensemble.Space, estimateSims int, seed int64) (func(TuckerModel) (float64, error), error) {
 	if err := ctx.Err(); err != nil {

@@ -40,7 +40,7 @@ func BenchmarkTTMSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MultiTTMSparseWorkers(s, nil, onlyMode(s.Order(), 0, m), 0)
+		MultiTTMSparseWorkers(s, onlyMode(s.Order(), 0, m), 0)
 	}
 }
 

@@ -83,15 +83,19 @@ func FuzzDedupPreservesSum(f *testing.F) {
 // arbitrary small tensors — order 1 to 5, cells in any storage order,
 // duplicates, fibre pieces along any mode with holes and wrap-around — to
 // 1e-12 of the Gram of |X| per entry, and to the same bits at workers 1, 2
-// and 8. Tensors hold at most fuzzGramCells cells: a column without a run
-// mode sums every ordered pair of its cells one after another, so 64
-// cells bound that sum's rounding by 64²·2⁻⁵² ≈ 9×10⁻¹³ of the scale.
+// and 8. Tensors hold at most fuzzGramCells cells. Every Gram group sums a
+// row's cells or runs before it multiplies, so an entry's rounding grows
+// with the m cells of a row or column, about m·2⁻⁵³ of the scale, not with
+// their m² pairs. The last two seeds are the worst cases: 512 identical
+// cells at one index, and one fibre stored 1 000 times.
 func FuzzModeGram(f *testing.F) {
 	f.Add([]byte{2, 3, 4, 1, 0, 0, 0, 0, 9, 1, 1, 2, 3, 0, 0, 7})
 	f.Add([]byte{3, 4, 4, 4, 3, 0, 1, 2, 3, 0, 40, 3, 0, 2, 2, 3, 0, 50, 3, 0, 3, 2, 3, 0, 60})
 	f.Add([]byte{0, 4, 1, 3, 9, 0, 3, 1, 2, 4, 1, 2, 0, 5, 1})
 	f.Add([]byte{4, 2, 3, 2, 4, 2, 9, 1, 0, 1, 1, 3, 1, 1, 8, 1, 1, 0, 1, 1, 3, 1, 2, 8, 0, 1, 2, 0, 1, 1, 3, 1, 5})
 	f.Add(append([]byte{2, 3, 4, 1}, bytes.Repeat([]byte{0, 0, 0, 0, 0xcc}, 70)...))
+	f.Add(append([]byte{2, 3, 4, 1}, bytes.Repeat([]byte{0, 0, 0, 0, 0xcc}, 512)...))
+	f.Add(append([]byte{2, 4, 2, 3}, bytes.Repeat([]byte{1, 0, 1, 2, 3, 0, 0, 0x81, 0x7f, 0x35, 0xd2}, 1000)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, abs := fuzzSparse(data)
 		if s == nil {
@@ -116,7 +120,7 @@ func FuzzModeGram(f *testing.F) {
 }
 
 // fuzzGramCells caps FuzzModeGram's tensors (see there).
-const fuzzGramCells = 64
+const fuzzGramCells = 4096
 
 // fuzzSparse decodes a small tensor and its cell-wise absolute value from
 // data: an order byte, one size byte per mode, then records. A record with

@@ -24,19 +24,22 @@ import (
 //  3. For the Gram of mode n, runs are grouped by their indices other than
 //     n and τ — one integer sort over runs, not cells.
 //  4. Each group adds fibre inner products into the Gram: for n ≠ τ, the
-//     dot product of every two runs in the group lands at their two mode-n
-//     indices; for n = τ, a group is one column, and its fibre's outer
-//     product is the contribution.
+//     dot product of each mode-n row's summed runs with every run of its
+//     own and later rows lands at their two mode-n indices; for n = τ, a
+//     group is one column, and its fibre's outer product is the
+//     contribution.
 //
-// Both cases fill the upper triangle and mirror it at the end, so the
-// result is exactly symmetric. A tensor whose runs are short (under two
-// cells on average) or sparse along τ (covering under half of the τ
-// indices that occur, on average) has no τ — random storage order does
-// not. Then every cell is
-// its own run, groups are matricization columns in ascending order with
-// cells in storage order, and each column adds every ordered pair of its
-// cells: the order a stable column sort gives, which the HOSVD and HOOI
-// bits of such tensors are pinned to.
+// A tensor whose runs are short (under two cells on average) or sparse
+// along τ (covering under half of the τ indices that occur, on average)
+// has no τ — random storage order does not. Then every cell is its own
+// run, groups are matricization columns in ascending order, and a
+// column's cells are summed by row, in storage order, before the outer
+// product of those row sums is added.
+//
+// So in every group a row's cells or runs are summed before they are
+// multiplied, and a Gram entry's rounding grows with the cells of a row,
+// not with their pairs. Every case fills the upper triangle and mirrors
+// it at the end, so the result is exactly symmetric.
 
 // stripMinCells is the minimum cells per Gram reduction strip: below it
 // the per-strip partial's zeroing and merge outweigh the accumulation. A
@@ -58,8 +61,9 @@ const maxGramStrips = 32
 // strip whatever the worker count, and nothing per cell; every buffer is
 // cleared before use, so pool order is irrelevant.
 type gramScratch struct {
+	buf   []float64 // gram then fibre: one allocation when the pool misses
 	gram  []float64 // rows×rows partial Gram
-	fibre []float64 // one dense fibre, all zero between uses
+	fibre []float64 // one dense fibre or row, all zero between uses
 	idx   []int     // a column's τ indices
 
 	steps []uint8  // findRuns' per-cell steps
@@ -73,8 +77,8 @@ func gramScratchGet(rows, fibre int) *gramScratch {
 	if p == nil {
 		p = &gramScratch{}
 	}
-	reuse(&p.gram, rows*rows)
-	reuse(&p.fibre, fibre)
+	buf := reuse(&p.buf, rows*rows+fibre)
+	p.gram, p.fibre = buf[:rows*rows], buf[rows*rows:]
 	return p
 }
 
@@ -130,7 +134,7 @@ func (fr *fibreRuns) bounds(r int) (int, int) {
 // with the most (the lowest on a tie). A second pass cuts the runs. There
 // is no τ when the runs average under two cells, or cover under half of
 // the τ indices that occur: a dot product of two runs costs one run's
-// length, and only indices both runs hold are work the column pairs it
+// length, and only indices both runs hold are work the cell products it
 // replaces would do. Runs sampled on one subset of τ (a pivot fraction
 // P < 1) fill that subset, and keep their τ.
 func findRuns(s *Sparse, sc *gramScratch) fibreRuns {
@@ -239,7 +243,7 @@ const (
 
 // runKey is one run in a Gram's grouping, with its mode-n index. Runs sort
 // by group key (the run's indices other than n and τ), then by mode-n
-// index where the group's pairs fill an upper triangle, then by storage.
+// index unless n is τ, then by storage.
 type runKey struct {
 	key, row, run int
 }
@@ -251,7 +255,7 @@ type runKey struct {
 func groupRuns(s *Sparse, fr *fibreRuns, n int, sc *gramScratch) (keys []runKey, bounds, strips []int) {
 	o, shape := s.Order(), s.Shape
 	keys = reuse(&sc.keys, fr.numRuns(s.NNZ()))
-	sortRows := fr.tau >= 0 && fr.tau != n
+	sortRows := fr.tau != n
 	for r := range keys {
 		e, _ := fr.bounds(r)
 		at := s.Idx[e*o : (e+1)*o]
@@ -312,7 +316,7 @@ func ModeGramWorkers(s *Sparse, n, workers int) *mat.Matrix {
 	defer gramScratchPut(sc)
 	fr := findRuns(s, sc)
 	keys, bounds, strips := groupRuns(s, &fr, n, sc)
-	fibre := 0
+	fibre := rows
 	if fr.tau >= 0 {
 		fibre = s.Shape[fr.tau]
 	}
@@ -323,7 +327,7 @@ func ModeGramWorkers(s *Sparse, n, workers int) *mat.Matrix {
 				group := keys[bounds[gi]:bounds[gi+1]]
 				switch fr.tau {
 				case -1:
-					columnPairs(p, s, rows, group)
+					columnRows(p, s, rows, group)
 				case n:
 					columnOuter(p, s, &fr, group)
 				default:
@@ -341,26 +345,37 @@ func ModeGramWorkers(s *Sparse, n, workers int) *mat.Matrix {
 	)
 	copy(g.Data, out.gram)
 	gramScratchPut(out)
-	if fr.tau >= 0 {
-		for i := 0; i < rows; i++ {
-			for j := i + 1; j < rows; j++ {
-				g.Data[j*rows+i] = g.Data[i*rows+j]
-			}
+	for i := 0; i < rows; i++ {
+		for j := i + 1; j < rows; j++ {
+			g.Data[j*rows+i] = g.Data[i*rows+j]
 		}
 	}
 	return g
 }
 
-// columnPairs adds one matricization column of a tensor without τ (group
-// runs are single cells): every ordered pair of its cells, in storage
-// order, at (row a, row b).
-func columnPairs(p *gramScratch, s *Sparse, rows int, group []runKey) {
-	for _, ka := range group {
-		row := p.gram[ka.row*rows:][:rows]
-		va := s.Vals[ka.run]
-		for _, kb := range group {
-			row[kb.row] += va * s.Vals[kb.run]
+// columnRows adds one matricization column of a tensor without τ (group
+// runs are single cells, sorted by row): each row's cells summed in
+// storage order, then the upper triangle of the row sums' outer product.
+func columnRows(p *gramScratch, s *Sparse, rows int, group []runKey) {
+	for _, k := range group {
+		p.fibre[k.row] += s.Vals[k.run]
+	}
+	for a, ka := range group {
+		fa := p.fibre[ka.row]
+		if fa == 0 || a > 0 && ka.row == group[a-1].row {
+			continue
 		}
+		row := p.gram[ka.row*rows:][:rows]
+		prev := -1
+		for _, kb := range group[a:] {
+			if kb.row != prev {
+				row[kb.row] += fa * p.fibre[kb.row]
+				prev = kb.row
+			}
+		}
+	}
+	for _, k := range group {
+		p.fibre[k.row] = 0
 	}
 }
 
@@ -412,28 +427,31 @@ func columnOuter(p *gramScratch, s *Sparse, fr *fibreRuns, group []runKey) {
 }
 
 // runDots adds one group of a mode n ≠ τ: the runs share every index but n
-// and τ, sorted by their mode-n index. Each run's τ fibre is scattered once
-// and dotted with every run from its own row on, the dot landing at (its
-// row, the other's row) — the upper triangle, same-row pairs both ways.
+// and τ, sorted by their mode-n index. Each row's runs are summed into one
+// dense τ fibre, which is dotted with every run of that row and of the
+// later ones, each dot landing at (the row, the run's row): the upper
+// triangle.
 func runDots(p *gramScratch, s *Sparse, fr *fibreRuns, n int, group []runKey) {
 	o, tau, rows := s.Order(), fr.tau, s.Shape[n]
-	first := 0 // the first run of the current row
-	for a, ka := range group {
-		if ka.row != group[first].row {
-			first = a
+	for lo := 0; lo < len(group); {
+		hi := lo + 1
+		for hi < len(group) && group[hi].row == group[lo].row {
+			hi++
 		}
-		e0, e1 := fr.bounds(ka.run)
-		for e := e0; e < e1; e++ {
-			p.fibre[s.Idx[e*o+tau]] = s.Vals[e]
+		for _, ka := range group[lo:hi] {
+			e0, e1 := fr.bounds(ka.run)
+			for e := e0; e < e1; e++ {
+				p.fibre[s.Idx[e*o+tau]] += s.Vals[e]
+			}
 		}
-		row := p.gram[ka.row*rows:][:rows]
-		for _, kb := range group[first:] {
+		row := p.gram[group[lo].row*rows:][:rows]
+		for _, kb := range group[lo:] {
 			b0, b1 := fr.bounds(kb.run)
 			vals := s.Vals[b0:b1]
 			d := 0.0
 			if fr.runs[kb.run].step {
-				lo := s.Idx[b0*o+tau]
-				for c, v := range p.fibre[lo : lo+len(vals)] {
+				t0 := s.Idx[b0*o+tau]
+				for c, v := range p.fibre[t0 : t0+len(vals)] {
 					d += v * vals[c]
 				}
 			} else {
@@ -443,8 +461,12 @@ func runDots(p *gramScratch, s *Sparse, fr *fibreRuns, n int, group []runKey) {
 			}
 			row[kb.row] += d
 		}
-		for e := e0; e < e1; e++ {
-			p.fibre[s.Idx[e*o+tau]] = 0
+		for _, ka := range group[lo:hi] {
+			e0, e1 := fr.bounds(ka.run)
+			for e := e0; e < e1; e++ {
+				p.fibre[s.Idx[e*o+tau]] = 0
+			}
 		}
+		lo = hi
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -106,9 +107,7 @@ func TestFindRunsFindsTheFibreMode(t *testing.T) {
 
 // TestModeGramOverRunsMatchesOracle: with or without a run mode, every
 // mode's Gram equals the dense matricization's to 1e-12 of the Gram of
-// |X| and has the same bits at workers 1, 2 and 8. With one it is exactly
-// symmetric (without, a column's duplicate cells sum their pairs in
-// storage order, which need not be).
+// |X|, is exactly symmetric and has the same bits at workers 1, 2 and 8.
 func TestModeGramOverRunsMatchesOracle(t *testing.T) {
 	for _, c := range fibreCases() {
 		abs := c.x.Clone()
@@ -124,7 +123,7 @@ func TestModeGramOverRunsMatchesOracle(t *testing.T) {
 				if math.Abs(v-want.Data[i]) > 1e-12*scale.Data[i] {
 					t.Fatalf("%s mode %d: entry %d = %v, oracle %v", c.name, n, i, v, want.Data[i])
 				}
-				if r, col := i/rows, i%rows; c.tau >= 0 && v != got.Data[col*rows+r] {
+				if r, col := i/rows, i%rows; v != got.Data[col*rows+r] {
 					t.Fatalf("%s mode %d: not symmetric at (%d, %d)", c.name, n, r, col)
 				}
 			}
@@ -137,10 +136,10 @@ func TestModeGramOverRunsMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFibreGramAllocatesNoPlan: a fibre-laid tensor's Gram allocates less
-// than one word per cell. A mode plan alone is four nnz-long arrays, so no
-// Gram of a campaign's sub-tensors compiles one.
-func TestFibreGramAllocatesNoPlan(t *testing.T) {
+// TestFibreGramAllocatesUnderAWordPerCell: a fibre-laid tensor's Gram
+// allocates less than one word per cell. Nothing per cell is compiled or
+// copied: the Gram reads the runs where the storage holds them.
+func TestFibreGramAllocatesUnderAWordPerCell(t *testing.T) {
 	x := pivotSub(24)
 	for n := 0; n < x.Order(); n++ {
 		ModeGramWorkers(x, n, 1) // warm the scratch pool
@@ -154,5 +153,49 @@ func TestFibreGramAllocatesNoPlan(t *testing.T) {
 		if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= uint64(8*x.NNZ()) {
 			t.Fatalf("mode %d: a Gram of %d cells allocates %d B, want under %d", n, x.NNZ(), perCall, 8*x.NNZ())
 		}
+	}
+}
+
+// TestModeGramAfterMutation: a tensor keeps nothing a kernel derived from
+// it, so a Gram taken after a mutation — Append, Dedup, or a direct write
+// to Vals with no call in between — is the Gram of the mutated entries.
+// Append and DirectWrite leave the storage in random order, with no run
+// mode, so their Gram keeps the reference's bits. Dedup sorts the
+// storage, which lays it out in runs; the run Gram equals the reference
+// to rounding only.
+func TestModeGramAfterMutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := randomSparse(rng, Shape{6, 5, 4}, 50)
+
+	mutations := []struct {
+		name string
+		do   func(*Sparse)
+		runs bool // the mutated storage has a run mode
+	}{
+		{"Append", func(s *Sparse) { s.Append([]int{0, 0, 0}, 1.5) }, false},
+		{"Dedup", func(s *Sparse) { s.Dedup(SumDuplicates) }, true},
+		{"DirectWrite", func(s *Sparse) { s.Vals[0] *= 2 }, false},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			c := s.Clone()
+			before := ModeGramWorkers(c, 0, 1)
+			m.do(c)
+			after := ModeGramWorkers(c, 0, 1)
+			ref := modeGramWorkersRef(c.Clone(), 0, 1)
+			if tau := findRuns(c, &gramScratch{}).tau; (tau >= 0) != m.runs {
+				t.Fatalf("%s: run mode %d, want runs %v", m.name, tau, m.runs)
+			}
+			if m.runs {
+				if !after.Equal(ref, 1e-12) {
+					t.Fatalf("%s: Gram differs from the reference's", m.name)
+				}
+			} else {
+				bitsEqualMat(t, m.name, after, ref)
+			}
+			if m.name == "DirectWrite" && reflect.DeepEqual(before.Data, after.Data) {
+				t.Fatal("the write did not move the Gram; the case proves nothing")
+			}
+		})
 	}
 }

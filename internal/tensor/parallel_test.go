@@ -70,23 +70,20 @@ var parallelTestWorkers = []int{2, 3, 8}
 func TestTTMSparseWorkersBitStable(t *testing.T) {
 	s := seededSparse(Shape{9, 8, 7, 6}, 6000, 1)
 	m := randomMatrix(4, 9, 2)
-	want := ttmSparsePlanned(s, nil, 0, m, 1)
-	// The sweeps below run the group-parallel path on a compiled plan
-	// against the serial scatter above.
-	p0, p2 := CompileModePlan(s, 0, 1), CompileModePlan(s, 2, 1)
+	ms := onlyMode(s.Order(), 0, m)
+	want := MultiTTMSparseWorkers(s, ms, 1)
 	for _, w := range parallelTestWorkers {
 		t.Run("w="+strconv.Itoa(w), func(t *testing.T) {
-			got := ttmSparsePlanned(s, p0, 0, m, w)
-			if !denseEqualBits(want, got) {
+			if !denseEqualBits(want, MultiTTMSparseWorkers(s, ms, w)) {
 				t.Fatal("TTMSparse workers=1 and workers=N differ")
 			}
 		})
 	}
 	// Middle mode too (different base/stride layout).
-	m2 := randomMatrix(5, 7, 3)
-	want2 := ttmSparsePlanned(s, nil, 2, m2, 1)
+	ms2 := onlyMode(s.Order(), 2, randomMatrix(5, 7, 3))
+	want2 := MultiTTMSparseWorkers(s, ms2, 1)
 	for _, w := range parallelTestWorkers {
-		if !denseEqualBits(want2, ttmSparsePlanned(s, p2, 2, m2, w)) {
+		if !denseEqualBits(want2, MultiTTMSparseWorkers(s, ms2, w)) {
 			t.Fatalf("TTMSparse mode 2, workers=%d differs", w)
 		}
 	}
@@ -163,45 +160,37 @@ func TestMultiTTMSparseWorkersBitStable(t *testing.T) {
 		randomMatrix(4, 8, 12),
 		randomMatrix(2, 7, 13),
 	}
-	want := MultiTTMSparseWorkers(s, nil, ms, 1)
-	// Sweep the planned path (the chain handed the mode-0 plan) against
-	// the scatter.
-	plans := []*ModePlan{CompileModePlan(s, 0, 1), nil, nil}
+	want := MultiTTMSparseWorkers(s, ms, 1)
 	for _, w := range parallelTestWorkers {
-		if !denseEqualBits(want, MultiTTMSparseWorkers(s, nil, ms, w)) {
+		if !denseEqualBits(want, MultiTTMSparseWorkers(s, ms, w)) {
 			t.Fatalf("MultiTTMSparse workers=%d differs", w)
-		}
-		if !denseEqualBits(want, MultiTTMSparseWorkers(s, plans, ms, w)) {
-			t.Fatalf("planned MultiTTMSparse workers=%d differs", w)
 		}
 	}
 }
 
 // TestMultiTTMSparseHOOIStyleSweeps drives the chain the way HOOI does —
-// alternating which mode is skipped, sweep after sweep, on the mode-0 and
-// mode-1 plans compiled once — and checks every projection against the
-// chain without plans. It also checks the identity HOOI's energy core
-// rests on: the projection that skips the last mode, times the last
-// matrix, is the full chain to the bit.
+// alternating which mode is skipped, sweep after sweep — and checks every
+// projection against the same chain at one worker. It also checks the
+// identity HOOI's energy core rests on: the projection that skips the last
+// mode, times the last matrix, is the full chain to the bit.
 func TestMultiTTMSparseHOOIStyleSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	shape := Shape{9, 8, 7, 6}
-	s := seededSparse(shape, 2*ttmSparseMinNNZ, 26)
+	s := seededSparse(shape, 8192, 26)
 	full := make([]*mat.Matrix, shape.Order())
 	for n := range full {
 		full[n] = mat.Random(rng, 3, shape[n])
 	}
 	ms := make([]*mat.Matrix, shape.Order())
-	plans := []*ModePlan{CompileModePlan(s, 0, 2), CompileModePlan(s, 1, 2), nil, nil}
 	last := shape.Order() - 1
 	for sweep := 0; sweep < 3; sweep++ {
 		for n := 0; n < shape.Order(); n++ {
 			copy(ms, full)
 			ms[n] = nil
-			got := MultiTTMSparseWorkers(s, plans, ms, 2)
-			bitsEqualDense(t, "HOOI-style sweep", MultiTTMSparseWorkers(s, nil, ms, 2), got)
+			got := MultiTTMSparseWorkers(s, ms, 2)
+			bitsEqualDense(t, "HOOI-style sweep", MultiTTMSparseWorkers(s, ms, 1), got)
 			if n == last {
-				bitsEqualDense(t, "core from the last projection", MultiTTMSparseWorkers(s, nil, full, 2), TTMWorkers(got, last, full[last], 2))
+				bitsEqualDense(t, "core from the last projection", MultiTTMSparseWorkers(s, full, 2), TTMWorkers(got, last, full[last], 2))
 			}
 		}
 	}

@@ -49,3 +49,24 @@ func TestSparseCloneCarriesQuarantine(t *testing.T) {
 		t.Fatalf("Clone shares accounting: clone=%d orig=%d", c.Rejected, s.Rejected)
 	}
 }
+
+// TestPlanlessView: the view is a shallow copy — the same entries
+// (aliased, not copied) and the same quarantine accounting.
+func TestPlanlessView(t *testing.T) {
+	s := NewSparse(Shape{3, 4})
+	s.RejectNonFinite = true
+	s.Append([]int{0, 1}, 2.5)
+	s.Append([]int{2, 3}, -1.0)
+	s.Append([]int{1, 0}, math.NaN()) // quarantined
+
+	v := s.PlanlessView()
+	if v.NNZ() != s.NNZ() {
+		t.Fatalf("view NNZ = %d, want %d", v.NNZ(), s.NNZ())
+	}
+	if &v.Idx[0] != &s.Idx[0] || &v.Vals[0] != &s.Vals[0] {
+		t.Error("view must alias the source storage, not copy it")
+	}
+	if !v.RejectNonFinite || v.Rejected != 1 {
+		t.Errorf("view quarantine = (%v, %d), want (true, 1)", v.RejectNonFinite, v.Rejected)
+	}
+}

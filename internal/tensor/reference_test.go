@@ -7,12 +7,12 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file retains the pre-plan / pre-stride-walk kernel implementations
-// verbatim (renamed with a Ref suffix). They are the executable
-// specification the optimised kernels are held to: the parity suites in
-// plan_test.go assert bit-identical output against them for workers ∈
-// {1, N}. They are referenced only by tests and must not be used in
-// pipelines.
+// This file retains the pre-stride-walk kernel implementations (renamed
+// with a Ref suffix) and the specifications of the sparse Gram's column
+// rule. They are the executable specification the optimised kernels are
+// held to: the parity suites in parity_test.go and strips_test.go assert
+// bit-identical output against them for workers ∈ {1, N}. They are
+// referenced only by tests and must not be used in pipelines.
 
 // gramTripleRef is one sparse entry keyed by its matricization column.
 type gramTripleRef struct {
@@ -21,54 +21,74 @@ type gramTripleRef struct {
 	val float64
 }
 
-// modeGramWorkersRef is the previous ModeGramWorkers: it re-collects and
-// re-sorts the (col,row,val) triples on every call.
-func modeGramWorkersRef(s *Sparse, n, workers int) *mat.Matrix {
-	rows := s.Shape[n]
-	g := mat.New(rows, rows)
-	nnz := s.NNZ()
-	if nnz == 0 {
-		return g
-	}
+// columnsRef lists s's entries stable-sorted by mode-n matricization
+// column — storage order within a column — and the column bounds:
+// entries bounds[g] up to bounds[g+1] share column g.
+func columnsRef(s *Sparse, n int) (ts []gramTripleRef, bounds []int) {
 	o := s.Order()
-
-	ts := make([]gramTripleRef, nnz)
-	parallel.ForGrain(nnz, workers, 1024, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			idx := s.Idx[e*o : (e+1)*o]
-			ts[e] = gramTripleRef{col: s.Shape.MatricizeColumn(n, idx), row: idx[n], val: s.Vals[e]}
-		}
-	})
+	ts = make([]gramTripleRef, s.NNZ())
+	for e := range ts {
+		idx := s.Idx[e*o : (e+1)*o]
+		ts[e] = gramTripleRef{col: s.Shape.MatricizeColumn(n, idx), row: idx[n], val: s.Vals[e]}
+	}
 	sort.SliceStable(ts, func(a, b int) bool { return ts[a].col < ts[b].col })
-
-	bounds := make([]int, 0, 64)
-	for start := 0; start < nnz; {
+	for start := 0; start < len(ts); {
 		bounds = append(bounds, start)
 		end := start + 1
-		for end < nnz && ts[end].col == ts[start].col {
+		for end < len(ts) && ts[end].col == ts[start].col {
 			end++
 		}
 		start = end
 	}
-	bounds = append(bounds, nnz)
+	return ts, append(bounds, len(ts))
+}
 
-	parallel.For(rows, workers, func(r0, r1 int) {
-		for gi := 0; gi+1 < len(bounds); gi++ {
-			start, end := bounds[gi], bounds[gi+1]
-			for a := start; a < end; a++ {
-				ra := ts[a].row
-				if ra < r0 || ra >= r1 {
-					continue
-				}
-				ga := g.Row(ra)
-				va := ts[a].val
-				for b := start; b < end; b++ {
-					ga[ts[b].row] += va * ts[b].val
-				}
+// addColumnRef adds one column's share of the upper triangle of a Gram
+// with rows×rows entries g, for Gram rows r0 up to r1: each row's cells
+// summed in storage order, then, for every two rows a ≤ b that occur, the
+// product of their sums at (a, b). A zero row sum adds nothing.
+func addColumnRef(g []float64, rows, r0, r1 int, column []gramTripleRef) {
+	sum := make([]float64, rows)
+	held := make([]bool, rows)
+	for _, c := range column {
+		sum[c.row] += c.val
+		held[c.row] = true
+	}
+	for a := r0; a < r1; a++ {
+		if !held[a] || sum[a] == 0 {
+			continue
+		}
+		for b := a; b < rows; b++ {
+			if held[b] {
+				g[a*rows+b] += sum[a] * sum[b]
 			}
 		}
-	})
+	}
+}
+
+// mirrorRef copies g's upper triangle into its lower one.
+func mirrorRef(g *mat.Matrix) *mat.Matrix {
+	for i := 0; i < g.Rows; i++ {
+		for j := i + 1; j < g.Rows; j++ {
+			g.Data[j*g.Rows+i] = g.Data[i*g.Rows+j]
+		}
+	}
 	return g
+}
+
+// modeGramWorkersRef is the serial specification of ModeGramWorkers on a
+// tensor without a run mode: every column in ascending order, split over
+// Gram rows among workers (each Gram entry sums its columns in order).
+func modeGramWorkersRef(s *Sparse, n, workers int) *mat.Matrix {
+	rows := s.Shape[n]
+	g := mat.New(rows, rows)
+	ts, bounds := columnsRef(s, n)
+	parallel.For(rows, workers, func(r0, r1 int) {
+		for gi := 0; gi+1 < len(bounds); gi++ {
+			addColumnRef(g.Data, rows, r0, r1, ts[bounds[gi]:bounds[gi+1]])
+		}
+	})
+	return mirrorRef(g)
 }
 
 // modeGramDenseWorkersRef is the previous ModeGramDenseWorkers: every
@@ -154,6 +174,10 @@ func ttmWorkersRef(x *Dense, n int, m *mat.Matrix, workers int) *Dense {
 	return out
 }
 
+// ttmSparseRefMinNNZ is the size under which ttmSparseWorkersRef runs its
+// serial scatter.
+const ttmSparseRefMinNNZ = 4096
+
 // ttmSparseWorkersRef is the previous one-mode sparse TTM: phase 2 partitions
 // output slabs j and every worker re-scans all nnz entries.
 func ttmSparseWorkersRef(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
@@ -164,7 +188,7 @@ func ttmSparseWorkersRef(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 	stride := outStrides[n]
 
 	nnz := x.NNZ()
-	if parallel.Resolve(workers) <= 1 || nnz < ttmSparseMinNNZ || m.Rows == 1 {
+	if parallel.Resolve(workers) <= 1 || nnz < ttmSparseRefMinNNZ || m.Rows == 1 {
 		x.Each(func(idx []int, v float64) {
 			base := 0
 			for k, i := range idx {
@@ -213,11 +237,11 @@ func ttmSparseWorkersRef(x *Sparse, n int, m *mat.Matrix, workers int) *Dense {
 }
 
 // modeGramStripRef is the executable specification of ModeGramWorkers on
-// a tensor without a run mode (findRuns finds no τ): the mode plan's
-// column groups, a reduction grid over them balanced by cell count, one
-// serial pass per strip into a fresh dense partial — every ordered pair of
-// a column's cells in storage order — then an explicit pairwise tree merge
-// ascending by strip index (span doubling each level). No pooling, no
+// a tensor without a run mode (findRuns finds no τ): the stable-sorted
+// columns, a reduction grid over them balanced by cell count, one serial
+// pass per strip into a fresh dense partial — the column rule of
+// addColumnRef — then an explicit pairwise tree merge ascending by strip
+// index (span doubling each level), and the mirror. No pooling, no
 // goroutines: the parity suite asserts the kernel matches this bit for bit
 // at every worker count, which is exactly the claim that workers only
 // decide WHEN a partial is produced, never where it lands in the tree.
@@ -227,27 +251,22 @@ func modeGramStripRef(s *Sparse, n int) *mat.Matrix {
 	if s.NNZ() == 0 {
 		return g
 	}
-	p := CompileModePlan(s, n, 1)
-	weights := make([]int, p.NumGroups())
+	ts, bounds := columnsRef(s, n)
+	weights := make([]int, len(bounds)-1)
 	for gi := range weights {
-		weights[gi] = p.Bounds[gi+1] - p.Bounds[gi]
+		weights[gi] = bounds[gi+1] - bounds[gi]
 	}
 	strips := parallel.BalancedStripBounds(weights, stripMinCells, maxGramStrips)
 	partials := make([][]float64, len(strips)-1)
 	for st := range partials {
 		gm := make([]float64, rows*rows)
 		for gi := strips[st]; gi < strips[st+1]; gi++ {
-			start, end := p.Bounds[gi], p.Bounds[gi+1]
-			for a := start; a < end; a++ {
-				for b := start; b < end; b++ {
-					gm[p.Rows[a]*rows+p.Rows[b]] += p.Vals[a] * p.Vals[b]
-				}
-			}
+			addColumnRef(gm, rows, 0, rows, ts[bounds[gi]:bounds[gi+1]])
 		}
 		partials[st] = gm
 	}
 	copy(g.Data, treeMergeRef(partials))
-	return g
+	return mirrorRef(g)
 }
 
 // modeGramDenseStripRef is the executable specification of the

@@ -11,9 +11,9 @@ import (
 // coordinates are permitted until Dedup is called; most builders in this
 // module produce duplicate-free tensors directly.
 //
-// A Sparse holds no derived state: every kernel reads Idx and Vals as they
-// are when it is called, so code may write them directly between kernel
-// calls (see ModePlan for the one layout a caller may hold across calls).
+// A Sparse holds no derived state, and no kernel compiles any: every
+// kernel reads Idx and Vals as they are stored when it is called, so code
+// may write them directly between kernel calls.
 type Sparse struct {
 	Shape Shape
 	Idx   []int

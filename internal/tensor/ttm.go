@@ -90,78 +90,6 @@ func ttmDenseRange(x *Dense, m *mat.Matrix, out *Dense, inner, inSize, outSize, 
 	}
 }
 
-// ttmSparseMinNNZ gates the plan-based parallel sparse TTM; tiny tensors
-// run the single-pass serial loop.
-const ttmSparseMinNNZ = 4096
-
-// ttmSparseKernel computes the mode-n sparse TTM into a preallocated,
-// ZEROED output tensor with the given strides.
-//
-// Path choice: the group-parallel path runs iff the caller passes p, x's
-// compiled plan for mode n (and the product is big enough to fan out). A
-// one-shot product passes none: compiling a plan (an O(nnz log nnz)
-// stable sort) costs more than the scatter it would replace.
-// Entries grouped by matricization column share one output base and
-// distinct groups write disjoint output cells, so workers partition the
-// groups. Without a plan the kernel runs the entry scatter. Within a
-// group the plan keeps storage order, so both paths accumulate every
-// output cell in storage-entry order: the choice never changes an output
-// bit, at any worker count.
-func ttmSparseKernel(x *Sparse, p *ModePlan, n int, m *mat.Matrix, out *Dense, outStrides []int, workers int) {
-	if p != nil && p.Mode != n {
-		panic(fmt.Sprintf("tensor: TTMSparse mode %d given a mode-%d plan", n, p.Mode))
-	}
-	stride := outStrides[n]
-	nnz := x.NNZ()
-	o := x.Order()
-	if p == nil || nnz < ttmSparseMinNNZ || m.Rows == 1 {
-		for e := 0; e < nnz; e++ {
-			idx := x.Idx[e*o : (e+1)*o]
-			base := 0
-			for k, i := range idx {
-				if k == n {
-					continue
-				}
-				base += i * outStrides[k]
-			}
-			v := x.Vals[e]
-			in := idx[n]
-			for j := 0; j < m.Rows; j++ {
-				out.Data[base+j*stride] += v * m.At(j, in)
-			}
-		}
-		return
-	}
-
-	bounds, rows, vals, ents := p.Bounds, p.Rows, p.Vals, p.Ents
-	// Average per-group cost: (nnz/groups) entries × m.Rows accumulations.
-	groupCost := float64(nnz) / float64(p.NumGroups()) * float64(m.Rows)
-	parallel.ForGrain(p.NumGroups(), workers, parallel.AutoGrain(groupCost), func(g0, g1 int) {
-		for gi := g0; gi < g1; gi++ {
-			start, end := bounds[gi], bounds[gi+1]
-			// All entries of a group share the non-n coordinates; recover
-			// the output base from the first entry's multi-index.
-			e0 := ents[start]
-			idx := x.Idx[e0*o : (e0+1)*o]
-			base := 0
-			for k, i := range idx {
-				if k == n {
-					continue
-				}
-				base += i * outStrides[k]
-			}
-			for j := 0; j < m.Rows; j++ {
-				row := m.Row(j)
-				var s float64
-				for q := start; q < end; q++ {
-					s += vals[q] * row[rows[q]]
-				}
-				out.Data[base+j*stride] = s
-			}
-		}
-	})
-}
-
 // MultiTTM applies Y = X ×₁ M[0] ×₂ M[1] … over all modes sequentially.
 // A nil entry skips that mode. Matrices are applied in increasing mode
 // order; since each M[k] typically has far fewer rows than columns
@@ -185,20 +113,17 @@ func MultiTTMWorkers(x *Dense, ms []*mat.Matrix, workers int) *Dense {
 
 // MultiTTMSparse applies all mode products to a sparse tensor: the first
 // non-nil matrix consumes the sparse input, the rest proceed densely.
-func MultiTTMSparse(x *Sparse, ms []*mat.Matrix) *Dense { return MultiTTMSparseWorkers(x, nil, ms, 0) }
+func MultiTTMSparse(x *Sparse, ms []*mat.Matrix) *Dense { return MultiTTMSparseWorkers(x, ms, 0) }
 
 // MultiTTMSparseWorkers is MultiTTMSparse on an explicit worker count. It
 // is the one sparse TTM chain: HOSVD's core, CoreFromFactors, HOOI's mode
 // updates and every campaign's ProjectShard run it. With all matrices nil
 // the tensor is densified.
 //
-// plans, which may be nil, holds the caller's compiled mode plans of x,
-// indexed by mode (nil entries allowed): the sparse product on mode n runs
-// group-parallel on plans[n] when it is there, the entry scatter otherwise
-// (see ttmSparseKernel), with the same bits either way. A caller that
-// repeats products on one tensor — HOOI's sweeps — compiles the plans once
-// and passes them to every call.
-func MultiTTMSparseWorkers(x *Sparse, plans []*ModePlan, ms []*mat.Matrix, workers int) *Dense {
+// The sparse product is one serial scatter of the entries as stored, so
+// every output cell sums its entries in storage order; the dense products
+// after it fan out over workers with the same bits at any count.
+func MultiTTMSparseWorkers(x *Sparse, ms []*mat.Matrix, workers int) *Dense {
 	if len(ms) != x.Order() {
 		panic(fmt.Sprintf("tensor: MultiTTMSparse got %d matrices for order-%d tensor", len(ms), x.Order()))
 	}
@@ -213,14 +138,24 @@ func MultiTTMSparseWorkers(x *Sparse, plans []*ModePlan, ms []*mat.Matrix, worke
 	if m.Cols != x.Shape[start] {
 		panic(fmt.Sprintf("tensor: TTMSparse mode %d size %d != matrix cols %d", start, x.Shape[start], m.Cols))
 	}
-	var p *ModePlan
-	if start < len(plans) {
-		p = plans[start]
-	}
 	outShape := x.Shape.Clone()
 	outShape[start] = m.Rows
 	cur := NewDense(outShape)
-	ttmSparseKernel(x, p, start, m, cur, outShape.Strides(), workers)
+	outStrides := outShape.Strides()
+	stride, o := outStrides[start], x.Order()
+	for e := range x.Vals {
+		idx := x.Idx[e*o : (e+1)*o]
+		base := 0
+		for k, i := range idx {
+			if k != start {
+				base += i * outStrides[k]
+			}
+		}
+		v, in := x.Vals[e], idx[start]
+		for j := 0; j < m.Rows; j++ {
+			cur.Data[base+j*stride] += v * m.At(j, in)
+		}
+	}
 	for n := start + 1; n < len(ms); n++ {
 		if ms[n] != nil {
 			cur = TTMWorkers(cur, n, ms[n], workers)

@@ -71,7 +71,7 @@ func TestTTMSparseMatchesDense(t *testing.T) {
 	d := s.ToDense()
 	for n := 0; n < shape.Order(); n++ {
 		m := mat.Random(rng, 2, shape[n])
-		if !MultiTTMSparseWorkers(s, nil, onlyMode(shape.Order(), n, m), 0).Equal(TTM(d, n, m), 1e-10) {
+		if !MultiTTMSparseWorkers(s, onlyMode(shape.Order(), n, m), 0).Equal(TTM(d, n, m), 1e-10) {
 			t.Errorf("mode %d: TTMSparse != TTM", n)
 		}
 	}
@@ -84,7 +84,7 @@ func TestTTMSparseShapeMismatchPanics(t *testing.T) {
 			t.Fatal("TTMSparse with wrong matrix cols did not panic")
 		}
 	}()
-	MultiTTMSparseWorkers(s, nil, onlyMode(2, 1, mat.New(2, 2)), 0)
+	MultiTTMSparseWorkers(s, onlyMode(2, 1, mat.New(2, 2)), 0)
 }
 
 func TestMultiTTM(t *testing.T) {
@@ -205,26 +205,21 @@ func TestTTMComposesQuick(t *testing.T) {
 	}
 }
 
-// TestTTMSparseOneShotSkipsPlanCompile pins the ttmSparseKernel path
-// choice at every fan-out and worker count: a one-shot chain (nil plans)
-// runs the entry scatter, and a plan its caller passes runs the
-// group-parallel path. Both give the same bits.
+// TestTTMSparseOneShotSkipsPlanCompile: the sparse product compiles
+// nothing and runs one entry scatter, so it gives the same bits at every
+// fan-out cap and worker count.
 func TestTTMSparseOneShotSkipsPlanCompile(t *testing.T) {
-	// Large enough to cross ttmSparseMinNNZ so only the plan argument
-	// decides the path.
-	base := seededSparse(Shape{12, 11, 10, 9}, 2*ttmSparseMinNNZ, 31)
+	base := seededSparse(Shape{12, 11, 10, 9}, 8192, 31)
 	m := mat.Random(rand.New(rand.NewSource(31)), 4, base.Shape[0])
 	ms := onlyMode(base.Order(), 0, m)
-	want := MultiTTMSparseWorkers(base, nil, ms, 1)
-	plans := []*ModePlan{CompileModePlan(base, 0, 1)}
+	want := MultiTTMSparseWorkers(base, ms, 1)
 
 	for _, fanoutCap := range []int{1, 2, 8} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("cap=%d/workers=%d", fanoutCap, workers), func(t *testing.T) {
 				prev := parallel.SetFanoutCap(fanoutCap)
 				defer parallel.SetFanoutCap(prev)
-				bitsEqualDense(t, "scatter TTMSparse", want, MultiTTMSparseWorkers(base, nil, ms, workers))
-				bitsEqualDense(t, "planned TTMSparse", want, MultiTTMSparseWorkers(base, plans, ms, workers))
+				bitsEqualDense(t, "scatter TTMSparse", want, MultiTTMSparseWorkers(base, ms, workers))
 			})
 		}
 	}

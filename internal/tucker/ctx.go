@@ -38,14 +38,6 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 	factors := dec.Factors
 
 	ms := make([]*mat.Matrix, order)
-	// Every chain's sparse product is on mode 0 (mode 1 when updating mode
-	// 0), so the sweeps compile those two plans once; they live as long as
-	// this call.
-	plans := make([]*tensor.ModePlan, order)
-	for n := 0; n < min(order, 2); n++ {
-		plans[n] = tensor.CompileModePlan(x, n, w)
-	}
-
 	prevEnergy := dec.Core.Norm()
 	var core *tensor.Dense
 	sweeps := 0
@@ -69,7 +61,7 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 					ms[k] = nil
 				}
 			}
-			y = tensor.MultiTTMSparseWorkers(x, plans, ms, w)
+			y = tensor.MultiTTMSparseWorkers(x, ms, w)
 			factors[n] = mat.LeadingEigenvectors(tensor.ModeGramDenseWorkers(y, n, w), ranks[n])
 		}
 		if err := ctx.Err(); err != nil {
@@ -83,7 +75,7 @@ func HOOICtx(ctx context.Context, x *tensor.Sparse, ranks []int, opts HOOIOption
 		// another order than the sparse chain does.
 		last := mat.Transpose(factors[order-1])
 		if order == 1 {
-			core = tensor.MultiTTMSparseWorkers(x, plans, []*mat.Matrix{last}, w)
+			core = tensor.MultiTTMSparseWorkers(x, []*mat.Matrix{last}, w)
 		} else {
 			core = tensor.TTMWorkers(y, order-1, last, w)
 		}

@@ -95,12 +95,12 @@ func TestHOOIWorkersBitStable(t *testing.T) {
 
 // TestTuckerBitsPinnedWorkers pins HOSVD's and HOOI's absolute output, not
 // just its agreement across worker counts: orders 1 to 5 at workers 1, 2
-// and 8 hash to the bits recorded before HOOI's sweeps moved onto the
-// shared sparse TTM chain (FNV-64a over the core's, then the factors',
-// float bits; amd64 — other ports may fuse multiply-adds). seededSparse
-// draws coordinates with replacement, so every tensor holds unsorted and
-// duplicate entries; orders 1 to 3 carry enough entries for the sparse
-// products to take their plan path.
+// and 8 hash to the bits recorded when every Gram group began summing a
+// row's cells before it multiplies (FNV-64a over the core's, then the
+// factors', float bits; amd64 — other ports may fuse multiply-adds).
+// seededSparse draws coordinates with replacement, so every tensor holds
+// unsorted and duplicate entries, and its Grams take the no-run-mode
+// column rule.
 func TestTuckerBitsPinnedWorkers(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit fingerprints were recorded on amd64")
@@ -126,11 +126,11 @@ func TestTuckerBitsPinnedWorkers(t *testing.T) {
 		ranks       []int
 		hosvd, hooi string
 	}{
-		{tensor.Shape{60}, 5000, []int{3}, "e83cfb91257065b2", "457a61710d24607b"},
-		{tensor.Shape{40, 30}, 6000, []int{4, 3}, "bd2cf987c1c2b353", "70f887a529dafb62"},
-		{tensor.Shape{10, 9, 8}, 6000, []int{3, 3, 3}, "a27c1c71f18b8d4c", "07c293fb304acc49"},
-		{tensor.Shape{8, 7, 6, 5}, 3000, []int{3, 2, 3, 2}, "bcdd2bc45260fb90", "72b1b569f161e21b"},
-		{tensor.Shape{5, 4, 5, 4, 3}, 2000, []int{2, 2, 2, 2, 2}, "9711b6b386bfc806", "ae3cd8741ccd0814"},
+		{tensor.Shape{60}, 5000, []int{3}, "457a61710d24607b", "457a61710d24607b"},
+		{tensor.Shape{40, 30}, 6000, []int{4, 3}, "114048d7abdabc60", "c98bc3dc2a894403"},
+		{tensor.Shape{10, 9, 8}, 6000, []int{3, 3, 3}, "0b618fd890c2163f", "d5ea18db3c8f9764"},
+		{tensor.Shape{8, 7, 6, 5}, 3000, []int{3, 2, 3, 2}, "35777267bc141f10", "075275e22b646c22"},
+		{tensor.Shape{5, 4, 5, 4, 3}, 2000, []int{2, 2, 2, 2, 2}, "86ca907c43f4aded", "ca05685e54962368"},
 	} {
 		x := seededSparse(c.shape, c.nnz, int64(40+c.shape.Order()))
 		for _, w := range []int{1, 2, 8} {

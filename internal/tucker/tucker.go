@@ -100,7 +100,7 @@ func HOSVDSpan(x *tensor.Sparse, ranks []int, workers int, span *obs.Span) Decom
 	}
 	parallel.Do(workers, tasks...)
 	cs := span.Start("core")
-	core := tensor.MultiTTMSparseWorkers(x, nil, tensor.TransposeAll(factors), workers)
+	core := tensor.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), workers)
 	cs.Set("cells", int64(len(core.Data)))
 	cs.Finish()
 	return Decomposition{Core: core, Factors: factors, Ranks: ranks}
@@ -129,5 +129,5 @@ func CoreFromFactors(x *tensor.Sparse, factors []*mat.Matrix) *tensor.Dense {
 
 // CoreFromFactorsWorkers is CoreFromFactors on an explicit worker count.
 func CoreFromFactorsWorkers(x *tensor.Sparse, factors []*mat.Matrix, workers int) *tensor.Dense {
-	return tensor.MultiTTMSparseWorkers(x, nil, tensor.TransposeAll(factors), workers)
+	return tensor.MultiTTMSparseWorkers(x, tensor.TransposeAll(factors), workers)
 }
