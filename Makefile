@@ -126,7 +126,9 @@ perf:
 # Fingerprint, which name shared store objects), the submit request
 # bodies the server decodes (a config or invalid_request, never a 5xx),
 # tensorstore import's CSV (an error, or finite cells in range), and the
-# sparse Gram against a dense oracle over arbitrary storage orders.
+# sparse Gram against a dense oracle over arbitrary storage orders. The
+# Gram's inputs run to 4 096 cells, so its minimisation is capped at 1 s:
+# at the default 60 s one large input can take the whole 10 s run.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzLinearIndexRoundtrip -fuzztime=10s ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzDedupPreservesSum -fuzztime=10s ./internal/tensor
@@ -141,7 +143,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpecFingerprint -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzSubmitBody -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzImportCSV -fuzztime=10s ./cmd/tensorstore
-	$(GO) test -run=NONE -fuzz=FuzzModeGram -fuzztime=10s ./internal/tensor
+	$(GO) test -run=NONE -fuzz=FuzzModeGram -fuzztime=10s -fuzzminimizetime=1s ./internal/tensor
 
 # Observability acceptance drill (mirrors the CI `obs` job): run a faulted
 # pipeline with a live metrics listener and a JSONL trace sink, assert the

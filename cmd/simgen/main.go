@@ -11,9 +11,9 @@
 //
 // -timeout bounds the whole run with a deadline (Ctrl-C cancels too);
 // the fan-out drains cooperatively instead of being killed mid-write.
-// -fault-rate injects seeded transient simulation failures that are
-// retried with backoff; the fault/retry accounting is printed to stderr
-// so the data stream on stdout stays clean.
+// -fault-rate injects seeded transient simulation failures; each is
+// retried at once, three attempts in all (faults.Run), and the fault/retry
+// accounting is printed to stderr so the data stream on stdout stays clean.
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
@@ -48,7 +47,7 @@ func main() {
 		res      = flag.Int("res", 8, "ensemble grid resolution per parameter")
 		seed     = flag.Int64("seed", 1, "sampling seed")
 		timeout  = flag.Duration("timeout", 0, "overall deadline; the run drains cooperatively on expiry or Ctrl-C (0 = none)")
-		faultRt  = flag.Float64("fault-rate", 0, "injected transient-failure rate per simulation (seeded, deterministic; retried with backoff)")
+		faultRt  = flag.Float64("fault-rate", 0, "injected transient-failure rate per simulation (seeded, deterministic; retried at once, 3 attempts in all)")
 		metrics  = flag.String("metrics-addr", "", "serve Prometheus /metrics, expvar /debug/vars, and /debug/pprof/ on this address (e.g. 127.0.0.1:0)")
 	)
 	flag.Parse()
@@ -152,9 +151,9 @@ func dumpTrajectory(ctx context.Context, w io.Writer, sys dynsys.System, params 
 // deadlines apply and injected transient failures are retried.
 func trajectoryWithRetry(ctx context.Context, sys dynsys.System, vals []float64, samples int) ([][]float64, error) {
 	var traj [][]float64
-	_, err := faults.RetryPolicy{BaseBackoff: time.Millisecond}.Run(ctx, faults.SimKey(0, vals), func(actx context.Context) error {
+	_, err := faults.Run(ctx, func() error {
 		var terr error
-		traj, terr = dynsys.TrajectoryCtx(actx, sys, vals, samples)
+		traj, terr = dynsys.TrajectoryCtx(ctx, sys, vals, samples)
 		return terr
 	})
 	return traj, err
@@ -166,9 +165,7 @@ func dumpEnsemble(ctx context.Context, out io.Writer, sys dynsys.System, scheme 
 	if err != nil {
 		return err
 	}
-	se, stats, err := ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{
-		Retry: faults.RetryPolicy{BaseBackoff: time.Millisecond},
-	})
+	se, stats, err := ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{})
 	if err != nil {
 		return err
 	}

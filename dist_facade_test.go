@@ -94,22 +94,30 @@ func TestDistributedFacadeKillDrill(t *testing.T) {
 	}
 }
 
+// TestDistributedConfigValidation: every invalid process-engine config is
+// refused in resolve, by an error naming the offending field, before any
+// simulation runs.
 func TestDistributedConfigValidation(t *testing.T) {
-	for name, mutate := range map[string]func(*Config){
-		"with Workers":  func(c *Config) { c.Workers = 2 },
-		"with Factored": func(c *Config) { c.Factored = true },
-		"kill every worker": func(c *Config) {
+	for _, row := range map[string]struct {
+		field  string
+		mutate func(*Config)
+	}{
+		"with Workers":  {"Workers", func(c *Config) { c.Workers = 2 }},
+		"with Factored": {"Factored", func(c *Config) { c.Factored = true }},
+		"kill every worker": {"Distributed.KillWorkers", func(c *Config) {
 			c.Distributed.Workers = 2
 			c.Distributed.KillWorkers = 2
-		},
-		"negative kills": func(c *Config) { c.Distributed.KillWorkers = -1 },
+		}},
+		"negative kills":  {"Distributed.KillWorkers", func(c *Config) { c.Distributed.KillWorkers = -1 }},
+		"negative shards": {"Distributed.Shards", func(c *Config) { c.Distributed.Shards = -1 }},
 	} {
 		cfg := tinyDistConfig()
 		cfg.Distributed = &DistributedConfig{Workers: 2}
-		mutate(&cfg)
-		if _, err := RunCtx(context.Background(), cfg); err == nil {
-			t.Fatalf("config %s accepted", name)
-		}
+		row.mutate(&cfg)
+		requireRejected(t, row.field, cfg, func(c Config) error {
+			_, err := RunCtx(context.Background(), c)
+			return err
+		})
 	}
 }
 

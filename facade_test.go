@@ -114,6 +114,7 @@ var outOfRange = []struct {
 	{"Resolution", func(c *Config) { c.Resolution = -1 }},
 	{"TimeSamples", func(c *Config) { c.TimeSamples = -2 }},
 	{"Rank", func(c *Config) { c.Rank = -1 }},
+	{"Workers", func(c *Config) { c.Workers = -1 }},
 	{"AccuracySampleSims", func(c *Config) { c.AccuracySampleSims = -5 }},
 	{"PivotDensity", func(c *Config) { c.PivotDensity = math.NaN() }},
 	{"SubEnsembleDensity", func(c *Config) { c.SubEnsembleDensity = math.NaN() }},

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/dynsys"
 	"repro/internal/faults"
@@ -51,9 +50,7 @@ func TestEncodeCtxFaultAccounting(t *testing.T) {
 	space := encodeSpace(inj.Wrap(dynsys.NewLorenz()))
 	sims := RandomSample(space, 40, rand.New(rand.NewSource(5)))
 
-	se, stats, err := EncodeCtx(context.Background(), space, sims, SimOptions{
-		Retry: faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
-	})
+	se, stats, err := EncodeCtx(context.Background(), space, sims, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

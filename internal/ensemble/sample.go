@@ -217,8 +217,8 @@ func Sample(s *Space, scheme string, budget int, rng *rand.Rand) ([]Sim, error) 
 
 // EncodeCtx runs every selected simulation through SimulateCtx — the
 // fan-out the PF-partitioned campaigns use, so it shares their runtime
-// (cooperative cancellation with a deterministic drain, bounded retries
-// with backoff, panic capture that turns a crashed run into a recorded
+// (cooperative cancellation with a deterministic drain, an immediate retry
+// of a transient failure within faults.Attempts attempts, panic capture that turns a crashed run into a recorded
 // failure, optional checkpointing) and their accounting — and stores each
 // one's per-timestamp cell values into a sparse ensemble tensor of the full
 // 5-mode shape, with divergence quarantine of non-finite values at ingest.

@@ -19,15 +19,13 @@ import (
 // equal-budget comparison), and TruthFibers, the infallible loop behind
 // ground truths and accuracy estimates.
 
-// SimOptions configures one simulation fan-out: worker count, retry policy
-// for transient solver failures, and optional crash-safe checkpointing.
+// SimOptions configures one simulation fan-out: worker count and optional
+// crash-safe checkpointing. Every simulation runs under faults.Run: a
+// transient failure is retried at once, faults.Attempts attempts in all.
 type SimOptions struct {
 	// Workers is the worker count for the fan-out (0 = GOMAXPROCS, see
 	// parallel.Resolve).
 	Workers int
-	// Retry governs re-execution of transiently failing simulations.
-	// The zero value means up to 3 attempts with the default backoff.
-	Retry faults.RetryPolicy
 	// Checkpoint, when non-nil, persists completed simulations
 	// periodically and (with Resume) skips previously completed ones.
 	Checkpoint *Checkpoint
@@ -55,9 +53,9 @@ type SimStats struct {
 	// RetriedSims is the number of executed simulations that needed more
 	// than one attempt.
 	RetriedSims int
-	// FailedSims is the number of simulations that exhausted their retry
-	// budget — an attempt deadline included — or crashed fatally; their
-	// cells are absent from the tensor.
+	// FailedSims is the number of simulations that exhausted their
+	// attempt budget or failed fatally; their cells are absent from the
+	// tensor.
 	FailedSims int
 	// QuarantinedCells is the number of non-finite cell values dropped at
 	// ingest (the divergence quarantine).
@@ -86,7 +84,7 @@ func (s *SimStats) Add(o SimStats) {
 // one allocation. Each fan-out chunk owns one simulation workspace.
 //
 // The fan-out's unit is a pair of consecutive pending simulations, run by
-// SimCellsPairInto as one Retry.Run attempt (the last unit of an odd count
+// SimCellsPairInto as one faults.Run attempt (the last unit of an odd count
 // is a single); executed, failed and checkpointed are still per
 // simulation. A dynsys.CtxSystem — fault injection, an external solver —
 // keeps the per-simulation fallible route: its unit is one simulation.
@@ -143,11 +141,11 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 				s.SimIndex(key(unit[1]), idxB)
 			}
 			clock := obs.StartStopwatch()
-			attempts, runErr := opts.Retry.Run(ctx, uint64(key(unit[0])), func(actx context.Context) error {
+			attempts, runErr := faults.Run(ctx, func() error {
 				if len(unit) == 1 {
-					return s.SimCellsIntoCtx(actx, &w, idxA, cells)
+					return s.SimCellsIntoCtx(ctx, &w, idxA, cells)
 				}
-				if err := actx.Err(); err != nil {
+				if err := ctx.Err(); err != nil {
 					return err
 				}
 				s.SimCellsPairInto(&w, idxA, idxB, cells[:t], cells[t:])
@@ -166,9 +164,7 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 				}
 			case ctx.Err() != nil:
 				// Campaign cancellation, not a simulation failure: the
-				// fan-out returns ctx.Err() and nothing is recorded. An
-				// attempt deadline that ran out under a live ctx is the
-				// default arm's.
+				// fan-out returns ctx.Err() and nothing is recorded.
 			default:
 				stats.FailedSims += len(unit)
 			}

@@ -7,12 +7,12 @@
 //     wraps a dynsys.System and injects simulation panics, transient
 //     errors, non-finite (divergent) trajectories, and artificial latency
 //     at configurable rates — every decision is a pure function of the
-//     seed and the simulation's parameter values, never of timing or
-//     execution order, so campaigns are reproducible under any worker
-//     count and across resumed runs;
-//   - a RetryPolicy (retry.go) with bounded attempts, exponential backoff
-//     with seeded jitter, and a per-attempt timeout, used by the
-//     simulation fan-out to survive transient failures; and
+//     seed, the simulation's parameter values and its attempt number,
+//     never of timing or execution order, so campaigns are reproducible
+//     under any worker count and across resumed runs;
+//   - Run (retry.go), the simulation fan-out's one failure rule: a
+//     transient error is retried at once, Attempts (3) attempts in all,
+//     and anything else is fatal; and
 //   - panic capture that converts a crashed simulation into a recorded
 //     failure instead of a dead process.
 //
@@ -23,10 +23,11 @@
 //   - divergent — the run completes but produces non-finite values; its
 //     cells are quarantined at tensor ingest (tensor.Sparse's quarantine)
 //     and accounted as quarantined cells.
-//   - fatal — the run panics or exhausts its retry budget; it is recorded
-//     as a failed simulation and its cells are simply absent from the
-//     sub-ensemble (the slice-sampling tensor-completion assumption: some
-//     sampled slices never arrive).
+//   - fatal — the run panics, returns a non-transient error, or is still
+//     transient after Attempts attempts; it is recorded as a failed
+//     simulation and its cells are simply absent from the sub-ensemble
+//     (the slice-sampling tensor-completion assumption: some sampled
+//     slices never arrive).
 package faults
 
 import (
@@ -52,7 +53,8 @@ type Config struct {
 	TransientRate float64
 	// TransientAttempts is how many consecutive attempts of an affected
 	// simulation fail before it succeeds (default 1, so one retry
-	// recovers it).
+	// recovers it; at Attempts or more, Run's budget runs out first and
+	// the simulation fails).
 	TransientAttempts int
 	// DivergentRate is the fraction of simulations whose trajectory is
 	// replaced with NaNs — modelling a divergent solver whose output must
@@ -169,7 +171,7 @@ func (f *faultySystem) TrajectoryCtx(ctx context.Context, vals []float64, numSam
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := SimKey(cfg.Seed, vals)
+	key := simKey(cfg.Seed, vals)
 	attempt := in.nextAttempt(key)
 
 	// Artificial latency (context-aware).
@@ -240,10 +242,9 @@ func (in *Injector) noteOnce(seen map[uint64]bool, key uint64, bump func(*Stats)
 	}
 }
 
-// SimKey derives the deterministic 64-bit identity of one simulation from
-// the injection seed and the simulation's parameter values. It is exported
-// so retry jitter and test harnesses can key off the same identity.
-func SimKey(seed int64, vals []float64) uint64 {
+// simKey derives the deterministic 64-bit identity of one simulation from
+// the injection seed and the simulation's parameter values.
+func simKey(seed int64, vals []float64) uint64 {
 	h := mix(uint64(seed) ^ 0x4d32544446415553) // "M2TDFAUS"
 	var b [8]byte
 	for _, v := range vals {

@@ -44,7 +44,7 @@ func runToCompletion(t *testing.T, sys dynsys.System, vals []float64, maxAttempt
 	for a := 0; a < maxAttempts; a++ {
 		traj, err := dynsys.TrajectoryCtx(context.Background(), sys, vals, 4)
 		if err != nil {
-			if !IsTransient(err) {
+			if !transient(err) {
 				t.Fatalf("unexpected non-transient error: %v", err)
 			}
 			sawTransient = true
@@ -109,7 +109,7 @@ func TestTransientClearsAfterConfiguredAttempts(t *testing.T) {
 	sys := in.Wrap(stubSys{})
 	vals := []float64{0.5, 0.25}
 	for a := 1; a <= 2; a++ {
-		if _, err := dynsys.TrajectoryCtx(context.Background(), sys, vals, 4); !IsTransient(err) {
+		if _, err := dynsys.TrajectoryCtx(context.Background(), sys, vals, 4); !transient(err) {
 			t.Fatalf("attempt %d: want transient error, got %v", a, err)
 		}
 	}
@@ -167,21 +167,21 @@ func TestLatencyHonoursCancellation(t *testing.T) {
 }
 
 func TestSimKeyDeterministicAndDistinct(t *testing.T) {
-	a := SimKey(1, []float64{0.1, 0.2})
-	if b := SimKey(1, []float64{0.1, 0.2}); a != b {
-		t.Fatalf("SimKey not deterministic: %x vs %x", a, b)
+	a := simKey(1, []float64{0.1, 0.2})
+	if b := simKey(1, []float64{0.1, 0.2}); a != b {
+		t.Fatalf("simKey not deterministic: %x vs %x", a, b)
 	}
-	if b := SimKey(1, []float64{0.2, 0.1}); a == b {
-		t.Fatalf("SimKey ignores value order")
+	if b := simKey(1, []float64{0.2, 0.1}); a == b {
+		t.Fatalf("simKey ignores value order")
 	}
-	if b := SimKey(2, []float64{0.1, 0.2}); a == b {
-		t.Fatalf("SimKey ignores seed")
+	if b := simKey(2, []float64{0.1, 0.2}); a == b {
+		t.Fatalf("simKey ignores seed")
 	}
 }
 
 func TestRetryRunRecoversTransient(t *testing.T) {
 	calls := 0
-	attempts, err := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}.Run(context.Background(), 1, func(ctx context.Context) error {
+	attempts, err := Run(context.Background(), func() error {
 		calls++
 		if calls < 3 {
 			return &Transient{Err: errors.New("flaky")}
@@ -194,18 +194,20 @@ func TestRetryRunRecoversTransient(t *testing.T) {
 }
 
 func TestRetryRunExhaustsBudget(t *testing.T) {
-	attempts, err := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}.Run(context.Background(), 1, func(ctx context.Context) error {
+	calls := 0
+	attempts, err := Run(context.Background(), func() error {
+		calls++
 		return &Transient{Err: errors.New("never clears")}
 	})
-	if attempts != 3 || !IsTransient(err) {
-		t.Fatalf("Run = (%d, %v), want 3 attempts and transient error", attempts, err)
+	if attempts != 3 || calls != 3 || !transient(err) {
+		t.Fatalf("Run = (%d, %v) after %d calls, want 3 attempts and the transient error", attempts, err, calls)
 	}
 }
 
 func TestRetryRunNeverRetriesFatal(t *testing.T) {
 	calls := 0
 	fatal := errors.New("fatal")
-	attempts, err := RetryPolicy{MaxAttempts: 5}.Run(context.Background(), 1, func(ctx context.Context) error {
+	attempts, err := Run(context.Background(), func() error {
 		calls++
 		return fatal
 	})
@@ -216,7 +218,7 @@ func TestRetryRunNeverRetriesFatal(t *testing.T) {
 
 func TestRetryRunCapturesPanic(t *testing.T) {
 	calls := 0
-	attempts, err := RetryPolicy{MaxAttempts: 5}.Run(context.Background(), 1, func(ctx context.Context) error {
+	attempts, err := Run(context.Background(), func() error {
 		calls++
 		panic("boom")
 	})
@@ -232,69 +234,30 @@ func TestRetryRunCapturesPanic(t *testing.T) {
 	}
 }
 
-func TestRetryRunAttemptTimeoutIsRetryable(t *testing.T) {
-	calls := 0
-	attempts, err := RetryPolicy{MaxAttempts: 2, AttemptTimeout: 10 * time.Millisecond, BaseBackoff: time.Microsecond}.Run(
-		context.Background(), 1, func(ctx context.Context) error {
-			calls++
-			<-ctx.Done() // cooperative solver observing its deadline
-			return ctx.Err()
-		})
-	if attempts != 2 || calls != 2 {
-		t.Fatalf("timed-out attempt not retried: attempts=%d calls=%d err=%v", attempts, calls, err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded after exhaustion, got %v", err)
-	}
-}
-
 func TestRetryRunAbortsOnParentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	start := time.Now()
-	_, err := RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Hour}.Run(ctx, 1, func(c context.Context) error {
+	attempts, err := Run(ctx, func() error {
 		calls++
-		cancel() // cancel mid-first-attempt; backoff must not sleep an hour
+		cancel() // cancel mid-first-attempt: no second attempt may start
 		return &Transient{Err: errors.New("flaky")}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want Canceled, got %v", err)
 	}
-	if calls != 1 {
-		t.Fatalf("cancelled run kept retrying: %d calls", calls)
+	if attempts != 1 || calls != 1 {
+		t.Fatalf("cancelled run kept retrying: attempts=%d calls=%d", attempts, calls)
 	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("backoff sleep not interrupted by cancellation")
-	}
-}
-
-func TestBackoffDeterministicBoundedGrowth(t *testing.T) {
-	p := RetryPolicy{}.normalize()
-	prevMax := time.Duration(0)
-	for attempt := 1; attempt <= 10; attempt++ {
-		d1 := p.backoff(99, attempt)
-		d2 := p.backoff(99, attempt)
-		if d1 != d2 {
-			t.Fatalf("backoff(99, %d) not deterministic: %v vs %v", attempt, d1, d2)
-		}
-		lo := time.Duration(float64(p.BaseBackoff) * (1 - p.JitterFrac))
-		hi := time.Duration(float64(p.MaxBackoff) * (1 + p.JitterFrac))
-		if d1 < lo || d1 > hi {
-			t.Fatalf("backoff(99, %d) = %v outside [%v, %v]", attempt, d1, lo, hi)
-		}
-		if d1 > prevMax {
-			prevMax = d1
-		}
-	}
-	if prevMax < p.BaseBackoff*2 {
-		t.Fatalf("backoff never grew: max %v", prevMax)
+	if attempts, err := Run(ctx, func() error { calls++; return nil }); attempts != 0 || !errors.Is(err, context.Canceled) || calls != 1 {
+		t.Fatalf("Run under a cancelled ctx = (%d, %v), want (0, Canceled) and no call", attempts, err)
 	}
 }
 
 func TestInjectedPanicIsCapturedByRetry(t *testing.T) {
 	in := New(Config{Seed: 11, PanicRate: 1})
 	sys := in.Wrap(stubSys{})
-	attempts, err := RetryPolicy{MaxAttempts: 3}.Run(context.Background(), 1, func(ctx context.Context) error {
+	ctx := context.Background()
+	attempts, err := Run(ctx, func() error {
 		_, e := dynsys.TrajectoryCtx(ctx, sys, []float64{0.7, 0.1}, 4)
 		return e
 	})
@@ -311,8 +274,8 @@ func TestHookObservesEveryAttempt(t *testing.T) {
 	var hooked int
 	in := New(Config{Seed: 2, TransientRate: 1, TransientAttempts: 1, Hook: func() { hooked++ }})
 	sys := in.Wrap(stubSys{})
-	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
-	if _, err := policy.Run(context.Background(), 1, func(ctx context.Context) error {
+	ctx := context.Background()
+	if _, err := Run(ctx, func() error {
 		_, e := dynsys.TrajectoryCtx(ctx, sys, []float64{0.9, 0.9}, 4)
 		return e
 	}); err != nil {
@@ -323,9 +286,9 @@ func TestHookObservesEveryAttempt(t *testing.T) {
 	}
 }
 
-func ExampleRetryPolicy_Run() {
+func ExampleRun() {
 	calls := 0
-	attempts, err := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}.Run(context.Background(), 0, func(ctx context.Context) error {
+	attempts, err := Run(context.Background(), func() error {
 		calls++
 		if calls == 1 {
 			return &Transient{Err: errors.New("worker lost")}
@@ -334,4 +297,14 @@ func ExampleRetryPolicy_Run() {
 	})
 	fmt.Println(attempts, err)
 	// Output: 2 <nil>
+}
+
+// TestRunAllocatesNothingOnSuccess: a successful attempt costs the fan-out
+// no allocation; only a failed one asks whether its error is transient.
+func TestRunAllocatesNothingOnSuccess(t *testing.T) {
+	ctx := context.Background()
+	fn := func() error { return nil }
+	if n := testing.AllocsPerRun(100, func() { Run(ctx, fn) }); n != 0 {
+		t.Fatalf("Run allocated %v times per successful call, want 0", n)
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
@@ -81,9 +80,7 @@ func TestGenerateCtxFaultAccountingBalances(t *testing.T) {
 	space := probeSpace(inj.Wrap(probe{}))
 	pcfg := probeConfig(t, space)
 
-	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(6), partition.SimOptions{
-		Retry: faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
-	})
+	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(6), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +118,14 @@ func TestGenerateCtxFaultAccountingBalances(t *testing.T) {
 }
 
 func TestGenerateCtxRetryExhaustionFailsSim(t *testing.T) {
-	// TransientAttempts beyond the retry budget: affected sims fail and
+	// TransientAttempts beyond the attempt budget: affected sims fail and
 	// their cells are absent, degrading density instead of erroring the
 	// whole campaign.
 	inj := faults.New(faults.Config{Seed: 22, TransientRate: 0.4, TransientAttempts: 5})
 	space := probeSpace(inj.Wrap(probe{}))
 	pcfg := probeConfig(t, space)
 
-	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(7), partition.SimOptions{
-		Retry: faults.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond},
-	})
+	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(7), partition.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
@@ -250,12 +249,11 @@ func TestGenerateLayoutMatchesReferenceAfterSparseResume(t *testing.T) {
 func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {
 	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8))
 	fcfg := faults.Config{Seed: 33, TransientRate: 0.3, DivergentRate: 0.2, PanicRate: 0.15}
-	retry := faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
 	for _, workers := range []int{1, 2, 8} {
 		inj := faults.New(fcfg)
 		space := ensemble.NewSpace(inj.Wrap(dynsys.NewSEIR()), 5, 6)
 		cfg := layoutConfigs(space)["two-pivots"]
-		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(34), partition.SimOptions{Workers: workers, Retry: retry})
+		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(34), partition.SimOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,12 +263,13 @@ func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {
 			t.Fatalf("fault drill is vacuous: injected %+v, handled %+v", is, res.Stats)
 		}
 		// The reference replays the same fates through a fresh injector
-		// (decisions are keyed by seed and parameter values), the retry
-		// policy and the allocating entry, one simulation at a time.
+		// (decisions are keyed by seed and parameter values), faults.Run
+		// and the allocating entry, one simulation at a time.
 		refSpace := ensemble.NewSpace(faults.New(fcfg).Wrap(dynsys.NewSEIR()), 5, 6)
 		simulate := func(idx []int) []float64 {
 			var cells []float64
-			_, err := retry.Run(context.Background(), 0, func(ctx context.Context) error {
+			ctx := context.Background()
+			_, err := faults.Run(ctx, func() error {
 				var serr error
 				cells, serr = refSpace.SimCellsCtx(ctx, idx)
 				return serr

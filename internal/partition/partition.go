@@ -252,7 +252,8 @@ func sampleConfigs(all [][]int, frac float64, rng *rand.Rand) [][]int {
 type SimOptions = ensemble.SimOptions
 
 // GenerateCtx PF-partitions the space per cfg and simulates both
-// sub-ensembles, with cooperative cancellation, per-simulation retry,
+// sub-ensembles, with cooperative cancellation, per-simulation retry
+// (faults.Run: a transient failure is retried at once, three attempts in all),
 // divergence quarantine, and optional checkpoint/resume. Both sub-systems
 // share the same sampled pivot configurations; free configurations are
 // sampled independently. The rng consumption order does not depend on

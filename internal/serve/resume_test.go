@@ -29,7 +29,6 @@ func killedCampaign(t *testing.T) (*api.Client, api.CampaignSpec, string) {
 		Registry: obs.NewRegistry(),
 		Parallel: 1,
 		Runner: func(ctx context.Context, cfg m2td.Config) (*m2td.Report, error) {
-			cfg.CheckpointEvery = 1
 			cfg.Faults = &faults.Config{Seed: 1, LatencyRate: 1, Latency: 10 * time.Millisecond}
 			return m2td.RunCtx(ctx, cfg)
 		},

@@ -83,7 +83,8 @@ type Config struct {
 	// (core.Options.Shards), so the result is a pure function of it —
 	// bit-identical to Distributed{Shards: Workers} at any core count, and
 	// equal to the one-shard decomposition up to floating-point summation
-	// order. At most one of Workers, Distributed and Factored may be set.
+	// order. At most one of Workers, Distributed and Factored may be set;
+	// a negative value is refused.
 	Workers int
 	// Distributed, when non-nil, runs D-M2TD on real worker PROCESSES —
 	// the internal/distnet coordinator/worker engine over localhost TCP
@@ -117,23 +118,18 @@ type Config struct {
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
 
-	// Retry is the per-simulation retry policy for transient failures.
-	// The zero value means up to 3 attempts with default backoff. It
-	// governs simulations only: the process engine re-leases a lost
-	// worker's task and fails on a task error.
-	Retry faults.RetryPolicy
 	// Faults, when non-nil, wraps the dynamical system with the seeded
 	// deterministic fault-injection harness — transient errors, divergent
 	// (non-finite) trajectories, panics, and latency at the configured
 	// rates. The run's Report then carries the exact failure accounting.
+	// A simulation has faults.Attempts (3) attempts whether or not faults
+	// are injected: a transient error is retried at once.
 	Faults *faults.Config
 	// CheckpointDir, when non-empty, enables crash-safe persistence of
 	// completed simulations into an internal/store catalog at that
-	// directory (atomic temp+rename+CRC writes).
+	// directory (atomic temp+rename+CRC writes), saved every 64 completed
+	// simulations and on cancellation.
 	CheckpointDir string
-	// CheckpointEvery is the number of completed simulations between
-	// checkpoint saves (default 64).
-	CheckpointEvery int
 	// Resume loads a compatible checkpoint from CheckpointDir and skips
 	// every simulation it already holds. Compatible means the same
 	// simulations (SimFingerprint): a checkpoint written at another rank or
@@ -162,7 +158,8 @@ type DistributedConfig struct {
 	Workers int
 	// Shards fixes the shard count — Phase 3's task count — the
 	// determinism unit: at a fixed Shards the output is bit-identical for
-	// any Workers value and any worker deaths. Default: Workers.
+	// any Workers value and any worker deaths. Default: Workers; a
+	// negative value is refused.
 	Shards int
 	// Addr is the coordinator listen address (default "127.0.0.1:0").
 	Addr string
@@ -302,6 +299,7 @@ func (c Config) resolve() (resolved, error) {
 		{"Resolution", float64(cfg.Resolution), cfg.Resolution < 0},
 		{"TimeSamples", float64(cfg.TimeSamples), cfg.TimeSamples < 0},
 		{"Rank", float64(cfg.Rank), cfg.Rank < 0},
+		{"Workers", float64(cfg.Workers), cfg.Workers < 0},
 		{"AccuracySampleSims", float64(cfg.AccuracySampleSims), cfg.AccuracySampleSims < 0},
 		{"PivotDensity", p, !(p > 0 && p <= 1)}, // NaN too
 		{"SubEnsembleDensity", e, !(e > 0 && e <= 1)},
@@ -321,6 +319,9 @@ func (c Config) resolve() (resolved, error) {
 	}
 	if d := cfg.Distributed; d != nil && (d.KillWorkers < 0 || d.KillWorkers >= max(d.Workers, 1)) {
 		return resolved{}, fmt.Errorf("m2td: Distributed.KillWorkers %d must be in [0, Workers)", d.KillWorkers)
+	}
+	if d := cfg.Distributed; d != nil && d.Shards < 0 {
+		return resolved{}, fmt.Errorf("m2td: Distributed.Shards %d must be ≥ 0 (0 = Workers)", d.Shards)
 	}
 	space, injector, err := cfg.space()
 	if err != nil {
@@ -427,7 +428,7 @@ func (r resolved) checkpoint(pivot int) (*ensemble.Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m2td: checkpoint catalog: %w", err)
 	}
-	return &ensemble.Checkpoint{Store: st, Fingerprint: c.fingerprint(r.space.ModeName(pivot)), Every: c.CheckpointEvery, Resume: c.Resume}, nil
+	return &ensemble.Checkpoint{Store: st, Fingerprint: c.fingerprint(r.space.ModeName(pivot)), Resume: c.Resume}, nil
 }
 
 // trace starts the run's stage-span trace when Config.Trace asks for one.
@@ -529,7 +530,7 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 	simStart := time.Now()
 	var se *ensemble.SparseEnsemble
 	err = runStage(ctx, trace, "simulate", "simulation", func(ctx context.Context, span *obs.Span) (err error) {
-		se, _, err = ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{Workers: cfg.Parallel, Retry: cfg.Retry, Span: span})
+		se, _, err = ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{Workers: cfg.Parallel, Span: span})
 		return err
 	})
 	if err != nil {
@@ -639,7 +640,7 @@ func partitionStage(ctx context.Context, trace *obs.Trace, space *ensemble.Space
 	pcfg.PivotFrac, pcfg.FreeFrac = cfg.PivotDensity, cfg.SubEnsembleDensity
 	err = runStage(ctx, trace, "partition", "simulation", func(ctx context.Context, span *obs.Span) (err error) {
 		part, err = partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{
-			Workers: cfg.Parallel, Retry: cfg.Retry, Checkpoint: ck, Span: span,
+			Workers: cfg.Parallel, Checkpoint: ck, Span: span,
 		})
 		return err
 	})

@@ -93,7 +93,6 @@ func TestRunFaultInjectionAccounting(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
 	cfg.Faults = &faults.Config{Seed: 99, TransientRate: 0.10, DivergentRate: 0.02}
-	cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
 	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("fault-injected run must complete without error: %v", err)
@@ -131,11 +130,14 @@ func TestRunFaultInjectionAccounting(t *testing.T) {
 	}
 }
 
+// TestRunFaultInjectionWithoutRetriesFailsSims: a simulation whose
+// transient errors outlast the fixed budget of faults.Attempts attempts
+// fails, and no retry is counted for it; the budget is exactly three, so
+// each such simulation was attempted three times.
 func TestRunFaultInjectionWithoutRetriesFailsSims(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
-	cfg.Faults = &faults.Config{Seed: 99, TransientRate: 0.10}
-	cfg.Retry = faults.RetryPolicy{MaxAttempts: 1}
+	cfg.Faults = &faults.Config{Seed: 99, TransientRate: 0.10, TransientAttempts: 3}
 	report, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +146,12 @@ func TestRunFaultInjectionWithoutRetriesFailsSims(t *testing.T) {
 	if is.TransientSims == 0 {
 		t.Fatal("no transients injected; test is vacuous")
 	}
-	if report.FailedSims == 0 || report.RetriedSims != 0 {
-		t.Fatalf("MaxAttempts=1: want failures and no retries, got failed=%d retried=%d",
-			report.FailedSims, report.RetriedSims)
+	if report.FailedSims != is.TransientSims || report.RetriedSims != 0 {
+		t.Fatalf("TransientAttempts=3: want every transient sim failed and no retries, got failed=%d retried=%d of %d",
+			report.FailedSims, report.RetriedSims, is.TransientSims)
+	}
+	if is.TransientFailures != 3*is.TransientSims {
+		t.Fatalf("%d transient failures over %d sims, want 3 attempts each", is.TransientFailures, is.TransientSims)
 	}
 	if report.ExecutedSims+report.FailedSims != report.NumSims {
 		t.Fatalf("executed %d + failed %d != %d sims", report.ExecutedSims, report.FailedSims, report.NumSims)
@@ -170,7 +175,6 @@ func TestRunResumeBitIdentical(t *testing.T) {
 	cfg1 := smallConfig()
 	cfg1.SkipAccuracy = true
 	cfg1.CheckpointDir = dir
-	cfg1.CheckpointEvery = 1
 	cfg1.Faults = &faults.Config{Seed: 1, Hook: func() {
 		if attempts1.Add(1) == 7 {
 			cancel1()
@@ -187,7 +191,6 @@ func TestRunResumeBitIdentical(t *testing.T) {
 	cfg2 := smallConfig()
 	cfg2.SkipAccuracy = true
 	cfg2.CheckpointDir = dir
-	cfg2.CheckpointEvery = 1
 	cfg2.Resume = true
 	cfg2.Faults = &faults.Config{Seed: 1, Hook: func() { attempts2.Add(1) }}
 	report, err := RunCtx(context.Background(), cfg2)
@@ -235,7 +238,6 @@ func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 			cfg := smallConfig()
 			cfg.SkipAccuracy = true
 			cfg.CheckpointDir = t.TempDir()
-			cfg.CheckpointEvery = 1
 			if tc.base != nil {
 				tc.base(&cfg)
 			}
@@ -307,7 +309,6 @@ func TestWorkersFactoredRejectedBeforeAnySimulation(t *testing.T) {
 	cfg.Workers, cfg.Factored = 2, true
 	cfg.Faults = &faults.Config{Seed: 1, Hook: func() { attempts.Add(1) }}
 	cfg.CheckpointDir = t.TempDir()
-	cfg.CheckpointEvery = 1
 	if _, err := RunCtx(context.Background(), cfg); err == nil {
 		t.Fatal("RunCtx accepted Workers with Factored")
 	}
@@ -330,7 +331,6 @@ func TestBaselineCtxFaultTolerant(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SkipAccuracy = true
 	cfg.Faults = &faults.Config{Seed: 13, TransientRate: 0.2, DivergentRate: 0.1}
-	cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}
 	report, err := BaselineCtx(context.Background(), cfg, "random", 40)
 	if err != nil {
 		t.Fatal(err)
@@ -350,22 +350,14 @@ func TestBaselineCtxFaultTolerant(t *testing.T) {
 // the conventional schemes at an equal simulation budget, so both
 // pipelines must account for a budget the same way — every requested
 // simulation is exactly one of executed, restored or failed, and cells
-// are missing only where simulations failed. The two fault patterns are
-// the ones the pipelines used to disagree on: a retry budget exhausted by
-// transient errors (the baseline counted a failed run as executed too), and
-// one exhausted by the per-attempt deadline (the baseline filed it under
-// "campaign cancelled" and counted nothing).
+// are missing only where simulations failed. Both patterns run against the
+// fixed budget of three attempts: transients that clear on the second
+// attempt are all retried and none fails, and transients that last three
+// attempts exhaust the budget (the baseline once counted such a failed run
+// as executed too), each after exactly three attempts.
 func TestSimulationAccountingInvariant(t *testing.T) {
-	patterns := map[string]func(*Config){
-		"retries-exhausted": func(c *Config) {
-			c.Faults = &faults.Config{Seed: 3, TransientRate: 0.5}
-			c.Retry = faults.RetryPolicy{MaxAttempts: 1}
-		},
-		"attempt-deadline": func(c *Config) {
-			c.Faults = &faults.Config{Seed: 3, LatencyRate: 1, Latency: 20 * time.Millisecond}
-			c.Retry = faults.RetryPolicy{MaxAttempts: 1, AttemptTimeout: time.Millisecond}
-		},
-	}
+	// Each pattern is the number of attempts its transient sims fail.
+	patterns := map[string]int{"transients-recovered": 2, "retries-exhausted": 3}
 	// Each pipeline returns its report and the cells its simulations
 	// stored; at the time pivot every simulation is asked for T of them.
 	pipelines := map[string]func(Config) (*Report, int, error){
@@ -384,14 +376,31 @@ func TestSimulationAccountingInvariant(t *testing.T) {
 			return r, r.JoinCells, nil
 		},
 	}
-	for pattern, inject := range patterns {
+	for pattern, transientAttempts := range patterns {
 		for pipeline, run := range pipelines {
 			t.Run(pattern+"/"+pipeline, func(t *testing.T) {
 				cfg := Config{Resolution: 6, SkipAccuracy: true}
-				inject(&cfg)
+				cfg.Faults = &faults.Config{Seed: 3, TransientRate: 0.5, TransientAttempts: transientAttempts}
 				r, cells, err := run(cfg)
 				if err != nil {
 					t.Fatal(err)
+				}
+				is := *r.FaultStats
+				if is.TransientSims == 0 {
+					t.Fatal("no transients injected; the drill tests nothing")
+				}
+				if transientAttempts == 3 {
+					if r.FailedSims != is.TransientSims || r.RetriedSims != 0 {
+						t.Errorf("failed %d, retried %d, want every one of the %d transient sims failed",
+							r.FailedSims, r.RetriedSims, is.TransientSims)
+					}
+					if is.TransientFailures != 3*is.TransientSims {
+						t.Errorf("%d transient failures over %d sims, want the budget of 3 attempts each",
+							is.TransientFailures, is.TransientSims)
+					}
+				} else if r.RetriedSims != is.TransientSims || r.FailedSims != 0 {
+					t.Errorf("retried %d, failed %d, want every one of the %d transient sims retried",
+						r.RetriedSims, r.FailedSims, is.TransientSims)
 				}
 				if r.NumSims != 72 {
 					t.Fatalf("budget %d, want 72", r.NumSims)
@@ -399,9 +408,6 @@ func TestSimulationAccountingInvariant(t *testing.T) {
 				if got := r.ExecutedSims + r.RestoredSims + r.FailedSims; got != r.NumSims {
 					t.Errorf("executed %d + restored %d + failed %d = %d, want the budget %d",
 						r.ExecutedSims, r.RestoredSims, r.FailedSims, got, r.NumSims)
-				}
-				if r.FailedSims == 0 {
-					t.Error("no simulation failed; the drill tests nothing")
 				}
 				if want := r.ExecutedSims * 6; cells+r.QuarantinedCells != want {
 					t.Errorf("%d cells stored + %d quarantined, want %d from %d executed simulations",
