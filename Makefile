@@ -18,9 +18,9 @@ all: build
 build:
 	$(GO) build ./...
 
-# The second vet builds for arm64, where the packed pair kernel's .s file
-# is excluded: the scalar fallback (internal/dynsys/pair_other.go) must
-# keep compiling.
+# The second vet builds for arm64, where the four-lane kernel's .s files
+# are excluded: the scalar fallback's stubs (internal/dynsys/lanes_other.go)
+# must keep compiling.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -39,12 +39,12 @@ lint-extra:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# The pair kernel's parity again at GOAMD64=v3: were the compiler ever to
+# The lanes kernel's parity again at GOAMD64=v3: were the compiler ever to
 # fuse the scalar kernel's multiply-adds into FMAs, packed and scalar
 # results would part ways here (DESIGN.md §16).
 test:
 	$(GO) test ./...
-	GOAMD64=v3 $(GO) test -run PairKernel ./internal/dynsys
+	GOAMD64=v3 $(GO) test -run LanesKernel ./internal/dynsys
 
 # Race-detector pass. The workers=1 vs workers=N bit-stability suites
 # double as data-race proofs for the internal/parallel kernels here; the

@@ -129,18 +129,28 @@ func Cells(w *ode.Workspace, sys System, vals []float64, ref [][]float64, dst []
 	distances(sys.Trajectory(vals, len(ref)), ref, dst)
 }
 
-// CellsPair runs two simulations, at a and at b, and writes their cells
-// into dstA and dstB: bit for bit what Cells(w, sys, a, ref, dstA) followed
-// by Cells(w, sys, b, ref, dstB) writes. On amd64 the double pendulum
-// advances the two in lockstep on packed doubles (pair_amd64.s); for any
-// other system or architecture it is exactly those two Cells calls.
-func CellsPair(w *ode.Workspace, sys System, a, b []float64, ref [][]float64, dstA, dstB []float64) {
-	if dp, ok := sys.(*DoublePendulum); ok {
-		dp.cellsPair(w, a, b, ref, dstA, dstB)
+// CellsLanes runs n = len(dst)/len(ref) simulations, 1 ≤ n ≤ Lanes: the
+// i-th at the parameter values vals[i·p:(i+1)·p], p = len(vals)/n, into
+// dst[i·T:(i+1)·T], T = len(ref) — bit for bit what Cells writes for each.
+// On an amd64 CPU with AVX2 the double pendulum advances all n in lockstep
+// on the four-lane packed kernel (lanes_amd64.s); for any other system,
+// architecture or CPU it is n Cells calls.
+func CellsLanes(w *ode.Workspace, sys System, vals []float64, ref [][]float64, dst []float64) {
+	t, n := len(ref), 0
+	if t > 0 {
+		n = len(dst) / t
+	}
+	if n < 1 || n > Lanes || n*t != len(dst) || len(vals)%n != 0 {
+		panic(fmt.Sprintf("dynsys: CellsLanes got %d parameter values and %d cells for %d timestamps", len(vals), len(dst), t))
+	}
+	if dp, ok := sys.(*DoublePendulum); ok && avx2 {
+		dp.cellsLanes(w, vals, ref, dst)
 		return
 	}
-	Cells(w, sys, a, ref, dstA)
-	Cells(w, sys, b, ref, dstB)
+	p := len(vals) / n
+	for i := range n {
+		Cells(w, sys, vals[i*p:(i+1)*p], ref, dst[i*t:(i+1)*t])
+	}
 }
 
 // CellsCtx is Cells through the cancellable, fallible simulation path: a

@@ -281,52 +281,66 @@ func TestSincosMatchesSinCos(t *testing.T) {
 
 // TestCellsKernelDoesNotAllocate: with a warm workspace, the kernel of
 // every system runs at 0 allocs per simulation — no trajectory, no
-// closure, no scratch — and so does the pair entry.
+// closure, no scratch — and so does the lanes entry at 1 to Lanes lanes.
 func TestCellsKernelDoesNotAllocate(t *testing.T) {
 	for _, sys := range All() {
 		ref := Reference(sys, 12)
 		vals := ReferenceParams(sys)
 		vals[0] += 0.1
-		other := ReferenceParams(sys)
-		other[1] += 0.1
-		dst, dst2 := make([]float64, 12), make([]float64, 12)
+		lanes := make([]float64, 0, Lanes*len(vals))
+		for i := range Lanes {
+			lane := ReferenceParams(sys)
+			lane[i%len(lane)] += 0.1 * float64(i+1)
+			lanes = append(lanes, lane...)
+		}
+		dst := make([]float64, Lanes*12)
 		var w ode.Workspace
-		Cells(&w, sys, vals, ref, dst) // size the workspace
-		if a := testing.AllocsPerRun(20, func() { Cells(&w, sys, vals, ref, dst) }); a != 0 {
+		Cells(&w, sys, vals, ref, dst[:12]) // size the workspace
+		if a := testing.AllocsPerRun(20, func() { Cells(&w, sys, vals, ref, dst[:12]) }); a != 0 {
 			t.Errorf("%s: cells kernel allocates %v times per simulation, want 0", sys.Name(), a)
 		}
-		if a := testing.AllocsPerRun(20, func() { CellsPair(&w, sys, vals, other, ref, dst, dst2) }); a != 0 {
-			t.Errorf("%s: CellsPair allocates %v times per pair, want 0", sys.Name(), a)
+		for n := 1; n <= Lanes; n++ {
+			p := len(vals)
+			if a := testing.AllocsPerRun(20, func() { CellsLanes(&w, sys, lanes[:n*p], ref, dst[:n*12]) }); a != 0 {
+				t.Errorf("%s: CellsLanes allocates %v times at %d lanes, want 0", sys.Name(), a, n)
+			}
 		}
 	}
 }
 
-// checkPair fails unless CellsPair at (a, b) writes what Cells at a and
-// Cells at b write, bit for bit.
-func checkPair(t *testing.T, w *ode.Workspace, sys System, ref [][]float64, a, b []float64) {
+// checkLanes fails unless CellsLanes at the given points writes what Cells
+// writes at each of them, bit for bit.
+func checkLanes(t *testing.T, w *ode.Workspace, sys System, ref [][]float64, points ...[]float64) {
 	t.Helper()
 	n := len(ref)
-	gotA, gotB := make([]float64, n), make([]float64, n)
-	CellsPair(w, sys, a, b, ref, gotA, gotB)
-	for lane, c := range [2]struct{ vals, got []float64 }{{a, gotA}, {b, gotB}} {
-		want := make([]float64, n)
-		Cells(w, sys, c.vals, ref, want)
-		if i := sameBits(c.got, want); i >= 0 {
-			t.Fatalf("%s samples=%d pair (%v, %v): lane %d cell %d = %x, scalar kernel %x",
-				sys.Name(), n, a, b, lane, i, math.Float64bits(c.got[i]), math.Float64bits(want[i]))
+	var vals []float64
+	for _, p := range points {
+		vals = append(vals, p...)
+	}
+	got := make([]float64, len(points)*n)
+	CellsLanes(w, sys, vals, ref, got)
+	want := make([]float64, n)
+	for lane, p := range points {
+		Cells(w, sys, p, ref, want)
+		if i := sameBits(got[lane*n:(lane+1)*n], want); i >= 0 {
+			t.Fatalf("%s samples=%d lanes %v: lane %d cell %d = %x, scalar kernel %x",
+				sys.Name(), n, points, lane, i, math.Float64bits(got[lane*n+i]), math.Float64bits(want[i]))
 		}
 	}
 }
 
-// TestPairKernelBitwiseParity: the packed pair kernel is the scalar kernel
-// twice, to the last bit — on every res-12 grid point at 6, 12 and 24
-// samples, on 1 000 random points, and on lanes at the edges of its domain
-// (±0, octant boundaries kπ/4 ± 1 ulp, |θ| around 2²⁹, NaN and ±Inf beside
-// a normal lane), where the pair must fall back to the scalar kernel
-// without disturbing either lane. Off amd64 CellsPair is two Cells calls
-// and this holds by construction; CI also runs it at GOAMD64=v3, where a
-// scalar side the compiler had fused into FMAs would part ways.
-func TestPairKernelBitwiseParity(t *testing.T) {
+// TestLanesKernelBitwiseParity: the four-lane packed kernel is the scalar
+// kernel per lane, to the last bit, at every lane count from 1 to Lanes —
+// on every res-12 grid point at 6, 12 and 24 samples, on 1 000 random
+// points, and with a lane at the edges of its domain (±0, octant
+// boundaries kπ/4 ± 1 ulp, |θ| around 2²⁹, NaN and ±Inf) in every lane
+// position beside normal and padded lanes, where the batch must fall back
+// to the scalar kernel without disturbing any lane. Where the CPU has no
+// AVX2, or off amd64, CellsLanes is Cells per lane and this holds by
+// construction; CI also runs it at GOAMD64=v3, where a scalar side the
+// compiler had fused into FMAs would part ways.
+func TestLanesKernelBitwiseParity(t *testing.T) {
+	t.Logf("packed kernel in use: %v", avx2)
 	dp := NewDoublePendulum()
 	ps := dp.Params()
 	stride := 1
@@ -345,15 +359,24 @@ func TestPairKernelBitwiseParity(t *testing.T) {
 			}
 			return vals
 		}
-		for k := 0; k+1 < res*res*res*res; k += 2 * stride {
-			checkPair(t, &w, dp, ref, point(k), point(k+1))
+		// Batches of 1, 2, 3, 4, 1, … consecutive grid points.
+		for k, n := 0, 1; k < res*res*res*res; k, n = k+n*stride, n%Lanes+1 {
+			var points [][]float64
+			for j := k; j < min(k+n, res*res*res*res); j++ {
+				points = append(points, point(j))
+			}
+			checkLanes(t, &w, dp, ref, points...)
 		}
 	}
 
 	ref := Reference(dp, 12)
 	rng := rand.New(rand.NewSource(19))
-	for p := 0; p < 500; p++ {
-		checkPair(t, &w, dp, ref, randomVals(dp, rng), randomVals(dp, rng))
+	for p := 0; p < 400; p++ {
+		var points [][]float64
+		for range p%Lanes + 1 {
+			points = append(points, randomVals(dp, rng))
+		}
+		checkLanes(t, &w, dp, ref, points...)
 	}
 
 	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -364,21 +387,50 @@ func TestPairKernelBitwiseParity(t *testing.T) {
 	for _, x := range []float64{1 << 29, 1 << 28, 1 << 30} {
 		edges = append(edges, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
 	}
-	normal := []float64{0.3, -0.7, 1.2, 0.8}
+	normal := [][]float64{{0.3, -0.7, 1.2, 0.8}, {-1.1, 0.4, 0.9, 2.1}, {1.7, 1.3, 2.4, 0.6}}
 	for _, e := range edges {
 		for _, x := range []float64{e, -e} {
 			// φ₂ = 0 makes θ₁, θ₁−θ₂ and θ₁−2θ₂ the edge itself; φ₁ = 0
 			// makes θ₁−θ₂ its negation.
 			for _, edge := range [][]float64{{x, 0, 1.2, 0.8}, {0, x, 1.2, 0.8}} {
-				checkPair(t, &w, dp, ref, edge, normal)
-				checkPair(t, &w, dp, ref, normal, edge)
+				for n := 1; n <= Lanes; n++ {
+					for pos := range n {
+						points := make([][]float64, n)
+						for i := range points {
+							points[i] = normal[(i+pos)%len(normal)]
+						}
+						points[pos] = edge
+						checkLanes(t, &w, dp, ref, points...)
+					}
+				}
 			}
 		}
 	}
 }
 
+// TestLanesWithoutAVX2RunScalar: with the AVX2 gate off — the path a CPU
+// without AVX2 takes — the lanes entry still writes the scalar kernel's
+// bits at every lane count, an out-of-domain lane included.
+func TestLanesWithoutAVX2RunScalar(t *testing.T) {
+	defer func(on bool) { avx2 = on }(avx2)
+	avx2 = false
+	dp := NewDoublePendulum()
+	ref := Reference(dp, 12)
+	rng := rand.New(rand.NewSource(20))
+	var w ode.Workspace
+	for n := 1; n <= Lanes; n++ {
+		points := make([][]float64, n)
+		for i := range points {
+			points[i] = randomVals(dp, rng)
+		}
+		checkLanes(t, &w, dp, ref, points...)
+		points[n-1] = []float64{math.Inf(1), 0, 1.2, 0.8}
+		checkLanes(t, &w, dp, ref, points...)
+	}
+}
+
 // TestStepsPerSampleRejectsNonPositiveMaxStep: a pendulum literal without
-// a MaxStep has no step count. Both the scalar and the pair kernel take
+// a MaxStep has no step count. Both the scalar and the packed kernel take
 // theirs from stepsPerSample, which panics naming the system and the value
 // instead of integrating one 0.42 s step per sample.
 func TestStepsPerSampleRejectsNonPositiveMaxStep(t *testing.T) {
@@ -390,8 +442,8 @@ func TestStepsPerSampleRejectsNonPositiveMaxStep(t *testing.T) {
 		ref := Reference(NewDoublePendulum(), 12)
 		vals := ReferenceParams(dp)
 		for name, run := range map[string]func(){
-			"Cells":     func() { Cells(new(ode.Workspace), dp, vals, ref, make([]float64, 12)) },
-			"CellsPair": func() { CellsPair(new(ode.Workspace), dp, vals, vals, ref, make([]float64, 12), make([]float64, 12)) },
+			"Cells":      func() { Cells(new(ode.Workspace), dp, vals, ref, make([]float64, 12)) },
+			"CellsLanes": func() { CellsLanes(new(ode.Workspace), dp, append(vals, vals...), ref, make([]float64, 24)) },
 		} {
 			func() {
 				defer func() {

@@ -58,9 +58,21 @@ func TestModeNames(t *testing.T) {
 func TestParamValuesEndpoints(t *testing.T) {
 	s := tinySpace()
 	ps := s.Sys.Params()
-	vals := s.paramValues(new(Workspace), 0, []int{0, 3, 0, 3})
+	idx := []int{0, 3, 0, 3}
+	vals := s.paramValues(new(Workspace), idx)
 	if vals[0] != ps[0].Min || vals[1] != ps[1].Max || vals[2] != ps[2].Min || vals[3] != ps[3].Max {
 		t.Fatalf("paramValues endpoints = %v", vals)
+	}
+	// keyValues reads the same point off its linear key, in every lane.
+	key := 0
+	for _, i := range idx {
+		key = key*s.Res + i
+	}
+	lanes := s.keyValues(new(Workspace), []int{key, key})
+	for j, v := range lanes {
+		if v != vals[j%len(vals)] {
+			t.Fatalf("keyValues(%d, %d) = %v, paramValues %v", key, key, lanes, vals)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,26 +10,26 @@ import (
 )
 
 // TestSimCellsIntoSteadyStateDoesNotAllocate: with a warm workspace, a
-// simulation through any Space entry — the pair entry included — costs 0
-// allocations for every built-in system: no parameter list, no value
-// slice, no trajectory.
+// simulation through any Space entry — the lanes entry at 1 to
+// dynsys.Lanes lanes included — costs 0 allocations for every built-in
+// system: no parameter list, no value slice, no trajectory.
 func TestSimCellsIntoSteadyStateDoesNotAllocate(t *testing.T) {
 	ctx := context.Background()
 	for _, sys := range dynsys.All() {
 		s := NewSpace(sys, 12, 12)
 		s.Reference()
-		idx, idxB := []int{3, 7, 2, 9}, []int{3, 7, 2, 10}
-		dst, dstB := make([]float64, s.TimeSamples), make([]float64, s.TimeSamples)
+		idx := []int{3, 7, 2, 9}
+		keys := []int{6081, 6082, 6094, 7809} // 6081 is idx's key
+		dst := make([]float64, dynsys.Lanes*s.TimeSamples)
 		var w Workspace
-		s.SimCellsPairInto(&w, idx, idxB, dst, dstB) // size the workspace
-		if a := testing.AllocsPerRun(20, func() { s.SimCellsInto(&w, idx, dst) }); a != 0 {
-			t.Errorf("%s: SimCellsInto allocates %v times per simulation, want 0", sys.Name(), a)
-		}
-		if a := testing.AllocsPerRun(20, func() { s.SimCellsPairInto(&w, idx, idxB, dst, dstB) }); a != 0 {
-			t.Errorf("%s: SimCellsPairInto allocates %v times per pair, want 0", sys.Name(), a)
+		s.SimCellsLanesInto(&w, keys, dst) // size the workspace
+		for n := 1; n <= dynsys.Lanes; n++ {
+			if a := testing.AllocsPerRun(20, func() { s.SimCellsLanesInto(&w, keys[:n], dst[:n*s.TimeSamples]) }); a != 0 {
+				t.Errorf("%s: SimCellsLanesInto allocates %v times at %d lanes, want 0", sys.Name(), a, n)
+			}
 		}
 		if a := testing.AllocsPerRun(20, func() {
-			if err := s.SimCellsIntoCtx(ctx, &w, idx, dst); err != nil {
+			if err := s.SimCellsIntoCtx(ctx, &w, idx, dst[:s.TimeSamples]); err != nil {
 				t.Fatal(err)
 			}
 		}); a != 0 {
@@ -37,17 +38,19 @@ func TestSimCellsIntoSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// SimCells is SimCellsInto with a fresh workspace and result slice — the
-// infallible allocating entry, which only tests call.
+// SimCells is the scalar kernel at idx alone, into a fresh workspace and
+// result slice: the oracle the batched entries are held to.
 func (s *Space) SimCells(idx []int) []float64 {
 	out := make([]float64, s.TimeSamples)
-	s.SimCellsInto(new(Workspace), idx, out)
+	w := new(Workspace)
+	dynsys.Cells(&w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), out)
 	return out
 }
 
-// TestSimCellsEntriesAgree: the two workspace entries and their two
-// allocating wrappers return the same bits, and a workspace carried from
-// one system to the next (different state dimensions) does not leak state.
+// TestSimCellsEntriesAgree: the entries — the scalar oracle, the fallible
+// entry and its allocating wrapper, and the lanes entry at one key —
+// return the same bits, and a workspace carried from one system to the
+// next (different state dimensions) does not leak state.
 func TestSimCellsEntriesAgree(t *testing.T) {
 	var w Workspace
 	for _, sys := range dynsys.All() {
@@ -58,28 +61,29 @@ func TestSimCellsEntriesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		into := make([]float64, s.TimeSamples)
-		s.SimCellsInto(&w, idx, into)
+		lanes := make([]float64, s.TimeSamples)
+		s.SimCellsLanesInto(&w, []int{((1*5+4)*5+0)*5 + 3}, lanes)
 		intoCtx := make([]float64, s.TimeSamples)
 		if err := s.SimCellsIntoCtx(context.Background(), &w, idx, intoCtx); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
-			if want[i] != viaCtx[i] || want[i] != into[i] || want[i] != intoCtx[i] {
-				t.Fatalf("%s cell %d: SimCells %v, SimCellsCtx %v, SimCellsInto %v, SimCellsIntoCtx %v",
-					sys.Name(), i, want[i], viaCtx[i], into[i], intoCtx[i])
+			if want[i] != viaCtx[i] || want[i] != lanes[i] || want[i] != intoCtx[i] {
+				t.Fatalf("%s cell %d: SimCells %v, SimCellsCtx %v, SimCellsLanesInto %v, SimCellsIntoCtx %v",
+					sys.Name(), i, want[i], viaCtx[i], lanes[i], intoCtx[i])
 			}
 		}
 	}
 }
 
-// TestTruthFibersPairingIndependent: TruthFibers pairs consecutive keys,
-// and a key list of odd length ends on a single simulation; every fibre is
-// still the bits SimCells produces for its key alone, for every system.
+// TestTruthFibersPairingIndependent: TruthFibers groups consecutive keys
+// into units of up to dynsys.Lanes, and a key list whose length is no
+// multiple of it ends on a shorter unit; every fibre is still the bits
+// SimCells produces for its key alone, for every system.
 func TestTruthFibersPairingIndependent(t *testing.T) {
 	for _, sys := range dynsys.All() {
 		s := NewSpace(sys, 5, 7)
-		for _, n := range []int{1, 2, 7, 13} {
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 13} {
 			key := func(i int) int { return (i*97 + 3) % s.TotalSims() }
 			got := make([]float64, n*s.TimeSamples)
 			s.TruthFibers(n, key, got)
@@ -97,10 +101,10 @@ func TestTruthFibersPairingIndependent(t *testing.T) {
 	}
 }
 
-// BenchmarkSimCells is the kernel-tier benchmark of the simulation kernel: one
-// steady-state simulation per system at 12 time samples, and one pair of
-// double-pendulum simulations through the pair entry, reported per
-// simulation.
+// BenchmarkSimCells is the kernel-tier benchmark of the simulation kernel:
+// one steady-state simulation per system at 12 time samples on the scalar
+// kernel, and double-pendulum batches of 1 to dynsys.Lanes simulations
+// through the lanes entry, reported per simulation.
 func BenchmarkSimCells(b *testing.B) {
 	for _, sys := range dynsys.All() {
 		b.Run(sys.Name(), func(b *testing.B) {
@@ -112,21 +116,23 @@ func BenchmarkSimCells(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.SimCellsInto(&w, idx, dst)
+				dynsys.Cells(&w.ode, s.Sys, s.paramValues(&w, idx), s.Reference(), dst)
 			}
 		})
 	}
-	b.Run("double-pendulum-pair", func(b *testing.B) {
-		s := NewSpace(dynsys.NewDoublePendulum(), 12, 12)
-		s.Reference()
-		idxA, idxB := []int{3, 7, 2, 9}, []int{3, 7, 2, 10}
-		dstA, dstB := make([]float64, s.TimeSamples), make([]float64, s.TimeSamples)
-		var w Workspace
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.SimCellsPairInto(&w, idxA, idxB, dstA, dstB)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/sim")
-	})
+	for n := 1; n <= dynsys.Lanes; n++ {
+		b.Run(fmt.Sprintf("double-pendulum-lanes-%d", n), func(b *testing.B) {
+			s := NewSpace(dynsys.NewDoublePendulum(), 12, 12)
+			s.Reference()
+			keys := []int{6081, 6082, 6083, 6084}[:n]
+			dst := make([]float64, n*s.TimeSamples)
+			var w Workspace
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.SimCellsLanesInto(&w, keys, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/sim")
+		})
+	}
 }

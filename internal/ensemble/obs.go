@@ -6,8 +6,9 @@ import "repro/internal/obs"
 // that simulates: the PF-partitioned campaign and the conventional
 // baselines report into the same process-wide totals. SimStats.Record adds
 // a fan-out's counts once per fan-out; the duration histogram is observed
-// once per simulation, never per cell — negligible next to the solve. Two
-// simulations run as a pair each observe half the pair's wall time.
+// once per simulation, never per cell — negligible next to the solve.
+// Simulations run as one packed batch each observe an equal share of the
+// batch's wall time.
 var (
 	simsExecutedTotal = obs.Default.Counter("m2td_sims_executed_total",
 		"Simulations that ran to completion in this process.")
@@ -22,5 +23,5 @@ var (
 	checkpointFlushesTotal = obs.Default.Counter("m2td_checkpoint_flushes_total",
 		"Checkpoint saves of a sub-campaign's completed-simulation set.")
 	simDuration = obs.Default.Histogram("m2td_sim_duration_seconds",
-		"Wall time of one simulation (including its retries); each simulation of a pair observes half the pair's wall time.", nil)
+		"Wall time of one simulation (including its retries); each simulation of a packed batch observes an equal share of the batch's wall time.", nil)
 )

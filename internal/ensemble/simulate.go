@@ -83,11 +83,11 @@ func (s *SimStats) Add(o SimStats) {
 // last flush, so they cannot live in a reused buffer, but they can share
 // one allocation. Each fan-out chunk owns one simulation workspace.
 //
-// The fan-out's unit is a pair of consecutive pending simulations, run by
-// SimCellsPairInto as one faults.Run attempt (the last unit of an odd count
-// is a single); executed, failed and checkpointed are still per
-// simulation. A dynsys.CtxSystem — fault injection, an external solver —
-// keeps the per-simulation fallible route: its unit is one simulation.
+// The fan-out's unit is up to dynsys.Lanes consecutive pending
+// simulations, run by SimCellsLanesInto as one faults.Run attempt (the last
+// unit holds what is left); executed, failed and checkpointed are still
+// per simulation. A dynsys.CtxSystem — fault injection, an external solver
+// — keeps the per-simulation fallible route: its unit is one simulation.
 //
 // Cancellation is cooperative and deterministic: once ctx is cancelled no
 // new unit starts, in-flight ones finish, completed work is flushed to the
@@ -121,7 +121,7 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 	}
 	t := s.TimeSamples
 	slab := make([]float64, len(pending)*t)
-	width := 2
+	width := dynsys.Lanes
 	if _, fallible := s.Sys.(dynsys.CtxSystem); fallible {
 		width = 1
 	}
@@ -129,26 +129,23 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 	var mu sync.Mutex
 	err := parallel.ForCtx(ctx, (len(pending)+width-1)/width, opts.Workers, func(start, end int) {
 		var w Workspace
-		np := s.NumParams()
-		idx := make([]int, 2*np)
-		idxA, idxB := idx[:np], idx[np:]
+		var keys [dynsys.Lanes]int
 		for u := start; u < end; u++ {
 			lo, hi := u*width, min((u+1)*width, len(pending))
 			unit := pending[lo:hi]
 			cells := slab[lo*t : hi*t]
-			s.SimIndex(key(unit[0]), idxA)
-			if len(unit) == 2 {
-				s.SimIndex(key(unit[1]), idxB)
+			for j, i := range unit {
+				keys[j] = key(i)
 			}
 			clock := obs.StartStopwatch()
 			attempts, runErr := faults.Run(ctx, func() error {
-				if len(unit) == 1 {
-					return s.SimCellsIntoCtx(ctx, &w, idxA, cells)
+				if width == 1 {
+					return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.keyValues(&w, keys[:1]), s.Reference(), cells)
 				}
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				s.SimCellsPairInto(&w, idxA, idxB, cells[:t], cells[t:])
+				s.SimCellsLanesInto(&w, keys[:len(unit)], cells)
 				return nil
 			})
 			perSim := clock.Elapsed().Seconds() / float64(len(unit))
@@ -178,7 +175,7 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 					// Off the fan-out's critical path: when a checkpoint
 					// save came due this worker writes it, outside every
 					// lock, while the others keep simulating.
-					if due := sess.note(key(i), results[i]); due != nil {
+					if due := sess.note(keys[j], results[i]); due != nil {
 						sess.save(due)
 					}
 				}
@@ -227,24 +224,20 @@ func (s *SimStats) Record(span *obs.Span, sims int, x *tensor.Sparse) {
 // infallible path — a fault-wrapped system is simulated clean — and writes
 // the i-th one's time fibre to dst[i*TimeSamples:(i+1)*TimeSamples]. It is
 // the one loop behind GroundTruth and eval's sampled fibres; it fans out
-// pairs of consecutive keys (SimCellsPairInto; a single last one when n is
-// odd) on the shared worker pool, one workspace per chunk.
+// units of up to dynsys.Lanes consecutive keys (SimCellsLanesInto) on the
+// shared worker pool, one workspace per chunk.
 func (s *Space) TruthFibers(n int, key func(i int) int, dst []float64) {
 	s.Reference() // materialise before fan-out
 	t := s.TimeSamples
-	parallel.For((n+1)/2, 0, func(start, end int) {
+	parallel.For((n+dynsys.Lanes-1)/dynsys.Lanes, 0, func(start, end int) {
 		var w Workspace
-		np := s.NumParams()
-		idx := make([]int, 2*np)
-		idxA, idxB := idx[:np], idx[np:]
-		for i := 2 * start; i < min(2*end, n); i += 2 {
-			s.SimIndex(key(i), idxA)
-			if i+1 == n {
-				s.SimCellsInto(&w, idxA, dst[i*t:(i+1)*t])
-				break
+		var keys [dynsys.Lanes]int
+		for u := start; u < end; u++ {
+			lo, hi := u*dynsys.Lanes, min((u+1)*dynsys.Lanes, n)
+			for i := lo; i < hi; i++ {
+				keys[i-lo] = key(i)
 			}
-			s.SimIndex(key(i+1), idxB)
-			s.SimCellsPairInto(&w, idxA, idxB, dst[i*t:(i+1)*t], dst[(i+1)*t:(i+2)*t])
+			s.SimCellsLanesInto(&w, keys[:hi-lo], dst[lo*t:hi*t])
 		}
 	})
 }

@@ -96,19 +96,30 @@ func (s *Space) ModeName(mode int) string {
 	return s.params[mode].Name
 }
 
-// paramValues converts parameter grid indices to physical values, into the
-// workspace's value buffer for the given lane (0, or 1 for a pair's second
-// simulation).
-func (s *Space) paramValues(w *Workspace, lane int, idx []int) []float64 {
+// paramValues converts one simulation's parameter grid indices to physical
+// values, into the workspace's value buffer.
+func (s *Space) paramValues(w *Workspace, idx []int) []float64 {
 	if len(idx) != len(s.params) {
 		panic(fmt.Sprintf("ensemble: paramValues got %d indices for %d params", len(idx), len(s.params)))
 	}
-	if cap(w.vals[lane]) < len(idx) {
-		w.vals[lane] = make([]float64, len(idx))
-	}
-	vals := w.vals[lane][:len(idx)]
+	vals := w.values(len(idx))
 	for i, p := range s.params {
 		vals[i] = p.Value(idx[i], s.Res)
+	}
+	return vals
+}
+
+// keyValues converts the simulations at keys (C-order linear indices of
+// the parameter grid, see SimIndex) to physical values, one simulation
+// after another, into the workspace's value buffer.
+func (s *Space) keyValues(w *Workspace, keys []int) []float64 {
+	np := len(s.params)
+	vals := w.values(len(keys) * np)
+	for j, key := range keys {
+		for k := np - 1; k >= 0; k-- {
+			vals[j*np+k] = s.params[k].Value(key%s.Res, s.Res)
+			key /= s.Res
+		}
 	}
 	return vals
 }
@@ -123,36 +134,42 @@ func (s *Space) Reference() [][]float64 {
 
 // Workspace is the scratch one goroutine needs to run a Space's
 // simulations back to back without allocating: the integrator's buffers
-// and the parameter values of the simulations in flight — one, or two for
-// a pair. Its caller owns it (the fan-outs hold one per chunk); the zero
-// value is ready to use.
+// and the parameter values of the simulations in flight — one, or up to
+// dynsys.Lanes for a batch, one buffer for all of them. Its caller owns it
+// (the fan-outs hold one per chunk); the zero value is ready to use.
 type Workspace struct {
 	ode  ode.Workspace
-	vals [2][]float64
+	vals []float64
 }
 
-// SimCellsInto runs the simulation at the given parameter grid indices and
-// writes its tensor cell values for all TimeSamples timestamps into dst.
-// With SimCellsPairInto and SimCellsIntoCtx it is the entry every
-// simulation goes through. This is the infallible path — a fault-wrapped
-// system is simulated clean — for ground truths and accuracy estimates.
-func (s *Space) SimCellsInto(w *Workspace, idx []int, dst []float64) {
-	dynsys.Cells(&w.ode, s.Sys, s.paramValues(w, 0, idx), s.Reference(), dst)
+// values returns the workspace's value buffer at length n.
+func (w *Workspace) values(n int) []float64 {
+	if cap(w.vals) < n {
+		w.vals = make([]float64, n)
+	}
+	return w.vals[:n]
 }
 
-// SimCellsPairInto is SimCellsInto at idxA into dstA and at idxB into dstB,
-// bit for bit, through dynsys.CellsPair: the double pendulum runs the two
-// on the packed pair kernel.
-func (s *Space) SimCellsPairInto(w *Workspace, idxA, idxB []int, dstA, dstB []float64) {
-	dynsys.CellsPair(&w.ode, s.Sys, s.paramValues(w, 0, idxA), s.paramValues(w, 1, idxB), s.Reference(), dstA, dstB)
+// SimCellsLanesInto runs the simulations at keys — 1 to dynsys.Lanes
+// C-order linear indices of the parameter grid, see SimIndex — and writes
+// the i-th one's cells into dst[i·TimeSamples:(i+1)·TimeSamples]: bit for
+// bit what dynsys.Cells writes for each alone, through dynsys.CellsLanes,
+// so the double pendulum runs them on the four-lane packed kernel where
+// the CPU has AVX2. This is the infallible path — a fault-wrapped system
+// is simulated clean — for ground truths and accuracy estimates, and the
+// campaign fan-out's batch.
+func (s *Space) SimCellsLanesInto(w *Workspace, keys []int, dst []float64) {
+	dynsys.CellsLanes(&w.ode, s.Sys, s.keyValues(w, keys), s.Reference(), dst)
 }
 
-// SimCellsIntoCtx is SimCellsInto through the cancellable, fallible path
-// the campaign fan-outs use: a dynsys.CtxSystem (fault injection,
-// external solvers) takes its own route and can return an error, and
-// cancellation aborts before the solver starts.
+// SimCellsIntoCtx runs the simulation at the given parameter grid indices
+// and writes its tensor cell values for all TimeSamples timestamps into
+// dst, through the cancellable, fallible path a campaign fan-out takes for
+// a dynsys.CtxSystem (fault injection, external solvers): such a system
+// takes its own route and can return an error, and cancellation aborts
+// before the solver starts.
 func (s *Space) SimCellsIntoCtx(ctx context.Context, w *Workspace, idx []int, dst []float64) error {
-	return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.paramValues(w, 0, idx), s.Reference(), dst)
+	return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), dst)
 }
 
 // SimCellsCtx is SimCellsIntoCtx with a fresh workspace and result slice.

@@ -19,10 +19,11 @@ func res12Campaign() (*ensemble.Space, partition.Config) {
 }
 
 // generateAllocBudget is the checked-in ceiling on allocations per res-12
-// GenerateCtx at Workers 1. The campaign needs ≈ 235: the sampled
+// GenerateCtx at Workers 1. The campaign needs ≈ 160: the sampled
 // configuration lists, two request grids and two exactly-sized
 // sub-tensors, one cell slab per sub-campaign and one workspace per
-// fan-out strip (32 strips, 4 allocations each). The parent spent 15 775
+// fan-out strip (32 strips, 2 allocations each: the workspace and its
+// value buffer; a unit's keys stay on the stack). The parent spent 15 775
 // — 35 per simulation plus a subIdx per cell — so anything that brings
 // per-simulation or per-cell scratch back blows through the ceiling by an
 // order of magnitude.

@@ -191,8 +191,9 @@ func TestGenerateLayoutMatchesReferenceAfterResume(t *testing.T) {
 
 // TestGenerateLayoutMatchesReferenceAfterSparseResume: a checkpoint that
 // restores every third key leaves pending keys with gaps between them, so
-// the fan-out's pairs straddle restored keys, and an odd pending count, so
-// one pair is a single; the assembly must not notice.
+// the fan-out's units of dynsys.Lanes keys straddle restored keys, and a
+// pending count that is no multiple of dynsys.Lanes, so the last unit is a
+// tail of 1 to 3 keys; the assembly must not notice.
 func TestGenerateLayoutMatchesReferenceAfterSparseResume(t *testing.T) {
 	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8))
 	st, err := store.Open(t.TempDir())
@@ -203,11 +204,14 @@ func TestGenerateLayoutMatchesReferenceAfterSparseResume(t *testing.T) {
 	cfg := layoutConfigs(space)["time-pivot"]
 	for _, workers := range []int{1, 3} {
 		// A complete campaign writes every key; all but every third one
-		// (in key order, starting at the second) are then dropped.
+		// (in key order, starting at the second) are then dropped. Key
+		// order is the fan-out's order, so pending[name] lists each
+		// pending key's position among all keys, unit by unit.
 		ckpt := ensemble.Checkpoint{Store: st, Fingerprint: "thirds", Every: 1 << 20}
 		if _, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(35), partition.SimOptions{Workers: 1, Checkpoint: &ckpt}); err != nil {
 			t.Fatal(err)
 		}
+		pending := map[string][]int{}
 		for _, name := range []string{"sub1-sims", "sub2-sims"} {
 			fp, sims, err := st.LoadSimSet(name)
 			if err != nil {
@@ -221,6 +225,7 @@ func TestGenerateLayoutMatchesReferenceAfterSparseResume(t *testing.T) {
 			for i, k := range keys {
 				if i%3 != 1 {
 					delete(sims, k)
+					pending[name] = append(pending[name], i)
 				}
 			}
 			if err := st.SaveSimSet(name, fp, sims); err != nil {
@@ -232,15 +237,19 @@ func TestGenerateLayoutMatchesReferenceAfterSparseResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		odd := false
-		for _, sub := range []*partition.SubEnsemble{res.Sub1, res.Sub2} {
-			if sub.Stats.RestoredSims == 0 || sub.Stats.ExecutedSims < 3 {
-				t.Fatalf("sparse resume drill is vacuous: %+v", sub.Stats)
+		straddles, tail := false, false
+		for name, sub := range map[string]*partition.SubEnsemble{"sub1-sims": res.Sub1, "sub2-sims": res.Sub2} {
+			pos := pending[name]
+			if sub.Stats.RestoredSims == 0 || sub.Stats.ExecutedSims != len(pos) || len(pos) < dynsys.Lanes {
+				t.Fatalf("sparse resume drill is vacuous: %+v, %d keys pending", sub.Stats, len(pos))
 			}
-			odd = odd || sub.Stats.ExecutedSims%2 == 1
+			for u := 0; u+dynsys.Lanes <= len(pos); u += dynsys.Lanes {
+				straddles = straddles || pos[u+dynsys.Lanes-1]-pos[u] >= dynsys.Lanes
+			}
+			tail = tail || len(pos)%dynsys.Lanes != 0
 		}
-		if !odd {
-			t.Fatalf("no sub-campaign has an odd pending count: %+v, %+v", res.Sub1.Stats, res.Sub2.Stats)
+		if !straddles || !tail {
+			t.Fatalf("no unit straddles a restored key (%v) or no sub-campaign ends on a tail (%v): %v", straddles, tail, pending)
 		}
 		checkLayout(t, fmt.Sprintf("sparse resume workers=%d", workers), res, simCells(space))
 	}
