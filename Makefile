@@ -26,8 +26,8 @@ vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 # Hermetic lint: go vet plus the in-repo m2tdlint invariant suite
-# (determinism, ctxprop, floatcmp, quarantine, atomicstore, metrichygiene
-# — DESIGN.md §8).
+# (determinism, ctxprop, floatcmp, atomicstore, metrichygiene — DESIGN.md
+# §8).
 # Runs offline; any finding fails the target. The CI lint job runs the
 # same whole-module sweep with -json and archives the findings file.
 lint: vet

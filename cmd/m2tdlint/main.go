@@ -1,8 +1,8 @@
 // Command m2tdlint runs the repository's custom invariant analyzers
 // (internal/lint) over the module: determinism of the kernel packages,
-// context propagation, floating-point comparison discipline, tensor
-// quarantine safety, atomic-store routing, and metric-name hygiene. See DESIGN.md §8 for the rule table and the
-// //lint:allow suppression policy.
+// context propagation, floating-point comparison discipline, atomic-store
+// routing, and metric-name hygiene. See DESIGN.md §8 for the rule table
+// and the //lint:allow suppression policy.
 //
 // Usage:
 //

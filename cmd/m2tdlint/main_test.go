@@ -19,8 +19,8 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("-list exit code = %d, want 0 (stderr: %s)", code, stderr.String())
 	}
 	for _, name := range []string{
-		"determinism", "ctxprop", "floatcmp", "quarantine",
-		"atomicstore", "metrichygiene",
+		"determinism", "ctxprop", "floatcmp", "atomicstore",
+		"metrichygiene",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())
@@ -73,8 +73,8 @@ func TestJSONOutput(t *testing.T) {
 
 func TestJSONCleanIsEmptyArray(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	// The ctxprop golden package is clean under the quarantine analyzer.
-	code := run([]string{"-json", "-analyzers", "quarantine", "./internal/lint/testdata/src/ctxprop"}, &stdout, &stderr)
+	// The ctxprop golden package is clean under the atomicstore analyzer.
+	code := run([]string{"-json", "-analyzers", "atomicstore", "./internal/lint/testdata/src/ctxprop"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0 (clean)\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}

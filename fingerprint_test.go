@@ -84,6 +84,8 @@ func TestSimFingerprintIsEnsembleIdentity(t *testing.T) {
 		{"time-samples", with(func(c *Config) { c.TimeSamples = 4 })},
 		{"pivot", with(func(c *Config) { c.Pivot = "phi1" })},
 		{"faults", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1} })},
+		{"transient", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1, TransientRate: 0.1} })},
+		{"transient", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1, TransientRate: 0.1, TransientAttempts: 1} })},
 		{"P/seed1", with(func(c *Config) { c.PivotDensity = 0.5 })},
 		{"P/seed1", with(func(c *Config) { c.PivotDensity, c.Rank = 0.5, 3 })},
 		{"P/seed2", with(func(c *Config) { c.PivotDensity, c.Seed = 0.5, 2 })},

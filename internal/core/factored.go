@@ -33,7 +33,7 @@ import (
 // Two preconditions, both of every partition.GenerateCtx output: no index
 // is stored twice in a sub-tensor (and cells sit at listed configurations,
 // where there are lists), and every value is finite — a non-finite one
-// stops at ingest (tensor.Sparse's quarantine) or, off the wire, at the
+// stops at ingest (ensemble.SimStats.Keep) or, off the wire, at the
 // worker that loads it (internal/distnet). What still builds J is what
 // wants J's cells: stitch.Join, and the oracle DecomposeCtx, which at
 // opts.Shards > 1 is the paper's Algorithm 6. The Result has Join == nil;

@@ -171,17 +171,20 @@ func thin(x *tensor.Sparse, drop func(e int, idx []int) bool) *tensor.Sparse {
 	return out
 }
 
-// diverged is x re-ingested through the quarantine with entry e's value
-// NaN: ingest drops it, so the copy has a hole where x had the cell.
+// diverged is x re-ingested through the quarantine (ensemble.SimStats.Keep)
+// with entry e's value NaN: ingest drops it, so the copy has a hole where x
+// had the cell.
 func diverged(x *tensor.Sparse, e int) *tensor.Sparse {
 	out := tensor.NewSparse(x.Shape)
-	out.RejectNonFinite = true
+	var stats ensemble.SimStats
 	for i := range x.Vals {
 		idx, v := x.Entry(i)
 		if i == e {
 			v = math.NaN()
 		}
-		out.Append(idx, v)
+		if stats.Keep(v) {
+			out.Append(idx, v)
+		}
 	}
 	return out
 }

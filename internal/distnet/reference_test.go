@@ -117,7 +117,6 @@ func TestDistNetJoinFreeBitIdentityChain(t *testing.T) {
 func TestDistNetRejectsNonFiniteInput(t *testing.T) {
 	p := holed(tinyPartition(t, 1, 234), func(side, e int) bool { return side == 1 && e%4 == 0 })
 	x2 := p.Sub2.Tensor
-	x2.RejectNonFinite = true
 	x2.Vals[x2.NNZ()/2] = math.NaN()
 	opts := Options{Method: core.AVG, Ranks: tucker.UniformRanks(5, 2), Workers: 2, Shards: 3, WorkDir: t.TempDir()}
 	res, err := Decompose(context.Background(), p, opts)

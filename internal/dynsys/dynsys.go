@@ -156,9 +156,9 @@ func CellsLanes(w *ode.Workspace, sys System, vals []float64, ref [][]float64, d
 // CellsCtx is Cells through the cancellable, fallible simulation path: a
 // CtxSystem (fault injection, external solvers) is simulated via its
 // TrajectoryCtx and can fail or be cancelled mid-campaign. Divergent
-// (non-finite) trajectories flow through untouched — quarantining them is
-// the ingest layer's job (tensor.Sparse's quarantine), which keeps the
-// failure accounting in one place.
+// (non-finite) trajectories flow through untouched — quarantining their
+// requested cells is the ingest layer's job (ensemble.SimStats.Keep),
+// which keeps the failure accounting in one place.
 func CellsCtx(ctx context.Context, w *ode.Workspace, sys System, vals []float64, ref [][]float64, dst []float64) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -3,8 +3,10 @@ package ensemble
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dynsys"
@@ -71,4 +73,60 @@ func TestEncodeCtxFaultAccounting(t *testing.T) {
 	if se.Tensor.NNZ()+stats.QuarantinedCells != len(sims)*space.TimeSamples {
 		t.Fatalf("stored %d + quarantined %d != %d requested cells", se.Tensor.NNZ(), stats.QuarantinedCells, len(sims)*space.TimeSamples)
 	}
+}
+
+// lateDivergent wraps a system so that some trajectories turn non-finite
+// part-way: a simulation whose first parameter lies above the middle of
+// its range reads NaN at even stamps from stamp from on and +Inf at odd
+// ones. The reference (40 % into every range) stays finite. sims counts
+// the divergent trajectories simulated.
+type lateDivergent struct {
+	dynsys.System
+	from int
+	sims *atomic.Int64
+}
+
+func (s lateDivergent) Trajectory(vals []float64, n int) [][]float64 {
+	out := s.System.Trajectory(vals, n)
+	if p := s.Params()[0]; vals[0] > (p.Min+p.Max)/2 {
+		s.sims.Add(1)
+		for t := s.from; t < n; t++ {
+			for i := range out[t] {
+				out[t][i] = math.NaN()
+				if t%2 == 1 {
+					out[t][i] = math.Inf(1)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestEncodeCtxQuarantinesPartialDivergence: a trajectory that turns
+// non-finite after some stamp keeps its finite stamps, and each of its
+// non-finite ones is dropped and counted once.
+func TestEncodeCtxQuarantinesPartialDivergence(t *testing.T) {
+	const stamps, from = 8, 3
+	var diverged atomic.Int64
+	space := NewSpace(lateDivergent{System: dynsys.NewLorenz(), from: from, sims: &diverged}, 5, stamps)
+	sims := RandomSample(space, 30, rand.New(rand.NewSource(6)))
+	se, stats, err := EncodeCtx(context.Background(), space, sims, SimOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(diverged.Load())
+	if n == 0 || n == len(sims) {
+		t.Fatalf("%d of %d simulations diverged; the drill needs some of each", n, len(sims))
+	}
+	if want := n * (stamps - from); stats.QuarantinedCells != want {
+		t.Fatalf("QuarantinedCells %d != %d divergent sims × %d late stamps", stats.QuarantinedCells, n, stamps-from)
+	}
+	if se.Tensor.NNZ()+stats.QuarantinedCells != len(sims)*stamps {
+		t.Fatalf("stored %d + quarantined %d != %d requested cells", se.Tensor.NNZ(), stats.QuarantinedCells, len(sims)*stamps)
+	}
+	se.Tensor.Each(func(idx []int, v float64) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("non-finite value %v stored at %v", v, idx)
+		}
+	})
 }

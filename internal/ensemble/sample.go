@@ -221,7 +221,7 @@ func Sample(s *Space, scheme string, budget int, rng *rand.Rand) ([]Sim, error) 
 // of a transient failure within faults.Attempts attempts, panic capture that turns a crashed run into a recorded
 // failure, optional checkpointing) and their accounting — and stores each
 // one's per-timestamp cell values into a sparse ensemble tensor of the full
-// 5-mode shape, with divergence quarantine of non-finite values at ingest.
+// 5-mode shape; a non-finite value is dropped and counted (SimStats.Keep).
 // A failed simulation's cells are simply absent. The tensor layout depends
 // only on sims, never on the worker count.
 func EncodeCtx(ctx context.Context, s *Space, sims []Sim, opts SimOptions) (*SparseEnsemble, SimStats, error) {
@@ -233,7 +233,6 @@ func EncodeCtx(ctx context.Context, s *Space, sims []Sim, opts SimOptions) (*Spa
 	t := s.TimeSamples
 	nParams := s.NumParams()
 	sp := &SparseEnsemble{Space: s, Tensor: tensor.NewSparse(s.Shape()), NumSims: len(sims)}
-	sp.Tensor.RejectNonFinite = true
 	idx := make([]int, nParams+1)
 	for i, sim := range sims {
 		if values[i] == nil {
@@ -241,8 +240,10 @@ func EncodeCtx(ctx context.Context, s *Space, sims []Sim, opts SimOptions) (*Spa
 		}
 		copy(idx, sim)
 		for tt := 0; tt < t; tt++ {
-			idx[nParams] = tt
-			sp.Tensor.Append(idx, values[i][tt])
+			if v := values[i][tt]; stats.Keep(v) {
+				idx[nParams] = tt
+				sp.Tensor.Append(idx, v)
+			}
 		}
 	}
 	stats.Record(opts.Span, len(sims), sp.Tensor)

@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"repro/internal/dynsys"
@@ -57,9 +58,22 @@ type SimStats struct {
 	// attempt budget or failed fatally; their cells are absent from the
 	// tensor.
 	FailedSims int
-	// QuarantinedCells is the number of non-finite cell values dropped at
-	// ingest (the divergence quarantine).
+	// QuarantinedCells is the number of requested cells whose simulated
+	// value was NaN or ±Inf and so was dropped, not stored (Keep).
 	QuarantinedCells int
+}
+
+// Keep is the divergence quarantine, applied to each requested cell as it
+// is about to be stored: it reports whether v is finite, and counts a
+// NaN/±Inf value in QuarantinedCells. A divergent-but-completed run thus
+// leaves a hole instead of poisoning a Gram or a stitched pivot, and only
+// cells a campaign asked for are counted.
+func (s *SimStats) Keep(v float64) bool {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		s.QuarantinedCells++
+		return false
+	}
+	return true
 }
 
 // Add accumulates o into s.
@@ -200,12 +214,10 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 }
 
 // Record closes one fan-out's accounting once its cells are assembled into
-// x: the divergence quarantine's count is read off the tensor, and the
-// stats go to the process-wide metrics registry and onto the stage span
-// (deterministic counters: every field depends only on the injected faults
-// and the requested simulations, never on the worker count).
+// x: the stats go to the process-wide metrics registry and onto the stage
+// span (deterministic counters: every field depends only on the injected
+// faults and the requested simulations, never on the worker count).
 func (s *SimStats) Record(span *obs.Span, sims int, x *tensor.Sparse) {
-	s.QuarantinedCells = x.Rejected
 	simsExecutedTotal.Add(int64(s.ExecutedSims))
 	simsRestoredTotal.Add(int64(s.RestoredSims))
 	simsRetriedTotal.Add(int64(s.RetriedSims))

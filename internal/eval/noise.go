@@ -25,7 +25,6 @@ func AddNoise(sp *tensor.Sparse, frac float64, rng *rand.Rand) {
 	}
 	sigma := frac * math.Sqrt(rms)
 	for i := range sp.Vals {
-		//lint:allow quarantine -- in-place perturbation preserves finiteness (sigma and NormFloat64 are finite)
 		sp.Vals[i] += sigma * rng.NormFloat64()
 	}
 }

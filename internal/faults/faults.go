@@ -21,8 +21,8 @@
 //   - transient — the run errors but a retry succeeds; accounted as a
 //     retried simulation.
 //   - divergent — the run completes but produces non-finite values; its
-//     cells are quarantined at tensor ingest (tensor.Sparse's quarantine)
-//     and accounted as quarantined cells.
+//     requested cells are dropped where they would be stored
+//     (ensemble.SimStats.Keep) and accounted as quarantined cells.
 //   - fatal — the run panics, returns a non-transient error, or is still
 //     transient after Attempts attempts; it is recorded as a failed
 //     simulation and its cells are simply absent from the sub-ensemble

@@ -37,10 +37,6 @@ func TestFloatCmpGolden(t *testing.T) {
 	linttest.Run(t, "floatcmp", lint.FloatCmp)
 }
 
-func TestQuarantineGolden(t *testing.T) {
-	linttest.Run(t, "quarantine", lint.Quarantine)
-}
-
 func TestAtomicStoreGolden(t *testing.T) {
 	linttest.Run(t, "atomicstore", lint.AtomicStore)
 }

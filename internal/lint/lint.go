@@ -1,8 +1,7 @@
 // Package lint is m2tdlint: a suite of custom static analyzers encoding
 // this repository's correctness invariants — determinism of the kernel
 // packages, context propagation, floating-point comparison discipline,
-// tensor quarantine safety, atomic artifact persistence, and metric-name
-// hygiene. Each rule is one a test cannot see: a finding is a property
+// atomic artifact persistence, and metric-name hygiene. Each rule is one a test cannot see: a finding is a property
 // of the source, not of any run. Span lifecycles are a run's property:
 // the root package's TestSpansFinished checks them on every return path.
 //
@@ -50,7 +49,6 @@ var All = []*Analyzer{
 	Determinism,
 	CtxProp,
 	FloatCmp,
-	Quarantine,
 	AtomicStore,
 	MetricHygiene,
 }

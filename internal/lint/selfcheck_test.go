@@ -11,8 +11,8 @@ import (
 // nothing. The list is the contract — extend it when a PR adds a rule.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
-		"determinism", "ctxprop", "floatcmp", "quarantine",
-		"atomicstore", "metrichygiene",
+		"determinism", "ctxprop", "floatcmp", "atomicstore",
+		"metrichygiene",
 	}
 	if len(lint.All) != len(want) {
 		t.Fatalf("lint.All has %d analyzers, want %d", len(lint.All), len(want))

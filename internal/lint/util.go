@@ -50,13 +50,6 @@ func isToolPkg(path string) bool {
 		strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "examples/")
 }
 
-// isTensorPkg reports whether the import path is the tensor package
-// itself (whose methods implement the quarantine and may touch backing
-// slices freely).
-func isTensorPkg(path string) bool {
-	return strings.HasSuffix(path, "internal/tensor")
-}
-
 // pathBase is the final import-path element — the hook every suffix rule
 // hangs off, so golden testdata packages opt into a rule by directory
 // name exactly as the PR 5 analyzers allow.
@@ -194,24 +187,6 @@ func lookupMethod(t types.Type, name string) *types.Func {
 		}
 	}
 	return nil
-}
-
-// rootSelector unwraps index and slice expressions down to the base
-// selector, e.g. s.Vals[i:j][k] → s.Vals. Returns nil when the base is
-// not a selector.
-func rootSelector(e ast.Expr) *ast.SelectorExpr {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			return x
-		default:
-			return nil
-		}
-	}
 }
 
 // enclosingFuncDecl returns the innermost enclosing *ast.FuncDecl from a

@@ -3,9 +3,11 @@ package partition_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dynsys"
@@ -21,16 +23,16 @@ import (
 // request grid — requested cells grouped by simulation key in a map, one
 // subIdx per cell, per-cell Append in sorted-key order — kept as the
 // layout reference. simulate returns a simulation's cells, nil when it
-// failed.
-func referenceSub(space *ensemble.Space, pivots, free []int, pivotConfigs, freeConfigs [][]int, simulate func(idx []int) []float64) *tensor.Sparse {
+// failed. A non-finite requested cell is left out and counted in
+// quarantined.
+func referenceSub(space *ensemble.Space, pivots, free []int, pivotConfigs, freeConfigs [][]int, simulate func(idx []int) []float64) (out *tensor.Sparse, quarantined int) {
 	modes := append(append([]int(nil), pivots...), free...)
 	shape := space.Shape()
 	subShape := make(tensor.Shape, len(modes))
 	for i, m := range modes {
 		subShape[i] = shape[m]
 	}
-	out := tensor.NewSparse(subShape)
-	out.RejectNonFinite = true
+	out = tensor.NewSparse(subShape)
 
 	nParams := space.NumParams()
 	timeMode := space.TimeMode()
@@ -78,16 +80,21 @@ func referenceSub(space *ensemble.Space, pivots, free []int, pivotConfigs, freeC
 			continue
 		}
 		for _, req := range bySim[k] {
-			out.Append(req.subIdx, traj[req.tIdx])
+			if v := traj[req.tIdx]; math.IsNaN(v) || math.IsInf(v, 0) {
+				quarantined++
+			} else {
+				out.Append(req.subIdx, v)
+			}
 		}
 	}
-	return out
+	return out, quarantined
 }
 
 // checkLayout fails unless both sub-tensors of res equal the reference
 // assembly over the same sampled configurations, index for index and
 // value bit for value bit (reflect.DeepEqual on []float64 would call
-// NaN != NaN, but quarantine leaves none stored).
+// NaN != NaN, but quarantine leaves none stored), and each quarantined
+// exactly the reference's non-finite requested cells.
 func checkLayout(t *testing.T, label string, res *partition.Result, simulate func(idx []int) []float64) {
 	t.Helper()
 	for i, sub := range []*partition.SubEnsemble{res.Sub1, res.Sub2} {
@@ -95,16 +102,16 @@ func checkLayout(t *testing.T, label string, res *partition.Result, simulate fun
 		if i == 1 {
 			free, freeConfigs = res.Config.Free2, res.Free2Configs
 		}
-		want := referenceSub(res.Space, res.Config.Pivots, free, res.PivotConfigs, freeConfigs, simulate)
+		want, quarantined := referenceSub(res.Space, res.Config.Pivots, free, res.PivotConfigs, freeConfigs, simulate)
 		if !reflect.DeepEqual(sub.Tensor.Idx, want.Idx) || !reflect.DeepEqual(sub.Tensor.Vals, want.Vals) {
 			t.Fatalf("%s: sub%d layout differs from the reference assembly (%d vs %d cells)", label, i+1, sub.Tensor.NNZ(), want.NNZ())
 		}
-		if sub.Tensor.Rejected != want.Rejected {
-			t.Fatalf("%s: sub%d quarantined %d cells, reference %d", label, i+1, sub.Tensor.Rejected, want.Rejected)
+		if got := sub.Stats.QuarantinedCells; got != quarantined {
+			t.Fatalf("%s: sub%d quarantined %d cells, reference %d", label, i+1, got, quarantined)
 		}
-		if cap(sub.Tensor.Vals) != len(sub.Tensor.Vals)+sub.Tensor.Rejected {
+		if cap(sub.Tensor.Vals) != len(sub.Tensor.Vals)+sub.Stats.QuarantinedCells {
 			t.Fatalf("%s: sub%d holds %d cells (+%d quarantined) in capacity %d; assembly must size the tensor exactly",
-				label, i+1, len(sub.Tensor.Vals), sub.Tensor.Rejected, cap(sub.Tensor.Vals))
+				label, i+1, len(sub.Tensor.Vals), sub.Stats.QuarantinedCells, cap(sub.Tensor.Vals))
 		}
 	}
 }
@@ -289,6 +296,63 @@ func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {
 			return cells
 		}
 		checkLayout(t, fmt.Sprintf("faulted workers=%d", workers), res, simulate)
+	}
+}
+
+// lateDivergent wraps a system so that some trajectories turn non-finite
+// part-way: a simulation whose first parameter lies above the middle of
+// its range reads NaN at even stamps from stamp from on and +Inf at odd
+// ones. The reference (40 % into every range) stays finite. sims counts
+// the divergent trajectories simulated.
+type lateDivergent struct {
+	dynsys.System
+	from int
+	sims *atomic.Int64
+}
+
+func (s lateDivergent) Trajectory(vals []float64, n int) [][]float64 {
+	out := s.System.Trajectory(vals, n)
+	if p := s.Params()[0]; vals[0] > (p.Min+p.Max)/2 {
+		s.sims.Add(1)
+		for t := s.from; t < n; t++ {
+			for i := range out[t] {
+				out[t][i] = math.NaN()
+				if t%2 == 1 {
+					out[t][i] = math.Inf(1)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestQuarantineCountsOnlyRequestedCells: the divergence quarantine sits
+// where a simulation's cells are stored, so a trajectory that turns
+// non-finite only after some stamp costs exactly its requested non-finite
+// cells — not the stamps no pivot or free configuration asked for. Two
+// partitions leave stamps unrequested: the time pivot at P < 1, and a
+// parameter pivot with time a free mode at E < 1.
+func TestQuarantineCountsOnlyRequestedCells(t *testing.T) {
+	const res, stamps, from = 4, 8, 3
+	var diverged atomic.Int64
+	space := ensemble.NewSpace(lateDivergent{System: probe{}, from: from, sims: &diverged}, res, stamps)
+	timePivot := partition.DefaultConfig(space.Order(), space.TimeMode(), nil)
+	timePivot.PivotFrac = 0.5
+	paramPivot := partition.DefaultConfig(space.Order(), 0, nil)
+	paramPivot.FreeFrac = 0.5
+	for name, cfg := range map[string]partition.Config{"time pivot P=0.5": timePivot, "param pivot E=0.5": paramPivot} {
+		diverged.Store(0)
+		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(39), partition.SimOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every divergent fibre holds stamps-from non-finite stamps; a count
+		// taken per fibre, not per requested cell, would read that many.
+		q, fibres := res.Stats.QuarantinedCells, int(diverged.Load())*(stamps-from)
+		checkLayout(t, name, res, simCells(space))
+		if q == 0 || q >= fibres {
+			t.Fatalf("%s: %d quarantined cells of %d non-finite stamps simulated; the drill needs 0 < quarantined < stamps", name, q, fibres)
+		}
 	}
 }
 

@@ -305,8 +305,9 @@ func GenerateCtx(ctx context.Context, space *ensemble.Space, cfg Config, rng *ra
 // are then read off its trajectory.
 //
 // Fault tolerance: failed simulations contribute no cells (they lower the
-// effective density instead of poisoning the tensor), and non-finite cell
-// values from divergent-but-completed runs are quarantined at ingest.
+// effective density instead of poisoning the tensor), and a requested cell
+// whose value a divergent-but-completed run left non-finite is dropped and
+// counted (ensemble.SimStats.Keep).
 // Assembly walks simulations in ascending key order regardless of which
 // were restored vs executed, so a resumed campaign's sub-tensor is laid
 // out bit-identically to an uninterrupted one.
@@ -330,10 +331,7 @@ func buildSub(ctx context.Context, space *ensemble.Space, pivots, free []int, pi
 	if err != nil {
 		return nil, fmt.Errorf("partition: %s simulation fan-out: %w", ckptName, err)
 	}
-	// Divergence quarantine: non-finite cells from divergent solver runs
-	// are dropped at ingest and counted, never stored.
-	sub.Tensor.RejectNonFinite = true
-	emit(sub.Tensor, sims, cells, space.TimeSamples/2)
+	emit(sub.Tensor, sims, cells, space.TimeSamples/2, &stats)
 	stats.Record(span, len(sims), sub.Tensor)
 	sub.NumSims = len(sims)
 	sub.Stats = stats
@@ -410,7 +408,8 @@ func requestedSims(space *ensemble.Space, pivots, free []int, pivotConfigs, free
 // simulations, then appends them: simulations in key order, each one's
 // cells pivot-major. cells[i] is nil when simulation i failed (its cells
 // are absent by design); with time on neither axis requests read defTime.
-func emit(t *tensor.Sparse, sims []simRequest, cells [][]float64, defTime int) {
+// A requested cell that stats.Keep refuses is left out.
+func emit(t *tensor.Sparse, sims []simRequest, cells [][]float64, defTime int, stats *ensemble.SimStats) {
 	total, largest := 0, 0
 	for i, sim := range sims {
 		if cells[i] != nil {
@@ -428,12 +427,14 @@ func emit(t *tensor.Sparse, sims []simRequest, cells [][]float64, defTime int) {
 		idx, vals = idx[:0], vals[:0]
 		for _, p := range sim.pivots {
 			for _, f := range sim.frees {
-				idx = append(append(idx, p.config...), f.config...)
 				tIdx := max(p.time, f.time) // the time mode is on at most one axis
 				if tIdx < 0 {
 					tIdx = defTime
 				}
-				vals = append(vals, cells[i][tIdx])
+				if v := cells[i][tIdx]; stats.Keep(v) {
+					idx = append(append(idx, p.config...), f.config...)
+					vals = append(vals, v)
+				}
 			}
 		}
 		t.AppendBlock(idx, vals)

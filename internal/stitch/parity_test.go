@@ -147,7 +147,6 @@ func exactAlloc(t *testing.T, name string, j *tensor.Sparse) {
 // accepts, in storage order.
 func filterSub(sub *partition.SubEnsemble, keep func(idx []int) bool) {
 	out := tensor.NewSparse(sub.Tensor.Shape)
-	out.RejectNonFinite = sub.Tensor.RejectNonFinite
 	sub.Tensor.Each(func(idx []int, v float64) {
 		if keep(idx) {
 			out.Append(idx, v)
@@ -194,10 +193,10 @@ func TestBlockEmissionParityRaggedGroups(t *testing.T) {
 }
 
 // TestBlockEmissionParityQuarantine: a divergent cell quarantined at
-// ingest from inside the shared pivot group leaves a hole in the middle of
-// its emission blocks. The join stitches around it — the hash-join
-// reference's cells on the same inputs — holds no non-finite value, and
-// carries no quarantine of its own.
+// ingest (ensemble.SimStats.Keep) from inside the shared pivot group
+// leaves a hole in the middle of its emission blocks. The join stitches
+// around it — the hash-join reference's cells on the same inputs — and
+// holds no non-finite value.
 func TestBlockEmissionParityQuarantine(t *testing.T) {
 	for _, zero := range []bool{false, true} {
 		res := raggedResult(t, 410)
@@ -210,16 +209,18 @@ func TestBlockEmissionParityQuarantine(t *testing.T) {
 			}
 		}
 		in := tensor.NewSparse(sub2.Shape)
-		in.RejectNonFinite = true
+		var stats ensemble.SimStats
 		for e := range sub2.Vals {
 			idx, v := sub2.Entry(e)
 			if e == poisoned {
 				v = math.NaN()
 			}
-			in.Append(idx, v)
+			if stats.Keep(v) {
+				in.Append(idx, v)
+			}
 		}
-		if in.Rejected != 1 {
-			t.Fatalf("ingest quarantined %d cells, want the divergent one", in.Rejected)
+		if stats.QuarantinedCells != 1 || in.NNZ() != sub2.NNZ()-1 {
+			t.Fatalf("ingest quarantined %d cells, want the divergent one", stats.QuarantinedCells)
 		}
 		res.Sub2.Tensor = in
 
@@ -228,9 +229,6 @@ func TestBlockEmissionParityQuarantine(t *testing.T) {
 			got = ZeroJoin(res)
 		}
 		sameCells(t, "quarantined join", got, stitchHashJoin(res, zero))
-		if got.RejectNonFinite || got.Rejected != 0 {
-			t.Fatalf("zero=%v: the join carries a quarantine (%v, %d)", zero, got.RejectNonFinite, got.Rejected)
-		}
 		for _, v := range got.Vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("zero=%v: the join holds %v", zero, v)

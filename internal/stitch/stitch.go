@@ -228,8 +228,8 @@ func setColumns(blk []int, o int, modes, coords []int) {
 
 // Shard stitches the pivot groups with key % shards == shard out of the
 // two sub-tensors (sub-local mode order, pivots leading), in the package's
-// frozen emission order. The sub-tensors hold finite values (ingest's
-// quarantine dropped the rest); nothing here tests a value.
+// frozen emission order. The sub-tensors hold finite values (ingest,
+// ensemble.SimStats.Keep, dropped the rest); nothing here tests a value.
 func (s Spec) Shard(x1, x2 *tensor.Sparse, shard, shards int) *tensor.Sparse {
 	o := len(s.Shape)
 	s1, s2 := s.shardSide(x1, shard, shards), s.shardSide(x2, shard, shards)

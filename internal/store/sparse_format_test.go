@@ -62,8 +62,7 @@ func reseal(data []byte) []byte {
 var formatShapes = map[int]tensor.Shape{1: {3*BlockSize + 7}, 5: {5, 5, 5, 5, 20}}
 
 // formatTensor builds n distinct cells of the given order with seeded
-// values; cell n/2 holds a NaN (stored: the quarantine flag is raised only
-// afterwards), and one more NaN is then dropped under RejectNonFinite.
+// values; cell n/2 holds a NaN, which the format stores like any value.
 func formatTensor(order, n int) *tensor.Sparse {
 	shape := formatShapes[order]
 	rng := rand.New(rand.NewSource(int64(1000*order + n)))
@@ -77,8 +76,6 @@ func formatTensor(order, n int) *tensor.Sparse {
 		}
 		t.Append(idx, v)
 	}
-	t.RejectNonFinite = true
-	t.Append(make([]int, order), math.NaN())
 	return t
 }
 
@@ -105,8 +102,8 @@ func TestSparseFormatIdentity(t *testing.T) {
 		for _, n := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 3*BlockSize + 7} {
 			t.Run(fmt.Sprintf("order=%d/cells=%d", order, n), func(t *testing.T) {
 				orig := formatTensor(order, n)
-				if orig.NNZ() != n || orig.Rejected != 1 {
-					t.Fatalf("fixture has %d cells, %d rejected", orig.NNZ(), orig.Rejected)
+				if orig.NNZ() != n {
+					t.Fatalf("fixture has %d cells, want %d", orig.NNZ(), n)
 				}
 				want := referenceSparseFile(orig)
 
@@ -138,11 +135,6 @@ func TestSparseFormatIdentity(t *testing.T) {
 					if math.Float64bits(back.Vals[e]) != math.Float64bits(orig.Vals[e]) {
 						t.Fatalf("Vals[%d] = %v, want %v", e, back.Vals[e], orig.Vals[e])
 					}
-				}
-				// The format carries cells only: the stored NaN comes back, the
-				// quarantine flag and its count do not.
-				if back.RejectNonFinite || back.Rejected != 0 {
-					t.Fatalf("loaded tensor has RejectNonFinite=%v Rejected=%d", back.RejectNonFinite, back.Rejected)
 				}
 				if cap(back.Vals) != n || cap(back.Idx) != n*order {
 					t.Fatalf("loaded storage not sized exactly: cap %d/%d for %d cells", cap(back.Vals), cap(back.Idx), n)

@@ -57,10 +57,6 @@ func (s *Sparse) AbsSum(workers int) float64 {
 // workers partition a fixed strip grid, per-strip kept counts turn into
 // exclusive prefix offsets serially, and each strip then copies its kept
 // entries into its own disjoint output range.
-//
-// The output inherits the source's quarantine configuration and
-// accounting (RejectNonFinite, Rejected) — a selection is a view of the
-// same ingest history, so degraded-density reporting must survive it.
 func (s *Sparse) SelectScaled(keep []bool, scaled []float64, workers int) *Sparse {
 	nnz := s.NNZ()
 	if len(keep) != nnz || len(scaled) != nnz {
@@ -68,8 +64,6 @@ func (s *Sparse) SelectScaled(keep []bool, scaled []float64, workers int) *Spars
 	}
 	o := s.Order()
 	out := NewSparse(s.Shape)
-	out.RejectNonFinite = s.RejectNonFinite
-	out.Rejected = s.Rejected
 	if nnz == 0 {
 		return out
 	}

@@ -28,8 +28,6 @@ func selectFixture(t *testing.T) (*Sparse, []bool, []float64) {
 // serialSelect is the one-line specification SelectScaled must match.
 func serialSelect(s *Sparse, keep []bool, scaled []float64) *Sparse {
 	out := NewSparse(s.Shape)
-	out.RejectNonFinite = s.RejectNonFinite
-	out.Rejected = s.Rejected
 	o := s.Order()
 	for e := 0; e < s.NNZ(); e++ {
 		if keep[e] {
@@ -65,9 +63,6 @@ func TestSelectScaledMatchesSerialFilterAcrossWorkers(t *testing.T) {
 		if !sparseEqualBits(want, got) {
 			t.Fatalf("workers=%d SelectScaled differs from the serial filter", w)
 		}
-		if got.RejectNonFinite != s.RejectNonFinite || got.Rejected != s.Rejected {
-			t.Fatalf("workers=%d quarantine state not inherited", w)
-		}
 	}
 }
 
@@ -85,26 +80,6 @@ func TestSelectScaledBitStableUnderHighFanoutWorkers(t *testing.T) {
 				t.Fatalf("SelectScaled workers=%d differs under fanout cap 8", w)
 			}
 		})
-	}
-}
-
-func TestSelectScaledQuarantineInherited(t *testing.T) {
-	s := NewSparse(Shape{2, 2})
-	s.RejectNonFinite = true
-	s.Append([]int{0, 0}, 1)
-	s.Append([]int{0, 1}, math.NaN()) // quarantined
-	s.Append([]int{1, 1}, 2)
-	if s.Rejected != 1 || s.NNZ() != 2 {
-		t.Fatalf("fixture: rejected=%d nnz=%d", s.Rejected, s.NNZ())
-	}
-	out := s.SelectScaled([]bool{true, false}, []float64{3, 0}, 1)
-	if !out.RejectNonFinite || out.Rejected != 1 {
-		t.Fatalf("quarantine state lost: RejectNonFinite=%v Rejected=%d", out.RejectNonFinite, out.Rejected)
-	}
-	// The empty-selection path must inherit too.
-	none := s.SelectScaled([]bool{false, false}, []float64{0, 0}, 1)
-	if !none.RejectNonFinite || none.Rejected != 1 || none.NNZ() != 0 {
-		t.Fatalf("empty selection: RejectNonFinite=%v Rejected=%d nnz=%d", none.RejectNonFinite, none.Rejected, none.NNZ())
 	}
 }
 

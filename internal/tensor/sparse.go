@@ -18,15 +18,6 @@ type Sparse struct {
 	Shape Shape
 	Idx   []int
 	Vals  []float64
-
-	// RejectNonFinite makes Append drop NaN/±Inf values instead of storing
-	// them, counting each drop in Rejected. This is the divergence
-	// quarantine of the fault-tolerant pipeline runtime: divergent solver
-	// output is excluded at ingest so it can never poison Gram matrices or
-	// average into stitched pivots.
-	RejectNonFinite bool
-	// Rejected counts values dropped by RejectNonFinite.
-	Rejected int
 }
 
 // NewSparse returns an empty sparse tensor with the given shape.
@@ -35,10 +26,9 @@ func NewSparse(shape Shape) *Sparse {
 }
 
 // PlanlessView returns a shallow copy of s: the same shape and entry
-// storage (aliased, not copied) and the same quarantine accounting. A
-// tensor caches no kernel plans, so there is nothing for the view to leave
-// behind; it is kept only because cmd/m2tdperf, whose sources the
-// benchmark gate holds fixed, still calls it.
+// storage (aliased, not copied). A tensor caches no kernel plans, so
+// there is nothing for the view to leave behind; it is kept only because
+// cmd/m2tdperf still calls it.
 func (s *Sparse) PlanlessView() *Sparse {
 	v := *s
 	return &v
@@ -51,8 +41,6 @@ func (s *Sparse) NNZ() int { return len(s.Vals) }
 func (s *Sparse) Order() int { return s.Shape.Order() }
 
 // Append adds an entry at the multi-index (copied). Bounds are checked.
-// With RejectNonFinite set, NaN/±Inf values are quarantined (dropped and
-// counted in Rejected) instead of stored.
 func (s *Sparse) Append(idx []int, v float64) {
 	if len(idx) != s.Order() {
 		panic(fmt.Sprintf("tensor: Append index order %d != %d", len(idx), s.Order()))
@@ -62,20 +50,15 @@ func (s *Sparse) Append(idx []int, v float64) {
 			panic(fmt.Sprintf("tensor: Append index %v out of range for shape %v", idx, s.Shape))
 		}
 	}
-	if s.RejectNonFinite && !isFinite(v) {
-		s.Rejected++
-		return
-	}
 	s.Idx = append(s.Idx, idx...)
 	s.Vals = append(s.Vals, v)
 }
 
 // AppendBlock adds len(vals) entries at once: cell c sits at the
 // multi-index idx[c*order : (c+1)*order] (copied) with value vals[c]. It
-// is Append applied cell by cell, in order — every index is range-checked,
-// RejectNonFinite drops and counts non-finite cells, and the stored layout
-// is exactly what the per-cell loop would leave — but bulk builders (the
-// stitch emission) pay two slice appends per block instead of per cell.
+// stores exactly what Append applied cell by cell would, every index
+// range-checked, but bulk builders (the sub-ensemble and stitch emission)
+// pay two slice appends per block instead of per cell.
 func (s *Sparse) AppendBlock(idx []int, vals []float64) {
 	o := s.Order()
 	if len(idx) != len(vals)*o {
@@ -91,28 +74,8 @@ func (s *Sparse) AppendBlock(idx []int, vals []float64) {
 			}
 		}
 	}
-	dirty := false
-	if s.RejectNonFinite {
-		for _, v := range vals {
-			if !isFinite(v) {
-				dirty = true
-				break
-			}
-		}
-	}
-	if !dirty {
-		s.Idx = append(s.Idx, idx...)
-		s.Vals = append(s.Vals, vals...)
-	} else {
-		for c, v := range vals {
-			if !isFinite(v) {
-				s.Rejected++
-				continue
-			}
-			s.Idx = append(s.Idx, idx[c*o:(c+1)*o]...)
-			s.Vals = append(s.Vals, v)
-		}
-	}
+	s.Idx = append(s.Idx, idx...)
+	s.Vals = append(s.Vals, vals...)
 }
 
 // Reserve grows the entry storage so that n more cells can be appended
@@ -127,9 +90,6 @@ func (s *Sparse) Reserve(n int) {
 		s.Idx = append(make([]int, 0, need), s.Idx...)
 	}
 }
-
-// isFinite reports whether v is neither NaN nor ±Inf.
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Entry returns the multi-index slice (aliasing internal storage; do not
 // mutate) and value of the e-th stored entry.
@@ -166,14 +126,11 @@ func (s *Sparse) Density() float64 {
 	return float64(s.NNZ()) / float64(total)
 }
 
-// Clone returns a deep copy (including the quarantine configuration and
-// accounting).
+// Clone returns a deep copy.
 func (s *Sparse) Clone() *Sparse {
 	out := NewSparse(s.Shape)
 	out.Idx = append([]int(nil), s.Idx...)
 	out.Vals = append([]float64(nil), s.Vals...)
-	out.RejectNonFinite = s.RejectNonFinite
-	out.Rejected = s.Rejected
 	return out
 }
 

@@ -191,40 +191,46 @@ func TestSparseAppendPanics(t *testing.T) {
 }
 
 // TestSparseAppendBlockMatchesAppend pins AppendBlock to Append's contract
-// cell by cell: the same stored layout and quarantine drops (mid-block
-// included) as a per-cell loop.
+// cell by cell: the same stored layout as a per-cell loop, non-finite
+// values stored as they come.
 func TestSparseAppendBlockMatchesAppend(t *testing.T) {
 	shape := Shape{3, 4, 2}
 	idx := []int{0, 1, 0, 2, 3, 1, 1, 0, 1, 2, 2, 0, 0, 3, 1}
 	vals := []float64{1.5, math.NaN(), -2, math.Inf(-1), 4}
-	for _, reject := range []bool{false, true} {
-		block, cells := NewSparse(shape), NewSparse(shape)
-		for _, s := range []*Sparse{block, cells} {
-			s.RejectNonFinite = reject
-			s.Append([]int{2, 2, 1}, 7)
+	block, cells := NewSparse(shape), NewSparse(shape)
+	for _, s := range []*Sparse{block, cells} {
+		s.Append([]int{2, 2, 1}, 7)
+	}
+	block.AppendBlock(idx, vals)
+	for c, v := range vals {
+		cells.Append(idx[c*3:(c+1)*3], v)
+	}
+	if !reflect.DeepEqual(block.Idx, cells.Idx) {
+		t.Fatalf("Idx %v, per-cell %v", block.Idx, cells.Idx)
+	}
+	if len(block.Vals) != 1+len(vals) || len(cells.Vals) != len(block.Vals) {
+		t.Fatalf("%d values, per-cell %d, want %d", len(block.Vals), len(cells.Vals), 1+len(vals))
+	}
+	for i, v := range block.Vals {
+		if math.Float64bits(v) != math.Float64bits(cells.Vals[i]) {
+			t.Fatalf("Vals[%d] = %v, per-cell %v", i, v, cells.Vals[i])
 		}
-		block.AppendBlock(idx, vals)
-		for c, v := range vals {
-			cells.Append(idx[c*3:(c+1)*3], v)
-		}
-		if !reflect.DeepEqual(block.Idx, cells.Idx) {
-			t.Fatalf("reject=%v: Idx %v, per-cell %v", reject, block.Idx, cells.Idx)
-		}
-		if len(block.Vals) != len(cells.Vals) {
-			t.Fatalf("reject=%v: %d values, per-cell %d", reject, len(block.Vals), len(cells.Vals))
-		}
-		for i, v := range block.Vals {
-			if math.Float64bits(v) != math.Float64bits(cells.Vals[i]) {
-				t.Fatalf("reject=%v: Vals[%d] = %v, per-cell %v", reject, i, v, cells.Vals[i])
-			}
-		}
-		wantRejected := 0
-		if reject {
-			wantRejected = 2
-		}
-		if block.Rejected != wantRejected || cells.Rejected != wantRejected {
-			t.Fatalf("reject=%v: Rejected %d, per-cell %d, want %d", reject, block.Rejected, cells.Rejected, wantRejected)
-		}
+	}
+}
+
+// TestPlanlessView: the view is a shallow copy — the same entries,
+// aliased, not copied.
+func TestPlanlessView(t *testing.T) {
+	s := NewSparse(Shape{3, 4})
+	s.Append([]int{0, 1}, 2.5)
+	s.Append([]int{2, 3}, -1.0)
+
+	v := s.PlanlessView()
+	if v.NNZ() != s.NNZ() {
+		t.Fatalf("view NNZ = %d, want %d", v.NNZ(), s.NNZ())
+	}
+	if &v.Idx[0] != &s.Idx[0] || &v.Vals[0] != &s.Vals[0] {
+		t.Error("view must alias the source storage, not copy it")
 	}
 }
 

@@ -73,26 +73,19 @@ type SketchStats struct {
 // Both passes are strip-parallel and bit-identical for any worker count:
 // the Σ|v| scan reduces over a fixed strip grid (tensor.AbsSum), and the
 // keep/scale mask is written per entry from the hash — no cross-entry
-// state — then materialised by tensor.SelectScaled, which also inherits
-// the source's quarantine accounting.
+// state — then materialised by tensor.SelectScaled.
 func Sketch(x *tensor.Sparse, opts SketchOptions) (*tensor.Sparse, SketchStats, error) {
 	if opts.KeepFrac <= 0 || opts.KeepFrac > 1 {
 		return nil, SketchStats{}, fmt.Errorf("tucker: KeepFrac %v outside (0, 1]", opts.KeepFrac)
 	}
 	nnz := x.NNZ()
 	stats := SketchStats{InputNNZ: nnz}
-	empty := func() *tensor.Sparse {
-		out := tensor.NewSparse(x.Shape)
-		out.RejectNonFinite = x.RejectNonFinite
-		out.Rejected = x.Rejected
-		return out
-	}
 	if nnz == 0 {
-		return empty(), stats, nil
+		return tensor.NewSparse(x.Shape), stats, nil
 	}
 	totalAbs := x.AbsSum(opts.Workers)
 	if totalAbs == 0 {
-		return empty(), stats, nil
+		return tensor.NewSparse(x.Shape), stats, nil
 	}
 
 	// Mask pass: each entry's keep/scale decision is a pure function of

@@ -164,24 +164,6 @@ func TestSketchInheritsPlansAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSketchInheritsQuarantine(t *testing.T) {
-	x := tensor.NewSparse(tensor.Shape{4, 4})
-	x.RejectNonFinite = true
-	x.Append([]int{0, 0}, math.Inf(1)) // quarantined at ingest
-	x.Append([]int{1, 2}, 5)
-	x.Append([]int{3, 3}, -2)
-	if x.Rejected != 1 {
-		t.Fatalf("fixture rejected=%d", x.Rejected)
-	}
-	sk, _, err := Sketch(x, SketchOptions{KeepFrac: 0.5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sk.RejectNonFinite || sk.Rejected != 1 {
-		t.Fatalf("sketch dropped quarantine state: RejectNonFinite=%v Rejected=%d", sk.RejectNonFinite, sk.Rejected)
-	}
-}
-
 // sparseBitsEqual reports exact equality of shape, indices, and value bits.
 func sparseBitsEqual(a, b *tensor.Sparse) bool {
 	if a.NNZ() != b.NNZ() || len(a.Idx) != len(b.Idx) {

@@ -257,6 +257,35 @@ func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRunResumeAcrossTransientAttemptSpellings: faults.New runs an attempt
+// count below 1 as 1, so {TransientAttempts: 0} and {TransientAttempts: 1}
+// simulate one ensemble, and a checkpoint written under the one spelling
+// is resumed under the other: every simulation restored, none executed.
+func TestRunResumeAcrossTransientAttemptSpellings(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SkipAccuracy = true
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Faults = &faults.Config{Seed: 1, TransientRate: 0.1}
+	first, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.RetriedSims == 0 || first.ExecutedSims != first.NumSims {
+		t.Fatalf("producer retried %d and executed %d of %d sims; the drill needs retries and no failure",
+			first.RetriedSims, first.ExecutedSims, first.NumSims)
+	}
+	cfg.Faults = &faults.Config{Seed: 1, TransientRate: 0.1, TransientAttempts: 1}
+	cfg.Resume = true
+	resumed, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.RestoredSims != resumed.NumSims || resumed.ExecutedSims != 0 {
+		t.Fatalf("restored %d, executed %d of %d sims", resumed.RestoredSims, resumed.ExecutedSims, resumed.NumSims)
+	}
+	requireSameBits(t, "resumed under the other spelling", resumed.Decomposition, first.Decomposition)
+}
+
 // TestRunResumeSharesEnsembleAcrossDecompositions is the positive twin: at
 // P = E = 1 with a named pivot the seed draws nothing, so a campaign that
 // differs from the checkpoint's writer in seed, rank and method restores
