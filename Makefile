@@ -90,18 +90,26 @@ examples-smoke:
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
 
-# cmd/simgen run as a binary, both modes: a reference trajectory, and a
+# cmd/simgen run as a binary, both modes: a reference trajectory, clean
+# and with every simulation's first attempt failing transiently, and a
 # sampled ensemble under injected transient faults — the one program whose
 # only job is ensemble.EncodeCtx, so the shared simulation fan-out runs
-# from a CLI on every PR. Output is discarded; the faulted run must report
-# its retry accounting on stderr.
+# from a CLI on every PR. The faulted trajectory must equal the clean one
+# byte for byte after one retry; the faulted runs must report their retry
+# accounting on stderr.
 simgen-smoke:
-	$(GO) run ./cmd/simgen -system lorenz -samples 4 > /dev/null
+	$(GO) run ./cmd/simgen -system lorenz -samples 4 > simgen-smoke.clean
+	$(GO) run ./cmd/simgen -system lorenz -samples 4 -fault-rate 1 > simgen-smoke.faulted 2> simgen-smoke.stderr \
+		|| (cat simgen-smoke.stderr; exit 1)
+	@cmp simgen-smoke.clean simgen-smoke.faulted \
+		|| (echo "simgen-smoke: the faulted trajectory differs from the clean one"; exit 1)
+	@grep 'simgen: faults: 2 attempts, 1 transient failures across 1 sims' simgen-smoke.stderr \
+		|| (cat simgen-smoke.stderr; echo "simgen-smoke: no trajectory retry accounting on stderr"; exit 1)
 	$(GO) run ./cmd/simgen -ensemble -budget 8 -res 4 -fault-rate 0.1 -timeout 30s > /dev/null 2> simgen-smoke.stderr \
 		|| (cat simgen-smoke.stderr; exit 1)
 	@grep 'simgen: encode: 8 executed, [1-9][0-9]* retried, 0 failed sims' simgen-smoke.stderr \
 		|| (cat simgen-smoke.stderr; echo "simgen-smoke: no retry accounting on stderr"; exit 1)
-	@rm -f simgen-smoke.stderr
+	@rm -f simgen-smoke.stderr simgen-smoke.clean simgen-smoke.faulted
 
 # The repo's one end-to-end benchmark (BENCHMARK.json, cmd/m2tdperf):
 # four campaign workloads, each with a serial and an all-core arm.

@@ -76,13 +76,12 @@ func main() {
 	var inj *faults.Injector
 	if *faultRt > 0 {
 		inj = faults.New(faults.Config{Seed: *seed, TransientRate: *faultRt})
-		sys = inj.Wrap(sys)
 	}
 	if *ensemble {
-		if err := dumpEnsemble(ctx, os.Stdout, sys, *scheme, *budget, *res, *samples, *seed, *format); err != nil {
+		if err := dumpEnsemble(ctx, os.Stdout, sys, inj, *scheme, *budget, *res, *samples, *seed, *format); err != nil {
 			fatal(err)
 		}
-	} else if err := dumpTrajectory(ctx, os.Stdout, sys, *params, *samples, *format); err != nil {
+	} else if err := dumpTrajectory(ctx, os.Stdout, sys, inj, *params, *samples, *format); err != nil {
 		fatal(err)
 	}
 	if inj != nil {
@@ -97,7 +96,7 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func dumpTrajectory(ctx context.Context, w io.Writer, sys dynsys.System, params string, samples int, format string) error {
+func dumpTrajectory(ctx context.Context, w io.Writer, sys dynsys.System, inj *faults.Injector, params string, samples int, format string) error {
 	vals := dynsys.ReferenceParams(sys)
 	if params != "" {
 		parts := strings.Split(params, ",")
@@ -112,7 +111,7 @@ func dumpTrajectory(ctx context.Context, w io.Writer, sys dynsys.System, params 
 			vals[i] = v
 		}
 	}
-	traj, err := trajectoryWithRetry(ctx, sys, vals, samples)
+	traj, err := trajectoryWithRetry(ctx, sys, inj, vals, samples)
 	if err != nil {
 		return err
 	}
@@ -147,25 +146,31 @@ func dumpTrajectory(ctx context.Context, w io.Writer, sys dynsys.System, params 
 	return fmt.Errorf("unknown format %q", format)
 }
 
-// trajectoryWithRetry runs one trajectory through the ctx-aware path so
-// deadlines apply and injected transient failures are retried.
-func trajectoryWithRetry(ctx context.Context, sys dynsys.System, vals []float64, samples int) ([][]float64, error) {
-	var traj [][]float64
+// trajectoryWithRetry runs one trajectory under faults.Run, so deadlines
+// apply and the injector's (if any) transient failures are retried before
+// the simulation runs. simgen injects transient failures only, so no
+// attempt diverges.
+func trajectoryWithRetry(ctx context.Context, sys dynsys.System, inj *faults.Injector, vals []float64, samples int) ([][]float64, error) {
 	_, err := faults.Run(ctx, func() error {
-		var terr error
-		traj, terr = dynsys.TrajectoryCtx(ctx, sys, vals, samples)
-		return terr
+		if inj == nil {
+			return nil
+		}
+		_, err := inj.Inject(ctx, vals)
+		return err
 	})
-	return traj, err
+	if err != nil {
+		return nil, err
+	}
+	return sys.Trajectory(vals, samples), nil
 }
 
-func dumpEnsemble(ctx context.Context, out io.Writer, sys dynsys.System, scheme string, budget, res, samples int, seed int64, format string) error {
+func dumpEnsemble(ctx context.Context, out io.Writer, sys dynsys.System, inj *faults.Injector, scheme string, budget, res, samples int, seed int64, format string) error {
 	space := ensemble.NewSpace(sys, res, samples)
 	sims, err := ensemble.Sample(space, scheme, budget, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return err
 	}
-	se, stats, err := ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{})
+	se, stats, err := ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{Faults: inj})
 	if err != nil {
 		return err
 	}

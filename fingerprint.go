@@ -81,14 +81,16 @@ func (c Config) Fingerprint() string {
 
 // faultsSuffix is the fault-injection component of the simulation identity:
 // injected faults change which simulations survive, so two configs
-// differing only in Faults must never share an ensemble. The attempt count
-// is the one faults.New runs (below 1 counts as 1), so two spellings of
-// one injector are one ensemble.
+// differing only in Faults must never share an ensemble. It names only the
+// fields that change a stored cell: latency delays a simulation and
+// changes none, so LatencyRate and Latency stay out. The attempt count is
+// the one faults.New runs (below 1 counts as 1), so two spellings of one
+// injector are one ensemble.
 func (c Config) faultsSuffix() string {
 	if c.Faults == nil {
 		return ""
 	}
 	f := c.Faults
-	return fmt.Sprintf("|faults=%d:%g:%d:%g:%g:%g:%s",
-		f.Seed, f.TransientRate, max(f.TransientAttempts, 1), f.DivergentRate, f.PanicRate, f.LatencyRate, f.Latency)
+	return fmt.Sprintf("|faults=%d:%g:%d:%g:%g",
+		f.Seed, f.TransientRate, max(f.TransientAttempts, 1), f.DivergentRate, f.PanicRate)
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/partition"
@@ -86,6 +87,9 @@ func TestSimFingerprintIsEnsembleIdentity(t *testing.T) {
 		{"faults", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1} })},
 		{"transient", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1, TransientRate: 0.1} })},
 		{"transient", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1, TransientRate: 0.1, TransientAttempts: 1} })},
+		{"transient", with(func(c *Config) {
+			c.Faults = &faults.Config{Seed: 1, TransientRate: 0.1, LatencyRate: 0.5, Latency: time.Microsecond}
+		})},
 		{"P/seed1", with(func(c *Config) { c.PivotDensity = 0.5 })},
 		{"P/seed1", with(func(c *Config) { c.PivotDensity, c.Rank = 0.5, 3 })},
 		{"P/seed2", with(func(c *Config) { c.PivotDensity, c.Seed = 0.5, 2 })},

@@ -11,7 +11,6 @@
 package dynsys
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -46,34 +45,6 @@ type System interface {
 	// Trajectory simulates the system for the given parameter values and
 	// returns the observed state at numSamples evenly spaced timestamps.
 	Trajectory(vals []float64, numSamples int) [][]float64
-}
-
-// CtxSystem is implemented by systems whose simulations are cancellable
-// and fallible — fault-injection wrappers (internal/faults), external
-// solvers, remote workers. The pipeline's simulation fan-out always calls
-// through TrajectoryCtx (via the package-level CellsCtx), so a wrapped
-// system's failures surface as errors that the retry/quarantine machinery
-// can handle, while the plain Trajectory path stays infallible for
-// reference trajectories and ground-truth construction.
-type CtxSystem interface {
-	System
-	// TrajectoryCtx simulates like Trajectory but may fail and must honour
-	// context cancellation.
-	TrajectoryCtx(ctx context.Context, vals []float64, numSamples int) ([][]float64, error)
-}
-
-// TrajectoryCtx simulates sys through the fallible path when it implements
-// CtxSystem, and otherwise falls back to the infallible Trajectory after a
-// context check: the trajectory-returning counterpart of CellsCtx, for
-// callers that want the states themselves.
-func TrajectoryCtx(ctx context.Context, sys System, vals []float64, numSamples int) ([][]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cs, ok := sys.(CtxSystem); ok {
-		return cs.TrajectoryCtx(ctx, vals, numSamples)
-	}
-	return sys.Trajectory(vals, numSamples), nil
 }
 
 // Distance returns the Euclidean distance between two state vectors.
@@ -151,28 +122,6 @@ func CellsLanes(w *ode.Workspace, sys System, vals []float64, ref [][]float64, d
 	for i := range n {
 		Cells(w, sys, vals[i*p:(i+1)*p], ref, dst[i*t:(i+1)*t])
 	}
-}
-
-// CellsCtx is Cells through the cancellable, fallible simulation path: a
-// CtxSystem (fault injection, external solvers) is simulated via its
-// TrajectoryCtx and can fail or be cancelled mid-campaign. Divergent
-// (non-finite) trajectories flow through untouched — quarantining their
-// requested cells is the ingest layer's job (ensemble.SimStats.Keep),
-// which keeps the failure accounting in one place.
-func CellsCtx(ctx context.Context, w *ode.Workspace, sys System, vals []float64, ref [][]float64, dst []float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	cs, ok := sys.(CtxSystem)
-	if !ok {
-		Cells(w, sys, vals, ref, dst)
-		return nil
-	}
-	traj, err := cs.TrajectoryCtx(ctx, vals, len(ref))
-	if err == nil {
-		distances(traj, ref, dst)
-	}
-	return err
 }
 
 // distances writes the per-timestamp distance between traj and ref into dst.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dynsys"
 	"repro/internal/faults"
+	"repro/internal/parallel"
 )
 
 func encodeSpace(sys dynsys.System) *Space { return NewSpace(sys, 5, 4) }
@@ -49,10 +50,10 @@ func TestEncodeCtxCancelled(t *testing.T) {
 
 func TestEncodeCtxFaultAccounting(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 31, TransientRate: 0.3, DivergentRate: 0.25})
-	space := encodeSpace(inj.Wrap(dynsys.NewLorenz()))
+	space := encodeSpace(dynsys.NewLorenz())
 	sims := RandomSample(space, 40, rand.New(rand.NewSource(5)))
 
-	se, stats, err := EncodeCtx(context.Background(), space, sims, SimOptions{})
+	se, stats, err := EncodeCtx(context.Background(), space, sims, SimOptions{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,4 +130,61 @@ func TestEncodeCtxQuarantinesPartialDivergence(t *testing.T) {
 			t.Fatalf("non-finite value %v stored at %v", v, idx)
 		}
 	})
+}
+
+// TestSimulateCtxFaultsPerSimulationInAUnit: injection is decided per
+// simulation, not per fan-out unit. At seed 84 each of the two units of
+// dynsys.Lanes double-pendulum keys holds a divergent simulation, a clean
+// one, one whose transient error clears on its retry and one that panics,
+// in a different order; each keeps its own fate. The divergent
+// simulation's cells are all NaN, the panicked one's entry is nil, and the
+// clean and recovered ones hold the scalar kernel's bits at their values.
+func TestSimulateCtxFaultsPerSimulationInAUnit(t *testing.T) {
+	defer parallel.SetFanoutCap(parallel.SetFanoutCap(2))
+	cfg := faults.Config{Seed: 84, TransientRate: 0.25, DivergentRate: 0.25, PanicRate: 0.25}
+	want := "DCTP" + "TDCP" // D divergent, C clean, T transient then clean, P panic
+	space := NewSpace(dynsys.NewDoublePendulum(), 5, 6)
+	for _, workers := range []int{1, 2} {
+		inj := faults.New(cfg)
+		cells, stats, err := space.SimulateCtx(context.Background(), "mixed", len(want), func(i int) int { return i }, SimOptions{Workers: workers, Faults: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (SimStats{ExecutedSims: 6, RetriedSims: 2, FailedSims: 2}); stats != want {
+			t.Fatalf("workers=%d: stats %+v, want %+v", workers, stats, want)
+		}
+		if is, want := inj.Stats(), (faults.Stats{Attempts: 10, TransientFailures: 2, TransientSims: 2, DivergentSims: 2, PanickedSims: 2}); is != want {
+			t.Fatalf("workers=%d: injector stats %+v, want %+v", workers, is, want)
+		}
+		idx := make([]int, space.NumParams())
+		for key, kind := range want {
+			got := cells[key]
+			space.SimIndex(key, idx)
+			clean := space.SimCells(idx)
+			switch kind {
+			case 'P':
+				if got != nil {
+					t.Fatalf("workers=%d key %d: a panicked simulation kept cells %v", workers, key, got)
+				}
+			case 'D':
+				for c, v := range got {
+					if !math.IsNaN(v) {
+						t.Fatalf("workers=%d key %d cell %d: divergent simulation stored %v, want NaN", workers, key, c, v)
+					}
+				}
+				if len(got) != space.TimeSamples {
+					t.Fatalf("workers=%d key %d: divergent simulation has %d cells", workers, key, len(got))
+				}
+			default:
+				if len(got) != len(clean) {
+					t.Fatalf("workers=%d key %d: %d cells, want %d", workers, key, len(got), len(clean))
+				}
+				for c, v := range clean {
+					if math.Float64bits(got[c]) != math.Float64bits(v) {
+						t.Fatalf("workers=%d key %d (%c) cell %d: %v, alone %v", workers, key, kind, c, got[c], v)
+					}
+				}
+			}
+		}
+	}
 }

@@ -20,13 +20,19 @@ import (
 // equal-budget comparison), and TruthFibers, the infallible loop behind
 // ground truths and accuracy estimates.
 
-// SimOptions configures one simulation fan-out: worker count and optional
-// crash-safe checkpointing. Every simulation runs under faults.Run: a
-// transient failure is retried at once, faults.Attempts attempts in all.
+// SimOptions configures one simulation fan-out: worker count, optional
+// fault injection and optional crash-safe checkpointing. Every simulation
+// runs under faults.Run: a transient failure is retried at once,
+// faults.Attempts attempts in all.
 type SimOptions struct {
 	// Workers is the worker count for the fan-out (0 = GOMAXPROCS, see
 	// parallel.Resolve).
 	Workers int
+	// Faults, when non-nil, decides every simulation attempt's injected
+	// faults (faults.Injector.Inject) before its cells are kept: a
+	// transient error is retried, a panic fails the simulation, and a
+	// divergent simulation's cells are NaN, which Keep quarantines.
+	Faults *faults.Injector
 	// Checkpoint, when non-nil, persists completed simulations
 	// periodically and (with Resume) skips previously completed ones.
 	Checkpoint *Checkpoint
@@ -100,8 +106,10 @@ func (s *SimStats) Add(o SimStats) {
 // The fan-out's unit is up to dynsys.Lanes consecutive pending
 // simulations, run by SimCellsLanesInto as one faults.Run attempt (the last
 // unit holds what is left); executed, failed and checkpointed are still
-// per simulation. A dynsys.CtxSystem — fault injection, an external solver
-// — keeps the per-simulation fallible route: its unit is one simulation.
+// per simulation. With opts.Faults set, each simulation of a completed
+// unit is then attempted on its own: faults.Run over Injector.Inject, so
+// retries, failures and divergence stay per simulation too, and a
+// divergent simulation's cells become NaN.
 //
 // Cancellation is cooperative and deterministic: once ctx is cancelled no
 // new unit starts, in-flight ones finish, completed work is flushed to the
@@ -135,17 +143,13 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 	}
 	t := s.TimeSamples
 	slab := make([]float64, len(pending)*t)
-	width := dynsys.Lanes
-	if _, fallible := s.Sys.(dynsys.CtxSystem); fallible {
-		width = 1
-	}
 
 	var mu sync.Mutex
-	err := parallel.ForCtx(ctx, (len(pending)+width-1)/width, opts.Workers, func(start, end int) {
+	err := parallel.ForCtx(ctx, (len(pending)+dynsys.Lanes-1)/dynsys.Lanes, opts.Workers, func(start, end int) {
 		var w Workspace
 		var keys [dynsys.Lanes]int
 		for u := start; u < end; u++ {
-			lo, hi := u*width, min((u+1)*width, len(pending))
+			lo, hi := u*dynsys.Lanes, min((u+1)*dynsys.Lanes, len(pending))
 			unit := pending[lo:hi]
 			cells := slab[lo*t : hi*t]
 			for j, i := range unit {
@@ -153,9 +157,6 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 			}
 			clock := obs.StartStopwatch()
 			attempts, runErr := faults.Run(ctx, func() error {
-				if width == 1 {
-					return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.keyValues(&w, keys[:1]), s.Reference(), cells)
-				}
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -166,25 +167,38 @@ func (s *Space) SimulateCtx(ctx context.Context, name string, n int, key func(i 
 			for range unit {
 				simDuration.Observe(perSim)
 			}
-			mu.Lock()
-			switch {
-			case runErr == nil:
-				stats.ExecutedSims += len(unit)
-				if attempts > 1 {
-					stats.RetriedSims += len(unit)
-				}
-			case ctx.Err() != nil:
-				// Campaign cancellation, not a simulation failure: the
-				// fan-out returns ctx.Err() and nothing is recorded.
-			default:
-				stats.FailedSims += len(unit)
-			}
-			mu.Unlock()
-			if runErr != nil {
-				continue
-			}
 			for j, i := range unit {
+				tries, err, diverge := attempts, runErr, false
+				if err == nil && opts.Faults != nil {
+					vals := s.keyValues(&w, keys[j:j+1])
+					tries, err = faults.Run(ctx, func() (err error) {
+						diverge, err = opts.Faults.Inject(ctx, vals)
+						return err
+					})
+				}
+				mu.Lock()
+				switch {
+				case err == nil:
+					stats.ExecutedSims++
+					if tries > 1 {
+						stats.RetriedSims++
+					}
+				case ctx.Err() != nil:
+					// Campaign cancellation, not a simulation failure: the
+					// fan-out returns ctx.Err() and nothing is recorded.
+				default:
+					stats.FailedSims++
+				}
+				mu.Unlock()
+				if err != nil {
+					continue
+				}
 				results[i] = cells[j*t : (j+1)*t]
+				if diverge {
+					for c := range results[i] {
+						results[i][c] = math.NaN()
+					}
+				}
 				if sess != nil {
 					// Off the fan-out's critical path: when a checkpoint
 					// save came due this worker writes it, outside every
@@ -233,7 +247,7 @@ func (s *SimStats) Record(span *obs.Span, sims int, x *tensor.Sparse) {
 }
 
 // TruthFibers simulates n simulations, the i-th at key(i), on the
-// infallible path — a fault-wrapped system is simulated clean — and writes
+// infallible path — no fault is injected — and writes
 // the i-th one's time fibre to dst[i*TimeSamples:(i+1)*TimeSamples]. It is
 // the one loop behind GroundTruth and eval's sampled fibres; it fans out
 // units of up to dynsys.Lanes consecutive keys (SimCellsLanesInto) on the

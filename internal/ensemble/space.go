@@ -155,29 +155,23 @@ func (w *Workspace) values(n int) []float64 {
 // the i-th one's cells into dst[i·TimeSamples:(i+1)·TimeSamples]: bit for
 // bit what dynsys.Cells writes for each alone, through dynsys.CellsLanes,
 // so the double pendulum runs them on the four-lane packed kernel where
-// the CPU has AVX2. This is the infallible path — a fault-wrapped system
-// is simulated clean — for ground truths and accuracy estimates, and the
-// campaign fan-out's batch.
+// the CPU has AVX2. It is the one batch both fan-outs run: the campaign
+// fan-out's (SimulateCtx) and the ground truths' and accuracy estimates'
+// (TruthFibers).
 func (s *Space) SimCellsLanesInto(w *Workspace, keys []int, dst []float64) {
 	dynsys.CellsLanes(&w.ode, s.Sys, s.keyValues(w, keys), s.Reference(), dst)
 }
 
-// SimCellsIntoCtx runs the simulation at the given parameter grid indices
-// and writes its tensor cell values for all TimeSamples timestamps into
-// dst, through the cancellable, fallible path a campaign fan-out takes for
-// a dynsys.CtxSystem (fault injection, external solvers): such a system
-// takes its own route and can return an error, and cancellation aborts
-// before the solver starts.
-func (s *Space) SimCellsIntoCtx(ctx context.Context, w *Workspace, idx []int, dst []float64) error {
-	return dynsys.CellsCtx(ctx, &w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), dst)
-}
-
-// SimCellsCtx is SimCellsIntoCtx with a fresh workspace and result slice.
+// SimCellsCtx runs the simulation at the given parameter grid indices on
+// the scalar kernel (dynsys.Cells), after a context check, and returns its
+// tensor cell values for all TimeSamples timestamps in a fresh slice.
 func (s *Space) SimCellsCtx(ctx context.Context, idx []int) ([]float64, error) {
-	out := make([]float64, s.TimeSamples)
-	if err := s.SimCellsIntoCtx(ctx, new(Workspace), idx, out); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	out := make([]float64, s.TimeSamples)
+	w := new(Workspace)
+	dynsys.Cells(&w.ode, s.Sys, s.paramValues(w, idx), s.Reference(), out)
 	return out, nil
 }
 
@@ -188,7 +182,8 @@ func (s *Space) DefaultIndex() int { return s.Res / 2 }
 // GroundTruth exhaustively simulates the full parameter space and returns
 // the complete tensor Y ∈ R^{Res×…×Res×T}. The result is cached. Time is
 // the last mode, so a simulation's cells are contiguous and TruthFibers
-// writes them in place, from the fault-free solver.
+// writes them in place. No fault is injected there: injection is a
+// SimulateCtx option.
 func (s *Space) GroundTruth() *tensor.Dense {
 	s.truthOnce.Do(func() {
 		d := tensor.NewDense(s.Shape())

@@ -3,13 +3,16 @@
 // scarce resource: a production ensemble service cannot afford to lose a
 // campaign to one crashed or divergent solver. This package provides
 //
-//   - a seeded, DETERMINISTIC fault-injection harness (Injector) that
-//     wraps a dynsys.System and injects simulation panics, transient
-//     errors, non-finite (divergent) trajectories, and artificial latency
-//     at configurable rates — every decision is a pure function of the
-//     seed, the simulation's parameter values and its attempt number,
-//     never of timing or execution order, so campaigns are reproducible
-//     under any worker count and across resumed runs;
+//   - a seeded, DETERMINISTIC fault-injection harness (Injector) whose
+//     Inject decides, for one attempt of one simulation, whether it
+//     panics, fails transiently, diverges (non-finite cells) or is
+//     delayed, at configurable rates — every decision is a pure function
+//     of the seed, the simulation's parameter values and its attempt
+//     number, never of timing or execution order, so campaigns are
+//     reproducible under any worker count and across resumed runs. The
+//     simulation fan-out (ensemble.SimOptions.Faults) asks it once per
+//     attempt; nothing else does, so reference trajectories and ground
+//     truths are never faulted;
 //   - Run (retry.go), the simulation fan-out's one failure rule: a
 //     transient error is retried at once, Attempts (3) attempts in all,
 //     and anything else is fatal; and
@@ -37,8 +40,6 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"repro/internal/dynsys"
 )
 
 // Config configures deterministic fault injection. All rates are
@@ -56,9 +57,9 @@ type Config struct {
 	// recovers it; at Attempts or more, Run's budget runs out first and
 	// the simulation fails).
 	TransientAttempts int
-	// DivergentRate is the fraction of simulations whose trajectory is
-	// replaced with NaNs — modelling a divergent solver whose output must
-	// be quarantined downstream.
+	// DivergentRate is the fraction of simulations whose cells are all
+	// NaN — modelling a divergent solver whose output must be quarantined
+	// downstream.
 	DivergentRate float64
 	// PanicRate is the fraction of simulations that panic (a fatal fault:
 	// captured, recorded as a failed run, never retried).
@@ -129,30 +130,6 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// Wrap returns sys with fault injection on the fallible TrajectoryCtx
-// path. The plain Trajectory path passes through untouched, so reference
-// trajectories and ground-truth construction stay clean — only ensemble
-// simulation runs (which go through dynsys.TrajectoryCtx) see faults.
-func (in *Injector) Wrap(sys dynsys.System) dynsys.System {
-	return &faultySystem{sys: sys, in: in}
-}
-
-// faultySystem decorates a System with injection; it implements
-// dynsys.CtxSystem so the pipeline's fallible path picks it up.
-type faultySystem struct {
-	sys dynsys.System
-	in  *Injector
-}
-
-func (f *faultySystem) Name() string           { return f.sys.Name() }
-func (f *faultySystem) Params() []dynsys.Param { return f.sys.Params() }
-func (f *faultySystem) StateDim() int          { return f.sys.StateDim() }
-
-// Trajectory is the clean passthrough (reference/ground-truth path).
-func (f *faultySystem) Trajectory(vals []float64, numSamples int) [][]float64 {
-	return f.sys.Trajectory(vals, numSamples)
-}
-
 // Salts for the independent per-fault hash draws.
 const (
 	saltTransient = 0x7472616e7369656e // "transien"
@@ -161,15 +138,20 @@ const (
 	saltLatency   = 0x6c6174656e637900 // "latency"
 )
 
-// TrajectoryCtx implements the fallible simulation path with injection.
-func (f *faultySystem) TrajectoryCtx(ctx context.Context, vals []float64, numSamples int) ([][]float64, error) {
-	in := f.in
+// Inject decides the injected faults of one attempt of the simulation at
+// the parameter values vals, before it runs: it may sleep (latency), panic,
+// or return a *Transient error. Otherwise it reports whether the
+// simulation diverges — its caller then stores non-finite cells, which the
+// ingest quarantine (ensemble.SimStats.Keep) drops. The steps run in a
+// fixed order: Hook, the context check, the simulation's attempt number,
+// then latency, panic, transient and divergence.
+func (in *Injector) Inject(ctx context.Context, vals []float64) (diverge bool, err error) {
 	cfg := in.cfg
 	if cfg.Hook != nil {
 		cfg.Hook()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return false, err
 	}
 	key := simKey(cfg.Seed, vals)
 	attempt := in.nextAttempt(key)
@@ -182,7 +164,7 @@ func (f *faultySystem) TrajectoryCtx(ctx context.Context, vals []float64, numSam
 			select {
 			case <-ctx.Done():
 				timer.Stop()
-				return nil, ctx.Err()
+				return false, ctx.Err()
 			case <-timer.C:
 			}
 		}
@@ -199,28 +181,14 @@ func (f *faultySystem) TrajectoryCtx(ctx context.Context, vals []float64, numSam
 		in.mu.Lock()
 		in.stats.TransientFailures++
 		in.mu.Unlock()
-		return nil, &Transient{Err: fmt.Errorf("faults: injected transient failure (sim %016x attempt %d)", key, attempt)}
+		return false, &Transient{Err: fmt.Errorf("faults: injected transient failure (sim %016x attempt %d)", key, attempt)}
 	}
-
-	traj, err := dynsys.TrajectoryCtx(ctx, f.sys, vals, numSamples)
-	if err != nil {
-		return nil, err
-	}
-	// Divergence: replace the trajectory with NaNs so every derived cell
-	// is non-finite and must be quarantined at ingest.
+	// Divergence: every cell of the simulation is non-finite.
 	if cfg.DivergentRate > 0 && unit(key, saltDivergent) < cfg.DivergentRate {
 		in.noteOnce(in.divergentSeen, key, func(s *Stats) { s.DivergentSims++ })
-		out := make([][]float64, len(traj))
-		for i, st := range traj {
-			row := make([]float64, len(st))
-			for j := range row {
-				row[j] = math.NaN()
-			}
-			out[i] = row
-		}
-		return out, nil
+		return true, nil
 	}
-	return traj, nil
+	return false, nil
 }
 
 // nextAttempt returns the 1-based attempt number for a simulation key.

@@ -4,28 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 	"time"
-
-	"repro/internal/dynsys"
 )
-
-// stubSys is a trivial deterministic System for injection tests.
-type stubSys struct{}
-
-func (stubSys) Name() string { return "stub" }
-func (stubSys) Params() []dynsys.Param {
-	return []dynsys.Param{{Name: "a", Min: 0, Max: 1}, {Name: "b", Min: 0, Max: 1}}
-}
-func (stubSys) StateDim() int { return 1 }
-func (stubSys) Trajectory(vals []float64, n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = []float64{vals[0] + float64(i)*vals[1]}
-	}
-	return out
-}
 
 // grid returns nSims distinct parameter-value pairs.
 func grid(nSims int) [][]float64 {
@@ -36,13 +17,14 @@ func grid(nSims int) [][]float64 {
 	return out
 }
 
-// runToCompletion drives one simulation through the injector until success
-// or maxAttempts, returning (succeeded, sawTransient, divergent).
-func runToCompletion(t *testing.T, sys dynsys.System, vals []float64, maxAttempts int) (bool, bool, bool) {
+// runToCompletion attempts one simulation through the injector until an
+// attempt is not transient or maxAttempts ran out, returning (succeeded,
+// sawTransient, divergent).
+func runToCompletion(t *testing.T, in *Injector, vals []float64, maxAttempts int) (bool, bool, bool) {
 	t.Helper()
 	sawTransient := false
 	for a := 0; a < maxAttempts; a++ {
-		traj, err := dynsys.TrajectoryCtx(context.Background(), sys, vals, 4)
+		diverge, err := in.Inject(context.Background(), vals)
 		if err != nil {
 			if !transient(err) {
 				t.Fatalf("unexpected non-transient error: %v", err)
@@ -50,7 +32,7 @@ func runToCompletion(t *testing.T, sys dynsys.System, vals []float64, maxAttempt
 			sawTransient = true
 			continue
 		}
-		return true, sawTransient, math.IsNaN(traj[0][0])
+		return true, sawTransient, diverge
 	}
 	return false, sawTransient, false
 }
@@ -61,10 +43,10 @@ func TestInjectionDeterministicAcrossInjectorsAndOrder(t *testing.T) {
 
 	type outcome struct{ transient, divergent bool }
 	collect := func(order []int) map[int]outcome {
-		sys := New(cfg).Wrap(stubSys{})
+		in := New(cfg)
 		out := make(map[int]outcome)
 		for _, i := range order {
-			ok, tr, dv := runToCompletion(t, sys, sims[i], 5)
+			ok, tr, dv := runToCompletion(t, in, sims[i], 5)
 			if !ok {
 				t.Fatalf("sim %d never succeeded", i)
 			}
@@ -106,14 +88,13 @@ func TestInjectionDeterministicAcrossInjectorsAndOrder(t *testing.T) {
 func TestTransientClearsAfterConfiguredAttempts(t *testing.T) {
 	cfg := Config{Seed: 7, TransientRate: 1, TransientAttempts: 2}
 	in := New(cfg)
-	sys := in.Wrap(stubSys{})
 	vals := []float64{0.5, 0.25}
 	for a := 1; a <= 2; a++ {
-		if _, err := dynsys.TrajectoryCtx(context.Background(), sys, vals, 4); !transient(err) {
+		if _, err := in.Inject(context.Background(), vals); !transient(err) {
 			t.Fatalf("attempt %d: want transient error, got %v", a, err)
 		}
 	}
-	if _, err := dynsys.TrajectoryCtx(context.Background(), sys, vals, 4); err != nil {
+	if _, err := in.Inject(context.Background(), vals); err != nil {
 		t.Fatalf("attempt 3: want success, got %v", err)
 	}
 	s := in.Stats()
@@ -122,42 +103,43 @@ func TestTransientClearsAfterConfiguredAttempts(t *testing.T) {
 	}
 }
 
-func TestDivergentTrajectoryIsAllNaN(t *testing.T) {
-	sys := New(Config{Seed: 1, DivergentRate: 1}).Wrap(stubSys{})
-	traj, err := dynsys.TrajectoryCtx(context.Background(), sys, []float64{0.1, 0.9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range traj {
-		for j, v := range st {
-			if !math.IsNaN(v) {
-				t.Fatalf("traj[%d][%d] = %v, want NaN", i, j, v)
-			}
+// TestDivergentSimulationIsDecidedNotFailed: a divergent attempt is no
+// error — the simulation completes, and its caller stores non-finite cells —
+// and it is counted once per simulation however often it is attempted.
+// Panic is decided before transient, and transient before divergence.
+func TestDivergentSimulationIsDecidedNotFailed(t *testing.T) {
+	in := New(Config{Seed: 1, DivergentRate: 1})
+	for range 2 {
+		if diverge, err := in.Inject(context.Background(), []float64{0.1, 0.9}); !diverge || err != nil {
+			t.Fatalf("Inject = (%v, %v), want (true, nil)", diverge, err)
 		}
 	}
-}
-
-func TestPlainTrajectoryPassthroughStaysClean(t *testing.T) {
-	// 100% fault rates on the fallible path must leave the plain
-	// Trajectory path (reference + ground truth) untouched.
-	sys := New(Config{Seed: 3, TransientRate: 1, DivergentRate: 1, PanicRate: 1}).Wrap(stubSys{})
-	want := stubSys{}.Trajectory([]float64{0.3, 0.6}, 6)
-	got := sys.Trajectory([]float64{0.3, 0.6}, 6)
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("passthrough altered trajectory at [%d][%d]", i, j)
-			}
-		}
+	if s := in.Stats(); s.DivergentSims != 1 || s.Attempts != 2 {
+		t.Fatalf("stats = %+v, want 1 divergent sim over 2 attempts", s)
+	}
+	in = New(Config{Seed: 3, TransientRate: 1, DivergentRate: 1})
+	if diverge, err := in.Inject(context.Background(), []float64{0.3, 0.6}); diverge || !transient(err) {
+		t.Fatalf("transient and divergent: Inject = (%v, %v), want the transient error first", diverge, err)
+	}
+	in = New(Config{Seed: 3, TransientRate: 1, DivergentRate: 1, PanicRate: 1})
+	_, err := Run(context.Background(), func() error {
+		_, err := in.Inject(context.Background(), []float64{0.3, 0.6})
+		return err
+	})
+	if !errors.As(err, new(*PanicError)) {
+		t.Fatalf("every fault at rate 1: err %v, want the panic first", err)
+	}
+	if s := in.Stats(); s.PanickedSims != 1 || s.TransientSims != 0 || s.DivergentSims != 0 {
+		t.Fatalf("stats = %+v, want the panic alone", s)
 	}
 }
 
 func TestLatencyHonoursCancellation(t *testing.T) {
-	sys := New(Config{Seed: 5, LatencyRate: 1, Latency: 10 * time.Second}).Wrap(stubSys{})
+	in := New(Config{Seed: 5, LatencyRate: 1, Latency: 10 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := dynsys.TrajectoryCtx(ctx, sys, []float64{0.2, 0.4}, 4)
+	_, err := in.Inject(ctx, []float64{0.2, 0.4})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -255,10 +237,9 @@ func TestRetryRunAbortsOnParentCancel(t *testing.T) {
 
 func TestInjectedPanicIsCapturedByRetry(t *testing.T) {
 	in := New(Config{Seed: 11, PanicRate: 1})
-	sys := in.Wrap(stubSys{})
 	ctx := context.Background()
 	attempts, err := Run(ctx, func() error {
-		_, e := dynsys.TrajectoryCtx(ctx, sys, []float64{0.7, 0.1}, 4)
+		_, e := in.Inject(ctx, []float64{0.7, 0.1})
 		return e
 	})
 	var pe *PanicError
@@ -273,10 +254,9 @@ func TestInjectedPanicIsCapturedByRetry(t *testing.T) {
 func TestHookObservesEveryAttempt(t *testing.T) {
 	var hooked int
 	in := New(Config{Seed: 2, TransientRate: 1, TransientAttempts: 1, Hook: func() { hooked++ }})
-	sys := in.Wrap(stubSys{})
 	ctx := context.Background()
 	if _, err := Run(ctx, func() error {
-		_, e := dynsys.TrajectoryCtx(ctx, sys, []float64{0.9, 0.9}, 4)
+		_, e := in.Inject(ctx, []float64{0.9, 0.9})
 		return e
 	}); err != nil {
 		t.Fatal(err)

@@ -77,10 +77,10 @@ func TestGenerateCtxMatchesGenerate(t *testing.T) {
 func TestGenerateCtxFaultAccountingBalances(t *testing.T) {
 	cfg0 := faults.Config{Seed: 21, TransientRate: 0.3, DivergentRate: 0.25}
 	inj := faults.New(cfg0)
-	space := probeSpace(inj.Wrap(probe{}))
+	space := probeSpace(probe{})
 	pcfg := probeConfig(t, space)
 
-	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(6), partition.SimOptions{})
+	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(6), partition.SimOptions{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +122,10 @@ func TestGenerateCtxRetryExhaustionFailsSim(t *testing.T) {
 	// their cells are absent, degrading density instead of erroring the
 	// whole campaign.
 	inj := faults.New(faults.Config{Seed: 22, TransientRate: 0.4, TransientAttempts: 5})
-	space := probeSpace(inj.Wrap(probe{}))
+	space := probeSpace(probe{})
 	pcfg := probeConfig(t, space)
 
-	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(7), partition.SimOptions{})
+	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(7), partition.SimOptions{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,9 @@ func TestGenerateCtxRetryExhaustionFailsSim(t *testing.T) {
 
 func TestGenerateCtxPanicBecomesFailedSim(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 23, PanicRate: 1})
-	space := probeSpace(inj.Wrap(probe{}))
+	space := probeSpace(probe{})
 	pcfg := probeConfig(t, space)
-	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(8), partition.SimOptions{})
+	res, err := partition.GenerateCtx(context.Background(), space, pcfg, newRand(8), partition.SimOptions{Faults: inj})
 	if err != nil {
 		t.Fatalf("panicking sims must become recorded failures, not errors: %v", err)
 	}
@@ -193,9 +193,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			cancel1()
 		}
 	}})
-	space1 := probeSpace(inj1.Wrap(probe{}))
+	space1 := probeSpace(probe{})
 	_, err = partition.GenerateCtx(ctx1, space1, pcfg, newRand(10), partition.SimOptions{
 		Workers:    2,
+		Faults:     inj1,
 		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: fp, Every: 1},
 	})
 	cancel1()
@@ -207,9 +208,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// bit-identically.
 	var attempts2 atomic.Int64
 	inj2 := faults.New(faults.Config{Seed: 1, Hook: func() { attempts2.Add(1) }})
-	space2 := probeSpace(inj2.Wrap(probe{}))
+	space2 := probeSpace(probe{})
 	res, err := partition.GenerateCtx(context.Background(), space2, pcfg, newRand(10), partition.SimOptions{
 		Workers:    2,
+		Faults:     inj2,
 		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: fp, Every: 1, Resume: true},
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
+	"repro/internal/faults"
 	"repro/internal/partition"
 )
 
@@ -39,6 +40,30 @@ func TestGenerateCtxAllocationBudget(t *testing.T) {
 	t.Logf("GenerateCtx res 12: %.0f allocs", allocs)
 	if allocs > generateAllocBudget {
 		t.Fatalf("GenerateCtx res 12 allocates %.0f times, budget %d", allocs, generateAllocBudget)
+	}
+}
+
+// TestGenerateCtxAllocationBudgetUnderFaults: faults are decided per
+// simulation attempt inside the same fan-out over the same space, so a
+// faulted campaign stays within the same ceiling, a fresh injector per run
+// (as RunCtx builds one) and its retries' errors included.
+func TestGenerateCtxAllocationBudgetUnderFaults(t *testing.T) {
+	space, cfg := res12Campaign()
+	var last *partition.Result
+	allocs := testing.AllocsPerRun(5, func() {
+		inj := faults.New(faults.Config{Seed: 99, TransientRate: 0.1, DivergentRate: 0.02})
+		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(1), partition.SimOptions{Workers: 1, Faults: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res
+	})
+	if last.Stats.RetriedSims == 0 || last.Stats.QuarantinedCells == 0 {
+		t.Fatalf("fault drill is vacuous: %+v", last.Stats)
+	}
+	t.Logf("faulted GenerateCtx res 12: %.0f allocs", allocs)
+	if allocs > generateAllocBudget {
+		t.Fatalf("faulted GenerateCtx res 12 allocates %.0f times, budget %d", allocs, generateAllocBudget)
 	}
 }
 

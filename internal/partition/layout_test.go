@@ -175,8 +175,9 @@ func TestGenerateLayoutMatchesReferenceAfterResume(t *testing.T) {
 			cancel()
 		}
 	}})
-	_, err = partition.GenerateCtx(ctx, ensemble.NewSpace(inj.Wrap(dynsys.NewLorenz()), 5, 6), cfg, newRand(32), partition.SimOptions{
+	_, err = partition.GenerateCtx(ctx, space, cfg, newRand(32), partition.SimOptions{
 		Workers:    1,
+		Faults:     inj,
 		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "layout", Every: 1},
 	})
 	cancel()
@@ -265,11 +266,11 @@ func TestGenerateLayoutMatchesReferenceAfterSparseResume(t *testing.T) {
 func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {
 	defer parallel.SetFanoutCap(parallel.SetFanoutCap(8))
 	fcfg := faults.Config{Seed: 33, TransientRate: 0.3, DivergentRate: 0.2, PanicRate: 0.15}
+	space := ensemble.NewSpace(dynsys.NewSEIR(), 5, 6)
+	cfg := layoutConfigs(space)["two-pivots"]
 	for _, workers := range []int{1, 2, 8} {
 		inj := faults.New(fcfg)
-		space := ensemble.NewSpace(inj.Wrap(dynsys.NewSEIR()), 5, 6)
-		cfg := layoutConfigs(space)["two-pivots"]
-		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(34), partition.SimOptions{Workers: workers})
+		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(34), partition.SimOptions{Workers: workers, Faults: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,19 +280,28 @@ func TestGenerateLayoutMatchesReferenceUnderFaults(t *testing.T) {
 			t.Fatalf("fault drill is vacuous: injected %+v, handled %+v", is, res.Stats)
 		}
 		// The reference replays the same fates through a fresh injector
-		// (decisions are keyed by seed and parameter values), faults.Run
-		// and the allocating entry, one simulation at a time.
-		refSpace := ensemble.NewSpace(faults.New(fcfg).Wrap(dynsys.NewSEIR()), 5, 6)
+		// (decisions are keyed by seed and parameter values) and
+		// faults.Run, one simulation at a time, and takes a surviving
+		// simulation's cells from the scalar entry: NaN where it diverged.
+		ref := faults.New(fcfg)
 		simulate := func(idx []int) []float64 {
-			var cells []float64
 			ctx := context.Background()
-			_, err := faults.Run(ctx, func() error {
-				var serr error
-				cells, serr = refSpace.SimCellsCtx(ctx, idx)
-				return serr
-			})
-			if err != nil {
+			vals := make([]float64, len(idx))
+			for k, p := range space.Sys.Params() {
+				vals[k] = p.Value(idx[k], space.Res)
+			}
+			var diverge bool
+			if _, err := faults.Run(ctx, func() (err error) {
+				diverge, err = ref.Inject(ctx, vals)
+				return err
+			}); err != nil {
 				return nil
+			}
+			cells := simCells(space)(idx)
+			if diverge {
+				for c := range cells {
+					cells[c] = math.NaN()
+				}
 			}
 			return cells
 		}
@@ -373,9 +383,9 @@ func TestEachSimulationIsOneTimeRun(t *testing.T) {
 		cases[name] = res
 	}
 	fcfg := faults.Config{Seed: 37, DivergentRate: 0.2, PanicRate: 0.15}
+	seir := ensemble.NewSpace(dynsys.NewSEIR(), 5, 6)
 	for _, name := range []string{"time-pivot", "two-pivots"} {
-		faulted := ensemble.NewSpace(faults.New(fcfg).Wrap(dynsys.NewSEIR()), 5, 6)
-		res, err := partition.GenerateCtx(context.Background(), faulted, layoutConfigs(faulted)[name], newRand(38), partition.SimOptions{})
+		res, err := partition.GenerateCtx(context.Background(), seir, layoutConfigs(seir)[name], newRand(38), partition.SimOptions{Faults: faults.New(fcfg)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,10 +118,12 @@ type Config struct {
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
 
-	// Faults, when non-nil, wraps the dynamical system with the seeded
-	// deterministic fault-injection harness — transient errors, divergent
-	// (non-finite) trajectories, panics, and latency at the configured
-	// rates. The run's Report then carries the exact failure accounting.
+	// Faults, when non-nil, injects seeded deterministic faults into the
+	// campaign's simulation attempts — transient errors, divergent
+	// (non-finite) simulations, panics, and latency at the configured
+	// rates. Only the simulation fan-out sees them: the reference, the
+	// ground truth and the accuracy estimate stay clean. The run's Report
+	// then carries the exact failure accounting.
 	// A simulation has faults.Attempts (3) attempts whether or not faults
 	// are injected: a transient error is retried at once.
 	Faults *faults.Config
@@ -271,8 +273,8 @@ func (c Config) normalize() Config {
 }
 
 // resolved carries the validated products of one Config: the normalized
-// config, the internal fusion method, and the (possibly fault-wrapped)
-// parameter space. RunCtx and BaselineCtx validate through here, so both
+// config, the internal fusion method, the cached parameter space and, when
+// Config.Faults is set, the run's injector. RunCtx and BaselineCtx validate through here, so both
 // accept and reject configurations identically.
 type resolved struct {
 	cfg      Config
@@ -323,11 +325,15 @@ func (c Config) resolve() (resolved, error) {
 	if d := cfg.Distributed; d != nil && d.Shards < 0 {
 		return resolved{}, fmt.Errorf("m2td: Distributed.Shards %d must be ≥ 0 (0 = Workers)", d.Shards)
 	}
-	space, injector, err := cfg.space()
+	space, err := cfg.Space()
 	if err != nil {
 		return resolved{}, err
 	}
-	return resolved{cfg: cfg, method: method, space: space, injector: injector}, nil
+	r := resolved{cfg: cfg, method: method, space: space}
+	if cfg.Faults != nil {
+		r.injector = faults.New(*cfg.Faults)
+	}
+	return r, nil
 }
 
 // Systems lists the built-in dynamical systems.
@@ -339,32 +345,17 @@ func Systems() []string {
 	return out
 }
 
-// Space returns the fault-free parameter space of the config's campaign,
-// with the defaults RunCtx fills — the space a caller holding only a
+// Space returns the parameter space of the config's campaign, with the
+// defaults RunCtx fills: the space every run of the config simulates over,
+// faulted or not (Report.Space), and the one a caller holding only a
 // Config predicts over (the campaign server rebuilding a restart-era job's
 // report). Spaces are cached process-wide, with their reference
-// trajectories and ground truths.
+// trajectories and ground truths; an injector never reaches them, since
+// faults are decided per simulation attempt in the fan-out
+// (ensemble.SimOptions.Faults).
 func (c Config) Space() (*ensemble.Space, error) {
 	c = c.normalize()
 	return eval.SpaceFor(string(c.System), c.Resolution, c.TimeSamples)
-}
-
-// space returns the parameter space a run of the normalized config
-// simulates over and, when fault injection is enabled, the injector
-// wrapping its system. Fault-wrapped runs always build a FRESH space: an
-// injector must never leak into other runs' cached references or ground
-// truths.
-func (c Config) space() (*ensemble.Space, *faults.Injector, error) {
-	if c.Faults == nil {
-		sp, err := c.Space()
-		return sp, nil, err
-	}
-	sys, err := dynsys.ByName(string(c.System))
-	if err != nil {
-		return nil, nil, err
-	}
-	inj := faults.New(*c.Faults)
-	return ensemble.NewSpace(inj.Wrap(sys), c.Resolution, c.TimeSamples), inj, nil
 }
 
 // CheckPivot reports an error unless the config's Pivot (after defaults)
@@ -485,7 +476,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	trace := cfg.trace("run")
 
 	simStart := time.Now()
-	part, err := partitionStage(ctx, trace, r.space, pivot, cfg, ck)
+	part, err := r.partitionStage(ctx, trace, pivot, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -530,7 +521,7 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 	simStart := time.Now()
 	var se *ensemble.SparseEnsemble
 	err = runStage(ctx, trace, "simulate", "simulation", func(ctx context.Context, span *obs.Span) (err error) {
-		se, _, err = ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{Workers: cfg.Parallel, Span: span})
+		se, _, err = ensemble.EncodeCtx(ctx, space, sims, ensemble.SimOptions{Workers: cfg.Parallel, Faults: r.injector, Span: span})
 		return err
 	})
 	if err != nil {
@@ -558,8 +549,7 @@ func BaselineCtx(ctx context.Context, cfg Config, scheme string, budget int) (*R
 
 // report starts the Report both pipelines fill the same way: the budget and
 // fault-tolerance accounting of the simulation stage, the effective
-// densities of the decomposed tensors, and — snapshotted before evaluation
-// simulates the whole space through the same injector — the fault stats.
+// densities of the decomposed tensors, and the injector's fault stats.
 func (r resolved) report(sims, cells int, st ensemble.SimStats, x1, x2 *tensor.Sparse) *Report {
 	report := &Report{
 		Accuracy:          math.NaN(),
@@ -634,13 +624,15 @@ func (r *Report) finishTrace(trace *obs.Trace, cfg Config) {
 
 // partitionStage is the simulation stage of RunCtx: the space
 // PF-partitioned at the pivot with the normalized config's densities and
-// seed, both sub-ensembles simulated into the checkpoint, if any.
-func partitionStage(ctx context.Context, trace *obs.Trace, space *ensemble.Space, pivot int, cfg Config, ck *ensemble.Checkpoint) (part *partition.Result, err error) {
+// seed, both sub-ensembles simulated under the injector, if any, into the
+// checkpoint, if any.
+func (r resolved) partitionStage(ctx context.Context, trace *obs.Trace, pivot int, ck *ensemble.Checkpoint) (part *partition.Result, err error) {
+	cfg, space := r.cfg, r.space
 	pcfg := partition.DefaultConfig(space.Order(), pivot, eval.PairsFor(space.Sys.Name()))
 	pcfg.PivotFrac, pcfg.FreeFrac = cfg.PivotDensity, cfg.SubEnsembleDensity
 	err = runStage(ctx, trace, "partition", "simulation", func(ctx context.Context, span *obs.Span) (err error) {
 		part, err = partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{
-			Workers: cfg.Parallel, Checkpoint: ck, Span: span,
+			Workers: cfg.Parallel, Faults: r.injector, Checkpoint: ck, Span: span,
 		})
 		return err
 	})

@@ -286,6 +286,52 @@ func TestRunResumeAcrossTransientAttemptSpellings(t *testing.T) {
 	requireSameBits(t, "resumed under the other spelling", resumed.Decomposition, first.Decomposition)
 }
 
+// TestRunResumeAcrossLatencySpellings: injected latency delays a
+// simulation and changes no cell, so a checkpoint written without it is
+// resumed by a config that adds it: every simulation restored, none
+// executed.
+func TestRunResumeAcrossLatencySpellings(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SkipAccuracy = true
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Faults = &faults.Config{Seed: 1, TransientRate: 0.1}
+	first, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &faults.Config{Seed: 1, TransientRate: 0.1, LatencyRate: 0.5, Latency: time.Microsecond}
+	cfg.Resume = true
+	resumed, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.RestoredSims != resumed.NumSims || resumed.ExecutedSims != 0 {
+		t.Fatalf("restored %d, executed %d of %d sims", resumed.RestoredSims, resumed.ExecutedSims, resumed.NumSims)
+	}
+	requireSameBits(t, "resumed with latency", resumed.Decomposition, first.Decomposition)
+}
+
+// TestFaultedRunUsesTheCachedSpace: faults are decided per simulation
+// attempt in the fan-out, so a faulted campaign simulates over the same
+// cached space as a clean one, and its reference and ground truth are that
+// space's.
+func TestFaultedRunUsesTheCachedSpace(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SkipAccuracy = true
+	cfg.Faults = &faults.Config{Seed: 99, TransientRate: 0.1, DivergentRate: 0.02}
+	report, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := cfg.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Space != space {
+		t.Fatal("a faulted run's Report.Space is not the cached Config.Space()")
+	}
+}
+
 // TestRunResumeSharesEnsembleAcrossDecompositions is the positive twin: at
 // P = E = 1 with a named pivot the seed draws nothing, so a campaign that
 // differs from the checkpoint's writer in seed, rank and method restores
