@@ -39,12 +39,12 @@ lint-extra:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# The lanes kernel's parity again at GOAMD64=v3: were the compiler ever to
-# fuse the scalar kernel's multiply-adds into FMAs, packed and scalar
-# results would part ways here (DESIGN.md §16).
+# The kernels' parity again at GOAMD64=v3: were the compiler ever to fuse
+# the scalar kernel's multiply-adds into FMAs, it would part ways here with
+# the packed kernel and with the closure reference (DESIGN.md §16).
 test:
 	$(GO) test ./...
-	GOAMD64=v3 $(GO) test -run LanesKernel ./internal/dynsys
+	GOAMD64=v3 $(GO) test -run 'LanesKernel|CellsKernel|TrajectoryMatchesClosure' ./internal/dynsys
 
 # Race-detector pass. The workers=1 vs workers=N bit-stability suites
 # double as data-race proofs for the internal/parallel kernels here; the

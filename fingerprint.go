@@ -33,7 +33,7 @@ func (c Config) SimFingerprint() string {
 // "auto" the identity of the ensemble the pilot run actually chose, which
 // no longer depends on the seed at P = E = 1.
 func (c Config) fingerprint(pivot string) string {
-	fp := fmt.Sprintf("sim-v2|%s|res=%d|t=%d|pivot=%q|P=%g|E=%g",
+	fp := fmt.Sprintf("sim-v3|%s|res=%d|t=%d|pivot=%q|P=%g|E=%g",
 		c.System, c.Resolution, c.TimeSamples, pivot, c.PivotDensity, c.SubEnsembleDensity)
 	if c.PivotDensity < 1 || c.SubEnsembleDensity < 1 || pivot == "auto" {
 		fp += fmt.Sprintf("|seed=%d", c.Seed)
@@ -83,14 +83,15 @@ func (c Config) Fingerprint() string {
 // injected faults change which simulations survive, so two configs
 // differing only in Faults must never share an ensemble. It names only the
 // fields that change a stored cell: latency delays a simulation and
-// changes none, so LatencyRate and Latency stay out. The attempt count is
-// the one faults.New runs (below 1 counts as 1), so two spellings of one
-// injector are one ensemble.
+// changes none, so LatencyRate and Latency stay out, and an injector with
+// no transient, divergent or panic rate computes the clean cells and has
+// the clean identity. The attempt count is the one faults.New runs (below
+// 1 counts as 1), so two spellings of one injector are one ensemble.
 func (c Config) faultsSuffix() string {
-	if c.Faults == nil {
+	f := c.Faults
+	if f == nil || f.TransientRate == 0 && f.DivergentRate == 0 && f.PanicRate == 0 {
 		return ""
 	}
-	f := c.Faults
 	return fmt.Sprintf("|faults=%d:%g:%d:%g:%g",
 		f.Seed, f.TransientRate, max(f.TransientAttempts, 1), f.DivergentRate, f.PanicRate)
 }

@@ -29,12 +29,15 @@ func samePartitionBits(a, b *partition.Result) bool {
 	return true
 }
 
-// TestFingerprintsAreTheParents pins both identity strings to the literals
-// the build before the sketch route's removal printed, for the three
-// executors: every campaign that could already run exact keeps its dec-,
-// hdr- and sims- store objects addressable.
+// TestFingerprintsAreTheParents pins both identity strings for the three
+// executors. The decomposition half is the literal the build before the
+// sketch route's removal printed. The simulation half is not the parents':
+// its version moved to sim-v3 when the double pendulum's derivative went
+// from four trigonometric calls to two and its cells changed in their last
+// bits, so a sims- catalog or checkpoint of the old kernel's cells is not
+// addressable under the new identity.
 func TestFingerprintsAreTheParents(t *testing.T) {
-	const sim = `sim-v2|double-pendulum|res=12|t=12|pivot="t"|P=1|E=1`
+	const sim = `sim-v3|double-pendulum|res=12|t=12|pivot="t"|P=1|E=1`
 	for name, row := range map[string]struct {
 		cfg  Config
 		full string
@@ -56,8 +59,9 @@ func TestFingerprintsAreTheParents(t *testing.T) {
 // catalog and the campaign server both lean on: equal SimFingerprints mean
 // bit-identical partitions, and a change to any simulation-generating field
 // means a different string. Each row names the ensemble it belongs to; rows
-// of one ensemble differ only in decomposition fields, seed at P = E = 1, or
-// the spelling of a default.
+// of one ensemble differ only in decomposition fields, seed at P = E = 1,
+// the spelling of a default, or an injector that changes no cell (no
+// transient, divergent or panic rate).
 func TestSimFingerprintIsEnsembleIdentity(t *testing.T) {
 	base := Config{System: SystemDoublePendulum, Resolution: 4, TimeSamples: 3, SkipAccuracy: true}
 	with := func(mut func(*Config)) Config {
@@ -84,7 +88,8 @@ func TestSimFingerprintIsEnsembleIdentity(t *testing.T) {
 		{"resolution", with(func(c *Config) { c.Resolution = 5 })},
 		{"time-samples", with(func(c *Config) { c.TimeSamples = 4 })},
 		{"pivot", with(func(c *Config) { c.Pivot = "phi1" })},
-		{"faults", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1} })},
+		{"base", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1} })},
+		{"base", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1, LatencyRate: 0.5, Latency: time.Microsecond} })},
 		{"transient", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1, TransientRate: 0.1} })},
 		{"transient", with(func(c *Config) { c.Faults = &faults.Config{Seed: 1, TransientRate: 0.1, TransientAttempts: 1} })},
 		{"transient", with(func(c *Config) {

@@ -457,9 +457,10 @@ func TestDistributedBrokenProductStructureFallsBack(t *testing.T) {
 // TestJoinFreeBitsPinned pins the join-free formula's bits:
 // core.DecomposeFactored at one shard and at three, on pairs that lost
 // nothing and on one with holes (side 1 thinned cell by cell, pivot group 2
-// gone from side 2), produce the bits recorded when the mode Grams came to
-// be taken over fibre runs (FNV-64a over the core's, then the factors',
-// float bits; amd64 — other ports may fuse multiply-adds).
+// gone from side 2), produce the bits recorded when the double pendulum's
+// derivative went from four trigonometric calls to two (FNV-64a over the
+// core's, then the factors', float bits; amd64 — other ports may fuse
+// multiply-adds).
 func TestJoinFreeBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit fingerprints were recorded on amd64")
@@ -487,12 +488,12 @@ func TestJoinFreeBitsPinned(t *testing.T) {
 		zero, holey bool
 		serial, sum string
 	}{
-		{"time/E=1/SELECT/join", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, false, "598bef37ac014c30", "8224f732488a31fd"},
-		{"time/E=0.5/CONCAT/zero", partition.DefaultConfig(5, 4, doublePendulumPairs), 0.5, core.CONCAT, true, false, "5a235c3ad20aa84b", "aa0b8fdd08185408"},
-		{"param/E=0.5/AVG/join", partition.DefaultConfig(5, 0, doublePendulumPairs), 0.5, core.AVG, false, false, "cc588c5ff96e1472", "f9cea5d3ba72cbf4"},
-		{"two-pivot/E=0.6/SELECT/join", twoPivot, 0.6, core.SELECT, false, false, "009da044f8646b1c", "7bb43338b9e014f9"},
-		{"two-pivot/E=0.6/AVG/zero", twoPivot, 0.6, core.AVG, true, false, "abfb9eccbb741ae1", "2a2aebf614f23ac9"},
-		{"time/E=1/SELECT/join/holey", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, true, "e6b7879143ff5a1a", "9e0b5ff3babe3777"},
+		{"time/E=1/SELECT/join", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, false, "8db1a6a3776e5f8d", "82a6013b76c010e0"},
+		{"time/E=0.5/CONCAT/zero", partition.DefaultConfig(5, 4, doublePendulumPairs), 0.5, core.CONCAT, true, false, "01f4514824d33efb", "bf19cb497a4d2a2b"},
+		{"param/E=0.5/AVG/join", partition.DefaultConfig(5, 0, doublePendulumPairs), 0.5, core.AVG, false, false, "db4667075d274556", "d2862d03bc5c894e"},
+		{"two-pivot/E=0.6/SELECT/join", twoPivot, 0.6, core.SELECT, false, false, "1c3c5016401c279d", "b187c16acefbc2d0"},
+		{"two-pivot/E=0.6/AVG/zero", twoPivot, 0.6, core.AVG, true, false, "2f7eb8f284cdd79c", "923847ffea4f873e"},
+		{"time/E=1/SELECT/join/holey", partition.DefaultConfig(5, 4, doublePendulumPairs), 1, core.SELECT, false, true, "4b36cfe48fa0bd40", "86788229c991403a"},
 	} {
 		c.cfg.FreeFrac = c.free
 		p, err := partition.GenerateCtx(context.Background(), space, c.cfg, rand.New(rand.NewSource(300)), partition.SimOptions{})

@@ -51,19 +51,24 @@ func (dp *DoublePendulum) StateDim() int { return 2 }
 // derivative keeps the unhoisted formula's value to the last bit.
 type doublePendulumRHS struct{ l, m2, gM, m2g, mSum, gSum, mDen float64 }
 
-// deriv implements ode.Derivative. math.Sincos returns exactly the
-// (math.Sin, math.Cos) pair — TestSincosMatchesSinCos pins it — so using it
-// for the two arguments that need both changes which library call produces
-// a value, never the value.
+// deriv implements ode.Derivative. It makes two trigonometric calls, on
+// Δ = θ₁−θ₂ and on θ₁; the equations' other two values come from them:
+// cos 2Δ = 1 − 2 sin²Δ and sin(θ₁−2θ₂) = sin(2Δ−θ₁) = sin 2Δ cos θ₁ −
+// cos 2Δ sin θ₁. The closure reference in parity_test.go and the lanes
+// kernel evaluate these terms in this order. math.Sincos returns exactly
+// the (math.Sin, math.Cos) pair at every non-NaN argument —
+// TestSincosMatchesSinCos pins it.
 func (r *doublePendulumRHS) deriv(t float64, y, dst []float64) {
 	th1, w1, th2, w2 := y[0], y[1], y[2], y[3]
 	l, m2 := r.l, r.m2
 	sinD, cosD := math.Sincos(th1 - th2)
 	sin1, cos1 := math.Sincos(th1)
-	den := r.mDen - m2*math.Cos(2*th1-2*th2)
+	cos2D := 1 - 2*sinD*sinD
+	sin12 := 2*sinD*cosD*cos1 - cos2D*sin1
+	den := r.mDen - m2*cos2D
 	dst[0] = w1
 	dst[1] = (r.gM*sin1 -
-		r.m2g*math.Sin(th1-2*th2) -
+		r.m2g*sin12 -
 		2*sinD*m2*(w2*w2*l+w1*w1*l*cosD)) / (l * den)
 	dst[2] = w2
 	dst[3] = (2 * sinD * (w1*w1*l*r.mSum +

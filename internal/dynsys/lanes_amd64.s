@@ -106,20 +106,24 @@ LANES(int4, 0x0000000000000004)
 
 // DERIV(base) evaluates doublePendulumRHS.deriv on the state at base(DI):
 // ω̇₁ lands in Y9 and ω̇₂ in Y10 (θ̇₁, θ̇₂ are the state's ω₁, ω₂).
-// The trigonometric values are sin/cos(θ₁−θ₂) in Y13/Y14, sin/cos(θ₁) in
-// Y3/Y7, cos(2θ₁−2θ₂) in Y1 and sin(θ₁−2θ₂) in Y0.
+// The two trigonometric calls are sin/cos(θ₁−θ₂) and sin/cos(θ₁), in Y0
+// and Y14, Y3 and Y7; then 2·sin(θ₁−θ₂) = sinD+sinD lands in Y13,
+// cos2D = 1 − 2·sinD·sinD in Y1 and sin12 = 2·sinD·cosD·cos1 − cos2D·sin1
+// in Y0.
 #define DERIV(base) \
 	VMOVUPD base+0(DI), Y2; \
 	VMOVUPD base+64(DI), Y3; \
 	VSUBPD  Y3, Y2, Y4; \
-	VADDPD  Y3, Y3, Y3; \
-	VADDPD  Y2, Y2, Y5; \
-	VSUBPD  Y3, Y5, Y5; \
-	VSUBPD  Y3, Y2, Y6; \
-	SINCOS(Y4, Y13, Y14); \
+	SINCOS(Y4, Y0, Y14); \
 	SINCOS(Y2, Y3, Y7); \
-	SINCOS(Y5, Y0, Y1); \
-	SINCOS(Y6, Y0, Y2); \
+	VADDPD  Y0, Y0, Y13; \
+	VMULPD  Y0, Y13, Y1; \
+	VMOVUPD one<>(SB), Y0; \
+	VSUBPD  Y1, Y0, Y1; \
+	VMULPD  Y14, Y13, Y0; \
+	VMULPD  Y7, Y0, Y0; \
+	VMULPD  Y3, Y1, Y4; \
+	VSUBPD  Y4, Y0, Y0; \
 	VMOVUPD 160(DI), Y2; \
 	VMULPD  Y2, Y1, Y1; \
 	VMOVUPD 320(DI), Y4; \
@@ -132,7 +136,6 @@ LANES(int4, 0x0000000000000004)
 	VMOVUPD base+96(DI), Y8; \
 	VMULPD  Y8, Y8, Y8; \
 	VMULPD  Y5, Y8, Y8; \
-	VADDPD  Y13, Y13, Y13; \
 	VMULPD  192(DI), Y3, Y9; \
 	VMULPD  224(DI), Y0, Y10; \
 	VSUBPD  Y10, Y9, Y9; \

@@ -15,8 +15,12 @@ import (
 // each trigonometric value from its own math.Sin / math.Cos, integrated by
 // ode.Trajectory into a [][]float64 the distances were then read off.
 // They are the bit-level reference of the kernel and live only here. The
-// stepping loop under ode.Trajectory is pinned separately, against the
-// loops it replaced, by ode's TestSamplesBitIdenticalToReferenceLoops.
+// double pendulum's was rewritten once, with its kernel, when the
+// derivative went from four trigonometric values to two (cos 2Δ and
+// sin(θ₁−2θ₂) from the sine and cosine of Δ and θ₁); its operation order
+// is what the kernel and the lanes kernel follow. The stepping loop under
+// ode.Trajectory is pinned separately, against the loops it replaced, by
+// ode's TestSamplesBitIdenticalToReferenceLoops.
 
 // closureSystem is a built-in system simulated the old way. It embeds the
 // System interface, not the concrete type, so it does not inherit the
@@ -38,14 +42,17 @@ func closureDoublePendulum(dp *DoublePendulum) closureSystem {
 			th1, w1, th2, w2 := y[0], y[1], y[2], y[3]
 			delta := th1 - th2
 			sinD, cosD := math.Sin(delta), math.Cos(delta)
-			den := 2*m1 + m2 - m2*math.Cos(2*th1-2*th2)
+			sin1, cos1 := math.Sin(th1), math.Cos(th1)
+			cos2D := 1 - 2*sinD*sinD
+			sin12 := 2*sinD*cosD*cos1 - cos2D*sin1
+			den := 2*m1 + m2 - m2*cos2D
 			dst[0] = w1
-			dst[1] = (-g*(2*m1+m2)*math.Sin(th1) -
-				m2*g*math.Sin(th1-2*th2) -
+			dst[1] = (-g*(2*m1+m2)*sin1 -
+				m2*g*sin12 -
 				2*sinD*m2*(w2*w2*l+w1*w1*l*cosD)) / (l * den)
 			dst[2] = w2
 			dst[3] = (2 * sinD * (w1*w1*l*(m1+m2) +
-				g*(m1+m2)*math.Cos(th1) +
+				g*(m1+m2)*cos1 +
 				w2*w2*l*m2*cosD)) / (l * den)
 		}
 		y0 := []float64{phi1, 0, phi2, 0}
@@ -279,6 +286,42 @@ func TestSincosMatchesSinCos(t *testing.T) {
 	}
 }
 
+// TestDoublePendulumTrigIdentities: the double pendulum's derivative takes
+// cos 2Δ and sin(θ₁−2θ₂) from the sine and cosine of Δ = θ₁−θ₂ and θ₁, as
+// doublePendulumRHS.deriv and the closure reference evaluate them. Over
+// 10⁶ random (θ₁, θ₂) at each of three scales, both stay within
+// 4·2⁻⁵²·(1 + |θ₁| + 2|θ₂|) of math.Cos(2θ₁−2θ₂) and math.Sin(θ₁−2θ₂): the
+// bound grows with |θ| because the direct form rounds its argument first.
+// The rewrite changed rounding, not the physics.
+func TestDoublePendulumTrigIdentities(t *testing.T) {
+	n := 1_000_000
+	if testing.Short() {
+		n = 50_000
+	}
+	rng := rand.New(rand.NewSource(21))
+	for _, scale := range []float64{0.01, 3, 200} {
+		worst := 0.0
+		for range n {
+			th1, th2 := (rng.Float64()*2-1)*scale, (rng.Float64()*2-1)*scale
+			sinD, cosD := math.Sincos(th1 - th2)
+			sin1, cos1 := math.Sincos(th1)
+			cos2D := 1 - 2*sinD*sinD
+			sin12 := 2*sinD*cosD*cos1 - cos2D*sin1
+			unit := 0x1p-52 * (1 + math.Abs(th1) + 2*math.Abs(th2))
+			for _, e := range []float64{cos2D - math.Cos(2*th1-2*th2), sin12 - math.Sin(th1-2*th2)} {
+				if r := math.Abs(e) / unit; r > worst {
+					worst = r
+				}
+			}
+			if worst > 4 {
+				t.Fatalf("|θ| ≤ %g, θ₁=%v θ₂=%v: cos2D off by %g, sin12 by %g; bound %g",
+					scale, th1, th2, cos2D-math.Cos(2*th1-2*th2), sin12-math.Sin(th1-2*th2), 4*unit)
+			}
+		}
+		t.Logf("|θ| ≤ %g: worst error %.3f × 2⁻⁵²·(1 + |θ₁| + 2|θ₂|)", scale, worst)
+	}
+}
+
 // TestCellsKernelDoesNotAllocate: with a warm workspace, the kernel of
 // every system runs at 0 allocs per simulation — no trajectory, no
 // closure, no scratch — and so does the lanes entry at 1 to Lanes lanes.
@@ -325,6 +368,56 @@ func checkLanes(t *testing.T, w *ode.Workspace, sys System, ref [][]float64, poi
 		if i := sameBits(got[lane*n:(lane+1)*n], want); i >= 0 {
 			t.Fatalf("%s samples=%d lanes %v: lane %d cell %d = %x, scalar kernel %x",
 				sys.Name(), n, points, lane, i, math.Float64bits(got[lane*n+i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// trigEdges are the trigonometric arguments at the edges of the packed
+// kernel's domain and of Sincos's branches: ±0, NaN and ±Inf, the octant
+// boundaries kπ/4 and their neighbours one ulp away for four turns, and
+// 2²⁸, 2²⁹, 2³⁰ with theirs. Callers try each one negated too.
+func trigEdges() []float64 {
+	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for k := 1; k <= 16; k++ {
+		x := float64(k) * math.Pi / 4
+		edges = append(edges, x, math.Nextafter(x, 0), math.Nextafter(x, 100))
+	}
+	for _, x := range []float64{1 << 29, 1 << 28, 1 << 30} {
+		edges = append(edges, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
+	}
+	return edges
+}
+
+// TestTriplePendulumEdgesMatchClosureReference: the triple pendulum's
+// kernel takes the nine (sin, cos)(θᵢ−θⱼ) from three Sincos calls, by
+// symmetry, where the closure reference calls Sin and Cos on each
+// difference. With one initial angle at each of trigEdges (and its
+// negation) and the others at 0 — equal angles, so differences of +0 — or
+// at normal values, every cell is the closure's to the last bit, and a NaN
+// cell is NaN on both sides: its payload may differ, because math.Sin
+// returns a NaN argument itself and Sincos returns NaN().
+func TestTriplePendulumEdgesMatchClosureReference(t *testing.T) {
+	tp := NewTriplePendulum()
+	closure := closureTriplePendulum(tp)
+	ref := Reference(tp, 12)
+	var w ode.Workspace
+	got := make([]float64, len(ref))
+	for _, e := range trigEdges() {
+		for _, x := range []float64{e, -e} {
+			for _, base := range [][]float64{{0, 0, 0, 0.3}, {0.4, -1.1, 0.9, 0.7}} {
+				for k := range 3 {
+					vals := append([]float64(nil), base...)
+					vals[k] = x
+					want := CellValues(closure, vals, ref)
+					Cells(&w, tp, vals, ref, got)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+							t.Fatalf("vals=%v: cell %d = %x, closure reference %x",
+								vals, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -379,19 +472,11 @@ func TestLanesKernelBitwiseParity(t *testing.T) {
 		checkLanes(t, &w, dp, ref, points...)
 	}
 
-	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
-	for k := 1; k <= 16; k++ {
-		x := float64(k) * math.Pi / 4
-		edges = append(edges, x, math.Nextafter(x, 0), math.Nextafter(x, 100))
-	}
-	for _, x := range []float64{1 << 29, 1 << 28, 1 << 30} {
-		edges = append(edges, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
-	}
 	normal := [][]float64{{0.3, -0.7, 1.2, 0.8}, {-1.1, 0.4, 0.9, 2.1}, {1.7, 1.3, 2.4, 0.6}}
-	for _, e := range edges {
+	for _, e := range trigEdges() {
 		for _, x := range []float64{e, -e} {
-			// φ₂ = 0 makes θ₁, θ₁−θ₂ and θ₁−2θ₂ the edge itself; φ₁ = 0
-			// makes θ₁−θ₂ its negation.
+			// φ₂ = 0 makes θ₁ and θ₁−θ₂, the two Sincos arguments, the
+			// edge itself; φ₁ = 0 makes θ₁−θ₂ its negation.
 			for _, edge := range [][]float64{{x, 0, 1.2, 0.8}, {0, x, 1.2, 0.8}} {
 				for n := 1; n <= Lanes; n++ {
 					for pos := range n {

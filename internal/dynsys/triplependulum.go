@@ -66,18 +66,35 @@ type triplePendulumRHS struct {
 // (Gaussian elimination with partial pivoting on stack arrays) because it
 // runs on every RK4 stage; routing it through the general mat.Solve would
 // allocate four times per evaluation. math.Sincos returns exactly the
-// (math.Sin, math.Cos) pair — see doublePendulumRHS.deriv.
+// (math.Sin, math.Cos) pair at every non-NaN argument — see
+// doublePendulumRHS.deriv.
+//
+// Three calls give all nine (sin, cos)(θᵢ−θⱼ), bit for bit: one per i < j.
+// For j < i, θᵢ−θⱼ is exactly −(θⱼ−θᵢ), and Sincos is odd in sin and even
+// in cos, so the sine is 0 − sin: a plain −sin would turn Sincos(+0)'s +0
+// into −0 and flip the sign of a NaN. On the diagonal θᵢ−θᵢ is +0, where
+// Sincos is (+0, 1), or NaN, where it is (NaN(), NaN()).
 func (r *triplePendulumRHS) deriv(t float64, y, dst []float64) {
 	th := y[0:3]
 	w := y[3:6]
+	var sin, cos [3][3]float64
+	for i := 0; i < 3; i++ {
+		sin[i][i], cos[i][i] = 0, 1
+		if th[i]-th[i] != 0 {
+			sin[i][i], cos[i][i] = math.NaN(), math.NaN()
+		}
+		for j := i + 1; j < 3; j++ {
+			sin[i][j], cos[i][j] = math.Sincos(th[i] - th[j])
+			sin[j][i], cos[j][i] = 0-sin[i][j], cos[i][j]
+		}
+	}
 	var a [3][4]float64 // augmented system [M | b]
 	for i := 0; i < 3; i++ {
 		var b float64
 		for j := 0; j < 3; j++ {
 			c := r.tail[max(i, j)]
-			sinD, cosD := math.Sincos(th[i] - th[j])
-			a[i][j] = c * cosD
-			b -= c * sinD * w[j] * w[j]
+			a[i][j] = c * cos[i][j]
+			b -= c * sin[i][j] * w[j] * w[j]
 		}
 		b -= r.tailG[i] * math.Sin(th[i])
 		b -= r.friction * w[i]

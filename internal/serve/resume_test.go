@@ -15,9 +15,9 @@ import (
 // killedCampaign starts a server whose every simulation is slowed by
 // injected latency and submits tinySpec under a deadline it cannot meet: the
 // returned spec's campaign has failed and left a partial sims catalog
-// behind. The Runner wraps m2td.RunCtx after fingerprinting and sets the
-// same values for every job, so the catalog stays compatible across
-// attempts.
+// behind. The Runner wraps m2td.RunCtx after fingerprinting; a latency-only
+// injector changes no cell and has the clean simulation identity, so the
+// catalog's tag is the one the spec itself names.
 func killedCampaign(t *testing.T) (*api.Client, api.CampaignSpec, string) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())

@@ -14,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/stitch"
+	"repro/internal/store"
 )
 
 // waitForGoroutines polls until the goroutine count returns to (near) the
@@ -221,18 +222,23 @@ func TestRunResumeBitIdentical(t *testing.T) {
 // TestRunResumeRejectsForeignCheckpoint: a checkpoint is trusted only by a
 // campaign with the same simulation identity. Each case writes a complete
 // checkpoint, then resumes a config that differs in one
-// simulation-generating field: nothing may be restored.
+// simulation-generating field: nothing may be restored. The "sim-v2" case
+// changes no field; it retags the checkpoint with the identity the same
+// config had under the four-call double-pendulum kernel, whose cells
+// differ from today's in their last bits.
 func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		base, foreign func(*Config)
+		oldKernel     bool
 	}{
-		{"resolution", nil, func(c *Config) { c.Resolution++ }},
-		{"time-samples", nil, func(c *Config) { c.TimeSamples++ }},
-		{"pivot", nil, func(c *Config) { c.Pivot = "phi1" }},
-		{"seed-at-P<1", func(c *Config) { c.PivotDensity = 0.5 }, func(c *Config) { c.Seed++ }},
-		{"seed-at-E<1", func(c *Config) { c.SubEnsembleDensity = 0.5 }, func(c *Config) { c.Seed++ }},
-		{"faults", nil, func(c *Config) { c.Faults = &faults.Config{Seed: 1} }},
+		{"resolution", nil, func(c *Config) { c.Resolution++ }, false},
+		{"time-samples", nil, func(c *Config) { c.TimeSamples++ }, false},
+		{"pivot", nil, func(c *Config) { c.Pivot = "phi1" }, false},
+		{"seed-at-P<1", func(c *Config) { c.PivotDensity = 0.5 }, func(c *Config) { c.Seed++ }, false},
+		{"seed-at-E<1", func(c *Config) { c.SubEnsembleDensity = 0.5 }, func(c *Config) { c.Seed++ }, false},
+		{"faults", nil, func(c *Config) { c.Faults = &faults.Config{Seed: 1, DivergentRate: 0.5} }, false},
+		{"sim-v2", nil, func(*Config) {}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig()
@@ -244,6 +250,9 @@ func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 			if _, err := RunCtx(context.Background(), cfg); err != nil {
 				t.Fatal(err)
 			}
+			if tc.oldKernel {
+				retagCheckpoint(t, cfg.CheckpointDir, "sim-v3|", "sim-v2|")
+			}
 			cfg.Resume = true
 			tc.foreign(&cfg)
 			report, err := RunCtx(context.Background(), cfg)
@@ -254,6 +263,34 @@ func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 				t.Fatalf("restored %d sims from a foreign checkpoint", report.RestoredSims)
 			}
 		})
+	}
+}
+
+// retagCheckpoint rewrites every simulation set in the checkpoint catalog
+// at dir with its identity's prefix from replaced by to, cells unchanged.
+func retagCheckpoint(t *testing.T, dir, from, to string) {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	retagged := 0
+	for _, name := range names {
+		fp, sims, err := st.LoadSimSet(name)
+		if err != nil || !strings.HasPrefix(fp, from) {
+			continue
+		}
+		if err := st.SaveSimSet(name, to+strings.TrimPrefix(fp, from), sims); err != nil {
+			t.Fatal(err)
+		}
+		retagged++
+	}
+	if retagged == 0 {
+		t.Fatalf("no simulation set in %s is tagged %q…", dir, from)
 	}
 }
 
@@ -309,6 +346,31 @@ func TestRunResumeAcrossLatencySpellings(t *testing.T) {
 		t.Fatalf("restored %d, executed %d of %d sims", resumed.RestoredSims, resumed.ExecutedSims, resumed.NumSims)
 	}
 	requireSameBits(t, "resumed with latency", resumed.Decomposition, first.Decomposition)
+}
+
+// TestLatencyOnlyCampaignResumesACleanCheckpoint: an injector with only
+// latency (no transient, divergent or panic rate) computes the clean
+// cells and shares the clean identity, so it resumes every simulation of
+// a checkpoint written without any injector and decomposes them to the
+// same bits.
+func TestLatencyOnlyCampaignResumesACleanCheckpoint(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SkipAccuracy = true
+	cfg.CheckpointDir = t.TempDir()
+	first, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &faults.Config{Seed: 1, LatencyRate: 0.5, Latency: time.Microsecond}
+	cfg.Resume = true
+	resumed, err := RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.RestoredSims != resumed.NumSims || resumed.ExecutedSims != 0 {
+		t.Fatalf("restored %d, executed %d of %d sims", resumed.RestoredSims, resumed.ExecutedSims, resumed.NumSims)
+	}
+	requireSameBits(t, "latency-only resume of a clean checkpoint", resumed.Decomposition, first.Decomposition)
 }
 
 // TestFaultedRunUsesTheCachedSpace: faults are decided per simulation
