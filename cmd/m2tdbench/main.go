@@ -11,16 +11,16 @@
 //	m2tdbench -table 2,4,5 -csv out.csv   # comparison rows, one header
 //	m2tdbench -table 2 -parallel 8        # 8-worker shared-memory pool
 //	m2tdbench -run -res 12 -timeout 2m    # one pipeline with a deadline
-//	m2tdbench -run -checkpoint ./ckpt -resume
+//	m2tdbench -run -checkpoint ./ckpt     # rerun: restores what it finished
 //	m2tdbench -run -fault-rate 0.1 -divergent-rate 0.02
 //	m2tdbench -run -res 6 -workers 4      # in-process D-M2TD, 4 shards
 //
 // -run executes a single end-to-end pipeline instead of a table and
 // prints the report, including the fault-tolerance accounting. -timeout
 // bounds the whole run (the pipeline drains cooperatively and flushes
-// its checkpoint on expiry or Ctrl-C); -checkpoint/-resume enable
-// crash-safe restarts; -fault-rate/-divergent-rate inject seeded
-// transient and divergent simulation faults for resilience testing.
+// its checkpoint on expiry or Ctrl-C); -checkpoint enables crash-safe
+// restarts, a rerun restoring what it finished; -fault-rate and
+// -divergent-rate inject seeded transient and divergent simulation faults.
 //
 // -workers sweeps the server (shard) count of the D-M2TD algorithm (Table
 // III) and, with -run, runs the in-process D-M2TD at its first value — the
@@ -71,8 +71,7 @@ func main() {
 
 		runOne     = flag.Bool("run", false, "execute a single end-to-end pipeline (instead of a table) and print the report")
 		timeout    = flag.Duration("timeout", 0, "with -run: overall deadline; the pipeline drains cooperatively and flushes its checkpoint on expiry (0 = none)")
-		checkpoint = flag.String("checkpoint", "", "with -run: directory for crash-safe simulation checkpoints")
-		resume     = flag.Bool("resume", false, "with -run: resume from a compatible checkpoint in -checkpoint, skipping finished simulations")
+		checkpoint = flag.String("checkpoint", "", "with -run: directory for crash-safe simulation checkpoints; a checkpoint of the same simulations there is restored")
 		faultRate  = flag.Float64("fault-rate", 0, "with -run: injected transient-failure rate per simulation (seeded, deterministic)")
 		divRate    = flag.Float64("divergent-rate", 0, "with -run: injected divergent (non-finite trajectory) rate per simulation")
 		faultSeed  = flag.Int64("fault-seed", 1, "with -run: fault-injection seed")
@@ -112,7 +111,6 @@ func main() {
 			Parallel:           *par,
 			Workers:            firstInt(*workers),
 			CheckpointDir:      *checkpoint,
-			Resume:             *resume,
 			SkipAccuracy:       *estim == 0 && firstInt(*res) > 24,
 			AccuracySampleSims: *estim,
 			Trace:              *traceOut != "",

@@ -73,15 +73,20 @@ type Options struct {
 	Span *obs.Span
 }
 
+// ShardCount is the Phase-3 shard count Options{Workers: workers, Shards:
+// shards} runs: shards, or below 1 the worker count (at least one).
+func ShardCount(workers, shards int) int {
+	if shards < 1 {
+		return max(workers, 1)
+	}
+	return shards
+}
+
 // normalize fills defaults and validates the parts that don't need the
 // partition.
 func (o Options) normalize() (Options, error) {
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
-	if o.Shards < 1 {
-		o.Shards = o.Workers
-	}
+	o.Workers = max(o.Workers, 1)
+	o.Shards = ShardCount(o.Workers, o.Shards)
 	if o.Addr == "" {
 		o.Addr = "127.0.0.1:0"
 	}

@@ -12,27 +12,24 @@ import (
 // progress to an internal/store catalog. Completed simulations are
 // persisted periodically during the fan-out (atomic temp+rename+CRC
 // writes, so a kill at any instant leaves either the previous or the new
-// checkpoint intact — never a corrupt one), and a resumed campaign skips
-// every simulation the checkpoint already holds.
+// checkpoint intact — never a corrupt one), and a campaign skips every
+// simulation a checkpoint of its own Fingerprint already holds.
 //
 // One sub-ensemble's completed set is stored under `<prefix>-sims`
 // (prefix "sub1"/"sub2" for the PF-partitioned pair), tagged with the
 // caller's Fingerprint: a checkpoint written by a different configuration
 // (different system, resolution, densities, seed, …) never pollutes a
-// resumed run — it is ignored and overwritten.
+// campaign — it is ignored and overwritten.
 type Checkpoint struct {
 	// Store is the catalog to persist into.
 	Store *store.Store
-	// Fingerprint identifies the generating configuration. Resume only
-	// trusts checkpoints whose stored fingerprint matches exactly.
+	// Fingerprint identifies the simulations (equal fingerprints, equal
+	// cells); only a stored set whose fingerprint matches it is restored.
 	Fingerprint string
 	// Every is the number of newly completed simulations between
 	// checkpoint saves (default 64). Lower values tighten the crash
 	// window at the cost of more (atomic, whole-set) writes.
 	Every int
-	// Resume loads previously completed simulations and skips re-running
-	// them.
-	Resume bool
 }
 
 // ckptSession is the mutable per-sub-campaign state: the completed map,
@@ -51,15 +48,12 @@ type ckptSession struct {
 	err       error
 }
 
-// session opens (and, with Resume, restores) the checkpoint state for one
-// sub-campaign. A missing, corrupt, or fingerprint-mismatched checkpoint
-// is treated as absent: the campaign starts fresh and overwrites it.
+// session opens and restores the checkpoint state for one sub-campaign. A
+// missing, corrupt, or fingerprint-mismatched checkpoint is treated as
+// absent: the campaign starts fresh and overwrites it.
 func (c *Checkpoint) session(prefix string) *ckptSession {
 	s := &ckptSession{ck: c, name: prefix + "-sims", done: make(map[int][]float64)}
 	s.idle.L = &s.mu
-	if !c.Resume {
-		return s
-	}
 	// Only a readable checkpoint of this very configuration is trusted; any
 	// other outcome, an I/O error included, is a fresh start.
 	if fp, sims, err := c.Store.LoadSimSet(s.name); err == nil && fp == c.Fingerprint {

@@ -34,7 +34,7 @@ type SimOptions struct {
 	// divergent simulation's cells are NaN, which Keep quarantines.
 	Faults *faults.Injector
 	// Checkpoint, when non-nil, persists completed simulations
-	// periodically and (with Resume) skips previously completed ones.
+	// periodically and skips the ones it already holds.
 	Checkpoint *Checkpoint
 	// Span, when non-nil, is the simulation stage's span: EncodeCtx
 	// records its fan-out's SimStats and cell count on it;
@@ -54,7 +54,7 @@ type SimStats struct {
 	// ExecutedSims is the number of simulations that ran to completion in
 	// this process (including ones that needed retries).
 	ExecutedSims int
-	// RestoredSims is the number of simulations skipped because a resumed
+	// RestoredSims is the number of simulations skipped because a
 	// checkpoint already held their results.
 	RestoredSims int
 	// RetriedSims is the number of executed simulations that needed more

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynsys"
 	"repro/internal/ensemble"
+	"repro/internal/faults"
 	"repro/internal/partition"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
@@ -148,13 +149,14 @@ func (c *Comparison) Get(s Scheme) (SchemeResult, bool) {
 	return SchemeResult{}, false
 }
 
-// generate PF-partitions the experiment cell's space (pivot, P and E from
+// Generate PF-partitions the experiment cell's space (pivot, P and E from
 // the config, the system's parameter pairs kept together) and simulates
-// both sub-ensembles.
-func (cfg Config) generate(ctx context.Context, space *ensemble.Space) (*partition.Result, error) {
+// both sub-ensembles under opts with the seed's rng. RunCtx partitions
+// through it too; SimKey names its inputs.
+func (cfg Config) Generate(ctx context.Context, space *ensemble.Space, opts partition.SimOptions) (*partition.Result, error) {
 	pcfg := partition.DefaultConfig(space.Order(), cfg.Pivot, PairsFor(cfg.System))
 	pcfg.PivotFrac, pcfg.FreeFrac = cfg.PivotFrac, cfg.FreeFrac
-	return partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{})
+	return partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), opts)
 }
 
 // Scorer returns the one accuracy metric of the repo: the exact metric
@@ -211,21 +213,45 @@ func RunComparison(ctx context.Context, cfg Config) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, err := cfg.generate(ctx, space)
+	part, err := cfg.Generate(ctx, space, partition.SimOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return cfg.compare(ctx, part, false)
 }
 
-// simID is the simulation identity of an experiment cell: the fields of a
-// Config that generate reads. Cells with equal simIDs simulate the same
-// partition, whatever they go on to decompose.
-type simID struct {
-	system                  string
-	res, timeSamples, pivot int
-	pivotFrac, freeFrac     float64
-	seed                    int64
+// SimKey is the identity of a simulated partition: Generate's inputs, with
+// the pivot as a mode name or "auto" (SelectPivot's pilot run at Rank and
+// Seed), and the fan-out's injector. Equal Strings mean bit-identical
+// partitions, so every store of simulations — a run's checkpoint, the
+// server's sims- catalogs, this package's partition cache — is keyed by it.
+type SimKey struct {
+	System              string
+	Res, TimeSamples    int
+	Pivot               string
+	PivotFrac, FreeFrac float64
+	Seed                int64
+	Rank                int
+	Faults              *faults.Config
+}
+
+// String names each input only where it can change a cell: the seed when
+// the partition draws from its rng or seeds the pilot, the rank under
+// "auto", the injector by faults.CellKey. Its version, sim-v3, names the
+// simulation kernels' arithmetic: a change that moves any cell's last bit
+// must bump it, so no stored cell of the old kernel is restored.
+func (k SimKey) String() string {
+	key := fmt.Sprintf("sim-v3|%s|res=%d|t=%d|pivot=%q|P=%g|E=%g",
+		k.System, k.Res, k.TimeSamples, k.Pivot, k.PivotFrac, k.FreeFrac)
+	if k.Pivot == "auto" {
+		key += fmt.Sprintf("|seed=%d|pilot-rank=%d", k.Seed, k.Rank)
+	} else if (partition.Config{PivotFrac: k.PivotFrac, FreeFrac: k.FreeFrac}).Draws() {
+		key += fmt.Sprintf("|seed=%d", k.Seed)
+	}
+	if f := faults.CellKey(k.Faults); f != "" {
+		key += "|" + f
+	}
+	return key
 }
 
 // partitionCache holds the most recently used simulated partitions, so that
@@ -240,7 +266,7 @@ var partitionCache struct {
 }
 
 type cachedPartition struct {
-	id   simID
+	key  string
 	part *partition.Result
 }
 
@@ -250,11 +276,16 @@ const partitionCacheSize = 8
 // the partition's Space), shared with every other cell of the same
 // simulation identity.
 func (cfg Config) ensemble(ctx context.Context) (*partition.Result, error) {
-	id := simID{cfg.System, cfg.Res, cfg.TimeSamples, cfg.Pivot, cfg.PivotFrac, cfg.FreeFrac, cfg.Seed}
+	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
+	if err != nil {
+		return nil, err
+	}
+	key := SimKey{System: cfg.System, Res: cfg.Res, TimeSamples: cfg.TimeSamples, Pivot: space.ModeName(cfg.Pivot),
+		PivotFrac: cfg.PivotFrac, FreeFrac: cfg.FreeFrac, Seed: cfg.Seed}.String()
 	c := &partitionCache
 	c.Lock()
 	for i, hit := range c.recent {
-		if hit.id == id {
+		if hit.key == key {
 			copy(c.recent[1:i+1], c.recent[:i])
 			c.recent[0] = hit
 			c.Unlock()
@@ -264,16 +295,12 @@ func (cfg Config) ensemble(ctx context.Context) (*partition.Result, error) {
 	c.Unlock()
 	// Simulated outside the lock: two concurrent misses on one identity
 	// both simulate, to the same bits.
-	space, err := SpaceFor(cfg.System, cfg.Res, cfg.TimeSamples)
-	if err != nil {
-		return nil, err
-	}
-	part, err := cfg.generate(ctx, space)
+	part, err := cfg.Generate(ctx, space, partition.SimOptions{})
 	if err != nil {
 		return nil, err
 	}
 	c.Lock()
-	c.recent = append([]cachedPartition{{id, part}}, c.recent...)
+	c.recent = append([]cachedPartition{{key, part}}, c.recent...)
 	if len(c.recent) > partitionCacheSize {
 		c.recent = c.recent[:partitionCacheSize]
 	}

@@ -1154,3 +1154,28 @@ func TestSharedEnsembleRowsMatchIndependentRows(t *testing.T) {
 		}
 	}
 }
+
+// TestEnsembleSharedAcrossUnsampledSeeds: the partition cache is keyed by
+// SimKey, which names the seed only when the partition draws from its rng.
+// At P = E = 1 two cells that differ only in seed get one shared partition;
+// at P = 0.5 each seed samples its own.
+func TestEnsembleSharedAcrossUnsampledSeeds(t *testing.T) {
+	for _, tc := range []struct {
+		p      float64
+		shared bool
+	}{{1, true}, {0.5, false}} {
+		cell := Config{System: "lorenz", Res: 5, TimeSamples: 4, Rank: 2, Pivot: 3, PivotFrac: tc.p, FreeFrac: 1, Seed: 101}
+		first, err := cell.ensemble(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell.Seed++
+		second, err := cell.ensemble(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (first == second) != tc.shared {
+			t.Fatalf("P = %g: seeds share a partition = %t, want %t", tc.p, first == second, tc.shared)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/tucker"
 )
 
@@ -50,7 +51,7 @@ func SelectPivot(ctx context.Context, system string, pilotRes, rank int, sampleS
 
 	var scores []PivotScore
 	for pivot := 0; pivot < space.Order(); pivot++ {
-		part, err := Config{System: system, Pivot: pivot, PivotFrac: 1, FreeFrac: 1, Seed: seed}.generate(ctx, space)
+		part, err := Config{System: system, Pivot: pivot, PivotFrac: 1, FreeFrac: 1, Seed: seed}.Generate(ctx, space, partition.SimOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("eval: pivot %d pilot: %w", pivot, err)
 		}

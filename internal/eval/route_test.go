@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/stitch"
 	"repro/internal/tucker"
 )
@@ -43,7 +44,7 @@ func TestRunComparisonRouteParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			part, err := cfg.generate(context.Background(), space)
+			part, err := cfg.Generate(context.Background(), space, partition.SimOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

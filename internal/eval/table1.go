@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
+
+	"repro/internal/partition"
 )
 
 // Table1Row summarises one configuration of the experiment space — the
@@ -44,7 +46,7 @@ func Table1(ctx context.Context, systems []string, resolutions []int) ([]Table1R
 			if err != nil {
 				return nil, err
 			}
-			part, err := Config{System: sysName, Pivot: space.TimeMode(), PivotFrac: 1, FreeFrac: 1, Seed: DefaultSeed}.generate(ctx, space)
+			part, err := Config{System: sysName, Pivot: space.TimeMode(), PivotFrac: 1, FreeFrac: 1, Seed: DefaultSeed}.Generate(ctx, space, partition.SimOptions{})
 			if err != nil {
 				return nil, err
 			}

@@ -53,9 +53,9 @@ type Config struct {
 	// retryable error on their first TransientAttempts attempts.
 	TransientRate float64
 	// TransientAttempts is how many consecutive attempts of an affected
-	// simulation fail before it succeeds (default 1, so one retry
-	// recovers it; at Attempts or more, Run's budget runs out first and
-	// the simulation fails).
+	// simulation fail before it succeeds, clamped to [1, Attempts]: the
+	// default 1 lets one retry recover it, and at Attempts (or more, which
+	// runs the same) Run's budget runs out first and the simulation fails.
 	TransientAttempts int
 	// DivergentRate is the fraction of simulations whose cells are all
 	// NaN — modelling a divergent solver whose output must be quarantined
@@ -110,9 +110,7 @@ type Injector struct {
 
 // New returns an injector for the config.
 func New(cfg Config) *Injector {
-	if cfg.TransientAttempts < 1 {
-		cfg.TransientAttempts = 1
-	}
+	cfg.TransientAttempts = cfg.transientAttempts()
 	return &Injector{
 		cfg:           cfg,
 		attempts:      make(map[uint64]int),
@@ -122,6 +120,21 @@ func New(cfg Config) *Injector {
 		delaySeen:     make(map[uint64]bool),
 	}
 }
+
+// CellKey names an injector by the fields that change a simulated cell,
+// TransientAttempts as New clamps it; latency and Hook change none. A nil
+// config, or one with no transient, divergent or panic rate, computes the
+// clean cells and has the clean key, "".
+func CellKey(cfg *Config) string {
+	if cfg == nil || cfg.TransientRate == 0 && cfg.DivergentRate == 0 && cfg.PanicRate == 0 {
+		return ""
+	}
+	return fmt.Sprintf("faults=%d:%g:%d:%g:%g", cfg.Seed, cfg.TransientRate,
+		cfg.transientAttempts(), cfg.DivergentRate, cfg.PanicRate)
+}
+
+// transientAttempts is TransientAttempts clamped to [1, Attempts].
+func (c Config) transientAttempts() int { return min(max(c.TransientAttempts, 1), Attempts) }
 
 // Stats returns a snapshot of the injection accounting.
 func (in *Injector) Stats() Stats {

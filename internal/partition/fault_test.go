@@ -212,7 +212,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	res, err := partition.GenerateCtx(context.Background(), space2, pcfg, newRand(10), partition.SimOptions{
 		Workers:    2,
 		Faults:     inj2,
-		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: fp, Every: 1, Resume: true},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: fp, Every: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestCheckpointFingerprintMismatchIgnored(t *testing.T) {
 	// Resume under a different fingerprint: the stale checkpoint must be
 	// ignored, not restored.
 	res, err := partition.GenerateCtx(context.Background(), probeSpace(probe{}), pcfg, newRand(11), partition.SimOptions{
-		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "config-B", Every: 1, Resume: true},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "config-B", Every: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -186,7 +186,7 @@ func TestGenerateLayoutMatchesReferenceAfterResume(t *testing.T) {
 	}
 	res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(32), partition.SimOptions{
 		Workers:    2,
-		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "layout", Every: 4, Resume: true},
+		Checkpoint: &ensemble.Checkpoint{Store: st, Fingerprint: "layout", Every: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,6 @@ func TestGenerateLayoutMatchesReferenceAfterSparseResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ckpt.Resume = true
 		res, err := partition.GenerateCtx(context.Background(), space, cfg, newRand(35), partition.SimOptions{Workers: workers, Checkpoint: &ckpt})
 		if err != nil {
 			t.Fatal(err)

@@ -77,6 +77,10 @@ func (c Config) Validate(order int) error {
 	return nil
 }
 
+// Draws reports whether GenerateCtx draws from its rng: only a density
+// below 1 samples configurations, so otherwise every seed gives one result.
+func (c Config) Draws() bool { return c.PivotFrac < 1 || c.FreeFrac < 1 }
+
 // DefaultConfig returns the PF-partitioning used throughout the paper's
 // evaluation: a single pivot mode with the remaining modes split into two
 // halves. pairs optionally lists parameter modes that must land in the

@@ -218,7 +218,8 @@ func TestSpecSpellingsShareIdentity(t *testing.T) {
 // the submit path's decode + buildConfig: neither may panic, the ensemble
 // identity is a prefix of the campaign identity, and two specs collide on a
 // fingerprint only when their normalised configs are equal — on the
-// simulation-generating fields for SimFingerprint, on all for Fingerprint.
+// simulation-generating fields for SimFingerprint (with the rank under
+// pivot "auto"), on all for Fingerprint.
 func FuzzCampaignSpecFingerprint(f *testing.F) {
 	f.Add(`{}`, `{"system":"double-pendulum","resolution":12,"rank":4,"method":"select","pivot":"t","seed":1}`)
 	f.Add(`{"seed":2}`, `{"seed":3,"rank":2,"method":"avg"}`)
@@ -228,6 +229,7 @@ func FuzzCampaignSpecFingerprint(f *testing.F) {
 	f.Add(`{"zero_join":true,"seed":1}`, `{"zero_join":true}`)
 	f.Add(`{"distributed":{"workers":3}}`, `{"distributed":{"workers":2,"shards":3}}`)
 	f.Add(`{"resolution":-1}`, `{"system":"LORENZ","time_samples":7,"accuracy_sample_sims":10}`)
+	f.Add(`{"pivot":"auto","rank":1}`, `{"pivot":"auto","rank":2}`)
 	s := fingerprintServer(f)
 
 	f.Fuzz(func(t *testing.T, a, b string) {
@@ -256,9 +258,11 @@ func FuzzCampaignSpecFingerprint(f *testing.F) {
 			t.Fatalf("one campaign, two Fingerprints:\n%q\n%q", cfgs[0].Fingerprint(), cfgs[1].Fingerprint())
 		}
 		if cfgs[0].SimFingerprint() == cfgs[1].SimFingerprint() {
-			sampled := ca.P < 1 || ca.E < 1 || ca.Pivot == "auto"
+			auto := ca.Pivot == "auto" // the pilot run reads the seed and the rank
+			sampled := ca.P < 1 || ca.E < 1 || auto
 			if ca.System != cb.System || ca.Resolution != cb.Resolution || ca.TimeSamples != cb.TimeSamples ||
-				ca.Pivot != cb.Pivot || ca.P != cb.P || ca.E != cb.E || (sampled && ca.Seed != cb.Seed) {
+				ca.Pivot != cb.Pivot || ca.P != cb.P || ca.E != cb.E || (sampled && ca.Seed != cb.Seed) ||
+				(auto && ca.Rank != cb.Rank) {
 				t.Fatalf("two ensembles, one SimFingerprint %q:\n%+v\n%+v", cfgs[0].SimFingerprint(), ca, cb)
 			}
 		}

@@ -42,14 +42,13 @@ type job struct {
 }
 
 // run executes one campaign on an executor goroutine. The job is already
-// in StateRunning. Every campaign runs with its ensemble's catalog as a
-// resumed checkpoint: a complete catalog restores every simulation and the
-// run only decomposes, a partial one (a failed producer's) is continued,
-// an absent one is filled.
+// in StateRunning. Every campaign runs with its ensemble's catalog as its
+// checkpoint: a complete catalog restores every simulation and the run
+// only decomposes, a partial one (a failed producer's) is continued, an
+// absent one is filled.
 func (s *Server) run(ctx context.Context, j *job) {
 	cfg := j.cfg
 	cfg.CheckpointDir = s.simsDir(j.simHash)
-	cfg.Resume = true
 	timeout := time.Duration(j.timeoutMS) * time.Millisecond
 	if timeout == 0 {
 		timeout = s.opts.JobTimeout

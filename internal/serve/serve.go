@@ -13,8 +13,10 @@
 //   - identity: a campaign has two, both defined by package m2td.
 //     Config.Fingerprint names the campaign (ensemble + decomposition
 //     fields); Config.SimFingerprint, its prefix, names the ensemble —
-//     the simulations — alone. Campaigns that differ in rank, method or
-//     zero-join (and, at P = E = 1, in seed) share an ensemble.
+//     the simulations — alone. Campaigns that differ in method or
+//     zero-join share an ensemble, and so do campaigns that differ in rank
+//     (or, at P = E = 1, in seed) under a named pivot; under "auto" both
+//     steer the pilot run that picks the pivot.
 //   - coalescing: a campaign whose Fingerprint is already queued or
 //     running attaches to that job as a waiter instead of enqueueing
 //     duplicate work.
@@ -490,10 +492,7 @@ func (s *Server) buildConfig(spec api.CampaignSpec) (m2td.Config, error) {
 		cfg.SkipAccuracy = true
 	}
 	if d := spec.Distributed; d != nil {
-		workers := d.Workers
-		if workers < 1 {
-			workers = 1
-		}
+		workers := max(d.Workers, 1)
 		if d.Shards < 0 || d.Shards > 1024 || workers > 64 {
 			return m2td.Config{}, fmt.Errorf("distributed spec out of range")
 		}

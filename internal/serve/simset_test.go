@@ -355,3 +355,58 @@ func TestOneProducerPerEnsemble(t *testing.T) {
 		t.Fatalf("after the sweep: %d producers, %d complete catalogs", len(s.producing), len(s.simsReady))
 	}
 }
+
+// TestAutoPivotRanksAreTwoEnsembles: under pivot "auto" the pilot run that
+// picks the pivot decomposes at the campaign's rank, so two campaigns that
+// differ only in rank may simulate two different partitions. Each gets its
+// own sims- catalog and its own producer: both simulate at once.
+func TestAutoPivotRanksAreTwoEnsembles(t *testing.T) {
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	catalogs := make(map[string]bool)
+	fake := func(ctx context.Context, cfg m2td.Config) (*m2td.Report, error) {
+		mu.Lock()
+		catalogs[cfg.CheckpointDir] = true
+		mu.Unlock()
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		report := cannedReport()
+		report.ExecutedSims = report.NumSims
+		return report, nil
+	}
+	seam := newProducerSeam(t, fake)
+	s, _, c := newTestServer(t, func(o *Options) {
+		o.Executors = 2
+		o.Runner = seam.run
+	})
+	ctx := context.Background()
+	var jobs []string
+	for _, rank := range []int{1, 2} {
+		spec := tinySpec()
+		spec.Pivot, spec.Rank = "auto", rank
+		sub, err := c.Submit(ctx, api.SubmitRequest{Campaign: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, sub.JobID)
+	}
+	waitRunning(t, s, 2)
+	s.mu.Lock()
+	producers := len(s.producing)
+	s.mu.Unlock()
+	if producers != 2 {
+		t.Fatalf("%d producers for two auto-pivot ranks, want 2", producers)
+	}
+	close(gate)
+	for _, id := range jobs {
+		if status, err := c.Wait(ctx, id, 30*time.Second); err != nil || status.State != api.StateDone {
+			t.Fatalf("job %s: %+v, %v", id, status, err)
+		}
+	}
+	if len(catalogs) != 2 {
+		t.Fatalf("two auto-pivot ranks ran over %d sims- catalogs, want 2", len(catalogs))
+	}
+}

@@ -112,8 +112,8 @@ type Config struct {
 	AccuracySampleSims int
 	// Factored selects nothing: every run is join-free
 	// (core.DecomposeFactored). The field stays, exclusive with Workers and
-	// Distributed and part of Fingerprint, until the frozen cmd/m2tdperf that
-	// sets it is re-based (ROADMAP, "Re-base the benchmark spine").
+	// Distributed but absent from Fingerprint, until the frozen cmd/m2tdperf
+	// that sets it is re-based (ROADMAP, "Re-base the benchmark spine").
 	Factored bool
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
@@ -130,13 +130,10 @@ type Config struct {
 	// CheckpointDir, when non-empty, enables crash-safe persistence of
 	// completed simulations into an internal/store catalog at that
 	// directory (atomic temp+rename+CRC writes), saved every 64 completed
-	// simulations and on cancellation.
+	// simulations and on cancellation. A checkpoint of the same
+	// simulations there (SimFingerprint, at the resolved pivot) is restored
+	// and its simulations skipped; any other is overwritten.
 	CheckpointDir string
-	// Resume loads a compatible checkpoint from CheckpointDir and skips
-	// every simulation it already holds. Compatible means the same
-	// simulations (SimFingerprint): a checkpoint written at another rank or
-	// method restores in full, one written for another ensemble is ignored.
-	Resume bool
 
 	// Trace records a stage-span trace of the run (partition → decompose
 	// → evaluate, with per-sub-tensor and per-mode sub-spans) on
@@ -406,10 +403,10 @@ func (r resolved) pivot(ctx context.Context) (int, error) {
 }
 
 // checkpoint opens the crash-safe persistence of completed simulations —
-// an internal/store catalog tagged with the simulation identity of the
-// config at its resolved pivot (see Config.fingerprint), so a resumed
-// campaign trusts exactly the checkpoints whose simulations are its own —
-// or returns nil when CheckpointDir is unset.
+// an internal/store catalog tagged with the simulation key of the config at
+// its resolved pivot (see Config.simKey), so a campaign restores exactly the
+// checkpoints whose simulations are its own — or returns nil when
+// CheckpointDir is unset.
 func (r resolved) checkpoint(pivot int) (*ensemble.Checkpoint, error) {
 	c := r.cfg
 	if c.CheckpointDir == "" {
@@ -419,7 +416,7 @@ func (r resolved) checkpoint(pivot int) (*ensemble.Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m2td: checkpoint catalog: %w", err)
 	}
-	return &ensemble.Checkpoint{Store: st, Fingerprint: c.fingerprint(r.space.ModeName(pivot)), Resume: c.Resume}, nil
+	return &ensemble.Checkpoint{Store: st, Fingerprint: c.simKey(r.space.ModeName(pivot))}, nil
 }
 
 // trace starts the run's stage-span trace when Config.Trace asks for one.
@@ -627,13 +624,10 @@ func (r *Report) finishTrace(trace *obs.Trace, cfg Config) {
 // seed, both sub-ensembles simulated under the injector, if any, into the
 // checkpoint, if any.
 func (r resolved) partitionStage(ctx context.Context, trace *obs.Trace, pivot int, ck *ensemble.Checkpoint) (part *partition.Result, err error) {
-	cfg, space := r.cfg, r.space
-	pcfg := partition.DefaultConfig(space.Order(), pivot, eval.PairsFor(space.Sys.Name()))
-	pcfg.PivotFrac, pcfg.FreeFrac = cfg.PivotDensity, cfg.SubEnsembleDensity
+	cfg := r.cfg
+	cell := eval.Config{System: string(cfg.System), Pivot: pivot, PivotFrac: cfg.PivotDensity, FreeFrac: cfg.SubEnsembleDensity, Seed: cfg.Seed}
 	err = runStage(ctx, trace, "partition", "simulation", func(ctx context.Context, span *obs.Span) (err error) {
-		part, err = partition.GenerateCtx(ctx, space, pcfg, rand.New(rand.NewSource(cfg.Seed)), partition.SimOptions{
-			Workers: cfg.Parallel, Faults: r.injector, Checkpoint: ck, Span: span,
-		})
+		part, err = cell.Generate(ctx, r.space, partition.SimOptions{Workers: cfg.Parallel, Faults: r.injector, Checkpoint: ck, Span: span})
 		return err
 	})
 	return part, err

@@ -192,7 +192,6 @@ func TestRunResumeBitIdentical(t *testing.T) {
 	cfg2 := smallConfig()
 	cfg2.SkipAccuracy = true
 	cfg2.CheckpointDir = dir
-	cfg2.Resume = true
 	cfg2.Faults = &faults.Config{Seed: 1, Hook: func() { attempts2.Add(1) }}
 	report, err := RunCtx(context.Background(), cfg2)
 	if err != nil {
@@ -253,7 +252,6 @@ func TestRunResumeRejectsForeignCheckpoint(t *testing.T) {
 			if tc.oldKernel {
 				retagCheckpoint(t, cfg.CheckpointDir, "sim-v3|", "sim-v2|")
 			}
-			cfg.Resume = true
 			tc.foreign(&cfg)
 			report, err := RunCtx(context.Background(), cfg)
 			if err != nil {
@@ -312,7 +310,6 @@ func TestRunResumeAcrossTransientAttemptSpellings(t *testing.T) {
 			first.RetriedSims, first.ExecutedSims, first.NumSims)
 	}
 	cfg.Faults = &faults.Config{Seed: 1, TransientRate: 0.1, TransientAttempts: 1}
-	cfg.Resume = true
 	resumed, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +334,6 @@ func TestRunResumeAcrossLatencySpellings(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Faults = &faults.Config{Seed: 1, TransientRate: 0.1, LatencyRate: 0.5, Latency: time.Microsecond}
-	cfg.Resume = true
 	resumed, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +358,6 @@ func TestLatencyOnlyCampaignResumesACleanCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Faults = &faults.Config{Seed: 1, LatencyRate: 0.5, Latency: time.Microsecond}
-	cfg.Resume = true
 	resumed, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +411,6 @@ func TestRunResumeSharesEnsembleAcrossDecompositions(t *testing.T) {
 
 	cfg.Seed++
 	cfg.Rank, cfg.Method = 3, MethodAVG
-	cfg.Resume = true
 	resumed, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +422,7 @@ func TestRunResumeSharesEnsembleAcrossDecompositions(t *testing.T) {
 		t.Fatalf("the resumed campaign ran %d simulations", int(attempts.Load())-first.NumSims)
 	}
 
-	cfg.CheckpointDir, cfg.Resume = "", false
+	cfg.CheckpointDir = ""
 	fresh, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
